@@ -172,7 +172,6 @@ fn main() {
     } else {
         (&[4, 8, 12], 8, 256 * 1024, 16)
     };
-    let workers = 4;
 
     let mut table = Table::new(
         "batch fan-out: sequential dispatch (sum of lanes) vs parallel lanes (critical path)",
@@ -201,7 +200,7 @@ fn main() {
             let (par_archive, par_clock, par_ids) = build_fanout(
                 lanes,
                 &profile,
-                DispatchPolicy::Parallel { workers },
+                DispatchPolicy::parallel(),
                 batch,
                 object_size,
             );
@@ -247,11 +246,11 @@ fn main() {
     table.emit("e_parallel");
 
     // Campaign stage: the same degraded fleet repaired under both
-    // dispatch policies. Each batched repair reads four shards from
+    // dispatch policies. Each repair reads four shards from
     // four distinct nodes; parallel lanes overlap those reads, so the
     // campaign's background time shrinks toward the critical path.
     let campaign_seq = run_campaign(DispatchPolicy::Sequential, fleet_objects);
-    let campaign_par = run_campaign(DispatchPolicy::Parallel { workers }, fleet_objects);
+    let campaign_par = run_campaign(DispatchPolicy::parallel(), fleet_objects);
     let reduction = 1.0 - campaign_par / campaign_seq;
     assert!(
         campaign_par < campaign_seq,
@@ -270,7 +269,6 @@ fn main() {
         ("experiment".into(), Json::Str("parallel".into())),
         ("seed".into(), Json::Num(SWEEP_SEED as f64)),
         ("quick".into(), Json::Num(if quick { 1.0 } else { 0.0 })),
-        ("workers".into(), Json::Num(workers as f64)),
         ("runs".into(), Json::Arr(entries)),
         (
             "campaign".into(),

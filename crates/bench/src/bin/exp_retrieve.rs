@@ -1,4 +1,5 @@
-//! E-retrieve — sequential vs batched read fan-in on the virtual clock.
+//! E-retrieve — per-object loop vs one cross-object read fan-in on the
+//! virtual clock.
 //!
 //! Placement spreads every shard of one object across distinct nodes,
 //! so a single-object read pays one positioning cost per node either
@@ -6,9 +7,9 @@
 //! `retrieve_many` groups every shard the whole batch needs from a
 //! given node into one framed `get_batch` request, paying that node's
 //! seek once per batch instead of once per object. This experiment
-//! sweeps batch sizes x policies x device profiles and times a
-//! sequential `retrieve` loop against one `retrieve_many` call on the
-//! simulated clock. The win scales with batch size and with how
+//! sweeps batch sizes x policies x device profiles and times a loop of
+//! `retrieve` calls (each a flush of one) against one `retrieve_many`
+//! call on the simulated clock. The win scales with batch size and with how
 //! seek-dominated the medium is: an archival disk barely notices, a
 //! tape library with multi-second positioning lives or dies by it.
 //!

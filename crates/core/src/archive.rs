@@ -89,8 +89,8 @@ pub struct ArchiveConfig {
     /// a concurrency knob: iteration order and every campaign result
     /// are independent of it (clamped to at least 1).
     pub catalog_shards: usize,
-    /// How the cluster executes the per-node legs of batched
-    /// operations. `None` (the default) keeps whatever the cluster was
+    /// How the cluster prices the per-node legs of every shard
+    /// fan-out. `None` (the default) keeps whatever the cluster was
     /// built with — sequential dispatch unless the
     /// `AEON_FORCE_DISPATCH` environment override is set. `Some`
     /// overrides the cluster, including one supplied to
@@ -155,7 +155,7 @@ impl ArchiveConfig {
         self
     }
 
-    /// Overrides the cluster's dispatch policy for batched operations
+    /// Overrides the cluster's dispatch policy
     /// ([`DispatchPolicy::Parallel`] overlaps per-node transfers on
     /// virtual lanes; payloads and failures stay byte-identical, only
     /// virtual timing changes).
@@ -318,6 +318,9 @@ pub struct ArchiveStats {
     /// Measured expansion (stored / logical).
     pub expansion: f64,
 }
+
+/// One retrieval's outcome: the payload and its per-shard accounting.
+type Retrieved = Result<(Vec<u8>, TransferReport), ArchiveError>;
 
 /// A secure long-term archive over a simulated geo-dispersed cluster.
 ///
@@ -715,22 +718,13 @@ impl Archive {
         PlanExecutor::new(&self.cluster, &self.config.retry)
     }
 
-    /// Fetches an object's shards with bounded retry, then discards any
-    /// whose bytes fail the per-shard digest check.
+    /// Fetches an object's shards with bounded retry (one framed
+    /// request per node holding them), then discards any whose bytes
+    /// fail the per-shard digest check.
     pub(crate) fn fetch_shards(&self, manifest: &Manifest, label: &str) -> ShardsSnapshot {
         let mut rng = self.op_rng(label, manifest.id.as_str());
         self.executor()
             .read(&ReadPlan::for_manifest(manifest), &mut rng)
-    }
-
-    /// [`Archive::fetch_shards`] with the first attempt coalesced: one
-    /// framed batch request per node, then individual retries with the
-    /// remaining budget. Same rng derivation, so under deterministic
-    /// fault injection the snapshot is identical to the sequential one.
-    pub(crate) fn fetch_shards_batched(&self, manifest: &Manifest, label: &str) -> ShardsSnapshot {
-        let mut rng = self.op_rng(label, manifest.id.as_str());
-        self.executor()
-            .read_batched(&ReadPlan::for_manifest(manifest), &mut rng)
     }
 
     /// Retrying, digest-filtered fetch by object id, for maintenance
@@ -739,18 +733,6 @@ impl Archive {
         self.manifests
             .get(id)
             .map(|manifest| self.fetch_shards(&manifest, label))
-    }
-
-    /// Batched twin of [`Archive::fetch_shards_for`]: the fetch groups
-    /// shard keys by node and ships one framed request per node.
-    pub(crate) fn fetch_shards_for_batched(
-        &self,
-        id: &ObjectId,
-        label: &str,
-    ) -> Option<ShardsSnapshot> {
-        self.manifests
-            .get(id)
-            .map(|manifest| self.fetch_shards_batched(&manifest, label))
     }
 
     /// Records the digest of a freshly rewritten shard (repair paths).
@@ -790,51 +772,9 @@ impl Archive {
         &self,
         id: &ObjectId,
     ) -> Result<(Vec<u8>, TransferReport), ArchiveError> {
-        let manifest = self
-            .manifests
-            .get(id)
-            .ok_or_else(|| ArchiveError::UnknownObject(id.clone()))?;
-        if manifest.blocks.is_some() {
-            return self.retrieve_dedup(&manifest);
-        }
-        let snap = self.fetch_shards(&manifest, "retrieve");
-        self.finish_retrieve(&manifest, snap)
-    }
-
-    /// [`Archive::retrieve`] with the shard fetch coalesced: one framed
-    /// batch request per node holding shards of the object, then
-    /// individual retries with the remaining budget. Identical payloads
-    /// and typed failures to the sequential path under deterministic
-    /// fault injection; on seek-priced media the fetch charges one
-    /// positioning delay per node instead of one per shard. Dedup
-    /// objects take the batched level-by-level tree walk.
-    ///
-    /// # Errors
-    ///
-    /// See [`Archive::retrieve`].
-    pub fn retrieve_batched(&self, id: &ObjectId) -> Result<Vec<u8>, ArchiveError> {
-        self.retrieve_with_report_batched(id)
-            .map(|(payload, _)| payload)
-    }
-
-    /// [`Archive::retrieve_with_report`] over the batched read seam.
-    ///
-    /// # Errors
-    ///
-    /// See [`Archive::retrieve`].
-    pub fn retrieve_with_report_batched(
-        &self,
-        id: &ObjectId,
-    ) -> Result<(Vec<u8>, TransferReport), ArchiveError> {
-        let manifest = self
-            .manifests
-            .get(id)
-            .ok_or_else(|| ArchiveError::UnknownObject(id.clone()))?;
-        if manifest.blocks.is_some() {
-            return self.retrieve_dedup_batched(&manifest);
-        }
-        let snap = self.fetch_shards_batched(&manifest, "retrieve");
-        self.finish_retrieve(&manifest, snap)
+        self.retrieve_each(std::slice::from_ref(id))
+            .pop()
+            .expect("one result per id")
     }
 
     /// Retrieves many objects in one cross-object fan-in: every
@@ -844,18 +784,25 @@ impl Archive {
     /// each object's own rng). Per-object outcomes — payload bytes and
     /// typed failures — are exactly what [`Archive::retrieve`] would
     /// return for each id; one unreadable object does not fail its
-    /// neighbors. Dedup objects fetch through the batched tree walk,
-    /// coalescing within the object rather than across the flush.
+    /// neighbors. Dedup objects fetch through the level-batched tree
+    /// walk, coalescing within the object rather than across the flush.
     pub fn retrieve_many(&self, ids: &[ObjectId]) -> Vec<Result<Vec<u8>, ArchiveError>> {
-        let mut results: Vec<Option<Result<Vec<u8>, ArchiveError>>> =
-            ids.iter().map(|_| None).collect();
+        self.retrieve_each(ids)
+            .into_iter()
+            .map(|r| r.map(|(payload, _)| payload))
+            .collect()
+    }
+
+    /// The one retrieval path: [`Archive::retrieve`] and
+    /// [`Archive::retrieve_with_report`] are its one-id case,
+    /// [`Archive::retrieve_many`] its payload projection.
+    fn retrieve_each(&self, ids: &[ObjectId]) -> Vec<Retrieved> {
+        let mut results: Vec<Option<Retrieved>> = ids.iter().map(|_| None).collect();
         let mut pending: Vec<(usize, Manifest)> = Vec::new();
         for (i, id) in ids.iter().enumerate() {
             match self.manifests.get(id) {
                 None => results[i] = Some(Err(ArchiveError::UnknownObject(id.clone()))),
-                Some(m) if m.blocks.is_some() => {
-                    results[i] = Some(self.retrieve_dedup_batched(&m).map(|(p, _)| p));
-                }
+                Some(m) if m.blocks.is_some() => results[i] = Some(self.retrieve_dedup(&m)),
                 Some(m) => pending.push((i, m)),
             }
         }
@@ -869,7 +816,10 @@ impl Archive {
             .collect();
         let snaps = self.executor().read_many(&plans, &mut rngs);
         for ((i, manifest), snap) in pending.iter().zip(snaps) {
-            results[*i] = Some(self.finish_retrieve(manifest, snap).map(|(p, _)| p));
+            results[*i] = Some(
+                self.decode_manifest(manifest, &snap)
+                    .map(|payload| (payload, snap.report)),
+            );
         }
         results
             .into_iter()
@@ -877,38 +827,61 @@ impl Archive {
             .collect()
     }
 
-    /// Shared decode tail of every retrieval flavor: threshold check,
-    /// policy decode, whole-payload digest check.
-    fn finish_retrieve(
+    /// [`Archive::decode_verified`] for a classic object: decoded under
+    /// its own id and verified against its manifest digest.
+    pub(crate) fn decode_manifest(
         &self,
         manifest: &Manifest,
-        snap: ShardsSnapshot,
-    ) -> Result<(Vec<u8>, TransferReport), ArchiveError> {
-        let id = &manifest.id;
-        let required = manifest.policy.read_threshold();
+        snap: &ShardsSnapshot,
+    ) -> Result<Vec<u8>, ArchiveError> {
+        self.decode_verified(
+            &manifest.id,
+            manifest.id.as_str(),
+            &manifest.policy,
+            &manifest.meta,
+            &manifest.digest,
+            snap,
+        )
+    }
+
+    /// The shared tail of every read: threshold check, policy decode,
+    /// payload digest check. Failures are typed against `owner` — for a
+    /// shared dedup block that is the object whose read is in progress,
+    /// so corruption of the block surfaces in every referencing object
+    /// — while `context` names what the shards were encoded as.
+    pub(crate) fn decode_verified(
+        &self,
+        owner: &ObjectId,
+        context: &str,
+        policy: &PolicyKind,
+        meta: &EncodingMeta,
+        digest: &[u8; 32],
+        snap: &ShardsSnapshot,
+    ) -> Result<Vec<u8>, ArchiveError> {
+        let required = policy.read_threshold();
         if snap.valid < required {
             if snap.corrupt > 0 {
-                return Err(ArchiveError::IntegrityViolation(id.clone()));
+                return Err(ArchiveError::IntegrityViolation(owner.clone()));
             }
             return Err(ArchiveError::DegradedBeyondBudget {
-                id: id.clone(),
+                id: owner.clone(),
                 available: snap.valid,
                 required,
                 corrupt: snap.corrupt,
             });
         }
         let payload = pipeline::decode_object(
-            &manifest.policy,
+            policy,
             &self.keys,
-            id.as_str(),
+            context,
             &snap.shards,
-            &manifest.meta,
+            meta,
             self.config.pipeline.workers,
         )?;
-        if Sha256::digest(&payload) != manifest.digest {
-            return Err(ArchiveError::IntegrityViolation(id.clone()));
+        if Sha256::digest(&payload) != *digest {
+            return Err(ArchiveError::IntegrityViolation(owner.clone()));
         }
-        Ok((payload, snap.report))
+        Ok(payload)
     }
 
     /// Deletes an object and its shards.
@@ -961,21 +934,10 @@ impl Archive {
             });
         }
         let snap = self.fetch_shards(&manifest, "verify");
-        let available = snap.valid;
-        let intact = pipeline::decode_object(
-            &manifest.policy,
-            &self.keys,
-            id.as_str(),
-            &snap.shards,
-            &manifest.meta,
-            self.config.pipeline.workers,
-        )
-        .map(|p| Sha256::digest(&p) == manifest.digest)
-        .unwrap_or(false);
         Ok(HealthReport {
-            shards_available: available,
+            shards_available: snap.valid,
             shards_required: manifest.policy.read_threshold(),
-            intact,
+            intact: self.decode_manifest(&manifest, &snap).is_ok(),
             chain_valid,
         })
     }
@@ -1182,8 +1144,8 @@ mod tests {
             data: 3,
             parity: 2,
         };
-        let (read, written) = a.reencode_object(&id, new_policy.clone()).unwrap();
-        assert!(read > 0 && written > 0);
+        let moved = a.reencode_object(&id, new_policy.clone()).unwrap();
+        assert!(moved.bytes_read > 0 && moved.bytes_written > 0);
         assert_eq!(a.manifest(&id).unwrap().policy, new_policy);
         assert_eq!(a.retrieve(&id).unwrap(), b"migrate me to a cascade");
     }

@@ -225,10 +225,7 @@ impl ReencodeCampaignDriver {
         };
         let clock = archive.cluster().clock().clone();
         let start = clock.now();
-        // The driver's per-object fetch rides the batched read seam:
-        // one framed request per source node, so a bandwidth-metered
-        // campaign pays one positioning delay per node per object.
-        let outcome = archive.reencode_object_timed_batched(&id, self.new_policy.clone())?;
+        let outcome = archive.reencode_object(&id, self.new_policy.clone())?;
         let end = clock.now();
         let background = end - start;
         self.next_eligible = end + background.mul_f64(self.fg_factor);
@@ -336,7 +333,7 @@ impl Archive {
             elapsed: SimDuration::ZERO,
         };
         for id in &ids {
-            let o: ObjectReencode = self.reencode_object_timed(id, new_policy.clone())?;
+            let o = self.reencode_object(id, new_policy.clone())?;
             campaign.objects += 1;
             campaign.bytes_read += o.bytes_read;
             campaign.bytes_written += o.bytes_written;

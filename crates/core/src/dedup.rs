@@ -480,72 +480,37 @@ impl Archive {
         self.executor().read(&plan, &mut rng)
     }
 
-    /// Fetches, decodes, and hash-verifies one block. Failures are
-    /// typed against `owner` — the object whose read is in progress —
-    /// so corruption of a shared block surfaces in every referencing
-    /// object.
-    fn read_block(
-        &self,
-        hash: &BlockHash,
-        owner: &ObjectId,
-        report: &mut TransferReport,
-    ) -> Result<Vec<u8>, ArchiveError> {
-        let Some(rec) = self.blocks.get(hash) else {
-            return Err(ArchiveError::Policy(PolicyError::Malformed(format!(
-                "object {owner} references unknown block {hash}"
-            ))));
-        };
-        let ctx = block_object_id(hash);
-        let snap = self.fetch_block(rec, &ctx);
-        report.attempts.extend(snap.report.attempts);
-        let required = rec.policy.read_threshold();
-        if snap.valid < required {
-            if snap.corrupt > 0 {
-                return Err(ArchiveError::IntegrityViolation(owner.clone()));
-            }
-            return Err(ArchiveError::DegradedBeyondBudget {
-                id: owner.clone(),
-                available: snap.valid,
-                required,
-                corrupt: snap.corrupt,
-            });
-        }
-        let bytes = pipeline::decode_object(
-            &rec.policy,
-            &self.keys,
-            &ctx,
-            &snap.shards,
-            &rec.meta,
-            self.config.pipeline.workers,
-        )?;
-        if BlockHash::of(&bytes) != *hash {
-            return Err(ArchiveError::IntegrityViolation(owner.clone()));
-        }
-        Ok(bytes)
-    }
-
-    /// Fetches, decodes, and hash-verifies many blocks in one
-    /// cross-block fan-in: distinct hashes (first-occurrence order)
-    /// each become a read plan, and the executor groups every plan's
-    /// shard keys by source node into one framed batch request per
-    /// node. A hash that repeats in `hashes` is fetched **once** and
-    /// its bytes cloned per occurrence — the dedup-aware divergence
-    /// from per-occurrence sequential reads (and attempt accounting
-    /// covers each distinct block once). Per-block rng derivation
-    /// matches [`Self::read_block`], so fault-free results are
-    /// identical to the sequential walk.
-    fn read_block_many(
+    /// Fetches, decodes, and hash-verifies blocks in one cross-block
+    /// fan-in: distinct hashes (first-occurrence order) each become a
+    /// read plan, and the executor groups every plan's shard keys by
+    /// source node into one framed batch request per node. A hash that
+    /// repeats in `hashes` is fetched and accounted **once**; its bytes
+    /// are cloned for every occurrence but the last, which takes them.
+    /// Failures are typed against `owner` — the object whose read is in
+    /// progress — so corruption of a shared block surfaces in every
+    /// referencing object.
+    fn read_blocks(
         &self,
         hashes: &[BlockHash],
         owner: &ObjectId,
         report: &mut TransferReport,
     ) -> Result<Vec<Vec<u8>>, ArchiveError> {
         let mut distinct: Vec<BlockHash> = Vec::new();
-        for h in hashes {
-            if !distinct.contains(h) {
-                distinct.push(*h);
-            }
-        }
+        let mut uses: Vec<usize> = Vec::new();
+        let slots: Vec<usize> = hashes
+            .iter()
+            .map(|h| match distinct.iter().position(|d| d == h) {
+                Some(at) => {
+                    uses[at] += 1;
+                    at
+                }
+                None => {
+                    distinct.push(*h);
+                    uses.push(1);
+                    distinct.len() - 1
+                }
+            })
+            .collect();
         let mut plans = Vec::with_capacity(distinct.len());
         let mut rngs = Vec::with_capacity(distinct.len());
         let mut recs = Vec::with_capacity(distinct.len());
@@ -567,47 +532,36 @@ impl Archive {
         let snaps = self.executor().read_many(&plans, &mut rngs);
         let mut decoded: Vec<Vec<u8>> = Vec::with_capacity(distinct.len());
         for ((hash, (rec, ctx)), snap) in distinct.iter().zip(&recs).zip(snaps) {
-            report.attempts.extend(snap.report.attempts);
-            let required = rec.policy.read_threshold();
-            if snap.valid < required {
-                if snap.corrupt > 0 {
-                    return Err(ArchiveError::IntegrityViolation(owner.clone()));
-                }
-                return Err(ArchiveError::DegradedBeyondBudget {
-                    id: owner.clone(),
-                    available: snap.valid,
-                    required,
-                    corrupt: snap.corrupt,
-                });
-            }
-            let bytes = pipeline::decode_object(
-                &rec.policy,
-                &self.keys,
+            decoded.push(self.decode_verified(
+                owner,
                 ctx,
-                &snap.shards,
+                &rec.policy,
                 &rec.meta,
-                self.config.pipeline.workers,
-            )?;
-            if BlockHash::of(&bytes) != *hash {
-                return Err(ArchiveError::IntegrityViolation(owner.clone()));
-            }
-            decoded.push(bytes);
+                hash.as_bytes(),
+                &snap,
+            )?);
+            report.attempts.extend(snap.report.attempts);
         }
-        Ok(hashes
-            .iter()
-            .map(|h| {
-                let at = distinct.iter().position(|d| d == h).expect("hash listed");
-                decoded[at].clone()
+        Ok(slots
+            .into_iter()
+            .map(|at| {
+                uses[at] -= 1;
+                if uses[at] == 0 {
+                    std::mem::take(&mut decoded[at])
+                } else {
+                    decoded[at].clone()
+                }
             })
             .collect())
     }
 
-    /// [`Self::walk_tree`] level by level: every interior node of one
-    /// tree level is fetched in a single cross-block batch before
-    /// descending. Trees are uniform (all leaves at level 0), so the
-    /// breadth-first frontier keeps leaf hashes in payload order
-    /// exactly like the depth-first walk.
-    fn walk_tree_batched(
+    /// Walks the Merkle tree from `root` level by level — every
+    /// interior node of one level is fetched in a single cross-block
+    /// batch before descending — verifying each node on the way down,
+    /// and returns the leaf hashes. Trees are uniform (all leaves at
+    /// level 0), so the breadth-first frontier keeps them in payload
+    /// order.
+    fn walk_tree(
         &self,
         root: &BlockHash,
         owner: &ObjectId,
@@ -622,7 +576,7 @@ impl Archive {
                 .filter(|(_, expect)| *expect != Some(0))
                 .map(|(h, _)| *h)
                 .collect();
-            let fetched = self.read_block_many(&interior, owner, report)?;
+            let fetched = self.read_blocks(&interior, owner, report)?;
             let mut blocks = fetched.into_iter();
             let mut next = Vec::new();
             for (hash, expect) in frontier {
@@ -647,39 +601,10 @@ impl Archive {
         Ok(leaves)
     }
 
-    /// Walks the Merkle tree from `root`, verifying every interior node
-    /// on the way down, and returns the leaf hashes in payload order.
-    fn walk_tree(
-        &self,
-        root: &BlockHash,
-        owner: &ObjectId,
-        report: &mut TransferReport,
-    ) -> Result<Vec<BlockHash>, ArchiveError> {
-        let mut leaves = Vec::new();
-        // (hash, expected level); None = root, any interior level.
-        let mut stack: Vec<(BlockHash, Option<u8>)> = vec![(*root, None)];
-        while let Some((hash, expect)) = stack.pop() {
-            if expect == Some(0) {
-                leaves.push(hash);
-                continue;
-            }
-            let bytes = self.read_block(&hash, owner, report)?;
-            let node = merkle::decode_node(&bytes)
-                .map_err(|_| ArchiveError::IntegrityViolation(owner.clone()))?;
-            if let Some(level) = expect {
-                if node.level != level {
-                    return Err(ArchiveError::IntegrityViolation(owner.clone()));
-                }
-            }
-            for child in node.children.iter().rev() {
-                stack.push((*child, Some(node.level - 1)));
-            }
-        }
-        Ok(leaves)
-    }
-
-    /// Dedup-mode retrieval: tree walk, per-block decode + hash check,
-    /// then the whole-payload digest check.
+    /// Dedup-mode retrieval: the tree walk (checked against the
+    /// manifest's leaf list before any leaf is fetched), every
+    /// **distinct** leaf block fetched once and reassembled per
+    /// occurrence, then the whole-payload digest check.
     pub(crate) fn retrieve_dedup(
         &self,
         manifest: &Manifest,
@@ -690,38 +615,9 @@ impl Archive {
         if leaves != d.blocks {
             return Err(ArchiveError::IntegrityViolation(manifest.id.clone()));
         }
-        let mut payload = Vec::with_capacity(manifest.logical_len);
-        for h in &leaves {
-            payload.extend_from_slice(&self.read_block(h, &manifest.id, &mut report)?);
-        }
-        if Sha256::digest(&payload) != manifest.digest {
-            return Err(ArchiveError::IntegrityViolation(manifest.id.clone()));
-        }
-        Ok((payload, report))
-    }
-
-    /// Dedup-mode retrieval over the batched read seam: the tree walk
-    /// fetches each level in one cross-block batch, and the leaf pass
-    /// fetches every **distinct** leaf block once (one framed request
-    /// per node) before reassembling the payload per occurrence.
-    /// Fault-free results are identical to [`Self::retrieve_dedup`];
-    /// attempt accounting covers each distinct block once instead of
-    /// once per occurrence.
-    pub(crate) fn retrieve_dedup_batched(
-        &self,
-        manifest: &Manifest,
-    ) -> Result<(Vec<u8>, TransferReport), ArchiveError> {
-        let d = manifest.blocks.as_ref().expect("dedup manifest");
-        let mut report = TransferReport::default();
-        let leaves = self.walk_tree_batched(&d.root, &manifest.id, &mut report)?;
-        if leaves != d.blocks {
-            return Err(ArchiveError::IntegrityViolation(manifest.id.clone()));
-        }
-        let blocks = self.read_block_many(&leaves, &manifest.id, &mut report)?;
-        let mut payload = Vec::with_capacity(manifest.logical_len);
-        for bytes in &blocks {
-            payload.extend_from_slice(bytes);
-        }
+        let payload = self
+            .read_blocks(&leaves, &manifest.id, &mut report)?
+            .concat();
         if Sha256::digest(&payload) != manifest.digest {
             return Err(ArchiveError::IntegrityViolation(manifest.id.clone()));
         }
@@ -740,11 +636,7 @@ impl Archive {
         let owner = ObjectId::from_raw(format!("root-{root}"));
         let mut report = TransferReport::default();
         let leaves = self.walk_tree(root, &owner, &mut report)?;
-        let mut payload = Vec::new();
-        for h in &leaves {
-            payload.extend_from_slice(&self.read_block(h, &owner, &mut report)?);
-        }
-        Ok(payload)
+        Ok(self.read_blocks(&leaves, &owner, &mut report)?.concat())
     }
 
     /// Serializes the catalog (id, name, length, digest, root of every
@@ -982,29 +874,8 @@ impl Archive {
         let ctx = block_object_id(hash);
         let owner = ObjectId::from_raw(ctx.clone());
         let snap = self.fetch_block(&rec, &ctx);
-        let required = rec.policy.read_threshold();
-        if snap.valid < required {
-            if snap.corrupt > 0 {
-                return Err(ArchiveError::IntegrityViolation(owner));
-            }
-            return Err(ArchiveError::DegradedBeyondBudget {
-                id: owner,
-                available: snap.valid,
-                required,
-                corrupt: snap.corrupt,
-            });
-        }
-        let bytes = pipeline::decode_object(
-            &rec.policy,
-            &self.keys,
-            &ctx,
-            &snap.shards,
-            &rec.meta,
-            self.config.pipeline.workers,
-        )?;
-        if BlockHash::of(&bytes) != *hash {
-            return Err(ArchiveError::IntegrityViolation(owner));
-        }
+        let bytes =
+            self.decode_verified(&owner, &ctx, &rec.policy, &rec.meta, hash.as_bytes(), &snap)?;
         let bytes_read: u64 = snap.shards.iter().flatten().map(|s| s.len() as u64).sum();
         let write_start = clock.now();
         // Same convergent derivation as ingest: the new shards are a
@@ -1047,7 +918,7 @@ impl Archive {
         })
     }
 
-    /// Dedup branch of [`Archive::reencode_object_timed`]: migrates
+    /// Dedup branch of [`Archive::reencode_object`]: migrates
     /// every referenced block not already on `new_policy`. Blocks an
     /// earlier object's campaign step already moved are skipped — the
     /// measured dedup saving.

@@ -7,15 +7,27 @@
 //! retries, digest filtering, rollback, and read accounting live.
 //! Invariant: no other module in this crate calls `Cluster` or
 //! `StorageNode` get/put directly.
+//!
+//! There is one I/O path. Every read and write — one object or many —
+//! is a list of *legs* run through the same fan-out: legs are grouped
+//! by node in first-occurrence order, each node serves **one** framed
+//! `get_batch`/`put_batch` for its group through
+//! `Cluster::dispatch_lanes`, and each leg whose first attempt failed
+//! retryably then spends the rest of its retry budget individually,
+//! drawing jitter from its own object's rng. A single-object operation
+//! is a batch of one; how the per-node frames are *priced* (summed, or
+//! overlapped on lanes) is the cluster's `DispatchPolicy`, never the
+//! caller's choice of entry point.
 
 use crate::archive::ArchiveError;
 use crate::plan::{ReadPlan, WritePlan};
 use crate::policy::PolicyError;
 use aeon_crypto::{CryptoRng, Sha256};
-use aeon_store::cluster::{ClusterError, TransferReport};
-use aeon_store::node::{NodeId, ShardKey};
+use aeon_store::cluster::{ClusterError, ShardAttempt, TransferReport};
+use aeon_store::node::{NodeError, NodeId, ShardKey, StorageNode};
 use aeon_store::retry::{run_with_retry, RetryPolicy};
 use aeon_store::Cluster;
+use std::slice;
 
 /// Snapshot of an object's shards after a retrying, digest-checked
 /// fetch: the raw material for degraded reads, verification, and
@@ -45,6 +57,79 @@ pub struct WriteOutcome {
     pub report: TransferReport,
 }
 
+/// One shard's leg of a fan-out: whose retry stream pays for it, the
+/// node it lives on, its key, and (for writes) its bytes.
+struct Leg<'a> {
+    /// Index of the leg's object in the operation (and of its rng).
+    owner: usize,
+    node: NodeId,
+    object: &'a str,
+    shard: u32,
+    data: &'a [u8],
+}
+
+impl Leg<'_> {
+    fn key(&self) -> ShardKey {
+        ShardKey::new(self.object, self.shard)
+    }
+}
+
+/// A transfer direction: how a node serves one frame of legs, and how
+/// it serves one leg again on retry. The fan-out is written once over
+/// this; [`Get`] and [`Put`] are its two instantiations.
+trait Direction {
+    type Out;
+    fn frame<'l, 'a: 'l>(
+        node: &dyn StorageNode,
+        legs: impl Iterator<Item = &'l Leg<'a>>,
+    ) -> Vec<Result<Self::Out, NodeError>>;
+    fn one(node: &dyn StorageNode, leg: &Leg<'_>) -> Result<Self::Out, NodeError>;
+}
+
+struct Get;
+
+impl Direction for Get {
+    type Out = Vec<u8>;
+
+    fn frame<'l, 'a: 'l>(
+        node: &dyn StorageNode,
+        legs: impl Iterator<Item = &'l Leg<'a>>,
+    ) -> Vec<Result<Vec<u8>, NodeError>> {
+        let keys: Vec<ShardKey> = legs.map(Leg::key).collect();
+        node.get_batch(&keys)
+    }
+
+    fn one(node: &dyn StorageNode, leg: &Leg<'_>) -> Result<Vec<u8>, NodeError> {
+        node.get(&leg.key())
+    }
+}
+
+struct Put;
+
+impl Direction for Put {
+    type Out = ();
+
+    fn frame<'l, 'a: 'l>(
+        node: &dyn StorageNode,
+        legs: impl Iterator<Item = &'l Leg<'a>>,
+    ) -> Vec<Result<(), NodeError>> {
+        let entries: Vec<(ShardKey, &[u8])> = legs.map(|leg| (leg.key(), leg.data)).collect();
+        node.put_batch(&entries)
+    }
+
+    fn one(node: &dyn StorageNode, leg: &Leg<'_>) -> Result<(), NodeError> {
+        node.put(&leg.key(), leg.data)
+    }
+}
+
+/// One object's shard set to write: object id, placement, and one blob
+/// per placement slot.
+type ShardSet<'a> = (&'a str, &'a [NodeId], &'a [Vec<u8>]);
+
+/// A leg's state after its first attempt: attempts made so far (zero
+/// when its node is not in the cluster) and the latest result.
+type Attempted<T> = (u32, Result<T, NodeError>);
+
 /// Applies plans against a cluster under a bounded retry policy.
 ///
 /// Borrowed fresh from the archive for each operation; carries no
@@ -71,49 +156,122 @@ impl<'a> PlanExecutor<'a> {
         self.cluster.place(object, shards)
     }
 
-    /// Executes a read plan: fetches every shard with bounded retry,
-    /// then discards any whose bytes fail the plan's digest check.
-    pub fn read<R: CryptoRng + ?Sized>(&self, plan: &ReadPlan, rng: &mut R) -> ShardsSnapshot {
-        let (shards, report) = self.cluster.get_shards_retrying(
-            plan.object.as_str(),
-            &plan.placement,
-            self.retry,
-            rng,
-        );
-        digest_filter(plan, shards, report)
+    /// First half of the fan-out: groups `legs` by node in
+    /// first-occurrence order (each node is in exactly one group, so
+    /// frames dispatched together never touch the same node) and ships
+    /// one frame per node through the cluster's lanes. Returns each
+    /// leg's first attempt, in leg order.
+    fn first_attempts<D: Direction>(&self, legs: &[Leg<'_>]) -> Vec<Attempted<D::Out>> {
+        let mut groups: Vec<(NodeId, Vec<usize>)> = Vec::new();
+        for (i, leg) in legs.iter().enumerate() {
+            match groups.iter_mut().find(|(id, _)| *id == leg.node) {
+                Some((_, idxs)) => idxs.push(i),
+                None => groups.push((leg.node, vec![i])),
+            }
+        }
+        let lane_nodes: Vec<NodeId> = groups.iter().map(|(id, _)| *id).collect();
+        let frames = self.cluster.dispatch_lanes(&lane_nodes, |g| {
+            let (node_id, idxs) = &groups[g];
+            let node = self.cluster.node(*node_id)?;
+            Some(D::frame(node.as_ref(), idxs.iter().map(|&i| &legs[i])))
+        });
+        let mut first: Vec<Option<Attempted<D::Out>>> = legs.iter().map(|_| None).collect();
+        for ((_, idxs), frame) in groups.iter().zip(frames) {
+            match frame {
+                Some(results) => {
+                    for (&i, result) in idxs.iter().zip(results) {
+                        first[i] = Some((1, result));
+                    }
+                }
+                None => {
+                    for &i in idxs {
+                        let unknown = NodeError::Io("placement references unknown node".into());
+                        first[i] = Some((0, Err(unknown)));
+                    }
+                }
+            }
+        }
+        first
+            .into_iter()
+            .map(|f| f.expect("one result per framed leg"))
+            .collect()
     }
 
-    /// [`Self::read`] with the first attempt coalesced: shard fetches
-    /// are grouped by source node and each group ships as one framed
-    /// batch request (one seek on media-priced nodes); keys that fail
-    /// retryably spend the remaining retry budget individually. Per-key
-    /// attempt schedules — and therefore returned bytes,
-    /// digest-filtered slots, and typed failures under deterministic
-    /// fault injection — match the sequential path exactly; only
-    /// backoff timing differs.
-    pub fn read_batched<R: CryptoRng + ?Sized>(
+    /// Second half of the fan-out, for one leg: a first attempt that
+    /// failed retryably spends the remaining retry budget individually,
+    /// so every key sees at most `retry.max_attempts` attempts in total
+    /// whatever it was framed with.
+    fn settle<D: Direction, R: CryptoRng>(
         &self,
-        plan: &ReadPlan,
+        leg: &Leg<'_>,
+        (tries, outcome): Attempted<D::Out>,
         rng: &mut R,
-    ) -> ShardsSnapshot {
-        let (shards, report) = self.cluster.get_shards_batched_retrying(
-            plan.object.as_str(),
-            &plan.placement,
-            self.retry,
-            rng,
-        );
-        digest_filter(plan, shards, report)
+    ) -> Attempted<D::Out> {
+        match outcome {
+            Err(e) if tries > 0 && RetryPolicy::is_retryable(&e) && self.retry.max_attempts > 1 => {
+                let rest = self
+                    .retry
+                    .clone()
+                    .with_attempts(self.retry.max_attempts - 1);
+                let node = self
+                    .cluster
+                    .node(leg.node)
+                    .expect("first attempt reached it");
+                let (result, stats) = run_with_retry(&rest, self.cluster.clock(), rng, || {
+                    D::one(node.as_ref(), leg)
+                });
+                (tries + stats.attempts, result)
+            }
+            outcome => (tries, outcome),
+        }
     }
 
-    /// Executes many read plans in one cross-object fan-in: every
-    /// shard's first attempt is grouped by source node and shipped as
-    /// one framed batch request per node (one seek per node per flush
-    /// on media-priced clusters, however many objects the flush spans);
+    /// The whole fan-out for the objects of one operation: first
+    /// attempts framed per node across all of them, then every leg
+    /// settled in submission order from its owner's rng. Returns, per
+    /// owner, the shard slots (`None` where the leg stayed failed) and
+    /// the per-shard attempt accounting.
+    fn transfer<D: Direction, R: CryptoRng>(
+        &self,
+        legs: &[Leg<'_>],
+        rngs: &mut [R],
+    ) -> Vec<(Vec<Option<D::Out>>, TransferReport)> {
+        let mut out: Vec<(Vec<Option<D::Out>>, TransferReport)> = rngs
+            .iter()
+            .map(|_| (Vec::new(), TransferReport::default()))
+            .collect();
+        for (leg, first) in legs.iter().zip(self.first_attempts::<D>(legs)) {
+            let (attempts, result) = self.settle::<D, R>(leg, first, &mut rngs[leg.owner]);
+            let (slot, error) = match result {
+                Ok(v) => (Some(v), None),
+                Err(e) => (None, Some(e)),
+            };
+            let (slots, report) = &mut out[leg.owner];
+            slots.push(slot);
+            report.attempts.push(ShardAttempt {
+                shard: leg.shard,
+                node: leg.node,
+                attempts,
+                error,
+            });
+        }
+        out
+    }
+
+    /// Executes a read plan: the one-plan case of [`Self::read_many`].
+    pub fn read<R: CryptoRng>(&self, plan: &ReadPlan, rng: &mut R) -> ShardsSnapshot {
+        self.read_many(slice::from_ref(plan), slice::from_mut(rng))
+            .pop()
+            .expect("one snapshot per plan")
+    }
+
+    /// Executes read plans in one cross-object fan-in: every shard's
+    /// first attempt is grouped by source node and shipped as one
+    /// framed batch request per node (one seek per node per flush on
+    /// media-priced clusters, however many objects the flush spans);
     /// keys that fail retryably then spend the remaining retry budget
-    /// individually, drawing jitter from that object's own rng. Digest
-    /// filtering stays per plan, so each returned [`ShardsSnapshot`] is
-    /// exactly what [`Self::read`] would have produced for that plan
-    /// under deterministic fault injection.
+    /// individually, drawing jitter from that object's own rng. Shards
+    /// whose bytes fail their plan's digest check are discarded.
     ///
     /// # Panics
     ///
@@ -124,210 +282,103 @@ impl<'a> PlanExecutor<'a> {
         rngs: &mut [R],
     ) -> Vec<ShardsSnapshot> {
         assert_eq!(plans.len(), rngs.len(), "plan/rng mismatch");
-        // Global key list: (plan index, shard index) in submission
-        // order, grouped by source node in first-occurrence order.
-        let mut groups: Vec<(NodeId, Vec<(usize, usize)>)> = Vec::new();
-        for (p, plan) in plans.iter().enumerate() {
-            for (s, node_id) in plan.placement.iter().enumerate() {
-                match groups.iter_mut().find(|(id, _)| id == node_id) {
-                    Some((_, v)) => v.push((p, s)),
-                    None => groups.push((*node_id, vec![(p, s)])),
-                }
-            }
-        }
-        // First attempt: one coalesced frame per node across objects,
-        // all frames dispatched at once (overlapped on per-node lanes
-        // under parallel dispatch, in first-occurrence order under
-        // sequential).
-        type SlotResult = Option<Result<Vec<u8>, aeon_store::node::NodeError>>;
-        let mut first: Vec<Vec<SlotResult>> = plans
+        let legs: Vec<Leg<'_>> = plans
             .iter()
-            .map(|plan| (0..plan.placement.len()).map(|_| None).collect())
+            .enumerate()
+            .flat_map(|(owner, plan)| {
+                plan.placement.iter().enumerate().map(move |(s, node)| Leg {
+                    owner,
+                    node: *node,
+                    object: plan.object.as_str(),
+                    shard: s as u32,
+                    data: &[],
+                })
+            })
             .collect();
-        let lane_nodes: Vec<NodeId> = groups.iter().map(|(id, _)| *id).collect();
-        let frames = self.cluster.dispatch_lanes(&lane_nodes, |g| {
-            let (node_id, slots) = &groups[g];
-            let node = self.cluster.node(*node_id)?;
-            let keys: Vec<ShardKey> = slots
-                .iter()
-                .map(|&(p, s)| ShardKey::new(plans[p].object.as_str(), s as u32))
-                .collect();
-            Some(node.get_batch(&keys))
-        });
-        for ((_, slots), frame) in groups.iter().zip(frames) {
-            match frame {
-                Some(results) => {
-                    for (&(p, s), result) in slots.iter().zip(results) {
-                        first[p][s] = Some(result);
-                    }
-                }
-                None => {
-                    for &(p, s) in slots {
-                        first[p][s] = Some(Err(aeon_store::node::NodeError::Io(
-                            "placement references unknown node".into(),
-                        )));
-                    }
-                }
-            }
-        }
-        // Resolve per plan: individual retries, then digest filtering.
         plans
             .iter()
-            .zip(rngs)
-            .enumerate()
-            .map(|(p, (plan, rng))| {
-                let mut shards: Vec<Option<Vec<u8>>> = Vec::with_capacity(plan.placement.len());
-                let mut attempts = Vec::with_capacity(plan.placement.len());
-                for (s, node_id) in plan.placement.iter().enumerate() {
-                    let outcome = first[p][s].take().expect("first attempt recorded");
-                    let known = self.cluster.node(*node_id).is_some();
-                    let (slot, tries, error) = match outcome {
-                        Ok(bytes) => (Some(bytes), 1, None),
-                        Err(e) if !known => (None, 0, Some(e)),
-                        Err(e) if RetryPolicy::is_retryable(&e) && self.retry.max_attempts > 1 => {
-                            let rest = self
-                                .retry
-                                .clone()
-                                .with_attempts(self.retry.max_attempts - 1);
-                            let node = self.cluster.node(*node_id).expect("node exists").clone();
-                            let key = ShardKey::new(plan.object.as_str(), s as u32);
-                            let (res, stats) =
-                                run_with_retry(&rest, self.cluster.clock(), rng, || node.get(&key));
-                            match res {
-                                Ok(bytes) => (Some(bytes), 1 + stats.attempts, None),
-                                Err(e) => (None, 1 + stats.attempts, Some(e)),
-                            }
-                        }
-                        Err(e) => (None, 1, Some(e)),
-                    };
-                    shards.push(slot);
-                    attempts.push(aeon_store::cluster::ShardAttempt {
-                        shard: s as u32,
-                        node: *node_id,
-                        attempts: tries,
-                        error,
-                    });
-                }
-                digest_filter(plan, shards, TransferReport { attempts })
-            })
+            .zip(self.transfer::<Get, R>(&legs, rngs))
+            .map(|(plan, (shards, report))| digest_filter(plan, shards, report))
             .collect()
     }
 
     /// Writes a shard set in place (refresh, re-encode, re-wrap):
     /// shards that miss the retry budget are left stale for the
     /// caller's digests to filter on read. No rollback.
-    pub fn write_shards<R: CryptoRng + ?Sized>(
+    ///
+    /// # Panics
+    ///
+    /// Panics if `placement` and `shards` disagree in length.
+    pub fn write_shards<R: CryptoRng>(
         &self,
         object: &str,
         placement: &[NodeId],
         shards: &[Vec<u8>],
         rng: &mut R,
     ) -> WriteOutcome {
-        let (written, report) = self
-            .cluster
-            .put_shards_retrying(object, placement, shards, self.retry, rng);
-        WriteOutcome { written, report }
+        self.write_many(&[(object, placement, shards)], slice::from_mut(rng))
+            .pop()
+            .expect("one outcome per shard set")
     }
 
-    /// Executes a write plan for a fresh object (ingest): if fewer than
-    /// the plan's required shards land durably the object could never
-    /// be read back, so everything written is rolled back.
+    /// Writes many objects' shard sets in one cross-object flush, one
+    /// framed batch per target node. No rollback.
+    fn write_many<R: CryptoRng>(&self, sets: &[ShardSet<'_>], rngs: &mut [R]) -> Vec<WriteOutcome> {
+        let mut legs: Vec<Leg<'_>> = Vec::new();
+        for (owner, &(object, placement, shards)) in sets.iter().enumerate() {
+            assert_eq!(placement.len(), shards.len(), "placement/shard mismatch");
+            legs.extend(
+                placement
+                    .iter()
+                    .zip(shards)
+                    .enumerate()
+                    .map(|(s, (node, data))| Leg {
+                        owner,
+                        node: *node,
+                        object,
+                        shard: s as u32,
+                        data,
+                    }),
+            );
+        }
+        self.transfer::<Put, R>(&legs, rngs)
+            .into_iter()
+            .map(|(slots, report)| WriteOutcome {
+                written: slots.iter().flatten().count(),
+                report,
+            })
+            .collect()
+    }
+
+    /// Executes a write plan for a fresh object (ingest): the one-plan
+    /// case of [`Self::commit_many`].
     ///
     /// # Errors
     ///
     /// Returns the outcome as `Err` when the write was rolled back.
-    pub fn commit_write<R: CryptoRng + ?Sized>(
+    pub fn commit_write<R: CryptoRng>(
         &self,
         plan: &WritePlan,
         placement: &[NodeId],
         rng: &mut R,
     ) -> Result<WriteOutcome, WriteOutcome> {
-        let outcome = self.write_shards(plan.object.as_str(), placement, &plan.shards, rng);
-        if outcome.written < plan.required {
-            self.cluster.delete_shards(plan.object.as_str(), placement);
-            return Err(outcome);
-        }
-        Ok(outcome)
+        self.commit_many(
+            slice::from_ref(plan),
+            &[placement.to_vec()],
+            slice::from_mut(rng),
+        )
+        .pop()
+        .expect("one outcome per plan")
     }
 
-    /// [`Self::commit_write`] with the first attempt coalesced: shards
-    /// are grouped by target node and each group ships as one framed
-    /// batch (one seek on media-priced nodes); failed entries spend the
-    /// remaining retry budget individually. Per-key attempt schedules —
-    /// and therefore stored bytes and typed failures under
-    /// deterministic fault injection — match the sequential path
-    /// exactly; only backoff timing differs.
-    ///
-    /// # Errors
-    ///
-    /// Returns the outcome as `Err` when the write was rolled back.
-    pub fn commit_write_batched<R: CryptoRng + ?Sized>(
-        &self,
-        plan: &WritePlan,
-        placement: &[NodeId],
-        rng: &mut R,
-    ) -> Result<WriteOutcome, WriteOutcome> {
-        let (written, report) = self.cluster.put_shards_batched_retrying(
-            plan.object.as_str(),
-            placement,
-            &plan.shards,
-            self.retry,
-            rng,
-        );
-        let outcome = WriteOutcome { written, report };
-        if outcome.written < plan.required {
-            self.cluster.delete_shards(plan.object.as_str(), placement);
-            return Err(outcome);
-        }
-        Ok(outcome)
-    }
-
-    /// Executes a repair plan's writes: puts each rebuilt shard back at
-    /// its slot, in order, under one retry rng. Returns the digest of
-    /// each rewritten shard for the caller's manifest.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArchiveError::Cluster`] when a put misses the retry
-    /// budget — repair must not silently leave a hole it claimed to
-    /// fill.
-    pub fn apply_repair<R: CryptoRng + ?Sized>(
-        &self,
-        object: &str,
-        placement: &[NodeId],
-        writes: &[(usize, Vec<u8>)],
-        rng: &mut R,
-    ) -> Result<Vec<(usize, [u8; 32])>, ArchiveError> {
-        let mut digests = Vec::with_capacity(writes.len());
-        for (m, data) in writes {
-            let node = self
-                .cluster
-                .node(placement[*m])
-                .cloned()
-                .ok_or(ArchiveError::Policy(PolicyError::Malformed(
-                    "placement references unknown node".into(),
-                )))?;
-            let key = ShardKey::new(object, *m as u32);
-            let (res, _stats) = run_with_retry(self.retry, self.cluster.clock(), rng, || {
-                node.put(&key, data)
-            });
-            res.map_err(|e| ArchiveError::Cluster(ClusterError::Node(e)))?;
-            digests.push((*m, Sha256::digest(data)));
-        }
-        Ok(digests)
-    }
-
-    /// Commits many write plans in one cross-object flush: every
-    /// shard's first attempt is grouped by target node and shipped as
-    /// one framed batch per node (one seek per node per flush on
-    /// media-priced clusters, however many objects the flush spans);
-    /// entries that fail retryably then spend the remaining retry
-    /// budget individually, drawing jitter from that object's own rng.
-    /// Rollback stays per object: a plan that lands fewer than its
-    /// required shards is deleted and reported as `Err`, exactly like
-    /// [`Self::commit_write`]. Per-key attempt schedules match the
-    /// sequential path, so stored bytes and typed failures are
-    /// identical under deterministic fault injection.
+    /// Commits write plans for fresh objects in one cross-object flush:
+    /// every shard's first attempt is grouped by target node and
+    /// shipped as one framed batch per node; entries that fail
+    /// retryably then spend the remaining retry budget individually,
+    /// drawing jitter from that object's own rng. Rollback is per
+    /// object: if fewer than a plan's required shards land durably the
+    /// object could never be read back, so everything written for it is
+    /// deleted and its outcome reported as `Err`.
     ///
     /// # Panics
     ///
@@ -341,106 +392,21 @@ impl<'a> PlanExecutor<'a> {
     ) -> Vec<Result<WriteOutcome, WriteOutcome>> {
         assert_eq!(plans.len(), placements.len(), "plan/placement mismatch");
         assert_eq!(plans.len(), rngs.len(), "plan/rng mismatch");
-        // Global entry list: (plan index, shard index) in submission
-        // order, grouped by target node in first-occurrence order.
-        let mut groups: Vec<(NodeId, Vec<(usize, usize)>)> = Vec::new();
-        for (p, (plan, placement)) in plans.iter().zip(placements).enumerate() {
-            assert_eq!(
-                placement.len(),
-                plan.shards.len(),
-                "placement/shard mismatch"
-            );
-            for (s, node_id) in placement.iter().enumerate() {
-                match groups.iter_mut().find(|(id, _)| id == node_id) {
-                    Some((_, v)) => v.push((p, s)),
-                    None => groups.push((*node_id, vec![(p, s)])),
-                }
-            }
-        }
-        // First attempt: one coalesced frame per node across objects,
-        // all frames dispatched at once (overlapped on per-node lanes
-        // under parallel dispatch, in first-occurrence order under
-        // sequential).
-        let mut first: Vec<Vec<Option<Result<(), aeon_store::node::NodeError>>>> = plans
-            .iter()
-            .map(|plan| (0..plan.shards.len()).map(|_| None).collect())
-            .collect();
-        let lane_nodes: Vec<NodeId> = groups.iter().map(|(id, _)| *id).collect();
-        let frames = self.cluster.dispatch_lanes(&lane_nodes, |g| {
-            let (node_id, slots) = &groups[g];
-            let node = self.cluster.node(*node_id)?;
-            let entries: Vec<(ShardKey, &[u8])> = slots
-                .iter()
-                .map(|&(p, s)| {
-                    (
-                        ShardKey::new(plans[p].object.as_str(), s as u32),
-                        plans[p].shards[s].as_slice(),
-                    )
-                })
-                .collect();
-            Some(node.put_batch(&entries))
-        });
-        for ((_, slots), frame) in groups.iter().zip(frames) {
-            match frame {
-                Some(results) => {
-                    for (&(p, s), result) in slots.iter().zip(results) {
-                        first[p][s] = Some(result);
-                    }
-                }
-                None => {
-                    for &(p, s) in slots {
-                        first[p][s] = Some(Err(aeon_store::node::NodeError::Io(
-                            "placement references unknown node".into(),
-                        )));
-                    }
-                }
-            }
-        }
-        // Resolve per object: individual retries, then the per-object
-        // rollback decision.
-        plans
+        let sets: Vec<ShardSet<'_>> = plans
             .iter()
             .zip(placements)
-            .zip(rngs)
-            .enumerate()
-            .map(|(p, ((plan, placement), rng))| {
-                let mut written = 0usize;
-                let mut attempts = Vec::with_capacity(placement.len());
-                for (s, node_id) in placement.iter().enumerate() {
-                    let outcome = first[p][s].take().expect("first attempt recorded");
-                    let known = self.cluster.node(*node_id).is_some();
-                    let (tries, error) = match outcome {
-                        Ok(()) => (1, None),
-                        Err(e) if !known => (0, Some(e)),
-                        Err(e) if RetryPolicy::is_retryable(&e) && self.retry.max_attempts > 1 => {
-                            let rest = self
-                                .retry
-                                .clone()
-                                .with_attempts(self.retry.max_attempts - 1);
-                            let node = self.cluster.node(*node_id).expect("node exists").clone();
-                            let key = ShardKey::new(plan.object.as_str(), s as u32);
-                            let (res, stats) =
-                                run_with_retry(&rest, self.cluster.clock(), rng, || {
-                                    node.put(&key, &plan.shards[s])
-                                });
-                            (1 + stats.attempts, res.err())
-                        }
-                        Err(e) => (1, Some(e)),
-                    };
-                    if error.is_none() {
-                        written += 1;
-                    }
-                    attempts.push(aeon_store::cluster::ShardAttempt {
-                        shard: s as u32,
-                        node: *node_id,
-                        attempts: tries,
-                        error,
-                    });
-                }
-                let outcome = WriteOutcome {
-                    written,
-                    report: TransferReport { attempts },
-                };
+            .map(|(plan, placement)| {
+                (
+                    plan.object.as_str(),
+                    placement.as_slice(),
+                    plan.shards.as_slice(),
+                )
+            })
+            .collect();
+        self.write_many(&sets, rngs)
+            .into_iter()
+            .zip(plans.iter().zip(placements))
+            .map(|(outcome, (plan, placement))| {
                 if outcome.written < plan.required {
                     self.cluster.delete_shards(plan.object.as_str(), placement);
                     Err(outcome)
@@ -451,119 +417,69 @@ impl<'a> PlanExecutor<'a> {
             .collect()
     }
 
-    /// [`Self::apply_repair`] with the first attempt coalesced per
-    /// node: every rebuilt shard's first attempt ships in one framed
-    /// batch to its node, then entries are resolved **in write order**
-    /// — a first-attempt failure spends the remaining retry budget
-    /// individually, and the first entry that stays failed aborts the
-    /// repair exactly as the sequential loop would. Writes the frame
-    /// landed *beyond* the aborting entry are rolled back (deleted), so
-    /// under transient fault injection the surviving stored bytes are
-    /// identical to sequential execution. (Under *corrupting* faults a
-    /// rolled-back slot ends empty where sequential would have left the
-    /// old corrupt bytes; transient-fault equivalence is what the
-    /// property suite pins.)
+    /// Executes a repair plan's writes: every rebuilt shard's first
+    /// attempt ships in one framed batch to its node, then entries are
+    /// settled **in write order** — a first-attempt failure spends the
+    /// remaining retry budget individually, and the first entry that
+    /// stays failed aborts the repair. Writes the frames landed *beyond*
+    /// the aborting entry are rolled back (deleted), so a failed repair
+    /// never leaves rebuilt bytes whose digests the manifest does not
+    /// record. Returns the digest of each rewritten shard for the
+    /// caller's manifest.
     ///
     /// # Errors
     ///
-    /// Returns [`ArchiveError::Cluster`] when a put misses the retry
-    /// budget, like the sequential path.
-    pub fn apply_repair_batched<R: CryptoRng + ?Sized>(
+    /// Returns [`PolicyError::Malformed`] — before any node is touched —
+    /// when a write names a slot beyond the placement or a node outside
+    /// the cluster, and [`ArchiveError::Cluster`] when a put misses the
+    /// retry budget: repair must not silently leave a hole it claimed
+    /// to fill.
+    pub fn apply_repair<R: CryptoRng>(
         &self,
         object: &str,
         placement: &[NodeId],
         writes: &[(usize, Vec<u8>)],
         rng: &mut R,
     ) -> Result<Vec<(usize, [u8; 32])>, ArchiveError> {
-        // Group write positions by target node, first-occurrence order.
-        let mut groups: Vec<(NodeId, Vec<usize>)> = Vec::new();
-        for (pos, (m, _)) in writes.iter().enumerate() {
-            let node_id =
-                *placement
-                    .get(*m)
-                    .ok_or(ArchiveError::Policy(PolicyError::Malformed(
-                        "repair write beyond placement".into(),
-                    )))?;
-            match groups.iter_mut().find(|(id, _)| *id == node_id) {
-                Some((_, v)) => v.push(pos),
-                None => groups.push((node_id, vec![pos])),
+        let malformed = |why: &str| ArchiveError::Policy(PolicyError::Malformed(why.into()));
+        let mut legs: Vec<Leg<'_>> = Vec::with_capacity(writes.len());
+        for (m, data) in writes {
+            let node = *placement
+                .get(*m)
+                .ok_or_else(|| malformed("repair write beyond placement"))?;
+            if self.cluster.node(node).is_none() {
+                return Err(malformed("placement references unknown node"));
             }
+            legs.push(Leg {
+                owner: 0,
+                node,
+                object,
+                shard: *m as u32,
+                data,
+            });
         }
-        // Every target node must exist before any frame ships: the
-        // fan-out may overlap frames under parallel dispatch, so an
-        // unknown node is detected up front (side-effect free) rather
-        // than mid-flush.
-        for (node_id, _) in &groups {
-            self.cluster
-                .node(*node_id)
-                .ok_or(ArchiveError::Policy(PolicyError::Malformed(
-                    "placement references unknown node".into(),
-                )))?;
-        }
-        // First attempt: one coalesced frame per node, all frames
-        // dispatched at once (overlapped on per-node lanes under
-        // parallel dispatch, in first-occurrence order under
-        // sequential).
-        let mut first: Vec<Option<Result<(), aeon_store::node::NodeError>>> =
-            (0..writes.len()).map(|_| None).collect();
-        let lane_nodes: Vec<NodeId> = groups.iter().map(|(id, _)| *id).collect();
-        let frames = self.cluster.dispatch_lanes(&lane_nodes, |g| {
-            let (node_id, positions) = &groups[g];
-            let node = self.cluster.node(*node_id).expect("pre-checked above");
-            let entries: Vec<(ShardKey, &[u8])> = positions
-                .iter()
-                .map(|&p| {
-                    let (m, data) = &writes[p];
-                    (ShardKey::new(object, *m as u32), data.as_slice())
-                })
-                .collect();
-            node.put_batch(&entries)
-        });
-        for ((_, positions), results) in groups.iter().zip(frames) {
-            for (&p, result) in positions.iter().zip(results) {
-                first[p] = Some(result);
-            }
-        }
-        // Resolve in write order; abort (with rollback of later frame
-        // writes) at the first entry that exhausts its budget.
+        let mut first = self.first_attempts::<Put>(&legs).into_iter();
         let mut digests = Vec::with_capacity(writes.len());
-        for (p, (m, data)) in writes.iter().enumerate() {
-            let outcome = first[p].take().expect("first attempt recorded");
-            let resolved = match outcome {
-                Ok(()) => Ok(()),
-                Err(e) if RetryPolicy::is_retryable(&e) && self.retry.max_attempts > 1 => {
-                    let rest = self
-                        .retry
-                        .clone()
-                        .with_attempts(self.retry.max_attempts - 1);
-                    let node = self.cluster.node(placement[*m]).expect("node exists");
-                    let key = ShardKey::new(object, *m as u32);
-                    run_with_retry(&rest, self.cluster.clock(), rng, || node.put(&key, data)).0
-                }
-                Err(e) => Err(e),
-            };
-            if let Err(e) = resolved {
-                // Sequential execution never touched entries after this
-                // one: undo what the coalesced frame already landed.
-                // Deletes retry far past the normal budget — a rollback
-                // that sticks is what keeps the batched failure state
-                // byte-identical to the sequential one.
+        for (p, leg) in legs.iter().enumerate() {
+            let attempted = first.next().expect("one first attempt per leg");
+            if let (_, Err(e)) = self.settle::<Put, R>(leg, attempted, rng) {
+                // Deletes retry far past the normal budget: a rollback
+                // that sticks is what keeps a failed repair's stored
+                // bytes independent of how its writes were framed.
                 let rollback = RetryPolicy::default()
                     .with_attempts(16)
                     .with_budget_ms(u64::MAX);
-                for (q, (mq, _)) in writes.iter().enumerate().skip(p + 1) {
-                    if matches!(first[q], Some(Ok(()))) {
-                        if let Some(node) = self.cluster.node(placement[*mq]) {
-                            let key = ShardKey::new(object, *mq as u32);
-                            let _ = run_with_retry(&rollback, self.cluster.clock(), rng, || {
-                                node.delete(&key)
-                            });
-                        }
+                for (later, (_, landed)) in legs[p + 1..].iter().zip(first) {
+                    if landed.is_ok() {
+                        let node = self.cluster.node(later.node).expect("checked above");
+                        let _ = run_with_retry(&rollback, self.cluster.clock(), rng, || {
+                            node.delete(&later.key())
+                        });
                     }
                 }
                 return Err(ArchiveError::Cluster(ClusterError::Node(e)));
             }
-            digests.push((*m, Sha256::digest(data.as_slice())));
+            digests.push((leg.shard as usize, Sha256::digest(leg.data)));
         }
         Ok(digests)
     }
@@ -580,8 +496,7 @@ impl<'a> PlanExecutor<'a> {
 }
 
 /// Discards fetched shards whose bytes fail the plan's digest check
-/// and folds the result into a [`ShardsSnapshot`]. Shared by every
-/// read flavor so sequential and batched fetches filter identically.
+/// and folds the result into a [`ShardsSnapshot`].
 fn digest_filter(
     plan: &ReadPlan,
     mut shards: Vec<Option<Vec<u8>>>,
@@ -602,5 +517,145 @@ fn digest_filter(
         valid,
         corrupt,
         report,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use aeon_crypto::ChaChaDrbg;
+    use aeon_store::node::MemoryNode;
+    use std::sync::Arc;
+
+    fn cluster_with_handles() -> (Cluster, Vec<MemoryNode>) {
+        let handles: Vec<MemoryNode> = (0..6)
+            .map(|i| MemoryNode::new(i, ["us", "eu", "ap"][(i % 3) as usize]))
+            .collect();
+        let nodes: Vec<Arc<dyn StorageNode>> = handles
+            .iter()
+            .map(|h| Arc::new(h.clone()) as Arc<dyn StorageNode>)
+            .collect();
+        (Cluster::new(nodes), handles)
+    }
+
+    fn handle(handles: &[MemoryNode], id: NodeId) -> &MemoryNode {
+        handles.iter().find(|h| h.id() == id).unwrap()
+    }
+
+    fn read_plan(placement: &[NodeId], shards: &[Vec<u8>]) -> ReadPlan {
+        ReadPlan {
+            object: crate::archive::ObjectId::from_raw("obj".into()),
+            placement: placement.to_vec(),
+            shard_digests: shards.iter().map(|s| Sha256::digest(s)).collect(),
+        }
+    }
+
+    #[test]
+    fn read_bounds_attempts_on_dead_nodes() {
+        let (cluster, handles) = cluster_with_handles();
+        let placement = cluster.place("obj", 4).unwrap();
+        let shards: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 8]).collect();
+        cluster.put_shards("obj", &placement, &shards).unwrap();
+        let dead = placement[2];
+        handle(&handles, dead).set_offline(true);
+        let retry = RetryPolicy::default().with_attempts(3);
+        let mut rng = ChaChaDrbg::from_u64_seed(1);
+        let snap =
+            PlanExecutor::new(&cluster, &retry).read(&read_plan(&placement, &shards), &mut rng);
+        assert_eq!(snap.valid, 3);
+        assert!(snap.shards[2].is_none());
+        assert_eq!(
+            snap.report.attempts_for(dead),
+            3,
+            "dead node retried to cap"
+        );
+        for id in placement.iter().filter(|&&id| id != dead) {
+            assert_eq!(snap.report.attempts_for(*id), 1, "healthy nodes hit once");
+        }
+        assert_eq!(snap.report.failed_shards(), vec![2]);
+        assert!(
+            cluster.clock().now().as_millis() > 0,
+            "retry backoff was charged to the cluster clock"
+        );
+    }
+
+    #[test]
+    fn write_tolerates_partial_failure() {
+        let (cluster, handles) = cluster_with_handles();
+        let placement = cluster.place("obj", 3).unwrap();
+        handle(&handles, placement[0]).set_offline(true);
+        let shards: Vec<Vec<u8>> = (0..3u8).map(|i| vec![i; 4]).collect();
+        let retry = RetryPolicy::default().with_attempts(2);
+        let mut rng = ChaChaDrbg::from_u64_seed(2);
+        let outcome =
+            PlanExecutor::new(&cluster, &retry).write_shards("obj", &placement, &shards, &mut rng);
+        assert_eq!(outcome.written, 2, "fan-out continued past the dead node");
+        assert_eq!(outcome.report.failed_shards(), vec![0]);
+        assert_eq!(outcome.report.attempts_for(placement[0]), 2);
+    }
+
+    /// Four shards on two nodes (nodes repeat in the placement): each
+    /// node serves one frame covering its shards, and results and
+    /// reports come back in shard order despite the grouping.
+    #[test]
+    fn fan_out_groups_by_node_and_answers_in_shard_order() {
+        let cluster = Cluster::in_memory(&["x"], 2);
+        let ids: Vec<NodeId> = cluster.nodes().iter().map(|n| n.id()).collect();
+        let placement = vec![ids[0], ids[1], ids[0], ids[1]];
+        let shards: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 8]).collect();
+        let retry = RetryPolicy::none();
+        let executor = PlanExecutor::new(&cluster, &retry);
+        let mut rng = ChaChaDrbg::from_u64_seed(3);
+        let outcome = executor.write_shards("obj", &placement, &shards, &mut rng);
+        assert_eq!(outcome.written, 4);
+        let snap = executor.read(&read_plan(&placement, &shards), &mut rng);
+        let expect: Vec<Option<Vec<u8>>> = shards.iter().cloned().map(Some).collect();
+        assert_eq!(snap.shards, expect);
+        for report in [&outcome.report, &snap.report] {
+            assert!(report.failed_shards().is_empty());
+            let order: Vec<u32> = report.attempts.iter().map(|a| a.shard).collect();
+            assert_eq!(order, vec![0, 1, 2, 3]);
+        }
+    }
+
+    #[test]
+    fn missing_shard_is_not_retried() {
+        let (cluster, _handles) = cluster_with_handles();
+        let placement = cluster.place("obj", 3).unwrap();
+        let shards: Vec<Vec<u8>> = (0..3u8).map(|i| vec![i; 4]).collect();
+        cluster.put_shards("obj", &placement, &shards).unwrap();
+        let gone = cluster.node(placement[2]).unwrap();
+        gone.delete(&ShardKey::new("obj", 2)).unwrap();
+        let retry = RetryPolicy::default().with_attempts(5);
+        let mut rng = ChaChaDrbg::from_u64_seed(9);
+        let snap =
+            PlanExecutor::new(&cluster, &retry).read(&read_plan(&placement, &shards), &mut rng);
+        assert!(snap.shards[2].is_none());
+        assert_eq!(snap.report.attempts[2].attempts, 1, "NotFound is permanent");
+        assert_eq!(snap.report.attempts[2].error, Some(NodeError::NotFound));
+    }
+
+    /// Regression: a repair write naming a slot beyond the placement
+    /// used to index the placement unchecked and panic. It is a typed
+    /// error, decided before any node is touched.
+    #[test]
+    fn repair_write_beyond_placement_is_a_typed_error() {
+        let (cluster, handles) = cluster_with_handles();
+        let placement = cluster.place("obj", 3).unwrap();
+        let retry = RetryPolicy::default();
+        let writes = vec![(1, vec![1u8; 4]), (3, vec![3u8; 4])];
+        let mut rng = ChaChaDrbg::from_u64_seed(4);
+        let result =
+            PlanExecutor::new(&cluster, &retry).apply_repair("obj", &placement, &writes, &mut rng);
+        match result {
+            Err(ArchiveError::Policy(PolicyError::Malformed(why))) => {
+                assert_eq!(why, "repair write beyond placement");
+            }
+            other => panic!("expected a typed error, got {other:?}"),
+        }
+        assert!(
+            handles.iter().all(|h| h.keys().is_empty()),
+            "no node touched"
+        );
     }
 }

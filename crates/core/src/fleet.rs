@@ -327,9 +327,7 @@ impl Archive {
         let mut spent = 0u64;
         while spent < budget.bytes {
             let Some(ticket) = queue.pop() else { break };
-            // Batched plan execution: the rebuilt shards' first write
-            // attempts coalesce per target node.
-            match self.repair_object_batched(&ticket.id) {
+            match self.repair_object(&ticket.id) {
                 Ok(report) if report.method == RepairMethod::NotNeeded => outcome.healthy += 1,
                 Ok(report) => {
                     spent = spent.saturating_add(report.bytes_moved());
@@ -429,7 +427,7 @@ impl Archive {
 /// interleaving with live foreground traffic — the repair analog of
 /// [`crate::ReencodeCampaignDriver`]. Construction scans the fleet and
 /// enqueues every repairable ticket under the chosen queue discipline;
-/// each [`step`](Self::step) repairs one object through the batched
+/// each [`step`](Self::step) repairs one object through the
 /// plan path (occupying the shared device for some background interval
 /// `Δ` on the cluster clock), then marks the driver ineligible until
 /// `now + Δ·r/(1−r)` — the reserved-foreground window in which the
@@ -502,7 +500,7 @@ impl RepairCampaignDriver {
         self.already_healthy
     }
 
-    /// Repairs the next queued object through the batched plan path,
+    /// Repairs the next queued object through the plan path,
     /// occupying the device for the step's duration, and opens the
     /// following reserved-foreground window. Returns `None` when the
     /// queue is empty.
@@ -517,7 +515,7 @@ impl RepairCampaignDriver {
         };
         let clock = archive.cluster().clock().clone();
         let start = clock.now();
-        let report = archive.repair_object_batched(&ticket.id)?;
+        let report = archive.repair_object(&ticket.id)?;
         let end = clock.now();
         let background = end - start;
         self.next_eligible = end + background.mul_f64(self.fg_factor);

@@ -8,7 +8,6 @@
 //! [`crate::executor::PlanExecutor`].
 
 use crate::archive::{Archive, ArchiveError, ObjectId};
-use crate::pipeline;
 use crate::plan;
 use crate::policy::PolicyKind;
 use aeon_crypto::{Sha256, SuiteId};
@@ -96,37 +95,7 @@ impl Archive {
     }
 
     /// Re-encodes an object under a new policy (the unit of a
-    /// re-encryption campaign). Returns bytes read + written.
-    ///
-    /// # Errors
-    ///
-    /// Propagates retrieval and ingest errors.
-    pub fn reencode_object(
-        &mut self,
-        id: &ObjectId,
-        new_policy: PolicyKind,
-    ) -> Result<(u64, u64), ArchiveError> {
-        self.reencode_object_timed(id, new_policy)
-            .map(|o| (o.bytes_read, o.bytes_written))
-    }
-
-    /// [`Archive::reencode_object`] with the source fetch coalesced
-    /// (one framed batch request per node). Returns bytes read +
-    /// written.
-    ///
-    /// # Errors
-    ///
-    /// Propagates retrieval and ingest errors.
-    pub fn reencode_object_batched(
-        &mut self,
-        id: &ObjectId,
-        new_policy: PolicyKind,
-    ) -> Result<(u64, u64), ArchiveError> {
-        self.reencode_object_timed_batched(id, new_policy)
-            .map(|o| (o.bytes_read, o.bytes_written))
-    }
-
-    /// [`Archive::reencode_object`] with per-phase virtual-time
+    /// re-encryption campaign), with per-phase byte and virtual-time
     /// accounting: the cluster clock is snapshotted at the read/write
     /// phase boundary, so throughput-charged clusters measure exactly
     /// the §3.2 read and write-back costs. The object's shards are
@@ -137,39 +106,10 @@ impl Archive {
     /// # Errors
     ///
     /// Propagates retrieval and ingest errors.
-    pub fn reencode_object_timed(
+    pub fn reencode_object(
         &mut self,
         id: &ObjectId,
         new_policy: PolicyKind,
-    ) -> Result<ObjectReencode, ArchiveError> {
-        self.reencode_object_timed_with(id, new_policy, false)
-    }
-
-    /// [`Archive::reencode_object_timed`] with the source fetch
-    /// coalesced: the campaign drivers' single-object step uses this so
-    /// a bandwidth-metered re-encode pays one positioning delay per
-    /// node instead of one per shard. Same rng derivation as the
-    /// sequential fetch, so decoded bytes and typed failures are
-    /// identical under deterministic fault injection; only the
-    /// measured `read_time` differs. (Dedup objects re-encode through
-    /// their own block-level path either way.)
-    ///
-    /// # Errors
-    ///
-    /// Propagates retrieval and ingest errors.
-    pub fn reencode_object_timed_batched(
-        &mut self,
-        id: &ObjectId,
-        new_policy: PolicyKind,
-    ) -> Result<ObjectReencode, ArchiveError> {
-        self.reencode_object_timed_with(id, new_policy, true)
-    }
-
-    fn reencode_object_timed_with(
-        &mut self,
-        id: &ObjectId,
-        new_policy: PolicyKind,
-        batched: bool,
     ) -> Result<ObjectReencode, ArchiveError> {
         new_policy.validate()?;
         if self
@@ -185,34 +125,8 @@ impl Archive {
             .manifests
             .get(id)
             .ok_or_else(|| ArchiveError::UnknownObject(id.clone()))?;
-        let snap = if batched {
-            self.fetch_shards_batched(&manifest, "retrieve")
-        } else {
-            self.fetch_shards(&manifest, "retrieve")
-        };
-        let required = manifest.policy.read_threshold();
-        if snap.valid < required {
-            if snap.corrupt > 0 {
-                return Err(ArchiveError::IntegrityViolation(id.clone()));
-            }
-            return Err(ArchiveError::DegradedBeyondBudget {
-                id: id.clone(),
-                available: snap.valid,
-                required,
-                corrupt: snap.corrupt,
-            });
-        }
-        let payload = pipeline::decode_object(
-            &manifest.policy,
-            &self.keys,
-            id.as_str(),
-            &snap.shards,
-            &manifest.meta,
-            self.config.pipeline.workers,
-        )?;
-        if Sha256::digest(&payload) != manifest.digest {
-            return Err(ArchiveError::IntegrityViolation(id.clone()));
-        }
+        let snap = self.fetch_shards(&manifest, "retrieve");
+        let payload = self.decode_manifest(&manifest, &snap)?;
         let bytes_read: u64 = snap.shards.iter().flatten().map(|s| s.len() as u64).sum();
         let write_start = clock.now();
         // Encode fresh under the new policy (through the chunked
@@ -271,9 +185,9 @@ impl Archive {
         let mut read = 0u64;
         let mut written = 0u64;
         for id in &ids {
-            let (r, w) = self.reencode_object(id, new_policy.clone())?;
-            read += r;
-            written += w;
+            let o = self.reencode_object(id, new_policy.clone())?;
+            read += o.bytes_read;
+            written += o.bytes_written;
         }
         Ok((ids.len(), read, written))
     }

@@ -55,29 +55,6 @@ impl Archive {
     /// Returns decode errors if too few shards survive, and cluster
     /// errors if the rebuilt shards cannot be written back.
     pub fn repair_object(&mut self, id: &ObjectId) -> Result<RepairReport, ArchiveError> {
-        self.repair_object_with(id, false)
-    }
-
-    /// [`Archive::repair_object`] with the rebuilt shards' first write
-    /// attempt coalesced per target node (one framed transfer per node
-    /// on media-priced clusters). Per-key attempt schedules match the
-    /// sequential path, so stored bytes and typed failures are
-    /// identical under deterministic transient fault injection; only
-    /// virtual-clock charges differ. The fleet repair drain uses this
-    /// variant.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Archive::repair_object`].
-    pub fn repair_object_batched(&mut self, id: &ObjectId) -> Result<RepairReport, ArchiveError> {
-        self.repair_object_with(id, true)
-    }
-
-    fn repair_object_with(
-        &mut self,
-        id: &ObjectId,
-        batched: bool,
-    ) -> Result<RepairReport, ArchiveError> {
         let manifest = self
             .manifest(id)
             .ok_or_else(|| ArchiveError::UnknownObject(id.clone()))?;
@@ -87,17 +64,8 @@ impl Archive {
         let clock = self.cluster().clock().clone();
         let start = clock.now();
         // Digest-filtered fetch: a bit-rotted shard is as lost as a
-        // deleted one, and must be rebuilt rather than trusted. The
-        // batched variant coalesces the survivor reads into one framed
-        // request per node — repair is read-dominated, so this is where
-        // the seek amortization pays.
-        let shards = if batched {
-            self.fetch_shards_for_batched(id, "repair")
-        } else {
-            self.fetch_shards_for(id, "repair")
-        }
-        .expect("manifest exists")
-        .shards;
+        // deleted one, and must be rebuilt rather than trusted.
+        let shards = self.fetch_shards(&manifest, "repair").shards;
         let mut bytes_read = snapshot_bytes(&shards);
         let mut bytes_written = 0u64;
         let missing: Vec<usize> = (0..shards.len()).filter(|&i| shards[i].is_none()).collect();
@@ -125,21 +93,12 @@ impl Archive {
                     .map(|(_, data)| data.len() as u64)
                     .sum::<u64>();
                 let mut rng = self.op_rng("repair-put", id.as_str());
-                let digests = if batched {
-                    self.executor().apply_repair_batched(
-                        id.as_str(),
-                        &manifest.placement,
-                        &repair.writes,
-                        &mut rng,
-                    )?
-                } else {
-                    self.executor().apply_repair(
-                        id.as_str(),
-                        &manifest.placement,
-                        &repair.writes,
-                        &mut rng,
-                    )?
-                };
+                let digests = self.executor().apply_repair(
+                    id.as_str(),
+                    &manifest.placement,
+                    &repair.writes,
+                    &mut rng,
+                )?;
                 for (m, digest) in digests {
                     self.set_shard_digest(id, m, digest);
                 }
@@ -147,24 +106,16 @@ impl Archive {
             }
             RepairOutcome::Reencode => {
                 // No per-shard repair structure: decode and re-encode.
-                let policy = manifest.policy.clone();
-                let (r, w) = if batched {
-                    self.reencode_object_batched(id, policy)?
-                } else {
-                    self.reencode_object(id, policy)?
-                };
-                bytes_read += r;
-                bytes_written += w;
+                let o = self.reencode_object(id, manifest.policy.clone())?;
+                bytes_read += o.bytes_read;
+                bytes_written += o.bytes_written;
                 RepairMethod::FullReencode
             }
         };
 
-        let snap = if batched {
-            self.fetch_shards_for_batched(id, "repair-after")
-        } else {
-            self.fetch_shards_for(id, "repair-after")
-        }
-        .expect("manifest survives repair");
+        let snap = self
+            .fetch_shards_for(id, "repair-after")
+            .expect("manifest survives repair");
         bytes_read += snapshot_bytes(&snap.shards);
         let after = snap.shards.len() - snap.valid;
         Ok(RepairReport {

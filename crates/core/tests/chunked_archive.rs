@@ -182,7 +182,7 @@ fn chunked_reencode_campaign() {
     }))
     .unwrap();
     let id = archive.ingest(&payload, "migrate").unwrap();
-    let (read, written) = archive
+    let moved = archive
         .reencode_object(
             &id,
             PolicyKind::Encrypted {
@@ -192,7 +192,7 @@ fn chunked_reencode_campaign() {
             },
         )
         .unwrap();
-    assert!(read > 0 && written > 0);
+    assert!(moved.bytes_read > 0 && moved.bytes_written > 0);
     assert!(archive.manifest(&id).unwrap().meta.chunked.is_some());
     assert_eq!(archive.retrieve(&id).unwrap(), payload);
 }

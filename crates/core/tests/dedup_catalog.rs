@@ -94,15 +94,15 @@ fn reencode_campaign_skips_already_migrated_shared_blocks() {
         parity: 2,
     };
     let first = archive.reencode_object(&id1, new_policy.clone()).unwrap();
-    assert!(first.0 > 0, "first migration reads its blocks");
+    assert!(first.bytes_read > 0, "first migration reads its blocks");
     // Every block of v1 is now under the new policy; migrating v2 only
     // touches its unshared tail blocks — the dedup campaign saving.
     let second = archive.reencode_object(&id2, new_policy.clone()).unwrap();
     assert!(
-        second.0 < first.0,
+        second.bytes_read < first.bytes_read,
         "shared blocks re-read during second migration: {} vs {}",
-        second.0,
-        first.0
+        second.bytes_read,
+        first.bytes_read
     );
     assert_eq!(archive.retrieve(&id1).unwrap(), base);
     assert_eq!(archive.retrieve(&id2).unwrap(), v2);
@@ -114,7 +114,10 @@ fn reencode_campaign_skips_already_migrated_shared_blocks() {
     }
     // Third pass: nothing left to migrate at all.
     let third = archive.reencode_object(&id2, new_policy).unwrap();
-    assert_eq!(third.0, 0, "fully migrated object still read blocks");
+    assert_eq!(
+        third.bytes_read, 0,
+        "fully migrated object still read blocks"
+    );
 }
 
 #[test]

@@ -6,9 +6,13 @@
 //! `StorageNode::{get,put}`/`{get,put}_batch` directly. Test modules
 //! (everything at and after the first `#[cfg(test)]`) are exempt —
 //! they may poke nodes to stage losses and inspect raw shards.
+//!
+//! A second scan guards against the I/O path growing twins again: no
+//! `_batched`/`_timed` functions in `aeon-core` or `aeon-store`,
+//! and exactly one call site each for `get_batch` and `put_batch`.
 
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Substrings that mark a direct shard transfer on the cluster or a
 /// node handle. `delete`/`keys`/`len` are deliberately absent: fleet
@@ -17,10 +21,6 @@ use std::path::Path;
 const FORBIDDEN: &[&str] = &[
     ".get_shards(",
     ".put_shards(",
-    ".get_shards_retrying(",
-    ".put_shards_retrying(",
-    ".get_shards_batched_retrying(",
-    ".put_shards_batched_retrying(",
     ".get_batch(",
     ".put_batch(",
     ".get(&ShardKey",
@@ -33,6 +33,17 @@ const FORBIDDEN: &[&str] = &[
     ".lane_clock(",
     "LaneDispatch",
 ];
+
+/// The `.rs` files directly under a crate's `src/`, sorted.
+fn sources(src: &Path) -> Vec<PathBuf> {
+    let mut files: Vec<_> = fs::read_dir(src)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "rs"))
+        .collect();
+    files.sort();
+    files
+}
 
 /// Strip line comments, then truncate at the first `#[cfg(test)]`:
 /// everything after it is test scaffolding, which is allowed to
@@ -52,13 +63,7 @@ fn non_test_source(raw: &str) -> String {
 
 #[test]
 fn only_executor_touches_the_storage_seam() {
-    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
-    let mut files: Vec<_> = fs::read_dir(&src)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|e| e == "rs"))
-        .collect();
-    files.sort();
+    let files = sources(&Path::new(env!("CARGO_MANIFEST_DIR")).join("src"));
     assert!(
         files.iter().any(|p| p.ends_with("executor.rs")),
         "seam scan must see executor.rs; crate layout changed?"
@@ -94,4 +99,47 @@ fn only_executor_touches_the_storage_seam() {
         "direct shard transfers outside executor.rs:\n{}",
         violations.join("\n")
     );
+}
+
+/// Re-accretion guard. The sequential/batched/timed twins were deleted
+/// because a single-object operation is a batch of one and timing is
+/// read off the clock; a new `fn …_batched` / `…_timed`, or a
+/// second place that frames a node request, is the twin coming back.
+/// Decorator nodes forwarding a batch to the node they wrap
+/// (`self.inner.…`) are not call sites of the path.
+#[test]
+fn the_io_path_has_no_twins() {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut twins = Vec::new();
+    let mut call_sites = [(".get_batch(", Vec::new()), (".put_batch(", Vec::new())];
+    for krate in ["core", "store"] {
+        for path in sources(&crates.join(krate).join("src")) {
+            let body = non_test_source(&fs::read_to_string(&path).unwrap());
+            for (lineno, line) in body.lines().enumerate() {
+                let at = format!(
+                    "{krate}/{}:{}",
+                    path.file_name().unwrap().to_string_lossy(),
+                    lineno + 1
+                );
+                if let Some(name) = line
+                    .split("fn ")
+                    .nth(1)
+                    .and_then(|rest| rest.split(['(', '<']).next())
+                {
+                    if name.ends_with("_batched") || name.ends_with("_timed") {
+                        twins.push(format!("{at}: fn {name}"));
+                    }
+                }
+                for (pat, sites) in &mut call_sites {
+                    if line.contains(*pat) && !line.contains("self.inner.") {
+                        sites.push(at.clone());
+                    }
+                }
+            }
+        }
+    }
+    assert!(twins.is_empty(), "twin entry points:\n{}", twins.join("\n"));
+    for (pat, sites) in &call_sites {
+        assert_eq!(sites.len(), 1, "`{pat}` call sites: {sites:?}");
+    }
 }

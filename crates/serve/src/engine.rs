@@ -522,12 +522,10 @@ pub fn serve(
                         tenants[t].bytes_read += len;
                         Ok(())
                     } else {
-                        // A miss pays the full storage path; the
-                        // batched fetch coalesces the object's shard
-                        // reads into one framed request per node, so
-                        // miss latency charges one seek per node
-                        // instead of one per shard.
-                        match archive.retrieve_batched(id) {
+                        // A miss pays the full storage path: one
+                        // framed request (one seek) per node holding
+                        // the object's shards.
+                        match archive.retrieve(id) {
                             Ok(data) => {
                                 tenants[t].bytes_read += data.len() as u64;
                                 cache.admit_payload(id, data.len() as u64);

@@ -1,17 +1,15 @@
 //! Geo-dispersed clusters with anti-affinity placement.
 //!
-//! A [`Cluster`] is the raw shard store: placement, batched get/put
-//! with bounded retry, deletion, accounting. It is policy-blind — it
-//! never sees plaintext, codecs, or manifests. In `aeon-core` every
-//! access to a cluster is funneled through the `PlanExecutor` so the
-//! archive has exactly one node-I/O seam; callers embedding this crate
-//! directly get the same primitives without that discipline.
+//! A [`Cluster`] is the raw shard store: placement, node lookup, lane
+//! dispatch, deletion, accounting. It is policy-blind — it never sees
+//! plaintext, codecs, or manifests. Retrying shard transfers are not
+//! here: in `aeon-core` every access to a cluster is funneled through
+//! the `PlanExecutor`, whose one fan-out frames transfers per node and
+//! runs them through [`Cluster::dispatch_lanes`].
 
 use crate::clock::SimClock;
-use crate::lane::{scatter, DispatchPolicy, LaneClock};
+use crate::lane::{DispatchPolicy, LaneClock};
 use crate::node::{MemoryNode, NodeError, NodeId, ShardKey, StorageNode};
-use crate::retry::{run_with_retry, RetryPolicy};
-use aeon_crypto::CryptoRng;
 use std::sync::Arc;
 
 /// Errors from cluster operations.
@@ -68,12 +66,9 @@ pub struct ShardAttempt {
     pub error: Option<NodeError>,
 }
 
-/// Per-shard transfer accounting — one record per placement entry, in
-/// either direction: reads ([`Cluster::get_shards_retrying`],
-/// [`Cluster::get_shards_batched_retrying`]) and writes
-/// ([`Cluster::put_shards_retrying`],
-/// [`Cluster::put_shards_batched_retrying`]) share the shape, because
-/// both are per-shard fan-outs with bounded retry.
+/// Per-shard transfer accounting — one record per placement entry.
+/// Reads and writes share the shape, because both are per-shard
+/// fan-outs with bounded retry.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TransferReport {
     /// One record per placement entry, in shard order.
@@ -136,7 +131,7 @@ impl Cluster {
     ///
     /// Dispatch defaults to [`DispatchPolicy::Sequential`] unless the
     /// `AEON_FORCE_DISPATCH` environment override is set (the CI hook
-    /// that reruns the equivalence suites under parallel lanes).
+    /// that reruns the equivalence suite under parallel lanes).
     pub fn new(nodes: Vec<Arc<dyn StorageNode>>) -> Self {
         let clock = SimClock::new();
         Cluster {
@@ -171,16 +166,16 @@ impl Cluster {
         self
     }
 
-    /// Selects how batched operations execute their per-node legs
-    /// (builder style). Sequential is the default; see
-    /// [`DispatchPolicy`] for the trade.
+    /// Selects how the per-node legs of a fan-out are priced (builder
+    /// style). Sequential is the default; see [`DispatchPolicy`] for
+    /// the trade.
     #[must_use]
     pub fn with_dispatch(mut self, dispatch: DispatchPolicy) -> Self {
         self.dispatch = dispatch;
         self
     }
 
-    /// The dispatch policy in effect for batched operations.
+    /// The dispatch policy in effect.
     pub fn dispatch_policy(&self) -> DispatchPolicy {
         self.dispatch
     }
@@ -196,32 +191,33 @@ impl Cluster {
         &self.clock
     }
 
-    /// Runs one closure per entry of `lane_nodes` and returns results
-    /// in index order. This is the **only** lane-dispatch seam: under
-    /// [`DispatchPolicy::Sequential`] the closures run in order on the
-    /// caller's thread, charging the global clock exactly as the
-    /// pre-lane code did; under [`DispatchPolicy::Parallel`] they fan
-    /// out on a scoped thread pool with charges diverted per thread
-    /// ([`SimClock::divert`]) and replayed onto each node's lane, and
+    /// Runs one closure per entry of `lane_nodes`, in order, on the
+    /// caller's thread, and returns the results. This is the **only**
+    /// lane-dispatch seam, and the policy decides how the legs are
+    /// *priced*, not how they execute: under
+    /// [`DispatchPolicy::Sequential`] every charge lands on the global
+    /// clock in call order (the sum); under
+    /// [`DispatchPolicy::Parallel`] each leg's charges are diverted
+    /// ([`SimClock::divert`]) and replayed onto its node's lane, and
     /// the global clock advances once to the critical path.
     ///
-    /// `op` must be pure modulo node I/O — results are merged by index,
-    /// so outputs are independent of thread interleaving as long as
-    /// each closure touches only its own node (the grouping invariant
-    /// of the batched ops).
-    pub fn dispatch_lanes<T: Send, F>(&self, lane_nodes: &[NodeId], op: F) -> Vec<T>
-    where
-        F: Fn(usize) -> T + Sync,
-    {
+    /// Each closure should touch only its own node (the grouping
+    /// invariant of the executor's fan-out), or the lane a charge is
+    /// replayed onto is not the device that did the work.
+    pub fn dispatch_lanes<T>(&self, lane_nodes: &[NodeId], op: impl Fn(usize) -> T) -> Vec<T> {
         match self.dispatch {
             DispatchPolicy::Sequential => (0..lane_nodes.len()).map(op).collect(),
-            DispatchPolicy::Parallel { workers } => {
+            DispatchPolicy::Parallel { .. } => {
                 let dispatch = self.lanes.begin();
-                let out = scatter(lane_nodes.len(), workers, &|i| {
-                    let (out, cost) = self.clock.divert(|| op(i));
-                    dispatch.charge(lane_nodes[i], cost);
-                    out
-                });
+                let out = lane_nodes
+                    .iter()
+                    .enumerate()
+                    .map(|(i, node)| {
+                        let (out, cost) = self.clock.divert(|| op(i));
+                        dispatch.charge(*node, cost);
+                        out
+                    })
+                    .collect();
                 dispatch.finish();
                 out
             }
@@ -322,289 +318,6 @@ impl Cluster {
             .collect()
     }
 
-    /// Fetches an object's shards with bounded retry per node. Each
-    /// shard is attempted up to `retry.max_attempts` times (transient
-    /// errors and offline nodes only — a missing shard is permanent);
-    /// unavailable shards come back as `None` plus a per-shard
-    /// [`ShardAttempt`] record, so callers can both decode degraded and
-    /// audit exactly how often each node was hammered.
-    pub fn get_shards_retrying<R: CryptoRng + ?Sized>(
-        &self,
-        object: &str,
-        placement: &[NodeId],
-        retry: &RetryPolicy,
-        rng: &mut R,
-    ) -> (Vec<Option<Vec<u8>>>, TransferReport) {
-        let mut shards = Vec::with_capacity(placement.len());
-        let mut attempts = Vec::with_capacity(placement.len());
-        for (i, node_id) in placement.iter().enumerate() {
-            let key = ShardKey::new(object, i as u32);
-            let Some(node) = self.node(*node_id) else {
-                shards.push(None);
-                attempts.push(ShardAttempt {
-                    shard: i as u32,
-                    node: *node_id,
-                    attempts: 0,
-                    error: Some(NodeError::Io("placement references unknown node".into())),
-                });
-                continue;
-            };
-            let (result, stats) = run_with_retry(retry, &self.clock, rng, || node.get(&key));
-            let (shard, error) = match result {
-                Ok(bytes) => (Some(bytes), None),
-                Err(e) => (None, Some(e)),
-            };
-            shards.push(shard);
-            attempts.push(ShardAttempt {
-                shard: i as u32,
-                node: *node_id,
-                attempts: stats.attempts,
-                error,
-            });
-        }
-        (shards, TransferReport { attempts })
-    }
-
-    /// Stores an object's shards with bounded retry per node, tolerating
-    /// per-shard failures: every write is attempted, failures are
-    /// recorded instead of aborting the fan-out (the shard stays missing
-    /// and is a repair's problem). Returns the number of shards durably
-    /// written plus the per-shard report.
-    pub fn put_shards_retrying<R: CryptoRng + ?Sized>(
-        &self,
-        object: &str,
-        placement: &[NodeId],
-        shards: &[Vec<u8>],
-        retry: &RetryPolicy,
-        rng: &mut R,
-    ) -> (usize, TransferReport) {
-        assert_eq!(placement.len(), shards.len(), "placement/shard mismatch");
-        let mut written = 0usize;
-        let mut attempts = Vec::with_capacity(placement.len());
-        for (i, (node_id, shard)) in placement.iter().zip(shards).enumerate() {
-            let key = ShardKey::new(object, i as u32);
-            let Some(node) = self.node(*node_id) else {
-                attempts.push(ShardAttempt {
-                    shard: i as u32,
-                    node: *node_id,
-                    attempts: 0,
-                    error: Some(NodeError::Io("placement references unknown node".into())),
-                });
-                continue;
-            };
-            let (result, stats) = run_with_retry(retry, &self.clock, rng, || node.put(&key, shard));
-            let error = match result {
-                Ok(()) => {
-                    written += 1;
-                    None
-                }
-                Err(e) => Some(e),
-            };
-            attempts.push(ShardAttempt {
-                shard: i as u32,
-                node: *node_id,
-                attempts: stats.attempts,
-                error,
-            });
-        }
-        (written, TransferReport { attempts })
-    }
-
-    /// Stores shards with the same tolerance and per-shard accounting
-    /// as [`Cluster::put_shards_retrying`], but coalesces the first
-    /// attempt: shards are grouped by target node and each group ships
-    /// as **one** [`StorageNode::put_batch`] call (one framed transfer,
-    /// one seek on media-priced nodes). Entries that fail retryably are
-    /// then retried *individually* with the remaining attempt budget,
-    /// so every key sees exactly `retry.max_attempts` total attempts —
-    /// the same per-key attempt schedule as the sequential path, which
-    /// is what keeps stored bytes and typed failures byte-identical
-    /// under deterministic fault injection. Only backoff *timing* and
-    /// jitter draw order differ (clock-only effects).
-    ///
-    /// Under [`DispatchPolicy::Parallel`] the per-node first-attempt
-    /// frames overlap on virtual lanes (and real threads) and the
-    /// batch costs the critical path instead of the sum; retries stay
-    /// sequential in placement order so attempt schedules and rng draw
-    /// order match the sequential path exactly.
-    pub fn put_shards_batched_retrying<R: CryptoRng + ?Sized>(
-        &self,
-        object: &str,
-        placement: &[NodeId],
-        shards: &[Vec<u8>],
-        retry: &RetryPolicy,
-        rng: &mut R,
-    ) -> (usize, TransferReport) {
-        assert_eq!(placement.len(), shards.len(), "placement/shard mismatch");
-        let mut written = 0usize;
-        let mut slots: Vec<Option<ShardAttempt>> = vec![None; placement.len()];
-        let groups = group_by_node(placement);
-        let lane_nodes: Vec<NodeId> = groups.iter().map(|(id, _)| *id).collect();
-        // First attempt for every entry: one coalesced frame per node,
-        // all frames dispatched at once (overlapped under parallel
-        // lanes, in placement order under sequential dispatch).
-        let first: Vec<Option<Vec<Result<(), NodeError>>>> =
-            self.dispatch_lanes(&lane_nodes, |g| {
-                let (node_id, idxs) = &groups[g];
-                let node = self.node(*node_id)?;
-                let entries: Vec<(ShardKey, &[u8])> = idxs
-                    .iter()
-                    .map(|&i| (ShardKey::new(object, i as u32), shards[i].as_slice()))
-                    .collect();
-                Some(node.put_batch(&entries))
-            });
-        // Resolve in group order: record outcomes and spend the
-        // remaining attempt budget individually, so the per-key attempt
-        // count matches the sequential path.
-        for ((node_id, idxs), outcome) in groups.iter().zip(first) {
-            let Some(results) = outcome else {
-                for &i in idxs {
-                    slots[i] = Some(ShardAttempt {
-                        shard: i as u32,
-                        node: *node_id,
-                        attempts: 0,
-                        error: Some(NodeError::Io("placement references unknown node".into())),
-                    });
-                }
-                continue;
-            };
-            let node = self.node(*node_id).expect("checked in dispatch");
-            for (&i, result) in idxs.iter().zip(results) {
-                let (mut attempts, mut error) = match result {
-                    Ok(()) => {
-                        written += 1;
-                        (1, None)
-                    }
-                    Err(e) => (1, Some(e)),
-                };
-                if let Some(e) = error.take() {
-                    if RetryPolicy::is_retryable(&e) && retry.max_attempts > 1 {
-                        let rest = retry.clone().with_attempts(retry.max_attempts - 1);
-                        let key = ShardKey::new(object, i as u32);
-                        let (result, stats) =
-                            run_with_retry(&rest, &self.clock, rng, || node.put(&key, &shards[i]));
-                        attempts += stats.attempts;
-                        error = match result {
-                            Ok(()) => {
-                                written += 1;
-                                None
-                            }
-                            Err(e) => Some(e),
-                        };
-                    } else {
-                        error = Some(e);
-                    }
-                }
-                slots[i] = Some(ShardAttempt {
-                    shard: i as u32,
-                    node: *node_id,
-                    attempts,
-                    error,
-                });
-            }
-        }
-        let attempts = slots.into_iter().map(|s| s.expect("slot filled")).collect();
-        (written, TransferReport { attempts })
-    }
-
-    /// Fetches shards with the same tolerance and per-shard accounting
-    /// as [`Cluster::get_shards_retrying`], but coalesces the first
-    /// attempt: keys are grouped by source node and each group ships as
-    /// **one** [`StorageNode::get_batch`] call (one framed response,
-    /// one seek on media-priced nodes). Keys that fail retryably are
-    /// then retried *individually* with the remaining attempt budget,
-    /// so every key sees exactly `retry.max_attempts` total attempts —
-    /// the same per-key attempt schedule as the sequential path, which
-    /// is what keeps returned bytes and typed failures byte-identical
-    /// under deterministic fault injection. Only backoff *timing* and
-    /// jitter draw order differ (clock-only effects).
-    ///
-    /// Under [`DispatchPolicy::Parallel`] the per-node first-attempt
-    /// frames overlap on virtual lanes (and real threads) and the
-    /// batch costs the critical path instead of the sum; retries stay
-    /// sequential in placement order so attempt schedules and rng draw
-    /// order match the sequential path exactly.
-    #[allow(clippy::type_complexity)]
-    pub fn get_shards_batched_retrying<R: CryptoRng + ?Sized>(
-        &self,
-        object: &str,
-        placement: &[NodeId],
-        retry: &RetryPolicy,
-        rng: &mut R,
-    ) -> (Vec<Option<Vec<u8>>>, TransferReport) {
-        let mut shards: Vec<Option<Vec<u8>>> = vec![None; placement.len()];
-        let mut slots: Vec<Option<ShardAttempt>> = vec![None; placement.len()];
-        let groups = group_by_node(placement);
-        let lane_nodes: Vec<NodeId> = groups.iter().map(|(id, _)| *id).collect();
-        // First attempt for every key: one coalesced frame per node,
-        // all frames dispatched at once (overlapped under parallel
-        // lanes, in placement order under sequential dispatch).
-        let first: Vec<Option<Vec<Result<Vec<u8>, NodeError>>>> =
-            self.dispatch_lanes(&lane_nodes, |g| {
-                let (node_id, idxs) = &groups[g];
-                let node = self.node(*node_id)?;
-                let keys: Vec<ShardKey> = idxs
-                    .iter()
-                    .map(|&i| ShardKey::new(object, i as u32))
-                    .collect();
-                Some(node.get_batch(&keys))
-            });
-        // Resolve in group order: record outcomes and spend the
-        // remaining attempt budget individually, so the per-key attempt
-        // count matches the sequential path.
-        for ((node_id, idxs), outcome) in groups.iter().zip(first) {
-            let Some(results) = outcome else {
-                for &i in idxs {
-                    slots[i] = Some(ShardAttempt {
-                        shard: i as u32,
-                        node: *node_id,
-                        attempts: 0,
-                        error: Some(NodeError::Io("placement references unknown node".into())),
-                    });
-                }
-                continue;
-            };
-            let node = self.node(*node_id).expect("checked in dispatch");
-            for (&i, result) in idxs.iter().zip(results) {
-                let (mut attempts, mut error) = match result {
-                    Ok(bytes) => {
-                        shards[i] = Some(bytes);
-                        (1, None)
-                    }
-                    Err(e) => (1, Some(e)),
-                };
-                // Spend the remaining attempt budget individually, so
-                // the per-key attempt count matches the sequential path.
-                if let Some(e) = error.take() {
-                    if RetryPolicy::is_retryable(&e) && retry.max_attempts > 1 {
-                        let rest = retry.clone().with_attempts(retry.max_attempts - 1);
-                        let key = ShardKey::new(object, i as u32);
-                        let (result, stats) =
-                            run_with_retry(&rest, &self.clock, rng, || node.get(&key));
-                        attempts += stats.attempts;
-                        error = match result {
-                            Ok(bytes) => {
-                                shards[i] = Some(bytes);
-                                None
-                            }
-                            Err(e) => Some(e),
-                        };
-                    } else {
-                        error = Some(e);
-                    }
-                }
-                slots[i] = Some(ShardAttempt {
-                    shard: i as u32,
-                    node: *node_id,
-                    attempts,
-                    error,
-                });
-            }
-        }
-        let attempts = slots.into_iter().map(|s| s.expect("slot filled")).collect();
-        (shards, TransferReport { attempts })
-    }
-
     /// Deletes an object's shards (best effort).
     pub fn delete_shards(&self, object: &str, placement: &[NodeId]) {
         for (i, node_id) in placement.iter().enumerate() {
@@ -629,21 +342,6 @@ impl Cluster {
         }
         sites
     }
-}
-
-/// Groups shard indices by node, groups ordered by first occurrence in
-/// the placement (deterministic, and the invariant the parallel
-/// dispatch relies on: each node appears in exactly one group, so
-/// concurrent first-attempt frames never touch the same node).
-fn group_by_node(placement: &[NodeId]) -> Vec<(NodeId, Vec<usize>)> {
-    let mut groups: Vec<(NodeId, Vec<usize>)> = Vec::new();
-    for (i, node_id) in placement.iter().enumerate() {
-        match groups.iter_mut().find(|(id, _)| id == node_id) {
-            Some((_, idxs)) => idxs.push(i),
-            None => groups.push((*node_id, vec![i])),
-        }
-    }
-    groups
 }
 
 fn stable_hash(s: &str) -> u64 {
@@ -754,205 +452,6 @@ mod tests {
     }
 
     #[test]
-    fn retrying_read_bounds_attempts_on_dead_nodes() {
-        use aeon_crypto::ChaChaDrbg;
-        let (cluster, handles) = cluster_with_handles();
-        let placement = cluster.place("obj", 4).unwrap();
-        let shards: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 8]).collect();
-        cluster.put_shards("obj", &placement, &shards).unwrap();
-        let dead = placement[2];
-        handles
-            .iter()
-            .find(|h| h.id() == dead)
-            .unwrap()
-            .set_offline(true);
-        let retry = crate::retry::RetryPolicy::default().with_attempts(3);
-        let mut rng = ChaChaDrbg::from_u64_seed(1);
-        let (got, report) = cluster.get_shards_retrying("obj", &placement, &retry, &mut rng);
-        assert_eq!(got.iter().flatten().count(), 3);
-        assert!(got[2].is_none());
-        assert_eq!(report.attempts_for(dead), 3, "dead node retried to cap");
-        for id in placement.iter().filter(|&&id| id != dead) {
-            assert_eq!(report.attempts_for(*id), 1, "healthy nodes hit once");
-        }
-        assert_eq!(report.failed_shards(), vec![2]);
-        assert!(
-            cluster.clock().now().as_millis() > 0,
-            "retry backoff was charged to the cluster clock"
-        );
-    }
-
-    #[test]
-    fn retrying_put_tolerates_partial_failure() {
-        use aeon_crypto::ChaChaDrbg;
-        let (cluster, handles) = cluster_with_handles();
-        let placement = cluster.place("obj", 3).unwrap();
-        handles
-            .iter()
-            .find(|h| h.id() == placement[0])
-            .unwrap()
-            .set_offline(true);
-        let shards: Vec<Vec<u8>> = (0..3u8).map(|i| vec![i; 4]).collect();
-        let retry = crate::retry::RetryPolicy::default().with_attempts(2);
-        let mut rng = ChaChaDrbg::from_u64_seed(2);
-        let (written, report) =
-            cluster.put_shards_retrying("obj", &placement, &shards, &retry, &mut rng);
-        assert_eq!(written, 2, "fan-out continued past the dead node");
-        assert_eq!(report.failed_shards(), vec![0]);
-        assert_eq!(report.attempts_for(placement[0]), 2);
-    }
-
-    #[test]
-    fn batched_put_matches_sequential_outcome() {
-        use aeon_crypto::ChaChaDrbg;
-        let (cluster_a, handles_a) = cluster_with_handles();
-        let (cluster_b, handles_b) = cluster_with_handles();
-        let placement = cluster_a.place("obj", 4).unwrap();
-        assert_eq!(placement, cluster_b.place("obj", 4).unwrap());
-        // Same node offline in both worlds.
-        for handles in [&handles_a, &handles_b] {
-            handles
-                .iter()
-                .find(|h| h.id() == placement[1])
-                .unwrap()
-                .set_offline(true);
-        }
-        let shards: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 16]).collect();
-        let retry = crate::retry::RetryPolicy::default().with_attempts(3);
-        let mut rng_a = ChaChaDrbg::from_u64_seed(7);
-        let mut rng_b = ChaChaDrbg::from_u64_seed(7);
-        let (w_seq, r_seq) =
-            cluster_a.put_shards_retrying("obj", &placement, &shards, &retry, &mut rng_a);
-        let (w_bat, r_bat) =
-            cluster_b.put_shards_batched_retrying("obj", &placement, &shards, &retry, &mut rng_b);
-        assert_eq!(w_seq, w_bat);
-        assert_eq!(r_seq.failed_shards(), r_bat.failed_shards());
-        for (a, b) in r_seq.attempts.iter().zip(&r_bat.attempts) {
-            assert_eq!(a.shard, b.shard);
-            assert_eq!(a.node, b.node);
-            assert_eq!(a.attempts, b.attempts, "per-key attempt schedule matches");
-            assert_eq!(a.error, b.error, "typed failures match");
-        }
-        // Stored bytes identical node by node.
-        assert_eq!(
-            cluster_a.get_shards("obj", &placement),
-            cluster_b.get_shards("obj", &placement)
-        );
-    }
-
-    #[test]
-    fn batched_put_groups_by_node() {
-        use aeon_crypto::ChaChaDrbg;
-        // Place 4 shards on 2 nodes (repeat nodes in the placement):
-        // each node must receive one batch covering its shards.
-        let cluster = Cluster::in_memory(&["x"], 2);
-        let ids: Vec<NodeId> = cluster.nodes().iter().map(|n| n.id()).collect();
-        let placement = vec![ids[0], ids[1], ids[0], ids[1]];
-        let shards: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 8]).collect();
-        let mut rng = ChaChaDrbg::from_u64_seed(3);
-        let (written, report) = cluster.put_shards_batched_retrying(
-            "obj",
-            &placement,
-            &shards,
-            &crate::retry::RetryPolicy::none(),
-            &mut rng,
-        );
-        assert_eq!(written, 4);
-        assert!(report.failed_shards().is_empty());
-        // Report stays in shard order even though execution grouped.
-        let order: Vec<u32> = report.attempts.iter().map(|a| a.shard).collect();
-        assert_eq!(order, vec![0, 1, 2, 3]);
-        assert!(cluster
-            .get_shards("obj", &placement)
-            .iter()
-            .all(|s| s.is_some()));
-    }
-
-    #[test]
-    fn batched_get_matches_sequential_outcome() {
-        use aeon_crypto::ChaChaDrbg;
-        let (cluster_a, handles_a) = cluster_with_handles();
-        let (cluster_b, handles_b) = cluster_with_handles();
-        let placement = cluster_a.place("obj", 4).unwrap();
-        assert_eq!(placement, cluster_b.place("obj", 4).unwrap());
-        let shards: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 16]).collect();
-        for cluster in [&cluster_a, &cluster_b] {
-            cluster.put_shards("obj", &placement, &shards).unwrap();
-        }
-        // Same node offline in both worlds.
-        for handles in [&handles_a, &handles_b] {
-            handles
-                .iter()
-                .find(|h| h.id() == placement[1])
-                .unwrap()
-                .set_offline(true);
-        }
-        let retry = crate::retry::RetryPolicy::default().with_attempts(3);
-        let mut rng_a = ChaChaDrbg::from_u64_seed(7);
-        let mut rng_b = ChaChaDrbg::from_u64_seed(7);
-        let (s_seq, r_seq) = cluster_a.get_shards_retrying("obj", &placement, &retry, &mut rng_a);
-        let (s_bat, r_bat) =
-            cluster_b.get_shards_batched_retrying("obj", &placement, &retry, &mut rng_b);
-        assert_eq!(s_seq, s_bat, "returned bytes identical slot by slot");
-        assert_eq!(r_seq.failed_shards(), r_bat.failed_shards());
-        for (a, b) in r_seq.attempts.iter().zip(&r_bat.attempts) {
-            assert_eq!(a.shard, b.shard);
-            assert_eq!(a.node, b.node);
-            assert_eq!(a.attempts, b.attempts, "per-key attempt schedule matches");
-            assert_eq!(a.error, b.error, "typed failures match");
-        }
-    }
-
-    #[test]
-    fn batched_get_groups_by_node() {
-        use aeon_crypto::ChaChaDrbg;
-        // Place 4 shards on 2 nodes (repeat nodes in the placement):
-        // each node must serve one batch covering its shards.
-        let cluster = Cluster::in_memory(&["x"], 2);
-        let ids: Vec<NodeId> = cluster.nodes().iter().map(|n| n.id()).collect();
-        let placement = vec![ids[0], ids[1], ids[0], ids[1]];
-        let shards: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 8]).collect();
-        cluster.put_shards("obj", &placement, &shards).unwrap();
-        let mut rng = ChaChaDrbg::from_u64_seed(3);
-        let (got, report) = cluster.get_shards_batched_retrying(
-            "obj",
-            &placement,
-            &crate::retry::RetryPolicy::none(),
-            &mut rng,
-        );
-        assert_eq!(
-            got,
-            shards.iter().cloned().map(Some).collect::<Vec<_>>(),
-            "payloads come back in shard order despite grouped execution"
-        );
-        assert!(report.failed_shards().is_empty());
-        // Report stays in shard order even though execution grouped.
-        let order: Vec<u32> = report.attempts.iter().map(|a| a.shard).collect();
-        assert_eq!(order, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn batched_get_missing_shard_is_not_retried() {
-        use aeon_crypto::ChaChaDrbg;
-        let (cluster, _handles) = cluster_with_handles();
-        let placement = cluster.place("obj", 3).unwrap();
-        let shards: Vec<Vec<u8>> = (0..3u8).map(|i| vec![i; 4]).collect();
-        cluster.put_shards("obj", &placement, &shards).unwrap();
-        cluster
-            .node(placement[2])
-            .unwrap()
-            .delete(&ShardKey::new("obj", 2))
-            .unwrap();
-        let retry = crate::retry::RetryPolicy::default().with_attempts(5);
-        let mut rng = ChaChaDrbg::from_u64_seed(9);
-        let (got, report) =
-            cluster.get_shards_batched_retrying("obj", &placement, &retry, &mut rng);
-        assert!(got[2].is_none());
-        assert_eq!(report.attempts[2].attempts, 1, "NotFound is permanent");
-        assert_eq!(report.attempts[2].error, Some(NodeError::NotFound));
-    }
-
-    #[test]
     fn accounting() {
         let cluster = Cluster::in_memory(&["x", "y"], 1);
         let placement = cluster.place("o", 2).unwrap();
@@ -963,93 +462,33 @@ mod tests {
         assert_eq!(cluster.sites(), vec!["x".to_string(), "y".to_string()]);
     }
 
-    /// One seek-dominated throughput cluster per dispatch mode, with a
-    /// balanced placement of one shard per node.
-    fn seek_heavy_pair(n: usize) -> (Cluster, Cluster, Vec<NodeId>, Vec<Vec<u8>>) {
+    /// The pinned lane-charge contract: n balanced per-node legs under
+    /// parallel dispatch cost the critical path (1/n of the sequential
+    /// sum), with the same results in the same order.
+    #[test]
+    fn parallel_dispatch_costs_the_critical_path_not_the_sum() {
+        let n = 6;
         let profile = ThroughputProfile::new(SimDuration::from_secs(30), 1e9, 1e9);
         let sites: Vec<String> = (0..n).map(|i| format!("s{i}")).collect();
         let site_refs: Vec<&str> = sites.iter().map(|s| s.as_str()).collect();
-        let (seq, _) = throughput_in_memory_cluster(&site_refs, 1, &profile);
-        let (par, _) = throughput_in_memory_cluster(&site_refs, 1, &profile);
-        let par = par.with_dispatch(DispatchPolicy::Parallel { workers: 4 });
-        let placement = seq.place("obj", n).unwrap();
-        assert_eq!(par.place("obj", n).unwrap(), placement);
-        let shards: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8; 512]).collect();
-        (seq, par, placement, shards)
-    }
-
-    /// The pinned lane-charge contract: an n-node balanced batch under
-    /// parallel dispatch costs the critical path (~1/n of the
-    /// sequential sum), while bytes and reports stay identical.
-    #[test]
-    fn parallel_balanced_batch_costs_one_nth_of_sequential() {
-        use aeon_crypto::ChaChaDrbg;
-        let n = 6;
-        let (seq, par, placement, shards) = seek_heavy_pair(n);
-        let retry = crate::retry::RetryPolicy::default();
-
-        let t0 = seq.clock().now();
-        let mut rng = ChaChaDrbg::from_u64_seed(1);
-        let (w_seq, rep_seq) =
-            seq.put_shards_batched_retrying("obj", &placement, &shards, &retry, &mut rng);
-        let seq_put = seq.clock().now() - t0;
-
-        let t0 = par.clock().now();
-        let mut rng = ChaChaDrbg::from_u64_seed(1);
-        let (w_par, rep_par) =
-            par.put_shards_batched_retrying("obj", &placement, &shards, &retry, &mut rng);
-        let par_put = par.clock().now() - t0;
-
-        assert_eq!(w_seq, w_par);
-        assert_eq!(rep_seq, rep_par, "accounting identical across dispatch");
-        // Sequential charges n seeks back to back; parallel overlaps
-        // them, so the batch costs one seek (plus the tiny transfer).
-        let ratio = seq_put.as_secs_f64() / par_put.as_secs_f64();
+        let run = |dispatch: DispatchPolicy| {
+            let (cluster, _) = throughput_in_memory_cluster(&site_refs, 1, &profile);
+            let cluster = cluster.with_dispatch(dispatch);
+            let placement = cluster.place("obj", n).unwrap();
+            let out = cluster.dispatch_lanes(&placement, |i| {
+                let node = cluster.node(placement[i]).unwrap();
+                node.put(&ShardKey::new("obj", i as u32), &[i as u8; 512])
+                    .map(|()| i)
+            });
+            assert_eq!(out, (0..n).map(Ok).collect::<Vec<_>>());
+            cluster.clock().now()
+        };
+        let seq = run(DispatchPolicy::Sequential);
+        let par = run(DispatchPolicy::Parallel { workers: 4 });
+        let ratio = seq.as_secs_f64() / par.as_secs_f64();
         assert!(
             (ratio - n as f64).abs() < 0.01,
-            "put speedup {ratio:.3}, want ~{n}"
+            "speedup {ratio:.3}, want ~{n}"
         );
-
-        let t0 = seq.clock().now();
-        let mut rng = ChaChaDrbg::from_u64_seed(2);
-        let (got_seq, grep_seq) =
-            seq.get_shards_batched_retrying("obj", &placement, &retry, &mut rng);
-        let seq_get = seq.clock().now() - t0;
-
-        let t0 = par.clock().now();
-        let mut rng = ChaChaDrbg::from_u64_seed(2);
-        let (got_par, grep_par) =
-            par.get_shards_batched_retrying("obj", &placement, &retry, &mut rng);
-        let par_get = par.clock().now() - t0;
-
-        assert_eq!(got_seq, got_par, "payloads byte-identical");
-        assert_eq!(grep_seq, grep_par);
-        let ratio = seq_get.as_secs_f64() / par_get.as_secs_f64();
-        assert!(
-            (ratio - n as f64).abs() < 0.01,
-            "get speedup {ratio:.3}, want ~{n}"
-        );
-    }
-
-    /// Worker count changes wall-clock execution only: virtual elapsed
-    /// time, payloads, and reports are worker-count independent.
-    #[test]
-    fn parallel_virtual_time_is_worker_count_independent() {
-        use aeon_crypto::ChaChaDrbg;
-        let n = 5;
-        let mut elapsed = Vec::new();
-        for workers in [1usize, 2, 8] {
-            let (_, par, placement, shards) = seek_heavy_pair(n);
-            let par = par.with_dispatch(DispatchPolicy::Parallel { workers });
-            let retry = crate::retry::RetryPolicy::default();
-            let mut rng = ChaChaDrbg::from_u64_seed(3);
-            par.put_shards_batched_retrying("obj", &placement, &shards, &retry, &mut rng);
-            let (got, rep) = par.get_shards_batched_retrying("obj", &placement, &retry, &mut rng);
-            assert!(got.iter().all(Option::is_some));
-            assert_eq!(rep.total_attempts(), n as u32);
-            elapsed.push(par.clock().now());
-        }
-        assert_eq!(elapsed[0], elapsed[1]);
-        assert_eq!(elapsed[1], elapsed[2]);
     }
 }

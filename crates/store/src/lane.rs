@@ -20,56 +20,57 @@
 //! [`SimClock::divert`]) and why the merge-order proptests in this
 //! module exist.
 //!
-//! [`DispatchPolicy`] selects between the classic sequential model
-//! (every charge lands on the global counter in call order — the
-//! default wherever golden vectors and chaos digests are pinned) and
-//! parallel lanes. Callers never drive lanes by hand: the only
-//! entry point is `Cluster::dispatch_lanes`, enforced by the
+//! Lanes are a **pricing model**, not an execution model: the legs of
+//! a dispatch run one after another on the caller's thread with their
+//! charges diverted, and only the arithmetic above overlaps them.
+//! (Real threads per dispatch were measured and cost wall-clock
+//! throughput on every workload that used them, for no virtual-time
+//! difference.) [`DispatchPolicy`] selects between the classic
+//! sequential model (every charge lands on the global counter in call
+//! order — the default wherever golden vectors and chaos digests are
+//! pinned) and parallel lanes. Callers never drive lanes by hand: the
+//! only entry point is `Cluster::dispatch_lanes`, enforced by the
 //! `seam_scan` test in `aeon-core`.
 
 use crate::clock::{SimClock, SimDuration, SimTime};
 use crate::node::NodeId;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// How a cluster executes the per-node legs of a batched operation.
+/// How a cluster prices the per-node legs of a fan-out. Execution is
+/// the same under both: one leg after another on the caller's thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchPolicy {
-    /// One node after another; every charge lands on the global clock
-    /// in call order. Virtual time for a batch is the **sum** of
-    /// per-node costs. The default: pinned golden vectors and chaos
-    /// digests were recorded against it.
+    /// Every charge lands on the global clock in call order. Virtual
+    /// time for a fan-out is the **sum** of per-node costs. The
+    /// default: pinned golden vectors and chaos digests were recorded
+    /// against it.
     #[default]
     Sequential,
-    /// Per-node legs fan out on a scoped thread pool and charge
-    /// per-node lanes; the batch completes at the **critical path**
-    /// (max of lane completions). Payloads, typed failures, and
-    /// per-shard attempt schedules are byte-identical to sequential —
-    /// only virtual timing differs.
+    /// Each leg charges its own node's lane; the fan-out completes at
+    /// the **critical path** (max of lane completions). Payloads, typed
+    /// failures, and per-shard attempt schedules are byte-identical to
+    /// sequential — only virtual timing differs.
     Parallel {
-        /// OS threads driving the fan-out. `1` keeps execution inline
-        /// while still pricing lanes in parallel (virtual overlap is
-        /// a property of the lane model, not of real threads).
+        /// Selects nothing: it once sized a per-dispatch thread pool,
+        /// which was deleted. The field stays only because the repo
+        /// benchmark (`bench/src/workload.rs`) constructs the variant
+        /// with it; its removal is owed to the next benchmark PR.
         workers: usize,
     },
 }
 
 impl DispatchPolicy {
-    /// Parallel dispatch with one worker per available CPU (at least
-    /// two, so fan-out is real even on single-core runners).
+    /// Parallel lane pricing.
     #[must_use]
     pub fn parallel() -> Self {
-        let workers = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(2)
-            .max(2);
-        DispatchPolicy::Parallel { workers }
+        DispatchPolicy::Parallel { workers: 1 }
     }
 
     /// Reads the `AEON_FORCE_DISPATCH` override (`sequential` or
-    /// `parallel`), used by CI to run the equivalence suites under
+    /// `parallel`), used by CI to run the equivalence suite under
     /// forced parallel dispatch without touching call sites.
     #[must_use]
     pub fn from_env() -> Option<Self> {
@@ -78,12 +79,6 @@ impl DispatchPolicy {
             "parallel" => Some(DispatchPolicy::parallel()),
             _ => None,
         }
-    }
-
-    /// Whether this policy overlaps per-node legs.
-    #[must_use]
-    pub fn is_parallel(&self) -> bool {
-        matches!(self, DispatchPolicy::Parallel { .. })
     }
 }
 
@@ -191,39 +186,6 @@ impl LaneDispatch<'_> {
     }
 }
 
-/// Runs `job(0..count)` on up to `workers` scoped threads and returns
-/// results in index order. With one worker (or one item) execution is
-/// inline — parallel *pricing* never requires parallel *execution*.
-/// Panics in `job` propagate to the caller when the scope joins.
-pub(crate) fn scatter<T: Send>(
-    count: usize,
-    workers: usize,
-    job: &(dyn Fn(usize) -> T + Sync),
-) -> Vec<T> {
-    let workers = workers.min(count).max(1);
-    if workers == 1 {
-        return (0..count).map(job).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::SeqCst);
-                if i >= count {
-                    break;
-                }
-                let out = job(i);
-                *slots[i].lock() = Some(out);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("scatter slot filled"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,27 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn scatter_preserves_index_order() {
-        for workers in [1, 2, 4, 9] {
-            let out = scatter(23, workers, &|i| i * 3);
-            assert_eq!(out, (0..23).map(|i| i * 3).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn scatter_propagates_panics() {
-        let caught = std::panic::catch_unwind(|| {
-            scatter(8, 4, &|i| {
-                if i == 5 {
-                    panic!("leg failed");
-                }
-                i
-            })
-        });
-        assert!(caught.is_err());
-    }
-
-    #[test]
     fn dispatch_from_many_threads_is_schedule_independent() {
         // A fixed set of lane completions yields one global frontier
         // regardless of which thread charges which lane when: same-lane
@@ -337,14 +278,17 @@ mod tests {
             let clock = SimClock::new();
             let lanes = LaneClock::new(clock.clone());
             let d = lanes.begin();
-            let outcomes = scatter(legs.len(), 4, &|i| {
-                let (node, ms) = legs[i];
-                let ((), cost) = clock.divert(|| {
-                    clock.charge(SimDuration::from_millis(ms));
-                });
-                d.charge(node, cost);
+            std::thread::scope(|scope| {
+                for &(node, ms) in &legs {
+                    let (clock, d) = (&clock, &d);
+                    scope.spawn(move || {
+                        let ((), cost) = clock.divert(|| {
+                            clock.charge(SimDuration::from_millis(ms));
+                        });
+                        d.charge(node, cost);
+                    });
+                }
             });
-            assert_eq!(outcomes.len(), legs.len());
             assert_eq!(d.finish(), reference);
             assert_eq!(clock.now(), reference);
         }

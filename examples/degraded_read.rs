@@ -1,4 +1,4 @@
-//! Degraded read: one batched fetch per node, with a node offline and a
+//! Degraded read: one framed fetch per node, with a node offline and a
 //! shard silently bit-rotted.
 //!
 //! ```sh
@@ -8,12 +8,12 @@
 //! A 3+2 erasure-coded object survives the loss of any two shards. Here
 //! one source node is offline (typed I/O failure, retried up to the
 //! budget) and one shard has rotted in place (returned bytes fail the
-//! manifest digest and are discarded). The batched read path coalesces
-//! the remaining fetches into one framed request per node and the
+//! manifest digest and are discarded). The read path coalesces the
+//! fetches into one framed request per node and the
 //! per-shard attempt accounting in the [`TransferReport`] shows exactly
 //! what each slot cost.
 //!
-//! The second half re-runs the same batched read over seek-charged
+//! The second half re-runs the same read over seek-charged
 //! nodes under both dispatch policies: sequential dispatch pays the
 //! sum of the per-node transfers in virtual time, parallel lanes pay
 //! only the critical path — same bytes, same report, one seek instead
@@ -70,11 +70,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // One framed fetch per node; offline slots burn their retry budget,
     // the rotted slot is fetched once and rejected by its digest.
-    let (bytes, report) = archive.retrieve_with_report_batched(&id)?;
+    let (bytes, report) = archive.retrieve_with_report(&id)?;
     assert_eq!(bytes, payload);
     println!("\nrecovered {} bytes despite both faults\n", bytes.len());
 
-    println!("per-shard attempt accounting (one batched fetch per node):");
+    println!("per-shard attempt accounting (one framed fetch per node):");
     for a in &report.attempts {
         println!(
             "  shard {} @ node {}: {} attempt(s), {}",
@@ -94,14 +94,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.failed_shards()
     );
 
-    // Part two: the same batched read priced on the virtual clock,
+    // Part two: the same read priced on the virtual clock,
     // under both dispatch policies. Five cold-HDD sites, 40 ms
     // positioning each; the healthy read touches all five.
     println!("\ndispatch comparison (cold-HDD sites, 40 ms positioning):");
     let mut elapsed = Vec::new();
     for (name, dispatch) in [
         ("sequential", DispatchPolicy::Sequential),
-        ("parallel", DispatchPolicy::Parallel { workers: 4 }),
+        ("parallel", DispatchPolicy::parallel()),
     ] {
         let profile = ThroughputProfile::new(SimDuration::from_millis(40), 20e6, 20e6);
         let (cluster, clock) =
@@ -112,7 +112,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut archive = Archive::with_cluster(config, cluster)?;
         let id = archive.ingest(&payload, "deed-book-12")?;
         let t0 = clock.now();
-        let (bytes, _) = archive.retrieve_with_report_batched(&id)?;
+        let (bytes, _) = archive.retrieve_with_report(&id)?;
         assert_eq!(bytes, payload);
         let dt = clock.now().since(t0);
         println!(
