@@ -735,15 +735,6 @@ impl Archive {
             .map(|manifest| self.fetch_shards(&manifest, label))
     }
 
-    /// Records the digest of a freshly rewritten shard (repair paths).
-    pub(crate) fn set_shard_digest(&mut self, id: &ObjectId, shard: usize, digest: [u8; 32]) {
-        self.manifests.update(id, |manifest| {
-            if shard < manifest.shard_digests.len() {
-                manifest.shard_digests[shard] = digest;
-            }
-        });
-    }
-
     /// Retrieves and verifies an object.
     ///
     /// # Errors
@@ -817,7 +808,7 @@ impl Archive {
         let snaps = self.executor().read_many(&plans, &mut rngs);
         for ((i, manifest), snap) in pending.iter().zip(snaps) {
             results[*i] = Some(
-                self.decode_manifest(manifest, &snap)
+                self.decode_record(&manifest.id, manifest, &snap)
                     .map(|payload| (payload, snap.report)),
             );
         }
@@ -827,19 +818,21 @@ impl Archive {
             .collect()
     }
 
-    /// [`Archive::decode_verified`] for a classic object: decoded under
-    /// its own id and verified against its manifest digest.
-    pub(crate) fn decode_manifest(
+    /// [`Archive::decode_verified`] for a loaded record (a manifest, or
+    /// a stored unit's): decoded under the record's context and verified
+    /// against its payload digest, failures typed against `owner`.
+    pub(crate) fn decode_record(
         &self,
-        manifest: &Manifest,
+        owner: &ObjectId,
+        record: &Manifest,
         snap: &ShardsSnapshot,
     ) -> Result<Vec<u8>, ArchiveError> {
         self.decode_verified(
-            &manifest.id,
-            manifest.id.as_str(),
-            &manifest.policy,
-            &manifest.meta,
-            &manifest.digest,
+            owner,
+            record.id.as_str(),
+            &record.policy,
+            &record.meta,
+            &record.digest,
             snap,
         )
     }
@@ -921,23 +914,32 @@ impl Archive {
             .chains
             .get(id)
             .map(|c| c.verify(sig_schedule, self.year).is_ok());
-        if manifest.blocks.is_some() {
-            // Dedup objects have no shard set of their own: report the
-            // weakest referenced block's health instead.
-            let (available, required) = self.dedup_health(&manifest);
-            let intact = self.retrieve_dedup(&manifest).is_ok();
-            return Ok(HealthReport {
-                shards_available: available,
-                shards_required: required,
-                intact,
-                chain_valid,
-            });
+        // The weakest stored unit speaks for the object: fewest valid
+        // shards, against the largest read threshold among them.
+        let walked = manifest.blocks.is_some();
+        let mut available = usize::MAX;
+        let mut required = 0usize;
+        let mut intact = true;
+        for unit in self.units_of(&manifest) {
+            let Ok(record) = self.load(&unit) else {
+                (available, intact) = (0, false);
+                continue;
+            };
+            let snap = self.fetch_shards(&record, unit.labels().verify);
+            available = available.min(snap.valid);
+            required = required.max(record.policy.read_threshold());
+            intact &= walked || self.decode_record(id, &record, &snap).is_ok();
         }
-        let snap = self.fetch_shards(&manifest, "verify");
+        // A dedup object's decode check is its tree walk, which also
+        // covers what no single block can: leaf order and the
+        // whole-payload digest.
+        if walked {
+            intact &= self.retrieve_dedup(&manifest).is_ok();
+        }
         Ok(HealthReport {
-            shards_available: snap.valid,
-            shards_required: manifest.policy.read_threshold(),
-            intact: self.decode_manifest(&manifest, &snap).is_ok(),
+            shards_available: available,
+            shards_required: required,
+            intact,
             chain_valid,
         })
     }

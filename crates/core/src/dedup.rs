@@ -48,17 +48,22 @@
 //! reference per occurrence; a block's shards leave the cluster when
 //! its count reaches zero. Catalog snapshots pin their blocks by the
 //! same rules.
+//!
+//! # Maintenance
+//!
+//! None of it lives here. A block is a stored unit like a classic
+//! object (`unit.rs`): repair, re-encode, refresh, re-wrap, the health
+//! probe and the fleet scan run their one body per referenced block.
+//! This module owns what only dedup has — chunking, the block map and
+//! its refcounts, the tree walk, the catalog.
 
 use crate::archive::{Archive, ArchiveError, Manifest, ObjectId};
-use crate::maintenance::ObjectReencode;
 use crate::pipeline::{self, PipelineConfig};
 use crate::plan::{self, ReadPlan, WritePlan};
 use crate::policy::{EncodingMeta, PolicyError, PolicyKind};
-use crate::repair::{RepairMethod, RepairReport};
+use crate::unit::Unit;
 use aeon_cas::{build_tree, merkle, BlockHash, Chunker, ChunkerParams, IndexStats};
 use aeon_crypto::{ChaChaDrbg, Sha256};
-use aeon_secretshare::proactive::ProtocolCost;
-use aeon_store::clock::SimDuration;
 use aeon_store::cluster::TransferReport;
 use std::collections::BTreeSet;
 
@@ -172,7 +177,7 @@ pub fn block_object_id(hash: &BlockHash) -> String {
 /// Pipeline settings for encoding a single block: blocks are already
 /// content-sized, so the policy pipeline must never re-chunk them
 /// (`meta.chunked` stays `None` and segment frames never nest).
-fn block_pipeline() -> PipelineConfig {
+pub(crate) fn block_pipeline() -> PipelineConfig {
     PipelineConfig {
         chunk_size: usize::MAX,
         workers: 1,
@@ -246,7 +251,7 @@ impl Archive {
     /// the recomputed interior nodes — deduplicated, in first-seen
     /// order. The tree build is deterministic in `(leaves, fanout)`, so
     /// recomputing it is cheaper than persisting the node list.
-    fn unique_refs(&self, d: &DedupManifest) -> Vec<BlockHash> {
+    pub(crate) fn unique_refs(&self, d: &DedupManifest) -> Vec<BlockHash> {
         let tree = build_tree(&d.blocks, self.tree_fanout());
         let mut seen = BTreeSet::new();
         d.blocks
@@ -341,18 +346,11 @@ impl Archive {
                 if self.blocks.contains_key(nh) {
                     continue;
                 }
-                let ctx = block_object_id(nh);
-                let mut rng = self.op_rng("block-encode", &ctx);
-                let committed = plan::plan_write(
-                    policy,
-                    &self.keys,
-                    &mut rng,
-                    &ObjectId::from_raw(ctx),
-                    bytes,
-                    &block_cfg,
-                )
-                .map_err(ArchiveError::from)
-                .and_then(|write| self.commit_block(nh, write, BlockKind::Tree, bytes.len()));
+                let ctx = ObjectId::from_raw(block_object_id(nh));
+                let committed = self
+                    .plan_unit_write(&Unit::Block(*nh), policy, &ctx, bytes)
+                    .map_err(ArchiveError::from)
+                    .and_then(|write| self.commit_block(nh, write, BlockKind::Tree, bytes.len()));
                 match committed {
                     Ok(()) => created.push(*nh),
                     Err(e) => {
@@ -467,17 +465,6 @@ impl Archive {
             },
         );
         Ok(())
-    }
-
-    /// Digest-filtered, retrying fetch of one block's shards.
-    fn fetch_block(&self, rec: &BlockRecord, ctx: &str) -> crate::executor::ShardsSnapshot {
-        let plan = ReadPlan {
-            object: ObjectId::from_raw(ctx.to_string()),
-            placement: rec.placement.clone(),
-            shard_digests: rec.shard_digests.clone(),
-        };
-        let mut rng = self.op_rng("block-read", ctx);
-        self.executor().read(&plan, &mut rng)
     }
 
     /// Fetches, decodes, and hash-verifies blocks in one cross-block
@@ -698,327 +685,6 @@ impl Archive {
                 .delete(&block_object_id(hash), &rec.placement);
             self.dedup_index.remove(hash);
         }
-    }
-
-    /// Health probe for a dedup object: the minimum valid-shard count
-    /// across every referenced block, against the largest read
-    /// threshold among them.
-    pub(crate) fn dedup_health(&self, manifest: &Manifest) -> (usize, usize) {
-        let d = manifest.blocks.as_ref().expect("dedup manifest");
-        let mut available = usize::MAX;
-        let mut required = 0usize;
-        for h in self.unique_refs(d) {
-            let Some(rec) = self.blocks.get(&h) else {
-                available = 0;
-                continue;
-            };
-            let snap = self.fetch_block(rec, &block_object_id(&h));
-            available = available.min(snap.valid);
-            required = required.max(rec.policy.read_threshold());
-        }
-        if available == usize::MAX {
-            available = 0;
-        }
-        (available, required)
-    }
-
-    /// Repairs every block a dedup object references. Because blocks
-    /// are shared, healing them here heals **every** object that
-    /// references them — one repair, fleet-wide effect.
-    pub(crate) fn repair_dedup(
-        &mut self,
-        manifest: &Manifest,
-    ) -> Result<RepairReport, ArchiveError> {
-        let d = manifest.blocks.as_ref().expect("dedup manifest").clone();
-        let mut total = RepairReport {
-            missing_before: 0,
-            missing_after: 0,
-            method: RepairMethod::NotNeeded,
-            bytes_read: 0,
-            bytes_written: 0,
-            elapsed: SimDuration::ZERO,
-        };
-        for h in self.unique_refs(&d) {
-            let report = self.repair_block(&h)?;
-            total.missing_before += report.missing_before;
-            total.missing_after += report.missing_after;
-            total.bytes_read += report.bytes_read;
-            total.bytes_written += report.bytes_written;
-            total.elapsed += report.elapsed;
-            if report.method != RepairMethod::NotNeeded {
-                total.method = report.method;
-            }
-        }
-        Ok(total)
-    }
-
-    /// A block is self-verifying — its payload digest *is* its address
-    /// — so the pure repair planner runs against a synthetic manifest.
-    fn synthetic_block_manifest(&self, hash: &BlockHash, rec: &BlockRecord) -> Manifest {
-        let ctx = block_object_id(hash);
-        Manifest {
-            id: ObjectId::from_raw(ctx.clone()),
-            name: ctx,
-            policy: rec.policy.clone(),
-            meta: rec.meta.clone(),
-            placement: rec.placement.clone(),
-            logical_len: rec.len,
-            digest: *hash.as_bytes(),
-            shard_digests: rec.shard_digests.clone(),
-            created_year: self.year(),
-            refresh_epochs: 0,
-            blocks: None,
-        }
-    }
-
-    /// Repairs one block's missing or rotted shards from survivors
-    /// (partial repair where the codec supports it, a full re-encode
-    /// otherwise).
-    fn repair_block(&mut self, hash: &BlockHash) -> Result<RepairReport, ArchiveError> {
-        let Some(rec) = self.blocks.get(hash).cloned() else {
-            return Err(ArchiveError::Policy(PolicyError::Malformed(format!(
-                "repair references unknown block {hash}"
-            ))));
-        };
-        let ctx = block_object_id(hash);
-        let clock = self.cluster().clock().clone();
-        let start = clock.now();
-        let synthetic = self.synthetic_block_manifest(hash, &rec);
-        let mut rng = self.op_rng("block-repair", &ctx);
-        let snap = self
-            .executor()
-            .read(&ReadPlan::for_manifest(&synthetic), &mut rng);
-        let mut bytes_read: u64 = snap.shards.iter().flatten().map(|s| s.len() as u64).sum();
-        let mut bytes_written = 0u64;
-        let missing: Vec<usize> = (0..snap.shards.len())
-            .filter(|&i| snap.shards[i].is_none())
-            .collect();
-        if missing.is_empty() {
-            return Ok(RepairReport {
-                missing_before: 0,
-                missing_after: 0,
-                method: RepairMethod::NotNeeded,
-                bytes_read,
-                bytes_written: 0,
-                elapsed: clock.now() - start,
-            });
-        }
-        let method = match plan::plan_repair(&synthetic, &snap.shards, &missing)? {
-            plan::RepairOutcome::Apply(repair) => {
-                bytes_written += repair
-                    .writes
-                    .iter()
-                    .map(|(_, data)| data.len() as u64)
-                    .sum::<u64>();
-                let mut put_rng = self.op_rng("block-repair-put", &ctx);
-                let digests = self.executor().apply_repair(
-                    &ctx,
-                    &rec.placement,
-                    &repair.writes,
-                    &mut put_rng,
-                )?;
-                let entry = self.blocks.get_mut(hash).expect("record present");
-                for (m, digest) in digests {
-                    if m < entry.shard_digests.len() {
-                        entry.shard_digests[m] = digest;
-                    }
-                }
-                repair.method
-            }
-            plan::RepairOutcome::Reencode => {
-                let policy = rec.policy.clone();
-                let o = self.reencode_block(hash, policy)?;
-                bytes_read += o.bytes_read;
-                bytes_written += o.bytes_written;
-                RepairMethod::FullReencode
-            }
-        };
-        let rec = self.blocks.get(hash).expect("record present").clone();
-        let synthetic = self.synthetic_block_manifest(hash, &rec);
-        let mut rng = self.op_rng("block-repair-after", &ctx);
-        let snap = self
-            .executor()
-            .read(&ReadPlan::for_manifest(&synthetic), &mut rng);
-        bytes_read += snap
-            .shards
-            .iter()
-            .flatten()
-            .map(|s| s.len() as u64)
-            .sum::<u64>();
-        Ok(RepairReport {
-            missing_before: missing.len(),
-            missing_after: snap.shards.len() - snap.valid,
-            method,
-            bytes_read,
-            bytes_written,
-            elapsed: clock.now() - start,
-        })
-    }
-
-    /// Re-encodes one block under `new_policy` — the unit of a dedup
-    /// campaign. A block shared by many objects migrates **once**,
-    /// which is exactly the §3.2 saving `exp_dedup` measures.
-    fn reencode_block(
-        &mut self,
-        hash: &BlockHash,
-        new_policy: PolicyKind,
-    ) -> Result<ObjectReencode, ArchiveError> {
-        new_policy.validate()?;
-        let clock = self.cluster().clock().clone();
-        let read_start = clock.now();
-        let Some(rec) = self.blocks.get(hash).cloned() else {
-            return Err(ArchiveError::Policy(PolicyError::Malformed(format!(
-                "re-encode references unknown block {hash}"
-            ))));
-        };
-        let ctx = block_object_id(hash);
-        let owner = ObjectId::from_raw(ctx.clone());
-        let snap = self.fetch_block(&rec, &ctx);
-        let bytes =
-            self.decode_verified(&owner, &ctx, &rec.policy, &rec.meta, hash.as_bytes(), &snap)?;
-        let bytes_read: u64 = snap.shards.iter().flatten().map(|s| s.len() as u64).sum();
-        let write_start = clock.now();
-        // Same convergent derivation as ingest: the new shards are a
-        // pure function of (archive key, policy, block hash), so a
-        // block re-encoded via object A matches one re-encoded via B.
-        let mut enc_rng = self.op_rng("block-encode", &ctx);
-        let write = plan::plan_write(
-            &new_policy,
-            &self.keys,
-            &mut enc_rng,
-            &owner,
-            &bytes,
-            &block_pipeline(),
-        )?;
-        let bytes_written: u64 = write.shards.iter().map(|s| s.len() as u64).sum();
-        let placement = self.executor().place(&ctx, write.shards.len())?;
-        self.executor().delete(&ctx, &rec.placement);
-        let mut put_rng = self.op_rng("block-reencode-put", &ctx);
-        let outcome = self
-            .executor()
-            .write_shards(&ctx, &placement, &write.shards, &mut put_rng);
-        let entry = self.blocks.get_mut(hash).expect("record present");
-        entry.policy = write.policy;
-        entry.meta = write.meta;
-        entry.placement = placement;
-        entry.shard_digests = write.shard_digests;
-        if outcome.written < write.required {
-            return Err(ArchiveError::DegradedBeyondBudget {
-                id: owner,
-                available: outcome.written,
-                required: write.required,
-                corrupt: 0,
-            });
-        }
-        Ok(ObjectReencode {
-            bytes_read,
-            bytes_written,
-            read_time: write_start - read_start,
-            write_time: clock.now() - write_start,
-        })
-    }
-
-    /// Dedup branch of [`Archive::reencode_object`]: migrates
-    /// every referenced block not already on `new_policy`. Blocks an
-    /// earlier object's campaign step already moved are skipped — the
-    /// measured dedup saving.
-    pub(crate) fn reencode_dedup_object(
-        &mut self,
-        id: &ObjectId,
-        new_policy: PolicyKind,
-    ) -> Result<ObjectReencode, ArchiveError> {
-        new_policy.validate()?;
-        let manifest = self
-            .manifests
-            .get(id)
-            .ok_or_else(|| ArchiveError::UnknownObject(id.clone()))?;
-        let d = manifest.blocks.as_ref().expect("dedup manifest").clone();
-        let mut total = ObjectReencode {
-            bytes_read: 0,
-            bytes_written: 0,
-            read_time: SimDuration::ZERO,
-            write_time: SimDuration::ZERO,
-        };
-        for h in self.unique_refs(&d) {
-            let Some(rec) = self.blocks.get(&h) else {
-                continue;
-            };
-            if rec.policy == new_policy {
-                continue;
-            }
-            let o = self.reencode_block(&h, new_policy.clone())?;
-            total.bytes_read += o.bytes_read;
-            total.bytes_written += o.bytes_written;
-            total.read_time += o.read_time;
-            total.write_time += o.write_time;
-        }
-        self.manifests
-            .update(id, |entry| entry.policy = new_policy)
-            .expect("manifest exists");
-        Ok(total)
-    }
-
-    /// Dedup branch of [`Archive::refresh_object`]: runs one Herzberg
-    /// epoch on every referenced Shamir-encoded block. A block shared
-    /// by several objects is re-randomized once per referencing
-    /// object's refresh call; extra epochs are harmless (each is an
-    /// independent zero-sharing).
-    pub(crate) fn refresh_dedup_object(
-        &mut self,
-        id: &ObjectId,
-        manifest: &Manifest,
-    ) -> Result<ProtocolCost, ArchiveError> {
-        let d = manifest.blocks.as_ref().expect("dedup manifest").clone();
-        let mut total = ProtocolCost {
-            messages: 0,
-            bytes: 0,
-        };
-        for h in self.unique_refs(&d) {
-            let Some(rec) = self.blocks.get(&h).cloned() else {
-                continue;
-            };
-            let PolicyKind::Shamir { threshold, .. } = rec.policy else {
-                continue;
-            };
-            let ctx = block_object_id(&h);
-            let synthetic = self.synthetic_block_manifest(&h, &rec);
-            let mut rng = self.op_rng("block-refresh", &ctx);
-            let snap = self
-                .executor()
-                .read(&ReadPlan::for_manifest(&synthetic), &mut rng);
-            let mut stored: Vec<Vec<u8>> = Vec::with_capacity(snap.shards.len());
-            for s in &snap.shards {
-                let Some(bytes) = s else {
-                    return Err(ArchiveError::UnsupportedOperation(
-                        "refresh requires all shareholders online",
-                    ));
-                };
-                stored.push(bytes.clone());
-            }
-            let (blobs, cost) = plan::plan_refresh(threshold, &rec.meta, &mut self.rng, stored)?;
-            let digests: Vec<[u8; 32]> =
-                blobs.iter().map(|b| Sha256::digest(b.as_slice())).collect();
-            let mut put_rng = self.op_rng("block-refresh-put", &ctx);
-            let outcome = self
-                .executor()
-                .write_shards(&ctx, &rec.placement, &blobs, &mut put_rng);
-            let entry = self.blocks.get_mut(&h).expect("record present");
-            entry.shard_digests = digests;
-            total.messages += cost.messages;
-            total.bytes += cost.bytes;
-            if outcome.written < threshold {
-                return Err(ArchiveError::DegradedBeyondBudget {
-                    id: id.clone(),
-                    available: outcome.written,
-                    required: threshold,
-                    corrupt: 0,
-                });
-            }
-        }
-        self.manifests
-            .update(id, |entry| entry.refresh_epochs += 1)
-            .expect("manifest exists");
-        Ok(total)
     }
 
     /// A block's record, for inspection and fault injection in tests.

@@ -29,10 +29,11 @@
 //! not archive I/O, which still flows exclusively through the
 //! `PlanExecutor` seam inside every repair.
 
-use crate::archive::{Archive, ArchiveError, ObjectId};
+use crate::archive::{Archive, ArchiveError, Manifest, ObjectId};
 use crate::campaign::{check_reserved_fraction, BandwidthScheduler, CampaignProgress};
 use crate::codec::RepairMethod;
 use crate::repair::{FleetRepairOutcome, RepairReport};
+use crate::unit::Unit;
 use aeon_crypto::{ChaChaDrbg, CryptoRng};
 use aeon_store::clock::{SimDuration, SimTime};
 use aeon_store::node::ShardKey;
@@ -44,7 +45,9 @@ use std::collections::{HashMap, HashSet};
 pub struct RepairTicket {
     /// The degraded object.
     pub id: ObjectId,
-    /// Shards currently present on their placed nodes.
+    /// Shards currently present on their placed nodes (of a dedup
+    /// object's weakest block; [`Archive::repair_object`] heals them
+    /// all).
     pub surviving: usize,
     /// The policy's read threshold: fall below this and the object is
     /// lost.
@@ -66,14 +69,16 @@ impl RepairTicket {
 /// Built by [`Archive::scan_fleet`] from each node's `keys()` listing —
 /// the scan detects *missing* shards (wiped nodes, deleted keys), which
 /// is the fleet-level loss signal; bit-rot inside surviving bytes is
-/// the per-object digest check's job during repair itself. Dedup
-/// manifests (block-tree objects) are skipped: their shards live under
-/// shared block contexts audited by the dedup repair path.
+/// the per-object digest check's job during repair itself. A dedup
+/// object is judged by the weakest block it references (smallest
+/// surviving-minus-required margin): one block below threshold loses
+/// every object referencing it.
 #[derive(Debug, Clone)]
 pub struct FleetScan {
-    /// Objects examined (dedup manifests excluded).
+    /// Objects examined.
     pub objects: usize,
-    /// Objects with every placed shard present.
+    /// Objects with every placed shard (of every referenced block)
+    /// present.
     pub healthy: usize,
     /// Degraded but repairable objects, in ascending id order.
     pub tickets: Vec<RepairTicket>,
@@ -258,13 +263,28 @@ pub struct FleetSimReport {
 
 impl Archive {
     /// Scans fleet health from node metadata: one free `keys()` call
-    /// per node, then catalog membership checks. See [`FleetScan`] for
-    /// what the scan can and cannot see.
+    /// per node, then catalog membership checks for every stored unit
+    /// behind every object. See [`FleetScan`] for what the scan can and
+    /// cannot see.
     pub fn scan_fleet(&self) -> FleetScan {
         let mut inventory: HashMap<aeon_store::node::NodeId, HashSet<ShardKey>> = HashMap::new();
         for node in self.cluster().nodes() {
             inventory.insert(node.id(), node.keys().into_iter().collect());
         }
+        // Shards of `record` still listed by the nodes they were placed on.
+        let present = |record: &Manifest| {
+            (0..record.placement.len())
+                .filter(|&shard| {
+                    let key = ShardKey::new(record.id.as_str(), shard as u32);
+                    inventory
+                        .get(&record.placement[shard])
+                        .is_some_and(|keys| keys.contains(&key))
+                })
+                .count()
+        };
+        // (surviving, required, total) per unit: a block shared by many
+        // objects is looked up once per scan, not once per referencer.
+        let mut counts: HashMap<Unit, (usize, usize, usize)> = HashMap::new();
         let mut scan = FleetScan {
             objects: 0,
             healthy: 0,
@@ -272,32 +292,37 @@ impl Archive {
             lost: Vec::new(),
         };
         for manifest in self.manifests() {
-            if manifest.blocks.is_some() {
-                continue;
-            }
             scan.objects += 1;
-            let surviving = manifest
-                .placement
-                .iter()
-                .enumerate()
-                .filter(|(shard, node_id)| {
-                    inventory.get(node_id).is_some_and(|keys| {
-                        keys.contains(&ShardKey::new(manifest.id.as_str(), *shard as u32))
-                    })
+            // The weakest incomplete unit speaks for the object.
+            let weakest = self
+                .units_of(&manifest)
+                .into_iter()
+                .map(|unit| {
+                    *counts
+                        .entry(unit)
+                        .or_insert_with_key(|unit| match self.load(unit) {
+                            Ok(record) => (
+                                present(&record),
+                                record.policy.read_threshold(),
+                                record.placement.len(),
+                            ),
+                            // A referenced block with no record is gone.
+                            Err(_) => (0, 1, 1),
+                        })
                 })
-                .count();
-            let required = manifest.policy.read_threshold();
-            if surviving == manifest.placement.len() {
-                scan.healthy += 1;
-            } else if surviving < required {
-                scan.lost.push(manifest.id.clone());
-            } else {
-                scan.tickets.push(RepairTicket {
-                    id: manifest.id.clone(),
+                .filter(|&(surviving, _, total)| surviving < total)
+                .min_by_key(|&(surviving, required, _)| surviving as isize - required as isize);
+            match weakest {
+                None => scan.healthy += 1,
+                Some((surviving, required, _)) if surviving < required => {
+                    scan.lost.push(manifest.id);
+                }
+                Some((surviving, required, total)) => scan.tickets.push(RepairTicket {
+                    id: manifest.id,
                     surviving,
                     required,
-                    total: manifest.placement.len(),
-                });
+                    total,
+                }),
             }
         }
         scan

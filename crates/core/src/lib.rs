@@ -64,6 +64,7 @@ mod policy;
 mod repair;
 pub mod transfer;
 pub mod trustees;
+mod unit;
 
 pub use archive::{
     estimate_entropy_bits_per_byte, Archive, ArchiveConfig, ArchiveError, ArchiveStats,

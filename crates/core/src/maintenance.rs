@@ -5,11 +5,16 @@
 //! archive must keep doing for a century. Each follows the same shape:
 //! fetch via a [`crate::plan::ReadPlan`], compute the replacement
 //! bytes in the pure plan layer, write back through the
-//! [`crate::executor::PlanExecutor`].
+//! [`crate::executor::PlanExecutor`] — written once, against a stored
+//! unit (`unit.rs`: a classic object or a dedup block, loaded as a
+//! manifest). The public `*_object` entry points fold that body over
+//! the units behind an object and hold the rules that exist only
+//! because blocks are shared (which blocks to skip).
 
 use crate::archive::{Archive, ArchiveError, ObjectId};
 use crate::plan;
 use crate::policy::PolicyKind;
+use crate::unit::Unit;
 use aeon_crypto::{Sha256, SuiteId};
 use aeon_secretshare::proactive::ProtocolCost;
 use aeon_store::clock::SimDuration;
@@ -33,75 +38,109 @@ pub struct ObjectReencode {
 
 impl Archive {
     /// Runs one proactive-refresh epoch on a Shamir-encoded object:
-    /// reads every share, applies a Herzberg refresh round, writes the
-    /// re-randomized shares back. Returns the protocol communication
-    /// cost.
+    /// reads every share of every stored unit behind it, applies a
+    /// Herzberg refresh round, writes the re-randomized shares back.
+    /// Returns the protocol communication cost. A dedup block shared by
+    /// several objects is re-randomized once per referencing object's
+    /// call; extra epochs are harmless (each is an independent
+    /// zero-sharing).
     ///
     /// # Errors
     ///
     /// Returns [`ArchiveError::UnsupportedOperation`] for non-Shamir
     /// policies and cluster/share errors otherwise.
     pub fn refresh_object(&mut self, id: &ObjectId) -> Result<ProtocolCost, ArchiveError> {
-        let manifest = self
-            .manifests
-            .get(id)
-            .ok_or_else(|| ArchiveError::UnknownObject(id.clone()))?;
-        if manifest.blocks.is_some() {
-            return self.refresh_dedup_object(id, &manifest);
-        }
-        let PolicyKind::Shamir { threshold, .. } = manifest.policy else {
+        let (policy, units) = self.with_manifest(id, |m| (m.policy.clone(), self.units_of(m)))?;
+        if !matches!(policy, PolicyKind::Shamir { .. }) {
             return Err(ArchiveError::UnsupportedOperation(
                 "proactive refresh requires the Shamir policy",
             ));
+        }
+        let mut total = ProtocolCost {
+            messages: 0,
+            bytes: 0,
         };
+        let mut replaced = false;
+        let outcome = units.iter().try_for_each(|unit| {
+            let Some((cost, written, threshold)) = self.refresh_unit(unit)? else {
+                return Ok(());
+            };
+            replaced = true;
+            total.messages += cost.messages;
+            total.bytes += cost.bytes;
+            if written < threshold {
+                return Err(ArchiveError::DegradedBeyondBudget {
+                    id: id.clone(),
+                    available: written,
+                    required: threshold,
+                    corrupt: 0,
+                });
+            }
+            Ok(())
+        });
+        // The epoch advances whenever digests were replaced, even when
+        // the write-back then fell short: the old epoch's shares are
+        // stale either way.
+        if replaced {
+            self.manifests.update(id, |m| m.refresh_epochs += 1);
+        }
+        outcome.map(|()| total)
+    }
+
+    /// One Herzberg epoch on one unit: `(cost, shares landed,
+    /// threshold)`, or `None` for a unit not on Shamir — a block a
+    /// half-finished campaign already moved off it.
+    fn refresh_unit(
+        &mut self,
+        unit: &Unit,
+    ) -> Result<Option<(ProtocolCost, usize, usize)>, ArchiveError> {
+        let mut record = self.load(unit)?;
+        let PolicyKind::Shamir { threshold, .. } = record.policy else {
+            return Ok(None);
+        };
+        let [fetch, put] = unit.labels().refresh;
         // The Herzberg round needs every shareholder's current share;
         // a corrupt share would poison the whole next epoch, so the
         // digest filter treats it as absent.
-        let snap = self.fetch_shards(&manifest, "refresh");
-        let mut stored: Vec<Vec<u8>> = Vec::with_capacity(snap.shards.len());
-        for s in &snap.shards {
-            let Some(bytes) = s else {
-                return Err(ArchiveError::UnsupportedOperation(
-                    "refresh requires all shareholders online",
-                ));
-            };
-            stored.push(bytes.clone());
+        let snap = self.fetch_shards(&record, fetch);
+        let slots = snap.shards.len();
+        let stored: Vec<Vec<u8>> = snap.shards.into_iter().flatten().collect();
+        if stored.len() < slots {
+            return Err(ArchiveError::UnsupportedOperation(
+                "refresh requires all shareholders online",
+            ));
         }
-        let (blobs, cost) = plan::plan_refresh(threshold, &manifest.meta, &mut self.rng, stored)?;
-        let digests: Vec<[u8; 32]> = blobs.iter().map(|b| Sha256::digest(b.as_slice())).collect();
-        let mut put_rng = self.op_rng("refresh", id.as_str());
-        let outcome =
-            self.executor()
-                .write_shards(id.as_str(), &manifest.placement, &blobs, &mut put_rng);
+        let (blobs, cost) = plan::plan_refresh(threshold, &record.meta, &mut self.rng, stored)?;
+        let mut put_rng = self.op_rng(put, record.id.as_str());
+        let outcome = self.executor().write_shards(
+            record.id.as_str(),
+            &record.placement,
+            &blobs,
+            &mut put_rng,
+        );
         // Record the new epoch's digests unconditionally: any share
         // that failed to land is stale (previous epoch) and must be
         // filtered on read — `threshold` fresh shares still
-        // reconstruct, so the object survives a degraded write.
-        self.manifests
-            .update(id, |entry| {
-                entry.shard_digests = digests;
-                entry.refresh_epochs += 1;
-            })
-            .expect("manifest exists");
-        if outcome.written < threshold {
-            return Err(ArchiveError::DegradedBeyondBudget {
-                id: id.clone(),
-                available: outcome.written,
-                required: threshold,
-                corrupt: 0,
-            });
-        }
-        Ok(cost)
+        // reconstruct, so the unit survives a degraded write.
+        record.shard_digests = blobs.iter().map(|b| Sha256::digest(b.as_slice())).collect();
+        self.store(unit, record);
+        Ok(Some((cost, outcome.written, threshold)))
     }
 
     /// Re-encodes an object under a new policy (the unit of a
     /// re-encryption campaign), with per-phase byte and virtual-time
     /// accounting: the cluster clock is snapshotted at the read/write
     /// phase boundary, so throughput-charged clusters measure exactly
-    /// the §3.2 read and write-back costs. The object's shards are
+    /// the §3.2 read and write-back costs. Each unit's shards are
     /// fetched **once** — the same digest-filtered fetch is both the
     /// decode's data source and the campaign's bytes-read figure, so
     /// no accounting read double-charges the clock.
+    ///
+    /// A classic object always re-encodes, with fresh randomness (key
+    /// rotation and repair's full-re-encode fallback depend on it). A
+    /// dedup block already on `new_policy` — an earlier object's
+    /// campaign step moved it — is skipped: a block shared by many
+    /// objects migrates **once**, the §3.2 saving `exp_dedup` measures.
     ///
     /// # Errors
     ///
@@ -112,51 +151,61 @@ impl Archive {
         new_policy: PolicyKind,
     ) -> Result<ObjectReencode, ArchiveError> {
         new_policy.validate()?;
-        if self
-            .manifests
-            .with(id, |m| m.blocks.is_some())
-            .unwrap_or(false)
-        {
-            return self.reencode_dedup_object(id, new_policy);
+        let units = self.with_manifest(id, |m| self.units_of(m))?;
+        let mut total = ObjectReencode {
+            bytes_read: 0,
+            bytes_written: 0,
+            read_time: SimDuration::ZERO,
+            write_time: SimDuration::ZERO,
+        };
+        for unit in &units {
+            let migrated = |h| self.blocks.get(h).is_some_and(|b| b.policy == new_policy);
+            if matches!(unit, Unit::Block(h) if migrated(h)) {
+                continue;
+            }
+            let o = self.reencode_unit(id, unit, &new_policy)?;
+            total.bytes_read += o.bytes_read;
+            total.bytes_written += o.bytes_written;
+            total.read_time += o.read_time;
+            total.write_time += o.write_time;
         }
+        self.manifests.update(id, |m| m.policy = new_policy);
+        Ok(total)
+    }
+
+    /// Decodes one unit and encodes it afresh under `new_policy`, on
+    /// behalf of `owner` (the object failures are typed against).
+    pub(crate) fn reencode_unit(
+        &mut self,
+        owner: &ObjectId,
+        unit: &Unit,
+        new_policy: &PolicyKind,
+    ) -> Result<ObjectReencode, ArchiveError> {
         let clock = self.cluster().clock().clone();
         let read_start = clock.now();
-        let manifest = self
-            .manifests
-            .get(id)
-            .ok_or_else(|| ArchiveError::UnknownObject(id.clone()))?;
-        let snap = self.fetch_shards(&manifest, "retrieve");
-        let payload = self.decode_manifest(&manifest, &snap)?;
+        let mut record = self.load(unit)?;
+        let [fetch, put] = unit.labels().reencode;
+        let snap = self.fetch_shards(&record, fetch);
+        let payload = self.decode_record(owner, &record, &snap)?;
         let bytes_read: u64 = snap.shards.iter().flatten().map(|s| s.len() as u64).sum();
         let write_start = clock.now();
-        // Encode fresh under the new policy (through the chunked
-        // pipeline, so campaigns inherit its parallelism).
-        let write = plan::plan_write(
-            &new_policy,
-            &self.keys,
-            &mut self.rng,
-            id,
-            &payload,
-            &self.config.pipeline,
-        )?;
+        let write = self.plan_unit_write(unit, new_policy, &record.id, &payload)?;
         let bytes_written: u64 = write.shards.iter().map(|s| s.len() as u64).sum();
-        let placement = self.executor().place(id.as_str(), write.shards.len())?;
-        self.executor().delete(id.as_str(), &manifest.placement);
-        let mut put_rng = self.op_rng("reencode", id.as_str());
-        let outcome =
-            self.executor()
-                .write_shards(id.as_str(), &placement, &write.shards, &mut put_rng);
-        self.manifests
-            .update(id, |entry| {
-                entry.policy = write.policy.clone();
-                entry.meta = write.meta.clone();
-                entry.placement = placement.clone();
-                entry.shard_digests = write.shard_digests.clone();
-            })
-            .expect("manifest exists");
+        let ctx = record.id.as_str();
+        let placement = self.executor().place(ctx, write.shards.len())?;
+        self.executor().delete(ctx, &record.placement);
+        let mut put_rng = self.op_rng(put, ctx);
+        let outcome = self
+            .executor()
+            .write_shards(ctx, &placement, &write.shards, &mut put_rng);
+        record.policy = write.policy;
+        record.meta = write.meta;
+        record.placement = placement;
+        record.shard_digests = write.shard_digests;
+        self.store(unit, record);
         if outcome.written < write.required {
             return Err(ArchiveError::DegradedBeyondBudget {
-                id: id.clone(),
+                id: owner.clone(),
                 available: outcome.written,
                 required: write.required,
                 corrupt: 0,
@@ -199,6 +248,10 @@ impl Archive {
     /// re-dispersed. Unlike [`Archive::reencode_object`], no plaintext and
     /// no inner-layer keys are touched.
     ///
+    /// Only units still on the object's recorded policy are wrapped, so
+    /// a dedup block shared with a neighbour whose re-wrap already
+    /// deepened it gains exactly one layer, not one per referencer.
+    ///
     /// # Errors
     ///
     /// Returns [`ArchiveError::UnsupportedOperation`] for non-Cascade
@@ -208,56 +261,56 @@ impl Archive {
         id: &ObjectId,
         new_suite: SuiteId,
     ) -> Result<(), ArchiveError> {
-        let manifest = self
-            .manifests
-            .get(id)
-            .ok_or_else(|| ArchiveError::UnknownObject(id.clone()))?;
-        // A dedup object's layers live per-block and blocks are shared:
-        // wrapping one object's blocks would silently re-wrap every
-        // object referencing them. Campaigns handle this case.
-        if manifest.blocks.is_some() {
-            return Err(ArchiveError::UnsupportedOperation(
-                "re-wrap of dedup objects is not supported; run a re-encode campaign instead",
-            ));
-        }
+        let (policy, units) = self.with_manifest(id, |m| (m.policy.clone(), self.units_of(m)))?;
         // Reject non-layered policies before touching any node.
-        if manifest
-            .policy
-            .codec()
-            .rewrapped_policy(new_suite)
-            .is_none()
-        {
+        let Some(deepened) = policy.codec().rewrapped_policy(new_suite) else {
             return Err(ArchiveError::UnsupportedOperation(
                 "re-wrap requires the Cascade policy",
             ));
+        };
+        for unit in &units {
+            self.rewrap_unit(id, unit, &policy, new_suite)?;
         }
-        let snap = self.fetch_shards(&manifest, "rewrap");
+        self.manifests.update(id, |m| m.policy = deepened);
+        Ok(())
+    }
+
+    /// Wraps one unit in one more layer if it is still on `from`, on
+    /// behalf of `owner` (the object failures are typed against).
+    fn rewrap_unit(
+        &mut self,
+        owner: &ObjectId,
+        unit: &Unit,
+        from: &PolicyKind,
+        new_suite: SuiteId,
+    ) -> Result<(), ArchiveError> {
+        let mut record = self.load(unit)?;
+        if record.policy != *from {
+            return Ok(());
+        }
+        let [fetch, put] = unit.labels().rewrap;
+        let snap = self.fetch_shards(&record, fetch);
         let (new_shards, new_policy) =
-            plan::plan_rewrap(&manifest, &self.keys, &snap.shards, new_suite)?;
-        let shard_digests: Vec<[u8; 32]> = new_shards
-            .iter()
-            .map(|s| Sha256::digest(s.as_slice()))
-            .collect();
+            plan::plan_rewrap(&record, &self.keys, &snap.shards, new_suite)?;
         let required = new_policy.read_threshold();
-        let mut put_rng = self.op_rng("rewrap", id.as_str());
+        let mut put_rng = self.op_rng(put, record.id.as_str());
         let outcome = self.executor().write_shards(
-            id.as_str(),
-            &manifest.placement,
+            record.id.as_str(),
+            &record.placement,
             &new_shards,
             &mut put_rng,
         );
-        self.manifests
-            .update(id, |entry| {
-                entry.policy = new_policy;
-                // Shards that missed the rewrap hold the old layering;
-                // the new digests make reads treat them as stale until
-                // repaired.
-                entry.shard_digests = shard_digests;
-            })
-            .expect("manifest exists");
+        record.policy = new_policy;
+        // Shards that missed the rewrap hold the old layering; the new
+        // digests make reads treat them as stale until repaired.
+        record.shard_digests = new_shards
+            .iter()
+            .map(|s| Sha256::digest(s.as_slice()))
+            .collect();
+        self.store(unit, record);
         if outcome.written < required {
             return Err(ArchiveError::DegradedBeyondBudget {
-                id: id.clone(),
+                id: owner.clone(),
                 available: outcome.written,
                 required,
                 corrupt: 0,

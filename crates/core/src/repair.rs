@@ -9,9 +9,14 @@
 //! LRSS wrappers, packed rows with per-row randomness) fall back to a
 //! full re-encode, which costs a whole-object read+write and fresh
 //! randomness.
+//!
+//! The body is written against a stored unit (`unit.rs`);
+//! [`Archive::repair_object`] sums it over the units behind an object —
+//! one for a classic object, every referenced block for a dedup one.
 
 use crate::archive::{Archive, ArchiveError, ObjectId};
 use crate::plan::{self, RepairOutcome};
+use crate::unit::Unit;
 use aeon_store::clock::SimDuration;
 
 pub use crate::codec::RepairMethod;
@@ -47,25 +52,49 @@ fn snapshot_bytes(shards: &[Option<Vec<u8>>]) -> u64 {
 }
 
 impl Archive {
-    /// Repairs an object's missing shards. Requires at least the policy's
-    /// read threshold of shards to survive.
+    /// Repairs an object's missing shards: every stored unit behind it,
+    /// summed. Requires at least the policy's read threshold of shards
+    /// to survive in each. Healing a shared dedup block here heals
+    /// **every** object that references it.
     ///
     /// # Errors
     ///
     /// Returns decode errors if too few shards survive, and cluster
     /// errors if the rebuilt shards cannot be written back.
     pub fn repair_object(&mut self, id: &ObjectId) -> Result<RepairReport, ArchiveError> {
-        let manifest = self
-            .manifest(id)
-            .ok_or_else(|| ArchiveError::UnknownObject(id.clone()))?;
-        if manifest.blocks.is_some() {
-            return self.repair_dedup(&manifest);
+        let units = self.with_manifest(id, |m| self.units_of(m))?;
+        let mut total = RepairReport {
+            missing_before: 0,
+            missing_after: 0,
+            method: RepairMethod::NotNeeded,
+            bytes_read: 0,
+            bytes_written: 0,
+            elapsed: SimDuration::ZERO,
+        };
+        for unit in &units {
+            let report = self.repair_unit(id, unit)?;
+            total.missing_before += report.missing_before;
+            total.missing_after += report.missing_after;
+            total.bytes_read += report.bytes_read;
+            total.bytes_written += report.bytes_written;
+            total.elapsed += report.elapsed;
+            if report.method != RepairMethod::NotNeeded {
+                total.method = report.method;
+            }
         }
+        Ok(total)
+    }
+
+    /// Repairs one unit's missing or rotted shards from survivors, on
+    /// behalf of `owner` (the object failures are typed against).
+    fn repair_unit(&mut self, owner: &ObjectId, unit: &Unit) -> Result<RepairReport, ArchiveError> {
+        let mut record = self.load(unit)?;
+        let [fetch, put, after] = unit.labels().repair;
         let clock = self.cluster().clock().clone();
         let start = clock.now();
         // Digest-filtered fetch: a bit-rotted shard is as lost as a
         // deleted one, and must be rebuilt rather than trusted.
-        let shards = self.fetch_shards(&manifest, "repair").shards;
+        let shards = self.fetch_shards(&record, fetch).shards;
         let mut bytes_read = snapshot_bytes(&shards);
         let mut bytes_written = 0u64;
         let missing: Vec<usize> = (0..shards.len()).filter(|&i| shards[i].is_none()).collect();
@@ -85,42 +114,42 @@ impl Archive {
         // maintenance path that rewrites individual slots rather than
         // whole shard sets, so it carries the rebuilt bytes as an
         // explicit plan.
-        let method = match plan::plan_repair(&manifest, &shards, &missing)? {
+        let method = match plan::plan_repair(&record, &shards, &missing)? {
             RepairOutcome::Apply(repair) => {
                 bytes_written += repair
                     .writes
                     .iter()
                     .map(|(_, data)| data.len() as u64)
                     .sum::<u64>();
-                let mut rng = self.op_rng("repair-put", id.as_str());
+                let mut rng = self.op_rng(put, record.id.as_str());
                 let digests = self.executor().apply_repair(
-                    id.as_str(),
-                    &manifest.placement,
+                    record.id.as_str(),
+                    &record.placement,
                     &repair.writes,
                     &mut rng,
                 )?;
                 for (m, digest) in digests {
-                    self.set_shard_digest(id, m, digest);
+                    if m < record.shard_digests.len() {
+                        record.shard_digests[m] = digest;
+                    }
                 }
+                self.store(unit, record);
                 repair.method
             }
             RepairOutcome::Reencode => {
                 // No per-shard repair structure: decode and re-encode.
-                let o = self.reencode_object(id, manifest.policy.clone())?;
+                let o = self.reencode_unit(owner, unit, &record.policy)?;
                 bytes_read += o.bytes_read;
                 bytes_written += o.bytes_written;
                 RepairMethod::FullReencode
             }
         };
 
-        let snap = self
-            .fetch_shards_for(id, "repair-after")
-            .expect("manifest survives repair");
+        let snap = self.fetch_shards(&self.load(unit)?, after);
         bytes_read += snapshot_bytes(&snap.shards);
-        let after = snap.shards.len() - snap.valid;
         Ok(RepairReport {
             missing_before: missing.len(),
-            missing_after: after,
+            missing_after: snap.shards.len() - snap.valid,
             method,
             bytes_read,
             bytes_written,

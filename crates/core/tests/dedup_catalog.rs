@@ -4,12 +4,17 @@
 //! lengths, payload digests, and per-object Merkle roots — and every
 //! object below it. Plus the maintenance dispatches dedup mode reroutes:
 //! re-encode campaigns that skip already-migrated shared blocks,
-//! proactive refresh over block shares, and the guards on paths that
-//! cannot express shared blocks (re-wrap, shard transfer).
+//! proactive refresh over block shares, re-wrap that deepens a shared
+//! block once, and the guard on the one path that cannot express shared
+//! blocks (shard transfer); and the fleet scan, repair campaign and
+//! durability race over dedup storage.
 
 use aeon_cas::ChunkerParams;
 use aeon_core::dedup::DedupConfig;
-use aeon_core::{Archive, ArchiveConfig, ArchiveError, IntegrityMode, PolicyKind};
+use aeon_core::{
+    Archive, ArchiveConfig, ArchiveError, FleetSimConfig, IntegrityMode, PolicyKind,
+    RepairCampaignDriver, RepairQueueOrder,
+};
 use aeon_crypto::{ChaChaDrbg, CryptoRng, SuiteId};
 
 fn small_dedup() -> DedupConfig {
@@ -155,6 +160,120 @@ fn refresh_rerandomizes_dedup_shamir_blocks_in_place() {
     assert_eq!(archive.retrieve(&id).unwrap(), data);
 }
 
+/// Proactive refresh is a Shamir protocol: on any other recorded
+/// policy it is a typed error that leaves the epoch counter alone, for
+/// dedup objects exactly as for classic ones.
+#[test]
+fn refresh_of_a_non_shamir_dedup_object_is_a_typed_error() {
+    let mut archive = dedup_archive(PolicyKind::ErasureCoded { data: 3, parity: 2 });
+    let id = archive.ingest(&payload(25, 6 << 10), "doc").unwrap();
+    assert!(matches!(
+        archive.refresh_object(&id),
+        Err(ArchiveError::UnsupportedOperation(
+            "proactive refresh requires the Shamir policy"
+        ))
+    ));
+    assert_eq!(archive.manifest(&id).unwrap().refresh_epochs, 0);
+}
+
+/// A half-finished campaign leaves a Shamir object referencing blocks
+/// already moved off Shamir: refresh re-randomizes the blocks still on
+/// it and skips the rest.
+#[test]
+fn refresh_skips_blocks_a_campaign_moved_off_shamir() {
+    let mut archive = dedup_archive(PolicyKind::Shamir {
+        threshold: 3,
+        shares: 5,
+    });
+    let v1 = payload(27, 12 << 10);
+    let mut v2 = v1.clone();
+    v2.extend_from_slice(&payload(28, 2 << 10));
+    let id1 = archive.ingest(&v1, "v1").unwrap();
+    let id2 = archive.ingest(&v2, "v2").unwrap();
+    let moved = PolicyKind::ErasureCoded { data: 3, parity: 2 };
+    archive.reencode_object(&id1, moved.clone()).unwrap();
+
+    let digests = |archive: &Archive| -> Vec<(bool, Vec<[u8; 32]>)> {
+        let leaves = archive.manifest(&id2).unwrap().blocks.unwrap().blocks;
+        leaves
+            .iter()
+            .map(|h| {
+                let rec = archive.block_record(h).unwrap();
+                (rec.policy == moved, rec.shard_digests.clone())
+            })
+            .collect()
+    };
+    let before = digests(&archive);
+    assert!(before.iter().any(|(moved, _)| *moved));
+    assert!(before.iter().any(|(moved, _)| !*moved));
+    archive.refresh_object(&id2).unwrap();
+    assert_eq!(archive.manifest(&id2).unwrap().refresh_epochs, 1);
+    for ((moved, old), (_, new)) in before.iter().zip(digests(&archive)) {
+        assert_eq!(
+            *moved,
+            *old == new,
+            "moved blocks skipped, Shamir refreshed"
+        );
+    }
+    assert_eq!(archive.retrieve(&id1).unwrap(), v1);
+    assert_eq!(archive.retrieve(&id2).unwrap(), v2);
+}
+
+/// The cascade depth of every resident block.
+fn block_depths(archive: &Archive) -> Vec<usize> {
+    archive
+        .blocks()
+        .map(|(_, rec)| match &rec.policy {
+            PolicyKind::Cascade { suites, .. } => suites.len(),
+            other => panic!("block left the Cascade family: {other:?}"),
+        })
+        .collect()
+}
+
+/// Emergency re-wrap runs per block, and a block shared by two objects
+/// gains exactly one layer however many of its referencers are
+/// re-wrapped.
+#[test]
+fn rewrap_wraps_shared_blocks_once() {
+    let mut archive = dedup_archive(PolicyKind::Cascade {
+        suites: vec![SuiteId::Aes256CtrHmac],
+        data: 2,
+        parity: 2,
+    });
+    let v1 = payload(31, 12 << 10);
+    let mut v2 = v1.clone();
+    v2.extend_from_slice(&payload(32, 2 << 10));
+    let a = archive.ingest(&v1, "v1").unwrap();
+    let b = archive.ingest(&v2, "v2").unwrap();
+
+    archive
+        .add_cascade_layer(&a, SuiteId::ChaCha20Poly1305)
+        .unwrap();
+    assert_eq!(archive.retrieve(&a).unwrap(), v1);
+    assert_eq!(archive.retrieve(&b).unwrap(), v2);
+    let depths = block_depths(&archive);
+    assert!(depths.contains(&1) && depths.contains(&2), "{depths:?}");
+
+    archive
+        .add_cascade_layer(&b, SuiteId::ChaCha20Poly1305)
+        .unwrap();
+    assert_eq!(archive.retrieve(&a).unwrap(), v1);
+    assert_eq!(archive.retrieve(&b).unwrap(), v2);
+    assert!(block_depths(&archive).iter().all(|&d| d == 2));
+    for id in [&a, &b] {
+        match archive.manifest(id).unwrap().policy {
+            PolicyKind::Cascade { suites, .. } => assert_eq!(suites.len(), 2),
+            other => panic!("unexpected policy {other:?}"),
+        }
+    }
+
+    // Deepened blocks are still recognized by content.
+    let stored = archive.cluster().total_stored_bytes();
+    let c = archive.ingest(&v2, "v2-again").unwrap();
+    assert_eq!(archive.cluster().total_stored_bytes(), stored);
+    assert_eq!(archive.retrieve(&c).unwrap(), v2);
+}
+
 #[test]
 fn unsupported_paths_are_guarded_not_wrong() {
     let mut archive = dedup_archive(PolicyKind::Cascade {
@@ -163,11 +282,6 @@ fn unsupported_paths_are_guarded_not_wrong() {
         parity: 2,
     });
     let id = archive.ingest(&payload(31, 6 << 10), "doc").unwrap();
-    // Re-wrap would silently re-layer shared blocks for other objects.
-    assert!(matches!(
-        archive.add_cascade_layer(&id, SuiteId::ChaCha20Poly1305),
-        Err(ArchiveError::UnsupportedOperation(_))
-    ));
     // Shard transfer has no representation for block references.
     let mut link = aeon_channel::transport::Link::new(1.0, 1_000_000.0);
     assert!(matches!(
@@ -185,6 +299,63 @@ fn verify_reports_dedup_block_health() {
     assert!(health.intact);
     assert_eq!(health.shards_required, 3);
     assert!(health.shards_available >= 3);
+}
+
+/// The fleet scan sees dedup storage: a wiped node degrades every
+/// block it held, the object is ticketed on its weakest block, and the
+/// repair campaign heals it — no I/O spent on the scan itself.
+#[test]
+fn fleet_scan_and_repair_campaign_cover_dedup_objects() {
+    let mut archive = dedup_archive(PolicyKind::ErasureCoded { data: 3, parity: 2 });
+    let data = payload(61, 10 << 10);
+    let id = archive.ingest(&data, "doc").unwrap();
+    let node = &archive.cluster().nodes()[0];
+    for key in node.keys() {
+        node.delete(&key).unwrap();
+    }
+
+    let census = |archive: &Archive| {
+        let scan = archive.scan_fleet();
+        (
+            scan.objects,
+            scan.healthy,
+            scan.tickets.len(),
+            scan.lost.len(),
+        )
+    };
+    assert_eq!(census(&archive), (1, 0, 1, 0));
+    let ticket = archive.scan_fleet().tickets.remove(0);
+    assert_eq!(ticket.id, id);
+    assert_eq!((ticket.surviving, ticket.required, ticket.total), (4, 3, 5));
+
+    let mut driver = RepairCampaignDriver::new(&archive, RepairQueueOrder::Priority, 0.0);
+    assert!(!driver.is_done());
+    while driver.step(&mut archive).unwrap().is_some() {}
+    assert!(driver.is_done());
+    assert_eq!(census(&archive), (1, 1, 0, 0));
+    assert_eq!(archive.retrieve(&id).unwrap(), data);
+}
+
+/// The durability race tracks dedup objects, so it can record their
+/// loss.
+#[test]
+fn fleet_sim_tracks_dedup_objects() {
+    let mut archive = dedup_archive(PolicyKind::ErasureCoded { data: 3, parity: 2 });
+    for i in 0..3 {
+        archive
+            .ingest(&payload(70 + i, 6 << 10), &format!("doc-{i}"))
+            .unwrap();
+    }
+    let cfg = FleetSimConfig {
+        epochs: 3,
+        node_wipe_prob: 0.0,
+        shard_loss_prob: 0.05,
+        ..FleetSimConfig::new(5)
+    };
+    let report = archive.run_fleet_sim(&cfg);
+    assert_eq!(report.objects, 3);
+    assert!(report.repaired > 0, "latent losses were found and repaired");
+    assert_eq!(report.objects_lost, 0);
 }
 
 /// Non-dedup archives are bit-for-bit unaffected by this PR: the same

@@ -280,6 +280,43 @@ fn identical_blocks_share_stored_shards() {
     }
 }
 
+/// Re-encode through the matrix: every policy migrates to an erasure
+/// code and back with both versions byte-exact, and a block shared by
+/// the two versions is read and rewritten once — the second object's
+/// step moves only what the first left behind, so the two steps together
+/// read exactly the bytes that were stored and write exactly the bytes
+/// that are.
+#[test]
+fn reencode_roundtrips_and_moves_shared_blocks_once() {
+    for policy in policies() {
+        let erasure = PolicyKind::ErasureCoded {
+            data: 2,
+            parity: policy.shard_count() - 2,
+        };
+        let (mut archive, _) = dedup_archive(&policy, 1);
+        let (id1, id2, v1, v2) = ingest_versions(&mut archive, 29);
+        for to in [&erasure, &policy] {
+            let stored_before = archive.cluster().total_stored_bytes();
+            let first = archive.reencode_object(&id1, to.clone()).unwrap();
+            let second = archive.reencode_object(&id2, to.clone()).unwrap();
+            assert!(second.bytes_read > 0, "policy {policy:?}: v2's tail moved");
+            assert_eq!(
+                first.bytes_read + second.bytes_read,
+                stored_before,
+                "policy {policy:?} -> {to:?}: a shared block was re-read"
+            );
+            assert_eq!(
+                first.bytes_written + second.bytes_written,
+                archive.cluster().total_stored_bytes(),
+                "policy {policy:?} -> {to:?}: a shared block was rewritten"
+            );
+            assert!(archive.blocks().all(|(_, rec)| rec.policy == *to));
+            assert_eq!(archive.retrieve(&id1).unwrap(), v1, "policy {policy:?}");
+            assert_eq!(archive.retrieve(&id2).unwrap(), v2, "policy {policy:?}");
+        }
+    }
+}
+
 /// Worker-count independence: per-block encode seeds are derived from
 /// block hashes before the pool fans out, so 1 worker and 4 workers
 /// produce byte-identical block shards, placements, and Merkle roots.

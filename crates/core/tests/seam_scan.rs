@@ -9,7 +9,9 @@
 //!
 //! A second scan guards against the I/O path growing twins again: no
 //! `_batched`/`_timed` functions in `aeon-core` or `aeon-store`,
-//! and exactly one call site each for `get_batch` and `put_batch`.
+//! and exactly one call site each for `get_batch` and `put_batch`. A
+//! third does the same for maintenance: one body per op, written
+//! against a stored unit, and no per-kind twin of it.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -142,4 +144,54 @@ fn the_io_path_has_no_twins() {
     for (pat, sites) in &call_sites {
         assert_eq!(sites.len(), 1, "`{pat}` call sites: {sites:?}");
     }
+}
+
+/// Re-accretion guard for maintenance. Repair, refresh and re-wrap are
+/// each written once against a stored unit (a classic object or a dedup
+/// block, loaded as a manifest); a second call site of an op's planner,
+/// or a `_block` / `_dedup` function, is the per-kind twin coming back.
+#[test]
+fn each_maintenance_op_has_one_body() {
+    const ONE_CALL_SITE: &[&str] = &[
+        "plan::plan_repair(",
+        "plan::plan_refresh(",
+        "plan::plan_rewrap(",
+        ".apply_repair(",
+    ];
+    const TWINS: &[&str] = &[
+        "fn repair_block",
+        "fn reencode_block",
+        "fn fetch_block",
+        "fn synthetic_block_manifest",
+        "fn repair_dedup",
+        "fn reencode_dedup_object",
+        "fn refresh_dedup_object",
+    ];
+    let mut sites: Vec<Vec<String>> = vec![Vec::new(); ONE_CALL_SITE.len()];
+    let mut twins = Vec::new();
+    for path in sources(&Path::new(env!("CARGO_MANIFEST_DIR")).join("src")) {
+        let body = non_test_source(&fs::read_to_string(&path).unwrap());
+        for (lineno, line) in body.lines().enumerate() {
+            let at = format!(
+                "{}:{}",
+                path.file_name().unwrap().to_string_lossy(),
+                lineno + 1
+            );
+            for (pat, found) in ONE_CALL_SITE.iter().zip(&mut sites) {
+                if line.contains(pat) {
+                    found.push(at.clone());
+                }
+            }
+            twins.extend(
+                TWINS
+                    .iter()
+                    .filter(|t| line.contains(*t))
+                    .map(|t| format!("{at}: {t}")),
+            );
+        }
+    }
+    for (pat, found) in ONE_CALL_SITE.iter().zip(&sites) {
+        assert_eq!(found.len(), 1, "`{pat}` call sites: {found:?}");
+    }
+    assert!(twins.is_empty(), "per-kind twins:\n{}", twins.join("\n"));
 }
