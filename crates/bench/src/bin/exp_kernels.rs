@@ -1,9 +1,14 @@
-//! Kernel-throughput baseline: GB/s for every GF(2^8) dispatch tier.
+//! Kernel-throughput baseline: GB/s for every GF(2^8) and crypto
+//! dispatch tier.
 //!
 //! Measures each supported [`Kernel`] tier (scalar, SWAR, and — when the
 //! host has them — SSSE3/AVX2) on the three slice operations the archive
 //! hot paths use: `mul_slice`, `mul_add_slice`, and the fused
-//! `mul_add_rows`, at 4 KiB / 64 KiB / 1 MiB buffers. Emits
+//! `mul_add_rows`, at 4 KiB / 64 KiB / 1 MiB buffers; then each supported
+//! [`CryptoKernel`] (scalar, and SHA-NI / AES-NI where the host has them)
+//! on its two slots, `sha256` and `aes256-ctr`, at 64 B / 4 KiB / 1 MiB,
+//! plus the time of one 32-byte SHA-256 digest — the shape of every
+//! Merkle node, HMAC finish and signature chain step. Emits
 //! `BENCH_kernels.json` so future PRs diff kernel throughput against a
 //! pinned baseline instead of a feeling.
 //!
@@ -16,12 +21,24 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use aeon_bench::{f2, reference_payload, CliArgs, Json, Table};
+use aeon_bench::{f2, f3, reference_payload, CliArgs, Json, Table};
+use aeon_crypto::aes::Aes;
+use aeon_crypto::kernel::{Kernel as CryptoKernel, Tier};
+use aeon_crypto::Sha256;
 use aeon_gf::slice::{mul_add_rows_on, Gf256MulTable};
 use aeon_gf::{Gf256, Kernel};
 
-/// Buffer sizes every cell is measured at.
+/// Buffer sizes every GF cell is measured at.
 const SIZES: [usize; 3] = [4 * 1024, 64 * 1024, 1024 * 1024];
+
+/// Buffer sizes every crypto cell is measured at: one SHA-256 block (a
+/// Merkle node, a WOTS chain step), a small object, a bulk shard.
+const CRYPTO_SIZES: [usize; 3] = [64, 4 * 1024, 1024 * 1024];
+
+/// SHA-256 initial hash value (FIPS 180-4 §5.3.3).
+const SHA256_H0: [u32; 8] = [
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
+];
 
 /// A generic odd scalar (not 0, 1, or a power of two) so no tier hits a
 /// degenerate fast path.
@@ -51,6 +68,86 @@ fn best_gbs(bytes_per_call: usize, budget: usize, reps: usize, mut work: impl Fn
         best = best.min(start.elapsed().as_secs_f64());
     }
     (iters * bytes_per_call) as f64 / best / 1e9
+}
+
+/// SHA-256 of a 32-byte message on `kernel`'s block function: the one
+/// padded block built by hand, the same work `Sha256::digest` does.
+fn digest32_on(kernel: &CryptoKernel, msg: &[u8; 32]) -> [u8; 32] {
+    let mut block = [0u8; 64];
+    block[..32].copy_from_slice(msg);
+    block[32] = 0x80;
+    block[56..].copy_from_slice(&256u64.to_be_bytes());
+    let mut state = SHA256_H0;
+    kernel.sha256_blocks(&mut state, &block);
+    let mut out = [0u8; 32];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+/// The crypto rows: every supported kernel × {`sha256`, `aes256-ctr`} ×
+/// `CRYPTO_SIZES`, and per kernel the nanoseconds of one 32-byte digest.
+fn crypto_cells(budget: usize, reps: usize, src: &[u8]) -> (Vec<Cell>, Vec<(&'static str, f64)>) {
+    let aes = Aes::new_256(&[0x42; 32]);
+    let iv = [0x24u8; 16];
+    let mut buf = src.to_vec();
+    let msg: [u8; 32] = src[..32].try_into().expect("32 bytes");
+    assert_eq!(
+        digest32_on(CryptoKernel::active(), &msg),
+        Sha256::digest(&msg)
+    );
+    let mut cells = Vec::new();
+    let mut digest_ns = Vec::new();
+    for kernel in CryptoKernel::supported() {
+        for size in CRYPTO_SIZES {
+            // Small buffers get a smaller byte budget: the scalar AES tier
+            // runs at tens of MB/s.
+            let budget = budget.min(size << 8);
+            let gbs = best_gbs(size, budget, reps, || {
+                let mut state = SHA256_H0;
+                kernel.sha256_blocks(&mut state, black_box(&src[..size]));
+                black_box(state);
+            });
+            cells.push(Cell {
+                kernel: kernel.sha256_tier().name(),
+                op: "sha256",
+                size,
+                gbs,
+            });
+            let gbs = best_gbs(size, budget / 4, reps, || {
+                kernel.aes_ctr(&aes, &iv, black_box(&mut buf[..size]));
+            });
+            cells.push(Cell {
+                kernel: kernel.aes_ctr_tier().name(),
+                op: "aes256-ctr",
+                size,
+                gbs,
+            });
+        }
+        let per_call = best_gbs(1, 1 << 16, reps, || {
+            black_box(digest32_on(kernel, black_box(&msg)));
+        });
+        // `best_gbs` of a one-"byte" call is calls per nanosecond.
+        digest_ns.push((kernel.sha256_tier().name(), 1.0 / per_call));
+    }
+    (cells, digest_ns)
+}
+
+fn cells_json(cells: &[Cell]) -> Json {
+    Json::Arr(
+        cells
+            .iter()
+            .map(|c| {
+                Json::Obj(vec![
+                    ("kernel".into(), Json::Str(c.kernel.into())),
+                    ("op".into(), Json::Str(c.op.into())),
+                    ("size".into(), Json::Num(c.size as f64)),
+                    ("gbs".into(), Json::Num(c.gbs)),
+                ])
+            })
+            .collect(),
+    )
 }
 
 fn main() {
@@ -144,6 +241,53 @@ fn main() {
         f2(ratio)
     );
 
+    let (crypto, digest_ns) = crypto_cells(budget, reps, &src);
+    let mut crypto_out = Table::new(
+        "SHA-256 / AES-256-CTR kernel throughput (GB/s, min-of-N)",
+        &["tier", "op", "size", "GB/s"],
+    );
+    for c in &crypto {
+        let size = match c.size {
+            s if s < 1024 => format!("{s}B"),
+            s => format!("{}KiB", s / 1024),
+        };
+        crypto_out.row(&[c.kernel.to_string(), c.op.to_string(), size, f3(c.gbs)]);
+    }
+    crypto_out.emit("E_kernels_crypto");
+    for (tier, ns) in &digest_ns {
+        println!("sha256 32-byte digest, {tier}: {} ns", f2(*ns));
+    }
+    let active_crypto = (
+        CryptoKernel::active().sha256_tier().name(),
+        CryptoKernel::active().aes_ctr_tier().name(),
+    );
+    println!(
+        "active crypto kernel: sha256={} aes256-ctr={}",
+        active_crypto.0, active_crypto.1
+    );
+    // The acceptance ratio: wherever the host has an `ni` slot, it must
+    // beat the scalar tier by 2x on a bulk buffer (measured margins are
+    // ~6x and ~100x, so the floor only trips on a broken dispatch).
+    let crypto_gbs = |tier: Tier, op: &str| {
+        crypto
+            .iter()
+            .find(|c| c.kernel == tier.name() && c.op == op && c.size == 1024 * 1024)
+            .map(|c| c.gbs)
+    };
+    let ni_ratios: Vec<(&str, f64)> = ["sha256", "aes256-ctr"]
+        .into_iter()
+        .filter_map(|op| {
+            Some((
+                op,
+                crypto_gbs(Tier::Ni, op)? / crypto_gbs(Tier::Scalar, op)?,
+            ))
+        })
+        .collect();
+    for (op, r) in &ni_ratios {
+        println!("ni/scalar {op} @1MiB: {}x (floor 2x)", f2(*r));
+        assert!(*r >= 2.0, "{op}: ni tier is only {r:.2}x scalar at 1 MiB");
+    }
+
     let json = Json::Obj(vec![
         ("experiment".into(), Json::Str("kernels".into())),
         ("quick".into(), Json::Num(if quick { 1.0 } else { 0.0 })),
@@ -158,23 +302,34 @@ fn main() {
                     .collect(),
             ),
         ),
+        ("cells".into(), cells_json(&cells)),
+        ("swar_vs_scalar_mul_add_64k".into(), Json::Num(ratio)),
         (
-            "cells".into(),
-            Json::Arr(
-                cells
+            "active_crypto".into(),
+            Json::Obj(vec![
+                ("sha256".into(), Json::Str(active_crypto.0.into())),
+                ("aes256-ctr".into(), Json::Str(active_crypto.1.into())),
+            ]),
+        ),
+        ("crypto_cells".into(), cells_json(&crypto)),
+        (
+            "sha256_digest32_ns".into(),
+            Json::Obj(
+                digest_ns
                     .iter()
-                    .map(|c| {
-                        Json::Obj(vec![
-                            ("kernel".into(), Json::Str(c.kernel.into())),
-                            ("op".into(), Json::Str(c.op.into())),
-                            ("size".into(), Json::Num(c.size as f64)),
-                            ("gbs".into(), Json::Num(c.gbs)),
-                        ])
-                    })
+                    .map(|(tier, ns)| ((*tier).into(), Json::Num(*ns)))
                     .collect(),
             ),
         ),
-        ("swar_vs_scalar_mul_add_64k".into(), Json::Num(ratio)),
+        (
+            "ni_vs_scalar_1m".into(),
+            Json::Obj(
+                ni_ratios
+                    .iter()
+                    .map(|(op, r)| ((*op).into(), Json::Num(*r)))
+                    .collect(),
+            ),
+        ),
     ]);
     if let Some(path) = json.write_artifact("BENCH_kernels.json") {
         println!("wrote {}", path.display());

@@ -318,6 +318,7 @@ impl Archive {
                     &block_cfg,
                 )
             })
+            .collect()
         };
 
         // Commit serially in first-appearance order: node I/O and clock

@@ -116,22 +116,66 @@ impl ChunkedMeta {
 /// One shard's batched blob plus its per-chunk segment byte ranges.
 type ShardRanges<'a> = (&'a [u8], Vec<Range<usize>>);
 
+/// The layout of a chunked object's fetched shards: each present blob
+/// frame-walked once, keeping only segment *offsets* into it, so that
+/// [`ChunkColumns::chunk`] materializes exactly the one segment copy a
+/// per-chunk codec call needs instead of a full per-shard split
+/// followed by a per-chunk clone.
+pub(crate) struct ChunkColumns<'a>(Vec<Option<ShardRanges<'a>>>);
+
+impl<'a> ChunkColumns<'a> {
+    /// # Errors
+    ///
+    /// Returns [`PolicyError::Malformed`] for corrupt framing.
+    pub(crate) fn parse(
+        shards: &'a [Option<Vec<u8>>],
+        chunk_count: usize,
+    ) -> Result<Self, PolicyError> {
+        shards
+            .iter()
+            .map(|s| {
+                s.as_deref()
+                    .map(|bytes| split_shard_ranges(bytes, chunk_count).map(|r| (bytes, r)))
+                    .transpose()
+            })
+            .collect::<Result<_, _>>()
+            .map(ChunkColumns)
+    }
+
+    /// Chunk `j`'s shard set, absent slots staying absent.
+    pub(crate) fn chunk(&self, j: usize) -> Vec<Option<Vec<u8>>> {
+        self.0
+            .iter()
+            .map(|col| {
+                col.as_ref()
+                    .map(|(bytes, ranges)| bytes[ranges[j].clone()].to_vec())
+            })
+            .collect()
+    }
+}
+
 /// The derived object context for chunk `j` of `object_id` — the string
 /// under which per-chunk keys and nonces are derived.
 pub fn chunk_object_id(object_id: &str, chunk: usize) -> String {
     format!("{object_id}#chunk{chunk}")
 }
 
-/// Runs `job(0..count)` across `workers` scoped threads, preserving
-/// index order in the output. `workers <= 1` (or a single item) runs
-/// inline on the calling thread.
-pub(crate) fn run_indexed<T, F>(count: usize, workers: usize, job: F) -> Vec<T>
+/// Runs `job(0..count)` across `workers` scoped threads and yields the
+/// results in index order. `workers <= 1` (or a single item) runs inline
+/// on the calling thread, **lazily**: each job runs when its result is
+/// asked for, so a caller that folds the results as they come holds one
+/// at a time rather than all `count`.
+pub(crate) fn run_indexed<'a, T, F>(
+    count: usize,
+    workers: usize,
+    job: F,
+) -> Box<dyn Iterator<Item = T> + 'a>
 where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
+    T: Send + 'a,
+    F: Fn(usize) -> T + Sync + 'a,
 {
     if workers <= 1 || count <= 1 {
-        return (0..count).map(job).collect();
+        return Box::new((0..count).map(job));
     }
     let workers = workers.min(count);
     let next = AtomicUsize::new(0);
@@ -148,10 +192,11 @@ where
             });
         }
     });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("worker filled every claimed slot"))
-        .collect()
+    Box::new(
+        slots
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("worker filled every claimed slot")),
+    )
 }
 
 /// Encodes a payload through the chunked pipeline.
@@ -205,6 +250,11 @@ pub fn encode_object<R: CryptoRng + ?Sized>(
         let encoded = encoded?;
         debug_assert_eq!(encoded.shards.len(), shard_count);
         for (out, segment) in shards.iter_mut().zip(&encoded.shards) {
+            if out.is_empty() {
+                // No later chunk is longer than the first: one
+                // allocation holds the whole framed shard.
+                out.reserve_exact((4 + segment.len()) * chunks.len());
+            }
             out.extend_from_slice(&(segment.len() as u32).to_be_bytes());
             out.extend_from_slice(segment);
         }
@@ -245,38 +295,23 @@ pub fn decode_object(
         return policy.decode(keys, object_id, shards, meta);
     };
     let chunk_count = chunked.chunk_count();
-    // Frame-walk each shard once up front, but keep only segment
-    // *offsets* into the original blob: each worker then materializes
-    // exactly the one segment copy the decode API needs, instead of a
-    // full per-shard split followed by a per-chunk clone.
-    let columns: Vec<Option<ShardRanges>> = shards
-        .iter()
-        .map(|s| {
-            s.as_ref()
-                .map(|bytes| {
-                    split_shard_ranges(bytes, chunk_count).map(|ranges| (bytes.as_slice(), ranges))
-                })
-                .transpose()
-        })
-        .collect::<Result<_, _>>()?;
+    let columns = ChunkColumns::parse(shards, chunk_count)?;
     let ids: Vec<String> = (0..chunk_count)
         .map(|j| chunk_object_id(object_id, j))
         .collect();
 
     let results = run_indexed(chunk_count, workers.max(1), |j| {
-        let chunk_shards: Vec<Option<Vec<u8>>> = columns
-            .iter()
-            .map(|col| {
-                col.as_ref()
-                    .map(|(bytes, ranges)| bytes[ranges[j].clone()].to_vec())
-            })
-            .collect();
-        policy.decode(keys, &ids[j], &chunk_shards, &chunked.chunk_metas[j])
+        policy.decode(keys, &ids[j], &columns.chunk(j), &chunked.chunk_metas[j])
     });
 
     let mut payload = Vec::new();
     for chunk in results {
-        payload.extend_from_slice(&chunk?);
+        let chunk = chunk?;
+        if payload.is_empty() {
+            // As above: the first chunk is a full one.
+            payload.reserve_exact(chunk.len() * chunk_count);
+        }
+        payload.extend_from_slice(&chunk);
     }
     Ok(payload)
 }
@@ -392,6 +427,22 @@ mod tests {
         let mut p = vec![0u8; len];
         rng.fill_bytes(&mut p);
         p
+    }
+
+    #[test]
+    fn one_worker_runs_each_job_when_its_result_is_taken() {
+        let ran = AtomicUsize::new(0);
+        let mut results = run_indexed(3, 1, |j| {
+            ran.fetch_add(1, Ordering::Relaxed);
+            j * 10
+        });
+        assert_eq!(ran.load(Ordering::Relaxed), 0);
+        assert_eq!(results.next(), Some(0));
+        assert_eq!(ran.load(Ordering::Relaxed), 1);
+        assert_eq!(results.collect::<Vec<_>>(), [10, 20]);
+        // Several workers finish every job first, still in index order.
+        let eager: Vec<usize> = run_indexed(5, 3, |j| j * 10).collect();
+        assert_eq!(eager, [0, 10, 20, 30, 40]);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use crate::archive::{ArchiveError, Manifest, ObjectId};
 use crate::codec::{CodecRepair, RepairMethod};
 use crate::keys::KeyStore;
-use crate::pipeline::{self, PipelineConfig};
+use crate::pipeline::{self, ChunkColumns, PipelineConfig};
 use crate::policy::{EncodingMeta, PolicyError, PolicyKind};
 use aeon_crypto::{CryptoRng, Sha256, SuiteId};
 use aeon_secretshare::proactive::{self, ProtocolCost};
@@ -135,51 +135,41 @@ pub fn plan_repair(
     missing: &[usize],
 ) -> Result<RepairOutcome, ArchiveError> {
     let codec = manifest.policy.codec();
-    let (all, method) = if let Some(chunked) = manifest.meta.chunked.clone() {
+    let (writes, method) = if let Some(chunked) = &manifest.meta.chunked {
         let chunk_count = chunked.chunk_count();
-        let columns: Vec<Option<Vec<Vec<u8>>>> = shards
-            .iter()
-            .map(|s| {
-                s.as_ref()
-                    .map(|b| pipeline::split_shard_segments(b, chunk_count))
-                    .transpose()
-            })
-            .collect::<Result<_, _>>()
-            .map_err(ArchiveError::Policy)?;
-        let mut rebuilt: Vec<Vec<Vec<u8>>> = vec![Vec::with_capacity(chunk_count); shards.len()];
+        let columns = ChunkColumns::parse(shards, chunk_count).map_err(ArchiveError::Policy)?;
+        // Only the missing slots' rebuilt segments are kept and re-framed.
+        let mut rebuilt: Vec<Vec<Vec<u8>>> = vec![Vec::with_capacity(chunk_count); missing.len()];
         let mut method = RepairMethod::NotNeeded;
         for j in 0..chunk_count {
-            let chunk_shards: Vec<Option<Vec<u8>>> = columns
-                .iter()
-                .map(|col| col.as_ref().map(|segments| segments[j].clone()))
-                .collect();
-            match codec.repair_chunk(&chunk_shards)? {
+            match codec.repair_chunk(&columns.chunk(j))? {
                 CodecRepair::Rebuilt {
                     shards: chunk_all,
                     method: m,
                 } => {
                     method = m;
-                    for (column, segment) in rebuilt.iter_mut().zip(chunk_all) {
-                        column.push(segment);
+                    for (column, &slot) in rebuilt.iter_mut().zip(missing) {
+                        column.push(chunk_all[slot].clone());
                     }
                 }
                 CodecRepair::FullReencode => return Ok(RepairOutcome::Reencode),
             }
         }
-        (
-            rebuilt
-                .iter()
-                .map(|segments| pipeline::join_shard_segments(segments))
-                .collect::<Vec<Vec<u8>>>(),
-            method,
-        )
+        let writes = missing
+            .iter()
+            .zip(&rebuilt)
+            .map(|(&m, segments)| (m, pipeline::join_shard_segments(segments)))
+            .collect();
+        (writes, method)
     } else {
         match codec.repair_chunk(shards)? {
-            CodecRepair::Rebuilt { shards, method } => (shards, method),
+            CodecRepair::Rebuilt { shards, method } => (
+                missing.iter().map(|&m| (m, shards[m].clone())).collect(),
+                method,
+            ),
             CodecRepair::FullReencode => return Ok(RepairOutcome::Reencode),
         }
     };
-    let writes = missing.iter().map(|&m| (m, all[m].clone())).collect();
     Ok(RepairOutcome::Apply(RepairPlan {
         object: manifest.id.clone(),
         writes,

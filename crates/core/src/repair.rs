@@ -114,7 +114,11 @@ impl Archive {
         // maintenance path that rewrites individual slots rather than
         // whole shard sets, so it carries the rebuilt bytes as an
         // explicit plan.
-        let method = match plan::plan_repair(&record, &shards, &missing)? {
+        let outcome = plan::plan_repair(&record, &shards, &missing)?;
+        // The survivors have served their purpose; the verification
+        // fetch below brings its own copy of every shard.
+        drop(shards);
+        let method = match outcome {
             RepairOutcome::Apply(repair) => {
                 bytes_written += repair
                     .writes

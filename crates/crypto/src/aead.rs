@@ -47,7 +47,28 @@ pub trait Aead: core::fmt::Debug + Send + Sync {
     fn open(&self, nonce: &[u8], aad: &[u8], ciphertext: &[u8]) -> Result<Vec<u8>, AuthError>;
 }
 
+/// A copy of `plaintext` with room for the tag behind it, so `seal`
+/// makes one allocation of the ciphertext's final size: pushing the tag
+/// onto an exact-size copy would double the buffer.
+fn copy_with_tag_room(plaintext: &[u8], tag_len: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(plaintext.len() + tag_len);
+    out.extend_from_slice(plaintext);
+    out
+}
+
+/// Whether a `len`-byte message stays inside the keystream a 32-bit block
+/// counter addresses before it wraps: blocks `first_counter..2³²` of
+/// `block_len` bytes each. Past that, [`Aes::apply_ctr`] and
+/// [`ChaCha20::apply_keystream`] silently reuse keystream, so both AEADs
+/// refuse such a message.
+fn within_counter_space(len: u64, block_len: u64, first_counter: u32) -> bool {
+    len <= ((1u64 << 32) - u64::from(first_counter)) * block_len
+}
+
 /// ChaCha20-Poly1305 AEAD (RFC 8439).
+///
+/// A message is at most 2³² − 1 keystream blocks (just under 256 GiB,
+/// RFC 8439 §2.8): `seal` panics on a longer one and `open` rejects it.
 #[derive(Debug, Clone)]
 pub struct ChaCha20Poly1305 {
     key: [u8; 32],
@@ -89,7 +110,11 @@ impl Aead for ChaCha20Poly1305 {
 
     fn seal(&self, nonce: &[u8], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
         let nonce: &[u8; 12] = nonce.try_into().expect("nonce must be 12 bytes");
-        let mut out = plaintext.to_vec();
+        assert!(
+            within_counter_space(plaintext.len() as u64, 64, 1),
+            "message exceeds the ChaCha20 counter space"
+        );
+        let mut out = copy_with_tag_room(plaintext, Self::TAG_LEN);
         ChaCha20::new(&self.key, nonce).apply_keystream(1, &mut out);
         let tag = Self::compute_tag(&self.poly_key(nonce), aad, &out);
         out.extend_from_slice(&tag);
@@ -102,6 +127,9 @@ impl Aead for ChaCha20Poly1305 {
             return Err(AuthError);
         }
         let (ct, tag) = ciphertext.split_at(ciphertext.len() - 16);
+        if !within_counter_space(ct.len() as u64, 64, 1) {
+            return Err(AuthError);
+        }
         let expect = Self::compute_tag(&self.poly_key(nonce), aad, ct);
         if !verify_tag(&expect, tag) {
             return Err(AuthError);
@@ -117,6 +145,9 @@ impl Aead for ChaCha20Poly1305 {
 /// The 64-byte master key splits into an encryption half and a MAC half.
 /// The MAC covers `nonce || aad_len || aad || ciphertext`, giving the same
 /// binding properties as a standard AEAD.
+///
+/// A message is at most 2³² AES blocks (64 GiB), the span of the CTR
+/// counter: `seal` panics on a longer one and `open` rejects it.
 #[derive(Debug, Clone)]
 pub struct Aes256CtrHmac {
     enc_key: [u8; 32],
@@ -158,7 +189,11 @@ impl Aead for Aes256CtrHmac {
 
     fn seal(&self, nonce: &[u8], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
         assert_eq!(nonce.len(), 12, "nonce must be 12 bytes");
-        let mut out = plaintext.to_vec();
+        assert!(
+            within_counter_space(plaintext.len() as u64, 16, 0),
+            "message exceeds the AES-CTR counter space"
+        );
+        let mut out = copy_with_tag_room(plaintext, Self::TAG_LEN);
         Aes::new_256(&self.enc_key).apply_ctr(&Self::iv_from_nonce(nonce), &mut out);
         let tag = self.compute_tag(nonce, aad, &out);
         out.extend_from_slice(&tag);
@@ -170,6 +205,9 @@ impl Aead for Aes256CtrHmac {
             return Err(AuthError);
         }
         let (ct, tag) = ciphertext.split_at(ciphertext.len() - 32);
+        if !within_counter_space(ct.len() as u64, 16, 0) {
+            return Err(AuthError);
+        }
         let expect = self.compute_tag(nonce, aad, ct);
         if !verify_tag(&expect, tag) {
             return Err(AuthError);
@@ -270,6 +308,19 @@ only one tip for the future, sunscreen would be it.";
         let b = ChaCha20Poly1305::new(&[2u8; 32]);
         let sealed = a.seal(&[0u8; 12], b"", b"msg");
         assert!(b.open(&[0u8; 12], b"", &sealed).is_err());
+    }
+
+    #[test]
+    fn counter_space_ends_where_the_keystream_would_repeat() {
+        // AES-CTR counts 16-byte blocks from 0: 2^32 of them.
+        assert!(within_counter_space(0, 16, 0));
+        assert!(within_counter_space(1 << 36, 16, 0));
+        assert!(!within_counter_space((1 << 36) + 1, 16, 0));
+        // ChaCha20-Poly1305 counts 64-byte blocks from 1 (block 0 keys
+        // Poly1305): 2^32 - 1 of them, RFC 8439's 274,877,906,880 bytes.
+        assert!(within_counter_space(274_877_906_880, 64, 1));
+        assert!(!within_counter_space(274_877_906_881, 64, 1));
+        assert!(!within_counter_space(u64::MAX, 64, 1));
     }
 
     #[test]

@@ -1,4 +1,11 @@
 //! AES-128/256 block cipher (FIPS 197) and CTR mode.
+//!
+//! Key expansion and single-block operations are this module's byte-wise
+//! code on every host; [`Aes::apply_ctr`] runs through the process-wide
+//! [`Kernel`]'s `aes_ctr` slot, whose scalar tier is [`Aes::encrypt_block`]
+//! under a counter.
+
+use crate::kernel::Kernel;
 
 const fn gf_mul(mut a: u8, mut b: u8) -> u8 {
     let mut acc = 0u8;
@@ -146,7 +153,23 @@ impl Aes {
     /// low 32 bits).
     ///
     /// Encryption and decryption are the same operation.
+    ///
+    /// Only the low 32 bits count, and they wrap silently: a call that
+    /// runs through more than 2³² counter values reuses keystream. That
+    /// is 2³⁶ bytes (64 GiB) when the low word of `iv` starts at zero;
+    /// callers must stay within it ([`Aes256CtrHmac`](crate::aead::Aes256CtrHmac)
+    /// refuses longer messages).
     pub fn apply_ctr(&self, iv: &[u8; 16], data: &mut [u8]) {
+        Kernel::active().aes_ctr(self, iv, data);
+    }
+
+    /// The expanded key, one 16-byte round key per entry (11 or 15).
+    pub(crate) fn round_keys(&self) -> &[[u8; 16]] {
+        &self.round_keys
+    }
+
+    /// The scalar tier of the kernel's `aes_ctr` slot: one block at a time.
+    pub(crate) fn ctr_scalar(&self, iv: &[u8; 16], data: &mut [u8]) {
         let mut counter = *iv;
         for chunk in data.chunks_mut(16) {
             let ks = self.encrypt_block(&counter);

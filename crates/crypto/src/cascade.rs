@@ -16,6 +16,7 @@
 use crate::aead::AuthError;
 use crate::hkdf;
 use crate::suite::{BreakSchedule, SimYear, SuiteId, SuiteRegistry};
+use std::borrow::Cow;
 
 /// Errors from cascade operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -117,13 +118,14 @@ impl Cascade {
     /// AAD in every layer).
     pub fn encrypt(&self, context: &[u8], plaintext: &[u8]) -> Vec<u8> {
         let reg = SuiteRegistry::new();
-        let mut data = plaintext.to_vec();
+        // The first layer seals straight from the caller's slice.
+        let mut data = Cow::Borrowed(plaintext);
         for (i, (suite, key)) in self.layers.iter().enumerate() {
             let cipher = reg.instantiate(*suite, key).expect("validated in new()");
             let nonce = layer_nonce(context, i);
-            data = cipher.seal(&nonce, context, &data);
+            data = Cow::Owned(cipher.seal(&nonce, context, &data));
         }
-        data
+        data.into_owned()
     }
 
     /// Decrypts through every layer in reverse.

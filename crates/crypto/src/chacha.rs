@@ -77,6 +77,11 @@ impl ChaCha20 {
     /// XORs the keystream (starting at block `initial_counter`) into `data`.
     ///
     /// Encryption and decryption are the same operation.
+    ///
+    /// The block counter is 32 bits and wraps silently: `data` must not
+    /// run past block 2³² − 1 (RFC 8439 §2.3), or keystream is reused.
+    /// [`ChaCha20Poly1305`](crate::aead::ChaCha20Poly1305) refuses longer
+    /// messages.
     pub fn apply_keystream(&self, initial_counter: u32, data: &mut [u8]) {
         let mut counter = initial_counter;
         for chunk in data.chunks_mut(64) {

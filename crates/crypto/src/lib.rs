@@ -24,11 +24,22 @@
 //!   simulated cryptanalytic [`suite::BreakSchedule`], and a
 //!   [`cascade`] robust combiner that layers independent suites so the
 //!   stack stays secure while *any* layer survives.
+//! * Hardware tiers: the SHA-256 block function and the AES-CTR keystream
+//!   run through [`kernel::Kernel`], a per-process vtable that takes
+//!   SHA-NI / AES-NI on x86-64 hosts that have them and this crate's
+//!   scalar code everywhere else. Both tiers are bit-exact, so nothing
+//!   above [`sha2::Sha256`] and [`aes::Aes::apply_ctr`] knows which one
+//!   ran; `AEON_FORCE_KERNEL=scalar` pins the scalar tier. The `ni` tiers
+//!   sit in one private module of [`kernel`], the only place where the
+//!   crate-wide lint at the bottom of this header is relaxed.
 //!
 //! # Security disclaimer
 //!
 //! These are clean-room educational implementations: correct against
-//! standard test vectors, but not constant-time and not audited. They exist
+//! standard test vectors, but not audited. The scalar tiers are not
+//! constant-time (AES indexes its S-box by secret bytes); the `ni` AES
+//! tier has no data-dependent table lookups in its CTR path, though key
+//! expansion and single-block calls still use the scalar code. They exist
 //! so the archival-system layers above have a real, breakable,
 //! swappable crypto substrate — not to protect production keys.
 //!
@@ -44,7 +55,7 @@
 //! assert_eq!(pt, b"plaintext");
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod aead;
@@ -55,6 +66,7 @@ pub mod drbg;
 pub mod entropic;
 pub mod hkdf;
 pub mod hmac;
+pub mod kernel;
 pub mod otp;
 pub mod poly1305;
 pub mod sha2;

@@ -1,4 +1,10 @@
 //! SHA-256 and SHA-512 (FIPS 180-4).
+//!
+//! [`Sha256`] buffers and pads; the block function itself runs through
+//! the process-wide [`Kernel`]'s `sha256_blocks` slot, whose scalar tier
+//! is this module's round loop.
+
+use crate::kernel::Kernel;
 
 /// Incremental SHA-256 hasher.
 ///
@@ -21,7 +27,12 @@ pub struct Sha256 {
     total_len: u64,
 }
 
-const K256: [u32; 64] = [
+/// Initial hash value H(0) (FIPS 180-4 §5.3.3).
+const H256: [u32; 8] = [
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
+];
+
+pub(crate) const K256: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -45,10 +56,7 @@ impl Sha256 {
     /// Creates a fresh hasher.
     pub fn new() -> Self {
         Sha256 {
-            state: [
-                0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-                0x5be0cd19,
-            ],
+            state: H256,
             buf: [0; 64],
             buf_len: 0,
             total_len: 0,
@@ -71,35 +79,32 @@ impl Sha256 {
             self.buf_len += take;
             data = &data[take..];
             if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
+                Kernel::active().sha256_blocks(&mut self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
+        // The longest whole-block run is compressed where it lies.
+        let (blocks, tail) = data.split_at(data.len() / 64 * 64);
+        if !blocks.is_empty() {
+            Kernel::active().sha256_blocks(&mut self.state, blocks);
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
+        if !tail.is_empty() {
+            self.buf[..tail.len()].copy_from_slice(tail);
+            self.buf_len = tail.len();
         }
     }
 
     /// Finishes and returns the digest.
     pub fn finalize(mut self) -> [u8; 32] {
+        // Message tail ‖ 0x80 ‖ zeros ‖ big-endian bit length: one block
+        // when the tail leaves room for the nine bytes, else two.
+        let mut pad = [0u8; 128];
+        pad[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
+        pad[self.buf_len] = 0x80;
+        let end = if self.buf_len < 56 { 64 } else { 128 };
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        // update() has bumped total_len; padding length math uses buf_len.
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        self.total_len = 0; // neutralize further counting
-        let mut block = self.buf;
-        block[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block);
+        pad[end - 8..end].copy_from_slice(&bit_len.to_be_bytes());
+        Kernel::active().sha256_blocks(&mut self.state, &pad[..end]);
         let mut out = [0u8; 32];
         for (i, s) in self.state.iter().enumerate() {
             out[4 * i..4 * i + 4].copy_from_slice(&s.to_be_bytes());
@@ -107,7 +112,15 @@ impl Sha256 {
         out
     }
 
-    fn compress(&mut self, block: &[u8; 64]) {
+    /// The scalar tier of the kernel's `sha256_blocks` slot: the
+    /// compression function over each 64-byte block of `blocks` in turn.
+    pub(crate) fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+        for block in blocks.as_chunks::<64>().0 {
+            Self::compress(state, block);
+        }
+    }
+
+    fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
@@ -120,7 +133,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -141,14 +154,14 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        state[0] = state[0].wrapping_add(a);
+        state[1] = state[1].wrapping_add(b);
+        state[2] = state[2].wrapping_add(c);
+        state[3] = state[3].wrapping_add(d);
+        state[4] = state[4].wrapping_add(e);
+        state[5] = state[5].wrapping_add(f);
+        state[6] = state[6].wrapping_add(g);
+        state[7] = state[7].wrapping_add(h);
     }
 }
 
@@ -169,6 +182,18 @@ pub struct Sha512 {
     buf_len: usize,
     total_len: u128,
 }
+
+/// Initial hash value H(0) (FIPS 180-4 §5.3.5).
+const H512: [u64; 8] = [
+    0x6a09e667f3bcc908,
+    0xbb67ae8584caa73b,
+    0x3c6ef372fe94f82b,
+    0xa54ff53a5f1d36f1,
+    0x510e527fade682d1,
+    0x9b05688c2b3e6c1f,
+    0x1f83d9abfb41bd6b,
+    0x5be0cd19137e2179,
+];
 
 const K512: [u64; 80] = [
     0x428a2f98d728ae22,
@@ -266,16 +291,7 @@ impl Sha512 {
     /// Creates a fresh hasher.
     pub fn new() -> Self {
         Sha512 {
-            state: [
-                0x6a09e667f3bcc908,
-                0xbb67ae8584caa73b,
-                0x3c6ef372fe94f82b,
-                0xa54ff53a5f1d36f1,
-                0x510e527fade682d1,
-                0x9b05688c2b3e6c1f,
-                0x1f83d9abfb41bd6b,
-                0x5be0cd19137e2179,
-            ],
+            state: H512,
             buf: [0; 128],
             buf_len: 0,
             total_len: 0,
@@ -298,33 +314,32 @@ impl Sha512 {
             self.buf_len += take;
             data = &data[take..];
             if self.buf_len == 128 {
-                let block = self.buf;
-                self.compress(&block);
+                Self::compress(&mut self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
-        while data.len() >= 128 {
-            let mut block = [0u8; 128];
-            block.copy_from_slice(&data[..128]);
-            self.compress(&block);
-            data = &data[128..];
+        let (blocks, tail) = data.as_chunks::<128>();
+        for block in blocks {
+            Self::compress(&mut self.state, block);
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
+        if !tail.is_empty() {
+            self.buf[..tail.len()].copy_from_slice(tail);
+            self.buf_len = tail.len();
         }
     }
 
     /// Finishes and returns the digest.
     pub fn finalize(mut self) -> [u8; 64] {
+        // As SHA-256, with 128-byte blocks and a 16-byte length field.
+        let mut pad = [0u8; 256];
+        pad[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
+        pad[self.buf_len] = 0x80;
+        let end = if self.buf_len < 112 { 128 } else { 256 };
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 112 {
-            self.update(&[0]);
+        pad[end - 16..end].copy_from_slice(&bit_len.to_be_bytes());
+        for block in pad[..end].as_chunks::<128>().0 {
+            Self::compress(&mut self.state, block);
         }
-        let mut block = self.buf;
-        block[112..128].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block);
         let mut out = [0u8; 64];
         for (i, s) in self.state.iter().enumerate() {
             out[8 * i..8 * i + 8].copy_from_slice(&s.to_be_bytes());
@@ -332,7 +347,7 @@ impl Sha512 {
         out
     }
 
-    fn compress(&mut self, block: &[u8; 128]) {
+    fn compress(state: &mut [u64; 8], block: &[u8; 128]) {
         let mut w = [0u64; 80];
         for (i, chunk) in block.chunks_exact(8).enumerate() {
             w[i] = u64::from_be_bytes(chunk.try_into().expect("8-byte chunk"));
@@ -345,7 +360,7 @@ impl Sha512 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..80 {
             let s1 = e.rotate_right(14) ^ e.rotate_right(18) ^ e.rotate_right(41);
             let ch = (e & f) ^ (!e & g);
@@ -366,14 +381,14 @@ impl Sha512 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        state[0] = state[0].wrapping_add(a);
+        state[1] = state[1].wrapping_add(b);
+        state[2] = state[2].wrapping_add(c);
+        state[3] = state[3].wrapping_add(d);
+        state[4] = state[4].wrapping_add(e);
+        state[5] = state[5].wrapping_add(f);
+        state[6] = state[6].wrapping_add(g);
+        state[7] = state[7].wrapping_add(h);
     }
 }
 
@@ -457,18 +472,54 @@ mod tests {
         }
     }
 
+    /// FIPS 180-4 §5.1 padding built by hand: message ‖ `0x80` ‖ zeros up
+    /// to the length field ‖ big-endian bit length in `len_field` bytes.
+    fn padded(msg: &[u8], block: usize, len_field: usize) -> Vec<u8> {
+        let mut p = msg.to_vec();
+        p.push(0x80);
+        while !(p.len() + len_field).is_multiple_of(block) {
+            p.push(0);
+        }
+        p.extend_from_slice(&vec![0; len_field - 8]);
+        p.extend_from_slice(&(8 * msg.len() as u64).to_be_bytes());
+        p
+    }
+
     #[test]
-    fn padding_boundaries() {
-        // Lengths straddling the 55/56 and 111/112 padding cut-offs.
-        for len in [54usize, 55, 56, 57, 63, 64, 65, 119, 127, 128] {
-            let data = vec![0x5Au8; len];
-            // Just ensure no panic and incremental equality.
+    fn digest_equals_block_function_over_hand_padded_message() {
+        // Every length across the one-block / two-block padding cut-offs
+        // (55/56 and 119/120; 111/112 and 239/240), checked against the
+        // raw block function run from the IV — not against `finalize`.
+        let data: Vec<u8> = (0..260u32).map(|i| (i * 31 + 7) as u8).collect();
+        for len in 0..=130 {
+            let msg = &data[..len];
+            let mut state = H256;
+            Sha256::compress_blocks(&mut state, &padded(msg, 64, 8));
+            let expect: Vec<u8> = state.iter().flat_map(|w| w.to_be_bytes()).collect();
+            assert_eq!(Sha256::digest(msg)[..], expect[..], "SHA-256, {len} bytes");
             let mut h = Sha256::new();
-            h.update(&data);
-            assert_eq!(h.finalize(), Sha256::digest(&data));
+            msg.iter().for_each(|b| h.update(&[*b]));
+            assert_eq!(
+                h.finalize()[..],
+                expect[..],
+                "SHA-256 bytewise, {len} bytes"
+            );
+        }
+        for len in 0..=260 {
+            let msg = &data[..len];
+            let mut state = H512;
+            for block in padded(msg, 128, 16).as_chunks::<128>().0 {
+                Sha512::compress(&mut state, block);
+            }
+            let expect: Vec<u8> = state.iter().flat_map(|w| w.to_be_bytes()).collect();
+            assert_eq!(Sha512::digest(msg)[..], expect[..], "SHA-512, {len} bytes");
             let mut h = Sha512::new();
-            h.update(&data);
-            assert_eq!(h.finalize(), Sha512::digest(&data));
+            msg.iter().for_each(|b| h.update(&[*b]));
+            assert_eq!(
+                h.finalize()[..],
+                expect[..],
+                "SHA-512 bytewise, {len} bytes"
+            );
         }
     }
 }

@@ -1,0 +1,426 @@
+//! Known answers and cross-tier parity for the crypto kernels, in one
+//! place, run on every kernel the host supports.
+//!
+//! Three layers, each over [`Kernel::supported`]:
+//!
+//! 1. the published vectors already pinned beside the primitives (FIPS
+//!    180-4, RFC 4231, RFC 5869, FIPS 197, SP 800-38A), recomputed here on
+//!    *that tier's* slot function — SHA-256 padding, HMAC and HKDF are
+//!    rebuilt by hand over `sha256_blocks`, so a vector passes only if the
+//!    tier's block function is right;
+//! 2. tier against the scalar oracle, bit for bit, on ragged lengths,
+//!    unaligned source offsets, `update` splits and every way the CTR
+//!    counter can wrap;
+//! 3. the same over random data, keys and IVs.
+//!
+//! CI runs the file twice, under `AEON_FORCE_KERNEL=scalar` and under
+//! auto-detection, which also moves the library entry points
+//! (`Sha256`, `hmac_sha256`, `hkdf`, `Aes::apply_ctr`) between tiers.
+
+use aeon_crypto::aes::Aes;
+use aeon_crypto::hkdf;
+use aeon_crypto::hmac::hmac_sha256;
+use aeon_crypto::kernel::{Kernel, Tier};
+use aeon_crypto::sha2::to_hex;
+use aeon_crypto::Sha256;
+use proptest::prelude::*;
+
+/// SHA-256 initial hash value (FIPS 180-4 §5.3.3).
+const H0: [u32; 8] = [
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
+];
+
+/// Source offsets into an over-allocated buffer: every alignment of a
+/// 16-byte vector load.
+const OFFSETS: std::ops::Range<usize> = 0..16;
+
+/// Deterministic filler (not a keystream: just distinct bytes).
+fn pattern(len: usize, salt: u32) -> Vec<u8> {
+    (0..len as u32)
+        .map(|i| (i.wrapping_mul(2654435761).wrapping_add(salt) >> 11) as u8)
+        .collect()
+}
+
+/// The one long input: 1 MiB and a ragged tail.
+const LONG: usize = (1 << 20) + 17;
+
+/// Ragged lengths across one-, two- and many-block messages and both
+/// sides of every 16/64/128-byte boundary, plus the long input.
+fn ragged_lengths() -> impl Iterator<Item = usize> {
+    (0..=300).chain([LONG])
+}
+
+/// SHA-256 of `msg` computed on `kernel`'s block function alone: the
+/// message is padded by hand (FIPS 180-4 §5.1.1) at byte `offset` of a
+/// larger buffer, so the blocks the kernel reads start unaligned.
+fn sha256_on(kernel: &Kernel, msg: &[u8], offset: usize) -> [u8; 32] {
+    let mut buf = vec![0xA5u8; offset];
+    buf.extend_from_slice(msg);
+    buf.push(0x80);
+    while (buf.len() - offset) % 64 != 56 {
+        buf.push(0);
+    }
+    buf.extend_from_slice(&(8 * msg.len() as u64).to_be_bytes());
+    let mut state = H0;
+    kernel.sha256_blocks(&mut state, &buf[offset..]);
+    let mut out = [0u8; 32];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+/// HMAC-SHA-256 (RFC 2104) over `sha256_on`.
+fn hmac_on(kernel: &Kernel, key: &[u8], msg: &[u8]) -> [u8; 32] {
+    let mut block = [0u8; 64];
+    if key.len() > 64 {
+        block[..32].copy_from_slice(&sha256_on(kernel, key, 0));
+    } else {
+        block[..key.len()].copy_from_slice(key);
+    }
+    let keyed = |pad: u8, rest: &[u8]| {
+        let mut input: Vec<u8> = block.iter().map(|b| b ^ pad).collect();
+        input.extend_from_slice(rest);
+        sha256_on(kernel, &input, 0)
+    };
+    keyed(0x5c, &keyed(0x36, msg))
+}
+
+/// HKDF extract-then-expand (RFC 5869) over `hmac_on`.
+fn hkdf_on(kernel: &Kernel, salt: &[u8], ikm: &[u8], info: &[u8], len: usize) -> Vec<u8> {
+    let prk = hmac_on(kernel, salt, ikm);
+    let mut okm = Vec::new();
+    let mut t: Vec<u8> = Vec::new();
+    for counter in 1..=u8::MAX {
+        if okm.len() >= len {
+            break;
+        }
+        t.extend_from_slice(info);
+        t.push(counter);
+        t = hmac_on(kernel, &prk, &t).to_vec();
+        okm.extend_from_slice(&t);
+    }
+    okm.truncate(len);
+    okm
+}
+
+/// `kernel`'s CTR keystream XORed into `data`, the data placed at byte
+/// `offset` of a larger buffer.
+fn ctr_on(kernel: &Kernel, aes: &Aes, iv: &[u8; 16], data: &[u8], offset: usize) -> Vec<u8> {
+    let mut buf = vec![0xA5u8; offset];
+    buf.extend_from_slice(data);
+    kernel.aes_ctr(aes, iv, &mut buf[offset..]);
+    buf.split_off(offset)
+}
+
+fn iv_with_low_word(low: u32) -> [u8; 16] {
+    let mut iv: [u8; 16] = core::array::from_fn(|i| 0xC0 + i as u8);
+    iv[12..].copy_from_slice(&low.to_be_bytes());
+    iv
+}
+
+#[test]
+fn supported_kernels_are_scalar_then_detected() {
+    let kernels = Kernel::supported();
+    assert_eq!(kernels[0].sha256_tier(), Tier::Scalar);
+    assert_eq!(kernels[0].aes_ctr_tier(), Tier::Scalar);
+    for k in &kernels[1..] {
+        assert!(k.sha256_tier() == Tier::Ni || k.aes_ctr_tier() == Tier::Ni);
+    }
+    // The active kernel is the best one, or all-scalar under the override
+    // (CI runs this file in both legs): never a mix the host did not pick.
+    let tiers = |k: &Kernel| (k.sha256_tier(), k.aes_ctr_tier());
+    let active = tiers(Kernel::active());
+    assert!(active == tiers(Kernel::scalar()) || active == tiers(kernels[kernels.len() - 1]));
+}
+
+#[test]
+fn sha256_known_answers_on_every_tier() {
+    let million_a = vec![b'a'; 1_000_000];
+    // FIPS 180-4 / NIST example messages.
+    let vectors: [(&[u8], &str); 4] = [
+        (
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ),
+        (
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+        ),
+        (
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+        ),
+        (
+            &million_a,
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+        ),
+    ];
+    for kernel in Kernel::supported() {
+        let tier = kernel.sha256_tier().name();
+        for (msg, expect) in vectors {
+            assert_eq!(
+                to_hex(&sha256_on(kernel, msg, 0)),
+                expect,
+                "{tier}, {} bytes",
+                msg.len()
+            );
+        }
+    }
+    for (msg, expect) in vectors {
+        assert_eq!(to_hex(&Sha256::digest(msg)), expect);
+    }
+}
+
+#[test]
+fn hmac_and_hkdf_known_answers_on_every_tier() {
+    // RFC 4231 test cases 1-3: (key, data, HMAC-SHA-256).
+    let hmac_vectors: [(&[u8], &[u8], &str); 3] = [
+        (
+            &[0x0b; 20],
+            b"Hi There",
+            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+        ),
+        (
+            b"Jefe",
+            b"what do ya want for nothing?",
+            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+        ),
+        (
+            &[0xaa; 131],
+            b"Test Using Larger Than Block-Size Key - Hash Key First",
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+        ),
+    ];
+    // RFC 5869 test cases 1 and 3: (salt, info, 42-byte OKM), IKM 22 × 0x0b.
+    let ikm = [0x0bu8; 22];
+    let salt_1: Vec<u8> = (0x00..=0x0c).collect();
+    let info_1: Vec<u8> = (0xf0..=0xf9).collect();
+    let hkdf_vectors: [(&[u8], &[u8], &str); 2] = [
+        (
+            &salt_1,
+            &info_1,
+            "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf\
+             34007208d5b887185865",
+        ),
+        (
+            &[],
+            &[],
+            "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d\
+             9d201395faa4b61a96c8",
+        ),
+    ];
+    for kernel in Kernel::supported() {
+        let tier = kernel.sha256_tier().name();
+        for (key, data, expect) in hmac_vectors {
+            assert_eq!(to_hex(&hmac_on(kernel, key, data)), expect, "{tier}");
+        }
+        for (salt, info, expect) in hkdf_vectors {
+            let okm = hkdf_on(kernel, salt, &ikm, info, 42);
+            assert_eq!(to_hex(&okm), expect, "{tier}");
+        }
+    }
+    for (key, data, expect) in hmac_vectors {
+        assert_eq!(to_hex(&hmac_sha256(key, data)), expect);
+    }
+    for (salt, info, expect) in hkdf_vectors {
+        assert_eq!(to_hex(&hkdf::derive(salt, &ikm, info, 42)), expect);
+    }
+}
+
+#[test]
+fn aes_known_answers_on_every_tier() {
+    // FIPS 197 Appendix C.3, reached through CTR: the keystream block for
+    // counter = plaintext, XORed into zeros, is E_K(plaintext).
+    let c3_key: [u8; 32] = core::array::from_fn(|i| i as u8);
+    let c3_plain: [u8; 16] = core::array::from_fn(|i| 0x11 * i as u8);
+    // NIST SP 800-38A F.5.5 CTR-AES256.Encrypt, block 1.
+    let f55_key: [u8; 32] = [
+        0x60, 0x3d, 0xeb, 0x10, 0x15, 0xca, 0x71, 0xbe, 0x2b, 0x73, 0xae, 0xf0, 0x85, 0x7d, 0x77,
+        0x81, 0x1f, 0x35, 0x2c, 0x07, 0x3b, 0x61, 0x08, 0xd7, 0x2d, 0x98, 0x10, 0xa3, 0x09, 0x14,
+        0xdf, 0xf4,
+    ];
+    let f55_iv: [u8; 16] = core::array::from_fn(|i| 0xf0 + i as u8);
+    let f55_plain: [u8; 16] = [
+        0x6b, 0xc1, 0xbe, 0xe2, 0x2e, 0x40, 0x9f, 0x96, 0xe9, 0x3d, 0x7e, 0x11, 0x73, 0x93, 0x17,
+        0x2a,
+    ];
+    let vectors = [
+        (
+            c3_key,
+            c3_plain,
+            [0u8; 16],
+            "8ea2b7ca516745bfeafc49904b496089",
+        ),
+        (
+            f55_key,
+            f55_iv,
+            f55_plain,
+            "601ec313775789a5b7a7f504bbf3d228",
+        ),
+    ];
+    for (key, iv, data, expect) in vectors {
+        let aes = Aes::new_256(&key);
+        for kernel in Kernel::supported() {
+            let tier = kernel.aes_ctr_tier().name();
+            assert_eq!(
+                to_hex(&ctr_on(kernel, &aes, &iv, &data, 0)),
+                expect,
+                "{tier}"
+            );
+        }
+        let mut via_library = data;
+        aes.apply_ctr(&iv, &mut via_library);
+        assert_eq!(to_hex(&via_library), expect);
+    }
+    assert_eq!(
+        to_hex(&Aes::new_256(&c3_key).encrypt_block(&c3_plain)),
+        vectors[0].3
+    );
+}
+
+#[test]
+fn sha256_tiers_agree_on_ragged_lengths_and_unaligned_sources() {
+    let data = pattern(LONG, 1);
+    for len in ragged_lengths() {
+        let msg = &data[..len];
+        let oracle = sha256_on(Kernel::scalar(), msg, 0);
+        for kernel in Kernel::supported() {
+            for offset in OFFSETS {
+                assert_eq!(
+                    sha256_on(kernel, msg, offset),
+                    oracle,
+                    "{}, {len} bytes at offset {offset}",
+                    kernel.sha256_tier().name()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn sha256_update_splits_agree_with_the_oracle() {
+    // The library hasher (active tier, its own buffering and padding)
+    // against the hand-padded scalar oracle: one-shot, and fed in two and
+    // three pieces that start at every source alignment.
+    let data = pattern(LONG + OFFSETS.end, 2);
+    for len in ragged_lengths() {
+        let offset = len % OFFSETS.end;
+        let msg = &data[offset..offset + len];
+        let oracle = sha256_on(Kernel::scalar(), msg, 0);
+        assert_eq!(Sha256::digest(msg), oracle, "{len} bytes one-shot");
+        for (a, b) in [
+            (len / 3, len / 2),
+            (len.min(1), len.min(64)),
+            (len.min(63), len),
+        ] {
+            let mut two = Sha256::new();
+            two.update(&msg[..b]);
+            two.update(&msg[b..]);
+            assert_eq!(two.finalize(), oracle, "{len} bytes split at {b}");
+            let mut three = Sha256::new();
+            three.update(&msg[..a]);
+            three.update(&msg[a..b]);
+            three.update(&msg[b..]);
+            assert_eq!(three.finalize(), oracle, "{len} bytes split at {a}, {b}");
+        }
+    }
+}
+
+#[test]
+fn aes_ctr_tiers_agree_on_ragged_lengths_and_counter_wraps() {
+    let data = pattern(LONG, 3);
+    let ciphers = [
+        Aes::new_128(&core::array::from_fn(|i| 0x3C ^ i as u8)),
+        Aes::new_256(&core::array::from_fn(|i| 0x5A ^ (7 * i) as u8)),
+    ];
+    // Low counter words: no wrap; wrap after two blocks; wrap inside the
+    // first eight-block group; wrap after the first block.
+    let ivs = [0, 0xFFFF_FFFE, 0xFFFF_FFF9, 0xFFFF_FFFF].map(iv_with_low_word);
+    let check = |aes: &Aes, iv: &[u8; 16], len: usize, offsets: std::ops::Range<usize>| {
+        let plain = &data[..len];
+        let oracle = ctr_on(Kernel::scalar(), aes, iv, plain, 0);
+        for kernel in Kernel::supported() {
+            for offset in offsets.clone() {
+                assert_eq!(
+                    ctr_on(kernel, aes, iv, plain, offset),
+                    oracle,
+                    "{}, {len} bytes at offset {offset}, iv {iv:02x?}",
+                    kernel.aes_ctr_tier().name()
+                );
+            }
+        }
+    };
+    for aes in &ciphers {
+        for iv in &ivs {
+            for len in 0..=300 {
+                check(aes, iv, len, OFFSETS);
+            }
+        }
+    }
+    // The long input once (the scalar oracle is slow in debug builds):
+    // AES-256, the wrap inside the first group, two alignments.
+    check(&ciphers[1], &ivs[2], data.len(), 0..2);
+}
+
+#[test]
+fn aes_ctr_counter_is_the_low_32_bits_big_endian_and_wraps() {
+    // Not only tier = oracle: each keystream block is E_K of the counter
+    // block the documentation promises, across the 2^32 wrap, and the
+    // upper 96 bits never carry.
+    let aes = Aes::new_256(&[0x42; 32]);
+    let iv = iv_with_low_word(0xFFFF_FFF9);
+    for kernel in Kernel::supported() {
+        let keystream = ctr_on(kernel, &aes, &iv, &[0u8; 16 * 20], 0);
+        for (i, block) in keystream.chunks_exact(16).enumerate() {
+            let counter = iv_with_low_word(0xFFFF_FFF9u32.wrapping_add(i as u32));
+            assert_eq!(
+                block,
+                aes.encrypt_block(&counter),
+                "{}, block {i}",
+                kernel.aes_ctr_tier().name()
+            );
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn sha256_tiers_agree_on_random_input(data in prop::collection::vec(any::<u8>(), 0..4096),
+                                          offset in OFFSETS, a in 0usize..4096, b in 0usize..4096) {
+        let oracle = sha256_on(Kernel::scalar(), &data, 0);
+        for kernel in Kernel::supported() {
+            prop_assert_eq!(sha256_on(kernel, &data, offset), oracle);
+        }
+        let (a, b) = (a.min(b).min(data.len()), a.max(b).min(data.len()));
+        let mut h = Sha256::new();
+        h.update(&data[..a]);
+        h.update(&data[a..b]);
+        h.update(&data[b..]);
+        prop_assert_eq!(h.finalize(), oracle);
+    }
+
+    #[test]
+    fn aes_ctr_tiers_agree_on_random_input(key in any::<[u8; 32]>(), iv in any::<[u8; 16]>(),
+                                           near_wrap in any::<bool>(), wide in any::<bool>(),
+                                           data in prop::collection::vec(any::<u8>(), 0..2048),
+                                           offset in OFFSETS) {
+        let aes = if wide {
+            Aes::new_256(&key)
+        } else {
+            Aes::new_128(key[..16].try_into().expect("16 of 32 bytes"))
+        };
+        let mut iv = iv;
+        if near_wrap {
+            // Put the 2^32 wrap somewhere inside the message.
+            iv[12..15].fill(0xFF);
+        }
+        let oracle = ctr_on(Kernel::scalar(), &aes, &iv, &data, 0);
+        for kernel in Kernel::supported() {
+            prop_assert_eq!(ctr_on(kernel, &aes, &iv, &data, offset), oracle.clone());
+        }
+        let mut via_library = data.clone();
+        aes.apply_ctr(&iv, &mut via_library);
+        prop_assert_eq!(via_library, oracle);
+    }
+}

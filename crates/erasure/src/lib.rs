@@ -302,21 +302,31 @@ impl ReedSolomon {
     }
 }
 
-/// Length-prefix and zero-pad a payload so it splits evenly into `k`
-/// shards.
-fn frame_payload(payload: &[u8], k: usize) -> Vec<u8> {
-    let mut framed = Vec::with_capacity(payload.len() + 8);
-    framed.extend_from_slice(&(payload.len() as u64).to_be_bytes());
-    framed.extend_from_slice(payload);
-    let rem = framed.len() % k;
-    if rem != 0 {
-        framed.resize(framed.len() + (k - rem), 0);
-    }
-    framed
+/// The `k` data shards of a payload: its length-prefixed (`u64` BE),
+/// zero-padded frame cut into `k` equal pieces, each built straight from
+/// the caller's slice.
+fn frame_into_shards(payload: &[u8], k: usize) -> Vec<Vec<u8>> {
+    let header = (payload.len() as u64).to_be_bytes();
+    let shard_len = (header.len() + payload.len()).div_ceil(k);
+    (0..k)
+        .map(|i| {
+            // This shard is bytes `start..end` of the frame.
+            let (start, end) = (i * shard_len, (i + 1) * shard_len);
+            let mut shard = Vec::with_capacity(shard_len);
+            if start < header.len() {
+                shard.extend_from_slice(&header[start..end.min(header.len())]);
+            }
+            let from = start.saturating_sub(header.len()).min(payload.len());
+            let to = end.saturating_sub(header.len()).min(payload.len());
+            shard.extend_from_slice(&payload[from..to]);
+            shard.resize(shard_len, 0);
+            shard
+        })
+        .collect()
 }
 
-/// Recover a payload from its framed form.
-fn unframe_payload(framed: &[u8]) -> Result<Vec<u8>, CodeError> {
+/// Recovers a payload from its framed form, in place.
+fn unframe_payload(mut framed: Vec<u8>) -> Result<Vec<u8>, CodeError> {
     if framed.len() < 8 {
         return Err(CodeError::CorruptHeader);
     }
@@ -324,7 +334,9 @@ fn unframe_payload(framed: &[u8]) -> Result<Vec<u8>, CodeError> {
     if len > framed.len() - 8 {
         return Err(CodeError::CorruptHeader);
     }
-    Ok(framed[8..8 + len].to_vec())
+    framed.copy_within(8..8 + len, 0);
+    framed.truncate(len);
+    Ok(framed)
 }
 
 impl ErasureCode for ReedSolomon {
@@ -337,22 +349,17 @@ impl ErasureCode for ReedSolomon {
     }
 
     fn encode(&self, payload: &[u8]) -> Result<Vec<Vec<u8>>, CodeError> {
-        let framed = frame_payload(payload, self.data);
-        let shard_len = framed.len() / self.data;
-        let data_shards: Vec<&[u8]> = framed.chunks(shard_len).collect();
+        let mut all = frame_into_shards(payload, self.data);
+        let data_shards: Vec<&[u8]> = all.iter().map(Vec::as_slice).collect();
         let parity = self.encode_shards(&data_shards)?;
-        let mut all: Vec<Vec<u8>> = data_shards.into_iter().map(|s| s.to_vec()).collect();
         all.extend(parity);
         Ok(all)
     }
 
     fn decode(&self, shards: &[Option<Vec<u8>>]) -> Result<Vec<u8>, CodeError> {
-        let all = self.reconstruct_shards(shards)?;
-        let mut framed = Vec::new();
-        for shard in &all[..self.data] {
-            framed.extend_from_slice(shard);
-        }
-        unframe_payload(&framed)
+        let mut data = self.reconstruct_shards(shards)?;
+        data.truncate(self.data);
+        unframe_payload(data.concat())
     }
 }
 
@@ -548,14 +555,33 @@ mod tests {
         assert_eq!(rep.total_shards(), 4);
     }
 
+    /// The direct shard construction equals cutting the length-prefixed,
+    /// zero-padded frame into `k` pieces, header split across shards
+    /// included (`k > 8`), and `unframe_payload` inverts it.
+    #[test]
+    fn data_shards_are_the_padded_frame_cut_in_k() {
+        for k in 1..=12usize {
+            for len in 0..=70usize {
+                let payload: Vec<u8> = (0..len).map(|b| (b as u8).wrapping_mul(37) | 1).collect();
+                let mut frame = (len as u64).to_be_bytes().to_vec();
+                frame.extend_from_slice(&payload);
+                frame.resize(frame.len().div_ceil(k) * k, 0);
+                let expect: Vec<Vec<u8>> =
+                    frame.chunks(frame.len() / k).map(<[u8]>::to_vec).collect();
+                assert_eq!(frame_into_shards(&payload, k), expect, "k={k} len={len}");
+                assert_eq!(unframe_payload(frame).unwrap(), payload, "k={k} len={len}");
+            }
+        }
+    }
+
     #[test]
     fn corrupt_header_detected() {
         // Frame claiming a longer payload than exists.
         let mut bad = vec![0u8; 16];
         bad[..8].copy_from_slice(&(100u64).to_be_bytes());
-        assert_eq!(unframe_payload(&bad).unwrap_err(), CodeError::CorruptHeader);
+        assert_eq!(unframe_payload(bad).unwrap_err(), CodeError::CorruptHeader);
         assert_eq!(
-            unframe_payload(&[1, 2]).unwrap_err(),
+            unframe_payload(vec![1, 2]).unwrap_err(),
             CodeError::CorruptHeader
         );
     }

@@ -1,7 +1,7 @@
 //! Storage nodes: the unit of trust, failure, and compromise.
 
 use parking_lot::RwLock;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -17,7 +17,7 @@ impl fmt::Display for NodeId {
 }
 
 /// A shard key: object identifier plus shard index.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ShardKey {
     /// The object this shard belongs to.
     pub object: String,
@@ -155,7 +155,11 @@ pub struct MemoryNode {
 struct MemoryNodeInner {
     id: NodeId,
     site: String,
-    blobs: RwLock<HashMap<ShardKey, Vec<u8>>>,
+    /// Ordered, so that listing, exfiltration and teardown visit blobs
+    /// in key order: a `HashMap`'s per-instance seed made the order —
+    /// and with it the allocator's state after a node is dropped —
+    /// differ from one run of the same program to the next.
+    blobs: RwLock<BTreeMap<ShardKey, Vec<u8>>>,
     injection: RwLock<Injection>,
 }
 
@@ -166,7 +170,7 @@ impl MemoryNode {
             inner: Arc::new(MemoryNodeInner {
                 id: NodeId(id),
                 site: site.into(),
-                blobs: RwLock::new(HashMap::new()),
+                blobs: RwLock::new(BTreeMap::new()),
                 injection: RwLock::new(Injection::default()),
             }),
         }
@@ -419,6 +423,16 @@ mod tests {
         node.delete(&key).unwrap();
         assert_eq!(node.get(&key).unwrap_err(), NodeError::NotFound);
         assert_eq!(node.stored_bytes(), 0);
+    }
+
+    #[test]
+    fn memory_node_lists_keys_in_key_order() {
+        let node = MemoryNode::new(1, "eu-west");
+        for (object, shard) in [("b", 1), ("a", 2), ("b", 0), ("a", 0)] {
+            node.put(&ShardKey::new(object, shard), b"x").unwrap();
+        }
+        let expect = [("a", 0), ("a", 2), ("b", 0), ("b", 1)].map(|(o, s)| ShardKey::new(o, s));
+        assert_eq!(node.keys(), expect);
     }
 
     #[test]
