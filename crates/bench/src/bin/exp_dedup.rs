@@ -125,9 +125,9 @@ struct CorpusRun {
     deviation: f64,
 }
 
-fn build_archive(dedup: Option<DedupConfig>, seed: u64) -> (Archive, aeon_store::clock::SimClock) {
+fn build_archive(dedup: Option<DedupConfig>, seed: u64) -> Archive {
     let profile = ThroughputProfile::new(SimDuration::ZERO, 1e9, 1e9);
-    let (cluster, clock) = throughput_in_memory_cluster(&SITES, 1, &profile);
+    let (cluster, _clock) = throughput_in_memory_cluster(&SITES, 1, &profile);
     let mut config = ArchiveConfig::new(old_policy())
         .with_integrity(IntegrityMode::DigestOnly)
         .with_year(2030);
@@ -135,26 +135,18 @@ fn build_archive(dedup: Option<DedupConfig>, seed: u64) -> (Archive, aeon_store:
     if let Some(d) = dedup {
         config = config.with_dedup(d);
     }
-    (
-        Archive::with_cluster(config, cluster).expect("archive"),
-        clock,
-    )
+    Archive::with_cluster(config, cluster).expect("archive")
 }
 
 /// Ingests the corpus, runs the re-encode campaign, and returns
 /// (stored bytes at campaign start, campaign virtual seconds).
-fn run_campaign(
-    archive: &mut Archive,
-    clock: &aeon_store::clock::SimClock,
-    corpus: &[(String, Vec<u8>)],
-) -> (u64, f64) {
+fn run_campaign(archive: &mut Archive, corpus: &[(String, Vec<u8>)]) -> (u64, f64) {
     for (name, data) in corpus {
         archive.ingest(data, name).expect("ingest");
     }
     let stored = archive.stats().stored_bytes;
-    let start = clock.now();
-    archive.reencode_all(new_policy()).expect("campaign");
-    let elapsed = (clock.now() - start).as_secs_f64();
+    let campaign = archive.reencode_all(new_policy()).expect("campaign");
+    let elapsed = campaign.elapsed().as_secs_f64();
     // Campaign correctness: every object must survive the migration.
     let ids: Vec<_> = archive.manifests().map(|m| m.id.clone()).collect();
     for id in &ids {
@@ -171,11 +163,11 @@ fn run_corpus(name: &'static str, corpus: Corpus, chunker: ChunkerParams) -> Cor
         fanout: 64,
     };
 
-    let (mut plain, plain_clock) = build_archive(None, 0xD0_0D);
-    let (plain_stored, plain_campaign_s) = run_campaign(&mut plain, &plain_clock, &corpus);
+    let mut plain = build_archive(None, 0xD0_0D);
+    let (plain_stored, plain_campaign_s) = run_campaign(&mut plain, &corpus);
 
-    let (mut dedup, dedup_clock) = build_archive(Some(dedup_cfg), 0xD0_0D);
-    let (dedup_stored, dedup_campaign_s) = run_campaign(&mut dedup, &dedup_clock, &corpus);
+    let mut dedup = build_archive(Some(dedup_cfg), 0xD0_0D);
+    let (dedup_stored, dedup_campaign_s) = run_campaign(&mut dedup, &corpus);
     let stats = dedup.dedup_stats().expect("dedup stats");
 
     let stored_ratio = dedup_stored as f64 / plain_stored as f64;

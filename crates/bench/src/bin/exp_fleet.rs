@@ -6,8 +6,8 @@
 //! the virtual clock: each swept configuration injects whole-node wipes
 //! and latent per-shard losses epoch by epoch, then drains the repair
 //! queue under an explicit bytes-moved budget whose bandwidth is shared
-//! with foreground traffic through the `BandwidthScheduler`
-//! reservation. Every configuration runs twice — once with the
+//! with foreground traffic through the repair campaign's reserved
+//! windows. Every configuration runs twice — once with the
 //! most-degraded-first priority queue and once FIFO — at the identical
 //! budget, so the sweep measures what the *queue discipline alone* buys
 //! in durability (objects lost, time to first loss).

@@ -15,14 +15,14 @@
 //! The experiment sweeps lane count × device profile × dispatch policy
 //! over a `retrieve_many` fan-out, asserting payload equality between
 //! dispatches in every cell and `≥ 0.8·n` speedup on the tape profile.
-//! A second stage repairs an identically-degraded fleet through
-//! `RepairCampaignDriver` under both dispatches and reports the
+//! A second stage repairs an identically-degraded fleet through a
+//! repair `Campaign` under both dispatches and reports the
 //! campaign-time reduction. Results land in `BENCH_parallel.json`.
 
 use aeon_bench::{f2, CliArgs, Json, Table};
 use aeon_core::{
-    Archive, ArchiveConfig, DispatchPolicy, IntegrityMode, ObjectId, PolicyKind,
-    RepairCampaignDriver, RepairQueueOrder,
+    Archive, ArchiveConfig, Campaign, CampaignOp, DispatchPolicy, IntegrityMode, ObjectId,
+    PolicyKind, RepairQueueOrder,
 };
 use aeon_store::clock::{SimClock, SimDuration};
 use aeon_store::node::ShardKey;
@@ -156,11 +156,16 @@ fn build_degraded_fleet(dispatch: DispatchPolicy, objects: usize) -> (Archive, S
 /// background steps occupied the devices.
 fn run_campaign(dispatch: DispatchPolicy, objects: usize) -> f64 {
     let (mut archive, _clock) = build_degraded_fleet(dispatch, objects);
-    let mut driver = RepairCampaignDriver::new(&archive, RepairQueueOrder::Priority, 0.2);
-    while !driver.is_done() {
-        driver.step(&mut archive).expect("repair step");
-    }
-    driver.progress().background_time.as_secs_f64()
+    let mut campaign = Campaign::new(
+        &archive,
+        CampaignOp::Repair(RepairQueueOrder::Priority),
+        0.2,
+    );
+    let report = campaign
+        .run(&mut archive, u64::MAX)
+        .expect("repair campaign");
+    assert!(report.all_ok(), "repair failed: {:?}", campaign.failures());
+    report.background_time.as_secs_f64()
 }
 
 fn main() {

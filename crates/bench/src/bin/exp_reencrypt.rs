@@ -8,7 +8,7 @@
 //! in-memory archive.
 
 use aeon_bench::{f2, CliArgs, Json, Table};
-use aeon_core::{Archive, ArchiveConfig, IntegrityMode, PolicyKind};
+use aeon_core::{Archive, ArchiveConfig, Campaign, CampaignOp, IntegrityMode, PolicyKind};
 use aeon_crypto::SuiteId;
 use aeon_store::campaign::{simulate_campaign, ReencryptionModel};
 use aeon_store::media::{ArchiveSite, DAYS_PER_MONTH};
@@ -93,14 +93,18 @@ fn main() {
             .expect("ingest");
     }
     let stored_before = archive.stats().stored_bytes;
-    let (count, read, written) = archive
+    let campaign = archive
         .reencode_all(PolicyKind::Cascade {
             suites: vec![SuiteId::Aes256CtrHmac, SuiteId::ChaCha20Poly1305],
             data: 4,
             parity: 2,
         })
         .expect("campaign");
-    println!("Live campaign: {count} objects, read {read} B, wrote {written} B");
+    let read = campaign.bytes_read;
+    println!(
+        "Live campaign: {} objects, read {read} B, wrote {} B",
+        campaign.objects_done, campaign.bytes_written
+    );
     println!(
         "  model premise check: bytes-read / bytes-stored = {:.3} (expect ~1.0)",
         read as f64 / stored_before as f64
@@ -218,18 +222,16 @@ fn measure_site(
             .ingest(&payload, &format!("measured-{i}"))
             .expect("ingest");
     }
-    let campaign = archive
-        .reencode_all_measured(
-            PolicyKind::Cascade {
-                suites: vec![SuiteId::Aes256CtrHmac, SuiteId::ChaCha20Poly1305],
-                data: 4,
-                parity: 2,
-            },
-            0.5,
-        )
+    let op = CampaignOp::Reencode(PolicyKind::Cascade {
+        suites: vec![SuiteId::Aes256CtrHmac, SuiteId::ChaCha20Poly1305],
+        data: 4,
+        parity: 2,
+    });
+    let campaign = Campaign::new(&archive, op, 0.5)
+        .run(&mut archive, u64::MAX)
         .expect("measured campaign");
     (
         campaign.extrapolate(site.capacity_tb * 1e12),
-        campaign.objects,
+        campaign.objects_done,
     )
 }

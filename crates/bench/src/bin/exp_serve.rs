@@ -18,7 +18,7 @@ use aeon_bench::{f2, CliArgs, Json, Table};
 use aeon_core::{Archive, ArchiveConfig, ObjectId, PipelineConfig, PolicyKind};
 use aeon_crypto::SuiteId;
 use aeon_serve::{
-    serve, ArrivalProcess, BackgroundCampaign, EngineConfig, ServeReport, TenantSpec, WorkloadSpec,
+    serve, ArrivalProcess, CampaignOp, EngineConfig, ServeReport, TenantSpec, WorkloadSpec,
 };
 use aeon_store::clock::SimDuration;
 use aeon_store::throughput::{throughput_in_memory_cluster, ThroughputProfile};
@@ -98,13 +98,13 @@ fn workload(scale: &Scale, load_multiplier: f64) -> WorkloadSpec {
 fn run(scale: &Scale, load_multiplier: f64, reserved: Option<f64>) -> ServeReport {
     let (mut archive, catalog) = build_archive(scale);
     let config = EngineConfig {
-        background: reserved.map(|reserved_fraction| BackgroundCampaign {
-            new_policy: PolicyKind::Encrypted {
+        background: reserved.map(|reserved_fraction| {
+            let new_policy = PolicyKind::Encrypted {
                 suite: SuiteId::Aes256CtrHmac,
                 data: 2,
                 parity: 1,
-            },
-            reserved_fraction,
+            };
+            (CampaignOp::Reencode(new_policy), reserved_fraction)
         }),
         ..EngineConfig::default()
     };

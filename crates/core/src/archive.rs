@@ -1159,14 +1159,14 @@ mod tests {
             a.ingest(format!("obj {i}").as_bytes(), &format!("d{i}"))
                 .unwrap();
         }
-        let (count, read, written) = a
+        let campaign = a
             .reencode_all(PolicyKind::Shamir {
                 threshold: 2,
                 shares: 4,
             })
             .unwrap();
-        assert_eq!(count, 4);
-        assert!(read > 0 && written > 0);
+        assert_eq!(campaign.objects_done, 4);
+        assert!(campaign.bytes_read > 0 && campaign.bytes_written > 0);
         for m in a.manifests() {
             assert_eq!(
                 m.policy,

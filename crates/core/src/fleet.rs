@@ -10,37 +10,34 @@
 //!   free `keys()` sweep per node (a catalog lookup, not a media
 //!   transfer), classifying every object as healthy, degraded (a
 //!   [`RepairTicket`]), or lost (below its read threshold).
-//! * [`RepairQueue`] — tickets ordered **most-degraded-first**
-//!   ([`RepairQueueOrder::Priority`]: smallest surviving-minus-required
-//!   margin, object id as the tie-break) or in catalog order
-//!   ([`RepairQueueOrder::Fifo`]) for the baseline comparison.
-//! * [`RepairBudget`] + [`Archive::drain_repairs`] — drains the queue
-//!   under an explicit bytes-moved budget, charging reserved foreground
-//!   capacity through the same [`BandwidthScheduler`] the campaign
-//!   engine uses, so repair and foreground traffic share one bandwidth
-//!   model.
+//! * [`FleetScan::repair_order`] — the scan's tickets ordered
+//!   **most-degraded-first** ([`RepairQueueOrder::Priority`]: smallest
+//!   surviving-minus-required margin, object id as the tie-break) or in
+//!   catalog order ([`RepairQueueOrder::Fifo`]) for the baseline
+//!   comparison: the work list of a repair [`Campaign`], which heals it
+//!   under a bytes-moved cap and the same reserved-foreground rule as
+//!   every other sweep.
 //! * [`FleetSimConfig`] + [`Archive::run_fleet_sim`] — the durability
 //!   experiment: seeded node wipes and latent shard losses per epoch,
-//!   scan → queue → budgeted drain, with expected-objects-lost and
-//!   time-to-first-loss in the [`FleetSimReport`].
+//!   scan → one capped repair campaign, with expected-objects-lost
+//!   and time-to-first-loss in the [`FleetSimReport`].
 //!
 //! Fault *injection* here deliberately touches nodes directly (deleting
 //! keys, as the chaos suites do): it models the adversary/environment,
 //! not archive I/O, which still flows exclusively through the
 //! `PlanExecutor` seam inside every repair.
 
-use crate::archive::{Archive, ArchiveError, Manifest, ObjectId};
-use crate::campaign::{check_reserved_fraction, BandwidthScheduler, CampaignProgress};
-use crate::codec::RepairMethod;
-use crate::repair::{FleetRepairOutcome, RepairReport};
+use crate::archive::{Archive, Manifest, ObjectId};
+use crate::campaign::{Campaign, CampaignOp};
 use crate::unit::Unit;
 use aeon_crypto::{ChaChaDrbg, CryptoRng};
 use aeon_store::clock::{SimDuration, SimTime};
 use aeon_store::node::ShardKey;
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
 /// One degraded object awaiting repair: how close it is to the loss
-/// threshold decides its place in a [`RepairQueue`].
+/// threshold decides its place in [`FleetScan::repair_order`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RepairTicket {
     /// The degraded object.
@@ -87,7 +84,7 @@ pub struct FleetScan {
     pub lost: Vec<ObjectId>,
 }
 
-/// How a [`RepairQueue`] orders its tickets.
+/// The order a repair campaign visits a scan's tickets in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RepairQueueOrder {
     /// Most-degraded-first: smallest [`RepairTicket::margin`], object
@@ -99,97 +96,19 @@ pub enum RepairQueueOrder {
     Fifo,
 }
 
-/// A drainable queue of repair tickets.
-#[derive(Debug, Clone)]
-pub struct RepairQueue {
-    order: RepairQueueOrder,
-    tickets: Vec<RepairTicket>,
-}
-
-impl RepairQueue {
-    /// An empty queue with the given discipline.
-    pub fn new(order: RepairQueueOrder) -> Self {
-        RepairQueue {
-            order,
-            tickets: Vec::new(),
-        }
-    }
-
-    /// A queue seeded with a scan's tickets.
-    pub fn from_scan(scan: &FleetScan, order: RepairQueueOrder) -> Self {
-        let mut queue = RepairQueue::new(order);
-        for t in &scan.tickets {
-            queue.push(t.clone());
-        }
-        queue
-    }
-
-    /// The discipline in effect.
-    pub fn order(&self) -> RepairQueueOrder {
-        self.order
-    }
-
-    /// Adds a ticket.
-    pub fn push(&mut self, ticket: RepairTicket) {
-        self.tickets.push(ticket);
-    }
-
-    /// Removes and returns the next ticket under the queue's
-    /// discipline, or `None` when drained.
-    pub fn pop(&mut self) -> Option<RepairTicket> {
-        if self.tickets.is_empty() {
-            return None;
-        }
-        let best = match self.order {
-            RepairQueueOrder::Priority => self
-                .tickets
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| a.margin().cmp(&b.margin()).then(a.id.cmp(&b.id)))
-                .map(|(i, _)| i)
-                .expect("non-empty"),
-            RepairQueueOrder::Fifo => self
-                .tickets
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| a.id.cmp(&b.id))
-                .map(|(i, _)| i)
-                .expect("non-empty"),
-        };
-        Some(self.tickets.remove(best))
-    }
-
-    /// Tickets still waiting.
-    pub fn len(&self) -> usize {
-        self.tickets.len()
-    }
-
-    /// Whether the queue is drained.
-    pub fn is_empty(&self) -> bool {
-        self.tickets.is_empty()
-    }
-}
-
-/// How much a repair drain may spend before yielding to foreground
-/// work.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RepairBudget {
-    /// Stop draining once repairs have moved at least this many bytes
-    /// (read + written). `u64::MAX` drains everything.
-    pub bytes: u64,
-    /// Fraction of device capacity reserved for foreground traffic,
-    /// charged through [`BandwidthScheduler`] after every repaired
-    /// object — the same reservation model the campaign engine uses.
-    pub reserved_foreground: f64,
-}
-
-impl RepairBudget {
-    /// A budget with no byte cap and no foreground reservation.
-    pub fn unlimited() -> Self {
-        RepairBudget {
-            bytes: u64::MAX,
-            reserved_foreground: 0.0,
-        }
+impl FleetScan {
+    /// The degraded objects in the order a repair campaign heals them.
+    #[must_use]
+    pub fn repair_order(&self, order: RepairQueueOrder) -> Vec<ObjectId> {
+        let mut tickets: Vec<&RepairTicket> = self.tickets.iter().collect();
+        tickets.sort_by(|a, b| {
+            let by_margin = match order {
+                RepairQueueOrder::Priority => a.margin().cmp(&b.margin()),
+                RepairQueueOrder::Fifo => Ordering::Equal,
+            };
+            by_margin.then_with(|| a.id.cmp(&b.id))
+        });
+        tickets.into_iter().map(|t| t.id.clone()).collect()
     }
 }
 
@@ -210,12 +129,13 @@ pub struct FleetSimConfig {
     /// Per-shard, per-epoch probability of a latent loss (an
     /// unreadable sector discovered at scrub time).
     pub shard_loss_prob: f64,
-    /// Repair bandwidth per epoch, as a bytes-moved budget.
+    /// Repair bandwidth per epoch, as a bytes-moved cap on the epoch's
+    /// repair campaign.
     pub repair_bytes_per_epoch: u64,
     /// Fraction of capacity reserved for foreground traffic during
-    /// repair drains.
+    /// repair campaigns.
     pub reserved_foreground: f64,
-    /// Queue discipline for the repair drain.
+    /// Order the repair campaign visits degraded objects in.
     pub order: RepairQueueOrder,
 }
 
@@ -254,8 +174,8 @@ pub struct FleetSimReport {
     pub repair_failures: usize,
     /// Bytes moved by repair across all epochs.
     pub bytes_moved: u64,
-    /// Foreground time charged by the bandwidth scheduler across all
-    /// drains.
+    /// Foreground windows the repair campaigns left open, across all
+    /// epochs.
     pub foreground_time: SimDuration,
     /// Final virtual-clock reading.
     pub elapsed: SimTime,
@@ -328,46 +248,10 @@ impl Archive {
         scan
     }
 
-    /// Drains `queue` under `budget`: pops tickets (most degraded first
-    /// under [`RepairQueueOrder::Priority`]), repairs each object, and
-    /// stops once the bytes-moved budget is spent — remaining tickets
-    /// stay queued for the next cycle. After every repaired object the
-    /// drain charges the reserved foreground fraction through
-    /// [`BandwidthScheduler`], so on media-priced clusters repair
-    /// competes with foreground traffic for the same virtual bandwidth.
-    /// Returns the per-object outcomes plus the foreground time
-    /// charged.
-    pub fn drain_repairs(
-        &mut self,
-        queue: &mut RepairQueue,
-        budget: &RepairBudget,
-    ) -> (FleetRepairOutcome, SimDuration) {
-        let mut scheduler =
-            BandwidthScheduler::new(self.cluster().clock().clone(), budget.reserved_foreground);
-        let mut outcome = FleetRepairOutcome {
-            repaired: Vec::new(),
-            failed: Vec::new(),
-            healthy: 0,
-        };
-        let mut spent = 0u64;
-        while spent < budget.bytes {
-            let Some(ticket) = queue.pop() else { break };
-            match self.repair_object(&ticket.id) {
-                Ok(report) if report.method == RepairMethod::NotNeeded => outcome.healthy += 1,
-                Ok(report) => {
-                    spent = spent.saturating_add(report.bytes_moved());
-                    outcome.repaired.push((ticket.id, report));
-                }
-                Err(e) => outcome.failed.push((ticket.id, e)),
-            }
-            scheduler.reserve_foreground();
-        }
-        (outcome, scheduler.foreground_total())
-    }
-
     /// Runs the fleet durability race: per epoch, inject seeded node
     /// wipes and latent shard losses, advance the virtual clock, scan,
-    /// and drain repairs under the configured budget and discipline.
+    /// and run one repair [`Campaign`] over the scan's tickets under the
+    /// configured byte cap, order and reservation.
     /// Deterministic in `(archive seed, cfg.seed)`; the report is the
     /// durability measurement (`objects_lost`, time-to-first-loss) the
     /// `exp_fleet` experiment sweeps.
@@ -401,16 +285,17 @@ impl Archive {
                     report.first_loss_time = Some(clock.now());
                 }
             }
-            let mut queue = RepairQueue::from_scan(&scan, cfg.order);
-            let budget = RepairBudget {
-                bytes: cfg.repair_bytes_per_epoch,
-                reserved_foreground: cfg.reserved_foreground,
-            };
-            let (outcome, foreground) = self.drain_repairs(&mut queue, &budget);
-            report.repaired += outcome.repaired.len();
-            report.repair_failures += outcome.failed.len();
-            report.bytes_moved += outcome.bytes_moved();
-            report.foreground_time += foreground;
+            let repairs = Campaign::over(
+                scan.repair_order(cfg.order),
+                CampaignOp::Repair(cfg.order),
+                cfg.reserved_foreground,
+            )
+            .run(self, cfg.repair_bytes_per_epoch)
+            .expect("a repair campaign keeps failures and goes on");
+            report.repaired += repairs.repaired;
+            report.repair_failures += repairs.failed;
+            report.bytes_moved += repairs.bytes_moved();
+            report.foreground_time += repairs.foreground_time;
         }
         report.objects_lost = lost.len();
         report.elapsed = clock.now();
@@ -444,126 +329,6 @@ impl Archive {
                     let _ = node.delete(&key);
                 }
             }
-        }
-    }
-}
-
-/// A fleet repair campaign broken into single-object steps, for
-/// interleaving with live foreground traffic — the repair analog of
-/// [`crate::ReencodeCampaignDriver`]. Construction scans the fleet and
-/// enqueues every repairable ticket under the chosen queue discipline;
-/// each [`step`](Self::step) repairs one object through the
-/// plan path (occupying the shared device for some background interval
-/// `Δ` on the cluster clock), then marks the driver ineligible until
-/// `now + Δ·r/(1−r)` — the reserved-foreground window in which the
-/// request engine serves real traffic instead of a synthetic charge.
-#[derive(Debug)]
-pub struct RepairCampaignDriver {
-    queue: RepairQueue,
-    reserved_fraction: f64,
-    fg_factor: f64,
-    next_eligible: SimTime,
-    objects_total: usize,
-    objects_done: usize,
-    already_healthy: usize,
-    bytes_read: u64,
-    bytes_written: u64,
-    background_time: SimDuration,
-}
-
-impl RepairCampaignDriver {
-    /// Plans a repair campaign over every currently-degraded object,
-    /// throttled so each background step is followed by a `Δ·r/(1−r)`
-    /// window reserved for foreground work. The driver is eligible
-    /// immediately.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 <= reserved_fraction <= `[`crate::MAX_RESERVED_FRACTION`]
-    /// (same contract as [`BandwidthScheduler::new`]).
-    pub fn new(archive: &Archive, order: RepairQueueOrder, reserved_fraction: f64) -> Self {
-        check_reserved_fraction(reserved_fraction);
-        let queue = RepairQueue::from_scan(&archive.scan_fleet(), order);
-        RepairCampaignDriver {
-            objects_total: queue.len(),
-            queue,
-            reserved_fraction,
-            fg_factor: reserved_fraction / (1.0 - reserved_fraction),
-            next_eligible: SimTime::ZERO,
-            objects_done: 0,
-            already_healthy: 0,
-            bytes_read: 0,
-            bytes_written: 0,
-            background_time: SimDuration::ZERO,
-        }
-    }
-
-    /// Whether every ticket has been drained.
-    #[must_use]
-    pub fn is_done(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// The earliest instant the next background step may start — the
-    /// end of the reserved-foreground window opened by the previous
-    /// step.
-    #[must_use]
-    pub fn next_eligible(&self) -> SimTime {
-        self.next_eligible
-    }
-
-    /// The reserved fraction in effect.
-    #[must_use]
-    pub fn reserved_fraction(&self) -> f64 {
-        self.reserved_fraction
-    }
-
-    /// Tickets that turned out to already be healthy when their repair
-    /// ran (someone else fixed them, or the scan raced a write).
-    #[must_use]
-    pub fn already_healthy(&self) -> usize {
-        self.already_healthy
-    }
-
-    /// Repairs the next queued object through the plan path,
-    /// occupying the device for the step's duration, and opens the
-    /// following reserved-foreground window. Returns `None` when the
-    /// queue is empty.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the per-object failure; the ticket is consumed (a
-    /// fleet campaign does not retry a failed repair in place).
-    pub fn step(&mut self, archive: &mut Archive) -> Result<Option<RepairReport>, ArchiveError> {
-        let Some(ticket) = self.queue.pop() else {
-            return Ok(None);
-        };
-        let clock = archive.cluster().clock().clone();
-        let start = clock.now();
-        let report = archive.repair_object(&ticket.id)?;
-        let end = clock.now();
-        let background = end - start;
-        self.next_eligible = end + background.mul_f64(self.fg_factor);
-        self.objects_done += 1;
-        if report.method == RepairMethod::NotNeeded {
-            self.already_healthy += 1;
-        }
-        self.bytes_read += report.bytes_read;
-        self.bytes_written += report.bytes_written;
-        self.background_time += background;
-        Ok(Some(report))
-    }
-
-    /// Where the campaign stands, in the same shape the re-encode
-    /// driver reports so request engines can surface either uniformly.
-    #[must_use]
-    pub fn progress(&self) -> CampaignProgress {
-        CampaignProgress {
-            objects_done: self.objects_done,
-            objects_total: self.objects_total,
-            bytes_read: self.bytes_read,
-            bytes_written: self.bytes_written,
-            background_time: self.background_time,
         }
     }
 }
@@ -623,126 +388,27 @@ mod tests {
     }
 
     #[test]
-    fn priority_queue_pops_most_degraded_first() {
+    fn repair_order_is_most_degraded_first_or_catalog_order() {
         let ticket = |id: &str, surviving: usize| RepairTicket {
             id: ObjectId::from_raw(id.to_string()),
             surviving,
             required: 2,
             total: 4,
         };
-        let mut q = RepairQueue::new(RepairQueueOrder::Priority);
-        q.push(ticket("bbb", 3));
-        q.push(ticket("aaa", 3));
-        q.push(ticket("zzz", 2));
-        assert_eq!(q.pop().unwrap().id.as_str(), "zzz", "margin 0 first");
-        assert_eq!(q.pop().unwrap().id.as_str(), "aaa", "then id tie-break");
-        assert_eq!(q.pop().unwrap().id.as_str(), "bbb");
-        assert!(q.pop().is_none());
-
-        let mut q = RepairQueue::new(RepairQueueOrder::Fifo);
-        q.push(ticket("bbb", 3));
-        q.push(ticket("aaa", 3));
-        q.push(ticket("zzz", 2));
-        assert_eq!(q.pop().unwrap().id.as_str(), "aaa", "fifo = id order");
-        assert_eq!(q.pop().unwrap().id.as_str(), "bbb");
-        assert_eq!(q.pop().unwrap().id.as_str(), "zzz");
-    }
-
-    #[test]
-    fn drain_respects_byte_budget() {
-        let (mut archive, handles) = archive_with_handles(4);
-        let ids: Vec<ObjectId> = (0..4)
-            .map(|i| archive.ingest(&[7u8; 256], &format!("o{i}")).unwrap())
-            .collect();
-        for id in &ids {
-            delete_shard(&handles, &archive, id, 0);
-        }
-        let scan = archive.scan_fleet();
-        assert_eq!(scan.tickets.len(), 4);
-        let mut queue = RepairQueue::from_scan(&scan, RepairQueueOrder::Priority);
-        let budget = RepairBudget {
-            bytes: 1, // exhausted after the first repair
-            reserved_foreground: 0.0,
+        let scan = FleetScan {
+            objects: 3,
+            healthy: 0,
+            tickets: vec![ticket("bbb", 3), ticket("aaa", 3), ticket("zzz", 2)],
+            lost: Vec::new(),
         };
-        let (outcome, _fg) = archive.drain_repairs(&mut queue, &budget);
-        assert_eq!(outcome.repaired.len(), 1);
-        assert_eq!(queue.len(), 3, "unrepaired tickets stay queued");
-        let (outcome, _fg) = archive.drain_repairs(&mut queue, &RepairBudget::unlimited());
-        assert_eq!(outcome.repaired.len(), 3);
-        assert!(queue.is_empty());
-        assert!(archive.scan_fleet().tickets.is_empty());
-    }
-
-    #[test]
-    fn priority_saves_fragile_objects_fifo_loses() {
-        // Two identical archives, same damage: two objects at margin 0
-        // (ids sorting *last*, so FIFO reaches them last) and several at
-        // margin 1. Budget covers roughly the two most-fragile repairs.
-        // After a second loss wave hits every still-degraded object,
-        // priority has rescued the margin-0 objects; FIFO spent its
-        // budget on safe ones and loses data.
-        let build = || {
-            let (mut archive, handles) = archive_with_handles(4);
-            let ids: Vec<ObjectId> = (0..6)
-                .map(|i| archive.ingest(&[3u8; 512], &format!("o{i}")).unwrap())
-                .collect();
-            (archive, handles, ids)
+        let order = |order| -> Vec<String> {
+            let ids = scan.repair_order(order);
+            ids.iter().map(|id| id.as_str().to_string()).collect()
         };
-        let damage = |archive: &Archive, handles: &[MemoryNode], ids: &[ObjectId]| {
-            let mut sorted = ids.to_vec();
-            sorted.sort();
-            // The two ids FIFO reaches last become the fragile ones.
-            for id in &sorted[4..] {
-                delete_shard(handles, archive, id, 0);
-                delete_shard(handles, archive, id, 1);
-            }
-            for id in &sorted[..4] {
-                delete_shard(handles, archive, id, 0);
-            }
-        };
-        let run = |order: RepairQueueOrder| {
-            let (mut archive, handles, ids) = build();
-            damage(&archive, &handles, &ids);
-            // Budget: two margin-0 repairs move ~2 reads + 2 writes of a
-            // 4-shard object each; measure one repair to calibrate.
-            let scan = archive.scan_fleet();
-            let mut queue = RepairQueue::from_scan(&scan, order);
-            let probe = queue.pop().unwrap();
-            let probe_report = archive.repair_object(&probe.id).unwrap();
-            let budget = RepairBudget {
-                bytes: probe_report.bytes_moved(),
-                reserved_foreground: 0.0,
-            };
-            let (_outcome, _fg) = archive.drain_repairs(&mut queue, &budget);
-            // Second loss wave: one more shard off every still-degraded
-            // object.
-            for ticket in archive.scan_fleet().tickets {
-                let manifest = archive.manifest(&ticket.id).unwrap();
-                for shard in 0..manifest.placement.len() {
-                    let node = handles
-                        .iter()
-                        .find(|h| h.id() == manifest.placement[shard])
-                        .unwrap();
-                    if node
-                        .get(&ShardKey::new(ticket.id.as_str(), shard as u32))
-                        .is_ok()
-                    {
-                        node.delete(&ShardKey::new(ticket.id.as_str(), shard as u32))
-                            .unwrap();
-                        break;
-                    }
-                }
-            }
-            archive.scan_fleet().lost.len()
-        };
-        let priority_lost = run(RepairQueueOrder::Priority);
-        let fifo_lost = run(RepairQueueOrder::Fifo);
-        assert!(
-            priority_lost < fifo_lost,
-            "most-degraded-first must lose fewer objects at the same budget \
-             (priority {priority_lost} vs fifo {fifo_lost})"
-        );
-        assert_eq!(priority_lost, 0, "priority rescued every margin-0 object");
+        // Margin 0 first, then the id tie-break.
+        assert_eq!(order(RepairQueueOrder::Priority), ["zzz", "aaa", "bbb"]);
+        // Fifo = id order.
+        assert_eq!(order(RepairQueueOrder::Fifo), ["aaa", "bbb", "zzz"]);
     }
 
     #[test]
@@ -797,66 +463,5 @@ mod tests {
         let report = archive.run_fleet_sim(&cfg);
         assert_eq!(report.objects_lost, 0);
         assert!(report.repaired > 0, "losses occurred and were repaired");
-    }
-
-    #[test]
-    fn repair_campaign_driver_drains_most_degraded_first() {
-        let (mut archive, handles) = archive_with_handles(4);
-        let ids: Vec<ObjectId> = (0..3)
-            .map(|i| {
-                archive
-                    .ingest(&[i as u8 + 1; 96], &format!("o{i}"))
-                    .unwrap()
-            })
-            .collect();
-        // o1 loses two shards (margin 0), o0 loses one (margin 1).
-        delete_shard(&handles, &archive, &ids[0], 0);
-        delete_shard(&handles, &archive, &ids[1], 1);
-        delete_shard(&handles, &archive, &ids[1], 3);
-
-        let mut driver = RepairCampaignDriver::new(&archive, RepairQueueOrder::Priority, 0.25);
-        assert_eq!(driver.progress().objects_total, 2);
-        assert!(!driver.is_done());
-
-        // Most degraded first: o1, then o0.
-        driver.step(&mut archive).unwrap().unwrap();
-        assert_eq!(archive.scan_fleet().tickets.len(), 1);
-        assert_eq!(archive.scan_fleet().tickets[0].id, ids[0]);
-        driver.step(&mut archive).unwrap().unwrap();
-        assert!(driver.is_done());
-        assert!(driver.step(&mut archive).unwrap().is_none());
-
-        let progress = driver.progress();
-        assert_eq!(progress.objects_done, 2);
-        assert!(progress.bytes_written > 0);
-        assert_eq!(driver.already_healthy(), 0);
-        let scan = archive.scan_fleet();
-        assert_eq!(scan.healthy, 3);
-        assert!(scan.tickets.is_empty() && scan.lost.is_empty());
-    }
-
-    #[test]
-    fn repair_campaign_driver_opens_reserved_windows_on_priced_media() {
-        use aeon_store::throughput::{throughput_in_memory_cluster, ThroughputProfile};
-        let profile =
-            ThroughputProfile::new(SimDuration::from_millis(5), 10_000_000.0, 10_000_000.0);
-        let (cluster, clock) = throughput_in_memory_cluster(&["a", "b", "c", "d"], 1, &profile);
-        let config = ArchiveConfig::new(PolicyKind::ErasureCoded { data: 2, parity: 2 });
-        let mut archive = Archive::with_cluster(config, cluster).unwrap();
-        let id = archive.ingest(&[7u8; 4096], "w").unwrap();
-        let placement = archive.manifest(&id).unwrap().placement;
-        let node = archive.cluster().node(placement[2]).unwrap();
-        node.delete(&ShardKey::new(id.as_str(), 2)).unwrap();
-
-        let r = 0.5;
-        let mut driver = RepairCampaignDriver::new(&archive, RepairQueueOrder::Priority, r);
-        assert_eq!(driver.next_eligible(), SimTime::ZERO);
-        let before = clock.now();
-        driver.step(&mut archive).unwrap().unwrap();
-        let background = clock.now() - before;
-        assert!(background > SimDuration::ZERO, "priced media charges time");
-        // r = 0.5 reserves a window exactly as long as the step.
-        assert_eq!(driver.next_eligible(), clock.now() + background);
-        assert!(driver.is_done());
     }
 }

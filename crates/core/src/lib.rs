@@ -70,10 +70,7 @@ pub use archive::{
     estimate_entropy_bits_per_byte, Archive, ArchiveConfig, ArchiveError, ArchiveStats,
     HealthReport, IntegrityMode, Manifest, ObjectId,
 };
-pub use campaign::{
-    BandwidthScheduler, CampaignClockStats, CampaignProgress, MeasuredCampaign,
-    ReencodeCampaignDriver, MAX_RESERVED_FRACTION,
-};
+pub use campaign::{Campaign, CampaignOp, CampaignReport, MAX_RESERVED_FRACTION};
 pub use catalog::{FleetCatalog, DEFAULT_CATALOG_SHARDS};
 pub use codec::{Codec, CodecRegistry, CodecRepair};
 pub use dedup::{
@@ -83,15 +80,12 @@ pub use evaluate::{
     figure1_points, table1, ChannelKind, CostBucket, Figure1Point, SystemProfile, Table1Row,
 };
 pub use executor::{PlanExecutor, ShardsSnapshot, WriteOutcome};
-pub use fleet::{
-    FleetScan, FleetSimConfig, FleetSimReport, RepairBudget, RepairCampaignDriver, RepairQueue,
-    RepairQueueOrder, RepairTicket,
-};
+pub use fleet::{FleetScan, FleetSimConfig, FleetSimReport, RepairQueueOrder, RepairTicket};
 pub use maintenance::ObjectReencode;
 pub use pipeline::{ChunkedMeta, PipelineConfig, DEFAULT_CHUNK_SIZE};
 pub use plan::{ReadPlan, RepairPlan, WritePlan};
 pub use policy::{Encoded, EncodingMeta, PolicyError, PolicyKind, Recovery};
-pub use repair::{FleetRepairOutcome, RepairMethod, RepairReport};
+pub use repair::{RepairMethod, RepairReport};
 
 // Fault-tolerance and virtual-time knobs live in the store crate;
 // re-exported here so archive users can configure retries and read the

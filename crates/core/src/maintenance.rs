@@ -12,6 +12,7 @@
 //! because blocks are shared (which blocks to skip).
 
 use crate::archive::{Archive, ArchiveError, ObjectId};
+use crate::campaign::{Campaign, CampaignOp, CampaignReport};
 use crate::plan;
 use crate::policy::PolicyKind;
 use crate::unit::Unit;
@@ -219,26 +220,14 @@ impl Archive {
         })
     }
 
-    /// Re-encodes every object under `new_policy`, returning total
-    /// objects migrated and bytes (read, written) — the campaign the
-    /// paper prices in §3.2.
+    /// Re-encodes every object under `new_policy` — the campaign the
+    /// paper prices in §3.2, as a [`Campaign`] with nothing reserved.
     ///
     /// # Errors
     ///
     /// Propagates the first per-object failure.
-    pub fn reencode_all(
-        &mut self,
-        new_policy: PolicyKind,
-    ) -> Result<(usize, u64, u64), ArchiveError> {
-        let ids: Vec<ObjectId> = self.manifests.ids();
-        let mut read = 0u64;
-        let mut written = 0u64;
-        for id in &ids {
-            let o = self.reencode_object(id, new_policy.clone())?;
-            read += o.bytes_read;
-            written += o.bytes_written;
-        }
-        Ok((ids.len(), read, written))
+    pub fn reencode_all(&mut self, new_policy: PolicyKind) -> Result<CampaignReport, ArchiveError> {
+        Campaign::new(self, CampaignOp::Reencode(new_policy), 0.0).run(self, u64::MAX)
     }
 
     /// Adds an outer cascade layer to a Cascade-encoded object *without

@@ -15,6 +15,8 @@
 //! one for a classic object, every referenced block for a dedup one.
 
 use crate::archive::{Archive, ArchiveError, ObjectId};
+use crate::campaign::{Campaign, CampaignOp};
+use crate::fleet::RepairQueueOrder;
 use crate::plan::{self, RepairOutcome};
 use crate::unit::Unit;
 use aeon_store::clock::SimDuration;
@@ -161,59 +163,19 @@ impl Archive {
         })
     }
 
-    /// Repairs every object that is missing shards. One object failing
-    /// (too few survivors, write errors past the retry budget) does not
-    /// stop the sweep: the fleet report carries a per-object outcome
-    /// for every object that needed attention.
-    pub fn repair_all(&mut self) -> FleetRepairOutcome {
-        let ids: Vec<ObjectId> = self.manifests.ids();
-        let mut outcome = FleetRepairOutcome {
-            repaired: Vec::new(),
-            failed: Vec::new(),
-            healthy: 0,
-        };
-        for id in ids {
-            match self.repair_object(&id) {
-                Ok(report) if report.method == RepairMethod::NotNeeded => outcome.healthy += 1,
-                Ok(report) => outcome.repaired.push((id, report)),
-                Err(e) => outcome.failed.push((id, e)),
-            }
-        }
-        outcome
-    }
-}
-
-/// Per-object outcome of an [`Archive::repair_all`] fleet sweep.
-#[derive(Debug)]
-pub struct FleetRepairOutcome {
-    /// Objects that needed and received repair.
-    pub repaired: Vec<(ObjectId, RepairReport)>,
-    /// Objects whose repair failed, with the error — the sweep
-    /// continues past them.
-    pub failed: Vec<(ObjectId, ArchiveError)>,
-    /// Objects that were already fully healthy.
-    pub healthy: usize,
-}
-
-impl FleetRepairOutcome {
-    /// `true` when no object's repair failed.
-    pub fn all_ok(&self) -> bool {
-        self.failed.is_empty()
-    }
-
-    /// Total bytes moved (read + written) across every repaired object.
-    pub fn bytes_moved(&self) -> u64 {
-        self.repaired.iter().map(|(_, r)| r.bytes_moved()).sum()
-    }
-
-    /// Total rebuilt bytes written back across every repaired object.
-    pub fn bytes_written(&self) -> u64 {
-        self.repaired.iter().map(|(_, r)| r.bytes_written).sum()
-    }
-
-    /// Total virtual-clock time spent inside per-object repairs.
-    pub fn elapsed(&self) -> SimDuration {
-        self.repaired.iter().map(|(_, r)| r.elapsed).sum()
+    /// Repairs every object that is missing shards: a repair
+    /// [`Campaign`] over the whole catalog (not only what a scan can
+    /// see — the per-object digest check also finds rot) with nothing
+    /// reserved. One object failing (too few survivors, write errors
+    /// past the retry budget) does not stop the sweep; the finished
+    /// campaign carries the totals and every per-object failure.
+    pub fn repair_all(&mut self) -> Campaign {
+        let op = CampaignOp::Repair(RepairQueueOrder::Fifo);
+        let mut sweep = Campaign::over(self.manifests.ids(), op, 0.0);
+        sweep
+            .run(self, u64::MAX)
+            .expect("a repair campaign keeps failures and goes on");
+        sweep
     }
 }
 
@@ -355,8 +317,8 @@ mod tests {
         let id = archive.ingest(b"fine", "r").unwrap();
         let report = archive.repair_object(&id).unwrap();
         assert_eq!(report.method, RepairMethod::NotNeeded);
-        let outcome = archive.repair_all();
-        assert!(outcome.repaired.is_empty());
+        let outcome = archive.repair_all().report();
+        assert_eq!(outcome.repaired, 0);
         assert!(outcome.all_ok());
         assert_eq!(outcome.healthy, 1);
     }
@@ -370,8 +332,8 @@ mod tests {
             .collect();
         delete_shard(&handles, &archive, &ids[0], 1);
         delete_shard(&handles, &archive, &ids[2], 0);
-        let outcome = archive.repair_all();
-        assert_eq!(outcome.repaired.len(), 2);
+        let outcome = archive.repair_all().report();
+        assert_eq!(outcome.repaired, 2);
         assert!(outcome.all_ok());
         assert_eq!(outcome.healthy, 1);
         for id in &ids {

@@ -91,7 +91,7 @@ fn run_campaign(seed: u64) -> CampaignLog {
             4 => {
                 // Repair sweep; per-object failures don't stop it.
                 let outcome = archive.repair_all();
-                log.repair_failures += outcome.failed.len() as u32;
+                log.repair_failures += outcome.report().failed as u32;
             }
             _ => {}
         }
@@ -103,9 +103,9 @@ fn run_campaign(seed: u64) -> CampaignLog {
     }
     let outcome = archive.repair_all();
     assert!(
-        outcome.all_ok(),
+        outcome.report().all_ok(),
         "seed {seed}: final repair sweep left objects broken: {:?}",
-        outcome.failed
+        outcome.failures()
     );
     for (id, data) in &objects {
         assert_eq!(

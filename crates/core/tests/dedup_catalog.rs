@@ -12,8 +12,8 @@
 use aeon_cas::ChunkerParams;
 use aeon_core::dedup::DedupConfig;
 use aeon_core::{
-    Archive, ArchiveConfig, ArchiveError, FleetSimConfig, IntegrityMode, PolicyKind,
-    RepairCampaignDriver, RepairQueueOrder,
+    Archive, ArchiveConfig, ArchiveError, Campaign, CampaignOp, FleetSimConfig, IntegrityMode,
+    PolicyKind, RepairQueueOrder,
 };
 use aeon_crypto::{ChaChaDrbg, CryptoRng, SuiteId};
 
@@ -328,10 +328,14 @@ fn fleet_scan_and_repair_campaign_cover_dedup_objects() {
     assert_eq!(ticket.id, id);
     assert_eq!((ticket.surviving, ticket.required, ticket.total), (4, 3, 5));
 
-    let mut driver = RepairCampaignDriver::new(&archive, RepairQueueOrder::Priority, 0.0);
-    assert!(!driver.is_done());
-    while driver.step(&mut archive).unwrap().is_some() {}
-    assert!(driver.is_done());
+    let mut campaign = Campaign::new(
+        &archive,
+        CampaignOp::Repair(RepairQueueOrder::Priority),
+        0.0,
+    );
+    assert!(!campaign.is_done());
+    assert!(campaign.run(&mut archive, u64::MAX).unwrap().all_ok());
+    assert!(campaign.is_done());
     assert_eq!(census(&archive), (1, 1, 0, 0));
     assert_eq!(archive.retrieve(&id).unwrap(), data);
 }

@@ -77,14 +77,14 @@ fn observe(archive: &mut Archive) -> (Vec<String>, Vec<[u8; 32]>, String, u64) {
         .chain(scan.lost.iter().map(|id| format!("lost {}", id.as_str())))
         .collect();
     let digests: Vec<[u8; 32]> = archive.manifests().map(|m| m.digest).collect();
-    let outcome = archive.repair_all();
+    let outcome = archive.repair_all().report();
     let repair_line = format!(
         "repaired {} failed {} healthy {} bytes {} written {}",
-        outcome.repaired.len(),
-        outcome.failed.len(),
+        outcome.repaired,
+        outcome.failed,
         outcome.healthy,
         outcome.bytes_moved(),
-        outcome.bytes_written(),
+        outcome.bytes_written,
     );
     let clock_nanos = archive
         .cluster()

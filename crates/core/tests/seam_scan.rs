@@ -11,7 +11,8 @@
 //! `_batched`/`_timed` functions in `aeon-core` or `aeon-store`,
 //! and exactly one call site each for `get_batch` and `put_batch`. A
 //! third does the same for maintenance: one body per op, written
-//! against a stored unit, and no per-kind twin of it.
+//! against a stored unit, and no per-kind twin of it. A fourth guards
+//! the loop *around* those bodies: every fleet sweep is `Campaign`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -194,4 +195,61 @@ fn each_maintenance_op_has_one_body() {
         assert_eq!(found.len(), 1, "`{pat}` call sites: {found:?}");
     }
     assert!(twins.is_empty(), "per-kind twins:\n{}", twins.join("\n"));
+}
+
+/// Re-accretion guard for fleet sweeps. "For each object: run the op,
+/// account, pace" exists once, as `Campaign::step`; a second caller of
+/// a per-object op, a second `r/(1−r)`, or one of the deleted loop
+/// names is a hand-written sweep coming back.
+#[test]
+fn each_sweep_has_one_loop() {
+    // (call, the file that defines it and may call it on itself)
+    const OPS: &[(&str, &str)] = &[
+        (".reencode_object(", "maintenance.rs"),
+        (".repair_object(", "repair.rs"),
+        (".refresh_object(", "maintenance.rs"),
+    ];
+    const WINDOW_FACTOR: &str = "/ (1.0 - ";
+    const GONE: &[&str] = &[
+        "_all_measured(",
+        "CampaignDriver",
+        "BandwidthScheduler",
+        "drain_repairs",
+    ];
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut op_sites: Vec<Vec<String>> = vec![Vec::new(); OPS.len()];
+    let mut factor_sites = Vec::new();
+    let mut returned = Vec::new();
+    for krate in ["core", "serve"] {
+        for path in sources(&crates.join(krate).join("src")) {
+            let file = path.file_name().unwrap().to_string_lossy().into_owned();
+            let body = non_test_source(&fs::read_to_string(&path).unwrap());
+            for (lineno, line) in body.lines().enumerate() {
+                let at = format!("{krate}/{file}:{}", lineno + 1);
+                for ((call, home), found) in OPS.iter().zip(&mut op_sites) {
+                    if line.contains(call) && !(krate == "core" && file == *home) {
+                        found.push(at.clone());
+                    }
+                }
+                if line.contains(WINDOW_FACTOR) {
+                    factor_sites.push(format!("{krate}/{file}"));
+                }
+                returned.extend(
+                    GONE.iter()
+                        .filter(|name| line.contains(*name))
+                        .map(|name| format!("{at}: {name}")),
+                );
+            }
+        }
+    }
+    for ((call, _), found) in OPS.iter().zip(&op_sites) {
+        assert_eq!(found.len(), 1, "`{call}` call sites: {found:?}");
+        assert!(found[0].starts_with("core/campaign.rs:"), "{found:?}");
+    }
+    assert_eq!(factor_sites, ["core/campaign.rs"], "`r / (1 − r)` sites");
+    assert!(
+        returned.is_empty(),
+        "hand-written sweeps:\n{}",
+        returned.join("\n")
+    );
 }

@@ -8,7 +8,8 @@
 //! compare clock readings.
 
 use aeon_core::{
-    Archive, ArchiveConfig, IntegrityMode, PipelineConfig, PolicyKind, RetryPolicy, SimTime,
+    Archive, ArchiveConfig, Campaign, CampaignOp, IntegrityMode, PipelineConfig, PolicyKind,
+    RetryPolicy, SimTime,
 };
 use aeon_crypto::SuiteId;
 use aeon_store::faults::{faulty_in_memory_cluster, FaultPlan};
@@ -38,15 +39,13 @@ fn clocked_workload(workers: usize) -> SimTime {
             .ingest(&payload, &format!("obj-{i}"))
             .expect("ingest");
     }
-    archive
-        .reencode_all_measured(
-            PolicyKind::Cascade {
-                suites: vec![SuiteId::Aes256CtrHmac, SuiteId::ChaCha20Poly1305],
-                data: 4,
-                parity: 2,
-            },
-            0.5,
-        )
+    let op = CampaignOp::Reencode(PolicyKind::Cascade {
+        suites: vec![SuiteId::Aes256CtrHmac, SuiteId::ChaCha20Poly1305],
+        data: 4,
+        parity: 2,
+    });
+    Campaign::new(&archive, op, 0.5)
+        .run(&mut archive, u64::MAX)
         .expect("campaign");
     clock.now()
 }

@@ -9,13 +9,14 @@
 //!    round-robin order, each charging the clock through the archive's
 //!    codec → plan → executor path (or the hot-cache fast path).
 //! 3. **Background campaign steps** run only when no foreground work is
-//!    runnable *and* the campaign's reserved window has elapsed — the
-//!    [`ReencodeCampaignDriver`] opens a `Δ·r/(1−r)` foreground window
-//!    after each step, and this engine fills that window with real
-//!    requests instead of a synthetic charge. A request that arrives
-//!    mid-step queues until the step finishes, so campaign interference
-//!    lands in the measured queue-wait and latency distributions — the
-//!    paper's §3.2 "factor of two" as a tail, not a scalar.
+//!    runnable *and* the campaign's reserved window has elapsed — a
+//!    [`Campaign`] opens a `Δ·r/(1−r)` foreground window after each
+//!    step, and this engine fills that window with real requests where
+//!    [`Campaign::run`] would only advance the clock across it. A
+//!    request that arrives mid-step queues until the step finishes, so
+//!    campaign interference lands in the measured queue-wait and latency
+//!    distributions — the paper's §3.2 "factor of two" as a tail, not a
+//!    scalar.
 //!
 //! The loop is single-threaded over virtual events, so a `(spec, seed,
 //! config)` triple produces a byte-identical [`ServeReport`] — same
@@ -26,8 +27,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use aeon_core::{
-    Archive, ArchiveError, CampaignProgress, ObjectId, PolicyKind, ReencodeCampaignDriver,
-    RepairCampaignDriver, RepairQueueOrder,
+    Archive, ArchiveError, Campaign, CampaignOp, CampaignReport, ObjectId, MAX_RESERVED_FRACTION,
 };
 use aeon_crypto::{ChaChaDrbg, CryptoRng, Sha256};
 use aeon_store::clock::{SimDuration, SimTime};
@@ -37,30 +37,6 @@ use crate::cache::{CacheConfig, CacheStats, HotCache};
 use crate::histogram::LatencyHistogram;
 use crate::workload::{exp_gap, unit_f64, ArrivalProcess, WeightedPick, WorkloadSpec, ZipfSampler};
 
-/// A §3.2 re-encryption campaign to run behind the workload.
-#[derive(Debug, Clone)]
-pub struct BackgroundCampaign {
-    /// The policy every object is re-encoded to.
-    pub new_policy: PolicyKind,
-    /// Fraction of bandwidth reserved for foreground traffic
-    /// (`0..=`[`aeon_core::MAX_RESERVED_FRACTION`]).
-    pub reserved_fraction: f64,
-}
-
-/// A fleet repair sweep to run behind the workload: the engine scans
-/// the archive once at startup, queues every degraded object under the
-/// chosen discipline, and heals them in the gaps the foreground load
-/// leaves open — the same `Δ·r/(1−r)` window mechanics as the
-/// re-encryption campaign.
-#[derive(Debug, Clone)]
-pub struct BackgroundRepair {
-    /// Queue discipline (most-degraded-first or catalog order).
-    pub order: RepairQueueOrder,
-    /// Fraction of bandwidth reserved for foreground traffic
-    /// (`0..=`[`aeon_core::MAX_RESERVED_FRACTION`]).
-    pub reserved_fraction: f64,
-}
-
 /// Engine configuration: cache sizing, fair-queue quantum, and the
 /// optional background campaign.
 #[derive(Debug, Clone)]
@@ -69,11 +45,13 @@ pub struct EngineConfig {
     pub cache: CacheConfig,
     /// Deficit round-robin quantum, bytes per scheduling round.
     pub quantum_bytes: u64,
-    /// Background re-encryption campaign, if any.
-    pub background: Option<BackgroundCampaign>,
-    /// Background fleet repair sweep, if any. At most one background
-    /// activity may be configured per run.
-    pub repair: Option<BackgroundRepair>,
+    /// The campaign to run behind the workload, if any, as `(op,
+    /// reserved_fraction)`: a §3.2 re-encryption, a repair sweep over
+    /// the objects one startup scan finds degraded, or a refresh epoch,
+    /// stepped in the gaps the foreground load leaves open with
+    /// `reserved_fraction ∈ 0..=`[`MAX_RESERVED_FRACTION`] of bandwidth
+    /// kept for foreground traffic.
+    pub background: Option<(CampaignOp, f64)>,
 }
 
 impl Default for EngineConfig {
@@ -82,48 +60,6 @@ impl Default for EngineConfig {
             cache: CacheConfig::default(),
             quantum_bytes: 256 * 1024,
             background: None,
-            repair: None,
-        }
-    }
-}
-
-/// Either background driver, stepped uniformly by the event loop.
-#[derive(Debug)]
-enum Driver {
-    Reencode(ReencodeCampaignDriver),
-    Repair(RepairCampaignDriver),
-}
-
-impl Driver {
-    fn is_done(&self) -> bool {
-        match self {
-            Driver::Reencode(d) => d.is_done(),
-            Driver::Repair(d) => d.is_done(),
-        }
-    }
-
-    fn next_eligible(&self) -> SimTime {
-        match self {
-            Driver::Reencode(d) => d.next_eligible(),
-            Driver::Repair(d) => d.next_eligible(),
-        }
-    }
-
-    /// Runs one background step; returns the stored bytes it moved
-    /// (read + written) for the event digest, or `None` when done.
-    fn step(&mut self, archive: &mut Archive) -> Result<Option<u64>, ArchiveError> {
-        match self {
-            Driver::Reencode(d) => Ok(d.step(archive)?.map(|re| re.bytes_read + re.bytes_written)),
-            Driver::Repair(d) => Ok(d
-                .step(archive)?
-                .map(|report| report.bytes_read + report.bytes_written)),
-        }
-    }
-
-    fn progress(&self) -> CampaignProgress {
-        match self {
-            Driver::Reencode(d) => d.progress(),
-            Driver::Repair(d) => d.progress(),
         }
     }
 }
@@ -131,11 +67,13 @@ impl Driver {
 /// Why a serve run aborted.
 #[derive(Debug)]
 pub enum ServeError {
-    /// The workload spec is unusable (no tenants, no catalog, zero
-    /// requests, or a degenerate arrival process).
+    /// The workload spec or engine configuration is unusable (no
+    /// tenants, no catalog, zero requests, a degenerate arrival process,
+    /// or a reserved fraction outside its bound).
     InvalidSpec(&'static str),
-    /// The archive failed outside a single request (e.g. during a
-    /// campaign step). Per-request failures are counted, not fatal.
+    /// The archive failed outside a single request: a re-encode or
+    /// refresh campaign step. Per-request failures — and a repair
+    /// sweep's per-object ones — are counted, not fatal.
     Archive(ArchiveError),
 }
 
@@ -213,8 +151,8 @@ pub struct ServeReport {
     /// failure, in event order. Equal digests mean the runs took the
     /// same decisions at the same virtual instants.
     pub event_digest: [u8; 32],
-    /// Background campaign progress, when one was configured.
-    pub campaign: Option<CampaignProgress>,
+    /// The background campaign's totals, when one was configured.
+    pub campaign: Option<CampaignReport>,
 }
 
 impl ServeReport {
@@ -341,6 +279,14 @@ pub fn serve(
             }
         }
     }
+    // `Campaign::new` panics on this; a config value must not.
+    if let Some((_, reserved)) = &config.background {
+        if !(0.0..=MAX_RESERVED_FRACTION).contains(reserved) {
+            return Err(ServeError::InvalidSpec(
+                "reserved fraction must be in [0, MAX_RESERVED_FRACTION]",
+            ));
+        }
+    }
 
     let clock = archive.cluster().clock().clone();
     let start = clock.now();
@@ -361,30 +307,10 @@ pub fn serve(
         .collect();
     let mut cache = HotCache::new(config.cache.clone());
     let mut digest = EventDigest::new();
-    if config.background.is_some() && config.repair.is_some() {
-        return Err(ServeError::InvalidSpec(
-            "configure at most one background activity (re-encode or repair)",
-        ));
-    }
-    let mut driver = config
+    let mut campaign = config
         .background
         .as_ref()
-        .map(|bg| {
-            Driver::Reencode(ReencodeCampaignDriver::new(
-                archive,
-                bg.new_policy.clone(),
-                bg.reserved_fraction,
-            ))
-        })
-        .or_else(|| {
-            config.repair.as_ref().map(|r| {
-                Driver::Repair(RepairCampaignDriver::new(
-                    archive,
-                    r.order,
-                    r.reserved_fraction,
-                ))
-            })
-        });
+        .map(|(op, reserved)| Campaign::new(archive, op.clone(), *reserved));
 
     // Arrival generation. Open loop pre-draws nothing: both modes pull
     // the next arrival lazily so the DRBG consumption order is a pure
@@ -583,30 +509,29 @@ pub fn serve(
 
         // 3. No runnable foreground work: step the campaign if its
         // reserved window has elapsed.
-        let campaign_pending = driver.as_ref().is_some_and(|d| !d.is_done());
-        if campaign_pending {
-            let d = driver.as_mut().expect("pending checked above");
-            if now >= d.next_eligible() {
-                if let Some(moved) = d.step(archive)? {
-                    digest.fold(
-                        EV_CAMPAIGN,
-                        d.progress().objects_done as u64,
-                        usize::MAX,
-                        clock.now().since(start),
-                        moved,
-                    );
-                }
-                continue;
+        let pending = campaign.as_mut().filter(|c| !c.is_done());
+        let next_campaign = pending.as_ref().map(|c| c.next_eligible());
+        if let Some(c) = pending.filter(|c| now >= c.next_eligible()) {
+            if let Some((_, outcome)) = c.step(archive) {
+                let moved = match outcome {
+                    Ok(moved) => moved,
+                    // Counted in the report; the sweep goes on.
+                    Err(_) if c.op().continues_past_failure() => 0,
+                    Err(e) => return Err(e.into()),
+                };
+                digest.fold(
+                    EV_CAMPAIGN,
+                    c.report().objects_done as u64,
+                    usize::MAX,
+                    clock.now().since(start),
+                    moved,
+                );
             }
+            continue;
         }
 
         // 4. Idle: jump to the next instant anything can happen.
         let next_arrival = heap.peek().map(|Reverse(a)| a.at);
-        let next_campaign = if campaign_pending {
-            driver.as_ref().map(|d| d.next_eligible())
-        } else {
-            None
-        };
         let next = match (next_arrival, next_campaign) {
             (Some(a), Some(c)) => Some(a.min(c)),
             (a, c) => a.or(c),
@@ -627,6 +552,6 @@ pub fn serve(
         cache: cache.stats(),
         elapsed: last_completion.since(start),
         event_digest: digest.0,
-        campaign: driver.map(|d| d.progress()),
+        campaign: campaign.map(|c| c.report()),
     })
 }

@@ -8,7 +8,8 @@
 //! experiences while the campaign runs — which is the number an archive
 //! operator has to defend. This crate closes that loop: it drives a
 //! seeded, multi-tenant workload through the archive's normal
-//! codec → plan → executor path while a [`ReencodeCampaignDriver`]
+//! codec → plan → executor path while a background
+//! [`Campaign`](aeon_core::Campaign) — re-encode, repair or refresh —
 //! consumes the unreserved bandwidth, and reports the result as
 //! per-tenant latency distributions (p50/p99/p999), not scalars.
 //!
@@ -70,16 +71,10 @@ pub mod workload;
 
 pub use admission::{DeficitQueue, TokenBucket};
 pub use cache::{CacheConfig, CacheStats, HotCache};
-pub use engine::{
-    serve, BackgroundCampaign, BackgroundRepair, EngineConfig, ServeError, ServeReport,
-    TenantReport,
-};
+pub use engine::{serve, EngineConfig, ServeError, ServeReport, TenantReport};
 pub use histogram::LatencyHistogram;
 pub use workload::{ArrivalProcess, TenantSpec, WorkloadSpec, ZipfSampler};
 
-// The campaign drivers pair with [`BackgroundCampaign`] /
-// [`BackgroundRepair`]; re-exported so engine callers need not import
-// aeon-core for the progress or ordering types.
-pub use aeon_core::{
-    CampaignProgress, ReencodeCampaignDriver, RepairCampaignDriver, RepairQueueOrder,
-};
+// What `EngineConfig::background` and `ServeReport::campaign` are made
+// of; re-exported so engine callers need not import aeon-core for them.
+pub use aeon_core::{CampaignOp, CampaignReport, RepairQueueOrder};

@@ -13,24 +13,33 @@
 use aeon_core::{Archive, ArchiveConfig, ObjectId, PipelineConfig, PolicyKind};
 use aeon_crypto::{ChaChaDrbg, CryptoRng};
 use aeon_serve::{
-    serve, ArrivalProcess, BackgroundCampaign, BackgroundRepair, EngineConfig, RepairQueueOrder,
-    ServeReport, TenantSpec, WorkloadSpec,
+    serve, ArrivalProcess, CampaignOp, EngineConfig, RepairQueueOrder, ServeError, ServeReport,
+    TenantSpec, WorkloadSpec,
 };
 use aeon_store::clock::SimDuration;
+use aeon_store::node::ShardKey;
 use aeon_store::throughput::{throughput_in_memory_cluster, ThroughputProfile};
 use proptest::prelude::*;
 
 /// A small archive on a throughput-charged cluster: 4 nodes across two
 /// sites, disk-class seeks scaled down so runs stay quick.
 fn build_archive(workers: usize, objects: usize) -> (Archive, Vec<ObjectId>) {
+    let policy = PolicyKind::ErasureCoded { data: 2, parity: 1 };
+    build_archive_with(policy, workers, objects)
+}
+
+/// The same archive under another policy.
+fn build_archive_with(
+    policy: PolicyKind,
+    workers: usize,
+    objects: usize,
+) -> (Archive, Vec<ObjectId>) {
     let profile = ThroughputProfile::new(SimDuration::from_secs_f64(0.002), 400e6, 300e6);
     let (cluster, _clock) = throughput_in_memory_cluster(&["east", "west"], 2, &profile);
-    let config = ArchiveConfig::new(PolicyKind::ErasureCoded { data: 2, parity: 1 }).with_pipeline(
-        PipelineConfig {
-            chunk_size: 8 * 1024,
-            workers,
-        },
-    );
+    let config = ArchiveConfig::new(policy).with_pipeline(PipelineConfig {
+        chunk_size: 8 * 1024,
+        workers,
+    });
     let mut archive = Archive::with_cluster(config, cluster).expect("archive");
     let mut rng = ChaChaDrbg::from_u64_seed(0xA07);
     let catalog = (0..objects)
@@ -60,6 +69,10 @@ fn spec(seed: u64, total: usize) -> WorkloadSpec {
     .with_total_requests(total)
     .with_write_bytes(4096)
     .with_seed(seed)
+}
+
+fn reencode_to_two_parity() -> CampaignOp {
+    CampaignOp::Reencode(PolicyKind::ErasureCoded { data: 2, parity: 2 })
 }
 
 fn run(workers: usize, seed: u64, config: &EngineConfig) -> ServeReport {
@@ -102,10 +115,7 @@ proptest! {
     #[test]
     fn campaign_runs_replay_identically(seed in 0u64..200, workers in 2usize..4) {
         let config = EngineConfig {
-            background: Some(BackgroundCampaign {
-                new_policy: PolicyKind::ErasureCoded { data: 2, parity: 2 },
-                reserved_fraction: 0.5,
-            }),
+            background: Some((reencode_to_two_parity(), 0.5)),
             ..EngineConfig::default()
         };
         let serial = run(1, seed, &config);
@@ -127,10 +137,7 @@ fn campaign_interference_shows_up_in_the_tail() {
         1,
         42,
         &EngineConfig {
-            background: Some(BackgroundCampaign {
-                new_policy: PolicyKind::ErasureCoded { data: 2, parity: 2 },
-                reserved_fraction: 0.25,
-            }),
+            background: Some((reencode_to_two_parity(), 0.25)),
             ..EngineConfig::default()
         },
     );
@@ -159,16 +166,12 @@ fn background_repair_heals_fleet_behind_live_traffic() {
         for id in catalog.iter().step_by(3) {
             let placement = archive.manifest(id).unwrap().placement;
             let node = archive.cluster().node(placement[1]).unwrap();
-            node.delete(&aeon_store::node::ShardKey::new(id.as_str(), 1))
-                .unwrap();
+            node.delete(&ShardKey::new(id.as_str(), 1)).unwrap();
         }
         (archive, catalog)
     };
     let config = EngineConfig {
-        repair: Some(BackgroundRepair {
-            order: RepairQueueOrder::Priority,
-            reserved_fraction: 0.4,
-        }),
+        background: Some((CampaignOp::Repair(RepairQueueOrder::Priority), 0.4)),
         ..EngineConfig::default()
     };
     let run_one = |workers: usize| {
@@ -192,23 +195,100 @@ fn background_repair_heals_fleet_behind_live_traffic() {
     );
 }
 
-/// Configuring both background activities is rejected up front.
+/// A repair ticket that turns out unrepairable — the scan counts
+/// *present* keys, the repair counts *valid* ones — is counted in the
+/// campaign report and does not end the serving run.
 #[test]
-fn two_background_activities_are_rejected() {
-    let (mut archive, catalog) = build_archive(1, 4);
+fn unrepairable_ticket_is_counted_and_serving_goes_on() {
     let config = EngineConfig {
-        background: Some(BackgroundCampaign {
-            new_policy: PolicyKind::ErasureCoded { data: 2, parity: 2 },
-            reserved_fraction: 0.25,
-        }),
-        repair: Some(BackgroundRepair {
-            order: RepairQueueOrder::Fifo,
-            reserved_fraction: 0.25,
-        }),
+        background: Some((CampaignOp::Repair(RepairQueueOrder::Priority), 0.4)),
         ..EngineConfig::default()
     };
-    let err = serve(&mut archive, &catalog, &spec(1, 10), &config).unwrap_err();
-    assert!(err.to_string().contains("at most one background activity"));
+    let run_one = |workers: usize| {
+        let policy = PolicyKind::ErasureCoded { data: 2, parity: 2 };
+        let (mut archive, catalog) = build_archive_with(policy, workers, 12);
+        let node_of = |id: &ObjectId, shard: usize| {
+            let placement = archive.manifest(id).unwrap().placement;
+            archive.cluster().node(placement[shard]).unwrap()
+        };
+        // Three plainly degraded objects, and the least popular one
+        // rotted beyond repair behind a margin-1 ticket: one shard gone
+        // (all the scan sees), two of the three present ones garbage.
+        let doomed = &catalog[11];
+        for id in catalog.iter().step_by(4).chain([doomed]) {
+            node_of(id, 0)
+                .delete(&ShardKey::new(id.as_str(), 0))
+                .unwrap();
+        }
+        for shard in [1, 2] {
+            node_of(doomed, shard)
+                .put(&ShardKey::new(doomed.as_str(), shard as u32), b"garbage")
+                .unwrap();
+        }
+        let tickets = |archive: &Archive| {
+            let scan = archive.scan_fleet();
+            assert!(scan.lost.is_empty());
+            scan.tickets
+        };
+        let before = tickets(&archive);
+        assert_eq!(before.len(), 4);
+        assert!(before.iter().all(|t| t.margin() == 1));
+
+        let report = serve(&mut archive, &catalog, &spec(33, 80), &config).expect("serve");
+        let after = tickets(&archive);
+        assert_eq!(after.len(), 1, "the three repairable objects healed");
+        assert_eq!(&after[0].id, doomed);
+        report
+    };
+    let serial = run_one(1);
+    assert_eq!(serial, run_one(3), "a failed step must replay too");
+    let campaign = serial.campaign.expect("repair configured");
+    assert_eq!(campaign.failed, 1);
+    assert_eq!(campaign.repaired, 3);
+    assert_eq!(campaign.objects_done, campaign.objects_total);
+    assert!(serial.tenants.iter().any(|t| t.completed > 0));
+}
+
+/// The one background field takes every campaign op, so a proactive
+/// refresh epoch runs behind traffic too: every share re-randomized
+/// once, and reads on either side of an object's refresh still succeed.
+#[test]
+fn background_refresh_runs_behind_live_traffic() {
+    let policy = PolicyKind::Shamir {
+        threshold: 2,
+        shares: 4,
+    };
+    let (mut archive, catalog) = build_archive_with(policy, 1, 12);
+    let config = EngineConfig {
+        background: Some((CampaignOp::Refresh, 0.3)),
+        ..EngineConfig::default()
+    };
+    let report = serve(&mut archive, &catalog, &spec(5, 80), &config).expect("serve");
+    let campaign = report.campaign.expect("refresh configured");
+    assert_eq!((campaign.objects_done, campaign.failed), (12, 0));
+    for id in &catalog {
+        assert_eq!(archive.manifest(id).unwrap().refresh_epochs, 1);
+    }
+    assert!(report.tenants.iter().all(|t| t.failed == 0));
+    assert!(report.tenants.iter().any(|t| t.completed > 0));
+}
+
+/// A reserved fraction the campaign constructor would panic on is an
+/// invalid spec, not a panic.
+#[test]
+fn out_of_range_reserved_fraction_is_an_invalid_spec() {
+    let (mut archive, catalog) = build_archive(1, 4);
+    for reserved in [1.0, 0.999999, f64::NAN] {
+        let config = EngineConfig {
+            background: Some((reencode_to_two_parity(), reserved)),
+            ..EngineConfig::default()
+        };
+        let err = serve(&mut archive, &catalog, &spec(1, 10), &config).unwrap_err();
+        assert!(
+            matches!(err, ServeError::InvalidSpec(why) if why.contains("reserved fraction")),
+            "r = {reserved}: {err}"
+        );
+    }
 }
 
 /// Closed-loop mode replays too, and issues exactly the requested

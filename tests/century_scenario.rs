@@ -49,14 +49,14 @@ fn century_of_custody() {
         archive.renew_timestamp(id).unwrap();
     }
     // Migrate at-rest encryption to a two-cipher cascade.
-    let (migrated, _, _) = archive
+    let migrated = archive
         .reencode_all(PolicyKind::Cascade {
             suites: vec![SuiteId::Aes256CtrHmac, SuiteId::ChaCha20Poly1305],
             data: 4,
             parity: 2,
         })
         .unwrap();
-    assert_eq!(migrated, 6);
+    assert_eq!(migrated.objects_done, 6);
 
     // --- 2045: AES falls. The cascade still stands. ---
     archive.advance_year(2045);
@@ -78,13 +78,13 @@ fn century_of_custody() {
 
     // --- 2059: ChaCha's break (2060) approaches; go information-theoretic ---
     archive.advance_year(2059);
-    let (migrated, _, _) = archive
+    let migrated = archive
         .reencode_all(PolicyKind::Shamir {
             threshold: 3,
             shares: 5,
         })
         .unwrap();
-    assert_eq!(migrated, 6);
+    assert_eq!(migrated.objects_done, 6);
 
     // --- 2126: the centennial audit ---
     archive.advance_year(2126);

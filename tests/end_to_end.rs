@@ -176,14 +176,14 @@ fn reencode_campaign_preserves_everything() {
         originals.push((id, payload));
     }
     // AES is falling: migrate everything to a cascade.
-    let (count, _, _) = archive
+    let campaign = archive
         .reencode_all(PolicyKind::Cascade {
             suites: vec![SuiteId::Aes256CtrHmac, SuiteId::ChaCha20Poly1305],
             data: 4,
             parity: 2,
         })
         .unwrap();
-    assert_eq!(count, 8);
+    assert_eq!(campaign.objects_done, 8);
     for (id, payload) in &originals {
         assert_eq!(&archive.retrieve(id).unwrap(), payload);
     }

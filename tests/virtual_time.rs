@@ -10,7 +10,9 @@
 //! the paper — and the two write-back/reserved-capacity ×2 factors
 //! must compose, not merely be asserted.
 
-use aeon::core::{Archive, ArchiveConfig, IntegrityMode, MeasuredCampaign, PolicyKind};
+use aeon::core::{
+    Archive, ArchiveConfig, Campaign, CampaignOp, CampaignReport, IntegrityMode, PolicyKind,
+};
 use aeon::crypto::SuiteId;
 use aeon::store::campaign::ReencryptionModel;
 use aeon::store::media::ArchiveSite;
@@ -33,7 +35,7 @@ fn rel_err(a: f64, b: f64) -> f64 {
 
 /// Ingests a small archive over a site-profiled cluster and runs the
 /// measured campaign at the given foreground reservation.
-fn measured_campaign(site: &ArchiveSite, reserved_fraction: f64) -> MeasuredCampaign {
+fn measured_campaign(site: &ArchiveSite, reserved_fraction: f64) -> CampaignReport {
     let profile = ThroughputProfile::from_site_aggregate(site);
     let (cluster, _clock) =
         throughput_in_memory_cluster(&["s0", "s1", "s2", "s3", "s4", "s5"], 1, &profile);
@@ -52,15 +54,13 @@ fn measured_campaign(site: &ArchiveSite, reserved_fraction: f64) -> MeasuredCamp
             .ingest(&payload, &format!("obj-{i}"))
             .expect("ingest");
     }
-    archive
-        .reencode_all_measured(
-            PolicyKind::Cascade {
-                suites: vec![SuiteId::Aes256CtrHmac, SuiteId::ChaCha20Poly1305],
-                data: 4,
-                parity: 2,
-            },
-            reserved_fraction,
-        )
+    let op = CampaignOp::Reencode(PolicyKind::Cascade {
+        suites: vec![SuiteId::Aes256CtrHmac, SuiteId::ChaCha20Poly1305],
+        data: 4,
+        parity: 2,
+    });
+    Campaign::new(&archive, op, reserved_fraction)
+        .run(&mut archive, u64::MAX)
         .expect("measured campaign")
 }
 
@@ -106,7 +106,7 @@ fn write_back_and_reserved_capacity_factors_compose() {
     // the ×2 write-back factor measured, not assumed.
     let free = measured_campaign(&site, 0.0);
     assert_eq!(free.foreground_time.as_nanos(), 0);
-    assert_eq!(free.elapsed, free.read_time + free.write_time);
+    assert_eq!(free.elapsed(), free.read_time + free.write_time);
     let write_back =
         (free.read_time + free.write_time).as_secs_f64() / free.read_time.as_secs_f64();
     assert!(
@@ -118,7 +118,7 @@ fn write_back_and_reserved_capacity_factors_compose() {
     // Reserving half the bandwidth doubles the whole campaign on top:
     // realistic ≈ 4 × read-only once both factors stack.
     let reserved = measured_campaign(&site, 0.5);
-    let stretch = reserved.elapsed.as_secs_f64() / free.elapsed.as_secs_f64();
+    let stretch = reserved.elapsed().as_secs_f64() / free.elapsed().as_secs_f64();
     assert!(
         (stretch - 2.0).abs() < 1e-6,
         "r = 0.5 must exactly double elapsed time, got ×{stretch:.6}"
