@@ -1,5 +1,5 @@
-//! AONT-RS (Resch–Plank): all-or-nothing transform + Reed–Solomon
-//! dispersal.
+//! AONT-RS (Resch–Plank): the all-or-nothing transform in front of
+//! Reed–Solomon dispersal.
 //!
 //! The Cleversafe scheme the paper singles out as the *practical*
 //! computational design point. Encoding:
@@ -10,6 +10,10 @@
 //! 3. Erasure-code the package `c_1 … c_{s+1}` systematically `[n, t]`
 //!    and disperse one codeword per node.
 //!
+//! Steps 1–2 are [`package`] / [`unpackage`] here; step 3 is the shared
+//! dispersal of [`crate::codec`], and the harvest-now-decrypt-later
+//! model lives with the other families' in `PolicyKind::hndl_recover`.
+//!
 //! Anyone holding `t` codewords rebuilds the package, recomputes the
 //! hash, unmasks `k`, and decrypts — **no key management at all**. An
 //! adversary with fewer than `t` codewords provably (while `E` and `H`
@@ -19,171 +23,53 @@
 
 use aeon_crypto::aes::Aes;
 use aeon_crypto::{CryptoRng, Sha256};
-use aeon_erasure::{CodeError, ErasureCode, ReedSolomon};
 
-/// Errors from AONT-RS operations.
+/// The rebuilt package is too short to hold its difference block.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AontError {
-    /// The erasure-coding layer failed.
-    Code(CodeError),
-    /// The rebuilt package is malformed.
-    CorruptPackage,
-}
+pub struct CorruptPackage;
 
-impl core::fmt::Display for AontError {
+impl core::fmt::Display for CorruptPackage {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            AontError::Code(e) => write!(f, "erasure layer: {e}"),
-            AontError::CorruptPackage => write!(f, "corrupt AONT package"),
-        }
+        write!(f, "corrupt AONT package")
     }
 }
 
-impl std::error::Error for AontError {}
+impl std::error::Error for CorruptPackage {}
 
-impl From<CodeError> for AontError {
-    fn from(e: CodeError) -> Self {
-        AontError::Code(e)
+/// Builds the AONT package: `ciphertext ‖ (k ⊕ H(ciphertext))`, 32
+/// bytes longer than the payload, under a freshly drawn `k`.
+pub fn package<R: CryptoRng + ?Sized>(rng: &mut R, payload: &[u8]) -> Vec<u8> {
+    let key = aeon_crypto::random_array::<32, _>(rng);
+    let mut ct = payload.to_vec();
+    Aes::new_256(&key).apply_ctr(&[0u8; 16], &mut ct);
+    let digest = Sha256::digest(&ct);
+    let mut package = ct;
+    for (k, d) in key.iter().zip(digest.iter()) {
+        package.push(k ^ d);
     }
+    package
 }
 
-/// AONT-RS codec with threshold `t` (data shards) and `n - t` parity.
-#[derive(Debug, Clone)]
-pub struct AontRs {
-    rs: ReedSolomon,
-}
-
-impl AontRs {
-    /// Creates a codec dispersing to `data + parity` nodes, any `data` of
-    /// which suffice to rebuild.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CodeError::InvalidParameters`].
-    pub fn new(data: usize, parity: usize) -> Result<Self, AontError> {
-        Ok(AontRs {
-            rs: ReedSolomon::new(data, parity)?,
-        })
+/// Opens a rebuilt package back into the payload. Uses no external key
+/// material: the key is inside the package.
+///
+/// # Errors
+///
+/// Returns [`CorruptPackage`] when the package is shorter than its
+/// difference block.
+pub fn unpackage(package: &[u8]) -> Result<Vec<u8>, CorruptPackage> {
+    if package.len() < 32 {
+        return Err(CorruptPackage);
     }
-
-    /// Data (threshold) shard count.
-    pub fn data_shards(&self) -> usize {
-        self.rs.data_shards()
+    let (ct, masked_key) = package.split_at(package.len() - 32);
+    let digest = Sha256::digest(ct);
+    let mut key = [0u8; 32];
+    for (out, (m, d)) in key.iter_mut().zip(masked_key.iter().zip(digest.iter())) {
+        *out = m ^ d;
     }
-
-    /// Total shard count.
-    pub fn total_shards(&self) -> usize {
-        self.rs.total_shards()
-    }
-
-    /// Storage expansion `n / t` (the package adds only 40 bytes).
-    pub fn expansion(&self) -> f64 {
-        self.rs.expansion()
-    }
-
-    /// Builds the AONT package: `ciphertext ‖ (k ⊕ H(ciphertext))`.
-    fn package<R: CryptoRng + ?Sized>(rng: &mut R, payload: &[u8]) -> Vec<u8> {
-        let key = aeon_crypto::random_array::<32, _>(rng);
-        let mut ct = payload.to_vec();
-        Aes::new_256(&key).apply_ctr(&[0u8; 16], &mut ct);
-        let digest = Sha256::digest(&ct);
-        let mut package = ct;
-        for (k, d) in key.iter().zip(digest.iter()) {
-            package.push(k ^ d);
-        }
-        package
-    }
-
-    /// Opens a rebuilt package back into the payload.
-    fn unpackage(package: &[u8]) -> Result<Vec<u8>, AontError> {
-        if package.len() < 32 {
-            return Err(AontError::CorruptPackage);
-        }
-        let (ct, masked_key) = package.split_at(package.len() - 32);
-        let digest = Sha256::digest(ct);
-        let mut key = [0u8; 32];
-        for (out, (m, d)) in key.iter_mut().zip(masked_key.iter().zip(digest.iter())) {
-            *out = m ^ d;
-        }
-        let mut pt = ct.to_vec();
-        Aes::new_256(&key).apply_ctr(&[0u8; 16], &mut pt);
-        Ok(pt)
-    }
-
-    /// Encodes a payload into `n` dispersible shards.
-    ///
-    /// # Errors
-    ///
-    /// Propagates erasure-layer errors.
-    pub fn encode<R: CryptoRng + ?Sized>(
-        &self,
-        rng: &mut R,
-        payload: &[u8],
-    ) -> Result<Vec<Vec<u8>>, AontError> {
-        let package = Self::package(rng, payload);
-        Ok(self.rs.encode(&package)?)
-    }
-
-    /// Decodes from any `t` surviving shards.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AontError::Code`] when too few shards survive or
-    /// [`AontError::CorruptPackage`] on malformed data.
-    pub fn decode(&self, shards: &[Option<Vec<u8>>]) -> Result<Vec<u8>, AontError> {
-        let package = self.rs.decode(shards)?;
-        Self::unpackage(&package)
-    }
-
-    /// The HNDL attack on AONT-RS: what a future adversary recovers from
-    /// `stolen` shards once the underlying cipher/hash are broken.
-    ///
-    /// * With ≥ `t` shards: full plaintext **today**, no break needed —
-    ///   AONT-RS has no key to steal; possession is decryption.
-    /// * With < `t` shards and the cipher broken: each stolen *data*
-    ///   shard's span of ciphertext decrypts (the break recovers `k`
-    ///   without the difference block). We model this as recovering the
-    ///   bytes covered by stolen systematic shards.
-    /// * With < `t` shards and the cipher standing: nothing.
-    pub fn simulate_hndl(
-        &self,
-        stolen: &[Option<Vec<u8>>],
-        cipher_broken: bool,
-    ) -> AontHndlOutcome {
-        let have = stolen.iter().flatten().count();
-        if have >= self.rs.data_shards() {
-            if let Ok(pt) = self.decode(stolen) {
-                return AontHndlOutcome::FullPlaintext(pt);
-            }
-        }
-        if have == 0 {
-            return AontHndlOutcome::Nothing;
-        }
-        if cipher_broken {
-            // Partial: fraction of payload spanned by stolen data shards.
-            let data_stolen = stolen.iter().take(self.rs.data_shards()).flatten().count();
-            AontHndlOutcome::PartialPlaintext {
-                fraction: data_stolen as f64 / self.rs.data_shards() as f64,
-            }
-        } else {
-            AontHndlOutcome::Nothing
-        }
-    }
-}
-
-/// Outcome of the AONT-RS HNDL simulation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AontHndlOutcome {
-    /// The adversary recovered the full plaintext.
-    FullPlaintext(Vec<u8>),
-    /// The adversary recovered a fraction of the plaintext (broken cipher,
-    /// sub-threshold shards).
-    PartialPlaintext {
-        /// Fraction of payload bytes exposed.
-        fraction: f64,
-    },
-    /// The adversary learned nothing.
-    Nothing,
+    let mut pt = ct.to_vec();
+    Aes::new_256(&key).apply_ctr(&[0u8; 16], &mut pt);
+    Ok(pt)
 }
 
 #[cfg(test)]
@@ -196,67 +82,21 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip() {
-        let codec = AontRs::new(4, 2).unwrap();
-        let mut r = rng();
-        let payload = b"dispersed archival object payload";
-        let shards: Vec<Option<Vec<u8>>> = codec
-            .encode(&mut r, payload)
-            .unwrap()
-            .into_iter()
-            .map(Some)
-            .collect();
-        assert_eq!(codec.decode(&shards).unwrap(), payload);
-    }
-
-    #[test]
-    fn threshold_reconstruction() {
-        let codec = AontRs::new(3, 2).unwrap();
-        let mut r = rng();
-        let payload: Vec<u8> = (0..200u8).collect();
-        let encoded = codec.encode(&mut r, &payload).unwrap();
-        // Any 3 of 5 shards suffice.
-        let mut shards: Vec<Option<Vec<u8>>> = encoded.into_iter().map(Some).collect();
-        shards[0] = None;
-        shards[3] = None;
-        assert_eq!(codec.decode(&shards).unwrap(), payload);
-    }
-
-    #[test]
-    fn below_threshold_fails() {
-        let codec = AontRs::new(3, 2).unwrap();
-        let mut r = rng();
-        let encoded = codec.encode(&mut r, b"secret").unwrap();
-        let mut shards: Vec<Option<Vec<u8>>> = encoded.into_iter().map(Some).collect();
-        shards[0] = None;
-        shards[1] = None;
-        shards[2] = None;
-        assert!(matches!(codec.decode(&shards), Err(AontError::Code(_))));
-    }
-
-    #[test]
-    fn no_key_needed_with_threshold() {
-        // Decoding uses no external key material — key is inside the
+    fn roundtrip_needs_no_key() {
+        // Opening uses no external key material — the key is inside the
         // package. (This test is the "eliminates key management" claim.)
-        let codec = AontRs::new(2, 1).unwrap();
-        let mut r = rng();
-        let shards: Vec<Option<Vec<u8>>> = codec
-            .encode(&mut r, b"keyless")
-            .unwrap()
-            .into_iter()
-            .map(Some)
-            .collect();
-        let fresh_codec = AontRs::new(2, 1).unwrap(); // no shared state
-        assert_eq!(fresh_codec.decode(&shards).unwrap(), b"keyless");
+        let payload = b"dispersed archival object payload";
+        let package = package(&mut rng(), payload);
+        assert_eq!(package.len(), payload.len() + 32);
+        assert_eq!(unpackage(&package).unwrap(), payload);
     }
 
     #[test]
-    fn randomized_encodings_differ() {
-        let codec = AontRs::new(2, 1).unwrap();
+    fn randomized_packages_differ() {
         let mut r = rng();
-        let e1 = codec.encode(&mut r, b"same payload").unwrap();
-        let e2 = codec.encode(&mut r, b"same payload").unwrap();
-        assert_ne!(e1, e2, "fresh key per encoding");
+        let p1 = package(&mut r, b"same payload");
+        let p2 = package(&mut r, b"same payload");
+        assert_ne!(p1, p2, "fresh key per package");
     }
 
     #[test]
@@ -264,67 +104,19 @@ mod tests {
         // AONT gives all-or-nothing *confidentiality*, not integrity: a
         // flipped ciphertext bit changes the digest, hence the key, hence
         // everything. Integrity must come from a separate layer.
-        let codec = AontRs::new(2, 1).unwrap();
-        let mut r = rng();
-        let mut encoded = codec.encode(&mut r, b"integrity elsewhere").unwrap();
-        encoded[0][9] ^= 1;
-        let shards: Vec<Option<Vec<u8>>> = encoded.into_iter().map(Some).collect();
-        let out = codec.decode(&shards).unwrap();
-        assert_ne!(out, b"integrity elsewhere");
+        let mut package = package(&mut rng(), b"integrity elsewhere");
+        package[9] ^= 1;
+        assert_ne!(unpackage(&package).unwrap(), b"integrity elsewhere");
     }
 
     #[test]
-    fn hndl_full_with_threshold_no_break() {
-        let codec = AontRs::new(2, 1).unwrap();
-        let mut r = rng();
-        let encoded = codec.encode(&mut r, b"stolen at threshold").unwrap();
-        let stolen = vec![Some(encoded[0].clone()), Some(encoded[1].clone()), None];
-        match codec.simulate_hndl(&stolen, false) {
-            AontHndlOutcome::FullPlaintext(pt) => assert_eq!(pt, b"stolen at threshold"),
-            other => panic!("expected full plaintext, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn hndl_subthreshold_safe_until_break() {
-        let codec = AontRs::new(3, 2).unwrap();
-        let mut r = rng();
-        let encoded = codec.encode(&mut r, b"harvest me").unwrap();
-        let stolen = vec![Some(encoded[0].clone()), None, None, None, None];
-        assert_eq!(
-            codec.simulate_hndl(&stolen, false),
-            AontHndlOutcome::Nothing
-        );
-        match codec.simulate_hndl(&stolen, true) {
-            AontHndlOutcome::PartialPlaintext { fraction } => {
-                assert!((fraction - 1.0 / 3.0).abs() < 1e-9);
-            }
-            other => panic!("expected partial, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn expansion_is_near_rs_rate() {
-        let codec = AontRs::new(4, 2).unwrap();
-        assert!((codec.expansion() - 1.5).abs() < 1e-9);
-        let mut r = rng();
-        let payload = vec![0u8; 1 << 16];
-        let encoded = codec.encode(&mut r, &payload).unwrap();
-        let stored: usize = encoded.iter().map(|s| s.len()).sum();
-        // 1.5x plus the 40-byte package overhead, amortized away.
-        assert!((stored as f64 / payload.len() as f64 - 1.5).abs() < 0.01);
+    fn short_package_is_corrupt() {
+        assert_eq!(unpackage(&[0u8; 31]), Err(CorruptPackage));
     }
 
     #[test]
     fn empty_payload() {
-        let codec = AontRs::new(2, 2).unwrap();
-        let mut r = rng();
-        let shards: Vec<Option<Vec<u8>>> = codec
-            .encode(&mut r, b"")
-            .unwrap()
-            .into_iter()
-            .map(Some)
-            .collect();
-        assert_eq!(codec.decode(&shards).unwrap(), b"");
+        let package = package(&mut rng(), b"");
+        assert_eq!(unpackage(&package).unwrap(), b"");
     }
 }

@@ -1,15 +1,22 @@
-//! The codec registry: one self-contained encoder per policy family.
+//! Codecs: a policy's encoding is a seal in front of a dispersal.
 //!
 //! The paper's crypto-agility argument (§3.2) demands that *how bytes
 //! are encoded* be swappable independently of *where shards live*. This
-//! module is the "how" half of that seam: every [`PolicyKind`] family —
-//! replication, Reed–Solomon, encrypt-then-code, cascade, AONT-RS,
-//! Shamir, packed sharing, leakage-resilient sharing, entropic
-//! encryption — implements the [`Codec`] trait, and a [`CodecRegistry`]
-//! maps a policy value to its family's codec. `PolicyKind`'s own
-//! methods delegate here, so the per-family knowledge (shard counts,
-//! thresholds, analytic expansion, at-rest security class, partial
-//! repair, layered re-wrap) lives in exactly one place.
+//! module is the "how" half of that seam. Every [`PolicyKind`] names a
+//! [`Codec`] ([`PolicyKind::codec`] is the one `match`), and the design
+//! points of Figure 1 / Table 1 are compositions of two choices:
+//!
+//! * five families disperse with Reed–Solomon and differ only in the
+//!   confidentiality transform applied first — nothing (erasure coding),
+//!   one AEAD (commercial cloud), a cascade (ArchiveSafeLT), an
+//!   all-or-nothing package (AONT-RS), a δ-biased pad (entropic). They
+//!   are one codec, `RsDispersed`, with a `Seal`;
+//! * replication, Shamir, packed sharing and leakage-resilient sharing
+//!   share no dispersal with anything else and keep their own codecs.
+//!
+//! The per-family knowledge (shard counts, thresholds, analytic
+//! expansion, at-rest security class, partial repair, layered re-wrap)
+//! lives here and nowhere else.
 //!
 //! Codecs are **pure**: they transform bytes and never touch storage
 //! nodes. All node I/O belongs to [`crate::executor::PlanExecutor`].
@@ -18,19 +25,20 @@
 //! [`aeon_crypto::random_array`] keeps array draws byte-stream-
 //! identical to the sized [`CryptoRng::gen_array`] path.
 
-use crate::aont::AontRs;
+use crate::aont;
 use crate::keys::KeyStore;
 use crate::policy::{Encoded, EncodingMeta, PolicyError, PolicyKind};
 use aeon_crypto::cascade::Cascade;
 use aeon_crypto::entropic::{EntropicCipher, EntropicCiphertext};
+use aeon_crypto::suite::SuiteCipher;
 use aeon_crypto::{aead, CryptoRng, SecurityLevel, SuiteId, SuiteRegistry};
-use aeon_erasure::{ErasureCode, ReedSolomon, Replicator};
+use aeon_erasure::{CodeError, ErasureCode, ReedSolomon, Replicator};
 use aeon_gf::Gf256;
 use aeon_secretshare::lrss::{self, LrssParams, LrssShare};
 use aeon_secretshare::packed::{self, PackedParams, PackedShare};
 use aeon_secretshare::shamir::{self, Share};
+use std::borrow::Cow;
 use std::fmt;
-use std::sync::OnceLock;
 
 /// How a repair was performed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,7 +103,7 @@ impl std::error::Error for RepairError {}
 /// (`Box<dyn Codec>`), which is why [`Codec::encode`] takes
 /// `&mut dyn CryptoRng` rather than a generic parameter.
 pub trait Codec: fmt::Debug {
-    /// Short family name (for diagnostics and registry listings).
+    /// Short family name (for diagnostics and listings).
     fn family(&self) -> &'static str;
 
     /// Validates the family parameters.
@@ -198,9 +206,7 @@ pub trait Codec: fmt::Debug {
         new_suite: SuiteId,
     ) -> Result<Vec<Vec<u8>>, PolicyError> {
         let _ = (keys, context, key_version, shards, new_suite);
-        Err(PolicyError::InvalidPolicy(
-            "policy does not support layered re-wrap".into(),
-        ))
+        Err(no_rewrap())
     }
 
     /// The policy value describing this family after a
@@ -215,13 +221,11 @@ pub trait Codec: fmt::Debug {
 // ---------------------------------------------------------------------
 // Shared helpers.
 
-fn encode_code_err(e: aeon_erasure::CodeError) -> PolicyError {
-    PolicyError::Malformed(e.to_string())
-}
-
-fn decode_code_err(e: aeon_erasure::CodeError) -> PolicyError {
+/// The one erasure-layer error mapping: scarcity stays typed, anything
+/// else is malformed input.
+fn code_err(e: CodeError) -> PolicyError {
     match e {
-        aeon_erasure::CodeError::TooFewShards {
+        CodeError::TooFewShards {
             available,
             required,
         } => PolicyError::TooFewShards {
@@ -232,31 +236,12 @@ fn decode_code_err(e: aeon_erasure::CodeError) -> PolicyError {
     }
 }
 
-fn erasure_params_valid(data: usize, parity: usize) -> Result<(), PolicyError> {
-    if data == 0 || parity == 0 || data + parity > 255 {
-        return Err(PolicyError::InvalidPolicy(
-            "erasure parameters must satisfy 1 <= data, parity and n <= 255".to_string(),
-        ));
-    }
-    Ok(())
+fn no_rewrap() -> PolicyError {
+    PolicyError::InvalidPolicy("policy does not support layered re-wrap".into())
 }
 
-/// Rebuilds missing rows of an RS codeword set in place: the stored
-/// shards ARE code symbols, so the ciphertext is never touched.
-fn rs_repair(
-    data: usize,
-    parity: usize,
-    shards: &[Option<Vec<u8>>],
-) -> Result<CodecRepair, RepairError> {
-    let rs = ReedSolomon::new(data, parity)
-        .map_err(|e| RepairError::Policy(PolicyError::Malformed(e.to_string())))?;
-    let shards = rs
-        .reconstruct_shards(shards)
-        .map_err(|e| RepairError::Policy(PolicyError::Malformed(e.to_string())))?;
-    Ok(CodecRepair::Rebuilt {
-        shards,
-        method: RepairMethod::PartialErasure,
-    })
+fn crypto_err(e: impl fmt::Display) -> PolicyError {
+    PolicyError::CryptoFailure(e.to_string())
 }
 
 fn share_err(required: usize) -> impl Fn(aeon_secretshare::ShareError) -> PolicyError {
@@ -320,7 +305,7 @@ fn deserialize_lrss(index: u8, bytes: &[u8]) -> Option<LrssShare> {
 }
 
 // ---------------------------------------------------------------------
-// The nine family codecs.
+// The family codecs.
 
 /// Plain `n`-way replication: no confidentiality, maximal simplicity.
 #[derive(Debug, Clone)]
@@ -366,9 +351,9 @@ impl Codec for ReplicationCodec {
         _object_id: &str,
         payload: &[u8],
     ) -> Result<Encoded, PolicyError> {
-        let rep = Replicator::new(self.copies).map_err(encode_code_err)?;
+        let rep = Replicator::new(self.copies).map_err(code_err)?;
         Ok(Encoded {
-            shards: rep.encode(payload).map_err(encode_code_err)?,
+            shards: rep.encode(payload).map_err(code_err)?,
             meta: EncodingMeta::plain(keys.current_version()),
         })
     }
@@ -380,9 +365,8 @@ impl Codec for ReplicationCodec {
         shards: &[Option<Vec<u8>>],
         _meta: &EncodingMeta,
     ) -> Result<Vec<u8>, PolicyError> {
-        let rep =
-            Replicator::new(self.copies).map_err(|e| PolicyError::Malformed(e.to_string()))?;
-        rep.decode(shards).map_err(decode_code_err)
+        let rep = Replicator::new(self.copies).map_err(code_err)?;
+        rep.decode(shards).map_err(code_err)
     }
 
     fn repair_chunk(&self, shards: &[Option<Vec<u8>>]) -> Result<CodecRepair, RepairError> {
@@ -403,186 +387,150 @@ impl Codec for ReplicationCodec {
     }
 }
 
-/// Systematic Reed–Solomon `[data + parity, data]`: availability at
-/// `n/k` cost, still no confidentiality.
+/// The confidentiality transform an [`RsDispersed`] policy applies
+/// before dispersal — the only part of the five Reed–Solomon families
+/// that differs.
 #[derive(Debug, Clone)]
-pub struct RsCodec {
-    /// Data shards.
-    pub data: usize,
-    /// Parity shards.
-    pub parity: usize,
+pub(crate) enum Seal {
+    /// None: plain erasure coding.
+    Plain,
+    /// One AEAD suite (the commercial cloud default: AES + EC).
+    Aead(SuiteId),
+    /// A cascade (robust combiner) of suites in application order — the
+    /// ArchiveSafeLT design.
+    Cascade(Vec<SuiteId>),
+    /// The keyless all-or-nothing package of AONT-RS (Cleversafe).
+    Aont,
+    /// The entropically secure δ-biased pad: ITS for high-entropy
+    /// payloads.
+    Entropic,
 }
 
-impl Codec for RsCodec {
-    fn family(&self) -> &'static str {
-        "erasure"
-    }
-
-    fn validate(&self) -> Result<(), PolicyError> {
-        erasure_params_valid(self.data, self.parity)
-    }
-
-    fn shard_count(&self) -> usize {
-        self.data + self.parity
-    }
-
-    fn read_threshold(&self) -> usize {
-        self.data
-    }
-
-    fn expansion(&self) -> f64 {
-        (self.data + self.parity) as f64 / self.data as f64
-    }
-
-    fn at_rest_level(&self) -> SecurityLevel {
-        SecurityLevel::None
-    }
-
-    fn encode(
-        &self,
-        _rng: &mut dyn CryptoRng,
-        keys: &KeyStore,
-        _object_id: &str,
-        payload: &[u8],
-    ) -> Result<Encoded, PolicyError> {
-        let rs = ReedSolomon::new(self.data, self.parity).map_err(encode_code_err)?;
-        Ok(Encoded {
-            shards: rs.encode(payload).map_err(encode_code_err)?,
-            meta: EncodingMeta::plain(keys.current_version()),
-        })
-    }
-
-    fn decode(
-        &self,
-        _keys: &KeyStore,
-        _object_id: &str,
-        shards: &[Option<Vec<u8>>],
-        _meta: &EncodingMeta,
-    ) -> Result<Vec<u8>, PolicyError> {
-        let rs = ReedSolomon::new(self.data, self.parity)
-            .map_err(|e| PolicyError::Malformed(e.to_string()))?;
-        rs.decode(shards).map_err(decode_code_err)
-    }
-
-    fn repair_chunk(&self, shards: &[Option<Vec<u8>>]) -> Result<CodecRepair, RepairError> {
-        rs_repair(self.data, self.parity, shards)
-    }
+fn aead_cipher(suite: SuiteId, key: &[u8; 32]) -> Result<SuiteCipher, PolicyError> {
+    SuiteRegistry::new()
+        .instantiate(suite, key)
+        .ok_or_else(|| PolicyError::InvalidPolicy(format!("{suite} is not an AEAD")))
 }
 
-/// Encrypt-then-erasure-code under a single suite (the commercial
-/// cloud default: AES + EC).
-#[derive(Debug, Clone)]
-pub struct EncryptedRsCodec {
-    /// The AEAD suite.
-    pub suite: SuiteId,
-    /// Data shards.
-    pub data: usize,
-    /// Parity shards.
-    pub parity: usize,
-}
-
-impl Codec for EncryptedRsCodec {
-    fn family(&self) -> &'static str {
-        "encrypted"
-    }
-
-    fn validate(&self) -> Result<(), PolicyError> {
-        erasure_params_valid(self.data, self.parity)
-    }
-
-    fn shard_count(&self) -> usize {
-        self.data + self.parity
-    }
-
-    fn read_threshold(&self) -> usize {
-        self.data
-    }
-
-    fn expansion(&self) -> f64 {
-        (self.data + self.parity) as f64 / self.data as f64
-    }
-
-    fn at_rest_level(&self) -> SecurityLevel {
-        SecurityLevel::Computational
-    }
-
-    fn at_rest_suites(&self) -> Vec<SuiteId> {
-        vec![self.suite]
-    }
-
-    fn encode(
+impl Seal {
+    /// Seals `payload` under `context` with the current master key and
+    /// returns the bytes to disperse — the caller's own slice when there
+    /// is no transform — recording in `meta` whatever [`Seal::open`]
+    /// will need beyond the key version.
+    fn seal<'a>(
         &self,
-        _rng: &mut dyn CryptoRng,
+        rng: &mut dyn CryptoRng,
         keys: &KeyStore,
-        object_id: &str,
-        payload: &[u8],
-    ) -> Result<Encoded, PolicyError> {
-        let key = keys.object_key(object_id, 0);
-        let cipher = SuiteRegistry::new()
-            .instantiate(self.suite, &key)
-            .ok_or_else(|| PolicyError::InvalidPolicy(format!("{} is not an AEAD", self.suite)))?;
-        let nonce = aead::derive_nonce(object_id.as_bytes());
-        let ct = cipher.seal(&nonce, object_id.as_bytes(), payload);
-        let rs = ReedSolomon::new(self.data, self.parity).map_err(encode_code_err)?;
-        Ok(Encoded {
-            shards: rs.encode(&ct).map_err(encode_code_err)?,
-            meta: EncodingMeta::plain(keys.current_version()),
-        })
+        context: &str,
+        payload: &'a [u8],
+        meta: &mut EncodingMeta,
+    ) -> Result<Cow<'a, [u8]>, PolicyError> {
+        let aad = context.as_bytes();
+        let sealed = match self {
+            Seal::Plain => return Ok(Cow::Borrowed(payload)),
+            Seal::Aead(suite) => aead_cipher(*suite, &keys.object_key(context, 0))?.seal(
+                &aead::derive_nonce(aad),
+                aad,
+                payload,
+            ),
+            Seal::Cascade(suites) => Cascade::new(suites, &keys.object_key(context, 0))
+                .map_err(crypto_err)?
+                .encrypt(aad, payload),
+            Seal::Aont => aont::package(rng, payload),
+            Seal::Entropic => {
+                let ct = EntropicCipher::new(keys.entropic_key(context)).encrypt(rng, payload);
+                meta.entropic_nonce = Some(ct.nonce);
+                ct.body
+            }
+        };
+        Ok(Cow::Owned(sealed))
     }
 
-    fn decode(
+    /// Opens the bytes the dispersal gave back — the inverse of
+    /// [`Seal::seal`] under the key version and nonce in `meta`.
+    fn open(
         &self,
         keys: &KeyStore,
-        object_id: &str,
-        shards: &[Option<Vec<u8>>],
+        context: &str,
         meta: &EncodingMeta,
+        sealed: Vec<u8>,
     ) -> Result<Vec<u8>, PolicyError> {
-        let rs = ReedSolomon::new(self.data, self.parity)
-            .map_err(|e| PolicyError::Malformed(e.to_string()))?;
-        let ct = rs.decode(shards).map_err(decode_code_err)?;
-        let key = keys.object_key_for_version(meta.key_version, object_id, 0);
-        let cipher = SuiteRegistry::new()
-            .instantiate(self.suite, &key)
-            .ok_or_else(|| PolicyError::InvalidPolicy(format!("{} is not an AEAD", self.suite)))?;
-        let nonce = aead::derive_nonce(object_id.as_bytes());
-        cipher
-            .open(&nonce, object_id.as_bytes(), &ct)
-            .map_err(|_| PolicyError::CryptoFailure("AEAD open failed".into()))
-    }
-
-    fn repair_chunk(&self, shards: &[Option<Vec<u8>>]) -> Result<CodecRepair, RepairError> {
-        rs_repair(self.data, self.parity, shards)
+        let aad = context.as_bytes();
+        let key = || keys.object_key_for_version(meta.key_version, context, 0);
+        match self {
+            Seal::Plain => Ok(sealed),
+            Seal::Aead(suite) => aead_cipher(*suite, &key())?
+                .open(&aead::derive_nonce(aad), aad, &sealed)
+                .map_err(|_| PolicyError::CryptoFailure("AEAD open failed".into())),
+            Seal::Cascade(suites) => Cascade::new(suites, &key())
+                .map_err(crypto_err)?
+                .decrypt(aad, &sealed)
+                .map_err(crypto_err),
+            Seal::Aont => {
+                aont::unpackage(&sealed).map_err(|e| PolicyError::Malformed(e.to_string()))
+            }
+            Seal::Entropic => {
+                let Some(nonce) = meta.entropic_nonce else {
+                    return Err(PolicyError::Malformed("missing entropic nonce".into()));
+                };
+                let cipher = EntropicCipher::new(keys.entropic_key(context));
+                Ok(cipher.decrypt(&EntropicCiphertext {
+                    nonce,
+                    body: sealed,
+                }))
+            }
+        }
     }
 }
 
-/// Cascade (robust combiner) of several suites, then erasure code —
-/// the ArchiveSafeLT design.
+/// A [`Seal`] in front of systematic Reed–Solomon `[data + parity,
+/// data]` dispersal: availability at `n/k` cost, confidentiality
+/// whatever the seal provides. The stored shards are code symbols of
+/// the *sealed* bytes, so repair and re-wrap never see plaintext.
 #[derive(Debug, Clone)]
-pub struct CascadeCodec {
-    /// Suites in application order.
-    pub suites: Vec<SuiteId>,
-    /// Data shards.
-    pub data: usize,
+pub(crate) struct RsDispersed {
+    /// The transform applied before dispersal.
+    pub(crate) seal: Seal,
+    /// Data (threshold) shards.
+    pub(crate) data: usize,
     /// Parity shards.
-    pub parity: usize,
+    pub(crate) parity: usize,
 }
 
-impl Codec for CascadeCodec {
+impl RsDispersed {
+    fn rs(&self) -> Result<ReedSolomon, PolicyError> {
+        ReedSolomon::new(self.data, self.parity).map_err(code_err)
+    }
+}
+
+impl Codec for RsDispersed {
     fn family(&self) -> &'static str {
-        "cascade"
+        match self.seal {
+            Seal::Plain => "erasure",
+            Seal::Aead(_) => "encrypted",
+            Seal::Cascade(_) => "cascade",
+            Seal::Aont => "aont-rs",
+            Seal::Entropic => "entropic",
+        }
     }
 
     fn validate(&self) -> Result<(), PolicyError> {
-        erasure_params_valid(self.data, self.parity)?;
-        if self.suites.is_empty() {
+        if self.data == 0 || self.parity == 0 || self.data + self.parity > 255 {
             return Err(PolicyError::InvalidPolicy(
-                "cascade needs at least one suite".to_string(),
+                "erasure parameters must satisfy 1 <= data, parity and n <= 255".to_string(),
             ));
         }
-        if self.suites.iter().any(|s| s.is_information_theoretic()) {
-            return Err(PolicyError::InvalidPolicy(
-                "cascade layers must be AEAD suites".to_string(),
-            ));
+        if let Seal::Cascade(suites) = &self.seal {
+            if suites.is_empty() {
+                return Err(PolicyError::InvalidPolicy(
+                    "cascade needs at least one suite".to_string(),
+                ));
+            }
+            if suites.iter().any(|s| s.is_information_theoretic()) {
+                return Err(PolicyError::InvalidPolicy(
+                    "cascade layers must be AEAD suites".to_string(),
+                ));
+            }
         }
         Ok(())
     }
@@ -600,29 +548,33 @@ impl Codec for CascadeCodec {
     }
 
     fn at_rest_level(&self) -> SecurityLevel {
-        SecurityLevel::Computational
+        match self.seal {
+            Seal::Plain => SecurityLevel::None,
+            Seal::Aead(_) | Seal::Cascade(_) | Seal::Aont => SecurityLevel::Computational,
+            Seal::Entropic => SecurityLevel::EntropicIts,
+        }
     }
 
     fn at_rest_suites(&self) -> Vec<SuiteId> {
-        self.suites.clone()
+        match &self.seal {
+            Seal::Plain | Seal::Entropic => Vec::new(),
+            Seal::Aead(suite) => vec![*suite],
+            Seal::Cascade(suites) => suites.clone(),
+            Seal::Aont => vec![SuiteId::Aes256CtrHmac],
+        }
     }
 
     fn encode(
         &self,
-        _rng: &mut dyn CryptoRng,
+        rng: &mut dyn CryptoRng,
         keys: &KeyStore,
         object_id: &str,
         payload: &[u8],
     ) -> Result<Encoded, PolicyError> {
-        let master = keys.object_key(object_id, 0);
-        let cascade = Cascade::new(&self.suites, &master)
-            .map_err(|e| PolicyError::CryptoFailure(e.to_string()))?;
-        let ct = cascade.encrypt(object_id.as_bytes(), payload);
-        let rs = ReedSolomon::new(self.data, self.parity).map_err(encode_code_err)?;
-        Ok(Encoded {
-            shards: rs.encode(&ct).map_err(encode_code_err)?,
-            meta: EncodingMeta::plain(keys.current_version()),
-        })
+        let mut meta = EncodingMeta::plain(keys.current_version());
+        let sealed = self.seal.seal(rng, keys, object_id, payload, &mut meta)?;
+        let shards = self.rs()?.encode(&sealed).map_err(code_err)?;
+        Ok(Encoded { shards, meta })
     }
 
     fn decode(
@@ -632,19 +584,19 @@ impl Codec for CascadeCodec {
         shards: &[Option<Vec<u8>>],
         meta: &EncodingMeta,
     ) -> Result<Vec<u8>, PolicyError> {
-        let rs = ReedSolomon::new(self.data, self.parity)
-            .map_err(|e| PolicyError::Malformed(e.to_string()))?;
-        let ct = rs.decode(shards).map_err(decode_code_err)?;
-        let master = keys.object_key_for_version(meta.key_version, object_id, 0);
-        let cascade = Cascade::new(&self.suites, &master)
-            .map_err(|e| PolicyError::CryptoFailure(e.to_string()))?;
-        cascade
-            .decrypt(object_id.as_bytes(), &ct)
-            .map_err(|e| PolicyError::CryptoFailure(e.to_string()))
+        let sealed = self.rs()?.decode(shards).map_err(code_err)?;
+        self.seal.open(keys, object_id, meta, sealed)
     }
 
+    /// Rebuilds missing rows of the codeword set in place: the stored
+    /// shards ARE code symbols, so the sealed bytes are never touched.
     fn repair_chunk(&self, shards: &[Option<Vec<u8>>]) -> Result<CodecRepair, RepairError> {
-        rs_repair(self.data, self.parity, shards)
+        let rs = self.rs().map_err(RepairError::Policy)?;
+        let rebuilt = rs.reconstruct_shards(shards).map_err(code_err);
+        Ok(CodecRepair::Rebuilt {
+            shards: rebuilt.map_err(RepairError::Policy)?,
+            method: RepairMethod::PartialErasure,
+        })
     }
 
     fn rewrap_chunk(
@@ -655,108 +607,30 @@ impl Codec for CascadeCodec {
         shards: &[Option<Vec<u8>>],
         new_suite: SuiteId,
     ) -> Result<Vec<Vec<u8>>, PolicyError> {
+        let Seal::Cascade(suites) = &self.seal else {
+            return Err(no_rewrap());
+        };
         // Rebuild the layered ciphertext from the erasure code, apply
         // one more AEAD layer, re-encode. No plaintext, no inner keys.
-        let rs = ReedSolomon::new(self.data, self.parity)
-            .map_err(|e| PolicyError::Malformed(e.to_string()))?;
-        let ct = rs
-            .decode(shards)
-            .map_err(|e| PolicyError::Malformed(e.to_string()))?;
+        let rs = self.rs()?;
+        let ct = rs.decode(shards).map_err(code_err)?;
         let master = keys.object_key_for_version(key_version, context, 0);
-        let mut cascade = Cascade::new(&self.suites, &master)
-            .map_err(|e| PolicyError::CryptoFailure(e.to_string()))?;
+        let mut cascade = Cascade::new(suites, &master).map_err(crypto_err)?;
         let old_depth = cascade.depth();
-        cascade
-            .add_layer(new_suite, &master)
-            .map_err(|e| PolicyError::CryptoFailure(e.to_string()))?;
+        cascade.add_layer(new_suite, &master).map_err(crypto_err)?;
         let rewrapped = cascade.rewrap(context.as_bytes(), &ct, old_depth);
-        rs.encode(&rewrapped)
-            .map_err(|e| PolicyError::Malformed(e.to_string()))
+        rs.encode(&rewrapped).map_err(code_err)
     }
 
     fn rewrapped_policy(&self, new_suite: SuiteId) -> Option<PolicyKind> {
-        let mut suites = self.suites.clone();
-        suites.push(new_suite);
+        let Seal::Cascade(suites) = &self.seal else {
+            return None;
+        };
         Some(PolicyKind::Cascade {
-            suites,
+            suites: suites.iter().copied().chain([new_suite]).collect(),
             data: self.data,
             parity: self.parity,
         })
-    }
-}
-
-/// AONT-RS dispersal (Cleversafe): keyless, computational.
-#[derive(Debug, Clone)]
-pub struct AontRsCodec {
-    /// Threshold shards.
-    pub data: usize,
-    /// Parity shards.
-    pub parity: usize,
-}
-
-impl Codec for AontRsCodec {
-    fn family(&self) -> &'static str {
-        "aont-rs"
-    }
-
-    fn validate(&self) -> Result<(), PolicyError> {
-        erasure_params_valid(self.data, self.parity)
-    }
-
-    fn shard_count(&self) -> usize {
-        self.data + self.parity
-    }
-
-    fn read_threshold(&self) -> usize {
-        self.data
-    }
-
-    fn expansion(&self) -> f64 {
-        (self.data + self.parity) as f64 / self.data as f64
-    }
-
-    fn at_rest_level(&self) -> SecurityLevel {
-        SecurityLevel::Computational
-    }
-
-    fn at_rest_suites(&self) -> Vec<SuiteId> {
-        vec![SuiteId::Aes256CtrHmac]
-    }
-
-    fn encode(
-        &self,
-        rng: &mut dyn CryptoRng,
-        keys: &KeyStore,
-        _object_id: &str,
-        payload: &[u8],
-    ) -> Result<Encoded, PolicyError> {
-        let codec = AontRs::new(self.data, self.parity)
-            .map_err(|e| PolicyError::Malformed(e.to_string()))?;
-        Ok(Encoded {
-            shards: codec
-                .encode(rng, payload)
-                .map_err(|e| PolicyError::Malformed(e.to_string()))?,
-            meta: EncodingMeta::plain(keys.current_version()),
-        })
-    }
-
-    fn decode(
-        &self,
-        _keys: &KeyStore,
-        _object_id: &str,
-        shards: &[Option<Vec<u8>>],
-        _meta: &EncodingMeta,
-    ) -> Result<Vec<u8>, PolicyError> {
-        let codec = AontRs::new(self.data, self.parity)
-            .map_err(|e| PolicyError::Malformed(e.to_string()))?;
-        codec.decode(shards).map_err(|e| match e {
-            crate::aont::AontError::Code(c) => decode_code_err(c),
-            other => PolicyError::Malformed(other.to_string()),
-        })
-    }
-
-    fn repair_chunk(&self, shards: &[Option<Vec<u8>>]) -> Result<CodecRepair, RepairError> {
-        rs_repair(self.data, self.parity, shards)
     }
 }
 
@@ -1041,264 +915,6 @@ impl Codec for LrssCodec {
     }
 }
 
-/// Entropically secure encryption then erasure coding: ITS for
-/// high-entropy payloads at erasure-coding cost.
-#[derive(Debug, Clone)]
-pub struct EntropicCodec {
-    /// Data shards.
-    pub data: usize,
-    /// Parity shards.
-    pub parity: usize,
-}
-
-impl Codec for EntropicCodec {
-    fn family(&self) -> &'static str {
-        "entropic"
-    }
-
-    fn validate(&self) -> Result<(), PolicyError> {
-        erasure_params_valid(self.data, self.parity)
-    }
-
-    fn shard_count(&self) -> usize {
-        self.data + self.parity
-    }
-
-    fn read_threshold(&self) -> usize {
-        self.data
-    }
-
-    fn expansion(&self) -> f64 {
-        (self.data + self.parity) as f64 / self.data as f64
-    }
-
-    fn at_rest_level(&self) -> SecurityLevel {
-        SecurityLevel::EntropicIts
-    }
-
-    fn encode(
-        &self,
-        rng: &mut dyn CryptoRng,
-        keys: &KeyStore,
-        object_id: &str,
-        payload: &[u8],
-    ) -> Result<Encoded, PolicyError> {
-        let cipher = EntropicCipher::new(keys.entropic_key(object_id));
-        let ct = cipher.encrypt(rng, payload);
-        let rs = ReedSolomon::new(self.data, self.parity).map_err(encode_code_err)?;
-        Ok(Encoded {
-            shards: rs.encode(&ct.body).map_err(encode_code_err)?,
-            meta: EncodingMeta {
-                key_version: keys.current_version(),
-                packed: None,
-                entropic_nonce: Some(ct.nonce),
-                chunked: None,
-            },
-        })
-    }
-
-    fn decode(
-        &self,
-        keys: &KeyStore,
-        object_id: &str,
-        shards: &[Option<Vec<u8>>],
-        meta: &EncodingMeta,
-    ) -> Result<Vec<u8>, PolicyError> {
-        let rs = ReedSolomon::new(self.data, self.parity)
-            .map_err(|e| PolicyError::Malformed(e.to_string()))?;
-        let body = rs.decode(shards).map_err(decode_code_err)?;
-        let Some(nonce) = meta.entropic_nonce else {
-            return Err(PolicyError::Malformed("missing entropic nonce".into()));
-        };
-        let cipher = EntropicCipher::new(keys.entropic_key(object_id));
-        Ok(cipher.decrypt(&EntropicCiphertext { nonce, body }))
-    }
-
-    fn repair_chunk(&self, shards: &[Option<Vec<u8>>]) -> Result<CodecRepair, RepairError> {
-        rs_repair(self.data, self.parity, shards)
-    }
-}
-
-// ---------------------------------------------------------------------
-// The registry.
-
-#[derive(Debug)]
-struct RegistryEntry {
-    family: &'static str,
-    build: fn(&PolicyKind) -> Option<Box<dyn Codec>>,
-}
-
-/// Maps [`PolicyKind`] values to their family's [`Codec`].
-///
-/// One entry per family; [`CodecRegistry::resolve`] walks the entries
-/// and the first one that recognizes the policy builds the codec. The
-/// process-wide instance is [`CodecRegistry::global`].
-#[derive(Debug)]
-pub struct CodecRegistry {
-    entries: Vec<RegistryEntry>,
-}
-
-impl CodecRegistry {
-    /// The registry of the nine built-in policy families.
-    pub fn builtin() -> Self {
-        let entries: Vec<RegistryEntry> = vec![
-            RegistryEntry {
-                family: "replication",
-                build: |p| match p {
-                    PolicyKind::Replication { copies } => {
-                        Some(Box::new(ReplicationCodec { copies: *copies }) as Box<dyn Codec>)
-                    }
-                    _ => None,
-                },
-            },
-            RegistryEntry {
-                family: "erasure",
-                build: |p| match p {
-                    PolicyKind::ErasureCoded { data, parity } => Some(Box::new(RsCodec {
-                        data: *data,
-                        parity: *parity,
-                    })
-                        as Box<dyn Codec>),
-                    _ => None,
-                },
-            },
-            RegistryEntry {
-                family: "encrypted",
-                build: |p| match p {
-                    PolicyKind::Encrypted {
-                        suite,
-                        data,
-                        parity,
-                    } => Some(Box::new(EncryptedRsCodec {
-                        suite: *suite,
-                        data: *data,
-                        parity: *parity,
-                    }) as Box<dyn Codec>),
-                    _ => None,
-                },
-            },
-            RegistryEntry {
-                family: "cascade",
-                build: |p| match p {
-                    PolicyKind::Cascade {
-                        suites,
-                        data,
-                        parity,
-                    } => Some(Box::new(CascadeCodec {
-                        suites: suites.clone(),
-                        data: *data,
-                        parity: *parity,
-                    }) as Box<dyn Codec>),
-                    _ => None,
-                },
-            },
-            RegistryEntry {
-                family: "aont-rs",
-                build: |p| match p {
-                    PolicyKind::AontRs { data, parity } => Some(Box::new(AontRsCodec {
-                        data: *data,
-                        parity: *parity,
-                    })
-                        as Box<dyn Codec>),
-                    _ => None,
-                },
-            },
-            RegistryEntry {
-                family: "shamir",
-                build: |p| match p {
-                    PolicyKind::Shamir { threshold, shares } => Some(Box::new(ShamirCodec {
-                        threshold: *threshold,
-                        shares: *shares,
-                    })
-                        as Box<dyn Codec>),
-                    _ => None,
-                },
-            },
-            RegistryEntry {
-                family: "packed-shamir",
-                build: |p| match p {
-                    PolicyKind::PackedShamir {
-                        privacy,
-                        pack,
-                        shares,
-                    } => Some(Box::new(PackedShamirCodec {
-                        privacy: *privacy,
-                        pack: *pack,
-                        shares: *shares,
-                    }) as Box<dyn Codec>),
-                    _ => None,
-                },
-            },
-            RegistryEntry {
-                family: "lrss",
-                build: |p| match p {
-                    PolicyKind::LeakageResilientShamir {
-                        threshold,
-                        shares,
-                        source_len,
-                    } => Some(Box::new(LrssCodec {
-                        threshold: *threshold,
-                        shares: *shares,
-                        source_len: *source_len,
-                    }) as Box<dyn Codec>),
-                    _ => None,
-                },
-            },
-            RegistryEntry {
-                family: "entropic",
-                build: |p| match p {
-                    PolicyKind::Entropic { data, parity } => Some(Box::new(EntropicCodec {
-                        data: *data,
-                        parity: *parity,
-                    })
-                        as Box<dyn Codec>),
-                    _ => None,
-                },
-            },
-        ];
-        CodecRegistry { entries }
-    }
-
-    /// The process-wide registry of built-in families.
-    pub fn global() -> &'static CodecRegistry {
-        static REG: OnceLock<CodecRegistry> = OnceLock::new();
-        REG.get_or_init(CodecRegistry::builtin)
-    }
-
-    /// Builds the codec for a policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no registered family recognizes the policy — cannot
-    /// happen for [`CodecRegistry::builtin`], which covers every
-    /// [`PolicyKind`] variant.
-    pub fn resolve(&self, policy: &PolicyKind) -> Box<dyn Codec> {
-        self.entries
-            .iter()
-            .find_map(|e| (e.build)(policy))
-            .expect("every PolicyKind variant has a registered codec family")
-    }
-
-    /// The family name a policy resolves to.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same (unreachable for built-ins) condition as
-    /// [`CodecRegistry::resolve`].
-    pub fn family_of(&self, policy: &PolicyKind) -> &'static str {
-        self.entries
-            .iter()
-            .find(|e| (e.build)(policy).is_some())
-            .map(|e| e.family)
-            .expect("every PolicyKind variant has a registered codec family")
-    }
-
-    /// All registered family names, in registration order.
-    pub fn families(&self) -> Vec<&'static str> {
-        self.entries.iter().map(|e| e.family).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1342,34 +958,62 @@ mod tests {
     }
 
     #[test]
-    fn registry_covers_all_nine_families() {
-        let registry = CodecRegistry::global();
-        assert_eq!(registry.families().len(), 9);
-        let mut seen = std::collections::BTreeSet::new();
-        for policy in all_policies() {
-            let codec = registry.resolve(&policy);
-            assert_eq!(codec.family(), registry.family_of(&policy));
-            assert!(seen.insert(codec.family()), "duplicate {}", codec.family());
-        }
-        assert_eq!(seen.len(), 9);
+    fn the_nine_policies_name_nine_distinct_families() {
+        let families: std::collections::BTreeSet<&str> =
+            all_policies().iter().map(|p| p.codec().family()).collect();
+        let expected = [
+            "aont-rs",
+            "cascade",
+            "encrypted",
+            "entropic",
+            "erasure",
+            "lrss",
+            "packed-shamir",
+            "replication",
+            "shamir",
+        ];
+        assert!(families.iter().eq(expected.iter()), "{families:?}");
     }
 
+    /// Figure 1's numbers per family, stated rather than derived: what
+    /// the one Reed–Solomon codec answers for each seal is checked
+    /// against the same expectations as the families that stand alone.
     #[test]
-    fn codec_metadata_matches_policy_delegation() {
-        for policy in all_policies() {
+    fn family_numbers_match_figure1() {
+        use SecurityLevel::*;
+        use SuiteId::{Aes256CtrHmac as Aes, ChaCha20Poly1305 as ChaCha};
+        // (family, shards, threshold, expansion, at rest, ordinal, suites)
+        type Row = (
+            &'static str,
+            usize,
+            usize,
+            f64,
+            SecurityLevel,
+            u8,
+            Vec<SuiteId>,
+        );
+        let expected: [Row; 9] = [
+            ("replication", 3, 1, 3.0, None, 0, vec![]),
+            ("erasure", 6, 4, 1.5, None, 0, vec![]),
+            ("encrypted", 6, 4, 1.5, Computational, 1, vec![Aes]),
+            ("cascade", 6, 4, 1.5, Computational, 1, vec![Aes, ChaCha]),
+            ("aont-rs", 6, 4, 1.5, Computational, 1, vec![Aes]),
+            ("shamir", 5, 3, 5.0, InformationTheoretic, 3, vec![]),
+            ("packed-shamir", 6, 4, 3.0, InformationTheoretic, 3, vec![]),
+            ("lrss", 5, 3, 10.0, InformationTheoretic, 4, vec![]),
+            ("entropic", 6, 4, 1.5, EntropicIts, 2, vec![]),
+        ];
+        for (policy, row) in all_policies().iter().zip(expected) {
+            let (family, shards, threshold, expansion, level, ordinal, suites) = row;
             let codec = policy.codec();
-            assert_eq!(codec.shard_count(), policy.shard_count(), "{policy:?}");
-            assert_eq!(
-                codec.read_threshold(),
-                policy.read_threshold(),
-                "{policy:?}"
-            );
-            assert!(
-                (codec.expansion() - policy.expansion()).abs() < 1e-9,
-                "{policy:?}"
-            );
-            assert_eq!(codec.at_rest_level(), policy.at_rest_level(), "{policy:?}");
-            assert!(codec.validate().is_ok(), "{policy:?}");
+            assert_eq!(codec.family(), family);
+            assert_eq!(codec.shard_count(), shards, "{family}");
+            assert_eq!(codec.read_threshold(), threshold, "{family}");
+            assert!((codec.expansion() - expansion).abs() < 1e-9, "{family}");
+            assert_eq!(codec.at_rest_level(), level, "{family}");
+            assert_eq!(codec.security_ordinal(), ordinal, "{family}");
+            assert_eq!(codec.at_rest_suites(), suites, "{family}");
+            assert!(codec.validate().is_ok(), "{family}");
         }
     }
 
@@ -1512,40 +1156,38 @@ mod tests {
 
     #[test]
     fn validation_matches_legacy_rules() {
-        assert!(ReplicationCodec { copies: 0 }.validate().is_err());
-        assert!(RsCodec { data: 0, parity: 1 }.validate().is_err());
-        assert!(RsCodec {
-            data: 200,
-            parity: 100
+        let invalid = [
+            PolicyKind::Replication { copies: 0 },
+            PolicyKind::ErasureCoded { data: 0, parity: 1 },
+            PolicyKind::ErasureCoded {
+                data: 200,
+                parity: 100,
+            },
+            PolicyKind::Cascade {
+                suites: vec![],
+                data: 2,
+                parity: 1,
+            },
+            PolicyKind::Cascade {
+                suites: vec![SuiteId::OneTimePad],
+                data: 2,
+                parity: 1,
+            },
+            PolicyKind::Shamir {
+                threshold: 6,
+                shares: 5,
+            },
+            PolicyKind::LeakageResilientShamir {
+                threshold: 2,
+                shares: 3,
+                source_len: 0,
+            },
+        ];
+        for policy in invalid {
+            assert!(
+                matches!(policy.validate(), Err(PolicyError::InvalidPolicy(_))),
+                "{policy:?}"
+            );
         }
-        .validate()
-        .is_err());
-        assert!(CascadeCodec {
-            suites: vec![],
-            data: 2,
-            parity: 1
-        }
-        .validate()
-        .is_err());
-        assert!(CascadeCodec {
-            suites: vec![SuiteId::OneTimePad],
-            data: 2,
-            parity: 1
-        }
-        .validate()
-        .is_err());
-        assert!(ShamirCodec {
-            threshold: 6,
-            shares: 5
-        }
-        .validate()
-        .is_err());
-        assert!(LrssCodec {
-            threshold: 2,
-            shares: 3,
-            source_len: 0
-        }
-        .validate()
-        .is_err());
     }
 }

@@ -229,7 +229,7 @@ pub struct Figure1Point {
 }
 
 /// Measures the Figure 1 encodings on `payload`. The security axis and
-/// the analytic cost come from the codec registry, so the figure can
+/// the analytic cost come from each policy's codec, so the figure can
 /// never drift from what the encodings actually implement.
 ///
 /// # Errors
@@ -393,7 +393,7 @@ mod tests {
     #[test]
     fn measured_expansion_agrees_with_codec_analytic() {
         // The codec's closed-form expansion and the measured figure must
-        // agree to within 5% on a 4 KiB payload — the registry is the
+        // agree to within 5% on a 4 KiB payload — the codec is the
         // single source of truth, the measurement its cross-check.
         let mut rng = ChaChaDrbg::from_u64_seed(11);
         for p in figure1_points(&mut rng, &payload()).unwrap() {

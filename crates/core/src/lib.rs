@@ -14,7 +14,11 @@
 //!   geo-dispersed cluster, with renewable timestamp chains.
 //! * [`PolicyKind`] — the nine at-rest encodings of the paper's design
 //!   space, from replication to leakage-resilient secret sharing.
-//! * [`aont`] — the AONT-RS dispersal codec (Resch–Plank).
+//! * [`codec`] — how a policy encodes: a seal (none, an AEAD, a
+//!   cascade, an all-or-nothing package, an entropic pad) in front of
+//!   Reed–Solomon dispersal, or one of the four families that stand
+//!   alone (replication, Shamir, packed and leakage-resilient sharing).
+//! * [`aont`] — the all-or-nothing package of AONT-RS (Resch–Plank).
 //! * [`keys`] — versioned master keys and per-object derivation.
 //! * [`pipeline`] — the chunked, parallel encode/decode data path:
 //!   fixed-size chunks, a scoped-thread worker pool, and one batched
@@ -72,7 +76,7 @@ pub use archive::{
 };
 pub use campaign::{Campaign, CampaignOp, CampaignReport, MAX_RESERVED_FRACTION};
 pub use catalog::{FleetCatalog, DEFAULT_CATALOG_SHARDS};
-pub use codec::{Codec, CodecRegistry, CodecRepair};
+pub use codec::{Codec, CodecRepair};
 pub use dedup::{
     block_object_id, BlockKind, BlockRecord, CatalogEntry, DedupConfig, DedupManifest, DedupStats,
 };

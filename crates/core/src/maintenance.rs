@@ -104,14 +104,7 @@ impl Archive {
         // a corrupt share would poison the whole next epoch, so the
         // digest filter treats it as absent.
         let snap = self.fetch_shards(&record, fetch);
-        let slots = snap.shards.len();
-        let stored: Vec<Vec<u8>> = snap.shards.into_iter().flatten().collect();
-        if stored.len() < slots {
-            return Err(ArchiveError::UnsupportedOperation(
-                "refresh requires all shareholders online",
-            ));
-        }
-        let (blobs, cost) = plan::plan_refresh(threshold, &record.meta, &mut self.rng, stored)?;
+        let (blobs, cost) = plan::plan_refresh(&record, threshold, &mut self.rng, &snap.shards)?;
         let mut put_rng = self.op_rng(put, record.id.as_str());
         let outcome = self.executor().write_shards(
             record.id.as_str(),

@@ -32,6 +32,19 @@
 //! pipeline output is byte-identical to the legacy whole-buffer
 //! [`PolicyKind::encode`] path and `meta.chunked` stays `None`.
 //!
+//! # One reader of the layout
+//!
+//! [`encode_object`] is the one place the layout is *decided*
+//! (`payload.len() <= chunk_size`); the crate-private `StoredChunks`
+//! view is the one place it is *read*. Every consumer of a fetched
+//! shard set — [`decode_object`], and the repair, refresh and re-wrap
+//! planners in [`crate::plan`] — sees a list of chunks, each with its
+//! context string, its [`EncodingMeta`] and its column of `Option`
+//! segments, and hands per-chunk outputs back to be joined into one
+//! blob per slot. An unframed set is a list of one chunk, borrowed as
+//! is; nothing outside this module knows the `[u32 BE len][segment]`
+//! framing, the `#chunk{j}` contexts or where per-chunk metadata lives.
+//!
 //! # Determinism and worker-pool sizing
 //!
 //! Per-chunk DRBG seeds are drawn **serially** from the caller's RNG
@@ -46,6 +59,7 @@ use crate::keys::KeyStore;
 use crate::policy::{Encoded, EncodingMeta, PolicyError, PolicyKind};
 use aeon_crypto::{ChaChaDrbg, CryptoRng};
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -113,43 +127,95 @@ impl ChunkedMeta {
     }
 }
 
-/// One shard's batched blob plus its per-chunk segment byte ranges.
-type ShardRanges<'a> = (&'a [u8], Vec<Range<usize>>);
-
-/// The layout of a chunked object's fetched shards: each present blob
+/// One fetched shard set seen as a list of chunks — the only reader of
+/// the stored layout. A set that fit one chunk (`meta.chunked == None`)
+/// is its own single chunk under the object's own context and metadata,
+/// handed through **borrowed**; a framed set has each present blob
 /// frame-walked once, keeping only segment *offsets* into it, so that
-/// [`ChunkColumns::chunk`] materializes exactly the one segment copy a
-/// per-chunk codec call needs instead of a full per-shard split
-/// followed by a per-chunk clone.
-pub(crate) struct ChunkColumns<'a>(Vec<Option<ShardRanges<'a>>>);
+/// [`StoredChunks::shards`] materializes exactly the one segment copy a
+/// per-chunk codec call needs.
+pub(crate) struct StoredChunks<'a> {
+    object_id: &'a str,
+    meta: &'a EncodingMeta,
+    shards: &'a [Option<Vec<u8>>],
+    framed: Option<Framing<'a>>,
+}
 
-impl<'a> ChunkColumns<'a> {
+/// A framed set's per-chunk metadata and, per present blob, its
+/// per-chunk segment byte ranges.
+struct Framing<'a> {
+    chunked: &'a ChunkedMeta,
+    ranges: Vec<Option<Vec<Range<usize>>>>,
+}
+
+impl<'a> StoredChunks<'a> {
     /// # Errors
     ///
     /// Returns [`PolicyError::Malformed`] for corrupt framing.
     pub(crate) fn parse(
+        object_id: &'a str,
+        meta: &'a EncodingMeta,
         shards: &'a [Option<Vec<u8>>],
-        chunk_count: usize,
     ) -> Result<Self, PolicyError> {
-        shards
-            .iter()
-            .map(|s| {
-                s.as_deref()
-                    .map(|bytes| split_shard_ranges(bytes, chunk_count).map(|r| (bytes, r)))
-                    .transpose()
-            })
-            .collect::<Result<_, _>>()
-            .map(ChunkColumns)
+        let framed = match &meta.chunked {
+            None => None,
+            Some(chunked) => {
+                let walk = |blob: &Vec<u8>| split_shard_ranges(blob, chunked.chunk_count());
+                let ranges = shards.iter().map(|s| s.as_ref().map(walk).transpose());
+                let ranges = ranges.collect::<Result<_, _>>()?;
+                Some(Framing { chunked, ranges })
+            }
+        };
+        Ok(StoredChunks {
+            object_id,
+            meta,
+            shards,
+            framed,
+        })
+    }
+
+    /// Number of chunks in the set: one for an unframed set.
+    pub(crate) fn count(&self) -> usize {
+        self.framed.as_ref().map_or(1, |f| f.chunked.chunk_count())
+    }
+
+    /// The context string chunk `j` was encoded under.
+    pub(crate) fn context(&self, j: usize) -> Cow<'a, str> {
+        match self.framed {
+            None => Cow::Borrowed(self.object_id),
+            Some(_) => Cow::Owned(chunk_object_id(self.object_id, j)),
+        }
+    }
+
+    /// Chunk `j`'s decode metadata.
+    pub(crate) fn meta(&self, j: usize) -> &'a EncodingMeta {
+        match &self.framed {
+            None => self.meta,
+            Some(framing) => &framing.chunked.chunk_metas[j],
+        }
     }
 
     /// Chunk `j`'s shard set, absent slots staying absent.
-    pub(crate) fn chunk(&self, j: usize) -> Vec<Option<Vec<u8>>> {
-        self.0
-            .iter()
-            .map(|col| {
-                col.as_ref()
-                    .map(|(bytes, ranges)| bytes[ranges[j].clone()].to_vec())
-            })
+    pub(crate) fn shards(&self, j: usize) -> Cow<'a, [Option<Vec<u8>>]> {
+        let Some(Framing { ranges, .. }) = &self.framed else {
+            return Cow::Borrowed(self.shards);
+        };
+        let segment = |(blob, ranges): (&Option<Vec<u8>>, &Option<Vec<Range<usize>>>)| {
+            Some(blob.as_ref()?[ranges.as_ref()?[j].clone()].to_vec())
+        };
+        Cow::Owned(self.shards.iter().zip(ranges).map(segment).collect())
+    }
+
+    /// Reassembles per-chunk outputs — `chunks[j][s]` is the new bytes
+    /// of chunk `j` for the caller's `s`-th slot — into one stored blob
+    /// per slot, in this set's layout.
+    pub(crate) fn join(&self, chunks: Vec<Vec<Vec<u8>>>) -> Vec<Vec<u8>> {
+        if self.framed.is_none() {
+            return chunks.into_iter().next().unwrap_or_default();
+        }
+        let slots = chunks.first().map_or(0, Vec::len);
+        (0..slots)
+            .map(|s| join_shard_segments(chunks.iter().map(|chunk| chunk[s].as_slice())))
             .collect()
     }
 }
@@ -274,10 +340,11 @@ pub fn encode_object<R: CryptoRng + ?Sized>(
     })
 }
 
-/// Decodes an object encoded by [`encode_object`]. Non-chunked objects
-/// (`meta.chunked == None`) go straight through [`PolicyKind::decode`];
-/// chunked objects are parsed into per-chunk shard sets and decoded
-/// across `workers` threads.
+/// Decodes an object encoded by [`encode_object`]: every chunk of the
+/// stored set is decoded under its own context and metadata across
+/// `workers` threads, and the payload is their concatenation. An object
+/// that fit one chunk is that chunk's decode, returned as the codec
+/// produced it.
 ///
 /// # Errors
 ///
@@ -291,25 +358,18 @@ pub fn decode_object(
     meta: &EncodingMeta,
     workers: usize,
 ) -> Result<Vec<u8>, PolicyError> {
-    let Some(chunked) = &meta.chunked else {
-        return policy.decode(keys, object_id, shards, meta);
-    };
-    let chunk_count = chunked.chunk_count();
-    let columns = ChunkColumns::parse(shards, chunk_count)?;
-    let ids: Vec<String> = (0..chunk_count)
-        .map(|j| chunk_object_id(object_id, j))
-        .collect();
-
-    let results = run_indexed(chunk_count, workers.max(1), |j| {
-        policy.decode(keys, &ids[j], &columns.chunk(j), &chunked.chunk_metas[j])
-    });
-
+    let chunks = StoredChunks::parse(object_id, meta, shards)?;
+    let count = chunks.count();
+    let decode = |j| policy.decode(keys, &chunks.context(j), &chunks.shards(j), chunks.meta(j));
+    if count == 1 {
+        return decode(0);
+    }
     let mut payload = Vec::new();
-    for chunk in results {
+    for chunk in run_indexed(count, workers.max(1), decode) {
         let chunk = chunk?;
         if payload.is_empty() {
             // As above: the first chunk is a full one.
-            payload.reserve_exact(chunk.len() * chunk_count);
+            payload.reserve_exact(chunk.len() * count);
         }
         payload.extend_from_slice(&chunk);
     }
@@ -323,10 +383,7 @@ pub fn decode_object(
 ///
 /// Returns [`PolicyError::Malformed`] if the framing is truncated or
 /// leaves trailing bytes.
-pub fn split_shard_ranges(
-    shard: &[u8],
-    chunk_count: usize,
-) -> Result<Vec<Range<usize>>, PolicyError> {
+fn split_shard_ranges(shard: &[u8], chunk_count: usize) -> Result<Vec<Range<usize>>, PolicyError> {
     let mut ranges = Vec::with_capacity(chunk_count);
     let mut pos = 0usize;
     for _ in 0..chunk_count {
@@ -354,7 +411,8 @@ pub fn split_shard_ranges(
 }
 
 /// Parses one framed shard into its `chunk_count` per-chunk segments
-/// (owned copies; [`split_shard_ranges`] is the zero-copy layout walk).
+/// as owned copies. The archive's own reads keep offsets only (the
+/// crate-private chunk view); this is for callers outside the crate.
 ///
 /// # Errors
 ///
@@ -367,11 +425,10 @@ pub fn split_shard_segments(shard: &[u8], chunk_count: usize) -> Result<Vec<Vec<
 
 /// Reassembles per-chunk segments (one per chunk, in order) into a
 /// framed shard — the inverse of [`split_shard_segments`].
-pub fn join_shard_segments<S: AsRef<[u8]>>(segments: &[S]) -> Vec<u8> {
-    let total: usize = segments.iter().map(|s| s.as_ref().len() + 4).sum();
+fn join_shard_segments<'s>(segments: impl Iterator<Item = &'s [u8]> + Clone) -> Vec<u8> {
+    let total: usize = segments.clone().map(|s| s.len() + 4).sum();
     let mut out = Vec::with_capacity(total);
     for segment in segments {
-        let segment = segment.as_ref();
         out.extend_from_slice(&(segment.len() as u32).to_be_bytes());
         out.extend_from_slice(segment);
     }
@@ -535,10 +592,65 @@ mod tests {
     #[test]
     fn segment_framing_roundtrip() {
         let segments: Vec<Vec<u8>> = vec![vec![1, 2, 3], vec![], vec![9; 300]];
-        let framed = join_shard_segments(&segments);
+        let framed = join_shard_segments(segments.iter().map(Vec::as_slice));
         assert_eq!(split_shard_segments(&framed, 3).unwrap(), segments);
         assert!(split_shard_segments(&framed, 4).is_err());
         assert!(split_shard_segments(&framed[..framed.len() - 1], 3).is_err());
+    }
+
+    #[test]
+    fn a_one_chunk_set_is_its_own_single_chunk_borrowed() {
+        let (mut rng, keys) = fixtures();
+        let policy = PolicyKind::Entropic { data: 2, parity: 1 };
+        let cfg = PipelineConfig::serial().with_chunk_size(1024);
+        let enc = encode_object(&policy, &keys, &mut rng, "one", &test_payload(900), &cfg).unwrap();
+        let mut shards: Vec<Option<Vec<u8>>> = enc.shards.iter().cloned().map(Some).collect();
+        shards[1] = None;
+        let view = StoredChunks::parse("one", &enc.meta, &shards).unwrap();
+        assert_eq!(view.count(), 1);
+        assert!(matches!(view.context(0), Cow::Borrowed("one")));
+        assert!(std::ptr::eq(view.meta(0), &enc.meta));
+        // The caller's own slice, not a copy of it.
+        assert!(matches!(view.shards(0), Cow::Borrowed(s) if std::ptr::eq(s, shards.as_slice())));
+        // Joining one chunk's outputs hands them back as they are.
+        assert_eq!(view.join(vec![enc.shards.clone()]), enc.shards);
+    }
+
+    #[test]
+    fn a_framed_set_is_a_list_of_chunks_that_joins_back() {
+        let (mut rng, keys) = fixtures();
+        let policy = PolicyKind::Entropic { data: 2, parity: 1 };
+        let cfg = PipelineConfig::serial().with_chunk_size(1024);
+        let payload = test_payload(2_500);
+        let enc = encode_object(&policy, &keys, &mut rng, "big", &payload, &cfg).unwrap();
+        let chunked = enc.meta.chunked.as_ref().expect("three chunks");
+        let mut shards: Vec<Option<Vec<u8>>> = enc.shards.iter().cloned().map(Some).collect();
+        let view = StoredChunks::parse("big", &enc.meta, &shards).unwrap();
+        assert_eq!(view.count(), 3);
+        let mut columns = Vec::new();
+        for j in 0..3 {
+            assert_eq!(view.context(j), format!("big#chunk{j}"));
+            assert!(std::ptr::eq(view.meta(j), &chunked.chunk_metas[j]));
+            // Each chunk decodes on its own, as the standalone object it
+            // was encoded as.
+            let chunk = policy
+                .decode(&keys, &view.context(j), &view.shards(j), view.meta(j))
+                .unwrap();
+            assert_eq!(chunk, payload.chunks(1024).nth(j).unwrap());
+            columns.push(view.shards(j).iter().flatten().cloned().collect());
+        }
+        assert_eq!(view.join(columns), enc.shards);
+        // An absent blob is absent from every chunk's column.
+        let mut degraded = shards.clone();
+        degraded[2] = None;
+        let view = StoredChunks::parse("big", &enc.meta, &degraded).unwrap();
+        assert!((0..3).all(|j| view.shards(j)[2].is_none() && view.shards(j)[0].is_some()));
+        // Corrupt framing is refused when the set is parsed.
+        shards[0].as_mut().unwrap().push(0);
+        assert!(matches!(
+            StoredChunks::parse("big", &enc.meta, &shards),
+            Err(PolicyError::Malformed(_))
+        ));
     }
 
     #[test]

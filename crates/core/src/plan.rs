@@ -10,11 +10,17 @@
 //! split is the paper's §3.2 agility argument made structural: a codec
 //! change swaps the plan contents, a storage change swaps the executor,
 //! and neither can reach around the seam.
+//!
+//! The planners that start from *fetched* shards — repair, refresh,
+//! re-wrap — see them as a list of chunks (the crate-private
+//! `pipeline::StoredChunks` view): one loop calling the codec per chunk,
+//! then a join back into one blob per slot. Whether the set is framed or
+//! a single chunk is the view's business, not theirs.
 
 use crate::archive::{ArchiveError, Manifest, ObjectId};
 use crate::codec::{CodecRepair, RepairMethod};
 use crate::keys::KeyStore;
-use crate::pipeline::{self, ChunkColumns, PipelineConfig};
+use crate::pipeline::{self, PipelineConfig, StoredChunks};
 use crate::policy::{EncodingMeta, PolicyError, PolicyKind};
 use aeon_crypto::{CryptoRng, Sha256, SuiteId};
 use aeon_secretshare::proactive::{self, ProtocolCost};
@@ -119,12 +125,9 @@ pub fn plan_write<R: CryptoRng + ?Sized>(
 }
 
 /// Plans the repair of an object's missing shard slots from the
-/// digest-filtered snapshot `shards` (`None` = missing). Chunked
-/// objects are repaired chunk by chunk — the length-prefix framing is
-/// not code material — and the frames are reassembled afterwards. For
-/// Shamir this is byte-identical to interpolating the framed blobs
-/// whole: every share carries the same framing constants, and Lagrange
-/// coefficients sum to 1, so equal constants interpolate to themselves.
+/// digest-filtered snapshot `shards` (`None` = missing), chunk by chunk
+/// — the stored layout is not code material — keeping and re-joining
+/// only the missing slots' rebuilt bytes.
 ///
 /// # Errors
 ///
@@ -135,98 +138,60 @@ pub fn plan_repair(
     missing: &[usize],
 ) -> Result<RepairOutcome, ArchiveError> {
     let codec = manifest.policy.codec();
-    let (writes, method) = if let Some(chunked) = &manifest.meta.chunked {
-        let chunk_count = chunked.chunk_count();
-        let columns = ChunkColumns::parse(shards, chunk_count).map_err(ArchiveError::Policy)?;
-        // Only the missing slots' rebuilt segments are kept and re-framed.
-        let mut rebuilt: Vec<Vec<Vec<u8>>> = vec![Vec::with_capacity(chunk_count); missing.len()];
-        let mut method = RepairMethod::NotNeeded;
-        for j in 0..chunk_count {
-            match codec.repair_chunk(&columns.chunk(j))? {
-                CodecRepair::Rebuilt {
-                    shards: chunk_all,
-                    method: m,
-                } => {
-                    method = m;
-                    for (column, &slot) in rebuilt.iter_mut().zip(missing) {
-                        column.push(chunk_all[slot].clone());
-                    }
-                }
-                CodecRepair::FullReencode => return Ok(RepairOutcome::Reencode),
+    let chunks = StoredChunks::parse(manifest.id.as_str(), &manifest.meta, shards)?;
+    let mut rebuilt = Vec::with_capacity(chunks.count());
+    let mut method = RepairMethod::NotNeeded;
+    for j in 0..chunks.count() {
+        match codec.repair_chunk(&chunks.shards(j))? {
+            CodecRepair::Rebuilt {
+                shards: all,
+                method: m,
+            } => {
+                method = m;
+                rebuilt.push(missing.iter().map(|&slot| all[slot].clone()).collect());
             }
-        }
-        let writes = missing
-            .iter()
-            .zip(&rebuilt)
-            .map(|(&m, segments)| (m, pipeline::join_shard_segments(segments)))
-            .collect();
-        (writes, method)
-    } else {
-        match codec.repair_chunk(shards)? {
-            CodecRepair::Rebuilt { shards, method } => (
-                missing.iter().map(|&m| (m, shards[m].clone())).collect(),
-                method,
-            ),
             CodecRepair::FullReencode => return Ok(RepairOutcome::Reencode),
         }
-    };
+    }
+    let writes = missing.iter().copied().zip(chunks.join(rebuilt));
     Ok(RepairOutcome::Apply(RepairPlan {
         object: manifest.id.clone(),
-        writes,
+        writes: writes.collect(),
         method,
     }))
 }
 
 /// Plans one Herzberg proactive-refresh epoch over a Shamir object's
 /// complete share set, returning the re-randomized blobs and the
-/// protocol's communication cost. Chunked objects refresh each chunk's
-/// share set independently: the zero-sharing delta must land on share
-/// payloads only, never on the segment framing.
+/// protocol's communication cost. Each chunk's share set refreshes
+/// independently: the zero-sharing delta lands on share payloads only,
+/// never on the stored layout.
 ///
 /// # Errors
 ///
-/// Returns framing or secret-sharing protocol errors.
+/// Returns [`ArchiveError::UnsupportedOperation`] when a share is
+/// absent, and framing or secret-sharing protocol errors.
 pub fn plan_refresh<R: CryptoRng + ?Sized>(
+    manifest: &Manifest,
     threshold: usize,
-    meta: &EncodingMeta,
     rng: &mut R,
-    stored: Vec<Vec<u8>>,
+    shards: &[Option<Vec<u8>>],
 ) -> Result<(Vec<Vec<u8>>, ProtocolCost), ArchiveError> {
-    if let Some(chunked) = meta.chunked.clone() {
-        let chunk_count = chunked.chunk_count();
-        let mut columns: Vec<Vec<Vec<u8>>> = stored
-            .iter()
-            .map(|b| pipeline::split_shard_segments(b, chunk_count))
-            .collect::<Result<_, _>>()
-            .map_err(ArchiveError::Policy)?;
-        let mut total = ProtocolCost {
-            messages: 0,
-            bytes: 0,
-        };
-        for j in 0..chunk_count {
-            let mut shares: Vec<Share> = columns
-                .iter()
-                .enumerate()
-                .map(|(i, segments)| Share {
-                    index: (i + 1) as u8,
-                    data: segments[j].clone(),
-                })
-                .collect();
-            let cost = proactive::refresh(rng, &mut shares, threshold)?;
-            total.messages += cost.messages;
-            total.bytes += cost.bytes;
-            for (column, share) in columns.iter_mut().zip(shares) {
-                column[j] = share.data;
-            }
-        }
-        let blobs = columns
-            .iter()
-            .map(|segments| pipeline::join_shard_segments(segments))
-            .collect();
-        Ok((blobs, total))
-    } else {
-        let mut shares: Vec<Share> = stored
-            .into_iter()
+    if shards.iter().any(Option::is_none) {
+        return Err(ArchiveError::UnsupportedOperation(
+            "refresh requires all shareholders online",
+        ));
+    }
+    let chunks = StoredChunks::parse(manifest.id.as_str(), &manifest.meta, shards)?;
+    let mut refreshed = Vec::with_capacity(chunks.count());
+    let mut total = ProtocolCost {
+        messages: 0,
+        bytes: 0,
+    };
+    for j in 0..chunks.count() {
+        // Every slot is present, so position is share index.
+        let present = chunks.shards(j).into_owned().into_iter().flatten();
+        let mut shares: Vec<Share> = present
             .enumerate()
             .map(|(i, data)| Share {
                 index: (i + 1) as u8,
@@ -234,15 +199,19 @@ pub fn plan_refresh<R: CryptoRng + ?Sized>(
             })
             .collect();
         let cost = proactive::refresh(rng, &mut shares, threshold)?;
-        Ok((shares.into_iter().map(|s| s.data).collect(), cost))
+        total.messages += cost.messages;
+        total.bytes += cost.bytes;
+        refreshed.push(shares.into_iter().map(|s| s.data).collect());
     }
+    Ok((chunks.join(refreshed), total))
 }
 
 /// Plans an emergency outer re-wrap of a layered object from its
 /// fetched shards: rebuilds each chunk's ciphertext from the erasure
-/// code, has the codec apply one more AEAD layer, and re-encodes —
-/// no plaintext, no inner-layer keys. Returns the new shard set and
-/// the policy value describing the deepened stack.
+/// code, has the codec apply one more AEAD layer under the context and
+/// key version that chunk was sealed with, and re-encodes — no
+/// plaintext, no inner-layer keys. Returns the new shard set and the
+/// policy value describing the deepened stack.
 ///
 /// # Errors
 ///
@@ -260,49 +229,18 @@ pub fn plan_rewrap(
             "re-wrap requires the Cascade policy",
         ));
     };
-    let id = manifest.id.as_str();
-    let new_shards: Vec<Vec<u8>> = if let Some(chunked) = manifest.meta.chunked.clone() {
-        // Chunked objects are re-wrapped chunk by chunk: each chunk was
-        // sealed under its own derived context (and possibly key
-        // version), and the segment framing must survive untouched.
-        let chunk_count = chunked.chunk_count();
-        let columns: Vec<Option<Vec<Vec<u8>>>> = shards
-            .iter()
-            .map(|s| {
-                s.as_ref()
-                    .map(|b| pipeline::split_shard_segments(b, chunk_count))
-                    .transpose()
-            })
-            .collect::<Result<_, _>>()
-            .map_err(ArchiveError::Policy)?;
-        let mut rebuilt: Vec<Vec<Vec<u8>>> = vec![Vec::with_capacity(chunk_count); shards.len()];
-        for j in 0..chunk_count {
-            let chunk_shards: Vec<Option<Vec<u8>>> = columns
-                .iter()
-                .map(|col| col.as_ref().map(|segments| segments[j].clone()))
-                .collect();
-            let chunk_id = pipeline::chunk_object_id(id, j);
-            let segments = codec
-                .rewrap_chunk(
-                    keys,
-                    &chunk_id,
-                    chunked.chunk_metas[j].key_version,
-                    &chunk_shards,
-                    new_suite,
-                )
-                .map_err(ArchiveError::Policy)?;
-            for (column, segment) in rebuilt.iter_mut().zip(segments) {
-                column.push(segment);
-            }
-        }
-        rebuilt
-            .iter()
-            .map(|segments| pipeline::join_shard_segments(segments))
-            .collect()
-    } else {
-        codec
-            .rewrap_chunk(keys, id, manifest.meta.key_version, shards, new_suite)
-            .map_err(ArchiveError::Policy)?
-    };
-    Ok((new_shards, new_policy))
+    let chunks = StoredChunks::parse(manifest.id.as_str(), &manifest.meta, shards)?;
+    let rewrapped = (0..chunks.count())
+        .map(|j| {
+            let key_version = chunks.meta(j).key_version;
+            codec.rewrap_chunk(
+                keys,
+                &chunks.context(j),
+                key_version,
+                &chunks.shards(j),
+                new_suite,
+            )
+        })
+        .collect::<Result<_, _>>()?;
+    Ok((chunks.join(rewrapped), new_policy))
 }

@@ -92,8 +92,8 @@ pub fn plan(
     let now = archive.year();
     let mut entries: Vec<PlanEntry> = Vec::new();
 
-    // Which suites protect at-rest data right now? The codec registry
-    // answers per policy, so new families never need a planner edit.
+    // Which suites protect at-rest data right now? Each policy's codec
+    // answers, so new families never need a planner edit.
     let mut suites_in_use: BTreeSet<SuiteId> = BTreeSet::new();
     let mut any_secret_shared = false;
     for m in archive.manifests() {

@@ -4,13 +4,16 @@
 //! [`PolicyKind`] is the *value* naming a design point and its
 //! parameters; the per-family behavior (validation, shard geometry,
 //! encode/decode, repair, re-wrap) lives in [`crate::codec`], and every
-//! method here delegates to the family's [`Codec`] through the global
-//! [`CodecRegistry`]. What remains local is the harvest-now-
-//! decrypt-later adversary model, which spans families by construction.
+//! method here delegates to the [`Codec`] that [`PolicyKind::codec`] —
+//! one exhaustive `match` — builds for the variant. What remains local
+//! is the harvest-now-decrypt-later adversary model, which spans
+//! families by construction.
 
-use crate::aont::{AontHndlOutcome, AontRs};
-use crate::codec::{Codec, CodecRegistry};
+use crate::codec::{
+    Codec, LrssCodec, PackedShamirCodec, ReplicationCodec, RsDispersed, Seal, ShamirCodec,
+};
 use crate::keys::KeyStore;
+use crate::pipeline;
 use aeon_adversary::CryptanalyticTimeline;
 use aeon_crypto::{CryptoRng, SecurityLevel, SuiteId};
 use aeon_secretshare::packed::PackedParams;
@@ -191,11 +194,49 @@ impl<R: CryptoRng + ?Sized> CryptoRng for DynRng<'_, R> {
 }
 
 impl PolicyKind {
-    /// Builds this policy's family [`Codec`] from the global
-    /// [`CodecRegistry`]. All other methods on `PolicyKind` are
-    /// conveniences over this.
+    /// Builds this policy's [`Codec`]. All other methods on
+    /// `PolicyKind` are conveniences over this. The five
+    /// Reed–Solomon-dispersed families are one codec behind the seal
+    /// that tells them apart; the match has no wildcard arm, so a new
+    /// variant does not compile until it names its codec.
     pub fn codec(&self) -> Box<dyn Codec> {
-        CodecRegistry::global().resolve(self)
+        let rs =
+            |seal, data, parity| -> Box<dyn Codec> { Box::new(RsDispersed { seal, data, parity }) };
+        match *self {
+            PolicyKind::Replication { copies } => Box::new(ReplicationCodec { copies }),
+            PolicyKind::ErasureCoded { data, parity } => rs(Seal::Plain, data, parity),
+            PolicyKind::Encrypted {
+                suite,
+                data,
+                parity,
+            } => rs(Seal::Aead(suite), data, parity),
+            PolicyKind::Cascade {
+                ref suites,
+                data,
+                parity,
+            } => rs(Seal::Cascade(suites.clone()), data, parity),
+            PolicyKind::AontRs { data, parity } => rs(Seal::Aont, data, parity),
+            PolicyKind::Entropic { data, parity } => rs(Seal::Entropic, data, parity),
+            PolicyKind::Shamir { threshold, shares } => Box::new(ShamirCodec { threshold, shares }),
+            PolicyKind::PackedShamir {
+                privacy,
+                pack,
+                shares,
+            } => Box::new(PackedShamirCodec {
+                privacy,
+                pack,
+                shares,
+            }),
+            PolicyKind::LeakageResilientShamir {
+                threshold,
+                shares,
+                source_len,
+            } => Box::new(LrssCodec {
+                threshold,
+                shares,
+                source_len,
+            }),
+        }
     }
 
     /// Validates the policy's parameters.
@@ -265,12 +306,13 @@ impl PolicyKind {
     }
 
     /// Models what a harvest-now-decrypt-later adversary recovers at
-    /// `year`, given it stole the shards marked `Some` (plus all public
-    /// metadata) and the timeline's cryptanalytic progress. Key material
-    /// is assumed *not* stolen — pure HNDL. The `keys` store stands in
-    /// for the cryptanalysis itself: when the timeline says a suite is
-    /// broken, the model decrypts with the true key, which is exactly
-    /// what a real break would permit.
+    /// `year`, given it stole the stored blobs marked `Some` (plus all
+    /// public metadata, including the chunk layout) and the timeline's
+    /// cryptanalytic progress. Key material is assumed *not* stolen —
+    /// pure HNDL. The `keys` store stands in for the cryptanalysis
+    /// itself: when the timeline says a suite is broken, the model
+    /// decrypts with the true key, which is exactly what a real break
+    /// would permit.
     pub fn hndl_recover(
         &self,
         keys: &KeyStore,
@@ -284,97 +326,53 @@ impl PolicyKind {
         if have == 0 {
             return Recovery::Nothing;
         }
+        let codec = self.codec();
+        let threshold = codec.read_threshold();
+        // Every suite guarding the at-rest bytes has fallen (vacuously
+        // so for plaintext and information-theoretic encodings).
+        let suites_fallen =
+            (codec.at_rest_suites().iter()).all(|s| timeline.ciphers().is_broken(*s, year));
+        let decode = || match pipeline::decode_object(self, keys, object_id, stolen, meta, 1) {
+            Ok(pt) => Recovery::Full(pt),
+            Err(_) => Recovery::Nothing,
+        };
+        // Systematic dispersal: each stolen data shard exposes its own
+        // span of the (by then readable) dispersed bytes.
+        let data_stolen = stolen.iter().take(threshold).flatten().count();
+        let data_fraction = data_stolen as f64 / threshold as f64;
         match self {
-            PolicyKind::Replication { .. } | PolicyKind::ErasureCoded { .. } => {
-                // Plaintext encodings: anything stolen is recovered. For
-                // systematic EC, sub-threshold hauls expose the stolen
-                // data shards directly.
-                match self.decode(keys, object_id, stolen, meta) {
-                    Ok(pt) => Recovery::Full(pt),
-                    Err(_) => {
-                        let data = self.read_threshold();
-                        let data_stolen = stolen.iter().take(data).flatten().count();
-                        if data_stolen > 0 {
-                            Recovery::Partial(data_stolen as f64 / data as f64)
-                        } else {
-                            Recovery::Nothing
-                        }
-                    }
-                }
-            }
-            PolicyKind::Encrypted { suite, data, .. } => {
-                if !timeline.ciphers().is_broken(*suite, year) {
+            PolicyKind::Replication { .. }
+            | PolicyKind::ErasureCoded { .. }
+            | PolicyKind::Encrypted { .. }
+            | PolicyKind::Cascade { .. } => {
+                // Plaintext, or ciphertext that is plaintext once its
+                // suite — every layer, for a cascade — has fallen.
+                if !suites_fallen {
                     return Recovery::Nothing;
                 }
-                match self.decode(keys, object_id, stolen, meta) {
-                    Ok(pt) => Recovery::Full(pt),
-                    Err(_) => {
-                        let data_stolen = stolen.iter().take(*data).flatten().count();
-                        if data_stolen > 0 {
-                            Recovery::Partial(data_stolen as f64 / *data as f64)
-                        } else {
-                            Recovery::Nothing
-                        }
-                    }
+                match decode() {
+                    Recovery::Nothing if data_stolen > 0 => Recovery::Partial(data_fraction),
+                    recovered => recovered,
                 }
             }
-            PolicyKind::Cascade { suites, data, .. } => {
-                let all_broken = suites
-                    .iter()
-                    .all(|s| timeline.ciphers().is_broken(*s, year));
-                if !all_broken {
-                    return Recovery::Nothing;
-                }
-                match self.decode(keys, object_id, stolen, meta) {
-                    Ok(pt) => Recovery::Full(pt),
-                    Err(_) => {
-                        let data_stolen = stolen.iter().take(*data).flatten().count();
-                        if data_stolen > 0 {
-                            Recovery::Partial(data_stolen as f64 / *data as f64)
-                        } else {
-                            Recovery::Nothing
-                        }
-                    }
-                }
-            }
-            PolicyKind::AontRs { data, parity } => {
-                let codec = match AontRs::new(*data, *parity) {
-                    Ok(c) => c,
-                    Err(_) => return Recovery::Nothing,
-                };
-                let broken = timeline.ciphers().is_broken(SuiteId::Aes256CtrHmac, year);
-                match codec.simulate_hndl(stolen, broken) {
-                    AontHndlOutcome::FullPlaintext(pt) => Recovery::Full(pt),
-                    AontHndlOutcome::PartialPlaintext { fraction } => Recovery::Partial(fraction),
-                    AontHndlOutcome::Nothing => Recovery::Nothing,
-                }
-            }
-            PolicyKind::Shamir { threshold, .. } => {
-                if have >= *threshold {
-                    match self.decode(keys, object_id, stolen, meta) {
-                        Ok(pt) => Recovery::Full(pt),
-                        Err(_) => Recovery::Nothing,
-                    }
-                } else {
-                    Recovery::Nothing
-                }
-            }
-            PolicyKind::LeakageResilientShamir { threshold, .. } => {
-                if have >= *threshold {
-                    match self.decode(keys, object_id, stolen, meta) {
-                        Ok(pt) => Recovery::Full(pt),
-                        Err(_) => Recovery::Nothing,
-                    }
+            PolicyKind::AontRs { .. } => match decode() {
+                // No key to steal: possession of `t` shards is
+                // decryption, today, with no break needed. Below that,
+                // a broken cipher yields `k` without the difference
+                // block and the stolen data shards' spans decrypt.
+                Recovery::Nothing if suites_fallen => Recovery::Partial(data_fraction),
+                recovered => recovered,
+            },
+            PolicyKind::Shamir { .. } | PolicyKind::LeakageResilientShamir { .. } => {
+                if have >= threshold {
+                    decode()
                 } else {
                     Recovery::Nothing
                 }
             }
             PolicyKind::PackedShamir { privacy, pack, .. } => {
-                if have >= privacy + pack {
-                    match self.decode(keys, object_id, stolen, meta) {
-                        Ok(pt) => Recovery::Full(pt),
-                        Err(_) => Recovery::Nothing,
-                    }
+                if have >= threshold {
+                    decode()
                 } else if have > *privacy {
                     // Between t and t+k shares: the adversary pins the
                     // secrets to a shrinking affine subspace — model as a
@@ -719,5 +717,102 @@ mod tests {
             policy.hndl_recover(&keys, "ent", &stolen, &enc.meta, &timeline, 99_999),
             Recovery::Nothing
         );
+    }
+
+    #[test]
+    fn hndl_aont_needs_no_break_at_threshold() {
+        let (mut rng, keys) = fixtures();
+        let policy = PolicyKind::AontRs { data: 2, parity: 1 };
+        let enc = policy
+            .encode(&mut rng, &keys, "aont", b"stolen at threshold")
+            .unwrap();
+        let stolen = vec![
+            Some(enc.shards[0].clone()),
+            Some(enc.shards[1].clone()),
+            None,
+        ];
+        let timeline = CryptanalyticTimeline::optimistic();
+        assert_eq!(
+            policy.hndl_recover(&keys, "aont", &stolen, &enc.meta, &timeline, 2026),
+            Recovery::Full(b"stolen at threshold".to_vec())
+        );
+    }
+
+    #[test]
+    fn hndl_aont_subthreshold_safe_until_break() {
+        let (mut rng, keys) = fixtures();
+        let policy = PolicyKind::AontRs { data: 3, parity: 2 };
+        let enc = policy
+            .encode(&mut rng, &keys, "aont", b"harvest me")
+            .unwrap();
+        let timeline = CryptanalyticTimeline::pessimistic_2045(); // AES 2045
+        let recover = |stolen: &[Option<Vec<u8>>], year| {
+            policy.hndl_recover(&keys, "aont", stolen, &enc.meta, &timeline, year)
+        };
+        let one_data = vec![Some(enc.shards[0].clone()), None, None, None, None];
+        assert_eq!(recover(&one_data, 2040), Recovery::Nothing);
+        match recover(&one_data, 2050) {
+            Recovery::Partial(f) => assert!((f - 1.0 / 3.0).abs() < 1e-9),
+            other => panic!("expected partial, got {other:?}"),
+        }
+        // A parity-only haul under a broken cipher spans no payload
+        // bytes: AONT-RS reports that as an empty partial leak.
+        let one_parity = vec![None, None, None, Some(enc.shards[3].clone()), None];
+        assert_eq!(recover(&one_parity, 2050), Recovery::Partial(0.0));
+    }
+
+    /// The adversary steals stored blobs, and an object over the chunk
+    /// size is stored framed: the model must read the haul through the
+    /// chunk layout, not as one codeword.
+    #[test]
+    fn hndl_reads_multi_chunk_hauls_through_the_layout() {
+        let keys = KeyStore::new([5u8; 32]);
+        let payload: Vec<u8> = (0..2_500u32).map(|i| (i * 31 % 251) as u8).collect();
+        let cfg = pipeline::PipelineConfig::serial().with_chunk_size(1024);
+        let timeline = CryptanalyticTimeline::pessimistic_2045(); // AES 2045
+        let full = Recovery::Full(payload.clone());
+        let cases = [
+            (PolicyKind::ErasureCoded { data: 4, parity: 2 }, 2026, &full),
+            (
+                PolicyKind::Shamir {
+                    threshold: 3,
+                    shares: 5,
+                },
+                2026,
+                &full,
+            ),
+            (PolicyKind::AontRs { data: 4, parity: 2 }, 2026, &full),
+            (
+                PolicyKind::Encrypted {
+                    suite: SuiteId::Aes256CtrHmac,
+                    data: 4,
+                    parity: 2,
+                },
+                2040,
+                &Recovery::Nothing,
+            ),
+            (
+                PolicyKind::Encrypted {
+                    suite: SuiteId::Aes256CtrHmac,
+                    data: 4,
+                    parity: 2,
+                },
+                2050,
+                &full,
+            ),
+        ];
+        for (policy, year, expected) in cases {
+            let mut rng = ChaChaDrbg::from_u64_seed(2024);
+            let enc =
+                pipeline::encode_object(&policy, &keys, &mut rng, "big", &payload, &cfg).unwrap();
+            assert_eq!(enc.meta.chunked.as_ref().unwrap().chunk_count(), 3);
+            let stolen: Vec<Option<Vec<u8>>> = enc.shards.iter().cloned().map(Some).collect();
+            let got = policy.hndl_recover(&keys, "big", &stolen, &enc.meta, &timeline, year);
+            let shown = match &got {
+                Recovery::Full(pt) => format!("Full of {} bytes", pt.len()),
+                other => format!("{other:?}"),
+            };
+            assert!(&got == expected, "{policy:?} in {year}: {shown}");
+        }
     }
 }

@@ -3,7 +3,9 @@
 //! round-trip bit-identically, and `n - k + 1` losses must fail with a
 //! typed error — never a panic, never silently wrong bytes.
 
-use aeon_core::{Archive, ArchiveConfig, ArchiveError, IntegrityMode, ObjectId, PolicyKind};
+use aeon_core::{
+    Archive, ArchiveConfig, ArchiveError, IntegrityMode, ObjectId, PolicyError, PolicyKind,
+};
 use aeon_crypto::SuiteId;
 use aeon_store::node::{MemoryNode, NodeId, ShardKey, StorageNode};
 use aeon_store::Cluster;
@@ -176,4 +178,46 @@ proptest! {
             );
         }
     }
+}
+
+/// Maintenance below the read threshold is as typed and as truthful as
+/// a read: with `data - 1` of a Reed–Solomon-dispersed object's shards
+/// left, repair (and, for a cascade, re-wrap) names the scarcity —
+/// `TooFewShards { available, required }`, the counterpart of the
+/// Shamir path's `Share(TooFewShares)` — rather than calling merely
+/// scarce data "malformed" with the counts buried in a string.
+#[test]
+fn maintenance_below_threshold_fails_typed() {
+    let payload: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(97) ^ 0x5a).collect();
+    let dispersed = policies().into_iter().filter(|p| {
+        matches!(
+            p.codec().family(),
+            "erasure" | "encrypted" | "cascade" | "aont-rs" | "entropic"
+        )
+    });
+    let mut families = 0;
+    for policy in dispersed {
+        families += 1;
+        let (n, k) = (policy.shard_count(), policy.read_threshold());
+        let (mut archive, handles) = archive_for(&policy);
+        let id = archive.ingest(&payload, "scarce").unwrap();
+        for idx in 0..(n - k + 1) {
+            lose_shard(&archive, &handles, &id, idx);
+        }
+        let scarce = PolicyError::TooFewShards {
+            available: k - 1,
+            required: k,
+        };
+        match archive.repair_object(&id) {
+            Err(ArchiveError::Policy(e)) => assert_eq!(e, scarce, "repair, {policy:?}"),
+            other => panic!("repair, {policy:?}: expected a policy error, got {other:?}"),
+        }
+        if matches!(policy, PolicyKind::Cascade { .. }) {
+            match archive.add_cascade_layer(&id, SuiteId::ChaCha20Poly1305) {
+                Err(ArchiveError::Policy(e)) => assert_eq!(e, scarce, "re-wrap"),
+                other => panic!("re-wrap: expected a policy error, got {other:?}"),
+            }
+        }
+    }
+    assert_eq!(families, 5);
 }

@@ -12,7 +12,9 @@
 //! and exactly one call site each for `get_batch` and `put_batch`. A
 //! third does the same for maintenance: one body per op, written
 //! against a stored unit, and no per-kind twin of it. A fourth guards
-//! the loop *around* those bodies: every fleet sweep is `Campaign`.
+//! the loop *around* those bodies: every fleet sweep is `Campaign`. A
+//! fifth guards the encode layer: one `match` from policy to codec, one
+//! Reed–Solomon dispersal, one reader of the stored chunk layout.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -251,5 +253,76 @@ fn each_sweep_has_one_loop() {
         returned.is_empty(),
         "hand-written sweeps:\n{}",
         returned.join("\n")
+    );
+}
+
+/// Re-accretion guard for the encode layer. Which codec a policy gets
+/// is said once (`PolicyKind::codec`, an exhaustive `match` — no
+/// registry, no wildcard arm, no "cannot happen" `expect`); "seal, then
+/// Reed–Solomon" is said once (one `ReedSolomon::new(` in `codec.rs`,
+/// none elsewhere); and the stored chunk layout is read once (only
+/// `pipeline.rs` looks at `EncodingMeta::chunked` or walks / joins the
+/// segment framing).
+#[test]
+fn the_encode_layer_says_it_once() {
+    // Spelled in halves so a repo-wide grep for the deleted names finds
+    // nothing, this guard included.
+    const GONE: &[&str] = &[concat!("Codec", "Registry"), concat!("Registry", "Entry")];
+    const FRAMING: &[&str] = &[
+        "split_shard_ranges(",
+        "split_shard_segments(",
+        "join_shard_segments(",
+    ];
+    let mut violations = Vec::new();
+    let mut rs_sites = Vec::new();
+    for path in sources(&Path::new(env!("CARGO_MANIFEST_DIR")).join("src")) {
+        let file = path.file_name().unwrap().to_string_lossy().into_owned();
+        let body = non_test_source(&fs::read_to_string(&path).unwrap());
+        for (lineno, line) in body.lines().enumerate() {
+            let at = format!("{file}:{}", lineno + 1);
+            for name in GONE.iter().filter(|name| line.contains(*name)) {
+                violations.push(format!("{at}: {name}"));
+            }
+            if line.contains("ReedSolomon::new(") {
+                rs_sites.push(at.clone());
+            }
+            if file == "pipeline.rs" {
+                continue;
+            }
+            // A field *read*: `.chunked` not continuing as a longer
+            // identifier. A struct literal's `chunked: None` has no dot.
+            let reads_layout = line.match_indices(".chunked").any(|(i, m)| {
+                let next = line[i + m.len()..].chars().next();
+                !next.is_some_and(|c| c.is_alphanumeric() || c == '_')
+            });
+            if reads_layout {
+                violations.push(format!("{at}: reads `.chunked`"));
+            }
+            for call in FRAMING.iter().filter(|call| line.contains(*call)) {
+                violations.push(format!("{at}: {call}"));
+            }
+        }
+        if file == "policy.rs" {
+            let start = body.find("fn codec(").expect("PolicyKind::codec exists");
+            let len = body[start..].find("\n    }\n").expect("method ends");
+            let codec_fn = &body[start..start + len];
+            if !codec_fn.contains("match *self") {
+                violations.push("policy.rs: fn codec is not a `match *self`".into());
+            }
+            for banned in ["_ =>", "expect("] {
+                if codec_fn.contains(banned) {
+                    violations.push(format!("policy.rs: `{banned}` in fn codec"));
+                }
+            }
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "the encode layer repeats itself:\n{}",
+        violations.join("\n")
+    );
+    assert!(
+        rs_sites.len() <= 1 && rs_sites.iter().all(|at| at.starts_with("codec.rs:")),
+        "`ReedSolomon::new(` sites: {rs_sites:?}"
     );
 }

@@ -4,19 +4,13 @@
 //! cargo run --example quickstart
 //! ```
 
-use aeon::core::{Archive, ArchiveConfig, CodecRegistry, PolicyKind};
+use aeon::core::{Archive, ArchiveConfig, PolicyKind};
 use aeon::integrity::timestamp::SigBreakSchedule;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Every at-rest encoding is a codec behind a registry; policies are
-    // just parameter values for one of these families.
-    println!(
-        "codec families: {}",
-        CodecRegistry::global().families().join(", ")
-    );
-
     // A 3-of-5 secret-shared archive: information-theoretic
-    // confidentiality at rest, tolerant of 2 lost sites.
+    // confidentiality at rest, tolerant of 2 lost sites. A policy is a
+    // parameter value; `codec()` names the family that encodes it.
     let policy = PolicyKind::Shamir {
         threshold: 3,
         shares: 5,
