@@ -5,12 +5,14 @@
 //! host has them — SSSE3/AVX2) on the three slice operations the archive
 //! hot paths use: `mul_slice`, `mul_add_slice`, and the fused
 //! `mul_add_rows`, at 4 KiB / 64 KiB / 1 MiB buffers; then each supported
-//! [`CryptoKernel`] (scalar, and SHA-NI / AES-NI where the host has them)
-//! on its two slots, `sha256` and `aes256-ctr`, at 64 B / 4 KiB / 1 MiB,
-//! plus the time of one 32-byte SHA-256 digest — the shape of every
-//! Merkle node, HMAC finish and signature chain step. Emits
-//! `BENCH_kernels.json` so future PRs diff kernel throughput against a
-//! pinned baseline instead of a feeling.
+//! [`CryptoKernel`] (scalar, and SHA-NI / AES-NI / AVX2 where the host
+//! has them) on its three slots, `sha256`, `aes256-ctr` and `chacha20`,
+//! at 64 B / 4 KiB / 1 MiB, plus the time of one 32-byte SHA-256 digest —
+//! the shape of every Merkle node, HMAC finish and signature chain step —
+//! and, on the active kernels, what sits on the two dispatched layers:
+//! a 1 MiB `ChaChaDrbg` fill and packed sharing (t=2, k=2, n=6) of 1 MiB,
+//! split and reconstruct. Emits `BENCH_kernels.json` so future PRs diff
+//! kernel throughput against a pinned baseline instead of a feeling.
 //!
 //! Timing is min-of-N over repeated sweeps: on a shared host the
 //! *minimum* is the reproducible number — every slower sample is the
@@ -23,10 +25,12 @@ use std::time::Instant;
 
 use aeon_bench::{f2, f3, reference_payload, CliArgs, Json, Table};
 use aeon_crypto::aes::Aes;
+use aeon_crypto::chacha::ChaCha20;
 use aeon_crypto::kernel::{Kernel as CryptoKernel, Tier};
-use aeon_crypto::Sha256;
+use aeon_crypto::{ChaChaDrbg, CryptoRng, Sha256};
 use aeon_gf::slice::{mul_add_rows_on, Gf256MulTable};
 use aeon_gf::{Gf256, Kernel};
+use aeon_secretshare::packed::{self, PackedParams};
 
 /// Buffer sizes every GF cell is measured at.
 const SIZES: [usize; 3] = [4 * 1024, 64 * 1024, 1024 * 1024];
@@ -86,11 +90,13 @@ fn digest32_on(kernel: &CryptoKernel, msg: &[u8; 32]) -> [u8; 32] {
     out
 }
 
-/// The crypto rows: every supported kernel × {`sha256`, `aes256-ctr`} ×
-/// `CRYPTO_SIZES`, and per kernel the nanoseconds of one 32-byte digest.
+/// The crypto rows: every supported kernel × {`sha256`, `aes256-ctr`,
+/// `chacha20`} × `CRYPTO_SIZES`, and per kernel the nanoseconds of one
+/// 32-byte digest.
 fn crypto_cells(budget: usize, reps: usize, src: &[u8]) -> (Vec<Cell>, Vec<(&'static str, f64)>) {
     let aes = Aes::new_256(&[0x42; 32]);
     let iv = [0x24u8; 16];
+    let chacha = ChaCha20::new(&[0x42; 32], &[0x24; 12]);
     let mut buf = src.to_vec();
     let msg: [u8; 32] = src[..32].try_into().expect("32 bytes");
     assert_eq!(
@@ -124,6 +130,15 @@ fn crypto_cells(budget: usize, reps: usize, src: &[u8]) -> (Vec<Cell>, Vec<(&'st
                 size,
                 gbs,
             });
+            let gbs = best_gbs(size, budget, reps, || {
+                kernel.chacha20_xor(&chacha, 1, black_box(&mut buf[..size]));
+            });
+            cells.push(Cell {
+                kernel: kernel.chacha20_tier().name(),
+                op: "chacha20",
+                size,
+                gbs,
+            });
         }
         let per_call = best_gbs(1, 1 << 16, reps, || {
             black_box(digest32_on(kernel, black_box(&msg)));
@@ -132,6 +147,36 @@ fn crypto_cells(budget: usize, reps: usize, src: &[u8]) -> (Vec<Cell>, Vec<(&'st
         digest_ns.push((kernel.sha256_tier().name(), 1.0 / per_call));
     }
     (cells, digest_ns)
+}
+
+/// What the two dispatched layers add up to for secret sharing, on the
+/// active kernels: GB/s of a 1 MiB `ChaChaDrbg` fill, and MiB/s of user
+/// data through packed sharing (t=2, k=2, n=6) of 1 MiB — `split`, which
+/// draws 4 MiB of anchors and runs 24 fused GF(2^16) column passes, and
+/// `reconstruct` from the last four shares.
+fn sharing_rows(reps: usize, src: &[u8]) -> [(&'static str, f64); 3] {
+    const MIB: usize = 1 << 20;
+    // `best_gbs` is bytes per nanosecond; a MiB/s figure rescales it.
+    let mibs = |gbs: f64| gbs * 1e9 / MIB as f64;
+    let budget = 4 * MIB;
+    let mut rng = ChaChaDrbg::from_u64_seed(0xAE0);
+    let mut buf = vec![0u8; MIB];
+    let drbg = best_gbs(MIB, budget, reps, || rng.fill_bytes(black_box(&mut buf)));
+    let params = PackedParams::new(2, 2, 6).expect("valid parameters");
+    let secret = &src[..MIB];
+    let split = best_gbs(MIB, budget, reps, || {
+        black_box(packed::split(&mut rng, params, black_box(secret))).expect("split");
+    });
+    let shares = packed::split(&mut rng, params, secret).expect("split");
+    let reconstruct = best_gbs(MIB, budget, reps, || {
+        let rec = packed::reconstruct(params, black_box(&shares[2..])).expect("reconstruct");
+        assert_eq!(rec[..64], secret[..64]);
+    });
+    [
+        ("drbg_fill_1m_gbs", drbg),
+        ("packed_split_1m_mibs", mibs(split)),
+        ("packed_reconstruct_1m_mibs", mibs(reconstruct)),
+    ]
 }
 
 fn cells_json(cells: &[Cell]) -> Json {
@@ -243,7 +288,7 @@ fn main() {
 
     let (crypto, digest_ns) = crypto_cells(budget, reps, &src);
     let mut crypto_out = Table::new(
-        "SHA-256 / AES-256-CTR kernel throughput (GB/s, min-of-N)",
+        "SHA-256 / AES-256-CTR / ChaCha20 kernel throughput (GB/s, min-of-N)",
         &["tier", "op", "size", "GB/s"],
     );
     for c in &crypto {
@@ -257,38 +302,74 @@ fn main() {
     for (tier, ns) in &digest_ns {
         println!("sha256 32-byte digest, {tier}: {} ns", f2(*ns));
     }
-    let active_crypto = (
-        CryptoKernel::active().sha256_tier().name(),
-        CryptoKernel::active().aes_ctr_tier().name(),
-    );
+    let active_crypto = [
+        ("sha256", CryptoKernel::active().sha256_tier().name()),
+        ("aes256-ctr", CryptoKernel::active().aes_ctr_tier().name()),
+        ("chacha20", CryptoKernel::active().chacha20_tier().name()),
+    ];
     println!(
-        "active crypto kernel: sha256={} aes256-ctr={}",
-        active_crypto.0, active_crypto.1
+        "active crypto kernel: {}",
+        active_crypto
+            .map(|(op, tier)| format!("{op}={tier}"))
+            .join(" ")
     );
-    // The acceptance ratio: wherever the host has an `ni` slot, it must
-    // beat the scalar tier by 2x on a bulk buffer (measured margins are
-    // ~6x and ~100x, so the floor only trips on a broken dispatch).
-    let crypto_gbs = |tier: Tier, op: &str| {
+    // The acceptance ratios: wherever the host has a slot beyond scalar,
+    // it must beat the scalar tier on a bulk buffer — `ni` by 2x (measured
+    // margins are ~6x and ~100x), `avx2` ChaCha20 by 3x (measured ~5x) —
+    // so a floor only trips on a broken dispatch.
+    let crypto_gbs = |tier: Tier, op: &str, size: usize| {
         crypto
             .iter()
-            .find(|c| c.kernel == tier.name() && c.op == op && c.size == 1024 * 1024)
+            .find(|c| c.kernel == tier.name() && c.op == op && c.size == size)
             .map(|c| c.gbs)
     };
-    let ni_ratios: Vec<(&str, f64)> = ["sha256", "aes256-ctr"]
-        .into_iter()
-        .filter_map(|op| {
-            Some((
-                op,
-                crypto_gbs(Tier::Ni, op)? / crypto_gbs(Tier::Scalar, op)?,
-            ))
-        })
-        .collect();
-    for (op, r) in &ni_ratios {
-        println!("ni/scalar {op} @1MiB: {}x (floor 2x)", f2(*r));
-        assert!(*r >= 2.0, "{op}: ni tier is only {r:.2}x scalar at 1 MiB");
+    let bulk = 1024 * 1024;
+    let floors = [
+        ("sha256", Tier::Ni, 2.0),
+        ("aes256-ctr", Tier::Ni, 2.0),
+        ("chacha20", Tier::Avx2, 3.0),
+    ];
+    let mut tier_ratios: Vec<(&str, Tier, f64)> = Vec::new();
+    for (op, tier, floor) in floors {
+        let (Some(wide), Some(scalar)) = (
+            crypto_gbs(tier, op, bulk),
+            crypto_gbs(Tier::Scalar, op, bulk),
+        ) else {
+            continue;
+        };
+        let (name, r) = (tier.name(), wide / scalar);
+        println!("{name}/scalar {op} @1MiB: {}x (floor {floor}x)", f2(r));
+        assert!(r >= floor, "{op}: {name} is only {r:.2}x scalar at 1 MiB");
+        tier_ratios.push((op, tier, r));
+    }
+    let ratios_json = |tier: Tier| {
+        Json::Obj(
+            tier_ratios
+                .iter()
+                .filter(|(_, t, _)| *t == tier)
+                .map(|(op, _, r)| ((*op).into(), Json::Num(*r)))
+                .collect(),
+        )
+    };
+    // A call shorter than one eight-block group takes the scalar block
+    // path on the wide tier too: short AEAD messages and 8-byte draws do
+    // not pay for a wide pass.
+    if let (Some(wide), Some(scalar)) = (
+        crypto_gbs(Tier::Avx2, "chacha20", 64),
+        crypto_gbs(Tier::Scalar, "chacha20", 64),
+    ) {
+        println!(
+            "chacha20 @64B: avx2 {} GB/s, scalar {} GB/s",
+            f3(wide),
+            f3(scalar)
+        );
+    }
+    let sharing = sharing_rows(reps, &src);
+    for (name, value) in &sharing {
+        println!("{name}: {}", f2(*value));
     }
 
-    let json = Json::Obj(vec![
+    let mut fields = vec![
         ("experiment".into(), Json::Str("kernels".into())),
         ("quick".into(), Json::Num(if quick { 1.0 } else { 0.0 })),
         ("rows".into(), Json::Num(row_count as f64)),
@@ -306,10 +387,12 @@ fn main() {
         ("swar_vs_scalar_mul_add_64k".into(), Json::Num(ratio)),
         (
             "active_crypto".into(),
-            Json::Obj(vec![
-                ("sha256".into(), Json::Str(active_crypto.0.into())),
-                ("aes256-ctr".into(), Json::Str(active_crypto.1.into())),
-            ]),
+            Json::Obj(
+                active_crypto
+                    .iter()
+                    .map(|(op, tier)| ((*op).into(), Json::Str((*tier).into())))
+                    .collect(),
+            ),
         ),
         ("crypto_cells".into(), cells_json(&crypto)),
         (
@@ -321,16 +404,15 @@ fn main() {
                     .collect(),
             ),
         ),
-        (
-            "ni_vs_scalar_1m".into(),
-            Json::Obj(
-                ni_ratios
-                    .iter()
-                    .map(|(op, r)| ((*op).into(), Json::Num(*r)))
-                    .collect(),
-            ),
-        ),
-    ]);
+        ("ni_vs_scalar_1m".into(), ratios_json(Tier::Ni)),
+        ("avx2_vs_scalar_1m".into(), ratios_json(Tier::Avx2)),
+    ];
+    fields.extend(
+        sharing
+            .iter()
+            .map(|(name, value)| ((*name).to_string(), Json::Num(*value))),
+    );
+    let json = Json::Obj(fields);
     if let Some(path) = json.write_artifact("BENCH_kernels.json") {
         println!("wrote {}", path.display());
     }

@@ -68,8 +68,13 @@ pub enum CodecRepair {
         method: RepairMethod,
     },
     /// The family has no per-shard repair structure (AONT packages,
-    /// LRSS wrappers, packed rows with per-row randomness): the caller
-    /// must decode the object and re-encode it from scratch.
+    /// LRSS wrappers), or does not use the one it has: the caller must
+    /// decode the object and re-encode it from scratch. Packed sharing is
+    /// the second kind — a lost share is
+    /// `lagrange_coefficients(survivor_xs, i)` applied to `privacy + pack`
+    /// surviving shares in one fused row pass, the generator-matrix form
+    /// `aeon_secretshare::packed` already encodes with — and
+    /// `PackedShamirCodec` keeps the default until that lands.
     FullReencode,
 }
 
@@ -1123,6 +1128,36 @@ mod tests {
                 CodecRepair::FullReencode,
                 "{policy:?}"
             );
+        }
+    }
+
+    #[test]
+    fn packed_metadata_with_impossible_parameters_is_malformed_not_a_panic() {
+        // `meta.packed` travels in the manifest and `PackedParams`' fields
+        // are public, so decode can be handed parameters `new` never made.
+        let (mut rng, keys) = fixtures();
+        let codec = PolicyKind::PackedShamir {
+            privacy: 2,
+            pack: 2,
+            shares: 6,
+        }
+        .codec();
+        let enc = codec.encode(&mut rng, &keys, "obj", b"payload").unwrap();
+        let (_, plain_len) = enc.meta.packed.unwrap();
+        let zero = PackedParams {
+            privacy: 0,
+            pack: 0,
+            shares: 0,
+        };
+        let meta = EncodingMeta {
+            packed: Some((zero, plain_len)),
+            ..enc.meta
+        };
+        for shards in [vec![None; 6], enc.shards.into_iter().map(Some).collect()] {
+            assert!(matches!(
+                codec.decode(&keys, "obj", &shards, &meta),
+                Err(PolicyError::Malformed(_))
+            ));
         }
     }
 

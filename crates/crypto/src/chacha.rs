@@ -1,4 +1,11 @@
 //! The ChaCha20 stream cipher (RFC 8439).
+//!
+//! [`ChaCha20::block`] is the RFC's block function, one counter at a
+//! time. Keystream application goes through the `chacha20_xor` slot of
+//! [`crate::kernel::Kernel`]: the `scalar` tier is the `block` loop
+//! below, the `avx2` tier computes eight counter blocks per pass.
+
+use crate::kernel::Kernel;
 
 /// The ChaCha20 stream cipher with a 256-bit key and 96-bit nonce.
 ///
@@ -49,6 +56,11 @@ impl ChaCha20 {
         ChaCha20 { state }
     }
 
+    /// The key, counter (zero) and nonce words in RFC 8439 §2.3 order.
+    pub(crate) fn state(&self) -> &[u32; 16] {
+        &self.state
+    }
+
     /// Generates the 64-byte keystream block for the given counter.
     pub fn block(&self, counter: u32) -> [u8; 64] {
         let mut working = self.state;
@@ -83,6 +95,12 @@ impl ChaCha20 {
     /// [`ChaCha20Poly1305`](crate::aead::ChaCha20Poly1305) refuses longer
     /// messages.
     pub fn apply_keystream(&self, initial_counter: u32, data: &mut [u8]) {
+        Kernel::active().chacha20_xor(self, initial_counter, data);
+    }
+
+    /// The scalar tier of the kernel's `chacha20_xor` slot: one
+    /// [`ChaCha20::block`] per 64 bytes.
+    pub(crate) fn xor_scalar(&self, initial_counter: u32, data: &mut [u8]) {
         let mut counter = initial_counter;
         for chunk in data.chunks_mut(64) {
             let ks = self.block(counter);
@@ -97,46 +115,9 @@ impl ChaCha20 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sha2::to_hex;
 
-    fn rfc_key() -> [u8; 32] {
-        let mut k = [0u8; 32];
-        for (i, b) in k.iter_mut().enumerate() {
-            *b = i as u8;
-        }
-        k
-    }
-
-    #[test]
-    fn rfc8439_block_vector() {
-        // RFC 8439 §2.3.2 test vector.
-        let key = rfc_key();
-        let nonce = [0, 0, 0, 9, 0, 0, 0, 0x4a, 0, 0, 0, 0];
-        let block = ChaCha20::new(&key, &nonce).block(1);
-        assert_eq!(
-            to_hex(&block),
-            "10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4e\
-             d2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e"
-        );
-    }
-
-    #[test]
-    fn rfc8439_encryption_vector() {
-        // RFC 8439 §2.4.2.
-        let key = rfc_key();
-        let nonce = [0, 0, 0, 0, 0, 0, 0, 0x4a, 0, 0, 0, 0];
-        let plaintext = b"Ladies and Gentlemen of the class of '99: If I could offer you \
-only one tip for the future, sunscreen would be it.";
-        let mut buf = plaintext.to_vec();
-        ChaCha20::new(&key, &nonce).apply_keystream(1, &mut buf);
-        assert_eq!(
-            to_hex(&buf[..32]),
-            "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b"
-        );
-        // Round-trip.
-        ChaCha20::new(&key, &nonce).apply_keystream(1, &mut buf);
-        assert_eq!(buf, plaintext);
-    }
+    // The RFC 8439 known answers live in `tests/kernel_parity.rs`, where
+    // they run on every tier of the `chacha20_xor` slot.
 
     #[test]
     fn distinct_counters_distinct_blocks() {

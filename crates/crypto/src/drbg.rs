@@ -5,6 +5,7 @@
 //! inject a seeded generator and replay runs bit-for-bit.
 
 use crate::chacha::ChaCha20;
+use crate::kernel::Kernel;
 
 /// A source of cryptographic random bytes.
 ///
@@ -63,9 +64,22 @@ pub fn random_array<const N: usize, R: CryptoRng + ?Sized>(rng: &mut R) -> [u8; 
 
 /// A ChaCha20-based deterministic random bit generator.
 ///
-/// The generator runs ChaCha20 in counter mode over a zero plaintext and
-/// reseeds its key from its own output every 2^32 blocks (never reached in
-/// practice). Two instances with the same seed emit identical streams.
+/// The generator is the ChaCha20 keystream (zero nonce, block counter
+/// from 0) of its seed: two instances with the same seed emit identical
+/// streams, however the reads are cut up. It does not reseed. One
+/// instance serves 2^32 − 1 blocks (just under 256 GiB) and panics on the
+/// draw that would need the next one, rather than wrap the counter and
+/// repeat itself. Nothing in the workspace comes near that: maintenance
+/// operations and pipeline chunks each seed a generator of their own,
+/// and the longest-lived instance — an archive's, which serves its
+/// ingest draws — spends a few bytes per payload byte of an in-memory
+/// simulation. A caller that could get there must start a new generator
+/// from a fresh seed first (e.g. [`ChaChaDrbg::fork`]).
+///
+/// A draw first drains the buffered block, then generates every whole
+/// 64-byte block of the rest straight into the destination through the
+/// [`Kernel`]'s `chacha20_xor` slot — eight blocks per pass where the
+/// host has the wide tier — and buffers only the ragged tail.
 ///
 /// # Examples
 ///
@@ -83,6 +97,9 @@ pub struct ChaChaDrbg {
     buf: [u8; 64],
     buf_pos: usize,
 }
+
+/// What a generator panics with when its 2^32 − 1 blocks are spent.
+const EXHAUSTED: &str = "DRBG exhausted 2^32 blocks; reseed required";
 
 impl ChaChaDrbg {
     /// Creates a generator from a 32-byte seed.
@@ -108,32 +125,53 @@ impl ChaChaDrbg {
         let seed: [u8; 32] = self.gen_array();
         Self::from_seed(seed)
     }
+
+    /// Reserves the next `blocks` keystream blocks and returns the first
+    /// one's counter. Every block served passes through here, so no draw
+    /// — buffered or bulk — generates from a counter that has wrapped.
+    fn reserve(&mut self, blocks: usize) -> u32 {
+        let first = self.counter;
+        self.counter = u32::try_from(blocks)
+            .ok()
+            .and_then(|blocks| first.checked_add(blocks))
+            .expect(EXHAUSTED);
+        first
+    }
+
+    /// [`CryptoRng::fill_bytes`] on a given kernel.
+    fn fill_on(&mut self, kernel: &Kernel, dest: &mut [u8]) {
+        let buffered = (64 - self.buf_pos).min(dest.len());
+        let (head, rest) = dest.split_at_mut(buffered);
+        head.copy_from_slice(&self.buf[self.buf_pos..self.buf_pos + buffered]);
+        self.buf_pos += buffered;
+
+        let (blocks, tail) = rest.as_chunks_mut::<64>();
+        if !blocks.is_empty() {
+            let first = self.reserve(blocks.len());
+            let bulk = blocks.as_flattened_mut();
+            bulk.fill(0);
+            kernel.chacha20_xor(&self.cipher, first, bulk);
+        }
+        if !tail.is_empty() {
+            let counter = self.reserve(1);
+            self.buf = self.cipher.block(counter);
+            tail.copy_from_slice(&self.buf[..tail.len()]);
+            self.buf_pos = tail.len();
+        }
+    }
 }
 
 impl CryptoRng for ChaChaDrbg {
     fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut written = 0usize;
-        while written < dest.len() {
-            if self.buf_pos == 64 {
-                self.buf = self.cipher.block(self.counter);
-                self.counter = self
-                    .counter
-                    .checked_add(1)
-                    .expect("DRBG exhausted 2^32 blocks; reseed required");
-                self.buf_pos = 0;
-            }
-            let take = (64 - self.buf_pos).min(dest.len() - written);
-            dest[written..written + take]
-                .copy_from_slice(&self.buf[self.buf_pos..self.buf_pos + take]);
-            self.buf_pos += take;
-            written += take;
-        }
+        self.fill_on(Kernel::active(), dest);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
     fn deterministic_for_seed() {
@@ -151,19 +189,105 @@ mod tests {
         assert_ne!(a.gen_array::<32>(), b.gen_array::<32>());
     }
 
+    /// One draw of `total` bytes on the scalar kernel against the same
+    /// stream drawn piecewise, cut at `cuts`, on every kernel.
+    fn assert_cut_reads_match(total: usize, cuts: &[usize]) {
+        let mut even = vec![0u8; total];
+        ChaChaDrbg::from_u64_seed(99).fill_on(Kernel::scalar(), &mut even);
+        let mut cuts: Vec<usize> = cuts.iter().map(|&c| c.min(total)).collect();
+        cuts.extend([0, total]);
+        cuts.sort_unstable();
+        for kernel in Kernel::supported() {
+            let mut rng = ChaChaDrbg::from_u64_seed(99);
+            let mut uneven = vec![0u8; total];
+            for piece in cuts.windows(2) {
+                rng.fill_on(kernel, &mut uneven[piece[0]..piece[1]]);
+            }
+            assert_eq!(uneven, even, "{cuts:?}");
+        }
+    }
+
     #[test]
     fn uneven_reads_match_even_reads() {
-        let mut a = ChaChaDrbg::from_u64_seed(99);
-        let mut b = ChaChaDrbg::from_u64_seed(99);
-        let mut out_a = vec![0u8; 200];
-        a.fill_bytes(&mut out_a);
-        let mut out_b = vec![0u8; 200];
-        let (first, rest) = out_b.split_at_mut(13);
-        b.fill_bytes(first);
-        let (second, rest2) = rest.split_at_mut(64);
-        b.fill_bytes(second);
-        b.fill_bytes(rest2);
-        assert_eq!(out_a, out_b);
+        assert_cut_reads_match(200, &[13, 77]);
+        // Runs long enough for the bulk path and for whole wide groups,
+        // entered with an empty, a partly used and a full buffer.
+        assert_cut_reads_match(4096, &[512, 1024 + 8, 3000]);
+        assert_cut_reads_match(4096, &[64, 64 + 512, 64 + 512 + 7]);
+    }
+
+    proptest! {
+        #[test]
+        fn reads_cut_anywhere_match_one_read(total in 0usize..=4096,
+                                             cuts in prop::collection::vec(0usize..=4096, 0..12)) {
+            assert_cut_reads_match(total, &cuts);
+        }
+    }
+
+    /// A generator whose next block is `counter`, as if everything before
+    /// it had been drawn.
+    fn at_counter(seed: [u8; 32], counter: u32) -> ChaChaDrbg {
+        ChaChaDrbg {
+            counter,
+            ..ChaChaDrbg::from_seed(seed)
+        }
+    }
+
+    /// Runs `draws` on a generator 15 blocks (960 bytes) from exhaustion
+    /// and holds it to the block-at-a-time definition: a draw that ends
+    /// within block `0xFFFF_FFFE` returns those blocks of the block
+    /// function, the first draw that needs block `0xFFFF_FFFF` panics.
+    fn assert_exhaustion_matches_the_block_loop(kernel: &Kernel, draws: &[usize]) {
+        let seed = [0x5E; 32];
+        let cipher = ChaCha20::new(&seed, &[0u8; 12]);
+        let stream: Vec<u8> = (0xFFFF_FFF0..=0xFFFF_FFFE)
+            .flat_map(|counter| cipher.block(counter))
+            .collect();
+        let mut rng = at_counter(seed, 0xFFFF_FFF0);
+        let mut served = 0;
+        for &len in draws {
+            let mut out = vec![0u8; len];
+            let outcome = catch_unwind(AssertUnwindSafe(|| rng.fill_on(kernel, &mut out)));
+            let tier = kernel.chacha20_tier().name();
+            if served + len <= stream.len() {
+                assert!(
+                    outcome.is_ok(),
+                    "{tier} {draws:?}: panicked {served} bytes in"
+                );
+                assert_eq!(out, stream[served..served + len], "{tier} {draws:?}");
+                served += len;
+            } else {
+                let panic = outcome.expect_err("a draw past the last block must panic");
+                let message = panic
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| panic.downcast_ref::<&str>().copied())
+                    .expect("a panic message");
+                assert!(message.contains(EXHAUSTED), "{tier} {draws:?}: {message}");
+                return;
+            }
+        }
+        panic!("{draws:?} never runs past the last block");
+    }
+
+    #[test]
+    fn exhaustion_is_at_the_same_byte_however_the_stream_is_drawn() {
+        let schedules: [&[usize]; 9] = [
+            &[960, 1],            // one bulk draw of everything, then one byte
+            &[961],               // one bulk draw that needs the last block's successor
+            &[1024],              // sixteen whole blocks: a full wide group too many
+            &[512, 448, 8],       // a wide group, a scalar remainder, a `next_u64`
+            &[512, 512],          // the second group would straddle the wrap
+            &[13, 64, 883, 0, 1], // buffered, bulk, buffered; an empty draw is free
+            &[8; 121],            // `next_u64` after `next_u64`
+            &[959, 2],            // the draw that crosses the end by one byte
+            &[700, 100, 100, 100],
+        ];
+        for kernel in Kernel::supported() {
+            for draws in schedules {
+                assert_exhaustion_matches_the_block_loop(kernel, draws);
+            }
+        }
     }
 
     #[test]

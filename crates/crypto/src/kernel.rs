@@ -1,11 +1,14 @@
-//! Runtime-dispatched kernels for SHA-256 compression and AES-CTR.
+//! Runtime-dispatched kernels for SHA-256 compression, AES-CTR and
+//! ChaCha20.
 //!
-//! The two primitives every archive byte passes through — the SHA-256
-//! block function (digests, HMAC, HKDF, the hash-based signer) and the
-//! AES-CTR keystream (the commercial-default AEAD) — funnel through one
-//! [`Kernel`]: a two-slot vtable chosen once per process, the same recipe
-//! as `aeon_gf::kernel`. Each slot is probed on its own, because parts
-//! from Haswell to Skylake have `aes` without `sha`:
+//! The three primitives every archive byte passes through — the SHA-256
+//! block function (digests, HMAC, HKDF, the hash-based signer), the
+//! AES-CTR keystream (the commercial-default AEAD) and the ChaCha20
+//! keystream (the second AEAD, and the DRBG behind every secret-sharing
+//! draw) — funnel through one [`Kernel`]: a three-slot vtable chosen once
+//! per process, the same recipe as `aeon_gf::kernel`. Each slot is probed
+//! on its own, because parts from Haswell to Skylake have `aes` and
+//! `avx2` without `sha`:
 //!
 //! | slot            | tier     | mechanism                                        | availability                |
 //! |-----------------|----------|--------------------------------------------------|-----------------------------|
@@ -13,23 +16,33 @@
 //! | `sha256_blocks` | `ni`     | `sha256rnds2` / `sha256msg1` / `sha256msg2`      | x86-64 with SHA + SSE4.1    |
 //! | `aes_ctr`       | `scalar` | FIPS 197 byte-wise rounds, one block at a time   | always                      |
 //! | `aes_ctr`       | `ni`     | `aesenc` / `aesenclast`, eight blocks in flight  | x86-64 with AES-NI + SSE4.1 |
+//! | `chacha20_xor`  | `scalar` | RFC 8439 block function, one block at a time     | always                      |
+//! | `chacha20_xor`  | `avx2`   | the same rounds on eight counter blocks per pass | x86-64 with AVX2            |
 //!
 //! [`Kernel::active`] gives every slot the fastest tier the host runs
 //! (probed with `is_x86_feature_detected!`) and caches the choice.
-//! `AEON_FORCE_KERNEL=scalar` pins both slots to the scalar tier; any
+//! `AEON_FORCE_KERNEL=scalar` pins every slot to the scalar tier; any
 //! other value — a GF tier name such as `avx2`, or an unknown string —
 //! means auto-detection here, so the variable stays safe to export
 //! unconditionally in CI matrices.
 //!
-//! The scalar tier is the code in [`crate::sha2`] and [`crate::aes`]: it
-//! is what a host without the instructions runs, and the oracle the
-//! parity suite (`tests/kernel_parity.rs`) compares the `ni` tier
-//! against, bit for bit. The `ni` AES tier has no data-dependent table
-//! lookups; the scalar tier is not constant-time.
+//! The scalar tier is the code in [`crate::sha2`], [`crate::aes`] and
+//! [`crate::chacha`]: it is what a host without the instructions runs,
+//! and the oracle the parity suite (`tests/kernel_parity.rs`) compares
+//! the other tiers against, bit for bit. The `ni` AES tier has no
+//! data-dependent table lookups; the scalar tier is not constant-time.
+//!
+//! In the `avx2` ChaCha20 tier every lane carries its own counter,
+//! `initial.wrapping_add(lane)`: a group of eight that straddles
+//! `0xFFFF_FFFF` equals eight scalar `block` calls. A call — or the end
+//! of one — shorter than a whole eight-block group runs the scalar block
+//! loop, so a short AEAD message or an 8-byte draw never pays for a wide
+//! pass it would mostly discard.
 
 use std::sync::OnceLock;
 
 use crate::aes::Aes;
+use crate::chacha::ChaCha20;
 
 /// The implementation tiers of a kernel slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,36 +51,43 @@ pub enum Tier {
     Scalar,
     /// The x86-64 SHA / AES "new instructions".
     Ni,
+    /// 256-bit AVX2 integer lanes.
+    Avx2,
 }
 
 impl Tier {
-    /// The lowercase name used in benchmark output: `"scalar"` or `"ni"`.
+    /// The lowercase name used in benchmark output: `"scalar"`, `"ni"`
+    /// or `"avx2"`.
     pub fn name(self) -> &'static str {
         match self {
             Tier::Scalar => "scalar",
             Tier::Ni => "ni",
+            Tier::Avx2 => "avx2",
         }
     }
 }
 
 type Sha256Blocks = fn(&mut [u32; 8], &[u8]);
 type AesCtr = fn(&Aes, &[u8; 16], &mut [u8]);
+type ChaCha20Xor = fn(&ChaCha20, u32, &mut [u8]);
 
-/// One choice of tier for each of the two slots.
+/// One choice of tier for each of the three slots.
 #[derive(Debug, Clone, Copy)]
 pub struct Kernel {
     sha256: (Tier, Sha256Blocks),
     aes_ctr: (Tier, AesCtr),
+    chacha20: (Tier, ChaCha20Xor),
 }
 
 static SCALAR: Kernel = Kernel {
     sha256: (Tier::Scalar, crate::sha2::Sha256::compress_blocks),
     aes_ctr: (Tier::Scalar, Aes::ctr_scalar),
+    chacha20: (Tier::Scalar, ChaCha20::xor_scalar),
 };
 
 impl Kernel {
     /// The process-wide kernel: for each slot the fastest tier the host
-    /// supports, or the scalar tier in both when `AEON_FORCE_KERNEL` is
+    /// supports, or the scalar tier in all when `AEON_FORCE_KERNEL` is
     /// `scalar`. Selected on first use and cached for the life of the
     /// process.
     pub fn active() -> &'static Kernel {
@@ -84,12 +104,17 @@ impl Kernel {
     }
 
     /// Every distinct kernel the host supports, scalar first: the scalar
-    /// kernel, then the detected one when it has an `ni` slot (benchmark
-    /// sweeps and cross-tier parity tests iterate this).
+    /// kernel, then the detected one when any of its slots is not scalar
+    /// (benchmark sweeps and cross-tier parity tests iterate this).
     pub fn supported() -> Vec<&'static Kernel> {
         let detected = Kernel::detected();
         let mut kernels = vec![&SCALAR];
-        if detected.sha256_tier() == Tier::Ni || detected.aes_ctr_tier() == Tier::Ni {
+        let tiers = [
+            detected.sha256_tier(),
+            detected.aes_ctr_tier(),
+            detected.chacha20_tier(),
+        ];
+        if tiers != [Tier::Scalar; 3] {
             kernels.push(detected);
         }
         kernels
@@ -108,6 +133,9 @@ impl Kernel {
                 if let Some(f) = x86::aes_ctr() {
                     kernel.aes_ctr = (Tier::Ni, f);
                 }
+                if let Some(f) = x86::chacha20_xor() {
+                    kernel.chacha20 = (Tier::Avx2, f);
+                }
             }
             kernel
         })
@@ -123,6 +151,12 @@ impl Kernel {
     #[inline]
     pub fn aes_ctr_tier(&self) -> Tier {
         self.aes_ctr.0
+    }
+
+    /// The tier in this kernel's `chacha20_xor` slot.
+    #[inline]
+    pub fn chacha20_tier(&self) -> Tier {
+        self.chacha20.0
     }
 
     /// Runs the SHA-256 compression function over `blocks` (a whole
@@ -146,24 +180,36 @@ impl Kernel {
     pub fn aes_ctr(&self, aes: &Aes, iv: &[u8; 16], data: &mut [u8]) {
         (self.aes_ctr.1)(aes, iv, data);
     }
+
+    /// XORs the ChaCha20 keystream into `data`: block `i` of the
+    /// keystream is [`ChaCha20::block`] at `initial_counter` advanced by
+    /// `i`, wrapping silently — see [`ChaCha20::apply_keystream`] for the
+    /// limit that puts on callers.
+    #[inline]
+    pub fn chacha20_xor(&self, cipher: &ChaCha20, initial_counter: u32, data: &mut [u8]) {
+        (self.chacha20.1)(cipher, initial_counter, data);
+    }
 }
 
-/// The SHA-NI and AES-NI tiers: the one `unsafe` island in the crate.
+/// The SHA-NI, AES-NI and AVX2 tiers: the one `unsafe` island in the
+/// crate.
 ///
 /// `unsafe` is needed for two things only. (1) Calling a
-/// `#[target_feature]` function: the two `*_impl` functions are private
-/// and reachable only through the `fn` pointers [`sha256_blocks`] and
-/// [`aes_ctr`] hand out after the matching `is_x86_feature_detected!`
-/// probe succeeded. (2) The unaligned 16-byte vector load and store,
-/// wrapped once each in [`load`] / [`store`], whose array-reference
-/// arguments prove the 16 bytes are there. Everything else — the
-/// arithmetic intrinsics — is safe inside a function that enables the
-/// feature.
+/// `#[target_feature]` function: the three `*_impl` functions are
+/// private and reachable only through the `fn` pointers
+/// [`sha256_blocks`], [`aes_ctr`] and [`chacha20_xor`] hand out after the
+/// matching `is_x86_feature_detected!` probe succeeded. (2) The
+/// unaligned vector load and store, wrapped once per width in [`load`] /
+/// [`store`] (16 bytes) and [`load256`] / [`store256`] (32 bytes), whose
+/// array-reference arguments prove the bytes are there. Everything else
+/// — the arithmetic intrinsics — is safe inside a function that enables
+/// the feature.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod x86 {
-    use super::{AesCtr, Sha256Blocks};
+    use super::{AesCtr, ChaCha20Xor, Sha256Blocks};
     use crate::aes::Aes;
+    use crate::chacha::ChaCha20;
     use crate::sha2::K256;
     use std::arch::x86_64::*;
 
@@ -181,6 +227,11 @@ mod x86 {
         runs.then_some(aes_ctr_ni as AesCtr)
     }
 
+    /// The `avx2` tier of the `chacha20_xor` slot, when this host runs it.
+    pub(super) fn chacha20_xor() -> Option<ChaCha20Xor> {
+        is_x86_feature_detected!("avx2").then_some(chacha20_xor_avx2 as ChaCha20Xor)
+    }
+
     fn sha256_blocks_ni(state: &mut [u32; 8], blocks: &[u8]) {
         // SAFETY: this function is only reachable through the pointer
         // `sha256_blocks()` returns, and it returns one only after the
@@ -193,6 +244,21 @@ mod x86 {
         // `aes_ctr()` returns, and it returns one only after the aes and
         // sse4.1 probes both succeeded on this host.
         unsafe { aes_ctr_impl(aes.round_keys(), iv, data) }
+    }
+
+    fn chacha20_xor_avx2(cipher: &ChaCha20, initial_counter: u32, data: &mut [u8]) {
+        let (groups, tail) = data.as_chunks_mut::<CHACHA_GROUP>();
+        if !groups.is_empty() {
+            // SAFETY: this function is only reachable through the pointer
+            // `chacha20_xor()` returns, and it returns one only after the
+            // avx2 probe succeeded on this host.
+            unsafe { chacha20_groups_impl(cipher.state(), initial_counter, groups) }
+        }
+        // Less than a whole group — a short call, or the end of a long
+        // one — goes through the scalar block loop, which computes only
+        // the blocks it needs. `as u32` and `wrapping_add` agree mod 2^32.
+        let done = (groups.len() * CHACHA_LANES) as u32;
+        cipher.xor_scalar(initial_counter.wrapping_add(done), tail);
     }
 
     #[inline(always)]
@@ -209,6 +275,22 @@ mod x86 {
         // writable bytes, `storeu` has no alignment requirement, and SSE2
         // is part of the x86-64 baseline.
         unsafe { _mm_storeu_si128(bytes.as_mut_ptr().cast(), v) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn load256(bytes: &[u8; 32]) -> __m256i {
+        // SAFETY: `bytes` is a live reference to exactly 32 readable
+        // bytes and `loadu` has no alignment requirement.
+        unsafe { _mm256_loadu_si256(bytes.as_ptr().cast()) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn store256(bytes: &mut [u8; 32], v: __m256i) {
+        // SAFETY: `bytes` is a live exclusive reference to exactly 32
+        // writable bytes and `storeu` has no alignment requirement.
+        unsafe { _mm256_storeu_si256(bytes.as_mut_ptr().cast(), v) }
     }
 
     /// Four rounds: `$m` holds message words `W[4g..4g+4]`.
@@ -336,6 +418,120 @@ mod x86 {
             tail.copy_from_slice(&group[..tail.len()]);
         }
     }
+
+    /// Rotates every 32-bit lane of `$v` left by `$n` bits.
+    macro_rules! rotl {
+        ($v:expr, $n:literal) => {{
+            let v = $v;
+            _mm256_or_si256(
+                _mm256_slli_epi32::<$n>(v),
+                _mm256_srli_epi32::<{ 32 - $n }>(v),
+            )
+        }};
+    }
+
+    /// The RFC 8439 §2.1 quarter round on state words `$a $b $c $d`, each
+    /// a vector holding that word of eight blocks.
+    macro_rules! quarter_round {
+        ($s:ident, $a:literal, $b:literal, $c:literal, $d:literal) => {{
+            $s[$a] = _mm256_add_epi32($s[$a], $s[$b]);
+            $s[$d] = rotl!(_mm256_xor_si256($s[$d], $s[$a]), 16);
+            $s[$c] = _mm256_add_epi32($s[$c], $s[$d]);
+            $s[$b] = rotl!(_mm256_xor_si256($s[$b], $s[$c]), 12);
+            $s[$a] = _mm256_add_epi32($s[$a], $s[$b]);
+            $s[$d] = rotl!(_mm256_xor_si256($s[$d], $s[$a]), 8);
+            $s[$c] = _mm256_add_epi32($s[$c], $s[$d]);
+            $s[$b] = rotl!(_mm256_xor_si256($s[$b], $s[$c]), 7);
+        }};
+    }
+
+    /// Transposes an 8×8 matrix of 32-bit words: row `w` of the input is
+    /// word `w` of eight blocks, row `l` of the output is eight
+    /// consecutive words of block `l`.
+    #[target_feature(enable = "avx2")]
+    fn transpose8(r: &[__m256i; 8]) -> [__m256i; 8] {
+        let pairs = [
+            _mm256_unpacklo_epi32(r[0], r[1]),
+            _mm256_unpackhi_epi32(r[0], r[1]),
+            _mm256_unpacklo_epi32(r[2], r[3]),
+            _mm256_unpackhi_epi32(r[2], r[3]),
+            _mm256_unpacklo_epi32(r[4], r[5]),
+            _mm256_unpackhi_epi32(r[4], r[5]),
+            _mm256_unpacklo_epi32(r[6], r[7]),
+            _mm256_unpackhi_epi32(r[6], r[7]),
+        ];
+        // quads[i] = words 0..4 (or 4..8) of blocks i and i + 4.
+        let quads = [
+            _mm256_unpacklo_epi64(pairs[0], pairs[2]),
+            _mm256_unpackhi_epi64(pairs[0], pairs[2]),
+            _mm256_unpacklo_epi64(pairs[1], pairs[3]),
+            _mm256_unpackhi_epi64(pairs[1], pairs[3]),
+            _mm256_unpacklo_epi64(pairs[4], pairs[6]),
+            _mm256_unpackhi_epi64(pairs[4], pairs[6]),
+            _mm256_unpacklo_epi64(pairs[5], pairs[7]),
+            _mm256_unpackhi_epi64(pairs[5], pairs[7]),
+        ];
+        [
+            _mm256_permute2x128_si256::<0x20>(quads[0], quads[4]),
+            _mm256_permute2x128_si256::<0x20>(quads[1], quads[5]),
+            _mm256_permute2x128_si256::<0x20>(quads[2], quads[6]),
+            _mm256_permute2x128_si256::<0x20>(quads[3], quads[7]),
+            _mm256_permute2x128_si256::<0x31>(quads[0], quads[4]),
+            _mm256_permute2x128_si256::<0x31>(quads[1], quads[5]),
+            _mm256_permute2x128_si256::<0x31>(quads[2], quads[6]),
+            _mm256_permute2x128_si256::<0x31>(quads[3], quads[7]),
+        ]
+    }
+
+    /// Counter blocks per pass: one per 32-bit lane of a 256-bit vector.
+    const CHACHA_LANES: usize = 8;
+
+    /// Keystream bytes per pass.
+    const CHACHA_GROUP: usize = 64 * CHACHA_LANES;
+
+    /// XORs keystream blocks `initial_counter..` into `groups`, eight
+    /// blocks per group.
+    #[target_feature(enable = "avx2")]
+    fn chacha20_groups_impl(
+        state: &[u32; 16],
+        initial_counter: u32,
+        groups: &mut [[u8; CHACHA_GROUP]],
+    ) {
+        let mut initial = state.map(|word| _mm256_set1_epi32(word as i32));
+        let lane_offsets = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let mut counter = initial_counter;
+        for group in groups {
+            // Lane `l` is block `counter + l`; `add_epi32` wraps each
+            // lane on its own, as eight scalar `block` calls would.
+            initial[12] = _mm256_add_epi32(_mm256_set1_epi32(counter as i32), lane_offsets);
+            let mut working = initial;
+            for _ in 0..10 {
+                quarter_round!(working, 0, 4, 8, 12);
+                quarter_round!(working, 1, 5, 9, 13);
+                quarter_round!(working, 2, 6, 10, 14);
+                quarter_round!(working, 3, 7, 11, 15);
+                quarter_round!(working, 0, 5, 10, 15);
+                quarter_round!(working, 1, 6, 11, 12);
+                quarter_round!(working, 2, 7, 8, 13);
+                quarter_round!(working, 3, 4, 9, 14);
+            }
+            for (word, init) in working.iter_mut().zip(&initial) {
+                *word = _mm256_add_epi32(*word, *init);
+            }
+            let [low, high] = working.as_chunks::<8>().0 else {
+                unreachable!("sixteen state words are two halves of eight")
+            };
+            let (low, high) = (transpose8(low), transpose8(high));
+            for (l, block) in group.as_chunks_mut::<64>().0.iter_mut().enumerate() {
+                let [first, second] = block.as_chunks_mut::<32>().0 else {
+                    unreachable!("a 64-byte block is two 32-byte halves")
+                };
+                store256(first, _mm256_xor_si256(load256(first), low[l]));
+                store256(second, _mm256_xor_si256(load256(second), high[l]));
+            }
+            counter = counter.wrapping_add(CHACHA_LANES as u32);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -346,6 +542,7 @@ mod tests {
     fn tier_names() {
         assert_eq!(Tier::Scalar.name(), "scalar");
         assert_eq!(Tier::Ni.name(), "ni");
+        assert_eq!(Tier::Avx2.name(), "avx2");
     }
 
     #[test]

@@ -3,24 +3,30 @@
 //!
 //! Three layers, each over [`Kernel::supported`]:
 //!
-//! 1. the published vectors already pinned beside the primitives (FIPS
-//!    180-4, RFC 4231, RFC 5869, FIPS 197, SP 800-38A), recomputed here on
-//!    *that tier's* slot function — SHA-256 padding, HMAC and HKDF are
-//!    rebuilt by hand over `sha256_blocks`, so a vector passes only if the
-//!    tier's block function is right;
+//! 1. the published vectors (FIPS 180-4, RFC 4231, RFC 5869, FIPS 197,
+//!    SP 800-38A, RFC 8439), recomputed here on *that tier's* slot
+//!    function — SHA-256 padding, HMAC, HKDF and the ChaCha20-Poly1305
+//!    construction are rebuilt by hand over `sha256_blocks` /
+//!    `chacha20_xor`, so a vector passes only if the tier's function is
+//!    right; the ChaCha20 vectors are short, so each is also placed at
+//!    every lane of a longer call, which is what reaches a wide tier;
 //! 2. tier against the scalar oracle, bit for bit, on ragged lengths,
-//!    unaligned source offsets, `update` splits and every way the CTR
+//!    unaligned source offsets, `update` splits and every way a block
 //!    counter can wrap;
 //! 3. the same over random data, keys and IVs.
 //!
 //! CI runs the file twice, under `AEON_FORCE_KERNEL=scalar` and under
 //! auto-detection, which also moves the library entry points
-//! (`Sha256`, `hmac_sha256`, `hkdf`, `Aes::apply_ctr`) between tiers.
+//! (`Sha256`, `hmac_sha256`, `hkdf`, `Aes::apply_ctr`,
+//! `ChaCha20::apply_keystream`, `ChaCha20Poly1305`) between tiers.
 
+use aeon_crypto::aead::{Aead, ChaCha20Poly1305};
 use aeon_crypto::aes::Aes;
+use aeon_crypto::chacha::ChaCha20;
 use aeon_crypto::hkdf;
 use aeon_crypto::hmac::hmac_sha256;
 use aeon_crypto::kernel::{Kernel, Tier};
+use aeon_crypto::poly1305::Poly1305;
 use aeon_crypto::sha2::to_hex;
 use aeon_crypto::Sha256;
 use proptest::prelude::*;
@@ -119,17 +125,90 @@ fn iv_with_low_word(low: u32) -> [u8; 16] {
     iv
 }
 
+/// `kernel`'s ChaCha20 keystream from block `counter` XORed into `data`,
+/// the data placed at byte `offset` of a larger buffer.
+fn chacha_on(
+    kernel: &Kernel,
+    cipher: &ChaCha20,
+    counter: u32,
+    data: &[u8],
+    offset: usize,
+) -> Vec<u8> {
+    let mut buf = vec![0xA5u8; offset];
+    buf.extend_from_slice(data);
+    kernel.chacha20_xor(cipher, counter, &mut buf[offset..]);
+    buf.split_off(offset)
+}
+
+/// The same bytes as `chacha_on(kernel, cipher, counter, data, 0)`, but
+/// computed as blocks `lane..` of a call that starts `lane` blocks
+/// earlier and runs on for two wide groups: a short message reaches a
+/// wide tier's lanes only inside a long call, and a start before block 0
+/// puts the 2^32 wrap inside the first group.
+fn chacha_in_lane(
+    kernel: &Kernel,
+    cipher: &ChaCha20,
+    counter: u32,
+    data: &[u8],
+    lane: usize,
+) -> Vec<u8> {
+    let mut buf = vec![0u8; 64 * lane];
+    buf.extend_from_slice(data);
+    buf.resize(buf.len() + 1024, 0);
+    kernel.chacha20_xor(cipher, counter.wrapping_sub(lane as u32), &mut buf);
+    buf[64 * lane..64 * lane + data.len()].to_vec()
+}
+
+/// Every way this file computes a ChaCha20 call on `kernel`: directly,
+/// and from each lane of a longer call.
+fn chacha_every_way(kernel: &Kernel, cipher: &ChaCha20, counter: u32, data: &[u8]) -> Vec<Vec<u8>> {
+    let mut results = vec![chacha_on(kernel, cipher, counter, data, 0)];
+    results.extend((0..8).map(|lane| chacha_in_lane(kernel, cipher, counter, data, lane)));
+    results
+}
+
+/// ChaCha20-Poly1305 `seal` (RFC 8439 §2.8) with both keystream uses —
+/// the one-time Poly1305 key from block 0, the ciphertext from block 1 —
+/// computed by `stream`.
+fn chacha20poly1305_on(
+    stream: impl Fn(u32, &[u8]) -> Vec<u8>,
+    aad: &[u8],
+    plaintext: &[u8],
+) -> Vec<u8> {
+    let poly_key: [u8; 32] = stream(0, &[0u8; 32]).try_into().expect("32 bytes");
+    let mut sealed = stream(1, plaintext);
+    let mut mac = Poly1305::new(&poly_key);
+    for part in [aad, &sealed] {
+        mac.update(part);
+        mac.update(&[0u8; 15][..(16 - part.len() % 16) % 16]);
+    }
+    mac.update(&(aad.len() as u64).to_le_bytes());
+    mac.update(&(sealed.len() as u64).to_le_bytes());
+    sealed.extend_from_slice(&mac.finalize());
+    sealed
+}
+
+/// RFC 8439's test key, `00 01 .. 1f`.
+fn rfc8439_key() -> [u8; 32] {
+    core::array::from_fn(|i| i as u8)
+}
+
+/// RFC 8439's test message (§2.4.2, §2.8.2).
+const SUNSCREEN: &[u8] = b"Ladies and Gentlemen of the class of '99: If I could offer you \
+only one tip for the future, sunscreen would be it.";
+
 #[test]
 fn supported_kernels_are_scalar_then_detected() {
     let kernels = Kernel::supported();
     assert_eq!(kernels[0].sha256_tier(), Tier::Scalar);
     assert_eq!(kernels[0].aes_ctr_tier(), Tier::Scalar);
+    assert_eq!(kernels[0].chacha20_tier(), Tier::Scalar);
+    let tiers = |k: &Kernel| (k.sha256_tier(), k.aes_ctr_tier(), k.chacha20_tier());
     for k in &kernels[1..] {
-        assert!(k.sha256_tier() == Tier::Ni || k.aes_ctr_tier() == Tier::Ni);
+        assert_ne!(tiers(k), tiers(Kernel::scalar()));
     }
     // The active kernel is the best one, or all-scalar under the override
     // (CI runs this file in both legs): never a mix the host did not pick.
-    let tiers = |k: &Kernel| (k.sha256_tier(), k.aes_ctr_tier());
     let active = tiers(Kernel::active());
     assert!(active == tiers(Kernel::scalar()) || active == tiers(kernels[kernels.len() - 1]));
 }
@@ -384,6 +463,126 @@ fn aes_ctr_counter_is_the_low_32_bits_big_endian_and_wraps() {
     }
 }
 
+#[test]
+fn chacha20_known_answers_on_every_tier() {
+    // RFC 8439 §2.3.2: the keystream block for counter 1.
+    let block_cipher = ChaCha20::new(&rfc8439_key(), &[0, 0, 0, 9, 0, 0, 0, 0x4a, 0, 0, 0, 0]);
+    let block = "10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4e\
+                 d2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e";
+    // RFC 8439 §2.4.2: the sunscreen message from counter 1.
+    let stream_cipher = ChaCha20::new(&rfc8439_key(), &[0, 0, 0, 0, 0, 0, 0, 0x4a, 0, 0, 0, 0]);
+    let ciphertext = "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b\
+                      f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8\
+                      07ca0dbf500d6a6156a38e088a22b65e52bc514d16ccf806818ce91ab7793736\
+                      5af90bbf74a35be6b40b8eedf2785e42874d";
+    for kernel in Kernel::supported() {
+        let tier = kernel.chacha20_tier().name();
+        for got in chacha_every_way(kernel, &block_cipher, 1, &[0u8; 64]) {
+            assert_eq!(to_hex(&got), block, "{tier}");
+        }
+        for got in chacha_every_way(kernel, &stream_cipher, 1, SUNSCREEN) {
+            assert_eq!(to_hex(&got), ciphertext, "{tier}");
+        }
+    }
+    assert_eq!(to_hex(&block_cipher.block(1)), block);
+    let mut via_library = SUNSCREEN.to_vec();
+    stream_cipher.apply_keystream(1, &mut via_library);
+    assert_eq!(to_hex(&via_library), ciphertext);
+    stream_cipher.apply_keystream(1, &mut via_library);
+    assert_eq!(via_library, SUNSCREEN);
+}
+
+#[test]
+fn chacha20poly1305_known_answer_on_every_tier() {
+    // RFC 8439 §2.8.2.
+    let key: [u8; 32] = core::array::from_fn(|i| 0x80 + i as u8);
+    let nonce: [u8; 12] = [
+        0x07, 0x00, 0x00, 0x00, 0x40, 0x41, 0x42, 0x43, 0x44, 0x45, 0x46, 0x47,
+    ];
+    let aad: [u8; 12] = [
+        0x50, 0x51, 0x52, 0x53, 0xc0, 0xc1, 0xc2, 0xc3, 0xc4, 0xc5, 0xc6, 0xc7,
+    ];
+    let check = |sealed: &[u8], how: &str| {
+        let (ct, tag) = sealed.split_at(sealed.len() - 16);
+        assert_eq!(ct.len(), SUNSCREEN.len(), "{how}");
+        assert_eq!(
+            to_hex(&ct[..16]),
+            "d31a8d34648e60db7b86afbc53ef7ec2",
+            "{how}"
+        );
+        assert_eq!(to_hex(tag), "1ae10b594f09e26a7e902ecbd0600691", "{how}");
+    };
+    let cipher = ChaCha20::new(&key, &nonce);
+    for kernel in Kernel::supported() {
+        let tier = kernel.chacha20_tier().name();
+        let direct = |counter, data: &[u8]| chacha_on(kernel, &cipher, counter, data, 0);
+        check(&chacha20poly1305_on(direct, &aad, SUNSCREEN), tier);
+        for lane in 0..8 {
+            let in_lane =
+                |counter, data: &[u8]| chacha_in_lane(kernel, &cipher, counter, data, lane);
+            check(&chacha20poly1305_on(in_lane, &aad, SUNSCREEN), tier);
+        }
+    }
+    let aead = ChaCha20Poly1305::new(&key);
+    let sealed = aead.seal(&nonce, &aad, SUNSCREEN);
+    check(&sealed, "library");
+    assert_eq!(aead.open(&nonce, &aad, &sealed).as_deref(), Ok(SUNSCREEN));
+}
+
+#[test]
+fn chacha20_tiers_agree_on_ragged_lengths_and_counter_wraps() {
+    // Two wide groups and a ragged third, so every length from an empty
+    // call through "whole groups plus a tail of every size" occurs.
+    const LENGTHS: std::ops::RangeInclusive<usize> = 0..=1100;
+    let data = pattern(LONG, 4);
+    let cipher = ChaCha20::new(
+        &core::array::from_fn(|i| 0x6B ^ (5 * i) as u8),
+        &core::array::from_fn(|i| 0xD0 + i as u8),
+    );
+    // No wrap, the AEAD's start, and every place the 2^32 wrap can fall
+    // in the first eight-block group.
+    let counters = [0, 1].into_iter().chain(0xFFFF_FFF8..=0xFFFF_FFFF);
+    for counter in counters {
+        for len in LENGTHS {
+            let plain = &data[..len];
+            let oracle = chacha_on(Kernel::scalar(), &cipher, counter, plain, 0);
+            for kernel in Kernel::supported() {
+                for offset in 0..8 {
+                    assert_eq!(
+                        chacha_on(kernel, &cipher, counter, plain, offset),
+                        oracle,
+                        "{}, {len} bytes at offset {offset}, counter {counter:#x}",
+                        kernel.chacha20_tier().name()
+                    );
+                }
+            }
+        }
+    }
+    // The long input once, the wrap inside its first group.
+    let oracle = chacha_on(Kernel::scalar(), &cipher, 0xFFFF_FFFC, &data, 0);
+    for kernel in Kernel::supported() {
+        assert_eq!(chacha_on(kernel, &cipher, 0xFFFF_FFFC, &data, 1), oracle);
+    }
+}
+
+#[test]
+fn chacha20_block_i_is_the_block_function_at_counter_plus_i_and_wraps() {
+    // Not only tier = oracle: each 64 bytes of keystream is `block` at the
+    // counter the documentation promises, across the 2^32 wrap.
+    let cipher = ChaCha20::new(&[0x42; 32], &[0x24; 12]);
+    for kernel in Kernel::supported() {
+        let keystream = chacha_on(kernel, &cipher, 0xFFFF_FFFC, &[0u8; 64 * 20], 0);
+        for (i, block) in keystream.chunks_exact(64).enumerate() {
+            assert_eq!(
+                block,
+                cipher.block(0xFFFF_FFFCu32.wrapping_add(i as u32)),
+                "{}, block {i}",
+                kernel.chacha20_tier().name()
+            );
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn sha256_tiers_agree_on_random_input(data in prop::collection::vec(any::<u8>(), 0..4096),
@@ -422,5 +621,24 @@ proptest! {
         let mut via_library = data.clone();
         aes.apply_ctr(&iv, &mut via_library);
         prop_assert_eq!(via_library, oracle);
+    }
+
+    #[test]
+    fn chacha20_tiers_agree_on_random_input(key in any::<[u8; 32]>(), nonce in any::<[u8; 12]>(),
+                                            counter in any::<u32>(), near_wrap in any::<bool>(),
+                                            data in prop::collection::vec(any::<u8>(), 0..4096),
+                                            offset in 0usize..8) {
+        let cipher = ChaCha20::new(&key, &nonce);
+        // Put the 2^32 wrap somewhere inside the message.
+        let counter = if near_wrap { counter | 0xFFFF_FFC0 } else { counter };
+        let oracle = chacha_on(Kernel::scalar(), &cipher, counter, &data, 0);
+        for kernel in Kernel::supported() {
+            prop_assert_eq!(chacha_on(kernel, &cipher, counter, &data, offset), oracle.clone());
+        }
+        let mut via_library = data.clone();
+        cipher.apply_keystream(counter, &mut via_library);
+        prop_assert_eq!(&via_library, &oracle);
+        cipher.apply_keystream(counter, &mut via_library);
+        prop_assert_eq!(via_library, data);
     }
 }

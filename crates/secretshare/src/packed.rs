@@ -11,10 +11,31 @@
 //!
 //! GF(2^16) supplies the 65 536 evaluation points needed to keep the
 //! secret slots disjoint from up to ~65 000 share indices.
+//!
+//! # A linear code
+//!
+//! The payload is cut into rows of `k` symbols, one polynomial per row.
+//! Every row's polynomial passes through the same `k + t` x-coordinates
+//! — the secret points `65535 − j`, the anchor points below them — and
+//! is evaluated at the same share points `1..=n`, so
+//! `share_i = Σ_j L_j(i) · y_j` with one `n × (k + t)` generator matrix
+//! `G[i][j] = L_j(i)` (Lagrange basis) that depends on [`PackedParams`]
+//! alone. [`split`] de-interleaves the payload into `k` symbol columns,
+//! draws `t` anchor columns, and produces each share as one fused
+//! matrix-row × columns pass; [`reconstruct`] is the same with the
+//! basis taken over the share points and evaluated at each secret point.
+//! No polynomial is ever materialized.
+//!
+//! The anchors are drawn row by row, `t` per row, each the low 16 bits of
+//! one [`CryptoRng::next_u64`] — eight generator bytes per anchor, of
+//! which bytes `[0..2]` (little-endian) are used. The draw is made in
+//! bulk through a fixed-size strip, which consumes the identical byte
+//! stream; shares are a pure function of (generator stream, parameters,
+//! payload) and pinned as such by the golden vectors.
 
 use crate::ShareError;
 use aeon_crypto::CryptoRng;
-use aeon_gf::poly::{interpolate, lagrange_eval};
+use aeon_gf::poly::lagrange_coefficients;
 use aeon_gf::slice::gf16_mul_add_rows;
 use aeon_gf::Gf16;
 
@@ -49,31 +70,32 @@ impl PackedParams {
     /// reconstruct), with secret points and share points fitting in
     /// GF(2^16).
     pub fn new(privacy: usize, pack: usize, shares: usize) -> Result<Self, ShareError> {
-        if privacy == 0 || pack == 0 {
-            return Err(ShareError::InvalidParameters {
-                threshold: privacy,
-                shares,
-                reason: "privacy threshold and pack width must be at least 1",
-            });
-        }
-        if privacy + pack > shares {
-            return Err(ShareError::InvalidParameters {
-                threshold: privacy,
-                shares,
-                reason: "need at least privacy + pack shares to reconstruct",
-            });
-        }
-        if shares + pack >= 65_536 {
-            return Err(ShareError::InvalidParameters {
-                threshold: privacy,
-                shares,
-                reason: "share and secret points exceed GF(2^16)",
-            });
-        }
-        Ok(PackedParams {
+        let params = PackedParams {
             privacy,
             pack,
             shares,
+        };
+        params.check()?;
+        Ok(params)
+    }
+
+    /// The constraints [`PackedParams::new`] promises. The fields are
+    /// public, so [`split`] and [`reconstruct`] check them again rather
+    /// than trust that a value came through `new`.
+    fn check(&self) -> Result<(), ShareError> {
+        let reason = if self.privacy == 0 || self.pack == 0 {
+            "privacy threshold and pack width must be at least 1"
+        } else if self.privacy.saturating_add(self.pack) > self.shares {
+            "need at least privacy + pack shares to reconstruct"
+        } else if self.shares.saturating_add(self.pack) >= 65_536 {
+            "share and secret points exceed GF(2^16)"
+        } else {
+            return Ok(());
+        };
+        Err(ShareError::InvalidParameters {
+            threshold: self.privacy,
+            shares: self.shares,
+            reason,
         })
     }
 
@@ -92,89 +114,99 @@ impl PackedParams {
     fn secret_point(&self, j: usize) -> Gf16 {
         Gf16::new((65_535 - j) as u16)
     }
+
+    /// The x-coordinates every row's polynomial is fixed at, in input
+    /// column order: the `pack` secret points, then the `privacy` anchor
+    /// points directly below the secret block.
+    fn input_points(&self) -> Vec<Gf16> {
+        (0..self.pack + self.privacy)
+            .map(|j| self.secret_point(j))
+            .collect()
+    }
+}
+
+/// `dst = Σ_j L_j(x0) · columns_j`, the Lagrange basis `L` taken over the
+/// points `xs`: one matrix row applied to all columns in one fused pass.
+/// `None` if two of `xs` coincide.
+fn combine_at<'a>(
+    xs: &[Gf16],
+    x0: Gf16,
+    columns: impl Iterator<Item = &'a [u16]>,
+    dst: &mut [u16],
+) -> Option<()> {
+    let basis = lagrange_coefficients(xs, x0).ok()?;
+    let sources: Vec<(Gf16, &[u16])> = basis.into_iter().zip(columns).collect();
+    dst.fill(0);
+    gf16_mul_add_rows(dst, &sources);
+    Some(())
+}
+
+/// Generator bytes fetched per pass of the anchor draw: a fixed strip, so
+/// the bulk draw holds no buffer proportional to the payload.
+const DRAW_STRIP: usize = 16 * 1024;
+
+/// Fills the anchor columns from `rng` in the order the sharing is
+/// defined by: row-major, one `next_u64() & 0xFFFF` per anchor.
+/// `next_u64` is eight `fill_bytes` bytes read little-endian, so the low
+/// 16 bits are bytes `[0..2]` of each 8-byte group of one bulk draw.
+fn draw_anchors<R: CryptoRng + ?Sized>(rng: &mut R, anchors: &mut [Vec<u16>]) {
+    let rows = anchors[0].len();
+    let mut strip = [0u8; DRAW_STRIP];
+    let mut left = rows * anchors.len();
+    let (mut row, mut col) = (0, 0);
+    while left > 0 {
+        let draws = left.min(DRAW_STRIP / 8);
+        let bytes = &mut strip[..8 * draws];
+        rng.fill_bytes(bytes);
+        for draw in bytes.chunks_exact(8) {
+            anchors[col][row] = u16::from_le_bytes([draw[0], draw[1]]);
+            col += 1;
+            if col == anchors.len() {
+                (row, col) = (row + 1, 0);
+            }
+        }
+        left -= draws;
+    }
 }
 
 /// Splits `secrets` (exactly `params.pack` symbol columns wide per
 /// polynomial batch) into packed shares. The secret slice is interpreted
-/// as big-endian u16 symbols; odd-length inputs are zero-padded.
+/// as big-endian u16 symbols; odd-length inputs are zero-padded, and the
+/// empty secret is shared as one all-zero row.
 ///
 /// # Errors
 ///
-/// Returns [`ShareError::InvalidParameters`] via [`PackedParams::new`]
-/// validation failures (already checked) — this function itself only
-/// errors if `secrets` is empty when `pack > 0` is required; empty input
-/// produces empty shares.
+/// Returns [`ShareError::InvalidParameters`] for parameters
+/// [`PackedParams::new`] would reject.
 pub fn split<R: CryptoRng + ?Sized>(
     rng: &mut R,
     params: PackedParams,
     secrets: &[u8],
 ) -> Result<Vec<PackedShare>, ShareError> {
-    // Convert bytes to GF(2^16) symbols (big-endian pairs, zero-padded).
-    let symbols: Vec<Gf16> = secrets
-        .chunks(2)
-        .map(|c| {
-            let hi = c[0] as u16;
-            let lo = *c.get(1).unwrap_or(&0) as u16;
-            Gf16::new(hi << 8 | lo)
-        })
-        .collect();
-    // Group symbols into rows of `pack` (zero-padded tail).
-    let rows = symbols.len().div_ceil(params.pack).max(1);
-    let mut shares: Vec<PackedShare> = (1..=params.shares as u16)
-        .map(|i| PackedShare {
-            index: i,
-            data: Vec::with_capacity(rows),
-        })
-        .collect();
-
-    // Interpolate every row's polynomial first, then evaluate all rows
-    // at each share point in one column-wise Horner sweep: the per-share
-    // product table is built once and streams over a whole coefficient
-    // column instead of re-deriving logs symbol by symbol.
-    let degree_bound = params.pack + params.privacy; // coefficient count
-    let mut coeff_cols: Vec<Vec<u16>> = vec![vec![0u16; rows]; degree_bound];
-    // `row` indexes the transposed (inner) axis of `coeff_cols`, so the
-    // enumerate() rewrite clippy suggests does not apply.
-    #[allow(clippy::needless_range_loop)]
-    for row in 0..rows {
-        // Interpolation constraints: k secret slots + t random anchors.
-        let mut points: Vec<(Gf16, Gf16)> = Vec::with_capacity(params.pack + params.privacy);
-        for j in 0..params.pack {
-            let s = symbols
-                .get(row * params.pack + j)
-                .copied()
-                .unwrap_or(Gf16::ZERO);
-            points.push((params.secret_point(j), s));
-        }
-        // Random anchors at dedicated points below the secret block.
-        for j in 0..params.privacy {
-            let x = Gf16::new((65_535 - params.pack - j) as u16);
-            let y = Gf16::new((rng.next_u64() & 0xFFFF) as u16);
-            points.push((x, y));
-        }
-        let poly = interpolate(&points)
-            .map_err(|_| ShareError::ProtocolViolation("interpolation failed"))?;
-        for (k, &c) in poly.coeffs().iter().enumerate() {
-            coeff_cols[k][row] = c.value();
+    params.check()?;
+    let pack = params.pack;
+    let rows = secrets.len().div_ceil(2).div_ceil(pack).max(1);
+    // Input column `j` holds `y_j` of every row: `pack` secret columns
+    // (the payload de-interleaved, zero-padded tail), then the anchors.
+    let mut columns = vec![vec![0u16; rows]; pack + params.privacy];
+    let (secret_cols, anchor_cols) = columns.split_at_mut(pack);
+    for (row, symbols) in secrets.chunks(2 * pack).enumerate() {
+        for (col, pair) in secret_cols.iter_mut().zip(symbols.chunks(2)) {
+            col[row] = u16::from_be_bytes([pair[0], *pair.get(1).unwrap_or(&0)]);
         }
     }
-    // share(x) = Σ_k x^k · c_k, vectorized over rows: one fused pass in
-    // which every coefficient column accumulates into each cache-sized
-    // strip of the share while it is hot (same field values as the old
-    // Horner sweep — GF arithmetic is exact).
-    for share in shares.iter_mut() {
-        let x = Gf16::new(share.index);
-        let mut acc = coeff_cols[0].clone();
-        let mut power_rows: Vec<(Gf16, &[u16])> = Vec::with_capacity(degree_bound - 1);
-        let mut x_pow = x;
-        for col in &coeff_cols[1..] {
-            power_rows.push((x_pow, col.as_slice()));
-            x_pow *= x;
-        }
-        gf16_mul_add_rows(&mut acc, &power_rows);
-        share.data.extend_from_slice(&acc);
-    }
-    Ok(shares)
+    draw_anchors(rng, anchor_cols);
+    // share_i = Σ_j L_j(i) · column_j: one generator-matrix row per share.
+    let xs = params.input_points();
+    (1..=params.shares as u16)
+        .map(|index| {
+            let mut data = vec![0u16; rows];
+            let columns = columns.iter().map(Vec::as_slice);
+            combine_at(&xs, Gf16::new(index), columns, &mut data)
+                .ok_or(ShareError::ProtocolViolation("interpolation failed"))?;
+            Ok(PackedShare { index, data })
+        })
+        .collect()
 }
 
 /// Reconstructs the packed secrets from at least `privacy + pack` shares.
@@ -183,9 +215,11 @@ pub fn split<R: CryptoRng + ?Sized>(
 ///
 /// # Errors
 ///
-/// Returns [`ShareError::TooFewShares`] or
+/// Returns [`ShareError::InvalidParameters`] for parameters
+/// [`PackedParams::new`] would reject, [`ShareError::TooFewShares`], or
 /// [`ShareError::InconsistentShares`].
 pub fn reconstruct(params: PackedParams, shares: &[PackedShare]) -> Result<Vec<u8>, ShareError> {
+    params.check()?;
     let need = params.reconstruct_threshold();
     if shares.len() < need {
         return Err(ShareError::TooFewShares {
@@ -206,16 +240,18 @@ pub fn reconstruct(params: PackedParams, shares: &[PackedShare]) -> Result<Vec<u
             ));
         }
     }
-    let mut out = Vec::with_capacity(rows * params.pack * 2);
-    for row in 0..rows {
-        let pts: Vec<(Gf16, Gf16)> = subset
-            .iter()
-            .map(|s| (Gf16::new(s.index), Gf16::new(s.data[row])))
-            .collect();
-        for j in 0..params.pack {
-            let v = lagrange_eval(&pts, params.secret_point(j))
-                .map_err(|_| ShareError::InconsistentShares("duplicate share index"))?;
-            out.extend_from_slice(&v.value().to_be_bytes());
+    // secret_j = Σ_i L_i(secret point j) · share_i, basis over the share
+    // points: one fused pass per secret slot, interleaved back into rows.
+    let xs: Vec<Gf16> = subset.iter().map(|s| Gf16::new(s.index)).collect();
+    let pack = params.pack;
+    let mut out = vec![0u8; rows * pack * 2];
+    let mut column = vec![0u16; rows];
+    for j in 0..pack {
+        let shares = subset.iter().map(|s| s.data.as_slice());
+        combine_at(&xs, params.secret_point(j), shares, &mut column)
+            .ok_or(ShareError::InconsistentShares("duplicate share index"))?;
+        for (row, symbol) in out.chunks_exact_mut(2 * pack).zip(&column) {
+            row[2 * j..2 * j + 2].copy_from_slice(&symbol.to_be_bytes());
         }
     }
     Ok(out)
@@ -225,9 +261,206 @@ pub fn reconstruct(params: PackedParams, shares: &[PackedShare]) -> Result<Vec<u
 mod tests {
     use super::*;
     use aeon_crypto::ChaChaDrbg;
+    use aeon_gf::poly::{interpolate, lagrange_eval};
+    use proptest::prelude::*;
 
     fn rng() -> ChaChaDrbg {
         ChaChaDrbg::from_u64_seed(11)
+    }
+
+    /// The definition [`split`] is checked against: one polynomial per
+    /// row, interpolated through its `pack` secrets and `privacy` anchors
+    /// (one `next_u64() & 0xFFFF` each, row-major) and evaluated at every
+    /// share point.
+    fn split_by_interpolation<R: CryptoRng + ?Sized>(
+        rng: &mut R,
+        params: PackedParams,
+        secrets: &[u8],
+    ) -> Vec<PackedShare> {
+        let symbols: Vec<Gf16> = secrets
+            .chunks(2)
+            .map(|c| Gf16::new(u16::from_be_bytes([c[0], *c.get(1).unwrap_or(&0)])))
+            .collect();
+        let rows = symbols.len().div_ceil(params.pack).max(1);
+        let mut shares: Vec<PackedShare> = (1..=params.shares as u16)
+            .map(|index| PackedShare {
+                index,
+                data: Vec::with_capacity(rows),
+            })
+            .collect();
+        for row in 0..rows {
+            let mut points: Vec<(Gf16, Gf16)> = Vec::new();
+            for j in 0..params.pack {
+                let s = symbols.get(row * params.pack + j).copied();
+                points.push((params.secret_point(j), s.unwrap_or(Gf16::ZERO)));
+            }
+            for j in 0..params.privacy {
+                let x = Gf16::new((65_535 - params.pack - j) as u16);
+                let y = Gf16::new((rng.next_u64() & 0xFFFF) as u16);
+                points.push((x, y));
+            }
+            let poly = interpolate(&points).expect("distinct points");
+            for share in &mut shares {
+                share.data.push(poly.eval(Gf16::new(share.index)).value());
+            }
+        }
+        shares
+    }
+
+    /// The definition [`reconstruct`] is checked against, for well-formed
+    /// share sets: `rows × pack` Lagrange evaluations over the first
+    /// `privacy + pack` shares.
+    fn reconstruct_by_lagrange_eval(params: PackedParams, shares: &[PackedShare]) -> Vec<u8> {
+        let subset = &shares[..params.reconstruct_threshold()];
+        let mut out = Vec::new();
+        for row in 0..subset[0].data.len() {
+            let pts: Vec<(Gf16, Gf16)> = subset
+                .iter()
+                .map(|s| (Gf16::new(s.index), Gf16::new(s.data[row])))
+                .collect();
+            for j in 0..params.pack {
+                let v = lagrange_eval(&pts, params.secret_point(j)).expect("distinct indices");
+                out.extend_from_slice(&v.value().to_be_bytes());
+            }
+        }
+        out
+    }
+
+    /// `split` against the oracle from the same seed: equal share for
+    /// share, and both generators left at the same stream position.
+    fn assert_split_matches_oracle(params: PackedParams, seed: u64, secret: &[u8]) {
+        let mut fast_rng = ChaChaDrbg::from_u64_seed(seed);
+        let mut oracle_rng = ChaChaDrbg::from_u64_seed(seed);
+        // Start mid-block, as a generator that has served earlier draws does.
+        assert_eq!(fast_rng.gen_array::<5>(), oracle_rng.gen_array::<5>());
+        let fast = split(&mut fast_rng, params, secret).unwrap();
+        let oracle = split_by_interpolation(&mut oracle_rng, params, secret);
+        assert_eq!(fast, oracle, "{params:?}, {} bytes", secret.len());
+        assert_eq!(fast_rng.gen_array::<32>(), oracle_rng.gen_array::<32>());
+    }
+
+    fn payload(len: usize, seed: u64) -> Vec<u8> {
+        let mut bytes = vec![0u8; len];
+        ChaChaDrbg::from_u64_seed(seed).fill_bytes(&mut bytes);
+        bytes
+    }
+
+    proptest! {
+        #[test]
+        fn oracle_agrees_with_split(privacy in 1usize..=4, pack in 1usize..=5,
+                                              extra in 0usize..12, seed in any::<u64>(),
+                                              secret in prop::collection::vec(any::<u8>(), 0..71)) {
+            let need = privacy + pack;
+            let params = PackedParams::new(privacy, pack, need + extra % (13 - need)).unwrap();
+            assert_split_matches_oracle(params, seed, &secret);
+        }
+
+        #[test]
+        fn oracle_agrees_with_reconstruct(privacy in 1usize..=4, pack in 1usize..=5,
+                                                    extra in 0usize..12, seed in any::<u64>(),
+                                                    secret in prop::collection::vec(any::<u8>(), 0..71)) {
+            let need = privacy + pack;
+            let params = PackedParams::new(privacy, pack, need + extra % (13 - need)).unwrap();
+            let mut shares = split(&mut ChaChaDrbg::from_u64_seed(seed), params, &secret).unwrap();
+            // The last `need` shares, so the subset is not always 1..=need.
+            shares.drain(..params.shares - need);
+            let rec = reconstruct(params, &shares).unwrap();
+            prop_assert_eq!(&rec, &reconstruct_by_lagrange_eval(params, &shares));
+            prop_assert_eq!(&rec[..secret.len()], &secret[..]);
+            prop_assert!(rec[secret.len()..].iter().all(|&b| b == 0));
+        }
+    }
+
+    #[test]
+    fn oracle_agrees_with_split_across_draw_strips() {
+        // 64 KiB + 3: many anchor strips, an odd byte and a ragged last row.
+        let secret = payload(65_539, 3);
+        assert_split_matches_oracle(PackedParams::new(2, 2, 6).unwrap(), 7, &secret);
+        assert_split_matches_oracle(PackedParams::new(3, 5, 9).unwrap(), 8, &secret[..9_001]);
+    }
+
+    #[test]
+    fn oracle_agrees_with_reconstruct_on_every_threshold_subset() {
+        let secret = payload(23, 5); // odd length, ragged last row
+        for (privacy, pack, n) in [(1, 1, 4), (2, 2, 6), (2, 3, 7), (3, 2, 8)] {
+            let params = PackedParams::new(privacy, pack, n).unwrap();
+            let shares = split(&mut rng(), params, &secret).unwrap();
+            let need = params.reconstruct_threshold();
+            for mask in (0u32..1 << n).filter(|m| m.count_ones() as usize == need) {
+                let mut subset: Vec<PackedShare> = (0..n)
+                    .filter(|i| mask >> i & 1 == 1)
+                    .map(|i| shares[i].clone())
+                    .collect();
+                for _order in 0..2 {
+                    let rec = reconstruct(params, &subset).unwrap();
+                    assert_eq!(rec, reconstruct_by_lagrange_eval(params, &subset));
+                    assert_eq!(&rec[..secret.len()], &secret[..], "{params:?} {mask:#b}");
+                    subset.reverse();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_share_sets_keep_their_errors() {
+        let params = PackedParams::new(2, 2, 6).unwrap();
+        let shares = split(&mut rng(), params, b"malformed sets").unwrap();
+        let mut ragged = shares.clone();
+        ragged[2].data.pop();
+        let mut duplicate = shares.clone();
+        duplicate[3] = duplicate[0].clone();
+        let mut reserved = shares.clone();
+        reserved[1].index = 0;
+        let bad_index = ShareError::InconsistentShares("duplicate or reserved share index");
+        let cases = [
+            (
+                &shares[..3],
+                ShareError::TooFewShares {
+                    provided: 3,
+                    required: 4,
+                },
+            ),
+            (
+                &ragged[..],
+                ShareError::InconsistentShares("ragged share lengths"),
+            ),
+            (&duplicate[..], bad_index.clone()),
+            (&reserved[..], bad_index),
+        ];
+        for (set, error) in cases {
+            assert_eq!(reconstruct(params, set), Err(error));
+        }
+    }
+
+    #[test]
+    fn parameters_built_without_new_are_rejected_not_trusted() {
+        // The fields are public: both entry points used to panic on these
+        // (`subset[0]` of an empty slice, `div_ceil(0)`).
+        let zero = PackedParams {
+            privacy: 0,
+            pack: 0,
+            shares: 0,
+        };
+        let huge = PackedParams {
+            privacy: usize::MAX,
+            pack: usize::MAX,
+            shares: usize::MAX,
+        };
+        let short = PackedParams {
+            privacy: 3,
+            pack: 3,
+            shares: 5,
+        };
+        for params in [zero, huge, short] {
+            assert!(matches!(
+                reconstruct(params, &[]),
+                Err(ShareError::InvalidParameters { .. })
+            ));
+            assert!(matches!(
+                split(&mut rng(), params, b"secret"),
+                Err(ShareError::InvalidParameters { .. })
+            ));
+        }
     }
 
     #[test]
