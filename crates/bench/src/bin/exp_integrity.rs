@@ -5,10 +5,12 @@
 //! timestamped in 2026 under scheme v1, renewed in 2044 under v2 (before
 //! v1's 2045 break), verifies in 2080 back to 2026; an un-renewed chain
 //! and a late-renewed chain both fail. Then compares hash vs Pedersen
-//! anchoring for long-term confidentiality of the timestamped content.
+//! anchoring for long-term confidentiality of the timestamped content,
+//! and measures what aggregation buys: one authority signature per flush
+//! of chains, not per chain (ELSA-style; `BENCH_integrity.json`).
 
-use aeon_bench::Table;
-use aeon_crypto::ChaChaDrbg;
+use aeon_bench::{f2, Json, Table};
+use aeon_crypto::{ChaChaDrbg, Sha256};
 use aeon_integrity::timestamp::{
     AnchorMode, ChainInvalid, DocumentChain, SigBreakSchedule, TimestampAuthority,
 };
@@ -132,4 +134,133 @@ fn main() {
     println!("\nExpected shape (paper/LINCOS): chains renewed before each break");
     println!("keep proving the original year forever; hash anchors leak content");
     println!("to future adversaries, Pedersen anchors never do.");
+
+    aggregation(&mut rng, &committer);
+}
+
+/// Height of the authority key the archive uses: 64 signatures a key.
+const KEY_HEIGHT: usize = 6;
+const KEY_SIGNATURES: usize = 1 << KEY_HEIGHT;
+
+/// Spends one whole authority key inside the timer — its generation
+/// and all 64 signatures, one per call of `one_flush` — and returns
+/// microseconds per object, all-in: (key + 64 signatures + 64·`flush`
+/// links) / (64·`flush` objects).
+fn spend_key(
+    rng: &mut ChaChaDrbg,
+    flush: usize,
+    mut one_flush: impl FnMut(&mut ChaChaDrbg, &mut TimestampAuthority),
+) -> f64 {
+    let start = std::time::Instant::now();
+    let mut tsa = TimestampAuthority::new(rng, "wots-v1", 2026, KEY_HEIGHT);
+    for _ in 0..KEY_SIGNATURES {
+        let before = tsa.remaining();
+        one_flush(rng, &mut tsa);
+        assert_eq!(before - tsa.remaining(), 1, "one signature per flush");
+    }
+    assert_eq!(tsa.remaining(), 0);
+    start.elapsed().as_secs_f64() * 1e6 / (KEY_SIGNATURES * flush) as f64
+}
+
+/// What one link costs when `flush` chains share a token.
+fn aggregation(rng: &mut ChaChaDrbg, committer: &Committer) {
+    let digests: Vec<[u8; 32]> = (0..512u32)
+        .map(|i| Sha256::digest(&i.to_be_bytes()))
+        .collect();
+    let create = |rng: &mut ChaChaDrbg, tsa: &mut TimestampAuthority, digests: &[[u8; 32]]| {
+        DocumentChain::create_many(rng, tsa, committer, AnchorMode::HashDigest, digests)
+            .expect("create")
+    };
+
+    println!();
+    let mut table = Table::new(
+        "Timestamp aggregation: one authority signature per flush (height-6 key, 64 signatures)",
+        &[
+            "flush size",
+            "objects per key",
+            "signatures per 512 objects",
+            "create us/object",
+            "renew us/object",
+        ],
+    );
+    let mut cells = Vec::new();
+    let mut costs = std::collections::BTreeMap::new();
+    for flush in [1usize, 8, 32, 128, 512] {
+        let create_us = spend_key(rng, flush, |rng, tsa| {
+            create(rng, tsa, &digests[..flush]);
+        });
+        let mut founder = TimestampAuthority::new(rng, "wots-v1", 2026, 0);
+        let mut chains = create(rng, &mut founder, &digests[..flush]);
+        let renew_us = spend_key(rng, flush, |_, tsa| {
+            DocumentChain::renew_many(&mut chains, tsa).expect("renew");
+        });
+        let schedule = SigBreakSchedule::new();
+        assert!(chains
+            .iter()
+            .all(|c| c.len() == 1 + KEY_SIGNATURES && c.verify(&schedule, 2026).is_ok()));
+        let per_512 = 512 / flush;
+        table.row(&[
+            flush.to_string(),
+            (KEY_SIGNATURES * flush).to_string(),
+            per_512.to_string(),
+            f2(create_us),
+            f2(renew_us),
+        ]);
+        cells.push(Json::Obj(vec![
+            ("flush".into(), Json::Num(flush as f64)),
+            (
+                "objects_per_key".into(),
+                Json::Num((KEY_SIGNATURES * flush) as f64),
+            ),
+            ("signatures_per_512".into(), Json::Num(per_512 as f64)),
+            ("create_us_per_object".into(), Json::Num(create_us)),
+            ("renew_us_per_object".into(), Json::Num(renew_us)),
+        ]));
+        costs.insert(flush, (create_us, renew_us));
+    }
+    table.emit("e10_aggregation");
+
+    // The century-scale sweep: every chain of a 512-object archive,
+    // created in sixteen flushes, renewed under one token.
+    let mut tsa = TimestampAuthority::new(rng, "wots-v1", 2026, KEY_HEIGHT);
+    let mut archive: Vec<DocumentChain> = digests
+        .chunks(32)
+        .flat_map(|flush| create(rng, &mut tsa, flush))
+        .collect();
+    tsa.advance_to(2044);
+    tsa.rotate(rng, "wots-v2", KEY_HEIGHT);
+    DocumentChain::renew_many(&mut archive, &mut tsa).expect("renew");
+    let sweep_signatures = KEY_SIGNATURES - tsa.remaining();
+    let mut schedule = SigBreakSchedule::new();
+    schedule.set_break("wots-v1", 2045);
+    assert!(archive
+        .iter()
+        .all(|c| c.verify(&schedule, 2080) == Ok(2026)));
+    println!("Whole-archive renewal, 512 objects: {sweep_signatures} authority signature(s)");
+    assert_eq!(sweep_signatures, 1);
+
+    let (one, thirty_two) = (costs[&1], costs[&32]);
+    assert!(
+        thirty_two.0 <= one.0 / 3.0 && thirty_two.1 <= one.1 / 3.0,
+        "a flush of 32 must cost at most a third per object: {one:?} -> {thirty_two:?}"
+    );
+    println!("\nExpected shape (ELSA): a timestamp over a commitment to many items");
+    println!("costs one signature however many items it covers; each item pays one");
+    println!("inclusion path, so per-object cost falls with the flush size.");
+
+    let json = Json::Obj(vec![
+        ("experiment".into(), Json::Str("e10_integrity".into())),
+        ("key_height".into(), Json::Num(KEY_HEIGHT as f64)),
+        ("cells".into(), Json::Arr(cells)),
+        (
+            "whole_archive_renewal".into(),
+            Json::Obj(vec![
+                ("objects".into(), Json::Num(archive.len() as f64)),
+                ("signatures".into(), Json::Num(sweep_signatures as f64)),
+            ]),
+        ),
+    ]);
+    if let Some(path) = json.write_artifact("BENCH_integrity.json") {
+        println!("wrote {}", path.display());
+    }
 }

@@ -19,7 +19,7 @@ use aeon_store::cluster::{ClusterError, TransferReport};
 use aeon_store::node::NodeId;
 use aeon_store::retry::RetryPolicy;
 use aeon_store::{Cluster, DispatchPolicy};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Identifies an archived object.
@@ -488,82 +488,51 @@ impl Archive {
         policy: PolicyKind,
     ) -> Result<ObjectId, ArchiveError> {
         policy.validate()?;
-        if matches!(policy, PolicyKind::Entropic { .. }) && payload.len() >= 64 {
-            let bits = estimate_entropy_bits_per_byte(payload);
-            if bits < 6.0 {
-                return Err(ArchiveError::LowEntropy {
-                    bits_per_byte: bits,
-                });
-            }
-        }
-        let id = self.next_id(name);
+        entropy_gate(&policy, payload)?;
         if self.config.dedup.is_some() {
+            let id = self.next_id(name);
             return self.ingest_dedup(payload, name, policy, id);
         }
-        let write = plan::plan_write(
-            &policy,
-            &self.keys,
-            &mut self.rng,
-            &id,
-            payload,
-            &self.config.pipeline,
-        )?;
-        let placement = self.executor().place(id.as_str(), write.shards.len())?;
-        let mut put_rng = self.op_rng("ingest", id.as_str());
-        // Too few shards landing durably means the object could never
-        // be read back: the executor rolls back whatever was written.
-        if let Err(outcome) = self
-            .executor()
-            .commit_write(&write, &placement, &mut put_rng)
-        {
-            return Err(ArchiveError::DegradedBeyondBudget {
-                id,
-                available: outcome.written,
-                required: write.required,
-                corrupt: 0,
-            });
-        }
-
-        let digest = Sha256::digest(payload);
-        self.anchor_integrity(&id, payload)?;
-
-        let manifest = Manifest {
-            id: id.clone(),
-            name: name.to_string(),
-            policy,
-            meta: write.meta,
-            placement,
-            logical_len: payload.len(),
-            digest,
-            shard_digests: write.shard_digests,
-            created_year: self.year,
-            refresh_epochs: 0,
-            blocks: None,
-        };
-        self.manifests.insert(id.clone(), manifest);
-        Ok(id)
+        let mut ids = self.ingest_flush(&[(payload, name)], &policy)?;
+        Ok(ids.pop().expect("one id per item"))
     }
 
-    /// Ingests a batch of payloads under the default policy with
-    /// **batched plan execution**: every object is planned and anchored
-    /// in submission order (drawing the archive's encode stream exactly
-    /// as sequential [`Archive::ingest`] calls would), then all shard
-    /// writes flush in one cross-object pass that groups first attempts
-    /// by target node — one framed transfer per node per batch on
-    /// media-priced clusters. Fault-free, the stored bytes, manifests,
-    /// and object ids are byte-identical to ingesting one by one; under
-    /// deterministic fault injection the per-key attempt schedules (and
-    /// so outcomes) match too.
+    /// Ingests a batch of payloads under the default policy as **one
+    /// flush**: every object is planned in submission order (drawing the
+    /// archive's encode stream exactly as sequential [`Archive::ingest`]
+    /// calls would), all shard writes go out in one cross-object pass
+    /// that groups first attempts by target node — one framed transfer
+    /// per node per batch on media-priced clusters — and only then is the
+    /// batch anchored: **one** authority signature over the Merkle root
+    /// of the landed objects' timestamp links
+    /// ([`DocumentChain::create_many`]), one ledger entry per object.
     ///
-    /// Dedup-configured archives fall back to sequential ingest: block
-    /// writes are already coalesced per object by the dedup pipeline.
+    /// What is and is not batch-invariant: the anchor's own draws from
+    /// the archive's stream (a Pedersen blinding per object, an
+    /// authority-key rotation) come after every encode here, where `N`
+    /// single ingests interleave them, and `N` singles consume `N`
+    /// signatures where one flush consumes one. So object ids, manifests
+    /// and stored bytes are byte-identical to ingesting one by one —
+    /// under deterministic fault injection the per-key attempt schedules
+    /// (and so outcomes) match too — until an authority-key rotation
+    /// falls inside the sequence (and, in `PedersenChain` mode, for
+    /// policies whose encode draws nothing). Integrity evidence is per
+    /// flush by design: each chain's first link carries an inclusion
+    /// path to the flush's signed root.
+    ///
+    /// Dedup-configured archives fall back to sequential ingest — one
+    /// token per object: block writes are already coalesced per object by
+    /// the dedup pipeline.
     ///
     /// # Errors
     ///
-    /// Returns the first per-object error in submission order. Objects
-    /// earlier in the batch remain ingested; the failing object's
-    /// shards are rolled back (its integrity anchor, written before the
-    /// flush, may already be on the append-only ledger).
+    /// A planning error (low entropy, encode, placement) fails the call
+    /// before any node is touched. Otherwise returns the first per-object
+    /// write failure in submission order: objects earlier in the batch
+    /// remain ingested and anchored, the failing object **and every
+    /// object after it** are rolled back, and nothing of them reaches the
+    /// chains or the ledger. If the token cannot be issued the whole
+    /// flush is rolled back — no manifest without its chain.
     pub fn ingest_many(&mut self, items: &[(&[u8], &str)]) -> Result<Vec<ObjectId>, ArchiveError> {
         if self.config.dedup.is_some() {
             return items
@@ -573,107 +542,122 @@ impl Archive {
         }
         let policy = self.config.policy.clone();
         policy.validate()?;
-        // Phase 1: plan and anchor per object, in submission order —
-        // the same `self.rng` draw order as sequential ingest.
+        for (payload, _) in items {
+            entropy_gate(&policy, payload)?;
+        }
+        self.ingest_flush(items, &policy)
+    }
+
+    /// The one classic ingest path (a single ingest is a flush of one):
+    /// plan all → flush → roll back the first failed object and
+    /// everything after it → anchor the landed prefix once → manifests.
+    fn ingest_flush(
+        &mut self,
+        items: &[(&[u8], &str)],
+        policy: &PolicyKind,
+    ) -> Result<Vec<ObjectId>, ArchiveError> {
         let mut ids = Vec::with_capacity(items.len());
-        let mut names = Vec::with_capacity(items.len());
-        let mut digests = Vec::with_capacity(items.len());
-        let mut lens = Vec::with_capacity(items.len());
         let mut plans = Vec::with_capacity(items.len());
         let mut placements = Vec::with_capacity(items.len());
         for (payload, name) in items {
-            if matches!(policy, PolicyKind::Entropic { .. }) && payload.len() >= 64 {
-                let bits = estimate_entropy_bits_per_byte(payload);
-                if bits < 6.0 {
-                    return Err(ArchiveError::LowEntropy {
-                        bits_per_byte: bits,
-                    });
-                }
-            }
             let id = self.next_id(name);
             let write = plan::plan_write(
-                &policy,
+                policy,
                 &self.keys,
                 &mut self.rng,
                 &id,
                 payload,
                 &self.config.pipeline,
             )?;
-            let placement = self.executor().place(id.as_str(), write.shards.len())?;
-            digests.push(Sha256::digest(payload));
-            self.anchor_integrity(&id, payload)?;
-            lens.push(payload.len());
-            names.push(name.to_string());
+            placements.push(self.executor().place(id.as_str(), write.shards.len())?);
             plans.push(write);
-            placements.push(placement);
             ids.push(id);
         }
-        // Phase 2: one node-grouped flush for the whole batch.
         let mut rngs: Vec<ChaChaDrbg> = ids
             .iter()
             .map(|id| self.op_rng("ingest", id.as_str()))
             .collect();
+        // Too few shards landing durably means an object could never be
+        // read back: the executor has already rolled that object back.
         let results = self.executor().commit_many(&plans, &placements, &mut rngs);
-        // Phase 3: manifests, aborting at the first rolled-back object.
-        let mut plan_iter = plans.into_iter();
-        let mut placement_iter = placements.into_iter();
-        for (i, result) in results.into_iter().enumerate() {
-            let write = plan_iter.next().expect("one plan per result");
-            let placement = placement_iter.next().expect("one placement per result");
-            if let Err(outcome) = result {
-                return Err(ArchiveError::DegradedBeyondBudget {
-                    id: ids[i].clone(),
-                    available: outcome.written,
-                    required: write.required,
-                    corrupt: 0,
-                });
+        let landed = results.iter().take_while(|r| r.is_ok()).count();
+        let roll_back = |archive: &Self, from: usize| {
+            for (i, result) in results.iter().enumerate().skip(from) {
+                if result.is_ok() {
+                    archive.executor().delete(ids[i].as_str(), &placements[i]);
+                }
             }
+        };
+        roll_back(self, landed);
+
+        let digests: Vec<[u8; 32]> = items[..landed]
+            .iter()
+            .map(|(payload, _)| Sha256::digest(payload))
+            .collect();
+        if let Err(e) = self.anchor(&ids[..landed], &digests) {
+            roll_back(self, 0);
+            return Err(e);
+        }
+        let failure = results.get(landed).and_then(|r| r.as_ref().err());
+        let failure = failure.map(|outcome| ArchiveError::DegradedBeyondBudget {
+            id: ids[landed].clone(),
+            available: outcome.written,
+            required: plans[landed].required,
+            corrupt: 0,
+        });
+        let landed_items = plans
+            .into_iter()
+            .zip(placements)
+            .zip(items.iter().zip(digests));
+        for (id, ((write, placement), ((payload, name), digest))) in ids.iter().zip(landed_items) {
             let manifest = Manifest {
-                id: ids[i].clone(),
-                name: names[i].clone(),
+                id: id.clone(),
+                name: name.to_string(),
                 policy: policy.clone(),
                 meta: write.meta,
                 placement,
-                logical_len: lens[i],
-                digest: digests[i],
+                logical_len: payload.len(),
+                digest,
                 shard_digests: write.shard_digests,
                 created_year: self.year,
                 refresh_epochs: 0,
                 blocks: None,
             };
-            self.manifests.insert(ids[i].clone(), manifest);
+            self.manifests.insert(id.clone(), manifest);
         }
-        Ok(ids)
+        failure.map_or(Ok(ids), Err)
     }
 
-    /// Anchors a payload in the configured integrity machinery: no-op
-    /// for `DigestOnly`, otherwise a timestamped document chain whose
-    /// anchor is appended to the public ledger.
-    pub(crate) fn anchor_integrity(
+    /// Anchors one flush of landed objects in the configured integrity
+    /// machinery: no-op for `DigestOnly` (and for an empty flush),
+    /// otherwise one timestamp over all of them — a document chain per
+    /// object, given the payload digests the manifests already need —
+    /// and each chain's anchor appended to the public ledger.
+    pub(crate) fn anchor(
         &mut self,
-        id: &ObjectId,
-        payload: &[u8],
+        ids: &[ObjectId],
+        digests: &[[u8; 32]],
     ) -> Result<(), ArchiveError> {
-        match self.config.integrity {
-            IntegrityMode::DigestOnly => {}
-            IntegrityMode::HashChain | IntegrityMode::PedersenChain => {
-                let mode = if self.config.integrity == IntegrityMode::PedersenChain {
-                    AnchorMode::PedersenHiding
-                } else {
-                    AnchorMode::HashDigest
-                };
-                self.ensure_tsa_capacity();
-                let chain = DocumentChain::create(
-                    &mut self.rng,
-                    &mut self.tsa,
-                    &self.committer,
-                    mode,
-                    payload,
-                )
-                .map_err(|e| ArchiveError::Timestamp(e.to_string()))?;
-                self.ledger.append(self.year, chain.anchor().to_vec());
-                self.chains.insert(id.clone(), chain);
-            }
+        let mode = match self.config.integrity {
+            IntegrityMode::DigestOnly => return Ok(()),
+            IntegrityMode::HashChain => AnchorMode::HashDigest,
+            IntegrityMode::PedersenChain => AnchorMode::PedersenHiding,
+        };
+        if ids.is_empty() {
+            return Ok(());
+        }
+        self.ensure_tsa_capacity();
+        let chains = DocumentChain::create_many(
+            &mut self.rng,
+            &mut self.tsa,
+            &self.committer,
+            mode,
+            digests,
+        )
+        .map_err(|e| ArchiveError::Timestamp(e.to_string()))?;
+        for (id, chain) in ids.iter().zip(chains) {
+            self.ledger.append(self.year, chain.anchor().to_vec());
+            self.chains.insert(id.clone(), chain);
         }
         Ok(())
     }
@@ -945,23 +929,48 @@ impl Archive {
     }
 
     /// Renews an object's timestamp chain with the authority's current
-    /// scheme (call after rotating the TSA to a stronger scheme).
+    /// scheme (call after rotating the TSA to a stronger scheme): the
+    /// one-id case of [`Archive::renew_timestamps`].
     ///
     /// # Errors
     ///
     /// Returns [`ArchiveError::UnsupportedOperation`] if the object has no
     /// chain.
     pub fn renew_timestamp(&mut self, id: &ObjectId) -> Result<(), ArchiveError> {
-        self.ensure_tsa_capacity();
-        let chain = self
-            .chains
-            .get_mut(id)
-            .ok_or(ArchiveError::UnsupportedOperation(
+        self.renew_timestamps(std::slice::from_ref(id))
+    }
+
+    /// Renews the named objects' timestamp chains under **one** authority
+    /// signature: a single token over the Merkle root of the chains' new
+    /// links ([`DocumentChain::renew_many`]), whatever batch or year each
+    /// chain was created in. A renewal sweep over the whole archive — the
+    /// §3.3 duty before each signature scheme breaks — costs one
+    /// signature, not one per object. Repeated ids are renewed once.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArchiveError::UnsupportedOperation`], before any chain
+    /// is touched, if a named object has no chain.
+    pub fn renew_timestamps(&mut self, ids: &[ObjectId]) -> Result<(), ArchiveError> {
+        let ids: BTreeSet<&ObjectId> = ids.iter().collect();
+        if ids.iter().any(|id| !self.chains.contains_key(id)) {
+            return Err(ArchiveError::UnsupportedOperation(
                 "object has no timestamp chain",
-            ))?;
-        chain
-            .renew(&mut self.tsa)
-            .map_err(|e| ArchiveError::Timestamp(e.to_string()))
+            ));
+        }
+        if ids.is_empty() {
+            return Ok(());
+        }
+        self.ensure_tsa_capacity();
+        // The chains leave the map for the duration of the call so that
+        // all of them can be borrowed mutably at once.
+        let mut renewing: Vec<(ObjectId, DocumentChain)> = ids
+            .into_iter()
+            .filter_map(|id| self.chains.remove_entry(id))
+            .collect();
+        let renewed = DocumentChain::renew_many(renewing.iter_mut().map(|(_, c)| c), &mut self.tsa);
+        self.chains.extend(renewing);
+        renewed.map_err(|e| ArchiveError::Timestamp(e.to_string()))
     }
 
     /// Rotates the timestamp authority to a new scheme (e.g. when the
@@ -1024,6 +1033,18 @@ impl Archive {
     }
 }
 
+/// The Entropic policy's admission check: its secrecy argument needs
+/// payloads that already look random.
+fn entropy_gate(policy: &PolicyKind, payload: &[u8]) -> Result<(), ArchiveError> {
+    if matches!(policy, PolicyKind::Entropic { .. }) && payload.len() >= 64 {
+        let bits_per_byte = estimate_entropy_bits_per_byte(payload);
+        if bits_per_byte < 6.0 {
+            return Err(ArchiveError::LowEntropy { bits_per_byte });
+        }
+    }
+    Ok(())
+}
+
 /// Crude Shannon-entropy estimate over byte frequencies.
 pub fn estimate_entropy_bits_per_byte(data: &[u8]) -> f64 {
     if data.is_empty() {
@@ -1048,6 +1069,8 @@ pub fn estimate_entropy_bits_per_byte(data: &[u8]) -> f64 {
 mod tests {
     use super::*;
     use aeon_crypto::{CryptoRng, SuiteId};
+    use aeon_store::node::{MemoryNode, NodeError, ShardKey, StorageNode};
+    use std::sync::Arc;
 
     fn shamir_archive() -> Archive {
         Archive::in_memory(ArchiveConfig::new(PolicyKind::Shamir {
@@ -1213,8 +1236,6 @@ mod tests {
     #[test]
     fn corruption_detected_on_retrieve() {
         // Use a cluster we keep handles to.
-        use aeon_store::node::{MemoryNode, ShardKey, StorageNode};
-        use std::sync::Arc;
         let handles: Vec<MemoryNode> = (0..3)
             .map(|i| MemoryNode::new(i, format!("s{i}")))
             .collect();
@@ -1254,6 +1275,180 @@ mod tests {
             a.ingest(b"obj", &format!("d{i}")).unwrap();
         }
         assert_eq!(a.stats().objects, 70);
+    }
+
+    /// `n` small named payloads.
+    fn small_objects(n: usize) -> Vec<(Vec<u8>, String)> {
+        (0..n)
+            .map(|i| (format!("payload {i}").into_bytes(), format!("obj-{i}")))
+            .collect()
+    }
+
+    fn borrowed(items: &[(Vec<u8>, String)]) -> Vec<(&[u8], &str)> {
+        items
+            .iter()
+            .map(|(p, n)| (p.as_slice(), n.as_str()))
+            .collect()
+    }
+
+    fn rs_archive(integrity: IntegrityMode) -> Archive {
+        let policy = PolicyKind::ErasureCoded { data: 2, parity: 1 };
+        Archive::in_memory(ArchiveConfig::new(policy).with_integrity(integrity)).unwrap()
+    }
+
+    #[test]
+    fn one_authority_signature_per_flush() {
+        let mut a = rs_archive(IntegrityMode::HashChain);
+        let items = small_objects(32);
+        assert_eq!(a.tsa.remaining(), 64);
+        let ids = a.ingest_many(&borrowed(&items)).unwrap();
+        assert_eq!(a.tsa.remaining(), 63, "a flush of 32 signs once");
+        assert_eq!(
+            a.ledger().len(),
+            32,
+            "the ledger still hears of every object"
+        );
+        for (payload, name) in &items {
+            a.ingest(payload, name).unwrap();
+        }
+        assert_eq!(a.tsa.remaining(), 31, "32 single ingests sign 32 times");
+        for id in &ids {
+            let health = a.verify(id, &SigBreakSchedule::new()).unwrap();
+            assert_eq!(health.chain_valid, Some(true));
+        }
+    }
+
+    #[test]
+    fn whole_archive_renewal_is_one_signature() {
+        let mut a = rs_archive(IntegrityMode::HashChain);
+        let items = small_objects(32);
+        let mut ids = Vec::new();
+        for _ in 0..16 {
+            ids.extend(a.ingest_many(&borrowed(&items)).unwrap());
+        }
+        assert_eq!((ids.len(), a.tsa.remaining()), (512, 48));
+        a.advance_year(2040);
+        // Naming an object twice renews it once.
+        ids.push(ids[0].clone());
+        a.renew_timestamps(&ids).unwrap();
+        assert_eq!(a.tsa.remaining(), 47, "one token over 512 chain heads");
+        assert_eq!(a.chains.len(), 512);
+        for id in &ids {
+            assert_eq!(a.chains[id].len(), 2);
+            let health = a.verify(id, &SigBreakSchedule::new()).unwrap();
+            assert_eq!(health.chain_valid, Some(true));
+        }
+        // An unknown object fails the sweep before any chain moves.
+        let ghost = ObjectId("feedfacefeedface".into());
+        assert!(matches!(
+            a.renew_timestamps(&[ids[0].clone(), ghost]),
+            Err(ArchiveError::UnsupportedOperation(_))
+        ));
+        assert_eq!((a.chains[&ids[0]].len(), a.tsa.remaining()), (2, 47));
+        a.renew_timestamps(&[]).unwrap();
+        assert_eq!(a.tsa.remaining(), 47);
+    }
+
+    #[test]
+    fn pedersen_flush_members_verify() {
+        let mut a = rs_archive(IntegrityMode::PedersenChain);
+        let ids = a.ingest_many(&borrowed(&small_objects(5))).unwrap();
+        assert_eq!(a.tsa.remaining(), 63);
+        a.renew_timestamps(&ids).unwrap();
+        for id in &ids {
+            let health = a.verify(id, &SigBreakSchedule::new()).unwrap();
+            assert_eq!(health.chain_valid, Some(true));
+        }
+    }
+
+    /// A memory node that refuses every put for one object.
+    #[derive(Debug)]
+    struct RejectingNode {
+        inner: MemoryNode,
+        rejected: String,
+    }
+
+    impl StorageNode for RejectingNode {
+        fn id(&self) -> NodeId {
+            self.inner.id()
+        }
+        fn site(&self) -> &str {
+            self.inner.site()
+        }
+        fn put(&self, key: &ShardKey, data: &[u8]) -> Result<(), NodeError> {
+            if key.object == self.rejected {
+                return Err(NodeError::Io("rejected".into()));
+            }
+            self.inner.put(key, data)
+        }
+        fn get(&self, key: &ShardKey) -> Result<Vec<u8>, NodeError> {
+            self.inner.get(key)
+        }
+        fn delete(&self, key: &ShardKey) -> Result<(), NodeError> {
+            self.inner.delete(key)
+        }
+        fn keys(&self) -> Vec<ShardKey> {
+            self.inner.keys()
+        }
+        fn stored_bytes(&self) -> u64 {
+            self.inner.stored_bytes()
+        }
+    }
+
+    /// A failed object mid-flush takes everything after it down with it
+    /// and leaves no trace of either: no orphan shards, no chains or
+    /// ledger entries for objects that were never ingested.
+    #[test]
+    fn mid_batch_failure_leaves_no_orphans() {
+        let items = small_objects(3);
+        for integrity in [IntegrityMode::DigestOnly, IntegrityMode::HashChain] {
+            // Ids depend only on names, order and seed: a twin archive
+            // tells which id the second object will get.
+            let doomed = rs_archive(integrity)
+                .ingest_many(&borrowed(&items))
+                .unwrap()
+                .remove(1);
+            let nodes = (0..3)
+                .map(|i| {
+                    Arc::new(RejectingNode {
+                        inner: MemoryNode::new(i, format!("s{i}")),
+                        rejected: doomed.as_str().to_string(),
+                    }) as Arc<dyn StorageNode>
+                })
+                .collect();
+            let policy = PolicyKind::ErasureCoded { data: 2, parity: 1 };
+            let config = ArchiveConfig::new(policy).with_integrity(integrity);
+            let mut a = Archive::with_cluster(config, Cluster::new(nodes)).unwrap();
+
+            let err = a.ingest_many(&borrowed(&items)).unwrap_err();
+            assert!(
+                matches!(&err, ArchiveError::DegradedBeyondBudget { id, .. } if *id == doomed),
+                "{integrity:?}: {err}"
+            );
+            let manifests: Vec<ObjectId> = a.manifests().map(|m| m.id).collect();
+            assert_eq!(
+                manifests.len(),
+                1,
+                "{integrity:?}: only the first object landed"
+            );
+            assert_eq!(a.retrieve(&manifests[0]).unwrap(), items[0].0);
+            for node in a.cluster().nodes() {
+                for key in node.keys() {
+                    assert_eq!(
+                        key.object,
+                        manifests[0].as_str(),
+                        "{integrity:?}: orphan shard"
+                    );
+                }
+            }
+            let chained = usize::from(integrity == IntegrityMode::HashChain);
+            assert_eq!(
+                a.chains.keys().cloned().collect::<Vec<_>>(),
+                &manifests[..chained]
+            );
+            assert_eq!(a.ledger().len(), chained);
+            assert_eq!(a.tsa.remaining(), 64 - chained);
+        }
     }
 
     #[test]

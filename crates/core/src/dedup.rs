@@ -409,7 +409,8 @@ impl Archive {
         let (dedup, created) = self.dedup_store_payload(payload, &policy)?;
         // Anchoring is the last fallible step; it runs before any
         // reference moves so rollback stays trivial.
-        if let Err(e) = self.anchor_integrity(&id, payload) {
+        let digest = Sha256::digest(payload);
+        if let Err(e) = self.anchor(std::slice::from_ref(&id), &[digest]) {
             self.dedup_rollback(&created);
             return Err(e);
         }
@@ -421,7 +422,7 @@ impl Archive {
             meta: EncodingMeta::plain(self.keys.current_version()),
             placement: Vec::new(),
             logical_len: payload.len(),
-            digest: Sha256::digest(payload),
+            digest,
             shard_digests: Vec::new(),
             created_year: self.year(),
             refresh_epochs: 0,

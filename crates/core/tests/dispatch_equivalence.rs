@@ -315,6 +315,44 @@ proptest! {
     }
 }
 
+/// Batch size stays invisible with timestamp chains on (fault-free): a
+/// flush anchors after its writes and signs once where N single ingests
+/// sign N times, yet ids, manifests, stored bytes and ledger agree for
+/// all nine policies as long as no authority-key rotation falls inside
+/// the sequence. The evidence differs by design — per flush, not per
+/// object — and verifies either way.
+#[test]
+fn batch_size_is_invisible_under_hash_chains() {
+    use aeon_integrity::timestamp::SigBreakSchedule;
+    for policy in policies() {
+        let items = payloads(7, 4);
+        let run = |batched: bool| {
+            let (cluster, handles) = cluster(&policy, None);
+            let config = config(&policy, SEQUENTIAL).with_integrity(IntegrityMode::HashChain);
+            let mut archive = Archive::with_cluster(config, cluster).unwrap();
+            let ids: Vec<ObjectId> = if batched {
+                archive.ingest_many(&named(&items)).unwrap()
+            } else {
+                named(&items)
+                    .iter()
+                    .map(|(p, n)| archive.ingest(p, n).unwrap())
+                    .collect()
+            };
+            for id in &ids {
+                let health = archive.verify(id, &SigBreakSchedule::new()).unwrap();
+                assert_eq!(health.chain_valid, Some(true), "policy {policy:?}");
+            }
+            let manifests: Vec<_> = archive
+                .manifests()
+                .map(|m| (m.id, m.digest, m.shard_digests, m.placement))
+                .collect();
+            let ledger: Vec<[u8; 32]> = archive.ledger().iter().map(|e| e.hash).collect();
+            (ids, manifests, cluster_contents(&handles), ledger)
+        };
+        assert_eq!(run(false), run(true), "policy {policy:?}");
+    }
+}
+
 #[test]
 fn retrieve_many_isolates_unknown_objects() {
     let policy = PolicyKind::ErasureCoded { data: 2, parity: 2 };

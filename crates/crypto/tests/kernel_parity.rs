@@ -28,7 +28,9 @@ use aeon_crypto::hmac::hmac_sha256;
 use aeon_crypto::kernel::{Kernel, Tier};
 use aeon_crypto::poly1305::Poly1305;
 use aeon_crypto::sha2::to_hex;
-use aeon_crypto::Sha256;
+use aeon_crypto::sig::MerkleSigner;
+use aeon_crypto::{ChaChaDrbg, Sha256};
+use aeon_integrity::merkle::{MerkleProof, MerkleTree};
 use proptest::prelude::*;
 
 /// SHA-256 initial hash value (FIPS 180-4 §5.3.3).
@@ -304,6 +306,79 @@ fn hmac_and_hkdf_known_answers_on_every_tier() {
     }
     for (salt, info, expect) in hkdf_vectors {
         assert_eq!(to_hex(&hkdf::derive(salt, &ikm, info, 42)), expect);
+    }
+}
+
+/// What every timestamp anchor rests on. The Lamport / Winternitz /
+/// Merkle signer is a home-grown XMSS ancestor, so no published vector
+/// applies: this is a frozen in-tree golden. Key generation and signing
+/// run through the library (`Sha256` on the active tier, which CI moves
+/// between its two legs); the signature's digest is then taken on every
+/// tier. The serialisation is the derived `{:?}` — the only view of the
+/// WOTS chain values an outside crate has.
+#[test]
+fn merkle_signature_golden_on_every_tier() {
+    let mut rng = ChaChaDrbg::from_u64_seed(0x51C);
+    let mut signer = MerkleSigner::generate(&mut rng, 3);
+    let public_key = signer.public_key();
+    assert_eq!(
+        to_hex(&public_key.root),
+        "c30a3a6dadfc84ccf77cd3da690b486616e4b251ae48f2114d06a182d55cc040"
+    );
+    // The third leaf: its authentication path has siblings on both sides.
+    let message = b"aeon anchor golden";
+    let signature = (0..3)
+        .map(|_| signer.sign(message).unwrap())
+        .last()
+        .unwrap();
+    assert_eq!(signature.leaf_index, 2);
+    assert!(public_key.verify(message, &signature));
+    let serialised = format!("{signature:?}");
+    for kernel in Kernel::supported() {
+        assert_eq!(
+            to_hex(&sha256_on(kernel, serialised.as_bytes(), 0)),
+            "5d13936c5f456b8071b7925763bc908b3534b3ac29722c7d3d08194852bbc6f7",
+            "tier {:?}",
+            kernel.sha256_tier()
+        );
+    }
+}
+
+/// The batch tree a flush of timestamps is signed through
+/// (`aeon_integrity::merkle`): five fixed digests, so the fifth is the
+/// odd node promoted twice. The pinned root is rebuilt by hand on every
+/// tier — leaf `H(00 ‖ d)`, node `H(01 ‖ l ‖ r)` — and one member's
+/// proof is pinned whole.
+#[test]
+fn batch_tree_golden_on_every_tier() {
+    const ROOT: &str = "60898e30a0e64021a318c38a850a5a3cca223887328345b86afaaf27a8d0cd9e";
+    let digests: Vec<[u8; 32]> = (0..5u8).map(|i| [0x10 + i; 32]).collect();
+    let tree = MerkleTree::build(digests.iter().map(|d| d.as_slice())).unwrap();
+    assert_eq!(to_hex(&tree.root()), ROOT);
+    for (i, digest) in digests.iter().enumerate() {
+        assert!(tree.prove(i).unwrap().verify(&tree.root(), digest));
+    }
+    for kernel in Kernel::supported() {
+        let leaf = |d: &[u8; 32]| sha256_on(kernel, &[&[0u8][..], d].concat(), 0);
+        let node = |l: [u8; 32], r: [u8; 32]| sha256_on(kernel, &[&[1u8][..], &l, &r].concat(), 0);
+        let [l0, l1, l2, l3, l4] = [0, 1, 2, 3, 4].map(|i| leaf(&digests[i]));
+        let left = node(node(l0, l1), node(l2, l3));
+        assert_eq!(
+            to_hex(&node(left, l4)),
+            ROOT,
+            "tier {:?}",
+            kernel.sha256_tier()
+        );
+        // The fifth member's whole proof: one sibling, on its left.
+        let expected = MerkleProof {
+            leaf_index: 4,
+            path: vec![(left, false)],
+        };
+        assert_eq!(tree.prove(4).unwrap(), expected);
+        assert_eq!(
+            to_hex(&left),
+            "2a2feeda9abd78e0082dd81321796ba3537c33f86ce3516f2e40e333a72578f7"
+        );
     }
 }
 

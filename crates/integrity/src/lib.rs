@@ -7,10 +7,12 @@
 //! is renewed with a stronger scheme *before* its own scheme is broken.
 //! This crate builds that machinery:
 //!
-//! * [`merkle`] — binary hash trees with inclusion proofs, used to batch
-//!   archive manifests into single timestamped digests.
+//! * [`merkle`] — binary hash trees with inclusion proofs; [`timestamp`]
+//!   signs the root of one over a whole batch of chain links.
 //! * [`timestamp`] — Haber–Stornetta renewable timestamp chains backed by
-//!   hash-based signatures, with a [`timestamp::SigBreakSchedule`]
+//!   hash-based signatures, created and renewed a batch at a time under
+//!   one authority signature (ELSA-style aggregation), with a
+//!   [`timestamp::SigBreakSchedule`]
 //!   modelling cryptanalytic progress against signature schemes, and a
 //!   LINCOS-style option to anchor chains on *information-theoretically
 //!   hiding* Pedersen commitments instead of plain hashes (so publishing
