@@ -711,14 +711,6 @@ impl Archive {
             .read(&ReadPlan::for_manifest(manifest), &mut rng)
     }
 
-    /// Retrying, digest-filtered fetch by object id, for maintenance
-    /// paths in sibling modules (repair, transfer). `None` if unknown.
-    pub(crate) fn fetch_shards_for(&self, id: &ObjectId, label: &str) -> Option<ShardsSnapshot> {
-        self.manifests
-            .get(id)
-            .map(|manifest| self.fetch_shards(&manifest, label))
-    }
-
     /// Retrieves and verifies an object.
     ///
     /// # Errors

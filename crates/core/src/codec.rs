@@ -1,33 +1,32 @@
-//! Codecs: a policy's encoding is a seal in front of a dispersal.
+//! How a policy encodes: a seal in front of a dispersal.
 //!
 //! The paper's crypto-agility argument (§3.2) demands that *how bytes
 //! are encoded* be swappable independently of *where shards live*. This
-//! module is the "how" half of that seam. Every [`PolicyKind`] names a
-//! [`Codec`] ([`PolicyKind::codec`] is the one `match`), and the design
-//! points of Figure 1 / Table 1 are compositions of two choices:
+//! module is the "how" half of that seam, and it is a composition of two
+//! closed choices (MoPS's point: long-term protection is a
+//! confidentiality block and an availability block, not a list of
+//! monoliths):
 //!
-//! * five families disperse with Reed–Solomon and differ only in the
-//!   confidentiality transform applied first — nothing (erasure coding),
+//! * a `Seal` — the confidentiality transform applied first: nothing,
 //!   one AEAD (commercial cloud), a cascade (ArchiveSafeLT), an
-//!   all-or-nothing package (AONT-RS), a δ-biased pad (entropic). They
-//!   are one codec, `RsDispersed`, with a `Seal`;
-//! * replication, Shamir, packed sharing and leakage-resilient sharing
-//!   share no dispersal with anything else and keep their own codecs.
+//!   all-or-nothing package (AONT-RS), a δ-biased pad (entropic);
+//! * a `Dispersal` — how the sealed bytes spread over nodes:
+//!   replication, Reed–Solomon, Shamir, packed or leakage-resilient
+//!   sharing.
 //!
-//! The per-family knowledge (shard counts, thresholds, analytic
-//! expansion, at-rest security class, partial repair, layered re-wrap)
-//! lives here and nowhere else.
+//! [`PolicyKind`] pairs them in one `match` and composes
+//! encode = seal, disperse and decode = gather, open around them. The
+//! coordinates Figure 1 and Table 1 give a design point — shard count,
+//! threshold, analytic expansion, at-rest class, the suites that guard
+//! it — are [`PolicyInfo`], a plain value read off the pair.
 //!
-//! Codecs are **pure**: they transform bytes and never touch storage
-//! nodes. All node I/O belongs to [`crate::executor::PlanExecutor`].
-//! Object safety matters — plans hold `Box<dyn Codec>` — so encode
-//! takes `&mut dyn CryptoRng`; the free
-//! [`aeon_crypto::random_array`] keeps array draws byte-stream-
-//! identical to the sized [`CryptoRng::gen_array`] path.
+//! Both halves are **pure**: they transform bytes and never touch
+//! storage nodes. All node I/O belongs to
+//! [`crate::executor::PlanExecutor`].
 
 use crate::aont;
 use crate::keys::KeyStore;
-use crate::policy::{Encoded, EncodingMeta, PolicyError, PolicyKind};
+use crate::policy::{EncodingMeta, PolicyError, PolicyKind};
 use aeon_crypto::cascade::Cascade;
 use aeon_crypto::entropic::{EntropicCipher, EntropicCiphertext};
 use aeon_crypto::suite::SuiteCipher;
@@ -37,6 +36,7 @@ use aeon_gf::Gf256;
 use aeon_secretshare::lrss::{self, LrssParams, LrssShare};
 use aeon_secretshare::packed::{self, PackedParams, PackedShare};
 use aeon_secretshare::shamir::{self, Share};
+use aeon_secretshare::ShareError;
 use std::borrow::Cow;
 use std::fmt;
 
@@ -54,7 +54,7 @@ pub enum RepairMethod {
     FullReencode,
 }
 
-/// Outcome of a codec's partial-repair attempt on one chunk's shard
+/// Outcome of a dispersal's partial-repair attempt on one chunk's shard
 /// set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecRepair {
@@ -67,24 +67,23 @@ pub enum CodecRepair {
         /// How the rebuild was done.
         method: RepairMethod,
     },
-    /// The family has no per-shard repair structure (AONT packages,
-    /// LRSS wrappers), or does not use the one it has: the caller must
-    /// decode the object and re-encode it from scratch. Packed sharing is
-    /// the second kind — a lost share is
-    /// `lagrange_coefficients(survivor_xs, i)` applied to `privacy + pack`
-    /// surviving shares in one fused row pass, the generator-matrix form
-    /// `aeon_secretshare::packed` already encodes with — and
-    /// `PackedShamirCodec` keeps the default until that lands.
+    /// The dispersal has no per-shard repair structure (LRSS wrappers),
+    /// or does not use the one it has: the caller must decode the object
+    /// and re-encode it from scratch. Packed sharing is the second kind —
+    /// a lost share is `lagrange_coefficients(survivor_xs, i)` applied to
+    /// `privacy + pack` surviving shares in one fused row pass, the
+    /// generator-matrix form `aeon_secretshare::packed` already encodes
+    /// with — and answers this until that lands.
     FullReencode,
 }
 
-/// Errors from [`Codec::repair_chunk`].
+/// Errors from a partial repair.
 #[derive(Debug)]
 pub enum RepairError {
     /// Parameter or shard-data failure.
     Policy(PolicyError),
     /// Secret-sharing protocol failure (Shamir re-derivation).
-    Share(aeon_secretshare::ShareError),
+    Share(ShareError),
 }
 
 impl fmt::Display for RepairError {
@@ -98,128 +97,102 @@ impl fmt::Display for RepairError {
 
 impl std::error::Error for RepairError {}
 
-/// A self-contained at-rest encoding family.
-///
-/// A codec owns everything [`PolicyKind`] needs to know about its
-/// family: parameter validation, shard geometry, analytic cost, the
-/// at-rest confidentiality class, encode/decode, and the optional
-/// partial-repair and layered re-wrap hooks. Implementations are pure
-/// byte transforms — no storage I/O, no global state — and object-safe
-/// (`Box<dyn Codec>`), which is why [`Codec::encode`] takes
-/// `&mut dyn CryptoRng` rather than a generic parameter.
-pub trait Codec: fmt::Debug {
+impl From<PolicyError> for RepairError {
+    fn from(e: PolicyError) -> Self {
+        RepairError::Policy(e)
+    }
+}
+
+/// Where a policy sits on the paper's maps: the coordinates Figure 1
+/// and Table 1 give an encoding, read off its seal and dispersal by
+/// [`PolicyKind::info`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct PolicyInfo<'a> {
     /// Short family name (for diagnostics and listings).
-    fn family(&self) -> &'static str;
-
-    /// Validates the family parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PolicyError::InvalidPolicy`] describing the violation.
-    fn validate(&self) -> Result<(), PolicyError>;
-
-    /// Number of shards produced per object.
-    fn shard_count(&self) -> usize;
-
+    pub family: &'static str,
+    /// Shards produced per object.
+    pub shard_count: usize,
     /// Minimum shards needed to read an object back.
-    fn read_threshold(&self) -> usize;
-
+    pub read_threshold: usize,
     /// Analytic storage expansion (stored bytes / payload bytes,
     /// ignoring constant overheads).
-    fn expansion(&self) -> f64;
-
+    pub expansion: f64,
     /// The at-rest confidentiality classification against a
-    /// *sub-threshold* adversary (fewer shards than the read
-    /// threshold) — the sense in which the paper's Table 1 grades
+    /// *sub-threshold* adversary (fewer shards than the read threshold)
+    /// — the sense in which the paper's Table 1 grades
     /// "Confidentiality: At Rest".
-    fn at_rest_level(&self) -> SecurityLevel;
+    pub at_rest_level: SecurityLevel,
+    /// Ordinal position on Figure 1's security axis (0 = none … 4 = ITS
+    /// with leakage resilience, which ranks above plain ITS because it
+    /// holds even when every share leaks a bounded number of bits).
+    pub security_ordinal: u8,
+    /// AEAD suites protecting the at-rest bytes (empty for plaintext and
+    /// information-theoretic encodings). The planner schedules re-encode
+    /// campaigns ahead of their breaks.
+    pub at_rest_suites: &'a [SuiteId],
+}
 
-    /// Ordinal position on Figure 1's security axis (0 = none … 4 =
-    /// ITS with leakage resilience). Derived from
-    /// [`Codec::at_rest_level`] by default; leakage-resilient families
-    /// override it to rank above plain ITS.
-    fn security_ordinal(&self) -> u8 {
-        match self.at_rest_level() {
-            SecurityLevel::None => 0,
-            SecurityLevel::Computational => 1,
-            SecurityLevel::EntropicIts => 2,
-            SecurityLevel::InformationTheoretic => 3,
+impl<'a> PolicyInfo<'a> {
+    /// Figure 1's numbers, as two tables: what the seal contributes and
+    /// what the dispersal does. The stronger of the two levels grades
+    /// the pair, and a sealed encoding is named after its seal.
+    pub(crate) fn of(seal: &Seal<'a>, dispersal: &Dispersal) -> Self {
+        use SecurityLevel::{
+            Computational, EntropicIts, InformationTheoretic as Its, None as Open,
+        };
+        let (sealed_as, seal_level, at_rest_suites): (_, _, &[SuiteId]) = match *seal {
+            Seal::Plain => (None, Open, &[]),
+            Seal::Aead(suite) => (
+                Some("encrypted"),
+                Computational,
+                std::slice::from_ref(suite),
+            ),
+            Seal::Cascade(suites) => (Some("cascade"), Computational, suites),
+            Seal::Aont => (Some("aont-rs"), Computational, &[SuiteId::Aes256CtrHmac]),
+            Seal::Entropic => (Some("entropic"), EntropicIts, &[]),
+        };
+        // LRSS expansion depends on the share length L (each share stores
+        // source + seed + masked = source_len + (source_len + L) + L), so
+        // its entry is the large-object limit times the n factor.
+        let (dispersed_as, shard_count, read_threshold, expansion, dispersal_level) =
+            match *dispersal {
+                Dispersal::Replicate { copies } => ("replication", copies, 1, copies as f64, Open),
+                Dispersal::Rs { data, parity } => {
+                    let n = data + parity;
+                    ("erasure", n, data, n as f64 / data as f64, Open)
+                }
+                Dispersal::Shamir { threshold, shares } => {
+                    ("shamir", shares, threshold, shares as f64, Its)
+                }
+                Dispersal::Packed {
+                    privacy,
+                    pack,
+                    shares,
+                } => {
+                    let expansion = shares as f64 / pack as f64;
+                    ("packed-shamir", shares, privacy + pack, expansion, Its)
+                }
+                Dispersal::Lrss {
+                    threshold, shares, ..
+                } => ("lrss", shares, threshold, shares as f64 * 2.0, Its),
+            };
+        let at_rest_level = seal_level.max(dispersal_level);
+        let security_ordinal = match (dispersal, at_rest_level) {
+            (Dispersal::Lrss { .. }, _) => 4,
+            (_, Open) => 0,
+            (_, Computational) => 1,
+            (_, EntropicIts) => 2,
+            (_, Its) => 3,
+        };
+        PolicyInfo {
+            family: sealed_as.unwrap_or(dispersed_as),
+            shard_count,
+            read_threshold,
+            expansion,
+            at_rest_level,
+            security_ordinal,
+            at_rest_suites,
         }
-    }
-
-    /// AEAD suites protecting at-rest bytes under this family (empty
-    /// for plaintext and information-theoretic families). The planner
-    /// uses this to schedule re-encode campaigns ahead of suite breaks.
-    fn at_rest_suites(&self) -> Vec<SuiteId> {
-        Vec::new()
-    }
-
-    /// Encodes a payload into one blob per storage node.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PolicyError`] variants on invalid parameters or
-    /// internal failures.
-    fn encode(
-        &self,
-        rng: &mut dyn CryptoRng,
-        keys: &KeyStore,
-        object_id: &str,
-        payload: &[u8],
-    ) -> Result<Encoded, PolicyError>;
-
-    /// Decodes an object from surviving shards.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PolicyError::TooFewShards`] or decode failures.
-    fn decode(
-        &self,
-        keys: &KeyStore,
-        object_id: &str,
-        shards: &[Option<Vec<u8>>],
-        meta: &EncodingMeta,
-    ) -> Result<Vec<u8>, PolicyError>;
-
-    /// Attempts a partial repair of one chunk's shard set (`None`
-    /// slots are missing). The default is [`CodecRepair::FullReencode`]
-    /// — families with per-shard structure (MDS codes, Shamir
-    /// polynomials, replicas) override it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RepairError`] when too few survivors remain.
-    fn repair_chunk(&self, shards: &[Option<Vec<u8>>]) -> Result<CodecRepair, RepairError> {
-        let _ = shards;
-        Ok(CodecRepair::FullReencode)
-    }
-
-    /// Applies an emergency outer re-wrap to one chunk's shard set
-    /// *without decrypting inner layers*, returning the full new shard
-    /// set. Only layered families (Cascade) support this.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PolicyError::InvalidPolicy`] for families without a
-    /// layered structure, and shard/crypto errors otherwise.
-    fn rewrap_chunk(
-        &self,
-        keys: &KeyStore,
-        context: &str,
-        key_version: u32,
-        shards: &[Option<Vec<u8>>],
-        new_suite: SuiteId,
-    ) -> Result<Vec<Vec<u8>>, PolicyError> {
-        let _ = (keys, context, key_version, shards, new_suite);
-        Err(no_rewrap())
-    }
-
-    /// The policy value describing this family after a
-    /// [`Codec::rewrap_chunk`] with `new_suite`, or `None` for families
-    /// that do not re-wrap.
-    fn rewrapped_policy(&self, new_suite: SuiteId) -> Option<PolicyKind> {
-        let _ = new_suite;
-        None
     }
 }
 
@@ -241,21 +214,25 @@ fn code_err(e: CodeError) -> PolicyError {
     }
 }
 
-fn no_rewrap() -> PolicyError {
-    PolicyError::InvalidPolicy("policy does not support layered re-wrap".into())
-}
-
 fn crypto_err(e: impl fmt::Display) -> PolicyError {
     PolicyError::CryptoFailure(e.to_string())
 }
 
-fn share_err(required: usize) -> impl Fn(aeon_secretshare::ShareError) -> PolicyError {
+fn malformed(e: impl fmt::Display) -> PolicyError {
+    PolicyError::Malformed(e.to_string())
+}
+
+fn invalid(why: impl fmt::Display) -> PolicyError {
+    PolicyError::InvalidPolicy(why.to_string())
+}
+
+fn share_err(required: usize) -> impl Fn(ShareError) -> PolicyError {
     move |e| match e {
-        aeon_secretshare::ShareError::TooFewShares { provided, .. } => PolicyError::TooFewShards {
+        ShareError::TooFewShares { provided, .. } => PolicyError::TooFewShards {
             available: provided,
             required,
         },
-        other => PolicyError::Malformed(other.to_string()),
+        other => malformed(other),
     }
 }
 
@@ -301,6 +278,12 @@ fn deserialize_lrss(index: u8, bytes: &[u8]) -> Option<LrssShare> {
     let source = take(bytes)?;
     let seed = take(bytes)?;
     let masked = take(bytes)?;
+    // `lrss::unwrap` asserts its Toeplitz seed covers source + output
+    // bits less one; a blob cut any other way is no share at all.
+    let bits = (source.len() + masked.len()) * 8;
+    if bits == 0 || seed.len() * 8 < bits - 1 {
+        return None;
+    }
     Some(LrssShare {
         index,
         source,
@@ -309,101 +292,32 @@ fn deserialize_lrss(index: u8, bytes: &[u8]) -> Option<LrssShare> {
     })
 }
 
+fn aead_cipher(suite: SuiteId, key: &[u8; 32]) -> Result<SuiteCipher, PolicyError> {
+    SuiteRegistry::new()
+        .instantiate(suite, key)
+        .ok_or_else(|| invalid(format_args!("{suite} is not an AEAD")))
+}
+
+/// The one Reed–Solomon code in the crate.
+fn rs(data: usize, parity: usize) -> Result<ReedSolomon, PolicyError> {
+    ReedSolomon::new(data, parity).map_err(code_err)
+}
+
 // ---------------------------------------------------------------------
-// The family codecs.
+// The two halves.
 
-/// Plain `n`-way replication: no confidentiality, maximal simplicity.
-#[derive(Debug, Clone)]
-pub struct ReplicationCodec {
-    /// Number of copies.
-    pub copies: usize,
-}
-
-impl Codec for ReplicationCodec {
-    fn family(&self) -> &'static str {
-        "replication"
-    }
-
-    fn validate(&self) -> Result<(), PolicyError> {
-        if self.copies == 0 {
-            return Err(PolicyError::InvalidPolicy(
-                "replication needs at least one copy".to_string(),
-            ));
-        }
-        Ok(())
-    }
-
-    fn shard_count(&self) -> usize {
-        self.copies
-    }
-
-    fn read_threshold(&self) -> usize {
-        1
-    }
-
-    fn expansion(&self) -> f64 {
-        self.copies as f64
-    }
-
-    fn at_rest_level(&self) -> SecurityLevel {
-        SecurityLevel::None
-    }
-
-    fn encode(
-        &self,
-        _rng: &mut dyn CryptoRng,
-        keys: &KeyStore,
-        _object_id: &str,
-        payload: &[u8],
-    ) -> Result<Encoded, PolicyError> {
-        let rep = Replicator::new(self.copies).map_err(code_err)?;
-        Ok(Encoded {
-            shards: rep.encode(payload).map_err(code_err)?,
-            meta: EncodingMeta::plain(keys.current_version()),
-        })
-    }
-
-    fn decode(
-        &self,
-        _keys: &KeyStore,
-        _object_id: &str,
-        shards: &[Option<Vec<u8>>],
-        _meta: &EncodingMeta,
-    ) -> Result<Vec<u8>, PolicyError> {
-        let rep = Replicator::new(self.copies).map_err(code_err)?;
-        rep.decode(shards).map_err(code_err)
-    }
-
-    fn repair_chunk(&self, shards: &[Option<Vec<u8>>]) -> Result<CodecRepair, RepairError> {
-        // Any surviving replica is the object.
-        let replica = shards
-            .iter()
-            .flatten()
-            .next()
-            .cloned()
-            .ok_or(RepairError::Policy(PolicyError::TooFewShards {
-                available: 0,
-                required: 1,
-            }))?;
-        Ok(CodecRepair::Rebuilt {
-            shards: vec![replica; shards.len()],
-            method: RepairMethod::PartialErasure,
-        })
-    }
-}
-
-/// The confidentiality transform an [`RsDispersed`] policy applies
-/// before dispersal — the only part of the five Reed–Solomon families
-/// that differs.
-#[derive(Debug, Clone)]
-pub(crate) enum Seal {
-    /// None: plain erasure coding.
+/// The confidentiality transform a policy applies before dispersal.
+/// What is dispersed is the *sealed* bytes, so repair and re-wrap never
+/// see plaintext.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Seal<'a> {
+    /// None: the payload is dispersed as it is.
     Plain,
     /// One AEAD suite (the commercial cloud default: AES + EC).
-    Aead(SuiteId),
+    Aead(&'a SuiteId),
     /// A cascade (robust combiner) of suites in application order — the
     /// ArchiveSafeLT design.
-    Cascade(Vec<SuiteId>),
+    Cascade(&'a [SuiteId]),
     /// The keyless all-or-nothing package of AONT-RS (Cleversafe).
     Aont,
     /// The entropically secure δ-biased pad: ITS for high-entropy
@@ -411,27 +325,32 @@ pub(crate) enum Seal {
     Entropic,
 }
 
-fn aead_cipher(suite: SuiteId, key: &[u8; 32]) -> Result<SuiteCipher, PolicyError> {
-    SuiteRegistry::new()
-        .instantiate(suite, key)
-        .ok_or_else(|| PolicyError::InvalidPolicy(format!("{suite} is not an AEAD")))
-}
+impl Seal<'_> {
+    /// Validates the seal's own parameters.
+    pub(crate) fn validate(&self) -> Result<(), PolicyError> {
+        match self {
+            Seal::Cascade([]) => Err(invalid("cascade needs at least one suite")),
+            Seal::Cascade(suites) if suites.iter().any(|s| s.is_information_theoretic()) => {
+                Err(invalid("cascade layers must be AEAD suites"))
+            }
+            _ => Ok(()),
+        }
+    }
 
-impl Seal {
     /// Seals `payload` under `context` with the current master key and
     /// returns the bytes to disperse — the caller's own slice when there
     /// is no transform — recording in `meta` whatever [`Seal::open`]
     /// will need beyond the key version.
-    fn seal<'a>(
+    pub(crate) fn seal<'p, R: CryptoRng + ?Sized>(
         &self,
-        rng: &mut dyn CryptoRng,
+        rng: &mut R,
         keys: &KeyStore,
         context: &str,
-        payload: &'a [u8],
+        payload: &'p [u8],
         meta: &mut EncodingMeta,
-    ) -> Result<Cow<'a, [u8]>, PolicyError> {
+    ) -> Result<Cow<'p, [u8]>, PolicyError> {
         let aad = context.as_bytes();
-        let sealed = match self {
+        let sealed = match *self {
             Seal::Plain => return Ok(Cow::Borrowed(payload)),
             Seal::Aead(suite) => aead_cipher(*suite, &keys.object_key(context, 0))?.seal(
                 &aead::derive_nonce(aad),
@@ -453,7 +372,7 @@ impl Seal {
 
     /// Opens the bytes the dispersal gave back — the inverse of
     /// [`Seal::seal`] under the key version and nonce in `meta`.
-    fn open(
+    pub(crate) fn open(
         &self,
         keys: &KeyStore,
         context: &str,
@@ -462,7 +381,7 @@ impl Seal {
     ) -> Result<Vec<u8>, PolicyError> {
         let aad = context.as_bytes();
         let key = || keys.object_key_for_version(meta.key_version, context, 0);
-        match self {
+        match *self {
             Seal::Plain => Ok(sealed),
             Seal::Aead(suite) => aead_cipher(*suite, &key())?
                 .open(&aead::derive_nonce(aad), aad, &sealed)
@@ -471,12 +390,10 @@ impl Seal {
                 .map_err(crypto_err)?
                 .decrypt(aad, &sealed)
                 .map_err(crypto_err),
-            Seal::Aont => {
-                aont::unpackage(&sealed).map_err(|e| PolicyError::Malformed(e.to_string()))
-            }
+            Seal::Aont => aont::unpackage(&sealed).map_err(malformed),
             Seal::Entropic => {
                 let Some(nonce) = meta.entropic_nonce else {
-                    return Err(PolicyError::Malformed("missing entropic nonce".into()));
+                    return Err(malformed("missing entropic nonce"));
                 };
                 let cipher = EntropicCipher::new(keys.entropic_key(context));
                 Ok(cipher.decrypt(&EntropicCiphertext {
@@ -488,441 +405,259 @@ impl Seal {
     }
 }
 
-/// A [`Seal`] in front of systematic Reed–Solomon `[data + parity,
-/// data]` dispersal: availability at `n/k` cost, confidentiality
-/// whatever the seal provides. The stored shards are code symbols of
-/// the *sealed* bytes, so repair and re-wrap never see plaintext.
-#[derive(Debug, Clone)]
-pub(crate) struct RsDispersed {
-    /// The transform applied before dispersal.
-    pub(crate) seal: Seal,
-    /// Data (threshold) shards.
-    pub(crate) data: usize,
-    /// Parity shards.
-    pub(crate) parity: usize,
+/// How sealed bytes are spread over nodes, one blob per node, and got
+/// back from the survivors.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Dispersal {
+    /// `copies` identical replicas; any one reads.
+    Replicate { copies: usize },
+    /// Systematic Reed–Solomon `[data + parity, data]`: any `data`
+    /// shards read, at `n/k` cost.
+    Rs { data: usize, parity: usize },
+    /// Shamir `threshold`-of-`shares`, at `n×` cost (POTSHARDS).
+    Shamir { threshold: usize, shares: usize },
+    /// Packed sharing: `pack` secrets a polynomial, private below
+    /// `privacy` shares, at `n/k` cost.
+    Packed {
+        privacy: usize,
+        pack: usize,
+        shares: usize,
+    },
+    /// Shamir under the leakage-resilient compiler, `source_len`
+    /// extractor-source bytes a share.
+    Lrss {
+        threshold: usize,
+        shares: usize,
+        source_len: usize,
+    },
 }
 
-impl RsDispersed {
-    fn rs(&self) -> Result<ReedSolomon, PolicyError> {
-        ReedSolomon::new(self.data, self.parity).map_err(code_err)
-    }
-}
-
-impl Codec for RsDispersed {
-    fn family(&self) -> &'static str {
-        match self.seal {
-            Seal::Plain => "erasure",
-            Seal::Aead(_) => "encrypted",
-            Seal::Cascade(_) => "cascade",
-            Seal::Aont => "aont-rs",
-            Seal::Entropic => "entropic",
-        }
-    }
-
-    fn validate(&self) -> Result<(), PolicyError> {
-        if self.data == 0 || self.parity == 0 || self.data + self.parity > 255 {
-            return Err(PolicyError::InvalidPolicy(
-                "erasure parameters must satisfy 1 <= data, parity and n <= 255".to_string(),
-            ));
-        }
-        if let Seal::Cascade(suites) = &self.seal {
-            if suites.is_empty() {
-                return Err(PolicyError::InvalidPolicy(
-                    "cascade needs at least one suite".to_string(),
-                ));
+impl Dispersal {
+    /// Validates the dispersal's parameters.
+    pub(crate) fn validate(&self) -> Result<(), PolicyError> {
+        match *self {
+            Dispersal::Replicate { copies: 0 } => {
+                Err(invalid("replication needs at least one copy"))
             }
-            if suites.iter().any(|s| s.is_information_theoretic()) {
-                return Err(PolicyError::InvalidPolicy(
-                    "cascade layers must be AEAD suites".to_string(),
-                ));
+            Dispersal::Rs { data, parity } if data == 0 || parity == 0 || data + parity > 255 => {
+                Err(invalid(
+                    "erasure parameters must satisfy 1 <= data, parity and n <= 255",
+                ))
             }
-        }
-        Ok(())
-    }
-
-    fn shard_count(&self) -> usize {
-        self.data + self.parity
-    }
-
-    fn read_threshold(&self) -> usize {
-        self.data
-    }
-
-    fn expansion(&self) -> f64 {
-        (self.data + self.parity) as f64 / self.data as f64
-    }
-
-    fn at_rest_level(&self) -> SecurityLevel {
-        match self.seal {
-            Seal::Plain => SecurityLevel::None,
-            Seal::Aead(_) | Seal::Cascade(_) | Seal::Aont => SecurityLevel::Computational,
-            Seal::Entropic => SecurityLevel::EntropicIts,
+            Dispersal::Shamir { threshold, shares }
+            | Dispersal::Lrss {
+                threshold, shares, ..
+            } if threshold == 0 || threshold > shares || shares > 255 => {
+                Err(invalid("Shamir parameters must satisfy 1 <= t <= n <= 255"))
+            }
+            Dispersal::Lrss { source_len: 0, .. } => {
+                Err(invalid("LRSS source length must be positive"))
+            }
+            Dispersal::Packed {
+                privacy,
+                pack,
+                shares,
+            } => PackedParams::new(privacy, pack, shares)
+                .map(drop)
+                .map_err(invalid),
+            _ => Ok(()),
         }
     }
 
-    fn at_rest_suites(&self) -> Vec<SuiteId> {
-        match &self.seal {
-            Seal::Plain | Seal::Entropic => Vec::new(),
-            Seal::Aead(suite) => vec![*suite],
-            Seal::Cascade(suites) => suites.clone(),
-            Seal::Aont => vec![SuiteId::Aes256CtrHmac],
-        }
-    }
-
-    fn encode(
+    /// Spreads `sealed` into one blob per node, recording in `meta`
+    /// whatever [`Dispersal::gather`] will need beyond the blobs.
+    pub(crate) fn disperse<R: CryptoRng + ?Sized>(
         &self,
-        rng: &mut dyn CryptoRng,
-        keys: &KeyStore,
-        object_id: &str,
-        payload: &[u8],
-    ) -> Result<Encoded, PolicyError> {
-        let mut meta = EncodingMeta::plain(keys.current_version());
-        let sealed = self.seal.seal(rng, keys, object_id, payload, &mut meta)?;
-        let shards = self.rs()?.encode(&sealed).map_err(code_err)?;
-        Ok(Encoded { shards, meta })
-    }
-
-    fn decode(
-        &self,
-        keys: &KeyStore,
-        object_id: &str,
-        shards: &[Option<Vec<u8>>],
-        meta: &EncodingMeta,
-    ) -> Result<Vec<u8>, PolicyError> {
-        let sealed = self.rs()?.decode(shards).map_err(code_err)?;
-        self.seal.open(keys, object_id, meta, sealed)
-    }
-
-    /// Rebuilds missing rows of the codeword set in place: the stored
-    /// shards ARE code symbols, so the sealed bytes are never touched.
-    fn repair_chunk(&self, shards: &[Option<Vec<u8>>]) -> Result<CodecRepair, RepairError> {
-        let rs = self.rs().map_err(RepairError::Policy)?;
-        let rebuilt = rs.reconstruct_shards(shards).map_err(code_err);
-        Ok(CodecRepair::Rebuilt {
-            shards: rebuilt.map_err(RepairError::Policy)?,
-            method: RepairMethod::PartialErasure,
-        })
-    }
-
-    fn rewrap_chunk(
-        &self,
-        keys: &KeyStore,
-        context: &str,
-        key_version: u32,
-        shards: &[Option<Vec<u8>>],
-        new_suite: SuiteId,
+        rng: &mut R,
+        sealed: &[u8],
+        meta: &mut EncodingMeta,
     ) -> Result<Vec<Vec<u8>>, PolicyError> {
-        let Seal::Cascade(suites) = &self.seal else {
-            return Err(no_rewrap());
-        };
-        // Rebuild the layered ciphertext from the erasure code, apply
-        // one more AEAD layer, re-encode. No plaintext, no inner keys.
-        let rs = self.rs()?;
-        let ct = rs.decode(shards).map_err(code_err)?;
-        let master = keys.object_key_for_version(key_version, context, 0);
-        let mut cascade = Cascade::new(suites, &master).map_err(crypto_err)?;
-        let old_depth = cascade.depth();
-        cascade.add_layer(new_suite, &master).map_err(crypto_err)?;
-        let rewrapped = cascade.rewrap(context.as_bytes(), &ct, old_depth);
-        rs.encode(&rewrapped).map_err(code_err)
-    }
-
-    fn rewrapped_policy(&self, new_suite: SuiteId) -> Option<PolicyKind> {
-        let Seal::Cascade(suites) = &self.seal else {
-            return None;
-        };
-        Some(PolicyKind::Cascade {
-            suites: suites.iter().copied().chain([new_suite]).collect(),
-            data: self.data,
-            parity: self.parity,
-        })
-    }
-}
-
-/// Shamir `t`-of-`n`: information-theoretic at `n×` cost (POTSHARDS).
-#[derive(Debug, Clone)]
-pub struct ShamirCodec {
-    /// Reconstruction threshold.
-    pub threshold: usize,
-    /// Share count.
-    pub shares: usize,
-}
-
-impl Codec for ShamirCodec {
-    fn family(&self) -> &'static str {
-        "shamir"
-    }
-
-    fn validate(&self) -> Result<(), PolicyError> {
-        if self.threshold == 0 || self.threshold > self.shares || self.shares > 255 {
-            return Err(PolicyError::InvalidPolicy(
-                "Shamir parameters must satisfy 1 <= t <= n <= 255".to_string(),
-            ));
-        }
-        Ok(())
-    }
-
-    fn shard_count(&self) -> usize {
-        self.shares
-    }
-
-    fn read_threshold(&self) -> usize {
-        self.threshold
-    }
-
-    fn expansion(&self) -> f64 {
-        self.shares as f64
-    }
-
-    fn at_rest_level(&self) -> SecurityLevel {
-        SecurityLevel::InformationTheoretic
-    }
-
-    fn encode(
-        &self,
-        rng: &mut dyn CryptoRng,
-        keys: &KeyStore,
-        _object_id: &str,
-        payload: &[u8],
-    ) -> Result<Encoded, PolicyError> {
-        let out = shamir::split(rng, payload, self.threshold, self.shares)
-            .map_err(|e| PolicyError::Malformed(e.to_string()))?;
-        Ok(Encoded {
-            shards: out.into_iter().map(|s| s.data).collect(),
-            meta: EncodingMeta::plain(keys.current_version()),
-        })
-    }
-
-    fn decode(
-        &self,
-        _keys: &KeyStore,
-        _object_id: &str,
-        shards: &[Option<Vec<u8>>],
-        _meta: &EncodingMeta,
-    ) -> Result<Vec<u8>, PolicyError> {
-        let collected = collect_shamir(shards);
-        shamir::reconstruct(&collected, self.threshold).map_err(share_err(self.threshold))
-    }
-
-    fn repair_chunk(&self, shards: &[Option<Vec<u8>>]) -> Result<CodecRepair, RepairError> {
-        // Re-derive each missing share at its own x from t survivors —
-        // the secret is never reconstructed at x = 0.
-        let survivors = collect_shamir(shards);
-        let mut all: Vec<Vec<u8>> = Vec::with_capacity(shards.len());
-        for (i, slot) in shards.iter().enumerate() {
-            match slot {
-                Some(bytes) => all.push(bytes.clone()),
-                None => {
-                    let x = Gf256::new((i + 1) as u8);
-                    all.push(
-                        shamir::reconstruct_at(&survivors, self.threshold, x)
-                            .map_err(RepairError::Share)?,
-                    );
-                }
+        let bare = |shares: Vec<Share>| shares.into_iter().map(|s| s.data).collect();
+        match *self {
+            Dispersal::Replicate { copies } => {
+                let rep = Replicator::new(copies).map_err(code_err)?;
+                rep.encode(sealed).map_err(code_err)
+            }
+            Dispersal::Rs { data, parity } => rs(data, parity)?.encode(sealed).map_err(code_err),
+            Dispersal::Shamir { threshold, shares } => {
+                shamir::split(rng, sealed, threshold, shares)
+                    .map(bare)
+                    .map_err(malformed)
+            }
+            Dispersal::Packed {
+                privacy,
+                pack,
+                shares,
+            } => {
+                let params = PackedParams::new(privacy, pack, shares).map_err(invalid)?;
+                let out = packed::split(rng, params, sealed).map_err(malformed)?;
+                meta.packed = Some((params, sealed.len()));
+                let be_bytes =
+                    |s: PackedShare| s.data.iter().flat_map(|v| v.to_be_bytes()).collect();
+                Ok(out.into_iter().map(be_bytes).collect())
+            }
+            Dispersal::Lrss {
+                threshold,
+                shares,
+                source_len,
+            } => {
+                let base = shamir::split(rng, sealed, threshold, shares).map_err(malformed)?;
+                let wrapped =
+                    lrss::wrap(rng, &base, LrssParams { source_len }).map_err(malformed)?;
+                Ok(wrapped.iter().map(serialize_lrss).collect())
             }
         }
-        Ok(CodecRepair::Rebuilt {
-            shards: all,
-            method: RepairMethod::PartialShamir,
-        })
-    }
-}
-
-/// Packed secret sharing: ITS below `privacy` shares at `n/k` cost.
-#[derive(Debug, Clone)]
-pub struct PackedShamirCodec {
-    /// Privacy threshold.
-    pub privacy: usize,
-    /// Secrets per polynomial.
-    pub pack: usize,
-    /// Share count.
-    pub shares: usize,
-}
-
-impl Codec for PackedShamirCodec {
-    fn family(&self) -> &'static str {
-        "packed-shamir"
     }
 
-    fn validate(&self) -> Result<(), PolicyError> {
-        PackedParams::new(self.privacy, self.pack, self.shares)
-            .map_err(|e| PolicyError::InvalidPolicy(e.to_string()))?;
-        Ok(())
-    }
-
-    fn shard_count(&self) -> usize {
-        self.shares
-    }
-
-    fn read_threshold(&self) -> usize {
-        self.privacy + self.pack
-    }
-
-    fn expansion(&self) -> f64 {
-        self.shares as f64 / self.pack as f64
-    }
-
-    fn at_rest_level(&self) -> SecurityLevel {
-        SecurityLevel::InformationTheoretic
-    }
-
-    fn encode(
+    /// Recovers the sealed bytes from the surviving blobs (`None` slots
+    /// are missing).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PolicyError::TooFewShards`] below the read threshold and
+    /// [`PolicyError::Malformed`] for blobs no dispersal produced.
+    pub(crate) fn gather(
         &self,
-        rng: &mut dyn CryptoRng,
-        keys: &KeyStore,
-        _object_id: &str,
-        payload: &[u8],
-    ) -> Result<Encoded, PolicyError> {
-        let params = PackedParams::new(self.privacy, self.pack, self.shares)
-            .map_err(|e| PolicyError::InvalidPolicy(e.to_string()))?;
-        let out = packed::split(rng, params, payload)
-            .map_err(|e| PolicyError::Malformed(e.to_string()))?;
-        let shards = out
-            .into_iter()
-            .map(|s| s.data.iter().flat_map(|v| v.to_be_bytes()).collect())
-            .collect();
-        Ok(Encoded {
-            shards,
-            meta: EncodingMeta {
-                key_version: keys.current_version(),
-                packed: Some((params, payload.len())),
-                entropic_nonce: None,
-                chunked: None,
-            },
-        })
-    }
-
-    fn decode(
-        &self,
-        _keys: &KeyStore,
-        _object_id: &str,
         shards: &[Option<Vec<u8>>],
         meta: &EncodingMeta,
     ) -> Result<Vec<u8>, PolicyError> {
-        let Some((params, plain_len)) = meta.packed else {
-            return Err(PolicyError::Malformed("missing packed metadata".into()));
+        let present = || {
+            let slots = shards.iter().enumerate();
+            slots.filter_map(|(i, s)| s.as_ref().map(|bytes| (i + 1, bytes)))
         };
-        let collected: Vec<PackedShare> = shards
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| {
-                s.as_ref().map(|bytes| PackedShare {
-                    index: (i + 1) as u16,
-                    data: bytes
-                        .chunks_exact(2)
-                        .map(|c| u16::from_be_bytes([c[0], c[1]]))
-                        .collect(),
-                })
-            })
-            .collect();
-        let mut out = packed::reconstruct(params, &collected)
-            .map_err(share_err(params.reconstruct_threshold()))?;
-        out.truncate(plain_len);
-        Ok(out)
-    }
-}
-
-/// Shamir wrapped by the leakage-resilient compiler.
-#[derive(Debug, Clone)]
-pub struct LrssCodec {
-    /// Reconstruction threshold.
-    pub threshold: usize,
-    /// Share count.
-    pub shares: usize,
-    /// Extractor source length per share, bytes.
-    pub source_len: usize,
-}
-
-impl Codec for LrssCodec {
-    fn family(&self) -> &'static str {
-        "lrss"
-    }
-
-    fn validate(&self) -> Result<(), PolicyError> {
-        if self.threshold == 0 || self.threshold > self.shares || self.shares > 255 {
-            return Err(PolicyError::InvalidPolicy(
-                "Shamir parameters must satisfy 1 <= t <= n <= 255".to_string(),
-            ));
+        match *self {
+            Dispersal::Replicate { copies } => {
+                let rep = Replicator::new(copies).map_err(code_err)?;
+                rep.decode(shards).map_err(code_err)
+            }
+            Dispersal::Rs { data, parity } => rs(data, parity)?.decode(shards).map_err(code_err),
+            Dispersal::Shamir { threshold, .. } => {
+                shamir::reconstruct(&collect_shamir(shards), threshold)
+                    .map_err(share_err(threshold))
+            }
+            Dispersal::Packed { .. } => {
+                let Some((params, plain_len)) = meta.packed else {
+                    return Err(malformed("missing packed metadata"));
+                };
+                let collected: Vec<PackedShare> = present()
+                    .map(|(index, bytes)| PackedShare {
+                        index: index as u16,
+                        data: bytes
+                            .chunks_exact(2)
+                            .map(|c| u16::from_be_bytes([c[0], c[1]]))
+                            .collect(),
+                    })
+                    .collect();
+                let mut out = packed::reconstruct(params, &collected)
+                    .map_err(share_err(params.reconstruct_threshold()))?;
+                out.truncate(plain_len);
+                Ok(out)
+            }
+            Dispersal::Lrss { threshold, .. } => {
+                let wrapped: Vec<LrssShare> = present()
+                    .filter_map(|(index, bytes)| deserialize_lrss(index as u8, bytes))
+                    .collect();
+                shamir::reconstruct(&lrss::unwrap(&wrapped), threshold)
+                    .map_err(share_err(threshold))
+            }
         }
-        if self.source_len == 0 {
-            return Err(PolicyError::InvalidPolicy(
-                "LRSS source length must be positive".to_string(),
-            ));
-        }
-        Ok(())
     }
 
-    fn shard_count(&self) -> usize {
-        self.shares
-    }
-
-    fn read_threshold(&self) -> usize {
-        self.threshold
-    }
-
-    fn expansion(&self) -> f64 {
-        // Each share of length L stores source + seed + masked =
-        // source_len + (source_len + L) + L; expansion depends on L, so
-        // report the large-object limit plus the n factor.
-        self.shares as f64 * 2.0
-    }
-
-    fn at_rest_level(&self) -> SecurityLevel {
-        SecurityLevel::InformationTheoretic
-    }
-
-    fn security_ordinal(&self) -> u8 {
-        // Above plain ITS on Figure 1's axis: leakage resilience holds
-        // even when every share leaks a bounded number of bits.
-        4
-    }
-
-    fn encode(
+    /// Attempts a partial repair of one chunk's shard set (`None` slots
+    /// are missing) — the blobs ARE code symbols or shares of the sealed
+    /// bytes, which are never touched.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RepairError`] when too few survivors remain.
+    pub(crate) fn repair_chunk(
         &self,
-        rng: &mut dyn CryptoRng,
-        keys: &KeyStore,
-        _object_id: &str,
-        payload: &[u8],
-    ) -> Result<Encoded, PolicyError> {
-        let base = shamir::split(rng, payload, self.threshold, self.shares)
-            .map_err(|e| PolicyError::Malformed(e.to_string()))?;
-        let wrapped = lrss::wrap(
-            rng,
-            &base,
-            LrssParams {
-                source_len: self.source_len,
-            },
-        )
-        .map_err(|e| PolicyError::Malformed(e.to_string()))?;
-        Ok(Encoded {
-            shards: wrapped.iter().map(serialize_lrss).collect(),
-            meta: EncodingMeta::plain(keys.current_version()),
-        })
-    }
-
-    fn decode(
-        &self,
-        _keys: &KeyStore,
-        _object_id: &str,
         shards: &[Option<Vec<u8>>],
-        _meta: &EncodingMeta,
-    ) -> Result<Vec<u8>, PolicyError> {
-        let wrapped: Vec<LrssShare> = shards
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| {
-                s.as_ref()
-                    .and_then(|bytes| deserialize_lrss((i + 1) as u8, bytes))
-            })
-            .collect();
-        let base = lrss::unwrap(&wrapped);
-        shamir::reconstruct(&base, self.threshold).map_err(share_err(self.threshold))
+    ) -> Result<CodecRepair, RepairError> {
+        let (shards, method) = match *self {
+            Dispersal::Replicate { .. } => {
+                // Any surviving replica is the object.
+                let replica = shards.iter().flatten().next().cloned();
+                let replica = replica.ok_or(PolicyError::TooFewShards {
+                    available: 0,
+                    required: 1,
+                })?;
+                (vec![replica; shards.len()], RepairMethod::PartialErasure)
+            }
+            Dispersal::Rs { data, parity } => {
+                // Missing rows of the codeword set, rebuilt in place.
+                let rebuilt = rs(data, parity)?.reconstruct_shards(shards);
+                (rebuilt.map_err(code_err)?, RepairMethod::PartialErasure)
+            }
+            Dispersal::Shamir { threshold, .. } => {
+                // Re-derive each missing share at its own x from t
+                // survivors — the secret is never reconstructed at x = 0.
+                let survivors = collect_shamir(shards);
+                let mut all: Vec<Vec<u8>> = Vec::with_capacity(shards.len());
+                for (i, slot) in shards.iter().enumerate() {
+                    match slot {
+                        Some(bytes) => all.push(bytes.clone()),
+                        None => {
+                            // Past the last share index `x` would wrap, to
+                            // the secret's own point first of all.
+                            let x = u8::try_from(i + 1)
+                                .map_err(|_| malformed("slot beyond the last share index"))?;
+                            all.push(
+                                shamir::reconstruct_at(&survivors, threshold, Gf256::new(x))
+                                    .map_err(RepairError::Share)?,
+                            );
+                        }
+                    }
+                }
+                (all, RepairMethod::PartialShamir)
+            }
+            Dispersal::Packed { .. } | Dispersal::Lrss { .. } => {
+                return Ok(CodecRepair::FullReencode)
+            }
+        };
+        Ok(CodecRepair::Rebuilt { shards, method })
     }
+}
+
+/// The layers and Reed–Solomon geometry `(suites, data, parity)` of a
+/// policy that can take one more outer layer without being opened —
+/// ArchiveSafeLT's emergency re-wrap — else `None`. Only a cascade is
+/// layered (any other seal has to be opened to be replaced, which is a
+/// re-encode), and a re-wrap draws no randomness to re-share with, so the
+/// cascade sits over Reed–Solomon. This is the one place that is said.
+pub(crate) fn layered(policy: &PolicyKind) -> Option<(&[SuiteId], usize, usize)> {
+    match policy.scheme() {
+        (Seal::Cascade(suites), Dispersal::Rs { data, parity }) => Some((suites, data, parity)),
+        _ => None,
+    }
+}
+
+/// Re-wraps one chunk's shard set of a [`layered`] policy: gather the
+/// layered ciphertext, add `new_suite` as one more AEAD layer under the
+/// master-key version the chunk was sealed with, disperse again — no
+/// plaintext, no inner-layer keys.
+pub(crate) fn rewrap_chunk(
+    (suites, data, parity): (&[SuiteId], usize, usize),
+    keys: &KeyStore,
+    context: &str,
+    key_version: u32,
+    shards: &[Option<Vec<u8>>],
+    new_suite: SuiteId,
+) -> Result<Vec<Vec<u8>>, PolicyError> {
+    let rs = rs(data, parity)?;
+    let sealed = rs.decode(shards).map_err(code_err)?;
+    let master = keys.object_key_for_version(key_version, context, 0);
+    let mut cascade = Cascade::new(suites, &master).map_err(crypto_err)?;
+    let old_depth = cascade.depth();
+    cascade.add_layer(new_suite, &master).map_err(crypto_err)?;
+    let rewrapped = cascade.rewrap(context.as_bytes(), &sealed, old_depth);
+    rs.encode(&rewrapped).map_err(code_err)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::rewrapped_policy;
     use aeon_crypto::ChaChaDrbg;
 
     fn fixtures() -> (ChaChaDrbg, KeyStore) {
@@ -965,7 +700,7 @@ mod tests {
     #[test]
     fn the_nine_policies_name_nine_distinct_families() {
         let families: std::collections::BTreeSet<&str> =
-            all_policies().iter().map(|p| p.codec().family()).collect();
+            all_policies().iter().map(|p| p.info().family).collect();
         let expected = [
             "aont-rs",
             "cascade",
@@ -981,8 +716,8 @@ mod tests {
     }
 
     /// Figure 1's numbers per family, stated rather than derived: what
-    /// the one Reed–Solomon codec answers for each seal is checked
-    /// against the same expectations as the families that stand alone.
+    /// the two tables in `PolicyInfo::of` compose to for each pair is
+    /// checked against one hand-written row per policy.
     #[test]
     fn family_numbers_match_figure1() {
         use SecurityLevel::*;
@@ -1010,21 +745,21 @@ mod tests {
         ];
         for (policy, row) in all_policies().iter().zip(expected) {
             let (family, shards, threshold, expansion, level, ordinal, suites) = row;
-            let codec = policy.codec();
-            assert_eq!(codec.family(), family);
-            assert_eq!(codec.shard_count(), shards, "{family}");
-            assert_eq!(codec.read_threshold(), threshold, "{family}");
-            assert!((codec.expansion() - expansion).abs() < 1e-9, "{family}");
-            assert_eq!(codec.at_rest_level(), level, "{family}");
-            assert_eq!(codec.security_ordinal(), ordinal, "{family}");
-            assert_eq!(codec.at_rest_suites(), suites, "{family}");
-            assert!(codec.validate().is_ok(), "{family}");
+            let info = policy.info();
+            assert_eq!(info.family, family);
+            assert_eq!(info.shard_count, shards, "{family}");
+            assert_eq!(info.read_threshold, threshold, "{family}");
+            assert!((info.expansion - expansion).abs() < 1e-9, "{family}");
+            assert_eq!(info.at_rest_level, level, "{family}");
+            assert_eq!(info.security_ordinal, ordinal, "{family}");
+            assert_eq!(info.at_rest_suites, suites, "{family}");
+            assert!(policy.validate().is_ok(), "{family}");
         }
     }
 
     #[test]
     fn security_ordinals_span_figure1_axis() {
-        let ordinal = |p: &PolicyKind| p.codec().security_ordinal();
+        let ordinal = |p: &PolicyKind| p.info().security_ordinal;
         assert_eq!(ordinal(&PolicyKind::Replication { copies: 3 }), 0);
         assert_eq!(ordinal(&PolicyKind::ErasureCoded { data: 4, parity: 2 }), 0);
         assert_eq!(
@@ -1054,17 +789,21 @@ mod tests {
     }
 
     #[test]
-    fn codec_roundtrips_through_trait_object() {
+    fn every_pair_roundtrips_through_its_two_halves() {
         let (mut rng, keys) = fixtures();
-        let payload = b"bytes through the registry seam";
+        let payload = b"bytes through the seal and the dispersal";
         for policy in all_policies() {
-            let codec = policy.codec();
-            let enc = codec.encode(&mut rng, &keys, "codec-obj", payload).unwrap();
-            assert_eq!(enc.shards.len(), codec.shard_count(), "{policy:?}");
-            let shards: Vec<Option<Vec<u8>>> = enc.shards.iter().cloned().map(Some).collect();
-            let dec = codec
-                .decode(&keys, "codec-obj", &shards, &enc.meta)
+            let (seal, dispersal) = policy.scheme();
+            let mut meta = EncodingMeta::plain(keys.current_version());
+            let sealed = seal
+                .seal(&mut rng, &keys, "codec-obj", payload, &mut meta)
                 .unwrap();
+            let blobs = dispersal.disperse(&mut rng, &sealed, &mut meta).unwrap();
+            assert_eq!(blobs.len(), policy.info().shard_count, "{policy:?}");
+            let shards: Vec<Option<Vec<u8>>> = blobs.into_iter().map(Some).collect();
+            let gathered = dispersal.gather(&shards, &meta).unwrap();
+            assert_eq!(gathered, sealed.as_ref(), "{policy:?}");
+            let dec = seal.open(&keys, "codec-obj", &meta, gathered).unwrap();
             assert_eq!(dec, payload, "{policy:?}");
         }
     }
@@ -1073,12 +812,14 @@ mod tests {
     fn rs_family_partial_repair_restores_codeword() {
         let (mut rng, keys) = fixtures();
         let policy = PolicyKind::ErasureCoded { data: 3, parity: 2 };
-        let codec = policy.codec();
-        let enc = codec.encode(&mut rng, &keys, "fix", b"repairable").unwrap();
+        let (_, dispersal) = policy.scheme();
+        let enc = policy
+            .encode(&mut rng, &keys, "fix", b"repairable")
+            .unwrap();
         let mut shards: Vec<Option<Vec<u8>>> = enc.shards.iter().cloned().map(Some).collect();
         shards[1] = None;
         shards[4] = None;
-        match codec.repair_chunk(&shards).unwrap() {
+        match dispersal.repair_chunk(&shards).unwrap() {
             CodecRepair::Rebuilt { shards, method } => {
                 assert_eq!(method, RepairMethod::PartialErasure);
                 assert_eq!(shards, enc.shards, "rebuilt rows differ from originals");
@@ -1094,11 +835,11 @@ mod tests {
             threshold: 3,
             shares: 5,
         };
-        let codec = policy.codec();
-        let enc = codec.encode(&mut rng, &keys, "fix", b"same poly").unwrap();
+        let (_, dispersal) = policy.scheme();
+        let enc = policy.encode(&mut rng, &keys, "fix", b"same poly").unwrap();
         let mut shards: Vec<Option<Vec<u8>>> = enc.shards.iter().cloned().map(Some).collect();
         shards[2] = None;
-        match codec.repair_chunk(&shards).unwrap() {
+        match dispersal.repair_chunk(&shards).unwrap() {
             CodecRepair::Rebuilt { shards, method } => {
                 assert_eq!(method, RepairMethod::PartialShamir);
                 assert_eq!(shards[2], enc.shards[2], "re-derived share must match");
@@ -1121,10 +862,10 @@ mod tests {
                 source_len: 32,
             },
         ] {
-            let codec = policy.codec();
+            let (_, dispersal) = policy.scheme();
             let shards = vec![None, Some(vec![1u8, 2]), Some(vec![3u8, 4])];
             assert_eq!(
-                codec.repair_chunk(&shards).unwrap(),
+                dispersal.repair_chunk(&shards).unwrap(),
                 CodecRepair::FullReencode,
                 "{policy:?}"
             );
@@ -1136,13 +877,12 @@ mod tests {
         // `meta.packed` travels in the manifest and `PackedParams`' fields
         // are public, so decode can be handed parameters `new` never made.
         let (mut rng, keys) = fixtures();
-        let codec = PolicyKind::PackedShamir {
+        let policy = PolicyKind::PackedShamir {
             privacy: 2,
             pack: 2,
             shares: 6,
-        }
-        .codec();
-        let enc = codec.encode(&mut rng, &keys, "obj", b"payload").unwrap();
+        };
+        let enc = policy.encode(&mut rng, &keys, "obj", b"payload").unwrap();
         let (_, plain_len) = enc.meta.packed.unwrap();
         let zero = PackedParams {
             privacy: 0,
@@ -1151,37 +891,103 @@ mod tests {
         };
         let meta = EncodingMeta {
             packed: Some((zero, plain_len)),
-            ..enc.meta
+            ..enc.meta.clone()
         };
-        for shards in [vec![None; 6], enc.shards.into_iter().map(Some).collect()] {
+        let whole: Vec<Option<Vec<u8>>> = enc.shards.into_iter().map(Some).collect();
+        for shards in [&vec![None; 6], &whole] {
             assert!(matches!(
-                codec.decode(&keys, "obj", &shards, &meta),
+                policy.decode(&keys, "obj", shards, &meta),
                 Err(PolicyError::Malformed(_))
             ));
         }
+        // Nor can the blobs be trusted to be whole 16-bit symbols of one
+        // length: a share a byte short is ragged, not an index error.
+        let mut ragged = whole;
+        ragged[1].as_mut().unwrap().pop();
+        assert!(matches!(
+            policy.decode(&keys, "obj", &ragged, &enc.meta),
+            Err(PolicyError::Malformed(_))
+        ));
+    }
+
+    /// Shrunk from `hostile_shard_sets_never_panic`: an LRSS blob whose
+    /// three length prefixes add up but whose seed cannot cover source +
+    /// masked bits made `lrss::unwrap` assert. It is no share: skipped,
+    /// and the set falls below threshold.
+    #[test]
+    fn lrss_blob_with_a_short_seed_is_no_share_not_a_panic() {
+        let (_, dispersal) = PolicyKind::LeakageResilientShamir {
+            threshold: 2,
+            shares: 3,
+            source_len: 8,
+        }
+        .scheme();
+        let meta = EncodingMeta::plain(0);
+        let frame = |fields: [&[u8]; 3]| {
+            let mut blob = Vec::new();
+            for field in fields {
+                blob.extend((field.len() as u32).to_be_bytes());
+                blob.extend(field);
+            }
+            Some(blob)
+        };
+        for hostile in [
+            frame([&[], &[], &[]]),
+            frame([&[7; 8], &[7; 1], &[7; 4]]),
+            frame([&[], &[], &[7; 1]]),
+        ] {
+            let shards = vec![hostile.clone(), hostile.clone(), hostile];
+            assert_eq!(
+                dispersal.gather(&shards, &meta),
+                Err(PolicyError::TooFewShards {
+                    available: 0,
+                    required: 2
+                })
+            );
+        }
+    }
+
+    /// A slot past share index 255 has no evaluation point: wrapping it
+    /// would "repair" slot 255 to the secret itself (x = 0).
+    #[test]
+    fn shamir_repair_refuses_a_slot_beyond_the_last_share_index() {
+        let (mut rng, keys) = fixtures();
+        let policy = PolicyKind::Shamir {
+            threshold: 2,
+            shares: 3,
+        };
+        let enc = policy.encode(&mut rng, &keys, "wide", b"secret").unwrap();
+        let mut shards: Vec<Option<Vec<u8>>> = enc.shards.into_iter().map(Some).collect();
+        shards.resize(256, None);
+        let (_, dispersal) = policy.scheme();
+        assert!(matches!(
+            dispersal.repair_chunk(&shards),
+            Err(RepairError::Policy(PolicyError::Malformed(_)))
+        ));
     }
 
     #[test]
     fn only_cascade_supports_rewrap() {
         let (mut rng, keys) = fixtures();
         for policy in all_policies() {
-            let codec = policy.codec();
             let supports = matches!(policy, PolicyKind::Cascade { .. });
-            assert_eq!(
-                codec.rewrapped_policy(SuiteId::ChaCha20Poly1305).is_some(),
-                supports,
-                "{policy:?}"
-            );
+            let new_policy = rewrapped_policy(&policy, SuiteId::ChaCha20Poly1305);
+            assert_eq!(new_policy.is_ok(), supports, "{policy:?}");
             if supports {
-                let enc = codec.encode(&mut rng, &keys, "rw", b"layer me").unwrap();
+                let enc = policy.encode(&mut rng, &keys, "rw", b"layer me").unwrap();
                 let shards: Vec<Option<Vec<u8>>> = enc.shards.iter().cloned().map(Some).collect();
-                let new_shards = codec
-                    .rewrap_chunk(&keys, "rw", 0, &shards, SuiteId::ChaCha20Poly1305)
-                    .unwrap();
-                let new_policy = codec.rewrapped_policy(SuiteId::ChaCha20Poly1305).unwrap();
+                let new_shards = rewrap_chunk(
+                    layered(&policy).unwrap(),
+                    &keys,
+                    "rw",
+                    0,
+                    &shards,
+                    SuiteId::ChaCha20Poly1305,
+                )
+                .unwrap();
                 let wrapped: Vec<Option<Vec<u8>>> = new_shards.into_iter().map(Some).collect();
                 let dec = new_policy
-                    .codec()
+                    .unwrap()
                     .decode(&keys, "rw", &wrapped, &enc.meta)
                     .unwrap();
                 assert_eq!(dec, b"layer me");

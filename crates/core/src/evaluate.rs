@@ -285,15 +285,15 @@ pub fn figure1_points<R: CryptoRng + ?Sized>(
     ];
     let mut out = Vec::with_capacity(encodings.len());
     for (name, policy) in encodings {
-        let codec = policy.codec();
+        let info = policy.info();
         let encoded = policy.encode(rng, &keys, "fig1-object", payload)?;
         let stored: usize = encoded.shards.iter().map(|s| s.len()).sum();
         out.push(Figure1Point {
             encoding: name,
             expansion: stored as f64 / payload.len().max(1) as f64,
-            analytic_expansion: codec.expansion(),
-            level: policy.at_rest_level(),
-            security_ordinal: codec.security_ordinal(),
+            analytic_expansion: info.expansion,
+            level: info.at_rest_level,
+            security_ordinal: info.security_ordinal,
         });
     }
     Ok(out)

@@ -15,9 +15,9 @@
 //! * [`PolicyKind`] — the nine at-rest encodings of the paper's design
 //!   space, from replication to leakage-resilient secret sharing.
 //! * [`codec`] — how a policy encodes: a seal (none, an AEAD, a
-//!   cascade, an all-or-nothing package, an entropic pad) in front of
-//!   Reed–Solomon dispersal, or one of the four families that stand
-//!   alone (replication, Shamir, packed and leakage-resilient sharing).
+//!   cascade, an all-or-nothing package, an entropic pad) in front of a
+//!   dispersal (replication, Reed–Solomon, Shamir, packed or
+//!   leakage-resilient sharing), and the Figure 1 numbers of the pair.
 //! * [`aont`] — the all-or-nothing package of AONT-RS (Resch–Plank).
 //! * [`keys`] — versioned master keys and per-object derivation.
 //! * [`pipeline`] — the chunked, parallel encode/decode data path:
@@ -76,7 +76,7 @@ pub use archive::{
 };
 pub use campaign::{Campaign, CampaignOp, CampaignReport, MAX_RESERVED_FRACTION};
 pub use catalog::{FleetCatalog, DEFAULT_CATALOG_SHARDS};
-pub use codec::{Codec, CodecRepair};
+pub use codec::{CodecRepair, PolicyInfo};
 pub use dedup::{
     block_object_id, BlockKind, BlockRecord, CatalogEntry, DedupConfig, DedupManifest, DedupStats,
 };

@@ -245,11 +245,7 @@ impl Archive {
     ) -> Result<(), ArchiveError> {
         let (policy, units) = self.with_manifest(id, |m| (m.policy.clone(), self.units_of(m)))?;
         // Reject non-layered policies before touching any node.
-        let Some(deepened) = policy.codec().rewrapped_policy(new_suite) else {
-            return Err(ArchiveError::UnsupportedOperation(
-                "re-wrap requires the Cascade policy",
-            ));
-        };
+        let deepened = plan::rewrapped_policy(&policy, new_suite)?;
         for unit in &units {
             self.rewrap_unit(id, unit, &policy, new_suite)?;
         }

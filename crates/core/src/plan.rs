@@ -13,12 +13,13 @@
 //!
 //! The planners that start from *fetched* shards — repair, refresh,
 //! re-wrap — see them as a list of chunks (the crate-private
-//! `pipeline::StoredChunks` view): one loop calling the codec per chunk,
+//! `pipeline::StoredChunks` view): one loop over the chunks, each handed
+//! to the policy's dispersal (and, for a re-wrap, its seal),
 //! then a join back into one blob per slot. Whether the set is framed or
 //! a single chunk is the view's business, not theirs.
 
 use crate::archive::{ArchiveError, Manifest, ObjectId};
-use crate::codec::{CodecRepair, RepairMethod};
+use crate::codec::{self, CodecRepair, RepairMethod};
 use crate::keys::KeyStore;
 use crate::pipeline::{self, PipelineConfig, StoredChunks};
 use crate::policy::{EncodingMeta, PolicyError, PolicyKind};
@@ -79,7 +80,7 @@ pub struct RepairPlan {
     /// `(shard index, rebuilt bytes)` for each slot to rewrite, in
     /// ascending index order.
     pub writes: Vec<(usize, Vec<u8>)>,
-    /// The strategy the codec used.
+    /// The strategy the dispersal used.
     pub method: RepairMethod,
 }
 
@@ -137,12 +138,12 @@ pub fn plan_repair(
     shards: &[Option<Vec<u8>>],
     missing: &[usize],
 ) -> Result<RepairOutcome, ArchiveError> {
-    let codec = manifest.policy.codec();
+    let (_, dispersal) = manifest.policy.scheme();
     let chunks = StoredChunks::parse(manifest.id.as_str(), &manifest.meta, shards)?;
     let mut rebuilt = Vec::with_capacity(chunks.count());
     let mut method = RepairMethod::NotNeeded;
     for j in 0..chunks.count() {
-        match codec.repair_chunk(&chunks.shards(j))? {
+        match dispersal.repair_chunk(&chunks.shards(j))? {
             CodecRepair::Rebuilt {
                 shards: all,
                 method: m,
@@ -206,12 +207,37 @@ pub fn plan_refresh<R: CryptoRng + ?Sized>(
     Ok((chunks.join(refreshed), total))
 }
 
+/// [`codec::layered`], with its `None` as the typed refusal.
+fn layered(policy: &PolicyKind) -> Result<(&[SuiteId], usize, usize), ArchiveError> {
+    codec::layered(policy).ok_or(ArchiveError::UnsupportedOperation(
+        "re-wrap requires the Cascade policy",
+    ))
+}
+
+/// What an emergency re-wrap with `new_suite` makes of `policy`: the
+/// same cascade over the same code, one layer deeper.
+///
+/// # Errors
+///
+/// Returns [`ArchiveError::UnsupportedOperation`] for a policy that is
+/// not layered — there is no outer layer to add to.
+pub(crate) fn rewrapped_policy(
+    policy: &PolicyKind,
+    new_suite: SuiteId,
+) -> Result<PolicyKind, ArchiveError> {
+    let (suites, data, parity) = layered(policy)?;
+    Ok(PolicyKind::Cascade {
+        suites: suites.iter().copied().chain([new_suite]).collect(),
+        data,
+        parity,
+    })
+}
+
 /// Plans an emergency outer re-wrap of a layered object from its
-/// fetched shards: rebuilds each chunk's ciphertext from the erasure
-/// code, has the codec apply one more AEAD layer under the context and
-/// key version that chunk was sealed with, and re-encodes — no
-/// plaintext, no inner-layer keys. Returns the new shard set and the
-/// policy value describing the deepened stack.
+/// fetched shards: gathers each chunk's ciphertext, adds one more AEAD
+/// layer under the context and key version that chunk was sealed with,
+/// and disperses it again — no plaintext, no inner-layer keys. Returns
+/// the new shard set and the policy value describing the deepened stack.
 ///
 /// # Errors
 ///
@@ -223,17 +249,13 @@ pub fn plan_rewrap(
     shards: &[Option<Vec<u8>>],
     new_suite: SuiteId,
 ) -> Result<(Vec<Vec<u8>>, PolicyKind), ArchiveError> {
-    let codec = manifest.policy.codec();
-    let Some(new_policy) = codec.rewrapped_policy(new_suite) else {
-        return Err(ArchiveError::UnsupportedOperation(
-            "re-wrap requires the Cascade policy",
-        ));
-    };
+    let layers = layered(&manifest.policy)?;
     let chunks = StoredChunks::parse(manifest.id.as_str(), &manifest.meta, shards)?;
     let rewrapped = (0..chunks.count())
         .map(|j| {
             let key_version = chunks.meta(j).key_version;
-            codec.rewrap_chunk(
+            codec::rewrap_chunk(
+                layers,
                 keys,
                 &chunks.context(j),
                 key_version,
@@ -242,5 +264,6 @@ pub fn plan_rewrap(
             )
         })
         .collect::<Result<_, _>>()?;
+    let new_policy = rewrapped_policy(&manifest.policy, new_suite)?;
     Ok((chunks.join(rewrapped), new_policy))
 }

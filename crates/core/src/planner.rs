@@ -92,17 +92,16 @@ pub fn plan(
     let now = archive.year();
     let mut entries: Vec<PlanEntry> = Vec::new();
 
-    // Which suites protect at-rest data right now? Each policy's codec
+    // Which suites protect at-rest data right now? Each policy's info
     // answers, so new families never need a planner edit.
     let mut suites_in_use: BTreeSet<SuiteId> = BTreeSet::new();
     let mut any_secret_shared = false;
     for m in archive.manifests() {
-        let codec = m.policy.codec();
-        if codec.at_rest_level() == SecurityLevel::InformationTheoretic {
+        let info = m.policy.info();
+        if info.at_rest_level == SecurityLevel::InformationTheoretic {
             any_secret_shared = true;
         }
-        let suites = codec.at_rest_suites();
-        match suites.as_slice() {
+        match info.at_rest_suites {
             [] => {}
             [suite] => {
                 suites_in_use.insert(*suite);

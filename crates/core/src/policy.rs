@@ -2,16 +2,14 @@
 //! Figure 1 and Table 1, behind one interface.
 //!
 //! [`PolicyKind`] is the *value* naming a design point and its
-//! parameters; the per-family behavior (validation, shard geometry,
-//! encode/decode, repair, re-wrap) lives in [`crate::codec`], and every
-//! method here delegates to the [`Codec`] that [`PolicyKind::codec`] —
-//! one exhaustive `match` — builds for the variant. What remains local
-//! is the harvest-now-decrypt-later adversary model, which spans
-//! families by construction.
+//! parameters. `PolicyKind::scheme` — one exhaustive `match` — says
+//! which seal it puts in front of which dispersal ([`crate::codec`]);
+//! encode is seal then disperse, decode is gather then open, and the
+//! numbers the paper's maps give the point are [`PolicyKind::info`].
+//! What remains local is the harvest-now-decrypt-later adversary model,
+//! which spans families by construction.
 
-use crate::codec::{
-    Codec, LrssCodec, PackedShamirCodec, ReplicationCodec, RsDispersed, Seal, ShamirCodec,
-};
+use crate::codec::{Dispersal, PolicyInfo, Seal};
 use crate::keys::KeyStore;
 use crate::pipeline;
 use aeon_adversary::CryptanalyticTimeline;
@@ -180,63 +178,66 @@ pub enum Recovery {
     Nothing,
 }
 
-/// Forwards a generic rng as an object-safe one. Like [`ChaChaDrbg`]
-/// (`aeon_crypto::ChaChaDrbg`), it overrides only
-/// [`CryptoRng::fill_bytes`], so every derived draw (`next_u64`,
-/// `gen_range`, array fills) consumes the identical byte stream on both
-/// sides of the adapter.
-struct DynRng<'a, R: CryptoRng + ?Sized>(&'a mut R);
-
-impl<R: CryptoRng + ?Sized> CryptoRng for DynRng<'_, R> {
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        self.0.fill_bytes(dest)
-    }
-}
-
 impl PolicyKind {
-    /// Builds this policy's [`Codec`]. All other methods on
-    /// `PolicyKind` are conveniences over this. The five
-    /// Reed–Solomon-dispersed families are one codec behind the seal
-    /// that tells them apart; the match has no wildcard arm, so a new
-    /// variant does not compile until it names its codec.
-    pub fn codec(&self) -> Box<dyn Codec> {
-        let rs =
-            |seal, data, parity| -> Box<dyn Codec> { Box::new(RsDispersed { seal, data, parity }) };
+    /// The seal this policy puts in front of which dispersal — the one
+    /// place a variant says how it encodes. The match has no wildcard
+    /// arm, so a new variant does not compile until it names its pair.
+    pub(crate) fn scheme(&self) -> (Seal<'_>, Dispersal) {
         match *self {
-            PolicyKind::Replication { copies } => Box::new(ReplicationCodec { copies }),
-            PolicyKind::ErasureCoded { data, parity } => rs(Seal::Plain, data, parity),
+            PolicyKind::Replication { copies } => (Seal::Plain, Dispersal::Replicate { copies }),
+            PolicyKind::ErasureCoded { data, parity } => {
+                (Seal::Plain, Dispersal::Rs { data, parity })
+            }
             PolicyKind::Encrypted {
-                suite,
+                ref suite,
                 data,
                 parity,
-            } => rs(Seal::Aead(suite), data, parity),
+            } => (Seal::Aead(suite), Dispersal::Rs { data, parity }),
             PolicyKind::Cascade {
                 ref suites,
                 data,
                 parity,
-            } => rs(Seal::Cascade(suites.clone()), data, parity),
-            PolicyKind::AontRs { data, parity } => rs(Seal::Aont, data, parity),
-            PolicyKind::Entropic { data, parity } => rs(Seal::Entropic, data, parity),
-            PolicyKind::Shamir { threshold, shares } => Box::new(ShamirCodec { threshold, shares }),
+            } => (Seal::Cascade(suites), Dispersal::Rs { data, parity }),
+            PolicyKind::AontRs { data, parity } => (Seal::Aont, Dispersal::Rs { data, parity }),
+            PolicyKind::Entropic { data, parity } => {
+                (Seal::Entropic, Dispersal::Rs { data, parity })
+            }
+            PolicyKind::Shamir { threshold, shares } => {
+                (Seal::Plain, Dispersal::Shamir { threshold, shares })
+            }
             PolicyKind::PackedShamir {
                 privacy,
                 pack,
                 shares,
-            } => Box::new(PackedShamirCodec {
-                privacy,
-                pack,
-                shares,
-            }),
+            } => (
+                Seal::Plain,
+                Dispersal::Packed {
+                    privacy,
+                    pack,
+                    shares,
+                },
+            ),
             PolicyKind::LeakageResilientShamir {
                 threshold,
                 shares,
                 source_len,
-            } => Box::new(LrssCodec {
-                threshold,
-                shares,
-                source_len,
-            }),
+            } => (
+                Seal::Plain,
+                Dispersal::Lrss {
+                    threshold,
+                    shares,
+                    source_len,
+                },
+            ),
         }
+    }
+
+    /// Where this policy sits on the paper's maps: family name, shard
+    /// geometry, analytic expansion, at-rest class and the suites
+    /// guarding it.
+    pub fn info(&self) -> PolicyInfo<'_> {
+        let (seal, dispersal) = self.scheme();
+        PolicyInfo::of(&seal, &dispersal)
     }
 
     /// Validates the policy's parameters.
@@ -245,23 +246,25 @@ impl PolicyKind {
     ///
     /// Returns [`PolicyError::InvalidPolicy`] describing the violation.
     pub fn validate(&self) -> Result<(), PolicyError> {
-        self.codec().validate()
+        let (seal, dispersal) = self.scheme();
+        dispersal.validate()?;
+        seal.validate()
     }
 
     /// Number of shards this policy produces per object.
     pub fn shard_count(&self) -> usize {
-        self.codec().shard_count()
+        self.info().shard_count
     }
 
     /// Minimum shards needed to read an object back.
     pub fn read_threshold(&self) -> usize {
-        self.codec().read_threshold()
+        self.info().read_threshold
     }
 
     /// Analytic storage expansion (stored bytes / payload bytes, ignoring
     /// constant overheads).
     pub fn expansion(&self) -> f64 {
-        self.codec().expansion()
+        self.info().expansion
     }
 
     /// The at-rest confidentiality classification against a
@@ -269,10 +272,11 @@ impl PolicyKind {
     /// the sense in which the paper's Table 1 grades "Confidentiality: At
     /// Rest".
     pub fn at_rest_level(&self) -> SecurityLevel {
-        self.codec().at_rest_level()
+        self.info().at_rest_level
     }
 
-    /// Encodes a payload into shards.
+    /// Encodes a payload into one blob per storage node: seal, then
+    /// disperse.
     ///
     /// # Errors
     ///
@@ -286,11 +290,14 @@ impl PolicyKind {
         payload: &[u8],
     ) -> Result<Encoded, PolicyError> {
         self.validate()?;
-        let mut rng = DynRng(rng);
-        self.codec().encode(&mut rng, keys, object_id, payload)
+        let (seal, dispersal) = self.scheme();
+        let mut meta = EncodingMeta::plain(keys.current_version());
+        let sealed = seal.seal(rng, keys, object_id, payload, &mut meta)?;
+        let shards = dispersal.disperse(rng, &sealed, &mut meta)?;
+        Ok(Encoded { shards, meta })
     }
 
-    /// Decodes an object from surviving shards.
+    /// Decodes an object from surviving shards: gather, then open.
     ///
     /// # Errors
     ///
@@ -302,7 +309,9 @@ impl PolicyKind {
         shards: &[Option<Vec<u8>>],
         meta: &EncodingMeta,
     ) -> Result<Vec<u8>, PolicyError> {
-        self.codec().decode(keys, object_id, shards, meta)
+        let (seal, dispersal) = self.scheme();
+        let sealed = dispersal.gather(shards, meta)?;
+        seal.open(keys, object_id, meta, sealed)
     }
 
     /// Models what a harvest-now-decrypt-later adversary recovers at
@@ -326,12 +335,12 @@ impl PolicyKind {
         if have == 0 {
             return Recovery::Nothing;
         }
-        let codec = self.codec();
-        let threshold = codec.read_threshold();
+        let info = self.info();
+        let threshold = info.read_threshold;
         // Every suite guarding the at-rest bytes has fallen (vacuously
         // so for plaintext and information-theoretic encodings).
         let suites_fallen =
-            (codec.at_rest_suites().iter()).all(|s| timeline.ciphers().is_broken(*s, year));
+            (info.at_rest_suites.iter()).all(|s| timeline.ciphers().is_broken(*s, year));
         let decode = || match pipeline::decode_object(self, keys, object_id, stolen, meta, 1) {
             Ok(pt) => Recovery::Full(pt),
             Err(_) => Recovery::Nothing,

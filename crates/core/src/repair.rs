@@ -5,12 +5,12 @@
 //! survivors without touching the plaintext; for Shamir policies the
 //! missing share is *re-derived at its evaluation point* from `t`
 //! survivors (Lagrange at `x = missing index`) — the secret never leaves
-//! the math. Policies without partial-repair structure (AONT packages,
-//! LRSS wrappers) fall back to a full re-encode, which costs a
+//! the math. Policies without partial-repair structure (LRSS wrappers)
+//! fall back to a full re-encode, which costs a
 //! whole-object read+write and fresh randomness. So does packed sharing
 //! today, though not for want of structure: any `privacy + pack` shares
 //! fix every row's polynomial, so a lost share is one Lagrange row over
-//! the survivors, as for Shamir — `PackedShamirCodec` does not implement
+//! the survivors, as for Shamir — `Dispersal::Packed` does not implement
 //! it yet.
 //!
 //! The body is written against a stored unit (`unit.rs`);

@@ -13,7 +13,9 @@
 //!
 //! Shards are sourced through the archive's digest-filtered fetch path
 //! (and so through the `PlanExecutor`) — shipment never reads nodes
-//! directly.
+//! directly — one stored unit at a time: a classic object is its own
+//! shard set, a dedup object ships as the shard sets of the blocks it
+//! references.
 
 use crate::archive::{Archive, ArchiveError, ObjectId};
 use aeon_channel::dh;
@@ -24,7 +26,7 @@ use aeon_num::ModpGroup;
 
 /// Statistics from a shard shipment.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TransferReport {
+pub struct ShipmentReport {
     /// Shards shipped.
     pub shards: usize,
     /// Payload bytes shipped (pre-framing).
@@ -37,15 +39,17 @@ pub struct TransferReport {
     pub pad_bytes: u64,
 }
 
-/// Dedup objects have no shard set of their own — shipping one means
-/// shipping its blocks, which shard transfer cannot express yet.
-fn dedup_ship_guard(archive: &Archive, id: &ObjectId) -> Result<(), ArchiveError> {
-    if archive.manifest(id).is_some_and(|m| m.blocks.is_some()) {
-        return Err(ArchiveError::UnsupportedOperation(
-            "shard transfer of dedup objects is not supported; retrieve and re-ingest instead",
-        ));
+/// The shards to ship for `id`: the surviving shards of every stored
+/// unit behind it, in `units_of` order, through the retrying,
+/// digest-filtered fetch — never ship a bit-rotted shard.
+fn shipment(archive: &Archive, id: &ObjectId, label: &str) -> Result<Vec<Vec<u8>>, ArchiveError> {
+    let units = archive.with_manifest(id, |m| archive.units_of(m))?;
+    let mut shards = Vec::new();
+    for unit in &units {
+        let fetched = archive.fetch_shards(&archive.load(unit)?, label);
+        shards.extend(fetched.shards.into_iter().flatten());
     }
-    Ok(())
+    Ok(shards)
 }
 
 /// Ships all shards of `id` over a computational (DH + AEAD) channel,
@@ -60,16 +64,8 @@ pub fn ship_computational(
     id: &ObjectId,
     link: &mut Link,
     rng_seed: u64,
-) -> Result<(Vec<Vec<u8>>, TransferReport), ArchiveError> {
-    dedup_ship_guard(archive, id)?;
-    // Retrying, digest-filtered fetch: never ship a bit-rotted shard.
-    let shards: Vec<Vec<u8>> = archive
-        .fetch_shards_for(id, "ship-dh")
-        .ok_or_else(|| ArchiveError::UnknownObject(id.clone()))?
-        .shards
-        .into_iter()
-        .flatten()
-        .collect();
+) -> Result<(Vec<Vec<u8>>, ShipmentReport), ArchiveError> {
+    let shards = shipment(archive, id, "ship-dh")?;
 
     let group = ModpGroup::rfc3526_2048();
     let mut rng = ChaChaDrbg::from_u64_seed(rng_seed);
@@ -86,7 +82,7 @@ pub fn ship_computational(
             .map_err(|e| ArchiveError::Channel(format!("record: {e}")))?;
         received.push(got);
     }
-    let report = TransferReport {
+    let report = ShipmentReport {
         shards: shards.len(),
         payload_bytes,
         wire_bytes: link.transferred_bytes(),
@@ -110,16 +106,8 @@ pub fn ship_its(
     qkd: &mut QkdLink,
     link: &mut Link,
     rng_seed: u64,
-) -> Result<(Vec<Vec<u8>>, TransferReport), ArchiveError> {
-    dedup_ship_guard(archive, id)?;
-    // Retrying, digest-filtered fetch: never ship a bit-rotted shard.
-    let shards: Vec<Vec<u8>> = archive
-        .fetch_shards_for(id, "ship-its")
-        .ok_or_else(|| ArchiveError::UnknownObject(id.clone()))?
-        .shards
-        .into_iter()
-        .flatten()
-        .collect();
+) -> Result<(Vec<Vec<u8>>, ShipmentReport), ArchiveError> {
+    let shards = shipment(archive, id, "ship-its")?;
 
     let payload: u64 = shards.iter().map(|s| s.len() as u64).sum();
     let pad_needed: usize = shards.iter().map(|s| s.len() + 32).sum();
@@ -140,7 +128,7 @@ pub fn ship_its(
             .map_err(|e| ArchiveError::Channel(format!("otp open: {e}")))?;
         received.push(got);
     }
-    let report = TransferReport {
+    let report = ShipmentReport {
         shards: shards.len(),
         payload_bytes: payload,
         wire_bytes: link.transferred_bytes(),

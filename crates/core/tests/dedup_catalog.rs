@@ -5,9 +5,9 @@
 //! object below it. Plus the maintenance dispatches dedup mode reroutes:
 //! re-encode campaigns that skip already-migrated shared blocks,
 //! proactive refresh over block shares, re-wrap that deepens a shared
-//! block once, and the guard on the one path that cannot express shared
-//! blocks (shard transfer); and the fleet scan, repair campaign and
-//! durability race over dedup storage.
+//! block once, and shard transfer shipping an object as its blocks; and
+//! the fleet scan, repair campaign and durability race over dedup
+//! storage.
 
 use aeon_cas::ChunkerParams;
 use aeon_core::dedup::DedupConfig;
@@ -274,20 +274,56 @@ fn rewrap_wraps_shared_blocks_once() {
     assert_eq!(archive.retrieve(&c).unwrap(), v2);
 }
 
+/// A dedup object has no shard set of its own: a shipment carries the
+/// stored shard set of every block it references — leaves in first-seen
+/// payload order, then the Merkle nodes over them — over either channel.
 #[test]
-fn unsupported_paths_are_guarded_not_wrong() {
+fn a_dedup_object_ships_as_the_shard_sets_of_its_blocks() {
+    use aeon_channel::{qkd::QkdLink, transport::Link};
+    use aeon_core::{dedup::block_object_id, transfer};
+
     let mut archive = dedup_archive(PolicyKind::Cascade {
         suites: vec![SuiteId::Aes256CtrHmac],
         data: 2,
         parity: 2,
     });
-    let id = archive.ingest(&payload(31, 6 << 10), "doc").unwrap();
-    // Shard transfer has no representation for block references.
-    let mut link = aeon_channel::transport::Link::new(1.0, 1_000_000.0);
-    assert!(matches!(
-        aeon_core::transfer::ship_computational(&archive, &id, &mut link, 9),
-        Err(ArchiveError::UnsupportedOperation(_))
-    ));
+    // The same bytes twice over, so some leaf is referenced twice and
+    // ships once.
+    let mut data = payload(31, 6 << 10);
+    data.extend_from_within(..);
+    let id = archive.ingest(&data, "doc").unwrap();
+
+    let leaves = archive.manifest(&id).unwrap().blocks.unwrap().blocks;
+    let nodes = aeon_cas::build_tree(&leaves, small_dedup().fanout).nodes;
+    let mut referenced = Vec::new();
+    for hash in leaves.iter().chain(nodes.iter().map(|(hash, _)| hash)) {
+        if !referenced.contains(hash) {
+            referenced.push(*hash);
+        }
+    }
+    assert!(referenced.len() > 2 && referenced.len() < leaves.len() + nodes.len());
+    let stored: Vec<Vec<u8>> = referenced
+        .iter()
+        .flat_map(|hash| {
+            let record = archive.block_record(hash).expect("referenced block exists");
+            let set = archive
+                .cluster()
+                .get_shards(&block_object_id(hash), &record.placement);
+            set.into_iter().map(|blob| blob.expect("shard stored"))
+        })
+        .collect();
+    assert_eq!(stored.len(), 4 * referenced.len());
+
+    let (received, report) =
+        transfer::ship_computational(&archive, &id, &mut Link::new(1.0, 1_000_000.0), 9).unwrap();
+    assert_eq!(received, stored);
+    assert_eq!(report.shards, stored.len());
+
+    let mut qkd = QkdLink::metro_reference();
+    let (received, report) =
+        transfer::ship_its(&archive, &id, &mut qkd, &mut Link::wan(), 10).unwrap();
+    assert_eq!(received, stored);
+    assert_eq!(report.shards, stored.len());
 }
 
 #[test]

@@ -191,7 +191,7 @@ fn maintenance_below_threshold_fails_typed() {
     let payload: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(97) ^ 0x5a).collect();
     let dispersed = policies().into_iter().filter(|p| {
         matches!(
-            p.codec().family(),
+            p.info().family,
             "erasure" | "encrypted" | "cascade" | "aont-rs" | "entropic"
         )
     });

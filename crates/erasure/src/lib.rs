@@ -10,7 +10,6 @@
 //! * [`Replicator`] — plain `n`-way replication behind the same
 //!   [`ErasureCode`] interface, as the baseline encoding in the paper's
 //!   Figure 1.
-//! * [`striping`] — helpers to split byte streams into fixed shards.
 //!
 //! # Examples
 //!
@@ -30,8 +29,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
-
-pub mod striping;
 
 use aeon_gf::slice::{self, Gf256MulTable};
 use aeon_gf::{Gf256, Matrix};

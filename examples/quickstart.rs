@@ -10,18 +10,15 @@ use aeon::integrity::timestamp::SigBreakSchedule;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A 3-of-5 secret-shared archive: information-theoretic
     // confidentiality at rest, tolerant of 2 lost sites. A policy is a
-    // parameter value; `codec()` names the family that encodes it.
+    // parameter value; `info()` reads off where it sits on Figure 1.
     let policy = PolicyKind::Shamir {
         threshold: 3,
         shares: 5,
     };
-    let codec = policy.codec();
+    let info = policy.info();
     println!(
         "policy family {:?}: {} shards, read threshold {}, analytic expansion {}x",
-        codec.family(),
-        codec.shard_count(),
-        codec.read_threshold(),
-        codec.expansion()
+        info.family, info.shard_count, info.read_threshold, info.expansion
     );
     let mut archive = Archive::in_memory(ArchiveConfig::new(policy))?;
 

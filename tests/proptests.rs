@@ -3,9 +3,10 @@
 
 use aeon::core::keys::KeyStore;
 use aeon::core::pipeline::{self, PipelineConfig};
-use aeon::core::PolicyKind;
+use aeon::core::{plan, Archive, ArchiveConfig, IntegrityMode, Manifest, PolicyKind};
 use aeon::crypto::{ChaChaDrbg, SuiteId};
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 fn arb_policy() -> impl Strategy<Value = PolicyKind> {
     prop_oneof![
@@ -45,6 +46,79 @@ fn arb_policy() -> impl Strategy<Value = PolicyKind> {
         }),
         (1usize..5, 1usize..3).prop_map(|(data, parity)| PolicyKind::Entropic { data, parity }),
     ]
+}
+
+/// One hostile edit of a shard set: `(kind, slot, arg)`, applied by
+/// [`mutate`]. Out-of-range slots wrap.
+fn arb_mutations() -> impl Strategy<Value = Vec<(u8, usize, usize)>> {
+    prop::collection::vec((0u8..11, 0usize..16, 0usize..1 << 20), 1..5)
+}
+
+fn mutate(shards: &mut Vec<Option<Vec<u8>>>, (kind, slot, arg): (u8, usize, usize)) {
+    if shards.is_empty() {
+        return;
+    }
+    let slot = slot % shards.len();
+    match (kind, &mut shards[slot]) {
+        (0, Some(blob)) => blob.truncate(arg % (blob.len() + 1)),
+        (1, Some(blob)) => blob.clear(),
+        (2, Some(blob)) => blob.resize(blob.len() + arg % 7 + 1, 0xA5),
+        // One byte short: an odd-length packed share, a ragged RS row.
+        (3, Some(blob)) => drop(blob.pop()),
+        // A garbled length prefix (LRSS), a bit-rotted header elsewhere.
+        (4, Some(blob)) => {
+            for (b, g) in blob
+                .iter_mut()
+                .zip((arg as u32 ^ 0xFFFF_0000).to_be_bytes())
+            {
+                *b = g;
+            }
+        }
+        (5, Some(blob)) if !blob.is_empty() => {
+            let at = arg % blob.len();
+            blob[at] ^= 0x80;
+        }
+        // Well-framed, wrongly cut: the same bytes as three length-prefixed
+        // fields (the LRSS share layout) of arbitrary lengths.
+        (6, Some(blob)) => {
+            let body = blob.split_off(blob.len().min(12));
+            let first = arg % (body.len() + 1);
+            let second = (arg >> 10) % (body.len() - first + 1);
+            blob.clear();
+            for field in [
+                &body[..first],
+                &body[first..first + second],
+                &body[first + second..],
+            ] {
+                blob.extend((field.len() as u32).to_be_bytes());
+                blob.extend(field);
+            }
+        }
+        // Too few slots, too many slots (a few, or more than there are
+        // share indices), a lost slot.
+        (7, _) => drop(shards.remove(slot)),
+        (8, _) => shards.push(shards[slot].clone()),
+        (9, _) => shards.resize(shards.len() + 250, None),
+        _ => shards[slot] = None,
+    }
+}
+
+/// A manifest saying `policy` / `meta`. `ObjectId` has no public
+/// constructor, so the id is borrowed from a one-byte archive.
+fn manifest_of(policy: &PolicyKind, meta: &aeon::core::EncodingMeta) -> Manifest {
+    static BORROWED: OnceLock<Manifest> = OnceLock::new();
+    let borrowed = BORROWED.get_or_init(|| {
+        let config = ArchiveConfig::new(PolicyKind::Replication { copies: 1 })
+            .with_integrity(IntegrityMode::DigestOnly);
+        let mut archive = Archive::in_memory(config).unwrap();
+        let id = archive.ingest(b"x", "id-donor").unwrap();
+        archive.manifest(&id).unwrap()
+    });
+    Manifest {
+        policy: policy.clone(),
+        meta: meta.clone(),
+        ..borrowed.clone()
+    }
 }
 
 proptest! {
@@ -189,5 +263,31 @@ proptest! {
             "policy {:?}: measured {measured:.3} vs analytic {analytic:.3}",
             policy
         );
+    }
+
+    /// Shard sets are untrusted bytes: whatever was truncated, emptied,
+    /// extended, garbled, dropped or duplicated, decode (gather, then
+    /// open) and the repair planner (`repair_chunk` per chunk) answer
+    /// with bytes or a typed error — never a panic. Whole-buffer and
+    /// framed layouts both.
+    #[test]
+    fn hostile_shard_sets_never_panic(policy in arb_policy(),
+                                      payload in prop::collection::vec(any::<u8>(), 0..700),
+                                      seed in any::<u64>(),
+                                      chunked in any::<bool>(),
+                                      mutations in arb_mutations()) {
+        let keys = KeyStore::new([9u8; 32]);
+        let mut rng = ChaChaDrbg::from_u64_seed(seed);
+        let chunk_size = if chunked { 199 } else { 1 << 20 };
+        let cfg = PipelineConfig::serial().with_chunk_size(chunk_size);
+        let enc = pipeline::encode_object(
+            &policy, &keys, &mut rng, "hostile", &payload, &cfg).unwrap();
+        let mut shards: Vec<Option<Vec<u8>>> = enc.shards.into_iter().map(Some).collect();
+        for m in mutations {
+            mutate(&mut shards, m);
+        }
+        let _ = pipeline::decode_object(&policy, &keys, "hostile", &shards, &enc.meta, 1);
+        let missing: Vec<usize> = (0..shards.len()).filter(|&i| shards[i].is_none()).collect();
+        let _ = plan::plan_repair(&manifest_of(&policy, &enc.meta), &shards, &missing);
     }
 }
