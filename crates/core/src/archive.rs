@@ -58,7 +58,7 @@ pub enum IntegrityMode {
 }
 
 /// Archive configuration.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct ArchiveConfig {
     /// Default encoding policy for ingested objects.
     pub policy: PolicyKind,
@@ -96,6 +96,39 @@ pub struct ArchiveConfig {
     /// overrides the cluster, including one supplied to
     /// [`Archive::with_cluster`].
     pub dispatch: Option<DispatchPolicy>,
+}
+
+/// Every field but the master key, so a configuration can be logged.
+impl std::fmt::Debug for ArchiveConfig {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let ArchiveConfig {
+            policy,
+            sites,
+            nodes_per_site,
+            year,
+            master_key: _,
+            rng_seed,
+            integrity,
+            pipeline,
+            retry,
+            dedup,
+            catalog_shards,
+            dispatch,
+        } = self;
+        f.debug_struct("ArchiveConfig")
+            .field("policy", policy)
+            .field("sites", sites)
+            .field("nodes_per_site", nodes_per_site)
+            .field("year", year)
+            .field("rng_seed", rng_seed)
+            .field("integrity", integrity)
+            .field("pipeline", pipeline)
+            .field("retry", retry)
+            .field("dedup", dedup)
+            .field("catalog_shards", catalog_shards)
+            .field("dispatch", dispatch)
+            .finish_non_exhaustive()
+    }
 }
 
 impl ArchiveConfig {

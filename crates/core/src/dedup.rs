@@ -65,7 +65,31 @@ use crate::unit::Unit;
 use aeon_cas::{build_tree, merkle, BlockHash, Chunker, ChunkerParams, IndexStats};
 use aeon_crypto::{ChaChaDrbg, Sha256};
 use aeon_store::cluster::TransferReport;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
+
+/// Groups `hashes` by value, keeping first-occurrence order: the distinct
+/// hashes in the order each first appears, how many times each occurs,
+/// and for every entry of `hashes` the index of its distinct hash. One
+/// map lookup per entry — a 1 GiB object is ~25 000 leaves, and scanning
+/// the earlier ones for each is 3 × 10⁸ hash compares before any I/O.
+fn first_occurrence_slots(hashes: &[BlockHash]) -> (Vec<BlockHash>, Vec<usize>, Vec<usize>) {
+    let mut distinct: Vec<BlockHash> = Vec::new();
+    let mut uses: Vec<usize> = Vec::new();
+    let mut slot_of: HashMap<BlockHash, usize> = HashMap::new();
+    let slots = hashes
+        .iter()
+        .map(|hash| {
+            let at = *slot_of.entry(*hash).or_insert_with(|| {
+                distinct.push(*hash);
+                uses.push(0);
+                distinct.len() - 1
+            });
+            uses[at] += 1;
+            at
+        })
+        .collect();
+    (distinct, uses, slots)
+}
 
 /// Configuration of the archive's content-addressed dedup mode.
 #[derive(Debug, Clone)]
@@ -484,22 +508,7 @@ impl Archive {
         owner: &ObjectId,
         report: &mut TransferReport,
     ) -> Result<Vec<Vec<u8>>, ArchiveError> {
-        let mut distinct: Vec<BlockHash> = Vec::new();
-        let mut uses: Vec<usize> = Vec::new();
-        let slots: Vec<usize> = hashes
-            .iter()
-            .map(|h| match distinct.iter().position(|d| d == h) {
-                Some(at) => {
-                    uses[at] += 1;
-                    at
-                }
-                None => {
-                    distinct.push(*h);
-                    uses.push(1);
-                    distinct.len() - 1
-                }
-            })
-            .collect();
+        let (distinct, mut uses, slots) = first_occurrence_slots(hashes);
         let mut plans = Vec::with_capacity(distinct.len());
         let mut rngs = Vec::with_capacity(distinct.len());
         let mut recs = Vec::with_capacity(distinct.len());
@@ -736,5 +745,71 @@ impl Archive {
             stats.dedup_ratio = stats.unique_data_bytes as f64 / logical as f64;
         }
         Some(stats)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The quadratic scan `first_occurrence_slots` replaced.
+    fn slots_by_scan(hashes: &[BlockHash]) -> (Vec<BlockHash>, Vec<usize>, Vec<usize>) {
+        let mut distinct: Vec<BlockHash> = Vec::new();
+        let mut uses: Vec<usize> = Vec::new();
+        let slots = hashes
+            .iter()
+            .map(|h| match distinct.iter().position(|d| d == h) {
+                Some(at) => {
+                    uses[at] += 1;
+                    at
+                }
+                None => {
+                    distinct.push(*h);
+                    uses.push(1);
+                    distinct.len() - 1
+                }
+            })
+            .collect();
+        (distinct, uses, slots)
+    }
+
+    /// `len` hashes drawn from `distinct` values in a fixed scrambled order.
+    fn hashes(len: usize, distinct: u64) -> Vec<BlockHash> {
+        (0..len as u64)
+            .map(|i| {
+                let value = i.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17) % distinct;
+                BlockHash::of(&value.to_le_bytes())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn slots_equal_the_scan_on_lists_with_repeats() {
+        let [a, b, c] = [b"a", b"b", b"c"].map(|data| BlockHash::of(data));
+        let lists: [Vec<BlockHash>; 7] = [
+            vec![],
+            vec![a],
+            vec![a, a, a],
+            vec![a, b, c],
+            vec![a, b, a, c, b, a],
+            hashes(300, 7),
+            hashes(300, 1000),
+        ];
+        for list in &lists {
+            assert_eq!(first_occurrence_slots(list), slots_by_scan(list));
+        }
+        let (distinct, uses, slots) = first_occurrence_slots(&lists[4]);
+        assert_eq!(distinct, [a, b, c]);
+        assert_eq!(uses, [3, 2, 1]);
+        assert_eq!(slots, [0, 1, 0, 2, 1, 0]);
+    }
+
+    #[test]
+    fn slots_equal_the_scan_on_fifty_thousand_leaves() {
+        let list = hashes(50_000, 2_000);
+        let (distinct, uses, slots) = first_occurrence_slots(&list);
+        assert_eq!(distinct.len(), 2_000);
+        assert_eq!(uses.iter().sum::<usize>(), list.len());
+        assert_eq!((distinct, uses, slots), slots_by_scan(&list));
     }
 }

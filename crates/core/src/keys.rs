@@ -22,9 +22,19 @@ use aeon_crypto::hkdf;
 /// assert_ne!(k1, k2); // new master, new derivation
 /// assert_eq!(ks.object_key_for_version(0, "obj-1", 0), k1);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct KeyStore {
     masters: Vec<[u8; 32]>,
+}
+
+/// How many master keys, never the keys: a `{:?}` of an archive must not
+/// write them to a log.
+impl std::fmt::Debug for KeyStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("KeyStore")
+            .field("versions", &self.masters.len())
+            .finish_non_exhaustive()
+    }
 }
 
 impl KeyStore {
@@ -96,6 +106,30 @@ impl KeyStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn debug_output_never_spells_a_master_key() {
+        use crate::archive::ArchiveConfig;
+        use crate::policy::PolicyKind;
+
+        let mut keys = KeyStore::new([0xA5; 32]);
+        keys.rotate([0xA5; 32]);
+        assert_eq!(format!("{keys:?}"), "KeyStore { versions: 2, .. }");
+        let mut config = ArchiveConfig::new(PolicyKind::Replication { copies: 3 });
+        config.master_key = [0xA5; 32];
+        for text in [
+            format!("{keys:?}"),
+            format!("{keys:#?}"),
+            format!("{config:?}"),
+            format!("{config:#?}"),
+        ] {
+            for spelling in ["165", "a5", "A5"] {
+                assert!(!text.contains(spelling), "{spelling:?} in {text}");
+            }
+        }
+        // Everything else about a configuration is still there to log.
+        assert!(format!("{config:?}").contains("rng_seed"));
+    }
 
     #[test]
     fn derivation_is_deterministic_and_separated() {

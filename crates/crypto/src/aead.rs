@@ -9,6 +9,7 @@
 use crate::aes::Aes;
 use crate::chacha::ChaCha20;
 use crate::hmac::{hmac_sha256, verify_tag, HmacSha256};
+use crate::kernel::Kernel;
 use crate::poly1305::Poly1305;
 
 /// Error returned when AEAD opening fails authentication.
@@ -69,10 +70,12 @@ fn within_counter_space(len: u64, block_len: u64, first_counter: u32) -> bool {
 ///
 /// A message is at most 2³² − 1 keystream blocks (just under 256 GiB,
 /// RFC 8439 §2.8): `seal` panics on a longer one and `open` rejects it.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct ChaCha20Poly1305 {
     key: [u8; 32],
 }
+
+redacted_debug!(ChaCha20Poly1305, Aes256CtrHmac);
 
 impl ChaCha20Poly1305 {
     /// Creates an instance from a 256-bit key.
@@ -80,26 +83,81 @@ impl ChaCha20Poly1305 {
         ChaCha20Poly1305 { key: *key }
     }
 
-    fn poly_key(&self, nonce: &[u8; 12]) -> [u8; 32] {
-        let block = ChaCha20::new(&self.key, nonce).block(0);
+    /// The one-time Poly1305 key: the first half of keystream block 0.
+    fn poly_key(cipher: &ChaCha20) -> [u8; 32] {
+        let block = cipher.block(0);
         let mut pk = [0u8; 32];
         pk.copy_from_slice(&block[..32]);
         pk
     }
 
-    fn compute_tag(poly_key: &[u8; 32], aad: &[u8], ct: &[u8]) -> [u8; 16] {
+    /// RFC 8439 §2.8: the tag over `aad ‖ pad ‖ ct ‖ pad ‖ lengths`, each
+    /// pad the zeros up to the next 16-byte boundary.
+    fn compute_tag(kernel: &Kernel, poly_key: &[u8; 32], aad: &[u8], ct: &[u8]) -> [u8; 16] {
+        const ZEROS: [u8; 16] = [0; 16];
         let mut mac = Poly1305::new(poly_key);
-        mac.update(aad);
-        if !aad.len().is_multiple_of(16) {
-            mac.update(&vec![0u8; 16 - aad.len() % 16]);
+        for part in [aad, ct] {
+            mac.update_on(kernel, part);
+            mac.update_on(kernel, &ZEROS[..(16 - part.len() % 16) % 16]);
         }
-        mac.update(ct);
-        if !ct.len().is_multiple_of(16) {
-            mac.update(&vec![0u8; 16 - ct.len() % 16]);
-        }
-        mac.update(&(aad.len() as u64).to_le_bytes());
-        mac.update(&(ct.len() as u64).to_le_bytes());
+        mac.update_on(kernel, &(aad.len() as u64).to_le_bytes());
+        mac.update_on(kernel, &(ct.len() as u64).to_le_bytes());
         mac.finalize()
+    }
+
+    /// [`Aead::seal`] with the keystream and the authenticator on
+    /// `kernel`'s slots instead of the process-wide kernel's (parity
+    /// tests and per-tier benchmarks; the output is the same on every
+    /// kernel).
+    ///
+    /// # Panics
+    ///
+    /// As `seal`: on a nonce that is not 12 bytes or a message past the
+    /// counter space.
+    #[doc(hidden)]
+    pub fn seal_on(&self, kernel: &Kernel, nonce: &[u8], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
+        let nonce: &[u8; 12] = nonce.try_into().expect("nonce must be 12 bytes");
+        assert!(
+            within_counter_space(plaintext.len() as u64, 64, 1),
+            "message exceeds the ChaCha20 counter space"
+        );
+        let cipher = ChaCha20::new(&self.key, nonce);
+        let mut out = copy_with_tag_room(plaintext, Self::TAG_LEN);
+        kernel.chacha20_xor(&cipher, 1, &mut out);
+        let tag = Self::compute_tag(kernel, &Self::poly_key(&cipher), aad, &out);
+        out.extend_from_slice(&tag);
+        out
+    }
+
+    /// [`Aead::open`] on `kernel`'s slots, as [`Self::seal_on`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AuthError`] if the tag does not verify.
+    #[doc(hidden)]
+    pub fn open_on(
+        &self,
+        kernel: &Kernel,
+        nonce: &[u8],
+        aad: &[u8],
+        ciphertext: &[u8],
+    ) -> Result<Vec<u8>, AuthError> {
+        let nonce: &[u8; 12] = nonce.try_into().map_err(|_| AuthError)?;
+        if ciphertext.len() < 16 {
+            return Err(AuthError);
+        }
+        let (ct, tag) = ciphertext.split_at(ciphertext.len() - 16);
+        if !within_counter_space(ct.len() as u64, 64, 1) {
+            return Err(AuthError);
+        }
+        let cipher = ChaCha20::new(&self.key, nonce);
+        let expect = Self::compute_tag(kernel, &Self::poly_key(&cipher), aad, ct);
+        if !verify_tag(&expect, tag) {
+            return Err(AuthError);
+        }
+        let mut out = ct.to_vec();
+        kernel.chacha20_xor(&cipher, 1, &mut out);
+        Ok(out)
     }
 }
 
@@ -109,34 +167,11 @@ impl Aead for ChaCha20Poly1305 {
     const TAG_LEN: usize = 16;
 
     fn seal(&self, nonce: &[u8], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
-        let nonce: &[u8; 12] = nonce.try_into().expect("nonce must be 12 bytes");
-        assert!(
-            within_counter_space(plaintext.len() as u64, 64, 1),
-            "message exceeds the ChaCha20 counter space"
-        );
-        let mut out = copy_with_tag_room(plaintext, Self::TAG_LEN);
-        ChaCha20::new(&self.key, nonce).apply_keystream(1, &mut out);
-        let tag = Self::compute_tag(&self.poly_key(nonce), aad, &out);
-        out.extend_from_slice(&tag);
-        out
+        self.seal_on(Kernel::active(), nonce, aad, plaintext)
     }
 
     fn open(&self, nonce: &[u8], aad: &[u8], ciphertext: &[u8]) -> Result<Vec<u8>, AuthError> {
-        let nonce: &[u8; 12] = nonce.try_into().map_err(|_| AuthError)?;
-        if ciphertext.len() < 16 {
-            return Err(AuthError);
-        }
-        let (ct, tag) = ciphertext.split_at(ciphertext.len() - 16);
-        if !within_counter_space(ct.len() as u64, 64, 1) {
-            return Err(AuthError);
-        }
-        let expect = Self::compute_tag(&self.poly_key(nonce), aad, ct);
-        if !verify_tag(&expect, tag) {
-            return Err(AuthError);
-        }
-        let mut out = ct.to_vec();
-        ChaCha20::new(&self.key, nonce).apply_keystream(1, &mut out);
-        Ok(out)
+        self.open_on(Kernel::active(), nonce, aad, ciphertext)
     }
 }
 
@@ -148,7 +183,7 @@ impl Aead for ChaCha20Poly1305 {
 ///
 /// A message is at most 2³² AES blocks (64 GiB), the span of the CTR
 /// counter: `seal` panics on a longer one and `open` rejects it.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Aes256CtrHmac {
     enc_key: [u8; 32],
     mac_key: [u8; 32],

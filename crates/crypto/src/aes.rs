@@ -86,10 +86,12 @@ const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x
 /// block = aes.decrypt_block(&ct);
 /// assert_eq!(block, [0u8; 16]);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Aes {
     round_keys: Vec<[u8; 16]>,
 }
+
+redacted_debug!(Aes);
 
 /// Convenience alias constructor set for AES-256.
 pub type Aes256 = Aes;

@@ -72,9 +72,18 @@ impl From<AuthError> for CascadeError {
 /// assert_eq!(cascade.decrypt(b"object-1", &ct)?, b"payload");
 /// # Ok::<(), aeon_crypto::cascade::CascadeError>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Cascade {
     layers: Vec<(SuiteId, [u8; 32])>,
+}
+
+/// The suites, never the layer keys.
+impl core::fmt::Debug for Cascade {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("Cascade")
+            .field("suites", &self.suites())
+            .finish_non_exhaustive()
+    }
 }
 
 impl Cascade {

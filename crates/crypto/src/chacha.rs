@@ -3,7 +3,8 @@
 //! [`ChaCha20::block`] is the RFC's block function, one counter at a
 //! time. Keystream application goes through the `chacha20_xor` slot of
 //! [`crate::kernel::Kernel`]: the `scalar` tier is the `block` loop
-//! below, the `avx2` tier computes eight counter blocks per pass.
+//! below, the `avx2` tier computes eight counter blocks per pass and the
+//! `avx512` tier sixteen.
 
 use crate::kernel::Kernel;
 
@@ -21,10 +22,12 @@ use crate::kernel::Kernel;
 /// ChaCha20::new(&key, &nonce).apply_keystream(1, &mut buf);
 /// assert_eq!(buf, b"attack at dawn");
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct ChaCha20 {
     state: [u32; 16],
 }
+
+redacted_debug!(ChaCha20);
 
 const SIGMA: [u32; 4] = [0x61707865, 0x3320646e, 0x79622d32, 0x6b206574];
 

@@ -78,8 +78,8 @@ pub fn random_array<const N: usize, R: CryptoRng + ?Sized>(rng: &mut R) -> [u8; 
 ///
 /// A draw first drains the buffered block, then generates every whole
 /// 64-byte block of the rest straight into the destination through the
-/// [`Kernel`]'s `chacha20_xor` slot — eight blocks per pass where the
-/// host has the wide tier — and buffers only the ragged tail.
+/// [`Kernel`]'s `chacha20_xor` slot — eight or sixteen blocks per pass
+/// where the host has a wide tier — and buffers only the ragged tail.
 ///
 /// # Examples
 ///
@@ -90,13 +90,16 @@ pub fn random_array<const N: usize, R: CryptoRng + ?Sized>(rng: &mut R) -> [u8; 
 /// let mut b = ChaChaDrbg::from_seed([1u8; 32]);
 /// assert_eq!(a.gen_array::<16>(), b.gen_array::<16>());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct ChaChaDrbg {
     cipher: ChaCha20,
     counter: u32,
     buf: [u8; 64],
     buf_pos: usize,
 }
+
+// The seed, and in `buf` output not yet served.
+redacted_debug!(ChaChaDrbg);
 
 /// What a generator panics with when its 2^32 − 1 blocks are spent.
 const EXHAUSTED: &str = "DRBG exhausted 2^32 blocks; reseed required";

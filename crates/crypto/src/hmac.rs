@@ -41,11 +41,14 @@ pub fn hmac_sha512(key: &[u8], data: &[u8]) -> [u8; 64] {
 }
 
 /// Incremental HMAC-SHA-256.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
     outer: Sha256,
 }
+
+// Both hash states have absorbed a key block.
+redacted_debug!(HmacSha256);
 
 impl HmacSha256 {
     /// Creates a MAC instance keyed with `key`.

@@ -1,23 +1,27 @@
-//! Runtime-dispatched kernels for SHA-256 compression, AES-CTR and
-//! ChaCha20.
+//! Runtime-dispatched kernels for SHA-256 compression, AES-CTR, ChaCha20
+//! and Poly1305.
 //!
-//! The three primitives every archive byte passes through — the SHA-256
+//! The four primitives every archive byte passes through — the SHA-256
 //! block function (digests, HMAC, HKDF, the hash-based signer), the
-//! AES-CTR keystream (the commercial-default AEAD) and the ChaCha20
+//! AES-CTR keystream (the commercial-default AEAD), the ChaCha20
 //! keystream (the second AEAD, and the DRBG behind every secret-sharing
-//! draw) — funnel through one [`Kernel`]: a three-slot vtable chosen once
-//! per process, the same recipe as `aeon_gf::kernel`. Each slot is probed
-//! on its own, because parts from Haswell to Skylake have `aes` and
-//! `avx2` without `sha`:
+//! draw) and the Poly1305 block loop (that AEAD's authenticator) — funnel
+//! through one [`Kernel`]: a four-slot vtable chosen once per process, the
+//! same recipe as `aeon_gf::kernel`. Each slot is probed on its own,
+//! because parts from Haswell to Skylake have `aes` and `avx2` without
+//! `sha`:
 //!
-//! | slot            | tier     | mechanism                                        | availability                |
-//! |-----------------|----------|--------------------------------------------------|-----------------------------|
-//! | `sha256_blocks` | `scalar` | FIPS 180-4 round loop on `u32`s                  | always                      |
-//! | `sha256_blocks` | `ni`     | `sha256rnds2` / `sha256msg1` / `sha256msg2`      | x86-64 with SHA + SSE4.1    |
-//! | `aes_ctr`       | `scalar` | FIPS 197 byte-wise rounds, one block at a time   | always                      |
-//! | `aes_ctr`       | `ni`     | `aesenc` / `aesenclast`, eight blocks in flight  | x86-64 with AES-NI + SSE4.1 |
-//! | `chacha20_xor`  | `scalar` | RFC 8439 block function, one block at a time     | always                      |
-//! | `chacha20_xor`  | `avx2`   | the same rounds on eight counter blocks per pass | x86-64 with AVX2            |
+//! | slot              | tier     | mechanism                                          | availability                |
+//! |-------------------|----------|----------------------------------------------------|-----------------------------|
+//! | `sha256_blocks`   | `scalar` | FIPS 180-4 round loop on `u32`s                    | always                      |
+//! | `sha256_blocks`   | `ni`     | `sha256rnds2` / `sha256msg1` / `sha256msg2`        | x86-64 with SHA + SSE4.1    |
+//! | `aes_ctr`         | `scalar` | FIPS 197 byte-wise rounds, one block at a time     | always                      |
+//! | `aes_ctr`         | `ni`     | `aesenc` / `aesenclast`, eight blocks in flight    | x86-64 with AES-NI + SSE4.1 |
+//! | `chacha20_xor`    | `scalar` | RFC 8439 block function, one block at a time       | always                      |
+//! | `chacha20_xor`    | `avx2`   | the same rounds on eight counter blocks per pass   | x86-64 with AVX2            |
+//! | `chacha20_xor`    | `avx512` | sixteen counter blocks per pass, `vprold` rotates  | x86-64 with AVX-512F + AVX2 |
+//! | `poly1305_blocks` | `scalar` | RFC 8439 §2.5.1, one multiply by `r` per block     | always                      |
+//! | `poly1305_blocks` | `avx2`   | four blocks per pass in radix 2²⁶, `r⁴` per pass   | x86-64 with AVX2            |
 //!
 //! [`Kernel::active`] gives every slot the fastest tier the host runs
 //! (probed with `is_x86_feature_detected!`) and caches the choice.
@@ -26,23 +30,34 @@
 //! means auto-detection here, so the variable stays safe to export
 //! unconditionally in CI matrices.
 //!
-//! The scalar tier is the code in [`crate::sha2`], [`crate::aes`] and
-//! [`crate::chacha`]: it is what a host without the instructions runs,
-//! and the oracle the parity suite (`tests/kernel_parity.rs`) compares
-//! the other tiers against, bit for bit. The `ni` AES tier has no
-//! data-dependent table lookups; the scalar tier is not constant-time.
+//! The scalar tier is the code in [`crate::sha2`], [`crate::aes`],
+//! [`crate::chacha`] and [`crate::poly1305`]: it is what a host without
+//! the instructions runs, and the oracle the parity suite
+//! (`tests/kernel_parity.rs`) compares the other tiers against, bit for
+//! bit. The `ni` AES tier has no data-dependent table lookups; the scalar
+//! tier is not constant-time.
 //!
-//! In the `avx2` ChaCha20 tier every lane carries its own counter,
-//! `initial.wrapping_add(lane)`: a group of eight that straddles
-//! `0xFFFF_FFFF` equals eight scalar `block` calls. A call — or the end
-//! of one — shorter than a whole eight-block group runs the scalar block
-//! loop, so a short AEAD message or an 8-byte draw never pays for a wide
-//! pass it would mostly discard.
+//! In the wide ChaCha20 tiers every lane carries its own counter,
+//! `initial.wrapping_add(lane)`: a group of eight or sixteen that
+//! straddles `0xFFFF_FFFF` equals as many scalar `block` calls. A wide
+//! tier takes the whole groups of a call and hands what is left to the
+//! tier below it — `avx512` sixteen-block groups, then `avx2` eight-block
+//! groups, then the scalar block loop — so a short AEAD message or an
+//! 8-byte draw never pays for a wide pass it would mostly discard.
+//!
+//! The `avx2` Poly1305 tier computes `h ← (h + m₀)·r⁴ + m₁·r³ + m₂·r² +
+//! m₃·r` over each 64-byte group, four blocks side by side, and returns
+//! the accumulator in the five limbs the scalar code keeps; `r²…r⁴` are
+//! computed once per message, by the scalar multiply. A call with fewer
+//! than four whole groups (256 bytes) would not repay them and runs the
+//! scalar loop, as do the blocks after the last whole group; the partial
+//! head and tail of an `update` and `finalize` never reach the slot.
 
 use std::sync::OnceLock;
 
 use crate::aes::Aes;
 use crate::chacha::ChaCha20;
+use crate::poly1305::Poly1305;
 
 /// The implementation tiers of a kernel slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,16 +68,19 @@ pub enum Tier {
     Ni,
     /// 256-bit AVX2 integer lanes.
     Avx2,
+    /// 512-bit AVX-512F integer lanes.
+    Avx512,
 }
 
 impl Tier {
-    /// The lowercase name used in benchmark output: `"scalar"`, `"ni"`
-    /// or `"avx2"`.
+    /// The lowercase name used in benchmark output: `"scalar"`, `"ni"`,
+    /// `"avx2"` or `"avx512"`.
     pub fn name(self) -> &'static str {
         match self {
             Tier::Scalar => "scalar",
             Tier::Ni => "ni",
             Tier::Avx2 => "avx2",
+            Tier::Avx512 => "avx512",
         }
     }
 }
@@ -70,19 +88,22 @@ impl Tier {
 type Sha256Blocks = fn(&mut [u32; 8], &[u8]);
 type AesCtr = fn(&Aes, &[u8; 16], &mut [u8]);
 type ChaCha20Xor = fn(&ChaCha20, u32, &mut [u8]);
+type Poly1305Blocks = fn(&mut Poly1305, &[u8]);
 
-/// One choice of tier for each of the three slots.
+/// One choice of tier for each of the four slots.
 #[derive(Debug, Clone, Copy)]
 pub struct Kernel {
     sha256: (Tier, Sha256Blocks),
     aes_ctr: (Tier, AesCtr),
     chacha20: (Tier, ChaCha20Xor),
+    poly1305: (Tier, Poly1305Blocks),
 }
 
 static SCALAR: Kernel = Kernel {
     sha256: (Tier::Scalar, crate::sha2::Sha256::compress_blocks),
     aes_ctr: (Tier::Scalar, Aes::ctr_scalar),
     chacha20: (Tier::Scalar, ChaCha20::xor_scalar),
+    poly1305: (Tier::Scalar, Poly1305::blocks_scalar),
 };
 
 impl Kernel {
@@ -94,7 +115,7 @@ impl Kernel {
         static ACTIVE: OnceLock<&'static Kernel> = OnceLock::new();
         ACTIVE.get_or_init(|| match std::env::var("AEON_FORCE_KERNEL") {
             Ok(v) if v.trim().eq_ignore_ascii_case("scalar") => &SCALAR,
-            _ => Kernel::detected(),
+            _ => &Kernel::detected()[1],
         })
     }
 
@@ -103,25 +124,25 @@ impl Kernel {
         &SCALAR
     }
 
-    /// Every distinct kernel the host supports, scalar first: the scalar
-    /// kernel, then the detected one when any of its slots is not scalar
-    /// (benchmark sweeps and cross-tier parity tests iterate this).
+    /// Every distinct kernel the host runs, slowest first, so that each
+    /// runnable tier of each slot is in one of them: the scalar kernel,
+    /// the widest tiers up to AVX2, and the detected kernel where a slot
+    /// goes wider still (benchmark sweeps and cross-tier parity tests
+    /// iterate this). Without this an AVX-512 host would never run the
+    /// AVX2 ChaCha20 tier again.
     pub fn supported() -> Vec<&'static Kernel> {
-        let detected = Kernel::detected();
         let mut kernels = vec![&SCALAR];
-        let tiers = [
-            detected.sha256_tier(),
-            detected.aes_ctr_tier(),
-            detected.chacha20_tier(),
-        ];
-        if tiers != [Tier::Scalar; 3] {
-            kernels.push(detected);
+        for kernel in Kernel::detected() {
+            if kernel.tiers() != kernels[kernels.len() - 1].tiers() {
+                kernels.push(kernel);
+            }
         }
         kernels
     }
 
-    fn detected() -> &'static Kernel {
-        static DETECTED: OnceLock<Kernel> = OnceLock::new();
+    /// The fastest tiers the host runs: up to AVX2, then of all.
+    fn detected() -> &'static [Kernel; 2] {
+        static DETECTED: OnceLock<[Kernel; 2]> = OnceLock::new();
         DETECTED.get_or_init(|| {
             #[allow(unused_mut)]
             let mut kernel = SCALAR;
@@ -136,9 +157,27 @@ impl Kernel {
                 if let Some(f) = x86::chacha20_xor() {
                     kernel.chacha20 = (Tier::Avx2, f);
                 }
+                if let Some(f) = x86::poly1305_blocks() {
+                    kernel.poly1305 = (Tier::Avx2, f);
+                }
             }
-            kernel
+            #[allow(unused_mut)]
+            let mut widest = kernel;
+            #[cfg(target_arch = "x86_64")]
+            if let Some(f) = x86::chacha20_xor_512() {
+                widest.chacha20 = (Tier::Avx512, f);
+            }
+            [kernel, widest]
         })
+    }
+
+    fn tiers(&self) -> [Tier; 4] {
+        [
+            self.sha256.0,
+            self.aes_ctr.0,
+            self.chacha20.0,
+            self.poly1305.0,
+        ]
     }
 
     /// The tier in this kernel's `sha256_blocks` slot.
@@ -157,6 +196,12 @@ impl Kernel {
     #[inline]
     pub fn chacha20_tier(&self) -> Tier {
         self.chacha20.0
+    }
+
+    /// The tier in this kernel's `poly1305_blocks` slot.
+    #[inline]
+    pub fn poly1305_tier(&self) -> Tier {
+        self.poly1305.0
     }
 
     /// Runs the SHA-256 compression function over `blocks` (a whole
@@ -189,27 +234,38 @@ impl Kernel {
     pub fn chacha20_xor(&self, cipher: &ChaCha20, initial_counter: u32, data: &mut [u8]) {
         (self.chacha20.1)(cipher, initial_counter, data);
     }
+
+    /// Absorbs `blocks`, a whole number of full 16-byte Poly1305 blocks,
+    /// into `mac`'s accumulator. [`Poly1305::update_on`] is the entry
+    /// point: it owns the partial block this bypasses.
+    #[inline]
+    pub(crate) fn poly1305_blocks(&self, mac: &mut Poly1305, blocks: &[u8]) {
+        debug_assert!(blocks.len().is_multiple_of(16), "whole 16-byte blocks");
+        (self.poly1305.1)(mac, blocks);
+    }
 }
 
-/// The SHA-NI, AES-NI and AVX2 tiers: the one `unsafe` island in the
-/// crate.
+/// The SHA-NI, AES-NI, AVX2 and AVX-512 tiers: the one `unsafe` island in
+/// the crate.
 ///
 /// `unsafe` is needed for two things only. (1) Calling a
-/// `#[target_feature]` function: the three `*_impl` functions are
-/// private and reachable only through the `fn` pointers
-/// [`sha256_blocks`], [`aes_ctr`] and [`chacha20_xor`] hand out after the
-/// matching `is_x86_feature_detected!` probe succeeded. (2) The
-/// unaligned vector load and store, wrapped once per width in [`load`] /
-/// [`store`] (16 bytes) and [`load256`] / [`store256`] (32 bytes), whose
-/// array-reference arguments prove the bytes are there. Everything else
-/// — the arithmetic intrinsics — is safe inside a function that enables
-/// the feature.
+/// `#[target_feature]` function: the five `*_impl` functions are private
+/// and reachable only through the `fn` pointers [`sha256_blocks`],
+/// [`aes_ctr`], [`chacha20_xor`], [`chacha20_xor_512`] and
+/// [`poly1305_blocks`] hand out after the matching
+/// `is_x86_feature_detected!` probes succeeded. (2) The unaligned vector
+/// load and store, wrapped once per width in [`load`] / [`store`] (16
+/// bytes), [`load256`] / [`store256`] (32 bytes) and [`load512`] /
+/// [`store512`] (64 bytes), whose array-reference arguments prove the
+/// bytes are there. Everything else — the arithmetic intrinsics — is safe
+/// inside a function that enables the feature.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod x86 {
-    use super::{AesCtr, ChaCha20Xor, Sha256Blocks};
+    use super::{AesCtr, ChaCha20Xor, Poly1305Blocks, Sha256Blocks};
     use crate::aes::Aes;
     use crate::chacha::ChaCha20;
+    use crate::poly1305::Poly1305;
     use crate::sha2::K256;
     use std::arch::x86_64::*;
 
@@ -232,6 +288,19 @@ mod x86 {
         is_x86_feature_detected!("avx2").then_some(chacha20_xor_avx2 as ChaCha20Xor)
     }
 
+    /// The `avx512` tier of the `chacha20_xor` slot, when this host runs
+    /// it: it hands what is left of a call to the `avx2` tier.
+    pub(super) fn chacha20_xor_512() -> Option<ChaCha20Xor> {
+        let runs = is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx2");
+        runs.then_some(chacha20_xor_avx512 as ChaCha20Xor)
+    }
+
+    /// The `avx2` tier of the `poly1305_blocks` slot, when this host runs
+    /// it.
+    pub(super) fn poly1305_blocks() -> Option<Poly1305Blocks> {
+        is_x86_feature_detected!("avx2").then_some(poly1305_blocks_avx2 as Poly1305Blocks)
+    }
+
     fn sha256_blocks_ni(state: &mut [u32; 8], blocks: &[u8]) {
         // SAFETY: this function is only reachable through the pointer
         // `sha256_blocks()` returns, and it returns one only after the
@@ -250,8 +319,9 @@ mod x86 {
         let (groups, tail) = data.as_chunks_mut::<CHACHA_GROUP>();
         if !groups.is_empty() {
             // SAFETY: this function is only reachable through the pointer
-            // `chacha20_xor()` returns, and it returns one only after the
-            // avx2 probe succeeded on this host.
+            // `chacha20_xor()` returns or from `chacha20_xor_avx512`, and
+            // either is handed out only after the avx2 probe succeeded on
+            // this host.
             unsafe { chacha20_groups_impl(cipher.state(), initial_counter, groups) }
         }
         // Less than a whole group — a short call, or the end of a long
@@ -259,6 +329,32 @@ mod x86 {
         // the blocks it needs. `as u32` and `wrapping_add` agree mod 2^32.
         let done = (groups.len() * CHACHA_LANES) as u32;
         cipher.xor_scalar(initial_counter.wrapping_add(done), tail);
+    }
+
+    fn chacha20_xor_avx512(cipher: &ChaCha20, initial_counter: u32, data: &mut [u8]) {
+        let (groups, rest) = data.as_chunks_mut::<CHACHA_GROUP_512>();
+        if !groups.is_empty() {
+            // SAFETY: this function is only reachable through the pointer
+            // `chacha20_xor_512()` returns, and it returns one only after
+            // the avx512f probe succeeded on this host.
+            unsafe { chacha20_groups512_impl(cipher.state(), initial_counter, groups) }
+        }
+        let done = (groups.len() * CHACHA_LANES_512) as u32;
+        chacha20_xor_avx2(cipher, initial_counter.wrapping_add(done), rest);
+    }
+
+    fn poly1305_blocks_avx2(mac: &mut Poly1305, blocks: &[u8]) {
+        let (groups, tail) = blocks.as_chunks::<POLY_GROUP>();
+        if groups.len() < POLY_MIN_GROUPS {
+            return mac.blocks_scalar(blocks);
+        }
+        let powers = mac.powers();
+        // SAFETY: this function is only reachable through the pointer
+        // `poly1305_blocks()` returns, and it returns one only after the
+        // avx2 probe succeeded on this host.
+        let limbs = unsafe { poly1305_groups_impl(mac.accumulator(), &powers, groups) };
+        mac.set_accumulator(limbs);
+        mac.blocks_scalar(tail);
     }
 
     #[inline(always)]
@@ -291,6 +387,22 @@ mod x86 {
         // SAFETY: `bytes` is a live exclusive reference to exactly 32
         // writable bytes and `storeu` has no alignment requirement.
         unsafe { _mm256_storeu_si256(bytes.as_mut_ptr().cast(), v) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn load512(bytes: &[u8; 64]) -> __m512i {
+        // SAFETY: `bytes` is a live reference to exactly 64 readable
+        // bytes and `loadu` has no alignment requirement.
+        unsafe { _mm512_loadu_si512(bytes.as_ptr().cast()) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn store512(bytes: &mut [u8; 64], v: __m512i) {
+        // SAFETY: `bytes` is a live exclusive reference to exactly 64
+        // writable bytes and `storeu` has no alignment requirement.
+        unsafe { _mm512_storeu_si512(bytes.as_mut_ptr().cast(), v) }
     }
 
     /// Four rounds: `$m` holds message words `W[4g..4g+4]`.
@@ -532,6 +644,234 @@ mod x86 {
             counter = counter.wrapping_add(CHACHA_LANES as u32);
         }
     }
+
+    /// The quarter round of [`quarter_round!`] on sixteen blocks, with
+    /// the rotates AVX-512F has natively.
+    macro_rules! quarter_round512 {
+        ($s:ident, $a:literal, $b:literal, $c:literal, $d:literal) => {{
+            $s[$a] = _mm512_add_epi32($s[$a], $s[$b]);
+            $s[$d] = _mm512_rol_epi32::<16>(_mm512_xor_si512($s[$d], $s[$a]));
+            $s[$c] = _mm512_add_epi32($s[$c], $s[$d]);
+            $s[$b] = _mm512_rol_epi32::<12>(_mm512_xor_si512($s[$b], $s[$c]));
+            $s[$a] = _mm512_add_epi32($s[$a], $s[$b]);
+            $s[$d] = _mm512_rol_epi32::<8>(_mm512_xor_si512($s[$d], $s[$a]));
+            $s[$c] = _mm512_add_epi32($s[$c], $s[$d]);
+            $s[$b] = _mm512_rol_epi32::<7>(_mm512_xor_si512($s[$b], $s[$c]));
+        }};
+    }
+
+    /// Transposes a 16×16 matrix of 32-bit words: row `w` of the input is
+    /// word `w` of sixteen blocks, row `l` of the output is block `l`.
+    #[target_feature(enable = "avx512f")]
+    fn transpose16(r: &[__m512i; 16]) -> [__m512i; 16] {
+        let mut out = [_mm512_setzero_si512(); 16];
+        // quads[g][j], 128-bit lane q = words 4g..4g+4 of block 4q + j.
+        let mut quads = [[_mm512_setzero_si512(); 4]; 4];
+        for (quad, rows) in quads.iter_mut().zip(r.as_chunks::<4>().0) {
+            let pairs = [
+                _mm512_unpacklo_epi32(rows[0], rows[1]),
+                _mm512_unpackhi_epi32(rows[0], rows[1]),
+                _mm512_unpacklo_epi32(rows[2], rows[3]),
+                _mm512_unpackhi_epi32(rows[2], rows[3]),
+            ];
+            *quad = [
+                _mm512_unpacklo_epi64(pairs[0], pairs[2]),
+                _mm512_unpackhi_epi64(pairs[0], pairs[2]),
+                _mm512_unpacklo_epi64(pairs[1], pairs[3]),
+                _mm512_unpackhi_epi64(pairs[1], pairs[3]),
+            ];
+        }
+        // A 4×4 transpose of 128-bit lanes gathers block 4q + j's four
+        // quarters: `0x88` picks lanes 0 and 2 of each operand, `0xDD`
+        // lanes 1 and 3.
+        for j in 0..4 {
+            let even_low = _mm512_shuffle_i32x4::<0x88>(quads[0][j], quads[1][j]);
+            let odd_low = _mm512_shuffle_i32x4::<0xDD>(quads[0][j], quads[1][j]);
+            let even_high = _mm512_shuffle_i32x4::<0x88>(quads[2][j], quads[3][j]);
+            let odd_high = _mm512_shuffle_i32x4::<0xDD>(quads[2][j], quads[3][j]);
+            out[j] = _mm512_shuffle_i32x4::<0x88>(even_low, even_high);
+            out[4 + j] = _mm512_shuffle_i32x4::<0x88>(odd_low, odd_high);
+            out[8 + j] = _mm512_shuffle_i32x4::<0xDD>(even_low, even_high);
+            out[12 + j] = _mm512_shuffle_i32x4::<0xDD>(odd_low, odd_high);
+        }
+        out
+    }
+
+    /// Counter blocks per pass of the `avx512` tier: one per 32-bit lane
+    /// of a 512-bit vector.
+    const CHACHA_LANES_512: usize = 16;
+
+    /// Keystream bytes per pass of the `avx512` tier.
+    const CHACHA_GROUP_512: usize = 64 * CHACHA_LANES_512;
+
+    /// XORs keystream blocks `initial_counter..` into `groups`, sixteen
+    /// blocks per group.
+    #[target_feature(enable = "avx512f")]
+    fn chacha20_groups512_impl(
+        state: &[u32; 16],
+        initial_counter: u32,
+        groups: &mut [[u8; CHACHA_GROUP_512]],
+    ) {
+        let mut initial = state.map(|word| _mm512_set1_epi32(word as i32));
+        let lane_offsets = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+        let mut counter = initial_counter;
+        for group in groups {
+            // Lane `l` is block `counter + l`; `add_epi32` wraps each
+            // lane on its own, as sixteen scalar `block` calls would.
+            initial[12] = _mm512_add_epi32(_mm512_set1_epi32(counter as i32), lane_offsets);
+            let mut working = initial;
+            for _ in 0..10 {
+                quarter_round512!(working, 0, 4, 8, 12);
+                quarter_round512!(working, 1, 5, 9, 13);
+                quarter_round512!(working, 2, 6, 10, 14);
+                quarter_round512!(working, 3, 7, 11, 15);
+                quarter_round512!(working, 0, 5, 10, 15);
+                quarter_round512!(working, 1, 6, 11, 12);
+                quarter_round512!(working, 2, 7, 8, 13);
+                quarter_round512!(working, 3, 4, 9, 14);
+            }
+            for (word, init) in working.iter_mut().zip(&initial) {
+                *word = _mm512_add_epi32(*word, *init);
+            }
+            let keystream = transpose16(&working);
+            for (block, ks) in group.as_chunks_mut::<64>().0.iter_mut().zip(keystream) {
+                store512(block, _mm512_xor_si512(load512(block), ks));
+            }
+            counter = counter.wrapping_add(CHACHA_LANES_512 as u32);
+        }
+    }
+
+    /// Poly1305 blocks per pass: one per 64-bit lane of a 256-bit vector.
+    const POLY_LANES: usize = 4;
+
+    /// Message bytes per pass.
+    const POLY_GROUP: usize = 16 * POLY_LANES;
+
+    /// The fewest whole groups in one call that repay computing `r²…r⁴`
+    /// and the closing sum across lanes.
+    const POLY_MIN_GROUPS: usize = 4;
+
+    /// One limb of four field elements, one element per 64-bit lane.
+    /// Lanes hold the blocks of a group in the order 0, 2, 1, 3 — what
+    /// `unpack` leaves, and addition and multiplication do not care.
+    type Limbs = [__m256i; 5];
+
+    /// The five 26-bit limbs of each block of `group`, pad bit included.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn poly_limbs(group: &[u8; POLY_GROUP]) -> Limbs {
+        let [first, second] = group.as_chunks::<32>().0 else {
+            unreachable!("a 64-byte group is two 32-byte halves")
+        };
+        let (first, second) = (load256(first), load256(second));
+        // The low and the high eight bytes of blocks 0, 2, 1, 3.
+        let low = _mm256_unpacklo_epi64(first, second);
+        let high = _mm256_unpackhi_epi64(first, second);
+        let mask = _mm256_set1_epi64x(0x3ffffff);
+        let straddling =
+            _mm256_or_si256(_mm256_srli_epi64::<52>(low), _mm256_slli_epi64::<12>(high));
+        [
+            _mm256_and_si256(low, mask),
+            _mm256_and_si256(_mm256_srli_epi64::<26>(low), mask),
+            _mm256_and_si256(straddling, mask),
+            _mm256_and_si256(_mm256_srli_epi64::<14>(high), mask),
+            _mm256_or_si256(_mm256_srli_epi64::<40>(high), _mm256_set1_epi64x(1 << 24)),
+        ]
+    }
+
+    /// A multiplier per lane, as the schoolbook product wants it: its
+    /// limbs, and five times its limbs for the terms that wrap past
+    /// 2¹³⁰ ≡ 5.
+    struct Multiplier {
+        limbs: Limbs,
+        times5: Limbs,
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn poly_multiplier(lanes: [&[u32; 5]; POLY_LANES]) -> Multiplier {
+        let limbs: Limbs = core::array::from_fn(|i| {
+            let [a, b, c, d] = lanes.map(|power| i64::from(power[i]));
+            _mm256_setr_epi64x(a, b, c, d)
+        });
+        let times5 = limbs.map(|limb| _mm256_add_epi64(_mm256_slli_epi64::<2>(limb), limb));
+        Multiplier { limbs, times5 }
+    }
+
+    /// `h · by mod 2¹³⁰ − 5` lane by lane, limbs not carried. With `h`
+    /// below 2²⁸ and `by` below 2²⁷ per limb (so `times5` below 2³⁰) a
+    /// product limb stays below 5 · 2⁵⁸ < 2⁶¹.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn poly_mul(h: &Limbs, by: &Multiplier) -> Limbs {
+        let mut product = [_mm256_setzero_si256(); 5];
+        for (k, limb) in product.iter_mut().enumerate() {
+            for (i, h) in h.iter().enumerate() {
+                let factor = if i <= k {
+                    by.limbs[k - i]
+                } else {
+                    by.times5[5 + k - i]
+                };
+                *limb = _mm256_add_epi64(*limb, _mm256_mul_epu32(*h, factor));
+            }
+        }
+        product
+    }
+
+    /// Carries product limbs (below 2⁶¹) down to below 2²⁶ + 2¹³, on two
+    /// interleaved chains: 0 → 1 → 2 → 3 → 4 and 3 → 4 → 0 → 1.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn poly_carry(mut d: Limbs) -> Limbs {
+        let mask = _mm256_set1_epi64x(0x3ffffff);
+        for (from, to) in [(0, 1), (3, 4), (1, 2), (4, 0), (2, 3), (0, 1), (3, 4)] {
+            let mut carry = _mm256_srli_epi64::<26>(d[from]);
+            if to == 0 {
+                // 2¹³⁰ ≡ 5.
+                carry = _mm256_add_epi64(_mm256_slli_epi64::<2>(carry), carry);
+            }
+            d[from] = _mm256_and_si256(d[from], mask);
+            d[to] = _mm256_add_epi64(d[to], carry);
+        }
+        d
+    }
+
+    /// Absorbs `groups` (at least one) into the accumulator `h`, given
+    /// `powers` = `[r, r², r³, r⁴]`: four running sums, one per lane,
+    /// each multiplied by `r⁴` per group — the last time by `r⁴, r³, r²,
+    /// r` for blocks 0 to 3 — and then added up, which is the module
+    /// header's `h ← (h + m₀)·r⁴ + …` group after group. Returns the
+    /// sum's limbs uncarried, each below 2⁶³.
+    #[target_feature(enable = "avx2")]
+    fn poly1305_groups_impl(
+        h: [u32; 5],
+        powers: &[[u32; 5]; 4],
+        groups: &[[u8; POLY_GROUP]],
+    ) -> [u64; 5] {
+        let [r1, r2, r3, r4] = powers;
+        let (first, rest) = groups.split_first().expect("at least one group");
+        let mut sums = poly_limbs(first);
+        for (limb, h) in sums.iter_mut().zip(h) {
+            *limb = _mm256_add_epi64(*limb, _mm256_setr_epi64x(i64::from(h), 0, 0, 0));
+        }
+        let by_r4 = poly_multiplier([r4; POLY_LANES]);
+        for group in rest {
+            let carried = poly_carry(poly_mul(&sums, &by_r4));
+            let message = poly_limbs(group);
+            for ((sum, carried), message) in sums.iter_mut().zip(carried).zip(message) {
+                *sum = _mm256_add_epi64(carried, message);
+            }
+        }
+        // Lanes hold blocks 0, 2, 1, 3.
+        let closing = poly_mul(&sums, &poly_multiplier([r4, r2, r3, r1]));
+        closing.map(|limb| {
+            let halves = _mm_add_epi64(
+                _mm256_castsi256_si128(limb),
+                _mm256_extracti128_si256::<1>(limb),
+            );
+            (_mm_extract_epi64::<0>(halves) as u64) + (_mm_extract_epi64::<1>(halves) as u64)
+        })
+    }
 }
 
 #[cfg(test)]
@@ -543,6 +883,7 @@ mod tests {
         assert_eq!(Tier::Scalar.name(), "scalar");
         assert_eq!(Tier::Ni.name(), "ni");
         assert_eq!(Tier::Avx2.name(), "avx2");
+        assert_eq!(Tier::Avx512.name(), "avx512");
     }
 
     #[test]

@@ -24,14 +24,19 @@
 //!   simulated cryptanalytic [`suite::BreakSchedule`], and a
 //!   [`cascade`] robust combiner that layers independent suites so the
 //!   stack stays secure while *any* layer survives.
-//! * Hardware tiers: the SHA-256 block function and the AES-CTR keystream
-//!   run through [`kernel::Kernel`], a per-process vtable that takes
-//!   SHA-NI / AES-NI on x86-64 hosts that have them and this crate's
-//!   scalar code everywhere else. Both tiers are bit-exact, so nothing
-//!   above [`sha2::Sha256`] and [`aes::Aes::apply_ctr`] knows which one
-//!   ran; `AEON_FORCE_KERNEL=scalar` pins the scalar tier. The `ni` tiers
+//! * Hardware tiers: the SHA-256 block function, the AES-CTR and ChaCha20
+//!   keystreams and the Poly1305 block loop run through
+//!   [`kernel::Kernel`], a per-process vtable that takes SHA-NI / AES-NI /
+//!   AVX2 / AVX-512 on x86-64 hosts that have them and this crate's
+//!   scalar code everywhere else. Every tier is bit-exact, so nothing
+//!   above [`sha2::Sha256`], [`aes::Aes::apply_ctr`],
+//!   [`chacha::ChaCha20::apply_keystream`] and
+//!   [`poly1305::Poly1305::update`] knows which one ran;
+//!   `AEON_FORCE_KERNEL=scalar` pins the scalar tier. The hardware tiers
 //!   sit in one private module of [`kernel`], the only place where the
 //!   crate-wide lint at the bottom of this header is relaxed.
+//! * No key in a log: every type that holds key material formats as its
+//!   name alone under `{:?}`.
 //!
 //! # Security disclaimer
 //!
@@ -57,6 +62,19 @@
 
 #![deny(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
+
+/// `Debug` for types that hold key material: the type's name and nothing
+/// else, so no `{:?}`, `dbg!` or panic message writes a key to a log that
+/// outlives the cipher.
+macro_rules! redacted_debug {
+    ($($name:ident),+) => {$(
+        impl core::fmt::Debug for $name {
+            fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+                f.debug_struct(stringify!($name)).finish_non_exhaustive()
+            }
+        }
+    )+};
+}
 
 pub mod aead;
 pub mod aes;

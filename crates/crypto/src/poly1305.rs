@@ -1,4 +1,14 @@
 //! The Poly1305 one-time authenticator (RFC 8439).
+//!
+//! [`Poly1305::update`] buffers a partial block and hands every whole
+//! 16-byte block to the `poly1305_blocks` slot of
+//! [`crate::kernel::Kernel`]: the `scalar` tier is the
+//! `process_block` loop below, the `avx2` tier absorbs four blocks per
+//! pass. Either leaves the accumulator in the same five 26-bit limbs, so
+//! the partial head and tail, `finalize` and short calls are this file's
+//! code on every tier, and a message may be cut into `update`s anywhere.
+
+use crate::kernel::Kernel;
 
 /// Computes the Poly1305 tag of `msg` under a 32-byte one-time key.
 ///
@@ -23,14 +33,18 @@ pub fn poly1305(key: &[u8; 32], msg: &[u8]) -> [u8; 16] {
 }
 
 /// Incremental Poly1305 state.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Poly1305 {
     r: [u32; 5],
+    /// `r`, `r²`, `r³`, `r⁴`, once a wide tier has asked for them.
+    powers: Option<[[u32; 5]; 4]>,
     h: [u32; 5],
     pad: [u32; 4],
     buf: [u8; 16],
     buf_len: usize,
 }
+
+redacted_debug!(Poly1305);
 
 impl Poly1305 {
     /// Creates an authenticator from a 32-byte one-time key.
@@ -55,6 +69,7 @@ impl Poly1305 {
         ];
         Poly1305 {
             r,
+            powers: None,
             h: [0; 5],
             pad,
             buf: [0; 16],
@@ -63,7 +78,14 @@ impl Poly1305 {
     }
 
     /// Absorbs message bytes.
-    pub fn update(&mut self, mut data: &[u8]) {
+    pub fn update(&mut self, data: &[u8]) {
+        self.update_on(Kernel::active(), data);
+    }
+
+    /// [`Poly1305::update`] with the whole blocks absorbed by `kernel`'s
+    /// `poly1305_blocks` slot (parity tests and per-tier benchmarks; the
+    /// tag is the same on every kernel).
+    pub fn update_on(&mut self, kernel: &Kernel, mut data: &[u8]) {
         if self.buf_len > 0 {
             let take = (16 - self.buf_len).min(data.len());
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
@@ -75,16 +97,63 @@ impl Poly1305 {
                 self.buf_len = 0;
             }
         }
-        while data.len() >= 16 {
-            let mut block = [0u8; 16];
-            block.copy_from_slice(&data[..16]);
-            self.process_block(&block, false);
-            data = &data[16..];
+        let (blocks, tail) = data.split_at(data.len() - data.len() % 16);
+        if !blocks.is_empty() {
+            kernel.poly1305_blocks(self, blocks);
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
+        if !tail.is_empty() {
+            self.buf[..tail.len()].copy_from_slice(tail);
+            self.buf_len = tail.len();
         }
+    }
+
+    /// The scalar tier of the kernel's `poly1305_blocks` slot: one
+    /// `process_block` per 16 bytes of `blocks`, a whole number of blocks.
+    pub(crate) fn blocks_scalar(&mut self, blocks: &[u8]) {
+        for block in blocks.as_chunks::<16>().0 {
+            self.process_block(block, false);
+        }
+    }
+
+    /// `[r, r², r³, r⁴]` in the accumulator's limb form, computed on the
+    /// first call and kept for the rest of the message.
+    pub(crate) fn powers(&mut self) -> [[u32; 5]; 4] {
+        if let Some(powers) = self.powers {
+            return powers;
+        }
+        // Absorbing an all-zero block without its pad bit adds nothing
+        // and multiplies by `r`: the scalar multiply, reused as is, with
+        // the accumulator lent out to hold the running power.
+        let h = std::mem::replace(&mut self.h, self.r);
+        let mut powers = [self.r; 4];
+        for next in &mut powers[1..] {
+            self.process_block(&[0; 16], true);
+            *next = self.h;
+        }
+        self.h = h;
+        self.powers = Some(powers);
+        powers
+    }
+
+    /// The accumulator's five limbs, each below 2²⁷.
+    pub(crate) fn accumulator(&self) -> [u32; 5] {
+        self.h
+    }
+
+    /// Replaces the accumulator by `limbs` (any five values that leave
+    /// room for the carries, here below 2⁶³), carried down to the form
+    /// `process_block` leaves.
+    pub(crate) fn set_accumulator(&mut self, mut limbs: [u64; 5]) {
+        let mut carry = 0;
+        for limb in &mut limbs {
+            *limb += carry;
+            carry = *limb >> 26;
+            *limb &= 0x3ffffff;
+        }
+        limbs[0] += carry * 5;
+        limbs[1] += limbs[0] >> 26;
+        limbs[0] &= 0x3ffffff;
+        self.h = limbs.map(|limb| limb as u32);
     }
 
     /// Finishes and returns the 16-byte tag.
@@ -216,23 +285,10 @@ impl Poly1305 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sha2::to_hex;
 
-    #[test]
-    fn rfc8439_vector() {
-        // RFC 8439 §2.5.2.
-        let mut key = [0u8; 32];
-        key[..16].copy_from_slice(&[
-            0x85, 0xd6, 0xbe, 0x78, 0x57, 0x55, 0x6d, 0x33, 0x7f, 0x44, 0x52, 0xfe, 0x42, 0xd5,
-            0x06, 0xa8,
-        ]);
-        key[16..].copy_from_slice(&[
-            0x01, 0x03, 0x80, 0x8a, 0xfb, 0x0d, 0xb2, 0xfd, 0x4a, 0xbf, 0xf6, 0xaf, 0x41, 0x49,
-            0xf5, 0x1b,
-        ]);
-        let tag = poly1305(&key, b"Cryptographic Forum Research Group");
-        assert_eq!(to_hex(&tag), "a8061dc1305136c6c22b8baf0c0127a9");
-    }
+    // The RFC 8439 §2.5.2 and §A.3 known answers live in
+    // `tests/kernel_parity.rs`, where they run on every tier of the
+    // `poly1305_blocks` slot and against the RFC's definition.
 
     #[test]
     fn empty_message() {

@@ -1,36 +1,48 @@
 //! Known answers and cross-tier parity for the crypto kernels, in one
 //! place, run on every kernel the host supports.
 //!
-//! Three layers, each over [`Kernel::supported`]:
+//! Three layers, each over [`Kernel::supported`] — one kernel per
+//! runnable tier of every slot, so an AVX-512 host still runs the AVX2
+//! ChaCha20 tier (the first test prints which tiers that was):
 //!
 //! 1. the published vectors (FIPS 180-4, RFC 4231, RFC 5869, FIPS 197,
 //!    SP 800-38A, RFC 8439), recomputed here on *that tier's* slot
 //!    function — SHA-256 padding, HMAC, HKDF and the ChaCha20-Poly1305
 //!    construction are rebuilt by hand over `sha256_blocks` /
-//!    `chacha20_xor`, so a vector passes only if the tier's function is
-//!    right; the ChaCha20 vectors are short, so each is also placed at
-//!    every lane of a longer call, which is what reaches a wide tier;
+//!    `chacha20_xor` / `Poly1305::update_on`, so a vector passes only if
+//!    the tier's function is right; the ChaCha20 vectors are short, so
+//!    each is also placed at every lane of a longer call, which is what
+//!    reaches a wide tier. The Poly1305 vectors are short too and no
+//!    longer message contains them, so on every tier they run the scalar
+//!    block loop: what holds the wide Poly1305 tier to the RFC is an
+//!    independent evaluation of its §2.5.1 definition over
+//!    `aeon_num::Uint`, which every vector is checked against first;
 //! 2. tier against the scalar oracle, bit for bit, on ragged lengths,
 //!    unaligned source offsets, `update` splits and every way a block
 //!    counter can wrap;
 //! 3. the same over random data, keys and IVs.
 //!
+//! SHA-512 has no slot; its FIPS 180-4 vectors live here because this is
+//! where the known answers are.
+//!
 //! CI runs the file twice, under `AEON_FORCE_KERNEL=scalar` and under
 //! auto-detection, which also moves the library entry points
 //! (`Sha256`, `hmac_sha256`, `hkdf`, `Aes::apply_ctr`,
-//! `ChaCha20::apply_keystream`, `ChaCha20Poly1305`) between tiers.
+//! `ChaCha20::apply_keystream`, `Poly1305::update`, `ChaCha20Poly1305`)
+//! between tiers.
 
-use aeon_crypto::aead::{Aead, ChaCha20Poly1305};
+use aeon_crypto::aead::{Aead, AuthError, ChaCha20Poly1305};
 use aeon_crypto::aes::Aes;
 use aeon_crypto::chacha::ChaCha20;
 use aeon_crypto::hkdf;
 use aeon_crypto::hmac::hmac_sha256;
 use aeon_crypto::kernel::{Kernel, Tier};
-use aeon_crypto::poly1305::Poly1305;
+use aeon_crypto::poly1305::{poly1305, Poly1305};
 use aeon_crypto::sha2::to_hex;
 use aeon_crypto::sig::MerkleSigner;
-use aeon_crypto::{ChaChaDrbg, Sha256};
+use aeon_crypto::{ChaChaDrbg, Sha256, Sha512};
 use aeon_integrity::merkle::{MerkleProof, MerkleTree};
+use aeon_num::{reduce_wide, U256};
 use proptest::prelude::*;
 
 /// SHA-256 initial hash value (FIPS 180-4 §5.3.3).
@@ -142,11 +154,14 @@ fn chacha_on(
     buf.split_off(offset)
 }
 
+/// The lanes of the widest ChaCha20 tier (`avx512`: sixteen blocks).
+const LANES: usize = 16;
+
 /// The same bytes as `chacha_on(kernel, cipher, counter, data, 0)`, but
 /// computed as blocks `lane..` of a call that starts `lane` blocks
-/// earlier and runs on for two wide groups: a short message reaches a
-/// wide tier's lanes only inside a long call, and a start before block 0
-/// puts the 2^32 wrap inside the first group.
+/// earlier and runs on for two groups of the widest tier: a short message
+/// reaches a wide tier's lanes only inside a long call, and a start
+/// before block 0 puts the 2^32 wrap inside the first group.
 fn chacha_in_lane(
     kernel: &Kernel,
     cipher: &ChaCha20,
@@ -156,7 +171,7 @@ fn chacha_in_lane(
 ) -> Vec<u8> {
     let mut buf = vec![0u8; 64 * lane];
     buf.extend_from_slice(data);
-    buf.resize(buf.len() + 1024, 0);
+    buf.resize(buf.len() + 2 * 64 * LANES, 0);
     kernel.chacha20_xor(cipher, counter.wrapping_sub(lane as u32), &mut buf);
     buf[64 * lane..64 * lane + data.len()].to_vec()
 }
@@ -165,14 +180,63 @@ fn chacha_in_lane(
 /// and from each lane of a longer call.
 fn chacha_every_way(kernel: &Kernel, cipher: &ChaCha20, counter: u32, data: &[u8]) -> Vec<Vec<u8>> {
     let mut results = vec![chacha_on(kernel, cipher, counter, data, 0)];
-    results.extend((0..8).map(|lane| chacha_in_lane(kernel, cipher, counter, data, lane)));
+    results.extend((0..LANES).map(|lane| chacha_in_lane(kernel, cipher, counter, data, lane)));
     results
+}
+
+/// Poly1305 of `msg` under `key`, whole blocks absorbed by `kernel`'s
+/// `poly1305_blocks` slot, the message fed in the pieces `cuts` (each at
+/// most `msg.len()`, ascending) delimit.
+fn poly1305_on(kernel: &Kernel, key: &[u8; 32], msg: &[u8], cuts: &[usize]) -> [u8; 16] {
+    let mut mac = Poly1305::new(key);
+    let mut from = 0;
+    for &cut in cuts.iter().chain([&msg.len()]) {
+        mac.update_on(kernel, &msg[from..cut]);
+        from = cut;
+    }
+    mac.finalize()
+}
+
+/// RFC 8439 §2.5.1 read literally, in multi-precision integers that share
+/// no code with `poly1305.rs`: `acc = (acc + block‖01) · r mod 2¹³⁰ − 5`
+/// over little-endian 16-byte blocks, then `acc + s mod 2¹²⁸`.
+fn poly1305_by_definition(key: &[u8; 32], msg: &[u8]) -> [u8; 16] {
+    let little_endian = |bytes: &[u8]| {
+        let reversed: Vec<u8> = bytes.iter().rev().copied().collect();
+        U256::from_be_bytes(&reversed)
+    };
+    let p = U256::from_hex("3_ffffffff_ffffffff_ffffffff_fffffffb");
+    let mut r = [0u8; 16];
+    r.copy_from_slice(&key[..16]);
+    for i in [3, 7, 11, 15] {
+        r[i] &= 15;
+    }
+    for i in [4, 8, 12] {
+        r[i] &= 252;
+    }
+    let (r, s) = (little_endian(&r), little_endian(&key[16..]));
+    let mut acc = U256::ZERO;
+    for block in msg.chunks(16) {
+        let mut with_pad_bit = block.to_vec();
+        with_pad_bit.push(1);
+        // Below 2^130 + 2^129: no wrap in 256 bits.
+        acc = acc.wrapping_add(&little_endian(&with_pad_bit));
+        let mut product = [0u64; 8];
+        acc.mul_wide_into(&r, &mut product);
+        acc = reduce_wide(&product, &p);
+    }
+    let mut tag: [u8; 16] = acc.wrapping_add(&s).to_be_bytes()[16..]
+        .try_into()
+        .expect("the low 128 bits");
+    tag.reverse();
+    tag
 }
 
 /// ChaCha20-Poly1305 `seal` (RFC 8439 §2.8) with both keystream uses —
 /// the one-time Poly1305 key from block 0, the ciphertext from block 1 —
-/// computed by `stream`.
+/// computed by `stream`, and the tag on `kernel`'s Poly1305 slot.
 fn chacha20poly1305_on(
+    kernel: &Kernel,
     stream: impl Fn(u32, &[u8]) -> Vec<u8>,
     aad: &[u8],
     plaintext: &[u8],
@@ -181,11 +245,11 @@ fn chacha20poly1305_on(
     let mut sealed = stream(1, plaintext);
     let mut mac = Poly1305::new(&poly_key);
     for part in [aad, &sealed] {
-        mac.update(part);
-        mac.update(&[0u8; 15][..(16 - part.len() % 16) % 16]);
+        mac.update_on(kernel, part);
+        mac.update_on(kernel, &[0u8; 15][..(16 - part.len() % 16) % 16]);
     }
-    mac.update(&(aad.len() as u64).to_le_bytes());
-    mac.update(&(sealed.len() as u64).to_le_bytes());
+    mac.update_on(kernel, &(aad.len() as u64).to_le_bytes());
+    mac.update_on(kernel, &(sealed.len() as u64).to_le_bytes());
     sealed.extend_from_slice(&mac.finalize());
     sealed
 }
@@ -199,20 +263,75 @@ fn rfc8439_key() -> [u8; 32] {
 const SUNSCREEN: &[u8] = b"Ladies and Gentlemen of the class of '99: If I could offer you \
 only one tip for the future, sunscreen would be it.";
 
+/// The tier in each of `kernel`'s four slots, in the module table's order.
+fn tiers(kernel: &Kernel) -> [Tier; 4] {
+    [
+        kernel.sha256_tier(),
+        kernel.aes_ctr_tier(),
+        kernel.chacha20_tier(),
+        kernel.poly1305_tier(),
+    ]
+}
+
 #[test]
-fn supported_kernels_are_scalar_then_detected() {
+fn supported_kernels_cover_every_runnable_tier() {
     let kernels = Kernel::supported();
-    assert_eq!(kernels[0].sha256_tier(), Tier::Scalar);
-    assert_eq!(kernels[0].aes_ctr_tier(), Tier::Scalar);
-    assert_eq!(kernels[0].chacha20_tier(), Tier::Scalar);
-    let tiers = |k: &Kernel| (k.sha256_tier(), k.aes_ctr_tier(), k.chacha20_tier());
-    for k in &kernels[1..] {
-        assert_ne!(tiers(k), tiers(Kernel::scalar()));
+    assert_eq!(tiers(kernels[0]), [Tier::Scalar; 4]);
+    // Slowest first, no kernel twice, at most one step past AVX2.
+    assert!(kernels.len() <= 3);
+    for pair in kernels.windows(2) {
+        assert_ne!(tiers(pair[0]), tiers(pair[1]));
+    }
+    // Only the last kernel may hold a tier wider than AVX2, and a host
+    // that runs the `avx512` ChaCha20 tier also runs (and lists) `avx2`.
+    for kernel in &kernels[..kernels.len() - 1] {
+        assert!(!tiers(kernel).contains(&Tier::Avx512));
+    }
+    if kernels[kernels.len() - 1].chacha20_tier() == Tier::Avx512 {
+        assert_eq!(kernels[kernels.len() - 2].chacha20_tier(), Tier::Avx2);
     }
     // The active kernel is the best one, or all-scalar under the override
     // (CI runs this file in both legs): never a mix the host did not pick.
     let active = tiers(Kernel::active());
-    assert!(active == tiers(Kernel::scalar()) || active == tiers(kernels[kernels.len() - 1]));
+    assert!(active == [Tier::Scalar; 4] || active == tiers(kernels[kernels.len() - 1]));
+
+    // What this run of the file covered, for the CI log: a tier missing
+    // here was not exercised by any test below.
+    let slots = ["sha256", "aes256-ctr", "chacha20", "poly1305"];
+    let line: Vec<String> = (0..slots.len())
+        .map(|slot| {
+            let mut names: Vec<&str> = kernels.iter().map(|k| tiers(k)[slot].name()).collect();
+            names.dedup();
+            format!("{}={}", slots[slot], names.join(","))
+        })
+        .collect();
+    println!("tiers exercised: {}", line.join(" "));
+}
+
+#[test]
+fn sha512_known_answers() {
+    // FIPS 180-4 / NIST example messages: empty, one block, two blocks.
+    let vectors: [(&[u8], &str); 3] = [
+        (
+            b"",
+            "cf83e1357eefb8bdf1542850d66d8007d620e4050b5715dc83f4a921d36ce9ce\
+             47d0d13c5d85f2b0ff8318d2877eec2f63b931bd47417a81a538327af927da3e",
+        ),
+        (
+            b"abc",
+            "ddaf35a193617abacc417349ae20413112e6fa4e89a97ea20a9eeee64b55d39a\
+             2192992a274fc1a836ba3c23a3feebbd454d4423643ce80e2a9ac94fa54ca49f",
+        ),
+        (
+            b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno\
+              ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+            "8e959b75dae313da8cf4f72814fc143f8f7779c6eb9f7fa17299aeadb6889018\
+             501d289e4900f7e4331b99dec4b5433ac7d329eeb6dd26545e96e55b874be909",
+        ),
+    ];
+    for (msg, expect) in vectors {
+        assert_eq!(to_hex(&Sha512::digest(msg)), expect, "{} bytes", msg.len());
+    }
 }
 
 #[test]
@@ -588,35 +707,299 @@ fn chacha20poly1305_known_answer_on_every_tier() {
         assert_eq!(to_hex(tag), "1ae10b594f09e26a7e902ecbd0600691", "{how}");
     };
     let cipher = ChaCha20::new(&key, &nonce);
+    let aead = ChaCha20Poly1305::new(&key);
     for kernel in Kernel::supported() {
         let tier = kernel.chacha20_tier().name();
         let direct = |counter, data: &[u8]| chacha_on(kernel, &cipher, counter, data, 0);
-        check(&chacha20poly1305_on(direct, &aad, SUNSCREEN), tier);
-        for lane in 0..8 {
+        check(&chacha20poly1305_on(kernel, direct, &aad, SUNSCREEN), tier);
+        for lane in 0..LANES {
             let in_lane =
                 |counter, data: &[u8]| chacha_in_lane(kernel, &cipher, counter, data, lane);
-            check(&chacha20poly1305_on(in_lane, &aad, SUNSCREEN), tier);
+            check(&chacha20poly1305_on(kernel, in_lane, &aad, SUNSCREEN), tier);
         }
+        let sealed = aead.seal_on(kernel, &nonce, &aad, SUNSCREEN);
+        check(&sealed, tier);
+        assert_eq!(
+            aead.open_on(kernel, &nonce, &aad, &sealed).as_deref(),
+            Ok(SUNSCREEN)
+        );
     }
-    let aead = ChaCha20Poly1305::new(&key);
     let sealed = aead.seal(&nonce, &aad, SUNSCREEN);
     check(&sealed, "library");
     assert_eq!(aead.open(&nonce, &aad, &sealed).as_deref(), Ok(SUNSCREEN));
 }
 
+/// A 32-byte Poly1305 key from its halves: `r` before clamping, and `s`.
+fn poly_key(r: [u8; 16], s: [u8; 16]) -> [u8; 32] {
+    let mut key = [0u8; 32];
+    key[..16].copy_from_slice(&r);
+    key[16..].copy_from_slice(&s);
+    key
+}
+
+/// `first` followed by zeros, sixteen bytes in all.
+fn leading(first: &[u8]) -> [u8; 16] {
+    let mut out = [0u8; 16];
+    out[..first.len()].copy_from_slice(first);
+    out
+}
+
+/// `first`, then `rest` to the end.
+fn then(first: u8, rest: u8) -> [u8; 16] {
+    let mut out = [rest; 16];
+    out[0] = first;
+    out
+}
+
+#[test]
+fn poly1305_known_answers_on_every_tier() {
+    // RFC 8439 §2.5.2.
+    let forum_key = poly_key(
+        [
+            0x85, 0xd6, 0xbe, 0x78, 0x57, 0x55, 0x6d, 0x33, 0x7f, 0x44, 0x52, 0xfe, 0x42, 0xd5,
+            0x06, 0xa8,
+        ],
+        [
+            0x01, 0x03, 0x80, 0x8a, 0xfb, 0x0d, 0xb2, 0xfd, 0x4a, 0xbf, 0xf6, 0xaf, 0x41, 0x49,
+            0xf5, 0x1b,
+        ],
+    );
+    // RFC 8439 §A.3, the vectors that can be written down exactly: #1
+    // (all zero), #4 (the §A.2 #3 key over Jabberwocky) and the seven
+    // edge cases #5-#11 — r = 2 and r = 1 over all-ones blocks and over
+    // sums that land on, just under and just over 2^130 - 5, and the
+    // carry out of the low 64 bits. (#2 and #3 hash a 375-byte notice
+    // that is not reproduced here.)
+    let jabberwocky_key: [u8; 32] = [
+        0x1c, 0x92, 0x40, 0xa5, 0xeb, 0x55, 0xd3, 0x8a, 0xf3, 0x33, 0x88, 0x86, 0x04, 0xf6, 0xb5,
+        0xf0, 0x47, 0x39, 0x17, 0xc1, 0x40, 0x2b, 0x80, 0x09, 0x9d, 0xca, 0x5c, 0xbc, 0x20, 0x70,
+        0x75, 0xc0,
+    ];
+    let jabberwocky = b"'Twas brillig, and the slithy toves\nDid gyre and gimble in the \
+wabe:\nAll mimsy were the borogoves,\nAnd the mome raths outgrabe.";
+    let (zero, ones) = ([0u8; 16], [0xFFu8; 16]);
+    let r_one = poly_key(leading(&[1]), zero);
+    let r_two = poly_key(leading(&[2]), zero);
+    let r_low_carry = poly_key(leading(&[1, 0, 0, 0, 0, 0, 0, 0, 4]), zero);
+    let carry_blocks = [
+        leading(&[0xE3, 0x35, 0x94, 0xD7, 0x50, 0x5E, 0x43, 0xB9]),
+        leading(&[0x33, 0x94, 0xD7, 0x50, 0x5E, 0x43, 0x79, 0xCD, 0x01]),
+        zero,
+        leading(&[1]),
+    ];
+    let vectors: Vec<([u8; 32], Vec<u8>, [u8; 16])> = vec![
+        (
+            forum_key,
+            b"Cryptographic Forum Research Group".to_vec(),
+            [
+                0xa8, 0x06, 0x1d, 0xc1, 0x30, 0x51, 0x36, 0xc6, 0xc2, 0x2b, 0x8b, 0xaf, 0x0c, 0x01,
+                0x27, 0xa9,
+            ],
+        ),
+        ([0u8; 32], vec![0u8; 64], zero),
+        (
+            jabberwocky_key,
+            jabberwocky.to_vec(),
+            [
+                0x45, 0x41, 0x66, 0x9a, 0x7e, 0xaa, 0xee, 0x61, 0xe7, 0x08, 0xdc, 0x7c, 0xbc, 0xc5,
+                0xeb, 0x62,
+            ],
+        ),
+        (r_two, ones.to_vec(), leading(&[3])),
+        (
+            poly_key(leading(&[2]), ones),
+            leading(&[2]).to_vec(),
+            leading(&[3]),
+        ),
+        (
+            r_one,
+            [ones, then(0xF0, 0xFF), leading(&[0x11])].concat(),
+            leading(&[5]),
+        ),
+        (r_one, [ones, then(0xFB, 0xFE), [1u8; 16]].concat(), zero),
+        (r_two, then(0xFD, 0xFF).to_vec(), then(0xFA, 0xFF)),
+        (
+            r_low_carry,
+            carry_blocks.concat(),
+            leading(&[0x14, 0, 0, 0, 0, 0, 0, 0, 0x55]),
+        ),
+        (r_low_carry, carry_blocks[..3].concat(), leading(&[0x13])),
+    ];
+    for (i, (key, msg, tag)) in vectors.iter().enumerate() {
+        assert_eq!(
+            poly1305_by_definition(key, msg),
+            *tag,
+            "vector {i}: the definition"
+        );
+        for kernel in Kernel::supported() {
+            let tier = kernel.poly1305_tier().name();
+            assert_eq!(
+                poly1305_on(kernel, key, msg, &[]),
+                *tag,
+                "vector {i}, {tier}"
+            );
+        }
+        assert_eq!(poly1305(key, msg), *tag, "vector {i}, library");
+    }
+}
+
+/// Keys whose limbs push the multiply hardest, beside an ordinary one:
+/// the largest clamped `r` (every kept bit set) with an all-ones `s`, and
+/// the RFC's edge-case multipliers 1 and 2.
+fn poly_keys() -> [[u8; 32]; 4] {
+    [
+        core::array::from_fn(|i| 0x9D ^ (11 * i) as u8),
+        [0xFF; 32],
+        poly_key(leading(&[1]), [0xFF; 16]),
+        poly_key(leading(&[2]), [0; 16]),
+    ]
+}
+
+#[test]
+fn poly1305_tiers_agree_with_the_definition_on_ragged_lengths_and_extreme_limbs() {
+    // Ordinary bytes, and all-ones blocks: every message limb at its
+    // maximum, so every partial product and carry is as large as it gets.
+    let messages = [pattern(65_537, 5), vec![0xFF; 65_537]];
+    // Both sides of every 16- and 64-byte boundary up to the shortest
+    // call the wide tier takes and past it, then sizes that are mostly
+    // whole groups.
+    let lengths = (0..=300).chain(65_535..=65_537);
+    for len in lengths {
+        for key in &poly_keys() {
+            for data in &messages {
+                let msg = &data[..len];
+                let defined = poly1305_by_definition(key, msg);
+                for kernel in Kernel::supported() {
+                    assert_eq!(
+                        poly1305_on(kernel, key, msg, &[]),
+                        defined,
+                        "{}, {len} bytes",
+                        kernel.poly1305_tier().name()
+                    );
+                }
+                assert_eq!(poly1305(key, msg), defined, "library, {len} bytes");
+            }
+        }
+    }
+}
+
+#[test]
+fn poly1305_update_may_be_split_anywhere() {
+    // Seven 64-byte groups and a ragged tail, cut in two at every offset:
+    // each cut leaves the wide tier a different number of whole groups on
+    // either side, a buffered partial block between them, or too little
+    // for a wide pass at all. Then in three, around one group boundary.
+    let key = poly_keys()[1];
+    let msg = pattern(64 * 7 + 13, 8);
+    let oracle = poly1305_by_definition(&key, &msg);
+    for kernel in Kernel::supported() {
+        let tier = kernel.poly1305_tier().name();
+        for cut in 0..=msg.len() {
+            assert_eq!(
+                poly1305_on(kernel, &key, &msg, &[cut]),
+                oracle,
+                "{tier}, cut at {cut}"
+            );
+        }
+        for first in 0..=70 {
+            for second in (256 - 3)..=(256 + 18) {
+                assert_eq!(
+                    poly1305_on(kernel, &key, &msg, &[first, second]),
+                    oracle,
+                    "{tier}, cuts at {first} and {second}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn chacha20poly1305_rejects_every_tampering_on_every_tier() {
+    // Long enough that `seal` and `open` cross every tier's wide path: a
+    // sixteen-block keystream group and a tail, four-block Poly1305
+    // groups over both the ciphertext and (in the second case) the AAD.
+    let aead = ChaCha20Poly1305::new(&[0xA5; 32]);
+    let nonce = [0x17u8; 12];
+    let plain = pattern(1100, 6);
+    let long_aad = pattern(300, 7);
+    for kernel in Kernel::supported() {
+        let how = format!("{:?}", tiers(kernel));
+        for aad in [&b"header"[..], &long_aad] {
+            let sealed = aead.seal_on(kernel, &nonce, aad, &plain);
+            assert_eq!(sealed, aead.seal_on(Kernel::scalar(), &nonce, aad, &plain));
+            assert_eq!(
+                aead.open_on(kernel, &nonce, aad, &sealed).as_deref(),
+                Ok(&plain[..]),
+                "{how}"
+            );
+            // Every single-bit flip of the ciphertext and of the tag.
+            let mut bent = sealed.clone();
+            for bit in 0..8 * sealed.len() {
+                bent[bit / 8] ^= 1 << (bit % 8);
+                assert_eq!(
+                    aead.open_on(kernel, &nonce, aad, &bent),
+                    Err(AuthError),
+                    "{how}: bit {bit} of the sealed message"
+                );
+                bent[bit / 8] ^= 1 << (bit % 8);
+            }
+            // Every single-bit flip of the AAD, and a longer and a shorter one.
+            let mut bent_aad = aad.to_vec();
+            for bit in 0..8 * aad.len() {
+                bent_aad[bit / 8] ^= 1 << (bit % 8);
+                assert_eq!(
+                    aead.open_on(kernel, &nonce, &bent_aad, &sealed),
+                    Err(AuthError),
+                    "{how}: bit {bit} of the AAD"
+                );
+                bent_aad[bit / 8] ^= 1 << (bit % 8);
+            }
+            bent_aad.push(0);
+            assert_eq!(
+                aead.open_on(kernel, &nonce, &bent_aad, &sealed),
+                Err(AuthError)
+            );
+            assert_eq!(
+                aead.open_on(kernel, &nonce, &aad[..aad.len() - 1], &sealed),
+                Err(AuthError)
+            );
+            // Every truncation, down to nothing.
+            for len in 0..sealed.len() {
+                assert_eq!(
+                    aead.open_on(kernel, &nonce, aad, &sealed[..len]),
+                    Err(AuthError),
+                    "{how}: truncated to {len}"
+                );
+            }
+            // A wrong nonce (every single-bit flip), and one of a wrong length.
+            let mut wrong = nonce;
+            for bit in 0..8 * nonce.len() {
+                wrong[bit / 8] ^= 1 << (bit % 8);
+                assert_eq!(aead.open_on(kernel, &wrong, aad, &sealed), Err(AuthError));
+                wrong[bit / 8] ^= 1 << (bit % 8);
+            }
+            assert_eq!(
+                aead.open_on(kernel, &nonce[..11], aad, &sealed),
+                Err(AuthError)
+            );
+        }
+    }
+}
+
 #[test]
 fn chacha20_tiers_agree_on_ragged_lengths_and_counter_wraps() {
-    // Two wide groups and a ragged third, so every length from an empty
-    // call through "whole groups plus a tail of every size" occurs.
-    const LENGTHS: std::ops::RangeInclusive<usize> = 0..=1100;
+    // Two groups of the widest tier and a ragged third, so every length
+    // from an empty call through "whole sixteen-block groups, a whole
+    // eight-block group and a tail of every size" occurs.
+    const LENGTHS: std::ops::RangeInclusive<usize> = 0..=2200;
     let data = pattern(LONG, 4);
     let cipher = ChaCha20::new(
         &core::array::from_fn(|i| 0x6B ^ (5 * i) as u8),
         &core::array::from_fn(|i| 0xD0 + i as u8),
     );
     // No wrap, the AEAD's start, and every place the 2^32 wrap can fall
-    // in the first eight-block group.
-    let counters = [0, 1].into_iter().chain(0xFFFF_FFF8..=0xFFFF_FFFF);
+    // in the first sixteen-block group.
+    let counters = [0, 1].into_iter().chain(0xFFFF_FFF0..=0xFFFF_FFFF);
     for counter in counters {
         for len in LENGTHS {
             let plain = &data[..len];
@@ -646,7 +1029,7 @@ fn chacha20_block_i_is_the_block_function_at_counter_plus_i_and_wraps() {
     // counter the documentation promises, across the 2^32 wrap.
     let cipher = ChaCha20::new(&[0x42; 32], &[0x24; 12]);
     for kernel in Kernel::supported() {
-        let keystream = chacha_on(kernel, &cipher, 0xFFFF_FFFC, &[0u8; 64 * 20], 0);
+        let keystream = chacha_on(kernel, &cipher, 0xFFFF_FFFC, &[0u8; 64 * 40], 0);
         for (i, block) in keystream.chunks_exact(64).enumerate() {
             assert_eq!(
                 block,
@@ -715,5 +1098,33 @@ proptest! {
         prop_assert_eq!(&via_library, &oracle);
         cipher.apply_keystream(counter, &mut via_library);
         prop_assert_eq!(via_library, data);
+    }
+
+    #[test]
+    fn poly1305_tiers_agree_on_random_input(key in any::<[u8; 32]>(),
+                                            widest_r in any::<bool>(), all_ones in any::<bool>(),
+                                            len in prop_oneof![0usize..=300, 0usize..=300,
+                                                               0usize..=300, 65_535usize..=65_537],
+                                            data in prop::collection::vec(any::<u8>(), 65_537..65_538),
+                                            cuts in prop::collection::vec(0usize..=65_537, 0..4)) {
+        // The adversarial corners: the largest clamped multiplier, and
+        // message limbs at their maximum.
+        let mut key = key;
+        if widest_r {
+            key[..16].fill(0xFF);
+        }
+        let mut msg = data[..len].to_vec();
+        if all_ones {
+            msg.fill(0xFF);
+        }
+        let mut cuts: Vec<usize> = cuts.iter().map(|cut| cut % (len + 1)).collect();
+        cuts.sort_unstable();
+        let oracle = poly1305_on(Kernel::scalar(), &key, &msg, &[]);
+        prop_assert_eq!(poly1305_by_definition(&key, &msg), oracle);
+        for kernel in Kernel::supported() {
+            prop_assert_eq!(poly1305_on(kernel, &key, &msg, &[]), oracle);
+            prop_assert_eq!(poly1305_on(kernel, &key, &msg, &cuts), oracle);
+        }
+        prop_assert_eq!(poly1305(&key, &msg), oracle);
     }
 }
