@@ -1,9 +1,10 @@
-//! Experiment harness utilities: table rendering and result recording.
+//! Experiment harness utilities: table rendering, result recording and
+//! the command line of `aeon-exp`.
 //!
-//! Every `exp_*` binary in this crate regenerates one table or figure
-//! from the paper (see `DESIGN.md`'s experiment index). The binaries
-//! print human-readable tables to stdout and, when `AEON_RESULTS_DIR` is
-//! set, also write machine-readable CSV.
+//! Every `aeon-exp <name>` regenerates one table or figure from the
+//! paper (see `DESIGN.md`'s experiment index). Experiments print
+//! human-readable tables to stdout; the measuring ones also write a
+//! `BENCH_<name>.json` artifact under `AEON_RESULTS_DIR`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -11,6 +12,9 @@
 use std::fmt::Display;
 use std::io::Write;
 use std::path::PathBuf;
+
+use aeon_store::clock::SimDuration;
+use aeon_store::throughput::ThroughputProfile;
 
 /// A simple aligned-text table for experiment output.
 #[derive(Debug, Default)]
@@ -65,26 +69,9 @@ impl Table {
         out
     }
 
-    /// Prints the table to stdout and optionally records CSV under
-    /// `AEON_RESULTS_DIR`.
-    pub fn emit(&self, experiment_id: &str) {
+    /// Prints the table to stdout, followed by a blank line.
+    pub fn print(&self) {
         println!("{}", self.render());
-        if let Ok(dir) = std::env::var("AEON_RESULTS_DIR") {
-            let path = PathBuf::from(dir).join(format!("{experiment_id}.csv"));
-            if let Ok(mut f) = std::fs::File::create(&path) {
-                let _ = writeln!(f, "{}", self.headers.join(","));
-                for row in &self.rows {
-                    let _ = writeln!(
-                        f,
-                        "{}",
-                        row.iter()
-                            .map(|c| c.replace(',', ";"))
-                            .collect::<Vec<_>>()
-                            .join(",")
-                    );
-                }
-            }
-        }
     }
 }
 
@@ -148,80 +135,139 @@ impl Json {
     }
 
     /// Writes the rendered value to `<AEON_RESULTS_DIR>/<name>` (or
-    /// `./<name>` when the variable is unset) and returns the path, or
-    /// `None` if the write failed.
-    pub fn write_artifact(&self, name: &str) -> Option<PathBuf> {
+    /// `./<name>` when the variable is unset), then prints `<done>
+    /// <path>` to stdout — or a warning to stderr if the write failed.
+    pub fn write_artifact(&self, name: &str, done: &str) {
         let dir = std::env::var("AEON_RESULTS_DIR").unwrap_or_else(|_| ".".to_string());
         let path = PathBuf::from(dir).join(name);
-        let mut f = std::fs::File::create(&path).ok()?;
-        writeln!(f, "{}", self.render()).ok()?;
-        Some(path)
+        match std::fs::File::create(&path).and_then(|mut f| writeln!(f, "{}", self.render())) {
+            Ok(()) => println!("{done} {}", path.display()),
+            Err(_) => eprintln!("warning: could not write {name}"),
+        }
     }
 }
 
-/// Parsed command-line arguments for the `exp_*` binaries.
-///
-/// The experiment binaries take a handful of boolean switches and
-/// `--key value` pairs; this helper replaces the per-binary
-/// `std::env::args()` loops with one shared lookup surface.
+/// One option an experiment accepts on the command line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flag {
+    /// A boolean switch, e.g. `--quick`.
+    Switch(&'static str),
+    /// A `usize` option, `--rows 16` or `--rows=16`.
+    Count(&'static str),
+}
+
+impl Display for Flag {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Flag::Switch(name) => write!(f, "[{name}]"),
+            Flag::Count(name) => write!(f, "[{name} N]"),
+        }
+    }
+}
+
+/// An experiment's parsed command line: only the options its table entry
+/// lists, every value already a number.
 ///
 /// # Examples
 ///
 /// ```
-/// use aeon_bench::CliArgs;
+/// use aeon_bench::{CliArgs, Flag};
 ///
-/// let args = CliArgs::from_vec(vec!["--quick".into(), "--rows".into(), "16".into()]);
+/// let accepted = [Flag::Switch("--quick"), Flag::Count("--rows")];
+/// let args = CliArgs::parse(&accepted, &["--quick".into(), "--rows".into(), "16".into()])?;
 /// assert!(args.flag("--quick"));
-/// assert!(!args.flag("--measured"));
 /// assert_eq!(args.usize_value("--rows", 8), 16);
-/// assert_eq!(args.usize_value("--iters", 3), 3);
+/// assert!(CliArgs::parse(&accepted, &["--quik".into()]).is_err());
+/// # Ok::<(), String>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CliArgs {
-    args: Vec<String>,
+    switches: Vec<&'static str>,
+    counts: Vec<(&'static str, usize)>,
 }
 
 impl CliArgs {
-    /// Captures the process arguments (without the binary name).
-    pub fn parse() -> Self {
-        CliArgs {
-            args: std::env::args().skip(1).collect(),
+    /// Parses `args` against the options in `accepted`.
+    ///
+    /// # Errors
+    ///
+    /// Names the first argument that is not an accepted option, an
+    /// option missing its value, or a value that is not a `usize`.
+    pub fn parse(accepted: &[Flag], args: &[String]) -> Result<Self, String> {
+        let mut parsed = CliArgs::default();
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            let (name, inline) = match arg.split_once('=') {
+                Some((name, value)) => (name, Some(value)),
+                None => (arg.as_str(), None),
+            };
+            let listed = |f: &&Flag| matches!(f, Flag::Switch(n) | Flag::Count(n) if *n == name);
+            match accepted.iter().find(listed) {
+                Some(Flag::Switch(name)) if inline.is_none() => parsed.switches.push(name),
+                Some(Flag::Count(name)) => {
+                    let value = inline
+                        .or_else(|| rest.next().map(String::as_str))
+                        .ok_or_else(|| format!("{name} needs a value"))?;
+                    let n = value
+                        .parse()
+                        .map_err(|_| format!("{name}: `{value}` is not a count"))?;
+                    parsed.counts.push((name, n));
+                }
+                _ => return Err(format!("unexpected argument `{arg}`")),
+            }
         }
+        Ok(parsed)
     }
 
-    /// Builds from an explicit argument vector (tests, embedding).
-    pub fn from_vec(args: Vec<String>) -> Self {
-        CliArgs { args }
-    }
-
-    /// Whether the boolean switch `name` (e.g. `--quick`) is present.
+    /// Whether the switch `name` (e.g. `--quick`) was given.
     pub fn flag(&self, name: &str) -> bool {
-        self.args.iter().any(|a| a == name)
+        self.switches.contains(&name)
     }
 
-    /// The value following `--key` (either `--key value` or
-    /// `--key=value`), if present.
-    pub fn value(&self, name: &str) -> Option<&str> {
-        let prefix = format!("{name}=");
-        for (i, a) in self.args.iter().enumerate() {
-            if a == name {
-                return self.args.get(i + 1).map(String::as_str);
-            }
-            if let Some(v) = a.strip_prefix(&prefix) {
-                return Some(v);
-            }
-        }
-        None
-    }
-
-    /// `--key` parsed as `usize`, falling back to `default` when the
-    /// key is absent or malformed.
+    /// The last value given for `name`, or `default` when it was absent.
     pub fn usize_value(&self, name: &str, default: usize) -> usize {
-        self.value(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        let given = self.counts.iter().rev().find(|(n, _)| *n == name);
+        given.map_or(default, |&(_, v)| v)
     }
 }
+
+/// A device class on the virtual clock: positioning cost per request and
+/// streaming rate, reads and writes alike.
+#[derive(Debug, Clone, Copy)]
+pub struct DeviceProfile {
+    /// Label in tables and artifacts.
+    pub name: &'static str,
+    /// Positioning cost per request.
+    pub seek: SimDuration,
+    /// Streaming rate.
+    pub bytes_per_sec: f64,
+}
+
+impl DeviceProfile {
+    /// The profile as a node throughput model.
+    pub fn throughput(&self) -> ThroughputProfile {
+        ThroughputProfile::new(self.seek, self.bytes_per_sec, self.bytes_per_sec)
+    }
+}
+
+/// Device profiles, most to least seek-tolerant.
+pub const DEVICE_PROFILES: [DeviceProfile; 3] = [
+    DeviceProfile {
+        name: "archival-disk",
+        seek: SimDuration::from_millis(4),
+        bytes_per_sec: 60e6,
+    },
+    DeviceProfile {
+        name: "cold-hdd",
+        seek: SimDuration::from_millis(40),
+        bytes_per_sec: 20e6,
+    },
+    DeviceProfile {
+        name: "tape-library",
+        seek: SimDuration::from_secs(30),
+        bytes_per_sec: 100e6,
+    },
+];
 
 /// Formats a float with fixed precision for table cells.
 pub fn f2(v: f64) -> String {
@@ -240,6 +286,20 @@ pub fn reference_payload(len: usize, seed: u64) -> Vec<u8> {
     let mut out = vec![0u8; len];
     rng.fill_bytes(&mut out);
     out
+}
+
+/// Cheap deterministic payload for object `i` of a sweep seeded `seed`:
+/// an LCG stream, for experiments that time I/O, not the codec.
+pub fn lcg_payload(seed: u64, i: usize, len: usize) -> Vec<u8> {
+    let mut state = seed ^ (i as u64).wrapping_mul(0x9E3779B97F4A7C15);
+    (0..len)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as u8
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -280,5 +340,49 @@ mod tests {
     fn payload_deterministic() {
         assert_eq!(reference_payload(64, 1), reference_payload(64, 1));
         assert_ne!(reference_payload(64, 1), reference_payload(64, 2));
+        assert_eq!(lcg_payload(7, 3, 64), lcg_payload(7, 3, 64));
+        assert_ne!(lcg_payload(7, 3, 64), lcg_payload(8, 3, 64));
+    }
+
+    const KERNELS: [Flag; 2] = [Flag::Switch("--quick"), Flag::Count("--rows")];
+
+    fn parse(accepted: &[Flag], args: &[&str]) -> Result<CliArgs, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        CliArgs::parse(accepted, &args)
+    }
+
+    #[test]
+    fn listed_options_parse_in_both_spellings() {
+        let args = parse(&KERNELS, &["--rows=16", "--quick", "--rows", "4"]).unwrap();
+        assert!(args.flag("--quick"));
+        assert_eq!(args.usize_value("--rows", 8), 4);
+        let args = parse(&KERNELS, &[]).unwrap();
+        assert!(!args.flag("--quick"));
+        assert_eq!(args.usize_value("--rows", 8), 8);
+    }
+
+    #[test]
+    fn a_mistyped_or_unlisted_option_is_an_error() {
+        for bad in [
+            &["--quik"][..],
+            &["quick"],
+            &["--quick=1"],
+            &["--rows"],
+            &["--rows", "x"],
+            &["--rows="],
+            &["--rows", "-1"],
+            &["--rows", "--quick"],
+        ] {
+            assert!(parse(&KERNELS, bad).is_err(), "{bad:?} parsed");
+        }
+        // `--quick` is only an option where the table lists it.
+        assert_eq!(
+            parse(&[], &["--quick"]).unwrap_err(),
+            "unexpected argument `--quick`"
+        );
+        assert_eq!(
+            parse(&KERNELS, &["--rows", "x"]).unwrap_err(),
+            "--rows: `x` is not a count"
+        );
     }
 }

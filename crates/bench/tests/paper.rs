@@ -1,18 +1,25 @@
-//! The paper artifacts as goldens: `exp_fig1`, `exp_table1`, `exp_hndl`,
-//! `exp_refresh_cost` and `exp_plan` are deterministic, so their stdout
-//! is pinned byte for byte under `tests/paper/` the way the shard vectors
-//! are in `aeon-core`'s `golden.rs`. A change that moves Figure 1, Table 1
-//! or the §3.2 / §3.3 tables fails here with the first differing line;
-//! regenerate a file (`cargo run --release -p aeon-bench --bin <name> >
-//! crates/bench/tests/paper/<name>.txt`) only for a move that is meant.
+//! The paper artifacts as goldens: these eleven experiments are
+//! deterministic, so their stdout is pinned byte for byte under
+//! `tests/paper/exp_<name>.txt` the way the shard vectors are in
+//! `aeon-core`'s `golden.rs`. A change that moves Figure 1, Table 1, the
+//! §3.2 months or any other pinned table fails here with the first
+//! differing line; regenerate a file (`cargo run --release -p aeon-bench
+//! --bin aeon-exp -- <name> > crates/bench/tests/paper/exp_<name>.txt`)
+//! only for a move that is meant.
 
-use std::process::Command;
+use std::process::{Command, Output};
 
-fn assert_pinned(name: &str, exe: &str, pinned: &str) {
-    let run = Command::new(exe)
+fn aeon_exp(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_aeon-exp"))
+        .args(args)
         .env_remove("AEON_RESULTS_DIR")
+        .env_remove("AEON_FORCE_DISPATCH")
         .output()
-        .unwrap_or_else(|e| panic!("{name}: cannot run {exe}: {e}"));
+        .unwrap_or_else(|e| panic!("cannot run aeon-exp {args:?}: {e}"))
+}
+
+fn assert_pinned(name: &str, pinned: &str) {
+    let run = aeon_exp(&[name]);
     assert!(
         run.status.success(),
         "{name} exited with {}:\n{}",
@@ -30,7 +37,7 @@ fn assert_pinned(name: &str, exe: &str, pinned: &str) {
             (Some(g), Some(w)) if g == w => line += 1,
             (None, None) => panic!("{name}: output differs from the pin only in line endings"),
             (g, w) => panic!(
-                "{name} moved off tests/paper/{name}.txt at line {line}:\n  pinned: {}\n  now:    {}",
+                "{name} moved off tests/paper/exp_{name}.txt at line {line}:\n  pinned: {}\n  now:    {}",
                 w.unwrap_or("<end of output>"),
                 g.unwrap_or("<end of output>")
             ),
@@ -44,11 +51,23 @@ macro_rules! pinned {
         fn $name() {
             assert_pinned(
                 stringify!($name),
-                env!(concat!("CARGO_BIN_EXE_", stringify!($name))),
-                include_str!(concat!("paper/", stringify!($name), ".txt")),
+                include_str!(concat!("paper/exp_", stringify!($name), ".txt")),
             );
         }
     )*};
 }
 
-pinned!(exp_fig1, exp_table1, exp_hndl, exp_refresh_cost, exp_plan);
+pinned! {
+    fig1, table1, reencrypt, hndl, mobile, refresh_cost, leakage, bsm, media, transit, plan
+}
+
+#[test]
+fn a_mistyped_flag_runs_nothing() {
+    let run = aeon_exp(&["fig1", "--quik"]);
+    assert_eq!(run.status.code(), Some(2));
+    assert!(
+        run.stdout.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&run.stdout)
+    );
+}

@@ -8,7 +8,7 @@
 //! unbounded in RAM, so the index keeps only the most recently seen
 //! hashes and evicts the oldest past its capacity. An index miss is
 //! never an error — the authoritative lookup still decides — it only
-//! shows up in [`IndexStats`], which is how the `exp_dedup` experiment
+//! shows up in [`IndexStats`], which is how the `aeon-exp dedup` experiment
 //! measures what a given memory budget costs in recognition rate.
 
 use crate::BlockHash;

@@ -19,7 +19,7 @@
 //! [`Campaign::next_eligible`]. Both are accounted in one
 //! [`CampaignReport`], whose [`extrapolate`](CampaignReport::extrapolate)
 //! scales a measured run to a real site's capacity — what
-//! `exp_reencrypt --measured` cross-checks against the closed-form
+//! `aeon-exp reencrypt --measured` cross-checks against the closed-form
 //! [`ReencryptionModel`](aeon_store::campaign::ReencryptionModel).
 
 use crate::archive::{Archive, ArchiveError, ObjectId};

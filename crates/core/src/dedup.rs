@@ -9,7 +9,7 @@
 //!    ([`aeon_cas::Chunker`]) — reproducible, edit-local boundaries.
 //! 2. Each chunk's SHA-256 is its identity. A bounded recency index
 //!    ([`aeon_cas::BoundedIndex`]) is consulted first (the RAM-bounded
-//!    fast path whose hit rate `exp_dedup` measures); the authoritative
+//!    fast path whose hit rate `aeon-exp dedup` measures); the authoritative
 //!    block map decides. Only *unseen* blocks are encoded — through the
 //!    ordinary policy pipeline — and placed; seen blocks just gain a
 //!    reference.

@@ -254,7 +254,7 @@ impl Archive {
     /// configured byte cap, order and reservation.
     /// Deterministic in `(archive seed, cfg.seed)`; the report is the
     /// durability measurement (`objects_lost`, time-to-first-loss) the
-    /// `exp_fleet` experiment sweeps.
+    /// `aeon-exp fleet` experiment sweeps.
     pub fn run_fleet_sim(&mut self, cfg: &FleetSimConfig) -> FleetSimReport {
         let clock = self.cluster().clock().clone();
         let start = clock.now();

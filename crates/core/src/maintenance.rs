@@ -134,7 +134,7 @@ impl Archive {
     /// rotation and repair's full-re-encode fallback depend on it). A
     /// dedup block already on `new_policy` — an earlier object's
     /// campaign step moved it — is skipped: a block shared by many
-    /// objects migrates **once**, the §3.2 saving `exp_dedup` measures.
+    /// objects migrates **once**, the §3.2 saving `aeon-exp dedup` measures.
     ///
     /// # Errors
     ///

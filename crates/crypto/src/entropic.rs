@@ -65,10 +65,12 @@ pub struct EntropicCiphertext {
 /// let ct = cipher.encrypt(&mut rng, b"high-entropy compressed blob .....");
 /// assert_eq!(cipher.decrypt(&ct), b"high-entropy compressed blob .....");
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct EntropicCipher {
     key: u128,
 }
+
+redacted_debug!(EntropicCipher);
 
 impl EntropicCipher {
     /// Key length in bytes.

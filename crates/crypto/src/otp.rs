@@ -48,11 +48,13 @@ impl std::error::Error for OtpError {}
 /// assert_eq!(pad.remaining(), 32 - 10);
 /// # Ok::<(), aeon_crypto::otp::OtpError>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct OneTimePad {
     key: Vec<u8>,
     consumed: usize,
 }
+
+redacted_debug!(OneTimePad);
 
 impl OneTimePad {
     /// Creates a pad from key material (must be uniformly random for

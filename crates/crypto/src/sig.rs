@@ -37,11 +37,13 @@ impl std::error::Error for SigError {}
 // ---------------------------------------------------------------------
 
 /// A Lamport one-time signing key: 2×256 random 32-byte preimages.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct LamportSigner {
     sk: Vec<[u8; 32]>, // 512 entries: [bit=0 preimages..., bit=1 preimages...]
     used: bool,
 }
+
+redacted_debug!(LamportSigner);
 
 /// A Lamport public key: hashes of all preimages.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -146,11 +148,13 @@ fn digits(message: &[u8]) -> [u32; CHAINS] {
 }
 
 /// A Winternitz (w = 16) one-time signer.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct WotsSigner {
     sk: Vec<[u8; 32]>,
     used: bool,
 }
+
+redacted_debug!(WotsSigner);
 
 /// A compressed WOTS public key (hash of all chain ends).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -6,22 +6,49 @@ use aeon_crypto::aead::{Aes256CtrHmac, ChaCha20Poly1305};
 use aeon_crypto::aes::Aes;
 use aeon_crypto::cascade::Cascade;
 use aeon_crypto::chacha::ChaCha20;
+use aeon_crypto::entropic::EntropicCipher;
 use aeon_crypto::hmac::HmacSha256;
+use aeon_crypto::otp::OneTimePad;
 use aeon_crypto::poly1305::Poly1305;
+use aeon_crypto::sig::{LamportSigner, MerkleSigner, WotsSigner};
 use aeon_crypto::suite::{SuiteId, SuiteRegistry};
-use aeon_crypto::{ChaChaDrbg, CryptoRng};
+use aeon_crypto::{ChaChaDrbg, CryptoRng, Sha256};
 use std::fmt::Debug;
 
 const KEY: [u8; 32] = [0xA5; 32];
 
+/// Draws the key byte forever, so a signer's secret preimages are `KEY`.
+struct KeyBytes;
+
+impl CryptoRng for KeyBytes {
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        dest.fill(0xA5);
+    }
+}
+
 fn assert_redacted(value: &dyn Debug) {
     for text in [format!("{value:?}"), format!("{value:#?}")] {
         // The decimal spelling of the key byte, the hex spelling of the
-        // key's bytes and of the 32-bit words it fills.
-        for spelling in ["165", "a5", "A5", "2779096485"] {
+        // key's bytes, of the 32-bit words and of the 128-bit word it fills.
+        let wide = u128::from_be_bytes([0xA5; 16]).to_string();
+        for spelling in ["165", "a5", "A5", "2779096485", &wide] {
             assert!(!text.contains(spelling), "{spelling:?} in {text}");
         }
     }
+}
+
+/// Every `[n, n, …]` in a `Debug` text: how a derived `Debug` spells a
+/// byte array.
+fn byte_arrays(text: &str) -> Vec<&str> {
+    text.match_indices('[')
+        .filter_map(|(at, _)| {
+            let end = at + text[at..].find(']')?;
+            let array = &text[at..=end];
+            array[1..]
+                .starts_with(|c: char| c.is_ascii_digit())
+                .then_some(array)
+        })
+        .collect()
 }
 
 #[test]
@@ -42,6 +69,10 @@ fn no_debug_output_spells_a_key() {
         Box::new(Cascade::new(&suites, &KEY).expect("two AEAD suites")),
         Box::new(SuiteRegistry::new().instantiate(SuiteId::ChaCha20Poly1305, &KEY)),
         Box::new(drbg),
+        Box::new(OneTimePad::new(KEY.to_vec())),
+        Box::new(EntropicCipher::new([0xA5; 16])),
+        Box::new(LamportSigner::generate(&mut KeyBytes).0),
+        Box::new(WotsSigner::generate(&mut KeyBytes).0),
     ];
     for value in &values {
         assert_redacted(value.as_ref());
@@ -58,4 +89,34 @@ fn no_debug_output_spells_a_key() {
         ),
         "Cascade { suites: [Aes256CtrHmac, ChaCha20Poly1305], .. }"
     );
+}
+
+/// A hash-based signature publishes secret-key material — a Lamport
+/// signature its preimages verbatim, a WOTS signature `sk[i]` at every
+/// zero digit — so `{:?}` of the signer must spell none of it: a
+/// `MerkleSigner` holds every one-time key a timestamp authority will
+/// ever sign with.
+#[test]
+fn no_debug_output_spells_what_a_signature_reveals() {
+    let mut rng = ChaChaDrbg::from_u64_seed(0xA5);
+    let message = b"timestamp record";
+    // A zero nibble in the digest is a zero WOTS digit: that chain's
+    // secret start travels in the signature as is.
+    let digest = Sha256::digest(message);
+    assert!(digest.iter().any(|b| b >> 4 == 0 || b & 0x0F == 0));
+
+    let (lamport, _) = LamportSigner::generate(&mut rng);
+    let lamport_sig = lamport.clone().sign(message).expect("fresh key");
+    let merkle = MerkleSigner::generate(&mut rng, 2);
+    let merkle_sig = merkle.clone().sign(message).expect("fresh key");
+    for (signer, signature) in [
+        (format!("{lamport:?}"), format!("{lamport_sig:?}")),
+        (format!("{merkle:?}"), format!("{:?}", merkle_sig.wots)),
+    ] {
+        let revealed = byte_arrays(&signature);
+        assert!(revealed.len() >= 67, "{signature}");
+        for value in revealed {
+            assert!(!signer.contains(value), "{value} in {signer}");
+        }
+    }
 }
