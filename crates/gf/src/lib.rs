@@ -18,13 +18,13 @@
 //!   constructions, Gaussian elimination, inversion. These drive systematic
 //!   Reed–Solomon encoding and decoding.
 //! * [`slice`](mod@slice) — bulk scalar × vector kernels (`mul_slice`,
-//!   `mul_add_slice`) and the fused matrix-row kernel (`mul_add_rows`)
-//!   with per-scalar product tables, the branch-free inner loops of
-//!   erasure encoding and share evaluation.
-//! * [`kernel`] — runtime dispatch for the GF(2^8) slice kernels:
-//!   portable scalar/SWAR tiers plus SSSE3/AVX2 `PSHUFB` tiers selected
-//!   once per process via CPU-feature detection (overridable with
-//!   `AEON_FORCE_KERNEL`).
+//!   `mul_add_slice`) and the fused matrix-row kernels (`mul_add_rows`,
+//!   `gf16_mul_add_rows`) with per-scalar product tables, the
+//!   branch-free inner loops of erasure encoding and share evaluation.
+//! * [`kernel`] — runtime dispatch for the GF(2^8) slice kernels and the
+//!   GF(2^16) multiply-accumulate: portable scalar/SWAR tiers plus
+//!   SSSE3/AVX2 `PSHUFB` tiers selected once per process via CPU-feature
+//!   detection (overridable with `AEON_FORCE_KERNEL`).
 //!
 //! # Design notes
 //!

@@ -11,20 +11,24 @@
 //!   `hi[n] = s·(n«4)`); a product is `lo[b & 0xF] ^ hi[b >> 4]`. This
 //!   is the classic SSSE3 `PSHUFB` layout, expressed portably.
 //! * [`Gf16MulTable`] — two 256-entry byte tables over the low and high
-//!   byte of each 16-bit symbol.
+//!   byte of each 16-bit symbol, and eight 16-entry nibble tables (the
+//!   low and high product byte for each of the symbol's four nibbles).
 //!
 //! # Dispatch tiers
 //!
-//! The GF(2^8) table operations do not loop over bytes here; they hand
-//! the nibble tables to the process-wide [`Kernel`](crate::kernel),
-//! which applies them through the fastest implementation tier the host
-//! supports — per-byte scalar lookups, a portable compiler-vectorized
-//! SWAR select, or SSSE3/AVX2 `PSHUFB` shuffles (the nibble tables are
-//! literally the `PSHUFB` operand). The tier is probed once per process
-//! with `is_x86_feature_detected!` and can be pinned with
-//! `AEON_FORCE_KERNEL=scalar|swar|ssse3|avx2`; every tier is
+//! The GF(2^8) table operations and the GF(2^16) multiply-accumulate do
+//! not loop over symbols here; they hand the table to the process-wide
+//! [`Kernel`](crate::kernel), which applies it through the fastest
+//! implementation tier the host supports — per-byte scalar lookups, a
+//! portable compiler-vectorized SWAR select (GF(2^8) only; GF(2^16)
+//! keeps the byte-table loop there), or SSSE3/AVX2 `PSHUFB` shuffles
+//! (the nibble tables are literally the `PSHUFB` operands). The tier is
+//! probed once per process with `is_x86_feature_detected!` and can be
+//! pinned with `AEON_FORCE_KERNEL=scalar|swar|ssse3|avx2`; every tier is
 //! byte-identical to the log/exp reference, so the choice is invisible
 //! to callers. See [`crate::kernel`] for the tier table.
+//! `Gf16MulTable::{mul_slice, mul_slice_in_place}` stay byte-table loops
+//! on every tier: no hot path calls them.
 //!
 //! Free functions [`mul_slice`] / [`mul_add_slice`] (and the `gf16_*`
 //! variants) build the table and apply it in one call; hot paths that
@@ -224,6 +228,7 @@ pub fn mul_add_rows_on(kernel: &Kernel, dst: &mut [u8], rows: &[(&Gf256MulTable,
 pub struct Gf16MulTable {
     lo: Box<[u16; 256]>,
     hi: Box<[u16; 256]>,
+    nibbles: [[u8; 16]; 8],
     scalar: Gf16,
 }
 
@@ -234,7 +239,8 @@ impl std::fmt::Debug for Gf16MulTable {
 }
 
 impl Gf16MulTable {
-    /// Builds the byte tables for `scalar` (512 scalar multiplies).
+    /// Builds the byte tables for `scalar` (512 scalar multiplies) and,
+    /// independently, the nibble tables (64 more).
     pub fn new(scalar: Gf16) -> Self {
         let mut lo = Box::new([0u16; 256]);
         let mut hi = Box::new([0u16; 256]);
@@ -242,13 +248,34 @@ impl Gf16MulTable {
             lo[b as usize] = (scalar * Gf16::new(b)).value();
             hi[b as usize] = (scalar * Gf16::new(b << 8)).value();
         }
-        Gf16MulTable { lo, hi, scalar }
+        let mut nibbles = [[0u8; 16]; 8];
+        for k in 0..4 {
+            for n in 0..16u16 {
+                let [low, high] = (scalar * Gf16::new(n << (4 * k))).value().to_le_bytes();
+                nibbles[k][n as usize] = low;
+                nibbles[4 + k][n as usize] = high;
+            }
+        }
+        Gf16MulTable {
+            lo,
+            hi,
+            nibbles,
+            scalar,
+        }
     }
 
     /// The scalar this table multiplies by.
     #[inline]
     pub fn scalar(&self) -> Gf16 {
         self.scalar
+    }
+
+    /// The `PSHUFB` operands: entry `k` (`k < 4`) is the low byte of
+    /// `s·(n « 4k)` for each nibble `n`, entry `4 + k` its high byte, so a
+    /// product is the XOR of four lookups per output byte.
+    #[inline]
+    pub(crate) fn nibbles(&self) -> &[[u8; 16]; 8] {
+        &self.nibbles
     }
 
     /// Multiplies one 16-bit symbol by the scalar.
@@ -288,27 +315,15 @@ impl Gf16MulTable {
         }
     }
 
-    /// `dst ^= scalar · src`, symbol-wise — the Horner step of packed
-    /// share evaluation.
+    /// `dst ^= scalar · src`, symbol-wise — the column pass of packed
+    /// share evaluation — through the active [`Kernel`](crate::kernel)
+    /// tier.
     ///
     /// # Panics
     ///
     /// Panics if `src` and `dst` have different lengths.
     pub fn mul_add_slice(&self, src: &[u16], dst: &mut [u16]) {
-        assert_eq!(src.len(), dst.len(), "gf16 mul_add_slice length mismatch");
-        match self.scalar.value() {
-            0 => {}
-            1 => {
-                for (d, s) in dst.iter_mut().zip(src) {
-                    *d ^= *s;
-                }
-            }
-            _ => {
-                for (d, s) in dst.iter_mut().zip(src) {
-                    *d ^= self.mul(*s);
-                }
-            }
-        }
+        Kernel::active().gf16_mul_add_slice(self, src, dst);
     }
 }
 
@@ -331,7 +346,7 @@ pub fn gf16_mul_add_slice(scalar: Gf16, src: &[u16], dst: &mut [u16]) {
 }
 
 /// Below this many symbols the fused GF(2^16) row kernel skips the
-/// 512-multiply table build and accumulates through log/exp directly
+/// 576-multiply table build and accumulates through log/exp directly
 /// (byte-identical — field arithmetic is exact either way).
 const GF16_TABLE_MIN: usize = 64;
 
@@ -339,8 +354,9 @@ const GF16_TABLE_MIN: usize = 64;
 /// behind packed-share polynomial evaluation.
 ///
 /// Long buffers build one [`Gf16MulTable`] per row and accumulate in
-/// cache-sized strips, like [`mul_add_rows`]; buffers shorter than the
-/// table-build break-even use the direct log/exp multiply.
+/// cache-sized strips through the active [`Kernel`](crate::kernel) tier,
+/// like [`mul_add_rows`]; buffers shorter than the table-build
+/// break-even use the direct log/exp multiply.
 ///
 /// # Panics
 ///
@@ -368,13 +384,32 @@ pub fn gf16_mul_add_rows(dst: &mut [u16], rows: &[(Gf16, &[u16])]) {
         return;
     }
     let tables: Vec<Gf16MulTable> = rows.iter().map(|&(c, _)| Gf16MulTable::new(c)).collect();
+    let trows: Vec<(&Gf16MulTable, &[u16])> = tables
+        .iter()
+        .zip(rows)
+        .map(|(t, &(_, src))| (t, src))
+        .collect();
+    gf16_mul_add_rows_on(Kernel::active(), dst, &trows);
+}
+
+/// [`gf16_mul_add_rows`] with caller-prebuilt product tables, through an
+/// explicit kernel tier (benchmark sweeps and cross-tier parity tests;
+/// everything else wants [`gf16_mul_add_rows`]).
+///
+/// # Panics
+///
+/// Panics if any row's length differs from `dst`'s.
+pub fn gf16_mul_add_rows_on(kernel: &Kernel, dst: &mut [u16], rows: &[(&Gf16MulTable, &[u16])]) {
+    for (_, src) in rows {
+        assert_eq!(src.len(), dst.len(), "gf16 mul_add_rows length mismatch");
+    }
     // Strip length in symbols; same byte footprint as `ROW_STRIP`.
     let strip = ROW_STRIP / 2;
     let mut start = 0;
     while start < dst.len() {
         let end = (start + strip).min(dst.len());
-        for (table, (_, src)) in tables.iter().zip(rows) {
-            table.mul_add_slice(&src[start..end], &mut dst[start..end]);
+        for &(table, src) in rows {
+            kernel.gf16_mul_add_slice(table, &src[start..end], &mut dst[start..end]);
         }
         start = end;
     }

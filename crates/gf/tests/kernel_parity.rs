@@ -1,10 +1,13 @@
 //! Cross-tier kernel parity: every dispatch tier must be byte-identical
 //! to the log/exp field reference on every scalar and on lengths that
 //! straddle the vector widths (8-byte SWAR words, 16-byte SSSE3 lanes,
-//! 32-byte AVX2 lanes, and the 16 KiB fused-row strip).
+//! 32-byte AVX2 lanes, and the 16 KiB fused-row strip). GF(2^16) tiers
+//! are checked against the scalar tier's byte-table loop, itself checked
+//! against the field on every symbol.
 
 use aeon_gf::slice::{
-    gf16_mul_add_rows, mul_add_rows, mul_add_rows_on, Gf16MulTable, Gf256MulTable,
+    gf16_mul_add_rows, gf16_mul_add_rows_on, mul_add_rows, mul_add_rows_on, Gf16MulTable,
+    Gf256MulTable,
 };
 use aeon_gf::{Gf16, Gf256, Kernel, KernelTier};
 use proptest::prelude::*;
@@ -115,10 +118,76 @@ fn mul_add_rows_active_dispatch_matches_reference() {
     assert_eq!(got, expect);
 }
 
+/// `dst ^= Σ c·src` for each row through `kernel`, from a copy of `init`.
+fn gf16_rows_on(kernel: &Kernel, init: &[u16], rows: &[(&Gf16MulTable, &[u16])]) -> Vec<u16> {
+    let mut dst = init.to_vec();
+    gf16_mul_add_rows_on(kernel, &mut dst, rows);
+    dst
+}
+
+fn scalar_kernel() -> &'static Kernel {
+    Kernel::for_tier(KernelTier::Scalar).expect("scalar always supported")
+}
+
+#[test]
+fn gf16_every_tier_matches_the_scalar_oracle_on_every_symbol() {
+    let every_symbol: Vec<u16> = (0..=u16::MAX).collect();
+    let init = pattern16(every_symbol.len(), 3);
+    for s in [0u16, 1, 2, 0x8000, 0xFFFF, 0x1234, 0xB7C5] {
+        let scalar = Gf16::new(s);
+        let table = Gf16MulTable::new(scalar);
+        let rows = [(&table, every_symbol.as_slice())];
+        let oracle = gf16_rows_on(scalar_kernel(), &init, &rows);
+        let field: Vec<u16> = init
+            .iter()
+            .zip(&every_symbol)
+            .map(|(&d, &v)| d ^ (scalar * Gf16::new(v)).value())
+            .collect();
+        assert_eq!(oracle, field, "scalar oracle s={s:#x}");
+        for kernel in Kernel::supported() {
+            let got = gf16_rows_on(kernel, &init, &rows);
+            assert!(got == oracle, "tier={} s={s:#x}", kernel.tier().name());
+        }
+    }
+}
+
+#[test]
+fn gf16_every_tier_matches_the_scalar_oracle_on_ragged_and_offset_buffers() {
+    // Every remainder of the 16- and 32-symbol steps, the 8192-symbol
+    // strip edge, and a source one symbol off its allocation's alignment;
+    // scalars 0 and 1 take the shared fast paths beside two multiplies.
+    let tables: Vec<Gf16MulTable> = [0x1234u16, 1, 0, 0xFFFF]
+        .map(|s| Gf16MulTable::new(Gf16::new(s)))
+        .into();
+    let lengths = (0..=70).chain([8191, 8192, 8193]);
+    for len in lengths {
+        for offset in [0, 1] {
+            let sources: Vec<Vec<u16>> = (0..tables.len())
+                .map(|r| pattern16(len + offset, r + 9))
+                .collect();
+            let rows: Vec<(&Gf16MulTable, &[u16])> = tables
+                .iter()
+                .zip(&sources)
+                .map(|(t, s)| (t, &s[offset..]))
+                .collect();
+            let init = pattern16(len, 41);
+            let oracle = gf16_rows_on(scalar_kernel(), &init, &rows);
+            for kernel in Kernel::supported() {
+                let got = gf16_rows_on(kernel, &init, &rows);
+                assert_eq!(
+                    got,
+                    oracle,
+                    "tier={} len={len} offset={offset}",
+                    kernel.tier().name()
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn gf16_kernels_match_log_exp_reference_on_sampled_scalars() {
-    // GF(2^16) has no SIMD tiers, but the table kernels and the fused
-    // row accumulation (with its short-buffer log/exp fallback) must
+    // The table kernels (multiply-accumulate on the active tier) must
     // agree with the field reference on the same ragged lengths.
     let scalars = [
         0u16, 1, 2, 3, 0x0100, 0x1234, 0x8001, 0xABCD, 0xFFFE, 0xFFFF,
@@ -218,6 +287,30 @@ proptest! {
             kernel.mul_add_slice(&table, &src, &mut got);
             prop_assert_eq!(&got, &expect, "tier {}", kernel.tier().name());
         }
+    }
+
+    /// A random supported tier, scalar, length and contents: GF(2^16)
+    /// multiply-accumulate equals the scalar oracle.
+    #[test]
+    fn gf16_random_tier_agrees_with_the_scalar_oracle(
+        tier in any::<usize>(),
+        s in any::<u16>(),
+        init in prop::collection::vec(any::<u16>(), 0..600),
+        seed in any::<u64>(),
+    ) {
+        let supported = Kernel::supported();
+        let kernel = supported[tier % supported.len()];
+        let table = Gf16MulTable::new(Gf16::new(s));
+        let src: Vec<u16> = (0..init.len())
+            .map(|i| (seed.wrapping_mul(i as u64 + 1) >> 17) as u16)
+            .collect();
+        let rows = [(&table, src.as_slice())];
+        prop_assert_eq!(
+            gf16_rows_on(kernel, &init, &rows),
+            gf16_rows_on(scalar_kernel(), &init, &rows),
+            "tier {}",
+            kernel.tier().name()
+        );
     }
 
     /// Fused rows equal the serial per-coefficient loop for random
