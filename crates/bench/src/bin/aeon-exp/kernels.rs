@@ -14,9 +14,11 @@
 //! time of one 32-byte SHA-256 digest —
 //! the shape of every Merkle node, HMAC finish and signature chain step —
 //! and, on the active kernels, what sits on the two dispatched layers:
-//! a 1 MiB `ChaChaDrbg` fill and packed sharing (t=2, k=2, n=6) of 1 MiB,
-//! split and reconstruct. Emits `BENCH_kernels.json` so future PRs diff
-//! kernel throughput against a pinned baseline instead of a feeling.
+//! a 1 MiB `ChaChaDrbg` fill, packed sharing (t=2, k=2, n=6) of 1 MiB,
+//! split and reconstruct, and a 1 MiB RS(4, 2) chunk decoded whole,
+//! decoded with a data shard lost, and repaired one row. Emits
+//! `BENCH_kernels.json` so future PRs diff kernel throughput against a
+//! pinned baseline instead of a feeling.
 //!
 //! Timing is min-of-N over repeated sweeps: on a shared host the
 //! *minimum* is the reproducible number — every slower sample is the
@@ -34,6 +36,7 @@ use aeon_crypto::chacha::ChaCha20;
 use aeon_crypto::kernel::{Kernel as CryptoKernel, Tier};
 use aeon_crypto::poly1305::Poly1305;
 use aeon_crypto::{ChaChaDrbg, CryptoRng, Sha256};
+use aeon_erasure::{ErasureCode, ReedSolomon};
 use aeon_gf::slice::{gf16_mul_add_rows_on, mul_add_rows_on, Gf16MulTable, Gf256MulTable};
 use aeon_gf::{Gf16, Gf256, Kernel, KernelTier};
 use aeon_secretshare::packed::{self, PackedParams};
@@ -217,6 +220,41 @@ fn sharing_rows(reps: usize, src: &[u8]) -> [(&'static str, f64); 3] {
         ("drbg_fill_1m_gbs", drbg),
         ("packed_split_1m_mibs", mibs(split)),
         ("packed_reconstruct_1m_mibs", mibs(reconstruct)),
+    ]
+}
+
+/// What the GF(2^8) tier adds up to for a Reed–Solomon read, on the
+/// active kernel: MiB/s of one RS(4, 2) chunk of 1 MiB through the
+/// borrowed decode with every shard present (the data shards copied
+/// once), with data shard 0 lost (one row computed from four
+/// survivors), and through a repair rebuilding that one row.
+fn erasure_rows(reps: usize, src: &[u8]) -> [(&'static str, f64); 3] {
+    const MIB: usize = 1 << 20;
+    let mibs = |gbs: f64| gbs * 1e9 / MIB as f64;
+    let budget = 16 * MIB;
+    let rs = ReedSolomon::new(4, 2).expect("valid parameters");
+    let chunk = &src[..MIB];
+    let shards = rs.encode(chunk).expect("encode");
+    let healthy: Vec<Option<&[u8]>> = shards.iter().map(|s| Some(s.as_slice())).collect();
+    let mut degraded = healthy.clone();
+    degraded[0] = None;
+    let decode = |set: &[Option<&[u8]>]| {
+        best_gbs(MIB, budget, reps, || {
+            let payload = rs.decode_slices(black_box(set)).expect("decode");
+            assert_eq!(payload.len(), MIB);
+        })
+    };
+    let (whole, lost_one) = (decode(&healthy), decode(&degraded));
+    let repair = best_gbs(MIB, budget, reps, || {
+        let rows = rs
+            .reconstruct_rows(black_box(&degraded), &[0])
+            .expect("repair");
+        assert_eq!(rows[0], shards[0]);
+    });
+    [
+        ("rs_decode_1m_mibs", mibs(whole)),
+        ("rs_decode_degraded_1m_mibs", mibs(lost_one)),
+        ("rs_repair_row_1m_mibs", mibs(repair)),
     ]
 }
 
@@ -474,9 +512,22 @@ pub fn run(args: &CliArgs) {
         }
     }
     let sharing = sharing_rows(reps, &src);
-    for (name, value) in &sharing {
+    let erasure = erasure_rows(reps, &src);
+    for (name, value) in sharing.iter().chain(&erasure) {
         println!("{name}: {}", f2(*value));
     }
+    // A healthy decode copies the data shards and computes nothing; a
+    // degraded one adds a four-source GF row pass over a quarter of the
+    // chunk. At `avx2` GF speed that is ~2x the copy (measured 2.0x), so
+    // the floor is 1.5x: it trips when the healthy path computes rows
+    // again (regenerating parity made it ~15x slower than it is now).
+    let [(_, whole), (_, lost_one), _] = erasure;
+    let r = whole / lost_one;
+    println!("rs decode healthy/degraded @1MiB: {}x (floor 1.5x)", f2(r));
+    assert!(
+        r >= 1.5,
+        "rs decode: healthy is only {r:.2}x degraded at 1MiB"
+    );
 
     let mut fields = vec![
         ("experiment".into(), Json::Str("kernels".into())),
@@ -529,8 +580,7 @@ pub fn run(args: &CliArgs) {
         fields.push((key.clone(), Json::Obj(ratios.collect())));
     }
     fields.extend(
-        sharing
-            .iter()
+        (sharing.iter().chain(&erasure))
             .map(|(name, value)| ((*name).to_string(), Json::Num(*value))),
     );
     let json = Json::Obj(fields);

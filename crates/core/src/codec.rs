@@ -58,11 +58,10 @@ pub enum RepairMethod {
 /// set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecRepair {
-    /// Every shard slot rebuilt from the survivors, survivors included
-    /// unchanged. The caller writes back only the slots it knows were
-    /// missing.
+    /// The slots the caller named as missing, and only those, rebuilt
+    /// from the survivors.
     Rebuilt {
-        /// The complete shard set, in slot order.
+        /// One rebuilt blob per slot asked for, in the order asked.
         shards: Vec<Vec<u8>>,
         /// How the rebuild was done.
         method: RepairMethod,
@@ -240,14 +239,14 @@ fn share_err(required: usize) -> impl Fn(ShareError) -> PolicyError {
 /// `shamir::reconstruct` / `reconstruct_at` read only the first
 /// `threshold`; with fewer present, the count (and so the
 /// `TooFewShares` error) is the same whatever the limit.
-fn collect_shamir(shards: &[Option<Vec<u8>>], limit: usize) -> Vec<Share> {
+fn collect_shamir(shards: &[Option<&[u8]>], limit: usize) -> Vec<Share> {
     shards
         .iter()
         .enumerate()
         .filter_map(|(i, s)| {
-            s.as_ref().map(|bytes| Share {
+            s.map(|bytes| Share {
                 index: (i + 1) as u8,
-                data: bytes.clone(),
+                data: bytes.to_vec(),
             })
         })
         .take(limit)
@@ -376,25 +375,32 @@ impl Seal<'_> {
     }
 
     /// Opens the bytes the dispersal gave back — the inverse of
-    /// [`Seal::seal`] under the key version and nonce in `meta`.
+    /// [`Seal::seal`] under the key version and nonce in `meta` — in
+    /// their own buffer where the seal is an AEAD or a cascade of them.
     pub(crate) fn open(
         &self,
         keys: &KeyStore,
         context: &str,
         meta: &EncodingMeta,
-        sealed: Vec<u8>,
+        mut sealed: Vec<u8>,
     ) -> Result<Vec<u8>, PolicyError> {
         let aad = context.as_bytes();
         let key = || keys.object_key_for_version(meta.key_version, context, 0);
         match *self {
             Seal::Plain => Ok(sealed),
-            Seal::Aead(suite) => aead_cipher(*suite, &key())?
-                .open(&aead::derive_nonce(aad), aad, &sealed)
-                .map_err(|_| PolicyError::CryptoFailure("AEAD open failed".into())),
-            Seal::Cascade(suites) => Cascade::new(suites, &key())
-                .map_err(crypto_err)?
-                .decrypt(aad, &sealed)
-                .map_err(crypto_err),
+            Seal::Aead(suite) => {
+                let cipher = aead_cipher(*suite, &key())?;
+                (cipher.open_in_place(&aead::derive_nonce(aad), aad, &mut sealed))
+                    .map_err(|_| PolicyError::CryptoFailure("AEAD open failed".into()))?;
+                Ok(sealed)
+            }
+            Seal::Cascade(suites) => {
+                let cascade = Cascade::new(suites, &key()).map_err(crypto_err)?;
+                cascade
+                    .decrypt_in_place(aad, &mut sealed)
+                    .map_err(crypto_err)?;
+                Ok(sealed)
+            }
             Seal::Aont => aont::unpackage(&sealed).map_err(malformed),
             Seal::Entropic => {
                 let Some(nonce) = meta.entropic_nonce else {
@@ -515,7 +521,7 @@ impl Dispersal {
     }
 
     /// Recovers the sealed bytes from the surviving blobs (`None` slots
-    /// are missing).
+    /// are missing), borrowed from wherever the caller fetched them.
     ///
     /// # Errors
     ///
@@ -523,26 +529,30 @@ impl Dispersal {
     /// [`PolicyError::Malformed`] for blobs no dispersal produced.
     pub(crate) fn gather(
         &self,
-        shards: &[Option<Vec<u8>>],
+        shards: &[Option<&[u8]>],
         meta: &EncodingMeta,
     ) -> Result<Vec<u8>, PolicyError> {
         let present = || {
             let slots = shards.iter().enumerate();
-            slots.filter_map(|(i, s)| s.as_ref().map(|bytes| (i + 1, bytes)))
+            slots.filter_map(|(i, s)| s.map(|bytes| (i + 1, bytes)))
         };
         match *self {
             Dispersal::Replicate { copies } => {
                 let rep = Replicator::new(copies).map_err(code_err)?;
-                rep.decode(shards).map_err(code_err)
+                rep.decode_slices(shards).map_err(code_err)
             }
-            Dispersal::Rs { data, parity } => rs(data, parity)?.decode(shards).map_err(code_err),
+            Dispersal::Rs { data, parity } => {
+                rs(data, parity)?.decode_slices(shards).map_err(code_err)
+            }
             Dispersal::Shamir { threshold, .. } => {
                 // Every present share is copied, not only the `threshold`
-                // read: copying 3 of 5 here left glibc fewer heap pages
-                // mapped between benchmark rounds, and `bulk-sharing`
-                // ingest took ~1 270 minor faults per call, not ~500 —
-                // 12 % slower, for no retrieve gain. ROADMAP 7(b)'s
-                // borrowed decode removes these copies outright.
+                // read, and none is borrowed: each cheaper variant left
+                // glibc fewer heap pages mapped between benchmark rounds,
+                // and the next round's ingest paid for it in page faults.
+                // Copying 3 of 5 took `bulk-sharing` ingest from ~500 to
+                // ~1 270 minor faults per call (−12 %); borrowing all of
+                // them gained retrieve 25 % but cost ingest 21 % and
+                // ingest p50 26 %, past the benchmark's bound.
                 shamir::reconstruct(&collect_shamir(shards, shards.len()), threshold)
                     .map_err(share_err(threshold))
             }
@@ -577,53 +587,61 @@ impl Dispersal {
         }
     }
 
-    /// Attempts a partial repair of one chunk's shard set (`None` slots
-    /// are missing) — the blobs ARE code symbols or shares of the sealed
-    /// bytes, which are never touched.
+    /// Attempts a partial repair of the `missing` slots of one chunk's
+    /// shard set (`None` slots are missing), returning only those — the
+    /// blobs ARE code symbols or shares of the sealed bytes, which are
+    /// never touched.
     ///
     /// # Errors
     ///
-    /// Returns [`RepairError`] when too few survivors remain.
+    /// Returns [`RepairError`] when too few survivors remain or a slot
+    /// lies outside the set.
     pub(crate) fn repair_chunk(
         &self,
-        shards: &[Option<Vec<u8>>],
+        shards: &[Option<&[u8]>],
+        missing: &[usize],
     ) -> Result<CodecRepair, RepairError> {
+        if missing.iter().any(|&slot| slot >= shards.len()) {
+            return Err(malformed("repair slot beyond the shard set").into());
+        }
         let (shards, method) = match *self {
             Dispersal::Replicate { .. } => {
                 // Any surviving replica is the object.
-                let replica = shards.iter().flatten().next().cloned();
+                let replica = shards.iter().flatten().next();
                 let replica = replica.ok_or(PolicyError::TooFewShards {
                     available: 0,
                     required: 1,
                 })?;
-                (vec![replica; shards.len()], RepairMethod::PartialErasure)
+                let copies = missing.iter().map(|_| replica.to_vec()).collect();
+                (copies, RepairMethod::PartialErasure)
             }
             Dispersal::Rs { data, parity } => {
-                // Missing rows of the codeword set, rebuilt in place.
-                let rebuilt = rs(data, parity)?.reconstruct_shards(shards);
+                // Only the missing rows of the codeword set, rebuilt.
+                let rebuilt = rs(data, parity)?.reconstruct_rows(shards, missing);
                 (rebuilt.map_err(code_err)?, RepairMethod::PartialErasure)
             }
             Dispersal::Shamir { threshold, .. } => {
                 // Re-derive each missing share at its own x from t
                 // survivors — the secret is never reconstructed at x = 0.
                 let survivors = collect_shamir(shards, threshold);
-                let mut all: Vec<Vec<u8>> = Vec::with_capacity(shards.len());
-                for (i, slot) in shards.iter().enumerate() {
-                    match slot {
-                        Some(bytes) => all.push(bytes.clone()),
+                let rederive = |slot: usize| -> Result<Vec<u8>, RepairError> {
+                    match shards[slot] {
+                        Some(bytes) => Ok(bytes.to_vec()),
                         None => {
                             // Past the last share index `x` would wrap, to
                             // the secret's own point first of all.
-                            let x = u8::try_from(i + 1)
+                            let x = u8::try_from(slot + 1)
                                 .map_err(|_| malformed("slot beyond the last share index"))?;
-                            all.push(
-                                shamir::reconstruct_at(&survivors, threshold, Gf256::new(x))
-                                    .map_err(RepairError::Share)?,
-                            );
+                            shamir::reconstruct_at(&survivors, threshold, Gf256::new(x))
+                                .map_err(RepairError::Share)
                         }
                     }
-                }
-                (all, RepairMethod::PartialShamir)
+                };
+                let rebuilt = missing.iter().map(|&slot| rederive(slot));
+                (
+                    rebuilt.collect::<Result<_, _>>()?,
+                    RepairMethod::PartialShamir,
+                )
             }
             Dispersal::Packed { .. } | Dispersal::Lrss { .. } => {
                 return Ok(CodecRepair::FullReencode)
@@ -655,11 +673,11 @@ pub(crate) fn rewrap_chunk(
     keys: &KeyStore,
     context: &str,
     key_version: u32,
-    shards: &[Option<Vec<u8>>],
+    shards: &[Option<&[u8]>],
     new_suite: SuiteId,
 ) -> Result<Vec<Vec<u8>>, PolicyError> {
     let rs = rs(data, parity)?;
-    let sealed = rs.decode(shards).map_err(code_err)?;
+    let sealed = rs.decode_slices(shards).map_err(code_err)?;
     let master = keys.object_key_for_version(key_version, context, 0);
     let mut cascade = Cascade::new(suites, &master).map_err(crypto_err)?;
     let old_depth = cascade.depth();
@@ -676,6 +694,24 @@ mod tests {
 
     fn fixtures() -> (ChaChaDrbg, KeyStore) {
         (ChaChaDrbg::from_u64_seed(2024), KeyStore::new([5u8; 32]))
+    }
+
+    /// A shard set as the read path hands it to a dispersal: borrowed.
+    fn borrowed(shards: &[Option<Vec<u8>>]) -> Vec<Option<&[u8]>> {
+        shards.iter().map(Option::as_deref).collect()
+    }
+
+    /// The absent slots of a shard set, as the repair planner finds them.
+    fn absent(shards: &[Option<Vec<u8>>]) -> Vec<usize> {
+        (0..shards.len()).filter(|&i| shards[i].is_none()).collect()
+    }
+
+    /// `repair_chunk` on the absent slots of `shards`.
+    fn repair(
+        dispersal: Dispersal,
+        shards: &[Option<Vec<u8>>],
+    ) -> Result<CodecRepair, RepairError> {
+        dispersal.repair_chunk(&borrowed(shards), &absent(shards))
     }
 
     fn all_policies() -> Vec<PolicyKind> {
@@ -815,7 +851,7 @@ mod tests {
             let blobs = dispersal.disperse(&mut rng, &sealed, &mut meta).unwrap();
             assert_eq!(blobs.len(), policy.info().shard_count, "{policy:?}");
             let shards: Vec<Option<Vec<u8>>> = blobs.into_iter().map(Some).collect();
-            let gathered = dispersal.gather(&shards, &meta).unwrap();
+            let gathered = dispersal.gather(&borrowed(&shards), &meta).unwrap();
             assert_eq!(gathered, sealed.as_ref(), "{policy:?}");
             let dec = seal.open(&keys, "codec-obj", &meta, gathered).unwrap();
             assert_eq!(dec, payload, "{policy:?}");
@@ -833,10 +869,11 @@ mod tests {
         let mut shards: Vec<Option<Vec<u8>>> = enc.shards.iter().cloned().map(Some).collect();
         shards[1] = None;
         shards[4] = None;
-        match dispersal.repair_chunk(&shards).unwrap() {
+        match repair(dispersal, &shards).unwrap() {
             CodecRepair::Rebuilt { shards, method } => {
                 assert_eq!(method, RepairMethod::PartialErasure);
-                assert_eq!(shards, enc.shards, "rebuilt rows differ from originals");
+                let originals = [enc.shards[1].clone(), enc.shards[4].clone()];
+                assert_eq!(shards, originals, "rebuilt rows differ from originals");
             }
             CodecRepair::FullReencode => panic!("RS family must repair in place"),
         }
@@ -853,10 +890,14 @@ mod tests {
         let enc = policy.encode(&mut rng, &keys, "fix", b"same poly").unwrap();
         let mut shards: Vec<Option<Vec<u8>>> = enc.shards.iter().cloned().map(Some).collect();
         shards[2] = None;
-        match dispersal.repair_chunk(&shards).unwrap() {
+        match repair(dispersal, &shards).unwrap() {
             CodecRepair::Rebuilt { shards, method } => {
                 assert_eq!(method, RepairMethod::PartialShamir);
-                assert_eq!(shards[2], enc.shards[2], "re-derived share must match");
+                assert_eq!(
+                    shards,
+                    [enc.shards[2].clone()],
+                    "re-derived share must match"
+                );
             }
             CodecRepair::FullReencode => panic!("Shamir must repair at its evaluation point"),
         }
@@ -879,7 +920,7 @@ mod tests {
             let (_, dispersal) = policy.scheme();
             let shards = vec![None, Some(vec![1u8, 2]), Some(vec![3u8, 4])];
             assert_eq!(
-                dispersal.repair_chunk(&shards).unwrap(),
+                repair(dispersal, &shards).unwrap(),
                 CodecRepair::FullReencode,
                 "{policy:?}"
             );
@@ -977,7 +1018,7 @@ mod tests {
         ] {
             let shards = vec![hostile.clone(), hostile.clone(), hostile];
             assert_eq!(
-                dispersal.gather(&shards, &meta),
+                dispersal.gather(&borrowed(&shards), &meta),
                 Err(PolicyError::TooFewShards {
                     available: 0,
                     required: 2
@@ -987,8 +1028,8 @@ mod tests {
     }
 
     /// Repair copies only the first `threshold` Shamir survivors and
-    /// rebuilds the same shares; below the threshold, repair and gather
-    /// still report how many there were.
+    /// rebuilds the same shares, only the ones asked for; below the
+    /// threshold, repair and gather still report how many there were.
     #[test]
     fn shamir_survivor_copies_keep_their_results_and_errors() {
         let (mut rng, keys) = fixtures();
@@ -1000,11 +1041,15 @@ mod tests {
         let (_, dispersal) = policy.scheme();
         let mut shards: Vec<Option<Vec<u8>>> = enc.shards.iter().cloned().map(Some).collect();
         shards[0] = None;
-        let rebuilt = match dispersal.repair_chunk(&shards).unwrap() {
+        let rebuilt = match repair(dispersal, &shards).unwrap() {
             CodecRepair::Rebuilt { shards, .. } => shards,
             other => panic!("expected a Shamir rebuild, got {other:?}"),
         };
-        assert_eq!(rebuilt, enc.shards);
+        assert_eq!(rebuilt, [enc.shards[0].clone()]);
+        // A present slot asked for comes back as it was.
+        let asked = dispersal.repair_chunk(&borrowed(&shards), &[3, 0]).unwrap();
+        let expected = vec![enc.shards[3].clone(), enc.shards[0].clone()];
+        assert!(matches!(asked, CodecRepair::Rebuilt { shards, .. } if shards == expected));
         assert_eq!(
             policy.decode(&keys, "few", &shards, &enc.meta).unwrap(),
             b"secret"
@@ -1012,19 +1057,38 @@ mod tests {
         shards[2] = None;
         shards[4] = None;
         assert_eq!(
-            dispersal.gather(&shards, &enc.meta),
+            dispersal.gather(&borrowed(&shards), &enc.meta),
             Err(PolicyError::TooFewShards {
                 available: 2,
                 required: 3
             })
         );
         assert!(matches!(
-            dispersal.repair_chunk(&shards),
+            repair(dispersal, &shards),
             Err(RepairError::Share(ShareError::TooFewShares {
                 provided: 2,
                 required: 3
             }))
         ));
+    }
+
+    /// A repair slot outside the shard set is malformed, whatever the
+    /// dispersal, rather than an index past the end.
+    #[test]
+    fn a_repair_slot_outside_the_set_is_malformed() {
+        let (mut rng, keys) = fixtures();
+        for policy in all_policies() {
+            let enc = policy.encode(&mut rng, &keys, "out", b"bounded").unwrap();
+            let shards: Vec<Option<Vec<u8>>> = enc.shards.into_iter().map(Some).collect();
+            let (_, dispersal) = policy.scheme();
+            assert!(
+                matches!(
+                    dispersal.repair_chunk(&borrowed(&shards), &[shards.len()]),
+                    Err(RepairError::Policy(PolicyError::Malformed(_)))
+                ),
+                "{policy:?}"
+            );
+        }
     }
 
     /// A slot past share index 255 has no evaluation point: wrapping it
@@ -1041,7 +1105,7 @@ mod tests {
         shards.resize(256, None);
         let (_, dispersal) = policy.scheme();
         assert!(matches!(
-            dispersal.repair_chunk(&shards),
+            repair(dispersal, &shards),
             Err(RepairError::Policy(PolicyError::Malformed(_)))
         ));
     }
@@ -1061,7 +1125,7 @@ mod tests {
                     &keys,
                     "rw",
                     0,
-                    &shards,
+                    &borrowed(&shards),
                     SuiteId::ChaCha20Poly1305,
                 )
                 .unwrap();

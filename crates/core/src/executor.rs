@@ -495,17 +495,18 @@ impl<'a> PlanExecutor<'a> {
     }
 }
 
-/// Discards fetched shards whose bytes fail the plan's digest check
-/// and folds the result into a [`ShardsSnapshot`].
+/// Discards fetched shards whose bytes fail the plan's digest check —
+/// a slot the plan records no digest for fails it too — and folds the
+/// result into a [`ShardsSnapshot`].
 fn digest_filter(
     plan: &ReadPlan,
     mut shards: Vec<Option<Vec<u8>>>,
     report: TransferReport,
 ) -> ShardsSnapshot {
     let mut corrupt = 0usize;
-    for (slot, expected) in shards.iter_mut().zip(&plan.shard_digests) {
+    for (s, slot) in shards.iter_mut().enumerate() {
         if let Some(bytes) = slot {
-            if Sha256::digest(bytes.as_slice()) != *expected {
+            if plan.shard_digests.get(s) != Some(&Sha256::digest(bytes.as_slice())) {
                 corrupt += 1;
                 *slot = None;
             }
@@ -633,6 +634,24 @@ mod tests {
         assert!(snap.shards[2].is_none());
         assert_eq!(snap.report.attempts[2].attempts, 1, "NotFound is permanent");
         assert_eq!(snap.report.attempts[2].error, Some(NodeError::NotFound));
+    }
+
+    /// Regression: a slot past the end of the plan's digest list used to
+    /// be counted valid and reach the decoder unverified. With no digest
+    /// to check it against it is corrupt, like a slot whose bytes fail.
+    #[test]
+    fn a_slot_with_no_recorded_digest_is_corrupt() {
+        let (cluster, _handles) = cluster_with_handles();
+        let placement = cluster.place("obj", 3).unwrap();
+        let shards: Vec<Vec<u8>> = (0..3u8).map(|i| vec![i; 8]).collect();
+        cluster.put_shards("obj", &placement, &shards).unwrap();
+        let plan = read_plan(&placement, &shards[..2]);
+        let retry = RetryPolicy::none();
+        let mut rng = ChaChaDrbg::from_u64_seed(5);
+        let snap = PlanExecutor::new(&cluster, &retry).read(&plan, &mut rng);
+        assert_eq!((snap.valid, snap.corrupt), (2, 1));
+        assert_eq!(snap.shards[..2], [Some(vec![0; 8]), Some(vec![1; 8])]);
+        assert!(snap.shards[2].is_none());
     }
 
     /// Regression: a repair write naming a slot beyond the placement

@@ -129,11 +129,11 @@ impl ChunkedMeta {
 
 /// One fetched shard set seen as a list of chunks — the only reader of
 /// the stored layout. A set that fit one chunk (`meta.chunked == None`)
-/// is its own single chunk under the object's own context and metadata,
-/// handed through **borrowed**; a framed set has each present blob
-/// frame-walked once, keeping only segment *offsets* into it, so that
-/// [`StoredChunks::shards`] materializes exactly the one segment copy a
-/// per-chunk codec call needs.
+/// is its own single chunk under the object's own context and metadata;
+/// a framed set has each present blob frame-walked once, keeping only
+/// segment *offsets* into it. Either way [`StoredChunks::shards`] hands
+/// a chunk's segments out **borrowed** from the fetched blobs: no byte
+/// is copied before the codec reads it.
 pub(crate) struct StoredChunks<'a> {
     object_id: &'a str,
     meta: &'a EncodingMeta,
@@ -195,15 +195,17 @@ impl<'a> StoredChunks<'a> {
         }
     }
 
-    /// Chunk `j`'s shard set, absent slots staying absent.
-    pub(crate) fn shards(&self, j: usize) -> Cow<'a, [Option<Vec<u8>>]> {
+    /// Chunk `j`'s shard set as ranges of the fetched blobs, absent slots
+    /// staying absent.
+    pub(crate) fn shards(&self, j: usize) -> Vec<Option<&'a [u8]>> {
+        let blobs = self.shards.iter().map(Option::as_deref);
         let Some(Framing { ranges, .. }) = &self.framed else {
-            return Cow::Borrowed(self.shards);
+            return blobs.collect();
         };
-        let segment = |(blob, ranges): (&Option<Vec<u8>>, &Option<Vec<Range<usize>>>)| {
-            Some(blob.as_ref()?[ranges.as_ref()?[j].clone()].to_vec())
+        let segment = |(blob, ranges): (Option<&'a [u8]>, &Option<Vec<Range<usize>>>)| {
+            Some(&blob?[ranges.as_ref()?[j].clone()])
         };
-        Cow::Owned(self.shards.iter().zip(ranges).map(segment).collect())
+        blobs.zip(ranges).map(segment).collect()
     }
 
     /// Reassembles per-chunk outputs — `chunks[j][s]` is the new bytes
@@ -360,7 +362,8 @@ pub fn decode_object(
 ) -> Result<Vec<u8>, PolicyError> {
     let chunks = StoredChunks::parse(object_id, meta, shards)?;
     let count = chunks.count();
-    let decode = |j| policy.decode(keys, &chunks.context(j), &chunks.shards(j), chunks.meta(j));
+    let decode =
+        |j| policy.decode_slices(keys, &chunks.context(j), &chunks.shards(j), chunks.meta(j));
     if count == 1 {
         return decode(0);
     }
@@ -610,8 +613,13 @@ mod tests {
         assert_eq!(view.count(), 1);
         assert!(matches!(view.context(0), Cow::Borrowed("one")));
         assert!(std::ptr::eq(view.meta(0), &enc.meta));
-        // The caller's own slice, not a copy of it.
-        assert!(matches!(view.shards(0), Cow::Borrowed(s) if std::ptr::eq(s, shards.as_slice())));
+        // The caller's own blobs, not copies of them.
+        for (seen, blob) in view.shards(0).iter().zip(&shards) {
+            assert_eq!(
+                seen.map(<[u8]>::as_ptr),
+                blob.as_deref().map(<[u8]>::as_ptr)
+            );
+        }
         // Joining one chunk's outputs hands them back as they are.
         assert_eq!(view.join(vec![enc.shards.clone()]), enc.shards);
     }
@@ -634,10 +642,21 @@ mod tests {
             // Each chunk decodes on its own, as the standalone object it
             // was encoded as.
             let chunk = policy
-                .decode(&keys, &view.context(j), &view.shards(j), view.meta(j))
+                .decode_slices(&keys, &view.context(j), &view.shards(j), view.meta(j))
                 .unwrap();
             assert_eq!(chunk, payload.chunks(1024).nth(j).unwrap());
-            columns.push(view.shards(j).iter().flatten().cloned().collect());
+            // Each segment is a range of its fetched blob.
+            for (segment, blob) in view.shards(j).iter().zip(&shards) {
+                let blob = blob.as_deref().unwrap().as_ptr_range();
+                assert!(blob.contains(&segment.unwrap().as_ptr()));
+            }
+            columns.push(
+                view.shards(j)
+                    .iter()
+                    .flatten()
+                    .map(|s| s.to_vec())
+                    .collect(),
+            );
         }
         assert_eq!(view.join(columns), enc.shards);
         // An absent blob is absent from every chunk's column.

@@ -127,12 +127,13 @@ pub fn plan_write<R: CryptoRng + ?Sized>(
 
 /// Plans the repair of an object's missing shard slots from the
 /// digest-filtered snapshot `shards` (`None` = missing), chunk by chunk
-/// — the stored layout is not code material — keeping and re-joining
-/// only the missing slots' rebuilt bytes.
+/// — the stored layout is not code material — rebuilding and re-joining
+/// only the missing slots' bytes.
 ///
 /// # Errors
 ///
-/// Returns decode errors when too few survivors remain.
+/// Returns decode errors when too few survivors remain, and
+/// [`PolicyError::Malformed`] for a slot outside the set.
 pub fn plan_repair(
     manifest: &Manifest,
     shards: &[Option<Vec<u8>>],
@@ -143,13 +144,10 @@ pub fn plan_repair(
     let mut rebuilt = Vec::with_capacity(chunks.count());
     let mut method = RepairMethod::NotNeeded;
     for j in 0..chunks.count() {
-        match dispersal.repair_chunk(&chunks.shards(j))? {
-            CodecRepair::Rebuilt {
-                shards: all,
-                method: m,
-            } => {
+        match dispersal.repair_chunk(&chunks.shards(j), missing)? {
+            CodecRepair::Rebuilt { shards, method: m } => {
                 method = m;
-                rebuilt.push(missing.iter().map(|&slot| all[slot].clone()).collect());
+                rebuilt.push(shards);
             }
             CodecRepair::FullReencode => return Ok(RepairOutcome::Reencode),
         }
@@ -191,12 +189,12 @@ pub fn plan_refresh<R: CryptoRng + ?Sized>(
     };
     for j in 0..chunks.count() {
         // Every slot is present, so position is share index.
-        let present = chunks.shards(j).into_owned().into_iter().flatten();
+        let present = chunks.shards(j).into_iter().flatten();
         let mut shares: Vec<Share> = present
             .enumerate()
             .map(|(i, data)| Share {
                 index: (i + 1) as u8,
-                data,
+                data: data.to_vec(),
             })
             .collect();
         let cost = proactive::refresh(rng, &mut shares, threshold)?;

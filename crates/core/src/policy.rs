@@ -309,6 +309,19 @@ impl PolicyKind {
         shards: &[Option<Vec<u8>>],
         meta: &EncodingMeta,
     ) -> Result<Vec<u8>, PolicyError> {
+        let borrowed: Vec<Option<&[u8]>> = shards.iter().map(Option::as_deref).collect();
+        self.decode_slices(keys, object_id, &borrowed, meta)
+    }
+
+    /// [`PolicyKind::decode`] from blobs borrowed where they were
+    /// fetched: the read path's own entry.
+    pub(crate) fn decode_slices(
+        &self,
+        keys: &KeyStore,
+        object_id: &str,
+        shards: &[Option<&[u8]>],
+        meta: &EncodingMeta,
+    ) -> Result<Vec<u8>, PolicyError> {
         let (seal, dispersal) = self.scheme();
         let sealed = dispersal.gather(shards, meta)?;
         seal.open(keys, object_id, meta, sealed)

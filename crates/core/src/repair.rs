@@ -21,6 +21,7 @@ use crate::archive::{Archive, ArchiveError, ObjectId};
 use crate::campaign::{Campaign, CampaignOp};
 use crate::fleet::RepairQueueOrder;
 use crate::plan::{self, RepairOutcome};
+use crate::policy::PolicyError;
 use crate::unit::Unit;
 use aeon_store::clock::SimDuration;
 
@@ -125,6 +126,13 @@ impl Archive {
         drop(shards);
         let method = match outcome {
             RepairOutcome::Apply(repair) => {
+                // A slot the manifest records no digest for could never
+                // be read back: the record is malformed, and that is said
+                // before any node is touched.
+                if (repair.writes.iter()).any(|(m, _)| *m >= record.shard_digests.len()) {
+                    let why = "repair slot has no recorded digest";
+                    return Err(PolicyError::Malformed(why.into()).into());
+                }
                 bytes_written += repair
                     .writes
                     .iter()
@@ -138,9 +146,7 @@ impl Archive {
                     &mut rng,
                 )?;
                 for (m, digest) in digests {
-                    if m < record.shard_digests.len() {
-                        record.shard_digests[m] = digest;
-                    }
+                    record.shard_digests[m] = digest;
                 }
                 self.store(unit, record);
                 repair.method
@@ -311,6 +317,27 @@ mod tests {
         delete_shard(&handles, &archive, &id, 0);
         delete_shard(&handles, &archive, &id, 1);
         assert!(archive.repair_object(&id).is_err());
+    }
+
+    /// A placement slot the manifest records no digest for is unreadable
+    /// (the fetch counts it corrupt), and repairing it is refused as a
+    /// malformed record before any node is written — not "repaired" into
+    /// a slot whose digest is then silently dropped.
+    #[test]
+    fn a_slot_without_a_recorded_digest_is_malformed_not_repaired() {
+        let (mut archive, handles) =
+            archive_with_handles(PolicyKind::ErasureCoded { data: 3, parity: 2 }, 5);
+        let id = archive.ingest(b"five slots, four digests", "r").unwrap();
+        archive.manifests.update(&id, |m| m.shard_digests.pop());
+        let stored = |h: &MemoryNode| h.get(&ShardKey::new(id.as_str(), 4)).ok();
+        let before: Vec<_> = handles.iter().map(stored).collect();
+        match archive.repair_object(&id) {
+            Err(ArchiveError::Policy(PolicyError::Malformed(why))) => {
+                assert_eq!(why, "repair slot has no recorded digest");
+            }
+            other => panic!("expected a malformed record, got {other:?}"),
+        }
+        assert_eq!(handles.iter().map(stored).collect::<Vec<_>>(), before);
     }
 
     #[test]

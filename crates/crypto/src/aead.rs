@@ -26,9 +26,10 @@ impl std::error::Error for AuthError {}
 
 /// An authenticated encryption scheme with associated data.
 ///
-/// `seal` returns `ciphertext || tag`; `open` verifies and strips the tag.
-/// Implementations are deterministic given (key, nonce, aad, plaintext) —
-/// nonce uniqueness is the caller's responsibility.
+/// `seal` returns `ciphertext || tag`; `open_in_place` verifies the tag,
+/// strips it and decrypts in the caller's buffer, and `open` is that on a
+/// copy. Implementations are deterministic given (key, nonce, aad,
+/// plaintext) — nonce uniqueness is the caller's responsibility.
 pub trait Aead: core::fmt::Debug + Send + Sync {
     /// Key length in bytes.
     const KEY_LEN: usize;
@@ -40,12 +41,26 @@ pub trait Aead: core::fmt::Debug + Send + Sync {
     /// Encrypts and authenticates `plaintext`, binding `aad`.
     fn seal(&self, nonce: &[u8], aad: &[u8], plaintext: &[u8]) -> Vec<u8>;
 
-    /// Verifies and decrypts `ciphertext` (which includes the trailing tag).
+    /// Verifies the tag that ends `buf`, truncates it, then decrypts the
+    /// rest of `buf` in place. Nothing is decrypted unless the tag
+    /// verifies: on an error `buf` is left exactly as it was.
     ///
     /// # Errors
     ///
     /// Returns [`AuthError`] if the tag does not verify.
-    fn open(&self, nonce: &[u8], aad: &[u8], ciphertext: &[u8]) -> Result<Vec<u8>, AuthError>;
+    fn open_in_place(&self, nonce: &[u8], aad: &[u8], buf: &mut Vec<u8>) -> Result<(), AuthError>;
+
+    /// Verifies and decrypts `ciphertext` (which includes the trailing
+    /// tag): [`Aead::open_in_place`] on a copy.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AuthError`] if the tag does not verify.
+    fn open(&self, nonce: &[u8], aad: &[u8], ciphertext: &[u8]) -> Result<Vec<u8>, AuthError> {
+        let mut out = ciphertext.to_vec();
+        self.open_in_place(nonce, aad, &mut out)?;
+        Ok(out)
+    }
 }
 
 /// A copy of `plaintext` with room for the tag behind it, so `seal`
@@ -129,7 +144,38 @@ impl ChaCha20Poly1305 {
         out
     }
 
-    /// [`Aead::open`] on `kernel`'s slots, as [`Self::seal_on`].
+    /// [`Aead::open_in_place`] on `kernel`'s slots, as [`Self::seal_on`]:
+    /// the one verify-then-decrypt body.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AuthError`] if the tag does not verify.
+    #[doc(hidden)]
+    pub fn open_in_place_on(
+        &self,
+        kernel: &Kernel,
+        nonce: &[u8],
+        aad: &[u8],
+        buf: &mut Vec<u8>,
+    ) -> Result<(), AuthError> {
+        let nonce: &[u8; 12] = nonce.try_into().map_err(|_| AuthError)?;
+        let ct_len = buf.len().checked_sub(Self::TAG_LEN).ok_or(AuthError)?;
+        let (ct, tag) = buf.split_at(ct_len);
+        if !within_counter_space(ct.len() as u64, 64, 1) {
+            return Err(AuthError);
+        }
+        let cipher = ChaCha20::new(&self.key, nonce);
+        let expect = Self::compute_tag(kernel, &Self::poly_key(&cipher), aad, ct);
+        if !verify_tag(&expect, tag) {
+            return Err(AuthError);
+        }
+        buf.truncate(ct_len);
+        kernel.chacha20_xor(&cipher, 1, buf);
+        Ok(())
+    }
+
+    /// [`Aead::open`] on `kernel`'s slots: [`Self::open_in_place_on`] on
+    /// a copy.
     ///
     /// # Errors
     ///
@@ -142,21 +188,8 @@ impl ChaCha20Poly1305 {
         aad: &[u8],
         ciphertext: &[u8],
     ) -> Result<Vec<u8>, AuthError> {
-        let nonce: &[u8; 12] = nonce.try_into().map_err(|_| AuthError)?;
-        if ciphertext.len() < 16 {
-            return Err(AuthError);
-        }
-        let (ct, tag) = ciphertext.split_at(ciphertext.len() - 16);
-        if !within_counter_space(ct.len() as u64, 64, 1) {
-            return Err(AuthError);
-        }
-        let cipher = ChaCha20::new(&self.key, nonce);
-        let expect = Self::compute_tag(kernel, &Self::poly_key(&cipher), aad, ct);
-        if !verify_tag(&expect, tag) {
-            return Err(AuthError);
-        }
-        let mut out = ct.to_vec();
-        kernel.chacha20_xor(&cipher, 1, &mut out);
+        let mut out = ciphertext.to_vec();
+        self.open_in_place_on(kernel, nonce, aad, &mut out)?;
         Ok(out)
     }
 }
@@ -170,8 +203,8 @@ impl Aead for ChaCha20Poly1305 {
         self.seal_on(Kernel::active(), nonce, aad, plaintext)
     }
 
-    fn open(&self, nonce: &[u8], aad: &[u8], ciphertext: &[u8]) -> Result<Vec<u8>, AuthError> {
-        self.open_on(Kernel::active(), nonce, aad, ciphertext)
+    fn open_in_place(&self, nonce: &[u8], aad: &[u8], buf: &mut Vec<u8>) -> Result<(), AuthError> {
+        self.open_in_place_on(Kernel::active(), nonce, aad, buf)
     }
 }
 
@@ -235,11 +268,12 @@ impl Aead for Aes256CtrHmac {
         out
     }
 
-    fn open(&self, nonce: &[u8], aad: &[u8], ciphertext: &[u8]) -> Result<Vec<u8>, AuthError> {
-        if nonce.len() != 12 || ciphertext.len() < 32 {
+    fn open_in_place(&self, nonce: &[u8], aad: &[u8], buf: &mut Vec<u8>) -> Result<(), AuthError> {
+        if nonce.len() != 12 {
             return Err(AuthError);
         }
-        let (ct, tag) = ciphertext.split_at(ciphertext.len() - 32);
+        let ct_len = buf.len().checked_sub(Self::TAG_LEN).ok_or(AuthError)?;
+        let (ct, tag) = buf.split_at(ct_len);
         if !within_counter_space(ct.len() as u64, 16, 0) {
             return Err(AuthError);
         }
@@ -247,9 +281,9 @@ impl Aead for Aes256CtrHmac {
         if !verify_tag(&expect, tag) {
             return Err(AuthError);
         }
-        let mut out = ct.to_vec();
-        Aes::new_256(&self.enc_key).apply_ctr(&Self::iv_from_nonce(nonce), &mut out);
-        Ok(out)
+        buf.truncate(ct_len);
+        Aes::new_256(&self.enc_key).apply_ctr(&Self::iv_from_nonce(nonce), buf);
+        Ok(())
     }
 }
 
@@ -276,6 +310,9 @@ mod tests {
             let sealed = aead.seal(&nonce, b"aad", &pt);
             let opened = aead.open(&nonce, b"aad", &sealed).unwrap();
             assert_eq!(opened, pt, "len {len}");
+            let mut buf = sealed;
+            aead.open_in_place(&nonce, b"aad", &mut buf).unwrap();
+            assert_eq!(buf, pt, "len {len}");
         }
     }
 
@@ -289,20 +326,31 @@ mod tests {
         roundtrip(&Aes256CtrHmac::new(&[1u8; 32]));
     }
 
+    /// `open_in_place` refuses `sealed` and leaves it as it was.
+    fn refused_in_place<A: Aead>(aead: &A, nonce: &[u8], aad: &[u8], sealed: &[u8]) {
+        let mut buf = sealed.to_vec();
+        assert_eq!(aead.open_in_place(nonce, aad, &mut buf), Err(AuthError));
+        assert_eq!(buf, sealed, "a refused buffer stays undecrypted");
+    }
+
     fn tamper_detected<A: Aead>(aead: &A) {
         let nonce = [3u8; 12];
         let mut sealed = aead.seal(&nonce, b"aad", b"payload");
         // Flip a ciphertext bit.
         sealed[0] ^= 1;
         assert_eq!(aead.open(&nonce, b"aad", &sealed), Err(AuthError));
+        refused_in_place(aead, &nonce, b"aad", &sealed);
         sealed[0] ^= 1;
         // Flip a tag bit.
         let last = sealed.len() - 1;
         sealed[last] ^= 1;
         assert_eq!(aead.open(&nonce, b"aad", &sealed), Err(AuthError));
+        refused_in_place(aead, &nonce, b"aad", &sealed);
         sealed[last] ^= 1;
         // Wrong AAD.
         assert_eq!(aead.open(&nonce, b"bad", &sealed), Err(AuthError));
+        refused_in_place(aead, &nonce, b"bad", &sealed);
+        refused_in_place(aead, &nonce, b"aad", &sealed[..A::TAG_LEN - 1]);
         // Wrong nonce.
         assert_eq!(aead.open(&[4u8; 12], b"aad", &sealed), Err(AuthError));
         // Truncated.

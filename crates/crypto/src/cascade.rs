@@ -137,23 +137,45 @@ impl Cascade {
         data.into_owned()
     }
 
-    /// Decrypts through every layer in reverse.
+    /// Decrypts through every layer in reverse: [`Cascade::decrypt_in_place`]
+    /// on a copy.
     ///
     /// # Errors
     ///
     /// Returns [`CascadeError::LayerAuth`] identifying the first layer that
     /// fails to authenticate.
     pub fn decrypt(&self, context: &[u8], ciphertext: &[u8]) -> Result<Vec<u8>, CascadeError> {
+        self.decrypt_at_depth(context, ciphertext, self.depth())
+    }
+
+    /// Decrypts `data` through every layer in reverse, each layer opened
+    /// in place.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CascadeError::LayerAuth`] identifying the first layer that
+    /// fails to authenticate; the layers outside it are then already
+    /// opened, and it and those inside it are not.
+    pub fn decrypt_in_place(&self, context: &[u8], data: &mut Vec<u8>) -> Result<(), CascadeError> {
+        self.open_layers(context, data, self.depth())
+    }
+
+    /// The one layer loop: opens the first `depth` layers of `data`,
+    /// outermost first, in place.
+    fn open_layers(
+        &self,
+        context: &[u8],
+        data: &mut Vec<u8>,
+        depth: usize,
+    ) -> Result<(), CascadeError> {
         let reg = SuiteRegistry::new();
-        let mut data = ciphertext.to_vec();
-        for (i, (suite, key)) in self.layers.iter().enumerate().rev() {
+        for (i, (suite, key)) in self.layers.iter().enumerate().take(depth).rev() {
             let cipher = reg.instantiate(*suite, key).expect("validated in new()");
-            let nonce = layer_nonce(context, i);
-            data = cipher
-                .open(&nonce, context, &data)
+            cipher
+                .open_in_place(&layer_nonce(context, i), context, data)
                 .map_err(|_| CascadeError::LayerAuth { layer: i })?;
         }
-        Ok(data)
+        Ok(())
     }
 
     /// Adds a fresh outer layer (re-wrap). Existing ciphertexts must be
@@ -205,15 +227,8 @@ impl Cascade {
         ciphertext: &[u8],
         depth: usize,
     ) -> Result<Vec<u8>, CascadeError> {
-        let reg = SuiteRegistry::new();
         let mut data = ciphertext.to_vec();
-        for (i, (suite, key)) in self.layers.iter().enumerate().take(depth).rev() {
-            let cipher = reg.instantiate(*suite, key).expect("validated");
-            let nonce = layer_nonce(context, i);
-            data = cipher
-                .open(&nonce, context, &data)
-                .map_err(|_| CascadeError::LayerAuth { layer: i })?;
-        }
+        self.open_layers(context, &mut data, depth)?;
         Ok(data)
     }
 
@@ -295,6 +310,34 @@ mod tests {
             c.decrypt(b"ctx", &ct).unwrap_err(),
             CascadeError::LayerAuth { layer: 1 }
         );
+    }
+
+    /// In place, a cascade opens to the same plaintext and names the same
+    /// failing layer as `decrypt`: the outer layer for a bent outer tag,
+    /// the inner one for a bent inner ciphertext under an intact outer
+    /// layer.
+    #[test]
+    fn in_place_reports_the_same_layer() {
+        let c = two_layer();
+        let in_place = |ct: &[u8]| {
+            let mut data = ct.to_vec();
+            c.decrypt_in_place(b"ctx", &mut data).map(|()| data)
+        };
+        let ct = c.encrypt(b"ctx", b"payload");
+        assert_eq!(in_place(&ct).unwrap(), b"payload");
+        let mut bent_outer = ct;
+        *bent_outer.last_mut().unwrap() ^= 1;
+        let mut inner = Cascade::new(&[SuiteId::Aes256CtrHmac], &[9u8; 32])
+            .unwrap()
+            .encrypt(b"ctx", b"payload");
+        inner[0] ^= 1;
+        let bent_inner = c.rewrap(b"ctx", &inner, 1);
+        for (ct, layer) in [(bent_outer, 1), (bent_inner, 0)] {
+            let err = CascadeError::LayerAuth { layer };
+            assert_eq!(c.decrypt(b"ctx", &ct), Err(err.clone()));
+            assert_eq!(in_place(&ct), Err(err.clone()));
+            assert_eq!(c.decrypt_at_depth(b"ctx", &ct, 2), Err(err));
+        }
     }
 
     #[test]

@@ -200,6 +200,25 @@ impl SuiteCipher {
         }
     }
 
+    /// Opens `buf` (ciphertext and trailing tag) under this suite in
+    /// place: the tag is verified, truncated, then the rest decrypted —
+    /// and on an error `buf` is left as it was.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AuthError`] on authentication failure.
+    pub fn open_in_place(
+        &self,
+        nonce: &[u8],
+        aad: &[u8],
+        buf: &mut Vec<u8>,
+    ) -> Result<(), AuthError> {
+        match self {
+            SuiteCipher::Aes(a) => a.open_in_place(nonce, aad, buf),
+            SuiteCipher::ChaCha(c) => c.open_in_place(nonce, aad, buf),
+        }
+    }
+
     /// The suite's identifier.
     pub fn id(&self) -> SuiteId {
         match self {

@@ -31,7 +31,7 @@
 //! `ChaCha20::apply_keystream`, `Poly1305::update`, `ChaCha20Poly1305`)
 //! between tiers.
 
-use aeon_crypto::aead::{Aead, AuthError, ChaCha20Poly1305};
+use aeon_crypto::aead::{Aead, Aes256CtrHmac, AuthError, ChaCha20Poly1305};
 use aeon_crypto::aes::Aes;
 use aeon_crypto::chacha::ChaCha20;
 use aeon_crypto::hkdf;
@@ -723,10 +723,118 @@ fn chacha20poly1305_known_answer_on_every_tier() {
             aead.open_on(kernel, &nonce, &aad, &sealed).as_deref(),
             Ok(SUNSCREEN)
         );
+        let mut buf = sealed;
+        assert_eq!(
+            aead.open_in_place_on(kernel, &nonce, &aad, &mut buf),
+            Ok(())
+        );
+        assert_eq!(buf, SUNSCREEN, "{tier}");
     }
     let sealed = aead.seal(&nonce, &aad, SUNSCREEN);
     check(&sealed, "library");
     assert_eq!(aead.open(&nonce, &aad, &sealed).as_deref(), Ok(SUNSCREEN));
+    let mut buf = sealed;
+    assert_eq!(aead.open_in_place(&nonce, &aad, &mut buf), Ok(()));
+    assert_eq!(buf, SUNSCREEN);
+}
+
+/// AES-256-CTR-HMAC (this crate's encrypt-then-MAC suite) sealing
+/// RFC 8439's message, rebuilt on each tier's SHA-256 and AES-CTR
+/// functions from the construction's definition — HKDF subkeys, CTR from
+/// `nonce ‖ 0³²`, HMAC over `nonce ‖ len(aad) as u64 BE ‖ aad ‖ ct` — and
+/// pinned. The library seals exactly this, and opens it in place.
+#[test]
+fn aes_ctr_hmac_known_answer_on_every_tier() {
+    let key: [u8; 32] = core::array::from_fn(|i| 0x80 + i as u8);
+    let nonce: [u8; 12] = core::array::from_fn(|i| 0x40 + i as u8);
+    let aad = b"aeon-object-context";
+    let mut iv = [0u8; 16];
+    iv[..12].copy_from_slice(&nonce);
+    for kernel in Kernel::supported() {
+        let how = format!("{:?}", tiers(kernel));
+        let subkeys = hkdf_on(kernel, b"aeon-aes-ctr-hmac", &key, b"subkeys", 64);
+        let enc_key: [u8; 32] = subkeys[..32].try_into().expect("32 bytes");
+        let mut sealed = ctr_on(kernel, &Aes::new_256(&enc_key), &iv, SUNSCREEN, 0);
+        let mut mac_input = nonce.to_vec();
+        mac_input.extend_from_slice(&(aad.len() as u64).to_be_bytes());
+        mac_input.extend_from_slice(aad);
+        mac_input.extend_from_slice(&sealed);
+        let tag = hmac_on(kernel, &subkeys[32..], &mac_input);
+        assert_eq!(
+            to_hex(&sealed[..16]),
+            "8c1111b84aab7b625c362f04c9df790b",
+            "{how}"
+        );
+        assert_eq!(
+            to_hex(&tag),
+            "0dc4f1d642a46372c8861526d45d068d88160a1ce4cb46e0b12ffff476ae3c38",
+            "{how}"
+        );
+        sealed.extend_from_slice(&tag);
+        let aead = Aes256CtrHmac::new(&key);
+        assert_eq!(aead.seal(&nonce, aad, SUNSCREEN), sealed, "{how}");
+        let mut buf = sealed;
+        assert_eq!(aead.open_in_place(&nonce, aad, &mut buf), Ok(()));
+        assert_eq!(buf, SUNSCREEN, "{how}");
+    }
+}
+
+/// One flipped byte of ciphertext, tag or AAD: `open_in_place` refuses
+/// and leaves the buffer exactly as it was — nothing is decrypted before
+/// the tag verifies — for ChaCha20-Poly1305 on every tier and for
+/// AES-256-CTR-HMAC on the library's.
+#[test]
+fn open_in_place_refuses_a_flipped_byte_and_leaves_the_buffer_undecrypted() {
+    let (nonce, aad) = ([0x17u8; 12], pattern(40, 8));
+    let plain = pattern(1100, 9);
+    let chacha = ChaCha20Poly1305::new(&[0xA5; 32]);
+    for kernel in Kernel::supported() {
+        let how = format!("chacha20-poly1305 {:?}", tiers(kernel));
+        let sealed = chacha.seal_on(kernel, &nonce, &aad, &plain);
+        refuses_flips(&how, &sealed, &plain, &aad, |aad, buf| {
+            chacha.open_in_place_on(kernel, &nonce, aad, buf)
+        });
+    }
+    let aes = Aes256CtrHmac::new(&[0xA5; 32]);
+    let sealed = aes.seal(&nonce, &aad, &plain);
+    refuses_flips("aes256-ctr-hmac", &sealed, &plain, &aad, |aad, buf| {
+        aes.open_in_place(&nonce, aad, buf)
+    });
+}
+
+/// `open` (in place, under `aad`) refuses `sealed` with one byte of its
+/// ciphertext, its tag or `aad` flipped, leaving the buffer untouched,
+/// and opens the intact `sealed` to `plain`.
+fn refuses_flips(
+    how: &str,
+    sealed: &[u8],
+    plain: &[u8],
+    aad: &[u8],
+    open: impl Fn(&[u8], &mut Vec<u8>) -> Result<(), AuthError>,
+) {
+    let last = sealed.len() - 1;
+    for (at, in_aad) in [
+        (0, false),
+        (plain.len() / 2, false),
+        (last, false),
+        (3, true),
+    ] {
+        let (mut bent, mut bent_aad) = (sealed.to_vec(), aad.to_vec());
+        match in_aad {
+            true => bent_aad[at] ^= 0x20,
+            false => bent[at] ^= 0x20,
+        }
+        let mut buf = bent.clone();
+        assert_eq!(
+            open(&bent_aad, &mut buf),
+            Err(AuthError),
+            "{how}: byte {at}"
+        );
+        assert_eq!(buf, bent, "{how}: byte {at} left the buffer touched");
+    }
+    let mut buf = sealed.to_vec();
+    assert_eq!(open(aad, &mut buf), Ok(()), "{how}");
+    assert_eq!(buf, plain, "{how}");
 }
 
 /// A 32-byte Poly1305 key from its halves: `r` before clamping, and `s`.

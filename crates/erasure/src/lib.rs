@@ -32,6 +32,7 @@
 
 use aeon_gf::slice::{self, Gf256MulTable};
 use aeon_gf::{Gf256, Matrix};
+use std::ops::Range;
 
 /// Errors from erasure coding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,6 +64,13 @@ pub enum CodeError {
     },
     /// The encoded payload header is malformed.
     CorruptHeader,
+    /// A requested shard slot lies beyond the code's `n` slots.
+    NoSuchShard {
+        /// The slot requested.
+        index: usize,
+        /// Slots the code has.
+        total: usize,
+    },
 }
 
 impl core::fmt::Display for CodeError {
@@ -95,6 +103,9 @@ impl core::fmt::Display for CodeError {
                 )
             }
             CodeError::CorruptHeader => write!(f, "corrupt shard header"),
+            CodeError::NoSuchShard { index, total } => {
+                write!(f, "no shard slot {index}: the code has {total}")
+            }
         }
     }
 }
@@ -232,17 +243,12 @@ impl ReedSolomon {
         Ok(parity)
     }
 
-    /// Reconstructs all shards (data and parity) from any `k` survivors,
-    /// returning the full shard set.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeError::TooFewShards`] when reconstruction is
-    /// impossible and [`CodeError::ShardLengthMismatch`] on ragged input.
-    pub fn reconstruct_shards(
+    /// Checks a shard set (`None` = lost) and sets up recovery from its
+    /// first `k` survivors.
+    fn survivors<'s, T: AsRef<[u8]>>(
         &self,
-        shards: &[Option<Vec<u8>>],
-    ) -> Result<Vec<Vec<u8>>, CodeError> {
+        shards: &'s [Option<T>],
+    ) -> Result<Survivors<'s>, CodeError> {
         let n = self.total_shards();
         if shards.len() != n {
             return Err(CodeError::WrongShardCount {
@@ -250,52 +256,160 @@ impl ReedSolomon {
                 expected: n,
             });
         }
-        let available: Vec<usize> = (0..n).filter(|&i| shards[i].is_some()).collect();
-        if available.len() < self.data {
-            return Err(CodeError::TooFewShards {
-                available: available.len(),
-                required: self.data,
-            });
-        }
-        let len = shards[available[0]].as_ref().expect("available").len();
-        if available
-            .iter()
-            .any(|&i| shards[i].as_ref().expect("available").len() != len)
-        {
-            return Err(CodeError::ShardLengthMismatch);
-        }
-
-        // Invert the submatrix of the first k surviving rows.
-        let rows: Vec<usize> = available[..self.data].to_vec();
-        let sub = self.encode_matrix.select_rows(&rows);
-        let inv = sub.inverse().map_err(|_| CodeError::TooFewShards {
+        let available: Vec<(usize, &[u8])> = (shards.iter().enumerate())
+            .filter_map(|(i, s)| Some((i, s.as_ref()?.as_ref())))
+            .collect();
+        let too_few = CodeError::TooFewShards {
             available: available.len(),
             required: self.data,
-        })?;
-
-        // Recover data shards: data[c] = sum_j inv[c][j] * surviving[j].
-        // The inverse depends on the erasure pattern, so each output
-        // row's tables are built inside the fused kernel; the cost
-        // amortizes over the shard length.
-        let mut data: Vec<Vec<u8>> = vec![vec![0u8; len]; self.data];
-        for (c, out) in data.iter_mut().enumerate() {
-            let inv_rows: Vec<(Gf256, &[u8])> = rows
-                .iter()
-                .enumerate()
-                .map(|(j, &row_idx)| {
-                    let src: &[u8] = shards[row_idx].as_ref().expect("available");
-                    (inv[(c, j)], src)
-                })
-                .collect();
-            slice::mul_add_rows(out, &inv_rows);
+        };
+        if available.len() < self.data {
+            return Err(too_few);
         }
+        let len = available[0].1.len();
+        if available.iter().any(|(_, s)| s.len() != len) {
+            return Err(CodeError::ShardLengthMismatch);
+        }
+        let (slots, rows): (Vec<usize>, Vec<&[u8]>) =
+            available[..self.data].iter().copied().unzip();
+        let inverse = (self.encode_matrix.select_rows(&slots).inverse()).map_err(|_| too_few)?;
+        Ok(Survivors { rows, len, inverse })
+    }
 
-        // Regenerate parity from recovered data.
-        let data_refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        let parity = self.encode_shards(&data_refs)?;
-        let mut all = data;
-        all.extend(parity);
-        Ok(all)
+    /// Recovers the payload from surviving shards (`None` = lost),
+    /// working from the caller's bytes: each present data shard is
+    /// copied once into the output, each lost one is computed from the
+    /// first `k` survivors straight into it, and parity is never
+    /// regenerated. The result equals the data shards of
+    /// [`Self::reconstruct_shards`], concatenated and unframed, error for
+    /// error, on any input bytes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodeError::WrongShardCount`], [`CodeError::TooFewShards`]
+    /// or [`CodeError::ShardLengthMismatch`] on an unusable set, and
+    /// [`CodeError::CorruptHeader`] when the recovered length prefix
+    /// overruns the data.
+    pub fn decode_slices<T: AsRef<[u8]>>(
+        &self,
+        shards: &[Option<T>],
+    ) -> Result<Vec<u8>, CodeError> {
+        let survivors = self.survivors(shards)?;
+        let len = survivors.len;
+        // The data shards cut the frame `[u64 BE length][payload][pad]`:
+        // its first eight bytes go to `header`, the rest to `payload`.
+        let mut header = Vec::with_capacity(8);
+        let mut payload = Vec::with_capacity((self.data * len).saturating_sub(8));
+        for (c, shard) in shards[..self.data].iter().enumerate() {
+            let cut = 8usize.saturating_sub(c * len).min(len);
+            match shard {
+                Some(shard) => {
+                    let shard = shard.as_ref();
+                    header.extend_from_slice(&shard[..cut]);
+                    payload.extend_from_slice(&shard[cut..]);
+                }
+                None => {
+                    let coefficients = survivors.coefficients(self.encode_matrix.row(c));
+                    survivors.append(&coefficients, 0..cut, &mut header);
+                    survivors.append(&coefficients, cut..len, &mut payload);
+                }
+            }
+        }
+        let header: [u8; 8] = header.try_into().map_err(|_| CodeError::CorruptHeader)?;
+        let payload_len = u64::from_be_bytes(header);
+        if payload_len > payload.len() as u64 {
+            return Err(CodeError::CorruptHeader);
+        }
+        payload.truncate(payload_len as usize);
+        Ok(payload)
+    }
+
+    /// Rebuilds only the shard slots `rows` from the first `k`
+    /// survivors, in the order asked: a data slot from the inverse of the
+    /// survivors' rows, a parity slot `r` in one fused pass with the
+    /// coefficients `E_r · inverse` (`E` the encoding matrix). A slot
+    /// that is one survivor as it is comes back as a copy of it. Each
+    /// output equals that slot of [`Self::reconstruct_shards`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::reconstruct_shards`], and [`CodeError::NoSuchShard`] for
+    /// a slot past the last.
+    pub fn reconstruct_rows<T: AsRef<[u8]>>(
+        &self,
+        shards: &[Option<T>],
+        rows: &[usize],
+    ) -> Result<Vec<Vec<u8>>, CodeError> {
+        let survivors = self.survivors(shards)?;
+        let total = self.total_shards();
+        rows.iter()
+            .map(|&r| {
+                if r >= total {
+                    return Err(CodeError::NoSuchShard { index: r, total });
+                }
+                let coefficients = survivors.coefficients(self.encode_matrix.row(r));
+                let mut out = Vec::with_capacity(survivors.len);
+                survivors.append(&coefficients, 0..survivors.len, &mut out);
+                Ok(out)
+            })
+            .collect()
+    }
+
+    /// Reconstructs all shards (data and parity) from any `k` survivors,
+    /// returning the full shard set: [`Self::reconstruct_rows`] over
+    /// every slot.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodeError::TooFewShards`] when reconstruction is
+    /// impossible and [`CodeError::ShardLengthMismatch`] on ragged input.
+    pub fn reconstruct_shards<T: AsRef<[u8]>>(
+        &self,
+        shards: &[Option<T>],
+    ) -> Result<Vec<Vec<u8>>, CodeError> {
+        let all: Vec<usize> = (0..self.total_shards()).collect();
+        self.reconstruct_rows(shards, &all)
+    }
+}
+
+/// The first `k` surviving shards of a set and the inverse of their rows
+/// of the encoding matrix: every slot of the codeword is a fixed
+/// combination of these `k` slices.
+struct Survivors<'s> {
+    rows: Vec<&'s [u8]>,
+    len: usize,
+    inverse: Matrix<Gf256>,
+}
+
+impl Survivors<'_> {
+    /// The coefficients over the survivors of the slot whose
+    /// encoding-matrix row is `row`: `row · inverse`. A data slot's row
+    /// is a unit vector, so this is that slot's row of the inverse.
+    fn coefficients(&self, row: &[Gf256]) -> Vec<Gf256> {
+        (0..self.rows.len())
+            .map(|j| {
+                (row.iter().enumerate())
+                    .fold(Gf256::ZERO, |acc, (c, &e)| acc + e * self.inverse[(c, j)])
+            })
+            .collect()
+    }
+
+    /// Appends bytes `range` of the slot with `coefficients` to `out`: a
+    /// copy when the slot is one survivor as it is, else one fused pass
+    /// over the survivors with a nonzero coefficient.
+    fn append(&self, coefficients: &[Gf256], range: Range<usize>, out: &mut Vec<u8>) {
+        let terms: Vec<(Gf256, &[u8])> = (coefficients.iter().zip(&self.rows))
+            .filter(|(&c, _)| c != Gf256::ZERO)
+            .map(|(&c, row)| (c, &row[range.clone()]))
+            .collect();
+        match terms[..] {
+            [(Gf256::ONE, source)] => out.extend_from_slice(source),
+            _ => {
+                let start = out.len();
+                out.resize(start + range.len(), 0);
+                slice::mul_add_rows(&mut out[start..], &terms);
+            }
+        }
     }
 }
 
@@ -322,20 +436,6 @@ fn frame_into_shards(payload: &[u8], k: usize) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// Recovers a payload from its framed form, in place.
-fn unframe_payload(mut framed: Vec<u8>) -> Result<Vec<u8>, CodeError> {
-    if framed.len() < 8 {
-        return Err(CodeError::CorruptHeader);
-    }
-    let len = u64::from_be_bytes(framed[..8].try_into().expect("8 bytes")) as usize;
-    if len > framed.len() - 8 {
-        return Err(CodeError::CorruptHeader);
-    }
-    framed.copy_within(8..8 + len, 0);
-    framed.truncate(len);
-    Ok(framed)
-}
-
 impl ErasureCode for ReedSolomon {
     fn data_shards(&self) -> usize {
         self.data
@@ -354,9 +454,7 @@ impl ErasureCode for ReedSolomon {
     }
 
     fn decode(&self, shards: &[Option<Vec<u8>>]) -> Result<Vec<u8>, CodeError> {
-        let mut data = self.reconstruct_shards(shards)?;
-        data.truncate(self.data);
-        unframe_payload(data.concat())
+        self.decode_slices(shards)
     }
 }
 
@@ -385,6 +483,32 @@ impl Replicator {
         }
         Ok(Replicator { copies })
     }
+
+    /// Recovers the payload from the caller's surviving copies (`None` =
+    /// lost): one copy of the first present one.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodeError::WrongShardCount`] for a set of the wrong size
+    /// and [`CodeError::TooFewShards`] when no copy survives.
+    pub fn decode_slices<T: AsRef<[u8]>>(
+        &self,
+        shards: &[Option<T>],
+    ) -> Result<Vec<u8>, CodeError> {
+        if shards.len() != self.copies {
+            return Err(CodeError::WrongShardCount {
+                provided: shards.len(),
+                expected: self.copies,
+            });
+        }
+        let first = shards.iter().flatten().next();
+        first
+            .map(|copy| copy.as_ref().to_vec())
+            .ok_or(CodeError::TooFewShards {
+                available: 0,
+                required: 1,
+            })
+    }
 }
 
 impl ErasureCode for Replicator {
@@ -401,21 +525,7 @@ impl ErasureCode for Replicator {
     }
 
     fn decode(&self, shards: &[Option<Vec<u8>>]) -> Result<Vec<u8>, CodeError> {
-        if shards.len() != self.copies {
-            return Err(CodeError::WrongShardCount {
-                provided: shards.len(),
-                expected: self.copies,
-            });
-        }
-        shards
-            .iter()
-            .flatten()
-            .next()
-            .cloned()
-            .ok_or(CodeError::TooFewShards {
-                available: 0,
-                required: 1,
-            })
+        self.decode_slices(shards)
     }
 }
 
@@ -573,13 +683,193 @@ mod tests {
 
     #[test]
     fn corrupt_header_detected() {
-        // Frame claiming a longer payload than exists.
-        let mut bad = vec![0u8; 16];
+        let rs = ReedSolomon::new(2, 1).unwrap();
+        let with_parity = |data: [&[u8]; 2]| {
+            let parity = rs.encode_shards(&data).unwrap();
+            let all = data.into_iter().map(<[u8]>::to_vec).chain(parity);
+            all.map(Some).collect::<Vec<_>>()
+        };
+        // A frame claiming a longer payload than exists, and one too
+        // short to hold the length prefix at all.
+        let mut bad = [0u8; 16];
         bad[..8].copy_from_slice(&(100u64).to_be_bytes());
-        assert_eq!(unframe_payload(bad).unwrap_err(), CodeError::CorruptHeader);
+        for shards in [
+            with_parity([&bad[..8], &bad[8..]]),
+            with_parity([&[1], &[2]]),
+        ] {
+            for lost in [None, Some(0), Some(1)] {
+                let mut shards = shards.clone();
+                if let Some(slot) = lost {
+                    shards[slot] = None;
+                }
+                assert_eq!(rs.decode(&shards), Err(CodeError::CorruptHeader));
+                check_against_oracle(&rs, &shards, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn a_slot_past_the_last_is_a_typed_error() {
+        let rs = ReedSolomon::new(2, 1).unwrap();
+        let shards: Vec<Option<Vec<u8>>> = rs.encode(b"x").unwrap().into_iter().map(Some).collect();
         assert_eq!(
-            unframe_payload(vec![1, 2]).unwrap_err(),
-            CodeError::CorruptHeader
+            rs.reconstruct_rows(&shards, &[1, 3]),
+            Err(CodeError::NoSuchShard { index: 3, total: 3 })
         );
+    }
+
+    /// The payload of a length-prefixed, zero-padded frame — the inverse
+    /// of `frame_into_shards`, as decode applied it to the concatenated
+    /// data shards before it worked from borrowed slices.
+    fn unframe_payload(mut framed: Vec<u8>) -> Result<Vec<u8>, CodeError> {
+        if framed.len() < 8 {
+            return Err(CodeError::CorruptHeader);
+        }
+        let len = u64::from_be_bytes(framed[..8].try_into().expect("8 bytes")) as usize;
+        if len > framed.len() - 8 {
+            return Err(CodeError::CorruptHeader);
+        }
+        framed.copy_within(8..8 + len, 0);
+        framed.truncate(len);
+        Ok(framed)
+    }
+
+    /// The reconstruct-all oracle, as the code was before it rebuilt only
+    /// what a caller needs: invert the first `k` survivors' rows of the
+    /// encoding matrix, recover every data shard with one full pass per
+    /// row, then regenerate every parity shard from the recovered data.
+    fn oracle_all(rs: &ReedSolomon, shards: &[Option<Vec<u8>>]) -> Result<Vec<Vec<u8>>, CodeError> {
+        let n = rs.total_shards();
+        if shards.len() != n {
+            return Err(CodeError::WrongShardCount {
+                provided: shards.len(),
+                expected: n,
+            });
+        }
+        let available: Vec<usize> = (0..n).filter(|&i| shards[i].is_some()).collect();
+        let too_few = CodeError::TooFewShards {
+            available: available.len(),
+            required: rs.data,
+        };
+        if available.len() < rs.data {
+            return Err(too_few);
+        }
+        let present = |i: usize| shards[i].as_deref().unwrap();
+        let len = present(available[0]).len();
+        if available.iter().any(|&i| present(i).len() != len) {
+            return Err(CodeError::ShardLengthMismatch);
+        }
+        let rows = &available[..rs.data];
+        let inv = rs
+            .encode_matrix
+            .select_rows(rows)
+            .inverse()
+            .map_err(|_| too_few)?;
+        let mut all: Vec<Vec<u8>> = vec![vec![0u8; len]; rs.data];
+        for (c, out) in all.iter_mut().enumerate() {
+            let terms: Vec<(Gf256, &[u8])> = (rows.iter().enumerate())
+                .map(|(j, &slot)| (inv[(c, j)], present(slot)))
+                .collect();
+            slice::mul_add_rows(out, &terms);
+        }
+        let data: Vec<&[u8]> = all.iter().map(Vec::as_slice).collect();
+        let parity = rs.encode_shards(&data)?;
+        all.extend(parity);
+        Ok(all)
+    }
+
+    /// A deterministic byte stream (xorshift64*), so every run checks
+    /// the same "random" shard sets.
+    fn noise(seed: u64, len: usize) -> Vec<u8> {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x >> 12;
+                x ^= x << 25;
+                x ^= x >> 27;
+                (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 56) as u8
+            })
+            .collect()
+    }
+
+    /// The borrowed decode and the per-row rebuild against the
+    /// reconstruct-all oracle, output for output and error for error:
+    /// every RS(k, m) with k, m ≤ 4, every erasure pattern, payloads of
+    /// 0..=70 bytes, on true codewords and on shard sets no encoder
+    /// produced — random bytes throughout, a true data half under random
+    /// parity, a ragged set and a set one slot short.
+    #[test]
+    fn borrowed_decode_and_row_rebuild_match_the_reconstruct_all_oracle() {
+        oracle_sweep(0..=70);
+    }
+
+    /// The same either side of 8 KiB, across the fused kernel's strips.
+    #[test]
+    fn borrowed_decode_matches_the_oracle_either_side_of_8_kib() {
+        oracle_sweep([8191, 8192, 8193]);
+    }
+
+    fn oracle_sweep(lengths: impl IntoIterator<Item = usize> + Clone) {
+        for (k, m) in (1..=4usize).flat_map(|k| (1..=4usize).map(move |m| (k, m))) {
+            let rs = ReedSolomon::new(k, m).unwrap();
+            let n = k + m;
+            for len in lengths.clone() {
+                let seed = (k * 10 + m) as u64 * 100_003 + len as u64;
+                let codeword = rs.encode(&noise(seed, len)).unwrap();
+                let shard_len = codeword[0].len();
+                let random: Vec<Vec<u8>> = (0..n as u64)
+                    .map(|s| noise(seed ^ (s + 1) << 40, shard_len))
+                    .collect();
+                let mut true_data = codeword.clone();
+                true_data[k..].clone_from_slice(&random[k..]);
+                let sets = [codeword, random, true_data];
+                // The big lengths on every pattern of the true codeword,
+                // and on the patterns that lose at most one data shard of
+                // the others: enough to cross the strip boundaries of
+                // the fused kernel without an 8 KiB oracle per pattern.
+                let big = len > 70;
+                for (which, set) in sets.iter().enumerate() {
+                    for pattern in 0u32..1 << n {
+                        let lost_data = (0..k).filter(|&i| pattern & 1 << i != 0).count();
+                        if big && which > 0 && lost_data > 1 {
+                            continue;
+                        }
+                        let shards: Vec<Option<Vec<u8>>> = (0..n)
+                            .map(|i| (pattern & 1 << i == 0).then(|| set[i].clone()))
+                            .collect();
+                        check_against_oracle(&rs, &shards, pattern);
+                        // The malformed sets fail before any arithmetic:
+                        // a few lengths are plenty.
+                        if len % 16 != 0 || big {
+                            continue;
+                        }
+                        // Ragged: the last present shard a byte short.
+                        if let Some(last) = shards.iter().rposition(Option::is_some) {
+                            let mut ragged = shards.clone();
+                            ragged[last].as_mut().unwrap().pop();
+                            check_against_oracle(&rs, &ragged, pattern);
+                        }
+                        check_against_oracle(&rs, &shards[..n - 1], pattern);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `decode_slices` and `reconstruct_rows(missing)` against one
+    /// oracle reconstruct-all of `shards`; `reconstruct_shards` too on
+    /// short shards.
+    fn check_against_oracle(rs: &ReedSolomon, shards: &[Option<Vec<u8>>], pattern: u32) {
+        let case = format_args!("RS({}, {}) pattern {pattern:#b}", rs.data, rs.parity);
+        let borrowed: Vec<Option<&[u8]>> = shards.iter().map(Option::as_deref).collect();
+        let oracle = oracle_all(rs, shards);
+        let decoded = (oracle.clone()).and_then(|all| unframe_payload(all[..rs.data].concat()));
+        assert_eq!(rs.decode_slices(&borrowed), decoded, "{case}");
+        let missing: Vec<usize> = (0..shards.len()).filter(|&i| shards[i].is_none()).collect();
+        let want = (oracle.clone()).map(|all| missing.iter().map(|&i| all[i].clone()).collect());
+        assert_eq!(rs.reconstruct_rows(&borrowed, &missing), want, "{case}");
+        if shards.iter().flatten().all(|s| s.len() < 64) {
+            assert_eq!(rs.reconstruct_shards(shards), oracle, "{case}");
+        }
     }
 }
