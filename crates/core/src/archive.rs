@@ -756,11 +756,14 @@ impl Archive {
     }
 
     /// Retrieves an object in degraded mode, also returning the
-    /// per-shard retry accounting. Shards are fetched under the
+    /// per-shard retry accounting. Every shard is fetched under the
     /// configured [`RetryPolicy`]; erroring nodes are retried up to the
-    /// attempt cap, bit-rotted shards are discarded via per-shard
-    /// digests, and the decode proceeds from any `k` valid shards. The
-    /// read fails only when fewer than `k` valid shards remain: with
+    /// attempt cap. Shards are then verified against their per-shard
+    /// digests in slot order — bit-rotted ones discarded — until the
+    /// read threshold `k` are valid, and the decode proceeds from those
+    /// `k`. Shards past them are not hashed: a latent error there is
+    /// found by [`Archive::verify`] or a repair, not by a read. The read
+    /// fails only when fewer than `k` valid shards remain: with
     /// corruption in evidence that is an
     /// [`ArchiveError::IntegrityViolation`], otherwise an
     /// [`ArchiveError::DegradedBeyondBudget`].
@@ -808,7 +811,7 @@ impl Archive {
         }
         let plans: Vec<ReadPlan> = pending
             .iter()
-            .map(|(_, m)| ReadPlan::for_manifest(m))
+            .map(|(_, m)| ReadPlan::for_decode(m))
             .collect();
         let mut rngs: Vec<ChaChaDrbg> = pending
             .iter()
@@ -1095,6 +1098,7 @@ mod tests {
     use super::*;
     use aeon_crypto::{CryptoRng, SuiteId};
     use aeon_store::node::{MemoryNode, NodeError, ShardKey, StorageNode};
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn shamir_archive() -> Archive {
@@ -1491,6 +1495,140 @@ mod tests {
         assert_eq!(estimate_entropy_bits_per_byte(&[7u8; 100]), 0.0);
         let uniform: Vec<u8> = (0..=255u8).collect();
         assert!((estimate_entropy_bits_per_byte(&uniform) - 8.0).abs() < 1e-9);
+    }
+
+    /// Damages a record's stored shards as its nodes would serve them:
+    /// `edits[s]` is `(kind, arg)` for slot `s` — 0 deletes it, 1 flips
+    /// a bit, 2 truncates it, anything else leaves it intact.
+    fn damage(archive: &Archive, record: &Manifest, edits: &[(u8, usize)]) {
+        for (s, (&node, &(kind, arg))) in record.placement.iter().zip(edits).enumerate() {
+            let node = archive.cluster().node(node).unwrap();
+            let key = ShardKey::new(record.id.as_str(), s as u32);
+            let mut blob = node.get(&key).unwrap();
+            match kind {
+                0 => node.delete(&key).unwrap(),
+                1 if !blob.is_empty() => {
+                    let at = arg % blob.len();
+                    blob[at] ^= 1 << (arg % 8);
+                    node.put(&key, &blob).unwrap();
+                }
+                2 => {
+                    blob.truncate(arg % (blob.len() + 1));
+                    node.put(&key, &blob).unwrap();
+                }
+                _ => {}
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A decode-only read (verification stopped at the read
+        /// threshold) answers exactly like a full-scrub read of the same
+        /// damaged shards: the same bytes, or the same error with the
+        /// same `available` / `corrupt`. Every family, dedup on and off;
+        /// slots missing, bit-flipped or truncated, and with `rot_last`
+        /// the last slot always flipped. In dedup mode each stored block
+        /// is compared, and the object's retrieve succeeds exactly when
+        /// every block's scrub decodes.
+        #[test]
+        fn decode_reads_answer_like_full_scrubs(
+            family in 0usize..9,
+            dedup in any::<bool>(),
+            len in 0usize..3000,
+            seed in any::<u64>(),
+            edits in prop::collection::vec((0u8..12, any::<usize>()), 64..65),
+            rot_last in any::<bool>(),
+        ) {
+            let policy = crate::policy::tests::all_policies().swap_remove(family);
+            let mut config = ArchiveConfig::new(policy);
+            if dedup {
+                config = config.with_dedup(DedupConfig {
+                    chunker: aeon_cas::ChunkerParams {
+                        min_size: 64,
+                        target_size: 256,
+                        max_size: 1024,
+                        seed: 0xD0D0,
+                    },
+                    index_capacity: 64,
+                    fanout: 4,
+                });
+            }
+            let mut archive = Archive::in_memory(config).unwrap();
+            let mut payload = vec![0u8; len];
+            ChaChaDrbg::from_u64_seed(seed).fill_bytes(&mut payload);
+            let id = archive.ingest(&payload, "equivalence").unwrap();
+            let manifest = archive.manifest(&id).unwrap();
+            let records: Vec<Manifest> = archive
+                .units_of(&manifest)
+                .iter()
+                .map(|unit| archive.load(unit).unwrap())
+                .collect();
+            for (r, record) in records.iter().enumerate() {
+                let mut edits = edits[(r * 7) % 32..][..record.placement.len()].to_vec();
+                if rot_last {
+                    // Past the first `read_threshold` valid slots unless
+                    // fewer than that survive.
+                    *edits.last_mut().unwrap() = (1, seed as usize);
+                }
+                damage(&archive, record, &edits);
+            }
+            let decode = |plan: ReadPlan, record: &Manifest| {
+                let mut rng = archive.op_rng("retrieve", record.id.as_str());
+                let snap = archive.executor().read(&plan, &mut rng);
+                format!("{:?}", archive.decode_record(&id, record, &snap))
+            };
+            let mut scrubs = Vec::with_capacity(records.len());
+            for record in &records {
+                let scrub = decode(ReadPlan::for_manifest(record), record);
+                prop_assert_eq!(decode(ReadPlan::for_decode(record), record), scrub.as_str());
+                scrubs.push(scrub);
+            }
+            let retrieved = archive.retrieve(&id);
+            if dedup {
+                prop_assert_eq!(retrieved.is_ok(), scrubs.iter().all(|s| s.starts_with("Ok")));
+                if let Ok(bytes) = retrieved {
+                    prop_assert_eq!(bytes, payload);
+                }
+            } else {
+                prop_assert_eq!(format!("{retrieved:?}"), scrubs[0].as_str());
+            }
+        }
+    }
+
+    /// A flipped byte in a shard past the read threshold is invisible to
+    /// a read, which verifies only the shards it decodes, but every
+    /// scrub still finds it: `verify` counts it out, `repair` rewrites
+    /// it, and `scan_fleet` (node metadata only) still lists it.
+    #[test]
+    fn rot_past_the_threshold_is_left_to_the_scrubs() {
+        let mut a = shamir_archive();
+        let id = a.ingest(b"latent error past the threshold", "d").unwrap();
+        let manifest = a.manifest(&id).unwrap();
+        let node = Arc::clone(a.cluster().node(manifest.placement[4]).unwrap());
+        let key = ShardKey::new(id.as_str(), 4);
+        let original = node.get(&key).unwrap();
+        let mut rotted = original.clone();
+        rotted[0] ^= 0x01;
+        node.put(&key, &rotted).unwrap();
+
+        assert_eq!(a.retrieve(&id).unwrap(), b"latent error past the threshold");
+        let health = a.verify(&id, &SigBreakSchedule::new()).unwrap();
+        assert_eq!(health.shards_available, 4, "n - 1");
+        assert!(health.intact);
+        let scan = a.scan_fleet();
+        assert_eq!(
+            (scan.healthy, scan.tickets.len()),
+            (1, 0),
+            "keys still listed"
+        );
+
+        let repaired = a.repair_object(&id).unwrap();
+        assert_eq!((repaired.missing_before, repaired.missing_after), (1, 0));
+        assert_eq!(node.get(&key).unwrap(), original, "slot 4 rewritten");
+        let health = a.verify(&id, &SigBreakSchedule::new()).unwrap();
+        assert_eq!(health.shards_available, 5);
     }
 }
 

@@ -545,14 +545,16 @@ impl Dispersal {
                 rs(data, parity)?.decode_slices(shards).map_err(code_err)
             }
             Dispersal::Shamir { threshold, .. } => {
-                // Every present share is copied, not only the `threshold`
-                // read, and none is borrowed: each cheaper variant left
-                // glibc fewer heap pages mapped between benchmark rounds,
-                // and the next round's ingest paid for it in page faults.
-                // Copying 3 of 5 took `bulk-sharing` ingest from ~500 to
-                // ~1 270 minor faults per call (−12 %); borrowing all of
-                // them gained retrieve 25 % but cost ingest 21 % and
-                // ingest p50 26 %, past the benchmark's bound.
+                // Every present share is copied and none is borrowed:
+                // borrowing them gained `bulk-sharing` retrieve 25 % but
+                // left glibc fewer heap pages mapped between benchmark
+                // rounds, and the next round's ingest paid 21 % (p50
+                // 26 %) in page faults. A retrieve verifies only the
+                // first `threshold` shares and drops the rest, so only
+                // those arrive here and are copied. With that change the
+                // first `bulk-sharing` ingest of each round went from 0 to
+                // 1 248 minor faults (the others stayed at 1 248–1 280),
+                // and a retrieve from 1 726 to 702 (`--seed 7`).
                 shamir::reconstruct(&collect_shamir(shards, shards.len()), threshold)
                     .map_err(share_err(threshold))
             }
@@ -690,6 +692,7 @@ pub(crate) fn rewrap_chunk(
 mod tests {
     use super::*;
     use crate::plan::rewrapped_policy;
+    use crate::policy::tests::all_policies;
     use aeon_crypto::ChaChaDrbg;
 
     fn fixtures() -> (ChaChaDrbg, KeyStore) {
@@ -712,39 +715,6 @@ mod tests {
         shards: &[Option<Vec<u8>>],
     ) -> Result<CodecRepair, RepairError> {
         dispersal.repair_chunk(&borrowed(shards), &absent(shards))
-    }
-
-    fn all_policies() -> Vec<PolicyKind> {
-        vec![
-            PolicyKind::Replication { copies: 3 },
-            PolicyKind::ErasureCoded { data: 4, parity: 2 },
-            PolicyKind::Encrypted {
-                suite: SuiteId::Aes256CtrHmac,
-                data: 4,
-                parity: 2,
-            },
-            PolicyKind::Cascade {
-                suites: vec![SuiteId::Aes256CtrHmac, SuiteId::ChaCha20Poly1305],
-                data: 4,
-                parity: 2,
-            },
-            PolicyKind::AontRs { data: 4, parity: 2 },
-            PolicyKind::Shamir {
-                threshold: 3,
-                shares: 5,
-            },
-            PolicyKind::PackedShamir {
-                privacy: 2,
-                pack: 2,
-                shares: 6,
-            },
-            PolicyKind::LeakageResilientShamir {
-                threshold: 3,
-                shares: 5,
-                source_len: 32,
-            },
-            PolicyKind::Entropic { data: 4, parity: 2 },
-        ]
     }
 
     #[test]

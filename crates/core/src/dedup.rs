@@ -523,6 +523,7 @@ impl Archive {
                 object: ObjectId::from_raw(ctx.clone()),
                 placement: rec.placement.clone(),
                 shard_digests: rec.shard_digests.clone(),
+                need: rec.policy.read_threshold(),
             });
             rngs.push(self.op_rng("block-read", &ctx));
             recs.push((rec, ctx));

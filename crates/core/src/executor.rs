@@ -35,12 +35,13 @@ use std::slice;
 #[derive(Debug)]
 pub struct ShardsSnapshot {
     /// Shard slots in placement order. Slots that erred out past the
-    /// retry budget, or whose bytes failed the per-shard digest check,
-    /// are `None`.
+    /// retry budget, whose bytes failed the per-shard digest check, or
+    /// that lie past the plan's `need`-th valid slot are `None`.
     pub shards: Vec<Option<Vec<u8>>>,
-    /// Shards present and digest-clean.
+    /// Shards present and digest-clean (at most the plan's `need`).
     pub valid: usize,
-    /// Shards discarded because their bytes failed the digest check.
+    /// Shards discarded because their bytes failed the digest check,
+    /// among those examined before `need` were valid.
     pub corrupt: usize,
     /// Per-shard read-attempt accounting from the cluster.
     pub report: TransferReport,
@@ -270,8 +271,11 @@ impl<'a> PlanExecutor<'a> {
     /// framed batch request per node (one seek per node per flush on
     /// media-priced clusters, however many objects the flush spans);
     /// keys that fail retryably then spend the remaining retry budget
-    /// individually, drawing jitter from that object's own rng. Shards
-    /// whose bytes fail their plan's digest check are discarded.
+    /// individually, drawing jitter from that object's own rng. Every
+    /// slot is fetched; each plan's slots are then verified in order
+    /// until its `need` are valid, shards failing the digest check are
+    /// discarded, and slots past the `need`-th valid one come back
+    /// `None` unhashed (see [`ReadPlan::need`]).
     ///
     /// # Panics
     ///
@@ -495,24 +499,30 @@ impl<'a> PlanExecutor<'a> {
     }
 }
 
-/// Discards fetched shards whose bytes fail the plan's digest check —
-/// a slot the plan records no digest for fails it too — and folds the
-/// result into a [`ShardsSnapshot`].
+/// Verifies fetched shards in slot order against the plan's digests and
+/// folds the result into a [`ShardsSnapshot`]. A slot whose bytes fail
+/// — or that the plan records no digest for — is discarded and counted
+/// corrupt. Once `plan.need` slots are valid, every later slot is
+/// dropped unhashed and uncounted: when fewer than `need` are valid,
+/// every present slot was examined, so `valid` and `corrupt` are what a
+/// full scrub would report.
 fn digest_filter(
     plan: &ReadPlan,
     mut shards: Vec<Option<Vec<u8>>>,
     report: TransferReport,
 ) -> ShardsSnapshot {
-    let mut corrupt = 0usize;
+    let (mut valid, mut corrupt) = (0usize, 0usize);
     for (s, slot) in shards.iter_mut().enumerate() {
-        if let Some(bytes) = slot {
-            if plan.shard_digests.get(s) != Some(&Sha256::digest(bytes.as_slice())) {
-                corrupt += 1;
-                *slot = None;
-            }
+        let Some(bytes) = slot else { continue };
+        if valid >= plan.need {
+            *slot = None;
+        } else if plan.shard_digests.get(s) == Some(&Sha256::digest(bytes)) {
+            valid += 1;
+        } else {
+            corrupt += 1;
+            *slot = None;
         }
     }
-    let valid = shards.iter().flatten().count();
     ShardsSnapshot {
         shards,
         valid,
@@ -548,6 +558,7 @@ mod tests {
             object: crate::archive::ObjectId::from_raw("obj".into()),
             placement: placement.to_vec(),
             shard_digests: shards.iter().map(|s| Sha256::digest(s)).collect(),
+            need: placement.len(),
         }
     }
 
@@ -652,6 +663,70 @@ mod tests {
         assert_eq!((snap.valid, snap.corrupt), (2, 1));
         assert_eq!(snap.shards[..2], [Some(vec![0; 8]), Some(vec![1; 8])]);
         assert!(snap.shards[2].is_none());
+    }
+
+    /// Runs [`digest_filter`] over five 8-byte blobs with `need` set,
+    /// after `edit` has damaged the fetched copies.
+    fn filtered(need: usize, edit: impl FnOnce(&mut [Option<Vec<u8>>])) -> ShardsSnapshot {
+        let blobs: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; 8]).collect();
+        let plan = ReadPlan {
+            need,
+            ..read_plan(&[NodeId(0); 5], &blobs)
+        };
+        let mut fetched: Vec<Option<Vec<u8>>> = blobs.into_iter().map(Some).collect();
+        edit(&mut fetched);
+        digest_filter(&plan, fetched, TransferReport::default())
+    }
+
+    fn present(snap: &ShardsSnapshot) -> Vec<usize> {
+        (0..snap.shards.len())
+            .filter(|&s| snap.shards[s].is_some())
+            .collect()
+    }
+
+    #[test]
+    fn digest_filter_stops_at_need() {
+        let snap = filtered(3, |_| {});
+        assert_eq!((snap.valid, snap.corrupt), (3, 0));
+        assert_eq!(present(&snap), vec![0, 1, 2], "the first need valid slots");
+        assert_eq!(snap.shards[2], Some(vec![2; 8]));
+    }
+
+    #[test]
+    fn digest_filter_counts_corruption_only_where_it_looked() {
+        // Slot 1 is examined and fails; slot 4 lies past the third valid
+        // slot, so it is dropped without being hashed or counted.
+        let snap = filtered(3, |f| {
+            f[1].as_mut().unwrap()[0] ^= 1;
+            f[4].as_mut().unwrap().pop();
+        });
+        assert_eq!((snap.valid, snap.corrupt), (3, 1));
+        assert_eq!(present(&snap), vec![0, 2, 3]);
+    }
+
+    #[test]
+    fn digest_filter_with_need_at_least_n_is_a_full_scrub() {
+        for need in [5, 6, usize::MAX] {
+            let snap = filtered(need, |f| {
+                f[1].as_mut().unwrap()[0] ^= 1;
+                f[4].as_mut().unwrap().pop();
+            });
+            assert_eq!((snap.valid, snap.corrupt), (3, 2), "need {need}");
+            assert_eq!(present(&snap), vec![0, 2, 3]);
+        }
+    }
+
+    #[test]
+    fn digest_filter_verifies_every_slot_when_need_exceeds_the_present() {
+        // Two slots missing, one corrupt: two valid of the three needed,
+        // so every present slot was examined and counted.
+        let snap = filtered(3, |f| {
+            f[0] = None;
+            f[2] = None;
+            f[3].as_mut().unwrap()[7] ^= 0x80;
+        });
+        assert_eq!((snap.valid, snap.corrupt), (2, 1));
+        assert_eq!(present(&snap), vec![1, 4]);
     }
 
     /// Regression: a repair write naming a slot beyond the placement

@@ -441,43 +441,10 @@ fn join_shard_segments<'s>(segments: impl Iterator<Item = &'s [u8]> + Clone) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aeon_crypto::SuiteId;
+    use crate::policy::tests::all_policies;
 
     fn fixtures() -> (ChaChaDrbg, KeyStore) {
         (ChaChaDrbg::from_u64_seed(77), KeyStore::new([3u8; 32]))
-    }
-
-    fn all_policies() -> Vec<PolicyKind> {
-        vec![
-            PolicyKind::Replication { copies: 3 },
-            PolicyKind::ErasureCoded { data: 4, parity: 2 },
-            PolicyKind::Encrypted {
-                suite: SuiteId::Aes256CtrHmac,
-                data: 4,
-                parity: 2,
-            },
-            PolicyKind::Cascade {
-                suites: vec![SuiteId::Aes256CtrHmac, SuiteId::ChaCha20Poly1305],
-                data: 4,
-                parity: 2,
-            },
-            PolicyKind::AontRs { data: 4, parity: 2 },
-            PolicyKind::Shamir {
-                threshold: 3,
-                shares: 5,
-            },
-            PolicyKind::PackedShamir {
-                privacy: 2,
-                pack: 2,
-                shares: 6,
-            },
-            PolicyKind::LeakageResilientShamir {
-                threshold: 3,
-                shares: 5,
-                source_len: 32,
-            },
-            PolicyKind::Entropic { data: 4, parity: 2 },
-        ]
     }
 
     fn test_payload(len: usize) -> Vec<u8> {

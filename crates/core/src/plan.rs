@@ -47,8 +47,16 @@ pub struct WritePlan {
     pub required: usize,
 }
 
-/// A fully determined object read: where the shards live and what
-/// their bytes must hash to.
+/// A fully determined object read: where the shards live, what their
+/// bytes must hash to, and how many verified shards the caller will
+/// consume.
+///
+/// Every slot is fetched whatever `need` says; `need` only bounds the
+/// *hashing*. The executor verifies slots in slot order and, once
+/// `need` of them are valid, drops the rest unexamined — which is all a
+/// decoder loses, since every dispersal consumes its first
+/// `read_threshold` valid slots in slot order. A scrub (verify, repair,
+/// refresh, re-wrap, re-encode) asks for every slot.
 #[derive(Debug, Clone)]
 pub struct ReadPlan {
     /// The object being read.
@@ -58,15 +66,29 @@ pub struct ReadPlan {
     /// Expected SHA-256 of each stored blob; mismatching shards are
     /// discarded as bit-rot rather than fed to the decoder.
     pub shard_digests: Vec<[u8; 32]>,
+    /// Valid shards the caller will consume: slots past the first
+    /// `need` valid ones come back `None`, unhashed and uncounted.
+    pub need: usize,
 }
 
 impl ReadPlan {
-    /// The read plan recorded in a manifest.
+    /// The full-scrub read of a manifest: every slot is verified
+    /// (`need` = the placement's length).
     pub fn for_manifest(manifest: &Manifest) -> Self {
         ReadPlan {
             object: manifest.id.clone(),
             placement: manifest.placement.clone(),
             shard_digests: manifest.shard_digests.clone(),
+            need: manifest.placement.len(),
+        }
+    }
+
+    /// The decode-only read of a manifest: verification stops at the
+    /// policy's read threshold, the shards the decoder consumes.
+    pub fn for_decode(manifest: &Manifest) -> Self {
+        ReadPlan {
+            need: manifest.policy.read_threshold(),
+            ..Self::for_manifest(manifest)
         }
     }
 }

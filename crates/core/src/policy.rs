@@ -415,7 +415,7 @@ impl PolicyKind {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use aeon_crypto::ChaChaDrbg;
 
@@ -423,7 +423,9 @@ mod tests {
         (ChaChaDrbg::from_u64_seed(2024), KeyStore::new([5u8; 32]))
     }
 
-    fn all_policies() -> Vec<PolicyKind> {
+    /// One policy of each of the nine families, at the parameters the
+    /// crate's unit tests share.
+    pub(crate) fn all_policies() -> Vec<PolicyKind> {
         vec![
             PolicyKind::Replication { copies: 3 },
             PolicyKind::ErasureCoded { data: 4, parity: 2 },
