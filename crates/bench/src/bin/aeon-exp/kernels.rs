@@ -13,6 +13,11 @@
 //! tier>`), at 64 B / 4 KiB / 44 KiB (a dedup block) / 1 MiB, plus the
 //! time of one 32-byte SHA-256 digest —
 //! the shape of every Merkle node, HMAC finish and signature chain step —
+//! and the fifth slot, `sha256-x16`, as the aggregate GB/s of sixteen
+//! 1 MiB lanes per call beside the single-stream `sha256` row (their
+//! ratio sets `Sha256::digest_many`'s break-even), then `digest_many` per
+//! kernel over two real message sets: one 2 MiB version's dedup blocks
+//! and one 32-object small-files flush (payloads and RS(4, 2) shards);
 //! and, on the active kernels, what sits on the two dispatched layers:
 //! a 1 MiB `ChaChaDrbg` fill, packed sharing (t=2, k=2, n=6) of 1 MiB,
 //! split and reconstruct, and a 1 MiB RS(4, 2) chunk decoded whole,
@@ -29,7 +34,8 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use aeon_bench::{f2, f3, reference_payload, CliArgs, Json, Table};
+use aeon_bench::{f2, f3, lcg_payload, reference_payload, CliArgs, Json, Table};
+use aeon_cas::{Chunker, ChunkerParams};
 use aeon_crypto::aead::ChaCha20Poly1305;
 use aeon_crypto::aes::Aes;
 use aeon_crypto::chacha::ChaCha20;
@@ -181,6 +187,26 @@ fn crypto_cells(budget: usize, reps: usize, src: &[u8]) -> (Vec<Cell>, Vec<(&'st
                 black_box(opened.expect("the tag verifies"));
             });
         }
+        // Sixteen 1 MiB lanes per call (the same source in each), as the
+        // aggregate over all of them.
+        let x16 = kernel.sha256_x16_tier().name();
+        if !cells
+            .iter()
+            .any(|c| c.op == "sha256-x16" && c.kernel == x16)
+        {
+            let bulk = 1 << 20;
+            let lanes = [&src[..bulk]; 16];
+            cells.push(Cell {
+                kernel: x16.into(),
+                op: "sha256-x16",
+                size: bulk,
+                gbs: best_gbs(16 * bulk, budget, reps, || {
+                    let mut states = SHA256_H0.map(|word| [word; 16]);
+                    kernel.sha256_x16(&mut states, black_box(&lanes));
+                    black_box(states);
+                }),
+            });
+        }
         let tier = kernel.sha256_tier().name();
         if !digest_ns.iter().any(|(measured, _)| *measured == tier) {
             let per_call = best_gbs(1, 1 << 16, reps, || {
@@ -191,6 +217,63 @@ fn crypto_cells(budget: usize, reps: usize, src: &[u8]) -> (Vec<Cell>, Vec<(&'st
         }
     }
     (cells, digest_ns)
+}
+
+/// `Sha256::digest_many` over one message set on one kernel.
+struct SetRow {
+    set: &'static str,
+    kernel: String,
+    messages: usize,
+    bytes: usize,
+    ms: f64,
+}
+
+/// The two message sets `digest_many` serves in the archive, each timed
+/// on every kernel (labelled `<sha256 tier>+<sha256-x16 tier>`; a
+/// `+scalar` kernel hashes one message at a time): the dedup blocks of one
+/// 2 MiB version (default chunker), and one small-files flush — 32
+/// payloads of 4–32 KiB plus six RS(4, 2)-sized shards each.
+fn digest_set_rows(reps: usize) -> Vec<SetRow> {
+    let version = reference_payload(2 << 20, 0xAE2);
+    let blocks = Chunker::new(ChunkerParams::default()).chunks(&version);
+    let payloads: Vec<Vec<u8>> = (0..32)
+        .map(|i| {
+            let len = (4 << 10) + (lcg_payload(0xAE3, i, 2)[0] as usize) * (28 << 10) / 255;
+            reference_payload(len, 0xAE4 + i as u64)
+        })
+        .collect();
+    let mut flush: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+    for payload in &payloads {
+        let shard = payload.len().div_ceil(4);
+        flush.extend((0..6).map(|s| &version[s * shard..(s + 1) * shard]));
+    }
+    let mut rows: Vec<SetRow> = Vec::new();
+    for kernel in CryptoKernel::supported() {
+        let label = format!(
+            "{}+{}",
+            kernel.sha256_tier().name(),
+            kernel.sha256_x16_tier().name()
+        );
+        for (set, msgs) in [("dedup blocks", &blocks), ("small-files flush", &flush)] {
+            if rows.iter().any(|r| r.set == set && r.kernel == label) {
+                continue;
+            }
+            let expect: Vec<[u8; 32]> = msgs.iter().map(|m| Sha256::digest(m)).collect();
+            assert_eq!(Sha256::digest_many_on(kernel, msgs), expect);
+            let bytes = msgs.iter().map(|m| m.len()).sum();
+            let gbs = best_gbs(bytes, 16 * bytes, reps, || {
+                black_box(Sha256::digest_many_on(kernel, black_box(msgs)));
+            });
+            rows.push(SetRow {
+                set,
+                kernel: label.clone(),
+                messages: msgs.len(),
+                bytes,
+                ms: bytes as f64 / gbs / 1e6,
+            });
+        }
+    }
+    rows
 }
 
 /// What the two dispatched layers add up to for secret sharing, on the
@@ -429,9 +512,40 @@ pub fn run(args: &CliArgs) {
     for (tier, ns) in &digest_ns {
         println!("sha256 32-byte digest, {tier}: {} ns", f2(*ns));
     }
+    // Sixteen lanes against the fastest single stream: below 16 / ratio
+    // busy lanes a shared pass loses, which is `digest_many`'s break-even.
+    let best = |op: &str| {
+        crypto
+            .iter()
+            .filter(|c| c.op == op && c.size == 1 << 20)
+            .map(|c| c.gbs)
+            .fold(0.0, f64::max)
+    };
+    let x16_ratio = best("sha256-x16") / best("sha256");
+    println!(
+        "sha256-x16 / sha256 @16x1MiB: {}x (break-even {} busy lanes)",
+        f2(x16_ratio),
+        f2(16.0 / x16_ratio)
+    );
+    let sets = digest_set_rows(reps);
+    let mut sets_out = Table::new(
+        "Sha256::digest_many per message set (ms, min-of-N)",
+        &["set", "kernel", "messages", "bytes", "ms"],
+    );
+    for r in &sets {
+        sets_out.row(&[
+            r.set.to_string(),
+            r.kernel.clone(),
+            r.messages.to_string(),
+            r.bytes.to_string(),
+            f3(r.ms),
+        ]);
+    }
+    sets_out.print();
     let active_kernel = CryptoKernel::active();
     let active_crypto = [
         ("sha256", active_kernel.sha256_tier().name()),
+        ("sha256-x16", active_kernel.sha256_x16_tier().name()),
         ("aes256-ctr", active_kernel.aes_ctr_tier().name()),
         ("chacha20", active_kernel.chacha20_tier().name()),
         ("poly1305", active_kernel.poly1305_tier().name()),
@@ -560,6 +674,23 @@ pub fn run(args: &CliArgs) {
             ),
         ),
         ("crypto_cells".into(), cells_json(&crypto)),
+        ("sha256_x16_vs_single_1m".into(), Json::Num(x16_ratio)),
+        (
+            "digest_many_sets".into(),
+            Json::Arr(
+                sets.iter()
+                    .map(|r| {
+                        Json::Obj(vec![
+                            ("set".into(), Json::Str(r.set.into())),
+                            ("kernel".into(), Json::Str(r.kernel.clone())),
+                            ("messages".into(), Json::Num(r.messages as f64)),
+                            ("bytes".into(), Json::Num(r.bytes as f64)),
+                            ("ms".into(), Json::Num(r.ms)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
         (
             "sha256_digest32_ns".into(),
             Json::Obj(

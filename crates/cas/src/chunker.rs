@@ -22,6 +22,12 @@
 //! `max_size` (bounding the tree arity and repair unit). `mask_bits` is
 //! `ilog2(target_size - min_size)`, so the mean chunk length lands near
 //! `target_size` on random data.
+//!
+//! Because `h` at byte `i` depends only on bytes `i − 63..=i`, a chunk
+//! need not roll through the `min_size` bytes no cut can fall in: the
+//! search starts rolling 64 bytes before the first byte that may end a
+//! chunk and from there only tests the mask. The cuts are the ones a
+//! byte-at-a-time loop from the chunk start finds.
 
 use aeon_crypto::{ChaChaDrbg, CryptoRng};
 
@@ -128,16 +134,31 @@ impl Chunker {
     /// which may be shorter than `min_size`.
     #[must_use]
     pub fn boundaries(&self, data: &[u8]) -> Vec<usize> {
+        let ChunkerParams {
+            min_size, max_size, ..
+        } = self.params;
         let mut cuts = Vec::new();
         let mut start = 0usize;
-        let mut h = 0u64;
-        for (i, &b) in data.iter().enumerate() {
-            h = (h << 1).wrapping_add(self.gear[b as usize]);
-            let len = i + 1 - start;
-            if (len >= self.params.min_size && h & self.mask == 0) || len == self.params.max_size {
-                cuts.push(i + 1);
-                start = i + 1;
-                h = 0;
+        while start + min_size <= data.len() {
+            // The first byte whose hash may end the chunk, and the 63
+            // bytes before it (within the chunk) that hash depends on.
+            let first = start + min_size - 1;
+            let mut h = 0u64;
+            for &b in &data[first.saturating_sub(63).max(start)..first] {
+                h = (h << 1).wrapping_add(self.gear[b as usize]);
+            }
+            let end = (start + max_size).min(data.len());
+            let found = data[first..end].iter().position(|&b| {
+                h = (h << 1).wrapping_add(self.gear[b as usize]);
+                h & self.mask == 0
+            });
+            let forced = (start + max_size <= data.len()).then_some(start + max_size);
+            match found.map(|i| first + i + 1).or(forced) {
+                Some(cut) => {
+                    cuts.push(cut);
+                    start = cut;
+                }
+                None => break,
             }
         }
         if start < data.len() {
@@ -162,6 +183,7 @@ impl Chunker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn small_params() -> ChunkerParams {
         ChunkerParams {
@@ -246,6 +268,70 @@ mod tests {
             prev = end;
         }
         assert_eq!(prev, data.len());
+    }
+
+    /// The byte-at-a-time Gear loop: every byte rolled from the chunk
+    /// start, the cut rule tested at each. The oracle for
+    /// [`Chunker::boundaries`].
+    fn boundaries_bytewise(c: &Chunker, data: &[u8]) -> Vec<usize> {
+        let mut cuts = Vec::new();
+        let mut start = 0usize;
+        let mut h = 0u64;
+        for (i, &b) in data.iter().enumerate() {
+            h = (h << 1).wrapping_add(c.gear[b as usize]);
+            let len = i + 1 - start;
+            if (len >= c.params.min_size && h & c.mask == 0) || len == c.params.max_size {
+                cuts.push(i + 1);
+                start = i + 1;
+                h = 0;
+            }
+        }
+        if start < data.len() {
+            cuts.push(data.len());
+        }
+        cuts
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Skipping the sub-minimum window cuts where the byte loop does:
+        /// random, all-zero and periodic inputs, under bounds from a
+        /// `min_size` inside the 64-byte window to `min == max`.
+        #[test]
+        fn skipping_the_minimum_window_keeps_every_cut(
+            bounds in prop_oneof![
+                (1usize..200, 0usize..300, 0usize..600)
+                    .prop_map(|(min, t, m)| (min, min + t, min + t + m)),
+                (1usize..300).prop_map(|min| (min, min, min)),
+            ],
+            kind in 0u8..3,
+            period in 1usize..97,
+            len in 0usize..6000,
+            seed in any::<u64>(),
+        ) {
+            let (min, target, max) = bounds;
+            let c = Chunker::new(ChunkerParams {
+                min_size: min,
+                target_size: target,
+                max_size: max,
+                seed,
+            });
+            let data = match kind {
+                0 => random_data(len, seed),
+                1 => vec![0u8; len],
+                _ => (0..len).map(|i| ((i % period) * 37) as u8).collect(),
+            };
+            prop_assert_eq!(c.boundaries(&data), boundaries_bytewise(&c, &data));
+        }
+    }
+
+    #[test]
+    fn skipping_the_minimum_window_keeps_every_cut_at_the_default_params() {
+        let c = Chunker::new(ChunkerParams::default());
+        for data in [random_data(3 << 20, 4), vec![0u8; 1 << 20]] {
+            assert_eq!(c.boundaries(&data), boundaries_bytewise(&c, &data));
+        }
     }
 
     #[test]

@@ -46,6 +46,16 @@ impl BlockHash {
         BlockHash(Sha256::digest(data))
     }
 
+    /// The content addresses of many blocks, hashed together
+    /// ([`Sha256::digest_many`]): `of_many(blocks)[i] == of(blocks[i])`.
+    #[must_use]
+    pub fn of_many(blocks: &[&[u8]]) -> Vec<Self> {
+        Sha256::digest_many(blocks)
+            .into_iter()
+            .map(BlockHash)
+            .collect()
+    }
+
     /// Wraps a raw digest.
     #[must_use]
     pub fn from_bytes(bytes: [u8; 32]) -> Self {
@@ -75,6 +85,14 @@ mod tests {
     #[test]
     fn hash_is_sha256() {
         assert_eq!(*BlockHash::of(b"abc").as_bytes(), Sha256::digest(b"abc"));
+    }
+
+    #[test]
+    fn many_hashes_are_each_block_hash() {
+        let data: Vec<u8> = (0..=255u8).cycle().take(40 << 10).collect();
+        let blocks: Vec<&[u8]> = (0..40).map(|i| &data[i..i * 1000 + 7]).collect();
+        let each: Vec<BlockHash> = blocks.iter().map(|b| BlockHash::of(b)).collect();
+        assert_eq!(BlockHash::of_many(&blocks), each);
     }
 
     #[test]

@@ -582,8 +582,10 @@ impl Archive {
     }
 
     /// The one classic ingest path (a single ingest is a flush of one):
-    /// plan all → flush → roll back the first failed object and
-    /// everything after it → anchor the landed prefix once → manifests.
+    /// encode all (in submission order, so the encode stream is drawn as
+    /// before) → digest every payload and shard in one batch → flush →
+    /// roll back the first failed object and everything after it →
+    /// anchor the landed prefix once → manifests.
     fn ingest_flush(
         &mut self,
         items: &[(&[u8], &str)],
@@ -594,7 +596,7 @@ impl Archive {
         let mut placements = Vec::with_capacity(items.len());
         for (payload, name) in items {
             let id = self.next_id(name);
-            let write = plan::plan_write(
+            let write = plan::encode_write(
                 policy,
                 &self.keys,
                 &mut self.rng,
@@ -605,6 +607,20 @@ impl Archive {
             placements.push(self.executor().place(id.as_str(), write.shards.len())?);
             plans.push(write);
             ids.push(id);
+        }
+        let messages: Vec<&[u8]> = items
+            .iter()
+            .map(|(payload, _)| *payload)
+            .chain(
+                plans
+                    .iter()
+                    .flat_map(|w| w.shards.iter().map(Vec::as_slice)),
+            )
+            .collect();
+        let mut batch = Sha256::digest_many(&messages).into_iter();
+        let mut digests: Vec<[u8; 32]> = batch.by_ref().take(items.len()).collect();
+        for write in &mut plans {
+            write.shard_digests = batch.by_ref().take(write.shards.len()).collect();
         }
         let mut rngs: Vec<ChaChaDrbg> = ids
             .iter()
@@ -623,10 +639,7 @@ impl Archive {
         };
         roll_back(self, landed);
 
-        let digests: Vec<[u8; 32]> = items[..landed]
-            .iter()
-            .map(|(payload, _)| Sha256::digest(payload))
-            .collect();
+        digests.truncate(landed);
         if let Err(e) = self.anchor(&ids[..landed], &digests) {
             roll_back(self, 0);
             return Err(e);

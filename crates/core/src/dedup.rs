@@ -304,7 +304,7 @@ impl Archive {
             slices.push(&payload[prev..end]);
             prev = end;
         }
-        let hashes: Vec<BlockHash> = slices.iter().map(|s| BlockHash::of(s)).collect();
+        let hashes = BlockHash::of_many(&slices);
 
         // Recognition: the bounded index answers first (statistics),
         // the authoritative map decides (correctness).

@@ -275,7 +275,9 @@ impl<'a> PlanExecutor<'a> {
     /// slot is fetched; each plan's slots are then verified in order
     /// until its `need` are valid, shards failing the digest check are
     /// discarded, and slots past the `need`-th valid one come back
-    /// `None` unhashed (see [`ReadPlan::need`]).
+    /// `None` unhashed (see [`ReadPlan::need`]). The first `need`
+    /// present slots of every plan — all a plan hashes unless one of
+    /// them fails — are hashed in one [`Sha256::digest_many`] batch.
     ///
     /// # Panics
     ///
@@ -299,10 +301,17 @@ impl<'a> PlanExecutor<'a> {
                 })
             })
             .collect();
+        let fetched = self.transfer::<Get, R>(&legs, rngs);
+        let firsts: Vec<&[u8]> = plans
+            .iter()
+            .zip(&fetched)
+            .flat_map(|(plan, (shards, _))| first_present(plan, shards))
+            .collect();
+        let mut digests = Sha256::digest_many(&firsts).into_iter();
         plans
             .iter()
-            .zip(self.transfer::<Get, R>(&legs, rngs))
-            .map(|(plan, (shards, report))| digest_filter(plan, shards, report))
+            .zip(fetched)
+            .map(|(plan, (shards, report))| digest_filter(plan, shards, report, &mut digests))
             .collect()
     }
 
@@ -499,6 +508,15 @@ impl<'a> PlanExecutor<'a> {
     }
 }
 
+/// The first `plan.need` present slots of a fetch, in slot order: the
+/// slots [`digest_filter`] is sure to examine, whatever they hold.
+fn first_present<'s>(
+    plan: &ReadPlan,
+    shards: &'s [Option<Vec<u8>>],
+) -> impl Iterator<Item = &'s [u8]> {
+    shards.iter().flatten().take(plan.need).map(Vec::as_slice)
+}
+
 /// Verifies fetched shards in slot order against the plan's digests and
 /// folds the result into a [`ShardsSnapshot`]. A slot whose bytes fail
 /// — or that the plan records no digest for — is discarded and counted
@@ -506,17 +524,31 @@ impl<'a> PlanExecutor<'a> {
 /// dropped unhashed and uncounted: when fewer than `need` are valid,
 /// every present slot was examined, so `valid` and `corrupt` are what a
 /// full scrub would report.
+///
+/// `batched` yields the digests of this plan's [`first_present`] slots,
+/// in order, computed ahead for the whole read; a slot examined past
+/// them (one of them failed) is hashed here.
 fn digest_filter(
     plan: &ReadPlan,
     mut shards: Vec<Option<Vec<u8>>>,
     report: TransferReport,
+    batched: &mut impl Iterator<Item = [u8; 32]>,
 ) -> ShardsSnapshot {
     let (mut valid, mut corrupt) = (0usize, 0usize);
     for (s, slot) in shards.iter_mut().enumerate() {
         let Some(bytes) = slot else { continue };
         if valid >= plan.need {
             *slot = None;
-        } else if plan.shard_digests.get(s) == Some(&Sha256::digest(bytes)) {
+            continue;
+        }
+        // Every present slot so far was examined, so this is a first
+        // `need` one exactly while fewer than `need` were.
+        let digest = if valid + corrupt < plan.need {
+            batched.next().expect("one batched digest per first slot")
+        } else {
+            Sha256::digest(bytes)
+        };
+        if plan.shard_digests.get(s) == Some(&digest) {
             valid += 1;
         } else {
             corrupt += 1;
@@ -675,7 +707,9 @@ mod tests {
         };
         let mut fetched: Vec<Option<Vec<u8>>> = blobs.into_iter().map(Some).collect();
         edit(&mut fetched);
-        digest_filter(&plan, fetched, TransferReport::default())
+        let firsts: Vec<&[u8]> = first_present(&plan, &fetched).collect();
+        let mut batched = Sha256::digest_many(&firsts).into_iter();
+        digest_filter(&plan, fetched, TransferReport::default(), &mut batched)
     }
 
     fn present(snap: &ShardsSnapshot) -> Vec<usize> {
@@ -727,6 +761,68 @@ mod tests {
         });
         assert_eq!((snap.valid, snap.corrupt), (2, 1));
         assert_eq!(present(&snap), vec![1, 4]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Many plans read together — their first `need` slots hashed in
+        /// one batch, wide enough for the sixteen-lane path — answer
+        /// exactly what reading each plan alone does, whatever is missing,
+        /// corrupt or truncated and wherever `need` sits.
+        #[test]
+        fn batched_reads_equal_one_plan_reads(
+            objects in proptest::collection::vec(
+                (1usize..=6, 1usize..=7, proptest::collection::vec(0u8..4, 6..7), 0usize..300),
+                1..12,
+            ),
+        ) {
+            let (cluster, _handles) = cluster_with_handles();
+            let retry = RetryPolicy::none();
+            let executor = PlanExecutor::new(&cluster, &retry);
+            let mut plans = Vec::new();
+            for (i, (n, need, damage, len)) in objects.iter().enumerate() {
+                let object = format!("obj-{i}");
+                let placement = cluster.place(&object, *n).unwrap();
+                let shards: Vec<Vec<u8>> =
+                    (0..*n).map(|s| vec![(i * 7 + s) as u8; len + 61 * s]).collect();
+                cluster.put_shards(&object, &placement, &shards).unwrap();
+                for (s, node) in placement.iter().enumerate() {
+                    let node = cluster.node(*node).unwrap();
+                    let key = ShardKey::new(&object, s as u32);
+                    let mut bytes = shards[s].clone();
+                    match damage[s] {
+                        1 => node.delete(&key).unwrap(),
+                        2 if !bytes.is_empty() => {
+                            bytes[0] ^= 1;
+                            node.put(&key, &bytes).unwrap();
+                        }
+                        3 => {
+                            bytes.pop();
+                            node.put(&key, &bytes).unwrap();
+                        }
+                        _ => {}
+                    }
+                }
+                plans.push(ReadPlan {
+                    object: crate::archive::ObjectId::from_raw(object),
+                    need: *need,
+                    ..read_plan(&placement, &shards)
+                });
+            }
+            let rngs = || -> Vec<ChaChaDrbg> {
+                (0..plans.len() as u64).map(ChaChaDrbg::from_u64_seed).collect()
+            };
+            let batched = executor.read_many(&plans, &mut rngs());
+            for ((plan, mut rng), together) in plans.iter().zip(rngs()).zip(&batched) {
+                let alone = executor.read(plan, &mut rng);
+                proptest::prop_assert_eq!(&together.shards, &alone.shards);
+                proptest::prop_assert_eq!(
+                    (together.valid, together.corrupt),
+                    (alone.valid, alone.corrupt)
+                );
+            }
+        }
     }
 
     /// Regression: a repair write naming a slot beyond the placement

@@ -131,17 +131,33 @@ pub fn plan_write<R: CryptoRng + ?Sized>(
     payload: &[u8],
     cfg: &PipelineConfig,
 ) -> Result<WritePlan, PolicyError> {
+    let mut write = encode_write(policy, keys, rng, id, payload, cfg)?;
+    let shards: Vec<&[u8]> = write.shards.iter().map(Vec::as_slice).collect();
+    write.shard_digests = Sha256::digest_many(&shards);
+    Ok(write)
+}
+
+/// The encode half of [`plan_write`]: the plan with `shard_digests`
+/// still empty, for a caller that digests many plans' shards in one
+/// [`Sha256::digest_many`] (an ingest flush) and fills them in.
+///
+/// # Errors
+///
+/// As [`plan_write`].
+pub(crate) fn encode_write<R: CryptoRng + ?Sized>(
+    policy: &PolicyKind,
+    keys: &KeyStore,
+    rng: &mut R,
+    id: &ObjectId,
+    payload: &[u8],
+    cfg: &PipelineConfig,
+) -> Result<WritePlan, PolicyError> {
     let encoded = pipeline::encode_object(policy, keys, rng, id.as_str(), payload, cfg)?;
-    let shard_digests: Vec<[u8; 32]> = encoded
-        .shards
-        .iter()
-        .map(|s| Sha256::digest(s.as_slice()))
-        .collect();
     Ok(WritePlan {
         object: id.clone(),
         policy: policy.clone(),
         required: policy.read_threshold(),
-        shard_digests,
+        shard_digests: Vec::new(),
         shards: encoded.shards,
         meta: encoded.meta,
     })

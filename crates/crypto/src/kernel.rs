@@ -6,8 +6,10 @@
 //! AES-CTR keystream (the commercial-default AEAD), the ChaCha20
 //! keystream (the second AEAD, and the DRBG behind every secret-sharing
 //! draw) and the Poly1305 block loop (that AEAD's authenticator) — funnel
-//! through one [`Kernel`]: a four-slot vtable chosen once per process, the
-//! same recipe as `aeon_gf::kernel`. Each slot is probed on its own,
+//! through one [`Kernel`]: a five-slot vtable chosen once per process, the
+//! same recipe as `aeon_gf::kernel`. The fifth slot is the SHA-256 block
+//! function again, on sixteen independent messages at once
+//! ([`crate::Sha256::digest_many`]). Each slot is probed on its own,
 //! because parts from Haswell to Skylake have `aes` and `avx2` without
 //! `sha`:
 //!
@@ -15,6 +17,8 @@
 //! |-------------------|----------|----------------------------------------------------|-----------------------------|
 //! | `sha256_blocks`   | `scalar` | FIPS 180-4 round loop on `u32`s                    | always                      |
 //! | `sha256_blocks`   | `ni`     | `sha256rnds2` / `sha256msg1` / `sha256msg2`        | x86-64 with SHA + SSE4.1    |
+//! | `sha256_x16`      | `scalar` | sixteen `sha256_blocks` scalar calls, lane by lane | always                      |
+//! | `sha256_x16`      | `avx512` | a message per 32-bit lane, `vprord`/`vpternlogd`   | x86-64 with AVX-512F + BW   |
 //! | `aes_ctr`         | `scalar` | FIPS 197 byte-wise rounds, one block at a time     | always                      |
 //! | `aes_ctr`         | `ni`     | `aesenc` / `aesenclast`, eight blocks in flight    | x86-64 with AES-NI + SSE4.1 |
 //! | `chacha20_xor`    | `scalar` | RFC 8439 block function, one block at a time       | always                      |
@@ -52,6 +56,14 @@
 //! than four whole groups (256 bytes) would not repay them and runs the
 //! scalar loop, as do the blocks after the last whole group; the partial
 //! head and tail of an `update` and `finalize` never reach the slot.
+//!
+//! The `sha256_x16` slot holds sixteen chaining values and gives each lane
+//! its own run of blocks. The `avx512` tier runs as many block steps as
+//! the longest lane has and masks the state update of each lane that has
+//! run out, so an idle lane (an empty run) costs a share of the passes
+//! and changes nothing. Which message goes in which lane, and when the
+//! lanes stop paying, is the scheduler's business
+//! ([`crate::Sha256::digest_many`]).
 
 use std::sync::OnceLock;
 
@@ -86,14 +98,21 @@ impl Tier {
 }
 
 type Sha256Blocks = fn(&mut [u32; 8], &[u8]);
+type Sha256X16 = fn(&mut Sha256Lanes, &[&[u8]; 16]);
 type AesCtr = fn(&Aes, &[u8; 16], &mut [u8]);
 type ChaCha20Xor = fn(&ChaCha20, u32, &mut [u8]);
 type Poly1305Blocks = fn(&mut Poly1305, &[u8]);
 
-/// One choice of tier for each of the four slots.
+/// Sixteen SHA-256 chaining values, word-major: `lanes[w][l]` is word `w`
+/// of lane `l`'s value — one row per state word, the layout the wide tier
+/// computes in.
+pub type Sha256Lanes = [[u32; 16]; 8];
+
+/// One choice of tier for each of the five slots.
 #[derive(Debug, Clone, Copy)]
 pub struct Kernel {
     sha256: (Tier, Sha256Blocks),
+    sha256_x16: (Tier, Sha256X16),
     aes_ctr: (Tier, AesCtr),
     chacha20: (Tier, ChaCha20Xor),
     poly1305: (Tier, Poly1305Blocks),
@@ -101,6 +120,7 @@ pub struct Kernel {
 
 static SCALAR: Kernel = Kernel {
     sha256: (Tier::Scalar, crate::sha2::Sha256::compress_blocks),
+    sha256_x16: (Tier::Scalar, crate::sha2::Sha256::compress_lanes),
     aes_ctr: (Tier::Scalar, Aes::ctr_scalar),
     chacha20: (Tier::Scalar, ChaCha20::xor_scalar),
     poly1305: (Tier::Scalar, Poly1305::blocks_scalar),
@@ -164,16 +184,22 @@ impl Kernel {
             #[allow(unused_mut)]
             let mut widest = kernel;
             #[cfg(target_arch = "x86_64")]
-            if let Some(f) = x86::chacha20_xor_512() {
-                widest.chacha20 = (Tier::Avx512, f);
+            {
+                if let Some(f) = x86::chacha20_xor_512() {
+                    widest.chacha20 = (Tier::Avx512, f);
+                }
+                if let Some(f) = x86::sha256_x16() {
+                    widest.sha256_x16 = (Tier::Avx512, f);
+                }
             }
             [kernel, widest]
         })
     }
 
-    fn tiers(&self) -> [Tier; 4] {
+    fn tiers(&self) -> [Tier; 5] {
         [
             self.sha256.0,
+            self.sha256_x16.0,
             self.aes_ctr.0,
             self.chacha20.0,
             self.poly1305.0,
@@ -184,6 +210,12 @@ impl Kernel {
     #[inline]
     pub fn sha256_tier(&self) -> Tier {
         self.sha256.0
+    }
+
+    /// The tier in this kernel's `sha256_x16` slot.
+    #[inline]
+    pub fn sha256_x16_tier(&self) -> Tier {
+        self.sha256_x16.0
     }
 
     /// The tier in this kernel's `aes_ctr` slot.
@@ -215,6 +247,23 @@ impl Kernel {
     pub fn sha256_blocks(&self, state: &mut [u32; 8], blocks: &[u8]) {
         assert!(blocks.len().is_multiple_of(64), "whole 64-byte blocks");
         (self.sha256.1)(state, blocks);
+    }
+
+    /// [`Self::sha256_blocks`] on sixteen independent messages: lane `l`
+    /// absorbs `lanes[l]` (a whole number of 64-byte blocks; empty for an
+    /// idle lane) into its chaining value, column `l` of `states`. Lanes
+    /// may differ in length.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a lane's length is not a multiple of 64.
+    #[inline]
+    pub fn sha256_x16(&self, states: &mut Sha256Lanes, lanes: &[&[u8]; 16]) {
+        assert!(
+            lanes.iter().all(|lane| lane.len().is_multiple_of(64)),
+            "whole 64-byte blocks"
+        );
+        (self.sha256_x16.1)(states, lanes);
     }
 
     /// XORs the AES-CTR keystream into `data`: block `i` of the keystream
@@ -249,20 +298,21 @@ impl Kernel {
 /// the crate.
 ///
 /// `unsafe` is needed for two things only. (1) Calling a
-/// `#[target_feature]` function: the five `*_impl` functions are private
+/// `#[target_feature]` function: the six `*_impl` functions are private
 /// and reachable only through the `fn` pointers [`sha256_blocks`],
-/// [`aes_ctr`], [`chacha20_xor`], [`chacha20_xor_512`] and
-/// [`poly1305_blocks`] hand out after the matching
+/// [`sha256_x16`], [`aes_ctr`], [`chacha20_xor`], [`chacha20_xor_512`]
+/// and [`poly1305_blocks`] hand out after the matching
 /// `is_x86_feature_detected!` probes succeeded. (2) The unaligned vector
 /// load and store, wrapped once per width in [`load`] / [`store`] (16
 /// bytes), [`load256`] / [`store256`] (32 bytes) and [`load512`] /
-/// [`store512`] (64 bytes), whose array-reference arguments prove the
-/// bytes are there. Everything else — the arithmetic intrinsics — is safe
-/// inside a function that enables the feature.
+/// [`store512`] (64 bytes, and [`load512_words`] / [`store512_words`] for
+/// sixteen `u32`s), whose array-reference arguments prove the bytes are
+/// there. Everything else — the arithmetic intrinsics — is safe inside a
+/// function that enables the feature.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod x86 {
-    use super::{AesCtr, ChaCha20Xor, Poly1305Blocks, Sha256Blocks};
+    use super::{AesCtr, ChaCha20Xor, Poly1305Blocks, Sha256Blocks, Sha256Lanes, Sha256X16};
     use crate::aes::Aes;
     use crate::chacha::ChaCha20;
     use crate::poly1305::Poly1305;
@@ -275,6 +325,12 @@ mod x86 {
             && is_x86_feature_detected!("ssse3")
             && is_x86_feature_detected!("sse4.1");
         runs.then_some(sha256_blocks_ni as Sha256Blocks)
+    }
+
+    /// The `avx512` tier of the `sha256_x16` slot, when this host runs it.
+    pub(super) fn sha256_x16() -> Option<Sha256X16> {
+        let runs = is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512bw");
+        runs.then_some(sha256_x16_avx512 as Sha256X16)
     }
 
     /// The `ni` tier of the `aes_ctr` slot, when this host runs it.
@@ -306,6 +362,13 @@ mod x86 {
         // `sha256_blocks()` returns, and it returns one only after the
         // sha, ssse3 and sse4.1 probes all succeeded on this host.
         unsafe { sha256_blocks_impl(state, blocks) }
+    }
+
+    fn sha256_x16_avx512(states: &mut Sha256Lanes, lanes: &[&[u8]; 16]) {
+        // SAFETY: this function is only reachable through the pointer
+        // `sha256_x16()` returns, and it returns one only after the
+        // avx512f and avx512bw probes both succeeded on this host.
+        unsafe { sha256_x16_impl(states, lanes) }
     }
 
     fn aes_ctr_ni(aes: &Aes, iv: &[u8; 16], data: &mut [u8]) {
@@ -403,6 +466,22 @@ mod x86 {
         // SAFETY: `bytes` is a live exclusive reference to exactly 64
         // writable bytes and `storeu` has no alignment requirement.
         unsafe { _mm512_storeu_si512(bytes.as_mut_ptr().cast(), v) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn load512_words(words: &[u32; 16]) -> __m512i {
+        // SAFETY: `words` is a live reference to exactly 64 readable
+        // bytes and `loadu` has no alignment requirement.
+        unsafe { _mm512_loadu_si512(words.as_ptr().cast()) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn store512_words(words: &mut [u32; 16], v: __m512i) {
+        // SAFETY: `words` is a live exclusive reference to exactly 64
+        // writable bytes and `storeu` has no alignment requirement.
+        unsafe { _mm512_storeu_si512(words.as_mut_ptr().cast(), v) }
     }
 
     /// Four rounds: `$m` holds message words `W[4g..4g+4]`.
@@ -738,6 +817,145 @@ mod x86 {
                 store512(block, _mm512_xor_si512(load512(block), ks));
             }
             counter = counter.wrapping_add(CHACHA_LANES_512 as u32);
+        }
+    }
+
+    /// `x ⊕ y ⊕ z` in one `vpternlogd`.
+    macro_rules! xor3 {
+        ($x:expr, $y:expr, $z:expr) => {
+            _mm512_ternarylogic_epi32::<0x96>($x, $y, $z)
+        };
+    }
+
+    /// FIPS 180-4 §4.1.2's `σ` (two rotates and a shift) or `Σ` (three
+    /// rotates) on sixteen lanes: `xor3` of the three terms.
+    macro_rules! sigma {
+        ($x:expr, $r1:literal, $r2:literal, >> $s:literal) => {{
+            let x = $x;
+            xor3!(
+                _mm512_ror_epi32::<$r1>(x),
+                _mm512_ror_epi32::<$r2>(x),
+                _mm512_srli_epi32::<$s>(x)
+            )
+        }};
+        ($x:expr, $r1:literal, $r2:literal, $r3:literal) => {{
+            let x = $x;
+            xor3!(
+                _mm512_ror_epi32::<$r1>(x),
+                _mm512_ror_epi32::<$r2>(x),
+                _mm512_ror_epi32::<$r3>(x)
+            )
+        }};
+    }
+
+    /// One SHA-256 round on sixteen lanes (FIPS 180-4 §6.2.2 step 3),
+    /// given `W[t] + K[t]`. Only `$d` (the next `e`) and `$h` (the next
+    /// `a`) change; the caller rotates the names instead of the values.
+    macro_rules! sha_round {
+        ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $wk:expr) => {{
+            // `Ch` = e ? f : g is table 0xCA, `Maj` is table 0xE8.
+            let ch = _mm512_ternarylogic_epi32::<0xCA>($e, $f, $g);
+            let t1 = _mm512_add_epi32(
+                _mm512_add_epi32($h, $wk),
+                _mm512_add_epi32(sigma!($e, 6, 11, 25), ch),
+            );
+            let maj = _mm512_ternarylogic_epi32::<0xE8>($a, $b, $c);
+            $d = _mm512_add_epi32($d, t1);
+            $h = _mm512_add_epi32(t1, _mm512_add_epi32(sigma!($a, 2, 13, 22), maj));
+        }};
+    }
+
+    /// Sixteen rounds over the message words in `$w` and their sixteen
+    /// round constants `$k`: two full turns of the names, so `$s` holds
+    /// a..h in order again after.
+    macro_rules! sha_rounds16 {
+        ($s:ident, $w:ident, $k:expr) => {{
+            let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = $s;
+            let k: &[u32; 16] = $k;
+            let wk = |i: usize| _mm512_add_epi32($w[i], _mm512_set1_epi32(k[i] as i32));
+            sha_round!(a, b, c, d, e, f, g, h, wk(0));
+            sha_round!(h, a, b, c, d, e, f, g, wk(1));
+            sha_round!(g, h, a, b, c, d, e, f, wk(2));
+            sha_round!(f, g, h, a, b, c, d, e, wk(3));
+            sha_round!(e, f, g, h, a, b, c, d, wk(4));
+            sha_round!(d, e, f, g, h, a, b, c, wk(5));
+            sha_round!(c, d, e, f, g, h, a, b, wk(6));
+            sha_round!(b, c, d, e, f, g, h, a, wk(7));
+            sha_round!(a, b, c, d, e, f, g, h, wk(8));
+            sha_round!(h, a, b, c, d, e, f, g, wk(9));
+            sha_round!(g, h, a, b, c, d, e, f, wk(10));
+            sha_round!(f, g, h, a, b, c, d, e, wk(11));
+            sha_round!(e, f, g, h, a, b, c, d, wk(12));
+            sha_round!(d, e, f, g, h, a, b, c, wk(13));
+            sha_round!(c, d, e, f, g, h, a, b, wk(14));
+            sha_round!(b, c, d, e, f, g, h, a, wk(15));
+            $s = [a, b, c, d, e, f, g, h];
+        }};
+    }
+
+    /// The next sixteen message words in place: `W[t] = σ₁(W[t−2]) +
+    /// W[t−7] + σ₀(W[t−15]) + W[t−16]`, slot `t mod 16`, for each slot
+    /// listed (all sixteen, written out so every index is a constant).
+    macro_rules! sha_schedule16 {
+        ($w:ident, $($i:literal)+) => {$({
+            let s0 = sigma!($w[($i + 1) % 16], 7, 18, >> 3);
+            let s1 = sigma!($w[($i + 14) % 16], 17, 19, >> 10);
+            $w[$i] = _mm512_add_epi32(
+                _mm512_add_epi32($w[$i], s0),
+                _mm512_add_epi32($w[($i + 9) % 16], s1),
+            );
+        })+};
+    }
+
+    /// Compresses each lane's blocks into its column of `states`, one
+    /// block of every lane per pass: the sixteen blocks are transposed
+    /// into word-major order ([`transpose16`]) and byte-swapped to
+    /// big-endian words, and a lane past its last block keeps its state
+    /// (the final add is masked).
+    #[target_feature(enable = "avx512f,avx512bw")]
+    fn sha256_x16_impl(states: &mut Sha256Lanes, lanes: &[&[u8]; 16]) {
+        let blocks = lanes.map(|lane| lane.as_chunks::<64>().0);
+        let passes = blocks.iter().map(|b| b.len()).max().unwrap_or(0);
+        // Big-endian message words from little-endian lanes, in every
+        // 128-bit quarter.
+        let flip = _mm512_set4_epi32(0x0c0d_0e0f, 0x0809_0a0b, 0x0405_0607, 0x0001_0203);
+        let idle = [0u8; 64];
+        let [first_k, rest_k @ ..] = K256.as_chunks::<16>().0 else {
+            unreachable!("64 round constants are four runs of sixteen")
+        };
+        let mut s = [_mm512_setzero_si512(); 8];
+        for (v, words) in s.iter_mut().zip(states.iter()) {
+            *v = load512_words(words);
+        }
+        for pass in 0..passes {
+            let mut live: __mmask16 = 0;
+            let mut rows = [_mm512_setzero_si512(); 16];
+            for (l, (row, lane)) in rows.iter_mut().zip(&blocks).enumerate() {
+                let block = match lane.get(pass) {
+                    Some(block) => {
+                        live |= 1 << l;
+                        block
+                    }
+                    None => &idle,
+                };
+                *row = load512(block);
+            }
+            let mut w = transpose16(&rows);
+            for word in &mut w {
+                *word = _mm512_shuffle_epi8(*word, flip);
+            }
+            let mut working = s;
+            sha_rounds16!(working, w, first_k);
+            for k in rest_k {
+                sha_schedule16!(w, 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15);
+                sha_rounds16!(working, w, k);
+            }
+            for (v, out) in s.iter_mut().zip(working) {
+                *v = _mm512_mask_add_epi32(*v, live, *v, out);
+            }
+        }
+        for (words, v) in states.iter_mut().zip(s) {
+            store512_words(words, v);
         }
     }
 

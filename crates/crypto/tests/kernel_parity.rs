@@ -263,10 +263,11 @@ fn rfc8439_key() -> [u8; 32] {
 const SUNSCREEN: &[u8] = b"Ladies and Gentlemen of the class of '99: If I could offer you \
 only one tip for the future, sunscreen would be it.";
 
-/// The tier in each of `kernel`'s four slots, in the module table's order.
-fn tiers(kernel: &Kernel) -> [Tier; 4] {
+/// The tier in each of `kernel`'s five slots, in the module table's order.
+fn tiers(kernel: &Kernel) -> [Tier; 5] {
     [
         kernel.sha256_tier(),
+        kernel.sha256_x16_tier(),
         kernel.aes_ctr_tier(),
         kernel.chacha20_tier(),
         kernel.poly1305_tier(),
@@ -276,7 +277,7 @@ fn tiers(kernel: &Kernel) -> [Tier; 4] {
 #[test]
 fn supported_kernels_cover_every_runnable_tier() {
     let kernels = Kernel::supported();
-    assert_eq!(tiers(kernels[0]), [Tier::Scalar; 4]);
+    assert_eq!(tiers(kernels[0]), [Tier::Scalar; 5]);
     // Slowest first, no kernel twice, at most one step past AVX2.
     assert!(kernels.len() <= 3);
     for pair in kernels.windows(2) {
@@ -290,14 +291,26 @@ fn supported_kernels_cover_every_runnable_tier() {
     if kernels[kernels.len() - 1].chacha20_tier() == Tier::Avx512 {
         assert_eq!(kernels[kernels.len() - 2].chacha20_tier(), Tier::Avx2);
     }
+    // The sixteen-lane SHA-256 slot has a scalar oracle and one wide tier,
+    // and an AVX-512 host lists kernels with and without it, so
+    // `digest_many`'s single-stream path runs on a non-scalar kernel too.
+    for kernel in &kernels {
+        assert!(matches!(
+            kernel.sha256_x16_tier(),
+            Tier::Scalar | Tier::Avx512
+        ));
+    }
+    if kernels[kernels.len() - 1].sha256_x16_tier() == Tier::Avx512 {
+        assert_eq!(kernels[kernels.len() - 2].sha256_x16_tier(), Tier::Scalar);
+    }
     // The active kernel is the best one, or all-scalar under the override
     // (CI runs this file in both legs): never a mix the host did not pick.
     let active = tiers(Kernel::active());
-    assert!(active == [Tier::Scalar; 4] || active == tiers(kernels[kernels.len() - 1]));
+    assert!(active == [Tier::Scalar; 5] || active == tiers(kernels[kernels.len() - 1]));
 
     // What this run of the file covered, for the CI log: a tier missing
     // here was not exercised by any test below.
-    let slots = ["sha256", "aes256-ctr", "chacha20", "poly1305"];
+    let slots = ["sha256", "sha256-x16", "aes256-ctr", "chacha20", "poly1305"];
     let line: Vec<String> = (0..slots.len())
         .map(|slot| {
             let mut names: Vec<&str> = kernels.iter().map(|k| tiers(k)[slot].name()).collect();
@@ -596,6 +609,101 @@ fn sha256_update_splits_agree_with_the_oracle() {
             three.update(&msg[a..b]);
             three.update(&msg[b..]);
             assert_eq!(three.finalize(), oracle, "{len} bytes split at {a}, {b}");
+        }
+    }
+}
+
+/// `kernel`'s sixteen-lane slot from `start` over `lanes`, each lane's
+/// blocks placed at its own byte offset (`l % 16`) of a larger buffer.
+fn sha256_x16_on(kernel: &Kernel, start: &[[u32; 8]; 16], lanes: &[Vec<u8>; 16]) -> [[u32; 8]; 16] {
+    let bufs: Vec<Vec<u8>> = (0..16)
+        .map(|l| [vec![0xA5u8; l % OFFSETS.end], lanes[l].clone()].concat())
+        .collect();
+    let runs: [&[u8]; 16] = std::array::from_fn(|l| &bufs[l][l % OFFSETS.end..]);
+    let mut states = [[0u32; 16]; 8];
+    for (w, row) in states.iter_mut().enumerate() {
+        for (l, word) in row.iter_mut().enumerate() {
+            *word = start[l][w];
+        }
+    }
+    kernel.sha256_x16(&mut states, &runs);
+    std::array::from_fn(|l| std::array::from_fn(|w| states[w][l]))
+}
+
+#[test]
+fn sha256_x16_lanes_each_equal_the_single_stream_block_function() {
+    // Ragged lanes — idle ones, one block, many — from distinct starting
+    // states, on every tier: lane `l` must come out as `sha256_blocks`
+    // over its own blocks, whatever its neighbours hold.
+    let shapes: [[usize; 16]; 4] = [
+        [0; 16],
+        [1; 16],
+        [3, 0, 1, 7, 2, 0, 0, 5, 1, 1, 9, 0, 4, 2, 6, 3],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 17],
+    ];
+    for (s, shape) in shapes.iter().enumerate() {
+        let start: [[u32; 8]; 16] = std::array::from_fn(|l| {
+            std::array::from_fn(|w| H0[w].wrapping_mul(l as u32 + 1) ^ (s as u32))
+        });
+        let lanes: [Vec<u8>; 16] =
+            std::array::from_fn(|l| pattern(64 * shape[l], (16 * s + l) as u32));
+        let expect: [[u32; 8]; 16] = std::array::from_fn(|l| {
+            let mut state = start[l];
+            Kernel::scalar().sha256_blocks(&mut state, &lanes[l]);
+            state
+        });
+        for kernel in Kernel::supported() {
+            assert_eq!(
+                sha256_x16_on(kernel, &start, &lanes),
+                expect,
+                "{}, lanes {shape:?}",
+                kernel.sha256_x16_tier().name()
+            );
+        }
+    }
+}
+
+/// Message lengths across the padding edges (55/56, 63/64, 119/120, 128)
+/// and a few multi-block sizes up to a 44 KiB dedup block, cycled over a
+/// set.
+const DIGEST_MANY_EDGES: [usize; 13] =
+    [0, 1, 55, 56, 63, 64, 119, 120, 128, 300, 1000, 4113, 45_056];
+
+/// `count` messages for `digest_many`: the first 300 KiB (one lane runs
+/// long while the others turn over), then lengths cycling through
+/// [`DIGEST_MANY_EDGES`], each at its own unaligned offset of `data`.
+fn digest_many_set(data: &[u8], count: usize) -> Vec<&[u8]> {
+    (0..count)
+        .map(|i| {
+            let len = match i {
+                0 => 300 << 10,
+                _ => DIGEST_MANY_EDGES[i % DIGEST_MANY_EDGES.len()] + i / DIGEST_MANY_EDGES.len(),
+            };
+            let offset = i % OFFSETS.end;
+            &data[offset..offset + len]
+        })
+        .collect()
+}
+
+#[test]
+fn digest_many_equals_digest_on_every_kernel() {
+    // Set sizes around the break-even (nine) and the sixteen lanes, and a
+    // small-files flush (32 objects × 7 messages).
+    let data = pattern((300 << 10) + OFFSETS.end, 3);
+    for count in [0, 1, 8, 9, 10, 16, 17, 40, 224] {
+        let msgs = digest_many_set(&data, count);
+        let expect: Vec<[u8; 32]> = msgs
+            .iter()
+            .map(|m| sha256_on(Kernel::scalar(), m, 0))
+            .collect();
+        assert_eq!(Sha256::digest_many(&msgs), expect, "{count} messages");
+        for kernel in Kernel::supported() {
+            assert_eq!(
+                Sha256::digest_many_on(kernel, &msgs),
+                expect,
+                "{count} messages, {}",
+                kernel.sha256_x16_tier().name()
+            );
         }
     }
 }
@@ -1163,6 +1271,23 @@ proptest! {
         h.update(&data[a..b]);
         h.update(&data[b..]);
         prop_assert_eq!(h.finalize(), oracle);
+    }
+
+    #[test]
+    fn digest_many_agrees_with_digest_on_random_sets(
+        lens in prop::collection::vec(0..2048usize, 0..40),
+        salt in any::<u32>(),
+    ) {
+        let data = pattern(2048 + OFFSETS.end, salt);
+        let msgs: Vec<&[u8]> = lens
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| &data[i % OFFSETS.end..i % OFFSETS.end + len])
+            .collect();
+        let expect: Vec<[u8; 32]> = msgs.iter().map(|m| Sha256::digest(m)).collect();
+        for kernel in Kernel::supported() {
+            prop_assert_eq!(Sha256::digest_many_on(kernel, &msgs), expect.clone());
+        }
     }
 
     #[test]
