@@ -85,10 +85,6 @@ pub struct ArchiveConfig {
     /// and record objects as Merkle block trees. `None` (the default)
     /// keeps the classic one-object-one-shard-set layout.
     pub dedup: Option<DedupConfig>,
-    /// Shard count for the manifest catalog ([`FleetCatalog`]). Purely
-    /// a concurrency knob: iteration order and every campaign result
-    /// are independent of it (clamped to at least 1).
-    pub catalog_shards: usize,
     /// How the cluster prices the per-node legs of every shard
     /// fan-out. `None` (the default) keeps whatever the cluster was
     /// built with — sequential dispatch unless the
@@ -112,7 +108,6 @@ impl std::fmt::Debug for ArchiveConfig {
             pipeline,
             retry,
             dedup,
-            catalog_shards,
             dispatch,
         } = self;
         f.debug_struct("ArchiveConfig")
@@ -125,7 +120,6 @@ impl std::fmt::Debug for ArchiveConfig {
             .field("pipeline", pipeline)
             .field("retry", retry)
             .field("dedup", dedup)
-            .field("catalog_shards", catalog_shards)
             .field("dispatch", dispatch)
             .finish_non_exhaustive()
     }
@@ -147,7 +141,6 @@ impl ArchiveConfig {
             pipeline: PipelineConfig::default(),
             retry: RetryPolicy::default(),
             dedup: None,
-            catalog_shards: DEFAULT_CATALOG_SHARDS,
             dispatch: None,
         }
     }
@@ -179,12 +172,6 @@ impl ArchiveConfig {
     /// Enables content-addressed dedup mode.
     pub fn with_dedup(mut self, dedup: DedupConfig) -> Self {
         self.dedup = Some(dedup);
-        self
-    }
-
-    /// Overrides the manifest-catalog shard count.
-    pub fn with_catalog_shards(mut self, shards: usize) -> Self {
-        self.catalog_shards = shards;
         self
     }
 
@@ -399,36 +386,16 @@ impl fmt::Debug for Archive {
 }
 
 impl Archive {
-    /// Creates an archive over an in-memory cluster.
+    /// Creates an archive over an in-memory cluster of
+    /// `config.nodes_per_site` nodes at each of `config.sites`.
     ///
     /// # Errors
     ///
     /// Returns [`ArchiveError::Policy`] for invalid default policies.
     pub fn in_memory(config: ArchiveConfig) -> Result<Self, ArchiveError> {
-        config.policy.validate()?;
         let sites: Vec<&str> = config.sites.iter().map(|s| s.as_str()).collect();
-        let mut cluster = Cluster::in_memory(&sites, config.nodes_per_site);
-        if let Some(dispatch) = config.dispatch {
-            cluster = cluster.with_dispatch(dispatch);
-        }
-        let mut rng = ChaChaDrbg::from_u64_seed(config.rng_seed);
-        let tsa = TimestampAuthority::new(&mut rng, "wots-v1", config.year, 6);
-        let dedup_index = BoundedIndex::new(config.dedup.as_ref().map_or(0, |d| d.index_capacity));
-        Ok(Archive {
-            keys: KeyStore::new(config.master_key),
-            rng,
-            cluster,
-            manifests: FleetCatalog::new(config.catalog_shards),
-            blocks: BTreeMap::new(),
-            dedup_index,
-            chains: BTreeMap::new(),
-            ledger: Ledger::new(1),
-            tsa,
-            committer: Committer::new(ModpGroup::rfc3526_2048()),
-            year: config.year,
-            counter: 0,
-            config,
-        })
+        let cluster = Cluster::in_memory(&sites, config.nodes_per_site);
+        Archive::with_cluster(config, cluster)
     }
 
     /// Creates an archive over a caller-supplied cluster (e.g. file-backed
@@ -450,7 +417,7 @@ impl Archive {
             keys: KeyStore::new(config.master_key),
             rng,
             cluster,
-            manifests: FleetCatalog::new(config.catalog_shards),
+            manifests: FleetCatalog::new(DEFAULT_CATALOG_SHARDS),
             blocks: BTreeMap::new(),
             dedup_index,
             chains: BTreeMap::new(),

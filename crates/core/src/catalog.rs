@@ -14,9 +14,10 @@
 //!   depend on insertion order.
 //! * **Iteration is always sorted by id** — [`FleetCatalog::snapshot`]
 //!   and [`FleetCatalog::ids`] merge the shards and sort, reproducing
-//!   the old single-`BTreeMap` iteration order exactly. Campaign
-//!   results are therefore independent of the shard count (regression-
-//!   tested in `tests/fleet_ordering.rs`).
+//!   the old single-`BTreeMap` iteration order exactly, whatever the
+//!   shard count or insertion order (pinned by the tests below; the
+//!   insertion-order half is also pinned end to end, through scans,
+//!   repair and the clock, in `tests/fleet_ordering.rs`).
 //!
 //! Lock discipline: accessors clone data out (or run a short closure
 //! under the lock); no caller holds a shard lock across node I/O.
@@ -26,8 +27,7 @@ use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Default shard count for [`FleetCatalog`] (see
-/// [`crate::ArchiveConfig::catalog_shards`]).
+/// Shard count of every archive's [`FleetCatalog`].
 pub const DEFAULT_CATALOG_SHARDS: usize = 16;
 
 /// FNV-1a — the same stable hash [`aeon_store::Cluster`] uses for

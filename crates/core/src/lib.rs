@@ -95,6 +95,5 @@ pub use repair::{RepairMethod, RepairReport};
 // re-exported here so archive users can configure retries and read the
 // clock without a direct dependency.
 pub use aeon_store::clock::{EpochSchedule, SimClock, SimDuration, SimTime};
-pub use aeon_store::cluster::{ShardAttempt, TransferReport};
-pub use aeon_store::lane::{DispatchPolicy, LaneClock};
+pub use aeon_store::cluster::{DispatchPolicy, ShardAttempt, TransferReport};
 pub use aeon_store::retry::{RetryPolicy, RetryStats};

@@ -1,18 +1,14 @@
 //! Fleet campaign results must be a function of the archive's *state*,
-//! never of how the metadata layer is organized: the catalog shard
-//! count is purely a concurrency knob, and the order manifests entered
-//! the catalog must not leak into scans, repair sweeps, durability
-//! simulations, or clock readings.
+//! never of how the metadata layer is organized: the order manifests
+//! entered the catalog must not leak into scans, repair sweeps, or
+//! clock readings. (Shard-count independence is pinned in `catalog.rs`.)
 
-use aeon_core::{
-    Archive, ArchiveConfig, FleetSimConfig, IntegrityMode, ObjectId, PolicyKind, RepairQueueOrder,
-};
-use aeon_store::clock::SimDuration;
+use aeon_core::{Archive, ArchiveConfig, IntegrityMode, ObjectId, PolicyKind};
 use aeon_store::node::{MemoryNode, ShardKey, StorageNode};
 use aeon_store::Cluster;
 use std::sync::Arc;
 
-fn archive_with_shards(catalog_shards: usize) -> (Archive, Vec<MemoryNode>) {
+fn archive() -> (Archive, Vec<MemoryNode>) {
     let handles: Vec<MemoryNode> = (0..6u32)
         .map(|i| MemoryNode::new(i, format!("site-{i}")))
         .collect();
@@ -23,8 +19,7 @@ fn archive_with_shards(catalog_shards: usize) -> (Archive, Vec<MemoryNode>) {
             .collect(),
     );
     let config = ArchiveConfig::new(PolicyKind::ErasureCoded { data: 2, parity: 2 })
-        .with_integrity(IntegrityMode::DigestOnly)
-        .with_catalog_shards(catalog_shards);
+        .with_integrity(IntegrityMode::DigestOnly);
     (Archive::with_cluster(config, cluster).unwrap(), handles)
 }
 
@@ -96,51 +91,6 @@ fn observe(archive: &mut Archive) -> (Vec<String>, Vec<[u8; 32]>, String, u64) {
     (scan_lines, digests, repair_line, clock_nanos)
 }
 
-#[test]
-fn fleet_results_independent_of_catalog_shard_count() {
-    let mut baseline = None;
-    for shards in [1usize, 2, 5, 16, 64] {
-        let (mut archive, handles) = archive_with_shards(shards);
-        let ids = populate(&mut archive);
-        damage(&archive, &handles, &ids);
-        let observed = observe(&mut archive);
-        match &baseline {
-            None => baseline = Some(observed),
-            Some(expected) => assert_eq!(
-                expected, &observed,
-                "catalog with {shards} shards diverged from the 1-shard baseline"
-            ),
-        }
-    }
-}
-
-#[test]
-fn fleet_sim_independent_of_catalog_shard_count() {
-    let cfg = FleetSimConfig {
-        seed: 11,
-        epochs: 5,
-        epoch: SimDuration::from_days(30),
-        node_wipe_prob: 0.2,
-        shard_loss_prob: 0.03,
-        repair_bytes_per_epoch: 4_000,
-        reserved_foreground: 0.05,
-        order: RepairQueueOrder::Priority,
-    };
-    let mut baseline = None;
-    for shards in [1usize, 3, 32] {
-        let (mut archive, _handles) = archive_with_shards(shards);
-        populate(&mut archive);
-        let report = archive.run_fleet_sim(&cfg);
-        match &baseline {
-            None => baseline = Some(report),
-            Some(expected) => assert_eq!(
-                expected, &report,
-                "fleet sim with {shards} catalog shards diverged"
-            ),
-        }
-    }
-}
-
 /// Rebuilds the catalog with its manifests inserted in reverse order.
 fn reinsert_reversed(archive: &Archive) {
     let mut manifests: Vec<_> = archive.manifests().collect();
@@ -160,7 +110,7 @@ fn fleet_results_independent_of_insertion_order() {
     // Two identical worlds with identical damage; one catalog is torn
     // down and rebuilt in reverse insertion order before observation.
     let build = |reversed: bool| {
-        let (mut archive, handles) = archive_with_shards(4);
+        let (mut archive, handles) = archive();
         let ids = populate(&mut archive);
         damage(&archive, &handles, &ids);
         if reversed {

@@ -31,13 +31,11 @@ const FORBIDDEN: &[&str] = &[
     ".put_batch(",
     ".get(&ShardKey",
     ".put(&ShardKey",
-    // Parallel-lane dispatch primitives: lane bookkeeping and charge
-    // diversion must stay behind the executor/cluster seam, or virtual
-    // elapsed time stops being a function of the plan alone.
+    // The lane-dispatch seam: only the executor's fan-out prices legs
+    // on lanes, or virtual elapsed time stops being a function of the
+    // plan alone. (The capture frame under it is crate-private to
+    // `aeon-store`, so the compiler keeps it out of here.)
     ".dispatch_lanes(",
-    ".divert(",
-    ".lane_clock(",
-    "LaneDispatch",
 ];
 
 /// The `.rs` files directly under a crate's `src/`, sorted.

@@ -9,9 +9,7 @@
 //! with ongoing ingest competing for bandwidth, which is where the
 //! closed-form estimate turns out to be optimistic.
 
-use crate::faults::{roll, FaultPlan, OpKind};
 use crate::media::{ArchiveSite, DAYS_PER_MONTH};
-use crate::node::ShardKey;
 
 /// Errors from campaign simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,9 +104,6 @@ pub struct CampaignOutcome {
     /// Fraction of the archive that was still exposed (un-migrated) at
     /// the campaign's halfway point in time.
     pub exposed_fraction_at_halfway: f64,
-    /// Terabytes re-read / re-written due to injected faults (0 for a
-    /// fault-free campaign).
-    pub retried_tb: f64,
 }
 
 /// Simulates a re-encryption campaign day by day.
@@ -166,81 +161,6 @@ pub fn simulate_campaign(
         migrated_tb: total,
         ingested_tb: ingested,
         exposed_fraction_at_halfway: exposed_at_halfway,
-        retried_tb: 0.0,
-    })
-}
-
-/// [`simulate_campaign`] under injected faults, driven by the standard
-/// [`FaultPlan`] substrate: the plan's `transient_io_rate` is the mean
-/// fraction of a day's volume that fails verification and is
-/// re-read/re-written (drawn per day from the plan's
-/// [`FaultPlan::decision_rng`] — the same pure
-/// `(seed, op, key, nth)` construction [`crate::faults::FaultyNode`]
-/// uses, keyed here by campaign day — uniformly from
-/// `[0, 2 * rate]`, clamped at 0.95), so forward progress that day is
-/// only `bandwidth * (1 - loss)`. With a zero rate the outcome matches
-/// the fault-free simulation. The same plan seed reproduces the
-/// identical day-by-day trajectory.
-///
-/// # Errors
-///
-/// Returns [`CampaignError::Saturated`] if ingest consumes all write
-/// bandwidth.
-pub fn simulate_campaign_faulty(
-    site: &ArchiveSite,
-    ingest_tb_per_day: f64,
-    plan: &FaultPlan,
-) -> Result<CampaignOutcome, CampaignError> {
-    let write_available = site.write_tb_per_day - ingest_tb_per_day;
-    if write_available <= 0.0 {
-        return Err(CampaignError::Saturated {
-            ingest_tb_per_day,
-            write_tb_per_day: site.write_tb_per_day,
-        });
-    }
-    let daily = site.read_tb_per_day.min(write_available);
-    let total = site.capacity_tb;
-    let rate = plan.transient_io_rate;
-    let mut remaining = total;
-    let mut days = 0.0f64;
-    let mut ingested = 0.0f64;
-    let mut retried = 0.0f64;
-    // Remaining volume at the start of each day, for the halfway-point
-    // exposure lookup after the (fault-dependent) duration is known.
-    let mut trajectory = Vec::new();
-    loop {
-        trajectory.push(remaining);
-        let loss = if rate > 0.0 {
-            let day = days as u32;
-            let mut rng = plan.decision_rng(OpKind::Get, &ShardKey::new("campaign-day", day), 0);
-            (2.0 * rate * roll(&mut rng)).min(0.95)
-        } else {
-            0.0
-        };
-        let progress = daily * (1.0 - loss);
-        if remaining <= progress {
-            let fraction = remaining / progress;
-            days += fraction;
-            ingested += ingest_tb_per_day * fraction;
-            retried += daily * loss * fraction;
-            break;
-        }
-        remaining -= progress;
-        ingested += ingest_tb_per_day;
-        retried += daily * loss;
-        days += 1.0;
-    }
-    let exposed_fraction_at_halfway = if days <= 2.0 {
-        0.5 // degenerate short campaigns, matching the fault-free model
-    } else {
-        trajectory[(days / 2.0) as usize] / total
-    };
-    Ok(CampaignOutcome {
-        days,
-        migrated_tb: total,
-        ingested_tb: ingested,
-        exposed_fraction_at_halfway,
-        retried_tb: retried,
     })
 }
 
@@ -362,55 +282,6 @@ mod tests {
         }
         let msg = simulate_campaign(&site, 5.0).unwrap_err().to_string();
         assert!(msg.contains("saturates write bandwidth"), "{msg}");
-    }
-
-    #[test]
-    fn fault_rate_slows_campaign_deterministically() {
-        let site = ArchiveSite {
-            name: "toy".into(),
-            capacity_tb: 1000.0,
-            read_tb_per_day: 10.0,
-            write_tb_per_day: 20.0,
-            media: crate::media::MediaType::Tape,
-        };
-        let clean = simulate_campaign(&site, 0.0).expect("no ingest");
-        let zero = simulate_campaign_faulty(&site, 0.0, &FaultPlan::new(1)).expect("no ingest");
-        assert!((zero.days - clean.days).abs() < 1.0);
-        assert_eq!(zero.retried_tb, 0.0);
-
-        let plan = |seed, rate| FaultPlan::new(seed).with_transient_io_rate(rate);
-        let faulty = simulate_campaign_faulty(&site, 0.0, &plan(1, 0.2)).expect("no ingest");
-        assert!(
-            faulty.days > clean.days * 1.1,
-            "{} vs {}",
-            faulty.days,
-            clean.days
-        );
-        assert!(faulty.retried_tb > 0.0);
-        // Heavier faults: slower still.
-        let heavier = simulate_campaign_faulty(&site, 0.0, &plan(1, 0.4)).expect("no ingest");
-        assert!(heavier.days > faulty.days);
-        // Same seed, same trajectory; different seed, different days.
-        let again = simulate_campaign_faulty(&site, 0.0, &plan(1, 0.2)).unwrap();
-        assert_eq!(again.days, faulty.days);
-        assert_eq!(again.retried_tb, faulty.retried_tb);
-        let other = simulate_campaign_faulty(&site, 0.0, &plan(2, 0.2)).unwrap();
-        assert_ne!(other.days, faulty.days);
-    }
-
-    #[test]
-    fn faulty_campaign_still_detects_saturation() {
-        let site = ArchiveSite {
-            name: "toy".into(),
-            capacity_tb: 100.0,
-            read_tb_per_day: 10.0,
-            write_tb_per_day: 5.0,
-            media: crate::media::MediaType::Tape,
-        };
-        assert!(matches!(
-            simulate_campaign_faulty(&site, 5.0, &FaultPlan::new(3).with_transient_io_rate(0.1)),
-            Err(CampaignError::Saturated { .. })
-        ));
     }
 
     #[test]

@@ -21,15 +21,18 @@
 //!   proactive-refresh cadence, adversary rounds) converts through one
 //!   [`EpochSchedule`]; no other epoch arithmetic exists.
 //!
-//! Charges are commutative additions on an atomic counter, so the total
-//! elapsed time of a fixed operation multiset is independent of worker
-//! count and thread interleaving — a property the clock tests pin.
+//! Charges are commutative additions on one counter, so the total
+//! elapsed time of a fixed operation multiset is independent of the
+//! order the operations ran in — a property the clock tests pin. The
+//! one place time is not simply summed is the capture frame
+//! [`crate::cluster::Cluster::dispatch_lanes`] opens around each leg of
+//! a parallel fan-out (`SimClock::divert`, crate-private): the leg's
+//! cost is measured on the counter, the counter is rewound, and the
+//! dispatcher prices the cost on the leg's node lane. Everything runs
+//! on the caller's thread, so there is one frame at a time.
 
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::ThreadId;
 
 /// Virtual nanoseconds in one simulated day (24 h).
 pub const NANOS_PER_DAY: u64 = 86_400 * NANOS_PER_SEC;
@@ -207,32 +210,12 @@ impl std::iter::Sum for SimDuration {
     }
 }
 
-/// Shared state behind every handle onto one timeline.
-///
-/// `ns` is the global frontier. `diversions`/`lanes` implement
-/// [`SimClock::divert`]: threads listed in `lanes` have their charges
-/// captured into a per-thread accumulator instead of the global
-/// counter, so a parallel lane dispatcher can replay them onto
-/// per-node lanes and advance the frontier by the critical path rather
-/// than the sum. `diversions` is a fast-path gate — when zero (the
-/// overwhelmingly common case) `charge`/`now`/`advance_to` never touch
-/// the mutex.
+/// Shared state behind every handle onto one timeline: the counter,
+/// and whether a capture frame ([`SimClock::divert`]) is open on it.
 #[derive(Debug, Default)]
 struct ClockInner {
     ns: AtomicU64,
-    diversions: AtomicU64,
-    lanes: Mutex<HashMap<ThreadId, DivertFrame>>,
-}
-
-/// One thread's active charge diversion. `base` is the global reading
-/// when the diversion began; `accum` the virtual cost captured since.
-/// `outer` stacks nested diversions (inner captures win; the outer
-/// frame resumes untouched when the inner one ends).
-#[derive(Debug)]
-struct DivertFrame {
-    base: u64,
-    accum: u64,
-    outer: Option<Box<DivertFrame>>,
+    capturing: AtomicBool,
 }
 
 /// The shared virtual clock.
@@ -240,15 +223,11 @@ struct DivertFrame {
 /// A `SimClock` is a cheap-to-clone handle onto one atomic counter of
 /// virtual nanoseconds: cloning shares the timeline, so a cluster, its
 /// node decorators, and the retry layer all observe the same `now()`.
-/// The counter is **monotone by construction** — [`charge`](Self::charge)
-/// adds, [`advance_to`](Self::advance_to) takes a max — and is advanced
-/// only by simulated work, never by wall time.
-///
-/// [`divert`](Self::divert) layers a per-thread capture mode on top:
-/// inside a diversion, charges accumulate locally (the thread sees its
-/// own lane-local `now()`) and the global frontier is untouched until
-/// the dispatcher decides how to merge the captured costs. This is the
-/// primitive the parallel lane model is built on.
+/// [`charge`](Self::charge) adds and [`advance_to`](Self::advance_to)
+/// takes a max, so the counter only moves forward, and only by
+/// simulated work, never by wall time. The one rewind is the close of
+/// a parallel dispatch leg's capture frame, which returns the counter
+/// to where the frame opened.
 #[derive(Debug, Clone, Default)]
 pub struct SimClock {
     inner: Arc<ClockInner>,
@@ -261,46 +240,22 @@ impl SimClock {
         SimClock::default()
     }
 
-    /// Runs `f` on the current thread's diversion frame, if one is
-    /// active. The atomic gate keeps the non-diverted path lock-free.
-    fn with_frame<R>(&self, f: impl FnOnce(&mut DivertFrame) -> R) -> Option<R> {
-        if self.inner.diversions.load(Ordering::SeqCst) == 0 {
-            return None;
-        }
-        let tid = std::thread::current().id();
-        let mut lanes = self.inner.lanes.lock();
-        lanes.get_mut(&tid).map(f)
-    }
-
-    /// The current virtual instant. Inside a [`divert`](Self::divert)
-    /// this is lane-local: the instant the diversion began plus the
-    /// cost captured so far on this thread.
+    /// The current virtual instant. Inside a capture frame this is
+    /// lane-local: the instant the frame opened plus the cost charged
+    /// since.
     #[must_use]
     pub fn now(&self) -> SimTime {
-        if let Some(local) = self.with_frame(|fr| fr.base.saturating_add(fr.accum)) {
-            return SimTime(local);
-        }
         SimTime(self.inner.ns.load(Ordering::SeqCst))
     }
 
     /// Charges `cost` of virtual time to the clock and returns the new
     /// reading. Charges are commutative additions, so the final reading
-    /// of a fixed set of charges is independent of the order (and the
-    /// thread) they arrive in. The addition saturates at the top of the
-    /// range: a plain `fetch_add` would wrap the counter and let the
+    /// of a fixed set of charges is independent of the order they
+    /// arrive in. The addition saturates at the top of the range: a
+    /// plain `fetch_add` would wrap the counter and let the
     /// timeline run backwards when a saturated duration (an offline
     /// device, a pathological backoff) is charged near `u64::MAX`.
-    ///
-    /// Inside a [`divert`](Self::divert), the cost is captured into the
-    /// thread's accumulator instead and the reading returned is
-    /// lane-local.
     pub fn charge(&self, cost: SimDuration) -> SimTime {
-        if let Some(local) = self.with_frame(|fr| {
-            fr.accum = fr.accum.saturating_add(cost.0);
-            fr.base.saturating_add(fr.accum)
-        }) {
-            return SimTime(local);
-        }
         let mut cur = self.inner.ns.load(Ordering::SeqCst);
         loop {
             let next = cur.saturating_add(cost.0);
@@ -318,64 +273,37 @@ impl SimClock {
     /// Advances the clock to `instant` if it is ahead of the current
     /// reading; otherwise does nothing (the clock never moves
     /// backwards). Used by epoch-driven schedules to jump to the start
-    /// of a later epoch.
-    ///
-    /// Inside a [`divert`](Self::divert) the jump is captured into the
-    /// thread's accumulator (as a charge up to `instant`), never
-    /// written to the global frontier — a diverted worker cannot leak
-    /// time onto other lanes. That confinement is what makes a fixed
-    /// set of lane completions merge to one frontier regardless of
-    /// thread interleaving; `fetch_max` and `charge`'s add do not
-    /// commute with each other, so letting workers mix them on the
-    /// global counter would make elapsed time schedule-dependent.
+    /// of a later epoch. Inside a capture frame the jump is part of the
+    /// captured cost, so a `FaultyNode` waiting out an offline window
+    /// in one leg of a parallel fan-out delays only that leg's lane.
     pub fn advance_to(&self, instant: SimTime) {
-        if self
-            .with_frame(|fr| {
-                let target = instant.0.saturating_sub(fr.base);
-                fr.accum = fr.accum.max(target);
-            })
-            .is_some()
-        {
-            return;
-        }
         self.inner.ns.fetch_max(instant.0, Ordering::SeqCst);
     }
 
-    /// Runs `f` with this thread's charges diverted into a local
-    /// accumulator, returning `f`'s result and the total virtual cost
-    /// it charged. The global frontier does not move; the caller
-    /// decides how the captured cost lands (e.g. on a per-node lane,
-    /// with the frontier advanced once to the critical path).
+    /// Runs `f` in a capture frame and returns `f`'s result with the
+    /// virtual cost it charged; the clock reads as it did before `f`
+    /// when this returns. The frame is `(base, accum)`: `base` is the
+    /// reading when it opened and `accum` is how far the counter has
+    /// moved past it, so `now`, `charge` and `advance_to` need no
+    /// frame-aware path — closing the frame rewinds the counter to
+    /// `base` and reports `accum`. The caller decides where the cost
+    /// lands (`Cluster::dispatch_lanes` puts it on the leg's node lane
+    /// and advances the clock once, to the critical path).
     ///
-    /// Diversion is keyed by thread: other threads charging the same
-    /// clock are unaffected. Nested diversions stack — the inner frame
-    /// captures, the outer resumes unchanged when it ends. If `f`
-    /// panics, the frame is unwound (the captured cost is dropped with
-    /// the panic).
-    pub fn divert<T>(&self, f: impl FnOnce() -> T) -> (T, SimDuration) {
-        let tid = std::thread::current().id();
-        let base = self.inner.ns.load(Ordering::SeqCst);
-        {
-            let mut lanes = self.inner.lanes.lock();
-            let outer = lanes.remove(&tid).map(Box::new);
-            lanes.insert(
-                tid,
-                DivertFrame {
-                    base,
-                    accum: 0,
-                    outer,
-                },
-            );
-        }
-        self.inner.diversions.fetch_add(1, Ordering::SeqCst);
-        let guard = DivertGuard {
+    /// A clock holds at most one frame: a leg is one node's work and a
+    /// node never dispatches, so an inner capture is a bug and panics.
+    /// If `f` panics, the frame is closed on unwind and its cost
+    /// dropped, so later charges land on the clock again.
+    pub(crate) fn divert<T>(&self, f: impl FnOnce() -> T) -> (T, SimDuration) {
+        let nested = self.inner.capturing.swap(true, Ordering::SeqCst);
+        assert!(!nested, "capture frames do not nest");
+        let frame = Frame {
             inner: &self.inner,
-            tid,
-            armed: true,
+            base: self.inner.ns.load(Ordering::SeqCst),
         };
         let out = f();
-        let captured = guard.finish();
-        (out, SimDuration(captured))
+        let accum = frame.close();
+        (out, SimDuration(accum))
     }
 
     /// Whether two handles share one timeline.
@@ -385,38 +313,24 @@ impl SimClock {
     }
 }
 
-/// Unwinds a diversion frame even if the diverted closure panics, so a
-/// panicking worker cannot leave its thread permanently diverted (the
-/// OS may reuse thread ids).
-struct DivertGuard<'a> {
+/// An open capture frame. Dropping it (normally, or on unwind from a
+/// panicking leg) rewinds the counter to `base` and closes the frame.
+struct Frame<'a> {
     inner: &'a ClockInner,
-    tid: ThreadId,
-    armed: bool,
+    base: u64,
 }
 
-impl DivertGuard<'_> {
-    fn pop(&self) -> u64 {
-        let mut lanes = self.inner.lanes.lock();
-        let frame = lanes.remove(&self.tid).expect("diversion frame present");
-        if let Some(outer) = frame.outer {
-            lanes.insert(self.tid, *outer);
-        }
-        drop(lanes);
-        self.inner.diversions.fetch_sub(1, Ordering::SeqCst);
-        frame.accum
-    }
-
-    fn finish(mut self) -> u64 {
-        self.armed = false;
-        self.pop()
+impl Frame<'_> {
+    /// Closes the frame and returns the cost charged inside it.
+    fn close(self) -> u64 {
+        self.inner.ns.load(Ordering::SeqCst) - self.base
     }
 }
 
-impl Drop for DivertGuard<'_> {
+impl Drop for Frame<'_> {
     fn drop(&mut self) {
-        if self.armed {
-            self.pop();
-        }
+        self.inner.ns.store(self.base, Ordering::SeqCst);
+        self.inner.capturing.store(false, Ordering::SeqCst);
     }
 }
 
@@ -565,24 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn divert_is_keyed_by_thread() {
-        let clock = SimClock::new();
-        let ((), cost) = clock.divert(|| {
-            // A charge from another thread goes to the global counter,
-            // not this thread's accumulator.
-            let other = clock.clone();
-            std::thread::spawn(move || {
-                other.charge(SimDuration::from_millis(100));
-            })
-            .join()
-            .unwrap();
-            clock.charge(SimDuration::from_millis(1));
-        });
-        assert_eq!(cost.as_millis(), 1);
-        assert_eq!(clock.now().as_millis(), 100);
-    }
-
-    #[test]
     fn diverted_advance_to_stays_on_the_lane() {
         let clock = SimClock::new();
         clock.charge(SimDuration::from_millis(5));
@@ -601,18 +497,10 @@ mod tests {
     }
 
     #[test]
-    fn nested_diversions_stack() {
+    #[should_panic(expected = "capture frames do not nest")]
+    fn captures_do_not_nest() {
         let clock = SimClock::new();
-        let ((), outer) = clock.divert(|| {
-            clock.charge(SimDuration::from_millis(2));
-            let ((), inner) = clock.divert(|| {
-                clock.charge(SimDuration::from_millis(50));
-            });
-            assert_eq!(inner.as_millis(), 50);
-            clock.charge(SimDuration::from_millis(3));
-        });
-        assert_eq!(outer.as_millis(), 5, "inner capture not double-counted");
-        assert_eq!(clock.now(), SimTime::ZERO);
+        clock.divert(|| clock.divert(|| ()));
     }
 
     #[test]
@@ -625,9 +513,11 @@ mod tests {
             })
         }));
         assert!(caught.is_err());
-        // The frame was popped: charges land globally again.
+        // The frame was closed: charges land globally again, and a new
+        // frame can open.
         clock.charge(SimDuration::from_millis(1));
         assert_eq!(clock.now().as_millis(), 1);
+        assert_eq!(clock.divert(|| ()).1, SimDuration::ZERO);
     }
 
     #[test]

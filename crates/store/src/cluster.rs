@@ -7,10 +7,53 @@
 //! the `PlanExecutor`, whose one fan-out frames transfers per node and
 //! runs them through [`Cluster::dispatch_lanes`].
 
-use crate::clock::SimClock;
-use crate::lane::{DispatchPolicy, LaneClock};
+use crate::clock::{SimClock, SimDuration};
 use crate::node::{MemoryNode, NodeError, NodeId, ShardKey, StorageNode};
 use std::sync::Arc;
+
+/// How a cluster prices the per-node legs of a fan-out. Execution is
+/// the same under both: one leg after another on the caller's thread.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum DispatchPolicy {
+    /// Every charge lands on the global clock in call order. Virtual
+    /// time for a fan-out is the **sum** of per-node costs, which is
+    /// pessimistic beyond the paper: real nodes are independent
+    /// devices. The default: pinned golden vectors and chaos digests
+    /// were recorded against it.
+    #[default]
+    Sequential,
+    /// Each node is a **lane**: its legs queue on it, lanes overlap,
+    /// and the fan-out completes at the **critical path** (the slowest
+    /// lane). Payloads, typed failures, and per-shard attempt schedules
+    /// are byte-identical to sequential — only virtual timing differs.
+    Parallel {
+        /// Selects nothing: it once sized a per-dispatch thread pool,
+        /// which was deleted. The field stays only because the repo
+        /// benchmark (`bench/src/workload.rs`) constructs the variant
+        /// with it; its removal is owed to the next benchmark PR.
+        workers: usize,
+    },
+}
+
+impl DispatchPolicy {
+    /// Parallel lane pricing.
+    #[must_use]
+    pub fn parallel() -> Self {
+        DispatchPolicy::Parallel { workers: 1 }
+    }
+
+    /// Reads the `AEON_FORCE_DISPATCH` override (`sequential` or
+    /// `parallel`), used by CI to run the equivalence suite under
+    /// forced parallel dispatch without touching call sites.
+    #[must_use]
+    pub fn from_env() -> Option<Self> {
+        match std::env::var("AEON_FORCE_DISPATCH").ok()?.as_str() {
+            "sequential" => Some(DispatchPolicy::Sequential),
+            "parallel" => Some(DispatchPolicy::parallel()),
+            _ => None,
+        }
+    }
+}
 
 /// Errors from cluster operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -118,7 +161,6 @@ impl TransferReport {
 pub struct Cluster {
     nodes: Vec<Arc<dyn StorageNode>>,
     clock: SimClock,
-    lanes: LaneClock,
     dispatch: DispatchPolicy,
 }
 
@@ -133,11 +175,9 @@ impl Cluster {
     /// `AEON_FORCE_DISPATCH` environment override is set (the CI hook
     /// that reruns the equivalence suite under parallel lanes).
     pub fn new(nodes: Vec<Arc<dyn StorageNode>>) -> Self {
-        let clock = SimClock::new();
         Cluster {
             nodes,
-            lanes: LaneClock::new(clock.clone()),
-            clock,
+            clock: SimClock::new(),
             dispatch: DispatchPolicy::from_env().unwrap_or_default(),
         }
     }
@@ -157,11 +197,9 @@ impl Cluster {
     }
 
     /// Replaces the cluster's clock with a shared handle (builder
-    /// style). Cloning the cluster keeps sharing this timeline. Lane
-    /// frontiers are rebuilt over the new timeline.
+    /// style). Cloning the cluster keeps sharing this timeline.
     #[must_use]
     pub fn with_clock(mut self, clock: SimClock) -> Self {
-        self.lanes = LaneClock::new(clock.clone());
         self.clock = clock;
         self
     }
@@ -175,16 +213,6 @@ impl Cluster {
         self
     }
 
-    /// The dispatch policy in effect.
-    pub fn dispatch_policy(&self) -> DispatchPolicy {
-        self.dispatch
-    }
-
-    /// The per-node lane frontiers (parallel dispatch accounting).
-    pub fn lane_clock(&self) -> &LaneClock {
-        &self.lanes
-    }
-
     /// The virtual clock that retry backoff (and any time-charging node
     /// decorators built with the same handle) advance.
     pub fn clock(&self) -> &SimClock {
@@ -196,29 +224,40 @@ impl Cluster {
     /// lane-dispatch seam, and the policy decides how the legs are
     /// *priced*, not how they execute: under
     /// [`DispatchPolicy::Sequential`] every charge lands on the global
-    /// clock in call order (the sum); under
-    /// [`DispatchPolicy::Parallel`] each leg's charges are diverted
-    /// ([`SimClock::divert`]) and replayed onto its node's lane, and
-    /// the global clock advances once to the critical path.
+    /// clock in call order (the sum). Under [`DispatchPolicy::Parallel`]
+    /// each leg runs in a capture frame on the clock, so everything it
+    /// charges or jumps (decorator seeks, framed bytes, fault latency,
+    /// an offline-window wait) is its cost alone; the cost is added to
+    /// its node's lane, and the clock advances once, to the slowest
+    /// lane. That is the max over nodes of each node's summed leg costs,
+    /// whatever order the legs ran in.
+    ///
+    /// Every lane opens at the dispatch instant: the previous dispatch
+    /// left the clock at its slowest lane, so no lane is still busy.
     ///
     /// Each closure should touch only its own node (the grouping
     /// invariant of the executor's fan-out), or the lane a charge is
-    /// replayed onto is not the device that did the work.
+    /// priced on is not the device that did the work.
     pub fn dispatch_lanes<T>(&self, lane_nodes: &[NodeId], op: impl Fn(usize) -> T) -> Vec<T> {
         match self.dispatch {
             DispatchPolicy::Sequential => (0..lane_nodes.len()).map(op).collect(),
             DispatchPolicy::Parallel { .. } => {
-                let dispatch = self.lanes.begin();
+                let t0 = self.clock.now();
+                let mut lanes: Vec<(NodeId, SimDuration)> = Vec::with_capacity(lane_nodes.len());
                 let out = lane_nodes
                     .iter()
                     .enumerate()
-                    .map(|(i, node)| {
+                    .map(|(i, &node)| {
                         let (out, cost) = self.clock.divert(|| op(i));
-                        dispatch.charge(*node, cost);
+                        match lanes.iter_mut().find(|(n, _)| *n == node) {
+                            Some((_, busy)) => *busy += cost,
+                            None => lanes.push((node, cost)),
+                        }
                         out
                     })
                     .collect();
-                dispatch.finish();
+                let slowest = lanes.into_iter().map(|(_, busy)| busy).max();
+                self.clock.advance_to(t0 + slowest.unwrap_or_default());
                 out
             }
         }
@@ -357,8 +396,11 @@ fn stable_hash(s: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::SimDuration;
-    use crate::throughput::{throughput_in_memory_cluster, ThroughputProfile};
+    use crate::clock::{EpochSchedule, SimTime};
+    use crate::faults::{FaultPlan, FaultyNode};
+    use crate::throughput::{throughput_in_memory_cluster, ThroughputNode, ThroughputProfile};
+    use proptest::prelude::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn cluster_with_handles() -> (Cluster, Vec<MemoryNode>) {
         let handles: Vec<MemoryNode> = (0..6)
@@ -490,5 +532,151 @@ mod tests {
             (ratio - n as f64).abs() < 0.01,
             "speedup {ratio:.3}, want ~{n}"
         );
+    }
+
+    /// No seek, one byte per virtual millisecond: a leg that puts `ms`
+    /// bytes costs exactly `ms` on its node's lane.
+    fn ms_profile() -> ThroughputProfile {
+        ThroughputProfile::new(SimDuration::ZERO, 1e3, 1e3)
+    }
+
+    /// A parallel cluster of `n` single-node sites, node ids `0..n`.
+    fn lane_cluster(n: usize) -> Cluster {
+        let sites: Vec<String> = (0..n).map(|i| format!("s{i}")).collect();
+        let sites: Vec<&str> = sites.iter().map(String::as_str).collect();
+        let (cluster, _) = throughput_in_memory_cluster(&sites, 1, &ms_profile());
+        cluster.with_dispatch(DispatchPolicy::parallel())
+    }
+
+    /// One dispatch whose leg `i` puts `legs[i].1` bytes on node
+    /// `legs[i].0`; returns the clock after it.
+    fn dispatch(cluster: &Cluster, legs: &[(u32, usize)]) -> SimTime {
+        let nodes: Vec<NodeId> = legs.iter().map(|&(id, _)| NodeId(id)).collect();
+        cluster.dispatch_lanes(&nodes, |i| {
+            let node = cluster.node(nodes[i]).unwrap();
+            node.put(&ShardKey::new("o", i as u32), &vec![0; legs[i].1])
+                .unwrap();
+        });
+        cluster.clock().now()
+    }
+
+    #[test]
+    fn lanes_overlap_to_the_critical_path() {
+        let cluster = lane_cluster(3);
+        let done = dispatch(&cluster, &[(0, 30), (1, 50), (2, 20)]);
+        assert_eq!(done.as_millis(), 50, "max of lanes, not the 100 ms sum");
+    }
+
+    #[test]
+    fn same_node_legs_queue() {
+        let cluster = lane_cluster(2);
+        let done = dispatch(&cluster, &[(1, 10), (0, 3), (1, 5)]);
+        assert_eq!(done.as_millis(), 15, "one device serializes its legs");
+    }
+
+    #[test]
+    fn busy_lane_delays_the_next_dispatch() {
+        let cluster = lane_cluster(2);
+        assert_eq!(dispatch(&cluster, &[(0, 100), (1, 10)]).as_millis(), 100);
+        // Node 1 idled from 10 ms, but the dispatch could not finish
+        // before node 0 did, so the next one opens at 100 ms.
+        assert_eq!(
+            dispatch(&cluster, &[(1, 5)]).as_millis(),
+            105,
+            "new dispatch anchors at the frontier"
+        );
+    }
+
+    #[test]
+    fn empty_dispatch_leaves_the_clock_alone() {
+        let cluster = lane_cluster(1);
+        cluster.clock().charge(SimDuration::from_millis(42));
+        assert_eq!(dispatch(&cluster, &[]).as_millis(), 42);
+    }
+
+    proptest! {
+        /// Extends the clock's `charges_commute` pin to lanes: any
+        /// permutation of a fixed multiset of legs lands on the same
+        /// clock, and that clock is the closed form, the max over nodes
+        /// of each node's summed leg costs.
+        #[test]
+        fn lane_merge_order_is_irrelevant(
+            legs in proptest::collection::vec((0u32..6, 0usize..1_000), 1..24),
+            rotation in 0usize..24,
+        ) {
+            let run = |order: &[(u32, usize)]| dispatch(&lane_cluster(6), order);
+            let forward = run(&legs);
+            let mut reversed = legs.clone();
+            reversed.reverse();
+            let mut rotated = legs.clone();
+            rotated.rotate_left(rotation % legs.len());
+            prop_assert_eq!(run(&reversed), forward);
+            prop_assert_eq!(run(&rotated), forward);
+            let mut per_node = [SimDuration::ZERO; 6];
+            for &(id, bytes) in &legs {
+                per_node[id as usize] += ms_profile().write_charge(bytes);
+            }
+            let closed_form = per_node.into_iter().max().unwrap();
+            prop_assert_eq!(forward, SimTime::ZERO + closed_form);
+        }
+    }
+
+    /// A leg that waits out its node's offline window (a `FaultyNode`
+    /// epoch jump) charges the wait to that node's lane only: the other
+    /// leg still reads its own lane-local time.
+    #[test]
+    fn an_offline_wait_stays_on_its_own_lane() {
+        let clock = SimClock::new();
+        let epochs = EpochSchedule::default();
+        let flaky = Arc::new(FaultyNode::with_clock(
+            Arc::new(MemoryNode::new(0, "a")),
+            FaultPlan::new(1).with_offline_window(0, 2),
+            clock.clone(),
+            epochs,
+        ));
+        let steady = ThroughputNode::new(
+            Arc::new(MemoryNode::new(1, "b")),
+            ms_profile(),
+            clock.clone(),
+        );
+        let nodes: Vec<Arc<dyn StorageNode>> = vec![flaky.clone(), Arc::new(steady)];
+        let cluster = Cluster::new(nodes)
+            .with_clock(clock.clone())
+            .with_dispatch(DispatchPolicy::parallel());
+        let key = ShardKey::new("o", 0);
+        let seen = cluster.dispatch_lanes(&[NodeId(0), NodeId(1)], |i| {
+            let node = &cluster.nodes()[i];
+            if node.put(&key, &[0; 30]).is_err() {
+                flaky.set_epoch(2);
+                node.put(&key, &[0; 30]).unwrap();
+            }
+            clock.now()
+        });
+        let thirty_ms = SimTime::ZERO + SimDuration::from_millis(30);
+        assert_eq!(seen, [epochs.start_of(2), thirty_ms]);
+        assert_eq!(clock.now(), epochs.start_of(2), "max of lanes, not the sum");
+    }
+
+    /// A panicking leg closes its capture frame on the way out: once the
+    /// panic is caught, charges land on the clock again and the next
+    /// dispatch prices its lanes as usual.
+    #[test]
+    fn a_panicking_leg_leaves_the_clock_charging() {
+        let cluster = lane_cluster(2);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            cluster.dispatch_lanes(&[NodeId(0), NodeId(1)], |i| {
+                let node = &cluster.nodes()[i];
+                node.put(&ShardKey::new("o", 0), &[0; 40]).unwrap();
+                if i == 1 {
+                    panic!("leg 1 fails");
+                }
+            })
+        }));
+        assert!(caught.is_err());
+        let clock = cluster.clock();
+        assert_eq!(clock.now(), SimTime::ZERO, "nothing landed");
+        clock.charge(SimDuration::from_millis(7));
+        assert_eq!(clock.now().as_millis(), 7);
+        assert_eq!(dispatch(&cluster, &[(0, 3), (1, 5)]).as_millis(), 12);
     }
 }

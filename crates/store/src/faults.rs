@@ -198,9 +198,8 @@ impl FaultPlan {
     /// The determinism contract's per-decision DRBG: the SHA-256 of
     /// `(seed, operation kind, shard key, nth access)` seeds a private
     /// ChaCha stream. [`FaultyNode`] draws every fault decision from
-    /// this, and campaign-level fault models
-    /// ([`crate::campaign::simulate_campaign_faulty`]) reuse it, so the
-    /// workspace has exactly one fault-decision construction.
+    /// this, and any other fault model should too, so the workspace has
+    /// exactly one fault-decision construction.
     pub fn decision_rng(&self, op: OpKind, key: &ShardKey, access: u64) -> ChaChaDrbg {
         let mut h = Sha256::new();
         h.update(&self.seed.to_le_bytes());
@@ -386,7 +385,7 @@ impl FaultyNode {
 }
 
 /// Uniform draw in `[0, 1)` with 53 bits of precision.
-pub(crate) fn roll<R: CryptoRng + ?Sized>(rng: &mut R) -> f64 {
+fn roll<R: CryptoRng + ?Sized>(rng: &mut R) -> f64 {
     (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64
 }
 

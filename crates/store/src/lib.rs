@@ -8,7 +8,9 @@
 //!   file-backed implementations, plus failure and corruption injection
 //!   for adversary experiments.
 //! * [`cluster`] — a geo-dispersed cluster that places shards across
-//!   sites with anti-affinity (no two shards of an object on one site).
+//!   sites with anti-affinity (no two shards of an object on one site),
+//!   and prices a fan-out as the sum of its legs or as overlapping
+//!   per-node lanes ([`cluster::DispatchPolicy`]).
 //! * [`media`] — parametric media models (tape, HDD, SSD, glass, DNA,
 //!   film): cost, density, lifetime, throughput; plus presets for the
 //!   real archives the paper cites (Oak Ridge HPSS, ECMWF MARS, CERN
@@ -46,16 +48,14 @@ pub mod clock;
 pub mod cluster;
 pub mod durability;
 pub mod faults;
-pub mod lane;
 pub mod media;
 pub mod node;
 pub mod retry;
 pub mod throughput;
 
 pub use clock::{EpochSchedule, SimClock, SimDuration, SimTime};
-pub use cluster::Cluster;
+pub use cluster::{Cluster, DispatchPolicy};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultyNode};
-pub use lane::{DispatchPolicy, LaneClock, LaneDispatch};
 pub use media::{ArchiveSite, MediaProfile, MediaType};
 pub use node::{MemoryNode, NodeError, NodeId, StorageNode};
 pub use retry::{RetryPolicy, RetryStats};
