@@ -7,8 +7,9 @@ use crate::dedup::{BlockRecord, DedupConfig, DedupManifest};
 use crate::executor::{PlanExecutor, ShardsSnapshot};
 use crate::keys::KeyStore;
 use crate::pipeline::{self, PipelineConfig};
-use crate::plan::{self, ReadPlan};
+use crate::plan::{self, ReadPlan, WritePlan};
 use crate::policy::{EncodingMeta, PolicyError, PolicyKind};
+use crate::unit::{BLOCK, OBJECT};
 use aeon_cas::{BlockHash, BoundedIndex};
 use aeon_crypto::{ChaChaDrbg, Sha256};
 use aeon_integrity::ledger::Ledger;
@@ -487,12 +488,6 @@ impl Archive {
         name: &str,
         policy: PolicyKind,
     ) -> Result<ObjectId, ArchiveError> {
-        policy.validate()?;
-        entropy_gate(&policy, payload)?;
-        if self.config.dedup.is_some() {
-            let id = self.next_id(name);
-            return self.ingest_dedup(payload, name, policy, id);
-        }
         let mut ids = self.ingest_flush(&[(payload, name)], &policy)?;
         Ok(ids.pop().expect("one id per item"))
     }
@@ -520,125 +515,209 @@ impl Archive {
     /// flush by design: each chain's first link carries an inclusion
     /// path to the flush's signed root.
     ///
-    /// Dedup-configured archives fall back to sequential ingest — one
-    /// token per object: block writes are already coalesced per object by
-    /// the dedup pipeline.
+    /// Dedup archives flush the same way: every object's fresh blocks —
+    /// a block new to several objects of the flush is written once, by
+    /// the first — go out in the one pass, the objects are anchored under
+    /// one signature, and only then do block records and references go in.
+    /// Block encodes are convergent and never draw the archive's stream,
+    /// so ids, blocks and stored bytes equal one-by-one ingest here too.
     ///
     /// # Errors
     ///
     /// A planning error (low entropy, encode, placement) fails the call
     /// before any node is touched. Otherwise returns the first per-object
-    /// write failure in submission order: objects earlier in the batch
-    /// remain ingested and anchored, the failing object **and every
-    /// object after it** are rolled back, and nothing of them reaches the
-    /// chains or the ledger. If the token cannot be issued the whole
+    /// write failure in submission order (a dedup object fails when any
+    /// block it introduces does, typed against the object): objects
+    /// earlier in the batch remain ingested and anchored, the failing
+    /// object **and every object after it** are rolled back, and nothing
+    /// of them reaches the chains, the ledger or the block map. If the token cannot be issued the whole
     /// flush is rolled back — no manifest without its chain.
     pub fn ingest_many(&mut self, items: &[(&[u8], &str)]) -> Result<Vec<ObjectId>, ArchiveError> {
-        if self.config.dedup.is_some() {
-            return items
-                .iter()
-                .map(|(payload, name)| self.ingest(payload, name))
-                .collect();
-        }
         let policy = self.config.policy.clone();
-        policy.validate()?;
-        for (payload, _) in items {
-            entropy_gate(&policy, payload)?;
-        }
         self.ingest_flush(items, &policy)
     }
 
-    /// The one classic ingest path (a single ingest is a flush of one):
-    /// encode all (in submission order, so the encode stream is drawn as
-    /// before) → digest every payload and shard in one batch → flush →
-    /// roll back the first failed object and everything after it →
-    /// anchor the landed prefix once → manifests.
+    /// Admits a flush of objects, mints their ids, and writes, anchors
+    /// and files it.
     fn ingest_flush(
         &mut self,
         items: &[(&[u8], &str)],
         policy: &PolicyKind,
     ) -> Result<Vec<ObjectId>, ArchiveError> {
-        let mut ids = Vec::with_capacity(items.len());
-        let mut plans = Vec::with_capacity(items.len());
-        let mut placements = Vec::with_capacity(items.len());
-        for (payload, name) in items {
-            let id = self.next_id(name);
-            let write = plan::encode_write(
-                policy,
-                &self.keys,
-                &mut self.rng,
-                &id,
-                payload,
-                &self.config.pipeline,
-            )?;
-            placements.push(self.executor().place(id.as_str(), write.shards.len())?);
-            plans.push(write);
-            ids.push(id);
+        policy.validate()?;
+        for (payload, _) in items {
+            entropy_gate(policy, payload)?;
         }
-        let messages: Vec<&[u8]> = items
+        let ids: Vec<ObjectId> = items.iter().map(|(_, name)| self.next_id(name)).collect();
+        self.write_flush(&ids, items, policy, true)?;
+        Ok(ids)
+    }
+
+    /// The one ingest path, for classic objects and dedup blocks alike.
+    /// Every item plans its stored units in submission order: a classic
+    /// object is one shard set drawn from the archive's encode stream, a
+    /// dedup object the blocks fresh to the archive and to the flush
+    /// ([`Archive::plan_blocks`]). Every payload and shard is then
+    /// digested in one batch, and every unit committed in one
+    /// cross-object pass under its kind's ingest label. Item *i* lands
+    /// iff every unit it owns landed; the first item that did not, and
+    /// every item after it, are rolled back. Only after the landed prefix
+    /// is anchored — once, and only when `anchored` — are block records,
+    /// references and manifests filed. A catalog commit is not anchored
+    /// and files no manifest: the landed manifests not filed are returned.
+    ///
+    /// # Errors
+    ///
+    /// A planning error (encode, placement) before any node is touched;
+    /// otherwise the first failed item's, typed against that item.
+    pub(crate) fn write_flush(
+        &mut self,
+        ids: &[ObjectId],
+        items: &[(&[u8], &str)],
+        policy: &PolicyKind,
+        anchored: bool,
+    ) -> Result<Vec<Manifest>, ArchiveError> {
+        let mut manifests = Vec::with_capacity(items.len());
+        // Per unit: the item that owns it, and the record a block files.
+        let (mut owners, mut blocks, mut plans) = (Vec::new(), Vec::new(), Vec::new());
+        let mut fresh = BTreeSet::new();
+        for (item, (id, (payload, name))) in ids.iter().zip(items).enumerate() {
+            let (tree, units) = if self.config.dedup.is_some() {
+                let (tree, new) = self.plan_blocks(payload, policy, &mut fresh)?;
+                (
+                    Some(tree),
+                    new.into_iter().map(|(b, w)| (Some(b), w)).collect(),
+                )
+            } else {
+                let cfg = &self.config.pipeline;
+                let write =
+                    plan::encode_write(policy, &self.keys, &mut self.rng, id, payload, cfg)?;
+                (None, vec![(None, write)])
+            };
+            for (block, write) in units {
+                owners.push(item);
+                blocks.push(block);
+                plans.push(write);
+            }
+            manifests.push(Manifest {
+                id: id.clone(),
+                name: name.to_string(),
+                policy: policy.clone(),
+                meta: EncodingMeta::plain(self.keys.current_version()),
+                placement: Vec::new(),
+                logical_len: payload.len(),
+                digest: [0; 32],
+                shard_digests: Vec::new(),
+                created_year: self.year,
+                refresh_epochs: 0,
+                blocks: tree,
+            });
+        }
+        let placements = plans
             .iter()
-            .map(|(payload, _)| *payload)
-            .chain(
-                plans
-                    .iter()
-                    .flat_map(|w| w.shards.iter().map(Vec::as_slice)),
-            )
-            .collect();
+            .map(|w: &WritePlan| self.executor().place(w.object.as_str(), w.shards.len()))
+            .collect::<Result<Vec<_>, _>>()?;
+        // The bounded index answers first (statistics); the block map
+        // decided what is fresh (correctness). Recording waits until
+        // planning can no longer fail, so the only entries a failed flush
+        // leaves to take back are its rolled-back items' fresh blocks.
+        for leaf in manifests
+            .iter()
+            .flat_map(|m| m.blocks.iter().flat_map(|d| &d.blocks))
+        {
+            let _resident = self.dedup_index.lookup(leaf);
+            self.dedup_index.record(leaf);
+        }
+
+        let shards = plans
+            .iter()
+            .flat_map(|w| w.shards.iter().map(Vec::as_slice));
+        let messages: Vec<&[u8]> = items.iter().map(|(p, _)| *p).chain(shards).collect();
         let mut batch = Sha256::digest_many(&messages).into_iter();
-        let mut digests: Vec<[u8; 32]> = batch.by_ref().take(items.len()).collect();
+        for (manifest, digest) in manifests.iter_mut().zip(batch.by_ref().take(items.len())) {
+            manifest.digest = digest;
+        }
         for write in &mut plans {
             write.shard_digests = batch.by_ref().take(write.shards.len()).collect();
         }
-        let mut rngs: Vec<ChaChaDrbg> = ids
+        let mut rngs: Vec<ChaChaDrbg> = plans
             .iter()
-            .map(|id| self.op_rng("ingest", id.as_str()))
+            .zip(&blocks)
+            .map(|(write, block)| {
+                let labels = if block.is_some() { &BLOCK } else { &OBJECT };
+                self.op_rng(labels.ingest, write.object.as_str())
+            })
             .collect();
-        // Too few shards landing durably means an object could never be
-        // read back: the executor has already rolled that object back.
+        // Too few shards landing durably means a unit could never be read
+        // back: the executor has already rolled that unit back.
         let results = self.executor().commit_many(&plans, &placements, &mut rngs);
-        let landed = results.iter().take_while(|r| r.is_ok()).count();
-        let roll_back = |archive: &Self, from: usize| {
-            for (i, result) in results.iter().enumerate().skip(from) {
-                if result.is_ok() {
-                    archive.executor().delete(ids[i].as_str(), &placements[i]);
+        let failed = results
+            .iter()
+            .enumerate()
+            .find_map(|(k, result)| Some((k, result.as_ref().err()?.written)));
+        let landed = failed.map_or(items.len(), |(k, _)| owners[k]);
+        let failure = failed.map(|(k, written)| ArchiveError::DegradedBeyondBudget {
+            id: ids[owners[k]].clone(),
+            available: written,
+            required: plans[k].required,
+            corrupt: 0,
+        });
+        // Takes back every unit that item `from` or a later one owns: the
+        // shards that landed, and a fresh block's index entry.
+        let mut roll_back = |archive: &mut Self, from: usize| {
+            for k in owners.partition_point(|&item| item < from)..owners.len() {
+                if results[k].is_ok() {
+                    let object = plans[k].object.as_str();
+                    archive
+                        .executor()
+                        .roll_back(object, &placements[k], &mut rngs[k]);
+                }
+                if let Some((hash, ..)) = &blocks[k] {
+                    archive.dedup_index.remove(hash);
                 }
             }
         };
         roll_back(self, landed);
-
-        digests.truncate(landed);
-        if let Err(e) = self.anchor(&ids[..landed], &digests) {
-            roll_back(self, 0);
-            return Err(e);
+        manifests.truncate(landed);
+        if anchored {
+            let digests: Vec<[u8; 32]> = manifests.iter().map(|m| m.digest).collect();
+            if let Err(e) = self.anchor(&ids[..landed], &digests) {
+                roll_back(self, 0);
+                return Err(e);
+            }
         }
-        let failure = results.get(landed).and_then(|r| r.as_ref().err());
-        let failure = failure.map(|outcome| ArchiveError::DegradedBeyondBudget {
-            id: ids[landed].clone(),
-            available: outcome.written,
-            required: plans[landed].required,
-            corrupt: 0,
-        });
-        let landed_items = plans
-            .into_iter()
-            .zip(placements)
-            .zip(items.iter().zip(digests));
-        for (id, ((write, placement), ((payload, name), digest))) in ids.iter().zip(landed_items) {
-            let manifest = Manifest {
-                id: id.clone(),
-                name: name.to_string(),
-                policy: policy.clone(),
+
+        let filed = owners.partition_point(|&item| item < landed);
+        let units = owners.into_iter().zip(blocks).zip(plans).zip(placements);
+        for (((item, block), write), placement) in units.take(filed) {
+            let Some((hash, kind, len)) = block else {
+                let m = &mut manifests[item];
+                (m.meta, m.placement, m.shard_digests) =
+                    (write.meta, placement, write.shard_digests);
+                continue;
+            };
+            let record = BlockRecord {
+                refcount: 0,
+                len,
+                kind,
+                policy: write.policy,
                 meta: write.meta,
                 placement,
-                logical_len: payload.len(),
-                digest,
                 shard_digests: write.shard_digests,
-                created_year: self.year,
-                refresh_epochs: 0,
-                blocks: None,
             };
-            self.manifests.insert(id.clone(), manifest);
+            self.blocks.insert(hash, record);
         }
-        failure.map_or(Ok(ids), Err)
+        // The references go in last, in one infallible pass.
+        let refs = manifests.iter().flat_map(|m| m.blocks.iter());
+        for h in refs.flat_map(|d| self.references(d)).collect::<Vec<_>>() {
+            self.blocks.get_mut(&h).expect("block filed").refcount += 1;
+        }
+        if anchored {
+            for manifest in manifests.drain(..) {
+                self.manifests.insert(manifest.id.clone(), manifest);
+            }
+        }
+        failure.map_or(Ok(manifests), Err)
     }
 
     /// Anchors one flush of landed objects in the configured integrity
@@ -879,10 +958,13 @@ impl Archive {
             .manifests
             .remove(id)
             .ok_or_else(|| ArchiveError::UnknownObject(id.clone()))?;
-        if manifest.blocks.is_some() {
-            self.release_dedup_refs(&manifest);
-        } else {
-            self.executor().delete(id.as_str(), &manifest.placement);
+        match &manifest.blocks {
+            // A block's shards leave the cluster with its last reference.
+            Some(d) => self
+                .references(d)
+                .iter()
+                .for_each(|h| self.release_block(h)),
+            None => self.executor().delete(id.as_str(), &manifest.placement),
         }
         self.chains.remove(id);
         Ok(())
@@ -1300,9 +1382,42 @@ mod tests {
             .collect()
     }
 
+    fn rs_config(integrity: IntegrityMode, dedup: bool) -> ArchiveConfig {
+        let mut config = ArchiveConfig::new(PolicyKind::ErasureCoded { data: 2, parity: 1 });
+        config.dedup = dedup.then(small_dedup);
+        config.with_integrity(integrity)
+    }
+
     fn rs_archive(integrity: IntegrityMode) -> Archive {
-        let policy = PolicyKind::ErasureCoded { data: 2, parity: 1 };
-        Archive::in_memory(ArchiveConfig::new(policy).with_integrity(integrity)).unwrap()
+        Archive::in_memory(rs_config(integrity, false)).unwrap()
+    }
+
+    /// Dedup over small chunks, so a few KiB span many blocks.
+    fn small_dedup() -> DedupConfig {
+        let chunker = aeon_cas::ChunkerParams {
+            min_size: 64,
+            target_size: 256,
+            max_size: 1024,
+            seed: 0xD0D0,
+        };
+        DedupConfig {
+            chunker,
+            index_capacity: 64,
+            fanout: 4,
+        }
+    }
+
+    /// Three 3 KiB versions: the second shares blocks with the first, the
+    /// third with the second.
+    fn versions() -> Vec<(Vec<u8>, String)> {
+        let mut parts = vec![0u8; 6000];
+        ChaChaDrbg::from_u64_seed(31).fill_bytes(&mut parts);
+        let part = |i: usize| &parts[i * 1500..][..1500];
+        [(0, 1), (0, 2), (2, 3)]
+            .iter()
+            .enumerate()
+            .map(|(i, &(x, y))| ([part(x), part(y)].concat(), format!("v{i}")))
+            .collect()
     }
 
     #[test]
@@ -1404,60 +1519,101 @@ mod tests {
         }
     }
 
+    /// An archive over three nodes that refuse every put for the
+    /// storage context the second of `items` alone writes: its shards, or
+    /// in dedup mode the first block it introduces. Returns it with the
+    /// ids `items` get (they and block addresses depend only on names,
+    /// payloads, order and seed, so a twin archive tells).
+    fn refusing_the_second(
+        config: ArchiveConfig,
+        items: &[(Vec<u8>, String)],
+    ) -> (Archive, Vec<ObjectId>) {
+        let mut twin = Archive::in_memory(config.clone()).unwrap();
+        let ids = twin.ingest_many(&borrowed(items)).unwrap();
+        let leaves = |id: &ObjectId| twin.manifest(id).unwrap().blocks.map(|d| d.blocks);
+        let rejected = match (leaves(&ids[0]), leaves(&ids[1])) {
+            (Some(first), Some(second)) => {
+                let fresh = second.iter().find(|h| !first.contains(h));
+                crate::dedup::block_object_id(fresh.expect("a block of its own"))
+            }
+            _ => ids[1].to_string(),
+        };
+        let nodes = (0..3)
+            .map(|i| {
+                let inner = MemoryNode::new(i, format!("s{i}"));
+                let rejected = rejected.clone();
+                Arc::new(RejectingNode { inner, rejected }) as Arc<dyn StorageNode>
+            })
+            .collect();
+        (
+            Archive::with_cluster(config, Cluster::new(nodes)).unwrap(),
+            ids,
+        )
+    }
+
     /// A failed object mid-flush takes everything after it down with it
-    /// and leaves no trace of either: no orphan shards, no chains or
-    /// ledger entries for objects that were never ingested.
+    /// and leaves no trace of either: no orphan shards, blocks or index
+    /// entries, no chains or ledger entries for objects that were never
+    /// ingested. In dedup mode the refused write is a block only the
+    /// second object introduces, the third shares blocks with the second,
+    /// and the failure is still typed against the second object.
     #[test]
     fn mid_batch_failure_leaves_no_orphans() {
-        let items = small_objects(3);
-        for integrity in [IntegrityMode::DigestOnly, IntegrityMode::HashChain] {
-            // Ids depend only on names, order and seed: a twin archive
-            // tells which id the second object will get.
-            let doomed = rs_archive(integrity)
-                .ingest_many(&borrowed(&items))
-                .unwrap()
-                .remove(1);
-            let nodes = (0..3)
-                .map(|i| {
-                    Arc::new(RejectingNode {
-                        inner: MemoryNode::new(i, format!("s{i}")),
-                        rejected: doomed.as_str().to_string(),
-                    }) as Arc<dyn StorageNode>
-                })
-                .collect();
-            let policy = PolicyKind::ErasureCoded { data: 2, parity: 1 };
-            let config = ArchiveConfig::new(policy).with_integrity(integrity);
-            let mut a = Archive::with_cluster(config, Cluster::new(nodes)).unwrap();
-
-            let err = a.ingest_many(&borrowed(&items)).unwrap_err();
-            assert!(
-                matches!(&err, ArchiveError::DegradedBeyondBudget { id, .. } if *id == doomed),
-                "{integrity:?}: {err}"
-            );
-            let manifests: Vec<ObjectId> = a.manifests().map(|m| m.id).collect();
-            assert_eq!(
-                manifests.len(),
-                1,
-                "{integrity:?}: only the first object landed"
-            );
-            assert_eq!(a.retrieve(&manifests[0]).unwrap(), items[0].0);
-            for node in a.cluster().nodes() {
-                for key in node.keys() {
-                    assert_eq!(
-                        key.object,
-                        manifests[0].as_str(),
-                        "{integrity:?}: orphan shard"
-                    );
+        for dedup in [false, true] {
+            let items = if dedup { versions() } else { small_objects(3) };
+            for integrity in [IntegrityMode::DigestOnly, IntegrityMode::HashChain] {
+                let leg = format!("dedup {dedup}, {integrity:?}");
+                let (mut a, ids) = refusing_the_second(rs_config(integrity, dedup), &items);
+                let err = a.ingest_many(&borrowed(&items)).unwrap_err();
+                assert!(
+                    matches!(&err, ArchiveError::DegradedBeyondBudget { id, .. } if *id == ids[1]),
+                    "{leg}: {err}"
+                );
+                let manifests: Vec<Manifest> = a.manifests().collect();
+                assert_eq!(manifests.len(), 1, "{leg}: only the first object landed");
+                let first = &manifests[0];
+                assert_eq!(a.retrieve(&first.id).unwrap(), items[0].0);
+                let units = a.units_of(first);
+                let contexts: BTreeSet<ObjectId> =
+                    units.iter().map(|u| a.load(u).unwrap().id).collect();
+                for key in a.cluster().nodes().iter().flat_map(|n| n.keys()) {
+                    let context = ObjectId(key.object);
+                    assert!(contexts.contains(&context), "{leg}: orphan shard");
                 }
+                // Refcounts are the references the one object holds.
+                let mut refs: BTreeMap<BlockHash, u64> = BTreeMap::new();
+                for h in first.blocks.iter().flat_map(|d| a.references(d)) {
+                    *refs.entry(h).or_default() += 1;
+                }
+                let counts = a.blocks().map(|(h, rec)| (*h, rec.refcount)).collect();
+                assert_eq!(refs, counts, "{leg}: refcounts");
+                let data_blocks = a.dedup_stats().map_or(0, |s| s.unique_data_blocks);
+                assert_eq!(a.dedup_index.stats().entries, data_blocks, "{leg}");
+                let chained = usize::from(integrity == IntegrityMode::HashChain);
+                let chains: Vec<ObjectId> = a.chains.keys().cloned().collect();
+                assert_eq!(chains, &ids[..chained], "{leg}");
+                assert_eq!(a.ledger().len(), chained, "{leg}");
+                assert_eq!(a.tsa.remaining(), 64 - chained, "{leg}");
             }
-            let chained = usize::from(integrity == IntegrityMode::HashChain);
-            assert_eq!(
-                a.chains.keys().cloned().collect::<Vec<_>>(),
-                &manifests[..chained]
-            );
-            assert_eq!(a.ledger().len(), chained);
-            assert_eq!(a.tsa.remaining(), 64 - chained);
         }
+    }
+
+    /// Regression: a failed dedup ingest used to leave the hashes of the
+    /// blocks it never stored in the bounded index, so a later lookup
+    /// counted a hit and the hit ratio overstated. Rolling the ingest back
+    /// takes them out again.
+    #[test]
+    fn a_rolled_back_ingest_leaves_the_index_as_it_found_it() {
+        let items = versions();
+        let (mut a, _) = refusing_the_second(rs_config(IntegrityMode::DigestOnly, true), &items);
+        a.ingest(&items[0].0, &items[0].1).unwrap();
+        let found = a.dedup_index.stats().entries;
+        assert!(a.ingest(&items[1].0, &items[1].1).is_err());
+        let stats = a.dedup_stats().unwrap();
+        assert_eq!(
+            (stats.index.entries, stats.unique_data_blocks),
+            (found, found)
+        );
     }
 
     #[test]
@@ -1524,16 +1680,7 @@ mod tests {
             let policy = crate::policy::tests::all_policies().swap_remove(family);
             let mut config = ArchiveConfig::new(policy);
             if dedup {
-                config = config.with_dedup(DedupConfig {
-                    chunker: aeon_cas::ChunkerParams {
-                        min_size: 64,
-                        target_size: 256,
-                        max_size: 1024,
-                        seed: 0xD0D0,
-                    },
-                    index_capacity: 64,
-                    fanout: 4,
-                });
+                config = config.with_dedup(small_dedup());
             }
             let mut archive = Archive::in_memory(config).unwrap();
             let mut payload = vec![0u8; len];

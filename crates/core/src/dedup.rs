@@ -40,14 +40,16 @@
 //! # Refcount lifecycle
 //!
 //! Every leaf occurrence and every interior-node membership of every
-//! live object holds one reference on its block. Ingest commits new
-//! blocks at refcount 0, and only after every fallible step (placement,
-//! node writes, timestamp anchoring) has succeeded does one infallible
-//! pass add the references — a failed ingest rolls back cleanly and
-//! never strands a half-referenced object. Delete releases one
-//! reference per occurrence; a block's shards leave the cluster when
-//! its count reaches zero. Catalog snapshots pin their blocks by the
-//! same rules.
+//! live object holds one reference on its block. Dedup ingest is the
+//! archive's one ingest flush: `Archive::plan_blocks` plans the blocks
+//! an object introduces, the flush writes them beside every other unit
+//! and rolls back the first failed object and all after it (shards and
+//! index entries alike), and only once the landed prefix is anchored are
+//! block records filed and, in one infallible pass, the references added
+//! — a failed ingest never strands a block or a half-referenced object.
+//! Delete releases one reference per occurrence; a block's shards leave
+//! the cluster when its count reaches zero. Catalog snapshots pin their
+//! blocks by the same rules.
 //!
 //! # Maintenance
 //!
@@ -61,9 +63,8 @@ use crate::archive::{Archive, ArchiveError, Manifest, ObjectId};
 use crate::pipeline::{self, PipelineConfig};
 use crate::plan::{self, ReadPlan, WritePlan};
 use crate::policy::{EncodingMeta, PolicyError, PolicyKind};
-use crate::unit::Unit;
 use aeon_cas::{build_tree, merkle, BlockHash, Chunker, ChunkerParams, IndexStats};
-use aeon_crypto::{ChaChaDrbg, Sha256};
+use aeon_crypto::Sha256;
 use aeon_store::cluster::TransferReport;
 use std::collections::{BTreeSet, HashMap};
 
@@ -72,7 +73,9 @@ use std::collections::{BTreeSet, HashMap};
 /// and for every entry of `hashes` the index of its distinct hash. One
 /// map lookup per entry — a 1 GiB object is ~25 000 leaves, and scanning
 /// the earlier ones for each is 3 × 10⁸ hash compares before any I/O.
-fn first_occurrence_slots(hashes: &[BlockHash]) -> (Vec<BlockHash>, Vec<usize>, Vec<usize>) {
+pub(crate) fn first_occurrence_slots(
+    hashes: &[BlockHash],
+) -> (Vec<BlockHash>, Vec<usize>, Vec<usize>) {
     let mut distinct: Vec<BlockHash> = Vec::new();
     let mut uses: Vec<usize> = Vec::new();
     let mut slot_of: HashMap<BlockHash, usize> = HashMap::new();
@@ -187,6 +190,10 @@ pub struct CatalogEntry {
     pub root: BlockHash,
 }
 
+/// A block an ingest flush writes and files once its item lands: its
+/// address, what it holds, and its plaintext length.
+pub(crate) type FreshBlock = (BlockHash, BlockKind, usize);
+
 /// Magic prefix of a serialized catalog payload.
 pub const CATALOG_MAGIC: [u8; 8] = *b"AEONCAT1";
 
@@ -271,226 +278,75 @@ impl Archive {
         self.config.dedup.as_ref().map_or(64, |d| d.fanout).max(2)
     }
 
-    /// Every block hash an object references — leaf occurrences plus
-    /// the recomputed interior nodes — deduplicated, in first-seen
-    /// order. The tree build is deterministic in `(leaves, fanout)`, so
-    /// recomputing it is cheaper than persisting the node list.
-    pub(crate) fn unique_refs(&self, d: &DedupManifest) -> Vec<BlockHash> {
-        let tree = build_tree(&d.blocks, self.tree_fanout());
-        let mut seen = BTreeSet::new();
+    /// Every reference an object holds: one per leaf occurrence, then
+    /// one per interior-node membership. The tree build is deterministic
+    /// in `(leaves, fanout)`, so recomputing it is cheaper than
+    /// persisting the node list.
+    pub(crate) fn references(&self, d: &DedupManifest) -> Vec<BlockHash> {
+        let nodes = build_tree(&d.blocks, self.tree_fanout()).nodes;
         d.blocks
             .iter()
-            .chain(tree.nodes.iter().map(|(h, _)| h))
-            .filter(|h| seen.insert(**h))
             .copied()
+            .chain(nodes.into_iter().map(|(h, _)| h))
             .collect()
     }
 
-    /// Chunks `payload`, encodes every unseen block (data and tree) and
-    /// commits its shards, but adds **no** references. Rolls its own
-    /// commits back on any failure; on success returns the dedup
-    /// manifest plus the blocks this call created (still at refcount 0)
-    /// so the caller can roll back later fallible steps.
-    fn dedup_store_payload(
-        &mut self,
+    /// Plans one dedup payload of an ingest flush: cuts it into
+    /// content-defined chunks, addresses them, builds the object's tree,
+    /// and encodes every data and tree block that neither the archive nor
+    /// an earlier item of the flush (`fresh`, which this extends) holds.
+    /// Returns the tree and the fresh blocks, data blocks first, each with
+    /// its kind and plaintext length; their shard digests are left for the
+    /// flush to batch. Nothing is recorded and no node is touched.
+    ///
+    /// Encodes run across the worker pool. Each block's stream is derived
+    /// from its address alone, and contexts carry no position, so the
+    /// plans do not depend on worker count or schedule.
+    pub(crate) fn plan_blocks(
+        &self,
         payload: &[u8],
         policy: &PolicyKind,
-    ) -> Result<(DedupManifest, Vec<BlockHash>), ArchiveError> {
-        let dcfg = self.config.dedup.clone().expect("dedup configured");
-        let chunker = Chunker::new(dcfg.chunker);
+        fresh: &mut BTreeSet<BlockHash>,
+    ) -> Result<(DedupManifest, Vec<(FreshBlock, WritePlan)>), PolicyError> {
+        let dcfg = self.config.dedup.as_ref().expect("dedup configured");
         let mut slices: Vec<&[u8]> = Vec::new();
         let mut prev = 0usize;
-        for end in chunker.boundaries(payload) {
+        for end in Chunker::new(dcfg.chunker).boundaries(payload) {
             slices.push(&payload[prev..end]);
             prev = end;
         }
         let hashes = BlockHash::of_many(&slices);
-
-        // Recognition: the bounded index answers first (statistics),
-        // the authoritative map decides (correctness).
-        let mut fresh: Vec<usize> = Vec::new();
-        let mut fresh_set: BTreeSet<BlockHash> = BTreeSet::new();
-        for (j, h) in hashes.iter().enumerate() {
-            let _resident = self.dedup_index.lookup(h);
-            if !self.blocks.contains_key(h) && fresh_set.insert(*h) {
-                fresh.push(j);
-            }
-            self.dedup_index.record(h);
-        }
-
-        // Encode unseen data blocks across the worker pool. Seeds are
-        // derived per block hash *before* any worker runs, and contexts
-        // carry no positional information, so the plans are independent
-        // of worker count and scheduling.
-        let block_cfg = block_pipeline();
-        let seeds: Vec<[u8; 32]> = fresh
-            .iter()
-            .map(|&j| self.op_seed("block-encode", &block_object_id(&hashes[j])))
-            .collect();
-        let plans: Vec<Result<WritePlan, PolicyError>> = {
-            let keys = &self.keys;
-            pipeline::run_indexed(fresh.len(), self.config.pipeline.workers.max(1), |k| {
-                let j = fresh[k];
-                let ctx = block_object_id(&hashes[j]);
-                let mut rng = ChaChaDrbg::from_seed(seeds[k]);
-                plan::plan_write(
-                    policy,
-                    keys,
-                    &mut rng,
-                    &ObjectId::from_raw(ctx),
-                    slices[j],
-                    &block_cfg,
-                )
-            })
-            .collect()
-        };
-
-        // Commit serially in first-appearance order: node I/O and clock
-        // charges replay identically regardless of worker count.
-        let mut created: Vec<BlockHash> = Vec::new();
-        let mut fail: Option<ArchiveError> = None;
-        for (k, outcome) in plans.into_iter().enumerate() {
-            let j = fresh[k];
-            let committed = outcome.map_err(ArchiveError::from).and_then(|write| {
-                self.commit_block(&hashes[j], write, BlockKind::Data, slices[j].len())
-            });
-            match committed {
-                Ok(()) => created.push(hashes[j]),
-                Err(e) => {
-                    fail = Some(e);
-                    break;
-                }
-            }
-        }
-
         // Interior nodes are blocks too; most are new, but shared
         // subtrees (identical objects) are recognized like any block.
-        let tree = build_tree(&hashes, dcfg.fanout.max(2));
-        if fail.is_none() {
-            for (nh, bytes) in &tree.nodes {
-                if self.blocks.contains_key(nh) {
-                    continue;
-                }
-                let ctx = ObjectId::from_raw(block_object_id(nh));
-                let committed = self
-                    .plan_unit_write(&Unit::Block(*nh), policy, &ctx, bytes)
-                    .map_err(ArchiveError::from)
-                    .and_then(|write| self.commit_block(nh, write, BlockKind::Tree, bytes.len()));
-                match committed {
-                    Ok(()) => created.push(*nh),
-                    Err(e) => {
-                        fail = Some(e);
-                        break;
-                    }
-                }
-            }
-        }
-
-        if let Some(e) = fail {
-            self.dedup_rollback(&created);
-            return Err(e);
-        }
-        Ok((
-            DedupManifest {
-                root: tree.root,
-                blocks: hashes,
-            },
-            created,
-        ))
-    }
-
-    /// Removes blocks committed at refcount 0 by a failed store.
-    fn dedup_rollback(&mut self, created: &[BlockHash]) {
-        for h in created {
-            if let Some(rec) = self.blocks.remove(h) {
-                self.executor().delete(&block_object_id(h), &rec.placement);
-                self.dedup_index.remove(h);
-            }
-        }
-    }
-
-    /// The infallible reference pass: one reference per leaf occurrence
-    /// and one per interior-node membership.
-    fn dedup_add_refs(&mut self, d: &DedupManifest) {
-        let tree = build_tree(&d.blocks, self.tree_fanout());
-        for h in &d.blocks {
-            self.blocks.get_mut(h).expect("leaf committed").refcount += 1;
-        }
-        for (nh, _) in &tree.nodes {
-            self.blocks.get_mut(nh).expect("node committed").refcount += 1;
-        }
-    }
-
-    /// Dedup-mode ingest: called by [`Archive::ingest_with_policy`]
-    /// when [`DedupConfig`] is set.
-    pub(crate) fn ingest_dedup(
-        &mut self,
-        payload: &[u8],
-        name: &str,
-        policy: PolicyKind,
-        id: ObjectId,
-    ) -> Result<ObjectId, ArchiveError> {
-        let (dedup, created) = self.dedup_store_payload(payload, &policy)?;
-        // Anchoring is the last fallible step; it runs before any
-        // reference moves so rollback stays trivial.
-        let digest = Sha256::digest(payload);
-        if let Err(e) = self.anchor(std::slice::from_ref(&id), &[digest]) {
-            self.dedup_rollback(&created);
-            return Err(e);
-        }
-        self.dedup_add_refs(&dedup);
-        let manifest = Manifest {
-            id: id.clone(),
-            name: name.to_string(),
-            policy,
-            meta: EncodingMeta::plain(self.keys.current_version()),
-            placement: Vec::new(),
-            logical_len: payload.len(),
-            digest,
-            shard_digests: Vec::new(),
-            created_year: self.year(),
-            refresh_epochs: 0,
-            blocks: Some(dedup),
+        let tree = build_tree(&hashes, self.tree_fanout());
+        let data = hashes
+            .iter()
+            .zip(slices)
+            .map(|(h, s)| (*h, BlockKind::Data, s));
+        let nodes = tree
+            .nodes
+            .iter()
+            .map(|(h, b)| (*h, BlockKind::Tree, b.as_slice()));
+        let new: Vec<(BlockHash, BlockKind, &[u8])> = data
+            .chain(nodes)
+            .filter(|(h, ..)| !self.blocks.contains_key(h) && fresh.insert(*h))
+            .collect();
+        let block_cfg = block_pipeline();
+        let plans = pipeline::run_indexed(new.len(), self.config.pipeline.workers.max(1), |k| {
+            let ctx = ObjectId::from_raw(block_object_id(&new[k].0));
+            let mut rng = self.op_rng("block-encode", ctx.as_str());
+            plan::encode_write(policy, &self.keys, &mut rng, &ctx, new[k].2, &block_cfg)
+        });
+        let fresh_blocks = new
+            .iter()
+            .zip(plans)
+            .map(|(&(hash, kind, bytes), write)| Ok(((hash, kind, bytes.len()), write?)))
+            .collect::<Result<_, PolicyError>>()?;
+        let tree = DedupManifest {
+            root: tree.root,
+            blocks: hashes,
         };
-        self.manifests.insert(id.clone(), manifest);
-        Ok(id)
-    }
-
-    /// Places and writes one planned block, recording it at refcount 0.
-    fn commit_block(
-        &mut self,
-        hash: &BlockHash,
-        write: WritePlan,
-        kind: BlockKind,
-        len: usize,
-    ) -> Result<(), ArchiveError> {
-        let ctx = block_object_id(hash);
-        let placement = self.executor().place(&ctx, write.shards.len())?;
-        let mut put_rng = self.op_rng("block-ingest", &ctx);
-        if let Err(outcome) = self
-            .executor()
-            .commit_write(&write, &placement, &mut put_rng)
-        {
-            return Err(ArchiveError::DegradedBeyondBudget {
-                id: ObjectId::from_raw(ctx),
-                available: outcome.written,
-                required: write.required,
-                corrupt: 0,
-            });
-        }
-        self.blocks.insert(
-            *hash,
-            BlockRecord {
-                refcount: 0,
-                len,
-                kind,
-                policy: write.policy,
-                meta: write.meta,
-                placement,
-                shard_digests: write.shard_digests,
-            },
-        );
-        Ok(())
+        Ok((tree, fresh_blocks))
     }
 
     /// Fetches, decodes, and hash-verifies blocks in one cross-block
@@ -639,8 +495,9 @@ impl Archive {
     }
 
     /// Serializes the catalog (id, name, length, digest, root of every
-    /// dedup object), stores it through the same chunk/tree machinery,
-    /// and returns its root hash — the single value from which
+    /// dedup object), stores it as a flush of one through the ingest
+    /// planner and commit — unanchored, and filed as blocks only, with no
+    /// manifest — and returns its root hash: the single value from which
     /// [`Archive::catalog_entries`] and then every object can be
     /// recovered. Each committed catalog pins its blocks like any other
     /// object, so snapshots stay readable until superseded.
@@ -648,7 +505,8 @@ impl Archive {
     /// # Errors
     ///
     /// Returns [`ArchiveError::UnsupportedOperation`] when dedup mode
-    /// is off, and storage errors otherwise.
+    /// is off, and storage errors (typed against the id `catalog`)
+    /// otherwise.
     pub fn commit_catalog(&mut self) -> Result<BlockHash, ArchiveError> {
         if self.config.dedup.is_none() {
             return Err(ArchiveError::UnsupportedOperation(
@@ -658,9 +516,10 @@ impl Archive {
         let rows = self.manifests.snapshot();
         let bytes = serialize_catalog(rows.iter());
         let policy = self.config.policy.clone();
-        let (dedup, _created) = self.dedup_store_payload(&bytes, &policy)?;
-        self.dedup_add_refs(&dedup);
-        Ok(dedup.root)
+        let id = ObjectId::from_raw("catalog".into());
+        let mut catalog = self.write_flush(&[id], &[(&bytes, "catalog")], &policy, false)?;
+        let manifest = catalog.pop().expect("the one item landed");
+        Ok(manifest.blocks.expect("a dedup item").root)
     }
 
     /// Recovers the catalog rows from a catalog root hash alone.
@@ -673,20 +532,8 @@ impl Archive {
         parse_catalog(&self.read_object_by_root(root)?)
     }
 
-    /// Releases every reference a dedup manifest holds; blocks whose
-    /// count reaches zero leave the cluster.
-    pub(crate) fn release_dedup_refs(&mut self, manifest: &Manifest) {
-        let d = manifest.blocks.as_ref().expect("dedup manifest");
-        let tree = build_tree(&d.blocks, self.tree_fanout());
-        for h in d.blocks.clone() {
-            self.release_block(&h);
-        }
-        for (nh, _) in tree.nodes {
-            self.release_block(&nh);
-        }
-    }
-
-    fn release_block(&mut self, hash: &BlockHash) {
+    /// Drops one reference; the block leaves the cluster at zero.
+    pub(crate) fn release_block(&mut self, hash: &BlockHash) {
         let Some(rec) = self.blocks.get_mut(hash) else {
             return;
         };

@@ -476,18 +476,9 @@ impl<'a> PlanExecutor<'a> {
         for (p, leg) in legs.iter().enumerate() {
             let attempted = first.next().expect("one first attempt per leg");
             if let (_, Err(e)) = self.settle::<Put, R>(leg, attempted, rng) {
-                // Deletes retry far past the normal budget: a rollback
-                // that sticks is what keeps a failed repair's stored
-                // bytes independent of how its writes were framed.
-                let rollback = RetryPolicy::default()
-                    .with_attempts(16)
-                    .with_budget_ms(u64::MAX);
                 for (later, (_, landed)) in legs[p + 1..].iter().zip(first) {
                     if landed.is_ok() {
-                        let node = self.cluster.node(later.node).expect("checked above");
-                        let _ = run_with_retry(&rollback, self.cluster.clock(), rng, || {
-                            node.delete(&later.key())
-                        });
+                        self.delete_surely(later.node, &later.key(), rng);
                     }
                 }
                 return Err(ArchiveError::Cluster(ClusterError::Node(e)));
@@ -500,6 +491,26 @@ impl<'a> PlanExecutor<'a> {
     /// Deletes an object's shards (best-effort).
     pub fn delete(&self, object: &str, placement: &[NodeId]) {
         self.cluster.delete_shards(object, placement);
+    }
+
+    /// Takes back a shard set that landed: every slot is deleted, each
+    /// delete retrying far past the normal budget. A rollback that sticks
+    /// is what keeps a failed operation's stored bytes independent of how
+    /// its writes were framed or batched.
+    pub(crate) fn roll_back<R: CryptoRng>(&self, object: &str, placement: &[NodeId], rng: &mut R) {
+        for (s, &node) in placement.iter().enumerate() {
+            self.delete_surely(node, &ShardKey::new(object, s as u32), rng);
+        }
+    }
+
+    /// One sticky rollback delete (see [`Self::roll_back`]).
+    fn delete_surely<R: CryptoRng>(&self, node: NodeId, key: &ShardKey, rng: &mut R) {
+        let sticky = RetryPolicy::default()
+            .with_attempts(16)
+            .with_budget_ms(u64::MAX);
+        if let Some(node) = self.cluster.node(node) {
+            let _ = run_with_retry(&sticky, self.cluster.clock(), rng, || node.delete(key));
+        }
     }
 
     /// Total bytes stored across the cluster.

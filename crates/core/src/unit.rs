@@ -19,7 +19,7 @@
 //! the table.
 
 use crate::archive::{Archive, ArchiveError, Manifest, ObjectId};
-use crate::dedup::{block_object_id, block_pipeline};
+use crate::dedup::{block_object_id, block_pipeline, first_occurrence_slots};
 use crate::plan::{self, WritePlan};
 use crate::policy::{PolicyError, PolicyKind};
 use aeon_cas::BlockHash;
@@ -34,10 +34,12 @@ pub(crate) enum Unit {
 }
 
 /// Retry-jitter rng labels of each op's node-I/O steps, `[fetch, put]`
-/// (repair: `[fetch, put, verifying fetch]`). The values are part of the
-/// replayable behaviour — fault schedules are keyed by them — so each
-/// kind keeps the labels it has always drawn under.
+/// (repair: `[fetch, put, verifying fetch]`; ingest: its one put). The
+/// values are part of the replayable behaviour — fault schedules are
+/// keyed by them — so each kind keeps the labels it has always drawn
+/// under.
 pub(crate) struct Labels {
+    pub ingest: &'static str,
     pub repair: [&'static str; 3],
     pub reencode: [&'static str; 2],
     pub refresh: [&'static str; 2],
@@ -45,7 +47,8 @@ pub(crate) struct Labels {
     pub verify: &'static str,
 }
 
-const OBJECT: Labels = Labels {
+pub(crate) const OBJECT: Labels = Labels {
+    ingest: "ingest",
     repair: ["repair", "repair-put", "repair-after"],
     reencode: ["retrieve", "reencode"],
     refresh: ["refresh", "refresh"],
@@ -53,7 +56,8 @@ const OBJECT: Labels = Labels {
     verify: "verify",
 };
 
-const BLOCK: Labels = Labels {
+pub(crate) const BLOCK: Labels = Labels {
+    ingest: "block-ingest",
     repair: ["block-repair", "block-repair-put", "block-repair-after"],
     reencode: ["block-read", "block-reencode-put"],
     refresh: ["block-refresh", "block-refresh-put"],
@@ -87,7 +91,10 @@ impl Archive {
     pub(crate) fn units_of(&self, manifest: &Manifest) -> Vec<Unit> {
         match &manifest.blocks {
             None => vec![Unit::Object(manifest.id.clone())],
-            Some(d) => self.unique_refs(d).into_iter().map(Unit::Block).collect(),
+            Some(d) => {
+                let (distinct, ..) = first_occurrence_slots(&self.references(d));
+                distinct.into_iter().map(Unit::Block).collect()
+            }
         }
     }
 

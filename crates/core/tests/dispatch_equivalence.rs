@@ -12,7 +12,7 @@
 //!   `retrieve(id)` is `retrieve_many(&[id])[0]` and
 //!   `commit_write(plan)` is `commit_many(&[plan])[0]`, in bytes, report
 //!   and clock charge; and a flush of N objects stores and returns what
-//!   N flushes of one do.
+//!   N flushes of one do, dedup on or off.
 //!
 //! Fault decisions in `FaultyNode` are pure in `(seed, op kind, shard
 //! key, nth access)`, and the batch calls default to a per-key loop, so
@@ -28,7 +28,8 @@ use aeon_core::{
     Archive, ArchiveConfig, ArchiveError, IntegrityMode, ObjectId, PipelineConfig, PlanExecutor,
     PolicyKind, RetryPolicy,
 };
-use aeon_crypto::{ChaChaDrbg, SuiteId};
+use aeon_crypto::{ChaChaDrbg, CryptoRng, SuiteId};
+use aeon_integrity::timestamp::SigBreakSchedule;
 use aeon_store::clock::SimDuration;
 use aeon_store::faults::{FaultPlan, FaultyNode};
 use aeon_store::node::{MemoryNode, NodeId, ShardKey, StorageNode};
@@ -97,39 +98,40 @@ fn cluster(policy: &PolicyKind, fault_seed: Option<u64>) -> (Cluster, Vec<Memory
     (Cluster::new(nodes), handles)
 }
 
-fn config(policy: &PolicyKind, dispatch: DispatchPolicy) -> ArchiveConfig {
-    ArchiveConfig::new(policy.clone())
+/// With `dedup`, chunks are small enough that a few KiB of payload
+/// spans several blocks.
+fn config(policy: &PolicyKind, dispatch: DispatchPolicy, dedup: bool) -> ArchiveConfig {
+    let config = ArchiveConfig::new(policy.clone())
         .with_integrity(IntegrityMode::DigestOnly)
         .with_retry(RetryPolicy::default().with_attempts(3))
-        .with_dispatch(dispatch)
+        .with_dispatch(dispatch);
+    if !dedup {
+        return config;
+    }
+    let chunker = ChunkerParams {
+        min_size: 512,
+        target_size: 2048,
+        max_size: 8192,
+        seed: 42,
+    };
+    config
+        .with_pipeline(PipelineConfig::serial())
+        .with_dedup(DedupConfig {
+            chunker,
+            index_capacity: 1 << 10,
+            fanout: 4,
+        })
 }
 
 fn archive(
     policy: &PolicyKind,
     fault_seed: Option<u64>,
     dispatch: DispatchPolicy,
+    dedup: bool,
 ) -> (Archive, Vec<MemoryNode>) {
     let (cluster, handles) = cluster(policy, fault_seed);
-    let archive = Archive::with_cluster(config(policy, dispatch), cluster).unwrap();
+    let archive = Archive::with_cluster(config(policy, dispatch, dedup), cluster).unwrap();
     (archive, handles)
-}
-
-/// A dedup archive whose chunks are small enough that a few KiB of
-/// payload spans several blocks.
-fn dedup_archive(policy: &PolicyKind, dispatch: DispatchPolicy) -> Archive {
-    let config = config(policy, dispatch)
-        .with_pipeline(PipelineConfig::serial())
-        .with_dedup(DedupConfig {
-            chunker: ChunkerParams {
-                min_size: 512,
-                target_size: 2048,
-                max_size: 8192,
-                seed: 42,
-            },
-            index_capacity: 1 << 10,
-            fanout: 4,
-        });
-    Archive::with_cluster(config, cluster(policy, None).0).unwrap()
 }
 
 /// Every stored `(node, key, bytes)` triple, in a canonical order.
@@ -153,6 +155,21 @@ fn payloads(seed: u8, count: usize) -> Vec<(Vec<u8>, &'static str)> {
                 .collect();
             (bytes, ["a", "b", "c", "d"][i])
         })
+        .collect()
+}
+
+/// [`payloads`], or with `dedup` ~6 KiB versions: a shared 4 KiB prefix
+/// then a tail of each one's own, several blocks apiece.
+fn items(seed: u8, count: usize, dedup: bool) -> Vec<(Vec<u8>, &'static str)> {
+    if !dedup {
+        return payloads(seed, count);
+    }
+    let mut bytes = vec![0u8; 4096 + 2048 * count];
+    ChaChaDrbg::from_u64_seed(seed.into()).fill_bytes(&mut bytes);
+    let (prefix, tails) = bytes.split_at(4096);
+    let version = |i: usize| [prefix, &tails[2048 * i..][..2048]].concat();
+    (0..count)
+        .map(|i| (version(i), ["a", "b", "c", "d"][i]))
         .collect()
 }
 
@@ -192,7 +209,7 @@ proptest! {
         for policy in policies() {
             let items = payloads(fault_seed as u8, count);
             let run = |dispatch| {
-                let (mut archive, handles) = archive(&policy, Some(fault_seed), dispatch);
+                let (mut archive, handles) = archive(&policy, Some(fault_seed), dispatch, false);
                 let result = archive.ingest_many(&named(&items));
                 let manifests: Vec<_> = archive
                     .manifests()
@@ -216,7 +233,7 @@ proptest! {
         for policy in policies() {
             let items = payloads(fault_seed as u8, count);
             let run = |dispatch| {
-                let (mut archive, handles) = archive(&policy, Some(fault_seed), dispatch);
+                let (mut archive, handles) = archive(&policy, Some(fault_seed), dispatch, false);
                 let ids: Vec<ObjectId> = named(&items)
                     .iter()
                     .map(|(p, n)| archive.ingest(p, n).unwrap())
@@ -240,7 +257,7 @@ proptest! {
     fn dispatch_is_invisible_to_repair(fault_seed in any::<u64>(), rot in any::<u64>()) {
         for policy in policies() {
             let run = |dispatch| {
-                let (mut archive, handles) = archive(&policy, Some(fault_seed), dispatch);
+                let (mut archive, handles) = archive(&policy, Some(fault_seed), dispatch, false);
                 let id = archive.ingest(b"equivalence under fire, in lanes", "eq").unwrap();
                 degrade(&archive, &handles, &id, rot);
                 let result = archive.repair_object(&id);
@@ -268,7 +285,7 @@ proptest! {
             .collect();
         for policy in policies() {
             let run = |dispatch| {
-                let mut archive = dedup_archive(&policy, dispatch);
+                let mut archive = archive(&policy, None, dispatch, true).0;
                 let ids = [
                     archive.ingest(&repeated, "rep").unwrap(),
                     archive.ingest(&varied, "var").unwrap(),
@@ -287,13 +304,19 @@ proptest! {
 
     /// Batch size is invisible under faults: one flush of N objects
     /// mints, stores and returns what N flushes of one do — `ingest`
-    /// against `ingest_many`, `retrieve` against `retrieve_many`.
+    /// against `ingest_many`, `retrieve` against `retrieve_many` — dedup
+    /// on or off. A dedup flush writes a block new to several of its
+    /// objects once, as the one-by-one run writes it for the first.
     #[test]
-    fn batch_size_is_invisible(fault_seed in any::<u64>(), count in 1usize..4) {
+    fn batch_size_is_invisible(
+        fault_seed in any::<u64>(),
+        count in 1usize..4,
+        dedup in any::<bool>(),
+    ) {
         for policy in policies() {
-            let items = payloads(fault_seed as u8, count);
-            let (mut one, one_handles) = archive(&policy, Some(fault_seed), SEQUENTIAL);
-            let (mut many, many_handles) = archive(&policy, Some(fault_seed), SEQUENTIAL);
+            let items = items(fault_seed as u8, count, dedup);
+            let (mut one, one_handles) = archive(&policy, Some(fault_seed), SEQUENTIAL, dedup);
+            let (mut many, many_handles) = archive(&policy, Some(fault_seed), SEQUENTIAL, dedup);
             let one_ids: Result<Vec<ObjectId>, _> =
                 named(&items).iter().map(|(p, n)| one.ingest(p, n)).collect();
             let many_ids = many.ingest_many(&named(&items));
@@ -318,18 +341,23 @@ proptest! {
 /// Batch size stays invisible with timestamp chains on (fault-free): a
 /// flush anchors after its writes and signs once where N single ingests
 /// sign N times, yet ids, manifests, stored bytes and ledger agree for
-/// all nine policies as long as no authority-key rotation falls inside
-/// the sequence. The evidence differs by design — per flush, not per
-/// object — and verifies either way.
+/// all nine policies, dedup on or off, as long as no authority-key
+/// rotation falls inside the sequence. The evidence differs by design —
+/// per flush, not per object — and verifies either way.
 #[test]
 fn batch_size_is_invisible_under_hash_chains() {
-    use aeon_integrity::timestamp::SigBreakSchedule;
-    for policy in policies() {
-        let items = payloads(7, 4);
+    let chained = |policy: &PolicyKind, dedup: bool| {
+        let (cluster, handles) = cluster(policy, None);
+        let config = config(policy, SEQUENTIAL, dedup).with_integrity(IntegrityMode::HashChain);
+        (Archive::with_cluster(config, cluster).unwrap(), handles)
+    };
+    for (policy, dedup) in policies()
+        .into_iter()
+        .flat_map(|p| [(p.clone(), false), (p, true)])
+    {
+        let items = items(7, 4, dedup);
         let run = |batched: bool| {
-            let (cluster, handles) = cluster(&policy, None);
-            let config = config(&policy, SEQUENTIAL).with_integrity(IntegrityMode::HashChain);
-            let mut archive = Archive::with_cluster(config, cluster).unwrap();
+            let (mut archive, handles) = chained(&policy, dedup);
             let ids: Vec<ObjectId> = if batched {
                 archive.ingest_many(&named(&items)).unwrap()
             } else {
@@ -349,17 +377,37 @@ fn batch_size_is_invisible_under_hash_chains() {
             let ledger: Vec<[u8; 32]> = archive.ledger().iter().map(|e| e.hash).collect();
             (ids, manifests, cluster_contents(&handles), ledger)
         };
-        assert_eq!(run(false), run(true), "policy {policy:?}");
+        assert_eq!(run(false), run(true), "policy {policy:?}, dedup {dedup}");
     }
+
+    // One dedup flush spends one authority signature, read off the key's
+    // exhaustion: the key signs 64 times before the archive rotates it,
+    // and a chain signed under it dies when its scheme breaks. After 63
+    // single ingests, the flushed chains dying and the next single's
+    // surviving means the flush took the first key's last signature.
+    let mut archive = chained(&EC_4_2, true).0;
+    for i in 0..63 {
+        archive
+            .ingest(format!("single {i}").as_bytes(), "s")
+            .unwrap();
+    }
+    let flushed = archive.ingest_many(&named(&items(7, 4, true))).unwrap();
+    let after = archive.ingest(b"after the flush", "s").unwrap();
+    let mut broken = SigBreakSchedule::new();
+    broken.set_break("wots-v1", archive.year() + 1);
+    archive.advance_year(archive.year() + 1);
+    let survives = |id: &ObjectId| archive.verify(id, &broken).unwrap().chain_valid == Some(true);
+    assert!(!flushed.iter().any(survives), "signed under the first key");
+    assert!(survives(&after), "the flush signed once");
 }
 
 #[test]
 fn retrieve_many_isolates_unknown_objects() {
     let policy = PolicyKind::ErasureCoded { data: 2, parity: 2 };
-    let (mut archive, _handles) = archive(&policy, None, SEQUENTIAL);
+    let (mut archive, _handles) = archive(&policy, None, SEQUENTIAL, false);
     let id = archive.ingest(b"present", "p").unwrap();
     // An id minted by a different archive is unknown to this one.
-    let (mut other, _other_handles) = self::archive(&policy, None, SEQUENTIAL);
+    let (mut other, _other_handles) = self::archive(&policy, None, SEQUENTIAL, false);
     let ghost = other.ingest(b"elsewhere", "ghost").unwrap();
     let results = archive.retrieve_many(&[ghost.clone(), id.clone()]);
     assert!(matches!(results[0], Err(ArchiveError::UnknownObject(_))));
@@ -390,14 +438,23 @@ fn seeks<T>(cluster: &Cluster, op: impl FnOnce() -> T) -> (T, u64) {
 
 /// Single-object operations honour the dispatch policy: on six
 /// seek-priced nodes a six-shard fan-out costs six seeks summed and one
-/// seek on lanes. (At the parent commit `retrieve`, `repair_object` and
-/// `reencode_object` took a sequential twin that ignored
-/// `DispatchPolicy::Parallel`.) Deletes are not lane-dispatched: one
-/// seek per shard under either policy.
+/// seek on lanes. That holds for a dedup ingest of many blocks too: every
+/// block's shards share the flush's one frame per node. Deletes are not
+/// lane-dispatched: one seek per shard under either policy.
 #[test]
 fn single_object_ops_cost_the_critical_path_under_parallel() {
-    // (retrieve, repair = read + 1 write + verify read, reencode = read + 6 deletes + write)
-    for (dispatch, expect) in [(SEQUENTIAL, [6, 13, 18]), (PARALLEL, [1, 3, 8])] {
+    // (dedup ingest, retrieve, repair = read + 1 write + verify read,
+    // reencode = read + 6 deletes + write)
+    for (dispatch, expect) in [(SEQUENTIAL, [6, 6, 13, 18]), (PARALLEL, [1, 1, 3, 8])] {
+        let cluster = seek_priced_cluster(dispatch);
+        let config = config(&EC_4_2, dispatch, true);
+        let mut dedup = Archive::with_cluster(config, cluster.clone()).unwrap();
+        let document = &items(3, 3, true)[2].0;
+        let (id, ingest) = seeks(&cluster, || dedup.ingest(document, "doc").unwrap());
+        let blocks = dedup.manifest(&id).unwrap().blocks.unwrap().blocks;
+        assert!(blocks.len() > 2, "{} blocks", blocks.len());
+        assert_eq!(&dedup.retrieve(&id).unwrap(), document);
+
         let cluster = seek_priced_cluster(dispatch);
         let config = ArchiveConfig::new(EC_4_2).with_integrity(IntegrityMode::DigestOnly);
         let mut archive = Archive::with_cluster(config, cluster.clone()).unwrap();
@@ -417,7 +474,7 @@ fn single_object_ops_cost_the_critical_path_under_parallel() {
         let (_, reencode) = seeks(&cluster, || archive.reencode_object(&id, target).unwrap());
         assert_eq!(archive.retrieve(&id).unwrap(), payload);
 
-        assert_eq!([retrieve, repair, reencode], expect, "{dispatch:?}");
+        assert_eq!([ingest, retrieve, repair, reencode], expect, "{dispatch:?}");
     }
 }
 

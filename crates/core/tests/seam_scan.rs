@@ -152,6 +152,9 @@ fn the_io_path_has_no_twins() {
 /// each written once against a stored unit (a classic object or a dedup
 /// block, loaded as a manifest); a second call site of an op's planner,
 /// or a `_block` / `_dedup` function, is the per-kind twin coming back.
+/// Ingest is one flush for both kinds of unit: one caller of the
+/// executor's `commit_many` outside the executor (whose one-plan
+/// `commit_write` delegates to it), and no per-block commit path.
 #[test]
 fn each_maintenance_op_has_one_body() {
     const ONE_CALL_SITE: &[&str] = &[
@@ -168,8 +171,12 @@ fn each_maintenance_op_has_one_body() {
         "fn repair_dedup",
         "fn reencode_dedup_object",
         "fn refresh_dedup_object",
+        "fn ingest_dedup",
+        "fn commit_block",
+        "fn dedup_rollback",
     ];
     let mut sites: Vec<Vec<String>> = vec![Vec::new(); ONE_CALL_SITE.len()];
+    let mut commits = Vec::new();
     let mut twins = Vec::new();
     for path in sources(&Path::new(env!("CARGO_MANIFEST_DIR")).join("src")) {
         let body = non_test_source(&fs::read_to_string(&path).unwrap());
@@ -184,6 +191,9 @@ fn each_maintenance_op_has_one_body() {
                     found.push(at.clone());
                 }
             }
+            if line.contains(".commit_many(") && !path.ends_with("executor.rs") {
+                commits.push(at.clone());
+            }
             twins.extend(
                 TWINS
                     .iter()
@@ -195,6 +205,7 @@ fn each_maintenance_op_has_one_body() {
     for (pat, found) in ONE_CALL_SITE.iter().zip(&sites) {
         assert_eq!(found.len(), 1, "`{pat}` call sites: {found:?}");
     }
+    assert_eq!(commits.len(), 1, "`.commit_many(` call sites: {commits:?}");
     assert!(twins.is_empty(), "per-kind twins:\n{}", twins.join("\n"));
 }
 
