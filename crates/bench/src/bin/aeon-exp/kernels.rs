@@ -16,8 +16,10 @@
 //! and the fifth slot, `sha256-x16`, as the aggregate GB/s of sixteen
 //! 1 MiB lanes per call beside the single-stream `sha256` row (their
 //! ratio sets `Sha256::digest_many`'s break-even), then `digest_many` per
-//! kernel over two real message sets: one 2 MiB version's dedup blocks
-//! and one 32-object small-files flush (payloads and RS(4, 2) shards);
+//! kernel over three real message sets: one 2 MiB version's dedup blocks,
+//! one 32-object small-files flush (payloads and RS(4, 2) shards) and
+//! the same 32 payloads alone, as one small-files `retrieve_many`
+//! verifies them;
 //! and, on the active kernels, what sits on the two dispatched layers:
 //! a 1 MiB `ChaChaDrbg` fill, packed sharing (t=2, k=2, n=6) of 1 MiB,
 //! split and reconstruct, and a 1 MiB RS(4, 2) chunk decoded whole,
@@ -228,11 +230,13 @@ struct SetRow {
     ms: f64,
 }
 
-/// The two message sets `digest_many` serves in the archive, each timed
-/// on every kernel (labelled `<sha256 tier>+<sha256-x16 tier>`; a
-/// `+scalar` kernel hashes one message at a time): the dedup blocks of one
-/// 2 MiB version (default chunker), and one small-files flush — 32
-/// payloads of 4–32 KiB plus six RS(4, 2)-sized shards each.
+/// The message sets `digest_many` serves in the archive, each timed on
+/// every kernel (labelled `<sha256 tier>+<sha256-x16 tier>`; a `+scalar`
+/// kernel hashes one message at a time): the dedup blocks of one 2 MiB
+/// version (default chunker), which is also what a dedup read's leaf
+/// level verifies; one small-files flush — 32 payloads of 4–32 KiB plus
+/// six RS(4, 2)-sized shards each; and one small-files `retrieve_many`'s
+/// payload check — the same 32 payloads alone.
 fn digest_set_rows(reps: usize) -> Vec<SetRow> {
     let version = reference_payload(2 << 20, 0xAE2);
     let blocks = Chunker::new(ChunkerParams::default()).chunks(&version);
@@ -242,7 +246,8 @@ fn digest_set_rows(reps: usize) -> Vec<SetRow> {
             reference_payload(len, 0xAE4 + i as u64)
         })
         .collect();
-    let mut flush: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+    let retrieve: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+    let mut flush = retrieve.clone();
     for payload in &payloads {
         let shard = payload.len().div_ceil(4);
         flush.extend((0..6).map(|s| &version[s * shard..(s + 1) * shard]));
@@ -254,7 +259,11 @@ fn digest_set_rows(reps: usize) -> Vec<SetRow> {
             kernel.sha256_tier().name(),
             kernel.sha256_x16_tier().name()
         );
-        for (set, msgs) in [("dedup blocks", &blocks), ("small-files flush", &flush)] {
+        for (set, msgs) in [
+            ("dedup blocks", &blocks),
+            ("small-files flush", &flush),
+            ("small-files retrieve", &retrieve),
+        ] {
             if rows.iter().any(|r| r.set == set && r.kernel == label) {
                 continue;
             }

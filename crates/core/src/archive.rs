@@ -343,6 +343,37 @@ pub struct ArchiveStats {
 /// One retrieval's outcome: the payload and its per-shard accounting.
 type Retrieved = Result<(Vec<u8>, TransferReport), ArchiveError>;
 
+/// One unit of a read, as [`Archive::decode_many`] takes it: its fetched
+/// shards, what they were encoded as (`context`, `policy`, `meta`), the
+/// digest the decoded payload must match, and the object its failures
+/// are typed against.
+pub(crate) struct Decode<'a> {
+    pub(crate) owner: &'a ObjectId,
+    pub(crate) context: &'a str,
+    pub(crate) policy: &'a PolicyKind,
+    pub(crate) meta: &'a EncodingMeta,
+    pub(crate) digest: &'a [u8; 32],
+    pub(crate) snap: &'a ShardsSnapshot,
+}
+
+impl<'a> Decode<'a> {
+    /// A loaded record's unit (a manifest, or a stored unit's).
+    pub(crate) fn record(
+        owner: &'a ObjectId,
+        record: &'a Manifest,
+        snap: &'a ShardsSnapshot,
+    ) -> Self {
+        Decode {
+            owner,
+            context: record.id.as_str(),
+            policy: &record.policy,
+            meta: &record.meta,
+            digest: &record.digest,
+            snap,
+        }
+    }
+}
+
 /// A secure long-term archive over a simulated geo-dispersed cluster.
 ///
 /// # Examples
@@ -843,11 +874,13 @@ impl Archive {
     /// object's shard fetches are grouped by source node and each node
     /// serves **one** framed batch request for the whole flush (then
     /// per-key retries with the remaining budget, drawing jitter from
-    /// each object's own rng). Per-object outcomes — payload bytes and
-    /// typed failures — are exactly what [`Archive::retrieve`] would
-    /// return for each id; one unreadable object does not fail its
-    /// neighbors. Dedup objects fetch through the level-batched tree
-    /// walk, coalescing within the object rather than across the flush.
+    /// each object's own rng), and every decoded payload is checked
+    /// against its digest in **one** [`Sha256::digest_many`] batch.
+    /// Per-object outcomes — payload bytes and typed failures — are
+    /// exactly what [`Archive::retrieve`] would return for each id; one
+    /// unreadable object does not fail its neighbors. Dedup objects
+    /// fetch through the level-batched tree walk, coalescing within the
+    /// object rather than across the flush.
     pub fn retrieve_many(&self, ids: &[ObjectId]) -> Vec<Result<Vec<u8>, ArchiveError>> {
         self.retrieve_each(ids)
             .into_iter()
@@ -877,11 +910,14 @@ impl Archive {
             .map(|(_, m)| self.op_rng("retrieve", m.id.as_str()))
             .collect();
         let snaps = self.executor().read_many(&plans, &mut rngs);
-        for ((i, manifest), snap) in pending.iter().zip(snaps) {
-            results[*i] = Some(
-                self.decode_record(&manifest.id, manifest, &snap)
-                    .map(|payload| (payload, snap.report)),
-            );
+        let units: Vec<Decode<'_>> = pending
+            .iter()
+            .zip(&snaps)
+            .map(|((_, m), snap)| Decode::record(&m.id, m, snap))
+            .collect();
+        let decoded = self.decode_many(&units);
+        for (((i, _), snap), payload) in pending.iter().zip(snaps).zip(decoded) {
+            results[*i] = Some(payload.map(|payload| (payload, snap.report)));
         }
         results
             .into_iter()
@@ -889,40 +925,50 @@ impl Archive {
             .collect()
     }
 
-    /// [`Archive::decode_verified`] for a loaded record (a manifest, or
-    /// a stored unit's): decoded under the record's context and verified
-    /// against its payload digest, failures typed against `owner`.
-    pub(crate) fn decode_record(
+    /// The tail of a one-unit read ([`Archive::verify`], re-encode, a
+    /// repair's fallback): [`Archive::decode_many`] over a batch of one
+    /// loaded record (a manifest, or a stored unit's), decoded under the
+    /// record's context and verified against its payload digest, failures
+    /// typed against `owner`.
+    pub(crate) fn decode_verified(
         &self,
         owner: &ObjectId,
         record: &Manifest,
         snap: &ShardsSnapshot,
     ) -> Result<Vec<u8>, ArchiveError> {
-        self.decode_verified(
-            owner,
-            record.id.as_str(),
-            &record.policy,
-            &record.meta,
-            &record.digest,
-            snap,
-        )
+        self.decode_many(&[Decode::record(owner, record, snap)])
+            .pop()
+            .expect("one result per unit")
     }
 
-    /// The shared tail of every read: threshold check, policy decode,
-    /// payload digest check. Failures are typed against `owner` — for a
-    /// shared dedup block that is the object whose read is in progress,
-    /// so corruption of the block surfaces in every referencing object
-    /// — while `context` names what the shards were encoded as.
-    pub(crate) fn decode_verified(
-        &self,
-        owner: &ObjectId,
-        context: &str,
-        policy: &PolicyKind,
-        meta: &EncodingMeta,
-        digest: &[u8; 32],
-        snap: &ShardsSnapshot,
-    ) -> Result<Vec<u8>, ArchiveError> {
-        let required = policy.read_threshold();
+    /// The shared tail of every read: each unit's threshold check and
+    /// policy decode, then every decoded payload's digest check in
+    /// **one** [`Sha256::digest_many`] batch. `out[i]` is unit `i`'s
+    /// payload or its typed failure, independent of its neighbours, so
+    /// a caller that stops at the first failure sees what a
+    /// unit-at-a-time read would: a decode failure on unit `i` and a
+    /// digest mismatch on unit `j` both stand at their own index.
+    /// Failures are typed against the unit's `owner` — for a shared
+    /// dedup block that is the object whose read is in progress, so
+    /// corruption of the block surfaces in every referencing object.
+    pub(crate) fn decode_many(&self, units: &[Decode<'_>]) -> Vec<Result<Vec<u8>, ArchiveError>> {
+        let mut decoded: Vec<Result<Vec<u8>, ArchiveError>> =
+            units.iter().map(|unit| self.decode_unit(unit)).collect();
+        let payloads: Vec<&[u8]> = decoded.iter().filter_map(|r| r.as_deref().ok()).collect();
+        let mut digests = Sha256::digest_many(&payloads).into_iter();
+        for (result, unit) in decoded.iter_mut().zip(units) {
+            if result.is_ok() && digests.next().as_ref() != Some(unit.digest) {
+                *result = Err(ArchiveError::IntegrityViolation(unit.owner.clone()));
+            }
+        }
+        decoded
+    }
+
+    /// The first step of [`Archive::decode_many`] for one unit: the
+    /// threshold check, then the policy decode under the unit's context.
+    fn decode_unit(&self, unit: &Decode<'_>) -> Result<Vec<u8>, ArchiveError> {
+        let (owner, snap) = (unit.owner, unit.snap);
+        let required = unit.policy.read_threshold();
         if snap.valid < required {
             if snap.corrupt > 0 {
                 return Err(ArchiveError::IntegrityViolation(owner.clone()));
@@ -934,18 +980,14 @@ impl Archive {
                 corrupt: snap.corrupt,
             });
         }
-        let payload = pipeline::decode_object(
-            policy,
+        Ok(pipeline::decode_object(
+            unit.policy,
             &self.keys,
-            context,
+            unit.context,
             &snap.shards,
-            meta,
+            unit.meta,
             self.config.pipeline.workers,
-        )?;
-        if Sha256::digest(&payload) != *digest {
-            return Err(ArchiveError::IntegrityViolation(owner.clone()));
-        }
-        Ok(payload)
+        )?)
     }
 
     /// Deletes an object and its shards.
@@ -1002,7 +1044,7 @@ impl Archive {
             let snap = self.fetch_shards(&record, unit.labels().verify);
             available = available.min(snap.valid);
             required = required.max(record.policy.read_threshold());
-            intact &= walked || self.decode_record(id, &record, &snap).is_ok();
+            intact &= walked || self.decode_verified(id, &record, &snap).is_ok();
         }
         // A dedup object's decode check is its tree walk, which also
         // covers what no single block can: leaf order and the
@@ -1704,7 +1746,7 @@ mod tests {
             let decode = |plan: ReadPlan, record: &Manifest| {
                 let mut rng = archive.op_rng("retrieve", record.id.as_str());
                 let snap = archive.executor().read(&plan, &mut rng);
-                format!("{:?}", archive.decode_record(&id, record, &snap))
+                format!("{:?}", archive.decode_verified(&id, record, &snap))
             };
             let mut scrubs = Vec::with_capacity(records.len());
             for record in &records {
@@ -1756,6 +1798,234 @@ mod tests {
         assert_eq!(node.get(&key).unwrap(), original, "slot 4 rewritten");
         let health = a.verify(&id, &SigBreakSchedule::new()).unwrap();
         assert_eq!(health.shards_available, 5);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// `retrieve_many` answers each id as `retrieve` alone does — the
+        /// payload, or the same typed error against the same id — though
+        /// it checks every decoded payload in one `digest_many`. At least
+        /// nine healthy objects (enough for the sixteen-lane path) are
+        /// shuffled among bad entries of four kinds: an unknown id (0),
+        /// shards deleted below the read threshold (1), shards rotted
+        /// below it (2), and clean shards under an altered manifest
+        /// digest (3). A random prefix of the list (1–40 ids) is checked
+        /// too.
+        #[test]
+        fn retrieve_many_answers_like_retrieve_alone(
+            family in 0usize..9,
+            healthy in 9usize..32,
+            bad in prop::collection::vec(0u8..4, 0..10),
+            seed in any::<u64>(),
+            cut in any::<usize>(),
+        ) {
+            let policy = crate::policy::tests::all_policies().swap_remove(family);
+            let config = ArchiveConfig::new(policy).with_integrity(IntegrityMode::DigestOnly);
+            let mut archive = Archive::in_memory(config).unwrap();
+            let mut rng = ChaChaDrbg::from_u64_seed(seed);
+            // At least 512 random bytes: an Entropic ingest's entropy gate
+            // passes.
+            let items: Vec<(Vec<u8>, String)> = (0..healthy + bad.len())
+                .map(|i| {
+                    let mut payload = vec![0u8; 512 + rng.gen_range(2500) as usize];
+                    rng.fill_bytes(&mut payload);
+                    (payload, format!("obj-{i}"))
+                })
+                .collect();
+            let stored = archive.ingest_many(&borrowed(&items)).unwrap();
+            // (id asked for, its kind: None healthy, else the bad kind)
+            let mut entries: Vec<(ObjectId, Option<u8>)> = Vec::new();
+            for (i, id) in stored.into_iter().enumerate() {
+                let kind = i.checked_sub(healthy).map(|j| bad[j]);
+                let manifest = archive.manifest(&id).unwrap();
+                let lost = manifest.placement.len() - manifest.policy.read_threshold() + 1;
+                match kind {
+                    Some(0) => {
+                        entries.push((ObjectId(format!("unknown-{i}")), kind));
+                        continue;
+                    }
+                    Some(kind @ (1 | 2)) => {
+                        let edit = (kind - 1, seed as usize);
+                        damage(&archive, &manifest, &vec![edit; lost]);
+                    }
+                    Some(_) => {
+                        archive.manifests.update(&id, |m| m.digest[0] ^= 1);
+                    }
+                    None => {}
+                }
+                entries.push((id, kind));
+            }
+            for i in (1..entries.len()).rev() {
+                entries.swap(i, rng.gen_range(i as u64 + 1) as usize);
+            }
+            let ids: Vec<ObjectId> = entries.iter().map(|(id, _)| id.clone()).collect();
+            let alone: Vec<String> =
+                ids.iter().map(|id| format!("{:?}", archive.retrieve(id))).collect();
+            let together = archive.retrieve_many(&ids);
+            for ((id, kind), result) in entries.iter().zip(&together) {
+                let typed = match (kind, result) {
+                    (None, Ok(payload)) => {
+                        let i: usize = archive.manifest(id).unwrap().name[4..].parse().unwrap();
+                        *payload == items[i].0
+                    }
+                    (Some(0), Err(ArchiveError::UnknownObject(at))) => at == id,
+                    (Some(1), Err(ArchiveError::DegradedBeyondBudget { id: at, .. })) => at == id,
+                    (Some(2 | 3), Err(ArchiveError::IntegrityViolation(at))) => at == id,
+                    _ => false,
+                };
+                prop_assert!(typed, "kind {:?}: {:?}", kind, result);
+            }
+            let many: Vec<String> = together.iter().map(|r| format!("{r:?}")).collect();
+            prop_assert_eq!(&many, &alone);
+            let cut = 1 + cut % ids.len();
+            let prefix: Vec<String> =
+                archive.retrieve_many(&ids[..cut]).iter().map(|r| format!("{r:?}")).collect();
+            prop_assert_eq!(prefix.as_slice(), &alone[..cut]);
+        }
+    }
+
+    /// A dedup archive whose blocks are sealed (AES-CTR + HMAC, then
+    /// RS(2, 1)), so a block whose shards check out can still fail its
+    /// decode.
+    fn sealed_dedup_archive() -> Archive {
+        let policy = PolicyKind::Encrypted {
+            suite: SuiteId::Aes256CtrHmac,
+            data: 2,
+            parity: 1,
+        };
+        let config = ArchiveConfig::new(policy)
+            .with_integrity(IntegrityMode::DigestOnly)
+            .with_dedup(small_dedup());
+        Archive::in_memory(config).unwrap()
+    }
+
+    /// Rewrites block `hash` as the archive would have stored `plaintext`
+    /// under that address: fresh shards on its nodes, their digests on its
+    /// record. Every shard check passes and the block decodes — to bytes
+    /// that do not hash to `hash`.
+    fn forge_block(archive: &mut Archive, hash: &BlockHash, plaintext: &[u8]) {
+        let ctx = ObjectId::from_raw(crate::dedup::block_object_id(hash));
+        let rec = archive.blocks[hash].clone();
+        let mut rng = archive.op_rng("block-encode", ctx.as_str());
+        let cfg = crate::dedup::block_pipeline();
+        let write =
+            plan::plan_write(&rec.policy, &archive.keys, &mut rng, &ctx, plaintext, &cfg).unwrap();
+        for (s, (node, shard)) in rec.placement.iter().zip(&write.shards).enumerate() {
+            let node = archive.cluster().node(*node).unwrap();
+            node.put(&ShardKey::new(ctx.as_str(), s as u32), shard)
+                .unwrap();
+        }
+        let rec = archive.blocks.get_mut(hash).unwrap();
+        rec.meta = write.meta;
+        rec.shard_digests = write.shard_digests;
+    }
+
+    /// Flips the last byte of block `hash`'s first shard and records the
+    /// new digest: every shard check passes, and the decode fails, since
+    /// the block's policy authenticates what it decrypts.
+    fn break_block(archive: &mut Archive, hash: &BlockHash) {
+        let ctx = crate::dedup::block_object_id(hash);
+        let node = archive.blocks[hash].placement[0];
+        let node = Arc::clone(archive.cluster().node(node).unwrap());
+        let key = ShardKey::new(ctx.as_str(), 0);
+        let mut shard = node.get(&key).unwrap();
+        *shard.last_mut().unwrap() ^= 1;
+        node.put(&key, &shard).unwrap();
+        archive.blocks.get_mut(hash).unwrap().shard_digests[0] = Sha256::digest(&shard);
+    }
+
+    /// A data block whose shards and recorded shard digests were rewritten
+    /// from other plaintext passes every shard check and decodes, yet
+    /// every object that references it fails `IntegrityViolation`, typed
+    /// against that object, alone and in one `retrieve_many`; an object
+    /// that does not reference it still reads.
+    #[test]
+    fn a_block_that_decodes_to_other_bytes_fails_every_owner() {
+        let mut a = sealed_dedup_archive();
+        let items = versions();
+        let ids = a.ingest_many(&borrowed(&items)).unwrap();
+        let leaves: Vec<Vec<BlockHash>> = ids
+            .iter()
+            .map(|id| a.manifest(id).unwrap().blocks.unwrap().blocks)
+            .collect();
+        let shared = *leaves[0]
+            .iter()
+            .find(|h| leaves[1].contains(h))
+            .expect("the first two versions share a block");
+        assert!(!leaves[2].contains(&shared), "the third does not");
+        let forged = vec![0x5A; a.blocks[&shared].len];
+        forge_block(&mut a, &shared, &forged);
+
+        let rec = a.blocks[&shared].clone();
+        let ctx = crate::dedup::block_object_id(&shared);
+        let plan = ReadPlan {
+            object: ObjectId::from_raw(ctx.clone()),
+            placement: rec.placement.clone(),
+            shard_digests: rec.shard_digests.clone(),
+            need: rec.placement.len(),
+        };
+        let snap = a.executor().read(&plan, &mut a.op_rng("probe", &ctx));
+        assert_eq!(snap.valid, rec.placement.len(), "every shard checks out");
+        let decoded =
+            pipeline::decode_object(&rec.policy, &a.keys, &ctx, &snap.shards, &rec.meta, 1);
+        assert_eq!(decoded.unwrap(), forged, "and the block decodes");
+
+        let together = a.retrieve_many(&ids);
+        for (i, (id, many)) in ids.iter().zip(together).enumerate() {
+            let one = a.retrieve(id);
+            if i < 2 {
+                assert!(
+                    matches!(&one, Err(ArchiveError::IntegrityViolation(at)) if at == id),
+                    "{one:?}"
+                );
+            } else {
+                assert_eq!(one.as_ref().unwrap(), &items[i].0);
+            }
+            assert_eq!(format!("{many:?}"), format!("{one:?}"));
+        }
+    }
+
+    /// Two damaged blocks in one object: the first in payload order
+    /// decides the error, however each was damaged. A decode failure
+    /// before an address mismatch is the decode's `Policy` error, and an
+    /// address mismatch before a decode failure is an
+    /// `IntegrityViolation` — as a block-at-a-time read answered.
+    #[test]
+    fn the_first_failing_block_decides() {
+        for forged_first in [false, true] {
+            let mut a = sealed_dedup_archive();
+            let mut payload = vec![0u8; 3000];
+            ChaChaDrbg::from_u64_seed(77).fill_bytes(&mut payload);
+            let id = a.ingest(&payload, "two faults").unwrap();
+            let leaves = a.manifest(&id).unwrap().blocks.unwrap().blocks;
+            let (early, late) = (leaves[1], leaves[leaves.len() - 2]);
+            assert!(
+                leaves.len() >= 4 && early != late,
+                "{} leaves",
+                leaves.len()
+            );
+            let (forged, broken) = if forged_first {
+                (early, late)
+            } else {
+                (late, early)
+            };
+            let other = vec![0x5A; a.blocks[&forged].len];
+            forge_block(&mut a, &forged, &other);
+            break_block(&mut a, &broken);
+
+            let one = a.retrieve(&id);
+            if forged_first {
+                assert!(
+                    matches!(&one, Err(ArchiveError::IntegrityViolation(at)) if *at == id),
+                    "{one:?}"
+                );
+            } else {
+                assert!(matches!(&one, Err(ArchiveError::Policy(_))), "{one:?}");
+            }
+            let many = a.retrieve_many(std::slice::from_ref(&id));
+            assert_eq!(format!("{:?}", many[0]), format!("{one:?}"));
+        }
     }
 }
 

@@ -59,7 +59,7 @@
 //! This module owns what only dedup has — chunking, the block map and
 //! its refcounts, the tree walk, the catalog.
 
-use crate::archive::{Archive, ArchiveError, Manifest, ObjectId};
+use crate::archive::{Archive, ArchiveError, Decode, Manifest, ObjectId};
 use crate::pipeline::{self, PipelineConfig};
 use crate::plan::{self, ReadPlan, WritePlan};
 use crate::policy::{EncodingMeta, PolicyError, PolicyKind};
@@ -351,10 +351,14 @@ impl Archive {
 
     /// Fetches, decodes, and hash-verifies blocks in one cross-block
     /// fan-in: distinct hashes (first-occurrence order) each become a
-    /// read plan, and the executor groups every plan's shard keys by
-    /// source node into one framed batch request per node. A hash that
-    /// repeats in `hashes` is fetched and accounted **once**; its bytes
-    /// are cloned for every occurrence but the last, which takes them.
+    /// read plan, the executor groups every plan's shard keys by source
+    /// node into one framed batch request per node, and every decoded
+    /// block is checked against its address in one
+    /// [`Sha256::digest_many`] batch ([`Archive::decode_many`]). A hash
+    /// that repeats in `hashes` is fetched and accounted **once**; its
+    /// bytes are cloned for every occurrence but the last, which takes
+    /// them. The first failing block in first-occurrence order decides
+    /// the error, whether it failed to decode or to match its address.
     /// Failures are typed against `owner` — the object whose read is in
     /// progress — so corruption of a shared block surfaces in every
     /// referencing object.
@@ -385,16 +389,24 @@ impl Archive {
             recs.push((rec, ctx));
         }
         let snaps = self.executor().read_many(&plans, &mut rngs);
-        let mut decoded: Vec<Vec<u8>> = Vec::with_capacity(distinct.len());
-        for ((hash, (rec, ctx)), snap) in distinct.iter().zip(&recs).zip(snaps) {
-            decoded.push(self.decode_verified(
+        let units: Vec<Decode<'_>> = distinct
+            .iter()
+            .zip(&recs)
+            .zip(&snaps)
+            .map(|((hash, (rec, ctx)), snap)| Decode {
                 owner,
-                ctx,
-                &rec.policy,
-                &rec.meta,
-                hash.as_bytes(),
-                &snap,
-            )?);
+                context: ctx,
+                policy: &rec.policy,
+                meta: &rec.meta,
+                digest: hash.as_bytes(),
+                snap,
+            })
+            .collect();
+        let mut decoded = self
+            .decode_many(&units)
+            .into_iter()
+            .collect::<Result<Vec<Vec<u8>>, ArchiveError>>()?;
+        for snap in snaps {
             report.attempts.extend(snap.report.attempts);
         }
         Ok(slots

@@ -180,7 +180,7 @@ impl Archive {
         let mut record = self.load(unit)?;
         let [fetch, put] = unit.labels().reencode;
         let snap = self.fetch_shards(&record, fetch);
-        let payload = self.decode_record(owner, &record, &snap)?;
+        let payload = self.decode_verified(owner, &record, &snap)?;
         let bytes_read: u64 = snap.shards.iter().flatten().map(|s| s.len() as u64).sum();
         let write_start = clock.now();
         let write = self.plan_unit_write(unit, new_policy, &record.id, &payload)?;

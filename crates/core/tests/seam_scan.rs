@@ -15,7 +15,8 @@
 //! the loop *around* those bodies: every fleet sweep is `Campaign`. A
 //! fifth guards the encode layer: one `match` from policy to its seal
 //! and dispersal, no codec object behind it, one Reed–Solomon code, one
-//! reader of the stored chunk layout.
+//! reader of the stored chunk layout. A sixth guards read-side payload
+//! verification: one batched body that every read's decode goes through.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -321,9 +322,7 @@ fn the_encode_layer_says_it_once() {
             }
         }
         if file == "policy.rs" {
-            let start = body.find("fn scheme(").expect("PolicyKind::scheme exists");
-            let len = body[start..].find("\n    }\n").expect("method ends");
-            let scheme_fn = &body[start..start + len];
+            let scheme_fn = method_body(&body, "policy.rs", "scheme");
             if !scheme_fn.contains("match *self") {
                 violations.push("policy.rs: fn scheme is not a `match *self`".into());
             }
@@ -342,5 +341,58 @@ fn the_encode_layer_says_it_once() {
     assert!(
         rs_sites.len() <= 1 && rs_sites.iter().all(|at| at.starts_with("codec.rs:")),
         "`ReedSolomon::new(` sites: {rs_sites:?}"
+    );
+}
+
+/// The body of the method `name` in `source`: from `fn name(` to the
+/// first line that closes a four-space-indented item.
+fn method_body<'a>(source: &'a str, file: &str, name: &str) -> &'a str {
+    let start = source
+        .find(&format!("fn {name}("))
+        .unwrap_or_else(|| panic!("{file} defines fn {name}"));
+    let len = source[start..]
+        .find("\n    }\n")
+        .unwrap_or_else(|| panic!("{file}: fn {name} ends"));
+    &source[start..start + len]
+}
+
+/// Re-accretion guard for read-side payload verification. Every read
+/// decodes through one tail, `Archive::decode_many`, which checks all of
+/// its units' payload digests in one `Sha256::digest_many`: the
+/// multi-unit reads (`retrieve_each`, the dedup `read_blocks`) hand it
+/// every unit at once instead of hashing or decoding one unit at a
+/// time, and the one-unit tail `decode_verified` is its batch of one.
+#[test]
+fn payload_verification_has_one_body() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let archive = non_test_source(&fs::read_to_string(src.join("archive.rs")).unwrap());
+    let dedup = non_test_source(&fs::read_to_string(src.join("dedup.rs")).unwrap());
+    let mut violations = Vec::new();
+    for (file, source, name) in [
+        ("archive.rs", &archive, "retrieve_each"),
+        ("dedup.rs", &dedup, "read_blocks"),
+    ] {
+        let body = method_body(source, file, name);
+        for banned in ["Sha256::digest(", "decode_verified(", "decode_object("] {
+            if body.contains(banned) {
+                violations.push(format!("{file}: fn {name} calls `{banned}`"));
+            }
+        }
+        if !body.contains(".decode_many(") {
+            violations.push(format!("{file}: fn {name} does not call `.decode_many(`"));
+        }
+    }
+    let one = method_body(&archive, "archive.rs", "decode_verified");
+    if !one.contains(".decode_many(") || one.contains("decode_object(") {
+        violations.push("archive.rs: fn decode_verified does not delegate to decode_many".into());
+    }
+    let tail = method_body(&archive, "archive.rs", "decode_many");
+    if !tail.contains("Sha256::digest_many(") || tail.contains("Sha256::digest(") {
+        violations.push("archive.rs: fn decode_many does not hash in one batch".into());
+    }
+    assert!(
+        violations.is_empty(),
+        "payload verification forked:\n{}",
+        violations.join("\n")
     );
 }
