@@ -62,7 +62,7 @@
 use crate::archive::{Archive, ArchiveError, Decode, Manifest, ObjectId};
 use crate::pipeline::{self, PipelineConfig};
 use crate::plan::{self, ReadPlan, WritePlan};
-use crate::policy::{EncodingMeta, PolicyError, PolicyKind};
+use crate::policy::{PolicyError, PolicyKind};
 use aeon_cas::{build_tree, merkle, BlockHash, Chunker, ChunkerParams, IndexStats};
 use aeon_crypto::Sha256;
 use aeon_store::cluster::TransferReport;
@@ -126,24 +126,20 @@ pub enum BlockKind {
     Tree,
 }
 
-/// Per-block bookkeeping: how the block is encoded and placed, and how
-/// many references keep it alive.
+/// A block-map entry: how many references keep the block alive, what it
+/// holds, and its unit record — the same [`Manifest`] a classic object's
+/// catalog row is, so maintenance loads and stores either one alike.
 #[derive(Debug, Clone)]
 pub struct BlockRecord {
     /// Live references (leaf occurrences + tree-node memberships).
     pub refcount: u64,
-    /// Plaintext length of the block.
-    pub len: usize,
     /// Data chunk or tree node.
     pub kind: BlockKind,
-    /// The policy the block's shards are encoded under.
-    pub policy: PolicyKind,
-    /// Encode-time metadata (never chunked: blocks *are* the chunks).
-    pub meta: EncodingMeta,
-    /// Node placement, one entry per shard.
-    pub placement: Vec<aeon_store::node::NodeId>,
-    /// SHA-256 of each stored shard blob.
-    pub shard_digests: Vec<[u8; 32]>,
+    /// How the block is encoded and where it lives. `id` is its storage
+    /// context `blk-<hash>`, `digest` its address, `logical_len` its
+    /// plaintext length; `meta` is never chunked (blocks *are* the
+    /// chunks), `name` is empty and `blocks` is `None`.
+    pub record: Manifest,
 }
 
 /// The dedup side of a [`Manifest`]: the object's Merkle root and its
@@ -369,38 +365,25 @@ impl Archive {
         report: &mut TransferReport,
     ) -> Result<Vec<Vec<u8>>, ArchiveError> {
         let (distinct, mut uses, slots) = first_occurrence_slots(hashes);
-        let mut plans = Vec::with_capacity(distinct.len());
-        let mut rngs = Vec::with_capacity(distinct.len());
-        let mut recs = Vec::with_capacity(distinct.len());
+        let mut records = Vec::with_capacity(distinct.len());
         for hash in &distinct {
             let Some(rec) = self.blocks.get(hash) else {
                 return Err(ArchiveError::Policy(PolicyError::Malformed(format!(
                     "object {owner} references unknown block {hash}"
                 ))));
             };
-            let ctx = block_object_id(hash);
-            plans.push(ReadPlan {
-                object: ObjectId::from_raw(ctx.clone()),
-                placement: rec.placement.clone(),
-                shard_digests: rec.shard_digests.clone(),
-                need: rec.policy.read_threshold(),
-            });
-            rngs.push(self.op_rng("block-read", &ctx));
-            recs.push((rec, ctx));
+            records.push(&rec.record);
         }
-        let snaps = self.executor().read_many(&plans, &mut rngs);
-        let units: Vec<Decode<'_>> = distinct
+        let plans: Vec<ReadPlan> = records.iter().map(|r| ReadPlan::for_decode(r)).collect();
+        let mut rngs: Vec<_> = records
             .iter()
-            .zip(&recs)
+            .map(|r| self.op_rng("block-read", r.id.as_str()))
+            .collect();
+        let snaps = self.executor().read_many(&plans, &mut rngs);
+        let units: Vec<Decode<'_>> = records
+            .iter()
             .zip(&snaps)
-            .map(|((hash, (rec, ctx)), snap)| Decode {
-                owner,
-                context: ctx,
-                policy: &rec.policy,
-                meta: &rec.meta,
-                digest: hash.as_bytes(),
-                snap,
-            })
+            .map(|(record, snap)| (owner, *record, snap))
             .collect();
         let mut decoded = self
             .decode_many(&units)
@@ -551,9 +534,8 @@ impl Archive {
         };
         rec.refcount = rec.refcount.saturating_sub(1);
         if rec.refcount == 0 {
-            let rec = self.blocks.remove(hash).expect("record present");
-            self.executor()
-                .delete(&block_object_id(hash), &rec.placement);
+            let Manifest { id, placement, .. } = self.blocks.remove(hash).expect("present").record;
+            self.executor().delete(id.as_str(), &placement);
             self.dedup_index.remove(hash);
         }
     }
@@ -590,14 +572,15 @@ impl Archive {
             index: self.dedup_index.stats(),
         };
         for rec in self.blocks.values() {
+            let len = rec.record.logical_len as u64;
             match rec.kind {
                 BlockKind::Data => {
                     stats.unique_data_blocks += 1;
-                    stats.unique_data_bytes += rec.len as u64;
+                    stats.unique_data_bytes += len;
                 }
                 BlockKind::Tree => {
                     stats.tree_blocks += 1;
-                    stats.tree_bytes += rec.len as u64;
+                    stats.tree_bytes += len;
                 }
             }
         }

@@ -11,7 +11,7 @@
 //! the units behind an object and hold the rules that exist only
 //! because blocks are shared (which blocks to skip).
 
-use crate::archive::{Archive, ArchiveError, ObjectId};
+use crate::archive::{Archive, ArchiveError, Manifest, ObjectId};
 use crate::campaign::{Campaign, CampaignOp, CampaignReport};
 use crate::plan;
 use crate::policy::PolicyKind;
@@ -36,6 +36,10 @@ pub struct ObjectReencode {
     /// Virtual time the write phase took (delete + write-back).
     pub write_time: SimDuration,
 }
+
+/// What a write-back reports: `Err` is the shortfall of a unit stored
+/// with fewer landed shards than its policy reads from.
+type Landed = Result<(), ArchiveError>;
 
 impl Archive {
     /// Runs one proactive-refresh epoch on a Shamir-encoded object:
@@ -63,21 +67,13 @@ impl Archive {
         };
         let mut replaced = false;
         let outcome = units.iter().try_for_each(|unit| {
-            let Some((cost, written, threshold)) = self.refresh_unit(unit)? else {
+            let Some((cost, landed)) = self.refresh_unit(id, unit)? else {
                 return Ok(());
             };
             replaced = true;
             total.messages += cost.messages;
             total.bytes += cost.bytes;
-            if written < threshold {
-                return Err(ArchiveError::DegradedBeyondBudget {
-                    id: id.clone(),
-                    available: written,
-                    required: threshold,
-                    corrupt: 0,
-                });
-            }
-            Ok(())
+            landed
         });
         // The epoch advances whenever digests were replaced, even when
         // the write-back then fell short: the old epoch's shares are
@@ -88,14 +84,17 @@ impl Archive {
         outcome.map(|()| total)
     }
 
-    /// One Herzberg epoch on one unit: `(cost, shares landed,
-    /// threshold)`, or `None` for a unit not on Shamir — a block a
-    /// half-finished campaign already moved off it.
+    /// One Herzberg epoch on one unit, on behalf of `owner`: the
+    /// protocol cost and whether enough fresh shares landed, or `None`
+    /// for a unit not on Shamir — a block a half-finished campaign
+    /// already moved off it. An `Err` is raised before any digest is
+    /// replaced.
     fn refresh_unit(
         &mut self,
+        owner: &ObjectId,
         unit: &Unit,
-    ) -> Result<Option<(ProtocolCost, usize, usize)>, ArchiveError> {
-        let mut record = self.load(unit)?;
+    ) -> Result<Option<(ProtocolCost, Landed)>, ArchiveError> {
+        let record = self.load(unit)?;
         let PolicyKind::Shamir { threshold, .. } = record.policy else {
             return Ok(None);
         };
@@ -105,20 +104,11 @@ impl Archive {
         // digest filter treats it as absent.
         let snap = self.fetch_shards(&record, fetch);
         let (blobs, cost) = plan::plan_refresh(&record, threshold, &mut self.rng, &snap.shards)?;
-        let mut put_rng = self.op_rng(put, record.id.as_str());
-        let outcome = self.executor().write_shards(
-            record.id.as_str(),
-            &record.placement,
-            &blobs,
-            &mut put_rng,
-        );
-        // Record the new epoch's digests unconditionally: any share
-        // that failed to land is stale (previous epoch) and must be
-        // filtered on read — `threshold` fresh shares still
-        // reconstruct, so the unit survives a degraded write.
-        record.shard_digests = blobs.iter().map(|b| Sha256::digest(b.as_slice())).collect();
-        self.store(unit, record);
-        Ok(Some((cost, outcome.written, threshold)))
+        // Any share that fails to land is stale (previous epoch) and is
+        // filtered on read — `threshold` fresh shares still reconstruct,
+        // so the unit survives a degraded write.
+        let landed = self.write_back(owner, unit, record, &blobs, put);
+        Ok(Some((cost, landed)))
     }
 
     /// Re-encodes an object under a new policy (the unit of a
@@ -153,7 +143,11 @@ impl Archive {
             write_time: SimDuration::ZERO,
         };
         for unit in &units {
-            let migrated = |h| self.blocks.get(h).is_some_and(|b| b.policy == new_policy);
+            let migrated = |h| {
+                self.blocks
+                    .get(h)
+                    .is_some_and(|b| b.record.policy == new_policy)
+            };
             if matches!(unit, Unit::Block(h) if migrated(h)) {
                 continue;
             }
@@ -188,23 +182,8 @@ impl Archive {
         let ctx = record.id.as_str();
         let placement = self.executor().place(ctx, write.shards.len())?;
         self.executor().delete(ctx, &record.placement);
-        let mut put_rng = self.op_rng(put, ctx);
-        let outcome = self
-            .executor()
-            .write_shards(ctx, &placement, &write.shards, &mut put_rng);
-        record.policy = write.policy;
-        record.meta = write.meta;
-        record.placement = placement;
-        record.shard_digests = write.shard_digests;
-        self.store(unit, record);
-        if outcome.written < write.required {
-            return Err(ArchiveError::DegradedBeyondBudget {
-                id: owner.clone(),
-                available: outcome.written,
-                required: write.required,
-                corrupt: 0,
-            });
-        }
+        (record.policy, record.meta, record.placement) = (write.policy, write.meta, placement);
+        self.write_back(owner, unit, record, &write.shards, put)?;
         Ok(ObjectReencode {
             bytes_read,
             bytes_written,
@@ -270,21 +249,36 @@ impl Archive {
         let snap = self.fetch_shards(&record, fetch);
         let (new_shards, new_policy) =
             plan::plan_rewrap(&record, &self.keys, &snap.shards, new_suite)?;
-        let required = new_policy.read_threshold();
-        let mut put_rng = self.op_rng(put, record.id.as_str());
-        let outcome = self.executor().write_shards(
-            record.id.as_str(),
-            &record.placement,
-            &new_shards,
-            &mut put_rng,
-        );
-        record.policy = new_policy;
-        // Shards that missed the rewrap hold the old layering; the new
+        // Shards that miss the rewrap hold the old layering; the new
         // digests make reads treat them as stale until repaired.
-        record.shard_digests = new_shards
-            .iter()
-            .map(|s| Sha256::digest(s.as_slice()))
-            .collect();
+        record.policy = new_policy;
+        self.write_back(owner, unit, record, &new_shards, put)
+    }
+
+    /// The one write-back of refresh, re-wrap and re-encode: writes
+    /// `shards` at `record`'s placement (retry jitter from the `put`
+    /// label's per-unit rng), records their digests — one
+    /// [`Sha256::digest_many`] — and stores `record` to `unit`'s home
+    /// whether or not every shard landed, since a shard that missed the
+    /// retry budget holds stale bytes the new digests filter on read.
+    /// Then fails, typed against `owner`, if fewer shards landed than
+    /// the record's policy reads from.
+    fn write_back(
+        &mut self,
+        owner: &ObjectId,
+        unit: &Unit,
+        mut record: Manifest,
+        shards: &[Vec<u8>],
+        put: &str,
+    ) -> Landed {
+        let ctx = record.id.as_str();
+        let mut rng = self.op_rng(put, ctx);
+        let outcome = self
+            .executor()
+            .write_shards(ctx, &record.placement, shards, &mut rng);
+        let blobs: Vec<&[u8]> = shards.iter().map(Vec::as_slice).collect();
+        record.shard_digests = Sha256::digest_many(&blobs);
+        let required = record.policy.read_threshold();
         self.store(unit, record);
         if outcome.written < required {
             return Err(ArchiveError::DegradedBeyondBudget {

@@ -118,7 +118,7 @@ fn lose_block_shard(
 ) {
     let rec = archive.block_record(hash).expect("block exists");
     let ctx = block_object_id(hash);
-    node_of(handles, rec.placement[idx])
+    node_of(handles, rec.record.placement[idx])
         .delete(&ShardKey::new(&ctx, idx as u32))
         .unwrap();
 }
@@ -133,7 +133,7 @@ fn flip_block_shard(
 ) {
     let rec = archive.block_record(hash).expect("block exists");
     let ctx = block_object_id(hash);
-    let node = node_of(handles, rec.placement[idx]);
+    let node = node_of(handles, rec.record.placement[idx]);
     let key = ShardKey::new(&ctx, idx as u32);
     let mut bytes = node.get(&key).unwrap();
     let target = (bit % (bytes.len() as u64 * 8)) as usize;
@@ -310,7 +310,7 @@ fn reencode_roundtrips_and_moves_shared_blocks_once() {
                 archive.cluster().total_stored_bytes(),
                 "policy {policy:?} -> {to:?}: a shared block was rewritten"
             );
-            assert!(archive.blocks().all(|(_, rec)| rec.policy == *to));
+            assert!(archive.blocks().all(|(_, rec)| rec.record.policy == *to));
             assert_eq!(archive.retrieve(&id1).unwrap(), v1, "policy {policy:?}");
             assert_eq!(archive.retrieve(&id2).unwrap(), v2, "policy {policy:?}");
         }
@@ -340,10 +340,10 @@ fn dedup_encoding_is_worker_count_independent() {
             let rs = serial.block_record(hash).unwrap();
             let rp = pooled.block_record(hash).unwrap();
             assert_eq!(
-                rs.shard_digests, rp.shard_digests,
+                rs.record.shard_digests, rp.record.shard_digests,
                 "policy {policy:?}: block {hash} shards differ across worker counts"
             );
-            assert_eq!(rs.placement, rp.placement);
+            assert_eq!(rs.record.placement, rp.record.placement);
         }
         assert_eq!(serial.retrieve(&id_s).unwrap(), data);
         assert_eq!(pooled.retrieve(&id_p).unwrap(), data);
