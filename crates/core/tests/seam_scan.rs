@@ -17,6 +17,8 @@
 //! and dispersal, no codec object behind it, one Reed–Solomon code, one
 //! reader of the stored chunk layout. A sixth guards read-side payload
 //! verification: one batched body that every read's decode goes through.
+//! A seventh guards the unit record: a dedup block's is a `Manifest`,
+//! read with the one read plan and rewritten through the one write-back.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -393,6 +395,64 @@ fn payload_verification_has_one_body() {
     assert!(
         violations.is_empty(),
         "payload verification forked:\n{}",
+        violations.join("\n")
+    );
+}
+
+/// Re-accretion guard for the unit record. A dedup block's record is a
+/// `Manifest`, like a classic object's catalog row, so `BlockRecord`
+/// declares none of the manifest's encoding fields, `unit.rs` builds no
+/// manifest (loading a block clones its record), and the dedup
+/// `read_blocks` plans with `ReadPlan::for_decode`, not a hand-built
+/// plan. Refresh, re-wrap and re-encode end in one write-back: one
+/// `.write_shards(` call site outside the executor, and no
+/// one-shard-at-a-time `Sha256::digest(` in maintenance.
+#[test]
+fn each_unit_has_one_record() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let read = |file: &str| non_test_source(&fs::read_to_string(src.join(file)).unwrap());
+    let mut violations = Vec::new();
+    if read("unit.rs").contains("Manifest {") {
+        violations.push("unit.rs: builds a `Manifest {` literal".to_string());
+    }
+    let dedup = read("dedup.rs");
+    let start = dedup
+        .find("pub struct BlockRecord {")
+        .expect("dedup.rs defines BlockRecord");
+    let len = dedup[start..].find("\n}\n").expect("BlockRecord ends");
+    for line in dedup[start..start + len].lines() {
+        let field = line.trim_start().trim_start_matches("pub ");
+        for copied in ["policy:", "meta:", "placement:", "shard_digests:"] {
+            if field.starts_with(copied) {
+                violations.push(format!("dedup.rs: BlockRecord declares `{copied}`"));
+            }
+        }
+    }
+    if method_body(&dedup, "dedup.rs", "read_blocks").contains("ReadPlan {") {
+        violations.push("dedup.rs: fn read_blocks builds a `ReadPlan {` literal".into());
+    }
+    let mut writes = Vec::new();
+    for path in sources(&src) {
+        if path.ends_with("executor.rs") {
+            continue;
+        }
+        let file = path.file_name().unwrap().to_string_lossy().into_owned();
+        let body = non_test_source(&fs::read_to_string(&path).unwrap());
+        for (lineno, line) in body.lines().enumerate() {
+            if line.contains(".write_shards(") {
+                writes.push(format!("{file}:{}", lineno + 1));
+            }
+        }
+    }
+    if writes.len() != 1 {
+        violations.push(format!("`.write_shards(` call sites: {writes:?}"));
+    }
+    if read("maintenance.rs").contains("Sha256::digest(") {
+        violations.push("maintenance.rs: hashes shards one at a time".into());
+    }
+    assert!(
+        violations.is_empty(),
+        "the unit record or its write-back forked:\n{}",
         violations.join("\n")
     );
 }
