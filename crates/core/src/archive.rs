@@ -875,12 +875,12 @@ impl Archive {
     /// [`Archive::retrieve_many`] its payload projection.
     fn retrieve_each(&self, ids: &[ObjectId]) -> Vec<Retrieved> {
         let mut results: Vec<Option<Retrieved>> = ids.iter().map(|_| None).collect();
-        let mut pending: Vec<(usize, Manifest)> = Vec::new();
+        let mut pending: Vec<(usize, &Manifest)> = Vec::new();
         for (i, id) in ids.iter().enumerate() {
-            match self.manifests.get(id) {
-                None => results[i] = Some(Err(ArchiveError::UnknownObject(id.clone()))),
-                Some(m) if m.blocks.is_some() => results[i] = Some(self.retrieve_dedup(&m)),
-                Some(m) => pending.push((i, m)),
+            match self.row(id) {
+                Err(unknown) => results[i] = Some(Err(unknown)),
+                Ok(m) if m.blocks.is_some() => results[i] = Some(self.retrieve_dedup(m)),
+                Ok(m) => pending.push((i, m)),
             }
         }
         let plans: Vec<ReadPlan> = pending
@@ -895,7 +895,7 @@ impl Archive {
         let units: Vec<Decode<'_>> = pending
             .iter()
             .zip(&snaps)
-            .map(|((_, m), snap)| (&m.id, m, snap))
+            .map(|(&(_, m), snap)| (&m.id, m, snap))
             .collect();
         let decoded = self.decode_many(&units);
         for (((i, _), snap), payload) in pending.iter().zip(snaps).zip(decoded) {
@@ -1003,10 +1003,7 @@ impl Archive {
         id: &ObjectId,
         sig_schedule: &SigBreakSchedule,
     ) -> Result<HealthReport, ArchiveError> {
-        let manifest = self
-            .manifests
-            .get(id)
-            .ok_or_else(|| ArchiveError::UnknownObject(id.clone()))?;
+        let manifest = self.row(id)?;
         let chain_valid = self
             .chains
             .get(id)
@@ -1017,7 +1014,7 @@ impl Archive {
         let mut available = usize::MAX;
         let mut required = 0usize;
         let mut intact = true;
-        for unit in self.units_of(&manifest) {
+        for unit in self.units_of(manifest) {
             let Ok(record) = self.load(&unit) else {
                 (available, intact) = (0, false);
                 continue;
@@ -1031,7 +1028,7 @@ impl Archive {
         // covers what no single block can: leaf order and the
         // whole-payload digest.
         if walked {
-            intact &= self.retrieve_dedup(&manifest).is_ok();
+            intact &= self.retrieve_dedup(manifest).is_ok();
         }
         Ok(HealthReport {
             shards_available: available,
@@ -1097,31 +1094,27 @@ impl Archive {
         self.keys.rotate(master)
     }
 
-    /// Looks up a manifest (cloned out of the sharded catalog).
+    /// Looks up a manifest (cloned out of the catalog).
     pub fn manifest(&self, id: &ObjectId) -> Option<Manifest> {
         self.manifests.get(id)
     }
 
     /// Iterates over a snapshot of all manifests, sorted by id (the
-    /// catalog's canonical order, independent of shard count and
-    /// insertion order).
+    /// catalog's order, independent of insertion order).
     pub fn manifests(&self) -> impl Iterator<Item = Manifest> {
-        self.manifests.snapshot().into_iter()
+        let rows: Vec<Manifest> = self.manifests.rows().cloned().collect();
+        rows.into_iter()
     }
 
-    /// The sharded manifest catalog.
+    /// The manifest catalog, read-only: its mutators take `&mut`, so
+    /// only the archive's own `&mut self` operations rewrite a row.
     pub fn catalog(&self) -> &FleetCatalog {
         &self.manifests
     }
 
     /// Aggregate statistics.
     pub fn stats(&self) -> ArchiveStats {
-        let logical: u64 = self
-            .manifests
-            .snapshot()
-            .iter()
-            .map(|m| m.logical_len as u64)
-            .sum();
+        let logical: u64 = self.manifests.rows().map(|m| m.logical_len as u64).sum();
         let stored = self.cluster.total_stored_bytes();
         ArchiveStats {
             objects: self.manifests.len(),

@@ -170,13 +170,13 @@ impl Campaign {
     /// the `Δ·r/(1−r)` window amplifies f64 rounding into huge
     /// foreground figures (see the bound's documentation).
     pub fn new(archive: &Archive, op: CampaignOp, reserved_fraction: f64) -> Self {
+        let rows = archive.manifests.rows();
         let work = match &op {
-            CampaignOp::Reencode(_) => archive.catalog().ids(),
+            CampaignOp::Reencode(_) => rows.map(|m| m.id.clone()).collect(),
             CampaignOp::Repair(order) => archive.scan_fleet().repair_order(*order),
-            CampaignOp::Refresh => archive
-                .manifests()
+            CampaignOp::Refresh => rows
                 .filter(|m| matches!(m.policy, PolicyKind::Shamir { .. }))
-                .map(|m| m.id)
+                .map(|m| m.id.clone())
                 .collect(),
         };
         Campaign::over(work, op, reserved_fraction)

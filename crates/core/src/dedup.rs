@@ -211,24 +211,38 @@ pub(crate) fn block_pipeline() -> PipelineConfig {
     }
 }
 
-fn serialize_catalog<'a>(manifests: impl Iterator<Item = &'a Manifest>) -> Vec<u8> {
+/// The fixed bytes of a serialized row: two `u16` lengths, the `u64`
+/// length, the digest and the root.
+const ROW_FIXED_BYTES: usize = 2 + 2 + 8 + 32 + 32;
+
+/// The catalog payload of every dedup row, or
+/// [`ArchiveError::UnsupportedOperation`] when a row's id or name does
+/// not fit its `u16` length field — refused whole, so no committed
+/// catalog is one [`parse_catalog`] cannot read back.
+fn serialize_catalog<'a>(
+    manifests: impl Iterator<Item = &'a Manifest>,
+) -> Result<Vec<u8>, ArchiveError> {
     let rows: Vec<&Manifest> = manifests.filter(|m| m.blocks.is_some()).collect();
     let mut out = Vec::new();
     out.extend_from_slice(&CATALOG_MAGIC);
-    out.extend_from_slice(&(rows.len() as u32).to_be_bytes());
+    let count = u32::try_from(rows.len()).expect("fewer than 2^32 catalog rows");
+    out.extend_from_slice(&count.to_be_bytes());
     for m in rows {
         let d = m.blocks.as_ref().expect("filtered to dedup manifests");
-        let id = m.id.as_str().as_bytes();
-        out.extend_from_slice(&(id.len() as u16).to_be_bytes());
-        out.extend_from_slice(id);
-        let name = m.name.as_bytes();
-        out.extend_from_slice(&(name.len() as u16).to_be_bytes());
-        out.extend_from_slice(name);
+        for field in [m.id.as_str(), m.name.as_str()] {
+            let len = u16::try_from(field.len()).map_err(|_| {
+                ArchiveError::UnsupportedOperation(
+                    "a catalog row's id or name exceeds 65 535 bytes",
+                )
+            })?;
+            out.extend_from_slice(&len.to_be_bytes());
+            out.extend_from_slice(field.as_bytes());
+        }
         out.extend_from_slice(&(m.logical_len as u64).to_be_bytes());
         out.extend_from_slice(&m.digest);
         out.extend_from_slice(d.root.as_bytes());
     }
-    out
+    Ok(out)
 }
 
 fn malformed_catalog() -> ArchiveError {
@@ -246,7 +260,8 @@ fn parse_catalog(bytes: &[u8]) -> Result<Vec<CatalogEntry>, ArchiveError> {
         return Err(malformed_catalog());
     }
     let count = u32::from_be_bytes(take(4)?.try_into().expect("4 bytes")) as usize;
-    let mut entries = Vec::with_capacity(count.min(1 << 16));
+    // Capacity from the bytes present, not the claimed count.
+    let mut entries = Vec::with_capacity(count.min(bytes.len() / ROW_FIXED_BYTES));
     for _ in 0..count {
         let id_len = u16::from_be_bytes(take(2)?.try_into().expect("2 bytes")) as usize;
         let id = String::from_utf8(take(id_len)?.to_vec()).map_err(|_| malformed_catalog())?;
@@ -500,16 +515,16 @@ impl Archive {
     /// # Errors
     ///
     /// Returns [`ArchiveError::UnsupportedOperation`] when dedup mode
-    /// is off, and storage errors (typed against the id `catalog`)
-    /// otherwise.
+    /// is off or a dedup object's id or name is longer than 65 535 bytes
+    /// (before any node is touched), and storage errors (typed against
+    /// the id `catalog`) otherwise.
     pub fn commit_catalog(&mut self) -> Result<BlockHash, ArchiveError> {
         if self.config.dedup.is_none() {
             return Err(ArchiveError::UnsupportedOperation(
                 "catalog commit requires dedup mode",
             ));
         }
-        let rows = self.manifests.snapshot();
-        let bytes = serialize_catalog(rows.iter());
+        let bytes = serialize_catalog(self.manifests.rows())?;
         let policy = self.config.policy.clone();
         let id = ObjectId::from_raw("catalog".into());
         let mut catalog = self.write_flush(&[id], &[(&bytes, "catalog")], &policy, false)?;
@@ -557,8 +572,7 @@ impl Archive {
         self.config.dedup.as_ref()?;
         let logical: u64 = self
             .manifests
-            .snapshot()
-            .iter()
+            .rows()
             .filter(|m| m.blocks.is_some())
             .map(|m| m.logical_len as u64)
             .sum();
@@ -654,5 +668,69 @@ mod tests {
         assert_eq!(distinct.len(), 2_000);
         assert_eq!(uses.iter().sum::<usize>(), list.len());
         assert_eq!((distinct, uses, slots), slots_by_scan(&list));
+    }
+
+    /// A parse of hostile bytes: the rows, or the one typed refusal.
+    fn parses_or_refuses(bytes: &[u8]) -> Option<Vec<CatalogEntry>> {
+        match parse_catalog(bytes) {
+            Ok(rows) => Some(rows),
+            Err(ArchiveError::Policy(PolicyError::Malformed(_))) => None,
+            Err(other) => panic!("untyped catalog refusal: {other}"),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes, with and without the magic prefix (without
+        /// it nearly every case stops at the prefix), parse or are
+        /// refused with a typed error — never a panic.
+        #[test]
+        fn hostile_catalog_bytes_parse_or_fail_typed(
+            magic in proptest::prelude::any::<bool>(),
+            tail in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..400),
+        ) {
+            let mut bytes = if magic { CATALOG_MAGIC.to_vec() } else { Vec::new() };
+            bytes.extend_from_slice(&tail);
+            parses_or_refuses(&bytes);
+        }
+    }
+
+    /// A real committed catalog, cut at every offset and with every bit
+    /// flipped in turn: each cut is refused, each flip parses or is
+    /// refused, and nothing panics.
+    #[test]
+    fn hostile_catalog_cuts_and_flips_parse_or_fail_typed() {
+        let dedup = DedupConfig {
+            chunker: ChunkerParams {
+                min_size: 64,
+                target_size: 256,
+                max_size: 1024,
+                seed: 7,
+            },
+            index_capacity: 64,
+            fanout: 4,
+        };
+        let policy = PolicyKind::ErasureCoded { data: 2, parity: 1 };
+        let config = crate::ArchiveConfig::new(policy).with_dedup(dedup);
+        let mut archive = Archive::in_memory(config).unwrap();
+        for (i, name) in ["a", "ünïcode name", &"x".repeat(300)].iter().enumerate() {
+            archive.ingest(&vec![i as u8; 700 + i], name).unwrap();
+        }
+        let root = archive.commit_catalog().unwrap();
+        let bytes = archive.read_object_by_root(&root).unwrap();
+        assert_eq!(parses_or_refuses(&bytes).map(|rows| rows.len()), Some(3));
+        for cut in 0..bytes.len() {
+            assert!(
+                parses_or_refuses(&bytes[..cut]).is_none(),
+                "cut at {cut} parsed"
+            );
+        }
+        let mut flipped = bytes.clone();
+        for bit in 0..bytes.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            parses_or_refuses(&flipped);
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
     }
 }

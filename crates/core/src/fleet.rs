@@ -211,11 +211,11 @@ impl Archive {
             tickets: Vec::new(),
             lost: Vec::new(),
         };
-        for manifest in self.manifests() {
+        for manifest in self.manifests.rows() {
             scan.objects += 1;
             // The weakest incomplete unit speaks for the object.
             let weakest = self
-                .units_of(&manifest)
+                .units_of(manifest)
                 .into_iter()
                 .map(|unit| {
                     *counts
@@ -235,10 +235,10 @@ impl Archive {
             match weakest {
                 None => scan.healthy += 1,
                 Some((surviving, required, _)) if surviving < required => {
-                    scan.lost.push(manifest.id);
+                    scan.lost.push(manifest.id.clone());
                 }
                 Some((surviving, required, total)) => scan.tickets.push(RepairTicket {
-                    id: manifest.id,
+                    id: manifest.id.clone(),
                     surviving,
                     required,
                     total,

@@ -55,7 +55,7 @@ impl Archive {
     /// Returns [`ArchiveError::UnsupportedOperation`] for non-Shamir
     /// policies and cluster/share errors otherwise.
     pub fn refresh_object(&mut self, id: &ObjectId) -> Result<ProtocolCost, ArchiveError> {
-        let (policy, units) = self.with_manifest(id, |m| (m.policy.clone(), self.units_of(m)))?;
+        let (policy, units) = self.row(id).map(|m| (m.policy.clone(), self.units_of(m)))?;
         if !matches!(policy, PolicyKind::Shamir { .. }) {
             return Err(ArchiveError::UnsupportedOperation(
                 "proactive refresh requires the Shamir policy",
@@ -135,7 +135,7 @@ impl Archive {
         new_policy: PolicyKind,
     ) -> Result<ObjectReencode, ArchiveError> {
         new_policy.validate()?;
-        let units = self.with_manifest(id, |m| self.units_of(m))?;
+        let units = self.units_of(self.row(id)?);
         let mut total = ObjectReencode {
             bytes_read: 0,
             bytes_written: 0,
@@ -222,7 +222,7 @@ impl Archive {
         id: &ObjectId,
         new_suite: SuiteId,
     ) -> Result<(), ArchiveError> {
-        let (policy, units) = self.with_manifest(id, |m| (m.policy.clone(), self.units_of(m)))?;
+        let (policy, units) = self.row(id).map(|m| (m.policy.clone(), self.units_of(m)))?;
         // Reject non-layered policies before touching any node.
         let deepened = plan::rewrapped_policy(&policy, new_suite)?;
         for unit in &units {

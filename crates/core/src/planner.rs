@@ -96,7 +96,7 @@ pub fn plan(
     // answers, so new families never need a planner edit.
     let mut suites_in_use: BTreeSet<SuiteId> = BTreeSet::new();
     let mut any_secret_shared = false;
-    for m in archive.manifests() {
+    for m in archive.manifests.rows() {
         let info = m.policy.info();
         if info.at_rest_level == SecurityLevel::InformationTheoretic {
             any_secret_shared = true;

@@ -68,7 +68,7 @@ impl Archive {
     /// Returns decode errors if too few shards survive, and cluster
     /// errors if the rebuilt shards cannot be written back.
     pub fn repair_object(&mut self, id: &ObjectId) -> Result<RepairReport, ArchiveError> {
-        let units = self.with_manifest(id, |m| self.units_of(m))?;
+        let units = self.units_of(self.row(id)?);
         let mut total = RepairReport {
             missing_before: 0,
             missing_after: 0,
@@ -180,7 +180,8 @@ impl Archive {
     /// campaign carries the totals and every per-object failure.
     pub fn repair_all(&mut self) -> Campaign {
         let op = CampaignOp::Repair(RepairQueueOrder::Fifo);
-        let mut sweep = Campaign::over(self.manifests.ids(), op, 0.0);
+        let ids = self.manifests.rows().map(|m| m.id.clone()).collect();
+        let mut sweep = Campaign::over(ids, op, 0.0);
         sweep
             .run(self, u64::MAX)
             .expect("a repair campaign keeps failures and goes on");

@@ -43,7 +43,7 @@ pub struct ShipmentReport {
 /// unit behind it, in `units_of` order, through the retrying,
 /// digest-filtered fetch — never ship a bit-rotted shard.
 fn shipment(archive: &Archive, id: &ObjectId, label: &str) -> Result<Vec<Vec<u8>>, ArchiveError> {
-    let units = archive.with_manifest(id, |m| archive.units_of(m))?;
+    let units = archive.units_of(archive.row(id)?);
     let mut shards = Vec::new();
     for unit in &units {
         let fetched = archive.fetch_shards(&archive.load(unit)?, label);

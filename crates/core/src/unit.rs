@@ -77,14 +77,10 @@ impl Unit {
 }
 
 impl Archive {
-    /// Runs `f` on `id`'s catalog row without cloning it out.
-    pub(crate) fn with_manifest<R>(
-        &self,
-        id: &ObjectId,
-        f: impl FnOnce(&Manifest) -> R,
-    ) -> Result<R, ArchiveError> {
+    /// `id`'s catalog row, borrowed.
+    pub(crate) fn row(&self, id: &ObjectId) -> Result<&Manifest, ArchiveError> {
         self.manifests
-            .with(id, f)
+            .row(id)
             .ok_or_else(|| ArchiveError::UnknownObject(id.clone()))
     }
 
@@ -106,7 +102,7 @@ impl Archive {
     /// hash to (a block is self-verifying — its digest *is* its address).
     pub(crate) fn load(&self, unit: &Unit) -> Result<Manifest, ArchiveError> {
         match unit {
-            Unit::Object(id) => self.with_manifest(id, Manifest::clone),
+            Unit::Object(id) => self.row(id).cloned(),
             Unit::Block(hash) => self
                 .blocks
                 .get(hash)

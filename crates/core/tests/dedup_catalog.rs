@@ -70,6 +70,64 @@ fn catalog_recovers_the_whole_archive_from_one_root() {
     }
 }
 
+/// Every node's keys and the virtual clock: what a refused commit must
+/// leave as it found it.
+fn node_state(archive: &Archive) -> (Vec<Vec<String>>, u64) {
+    let keys = archive
+        .cluster()
+        .nodes()
+        .iter()
+        .map(|n| {
+            let mut keys: Vec<String> = n.keys().iter().map(|k| format!("{k:?}")).collect();
+            keys.sort();
+            keys
+        })
+        .collect();
+    let clock = archive.cluster().clock().now();
+    (
+        keys,
+        clock.since(aeon_store::clock::SimTime::ZERO).as_nanos(),
+    )
+}
+
+/// A row frames its id and name behind `u16` lengths. A name too long
+/// for its field is refused with a typed error before any node is
+/// touched, so `commit_catalog` never hands back a root that
+/// `catalog_entries` cannot read; a name at the field's limit round-trips.
+#[test]
+fn a_row_too_long_for_its_length_field_is_refused_before_any_write() {
+    let mut archive = dedup_archive(PolicyKind::ErasureCoded { data: 3, parity: 2 });
+    archive.ingest(&payload(81, 4 << 10), "short").unwrap();
+    let long = archive
+        .ingest(&payload(82, 4 << 10), &"n".repeat(70_000))
+        .unwrap();
+    let before = node_state(&archive);
+    let blocks = archive.blocks().count();
+    match archive.commit_catalog() {
+        Err(ArchiveError::UnsupportedOperation(why)) => assert!(why.contains("65 535"), "{why}"),
+        other => panic!("a 70 000-byte name committed: {other:?}"),
+    }
+    assert_eq!(
+        node_state(&archive),
+        before,
+        "the refused commit touched a node"
+    );
+    assert_eq!(archive.blocks().count(), blocks);
+
+    archive.delete(&long).unwrap();
+    let widest = "w".repeat(usize::from(u16::MAX));
+    archive.ingest(&payload(83, 4 << 10), &widest).unwrap();
+    let root = archive.commit_catalog().unwrap();
+    let mut names: Vec<String> = archive
+        .catalog_entries(&root)
+        .unwrap()
+        .into_iter()
+        .map(|e| e.name)
+        .collect();
+    names.sort();
+    assert_eq!(names, ["short".to_string(), widest]);
+}
+
 #[test]
 fn catalog_requires_dedup_mode() {
     let mut classic = Archive::in_memory(

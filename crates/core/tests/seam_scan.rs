@@ -19,6 +19,8 @@
 //! verification: one batched body that every read's decode goes through.
 //! A seventh guards the unit record: a dedup block's is a `Manifest`,
 //! read with the one read plan and rewritten through the one write-back.
+//! An eighth guards the catalog: one ordered map, written only through
+//! `&mut`, whose rows the retrieval path borrows instead of cloning.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -453,6 +455,43 @@ fn each_unit_has_one_record() {
     assert!(
         violations.is_empty(),
         "the unit record or its write-back forked:\n{}",
+        violations.join("\n")
+    );
+}
+
+/// Re-accretion guard for the manifest catalog. Every catalog write
+/// happens inside a `&mut Archive` method, so the catalog is one
+/// `BTreeMap`: no lock, no shard hash (iteration is in id order with no
+/// merge or sort), its mutators take `&mut self` (no `&Archive` holder
+/// can rewrite a row), and `retrieve_each` borrows the rows it reads
+/// rather than cloning them out with `get`.
+#[test]
+fn the_catalog_is_one_map() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let catalog = non_test_source(&fs::read_to_string(src.join("catalog.rs")).unwrap());
+    let archive = non_test_source(&fs::read_to_string(src.join("archive.rs")).unwrap());
+    let mut violations = Vec::new();
+    for banned in ["RwLock", "Mutex", "shard_of", "stable_hash"] {
+        if catalog.contains(banned) {
+            violations.push(format!("catalog.rs: `{banned}`"));
+        }
+    }
+    for name in ["insert", "remove", "update"] {
+        let start = catalog
+            .find(&format!("pub fn {name}"))
+            .unwrap_or_else(|| panic!("catalog.rs defines fn {name}"));
+        let signature = &catalog[start..start + catalog[start..].find('{').unwrap()];
+        if !signature.contains("(&mut self") {
+            violations.push(format!("catalog.rs: fn {name} does not take `&mut self`"));
+        }
+    }
+    if method_body(&archive, "archive.rs", "retrieve_each").contains(".manifests.get(") {
+        violations
+            .push("archive.rs: fn retrieve_each clones rows out with `.manifests.get(`".into());
+    }
+    assert!(
+        violations.is_empty(),
+        "the catalog is more than one map:\n{}",
         violations.join("\n")
     );
 }

@@ -64,17 +64,54 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
+/// One LRU list over the logical access tick: `id → (last tick,
+/// value)` and its mirror `tick → id`, whose first key is the least
+/// recently used entry.
+#[derive(Debug, Default)]
+struct Recency<V> {
+    entries: BTreeMap<ObjectId, (u64, V)>,
+    order: BTreeMap<u64, ObjectId>,
+}
+
+impl<V: Copy> Recency<V> {
+    /// Marks `id` used at `tick` and returns its value, if present.
+    fn touch(&mut self, id: &ObjectId, tick: u64) -> Option<V> {
+        let (last, value) = self.entries.get_mut(id)?;
+        self.order.remove(last);
+        *last = tick;
+        self.order.insert(tick, id.clone());
+        Some(*value)
+    }
+
+    /// Adds an absent `id`, used at `tick`.
+    fn insert(&mut self, id: &ObjectId, tick: u64, value: V) {
+        self.entries.insert(id.clone(), (tick, value));
+        self.order.insert(tick, id.clone());
+    }
+
+    /// Drops `id`, returning its value.
+    fn remove(&mut self, id: &ObjectId) -> Option<V> {
+        let (last, value) = self.entries.remove(id)?;
+        self.order.remove(&last);
+        Some(value)
+    }
+
+    /// Drops the least recently used entry, returning its value.
+    fn pop_oldest(&mut self) -> Option<V> {
+        let (_, victim) = self.order.pop_first()?;
+        let (_, value) = self.entries.remove(&victim).expect("maps mirror");
+        Some(value)
+    }
+}
+
 /// The hot cache: LRU payload bytes plus an LRU manifest id set.
 #[derive(Debug)]
 pub struct HotCache {
     config: CacheConfig,
-    // ObjectId -> (last-access tick, payload length). Recency order is
-    // maintained in the mirror map below.
-    payloads: BTreeMap<ObjectId, (u64, u64)>,
-    payload_lru: BTreeMap<u64, ObjectId>,
+    /// Cached payload lengths.
+    payloads: Recency<u64>,
     payload_bytes: u64,
-    manifests: BTreeMap<ObjectId, u64>,
-    manifest_lru: BTreeMap<u64, ObjectId>,
+    manifests: Recency<()>,
     tick: u64,
     stats: CacheStats,
 }
@@ -85,11 +122,9 @@ impl HotCache {
     pub fn new(config: CacheConfig) -> Self {
         HotCache {
             config,
-            payloads: BTreeMap::new(),
-            payload_lru: BTreeMap::new(),
+            payloads: Recency::default(),
             payload_bytes: 0,
-            manifests: BTreeMap::new(),
-            manifest_lru: BTreeMap::new(),
+            manifests: Recency::default(),
             tick: 0,
             stats: CacheStats::default(),
         }
@@ -122,20 +157,12 @@ impl HotCache {
     /// cached length, which is all the cost model needs.
     pub fn lookup_payload(&mut self, id: &ObjectId) -> Option<u64> {
         let tick = self.next_tick();
-        match self.payloads.get_mut(id) {
-            Some((last, len)) => {
-                let len = *len;
-                self.payload_lru.remove(last);
-                *last = tick;
-                self.payload_lru.insert(tick, id.clone());
-                self.stats.payload_hits += 1;
-                Some(len)
-            }
-            None => {
-                self.stats.payload_misses += 1;
-                None
-            }
+        let hit = self.payloads.touch(id, tick);
+        match hit {
+            Some(_) => self.stats.payload_hits += 1,
+            None => self.stats.payload_misses += 1,
         }
+        hit
     }
 
     /// Admits a decoded payload, evicting LRU entries to fit. Payloads
@@ -144,29 +171,22 @@ impl HotCache {
         if len > self.config.capacity_bytes {
             return;
         }
-        if let Some((last, old_len)) = self.payloads.remove(id) {
-            self.payload_lru.remove(&last);
-            self.payload_bytes -= old_len;
-        }
+        self.invalidate_payload(id);
         while self.payload_bytes + len > self.config.capacity_bytes {
-            let Some((&oldest, _)) = self.payload_lru.iter().next() else {
+            let Some(victim_len) = self.payloads.pop_oldest() else {
                 break;
             };
-            let victim = self.payload_lru.remove(&oldest).expect("key just observed");
-            let (_, victim_len) = self.payloads.remove(&victim).expect("maps mirror");
             self.payload_bytes -= victim_len;
             self.stats.evictions += 1;
         }
         let tick = self.next_tick();
-        self.payloads.insert(id.clone(), (tick, len));
-        self.payload_lru.insert(tick, id.clone());
+        self.payloads.insert(id, tick, len);
         self.payload_bytes += len;
     }
 
     /// Drops a payload (after a write invalidates it).
     pub fn invalidate_payload(&mut self, id: &ObjectId) {
-        if let Some((last, len)) = self.payloads.remove(id) {
-            self.payload_lru.remove(&last);
+        if let Some(len) = self.payloads.remove(id) {
             self.payload_bytes -= len;
         }
     }
@@ -175,10 +195,7 @@ impl HotCache {
     /// the id on miss (evicting the LRU manifest if full).
     pub fn touch_manifest(&mut self, id: &ObjectId) -> bool {
         let tick = self.next_tick();
-        if let Some(last) = self.manifests.get_mut(id) {
-            self.manifest_lru.remove(last);
-            *last = tick;
-            self.manifest_lru.insert(tick, id.clone());
+        if self.manifests.touch(id, tick).is_some() {
             self.stats.manifest_hits += 1;
             return true;
         }
@@ -186,17 +203,10 @@ impl HotCache {
         if self.config.manifest_slots == 0 {
             return false;
         }
-        if self.manifests.len() >= self.config.manifest_slots {
-            if let Some((&oldest, _)) = self.manifest_lru.iter().next() {
-                let victim = self
-                    .manifest_lru
-                    .remove(&oldest)
-                    .expect("key just observed");
-                self.manifests.remove(&victim);
-            }
+        if self.manifests.entries.len() >= self.config.manifest_slots {
+            self.manifests.pop_oldest();
         }
-        self.manifests.insert(id.clone(), tick);
-        self.manifest_lru.insert(tick, id.clone());
+        self.manifests.insert(id, tick, ());
         false
     }
 
