@@ -1,7 +1,7 @@
 //! The archive: policy-driven ingest, retrieval, verification,
 //! maintenance.
 
-use crate::catalog::{FleetCatalog, DEFAULT_CATALOG_SHARDS};
+use crate::catalog::{FleetCatalog, Row, DEFAULT_CATALOG_SHARDS};
 use crate::codec::RepairError;
 use crate::dedup::{BlockRecord, DedupConfig, DedupManifest};
 use crate::executor::{PlanExecutor, ShardsSnapshot};
@@ -9,8 +9,8 @@ use crate::keys::KeyStore;
 use crate::pipeline::{self, PipelineConfig};
 use crate::plan::{self, ReadPlan, WritePlan};
 use crate::policy::{EncodingMeta, PolicyError, PolicyKind};
-use crate::unit::{BLOCK, OBJECT};
-use aeon_cas::{BlockHash, BoundedIndex};
+use crate::unit::{Unit, BLOCK, OBJECT};
+use aeon_cas::BoundedIndex;
 use aeon_crypto::{ChaChaDrbg, Sha256};
 use aeon_integrity::ledger::Ledger;
 use aeon_integrity::timestamp::{AnchorMode, DocumentChain, SigBreakSchedule, TimestampAuthority};
@@ -368,10 +368,9 @@ pub struct Archive {
     cluster: Cluster,
     pub(crate) keys: KeyStore,
     pub(crate) rng: ChaChaDrbg,
+    /// The unit table: every object's and every dedup block's row.
     pub(crate) manifests: FleetCatalog,
-    /// Dedup mode: the authoritative block map (content hash → record).
-    pub(crate) blocks: BTreeMap<BlockHash, BlockRecord>,
-    /// Dedup mode: the bounded recency index consulted before `blocks`.
+    /// Dedup mode: the bounded recency index consulted before the table.
     pub(crate) dedup_index: BoundedIndex,
     chains: BTreeMap<ObjectId, DocumentChain>,
     ledger: Ledger,
@@ -424,7 +423,6 @@ impl Archive {
             rng,
             cluster,
             manifests: FleetCatalog::new(DEFAULT_CATALOG_SHARDS),
-            blocks: BTreeMap::new(),
             dedup_index,
             chains: BTreeMap::new(),
             ledger: Ledger::new(1),
@@ -535,8 +533,9 @@ impl Archive {
     /// block it introduces does, typed against the object): objects
     /// earlier in the batch remain ingested and anchored, the failing
     /// object **and every object after it** are rolled back, and nothing
-    /// of them reaches the chains, the ledger or the block map. If the token cannot be issued the whole
-    /// flush is rolled back — no manifest without its chain.
+    /// of them reaches the chains, the ledger or the unit table. If the
+    /// token cannot be issued the whole flush is rolled back — no manifest
+    /// without its chain.
     pub fn ingest_many(&mut self, items: &[(&[u8], &str)]) -> Result<Vec<ObjectId>, ArchiveError> {
         let policy = self.config.policy.clone();
         self.ingest_flush(items, &policy)
@@ -622,7 +621,7 @@ impl Archive {
             .iter()
             .map(|w: &WritePlan| self.executor().place(w.object.as_str(), w.shards.len()))
             .collect::<Result<Vec<_>, _>>()?;
-        // The bounded index answers first (statistics); the block map
+        // The bounded index answers first (statistics); the unit table
         // decided what is fresh (correctness). Recording waits until
         // planning can no longer fail, so the only entries a failed flush
         // leaves to take back are its rolled-back items' fresh blocks.
@@ -718,12 +717,13 @@ impl Archive {
                     blocks: None,
                 },
             };
-            self.blocks.insert(hash, block);
+            self.manifests
+                .insert_unit(Unit::Block(hash), Row::Block(block));
         }
         // The references go in last, in one infallible pass.
         let refs = manifests.iter().flat_map(|m| m.blocks.iter());
         for h in refs.flat_map(|d| self.references(d)).collect::<Vec<_>>() {
-            self.blocks.get_mut(&h).expect("block filed").refcount += 1;
+            self.manifests.block_mut(&h).expect("block filed").refcount += 1;
         }
         if anchored {
             for manifest in manifests.drain(..) {
@@ -1174,6 +1174,7 @@ pub fn estimate_entropy_bits_per_byte(data: &[u8]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aeon_cas::BlockHash;
     use aeon_crypto::{CryptoRng, SuiteId};
     use aeon_store::node::{MemoryNode, NodeError, ShardKey, StorageNode};
     use proptest::prelude::*;
@@ -1613,12 +1614,7 @@ mod tests {
                     assert!(contexts.contains(&context), "{leg}: orphan shard");
                 }
                 // Refcounts are the references the one object holds.
-                let mut refs: BTreeMap<BlockHash, u64> = BTreeMap::new();
-                for h in first.blocks.iter().flat_map(|d| a.references(d)) {
-                    *refs.entry(h).or_default() += 1;
-                }
-                let counts = a.blocks().map(|(h, rec)| (*h, rec.refcount)).collect();
-                assert_eq!(refs, counts, "{leg}: refcounts");
+                assert_refcounts(&a, &leg);
                 let data_blocks = a.dedup_stats().map_or(0, |s| s.unique_data_blocks);
                 assert_eq!(a.dedup_index.stats().entries, data_blocks, "{leg}");
                 let chained = usize::from(integrity == IntegrityMode::HashChain);
@@ -1713,6 +1709,137 @@ mod tests {
             (stats.index.entries, stats.unique_data_blocks),
             (found, found)
         );
+    }
+
+    /// Checks the unit table's refcounts: every block row's count is the
+    /// references the object rows hold, recomputed from each row's leaf
+    /// list by tree build; no block row sits at zero; every referenced
+    /// block has a row.
+    fn assert_refcounts(a: &Archive, step: &str) {
+        let mut refs: BTreeMap<BlockHash, u64> = BTreeMap::new();
+        for m in a.manifests.rows() {
+            for h in m.blocks.iter().flat_map(|d| a.references(d)) {
+                *refs.entry(h).or_default() += 1;
+            }
+        }
+        let counts: BTreeMap<BlockHash, u64> =
+            a.blocks().map(|(h, rec)| (*h, rec.refcount)).collect();
+        assert!(
+            counts.values().all(|&n| n > 0),
+            "{step}: a block row at refcount 0"
+        );
+        if let Some(h) = refs.keys().find(|h| !counts.contains_key(h)) {
+            panic!("{step}: referenced block {h} has no row");
+        }
+        assert_eq!(refs, counts, "{step}: refcounts");
+    }
+
+    /// Refcounts equal the references the object rows hold after every
+    /// step of a dedup sequence, over RS(3, 2) and Shamir(2, 3): a flush
+    /// whose versions share blocks, a flush refused mid-way at a block
+    /// only its second object introduces, a delete, a re-encode campaign,
+    /// a repair after a node wipe, then a re-wrap of every object (the
+    /// re-encoded RS leg is a cascade) or a refresh (Shamir).
+    #[test]
+    fn refcounts_equal_references_after_every_step() {
+        let legs = [
+            (
+                PolicyKind::ErasureCoded { data: 3, parity: 2 },
+                PolicyKind::Cascade {
+                    suites: vec![SuiteId::Aes256CtrHmac],
+                    data: 3,
+                    parity: 2,
+                },
+            ),
+            (
+                PolicyKind::Shamir {
+                    threshold: 2,
+                    shares: 3,
+                },
+                PolicyKind::Shamir {
+                    threshold: 2,
+                    shares: 4,
+                },
+            ),
+        ];
+        for (policy, next) in legs {
+            let nodes: Vec<Arc<RejectingNode>> = (0..6)
+                .map(|i| {
+                    Arc::new(RejectingNode {
+                        inner: MemoryNode::new(i, format!("s{i}")),
+                        rejected: String::new().into(),
+                        lands: false,
+                        deleted_once: Default::default(),
+                    })
+                })
+                .collect();
+            let cluster = nodes.iter().map(|n| Arc::clone(n) as Arc<dyn StorageNode>);
+            let config = ArchiveConfig::new(policy.clone())
+                .with_integrity(IntegrityMode::DigestOnly)
+                .with_dedup(small_dedup());
+            let mut a =
+                Archive::with_cluster(config.clone(), Cluster::new(cluster.collect())).unwrap();
+            let leg = format!("{policy:?}");
+
+            let items = versions();
+            let mut ids = a.ingest_many(&borrowed(&items)).unwrap();
+            assert_refcounts(&a, &format!("{leg}: ingest_many"));
+            assert!(a.blocks().any(|(_, rec)| rec.refcount > 1), "{leg}: shared");
+
+            // Two more versions, each half old and half new bytes; the
+            // second's own block is refused, so only the first lands.
+            let mut new = vec![0u8; 3000];
+            ChaChaDrbg::from_u64_seed(32).fill_bytes(&mut new);
+            let more = vec![
+                ([&items[0].0[..1500], &new[..1500]].concat(), "v3".into()),
+                ([&items[2].0[1500..], &new[1500..]].concat(), "v4".into()),
+            ];
+            let mut twin = Archive::in_memory(config).unwrap();
+            twin.ingest_many(&borrowed(&items)).unwrap();
+            let twin_ids = twin.ingest_many(&borrowed(&more)).unwrap();
+            let leaves = |id: &ObjectId| twin.manifest(id).unwrap().blocks.unwrap().blocks;
+            let (first, second) = (leaves(&twin_ids[0]), leaves(&twin_ids[1]));
+            let own = second
+                .iter()
+                .find(|h| !first.contains(h) && a.block_record(h).is_none())
+                .expect("a block of its own");
+            for node in &nodes {
+                *node.rejected.lock().unwrap() = crate::dedup::block_object_id(own);
+            }
+            assert!(a.ingest_many(&borrowed(&more)).is_err(), "{leg}");
+            assert_refcounts(&a, &format!("{leg}: a flush failed mid-way"));
+            for node in &nodes {
+                node.rejected.lock().unwrap().clear();
+            }
+            ids.push(twin_ids[0].clone());
+            assert_eq!(a.retrieve(&ids[3]).unwrap(), more[0].0, "{leg}");
+
+            a.delete(&ids.remove(1)).unwrap();
+            assert_refcounts(&a, &format!("{leg}: delete"));
+
+            a.reencode_all(next.clone()).unwrap();
+            assert_refcounts(&a, &format!("{leg}: reencode_all"));
+
+            for key in nodes[0].keys() {
+                nodes[0].inner.delete(&key).unwrap();
+            }
+            let sweep = a.repair_all();
+            assert!(sweep.failures().is_empty(), "{leg}: {:?}", sweep.failures());
+            assert_refcounts(&a, &format!("{leg}: repair after a node wipe"));
+
+            for id in &ids {
+                if matches!(next, PolicyKind::Shamir { .. }) {
+                    a.refresh_object(id).unwrap();
+                } else {
+                    a.add_cascade_layer(id, SuiteId::ChaCha20Poly1305).unwrap();
+                }
+            }
+            assert_refcounts(&a, &format!("{leg}: refresh / add_cascade_layer"));
+            let payloads = [&items[0].0, &items[2].0, &more[0].0];
+            for (id, payload) in ids.iter().zip(payloads) {
+                assert_eq!(&a.retrieve(id).unwrap(), payload, "{leg}");
+            }
+        }
     }
 
     #[test]
@@ -1962,7 +2089,7 @@ mod tests {
     /// record. Every shard check passes and the block decodes — to bytes
     /// that do not hash to `hash`.
     fn forge_block(archive: &mut Archive, hash: &BlockHash, plaintext: &[u8]) {
-        let rec = archive.blocks[hash].record.clone();
+        let rec = archive.block_record(hash).unwrap().record.clone();
         let ctx = &rec.id;
         let mut rng = archive.op_rng("block-encode", ctx.as_str());
         let cfg = crate::dedup::block_pipeline();
@@ -1973,7 +2100,7 @@ mod tests {
             node.put(&ShardKey::new(ctx.as_str(), s as u32), shard)
                 .unwrap();
         }
-        let rec = &mut archive.blocks.get_mut(hash).unwrap().record;
+        let rec = &mut archive.manifests.block_mut(hash).unwrap().record;
         rec.meta = write.meta;
         rec.shard_digests = write.shard_digests;
     }
@@ -1982,13 +2109,18 @@ mod tests {
     /// new digest: every shard check passes, and the decode fails, since
     /// the block's policy authenticates what it decrypts.
     fn break_block(archive: &mut Archive, hash: &BlockHash) {
-        let rec = &archive.blocks[hash].record;
+        let rec = &archive.block_record(hash).unwrap().record;
         let node = Arc::clone(archive.cluster().node(rec.placement[0]).unwrap());
         let key = ShardKey::new(rec.id.as_str(), 0);
         let mut shard = node.get(&key).unwrap();
         *shard.last_mut().unwrap() ^= 1;
         node.put(&key, &shard).unwrap();
-        archive.blocks.get_mut(hash).unwrap().record.shard_digests[0] = Sha256::digest(&shard);
+        archive
+            .manifests
+            .block_mut(hash)
+            .unwrap()
+            .record
+            .shard_digests[0] = Sha256::digest(&shard);
     }
 
     /// A data block whose shards and recorded shard digests were rewritten
@@ -2010,10 +2142,10 @@ mod tests {
             .find(|h| leaves[1].contains(h))
             .expect("the first two versions share a block");
         assert!(!leaves[2].contains(&shared), "the third does not");
-        let forged = vec![0x5A; a.blocks[&shared].record.logical_len];
+        let forged = vec![0x5A; a.block_record(&shared).unwrap().record.logical_len];
         forge_block(&mut a, &shared, &forged);
 
-        let rec = a.blocks[&shared].record.clone();
+        let rec = a.block_record(&shared).unwrap().record.clone();
         let ctx = rec.id.as_str();
         let plan = ReadPlan::for_manifest(&rec);
         let snap = a.executor().read(&plan, &mut a.op_rng("probe", ctx));
@@ -2061,7 +2193,7 @@ mod tests {
             } else {
                 (late, early)
             };
-            let other = vec![0x5A; a.blocks[&forged].record.logical_len];
+            let other = vec![0x5A; a.block_record(&forged).unwrap().record.logical_len];
             forge_block(&mut a, &forged, &other);
             break_block(&mut a, &broken);
 

@@ -1,18 +1,17 @@
-//! The manifest catalog: one ordered `ObjectId → Manifest` map.
+//! The unit table: one ordered map from every stored unit (`Unit`) to its row
+//! — an object's [`Manifest`], or a dedup block's [`BlockRecord`].
 //!
-//! Every catalog write happens inside a `&mut Archive` method and every
-//! read runs on the caller's thread, so the catalog is a plain
-//! `BTreeMap` whose mutators take `&mut self`. Two things follow:
-//!
-//! * **Iteration is sorted by id for free** — scans, repair sweeps,
-//!   campaigns and the committed dedup catalog walk rows in key order,
-//!   whatever order they were inserted in, with no merge or sort.
-//! * **Rows are lent, and only `&mut` writes** — walks and retrieval
-//!   borrow `&Manifest` rows instead of cloning them out, and no holder
-//!   of a shared borrow of the archive (through
-//!   [`crate::Archive::catalog`]) can rewrite a row.
+//! Objects order before blocks, so the object rows are the table's
+//! prefix, in id order. Every write happens inside a `&mut Archive`
+//! method, so the table is a plain `BTreeMap` whose mutators take
+//! `&mut self`: reads borrow rows, and no holder of a shared borrow of
+//! the archive ([`crate::Archive::catalog`]) can rewrite one. The public
+//! methods are the `ObjectId → Manifest` view; `len` counts objects.
 
 use crate::archive::{Manifest, ObjectId};
+use crate::dedup::BlockRecord;
+use crate::unit::Unit;
+use aeon_cas::BlockHash;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -22,9 +21,18 @@ use std::fmt;
 /// its removal goes with ROADMAP 3(a).
 pub const DEFAULT_CATALOG_SHARDS: usize = 16;
 
-/// An `ObjectId → Manifest` map, iterated in id order.
+/// The unit table: every object's row in id order, then every dedup
+/// block's in hash order.
 pub struct FleetCatalog {
-    rows: BTreeMap<ObjectId, Manifest>,
+    units: BTreeMap<Unit, Row>,
+}
+
+/// One row of the unit table.
+pub(crate) enum Row {
+    /// An object's manifest.
+    Object(Manifest),
+    /// A dedup block's refcount, kind and record.
+    Block(BlockRecord),
 }
 
 impl fmt::Debug for FleetCatalog {
@@ -40,53 +48,109 @@ impl FleetCatalog {
     /// [`DEFAULT_CATALOG_SHARDS`]); its removal goes with ROADMAP 3(a).
     pub fn new(_shard_count: usize) -> Self {
         FleetCatalog {
-            rows: BTreeMap::new(),
+            units: BTreeMap::new(),
         }
     }
 
     /// Inserts (or replaces) a manifest, returning the previous entry.
     pub fn insert(&mut self, id: ObjectId, manifest: Manifest) -> Option<Manifest> {
-        self.rows.insert(id, manifest)
+        self.insert_unit(Unit::Object(id), Row::Object(manifest))
     }
 
     /// Removes a manifest, returning it if present.
     pub fn remove(&mut self, id: &ObjectId) -> Option<Manifest> {
-        self.rows.remove(id)
+        self.remove_unit(&Unit::Object(id.clone()))
     }
 
     /// Clones out the manifest for `id`.
     pub fn get(&self, id: &ObjectId) -> Option<Manifest> {
-        self.rows.get(id).cloned()
+        self.row(id).cloned()
     }
 
     /// Runs `f` against the manifest for `id`.
     pub fn with<R>(&self, id: &ObjectId, f: impl FnOnce(&Manifest) -> R) -> Option<R> {
-        self.rows.get(id).map(f)
+        self.row(id).map(f)
     }
 
     /// Runs `f` against the manifest for `id`, mutably.
     pub fn update<R>(&mut self, id: &ObjectId, f: impl FnOnce(&mut Manifest) -> R) -> Option<R> {
-        self.rows.get_mut(id).map(f)
+        self.record_mut(&Unit::Object(id.clone())).map(f)
     }
 
     /// Total number of catalogued objects.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.rows().count()
     }
 
-    /// Whether the catalog is empty.
+    /// Whether the catalog holds no object.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.rows().next().is_none()
     }
 
     /// The row for `id`, borrowed.
     pub(crate) fn row(&self, id: &ObjectId) -> Option<&Manifest> {
-        self.rows.get(id)
+        self.record(&Unit::Object(id.clone()))
     }
 
-    /// Every row, borrowed, in id order.
+    /// Every object's row, borrowed, in id order: the table's prefix.
     pub(crate) fn rows(&self) -> impl Iterator<Item = &Manifest> {
-        self.rows.values()
+        self.units.values().map_while(|row| match row {
+            Row::Object(m) => Some(m),
+            Row::Block(_) => None,
+        })
+    }
+
+    /// Every row, borrowed, in key order.
+    pub(crate) fn units(&self) -> impl Iterator<Item = (&Unit, &Row)> {
+        self.units.iter()
+    }
+
+    /// A unit's record, borrowed: an object's manifest, a block's `record`.
+    pub(crate) fn record(&self, unit: &Unit) -> Option<&Manifest> {
+        match self.units.get(unit)? {
+            Row::Object(m) | Row::Block(BlockRecord { record: m, .. }) => Some(m),
+        }
+    }
+
+    /// A unit's record, mutably.
+    pub(crate) fn record_mut(&mut self, unit: &Unit) -> Option<&mut Manifest> {
+        match self.units.get_mut(unit)? {
+            Row::Object(m) | Row::Block(BlockRecord { record: m, .. }) => Some(m),
+        }
+    }
+
+    /// A block's row, borrowed.
+    pub(crate) fn block(&self, hash: &BlockHash) -> Option<&BlockRecord> {
+        match self.units.get(&Unit::Block(*hash))? {
+            Row::Block(block) => Some(block),
+            Row::Object(_) => None,
+        }
+    }
+
+    /// A block's row, mutably.
+    pub(crate) fn block_mut(&mut self, hash: &BlockHash) -> Option<&mut BlockRecord> {
+        match self.units.get_mut(&Unit::Block(*hash))? {
+            Row::Block(block) => Some(block),
+            Row::Object(_) => None,
+        }
+    }
+
+    /// Files a row under `unit`, returning the record it replaced.
+    pub(crate) fn insert_unit(&mut self, unit: Unit, row: Row) -> Option<Manifest> {
+        self.units.insert(unit, row).map(Row::into_record)
+    }
+
+    /// Takes a unit's row out, returning its record.
+    pub(crate) fn remove_unit(&mut self, unit: &Unit) -> Option<Manifest> {
+        self.units.remove(unit).map(Row::into_record)
+    }
+}
+
+impl Row {
+    fn into_record(self) -> Manifest {
+        match self {
+            Row::Object(m) | Row::Block(BlockRecord { record: m, .. }) => m,
+        }
     }
 }
 

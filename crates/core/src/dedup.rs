@@ -9,14 +9,14 @@
 //!    ([`aeon_cas::Chunker`]) — reproducible, edit-local boundaries.
 //! 2. Each chunk's SHA-256 is its identity. A bounded recency index
 //!    ([`aeon_cas::BoundedIndex`]) is consulted first (the RAM-bounded
-//!    fast path whose hit rate `aeon-exp dedup` measures); the authoritative
-//!    block map decides. Only *unseen* blocks are encoded — through the
-//!    ordinary policy pipeline — and placed; seen blocks just gain a
-//!    reference.
+//!    fast path whose hit rate `aeon-exp dedup` measures); the unit
+//!    table's block rows decide. Only *unseen* blocks are encoded —
+//!    through the ordinary policy pipeline — and placed; seen blocks just
+//!    gain a reference.
 //! 3. The chunk hash list becomes a Merkle block tree whose interior
 //!    nodes are themselves encoded blocks, so the object (and, via
-//!    [`Archive::commit_catalog`], the whole catalog) is recoverable
-//!    from one root hash.
+//!    [`Archive::commit_catalog`], the catalog) is readable from one root
+//!    hash — by this archive, whose unit table says where the blocks are.
 //!
 //! Retrieval walks the tree from the root, re-verifying every interior
 //! node and every data block against its hash on the way down, then
@@ -48,21 +48,24 @@
 //! block records filed and, in one infallible pass, the references added
 //! — a failed ingest never strands a block or a half-referenced object.
 //! Delete releases one reference per occurrence; a block's shards leave
-//! the cluster when its count reaches zero. Catalog snapshots pin their
-//! blocks by the same rules.
+//! the cluster when its count reaches zero. A committed catalog's
+//! references are never released, so its blocks stay for the archive's
+//! life.
 //!
 //! # Maintenance
 //!
 //! None of it lives here. A block is a stored unit like a classic
-//! object (`unit.rs`): repair, re-encode, refresh, re-wrap, the health
-//! probe and the fleet scan run their one body per referenced block.
-//! This module owns what only dedup has — chunking, the block map and
-//! its refcounts, the tree walk, the catalog.
+//! object (`unit.rs`), with its row in the same unit table: repair,
+//! re-encode, refresh, re-wrap, the health probe and the fleet scan run
+//! their one body per referenced block. This module owns what only dedup
+//! has — chunking, refcounts, the tree walk, the catalog.
 
 use crate::archive::{Archive, ArchiveError, Decode, Manifest, ObjectId};
+use crate::catalog::Row;
 use crate::pipeline::{self, PipelineConfig};
 use crate::plan::{self, ReadPlan, WritePlan};
 use crate::policy::{PolicyError, PolicyKind};
+use crate::unit::Unit;
 use aeon_cas::{build_tree, merkle, BlockHash, Chunker, ChunkerParams, IndexStats};
 use aeon_crypto::Sha256;
 use aeon_store::cluster::TransferReport;
@@ -101,7 +104,7 @@ pub struct DedupConfig {
     /// changing them re-cuts future ingests).
     pub chunker: ChunkerParams,
     /// Capacity of the bounded in-memory recency index consulted before
-    /// the authoritative block map.
+    /// the unit table.
     pub index_capacity: usize,
     /// Fanout of the Merkle block tree.
     pub fanout: usize,
@@ -126,9 +129,9 @@ pub enum BlockKind {
     Tree,
 }
 
-/// A block-map entry: how many references keep the block alive, what it
-/// holds, and its unit record — the same [`Manifest`] a classic object's
-/// catalog row is, so maintenance loads and stores either one alike.
+/// A dedup block's row in the unit table: how many references keep the
+/// block alive, what it holds, and its unit record — the same
+/// [`Manifest`] an object's row is, so maintenance loads either alike.
 #[derive(Debug, Clone)]
 pub struct BlockRecord {
     /// Live references (leaf occurrences + tree-node memberships).
@@ -340,7 +343,7 @@ impl Archive {
             .map(|(h, b)| (*h, BlockKind::Tree, b.as_slice()));
         let new: Vec<(BlockHash, BlockKind, &[u8])> = data
             .chain(nodes)
-            .filter(|(h, ..)| !self.blocks.contains_key(h) && fresh.insert(*h))
+            .filter(|(h, ..)| self.manifests.block(h).is_none() && fresh.insert(*h))
             .collect();
         let block_cfg = block_pipeline();
         let plans = pipeline::run_indexed(new.len(), self.config.pipeline.workers.max(1), |k| {
@@ -382,12 +385,12 @@ impl Archive {
         let (distinct, mut uses, slots) = first_occurrence_slots(hashes);
         let mut records = Vec::with_capacity(distinct.len());
         for hash in &distinct {
-            let Some(rec) = self.blocks.get(hash) else {
+            let Some(record) = self.manifests.record(&Unit::Block(*hash)) else {
                 return Err(ArchiveError::Policy(PolicyError::Malformed(format!(
                     "object {owner} references unknown block {hash}"
                 ))));
             };
-            records.push(&rec.record);
+            records.push(record);
         }
         let plans: Vec<ReadPlan> = records.iter().map(|r| ReadPlan::for_decode(r)).collect();
         let mut rngs: Vec<_> = records
@@ -508,9 +511,10 @@ impl Archive {
     /// dedup object), stores it as a flush of one through the ingest
     /// planner and commit — unanchored, and filed as blocks only, with no
     /// manifest — and returns its root hash: the single value from which
-    /// [`Archive::catalog_entries`] and then every object can be
-    /// recovered. Each committed catalog pins its blocks like any other
-    /// object, so snapshots stay readable until superseded.
+    /// this archive recovers [`Archive::catalog_entries`] and then every
+    /// object (only this archive: the unit table that locates the blocks
+    /// is not stored; ROADMAP 14). Nothing releases a committed catalog's
+    /// references, so its blocks are pinned for the archive's life.
     ///
     /// # Errors
     ///
@@ -544,12 +548,14 @@ impl Archive {
 
     /// Drops one reference; the block leaves the cluster at zero.
     pub(crate) fn release_block(&mut self, hash: &BlockHash) {
-        let Some(rec) = self.blocks.get_mut(hash) else {
+        let Some(rec) = self.manifests.block_mut(hash) else {
             return;
         };
         rec.refcount = rec.refcount.saturating_sub(1);
         if rec.refcount == 0 {
-            let Manifest { id, placement, .. } = self.blocks.remove(hash).expect("present").record;
+            let unit = Unit::Block(*hash);
+            let Manifest { id, placement, .. } =
+                self.manifests.remove_unit(&unit).expect("present");
             self.executor().delete(id.as_str(), &placement);
             self.dedup_index.remove(hash);
         }
@@ -558,26 +564,24 @@ impl Archive {
     /// A block's record, for inspection and fault injection in tests.
     #[must_use]
     pub fn block_record(&self, hash: &BlockHash) -> Option<&BlockRecord> {
-        self.blocks.get(hash)
+        self.manifests.block(hash)
     }
 
     /// Iterates over every resident block.
     pub fn blocks(&self) -> impl Iterator<Item = (&BlockHash, &BlockRecord)> {
-        self.blocks.iter()
+        self.manifests.units().filter_map(|row| match row {
+            (Unit::Block(hash), Row::Block(block)) => Some((hash, block)),
+            _ => None,
+        })
     }
 
-    /// Aggregate dedup accounting; `None` when dedup mode is off.
+    /// Aggregate dedup accounting, in one walk of the unit table; `None`
+    /// when dedup mode is off.
     #[must_use]
     pub fn dedup_stats(&self) -> Option<DedupStats> {
         self.config.dedup.as_ref()?;
-        let logical: u64 = self
-            .manifests
-            .rows()
-            .filter(|m| m.blocks.is_some())
-            .map(|m| m.logical_len as u64)
-            .sum();
         let mut stats = DedupStats {
-            logical_bytes: logical,
+            logical_bytes: 0,
             unique_data_blocks: 0,
             unique_data_bytes: 0,
             tree_blocks: 0,
@@ -585,21 +589,24 @@ impl Archive {
             dedup_ratio: 0.0,
             index: self.dedup_index.stats(),
         };
-        for rec in self.blocks.values() {
-            let len = rec.record.logical_len as u64;
-            match rec.kind {
-                BlockKind::Data => {
-                    stats.unique_data_blocks += 1;
-                    stats.unique_data_bytes += len;
-                }
-                BlockKind::Tree => {
-                    stats.tree_blocks += 1;
-                    stats.tree_bytes += len;
+        for (_, row) in self.manifests.units() {
+            match row {
+                Row::Object(m) if m.blocks.is_some() => stats.logical_bytes += m.logical_len as u64,
+                Row::Object(_) => {}
+                Row::Block(block) => {
+                    let (count, bytes) = match block.kind {
+                        BlockKind::Data => {
+                            (&mut stats.unique_data_blocks, &mut stats.unique_data_bytes)
+                        }
+                        BlockKind::Tree => (&mut stats.tree_blocks, &mut stats.tree_bytes),
+                    };
+                    *count += 1;
+                    *bytes += block.record.logical_len as u64;
                 }
             }
         }
-        if logical > 0 {
-            stats.dedup_ratio = stats.unique_data_bytes as f64 / logical as f64;
+        if stats.logical_bytes > 0 {
+            stats.dedup_ratio = stats.unique_data_bytes as f64 / stats.logical_bytes as f64;
         }
         Some(stats)
     }

@@ -143,12 +143,11 @@ impl Archive {
             write_time: SimDuration::ZERO,
         };
         for unit in &units {
-            let migrated = |h| {
-                self.blocks
-                    .get(h)
-                    .is_some_and(|b| b.record.policy == new_policy)
-            };
-            if matches!(unit, Unit::Block(h) if migrated(h)) {
+            let migrated = self
+                .manifests
+                .record(unit)
+                .is_some_and(|r| r.policy == new_policy);
+            if matches!(unit, Unit::Block(_)) && migrated {
                 continue;
             }
             let o = self.reencode_unit(id, unit, &new_policy)?;

@@ -1,24 +1,19 @@
 //! Stored units: the one kind of thing maintenance operates on.
 //!
-//! A **unit** is an encoded shard set plus the record saying how it is
-//! encoded and where it lives (`policy`, `meta`, `placement`,
-//! `shard_digests`, payload digest, context string). The record has two
-//! homes and one type: it is a [`Manifest`] whether it is a classic
-//! object's catalog row or the `record` of a dedup block's block-map
-//! entry. [`Archive::load`] clones it and [`Archive::store`] writes the
-//! same four fields back into either home, so repair, re-encode,
-//! refresh, re-wrap and the health probe are each written **once**
-//! against a unit and `Archive::{repair_object,
+//! A **unit** is an encoded shard set plus its record: a [`Manifest`]
+//! saying how it is encoded and where it lives. Every unit — a classic
+//! object, or a dedup block — has one row in the unit table
+//! (`catalog.rs`), keyed by [`Unit`]. [`Archive::load`] clones the record
+//! and [`Archive::store`] writes it back, each one lookup, so repair,
+//! re-encode, refresh, re-wrap and the health probe are each written
+//! **once** against a unit, and `Archive::{repair_object,
 //! reencode_object, refresh_object, add_cascade_layer}`,
 //! [`Archive::scan_fleet`] and [`Archive::verify`] fold that body over
 //! [`Archive::units_of`]: a classic object is one unit (itself), a
-//! dedup object is the distinct blocks it references.
-//!
-//! What differs per kind is data, not control flow — the context string,
-//! the payload digest, the encode stream and pipeline
-//! ([`Archive::plan_unit_write`], the only `match` on kind an op body
-//! reaches) and the retry-rng [`Labels`]; DESIGN.md, *Stored units*, has
-//! the table.
+//! dedup object the distinct blocks it references. What differs per
+//! kind is data — context string, payload digest, encode stream and
+//! pipeline ([`Archive::plan_unit_write`]), retry-rng [`Labels`]; see
+//! DESIGN.md, *Stored units*.
 
 use crate::archive::{Archive, ArchiveError, Manifest, ObjectId};
 use crate::dedup::{block_pipeline, first_occurrence_slots};
@@ -26,12 +21,13 @@ use crate::plan::{self, WritePlan};
 use crate::policy::{PolicyError, PolicyKind};
 use aeon_cas::BlockHash;
 
-/// Names a unit by the home of its record.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Names a unit: the key of its row in the unit table. Objects order
+/// before blocks, so the table's object rows are a prefix.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) enum Unit {
-    /// A classic object: the record is its catalog row.
+    /// A classic object: its row is its manifest.
     Object(ObjectId),
-    /// A dedup block: the record is its block-map entry.
+    /// A dedup block: its row is its [`crate::BlockRecord`].
     Block(BlockHash),
 }
 
@@ -96,39 +92,21 @@ impl Archive {
         }
     }
 
-    /// Loads a unit's record: a clone of its catalog row or of its
-    /// block-map entry's [`Manifest`]. `id` is the context the shards are
-    /// stored and encoded under, `digest` what the decoded payload must
-    /// hash to (a block is self-verifying — its digest *is* its address).
+    /// Loads a unit's record: a clone of its row's [`Manifest`]. `id` is
+    /// the context the shards are stored and encoded under, `digest` what
+    /// the decoded payload must hash to (a block is self-verifying — its
+    /// digest *is* its address).
     pub(crate) fn load(&self, unit: &Unit) -> Result<Manifest, ArchiveError> {
-        match unit {
-            Unit::Object(id) => self.row(id).cloned(),
-            Unit::Block(hash) => self
-                .blocks
-                .get(hash)
-                .map(|b| b.record.clone())
-                .ok_or_else(|| {
-                    ArchiveError::Policy(PolicyError::Malformed(format!("unknown block {hash}")))
-                }),
-        }
+        let record = self.manifests.record(unit).cloned();
+        record.ok_or_else(|| PolicyError::Malformed(format!("no row for {unit:?}")).into())
     }
 
-    /// Stores the encoding of a [`load`](Self::load)ed and since
-    /// rewritten record back to the unit's home: the same four fields —
-    /// policy, meta, placement, shard digests — into either one.
+    /// Stores a [`load`](Self::load)ed record, since re-encoded, back as
+    /// the unit's record.
     pub(crate) fn store(&mut self, unit: &Unit, record: Manifest) {
-        let fill = |home: &mut Manifest| {
-            (home.policy, home.meta, home.placement, home.shard_digests) = (
-                record.policy,
-                record.meta,
-                record.placement,
-                record.shard_digests,
-            );
-        };
-        match unit {
-            Unit::Object(id) => self.manifests.update(id, fill),
-            Unit::Block(hash) => self.blocks.get_mut(hash).map(|b| fill(&mut b.record)),
-        };
+        if let Some(row) = self.manifests.record_mut(unit) {
+            *row = record;
+        }
     }
 
     /// Encodes `payload` as `unit` (context `ctx`) under `policy`,

@@ -20,7 +20,9 @@
 //! A seventh guards the unit record: a dedup block's is a `Manifest`,
 //! read with the one read plan and rewritten through the one write-back.
 //! An eighth guards the catalog: one ordered map, written only through
-//! `&mut`, whose rows the retrieval path borrows instead of cloning.
+//! `&mut`, whose rows the retrieval path borrows instead of cloning. A
+//! ninth guards the unit table: dedup blocks have their rows in that
+//! same map, not in a block map of their own.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -492,6 +494,37 @@ fn the_catalog_is_one_map() {
     assert!(
         violations.is_empty(),
         "the catalog is more than one map:\n{}",
+        violations.join("\n")
+    );
+}
+
+/// Re-accretion guard for the unit table. Every stored unit — a classic
+/// or dedup object, a dedup block — has its row in the one catalog map,
+/// so the archive declares no map keyed by block hash, dedup and
+/// maintenance reach no `self.blocks`, and loading or storing a unit is
+/// one lookup that does not branch on the unit's kind.
+#[test]
+fn the_unit_table_is_one_map() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let read = |file: &str| non_test_source(&fs::read_to_string(src.join(file)).unwrap());
+    let mut violations = Vec::new();
+    if read("archive.rs").contains("BTreeMap<BlockHash") {
+        violations.push("archive.rs: declares a `BTreeMap<BlockHash`".to_string());
+    }
+    for file in ["dedup.rs", "maintenance.rs"] {
+        if read(file).contains("self.blocks") {
+            violations.push(format!("{file}: reaches `self.blocks`"));
+        }
+    }
+    let unit = read("unit.rs");
+    for name in ["load", "store"] {
+        if method_body(&unit, "unit.rs", name).contains("match") {
+            violations.push(format!("unit.rs: fn {name} matches on the unit"));
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "the unit table is more than one map:\n{}",
         violations.join("\n")
     );
 }
