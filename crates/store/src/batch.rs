@@ -104,7 +104,8 @@ pub fn decode_batch_frame(frame: &[u8]) -> Result<Vec<(ShardKey, Vec<u8>)>, Stri
         return Err("bad batch magic".into());
     }
     let count = take_u32(&mut rest).ok_or("truncated entry count")? as usize;
-    let mut entries = Vec::with_capacity(count.min(1 << 16));
+    // Capacity from the bytes present, not the claimed count.
+    let mut entries = Vec::with_capacity(count.min(rest.len() / ENTRY_OVERHEAD));
     for i in 0..count {
         let name_len = take_u32(&mut rest)
             .ok_or_else(|| format!("entry {i}: truncated name length"))?
@@ -198,7 +199,7 @@ pub fn decode_read_frame(frame: &[u8]) -> Result<Vec<(ShardKey, Option<Vec<u8>>)
         return Err("bad read-frame magic".into());
     }
     let count = take_u32(&mut rest).ok_or("truncated entry count")? as usize;
-    let mut entries = Vec::with_capacity(count.min(1 << 16));
+    let mut entries = Vec::with_capacity(count.min(rest.len() / READ_ENTRY_OVERHEAD));
     for i in 0..count {
         let name_len = take_u32(&mut rest)
             .ok_or_else(|| format!("entry {i}: truncated name length"))?
@@ -406,6 +407,65 @@ mod tests {
                 prop_assert_eq!(frame.len(), read_framed_len(&borrowed));
                 let decoded = decode_read_frame(&frame).unwrap();
                 prop_assert_eq!(decoded, entries);
+            }
+        }
+    }
+
+    /// A decode of hostile bytes under both frame parsers: each returns
+    /// (never panics), and a frame either one accepts is canonical — it
+    /// re-encodes to exactly the bytes it was parsed from.
+    fn decodes_or_refuses(bytes: &[u8]) {
+        if let Ok(entries) = decode_batch_frame(bytes) {
+            assert_eq!(encode_batch_frame(&borrow(&entries)), bytes);
+        }
+        if let Ok(entries) = decode_read_frame(bytes) {
+            assert_eq!(encode_read_frame(&borrow_read(&entries)), bytes);
+        }
+    }
+
+    mod hostile_frames {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// Arbitrary bytes behind no prefix, either magic, and either
+            /// magic plus a small entry count (without one nearly every
+            /// case stops at the count), parse or fail with `Err`.
+            #[test]
+            fn hostile_frame_bytes_parse_or_fail(
+                prefix in 0u8..3,
+                counted in any::<bool>(),
+                count in 0u32..4,
+                tail in proptest::collection::vec(any::<u8>(), 0..400),
+            ) {
+                let mut bytes = match prefix {
+                    0 => Vec::new(),
+                    1 => BATCH_MAGIC.to_vec(),
+                    _ => READ_MAGIC.to_vec(),
+                };
+                if prefix > 0 && counted {
+                    bytes.extend_from_slice(&count.to_le_bytes());
+                }
+                bytes.extend_from_slice(&tail);
+                decodes_or_refuses(&bytes);
+            }
+        }
+    }
+
+    /// A real write frame and a real read frame with every bit flipped
+    /// in turn: each flip parses or fails with `Err`, never a panic.
+    #[test]
+    fn hostile_frame_bit_flips_parse_or_fail() {
+        let write = encode_batch_frame(&borrow(&sample_entries()));
+        let read = encode_read_frame(&borrow_read(&sample_read_entries()));
+        for frame in [write, read] {
+            let mut flipped = frame.clone();
+            for bit in 0..frame.len() * 8 {
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                decodes_or_refuses(&flipped);
+                flipped[bit / 8] ^= 1 << (bit % 8);
             }
         }
     }

@@ -261,6 +261,11 @@ impl StorageNode for MemoryNode {
     }
 }
 
+/// Suffix of the temp file a [`FileNode`] put writes before renaming it
+/// over the shard's file. Shard file names never contain a second `.`
+/// (object ids are percent-encoded), so no shard ends with it.
+const TEMP_SUFFIX: &str = ".tmp";
+
 /// A file-backed storage node: each shard is a file under the node's root
 /// directory. Used by durability-oriented integration tests.
 #[derive(Debug)]
@@ -333,11 +338,31 @@ impl StorageNode for FileNode {
         &self.site
     }
 
+    /// Writes atomically: the bytes go to a temp file beside the shard,
+    /// which is fsynced and renamed over the shard's file, then the
+    /// directory is fsynced. A crash leaves the old shard or the new one,
+    /// never a torn one — at worst a leftover temp file, which
+    /// [`keys`](StorageNode::keys) and
+    /// [`stored_bytes`](StorageNode::stored_bytes) ignore. A failed step
+    /// removes the temp file.
     fn put(&self, key: &ShardKey, data: &[u8]) -> Result<(), NodeError> {
         if self.injection.read().offline {
             return Err(NodeError::Offline);
         }
-        std::fs::write(self.path_for(key), data).map_err(|e| NodeError::Io(e.to_string()))
+        let path = self.path_for(key);
+        let mut tmp = path.clone().into_os_string();
+        tmp.push(TEMP_SUFFIX);
+        let written = std::fs::File::create(&tmp)
+            .and_then(|mut file| {
+                std::io::Write::write_all(&mut file, data)?;
+                file.sync_all()
+            })
+            .and_then(|()| std::fs::rename(&tmp, &path))
+            .and_then(|()| std::fs::File::open(&self.root)?.sync_all());
+        if written.is_err() {
+            let _ = std::fs::remove_file(&tmp);
+        }
+        written.map_err(|e| NodeError::Io(e.to_string()))
     }
 
     fn get(&self, key: &ShardKey) -> Result<Vec<u8>, NodeError> {
@@ -373,6 +398,9 @@ impl StorageNode for FileNode {
             .flatten()
             .filter_map(|e| {
                 let name = e.file_name().into_string().ok()?;
+                if name.ends_with(TEMP_SUFFIX) {
+                    return None;
+                }
                 let (obj, shard) = name.rsplit_once('.')?;
                 // Decode percent-encoding.
                 let mut decoded = Vec::new();
@@ -402,6 +430,7 @@ impl StorageNode for FileNode {
         };
         entries
             .flatten()
+            .filter(|e| !e.file_name().to_string_lossy().ends_with(TEMP_SUFFIX))
             .filter_map(|e| e.metadata().ok())
             .map(|m| m.len())
             .sum()
@@ -479,6 +508,32 @@ mod tests {
         node.delete(&key).unwrap();
         assert_eq!(node.get(&key).unwrap_err(), NodeError::NotFound);
         node.delete(&key).unwrap(); // idempotent
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A crash between a put's temp write and its rename leaves a temp
+    /// file behind: no listing, read or byte count sees it, and the
+    /// shard it shadows keeps its old bytes.
+    #[test]
+    fn file_node_ignores_a_leftover_temp_file() {
+        let dir = std::env::temp_dir().join(format!("aeon-node-tmp-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let node = FileNode::create(6, "dc-1", dir.clone()).unwrap();
+        let key = ShardKey::new("obj", 2);
+        node.put(&key, b"old").unwrap();
+        std::fs::write(dir.join("obj.2.tmp"), b"torn new bytes").unwrap();
+        std::fs::write(dir.join("other.0.tmp"), b"never renamed").unwrap();
+        assert_eq!(node.keys(), vec![key.clone()]);
+        assert_eq!(node.get(&key).unwrap(), b"old");
+        assert_eq!(
+            node.get(&ShardKey::new("other", 0)).unwrap_err(),
+            NodeError::NotFound
+        );
+        assert_eq!(node.stored_bytes(), 3);
+        // The next put of the key replaces the leftover and lands whole.
+        node.put(&key, b"new").unwrap();
+        assert_eq!(node.get(&key).unwrap(), b"new");
+        assert!(!dir.join("obj.2.tmp").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
