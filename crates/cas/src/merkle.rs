@@ -284,4 +284,55 @@ mod tests {
         bad_len.pop();
         assert!(decode_node(&bad_len).is_err());
     }
+
+    /// A decode of hostile bytes: the node, or the one typed refusal.
+    fn decodes_or_refuses(bytes: &[u8]) -> Option<TreeNode> {
+        match decode_node(bytes) {
+            Ok(node) => Some(node),
+            Err(TreeError::Malformed(_)) => None,
+            Err(other) => panic!("untyped node refusal: {other}"),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes, with and without the magic prefix (without
+        /// it nearly every case stops at the prefix), decode or are
+        /// refused with `Malformed` — never a panic.
+        #[test]
+        fn hostile_node_bytes_decode_or_fail_typed(
+            magic in proptest::prelude::any::<bool>(),
+            tail in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..200),
+        ) {
+            let mut bytes = if magic { NODE_MAGIC.to_vec() } else { Vec::new() };
+            bytes.extend_from_slice(&tail);
+            decodes_or_refuses(&bytes);
+        }
+    }
+
+    /// The root of a three-level tree, cut at every offset and with every
+    /// bit flipped in turn: each cut is refused, each flip decodes or is
+    /// refused, and nothing panics.
+    #[test]
+    fn hostile_node_cuts_and_flips_decode_or_fail_typed() {
+        let leaves: Vec<BlockHash> = (0..25).map(leaf).collect();
+        let build = build_tree(&leaves, 4);
+        let (root, bytes) = build.nodes.last().unwrap();
+        assert_eq!(*root, build.root);
+        let node = decodes_or_refuses(bytes).expect("a real node decodes");
+        assert_eq!((node.level, node.children.len()), (3, 2));
+        for cut in 0..bytes.len() {
+            assert!(
+                decodes_or_refuses(&bytes[..cut]).is_none(),
+                "cut at {cut} decoded"
+            );
+        }
+        let mut flipped = bytes.clone();
+        for bit in 0..bytes.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            decodes_or_refuses(&flipped);
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
 }

@@ -8,8 +8,9 @@
 //! unbounded in RAM, so the index keeps only the most recently seen
 //! hashes and evicts the oldest past its capacity. An index miss is
 //! never an error — the authoritative lookup still decides — it only
-//! shows up in [`IndexStats`], which is how the `aeon-exp dedup` experiment
-//! measures what a given memory budget costs in recognition rate.
+//! shows up in [`IndexStats`]. The index decides nothing in an archive;
+//! the only reader of its hit rate is the repo benchmark's traced
+//! `cas.index.hit_ratio` row (`aeon-exp dedup` prints no index figure).
 
 use crate::BlockHash;
 use std::collections::BTreeMap;

@@ -340,8 +340,8 @@ pub struct ArchiveStats {
     pub expansion: f64,
 }
 
-/// One retrieval's outcome: the payload and its per-shard accounting.
-type Retrieved = Result<(Vec<u8>, TransferReport), ArchiveError>;
+/// One read's outcome: the payload and its per-shard accounting.
+pub(crate) type Retrieved = Result<(Vec<u8>, TransferReport), ArchiveError>;
 
 /// One unit of a read, as [`Archive::decode_many`] takes it: the object
 /// its failures are typed against, its loaded record (a manifest, or a
@@ -403,14 +403,23 @@ impl Archive {
         Archive::with_cluster(config, cluster)
     }
 
-    /// Creates an archive over a caller-supplied cluster (e.g. file-backed
-    /// nodes or nodes shared with an adversary simulation).
+    /// Creates an archive over a caller-supplied, **empty** cluster (e.g.
+    /// file-backed nodes or nodes shared with an adversary simulation).
     ///
     /// # Errors
     ///
-    /// Returns [`ArchiveError::Policy`] for invalid default policies.
+    /// Returns [`ArchiveError::Policy`] for invalid default policies, and
+    /// [`ArchiveError::UnsupportedOperation`] when a node already holds a
+    /// shard: over another archive's shards, or its own after a restart,
+    /// a new archive would mint the same ids, overwrite those shards and
+    /// reuse their keys and nonces.
     pub fn with_cluster(config: ArchiveConfig, cluster: Cluster) -> Result<Self, ArchiveError> {
         config.policy.validate()?;
+        if cluster.nodes().iter().any(|node| !node.keys().is_empty()) {
+            return Err(ArchiveError::UnsupportedOperation(
+                "the cluster already holds shards",
+            ));
+        }
         let cluster = match config.dispatch {
             Some(dispatch) => cluster.with_dispatch(dispatch),
             None => cluster,
@@ -852,17 +861,19 @@ impl Archive {
             .expect("one result per id")
     }
 
-    /// Retrieves many objects in one cross-object fan-in: every
+    /// Retrieves many objects in one cross-object fan-in: every classic
     /// object's shard fetches are grouped by source node and each node
-    /// serves **one** framed batch request for the whole flush (then
+    /// serves **one** framed batch request for the whole call (then
     /// per-key retries with the remaining budget, drawing jitter from
     /// each object's own rng), and every decoded payload is checked
-    /// against its digest in **one** [`Sha256::digest_many`] batch.
-    /// Per-object outcomes — payload bytes and typed failures — are
-    /// exactly what [`Archive::retrieve`] would return for each id; one
-    /// unreadable object does not fail its neighbors. Dedup objects
-    /// fetch through the level-batched tree walk, coalescing within the
-    /// object rather than across the flush.
+    /// against its digest in **one** [`Sha256::digest_many`] batch: one
+    /// decode read of every unit. Per-object outcomes — payload bytes and
+    /// typed failures — are exactly what [`Archive::retrieve`] would
+    /// return for each id; one unreadable object does not fail its
+    /// neighbors. Dedup objects are walked one at a time, in call order,
+    /// each through the level-batched tree walk: batching them across the
+    /// call would reorder the node accesses — and so the injected faults —
+    /// of a block two objects share.
     pub fn retrieve_many(&self, ids: &[ObjectId]) -> Vec<Result<Vec<u8>, ArchiveError>> {
         self.retrieve_each(ids)
             .into_iter()
@@ -874,37 +885,70 @@ impl Archive {
     /// [`Archive::retrieve_with_report`] are its one-id case,
     /// [`Archive::retrieve_many`] its payload projection.
     fn retrieve_each(&self, ids: &[ObjectId]) -> Vec<Retrieved> {
-        let mut results: Vec<Option<Retrieved>> = ids.iter().map(|_| None).collect();
-        let mut pending: Vec<(usize, &Manifest)> = Vec::new();
-        for (i, id) in ids.iter().enumerate() {
-            match self.row(id) {
-                Err(unknown) => results[i] = Some(Err(unknown)),
-                Ok(m) if m.blocks.is_some() => results[i] = Some(self.retrieve_dedup(m)),
-                Ok(m) => pending.push((i, m)),
-            }
-        }
-        let plans: Vec<ReadPlan> = pending
+        let classic: Vec<(&ObjectId, Unit)> = ids
             .iter()
-            .map(|(_, m)| ReadPlan::for_decode(m))
+            .filter(|id| self.row(id).is_ok_and(|m| m.blocks.is_none()))
+            .map(|id| (id, Unit::Object(id.clone())))
             .collect();
-        let mut rngs: Vec<ChaChaDrbg> = pending
+        let read = self.read_units(&classic);
+        let mut read = read.expect("every classic id has a row").into_iter();
+        ids.iter()
+            .map(|id| {
+                let m = self.row(id)?;
+                match &m.blocks {
+                    Some(d) => self.walk(id, &d.root, Some(m)),
+                    None => read.next().expect("one read per classic id"),
+                }
+            })
+            .collect()
+    }
+
+    /// The one decode read, over any list of units: each unit's
+    /// [`ReadPlan::for_decode`], retry jitter drawn under its kind's read
+    /// label, every shard fetched in one [`PlanExecutor::read_many`]
+    /// fan-in, and every payload decoded and checked against its record's
+    /// digest in one [`Archive::decode_many`]. `out[i]` is unit `i`'s
+    /// payload and shard accounting, or its failure typed against its
+    /// owner, independent of its neighbours.
+    ///
+    /// # Errors
+    ///
+    /// Before any node is touched, when a unit has no row:
+    /// [`ArchiveError::UnknownObject`] for an object, and
+    /// [`PolicyError::Malformed`] for a block its owner references.
+    pub(crate) fn read_units(
+        &self,
+        units: &[(&ObjectId, Unit)],
+    ) -> Result<Vec<Retrieved>, ArchiveError> {
+        let records = units.iter().map(|(owner, unit)| {
+            self.manifests.record(unit).ok_or_else(|| match unit {
+                Unit::Object(id) => ArchiveError::UnknownObject(id.clone()),
+                Unit::Block(hash) => {
+                    let why = format!("object {owner} references unknown block {hash}");
+                    PolicyError::Malformed(why).into()
+                }
+            })
+        });
+        let records = records.collect::<Result<Vec<&Manifest>, _>>()?;
+        let plans: Vec<ReadPlan> = records.iter().map(|r| ReadPlan::for_decode(r)).collect();
+        let mut rngs: Vec<ChaChaDrbg> = units
             .iter()
-            .map(|(_, m)| self.op_rng("retrieve", m.id.as_str()))
+            .zip(&records)
+            .map(|((_, unit), r)| self.op_rng(unit.labels().read, r.id.as_str()))
             .collect();
         let snaps = self.executor().read_many(&plans, &mut rngs);
-        let units: Vec<Decode<'_>> = pending
+        let decodes: Vec<Decode<'_>> = units
             .iter()
+            .zip(&records)
             .zip(&snaps)
-            .map(|(&(_, m), snap)| (&m.id, m, snap))
+            .map(|(((owner, _), record), snap)| (*owner, *record, snap))
             .collect();
-        let decoded = self.decode_many(&units);
-        for (((i, _), snap), payload) in pending.iter().zip(snaps).zip(decoded) {
-            results[*i] = Some(payload.map(|payload| (payload, snap.report)));
-        }
-        results
+        let decoded = self.decode_many(&decodes);
+        Ok(decoded
             .into_iter()
-            .map(|r| r.expect("slot filled"))
-            .collect()
+            .zip(snaps)
+            .map(|(payload, snap)| payload.map(|payload| (payload, snap.report)))
+            .collect())
     }
 
     /// The tail of a one-unit read ([`Archive::verify`], re-encode, a
@@ -1027,8 +1071,8 @@ impl Archive {
         // A dedup object's decode check is its tree walk, which also
         // covers what no single block can: leaf order and the
         // whole-payload digest.
-        if walked {
-            intact &= self.retrieve_dedup(manifest).is_ok();
+        if let Some(d) = &manifest.blocks {
+            intact &= self.walk(id, &d.root, Some(manifest)).is_ok();
         }
         Ok(HealthReport {
             shards_available: available,
@@ -1734,8 +1778,28 @@ mod tests {
         assert_eq!(refs, counts, "{step}: refcounts");
     }
 
-    /// Refcounts equal the references the object rows hold after every
-    /// step of a dedup sequence, over RS(3, 2) and Shamir(2, 3): a flush
+    /// Checks that no node holds a shard the unit table does not account
+    /// for: every key every node lists is `(id, slot)` of a row, with
+    /// `slot` inside the row's placement and the key on `placement[slot]`.
+    fn assert_no_orphans(a: &Archive, step: &str) {
+        let placements: BTreeMap<&str, &[NodeId]> = a
+            .manifests
+            .units()
+            .map(|(unit, _)| a.manifests.record(unit).expect("a row's record"))
+            .map(|m| (m.id.as_str(), m.placement.as_slice()))
+            .collect();
+        for node in a.cluster().nodes() {
+            for key in node.keys() {
+                let placement = placements.get(key.object.as_str());
+                let on = placement.and_then(|p| p.get(key.shard as usize));
+                assert_eq!(on, Some(&node.id()), "{step}: orphan shard {key:?}");
+            }
+        }
+    }
+
+    /// Refcounts equal the references the object rows hold, and no node
+    /// holds a shard no row accounts for, after every step of a dedup
+    /// sequence, over RS(3, 2) and Shamir(2, 3): a flush
     /// whose versions share blocks, a flush refused mid-way at a block
     /// only its second object introduces, a delete, a re-encode campaign,
     /// a repair after a node wipe, then a re-wrap of every object (the
@@ -1780,10 +1844,14 @@ mod tests {
             let mut a =
                 Archive::with_cluster(config.clone(), Cluster::new(cluster.collect())).unwrap();
             let leg = format!("{policy:?}");
+            let check = |a: &Archive, step: &str| {
+                assert_refcounts(a, step);
+                assert_no_orphans(a, step);
+            };
 
             let items = versions();
             let mut ids = a.ingest_many(&borrowed(&items)).unwrap();
-            assert_refcounts(&a, &format!("{leg}: ingest_many"));
+            check(&a, &format!("{leg}: ingest_many"));
             assert!(a.blocks().any(|(_, rec)| rec.refcount > 1), "{leg}: shared");
 
             // Two more versions, each half old and half new bytes; the
@@ -1807,7 +1875,7 @@ mod tests {
                 *node.rejected.lock().unwrap() = crate::dedup::block_object_id(own);
             }
             assert!(a.ingest_many(&borrowed(&more)).is_err(), "{leg}");
-            assert_refcounts(&a, &format!("{leg}: a flush failed mid-way"));
+            check(&a, &format!("{leg}: a flush failed mid-way"));
             for node in &nodes {
                 node.rejected.lock().unwrap().clear();
             }
@@ -1815,17 +1883,17 @@ mod tests {
             assert_eq!(a.retrieve(&ids[3]).unwrap(), more[0].0, "{leg}");
 
             a.delete(&ids.remove(1)).unwrap();
-            assert_refcounts(&a, &format!("{leg}: delete"));
+            check(&a, &format!("{leg}: delete"));
 
             a.reencode_all(next.clone()).unwrap();
-            assert_refcounts(&a, &format!("{leg}: reencode_all"));
+            check(&a, &format!("{leg}: reencode_all"));
 
             for key in nodes[0].keys() {
                 nodes[0].inner.delete(&key).unwrap();
             }
             let sweep = a.repair_all();
             assert!(sweep.failures().is_empty(), "{leg}: {:?}", sweep.failures());
-            assert_refcounts(&a, &format!("{leg}: repair after a node wipe"));
+            check(&a, &format!("{leg}: repair after a node wipe"));
 
             for id in &ids {
                 if matches!(next, PolicyKind::Shamir { .. }) {
@@ -1834,12 +1902,46 @@ mod tests {
                     a.add_cascade_layer(id, SuiteId::ChaCha20Poly1305).unwrap();
                 }
             }
-            assert_refcounts(&a, &format!("{leg}: refresh / add_cascade_layer"));
+            check(&a, &format!("{leg}: refresh / add_cascade_layer"));
             let payloads = [&items[0].0, &items[2].0, &more[0].0];
             for (id, payload) in ids.iter().zip(payloads) {
                 assert_eq!(&a.retrieve(id).unwrap(), payload, "{leg}");
             }
         }
+    }
+
+    /// A delete sticks through transient faults: over five nodes that fail
+    /// 30 % of operations, RS(3, 2) objects — classic, and dedup, whose
+    /// blocks leave with their last reference — leave no key behind on
+    /// any node once deleted. Seeds whose ingest fails are skipped.
+    #[test]
+    fn a_delete_under_transient_faults_leaves_no_shard() {
+        let mut payload = vec![0u8; 4096];
+        ChaChaDrbg::from_u64_seed(3).fill_bytes(&mut payload);
+        let mut deleted = 0;
+        for dedup in [false, true] {
+            for seed in 0..20 {
+                let plan = aeon_store::faults::FaultPlan::new(seed).with_transient_io_rate(0.3);
+                let sites = ["a", "b", "c", "d", "e"];
+                let (cluster, nodes) =
+                    aeon_store::faults::faulty_in_memory_cluster(&sites, 1, &plan);
+                let mut config =
+                    ArchiveConfig::new(PolicyKind::ErasureCoded { data: 3, parity: 2 })
+                        .with_integrity(IntegrityMode::DigestOnly)
+                        .with_retry(RetryPolicy::default().with_attempts(16));
+                config.dedup = dedup.then(small_dedup);
+                let mut a = Archive::with_cluster(config, cluster).unwrap();
+                let Ok(id) = a.ingest(&payload, "doc") else {
+                    continue;
+                };
+                a.delete(&id).unwrap();
+                deleted += 1;
+                for node in &nodes {
+                    assert_eq!(node.keys(), [], "dedup {dedup}, seed {seed}");
+                }
+            }
+        }
+        assert!(deleted >= 20, "only {deleted} ingests landed");
     }
 
     #[test]

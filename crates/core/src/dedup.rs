@@ -8,20 +8,21 @@
 //! 1. The payload is cut into content-defined chunks
 //!    ([`aeon_cas::Chunker`]) — reproducible, edit-local boundaries.
 //! 2. Each chunk's SHA-256 is its identity. A bounded recency index
-//!    ([`aeon_cas::BoundedIndex`]) is consulted first (the RAM-bounded
-//!    fast path whose hit rate `aeon-exp dedup` measures); the unit
-//!    table's block rows decide. Only *unseen* blocks are encoded —
-//!    through the ordinary policy pipeline — and placed; seen blocks just
-//!    gain a reference.
+//!    ([`aeon_cas::BoundedIndex`]) is consulted first, but decides
+//!    nothing (its hit rate is read only by the repo benchmark's traced
+//!    `cas.index.hit_ratio`); the unit table's block rows decide. Only
+//!    *unseen* blocks are encoded — through the ordinary policy pipeline
+//!    — and placed; seen blocks just gain a reference.
 //! 3. The chunk hash list becomes a Merkle block tree whose interior
 //!    nodes are themselves encoded blocks, so the object (and, via
 //!    [`Archive::commit_catalog`], the catalog) is readable from one root
 //!    hash — by this archive, whose unit table says where the blocks are.
 //!
-//! Retrieval walks the tree from the root, re-verifying every interior
-//! node and every data block against its hash on the way down, then
-//! checks the whole-payload digest — corruption anywhere under a shared
-//! block surfaces as a typed failure in *every* referencing object.
+//! Every dedup read — retrieve, verify, a read by root — is one walk from
+//! the root, each level's distinct blocks checked against their hashes in
+//! one unit read, then the payload digest: corruption under a shared block
+//! fails *every* referencing object. Objects are walked one at a time, as
+//! batching them would reorder the node accesses of a shared block.
 //!
 //! # Convergent per-block encoding
 //!
@@ -60,10 +61,10 @@
 //! their one body per referenced block. This module owns what only dedup
 //! has — chunking, refcounts, the tree walk, the catalog.
 
-use crate::archive::{Archive, ArchiveError, Decode, Manifest, ObjectId};
+use crate::archive::{Archive, ArchiveError, Manifest, ObjectId, Retrieved};
 use crate::catalog::Row;
 use crate::pipeline::{self, PipelineConfig};
-use crate::plan::{self, ReadPlan, WritePlan};
+use crate::plan::{self, WritePlan};
 use crate::policy::{PolicyError, PolicyKind};
 use crate::unit::Unit;
 use aeon_cas::{build_tree, merkle, BlockHash, Chunker, ChunkerParams, IndexStats};
@@ -72,29 +73,23 @@ use aeon_store::cluster::TransferReport;
 use std::collections::{BTreeSet, HashMap};
 
 /// Groups `hashes` by value, keeping first-occurrence order: the distinct
-/// hashes in the order each first appears, how many times each occurs,
-/// and for every entry of `hashes` the index of its distinct hash. One
-/// map lookup per entry — a 1 GiB object is ~25 000 leaves, and scanning
-/// the earlier ones for each is 3 × 10⁸ hash compares before any I/O.
-pub(crate) fn first_occurrence_slots(
-    hashes: &[BlockHash],
-) -> (Vec<BlockHash>, Vec<usize>, Vec<usize>) {
+/// hashes in the order each first appears, and for every entry of
+/// `hashes` the index of its distinct hash. One map lookup per entry — a
+/// 1 GiB object is ~25 000 leaves, and scanning the earlier ones for each
+/// is 3 × 10⁸ hash compares before any I/O.
+pub(crate) fn first_occurrence_slots(hashes: &[BlockHash]) -> (Vec<BlockHash>, Vec<usize>) {
     let mut distinct: Vec<BlockHash> = Vec::new();
-    let mut uses: Vec<usize> = Vec::new();
     let mut slot_of: HashMap<BlockHash, usize> = HashMap::new();
     let slots = hashes
         .iter()
         .map(|hash| {
-            let at = *slot_of.entry(*hash).or_insert_with(|| {
+            *slot_of.entry(*hash).or_insert_with(|| {
                 distinct.push(*hash);
-                uses.push(0);
                 distinct.len() - 1
-            });
-            uses[at] += 1;
-            at
+            })
         })
         .collect();
-    (distinct, uses, slots)
+    (distinct, slots)
 }
 
 /// Configuration of the archive's content-addressed dedup mode.
@@ -363,133 +358,69 @@ impl Archive {
         Ok((tree, fresh_blocks))
     }
 
-    /// Fetches, decodes, and hash-verifies blocks in one cross-block
-    /// fan-in: distinct hashes (first-occurrence order) each become a
-    /// read plan, the executor groups every plan's shard keys by source
-    /// node into one framed batch request per node, and every decoded
-    /// block is checked against its address in one
-    /// [`Sha256::digest_many`] batch ([`Archive::decode_many`]). A hash
-    /// that repeats in `hashes` is fetched and accounted **once**; its
-    /// bytes are cloned for every occurrence but the last, which takes
-    /// them. The first failing block in first-occurrence order decides
-    /// the error, whether it failed to decode or to match its address.
-    /// Failures are typed against `owner` — the object whose read is in
-    /// progress — so corruption of a shared block surfaces in every
-    /// referencing object.
-    fn read_blocks(
+    /// The one dedup read: walks the Merkle tree from `root` level by
+    /// level and returns the payload its leaves spell, with the shard
+    /// accounting of every block read. Each level is one
+    /// [`Archive::read_units`] over its **distinct** blocks in
+    /// first-occurrence order — a block that repeats is read and accounted
+    /// once — so every interior node and data block is checked against
+    /// its address, and the first failing block in that order decides the
+    /// error. Every node must claim the level its parent implies; trees
+    /// are uniform (all leaves at level 0), so a level is all nodes or all
+    /// leaves and the breadth-first frontier keeps the leaves in payload
+    /// order. Given the object's `manifest`, the leaves
+    /// must equal its leaf list before any is read, and the payload must
+    /// hash to its digest. Failures are typed against `owner` — the object
+    /// whose read is in progress — so corruption of a shared block
+    /// surfaces in every referencing object.
+    pub(crate) fn walk(
         &self,
-        hashes: &[BlockHash],
         owner: &ObjectId,
-        report: &mut TransferReport,
-    ) -> Result<Vec<Vec<u8>>, ArchiveError> {
-        let (distinct, mut uses, slots) = first_occurrence_slots(hashes);
-        let mut records = Vec::with_capacity(distinct.len());
-        for hash in &distinct {
-            let Some(record) = self.manifests.record(&Unit::Block(*hash)) else {
-                return Err(ArchiveError::Policy(PolicyError::Malformed(format!(
-                    "object {owner} references unknown block {hash}"
-                ))));
-            };
-            records.push(record);
-        }
-        let plans: Vec<ReadPlan> = records.iter().map(|r| ReadPlan::for_decode(r)).collect();
-        let mut rngs: Vec<_> = records
-            .iter()
-            .map(|r| self.op_rng("block-read", r.id.as_str()))
-            .collect();
-        let snaps = self.executor().read_many(&plans, &mut rngs);
-        let units: Vec<Decode<'_>> = records
-            .iter()
-            .zip(&snaps)
-            .map(|(record, snap)| (owner, *record, snap))
-            .collect();
-        let mut decoded = self
-            .decode_many(&units)
-            .into_iter()
-            .collect::<Result<Vec<Vec<u8>>, ArchiveError>>()?;
-        for snap in snaps {
-            report.attempts.extend(snap.report.attempts);
-        }
-        Ok(slots
-            .into_iter()
-            .map(|at| {
-                uses[at] -= 1;
-                if uses[at] == 0 {
-                    std::mem::take(&mut decoded[at])
-                } else {
-                    decoded[at].clone()
-                }
-            })
-            .collect())
-    }
-
-    /// Walks the Merkle tree from `root` level by level — every
-    /// interior node of one level is fetched in a single cross-block
-    /// batch before descending — verifying each node on the way down,
-    /// and returns the leaf hashes. Trees are uniform (all leaves at
-    /// level 0), so the breadth-first frontier keeps them in payload
-    /// order.
-    fn walk_tree(
-        &self,
         root: &BlockHash,
-        owner: &ObjectId,
-        report: &mut TransferReport,
-    ) -> Result<Vec<BlockHash>, ArchiveError> {
-        let mut leaves = Vec::new();
-        // (hash, expected level); None = root, any interior level.
-        let mut frontier: Vec<(BlockHash, Option<u8>)> = vec![(*root, None)];
-        while !frontier.is_empty() {
-            let interior: Vec<BlockHash> = frontier
-                .iter()
-                .filter(|(_, expect)| *expect != Some(0))
-                .map(|(h, _)| *h)
-                .collect();
-            let fetched = self.read_blocks(&interior, owner, report)?;
-            let mut blocks = fetched.into_iter();
-            let mut next = Vec::new();
-            for (hash, expect) in frontier {
-                if expect == Some(0) {
-                    leaves.push(hash);
-                    continue;
-                }
-                let bytes = blocks.next().expect("one fetch per interior node");
-                let node = merkle::decode_node(&bytes)
-                    .map_err(|_| ArchiveError::IntegrityViolation(owner.clone()))?;
-                if let Some(level) = expect {
-                    if node.level != level {
-                        return Err(ArchiveError::IntegrityViolation(owner.clone()));
-                    }
-                }
-                for child in &node.children {
-                    next.push((*child, Some(node.level - 1)));
-                }
+        manifest: Option<&Manifest>,
+    ) -> Retrieved {
+        let violation = || ArchiveError::IntegrityViolation(owner.clone());
+        let leaf_list = manifest.and_then(|m| m.blocks.as_ref()).map(|d| &d.blocks);
+        let mut report = TransferReport::default();
+        let mut frontier = vec![*root];
+        // The level the frontier's blocks sit at; `None` = the root's, any.
+        let mut expect: Option<u8> = None;
+        loop {
+            let leaves = expect == Some(0);
+            if leaves && leaf_list.is_some_and(|list| *list != frontier) {
+                return Err(violation());
             }
+            let (distinct, slots) = first_occurrence_slots(&frontier);
+            let units: Vec<(&ObjectId, Unit)> = distinct
+                .into_iter()
+                .map(|h| (owner, Unit::Block(h)))
+                .collect();
+            let mut read = Vec::with_capacity(units.len());
+            for unit in self.read_units(&units)? {
+                let (bytes, unit_report) = unit?;
+                report.attempts.extend(unit_report.attempts);
+                read.push(bytes);
+            }
+            let blocks = slots.iter().map(|&at| read[at].as_slice());
+            if leaves {
+                let payload = blocks.collect::<Vec<_>>().concat();
+                if manifest.is_some_and(|m| Sha256::digest(&payload) != m.digest) {
+                    return Err(violation());
+                }
+                return Ok((payload, report));
+            }
+            let mut next = Vec::new();
+            for bytes in blocks {
+                let node = merkle::decode_node(bytes).map_err(|_| violation())?;
+                if *expect.get_or_insert(node.level) != node.level {
+                    return Err(violation());
+                }
+                next.extend(node.children);
+            }
+            // A decoded node claims level 1 or more.
+            expect = expect.map(|level| level - 1);
             frontier = next;
         }
-        Ok(leaves)
-    }
-
-    /// Dedup-mode retrieval: the tree walk (checked against the
-    /// manifest's leaf list before any leaf is fetched), every
-    /// **distinct** leaf block fetched once and reassembled per
-    /// occurrence, then the whole-payload digest check.
-    pub(crate) fn retrieve_dedup(
-        &self,
-        manifest: &Manifest,
-    ) -> Result<(Vec<u8>, TransferReport), ArchiveError> {
-        let d = manifest.blocks.as_ref().expect("dedup manifest");
-        let mut report = TransferReport::default();
-        let leaves = self.walk_tree(&d.root, &manifest.id, &mut report)?;
-        if leaves != d.blocks {
-            return Err(ArchiveError::IntegrityViolation(manifest.id.clone()));
-        }
-        let payload = self
-            .read_blocks(&leaves, &manifest.id, &mut report)?
-            .concat();
-        if Sha256::digest(&payload) != manifest.digest {
-            return Err(ArchiveError::IntegrityViolation(manifest.id.clone()));
-        }
-        Ok((payload, report))
     }
 
     /// Reassembles and verifies a payload from a Merkle root alone — no
@@ -502,9 +433,7 @@ impl Archive {
     /// Typed like a retrieval, against a synthetic `root-<hex>` id.
     pub fn read_object_by_root(&self, root: &BlockHash) -> Result<Vec<u8>, ArchiveError> {
         let owner = ObjectId::from_raw(format!("root-{root}"));
-        let mut report = TransferReport::default();
-        let leaves = self.walk_tree(root, &owner, &mut report)?;
-        Ok(self.read_blocks(&leaves, &owner, &mut report)?.concat())
+        self.walk(&owner, root, None).map(|(payload, _)| payload)
     }
 
     /// Serializes the catalog (id, name, length, digest, root of every
@@ -617,24 +546,19 @@ mod tests {
     use super::*;
 
     /// The quadratic scan `first_occurrence_slots` replaced.
-    fn slots_by_scan(hashes: &[BlockHash]) -> (Vec<BlockHash>, Vec<usize>, Vec<usize>) {
+    fn slots_by_scan(hashes: &[BlockHash]) -> (Vec<BlockHash>, Vec<usize>) {
         let mut distinct: Vec<BlockHash> = Vec::new();
-        let mut uses: Vec<usize> = Vec::new();
         let slots = hashes
             .iter()
             .map(|h| match distinct.iter().position(|d| d == h) {
-                Some(at) => {
-                    uses[at] += 1;
-                    at
-                }
+                Some(at) => at,
                 None => {
                     distinct.push(*h);
-                    uses.push(1);
                     distinct.len() - 1
                 }
             })
             .collect();
-        (distinct, uses, slots)
+        (distinct, slots)
     }
 
     /// `len` hashes drawn from `distinct` values in a fixed scrambled order.
@@ -662,19 +586,17 @@ mod tests {
         for list in &lists {
             assert_eq!(first_occurrence_slots(list), slots_by_scan(list));
         }
-        let (distinct, uses, slots) = first_occurrence_slots(&lists[4]);
+        let (distinct, slots) = first_occurrence_slots(&lists[4]);
         assert_eq!(distinct, [a, b, c]);
-        assert_eq!(uses, [3, 2, 1]);
         assert_eq!(slots, [0, 1, 0, 2, 1, 0]);
     }
 
     #[test]
     fn slots_equal_the_scan_on_fifty_thousand_leaves() {
         let list = hashes(50_000, 2_000);
-        let (distinct, uses, slots) = first_occurrence_slots(&list);
-        assert_eq!(distinct.len(), 2_000);
-        assert_eq!(uses.iter().sum::<usize>(), list.len());
-        assert_eq!((distinct, uses, slots), slots_by_scan(&list));
+        let (distinct, slots) = first_occurrence_slots(&list);
+        assert_eq!((distinct.len(), slots.len()), (2_000, list.len()));
+        assert_eq!((distinct, slots), slots_by_scan(&list));
     }
 
     /// A parse of hostile bytes: the rows, or the one typed refusal.

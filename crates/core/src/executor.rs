@@ -22,7 +22,7 @@
 use crate::archive::ArchiveError;
 use crate::plan::{ReadPlan, WritePlan};
 use crate::policy::PolicyError;
-use aeon_crypto::{CryptoRng, Sha256};
+use aeon_crypto::{ChaChaDrbg, CryptoRng, Sha256};
 use aeon_store::cluster::{ClusterError, ShardAttempt, TransferReport};
 use aeon_store::node::{NodeError, NodeId, ShardKey, StorageNode};
 use aeon_store::retry::{run_with_retry, RetryPolicy};
@@ -492,15 +492,20 @@ impl<'a> PlanExecutor<'a> {
         Ok(digests)
     }
 
-    /// Deletes an object's shards (best-effort).
+    /// Deletes an object's shards (delete, a block's last release, the
+    /// old placement of a re-encode): the rollback's sticky per-slot
+    /// delete, with jitter from a stream keyed by the object, so a
+    /// transient fault does not leave an orphan shard behind.
     pub fn delete(&self, object: &str, placement: &[NodeId]) {
-        self.cluster.delete_shards(object, placement);
+        let mut rng = ChaChaDrbg::from_seed(Sha256::digest(object.as_bytes()));
+        self.roll_back(object, placement, &mut rng);
     }
 
     /// Takes back a shard set that landed: every slot is deleted, each
     /// delete retrying far past the normal budget. A rollback that sticks
     /// is what keeps a failed operation's stored bytes independent of how
-    /// its writes were framed or batched.
+    /// its writes were framed or batched. [`Self::delete`] is the same
+    /// body.
     pub(crate) fn roll_back<R: CryptoRng>(&self, object: &str, placement: &[NodeId], rng: &mut R) {
         for (s, &node) in placement.iter().enumerate() {
             self.delete_surely(node, &ShardKey::new(object, s as u32), rng);
@@ -515,11 +520,6 @@ impl<'a> PlanExecutor<'a> {
         if let Some(node) = self.cluster.node(node) {
             let _ = run_with_retry(&sticky, self.cluster.clock(), rng, || node.delete(key));
         }
-    }
-
-    /// Total bytes stored across the cluster.
-    pub fn total_stored_bytes(&self) -> u64 {
-        self.cluster.total_stored_bytes()
     }
 }
 
@@ -581,7 +581,6 @@ fn digest_filter(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aeon_crypto::ChaChaDrbg;
     use aeon_store::node::MemoryNode;
     use std::sync::Arc;
 

@@ -639,6 +639,84 @@ mod tests {
         ));
     }
 
+    /// A real framed set: RS(2, 1) under the entropic seal, three chunks
+    /// of a 2 500-byte payload.
+    fn framed_set() -> Encoded {
+        let (mut rng, keys) = fixtures();
+        let policy = PolicyKind::Entropic { data: 2, parity: 1 };
+        let cfg = PipelineConfig::serial().with_chunk_size(1024);
+        encode_object(&policy, &keys, &mut rng, "big", &test_payload(2_500), &cfg).unwrap()
+    }
+
+    /// A parse of hostile blobs under a real [`ChunkedMeta`]: whether it
+    /// parsed (every chunk's segments then handed out), or the one typed
+    /// refusal.
+    fn parses_or_refuses(meta: &EncodingMeta, shards: &[Option<Vec<u8>>]) -> bool {
+        match StoredChunks::parse("big", meta, shards) {
+            Ok(view) => {
+                for j in 0..view.count() {
+                    assert_eq!(view.shards(j).len(), shards.len());
+                }
+                true
+            }
+            Err(PolicyError::Malformed(_)) => false,
+            Err(other) => panic!("untyped chunk-set refusal: {other}"),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// An arbitrary blob in one slot of a real framed set, with and
+        /// without a real first segment in front of it (without it most
+        /// cases stop at the first header), parses or is refused with
+        /// `Malformed` — never a panic.
+        #[test]
+        fn hostile_chunk_set_bytes_parse_or_fail_typed(
+            slot in 0usize..3,
+            segment in proptest::prelude::any::<bool>(),
+            tail in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..400),
+        ) {
+            let enc = framed_set();
+            let mut shards: Vec<Option<Vec<u8>>> = enc.shards.iter().cloned().map(Some).collect();
+            let real = &enc.shards[slot];
+            let first = if segment {
+                4 + u32::from_be_bytes(real[..4].try_into().unwrap()) as usize
+            } else {
+                0
+            };
+            shards[slot] = Some([&real[..first], &tail].concat());
+            parses_or_refuses(&enc.meta, &shards);
+        }
+    }
+
+    /// Each blob of a real framed set cut at every offset and with every
+    /// bit flipped in turn: each cut is refused, each flip parses or is
+    /// refused, and nothing panics.
+    #[test]
+    fn hostile_chunk_set_cuts_and_flips_parse_or_fail_typed() {
+        let enc = framed_set();
+        let mut shards: Vec<Option<Vec<u8>>> = enc.shards.iter().cloned().map(Some).collect();
+        assert!(parses_or_refuses(&enc.meta, &shards), "a real set parses");
+        for (slot, blob) in enc.shards.iter().enumerate() {
+            for cut in 0..blob.len() {
+                shards[slot] = Some(blob[..cut].to_vec());
+                assert!(
+                    !parses_or_refuses(&enc.meta, &shards),
+                    "slot {slot} cut at {cut} parsed"
+                );
+            }
+            let mut flipped = blob.clone();
+            for bit in 0..blob.len() * 8 {
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                shards[slot] = Some(flipped.clone());
+                parses_or_refuses(&enc.meta, &shards);
+                flipped[bit / 8] ^= 1 << (bit % 8);
+            }
+            shards[slot] = Some(blob.clone());
+        }
+    }
+
     #[test]
     fn chunk_ids_are_domain_separated() {
         assert_eq!(chunk_object_id("abc", 0), "abc#chunk0");

@@ -32,12 +32,14 @@ pub(crate) enum Unit {
 }
 
 /// Retry-jitter rng labels of each op's node-I/O steps, `[fetch, put]`
-/// (repair: `[fetch, put, verifying fetch]`; ingest: its one put). The
+/// (repair: `[fetch, put, verifying fetch]`; ingest: its one put; read:
+/// the decode read behind retrieval and the dedup walk). The
 /// values are part of the replayable behaviour — fault schedules are
 /// keyed by them — so each kind keeps the labels it has always drawn
 /// under.
 pub(crate) struct Labels {
     pub ingest: &'static str,
+    pub read: &'static str,
     pub repair: [&'static str; 3],
     pub reencode: [&'static str; 2],
     pub refresh: [&'static str; 2],
@@ -47,6 +49,7 @@ pub(crate) struct Labels {
 
 pub(crate) const OBJECT: Labels = Labels {
     ingest: "ingest",
+    read: "retrieve",
     repair: ["repair", "repair-put", "repair-after"],
     reencode: ["retrieve", "reencode"],
     refresh: ["refresh", "refresh"],
@@ -56,6 +59,7 @@ pub(crate) const OBJECT: Labels = Labels {
 
 pub(crate) const BLOCK: Labels = Labels {
     ingest: "block-ingest",
+    read: "block-read",
     repair: ["block-repair", "block-repair-put", "block-repair-after"],
     reencode: ["block-read", "block-reencode-put"],
     refresh: ["block-refresh", "block-refresh-put"],

@@ -22,7 +22,9 @@
 //! An eighth guards the catalog: one ordered map, written only through
 //! `&mut`, whose rows the retrieval path borrows instead of cloning. A
 //! ninth guards the unit table: dedup blocks have their rows in that
-//! same map, not in a block map of their own.
+//! same map, not in a block map of their own. A tenth guards reads and
+//! deletes: one decode read for every stored unit, one tree walk, and
+//! one delete.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -365,27 +367,27 @@ fn method_body<'a>(source: &'a str, file: &str, name: &str) -> &'a str {
 /// Re-accretion guard for read-side payload verification. Every read
 /// decodes through one tail, `Archive::decode_many`, which checks all of
 /// its units' payload digests in one `Sha256::digest_many`: the
-/// multi-unit reads (`retrieve_each`, the dedup `read_blocks`) hand it
-/// every unit at once instead of hashing or decoding one unit at a
-/// time, and the one-unit tail `decode_verified` is its batch of one.
+/// multi-unit read `read_units` hands it every unit at once instead of
+/// hashing or decoding one unit at a time, `retrieve_each` reads every
+/// classic object of a call through one `read_units`, and the one-unit
+/// tail `decode_verified` is its batch of one.
 #[test]
 fn payload_verification_has_one_body() {
     let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
     let archive = non_test_source(&fs::read_to_string(src.join("archive.rs")).unwrap());
-    let dedup = non_test_source(&fs::read_to_string(src.join("dedup.rs")).unwrap());
     let mut violations = Vec::new();
-    for (file, source, name) in [
-        ("archive.rs", &archive, "retrieve_each"),
-        ("dedup.rs", &dedup, "read_blocks"),
+    for (name, via) in [
+        ("retrieve_each", ".read_units("),
+        ("read_units", ".decode_many("),
     ] {
-        let body = method_body(source, file, name);
+        let body = method_body(&archive, "archive.rs", name);
         for banned in ["Sha256::digest(", "decode_verified(", "decode_object("] {
             if body.contains(banned) {
-                violations.push(format!("{file}: fn {name} calls `{banned}`"));
+                violations.push(format!("archive.rs: fn {name} calls `{banned}`"));
             }
         }
-        if !body.contains(".decode_many(") {
-            violations.push(format!("{file}: fn {name} does not call `.decode_many(`"));
+        if !body.contains(via) {
+            violations.push(format!("archive.rs: fn {name} does not call `{via}`"));
         }
     }
     let one = method_body(&archive, "archive.rs", "decode_verified");
@@ -406,8 +408,8 @@ fn payload_verification_has_one_body() {
 /// Re-accretion guard for the unit record. A dedup block's record is a
 /// `Manifest`, like a classic object's catalog row, so `BlockRecord`
 /// declares none of the manifest's encoding fields, `unit.rs` builds no
-/// manifest (loading a block clones its record), and the dedup
-/// `read_blocks` plans with `ReadPlan::for_decode`, not a hand-built
+/// manifest (loading a block clones its record), and the one decode
+/// read `read_units` plans with `ReadPlan::for_decode`, not a hand-built
 /// plan. Refresh, re-wrap and re-encode end in one write-back: one
 /// `.write_shards(` call site outside the executor, and no
 /// one-shard-at-a-time `Sha256::digest(` in maintenance.
@@ -432,8 +434,8 @@ fn each_unit_has_one_record() {
             }
         }
     }
-    if method_body(&dedup, "dedup.rs", "read_blocks").contains("ReadPlan {") {
-        violations.push("dedup.rs: fn read_blocks builds a `ReadPlan {` literal".into());
+    if method_body(&read("archive.rs"), "archive.rs", "read_units").contains("ReadPlan {") {
+        violations.push("archive.rs: fn read_units builds a `ReadPlan {` literal".into());
     }
     let mut writes = Vec::new();
     for path in sources(&src) {
@@ -525,6 +527,56 @@ fn the_unit_table_is_one_map() {
     assert!(
         violations.is_empty(),
         "the unit table is more than one map:\n{}",
+        violations.join("\n")
+    );
+}
+
+/// Re-accretion guard for the read and delete paths. Every decode read
+/// of a stored unit — a classic object's or a dedup block's — is
+/// `Archive::read_units`, so `aeon-core` has one `.read_many(` call site
+/// outside the executor; a dedup object's one read is its tree walk, with
+/// no per-level, per-tree or per-object twin beside it; and the one
+/// delete is the executor's sticky delete, with no best-effort delete
+/// left on the cluster.
+#[test]
+fn one_read_path() {
+    // Spelled in halves so a repo-wide grep for the deleted names finds
+    // nothing, this guard included.
+    const GONE: &[&str] = &[
+        concat!("fn read", "_blocks"),
+        concat!("fn walk", "_tree"),
+        concat!("fn retrieve", "_dedup"),
+    ];
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut reads = Vec::new();
+    let mut violations = Vec::new();
+    for path in sources(&crates.join("core").join("src")) {
+        if path.ends_with("executor.rs") {
+            continue;
+        }
+        let file = path.file_name().unwrap().to_string_lossy().into_owned();
+        let body = non_test_source(&fs::read_to_string(&path).unwrap());
+        for (lineno, line) in body.lines().enumerate() {
+            if line.contains(".read_many(") {
+                reads.push(format!("{file}:{}", lineno + 1));
+            }
+            if file == "dedup.rs" {
+                for name in GONE.iter().filter(|name| line.contains(*name)) {
+                    violations.push(format!("{file}:{}: {name}", lineno + 1));
+                }
+            }
+        }
+    }
+    let cluster = crates.join("store").join("src").join("cluster.rs");
+    if non_test_source(&fs::read_to_string(cluster).unwrap())
+        .contains(concat!("fn delete", "_shards"))
+    {
+        violations.push("store/cluster.rs: a best-effort delete".into());
+    }
+    assert_eq!(reads.len(), 1, "`.read_many(` call sites: {reads:?}");
+    assert!(
+        violations.is_empty(),
+        "a second read or delete path:\n{}",
         violations.join("\n")
     );
 }

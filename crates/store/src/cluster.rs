@@ -1,7 +1,7 @@
 //! Geo-dispersed clusters with anti-affinity placement.
 //!
 //! A [`Cluster`] is the raw shard store: placement, node lookup, lane
-//! dispatch, deletion, accounting. It is policy-blind — it never sees
+//! dispatch, accounting. It is policy-blind — it never sees
 //! plaintext, codecs, or manifests. Retrying shard transfers are not
 //! here: in `aeon-core` every access to a cluster is funneled through
 //! the `PlanExecutor`, whose one fan-out frames transfers per node and
@@ -357,15 +357,6 @@ impl Cluster {
             .collect()
     }
 
-    /// Deletes an object's shards (best effort).
-    pub fn delete_shards(&self, object: &str, placement: &[NodeId]) {
-        for (i, node_id) in placement.iter().enumerate() {
-            if let Some(node) = self.node(*node_id) {
-                let _ = node.delete(&ShardKey::new(object, i as u32));
-            }
-        }
-    }
-
     /// Total bytes stored across the cluster.
     pub fn total_stored_bytes(&self) -> u64 {
         self.nodes.iter().map(|n| n.stored_bytes()).sum()
@@ -467,30 +458,6 @@ mod tests {
         let got = cluster.get_shards("obj", &placement);
         assert!(got[1].is_none());
         assert_eq!(got.iter().flatten().count(), 3);
-    }
-
-    #[test]
-    fn delete_is_best_effort() {
-        let (cluster, handles) = cluster_with_handles();
-        let placement = cluster.place("obj", 3).unwrap();
-        let shards: Vec<Vec<u8>> = (0..3u8).map(|i| vec![i; 4]).collect();
-        cluster.put_shards("obj", &placement, &shards).unwrap();
-        handles
-            .iter()
-            .find(|h| h.id() == placement[0])
-            .unwrap()
-            .set_offline(true);
-        cluster.delete_shards("obj", &placement); // must not panic
-        handles
-            .iter()
-            .find(|h| h.id() == placement[0])
-            .unwrap()
-            .set_offline(false);
-        let got = cluster.get_shards("obj", &placement);
-        // Shard 0 survived (node was offline during delete); 1, 2 gone.
-        assert!(got[0].is_some());
-        assert!(got[1].is_none());
-        assert!(got[2].is_none());
     }
 
     #[test]
