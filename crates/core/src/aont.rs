@@ -119,4 +119,46 @@ mod tests {
         let package = package(&mut rng(), b"");
         assert_eq!(unpackage(&package).unwrap(), b"");
     }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes open to a payload 32 bytes shorter, or are
+        /// refused with `CorruptPackage` when shorter than the
+        /// difference block — never a panic.
+        #[test]
+        fn hostile_package_bytes_open_or_fail_typed(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..97),
+        ) {
+            match unpackage(&bytes) {
+                Ok(payload) => proptest::prop_assert_eq!(payload.len() + 32, bytes.len()),
+                Err(CorruptPackage) => proptest::prop_assert!(bytes.len() < 32),
+            }
+        }
+    }
+
+    /// A real package cut at every length and with every bit flipped in
+    /// turn: a cut shorter than the difference block is refused, any
+    /// other cut or flip opens to a payload of its length — and a flip
+    /// to other bytes, since every bit decides the key — and nothing
+    /// panics.
+    #[test]
+    fn hostile_package_cuts_and_flips_open_or_fail_typed() {
+        let payload = b"all or nothing, and never a panic";
+        let mut package = package(&mut rng(), payload);
+        for cut in 0..package.len() {
+            match unpackage(&package[..cut]) {
+                Ok(opened) => assert_eq!(opened.len() + 32, cut, "cut at {cut}"),
+                Err(CorruptPackage) => assert!(cut < 32, "a {cut}-byte package refused"),
+            }
+        }
+        for bit in 0..package.len() * 8 {
+            package[bit / 8] ^= 1 << (bit % 8);
+            let opened = unpackage(&package).unwrap();
+            assert_eq!(opened.len(), payload.len());
+            assert_ne!(opened, payload, "bit {bit} flipped");
+            package[bit / 8] ^= 1 << (bit % 8);
+        }
+        assert_eq!(unpackage(&package).unwrap(), payload);
+    }
 }

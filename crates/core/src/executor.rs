@@ -29,18 +29,18 @@ use aeon_store::retry::{run_with_retry, RetryPolicy};
 use aeon_store::Cluster;
 use std::slice;
 
-/// Snapshot of an object's shards after a retrying, digest-checked
-/// fetch: the raw material for degraded reads, verification, and
-/// repair.
+/// Snapshot of an object's shards after a retrying, checked fetch —
+/// by digest, or by byte equality for a repair's re-read: the raw
+/// material for degraded reads, verification, and repair.
 #[derive(Debug)]
 pub struct ShardsSnapshot {
     /// Shard slots in placement order. Slots that erred out past the
-    /// retry budget, whose bytes failed the per-shard digest check, or
-    /// that lie past the plan's `need`-th valid slot are `None`.
+    /// retry budget, whose bytes failed the per-shard check, or that
+    /// lie past the plan's `need`-th valid slot are `None`.
     pub shards: Vec<Option<Vec<u8>>>,
-    /// Shards present and digest-clean (at most the plan's `need`).
+    /// Shards present and clean (at most the plan's `need`).
     pub valid: usize,
-    /// Shards discarded because their bytes failed the digest check,
+    /// Shards discarded because their bytes failed the check,
     /// among those examined before `need` were valid.
     pub corrupt: usize,
     /// Per-shard read-attempt accounting from the cluster.
@@ -287,6 +287,48 @@ impl<'a> PlanExecutor<'a> {
         plans: &[ReadPlan],
         rngs: &mut [R],
     ) -> Vec<ShardsSnapshot> {
+        let fetched = self.fetch(plans, rngs);
+        let firsts: Vec<&[u8]> = plans
+            .iter()
+            .zip(&fetched)
+            .flat_map(|(plan, (shards, _))| first_present(plan, shards))
+            .collect();
+        let mut digests = Sha256::digest_many(&firsts).into_iter();
+        plans
+            .iter()
+            .zip(fetched)
+            .map(|(plan, (shards, report))| digest_filter(plan, shards, report, &mut digests))
+            .collect()
+    }
+
+    /// Re-reads a plan whose bytes the caller holds, `expected[s]` for
+    /// slot `s`: [`Self::read`]'s fetch, `need` and accounting, but each
+    /// slot is checked by byte equality instead of by digest, and a slot
+    /// past `expected` is corrupt. Holding the bytes the plan's digests
+    /// record, it accepts what [`Self::read`] does and hashes nothing.
+    pub(crate) fn reread<R: CryptoRng>(
+        &self,
+        plan: &ReadPlan,
+        expected: &[&[u8]],
+        rng: &mut R,
+    ) -> ShardsSnapshot {
+        let (shards, report) = self
+            .fetch(slice::from_ref(plan), slice::from_mut(rng))
+            .pop()
+            .expect("one fetch per plan");
+        check_slots(plan, shards, report, |s, bytes| {
+            expected.get(s).is_some_and(|held| *held == bytes)
+        })
+    }
+
+    /// The fetch behind every read: one leg per placement slot of every
+    /// plan through the one fan-out, unchecked. Returns, per plan, its
+    /// slots and attempt accounting.
+    fn fetch<R: CryptoRng>(
+        &self,
+        plans: &[ReadPlan],
+        rngs: &mut [R],
+    ) -> Vec<(Vec<Option<Vec<u8>>>, TransferReport)> {
         assert_eq!(plans.len(), rngs.len(), "plan/rng mismatch");
         let legs: Vec<Leg<'_>> = plans
             .iter()
@@ -301,18 +343,7 @@ impl<'a> PlanExecutor<'a> {
                 })
             })
             .collect();
-        let fetched = self.transfer::<Get, R>(&legs, rngs);
-        let firsts: Vec<&[u8]> = plans
-            .iter()
-            .zip(&fetched)
-            .flat_map(|(plan, (shards, _))| first_present(plan, shards))
-            .collect();
-        let mut digests = Sha256::digest_many(&firsts).into_iter();
-        plans
-            .iter()
-            .zip(fetched)
-            .map(|(plan, (shards, report))| digest_filter(plan, shards, report, &mut digests))
-            .collect()
+        self.transfer::<Get, R>(&legs, rngs)
     }
 
     /// Writes a shard set in place (refresh, re-encode, re-wrap):
@@ -532,38 +563,52 @@ fn first_present<'s>(
     shards.iter().flatten().take(plan.need).map(Vec::as_slice)
 }
 
-/// Verifies fetched shards in slot order against the plan's digests and
-/// folds the result into a [`ShardsSnapshot`]. A slot whose bytes fail
-/// — or that the plan records no digest for — is discarded and counted
-/// corrupt. Once `plan.need` slots are valid, every later slot is
-/// dropped unhashed and uncounted: when fewer than `need` are valid,
-/// every present slot was examined, so `valid` and `corrupt` are what a
-/// full scrub would report.
+/// Verifies fetched shards in slot order against the plan's digests:
+/// [`check_slots`] with the digest check. A slot whose bytes fail — or
+/// that the plan records no digest for — is discarded and counted
+/// corrupt.
 ///
 /// `batched` yields the digests of this plan's [`first_present`] slots,
 /// in order, computed ahead for the whole read; a slot examined past
 /// them (one of them failed) is hashed here.
 fn digest_filter(
     plan: &ReadPlan,
-    mut shards: Vec<Option<Vec<u8>>>,
+    shards: Vec<Option<Vec<u8>>>,
     report: TransferReport,
     batched: &mut impl Iterator<Item = [u8; 32]>,
+) -> ShardsSnapshot {
+    let mut examined = 0usize;
+    check_slots(plan, shards, report, |s, bytes| {
+        // Every present slot so far was examined, so this is a first
+        // `need` one exactly while fewer than `need` were.
+        let digest = if examined < plan.need {
+            batched.next().expect("one batched digest per first slot")
+        } else {
+            Sha256::digest(bytes)
+        };
+        examined += 1;
+        plan.shard_digests.get(s) == Some(&digest)
+    })
+}
+
+/// Checks fetched shards in slot order with `accept` and folds the
+/// result into a [`ShardsSnapshot`]. A slot `accept` refuses is
+/// discarded and counted corrupt. Once `plan.need` slots are valid,
+/// every later slot is dropped unexamined and uncounted: when fewer
+/// than `need` are valid, every present slot was examined, so `valid`
+/// and `corrupt` are what a full scrub would report.
+fn check_slots(
+    plan: &ReadPlan,
+    mut shards: Vec<Option<Vec<u8>>>,
+    report: TransferReport,
+    mut accept: impl FnMut(usize, &[u8]) -> bool,
 ) -> ShardsSnapshot {
     let (mut valid, mut corrupt) = (0usize, 0usize);
     for (s, slot) in shards.iter_mut().enumerate() {
         let Some(bytes) = slot else { continue };
         if valid >= plan.need {
             *slot = None;
-            continue;
-        }
-        // Every present slot so far was examined, so this is a first
-        // `need` one exactly while fewer than `need` were.
-        let digest = if valid + corrupt < plan.need {
-            batched.next().expect("one batched digest per first slot")
-        } else {
-            Sha256::digest(bytes)
-        };
-        if plan.shard_digests.get(s) == Some(&digest) {
+        } else if accept(s, bytes) {
             valid += 1;
         } else {
             corrupt += 1;
@@ -777,6 +822,36 @@ mod tests {
         assert_eq!(present(&snap), vec![1, 4]);
     }
 
+    /// Stores `shards`, then damages slot `s` as `damage[s]` says: 1
+    /// deletes it, 2 flips its first byte, 3 drops its last byte, and
+    /// anything else leaves it as stored.
+    fn store_damaged(
+        cluster: &Cluster,
+        object: &str,
+        placement: &[NodeId],
+        shards: &[Vec<u8>],
+        damage: &[u8],
+    ) {
+        cluster.put_shards(object, placement, shards).unwrap();
+        for (s, node) in placement.iter().enumerate() {
+            let node = cluster.node(*node).unwrap();
+            let key = ShardKey::new(object, s as u32);
+            let mut bytes = shards[s].clone();
+            match damage[s] {
+                1 => node.delete(&key).unwrap(),
+                2 if !bytes.is_empty() => {
+                    bytes[0] ^= 1;
+                    node.put(&key, &bytes).unwrap();
+                }
+                3 => {
+                    bytes.pop();
+                    node.put(&key, &bytes).unwrap();
+                }
+                _ => {}
+            }
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
@@ -800,24 +875,7 @@ mod tests {
                 let placement = cluster.place(&object, *n).unwrap();
                 let shards: Vec<Vec<u8>> =
                     (0..*n).map(|s| vec![(i * 7 + s) as u8; len + 61 * s]).collect();
-                cluster.put_shards(&object, &placement, &shards).unwrap();
-                for (s, node) in placement.iter().enumerate() {
-                    let node = cluster.node(*node).unwrap();
-                    let key = ShardKey::new(&object, s as u32);
-                    let mut bytes = shards[s].clone();
-                    match damage[s] {
-                        1 => node.delete(&key).unwrap(),
-                        2 if !bytes.is_empty() => {
-                            bytes[0] ^= 1;
-                            node.put(&key, &bytes).unwrap();
-                        }
-                        3 => {
-                            bytes.pop();
-                            node.put(&key, &bytes).unwrap();
-                        }
-                        _ => {}
-                    }
-                }
+                store_damaged(&cluster, &object, &placement, &shards, damage);
                 plans.push(ReadPlan {
                     object: crate::archive::ObjectId::from_raw(object),
                     need: *need,
@@ -837,6 +895,58 @@ mod tests {
                 );
             }
         }
+
+        /// Holding the bytes the plan's digests record, a byte-checked
+        /// re-read answers exactly what the digest-checked read does,
+        /// whatever is missing, corrupt or truncated and wherever `need`
+        /// sits.
+        #[test]
+        fn reread_of_the_recorded_bytes_answers_like_read(
+            need in 1usize..=7,
+            damage in proptest::collection::vec(0u8..4, 6..7),
+            len in 0usize..300,
+        ) {
+            let (cluster, _handles) = cluster_with_handles();
+            let placement = cluster.place("obj", 6).unwrap();
+            let shards: Vec<Vec<u8>> = (0..6).map(|s| vec![s as u8; len + 61 * s]).collect();
+            store_damaged(&cluster, "obj", &placement, &shards, &damage);
+            let plan = ReadPlan { need, ..read_plan(&placement, &shards) };
+            let held: Vec<&[u8]> = shards.iter().map(Vec::as_slice).collect();
+            let retry = RetryPolicy::none();
+            let executor = PlanExecutor::new(&cluster, &retry);
+            let mut rng = ChaChaDrbg::from_u64_seed(7);
+            let by_bytes = executor.reread(&plan, &held, &mut rng);
+            let by_digest = executor.read(&plan, &mut rng);
+            proptest::prop_assert_eq!(&by_bytes.shards, &by_digest.shards);
+            proptest::prop_assert_eq!(
+                (by_bytes.valid, by_bytes.corrupt),
+                (by_digest.valid, by_digest.corrupt)
+            );
+        }
+    }
+
+    /// The byte check accepts a slot exactly when it equals the held
+    /// bytes: a slot holding other bytes, or one past the held list, is
+    /// corrupt, and `need` stops it where it stops the digest check.
+    #[test]
+    fn reread_accepts_only_the_held_bytes() {
+        let (cluster, _handles) = cluster_with_handles();
+        let placement = cluster.place("obj", 4).unwrap();
+        let shards: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 8]).collect();
+        cluster.put_shards("obj", &placement, &shards).unwrap();
+        let changed = [9u8; 8];
+        let mut held: Vec<&[u8]> = shards.iter().map(Vec::as_slice).collect();
+        held[1] = &changed;
+        let retry = RetryPolicy::none();
+        let executor = PlanExecutor::new(&cluster, &retry);
+        let mut rng = ChaChaDrbg::from_u64_seed(6);
+        let plan = read_plan(&placement, &shards);
+        let snap = executor.reread(&plan, &held[..3], &mut rng);
+        assert_eq!((snap.valid, snap.corrupt), (2, 2));
+        assert_eq!(present(&snap), vec![0, 2]);
+        let snap = executor.reread(&ReadPlan { need: 1, ..plan }, &held, &mut rng);
+        assert_eq!((snap.valid, snap.corrupt), (1, 0));
+        assert_eq!(present(&snap), vec![0]);
     }
 
     /// Regression: a repair write naming a slot beyond the placement

@@ -20,7 +20,7 @@
 use crate::archive::{Archive, ArchiveError, ObjectId};
 use crate::campaign::{Campaign, CampaignOp};
 use crate::fleet::RepairQueueOrder;
-use crate::plan::{self, RepairOutcome};
+use crate::plan::{self, ReadPlan, RepairOutcome};
 use crate::policy::PolicyError;
 use crate::unit::Unit;
 use aeon_store::clock::SimDuration;
@@ -36,8 +36,9 @@ pub struct RepairReport {
     pub missing_after: usize,
     /// The strategy used.
     pub method: RepairMethod,
-    /// Stored bytes fetched while diagnosing and rebuilding (survivor
-    /// reads plus the post-repair verification fetch).
+    /// Stored bytes fetched while diagnosing and rebuilding, counted
+    /// over the shards that passed their check: the survivors plus the
+    /// post-repair re-read's.
     pub bytes_read: u64,
     /// Rebuilt bytes written back to nodes.
     pub bytes_written: u64,
@@ -93,6 +94,19 @@ impl Archive {
 
     /// Repairs one unit's missing or rotted shards from survivors, on
     /// behalf of `owner` (the object failures are typed against).
+    ///
+    /// The unit is read twice. The first fetch checks every slot against
+    /// its recorded digest, and the survivors feed the rebuild. Once the
+    /// rebuilt slots are written and their digests recorded, a re-read
+    /// of every slot checks what the nodes now hold by byte equality
+    /// with what the repair holds for each slot: the survivor, or the
+    /// rebuilt bytes it wrote there. That accepts exactly the slots a
+    /// digest check would — a survivor matched its recorded digest one
+    /// fetch earlier, and a rebuilt slot's new digest is the SHA-256 of
+    /// exactly the bytes written — without hashing them again or resting
+    /// on collision resistance. Each slot that fails counts toward
+    /// `missing_after`. The full re-encode fallback does not hold its new
+    /// shards, so its re-read checks them by digest.
     fn repair_unit(&mut self, owner: &ObjectId, unit: &Unit) -> Result<RepairReport, ArchiveError> {
         let mut record = self.load(unit)?;
         let [fetch, put, after] = unit.labels().repair;
@@ -121,18 +135,25 @@ impl Archive {
         // whole shard sets, so it carries the rebuilt bytes as an
         // explicit plan.
         let outcome = plan::plan_repair(&record, &shards, &missing)?;
-        // The survivors have served their purpose; the verification
-        // fetch below brings its own copy of every shard.
-        drop(shards);
-        let method = match outcome {
+        let (method, snap) = match outcome {
             RepairOutcome::Apply(repair) => {
                 // A slot the manifest records no digest for could never
-                // be read back: the record is malformed, and that is said
-                // before any node is touched.
+                // be read back, and a slot that is neither a survivor nor
+                // rebuilt leaves the re-read nothing to compare: either
+                // way the record is malformed, and that is said before
+                // any node is touched.
+                let malformed = |why: &str| ArchiveError::from(PolicyError::Malformed(why.into()));
                 if (repair.writes.iter()).any(|(m, _)| *m >= record.shard_digests.len()) {
-                    let why = "repair slot has no recorded digest";
-                    return Err(PolicyError::Malformed(why.into()).into());
+                    return Err(malformed("repair slot has no recorded digest"));
                 }
+                let rebuilt = |s: usize| {
+                    let write = repair.writes.iter().find(|(m, _)| *m == s);
+                    write.map(|(_, data)| data.as_slice())
+                };
+                let held: Option<Vec<&[u8]>> = (shards.iter().enumerate())
+                    .map(|(s, survivor)| survivor.as_deref().or_else(|| rebuilt(s)))
+                    .collect();
+                let held = held.ok_or_else(|| malformed("repair leaves a slot unwritten"))?;
                 bytes_written += repair
                     .writes
                     .iter()
@@ -148,19 +169,24 @@ impl Archive {
                 for (m, digest) in digests {
                     record.shard_digests[m] = digest;
                 }
+                let plan = ReadPlan::for_manifest(&record);
                 self.store(unit, record);
-                repair.method
+                let mut rng = self.op_rng(after, plan.object.as_str());
+                let snap = self.executor().reread(&plan, &held, &mut rng);
+                (repair.method, snap)
             }
             RepairOutcome::Reencode => {
                 // No per-shard repair structure: decode and re-encode.
+                // The re-encode reads its own copy of the survivors.
+                drop(shards);
                 let o = self.reencode_unit(owner, unit, &record.policy)?;
                 bytes_read += o.bytes_read;
                 bytes_written += o.bytes_written;
-                RepairMethod::FullReencode
+                // The new shards are not in hand, so this re-read hashes.
+                let snap = self.fetch_shards(&self.load(unit)?, after);
+                (RepairMethod::FullReencode, snap)
             }
         };
-
-        let snap = self.fetch_shards(&self.load(unit)?, after);
         bytes_read += snapshot_bytes(&snap.shards);
         Ok(RepairReport {
             missing_before: missing.len(),
@@ -194,9 +220,11 @@ mod tests {
     use super::*;
     use crate::{ArchiveConfig, PolicyKind};
     use aeon_crypto::SuiteId;
-    use aeon_store::node::{MemoryNode, ShardKey, StorageNode};
+    use aeon_integrity::timestamp::SigBreakSchedule;
+    use aeon_store::node::{MemoryNode, NodeError, NodeId, ShardKey, StorageNode};
     use aeon_store::Cluster;
-    use std::sync::Arc;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{Arc, Mutex};
 
     fn archive_with_handles(policy: PolicyKind, n: usize) -> (Archive, Vec<MemoryNode>) {
         let handles: Vec<MemoryNode> = (0..n as u32)
@@ -341,6 +369,40 @@ mod tests {
         assert_eq!(handles.iter().map(stored).collect::<Vec<_>>(), before);
     }
 
+    /// A framed record of zero chunks rebuilds nothing, so its repair
+    /// would leave the missing slot unwritten, with nothing to compare
+    /// that slot's re-read against. The record is malformed, and that is
+    /// said before any node is written.
+    #[test]
+    fn a_repair_that_rebuilds_nothing_is_malformed() {
+        let (mut archive, handles) =
+            archive_with_handles(PolicyKind::ErasureCoded { data: 3, parity: 2 }, 5);
+        let id = archive.ingest(b"no chunk to rebuild", "r").unwrap();
+        let placement = archive.manifest(&id).unwrap().placement;
+        for (s, node) in placement.iter().enumerate() {
+            let node = handles.iter().find(|h| h.id() == *node).unwrap();
+            node.put(&ShardKey::new(id.as_str(), s as u32), b"")
+                .unwrap();
+        }
+        delete_shard(&handles, &archive, &id, 4);
+        archive.manifests.update(&id, |m| {
+            m.shard_digests = vec![aeon_crypto::Sha256::digest(b""); 5];
+            m.meta.chunked = Some(crate::pipeline::ChunkedMeta {
+                chunk_size: 1,
+                chunk_metas: Vec::new(),
+            });
+        });
+        let keys = |h: &MemoryNode| h.keys();
+        let before: Vec<_> = handles.iter().map(keys).collect();
+        match archive.repair_object(&id) {
+            Err(ArchiveError::Policy(PolicyError::Malformed(why))) => {
+                assert_eq!(why, "repair leaves a slot unwritten");
+            }
+            other => panic!("expected a malformed record, got {other:?}"),
+        }
+        assert_eq!(handles.iter().map(keys).collect::<Vec<_>>(), before);
+    }
+
     #[test]
     fn repair_noop_when_healthy() {
         let (mut archive, _handles) =
@@ -370,5 +432,156 @@ mod tests {
         for id in &ids {
             assert_eq!(archive.retrieve(id).unwrap(), b"sweep");
         }
+    }
+
+    /// A node that misbehaves once armed. A lying `put` stores the shard
+    /// with its first byte flipped and still reports success. A rotting
+    /// key serves its first read clean and flips a stored byte just
+    /// before its second, so a repair's first fetch trusts the survivor
+    /// and its re-read finds it changed.
+    #[derive(Debug)]
+    struct Misbehaving {
+        inner: MemoryNode,
+        lying_put: AtomicBool,
+        /// The rotting key and how many times it has been read.
+        rot: Mutex<Option<(ShardKey, u32)>>,
+    }
+
+    impl StorageNode for Misbehaving {
+        fn id(&self) -> NodeId {
+            self.inner.id()
+        }
+        fn site(&self) -> &str {
+            self.inner.site()
+        }
+        fn put(&self, key: &ShardKey, data: &[u8]) -> Result<(), NodeError> {
+            if !self.lying_put.load(Ordering::SeqCst) {
+                return self.inner.put(key, data);
+            }
+            let mut wrong = data.to_vec();
+            wrong[0] ^= 1;
+            self.inner.put(key, &wrong)
+        }
+        fn get(&self, key: &ShardKey) -> Result<Vec<u8>, NodeError> {
+            if let Some((rotting, reads)) = self.rot.lock().unwrap().as_mut() {
+                if rotting == key {
+                    *reads += 1;
+                    if *reads == 2 {
+                        let mut bytes = self.inner.get(key)?;
+                        bytes[0] ^= 1;
+                        self.inner.put(key, &bytes)?;
+                    }
+                }
+            }
+            self.inner.get(key)
+        }
+        fn delete(&self, key: &ShardKey) -> Result<(), NodeError> {
+            self.inner.delete(key)
+        }
+        fn keys(&self) -> Vec<ShardKey> {
+            self.inner.keys()
+        }
+        fn stored_bytes(&self) -> u64 {
+            self.inner.stored_bytes()
+        }
+    }
+
+    /// An archive over `n` fresh [`Misbehaving`] nodes, none armed.
+    fn misbehaving_archive(policy: PolicyKind, n: usize) -> (Archive, Vec<Arc<Misbehaving>>) {
+        let nodes: Vec<Arc<Misbehaving>> = (0..n as u32)
+            .map(|i| {
+                Arc::new(Misbehaving {
+                    inner: MemoryNode::new(i, format!("site-{i}")),
+                    lying_put: AtomicBool::new(false),
+                    rot: Mutex::new(None),
+                })
+            })
+            .collect();
+        let cluster = Cluster::new(
+            (nodes.iter())
+                .map(|node| Arc::clone(node) as Arc<dyn StorageNode>)
+                .collect(),
+        );
+        let archive = Archive::with_cluster(ArchiveConfig::new(policy), cluster).unwrap();
+        (archive, nodes)
+    }
+
+    /// The node holding `id`'s shard `slot`.
+    fn holder<'n>(
+        nodes: &'n [Arc<Misbehaving>],
+        archive: &Archive,
+        id: &ObjectId,
+        slot: usize,
+    ) -> &'n Misbehaving {
+        let node = archive.manifest(id).unwrap().placement[slot];
+        nodes.iter().find(|n| n.id() == node).unwrap()
+    }
+
+    /// A node that stores a rebuilt shard wrongly but reports success
+    /// leaves that slot missing after the repair, and `verify` agrees.
+    #[test]
+    fn reread_rejects_a_rebuilt_shard_stored_wrong() {
+        let (mut archive, nodes) =
+            misbehaving_archive(PolicyKind::ErasureCoded { data: 3, parity: 2 }, 5);
+        let id = archive
+            .ingest(b"a rebuilt shard stored wrong", "r")
+            .unwrap();
+        let node = holder(&nodes, &archive, &id, 1);
+        node.inner.delete(&ShardKey::new(id.as_str(), 1)).unwrap();
+        node.lying_put.store(true, Ordering::SeqCst);
+        let report = archive.repair_object(&id).unwrap();
+        assert_eq!(report.method, RepairMethod::PartialErasure);
+        assert_eq!((report.missing_before, report.missing_after), (1, 1));
+        let health = archive.verify(&id, &SigBreakSchedule::new()).unwrap();
+        assert_eq!(health.shards_available, 4);
+    }
+
+    /// A survivor that changes between the repair's first fetch and its
+    /// re-read is not what the repair holds: that slot is missing after.
+    #[test]
+    fn reread_rejects_a_survivor_rotted_since_the_fetch() {
+        let (mut archive, nodes) =
+            misbehaving_archive(PolicyKind::ErasureCoded { data: 3, parity: 2 }, 5);
+        let id = archive
+            .ingest(b"a survivor that rots mid-repair", "r")
+            .unwrap();
+        holder(&nodes, &archive, &id, 0)
+            .inner
+            .delete(&ShardKey::new(id.as_str(), 0))
+            .unwrap();
+        let rotting = ShardKey::new(id.as_str(), 2);
+        *holder(&nodes, &archive, &id, 2).rot.lock().unwrap() = Some((rotting, 0));
+        let report = archive.repair_object(&id).unwrap();
+        assert_eq!(report.method, RepairMethod::PartialErasure);
+        assert_eq!((report.missing_before, report.missing_after), (1, 1));
+        let health = archive.verify(&id, &SigBreakSchedule::new()).unwrap();
+        assert_eq!(health.shards_available, 4);
+    }
+
+    /// The full re-encode fallback re-reads by digest: a node that lies
+    /// about storing its new shard still shows as one slot missing.
+    #[test]
+    fn reread_after_an_lrss_reencode_reports_the_bad_slot() {
+        let (mut archive, nodes) = misbehaving_archive(
+            PolicyKind::LeakageResilientShamir {
+                threshold: 2,
+                shares: 4,
+                source_len: 32,
+            },
+            4,
+        );
+        let id = archive
+            .ingest(b"re-encoded under a lying put", "r")
+            .unwrap();
+        holder(&nodes, &archive, &id, 3)
+            .inner
+            .delete(&ShardKey::new(id.as_str(), 3))
+            .unwrap();
+        holder(&nodes, &archive, &id, 0)
+            .lying_put
+            .store(true, Ordering::SeqCst);
+        let report = archive.repair_object(&id).unwrap();
+        assert_eq!(report.method, RepairMethod::FullReencode);
+        assert_eq!((report.missing_before, report.missing_after), (1, 1));
     }
 }

@@ -24,7 +24,9 @@
 //! ninth guards the unit table: dedup blocks have their rows in that
 //! same map, not in a block map of their own. A tenth guards reads and
 //! deletes: one decode read for every stored unit, one tree walk, and
-//! one delete.
+//! one delete. An eleventh guards repair's re-read: one fetch under the
+//! digest-checked read and the byte-checked re-read, and no hashing in
+//! repair.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -578,5 +580,32 @@ fn one_read_path() {
         violations.is_empty(),
         "a second read or delete path:\n{}",
         violations.join("\n")
+    );
+}
+
+/// Re-accretion guard for repair's re-read. The executor's digest-checked
+/// read and its byte-checked re-read share one fetch, so `executor.rs`
+/// has one `transfer::<Get` call site; repair re-reads what it holds
+/// through that one `.reread(` call and names no `Sha256::`, because
+/// every byte it re-reads is one it already checked.
+#[test]
+fn repair_rereads_what_it_holds() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let read = |file: &str| non_test_source(&fs::read_to_string(src.join(file)).unwrap());
+    let executor = read("executor.rs");
+    let repair = read("repair.rs");
+    assert_eq!(
+        executor.matches("transfer::<Get").count(),
+        1,
+        "executor.rs: one fetch behind every read"
+    );
+    assert_eq!(
+        repair.matches(".reread(").count(),
+        1,
+        "repair.rs: one byte-checked re-read"
+    );
+    assert!(
+        !repair.contains("Sha256::"),
+        "repair.rs hashes what it already holds"
     );
 }

@@ -361,9 +361,15 @@ impl MerkleSigner {
 }
 
 impl MerklePublicKey {
-    /// Verifies a Merkle signature.
+    /// Verifies a Merkle signature. Any key and signature values — a
+    /// height past the word size, an index past the tree, a path of the
+    /// wrong length — are answered `false`, never a panic: a stored
+    /// timestamp token carries both.
     pub fn verify(&self, message: &[u8], sig: &MerkleSignature) -> bool {
-        if sig.auth_path.len() != self.height || sig.leaf_index >= 1 << self.height {
+        // `leaf_index >= 2^height`; a tree as tall as a `usize` is wide
+        // holds every index.
+        let past_tree = self.height < usize::BITS as usize && sig.leaf_index >> self.height != 0;
+        if sig.auth_path.len() != self.height || past_tree {
             return false;
         }
         if !sig.leaf_pk.verify(message, &sig.wots) {
@@ -494,5 +500,50 @@ mod tests {
         let sig = signer.sign(b"only one").unwrap();
         assert!(pk.verify(b"only one", &sig));
         assert!(signer.sign(b"no more").is_err());
+    }
+
+    /// Hostile key and signature values: heights up to `usize::MAX`,
+    /// indices at and past the tree's edge, auth paths one short and one
+    /// long, and flipped path or WOTS bytes. There is no byte parser for
+    /// a `MerkleSignature`, so the hostile input is the value itself.
+    /// Every case answers `false`; none panics (a height of 64 with a
+    /// 64-entry path used to overflow the index check's shift).
+    #[test]
+    fn hostile_merkle_signature_values_are_refused() {
+        let mut signer = MerkleSigner::generate(&mut rng(), 2);
+        let key = signer.public_key();
+        let real = signer.sign(b"msg").unwrap();
+        assert!(key.verify(b"msg", &real));
+        for height in [0, 2, 16, 63, 64, usize::MAX] {
+            let key = MerklePublicKey { height, ..key };
+            let edge = 1usize.checked_shl(height as u32).unwrap_or(0);
+            for leaf_index in [0, edge, usize::MAX] {
+                // One short, exact and one long; no path is built longer
+                // than 65 entries, so `usize::MAX` meets a short one.
+                let lens = [height.saturating_sub(1), height, height.saturating_add(1)];
+                for len in lens.map(|len| len.min(65)) {
+                    let sig = MerkleSignature {
+                        leaf_index,
+                        auth_path: vec![[7u8; 32]; len],
+                        ..real.clone()
+                    };
+                    assert!(
+                        !key.verify(b"msg", &sig),
+                        "h {height} i {leaf_index} len {len}"
+                    );
+                }
+            }
+        }
+        let mut flipped = real.clone();
+        flipped.auth_path[1][31] ^= 0x80;
+        assert!(!key.verify(b"msg", &flipped));
+        for chain in 0..real.wots.chains.len() {
+            let mut flipped = real.clone();
+            flipped.wots.chains[chain][chain % 32] ^= 1;
+            assert!(!key.verify(b"msg", &flipped), "wots chain {chain}");
+        }
+        let mut short = real.clone();
+        short.wots.chains.pop();
+        assert!(!key.verify(b"msg", &short));
     }
 }
