@@ -159,7 +159,6 @@ fn run_corpus(name: &'static str, corpus: Corpus, chunker: ChunkerParams) -> Cor
     let logical_bytes: u64 = corpus.iter().map(|(_, d)| d.len() as u64).sum();
     let dedup_cfg = DedupConfig {
         chunker,
-        index_capacity: 1 << 16,
         fanout: 64,
     };
 

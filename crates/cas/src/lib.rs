@@ -3,34 +3,30 @@
 //! The paper's §3.2 campaigns are priced per byte that crosses the
 //! media; the cheapest byte is the one never stored twice. This crate
 //! supplies the Venti-shaped substrate ROADMAP item 2 calls for, in
-//! three pure, archive-agnostic pieces:
+//! two pure, archive-agnostic pieces beside the [`BlockHash`] address:
 //!
 //! * [`chunker`] — a deterministic content-defined chunker (Gear
 //!   rolling hash) with min/target/max bounds and a seeded gear table,
 //!   so chunk boundaries are reproducible across runs and machines and
 //!   survive insertions with only local boundary churn.
-//! * [`store`] — a block store keyed by SHA-256: refcounted blocks plus
-//!   a bounded in-memory recency index ([`BoundedIndex`]) whose misses
-//!   fall back to the authoritative map, so the memory bound costs
-//!   dedup opportunity statistics, never correctness.
 //! * [`merkle`] — a Merkle block tree whose interior nodes are
 //!   themselves content-addressed blocks, so an entire object — or a
 //!   whole archive catalog — is recoverable and verifiable from a
 //!   single 32-byte root hash.
 //!
-//! Everything here is deterministic in its inputs: no clocks, no
-//! global state, no platform-dependent hashing.
+//! Everything here is format code, deterministic in its inputs: no
+//! clocks, no global state, no platform-dependent hashing. Which blocks
+//! an archive holds, and how many references keep each alive, is the
+//! archive's own unit table (`aeon-core`), not state kept here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod chunker;
 pub mod merkle;
-pub mod store;
 
 pub use chunker::{Chunker, ChunkerParams};
 pub use merkle::{build_tree, collect_leaves, decode_node, TreeBuild, TreeError, TreeNode};
-pub use store::{BoundedIndex, IndexStats, MemoryBlockStore};
 
 use aeon_crypto::Sha256;
 use std::fmt;

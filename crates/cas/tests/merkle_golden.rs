@@ -7,7 +7,7 @@
 //! in the wild just became unreadable: do not update the constant
 //! unless that is the intent.
 
-use aeon_cas::{build_tree, collect_leaves, BlockHash, Chunker, ChunkerParams, MemoryBlockStore};
+use aeon_cas::{build_tree, collect_leaves, BlockHash, Chunker, ChunkerParams};
 use aeon_crypto::{ChaChaDrbg, CryptoRng};
 use std::collections::BTreeMap;
 
@@ -65,34 +65,31 @@ fn golden_root_is_pinned() {
     );
 }
 
-/// The whole object is recoverable from the root hash alone: store
-/// every block (data + interior nodes) content-addressed, forget the
+/// The whole object is recoverable from the root hash alone: keep
+/// every block (data + interior nodes) by its address, forget the
 /// manifest, walk from the root, reassemble, compare byte-exact.
 #[test]
 fn corpus_round_trips_from_root_hash_alone() {
     let data = golden_corpus();
     let chunker = Chunker::new(golden_params());
-    let mut store = MemoryBlockStore::new(1 << 12);
     let mut by_hash: BTreeMap<BlockHash, Vec<u8>> = BTreeMap::new();
+    let mut leaves = Vec::new();
     for chunk in chunker.chunks(&data) {
-        let (h, _) = store.put(chunk);
+        let h = BlockHash::of(chunk);
         by_hash.insert(h, chunk.to_vec());
+        leaves.push(h);
     }
-    let leaves: Vec<BlockHash> = chunker
-        .chunks(&data)
-        .iter()
-        .map(|c| BlockHash::of(c))
-        .collect();
     let build = build_tree(&leaves, 4);
-    for (_, bytes) in &build.nodes {
-        store.put(bytes);
+    for (h, bytes) in build.nodes {
+        assert_eq!(BlockHash::of(&bytes), h, "a node is addressed by its bytes");
+        by_hash.insert(h, bytes);
     }
-    // Everything below starts from `build.root` and the store only.
-    let walked = collect_leaves(&build.root, |h| store.get(h).map(<[u8]>::to_vec))
-        .expect("tree walk succeeds");
+    // Everything below starts from `build.root` and the blocks only.
+    let walked =
+        collect_leaves(&build.root, |h| by_hash.get(h).cloned()).expect("tree walk succeeds");
     let mut reassembled = Vec::with_capacity(data.len());
     for leaf in &walked {
-        let bytes = store.get(leaf).expect("leaf block present");
+        let bytes = &by_hash[leaf];
         assert_eq!(BlockHash::of(bytes), *leaf, "leaf failed verification");
         reassembled.extend_from_slice(bytes);
     }

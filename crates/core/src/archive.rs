@@ -3,14 +3,13 @@
 
 use crate::catalog::{FleetCatalog, Row, DEFAULT_CATALOG_SHARDS};
 use crate::codec::RepairError;
-use crate::dedup::{BlockRecord, DedupConfig, DedupManifest};
+use crate::dedup::{BlockKind, BlockRecord, DedupConfig, DedupManifest, IndexStats};
 use crate::executor::{PlanExecutor, ShardsSnapshot};
 use crate::keys::KeyStore;
 use crate::pipeline::{self, PipelineConfig};
 use crate::plan::{self, ReadPlan, WritePlan};
 use crate::policy::{EncodingMeta, PolicyError, PolicyKind};
 use crate::unit::{Unit, BLOCK, OBJECT};
-use aeon_cas::BoundedIndex;
 use aeon_crypto::{ChaChaDrbg, Sha256};
 use aeon_integrity::ledger::Ledger;
 use aeon_integrity::timestamp::{AnchorMode, DocumentChain, SigBreakSchedule, TimestampAuthority};
@@ -370,8 +369,8 @@ pub struct Archive {
     pub(crate) rng: ChaChaDrbg,
     /// The unit table: every object's and every dedup block's row.
     pub(crate) manifests: FleetCatalog,
-    /// Dedup mode: the bounded recency index consulted before the table.
-    pub(crate) dedup_index: BoundedIndex,
+    /// Dedup mode: how landed ingests found their leaves in the table.
+    pub(crate) leaf_counts: IndexStats,
     chains: BTreeMap<ObjectId, DocumentChain>,
     ledger: Ledger,
     tsa: TimestampAuthority,
@@ -408,13 +407,17 @@ impl Archive {
     ///
     /// # Errors
     ///
-    /// Returns [`ArchiveError::Policy`] for invalid default policies, and
+    /// Returns [`ArchiveError::Policy`] for an invalid default policy or
+    /// dedup configuration, and
     /// [`ArchiveError::UnsupportedOperation`] when a node already holds a
     /// shard: over another archive's shards, or its own after a restart,
     /// a new archive would mint the same ids, overwrite those shards and
     /// reuse their keys and nonces.
     pub fn with_cluster(config: ArchiveConfig, cluster: Cluster) -> Result<Self, ArchiveError> {
         config.policy.validate()?;
+        if let Some(dedup) = &config.dedup {
+            dedup.validate()?;
+        }
         if cluster.nodes().iter().any(|node| !node.keys().is_empty()) {
             return Err(ArchiveError::UnsupportedOperation(
                 "the cluster already holds shards",
@@ -426,13 +429,12 @@ impl Archive {
         };
         let mut rng = ChaChaDrbg::from_u64_seed(config.rng_seed);
         let tsa = TimestampAuthority::new(&mut rng, "wots-v1", config.year, 6);
-        let dedup_index = BoundedIndex::new(config.dedup.as_ref().map_or(0, |d| d.index_capacity));
         Ok(Archive {
             keys: KeyStore::new(config.master_key),
             rng,
             cluster,
             manifests: FleetCatalog::new(DEFAULT_CATALOG_SHARDS),
-            dedup_index,
+            leaf_counts: IndexStats::default(),
             chains: BTreeMap::new(),
             ledger: Ledger::new(1),
             tsa,
@@ -630,18 +632,6 @@ impl Archive {
             .iter()
             .map(|w: &WritePlan| self.executor().place(w.object.as_str(), w.shards.len()))
             .collect::<Result<Vec<_>, _>>()?;
-        // The bounded index answers first (statistics); the unit table
-        // decided what is fresh (correctness). Recording waits until
-        // planning can no longer fail, so the only entries a failed flush
-        // leaves to take back are its rolled-back items' fresh blocks.
-        for leaf in manifests
-            .iter()
-            .flat_map(|m| m.blocks.iter().flat_map(|d| &d.blocks))
-        {
-            let _resident = self.dedup_index.lookup(leaf);
-            self.dedup_index.record(leaf);
-        }
-
         let shards = plans
             .iter()
             .flat_map(|w| w.shards.iter().map(Vec::as_slice));
@@ -675,8 +665,8 @@ impl Archive {
             required: plans[k].required,
             corrupt: 0,
         });
-        // Takes back every unit that item `from` or a later one owns: the
-        // shards that landed, and a fresh block's index entry.
+        // Takes back the shards that landed of every unit that item
+        // `from` or a later one owns.
         let mut roll_back = |archive: &mut Self, from: usize| {
             for k in owners.partition_point(|&item| item < from)..owners.len() {
                 if results[k].is_ok() {
@@ -684,9 +674,6 @@ impl Archive {
                     archive
                         .executor()
                         .roll_back(object, &placements[k], &mut rngs[k]);
-                }
-                if let Some((hash, ..)) = &blocks[k] {
-                    archive.dedup_index.remove(hash);
                 }
             }
         };
@@ -702,6 +689,7 @@ impl Archive {
 
         let filed = owners.partition_point(|&item| item < landed);
         let units = owners.into_iter().zip(blocks).zip(plans).zip(placements);
+        let mut misses = 0;
         for (((item, block), write), placement) in units.take(filed) {
             let Some((hash, kind, len)) = block else {
                 let m = &mut manifests[item];
@@ -709,6 +697,7 @@ impl Archive {
                     (write.meta, placement, write.shard_digests);
                 continue;
             };
+            misses += u64::from(kind == BlockKind::Data);
             let block = BlockRecord {
                 refcount: 0,
                 kind,
@@ -729,6 +718,15 @@ impl Archive {
             self.manifests
                 .insert_unit(Unit::Block(hash), Row::Block(block));
         }
+        // Every landed leaf occurrence either filed its data block or
+        // found it in the table or earlier in the flush.
+        let leaves: usize = manifests
+            .iter()
+            .flat_map(|m| &m.blocks)
+            .map(|d| d.blocks.len())
+            .sum();
+        self.leaf_counts.misses += misses;
+        self.leaf_counts.hits += leaves as u64 - misses;
         // The references go in last, in one infallible pass.
         let refs = manifests.iter().flat_map(|m| m.blocks.iter());
         for h in refs.flat_map(|d| self.references(d)).collect::<Vec<_>>() {
@@ -1461,11 +1459,7 @@ mod tests {
             max_size: 1024,
             seed: 0xD0D0,
         };
-        DedupConfig {
-            chunker,
-            index_capacity: 64,
-            fanout: 4,
-        }
+        DedupConfig { chunker, fanout: 4 }
     }
 
     /// Three 3 KiB versions: the second shares blocks with the first, the
@@ -1629,8 +1623,8 @@ mod tests {
     }
 
     /// A failed object mid-flush takes everything after it down with it
-    /// and leaves no trace of either: no orphan shards, blocks or index
-    /// entries, no chains or ledger entries for objects that were never
+    /// and leaves no trace of either: no orphan shards or blocks, no leaf
+    /// counts, no chains or ledger entries for objects that were never
     /// ingested. In dedup mode the refused write is a block only the
     /// second object introduces, the third shares blocks with the second,
     /// and the failure is still typed against the second object.
@@ -1659,8 +1653,12 @@ mod tests {
                 }
                 // Refcounts are the references the one object holds.
                 assert_refcounts(&a, &leg);
-                let data_blocks = a.dedup_stats().map_or(0, |s| s.unique_data_blocks);
-                assert_eq!(a.dedup_index.stats().entries, data_blocks, "{leg}");
+                if let Some(stats) = a.dedup_stats() {
+                    let leaves = first.blocks.as_ref().map_or(0, |d| d.blocks.len());
+                    let index = stats.index;
+                    assert_eq!(index.misses, stats.unique_data_blocks as u64, "{leg}");
+                    assert_eq!(index.hits + index.misses, leaves as u64, "{leg}");
+                }
                 let chained = usize::from(integrity == IntegrityMode::HashChain);
                 let chains: Vec<ObjectId> = a.chains.keys().cloned().collect();
                 assert_eq!(chains, &ids[..chained], "{leg}");
@@ -1736,22 +1734,51 @@ mod tests {
         assert_eq!(a.manifest(&id).unwrap().refresh_epochs, 1);
     }
 
-    /// Regression: a failed dedup ingest used to leave the hashes of the
-    /// blocks it never stored in the bounded index, so a later lookup
-    /// counted a hit and the hit ratio overstated. Rolling the ingest back
-    /// takes them out again.
+    /// A refused dedup ingest counts nothing: none of its leaves landed,
+    /// so `dedup_stats()`, leaf counts included, is what it was.
     #[test]
-    fn a_rolled_back_ingest_leaves_the_index_as_it_found_it() {
+    fn a_refused_ingest_leaves_the_dedup_stats_as_they_were() {
         let items = versions();
         let (mut a, _) =
             refusing_the_second(rs_config(IntegrityMode::DigestOnly, true), &items, false);
         a.ingest(&items[0].0, &items[0].1).unwrap();
-        let found = a.dedup_index.stats().entries;
+        let before = a.dedup_stats().unwrap();
         assert!(a.ingest(&items[1].0, &items[1].1).is_err());
+        assert_eq!(a.dedup_stats().unwrap(), before);
+    }
+
+    /// The leaf counts are the flush's freshness decision: each data
+    /// block filed is a miss, each other leaf occurrence a hit — within
+    /// a flush, against the table, and again once a block is released.
+    #[test]
+    fn leaf_counts_are_the_freshness_decision() {
+        let items = versions();
+        let mut a = Archive::in_memory(rs_config(IntegrityMode::DigestOnly, true)).unwrap();
+        let leaf_list = |a: &Archive, id: &ObjectId| a.manifest(id).unwrap().blocks.unwrap().blocks;
+        let ids = a.ingest_many(&borrowed(&items)).unwrap();
+        let leaves: usize = ids.iter().map(|id| leaf_list(&a, id).len()).sum();
         let stats = a.dedup_stats().unwrap();
+        let index = stats.index;
+        assert_eq!(index.misses, stats.unique_data_blocks as u64);
+        assert_eq!(index.hits + index.misses, leaves as u64);
+        assert!(index.hits > 0, "the versions share blocks");
+
+        let again = a.ingest(&items[0].0, "again").unwrap();
+        let first = leaf_list(&a, &again);
+        let after = a.dedup_stats().unwrap().index;
+        assert_eq!(after.hits, index.hits + first.len() as u64);
+        assert_eq!(after.misses, index.misses);
+
+        for id in ids.iter().chain([&again]) {
+            a.delete(id).unwrap();
+        }
+        a.ingest(&items[0].0, "fresh").unwrap();
+        let distinct: BTreeSet<&BlockHash> = first.iter().collect();
+        let last = a.dedup_stats().unwrap().index;
+        assert_eq!(last.misses, after.misses + distinct.len() as u64);
         assert_eq!(
-            (stats.index.entries, stats.unique_data_blocks),
-            (found, found)
+            last.hits,
+            after.hits + (first.len() - distinct.len()) as u64
         );
     }
 

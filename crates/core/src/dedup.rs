@@ -7,12 +7,12 @@
 //!
 //! 1. The payload is cut into content-defined chunks
 //!    ([`aeon_cas::Chunker`]) — reproducible, edit-local boundaries.
-//! 2. Each chunk's SHA-256 is its identity. A bounded recency index
-//!    ([`aeon_cas::BoundedIndex`]) is consulted first, but decides
-//!    nothing (its hit rate is read only by the repo benchmark's traced
-//!    `cas.index.hit_ratio`); the unit table's block rows decide. Only
-//!    *unseen* blocks are encoded — through the ordinary policy pipeline
-//!    — and placed; seen blocks just gain a reference.
+//! 2. Each chunk's SHA-256 is its identity, and the unit table's block
+//!    rows are the only dedup state: a block with a row, or one the
+//!    flush has already introduced, is seen. Only *unseen*
+//!    blocks are encoded — through the ordinary policy pipeline — and
+//!    placed; seen blocks just gain a reference. The same decision,
+//!    counted per landed leaf, is [`DedupStats::index`].
 //! 3. The chunk hash list becomes a Merkle block tree whose interior
 //!    nodes are themselves encoded blocks, so the object (and, via
 //!    [`Archive::commit_catalog`], the catalog) is readable from one root
@@ -44,10 +44,10 @@
 //! live object holds one reference on its block. Dedup ingest is the
 //! archive's one ingest flush: `Archive::plan_blocks` plans the blocks
 //! an object introduces, the flush writes them beside every other unit
-//! and rolls back the first failed object and all after it (shards and
-//! index entries alike), and only once the landed prefix is anchored are
-//! block records filed and, in one infallible pass, the references added
-//! — a failed ingest never strands a block or a half-referenced object.
+//! and rolls back the first failed object and all after it, and only
+//! once the landed prefix is anchored are block records filed and, in
+//! one infallible pass, the references added — a failed ingest never
+//! strands a block or a half-referenced object, and counts nothing.
 //! Delete releases one reference per occurrence; a block's shards leave
 //! the cluster when its count reaches zero. A committed catalog's
 //! references are never released, so its blocks stay for the archive's
@@ -67,7 +67,7 @@ use crate::pipeline::{self, PipelineConfig};
 use crate::plan::{self, WritePlan};
 use crate::policy::{PolicyError, PolicyKind};
 use crate::unit::Unit;
-use aeon_cas::{build_tree, merkle, BlockHash, Chunker, ChunkerParams, IndexStats};
+use aeon_cas::{build_tree, merkle, BlockHash, Chunker, ChunkerParams};
 use aeon_crypto::Sha256;
 use aeon_store::cluster::TransferReport;
 use std::collections::{BTreeSet, HashMap};
@@ -98,18 +98,39 @@ pub struct DedupConfig {
     /// Content-defined chunking parameters (part of the dedup identity:
     /// changing them re-cuts future ingests).
     pub chunker: ChunkerParams,
-    /// Capacity of the bounded in-memory recency index consulted before
-    /// the unit table.
-    pub index_capacity: usize,
-    /// Fanout of the Merkle block tree.
+    /// Fanout of the Merkle block tree (at least 2).
     pub fanout: usize,
+}
+
+impl DedupConfig {
+    /// Checks the chunker bounds and the tree fanout.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PolicyError::InvalidPolicy`] when the chunker
+    /// parameters are not `0 < min <= target <= max` or the fanout is
+    /// below 2.
+    pub fn validate(&self) -> Result<(), PolicyError> {
+        if !self.chunker.is_valid() {
+            return Err(PolicyError::InvalidPolicy(format!(
+                "dedup chunker needs 0 < min <= target <= max: {:?}",
+                self.chunker
+            )));
+        }
+        if self.fanout < 2 {
+            return Err(PolicyError::InvalidPolicy(format!(
+                "dedup tree fanout {} is below 2",
+                self.fanout
+            )));
+        }
+        Ok(())
+    }
 }
 
 impl Default for DedupConfig {
     fn default() -> Self {
         DedupConfig {
             chunker: ChunkerParams::default(),
-            index_capacity: 1 << 16,
             fanout: 64,
         }
     }
@@ -165,8 +186,22 @@ pub struct DedupStats {
     pub tree_bytes: u64,
     /// `unique_data_bytes / logical_bytes` (0 when nothing is stored).
     pub dedup_ratio: f64,
-    /// Hit/miss/eviction accounting of the bounded recency index.
+    /// How the leaves of every landed dedup ingest were found in the
+    /// unit table. Named `index` for the repo benchmark's traced
+    /// `cas.index.hit_ratio`, its one reader.
     pub index: IndexStats,
+}
+
+/// Leaf counts of landed dedup ingests: each leaf occurrence is a miss
+/// when its ingest filed the leaf's data block, and a hit otherwise —
+/// the unit table already held the block, or the flush had already
+/// introduced it. A refused or rolled-back ingest counts nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct IndexStats {
+    /// Leaf occurrences whose block was already held.
+    pub hits: u64,
+    /// Leaf occurrences that filed a new data block.
+    pub misses: u64,
 }
 
 /// One catalog row, as recovered from a catalog root hash.
@@ -284,7 +319,7 @@ fn parse_catalog(bytes: &[u8]) -> Result<Vec<CatalogEntry>, ArchiveError> {
 
 impl Archive {
     fn tree_fanout(&self) -> usize {
-        self.config.dedup.as_ref().map_or(64, |d| d.fanout).max(2)
+        self.config.dedup.as_ref().expect("dedup configured").fanout
     }
 
     /// Every reference an object holds: one per leaf occurrence, then
@@ -486,7 +521,6 @@ impl Archive {
             let Manifest { id, placement, .. } =
                 self.manifests.remove_unit(&unit).expect("present");
             self.executor().delete(id.as_str(), &placement);
-            self.dedup_index.remove(hash);
         }
     }
 
@@ -516,7 +550,7 @@ impl Archive {
             tree_blocks: 0,
             tree_bytes: 0,
             dedup_ratio: 0.0,
-            index: self.dedup_index.stats(),
+            index: self.leaf_counts,
         };
         for (_, row) in self.manifests.units() {
             match row {
@@ -599,6 +633,26 @@ mod tests {
         assert_eq!((distinct, slots), slots_by_scan(&list));
     }
 
+    /// Chunker bounds the chunker would panic on, and a fanout below 2,
+    /// are refused when the archive is built, not at the first ingest.
+    #[test]
+    fn an_invalid_dedup_config_is_refused_at_construction() {
+        let policy = PolicyKind::ErasureCoded { data: 2, parity: 1 };
+        let no_minimum = ChunkerParams {
+            min_size: 0,
+            ..ChunkerParams::default()
+        };
+        for (chunker, fanout) in [(no_minimum, 4), (ChunkerParams::default(), 1)] {
+            let dedup = DedupConfig { chunker, fanout };
+            let config = crate::ArchiveConfig::new(policy.clone()).with_dedup(dedup);
+            let refused = Archive::in_memory(config).map(|_| ()).unwrap_err();
+            assert!(
+                matches!(refused, ArchiveError::Policy(PolicyError::InvalidPolicy(_))),
+                "fanout {fanout}: {refused}"
+            );
+        }
+    }
+
     /// A parse of hostile bytes: the rows, or the one typed refusal.
     fn parses_or_refuses(bytes: &[u8]) -> Option<Vec<CatalogEntry>> {
         match parse_catalog(bytes) {
@@ -637,7 +691,6 @@ mod tests {
                 max_size: 1024,
                 seed: 7,
             },
-            index_capacity: 64,
             fanout: 4,
         };
         let policy = PolicyKind::ErasureCoded { data: 2, parity: 1 };

@@ -79,6 +79,7 @@ pub use catalog::{FleetCatalog, DEFAULT_CATALOG_SHARDS};
 pub use codec::{CodecRepair, PolicyInfo};
 pub use dedup::{
     block_object_id, BlockKind, BlockRecord, CatalogEntry, DedupConfig, DedupManifest, DedupStats,
+    IndexStats,
 };
 pub use evaluate::{
     figure1_points, table1, ChannelKind, CostBucket, Figure1Point, SystemProfile, Table1Row,

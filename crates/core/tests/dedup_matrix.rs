@@ -61,7 +61,6 @@ fn small_dedup() -> DedupConfig {
             max_size: 8192,
             seed: 42,
         },
-        index_capacity: 1 << 10,
         fanout: 4,
     }
 }

@@ -116,11 +116,7 @@ fn config(policy: &PolicyKind, dispatch: DispatchPolicy, dedup: bool) -> Archive
     };
     config
         .with_pipeline(PipelineConfig::serial())
-        .with_dedup(DedupConfig {
-            chunker,
-            index_capacity: 1 << 10,
-            fanout: 4,
-        })
+        .with_dedup(DedupConfig { chunker, fanout: 4 })
 }
 
 fn archive(

@@ -34,7 +34,7 @@ use std::fmt::Debug;
 use std::sync::Arc;
 
 /// SHA-256 of the transcript of all eight legs.
-const PINNED: &str = "0f9f909491e6d1d0b536d95cffec859ebdb87e9fb0fc74fd1ddcf15f74a956c5";
+const PINNED: &str = "a1af2f0f4b38fa3e2a85e9a6be78917fd0c2964589b1ec6cc0506ffd960abf03";
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -68,7 +68,6 @@ fn dedup() -> DedupConfig {
             max_size: 4096,
             seed: 0x5EED,
         },
-        index_capacity: 256,
         fanout: 4,
     }
 }

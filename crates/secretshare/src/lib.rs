@@ -11,7 +11,6 @@
 //! * [`packed`] — packed secret sharing over GF(2^16): one polynomial hides
 //!   `k` secrets, trading a weaker threshold for `k`× less storage (the
 //!   "packed secret sharing" point of Figure 1).
-//! * [`xor`] — `n`-of-`n` additive sharing, the cheapest special case.
 //! * [`vss`] — Feldman and Pedersen *verifiable* secret sharing over the
 //!   MODP group for key-sized secrets; Pedersen's variant keeps the
 //!   commitments information-theoretically hiding (the LINCOS
@@ -47,7 +46,6 @@ pub mod proactive;
 pub mod shamir;
 pub mod vss;
 pub mod vss_proactive;
-pub mod xor;
 
 /// Errors from secret-sharing operations.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -23,9 +23,9 @@
 //!   maintenance-campaign I/O simulation.
 //! * [`adversary`] — mobile adversaries, harvest-now-decrypt-later,
 //!   cryptanalytic break schedules, leakage attacks, security evaluation.
-//! * [`cas`] — content-addressed storage: a deterministic content-defined
-//!   chunker, refcounted SHA-256 block store, bounded dedup index, and
-//!   Merkle block trees whose interior nodes are themselves blocks.
+//! * [`cas`] — content-addressed storage formats: a deterministic
+//!   content-defined chunker, SHA-256 block addresses, and Merkle block
+//!   trees whose interior nodes are themselves blocks.
 //! * [`core`] — the [`Archive`](aeon_core::Archive) itself: policy-driven
 //!   ingest/retrieve/verify/refresh with pluggable encoding policies.
 //! * [`serve`] — a deterministic multi-tenant request engine on the
