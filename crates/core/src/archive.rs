@@ -803,11 +803,6 @@ impl Archive {
         ChaChaDrbg::from_seed(self.op_seed(label, object))
     }
 
-    /// The configured node-I/O retry policy.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.config.retry
-    }
-
     /// A plan executor over this archive's cluster and retry budget —
     /// the only path to node I/O for every module in this crate.
     pub(crate) fn executor(&self) -> PlanExecutor<'_> {
@@ -1401,13 +1396,10 @@ mod tests {
         )
         .unwrap();
         let id = a.ingest(b"truth", "d").unwrap();
-        // Corrupt every replica (replication picks the first available).
+        // Rot every replica (replication picks the first available).
         for h in &handles {
             for key in h.keys() {
-                h.corrupt(
-                    &ShardKey::new(key.object.clone(), key.shard),
-                    b"lies!".to_vec(),
-                );
+                h.put(&key, b"lies!").unwrap();
             }
         }
         assert!(matches!(

@@ -470,10 +470,9 @@ impl<'a> PlanExecutor<'a> {
     /// settled **in write order** — a first-attempt failure spends the
     /// remaining retry budget individually, and the first entry that
     /// stays failed aborts the repair. Writes the frames landed *beyond*
-    /// the aborting entry are rolled back (deleted), so a failed repair
-    /// never leaves rebuilt bytes whose digests the manifest does not
-    /// record. Returns the digest of each rewritten shard for the
-    /// caller's manifest.
+    /// the aborting entry are rolled back (deleted). Returns the digest
+    /// of each rewritten shard, for the caller to check against its
+    /// record.
     ///
     /// # Errors
     ///
@@ -626,21 +625,30 @@ fn check_slots(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aeon_store::faults::{FaultPlan, FaultyNode};
     use aeon_store::node::MemoryNode;
     use std::sync::Arc;
 
-    fn cluster_with_handles() -> (Cluster, Vec<MemoryNode>) {
-        let handles: Vec<MemoryNode> = (0..6)
-            .map(|i| MemoryNode::new(i, ["us", "eu", "ap"][(i % 3) as usize]))
+    /// Six nodes, each with its own clock and an offline window over
+    /// epoch 1: `set_epoch(1)` takes one down.
+    fn cluster_with_handles() -> (Cluster, Vec<Arc<FaultyNode>>) {
+        let handles: Vec<Arc<FaultyNode>> = (0..6)
+            .map(|i| {
+                let inner = Arc::new(MemoryNode::new(i, ["us", "eu", "ap"][(i % 3) as usize]));
+                Arc::new(FaultyNode::new(
+                    inner,
+                    FaultPlan::new(0).with_offline_window(1, 2),
+                ))
+            })
             .collect();
         let nodes: Vec<Arc<dyn StorageNode>> = handles
             .iter()
-            .map(|h| Arc::new(h.clone()) as Arc<dyn StorageNode>)
+            .map(|h| Arc::clone(h) as Arc<dyn StorageNode>)
             .collect();
         (Cluster::new(nodes), handles)
     }
 
-    fn handle(handles: &[MemoryNode], id: NodeId) -> &MemoryNode {
+    fn handle(handles: &[Arc<FaultyNode>], id: NodeId) -> &FaultyNode {
         handles.iter().find(|h| h.id() == id).unwrap()
     }
 
@@ -660,7 +668,7 @@ mod tests {
         let shards: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 8]).collect();
         cluster.put_shards("obj", &placement, &shards).unwrap();
         let dead = placement[2];
-        handle(&handles, dead).set_offline(true);
+        handle(&handles, dead).set_epoch(1);
         let retry = RetryPolicy::default().with_attempts(3);
         let mut rng = ChaChaDrbg::from_u64_seed(1);
         let snap =
@@ -686,7 +694,7 @@ mod tests {
     fn write_tolerates_partial_failure() {
         let (cluster, handles) = cluster_with_handles();
         let placement = cluster.place("obj", 3).unwrap();
-        handle(&handles, placement[0]).set_offline(true);
+        handle(&handles, placement[0]).set_epoch(1);
         let shards: Vec<Vec<u8>> = (0..3u8).map(|i| vec![i; 4]).collect();
         let retry = RetryPolicy::default().with_attempts(2);
         let mut rng = ChaChaDrbg::from_u64_seed(2);

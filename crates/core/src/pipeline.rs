@@ -717,6 +717,98 @@ mod tests {
         }
     }
 
+    /// The nine policies' real encodings of one payload: whole (one
+    /// chunk) and framed (three chunks), with the decoding key store.
+    fn real_slot_sets() -> (KeyStore, Vec<(PolicyKind, Encoded)>) {
+        let (mut rng, keys) = fixtures();
+        let payload = test_payload(90);
+        let mut sets = Vec::new();
+        for policy in all_policies() {
+            for chunk_size in [1 << 10, 32] {
+                let cfg = PipelineConfig::serial().with_chunk_size(chunk_size);
+                let enc = encode_object(&policy, &keys, &mut rng, "slots", &payload, &cfg);
+                sets.push((policy.clone(), enc.unwrap()));
+            }
+        }
+        (keys, sets)
+    }
+
+    /// Hands hostile slots to both decoders: the set's own policy
+    /// decode and the chunked pipeline's. Each returns bytes or a typed
+    /// error; a panic fails the test.
+    fn decode_both(
+        keys: &KeyStore,
+        policy: &PolicyKind,
+        meta: &EncodingMeta,
+        shards: &[Option<Vec<u8>>],
+    ) {
+        let _ = policy.decode(keys, "slots", shards, meta);
+        let _ = decode_object(policy, keys, "slots", shards, meta, 1);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// An arbitrary blob in one slot of a real set of any of the nine
+        /// policies, whole or framed, behind a real prefix of that slot
+        /// of any length, decodes or fails typed — never a panic.
+        #[test]
+        fn hostile_slots_decode_or_fail_typed(
+            set in 0usize..18,
+            slot in 0usize..6,
+            keep in 0usize..512,
+            tail in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..300),
+        ) {
+            let (keys, sets) = real_slot_sets();
+            let (policy, enc) = &sets[set];
+            let mut shards: Vec<Option<Vec<u8>>> = enc.shards.iter().cloned().map(Some).collect();
+            let slot = slot % shards.len();
+            let real = &enc.shards[slot];
+            shards[slot] = Some([&real[..keep.min(real.len())], &tail].concat());
+            decode_both(&keys, policy, &enc.meta, &shards);
+        }
+    }
+
+    /// Every real set of the nine policies, whole and framed, with one
+    /// slot cut at every offset, one bit flipped at every byte (every bit
+    /// of the first eight bytes, where the length fields live), and the
+    /// slots made ragged (every odd slot one byte short; then each slot
+    /// `s` with `s + 1` bytes too many): every decode returns bytes or a
+    /// typed error — never a panic.
+    #[test]
+    fn hostile_slots_cuts_flips_and_ragged_lengths_decode_or_fail_typed() {
+        let (keys, sets) = real_slot_sets();
+        for (policy, enc) in &sets {
+            let real: Vec<Option<Vec<u8>>> = enc.shards.iter().cloned().map(Some).collect();
+            let decode = |shards: &[Option<Vec<u8>>]| decode_both(&keys, policy, &enc.meta, shards);
+            for (slot, blob) in enc.shards.iter().enumerate() {
+                let mut shards = real.clone();
+                for cut in 0..blob.len() {
+                    shards[slot] = Some(blob[..cut].to_vec());
+                    decode(&shards);
+                }
+                let flips =
+                    (0..blob.len().min(8) * 8).chain((8..blob.len()).map(|at| at * 8 + at % 8));
+                for bit in flips {
+                    let mut flipped = blob.clone();
+                    flipped[bit / 8] ^= 1 << (bit % 8);
+                    shards[slot] = Some(flipped);
+                    decode(&shards);
+                }
+            }
+            let shorter = (real.iter().enumerate()).map(|(s, b)| {
+                b.as_ref()
+                    .map(|b| b[..b.len().saturating_sub(s % 2)].to_vec())
+            });
+            decode(&shorter.collect::<Vec<_>>());
+            let longer = (real.iter().enumerate()).map(|(s, b)| {
+                b.as_ref()
+                    .map(|b| [b.as_slice(), &vec![0xA5; s + 1]].concat())
+            });
+            decode(&longer.collect::<Vec<_>>());
+        }
+    }
+
     #[test]
     fn chunk_ids_are_domain_separated() {
         assert_eq!(chunk_object_id("abc", 0), "abc#chunk0");

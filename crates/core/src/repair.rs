@@ -96,19 +96,23 @@ impl Archive {
     /// behalf of `owner` (the object failures are typed against).
     ///
     /// The unit is read twice. The first fetch checks every slot against
-    /// its recorded digest, and the survivors feed the rebuild. Once the
-    /// rebuilt slots are written and their digests recorded, a re-read
-    /// of every slot checks what the nodes now hold by byte equality
-    /// with what the repair holds for each slot: the survivor, or the
-    /// rebuilt bytes it wrote there. That accepts exactly the slots a
-    /// digest check would — a survivor matched its recorded digest one
-    /// fetch earlier, and a rebuilt slot's new digest is the SHA-256 of
-    /// exactly the bytes written — without hashing them again or resting
-    /// on collision resistance. Each slot that fails counts toward
+    /// its recorded digest, and the survivors feed the rebuild. A partial
+    /// repair rebuilds exactly the bytes the record already hashes (an RS
+    /// row, the same Shamir share at its own `x`, a replica, a framed
+    /// join of such chunks), so the record is never rewritten: each
+    /// written slot's digest must equal the recorded one, or the repair
+    /// fails with [`ArchiveError::IntegrityViolation`] and the record
+    /// stays as it was (the slot's bytes then fail their digest check,
+    /// as before the repair). Then a re-read of every slot checks what
+    /// the nodes now hold by byte equality with what the repair holds
+    /// for each slot: the survivor, or the rebuilt bytes it wrote there.
+    /// That accepts exactly the slots a digest check would — both match
+    /// their recorded digests — without hashing them again or resting on
+    /// collision resistance. Each slot that fails counts toward
     /// `missing_after`. The full re-encode fallback does not hold its new
     /// shards, so its re-read checks them by digest.
     fn repair_unit(&mut self, owner: &ObjectId, unit: &Unit) -> Result<RepairReport, ArchiveError> {
-        let mut record = self.load(unit)?;
+        let record = self.load(unit)?;
         let [fetch, put, after] = unit.labels().repair;
         let clock = self.cluster().clock().clone();
         let start = clock.now();
@@ -166,11 +170,10 @@ impl Archive {
                     &repair.writes,
                     &mut rng,
                 )?;
-                for (m, digest) in digests {
-                    record.shard_digests[m] = digest;
+                if (digests.iter()).any(|(m, digest)| record.shard_digests[*m] != *digest) {
+                    return Err(ArchiveError::IntegrityViolation(owner.clone()));
                 }
                 let plan = ReadPlan::for_manifest(&record);
-                self.store(unit, record);
                 let mut rng = self.op_rng(after, plan.object.as_str());
                 let snap = self.executor().reread(&plan, &held, &mut rng);
                 (repair.method, snap)
@@ -401,6 +404,28 @@ mod tests {
             other => panic!("expected a malformed record, got {other:?}"),
         }
         assert_eq!(handles.iter().map(keys).collect::<Vec<_>>(), before);
+    }
+
+    /// A partial repair rebuilds the bytes the record hashes, so it
+    /// checks them against the record instead of recording them. A lost
+    /// slot whose recorded digest was altered rebuilds to bytes that
+    /// differ from it: the repair is refused as an integrity violation
+    /// and the record stays as it was, altered digest and all.
+    #[test]
+    fn a_rebuild_that_differs_from_the_record_is_refused() {
+        let (mut archive, handles) =
+            archive_with_handles(PolicyKind::ErasureCoded { data: 3, parity: 2 }, 5);
+        let id = archive.ingest(b"rebuilt bytes must match", "r").unwrap();
+        delete_shard(&handles, &archive, &id, 1);
+        archive
+            .manifests
+            .update(&id, |m| m.shard_digests[1] = [0xAB; 32]);
+        let before = format!("{:?}", archive.manifest(&id).unwrap());
+        match archive.repair_object(&id) {
+            Err(ArchiveError::IntegrityViolation(bad)) => assert_eq!(bad, id),
+            other => panic!("expected an integrity violation, got {other:?}"),
+        }
+        assert_eq!(format!("{:?}", archive.manifest(&id).unwrap()), before);
     }
 
     #[test]

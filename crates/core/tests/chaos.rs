@@ -194,13 +194,20 @@ fn chaos_campaign_replays_identically() {
 /// healthy nodes are hit exactly once.
 #[test]
 fn degraded_read_bounds_attempts_on_dead_nodes() {
-    let handles: Vec<MemoryNode> = (0..5)
-        .map(|i| MemoryNode::new(i, format!("site-{i}")))
+    // Each node has its own clock and an offline window over epoch 1.
+    let handles: Vec<Arc<FaultyNode>> = (0..5)
+        .map(|i| {
+            let inner = Arc::new(MemoryNode::new(i, format!("site-{i}")));
+            Arc::new(FaultyNode::new(
+                inner,
+                FaultPlan::new(0).with_offline_window(1, 2),
+            ))
+        })
         .collect();
     let cluster = Cluster::new(
         handles
             .iter()
-            .map(|h| Arc::new(h.clone()) as Arc<dyn StorageNode>)
+            .map(|h| Arc::clone(h) as Arc<dyn StorageNode>)
             .collect(),
     );
     let retry = RetryPolicy::default().with_attempts(3);
@@ -215,11 +222,7 @@ fn degraded_read_bounds_attempts_on_dead_nodes() {
     let placement = archive.manifest(&id).unwrap().placement.clone();
     let dead: Vec<_> = placement.iter().take(2).copied().collect();
     for d in &dead {
-        handles
-            .iter()
-            .find(|h| h.id() == *d)
-            .unwrap()
-            .set_offline(true);
+        handles.iter().find(|h| h.id() == *d).unwrap().set_epoch(1);
     }
 
     let (got, report) = archive.retrieve_with_report(&id).unwrap();

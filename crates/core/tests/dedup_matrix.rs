@@ -137,7 +137,7 @@ fn flip_block_shard(
     let mut bytes = node.get(&key).unwrap();
     let target = (bit % (bytes.len() as u64 * 8)) as usize;
     bytes[target / 8] ^= 1 << (target % 8);
-    node.corrupt(&key, bytes);
+    node.put(&key, &bytes).unwrap();
 }
 
 /// Two versions of one document: v2 is v1 with a tail appended, so the

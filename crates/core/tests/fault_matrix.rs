@@ -1,12 +1,20 @@
 //! The corruption matrix: for every one of the nine policies, any
 //! combination of up to `n - k` lost or bit-flipped shards must
 //! round-trip bit-identically, and `n - k + 1` losses must fail with a
-//! typed error — never a panic, never silently wrong bytes.
+//! typed error — never a panic, never silently wrong bytes. Rot is
+//! written into the node, so it stays until a repair rewrites the shard:
+//! one repair heals up to `n - k` flips, and a partial repair leaves
+//! every record as it was.
 
+use aeon_cas::ChunkerParams;
+use aeon_core::codec::RepairMethod;
+use aeon_core::dedup::DedupConfig;
 use aeon_core::{
-    Archive, ArchiveConfig, ArchiveError, IntegrityMode, ObjectId, PolicyError, PolicyKind,
+    Archive, ArchiveConfig, ArchiveError, IntegrityMode, ObjectId, PipelineConfig, PolicyError,
+    PolicyKind,
 };
-use aeon_crypto::SuiteId;
+use aeon_crypto::{ChaChaDrbg, CryptoRng, SuiteId};
+use aeon_integrity::timestamp::SigBreakSchedule;
 use aeon_store::node::{MemoryNode, NodeId, ShardKey, StorageNode};
 use aeon_store::Cluster;
 use proptest::prelude::*;
@@ -47,7 +55,13 @@ fn policies() -> Vec<PolicyKind> {
 }
 
 fn archive_for(policy: &PolicyKind) -> (Archive, Vec<MemoryNode>) {
-    let n = policy.shard_count().max(1);
+    archive_with(ArchiveConfig::new(policy.clone()))
+}
+
+/// An archive under `config` (digest-only integrity) over one fresh
+/// node per shard, so every stored unit has one shard on each node.
+fn archive_with(config: ArchiveConfig) -> (Archive, Vec<MemoryNode>) {
+    let n = config.policy.shard_count().max(1);
     let handles: Vec<MemoryNode> = (0..n as u32)
         .map(|i| MemoryNode::new(i, format!("site-{i}")))
         .collect();
@@ -57,7 +71,7 @@ fn archive_for(policy: &PolicyKind) -> (Archive, Vec<MemoryNode>) {
             .map(|h| Arc::new(h.clone()) as Arc<dyn StorageNode>)
             .collect(),
     );
-    let config = ArchiveConfig::new(policy.clone()).with_integrity(IntegrityMode::DigestOnly);
+    let config = config.with_integrity(IntegrityMode::DigestOnly);
     (Archive::with_cluster(config, cluster).unwrap(), handles)
 }
 
@@ -73,8 +87,9 @@ fn lose_shard(archive: &Archive, handles: &[MemoryNode], id: &ObjectId, idx: usi
         .unwrap();
 }
 
-/// Flips one bit of the shard at placement slot `idx` (via the node's
-/// corruption injection, modelling silent bit-rot).
+/// Flips one bit of the shard at placement slot `idx` on its node,
+/// behind the archive's back (silent bit-rot: it stays until a repair
+/// rewrites the shard).
 fn flip_shard(archive: &Archive, handles: &[MemoryNode], id: &ObjectId, idx: usize, bit: u64) {
     let placement = &archive.manifest(id).unwrap().placement;
     let node = node_of(handles, placement[idx]);
@@ -82,7 +97,7 @@ fn flip_shard(archive: &Archive, handles: &[MemoryNode], id: &ObjectId, idx: usi
     let mut bytes = node.get(&key).unwrap();
     let target = (bit % (bytes.len() as u64 * 8)) as usize;
     bytes[target / 8] ^= 1 << (target % 8);
-    node.corrupt(&key, bytes);
+    node.put(&key, &bytes).unwrap();
 }
 
 proptest! {
@@ -128,6 +143,36 @@ proptest! {
             }
             let got = archive.retrieve(&id).unwrap();
             prop_assert_eq!(&got, &payload, "policy {:?}", policy);
+        }
+    }
+
+    /// Up to `n - k` shards bit-flipped on their nodes, then one repair:
+    /// the rot stays on the medium until the repair rewrites it, after
+    /// which `verify` finds every shard readable and the payload reads
+    /// back.
+    #[test]
+    fn bit_flips_within_budget_are_healed_by_repair(
+        payload in prop::collection::vec(any::<u8>(), 1..64),
+        rot in any::<u64>(),
+        bit in any::<u64>(),
+    ) {
+        for policy in policies() {
+            let n = policy.shard_count();
+            let k = policy.read_threshold();
+            let (mut archive, handles) = archive_for(&policy);
+            let id = archive.ingest(&payload, "matrix").unwrap();
+            for j in 0..(n - k) {
+                flip_shard(&archive, &handles, &id, (rot as usize + j) % n, bit.wrapping_add(j as u64));
+            }
+            let before = archive.verify(&id, &SigBreakSchedule::new()).unwrap();
+            prop_assert_eq!(before.shards_available, k, "policy {:?}", policy);
+            let report = archive.repair_object(&id).unwrap();
+            prop_assert_eq!(report.missing_before, n - k, "policy {:?}", policy);
+            prop_assert_eq!(report.missing_after, 0, "policy {:?}", policy);
+            let health = archive.verify(&id, &SigBreakSchedule::new()).unwrap();
+            prop_assert_eq!(health.shards_available, n, "policy {:?}", policy);
+            prop_assert!(health.intact, "policy {:?}", policy);
+            prop_assert_eq!(&archive.retrieve(&id).unwrap(), &payload, "policy {:?}", policy);
         }
     }
 
@@ -220,4 +265,64 @@ fn maintenance_below_threshold_fails_typed() {
         }
     }
     assert_eq!(families, 5);
+}
+
+/// Every record behind `id`, as `Debug` text: its manifest and every
+/// dedup block's row.
+fn records(archive: &Archive, id: &ObjectId) -> String {
+    let blocks: Vec<String> = (archive.blocks())
+        .map(|(hash, block)| format!("{hash:?} {block:?}"))
+        .collect();
+    format!("{:?}\n{}", archive.manifest(id).unwrap(), blocks.join("\n"))
+}
+
+/// A partial repair rebuilds exactly the bytes the record already
+/// hashes, so it leaves every record as it was: for every policy whose
+/// repair is partial, with the payload stored whole, as framed chunks
+/// and as dedup blocks, a wiped node (one shard of every unit) is
+/// rebuilt and the records are `Debug`-equal before and after.
+#[test]
+fn partial_repair_leaves_every_record_as_it_was() {
+    let mut payload = vec![0u8; 3000];
+    ChaChaDrbg::from_u64_seed(40).fill_bytes(&mut payload);
+    let dedup = DedupConfig {
+        chunker: ChunkerParams {
+            min_size: 256,
+            target_size: 1024,
+            max_size: 4096,
+            seed: 7,
+        },
+        fanout: 4,
+    };
+    let mut partial = 0;
+    for policy in policies() {
+        let whole = ArchiveConfig::new(policy.clone());
+        let layouts = [
+            ("whole", whole.clone()),
+            (
+                "chunked",
+                (whole.clone()).with_pipeline(PipelineConfig::serial().with_chunk_size(1024)),
+            ),
+            ("dedup", whole.with_dedup(dedup.clone())),
+        ];
+        for (layout, config) in layouts {
+            let (mut archive, handles) = archive_with(config);
+            let id = archive.ingest(&payload, "records").unwrap();
+            let before = records(&archive, &id);
+            for key in handles[0].keys() {
+                handles[0].delete(&key).unwrap();
+            }
+            let report = archive.repair_object(&id).unwrap();
+            assert!(report.missing_before > 0, "{policy:?} {layout}");
+            assert_eq!(report.missing_after, 0, "{policy:?} {layout}");
+            assert_eq!(archive.retrieve(&id).unwrap(), payload);
+            if report.method == RepairMethod::FullReencode {
+                continue;
+            }
+            partial += 1;
+            assert_eq!(records(&archive, &id), before, "{policy:?} {layout}");
+        }
+    }
+    // Packed Shamir and LRSS fall back to a full re-encode.
+    assert_eq!(partial, 7 * 3);
 }

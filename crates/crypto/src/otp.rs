@@ -123,18 +123,6 @@ impl OneTimePad {
     }
 }
 
-/// Stateless XOR helper for protocol code that manages its own pads.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn xor_into(out: &mut [u8], key: &[u8]) {
-    assert_eq!(out.len(), key.len(), "xor length mismatch");
-    for (o, k) in out.iter_mut().zip(key) {
-        *o ^= k;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -46,11 +46,6 @@ impl GroupElement {
     pub fn to_be_bytes(&self) -> Vec<u8> {
         self.0.to_be_bytes()
     }
-
-    /// Returns the underlying residue.
-    pub fn as_uint(&self) -> &U2048 {
-        &self.0
-    }
 }
 
 /// A safe-prime discrete-log group: arithmetic modulo the RFC 3526

@@ -57,12 +57,6 @@ impl Committer {
         Committer { group, h }
     }
 
-    /// Creates a committer with an explicit second base (for protocol
-    /// interop tests).
-    pub fn with_base(group: ModpGroup, h: GroupElement) -> Self {
-        Committer { group, h }
-    }
-
     /// Returns the group.
     pub fn group(&self) -> &ModpGroup {
         &self.group
@@ -113,16 +107,6 @@ impl Committer {
     /// without learning the secret.
     pub fn add(&self, a: &Commitment, b: &Commitment) -> Commitment {
         Commitment(self.group.mul(&a.0, &b.0))
-    }
-
-    /// Adds two openings (scalars mod `q`).
-    pub fn add_openings(&self, a: &Opening, b: &Opening) -> Opening {
-        let ra = U2048::from_be_bytes(&a.blinding);
-        let rb = U2048::from_be_bytes(&b.blinding);
-        let sum = ra.add_mod(&rb, self.group.subgroup_order());
-        Opening {
-            blinding: sum.to_be_bytes(),
-        }
     }
 }
 

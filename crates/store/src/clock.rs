@@ -358,12 +358,6 @@ impl EpochSchedule {
         EpochSchedule { epoch }
     }
 
-    /// The epoch length.
-    #[must_use]
-    pub fn epoch_len(&self) -> SimDuration {
-        self.epoch
-    }
-
     /// The instant epoch `e` begins.
     #[must_use]
     pub fn start_of(&self, epoch: u64) -> SimTime {

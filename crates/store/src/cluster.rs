@@ -393,13 +393,21 @@ mod tests {
     use proptest::prelude::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    fn cluster_with_handles() -> (Cluster, Vec<MemoryNode>) {
-        let handles: Vec<MemoryNode> = (0..6)
-            .map(|i| MemoryNode::new(i, ["us", "eu", "ap"][(i % 3) as usize]))
+    /// Six nodes, each with its own clock and an offline window over
+    /// epoch 1: `set_epoch(1)` takes one down.
+    fn cluster_with_handles() -> (Cluster, Vec<Arc<FaultyNode>>) {
+        let handles: Vec<Arc<FaultyNode>> = (0..6)
+            .map(|i| {
+                let inner = Arc::new(MemoryNode::new(i, ["us", "eu", "ap"][(i % 3) as usize]));
+                Arc::new(FaultyNode::new(
+                    inner,
+                    FaultPlan::new(0).with_offline_window(1, 2),
+                ))
+            })
             .collect();
         let nodes: Vec<Arc<dyn StorageNode>> = handles
             .iter()
-            .map(|h| Arc::new(h.clone()) as Arc<dyn StorageNode>)
+            .map(|h| Arc::clone(h) as Arc<dyn StorageNode>)
             .collect();
         (Cluster::new(nodes), handles)
     }
@@ -454,7 +462,7 @@ mod tests {
             .iter()
             .find(|h| h.id() == victim)
             .unwrap()
-            .set_offline(true);
+            .set_epoch(1);
         let got = cluster.get_shards("obj", &placement);
         assert!(got[1].is_none());
         assert_eq!(got.iter().flatten().count(), 3);

@@ -333,11 +333,6 @@ impl FaultyNode {
         self.state.lock().events.clone()
     }
 
-    /// Clears and returns the injected-fault log.
-    pub fn take_events(&self) -> Vec<FaultEvent> {
-        std::mem::take(&mut self.state.lock().events)
-    }
-
     /// Common preamble: bump the access counter, apply offline windows
     /// and latency, and roll for a transient failure. Returns the op's
     /// DRBG for any further decisions on success.

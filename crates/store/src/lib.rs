@@ -5,8 +5,8 @@
 //! offline media. This crate supplies that world in simulation:
 //!
 //! * [`node`] — the [`node::StorageNode`] trait with in-memory and
-//!   file-backed implementations, plus failure and corruption injection
-//!   for adversary experiments.
+//!   file-backed implementations. A node stores bytes and nothing else:
+//!   every injected fault comes from [`faults`].
 //! * [`cluster`] — a geo-dispersed cluster that places shards across
 //!   sites with anti-affinity (no two shards of an object on one site),
 //!   and prices a fan-out as the sum of its legs or as overlapping
@@ -21,10 +21,11 @@
 //!   read, re-encrypt, and write back an entire archive, under write
 //!   penalties and reserved foreground capacity? Both closed-form and
 //!   discrete-event variants.
-//! * [`faults`] — seeded, deterministic fault injection: a
-//!   [`faults::FaultyNode`] decorator applying a [`faults::FaultPlan`]
-//!   (transient I/O errors, persistent bit flips, torn writes, simulated
-//!   latency, scheduled offline windows) to any inner node.
+//! * [`faults`] — seeded, deterministic fault injection, the crate's
+//!   only one: a [`faults::FaultyNode`] decorator applying a
+//!   [`faults::FaultPlan`] (transient I/O errors, persistent bit flips,
+//!   torn writes, simulated latency, scheduled offline windows) to any
+//!   inner node.
 //! * [`retry`] — bounded retry with exponential backoff and
 //!   deterministic jitter, shared by every consumer of node I/O.
 //! * [`clock`] — the virtual-time engine: a shared [`clock::SimClock`]

@@ -1,7 +1,7 @@
 //! Storage nodes: the unit of trust, failure, and compromise.
 
 use parking_lot::RwLock;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -40,7 +40,7 @@ impl ShardKey {
 pub enum NodeError {
     /// The shard does not exist on this node.
     NotFound,
-    /// The node is offline (failure injection).
+    /// The node is offline.
     Offline,
     /// An I/O error from the backing store.
     Io(String),
@@ -73,7 +73,7 @@ pub trait StorageNode: Send + Sync + fmt::Debug {
     ///
     /// # Errors
     ///
-    /// Returns [`NodeError::Offline`] under failure injection or
+    /// Returns [`NodeError::Offline`] while the node is down or
     /// [`NodeError::Io`] from the backing store.
     fn put(&self, key: &ShardKey, data: &[u8]) -> Result<(), NodeError>;
 
@@ -115,7 +115,8 @@ pub trait StorageNode: Send + Sync + fmt::Debug {
     ///
     /// # Errors
     ///
-    /// Returns [`NodeError::Offline`] under failure injection.
+    /// Returns [`NodeError::Offline`] while the node is down or
+    /// [`NodeError::Io`] from the backing store.
     fn delete(&self, key: &ShardKey) -> Result<(), NodeError>;
 
     /// Lists all shard keys on this node.
@@ -125,15 +126,9 @@ pub trait StorageNode: Send + Sync + fmt::Debug {
     fn stored_bytes(&self) -> u64;
 }
 
-/// Shared failure/compromise state, attachable to any node implementation.
-#[derive(Debug, Default)]
-struct Injection {
-    offline: bool,
-    /// Keys whose contents are silently corrupted on read.
-    corrupted: HashMap<ShardKey, Vec<u8>>,
-}
-
-/// An in-memory storage node with failure and corruption injection.
+/// An in-memory storage node: one blob map behind one lock. It stores
+/// bytes and nothing else; faults come from wrapping it in a
+/// [`FaultyNode`](crate::faults::FaultyNode).
 ///
 /// # Examples
 ///
@@ -160,7 +155,6 @@ struct MemoryNodeInner {
     /// and with it the allocator's state after a node is dropped —
     /// differ from one run of the same program to the next.
     blobs: RwLock<BTreeMap<ShardKey, Vec<u8>>>,
-    injection: RwLock<Injection>,
 }
 
 impl MemoryNode {
@@ -171,29 +165,8 @@ impl MemoryNode {
                 id: NodeId(id),
                 site: site.into(),
                 blobs: RwLock::new(BTreeMap::new()),
-                injection: RwLock::new(Injection::default()),
             }),
         }
-    }
-
-    /// Takes the node offline (reads and writes fail) or back online.
-    pub fn set_offline(&self, offline: bool) {
-        self.inner.injection.write().offline = offline;
-    }
-
-    /// Returns `true` if the node is currently offline.
-    pub fn is_offline(&self) -> bool {
-        self.inner.injection.read().offline
-    }
-
-    /// Silently corrupts a stored shard: subsequent reads return the given
-    /// bytes instead of the stored ones (bit-rot / malicious modification).
-    pub fn corrupt(&self, key: &ShardKey, replacement: Vec<u8>) {
-        self.inner
-            .injection
-            .write()
-            .corrupted
-            .insert(key.clone(), replacement);
     }
 
     /// Adversary hook: dumps every blob on the node (a total compromise).
@@ -217,20 +190,11 @@ impl StorageNode for MemoryNode {
     }
 
     fn put(&self, key: &ShardKey, data: &[u8]) -> Result<(), NodeError> {
-        if self.is_offline() {
-            return Err(NodeError::Offline);
-        }
         self.inner.blobs.write().insert(key.clone(), data.to_vec());
         Ok(())
     }
 
     fn get(&self, key: &ShardKey) -> Result<Vec<u8>, NodeError> {
-        if self.is_offline() {
-            return Err(NodeError::Offline);
-        }
-        if let Some(corrupt) = self.inner.injection.read().corrupted.get(key) {
-            return Ok(corrupt.clone());
-        }
         self.inner
             .blobs
             .read()
@@ -240,9 +204,6 @@ impl StorageNode for MemoryNode {
     }
 
     fn delete(&self, key: &ShardKey) -> Result<(), NodeError> {
-        if self.is_offline() {
-            return Err(NodeError::Offline);
-        }
         self.inner.blobs.write().remove(key);
         Ok(())
     }
@@ -273,7 +234,6 @@ pub struct FileNode {
     id: NodeId,
     site: String,
     root: PathBuf,
-    injection: RwLock<Injection>,
 }
 
 impl FileNode {
@@ -288,28 +248,7 @@ impl FileNode {
             id: NodeId(id),
             site: site.into(),
             root,
-            injection: RwLock::new(Injection::default()),
         })
-    }
-
-    /// Takes the node offline or back online.
-    pub fn set_offline(&self, offline: bool) {
-        self.injection.write().offline = offline;
-    }
-
-    /// Returns `true` if the node is currently offline.
-    pub fn is_offline(&self) -> bool {
-        self.injection.read().offline
-    }
-
-    /// Silently corrupts a stored shard: subsequent reads return the
-    /// given bytes instead of the on-disk ones (bit-rot / malicious
-    /// modification), matching [`MemoryNode::corrupt`].
-    pub fn corrupt(&self, key: &ShardKey, replacement: Vec<u8>) {
-        self.injection
-            .write()
-            .corrupted
-            .insert(key.clone(), replacement);
     }
 
     fn path_for(&self, key: &ShardKey) -> PathBuf {
@@ -346,9 +285,6 @@ impl StorageNode for FileNode {
     /// [`stored_bytes`](StorageNode::stored_bytes) ignore. A failed step
     /// removes the temp file.
     fn put(&self, key: &ShardKey, data: &[u8]) -> Result<(), NodeError> {
-        if self.injection.read().offline {
-            return Err(NodeError::Offline);
-        }
         let path = self.path_for(key);
         let mut tmp = path.clone().into_os_string();
         tmp.push(TEMP_SUFFIX);
@@ -366,12 +302,6 @@ impl StorageNode for FileNode {
     }
 
     fn get(&self, key: &ShardKey) -> Result<Vec<u8>, NodeError> {
-        if self.injection.read().offline {
-            return Err(NodeError::Offline);
-        }
-        if let Some(corrupt) = self.injection.read().corrupted.get(key) {
-            return Ok(corrupt.clone());
-        }
         match std::fs::read(self.path_for(key)) {
             Ok(data) => Ok(data),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Err(NodeError::NotFound),
@@ -380,9 +310,6 @@ impl StorageNode for FileNode {
     }
 
     fn delete(&self, key: &ShardKey) -> Result<(), NodeError> {
-        if self.injection.read().offline {
-            return Err(NodeError::Offline);
-        }
         match std::fs::remove_file(self.path_for(key)) {
             Ok(()) => Ok(()),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
@@ -462,27 +389,6 @@ mod tests {
         }
         let expect = [("a", 0), ("a", 2), ("b", 0), ("b", 1)].map(|(o, s)| ShardKey::new(o, s));
         assert_eq!(node.keys(), expect);
-    }
-
-    #[test]
-    fn memory_node_offline_injection() {
-        let node = MemoryNode::new(2, "ap-south");
-        let key = ShardKey::new("o", 0);
-        node.put(&key, b"x").unwrap();
-        node.set_offline(true);
-        assert_eq!(node.get(&key).unwrap_err(), NodeError::Offline);
-        assert_eq!(node.put(&key, b"y").unwrap_err(), NodeError::Offline);
-        node.set_offline(false);
-        assert_eq!(node.get(&key).unwrap(), b"x");
-    }
-
-    #[test]
-    fn memory_node_corruption_injection() {
-        let node = MemoryNode::new(3, "us-west");
-        let key = ShardKey::new("o", 1);
-        node.put(&key, b"clean").unwrap();
-        node.corrupt(&key, b"dirty".to_vec());
-        assert_eq!(node.get(&key).unwrap(), b"dirty");
     }
 
     #[test]

@@ -1,23 +1,30 @@
 //! Degraded read: one framed fetch per node, with a node offline and a
-//! shard silently bit-rotted.
+//! shard silently bit-rotted, then the repair that heals the rot.
 //!
 //! ```sh
 //! cargo run --example degraded_read
 //! ```
 //!
 //! A 3+2 erasure-coded object survives the loss of any two shards. Here
-//! one source node is offline (typed I/O failure, retried up to the
-//! budget) and one shard has rotted in place (returned bytes fail the
-//! manifest digest and are discarded). The read path coalesces the
-//! fetches into one framed request per node and the
-//! per-shard attempt accounting in the [`TransferReport`] shows exactly
-//! what each slot cost.
+//! one source node is inside an offline window (typed failure, retried
+//! up to the budget) and one shard has a bit flipped on its node's
+//! medium (the returned bytes fail the manifest digest and are
+//! discarded). Nodes only store bytes: the outage comes from a
+//! [`FaultyNode`] wrapper and the rot is the flipped bytes written back
+//! in place, so it stays there until a repair rewrites the shard. The
+//! read path coalesces the fetches into one framed request per node and
+//! the per-shard attempt accounting in the [`TransferReport`] shows
+//! exactly what each slot cost. Once the node is back, one repair
+//! rebuilds the rotted shard.
 //!
 //! The second half re-runs the same read over seek-charged
 //! nodes under both dispatch policies: sequential dispatch pays the
 //! sum of the per-node transfers in virtual time, parallel lanes pay
 //! only the critical path — same bytes, same report, one seek instead
 //! of five.
+//!
+//! [`FaultyNode`]: aeon::store::FaultyNode
+//! [`TransferReport`]: aeon::core::TransferReport
 
 use std::sync::Arc;
 
@@ -25,19 +32,25 @@ use aeon::core::{Archive, ArchiveConfig, DispatchPolicy, IntegrityMode, PolicyKi
 use aeon::store::clock::SimDuration;
 use aeon::store::node::{MemoryNode, ShardKey, StorageNode};
 use aeon::store::throughput::{throughput_in_memory_cluster, ThroughputProfile};
-use aeon::store::Cluster;
+use aeon::store::{Cluster, FaultPlan, FaultyNode};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Five single-shard sites behind a shared cluster.
-    let handles: Vec<MemoryNode> = (0..5)
-        .map(|i| MemoryNode::new(i, format!("site-{i}")))
+    // Five single-shard sites behind a shared cluster. Each node has
+    // its own epoch clock and is scheduled offline over epoch 1.
+    let handles: Vec<Arc<FaultyNode>> = (0..5)
+        .map(|i| {
+            let inner = Arc::new(MemoryNode::new(i, format!("site-{i}")));
+            let plan = FaultPlan::new(0).with_offline_window(1, 2);
+            Arc::new(FaultyNode::new(inner, plan))
+        })
         .collect();
     let cluster = Cluster::new(
         handles
             .iter()
-            .map(|h| Arc::new(h.clone()) as Arc<dyn StorageNode>)
+            .map(|h| Arc::clone(h) as Arc<dyn StorageNode>)
             .collect(),
     );
+    let node = |id| handles.iter().find(|h| h.id() == id).unwrap();
     let config = ArchiveConfig::new(PolicyKind::ErasureCoded { data: 3, parity: 2 })
         .with_integrity(IntegrityMode::DigestOnly)
         .with_retry(RetryPolicy::default().with_attempts(3));
@@ -48,24 +61,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let placement = archive.manifest(&id).expect("manifest").placement.clone();
     println!("ingested {id}; placement {placement:?}");
 
-    // Shard 1's node goes dark: every read attempt fails with a typed
-    // I/O error until the retry budget is exhausted.
+    // Shard 1's node enters its offline window: every read attempt
+    // fails with a typed error until the retry budget is exhausted.
     let dark = placement[1];
-    handles
-        .iter()
-        .find(|h| h.id() == dark)
-        .unwrap()
-        .set_offline(true);
+    node(dark).set_epoch(1);
     println!("node {dark} (shard 1) is offline");
 
-    // Shard 3 rots in place: the node happily serves garbage, which the
-    // digest filter must catch and discard.
+    // Shard 3 rots in place: one bit flips on the medium. The node
+    // happily serves the flipped bytes, which the digest filter must
+    // catch and discard.
     let rotted = placement[3];
-    handles
-        .iter()
-        .find(|h| h.id() == rotted)
-        .unwrap()
-        .corrupt(&ShardKey::new(id.as_str(), 3), vec![0xBA; 64]);
+    let key = ShardKey::new(id.as_str(), 3);
+    let mut shard = node(rotted).get(&key)?;
+    shard[0] ^= 0x10;
+    node(rotted).put(&key, &shard)?;
     println!("shard 3 on node {rotted} is bit-rotted");
 
     // One framed fetch per node; offline slots burn their retry budget,
@@ -92,6 +101,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          failed its digest check)",
         report.total_attempts(),
         report.failed_shards()
+    );
+
+    // The node comes back and a repair rebuilds the rotted shard from
+    // the survivors: the rot stayed on the medium until now.
+    node(dark).set_epoch(2);
+    let repair = archive.repair_object(&id)?;
+    assert_eq!((repair.missing_before, repair.missing_after), (1, 0));
+    assert_ne!(node(rotted).get(&key)?, shard, "the rot is rewritten");
+    println!(
+        "\nnode {dark} is back; repair rebuilt {} shard ({:?}), {} missing after",
+        repair.missing_before, repair.method, repair.missing_after
     );
 
     // Part two: the same read priced on the virtual clock,

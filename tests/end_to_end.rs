@@ -5,7 +5,7 @@ use aeon::core::{Archive, ArchiveConfig, ArchiveError, IntegrityMode, PolicyKind
 use aeon::crypto::SuiteId;
 use aeon::integrity::timestamp::SigBreakSchedule;
 use aeon::store::node::{FileNode, MemoryNode, StorageNode};
-use aeon::store::Cluster;
+use aeon::store::{Cluster, FaultPlan, FaultyNode};
 use std::sync::Arc;
 
 fn all_policies() -> Vec<PolicyKind> {
@@ -59,14 +59,22 @@ fn lifecycle_under_every_policy() {
 
 #[test]
 fn survives_maximum_node_failures() {
-    // Build a cluster of MemoryNode handles we can fail.
-    let handles: Vec<MemoryNode> = (0..5)
-        .map(|i| MemoryNode::new(i, format!("site-{i}")))
+    // Five nodes we can fail: each has its own clock and an offline
+    // window over epoch 1, so `set_epoch(1)` takes it down and
+    // `set_epoch(2)` brings it back.
+    let handles: Vec<Arc<FaultyNode>> = (0..5)
+        .map(|i| {
+            let inner = Arc::new(MemoryNode::new(i, format!("site-{i}")));
+            Arc::new(FaultyNode::new(
+                inner,
+                FaultPlan::new(0).with_offline_window(1, 2),
+            ))
+        })
         .collect();
     let cluster = Cluster::new(
         handles
             .iter()
-            .map(|h| Arc::new(h.clone()) as Arc<dyn StorageNode>)
+            .map(|h| Arc::clone(h) as Arc<dyn StorageNode>)
             .collect(),
     );
     let mut archive = Archive::with_cluster(
@@ -82,19 +90,19 @@ fn survives_maximum_node_failures() {
         .unwrap();
 
     // Fail two arbitrary sites.
-    handles[1].set_offline(true);
-    handles[4].set_offline(true);
+    handles[1].set_epoch(1);
+    handles[4].set_epoch(1);
     assert_eq!(
         archive.retrieve(&id).unwrap(),
         b"survives two site failures"
     );
 
     // A third failure crosses the threshold.
-    handles[0].set_offline(true);
+    handles[0].set_epoch(1);
     assert!(archive.retrieve(&id).is_err());
 
     // Recovery: bring one back.
-    handles[1].set_offline(false);
+    handles[1].set_epoch(2);
     assert_eq!(
         archive.retrieve(&id).unwrap(),
         b"survives two site failures"
