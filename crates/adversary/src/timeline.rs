@@ -62,15 +62,6 @@ impl CryptanalyticTimeline {
     pub fn signatures(&self) -> &SigBreakSchedule {
         &self.signatures
     }
-
-    /// Suites among `suites` that remain standing at `year`.
-    pub fn surviving_suites(&self, suites: &[SuiteId], year: u32) -> Vec<SuiteId> {
-        suites
-            .iter()
-            .copied()
-            .filter(|&s| !self.ciphers.is_broken(s, year))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -103,17 +94,5 @@ mod tests {
         // OTP never breaks regardless of schedule entries.
         let t = t.with_cipher_break(SuiteId::OneTimePad, 2000);
         assert!(!t.ciphers().is_broken(SuiteId::OneTimePad, 3000));
-    }
-
-    #[test]
-    fn surviving_suites_filter() {
-        let t = CryptanalyticTimeline::pessimistic_2045();
-        let all = [
-            SuiteId::Aes256CtrHmac,
-            SuiteId::ChaCha20Poly1305,
-            SuiteId::OneTimePad,
-        ];
-        assert_eq!(t.surviving_suites(&all, 2050).len(), 2);
-        assert_eq!(t.surviving_suites(&all, 2070), vec![SuiteId::OneTimePad]);
     }
 }

@@ -10,7 +10,6 @@
 //! authentication (a one-time Poly1305 key per record — Wegman–Carter
 //! style, information-theoretically unforgeable).
 
-use aeon_crypto::otp::OtpError;
 use aeon_crypto::poly1305::poly1305;
 use aeon_crypto::CryptoRng;
 
@@ -115,12 +114,6 @@ impl core::fmt::Display for OtpChannelError {
 }
 
 impl std::error::Error for OtpChannelError {}
-
-impl From<OtpError> for OtpChannelError {
-    fn from(_: OtpError) -> Self {
-        OtpChannelError::PadExhausted
-    }
-}
 
 /// An information-theoretically secure record channel over a shared pad.
 ///

@@ -1176,9 +1176,9 @@ impl Archive {
     }
 }
 
-/// The Entropic policy's admission check: its secrecy argument needs
-/// payloads that already look random.
-fn entropy_gate(policy: &PolicyKind, payload: &[u8]) -> Result<(), ArchiveError> {
+/// The Entropic policy's admission check, at ingest and re-encode: its
+/// secrecy argument needs payloads that already look random.
+pub(crate) fn entropy_gate(policy: &PolicyKind, payload: &[u8]) -> Result<(), ArchiveError> {
     if matches!(policy, PolicyKind::Entropic { .. }) && payload.len() >= 64 {
         let bits_per_byte = estimate_entropy_bits_per_byte(payload);
         if bits_per_byte < 6.0 {
@@ -1198,14 +1198,11 @@ pub fn estimate_entropy_bits_per_byte(data: &[u8]) -> f64 {
         counts[b as usize] += 1;
     }
     let n = data.len() as f64;
-    counts
-        .iter()
-        .filter(|&&c| c > 0)
-        .map(|&c| {
-            let p = c as f64 / n;
-            -p * p.log2()
-        })
-        .sum()
+    // Folded from +0.0, so one repeated byte reads 0.00, not -0.00.
+    counts.iter().filter(|&&c| c > 0).fold(0.0, |bits, &c| {
+        let p = c as f64 / n;
+        bits - p * p.log2()
+    })
 }
 
 #[cfg(test)]
@@ -1318,6 +1315,33 @@ mod tests {
         assert!(moved.bytes_read > 0 && moved.bytes_written > 0);
         assert_eq!(a.manifest(&id).unwrap().policy, new_policy);
         assert_eq!(a.retrieve(&id).unwrap(), b"migrate me to a cascade");
+    }
+
+    /// Re-encoding onto Entropic meets the gate ingest applies, before
+    /// the old shards are deleted: a classic object on its payload, a
+    /// dedup object on each data block.
+    #[test]
+    fn reencode_onto_entropic_meets_the_entropy_gate() {
+        let rs = PolicyKind::ErasureCoded { data: 2, parity: 1 };
+        let entropic = PolicyKind::Entropic { data: 2, parity: 1 };
+        let low = vec![b'a'; 4096];
+        for dedup in [false, true] {
+            let mut config = ArchiveConfig::new(rs.clone());
+            if dedup {
+                config = config.with_dedup(small_dedup());
+            }
+            let mut a = Archive::in_memory(config).unwrap();
+            let id = a.ingest(&low, "x").unwrap();
+            let err = a.reencode_object(&id, entropic.clone()).unwrap_err();
+            assert!(
+                matches!(err, ArchiveError::LowEntropy { bits_per_byte } if bits_per_byte == 0.0),
+                "dedup {dedup}: {err}"
+            );
+            assert!(err.to_string().ends_with("(got 0.00 bits/byte)"), "{err}");
+            assert_eq!(a.manifest(&id).unwrap().policy, rs, "dedup {dedup}");
+            assert!(a.blocks().all(|(_, b)| b.record.policy == rs));
+            assert_eq!(a.retrieve(&id).unwrap(), low, "dedup {dedup}");
+        }
     }
 
     #[test]
@@ -1976,6 +2000,7 @@ mod tests {
     fn entropy_estimator_sane() {
         assert_eq!(estimate_entropy_bits_per_byte(&[]), 0.0);
         assert_eq!(estimate_entropy_bits_per_byte(&[7u8; 100]), 0.0);
+        assert!(estimate_entropy_bits_per_byte(&[7u8; 100]).is_sign_positive());
         let uniform: Vec<u8> = (0..=255u8).collect();
         assert!((estimate_entropy_bits_per_byte(&uniform) - 8.0).abs() < 1e-9);
     }

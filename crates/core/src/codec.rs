@@ -366,7 +366,8 @@ impl Seal<'_> {
                 .encrypt(aad, payload),
             Seal::Aont => aont::package(rng, payload),
             Seal::Entropic => {
-                let ct = EntropicCipher::new(keys.entropic_key(context)).encrypt(rng, payload);
+                let key = keys.entropic_key(meta.key_version, context);
+                let ct = EntropicCipher::new(key).encrypt(rng, payload);
                 meta.entropic_nonce = Some(ct.nonce);
                 ct.body
             }
@@ -406,7 +407,7 @@ impl Seal<'_> {
                 let Some(nonce) = meta.entropic_nonce else {
                     return Err(malformed("missing entropic nonce"));
                 };
-                let cipher = EntropicCipher::new(keys.entropic_key(context));
+                let cipher = EntropicCipher::new(keys.entropic_key(meta.key_version, context));
                 Ok(cipher.decrypt(&EntropicCiphertext {
                     nonce,
                     body: sealed,

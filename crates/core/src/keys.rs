@@ -68,28 +68,31 @@ impl KeyStore {
     ///
     /// Panics if the version does not exist.
     pub fn object_key_for_version(&self, version: u32, object: &str, layer: u32) -> [u8; 32] {
-        let master = self
-            .masters
-            .get(version as usize)
-            .expect("unknown master key version");
         let info = format!("object:{object}:layer:{layer}");
+        let master = self.master(version);
         let okm = hkdf::derive(b"aeon-object-key", master, info.as_bytes(), 32);
         let mut key = [0u8; 32];
         key.copy_from_slice(&okm);
         key
     }
 
-    /// Derives a 16-byte entropic-cipher key.
-    pub fn entropic_key(&self, object: &str) -> [u8; 16] {
-        let okm = hkdf::derive(
-            b"aeon-entropic-key",
-            &self.masters[self.masters.len() - 1],
-            object.as_bytes(),
-            16,
-        );
+    /// Derives the 16-byte entropic-cipher key for an object under master
+    /// `version` — the version its manifest records, as for
+    /// [`KeyStore::object_key_for_version`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the version does not exist.
+    pub fn entropic_key(&self, version: u32, object: &str) -> [u8; 16] {
+        let master = self.master(version);
+        let okm = hkdf::derive(b"aeon-entropic-key", master, object.as_bytes(), 16);
         let mut key = [0u8; 16];
         key.copy_from_slice(&okm);
         key
+    }
+
+    fn master(&self, version: u32) -> &[u8; 32] {
+        (self.masters.get(version as usize)).expect("unknown master key version")
     }
 
     /// Number of master versions retained (the key-history burden).
@@ -154,7 +157,7 @@ mod tests {
     #[test]
     fn entropic_key_is_16_bytes_and_distinct() {
         let ks = KeyStore::new([3u8; 32]);
-        assert_ne!(ks.entropic_key("a"), ks.entropic_key("b"));
+        assert_ne!(ks.entropic_key(0, "a"), ks.entropic_key(0, "b"));
     }
 
     #[test]

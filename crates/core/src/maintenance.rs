@@ -11,8 +11,9 @@
 //! the units behind an object and hold the rules that exist only
 //! because blocks are shared (which blocks to skip).
 
-use crate::archive::{Archive, ArchiveError, Manifest, ObjectId};
+use crate::archive::{entropy_gate, Archive, ArchiveError, Manifest, ObjectId};
 use crate::campaign::{Campaign, CampaignOp, CampaignReport};
+use crate::dedup::BlockKind;
 use crate::plan;
 use crate::policy::PolicyKind;
 use crate::unit::Unit;
@@ -61,18 +62,14 @@ impl Archive {
                 "proactive refresh requires the Shamir policy",
             ));
         }
-        let mut total = ProtocolCost {
-            messages: 0,
-            bytes: 0,
-        };
+        let mut total = ProtocolCost::default();
         let mut replaced = false;
         let outcome = units.iter().try_for_each(|unit| {
             let Some((cost, landed)) = self.refresh_unit(id, unit)? else {
                 return Ok(());
             };
             replaced = true;
-            total.messages += cost.messages;
-            total.bytes += cost.bytes;
+            total.add(cost);
             landed
         });
         // The epoch advances whenever digests were replaced, even when
@@ -128,7 +125,10 @@ impl Archive {
     ///
     /// # Errors
     ///
-    /// Propagates retrieval and ingest errors.
+    /// Propagates retrieval and ingest errors; onto
+    /// [`PolicyKind::Entropic`], a unit that fails ingest's entropy gate
+    /// (a classic object's payload, a dedup data block) is
+    /// [`ArchiveError::LowEntropy`] and keeps its old shards.
     pub fn reencode_object(
         &mut self,
         id: &ObjectId,
@@ -174,6 +174,13 @@ impl Archive {
         let [fetch, put] = unit.labels().reencode;
         let snap = self.fetch_shards(&record, fetch);
         let payload = self.decode_verified(owner, &record, &snap)?;
+        // Ingest's admission check, before the old shards go; a tree
+        // block is a hash list, not payload, and is exempt.
+        let tree = matches!(unit, Unit::Block(hash)
+            if self.manifests.block(hash).is_some_and(|b| b.kind == BlockKind::Tree));
+        if !tree {
+            entropy_gate(new_policy, &payload)?;
+        }
         let bytes_read: u64 = snap.shards.iter().flatten().map(|s| s.len() as u64).sum();
         let write_start = clock.now();
         let write = self.plan_unit_write(unit, new_policy, &record.id, &payload)?;

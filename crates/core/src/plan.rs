@@ -221,10 +221,7 @@ pub fn plan_refresh<R: CryptoRng + ?Sized>(
     }
     let chunks = StoredChunks::parse(manifest.id.as_str(), &manifest.meta, shards)?;
     let mut refreshed = Vec::with_capacity(chunks.count());
-    let mut total = ProtocolCost {
-        messages: 0,
-        bytes: 0,
-    };
+    let mut total = ProtocolCost::default();
     for j in 0..chunks.count() {
         // Every slot is present, so position is share index.
         let present = chunks.shards(j).into_iter().flatten();
@@ -235,9 +232,7 @@ pub fn plan_refresh<R: CryptoRng + ?Sized>(
                 data: data.to_vec(),
             })
             .collect();
-        let cost = proactive::refresh(rng, &mut shares, threshold)?;
-        total.messages += cost.messages;
-        total.bytes += cost.bytes;
+        total.add(proactive::refresh(rng, &mut shares, threshold)?);
         refreshed.push(shares.into_iter().map(|s| s.data).collect());
     }
     Ok((chunks.join(refreshed), total))

@@ -17,7 +17,7 @@
 
 use crate::archive::Archive;
 use aeon_adversary::CryptanalyticTimeline;
-use aeon_crypto::{SecurityLevel, SuiteId};
+use aeon_crypto::{SecurityLevel, StackFall, SuiteId};
 use aeon_store::campaign::ReencryptionModel;
 use aeon_store::media::ArchiveSite;
 use std::collections::BTreeSet;
@@ -93,38 +93,17 @@ pub fn plan(
     let mut entries: Vec<PlanEntry> = Vec::new();
 
     // Which suites protect at-rest data right now? Each policy's info
-    // answers, so new families never need a planner edit.
-    let mut suites_in_use: BTreeSet<SuiteId> = BTreeSet::new();
+    // names its stack, and the schedule says which layer it falls with,
+    // so new families never need a planner edit.
+    let mut doomed: BTreeSet<(SuiteId, u32)> = BTreeSet::new();
     let mut any_secret_shared = false;
     for m in archive.manifests.rows() {
         let info = m.policy.info();
         if info.at_rest_level == SecurityLevel::InformationTheoretic {
             any_secret_shared = true;
         }
-        match info.at_rest_suites {
-            [] => {}
-            [suite] => {
-                suites_in_use.insert(*suite);
-            }
-            layered => {
-                // A layered stack (cascade) is only doomed when its
-                // LAST-falling layer falls — and only if every layer
-                // has a forecast break at all.
-                if let Some(last) = layered
-                    .iter()
-                    .filter_map(|s| timeline.ciphers().break_year(*s).map(|y| (y, *s)))
-                    .max_by_key(|(y, _)| *y)
-                {
-                    if layered.len()
-                        == layered
-                            .iter()
-                            .filter(|s| timeline.ciphers().break_year(**s).is_some())
-                            .count()
-                    {
-                        suites_in_use.insert(last.1);
-                    }
-                }
-            }
+        if let StackFall::At { year, last } = timeline.ciphers().stack_fall(info.at_rest_suites) {
+            doomed.insert((last, year));
         }
     }
 
@@ -133,35 +112,22 @@ pub fn plan(
         .estimate()
         .realistic_months;
     let lead_years = (campaign_months / 12.0).ceil() as u32 + config.campaign_margin_years;
-    for suite in suites_in_use {
-        if let Some(break_year) = timeline.ciphers().break_year(suite) {
-            if break_year > now && break_year <= config.horizon_year {
-                entries.push(PlanEntry {
-                    year: break_year.saturating_sub(lead_years).max(now),
-                    action: Action::StartReencodeCampaign {
-                        doomed: suite,
-                        break_year,
-                        campaign_months,
-                    },
-                });
-            }
+    for (suite, break_year) in doomed {
+        if break_year > now && break_year <= config.horizon_year {
+            entries.push(PlanEntry {
+                year: break_year.saturating_sub(lead_years).max(now),
+                action: Action::StartReencodeCampaign {
+                    doomed: suite,
+                    break_year,
+                    campaign_months,
+                },
+            });
         }
     }
 
     // Signature rotation before the active scheme's break.
-    if timeline
-        .signatures()
-        .is_broken(config.active_sig_scheme, config.horizon_year)
-    {
-        // Find the break year by scanning (schedule has no iterator; probe).
-        let mut break_year = now;
-        for y in now..=config.horizon_year {
-            if timeline.signatures().is_broken(config.active_sig_scheme, y) {
-                break_year = y;
-                break;
-            }
-        }
-        if break_year > now {
+    if let Some(break_year) = timeline.signatures().break_year(config.active_sig_scheme) {
+        if break_year > now && break_year <= config.horizon_year {
             entries.push(PlanEntry {
                 year: break_year - 1,
                 action: Action::RotateSignatureScheme {
@@ -191,7 +157,67 @@ pub fn plan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Archive, ArchiveConfig, PolicyKind};
+    use crate::keys::KeyStore;
+    use crate::policy::tests::all_policies;
+    use crate::{Archive, ArchiveConfig, PolicyKind, Recovery};
+    use aeon_crypto::{ChaChaDrbg, CryptoRng};
+
+    /// `plan`'s re-encode campaigns and `hndl_recover`'s "suites fallen"
+    /// both follow the schedule's one stack rule, for every family in
+    /// every year of the planning horizon.
+    #[test]
+    fn campaigns_and_harvests_follow_the_stack_rule() {
+        let timeline = CryptanalyticTimeline::pessimistic_2045();
+        let config = PlannerConfig {
+            refresh_every_years: 0,
+            ..Default::default()
+        };
+        let keys = KeyStore::new([5; 32]);
+        let mut rng = ChaChaDrbg::from_u64_seed(41);
+        let mut payload = vec![0u8; 512];
+        rng.fill_bytes(&mut payload);
+        for policy in all_policies() {
+            let info = policy.info();
+            let family = info.family;
+            let fall = timeline.ciphers().stack_fall(info.at_rest_suites);
+            // One data shard: below every read threshold but replication's.
+            let enc = policy.encode(&mut rng, &keys, "obj", &payload).unwrap();
+            let stolen: Vec<Option<Vec<u8>>> = (enc.shards.iter().enumerate())
+                .map(|(i, s)| (i == 0).then(|| s.clone()))
+                .collect();
+            // A secret-shared or entropic encoding yields nothing from one
+            // share, fallen suites or not.
+            let its = info.at_rest_level >= SecurityLevel::EntropicIts;
+            let mut archive =
+                Archive::in_memory(ArchiveConfig::new(policy.clone()).with_year(2026)).unwrap();
+            archive.ingest(&payload, "o").unwrap();
+            for year in 2026..=config.horizon_year {
+                let recovered =
+                    policy.hndl_recover(&keys, "obj", &stolen, &enc.meta, &timeline, year);
+                let expect = fall.has_fallen(year) && !its;
+                assert_eq!(recovered != Recovery::Nothing, expect, "{family} {year}");
+
+                archive.advance_year(year);
+                let campaigns: Vec<(SuiteId, u32)> = (plan(&archive, &timeline, &site(), config))
+                    .into_iter()
+                    .filter_map(|e| match e.action {
+                        Action::StartReencodeCampaign {
+                            doomed, break_year, ..
+                        } => {
+                            assert!(e.year >= year && e.year < break_year, "{family} {year}");
+                            Some((doomed, break_year))
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                let expect: Vec<(SuiteId, u32)> = match fall {
+                    StackFall::At { year: by, last } if by > year => vec![(last, by)],
+                    _ => Vec::new(),
+                };
+                assert_eq!(campaigns, expect, "{family} {year}");
+            }
+        }
+    }
 
     fn site() -> ArchiveSite {
         ArchiveSite::hpss()

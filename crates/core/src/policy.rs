@@ -350,10 +350,9 @@ impl PolicyKind {
         }
         let info = self.info();
         let threshold = info.read_threshold;
-        // Every suite guarding the at-rest bytes has fallen (vacuously
-        // so for plaintext and information-theoretic encodings).
-        let suites_fallen =
-            (info.at_rest_suites.iter()).all(|s| timeline.ciphers().is_broken(*s, year));
+        // The stack guarding the at-rest bytes has fallen (vacuously so
+        // for plaintext and information-theoretic encodings).
+        let suites_fallen = (timeline.ciphers().stack_fall(info.at_rest_suites)).has_fallen(year);
         let decode = || match pipeline::decode_object(self, keys, object_id, stolen, meta, 1) {
             Ok(pt) => Recovery::Full(pt),
             Err(_) => Recovery::Nothing,
@@ -531,24 +530,20 @@ pub(crate) mod tests {
         assert!(policy.decode(&keys, "obj-B", &shards, &enc.meta).is_err());
     }
 
+    /// Every family reads back after a master-key rotation:
+    /// `meta.key_version` pins the master each object was sealed under.
     #[test]
     fn key_rotation_keeps_old_objects_readable() {
-        let (mut rng, mut keys) = fixtures();
-        let policy = PolicyKind::Encrypted {
-            suite: SuiteId::Aes256CtrHmac,
-            data: 2,
-            parity: 1,
-        };
-        let enc = policy
-            .encode(&mut rng, &keys, "obj", b"pre-rotation")
-            .unwrap();
-        keys.rotate([99u8; 32]);
-        let shards: Vec<Option<Vec<u8>>> = enc.shards.iter().cloned().map(Some).collect();
-        // meta.key_version pins the old master.
-        assert_eq!(
-            policy.decode(&keys, "obj", &shards, &enc.meta).unwrap(),
-            b"pre-rotation"
-        );
+        for policy in all_policies() {
+            let (mut rng, mut keys) = fixtures();
+            let mut payload = vec![0u8; 256];
+            rng.fill_bytes(&mut payload);
+            let enc = policy.encode(&mut rng, &keys, "obj", &payload).unwrap();
+            keys.rotate([99u8; 32]);
+            let shards: Vec<Option<Vec<u8>>> = enc.shards.iter().cloned().map(Some).collect();
+            let decoded = policy.decode(&keys, "obj", &shards, &enc.meta).unwrap();
+            assert!(decoded == payload, "{}", policy.info().family);
+        }
     }
 
     #[test]

@@ -175,17 +175,13 @@ impl TrusteeKeyring {
         &mut self,
         rng: &mut R,
     ) -> Result<Vec<(u64, &'static str)>, TrusteeError> {
-        let mut deltas = Vec::with_capacity(self.shares.len());
-        for s in &self.shares {
-            deltas.push(vss_proactive::deal_zero_delta(
-                rng,
-                &self.committer,
-                VssKind::Pedersen,
-                s.index,
-                self.threshold,
-                self.shares.len(),
-            )?);
-        }
+        let deltas = vss_proactive::deal_refresh_round(
+            rng,
+            &self.committer,
+            VssKind::Pedersen,
+            &self.shares,
+            self.threshold,
+        )?;
         self.apply_refresh(&deltas)
     }
 
@@ -244,24 +240,8 @@ impl TrusteeKeyring {
         let contributors = &self.shares[..self.threshold];
 
         // λ_i for the old structure at 0.
-        let lambdas: Vec<U2048> = contributors
-            .iter()
-            .enumerate()
-            .map(|(i, si)| {
-                let xi = U2048::from_u64(si.index);
-                let mut num = U2048::one();
-                let mut den = U2048::one();
-                for (j, sj) in contributors.iter().enumerate() {
-                    if i == j {
-                        continue;
-                    }
-                    let xj = U2048::from_u64(sj.index);
-                    num = field.mul(&num, &xj);
-                    den = field.mul(&den, &field.sub(&xj, &xi));
-                }
-                field.mul(&num, &field.invert(&den))
-            })
-            .collect();
+        let indices: Vec<u64> = contributors.iter().map(|s| s.index).collect();
+        let lambdas = field.lagrange_at_zero(&indices)?;
 
         // Each contributor deals its share value to the new board; new
         // share j = Σ_i λ_i · subshare_i(j). Blinding shares combine the

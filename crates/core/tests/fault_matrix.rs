@@ -101,8 +101,8 @@ fn flip_shard(archive: &Archive, handles: &[MemoryNode], id: &ObjectId, idx: usi
 }
 
 proptest! {
-    // 4 cases x 9 policies x 4 scenarios is plenty; CI's chaos job
-    // re-runs this in release across three pinned seeds.
+    // 4 cases x 9 policies x 4 scenarios is plenty; the runner seeds
+    // from the test name, so every run draws the same cases.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Up to `n - k` shards deleted: the payload still reads back

@@ -55,25 +55,15 @@ const fn build_sbox() -> [u8; 256] {
     sbox
 }
 
-const fn build_inv_sbox(sbox: &[u8; 256]) -> [u8; 256] {
-    let mut inv = [0u8; 256];
-    let mut i = 0usize;
-    while i < 256 {
-        inv[sbox[i] as usize] = i as u8;
-        i += 1;
-    }
-    inv
-}
-
 const SBOX: [u8; 256] = build_sbox();
-const INV_SBOX: [u8; 256] = build_inv_sbox(&SBOX);
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36];
 
 /// An AES key schedule supporting 128- and 256-bit keys.
 ///
-/// Only the operations needed by the archive stack are exposed: raw block
-/// encryption/decryption (for test vectors) and CTR-mode streaming (the
-/// mode used by [`Aes256CtrHmac`](crate::aead::Aes256CtrHmac)).
+/// Only the forward cipher exists: raw block encryption (for test
+/// vectors) and CTR-mode streaming (the mode used by
+/// [`Aes256CtrHmac`](crate::aead::Aes256CtrHmac)), which never runs the
+/// inverse rounds.
 ///
 /// # Examples
 ///
@@ -81,10 +71,10 @@ const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x
 /// use aeon_crypto::aes::Aes;
 ///
 /// let aes = Aes::new_256(&[0u8; 32]);
-/// let mut block = [0u8; 16];
-/// let ct = aes.encrypt_block(&block);
-/// block = aes.decrypt_block(&ct);
-/// assert_eq!(block, [0u8; 16]);
+/// let mut data = *b"archive";
+/// aes.apply_ctr(&[0u8; 16], &mut data);
+/// aes.apply_ctr(&[0u8; 16], &mut data);
+/// assert_eq!(&data, b"archive");
 /// ```
 #[derive(Clone)]
 pub struct Aes {
@@ -130,23 +120,6 @@ impl Aes {
         sub_bytes(&mut state);
         shift_rows(&mut state);
         add_round_key(&mut state, &self.round_keys[rounds]);
-        state
-    }
-
-    /// Decrypts a single 16-byte block.
-    pub fn decrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
-        let rounds = self.rounds();
-        let mut state = *block;
-        add_round_key(&mut state, &self.round_keys[rounds]);
-        inv_shift_rows(&mut state);
-        inv_sub_bytes(&mut state);
-        for r in (1..rounds).rev() {
-            add_round_key(&mut state, &self.round_keys[r]);
-            inv_mix_columns(&mut state);
-            inv_shift_rows(&mut state);
-            inv_sub_bytes(&mut state);
-        }
-        add_round_key(&mut state, &self.round_keys[0]);
         state
     }
 
@@ -232,27 +205,12 @@ fn sub_bytes(state: &mut [u8; 16]) {
     }
 }
 
-fn inv_sub_bytes(state: &mut [u8; 16]) {
-    for b in state.iter_mut() {
-        *b = INV_SBOX[*b as usize];
-    }
-}
-
 // State is column-major: state[4*c + r] is row r, column c.
 fn shift_rows(state: &mut [u8; 16]) {
     let s = *state;
     for r in 1..4 {
         for c in 0..4 {
             state[4 * c + r] = s[4 * ((c + r) % 4) + r];
-        }
-    }
-}
-
-fn inv_shift_rows(state: &mut [u8; 16]) {
-    let s = *state;
-    for r in 1..4 {
-        for c in 0..4 {
-            state[4 * ((c + r) % 4) + r] = s[4 * c + r];
         }
     }
 }
@@ -272,25 +230,6 @@ fn mix_columns(state: &mut [u8; 16]) {
     }
 }
 
-fn inv_mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [
-            state[4 * c],
-            state[4 * c + 1],
-            state[4 * c + 2],
-            state[4 * c + 3],
-        ];
-        state[4 * c] =
-            gf_mul(col[0], 14) ^ gf_mul(col[1], 11) ^ gf_mul(col[2], 13) ^ gf_mul(col[3], 9);
-        state[4 * c + 1] =
-            gf_mul(col[0], 9) ^ gf_mul(col[1], 14) ^ gf_mul(col[2], 11) ^ gf_mul(col[3], 13);
-        state[4 * c + 2] =
-            gf_mul(col[0], 13) ^ gf_mul(col[1], 9) ^ gf_mul(col[2], 14) ^ gf_mul(col[3], 11);
-        state[4 * c + 3] =
-            gf_mul(col[0], 11) ^ gf_mul(col[1], 13) ^ gf_mul(col[2], 9) ^ gf_mul(col[3], 14);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,7 +241,6 @@ mod tests {
         assert_eq!(SBOX[0x01], 0x7c);
         assert_eq!(SBOX[0x53], 0xed);
         assert_eq!(SBOX[0xff], 0x16);
-        assert_eq!(INV_SBOX[0x63], 0x00);
     }
 
     #[test]
@@ -319,7 +257,6 @@ mod tests {
         let aes = Aes::new_128(&key);
         let ct = aes.encrypt_block(&pt);
         assert_eq!(to_hex(&ct), "3925841d02dc09fbdc118597196a0b32");
-        assert_eq!(aes.decrypt_block(&ct), pt);
     }
 
     #[test]
@@ -337,7 +274,6 @@ mod tests {
         let aes = Aes::new_256(&key);
         let ct = aes.encrypt_block(&pt);
         assert_eq!(to_hex(&ct), "8ea2b7ca516745bfeafc49904b496089");
-        assert_eq!(aes.decrypt_block(&ct), pt);
     }
 
     #[test]
@@ -385,24 +321,5 @@ mod tests {
                 assert_ne!(blocks[i], blocks[j]);
             }
         }
-    }
-
-    #[test]
-    fn shift_rows_inverse() {
-        let mut s: [u8; 16] = core::array::from_fn(|i| i as u8);
-        let orig = s;
-        shift_rows(&mut s);
-        assert_ne!(s, orig);
-        inv_shift_rows(&mut s);
-        assert_eq!(s, orig);
-    }
-
-    #[test]
-    fn mix_columns_inverse() {
-        let mut s: [u8; 16] = core::array::from_fn(|i| (i * 17) as u8);
-        let orig = s;
-        mix_columns(&mut s);
-        inv_mix_columns(&mut s);
-        assert_eq!(s, orig);
     }
 }

@@ -15,7 +15,7 @@
 
 use crate::aead::AuthError;
 use crate::hkdf;
-use crate::suite::{BreakSchedule, SimYear, SuiteId, SuiteRegistry};
+use crate::suite::{SuiteId, SuiteRegistry};
 use std::borrow::Cow;
 
 /// Errors from cascade operations.
@@ -231,24 +231,6 @@ impl Cascade {
         self.open_layers(context, &mut data, depth)?;
         Ok(data)
     }
-
-    /// Returns `true` if the cascade is still confidential at `year`: at
-    /// least one layer's suite is unbroken.
-    pub fn is_secure_at(&self, schedule: &BreakSchedule, year: SimYear) -> bool {
-        self.layers
-            .iter()
-            .any(|(suite, _)| !schedule.is_broken(*suite, year))
-    }
-
-    /// Returns the first year at which *every* layer is broken, if the
-    /// schedule breaks them all.
-    pub fn fully_broken_year(&self, schedule: &BreakSchedule) -> Option<SimYear> {
-        self.layers
-            .iter()
-            .map(|(suite, _)| schedule.break_year(*suite))
-            .collect::<Option<Vec<_>>>()
-            .map(|years| years.into_iter().max().expect("non-empty cascade"))
-    }
 }
 
 fn layer_nonce(context: &[u8], layer: usize) -> [u8; 12] {
@@ -260,6 +242,7 @@ fn layer_nonce(context: &[u8], layer: usize) -> [u8; 12] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::suite::{BreakSchedule, StackFall};
 
     fn two_layer() -> Cascade {
         Cascade::new(
@@ -359,18 +342,29 @@ mod tests {
         assert_eq!(c.decrypt_at_depth(b"obj", &old_ct, 1).unwrap(), b"data");
     }
 
+    /// A cascade stands while any layer stands: the schedule's stack
+    /// rule over its suites, which grow as layers are added.
     #[test]
     fn security_against_schedule() {
-        let c = two_layer();
+        let mut c = Cascade::new(&[SuiteId::Aes256CtrHmac], &[9u8; 32]).unwrap();
         let schedule = BreakSchedule::pessimistic(); // AES 2045, ChaCha 2060
-        assert!(c.is_secure_at(&schedule, 2044));
-        assert!(c.is_secure_at(&schedule, 2050)); // ChaCha still standing
-        assert!(!c.is_secure_at(&schedule, 2060));
-        assert_eq!(c.fully_broken_year(&schedule), Some(2060));
-
-        let never = BreakSchedule::new();
-        assert_eq!(c.fully_broken_year(&never), None);
-        assert!(c.is_secure_at(&never, 9999));
+        assert!(schedule.stack_fall(&c.suites()).has_fallen(2045));
+        c.add_layer(SuiteId::ChaCha20Poly1305, &[9u8; 32]).unwrap();
+        let fall = schedule.stack_fall(&c.suites());
+        assert!(!fall.has_fallen(2044));
+        assert!(!fall.has_fallen(2050)); // ChaCha still standing
+        assert!(fall.has_fallen(2060));
+        assert_eq!(
+            fall,
+            StackFall::At {
+                year: 2060,
+                last: SuiteId::ChaCha20Poly1305
+            }
+        );
+        assert_eq!(
+            BreakSchedule::new().stack_fall(&c.suites()),
+            StackFall::Never
+        );
     }
 
     #[test]

@@ -74,7 +74,8 @@ pub fn random_array<const N: usize, R: CryptoRng + ?Sized>(rng: &mut R) -> [u8; 
 /// and the longest-lived instance — an archive's, which serves its
 /// ingest draws — spends a few bytes per payload byte of an in-memory
 /// simulation. A caller that could get there must start a new generator
-/// from a fresh seed first (e.g. [`ChaChaDrbg::fork`]).
+/// from a fresh seed first (e.g. [`ChaChaDrbg::from_seed`] over 32
+/// bytes drawn from this one).
 ///
 /// A draw first drains the buffered block, then generates every whole
 /// 64-byte block of the rest straight into the destination through the
@@ -121,12 +122,6 @@ impl ChaChaDrbg {
         s[..8].copy_from_slice(&seed.to_le_bytes());
         s[8..16].copy_from_slice(&seed.wrapping_mul(0x9E3779B97F4A7C15).to_le_bytes());
         Self::from_seed(s)
-    }
-
-    /// Derives an independent child generator (forward-secure split).
-    pub fn fork(&mut self) -> Self {
-        let seed: [u8; 32] = self.gen_array();
-        Self::from_seed(seed)
     }
 
     /// Reserves the next `blocks` keystream blocks and returns the first
@@ -311,15 +306,6 @@ mod tests {
             seen[rng.gen_range(8) as usize] = true;
         }
         assert!(seen.iter().all(|&s| s), "all residues should appear");
-    }
-
-    #[test]
-    fn fork_produces_independent_streams() {
-        let mut parent = ChaChaDrbg::from_u64_seed(1);
-        let mut child = parent.fork();
-        let p = parent.gen_array::<32>();
-        let c = child.gen_array::<32>();
-        assert_ne!(p, c);
     }
 
     #[test]

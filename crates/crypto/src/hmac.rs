@@ -1,6 +1,6 @@
-//! HMAC (RFC 2104) over SHA-256 and SHA-512.
+//! HMAC (RFC 2104) over SHA-256.
 
-use crate::sha2::{Sha256, Sha512};
+use crate::sha2::Sha256;
 
 /// Computes HMAC-SHA-256 of `data` under `key`.
 ///
@@ -16,28 +16,6 @@ pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; 32] {
     let mut mac = HmacSha256::new(key);
     mac.update(data);
     mac.finalize()
-}
-
-/// Computes HMAC-SHA-512 of `data` under `key`.
-pub fn hmac_sha512(key: &[u8], data: &[u8]) -> [u8; 64] {
-    const BLOCK: usize = 128;
-    let mut k = [0u8; BLOCK];
-    if key.len() > BLOCK {
-        let d = Sha512::digest(key);
-        k[..64].copy_from_slice(&d);
-    } else {
-        k[..key.len()].copy_from_slice(key);
-    }
-    let mut inner = Sha512::new();
-    let ipad: Vec<u8> = k.iter().map(|b| b ^ 0x36).collect();
-    inner.update(&ipad);
-    inner.update(data);
-    let inner_digest = inner.finalize();
-    let mut outer = Sha512::new();
-    let opad: Vec<u8> = k.iter().map(|b| b ^ 0x5c).collect();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
 }
 
 /// Incremental HMAC-SHA-256.
@@ -107,11 +85,6 @@ mod tests {
         assert_eq!(
             to_hex(&hmac_sha256(&key, b"Hi There")),
             "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-        );
-        assert_eq!(
-            to_hex(&hmac_sha512(&key, b"Hi There")),
-            "87aa7cdea5ef619d4ff0b4241a1d6cb02379f4e2ce4ec2787ad0b30545e17cde\
-             daa833b7d6b8a702038b274eaea3f4e4be9d914eeb61f1702e696c203a126854"
         );
     }
 

@@ -6,24 +6,26 @@
 //! both the primitives themselves and the machinery to treat them as
 //! replaceable, breakable components:
 //!
-//! * Hashing: [`sha2::Sha256`], [`sha2::Sha512`], [`hmac`], [`hkdf`].
+//! * Hashing: [`sha2::Sha256`], [`sha2::Sha512`], [`hmac`] (over
+//!   SHA-256), [`hkdf`].
 //! * Symmetric encryption: [`chacha::ChaCha20`], [`aes::Aes256`] (+ CTR),
-//!   AEADs ([`aead::ChaCha20Poly1305`], [`aead::Aes256CtrHmac`]), and the
-//!   information-theoretic [`otp::OneTimePad`].
+//!   and AEADs ([`aead::ChaCha20Poly1305`], [`aead::Aes256CtrHmac`]).
 //! * Entropically secure encryption ([`entropic`]) — shorter-than-message
 //!   keys for high-entropy plaintexts (the "entropically secure encryption"
 //!   point in the paper's Figure 1).
-//! * Hash-based signatures ([`sig`]): Lamport and WOTS one-time signatures
-//!   plus a Merkle many-time scheme — the natural signature family for
+//! * Hash-based signatures ([`sig`]): WOTS one-time signatures under a
+//!   Merkle many-time scheme — the natural signature family for
 //!   timestamp chains because their security reduces to preimage
 //!   resistance alone.
 //! * Randomness: a seedable ChaCha-based [`drbg::ChaChaDrbg`] behind the
 //!   small [`drbg::CryptoRng`] trait, keeping every higher-level protocol
 //!   deterministic under test.
 //! * Agility: a [`suite`] registry that names every suite, tracks a
-//!   simulated cryptanalytic [`suite::BreakSchedule`], and a
-//!   [`cascade`] robust combiner that layers independent suites so the
-//!   stack stays secure while *any* layer survives.
+//!   simulated cryptanalytic [`suite::BreakSchedule`] — whose
+//!   [`stack_fall`](suite::BreakSchedule::stack_fall) is the one rule for
+//!   when a layered stack of suites falls — and a [`cascade`] robust
+//!   combiner that layers independent suites so the stack stays secure
+//!   while *any* layer survives.
 //! * Hardware tiers: the SHA-256 block function, the AES-CTR and ChaCha20
 //!   keystreams and the Poly1305 block loop run through
 //!   [`kernel::Kernel`], a per-process vtable that takes SHA-NI / AES-NI /
@@ -85,7 +87,6 @@ pub mod entropic;
 pub mod hkdf;
 pub mod hmac;
 pub mod kernel;
-pub mod otp;
 pub mod poly1305;
 pub mod sha2;
 pub mod sig;
@@ -94,4 +95,4 @@ pub mod suite;
 pub use aead::Aead;
 pub use drbg::{random_array, ChaChaDrbg, CryptoRng};
 pub use sha2::{Sha256, Sha512};
-pub use suite::{BreakSchedule, SecurityLevel, SuiteId, SuiteRegistry};
+pub use suite::{BreakSchedule, SecurityLevel, StackFall, SuiteId, SuiteRegistry};

@@ -1,5 +1,5 @@
-//! Hash-based signatures: Lamport and Winternitz one-time schemes plus a
-//! Merkle many-time scheme.
+//! Hash-based signatures: a Winternitz one-time scheme and the Merkle
+//! many-time scheme built on it.
 //!
 //! Timestamp chains need signatures whose security rests on as little as
 //! possible: hash-based signatures reduce to (second-)preimage resistance
@@ -17,94 +17,17 @@ use crate::sha2::Sha256;
 pub enum SigError {
     /// All one-time leaves of a Merkle key have been used.
     KeyExhausted,
-    /// Signature bytes are malformed.
-    Malformed,
 }
 
 impl core::fmt::Display for SigError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             SigError::KeyExhausted => write!(f, "one-time signature key exhausted"),
-            SigError::Malformed => write!(f, "malformed signature"),
         }
     }
 }
 
 impl std::error::Error for SigError {}
-
-// ---------------------------------------------------------------------
-// Lamport one-time signatures
-// ---------------------------------------------------------------------
-
-/// A Lamport one-time signing key: 2×256 random 32-byte preimages.
-#[derive(Clone)]
-pub struct LamportSigner {
-    sk: Vec<[u8; 32]>, // 512 entries: [bit=0 preimages..., bit=1 preimages...]
-    used: bool,
-}
-
-redacted_debug!(LamportSigner);
-
-/// A Lamport public key: hashes of all preimages.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LamportPublicKey {
-    pk: Vec<[u8; 32]>,
-}
-
-/// A Lamport signature: 256 revealed preimages.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LamportSignature {
-    reveals: Vec<[u8; 32]>,
-}
-
-impl LamportSigner {
-    /// Generates a keypair from the RNG.
-    pub fn generate<R: CryptoRng + ?Sized>(rng: &mut R) -> (Self, LamportPublicKey) {
-        let mut sk = Vec::with_capacity(512);
-        for _ in 0..512 {
-            sk.push(crate::drbg::random_array::<32, _>(rng));
-        }
-        let pk = sk.iter().map(|s| Sha256::digest(s)).collect();
-        (LamportSigner { sk, used: false }, LamportPublicKey { pk })
-    }
-
-    /// Signs a message (one time only).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SigError::KeyExhausted`] on a second signing attempt:
-    /// revealing preimages for two different digests breaks the scheme.
-    pub fn sign(&mut self, message: &[u8]) -> Result<LamportSignature, SigError> {
-        if self.used {
-            return Err(SigError::KeyExhausted);
-        }
-        self.used = true;
-        let digest = Sha256::digest(message);
-        let mut reveals = Vec::with_capacity(256);
-        for i in 0..256 {
-            let bit = (digest[i / 8] >> (7 - i % 8)) & 1;
-            reveals.push(self.sk[(bit as usize) * 256 + i]);
-        }
-        Ok(LamportSignature { reveals })
-    }
-}
-
-impl LamportPublicKey {
-    /// Verifies a signature over `message`.
-    pub fn verify(&self, message: &[u8], sig: &LamportSignature) -> bool {
-        if sig.reveals.len() != 256 || self.pk.len() != 512 {
-            return false;
-        }
-        let digest = Sha256::digest(message);
-        for i in 0..256 {
-            let bit = (digest[i / 8] >> (7 - i % 8)) & 1;
-            if Sha256::digest(&sig.reveals[i]) != self.pk[(bit as usize) * 256 + i] {
-                return false;
-            }
-        }
-        true
-    }
-}
 
 // ---------------------------------------------------------------------
 // Winternitz one-time signatures (w = 16)
@@ -396,23 +319,6 @@ mod tests {
 
     fn rng() -> ChaChaDrbg {
         ChaChaDrbg::from_u64_seed(2024)
-    }
-
-    #[test]
-    fn lamport_sign_verify() {
-        let mut r = rng();
-        let (mut sk, pk) = LamportSigner::generate(&mut r);
-        let sig = sk.sign(b"hello").unwrap();
-        assert!(pk.verify(b"hello", &sig));
-        assert!(!pk.verify(b"hellO", &sig));
-    }
-
-    #[test]
-    fn lamport_single_use_enforced() {
-        let mut r = rng();
-        let (mut sk, _) = LamportSigner::generate(&mut r);
-        sk.sign(b"first").unwrap();
-        assert_eq!(sk.sign(b"second").unwrap_err(), SigError::KeyExhausted);
     }
 
     #[test]

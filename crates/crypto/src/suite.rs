@@ -64,27 +64,6 @@ impl SuiteId {
     pub fn is_information_theoretic(self) -> bool {
         matches!(self, SuiteId::OneTimePad | SuiteId::Entropic)
     }
-
-    /// Stable wire identifier used in headers and manifests.
-    pub fn wire_id(self) -> u8 {
-        match self {
-            SuiteId::Aes256CtrHmac => 1,
-            SuiteId::ChaCha20Poly1305 => 2,
-            SuiteId::OneTimePad => 3,
-            SuiteId::Entropic => 4,
-        }
-    }
-
-    /// Parses a wire identifier.
-    pub fn from_wire_id(id: u8) -> Option<Self> {
-        match id {
-            1 => Some(SuiteId::Aes256CtrHmac),
-            2 => Some(SuiteId::ChaCha20Poly1305),
-            3 => Some(SuiteId::OneTimePad),
-            4 => Some(SuiteId::Entropic),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for SuiteId {
@@ -159,13 +138,67 @@ impl BreakSchedule {
         }
     }
 
-    /// Returns the suites broken at `year` among the given set.
-    pub fn broken_subset(&self, suites: &[SuiteId], year: SimYear) -> Vec<SuiteId> {
+    /// When a stack of `suites`, each layered over the next, falls —
+    /// the one rule every caller asks. A stack stands while any of its
+    /// layers stands, so it falls with the layer that falls last; a
+    /// layer that never falls (an information-theoretic suite, or one
+    /// with no forecast break) holds it up for good; and a stack with no
+    /// suite guards nothing.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use aeon_crypto::{BreakSchedule, StackFall, SuiteId};
+    ///
+    /// let schedule = BreakSchedule::pessimistic(); // AES 2045, ChaCha 2060
+    /// let cascade = [SuiteId::Aes256CtrHmac, SuiteId::ChaCha20Poly1305];
+    /// let fall = schedule.stack_fall(&cascade);
+    /// assert_eq!(fall, StackFall::At { year: 2060, last: SuiteId::ChaCha20Poly1305 });
+    /// assert!(!fall.has_fallen(2059));
+    /// assert!(schedule.stack_fall(&[]).has_fallen(0));
+    /// ```
+    pub fn stack_fall(&self, suites: &[SuiteId]) -> StackFall {
         suites
             .iter()
-            .copied()
-            .filter(|&s| self.is_broken(s, year))
-            .collect()
+            .try_fold(StackFall::Unguarded, |fall, &suite| {
+                let year = self.break_year(suite)?;
+                Some(match fall {
+                    StackFall::At { year: later, .. } if later > year => fall,
+                    _ => StackFall::At { year, last: suite },
+                })
+            })
+            .unwrap_or(StackFall::Never)
+    }
+}
+
+/// When a stack of suites falls to a [`BreakSchedule`]
+/// ([`BreakSchedule::stack_fall`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StackFall {
+    /// No suite: the bytes were never guarded, so the stack has fallen
+    /// in every year.
+    Unguarded,
+    /// Every layer has a forecast break: the stack falls in `year`, with
+    /// `last`, the layer that falls last (of layers falling together,
+    /// the outermost).
+    At {
+        /// The year the last layer falls.
+        year: SimYear,
+        /// The layer that falls last.
+        last: SuiteId,
+    },
+    /// Some layer never falls.
+    Never,
+}
+
+impl StackFall {
+    /// Returns `true` if the stack has fallen at (or before) `year`.
+    pub fn has_fallen(self, year: SimYear) -> bool {
+        match self {
+            StackFall::Unguarded => true,
+            StackFall::At { year: fall, .. } => year >= fall,
+            StackFall::Never => false,
+        }
     }
 }
 
@@ -256,20 +289,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn wire_id_roundtrip() {
-        for id in [
-            SuiteId::Aes256CtrHmac,
-            SuiteId::ChaCha20Poly1305,
-            SuiteId::OneTimePad,
-            SuiteId::Entropic,
-        ] {
-            assert_eq!(SuiteId::from_wire_id(id.wire_id()), Some(id));
-        }
-        assert_eq!(SuiteId::from_wire_id(0), None);
-        assert_eq!(SuiteId::from_wire_id(200), None);
-    }
-
-    #[test]
     fn schedule_semantics() {
         let mut s = BreakSchedule::new();
         assert!(!s.is_broken(SuiteId::Aes256CtrHmac, 3000));
@@ -287,20 +306,48 @@ mod tests {
         assert_eq!(s.break_year(SuiteId::OneTimePad), None);
     }
 
+    /// The stack rule on its five shapes, under the pessimistic
+    /// schedule (AES 2045, ChaCha 2060).
     #[test]
-    fn broken_subset() {
+    fn stack_fall_shapes() {
+        use SuiteId::{Aes256CtrHmac as Aes, ChaCha20Poly1305 as ChaCha};
         let s = BreakSchedule::pessimistic();
-        let all = [
-            SuiteId::Aes256CtrHmac,
-            SuiteId::ChaCha20Poly1305,
-            SuiteId::OneTimePad,
-        ];
-        assert_eq!(s.broken_subset(&all, 2040), vec![]);
-        assert_eq!(s.broken_subset(&all, 2050), vec![SuiteId::Aes256CtrHmac]);
+        // No suite: fallen from the start.
+        assert_eq!(s.stack_fall(&[]), StackFall::Unguarded);
+        assert!(s.stack_fall(&[]).has_fallen(0));
+        // One computational suite falls with its break.
+        let one = s.stack_fall(&[Aes]);
         assert_eq!(
-            s.broken_subset(&all, 2070),
-            vec![SuiteId::Aes256CtrHmac, SuiteId::ChaCha20Poly1305]
+            one,
+            StackFall::At {
+                year: 2045,
+                last: Aes
+            }
         );
+        assert!(!one.has_fallen(2044) && one.has_fallen(2045));
+        // A cascade whose every layer breaks falls with its last layer,
+        // in either order.
+        for cascade in [[Aes, ChaCha], [ChaCha, Aes]] {
+            let fall = s.stack_fall(&cascade);
+            assert_eq!(
+                fall,
+                StackFall::At {
+                    year: 2060,
+                    last: ChaCha
+                }
+            );
+            assert!(!fall.has_fallen(2059) && fall.has_fallen(2060));
+        }
+        // One layer with no forecast break holds the cascade up.
+        let mut aes_only = BreakSchedule::new();
+        aes_only.set_break(Aes, 2045);
+        assert_eq!(aes_only.stack_fall(&[Aes, ChaCha]), StackFall::Never);
+        assert!(!aes_only.stack_fall(&[Aes, ChaCha]).has_fallen(9999));
+        // An information-theoretic suite never falls, scheduled or not.
+        let mut its = BreakSchedule::pessimistic();
+        its.set_break(SuiteId::OneTimePad, 2000);
+        assert_eq!(its.stack_fall(&[SuiteId::OneTimePad]), StackFall::Never);
+        assert_eq!(its.stack_fall(&[Aes, SuiteId::Entropic]), StackFall::Never);
     }
 
     #[test]

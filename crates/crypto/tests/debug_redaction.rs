@@ -8,9 +8,8 @@ use aeon_crypto::cascade::Cascade;
 use aeon_crypto::chacha::ChaCha20;
 use aeon_crypto::entropic::EntropicCipher;
 use aeon_crypto::hmac::HmacSha256;
-use aeon_crypto::otp::OneTimePad;
 use aeon_crypto::poly1305::Poly1305;
-use aeon_crypto::sig::{LamportSigner, MerkleSigner, WotsSigner};
+use aeon_crypto::sig::{MerkleSigner, WotsSigner};
 use aeon_crypto::suite::{SuiteId, SuiteRegistry};
 use aeon_crypto::{ChaChaDrbg, CryptoRng, Sha256};
 use std::fmt::Debug;
@@ -69,9 +68,7 @@ fn no_debug_output_spells_a_key() {
         Box::new(Cascade::new(&suites, &KEY).expect("two AEAD suites")),
         Box::new(SuiteRegistry::new().instantiate(SuiteId::ChaCha20Poly1305, &KEY)),
         Box::new(drbg),
-        Box::new(OneTimePad::new(KEY.to_vec())),
         Box::new(EntropicCipher::new([0xA5; 16])),
-        Box::new(LamportSigner::generate(&mut KeyBytes).0),
         Box::new(WotsSigner::generate(&mut KeyBytes).0),
     ];
     for value in &values {
@@ -91,11 +88,10 @@ fn no_debug_output_spells_a_key() {
     );
 }
 
-/// A hash-based signature publishes secret-key material — a Lamport
-/// signature its preimages verbatim, a WOTS signature `sk[i]` at every
-/// zero digit — so `{:?}` of the signer must spell none of it: a
-/// `MerkleSigner` holds every one-time key a timestamp authority will
-/// ever sign with.
+/// A hash-based signature publishes secret-key material — a WOTS
+/// signature carries `sk[i]` at every zero digit — so `{:?}` of the
+/// signer must spell none of it: a `MerkleSigner` holds every one-time
+/// key a timestamp authority will ever sign with.
 #[test]
 fn no_debug_output_spells_what_a_signature_reveals() {
     let mut rng = ChaChaDrbg::from_u64_seed(0xA5);
@@ -105,18 +101,12 @@ fn no_debug_output_spells_what_a_signature_reveals() {
     let digest = Sha256::digest(message);
     assert!(digest.iter().any(|b| b >> 4 == 0 || b & 0x0F == 0));
 
-    let (lamport, _) = LamportSigner::generate(&mut rng);
-    let lamport_sig = lamport.clone().sign(message).expect("fresh key");
     let merkle = MerkleSigner::generate(&mut rng, 2);
     let merkle_sig = merkle.clone().sign(message).expect("fresh key");
-    for (signer, signature) in [
-        (format!("{lamport:?}"), format!("{lamport_sig:?}")),
-        (format!("{merkle:?}"), format!("{:?}", merkle_sig.wots)),
-    ] {
-        let revealed = byte_arrays(&signature);
-        assert!(revealed.len() >= 67, "{signature}");
-        for value in revealed {
-            assert!(!signer.contains(value), "{value} in {signer}");
-        }
+    let (signer, signature) = (format!("{merkle:?}"), format!("{:?}", merkle_sig.wots));
+    let revealed = byte_arrays(&signature);
+    assert!(revealed.len() >= 67, "{signature}");
+    for value in revealed {
+        assert!(!signer.contains(value), "{value} in {signer}");
     }
 }

@@ -441,8 +441,8 @@ fn hmac_and_hkdf_known_answers_on_every_tier() {
     }
 }
 
-/// What every timestamp anchor rests on. The Lamport / Winternitz /
-/// Merkle signer is a home-grown XMSS ancestor, so no published vector
+/// What every timestamp anchor rests on. The Winternitz / Merkle
+/// signer is a home-grown XMSS ancestor, so no published vector
 /// applies: this is a frozen in-tree golden. Key generation and signing
 /// run through the library (`Sha256` on the active tier, which CI moves
 /// between its two legs); the signature's digest is then taken on every

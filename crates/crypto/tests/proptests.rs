@@ -3,7 +3,6 @@
 use aeon_crypto::aead::{Aead, Aes256CtrHmac, ChaCha20Poly1305};
 use aeon_crypto::cascade::Cascade;
 use aeon_crypto::entropic::EntropicCipher;
-use aeon_crypto::otp::OneTimePad;
 use aeon_crypto::sig::{MerkleSigner, WotsSigner};
 use aeon_crypto::suite::SuiteId;
 use aeon_crypto::{ChaChaDrbg, CryptoRng, Sha256};
@@ -53,25 +52,6 @@ proptest! {
         let c = Cascade::new(&[SuiteId::Aes256CtrHmac, SuiteId::ChaCha20Poly1305], &master).unwrap();
         let ct = c.encrypt(&ctx, &pt);
         prop_assert_eq!(c.decrypt(&ctx, &ct).unwrap(), pt);
-    }
-
-    #[test]
-    fn otp_roundtrip_and_accounting(key in prop::collection::vec(any::<u8>(), 1..256),
-                                    msgs in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..32), 1..8)) {
-        let mut pad = OneTimePad::new(key.clone());
-        let mut consumed = 0usize;
-        for msg in &msgs {
-            match pad.encrypt(msg) {
-                Ok((ct, off)) => {
-                    prop_assert_eq!(off, consumed);
-                    consumed += msg.len();
-                    prop_assert_eq!(&pad.decrypt(&ct, off).unwrap(), msg);
-                }
-                Err(_) => {
-                    prop_assert!(consumed + msg.len() > key.len());
-                }
-            }
-        }
     }
 
     #[test]

@@ -61,9 +61,14 @@ impl SigBreakSchedule {
         self.breaks.insert(scheme.to_string(), year);
     }
 
+    /// Returns the year `scheme` falls, if scheduled.
+    pub fn break_year(&self, scheme: &str) -> Option<SimYear> {
+        self.breaks.get(scheme).copied()
+    }
+
     /// Returns `true` if `scheme` is broken at `year`.
     pub fn is_broken(&self, scheme: &str, year: SimYear) -> bool {
-        self.breaks.get(scheme).is_some_and(|&by| year >= by)
+        self.break_year(scheme).is_some_and(|by| year >= by)
     }
 }
 

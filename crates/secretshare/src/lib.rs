@@ -15,8 +15,9 @@
 //!   MODP group for key-sized secrets; Pedersen's variant keeps the
 //!   commitments information-theoretically hiding (the LINCOS
 //!   requirement).
-//! * [`proactive`] — Herzberg-style share refresh and Wong-style verifiable
-//!   share redistribution, the defense against the mobile adversary.
+//! * [`proactive`] — Herzberg-style share refresh and Wong-style share
+//!   redistribution among honest participants (neither checks a share),
+//!   the defense against the mobile adversary.
 //! * [`vss_proactive`] — *verifiable* refresh for VSS scalar shares:
 //!   zero-rooted delta dealings checked against their commitments, so a
 //!   corrupt shareholder cannot destroy the secret during renewal.

@@ -1,4 +1,4 @@
-//! Proactive secret sharing: share refresh and verifiable redistribution.
+//! Proactive secret sharing: share refresh and share redistribution.
 //!
 //! A mobile adversary (Ostrovsky–Yung) corrupts up to `b` shareholders per
 //! epoch, moving between epochs. Given enough epochs it will eventually
@@ -8,11 +8,15 @@
 //! sharing of zero, re-randomizing every share while preserving the
 //! secret. Stolen old shares no longer combine with current ones.
 //!
-//! *Verifiable share redistribution* (Wong–Wang–Wing) goes further and
-//! moves the secret to a fresh access structure `(t', n')` — new
-//! shareholders, new threshold — without ever reconstructing it. This is
-//! the mechanism archives need when storage providers are added, removed,
-//! or decommissioned over decades.
+//! *Share redistribution* (after Wong–Wang–Wing) goes further and moves
+//! the secret to a fresh access structure `(t', n')` — new shareholders,
+//! new threshold — without ever reconstructing it. This is the mechanism
+//! archives need when storage providers are added, removed, or
+//! decommissioned over decades. Unlike Wong–Wang–Wing's protocol, both
+//! rounds here assume honest participants and verify nothing: a
+//! shareholder that sends a bad sub-share corrupts the secret unnoticed.
+//! The verifiable refresh is [`vss_proactive`](crate::vss_proactive),
+//! over VSS scalar shares.
 //!
 //! Both protocols here operate on the byte-parallel GF(2^8)
 //! [`shamir::Share`]s used for bulk data, and both report exact
@@ -115,8 +119,8 @@ pub struct Redistribution {
 }
 
 /// Redistributes a secret from `(t, n)` shares to a fresh `(t', n')`
-/// access structure without reconstructing it (Wong-style VSR, honest
-/// participants).
+/// access structure without reconstructing it (Wong-style redistribution
+/// among honest participants: no sub-share is checked).
 ///
 /// Each of the first `t` old shareholders sub-shares its share under the
 /// new parameters; new shareholder `j` combines the received sub-shares

@@ -117,6 +117,38 @@ impl ScalarField {
         acc
     }
 
+    /// The Lagrange weights at zero for the evaluation points `xs`:
+    /// `λ_i = Π_{j≠i} x_j / (x_j − x_i)` mod `q`, so `Σ λ_i·f(x_i) = f(0)`
+    /// for every `f` of degree below `xs.len()`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShareError::InconsistentShares`] for a zero or repeated
+    /// point (a zero difference has no inverse).
+    pub fn lagrange_at_zero(&self, xs: &[u64]) -> Result<Vec<U2048>, ShareError> {
+        let mut seen = std::collections::HashSet::new();
+        if xs.iter().any(|&x| x == 0 || !seen.insert(x)) {
+            return Err(ShareError::InconsistentShares(
+                "duplicate or reserved share index",
+            ));
+        }
+        let weights = xs.iter().enumerate().map(|(i, &xi)| {
+            let xi = U2048::from_u64(xi);
+            let mut num = U2048::one();
+            let mut den = U2048::one();
+            for (j, &xj) in xs.iter().enumerate() {
+                if i == j {
+                    continue;
+                }
+                let xj = U2048::from_u64(xj);
+                num = self.mul(&num, &xj);
+                den = self.mul(&den, &self.sub(&xj, &xi));
+            }
+            self.mul(&num, &self.invert(&den))
+        });
+        Ok(weights.collect())
+    }
+
     /// Draws a uniform scalar below `q`.
     pub fn random<R: CryptoRng + ?Sized>(&self, rng: &mut R) -> U2048 {
         // 2048 random bits reduced mod q: bias is 2^-1024, negligible.
@@ -138,6 +170,19 @@ pub fn deal<R: CryptoRng + ?Sized>(
     threshold: usize,
     shares: usize,
 ) -> Result<VssDealing, ShareError> {
+    deal_with_blinding(rng, committer, kind, secret, threshold, shares).map(|(dealing, _)| dealing)
+}
+
+/// [`deal`], also returning the blinding polynomial's constant term
+/// `b(0)` the dealer drew (zero for Feldman).
+pub(crate) fn deal_with_blinding<R: CryptoRng + ?Sized>(
+    rng: &mut R,
+    committer: &Committer,
+    kind: VssKind,
+    secret: &U2048,
+    threshold: usize,
+    shares: usize,
+) -> Result<(VssDealing, U2048), ShareError> {
     if threshold == 0 || threshold > shares {
         return Err(ShareError::InvalidParameters {
             threshold,
@@ -180,12 +225,13 @@ pub fn deal<R: CryptoRng + ?Sized>(
         })
         .collect();
 
-    Ok(VssDealing {
+    let dealing = VssDealing {
         kind,
         threshold,
         commitments,
         shares: issued,
-    })
+    };
+    Ok((dealing, b[0]))
 }
 
 /// Verifies a single share against the dealing's public commitments.
@@ -237,32 +283,13 @@ pub fn reconstruct(
     }
     let field = ScalarField::new(group);
     let subset = &shares[..threshold];
-    let mut seen = std::collections::HashSet::new();
-    for s in subset {
-        if s.index == 0 || !seen.insert(s.index) {
-            return Err(ShareError::InconsistentShares(
-                "duplicate or reserved share index",
-            ));
-        }
-    }
-    let mut acc = U2048::ZERO;
-    for (i, si) in subset.iter().enumerate() {
-        // λ_i = Π_{j≠i} x_j / (x_j - x_i)
-        let xi = U2048::from_u64(si.index);
-        let mut num = U2048::one();
-        let mut den = U2048::one();
-        for (j, sj) in subset.iter().enumerate() {
-            if i == j {
-                continue;
-            }
-            let xj = U2048::from_u64(sj.index);
-            num = field.mul(&num, &xj);
-            den = field.mul(&den, &field.sub(&xj, &xi));
-        }
-        let lambda = field.mul(&num, &field.invert(&den));
-        acc = field.add(&acc, &field.mul(&lambda, &si.value));
-    }
-    Ok(acc)
+    let xs: Vec<u64> = subset.iter().map(|s| s.index).collect();
+    let lambdas = field.lagrange_at_zero(&xs)?;
+    let terms = subset
+        .iter()
+        .zip(&lambdas)
+        .map(|(s, l)| field.mul(l, &s.value));
+    Ok(terms.fold(U2048::ZERO, |acc, t| field.add(&acc, &t)))
 }
 
 #[cfg(test)]

@@ -60,35 +60,12 @@ pub fn deal_zero_delta<R: CryptoRng + ?Sized>(
     threshold: usize,
     shares: usize,
 ) -> Result<RefreshDelta, ShareError> {
-    let dealing = vss::deal(rng, committer, kind, &U2048::ZERO, threshold, shares)?;
     // For Pedersen, the dealer broadcasts b_0 so everyone can check
-    // C_0 = g^0 h^{b_0}: we recover b_0 as the blinding polynomial's
-    // constant term, which equals b(0). We can interpolate it from the
-    // shares' blind values — but the dealer simply knows it; model that by
-    // interpolating here (the dealer's own view).
+    // C_0 = g^0 h^{b_0}; it drew b_0 itself.
+    let (dealing, b0) =
+        vss::deal_with_blinding(rng, committer, kind, &U2048::ZERO, threshold, shares)?;
     let zero_blinding = match kind {
-        VssKind::Pedersen => {
-            let field = ScalarField::new(committer.group());
-            // Lagrange-interpolate b(0) from the first `threshold` blinds.
-            let mut acc = U2048::ZERO;
-            let subset = &dealing.shares[..threshold];
-            for (i, si) in subset.iter().enumerate() {
-                let mut num = U2048::one();
-                let mut den = U2048::one();
-                let xi = U2048::from_u64(si.index);
-                for (j, sj) in subset.iter().enumerate() {
-                    if i == j {
-                        continue;
-                    }
-                    let xj = U2048::from_u64(sj.index);
-                    num = field.mul(&num, &xj);
-                    den = field.mul(&den, &field.sub(&xj, &xi));
-                }
-                let lambda = field.mul(&num, &field.invert(&den));
-                acc = field.add(&acc, &field.mul(&lambda, &si.blind));
-            }
-            Some(acc)
-        }
+        VssKind::Pedersen => Some(b0),
         VssKind::Feldman => None,
     };
     Ok(RefreshDelta {
@@ -170,31 +147,23 @@ pub fn apply_verified_refresh(
     })
 }
 
-/// Runs a full verifiable refresh round: every shareholder deals a
-/// zero-delta; all are verified and applied.
+/// Deals one refresh round: every shareholder in `shares` deals a
+/// zero-rooted delta, in share order. Verify and apply them with
+/// [`apply_verified_refresh`].
 ///
 /// # Errors
 ///
-/// Propagates dealing and application errors.
-pub fn verifiable_refresh_round<R: CryptoRng + ?Sized>(
+/// Propagates dealing parameter validation.
+pub fn deal_refresh_round<R: CryptoRng + ?Sized>(
     rng: &mut R,
     committer: &Committer,
     kind: VssKind,
     shares: &[VssShare],
     threshold: usize,
-) -> Result<VerifiedRefresh, ShareError> {
-    let mut deltas = Vec::with_capacity(shares.len());
-    for s in shares {
-        deltas.push(deal_zero_delta(
-            rng,
-            committer,
-            kind,
-            s.index,
-            threshold,
-            shares.len(),
-        )?);
-    }
-    apply_verified_refresh(committer, shares, &deltas)
+) -> Result<Vec<RefreshDelta>, ShareError> {
+    (shares.iter())
+        .map(|s| deal_zero_delta(rng, committer, kind, s.index, threshold, shares.len()))
+        .collect()
 }
 
 /// Corrupts a delta for adversary simulations: makes the dealing hide a
@@ -244,14 +213,24 @@ mod tests {
         )
     }
 
+    /// One dealt and applied refresh round.
+    fn refresh_round(
+        rng: &mut ChaChaDrbg,
+        committer: &Committer,
+        kind: VssKind,
+        shares: &[VssShare],
+        threshold: usize,
+    ) -> VerifiedRefresh {
+        let deltas = deal_refresh_round(rng, committer, kind, shares, threshold).unwrap();
+        apply_verified_refresh(committer, shares, &deltas).unwrap()
+    }
+
     #[test]
     fn feldman_verifiable_refresh_preserves_secret() {
         let (committer, mut rng) = setup();
         let secret = U2048::from_u64(0xC0FFEE);
         let dealing = vss::deal(&mut rng, &committer, VssKind::Feldman, &secret, 2, 3).unwrap();
-        let refreshed =
-            verifiable_refresh_round(&mut rng, &committer, VssKind::Feldman, &dealing.shares, 2)
-                .unwrap();
+        let refreshed = refresh_round(&mut rng, &committer, VssKind::Feldman, &dealing.shares, 2);
         assert!(refreshed.rejected.is_empty());
         // Shares changed...
         assert_ne!(refreshed.shares[0].value, dealing.shares[0].value);
@@ -265,9 +244,7 @@ mod tests {
         let (committer, mut rng) = setup();
         let secret = U2048::from_u64(777);
         let dealing = vss::deal(&mut rng, &committer, VssKind::Pedersen, &secret, 2, 3).unwrap();
-        let refreshed =
-            verifiable_refresh_round(&mut rng, &committer, VssKind::Pedersen, &dealing.shares, 2)
-                .unwrap();
+        let refreshed = refresh_round(&mut rng, &committer, VssKind::Pedersen, &dealing.shares, 2);
         assert!(refreshed.rejected.is_empty());
         let rec = vss::reconstruct(committer.group(), &refreshed.shares[1..3], 2).unwrap();
         assert_eq!(rec, secret);
@@ -327,9 +304,7 @@ mod tests {
         let secret = U2048::from_u64(31337);
         let dealing = vss::deal(&mut rng, &committer, VssKind::Feldman, &secret, 2, 3).unwrap();
         let stolen_old = dealing.shares[0].clone();
-        let refreshed =
-            verifiable_refresh_round(&mut rng, &committer, VssKind::Feldman, &dealing.shares, 2)
-                .unwrap();
+        let refreshed = refresh_round(&mut rng, &committer, VssKind::Feldman, &dealing.shares, 2);
         let mix = vec![stolen_old, refreshed.shares[1].clone()];
         let rec = vss::reconstruct(committer.group(), &mix, 2).unwrap();
         assert_ne!(rec, secret);
