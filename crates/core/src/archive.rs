@@ -4,7 +4,7 @@
 use crate::catalog::{FleetCatalog, Row, DEFAULT_CATALOG_SHARDS};
 use crate::codec::RepairError;
 use crate::dedup::{BlockKind, BlockRecord, DedupConfig, DedupManifest, IndexStats};
-use crate::executor::{PlanExecutor, ShardsSnapshot};
+use crate::executor::{verify_where, PlanExecutor, ShardsSnapshot};
 use crate::keys::KeyStore;
 use crate::pipeline::{self, PipelineConfig};
 use crate::plan::{self, ReadPlan, WritePlan};
@@ -832,15 +832,18 @@ impl Archive {
     /// Retrieves an object in degraded mode, also returning the
     /// per-shard retry accounting. Every shard is fetched under the
     /// configured [`RetryPolicy`]; erroring nodes are retried up to the
-    /// attempt cap. Shards are then verified against their per-shard
-    /// digests in slot order — bit-rotted ones discarded — until the
-    /// read threshold `k` are valid, and the decode proceeds from those
-    /// `k`. Shards past them are not hashed: a latent error there is
-    /// found by [`Archive::verify`] or a repair, not by a read. The read
-    /// fails only when fewer than `k` valid shards remain: with
-    /// corruption in evidence that is an
-    /// [`ArchiveError::IntegrityViolation`], otherwise an
-    /// [`ArchiveError::DegradedBeyondBudget`].
+    /// attempt cap. The decode takes the first `k` (the read threshold)
+    /// present shards unhashed, and the read returns bytes only if they
+    /// hash to the recorded payload digest. Only when that decode fails
+    /// are the fetched shards checked against their per-shard digests in
+    /// slot order, bit-rotted ones discarded until `k` are valid, and the
+    /// payload decoded from those. So a healthy read hashes the payload
+    /// and no shard, and rot in a shard a read does not decode from — or
+    /// in bytes of it the decoder never consumes — is found by
+    /// [`Archive::verify`] or a repair, not by a read. The read fails only
+    /// when fewer than `k` valid shards remain: with corruption in
+    /// evidence that is an [`ArchiveError::IntegrityViolation`], otherwise
+    /// an [`ArchiveError::DegradedBeyondBudget`].
     ///
     /// # Errors
     ///
@@ -898,11 +901,18 @@ impl Archive {
 
     /// The one decode read, over any list of units: each unit's
     /// [`ReadPlan::for_decode`], retry jitter drawn under its kind's read
-    /// label, every shard fetched in one [`PlanExecutor::read_many`]
-    /// fan-in, and every payload decoded and checked against its record's
-    /// digest in one [`Archive::decode_many`]. `out[i]` is unit `i`'s
-    /// payload and shard accounting, or its failure typed against its
-    /// owner, independent of its neighbours.
+    /// label, and every shard fetched in one [`PlanExecutor::read_many`]
+    /// fan-in, unhashed. Each unit decodes from its first `k` present
+    /// slots, and every payload is checked against its record's digest in
+    /// one [`Archive::decode_many`]: that digest alone decides whether a
+    /// read returns bytes. Only a unit whose decode fails is read again
+    /// the way a scrub reads it, from the slots already fetched (no new
+    /// I/O): [`verify_where`] checks every present slot by digest in slot
+    /// order until `k` are valid, discarding the corrupt ones, and the
+    /// unit decodes once more, failing as [`ArchiveError::IntegrityViolation`]
+    /// or [`ArchiveError::DegradedBeyondBudget`] when too few are left.
+    /// `out[i]` is unit `i`'s payload and shard accounting, or its
+    /// failure typed against its owner, independent of its neighbours.
     ///
     /// # Errors
     ///
@@ -929,14 +939,23 @@ impl Archive {
             .zip(&records)
             .map(|((_, unit), r)| self.op_rng(unit.labels().read, r.id.as_str()))
             .collect();
-        let snaps = self.executor().read_many(&plans, &mut rngs);
+        let mut snaps = self.executor().read_many(&plans, &mut rngs);
         let decodes: Vec<Decode<'_>> = units
             .iter()
             .zip(&records)
             .zip(&snaps)
             .map(|(((owner, _), record), snap)| (*owner, *record, snap))
             .collect();
-        let decoded = self.decode_many(&decodes);
+        let mut decoded = self.decode_many(&decodes);
+        let failed: Vec<usize> = (0..units.len()).filter(|&i| decoded[i].is_err()).collect();
+        verify_where(&plans, &mut snaps, |i| decoded[i].is_err());
+        let decodes: Vec<Decode<'_>> = failed
+            .iter()
+            .map(|&i| (units[i].0, records[i], &snaps[i]))
+            .collect();
+        for (&i, again) in failed.iter().zip(self.decode_many(&decodes)) {
+            decoded[i] = again;
+        }
         Ok(decoded
             .into_iter()
             .zip(snaps)
@@ -984,7 +1003,8 @@ impl Archive {
     }
 
     /// The first step of [`Archive::decode_many`] for one unit: the
-    /// threshold check, then the policy decode under the unit's context.
+    /// threshold check, then the policy decode of the snapshot's first
+    /// `valid` present slots under the unit's context.
     fn decode_unit(&self, &(owner, record, snap): &Decode<'_>) -> Result<Vec<u8>, ArchiveError> {
         let required = record.policy.read_threshold();
         if snap.valid < required {
@@ -998,11 +1018,12 @@ impl Archive {
                 corrupt: snap.corrupt,
             });
         }
-        Ok(pipeline::decode_object(
+        Ok(pipeline::decode_first(
             &record.policy,
             &self.keys,
             record.id.as_str(),
             &snap.shards,
+            snap.valid,
             &record.meta,
             self.config.pipeline.workers,
         )?)
@@ -1176,10 +1197,16 @@ impl Archive {
     }
 }
 
+/// Whether `policy` has an admission check ([`entropy_gate`]) that can
+/// refuse a payload.
+pub(crate) fn gates(policy: &PolicyKind) -> bool {
+    matches!(policy, PolicyKind::Entropic { .. })
+}
+
 /// The Entropic policy's admission check, at ingest and re-encode: its
 /// secrecy argument needs payloads that already look random.
 pub(crate) fn entropy_gate(policy: &PolicyKind, payload: &[u8]) -> Result<(), ArchiveError> {
-    if matches!(policy, PolicyKind::Entropic { .. }) && payload.len() >= 64 {
+    if gates(policy) && payload.len() >= 64 {
         let bits_per_byte = estimate_entropy_bits_per_byte(payload);
         if bits_per_byte < 6.0 {
             return Err(ArchiveError::LowEntropy { bits_per_byte });
@@ -2032,14 +2059,17 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// A decode-only read (verification stopped at the read
-        /// threshold) answers exactly like a full-scrub read of the same
-        /// damaged shards: the same bytes, or the same error with the
-        /// same `available` / `corrupt`. Every family, dedup on and off;
+        /// A read answers like a full-scrub read of the same damaged
+        /// shards, except that it may return the payload where the scrub
+        /// says `IntegrityViolation`: a read checks only the payload it
+        /// decodes, so rot in bytes the decoder never consumes does not
+        /// fail it. It never returns other bytes, and it fails exactly as
+        /// the scrub does otherwise (the same error, the same
+        /// `available` / `corrupt`). Every family, dedup on and off;
         /// slots missing, bit-flipped or truncated, and with `rot_last`
         /// the last slot always flipped. In dedup mode each stored block
-        /// is compared, and the object's retrieve succeeds exactly when
-        /// every block's scrub decodes.
+        /// is scrubbed, and the object's retrieve succeeds whenever every
+        /// block's scrub decodes.
         #[test]
         fn decode_reads_answer_like_full_scrubs(
             family in 0usize..9,
@@ -2073,31 +2103,32 @@ mod tests {
                 }
                 damage(&archive, record, &edits);
             }
-            let decode = |plan: ReadPlan, record: &Manifest| {
-                let mut rng = archive.op_rng("retrieve", record.id.as_str());
-                let snap = archive.executor().read(&plan, &mut rng);
-                format!("{:?}", archive.decode_verified(&id, record, &snap))
-            };
-            let mut scrubs = Vec::with_capacity(records.len());
-            for record in &records {
-                let scrub = decode(ReadPlan::for_manifest(record), record);
-                prop_assert_eq!(decode(ReadPlan::for_decode(record), record), scrub.as_str());
-                scrubs.push(scrub);
-            }
+            let scrubs: Vec<String> = records
+                .iter()
+                .map(|record| {
+                    let mut rng = archive.op_rng("retrieve", record.id.as_str());
+                    let snap = archive.executor().read(&ReadPlan::for_manifest(record), &mut rng);
+                    format!("{:?}", archive.decode_verified(&id, record, &snap))
+                })
+                .collect();
+            let rot = |scrub: &String| scrub.starts_with("Err(IntegrityViolation");
             let retrieved = archive.retrieve(&id);
+            if let Ok(bytes) = &retrieved {
+                prop_assert_eq!(bytes, &payload);
+                prop_assert!(scrubs.iter().all(|s| s.starts_with("Ok") || rot(s)), "{:?}", scrubs);
+            }
             if dedup {
-                prop_assert_eq!(retrieved.is_ok(), scrubs.iter().all(|s| s.starts_with("Ok")));
-                if let Ok(bytes) = retrieved {
-                    prop_assert_eq!(bytes, payload);
+                if scrubs.iter().all(|s| s.starts_with("Ok")) {
+                    prop_assert!(retrieved.is_ok(), "{:?}", retrieved);
                 }
-            } else {
+            } else if retrieved.is_err() || !rot(&scrubs[0]) {
                 prop_assert_eq!(format!("{retrieved:?}"), scrubs[0].as_str());
             }
         }
     }
 
     /// A flipped byte in a shard past the read threshold is invisible to
-    /// a read, which verifies only the shards it decodes, but every
+    /// a read, which checks only the payload it decodes, but every
     /// scrub still finds it: `verify` counts it out, `repair` rewrites
     /// it, and `scan_fleet` (node metadata only) still lists it.
     #[test]
@@ -2128,6 +2159,162 @@ mod tests {
         assert_eq!(node.get(&key).unwrap(), original, "slot 4 rewritten");
         let health = a.verify(&id, &SigBreakSchedule::new()).unwrap();
         assert_eq!(health.shards_available, 5);
+    }
+
+    /// Policies whose reads take each of the decode's failure shapes: a
+    /// Shamir share that reconstructs another secret, a Reed–Solomon
+    /// data shard that decodes to other bytes, and a sealed shard whose
+    /// decode fails at the tag. Each has spare slots past its threshold.
+    fn fallback_policies() -> Vec<PolicyKind> {
+        vec![
+            PolicyKind::Shamir {
+                threshold: 3,
+                shares: 5,
+            },
+            PolicyKind::ErasureCoded { data: 3, parity: 2 },
+            PolicyKind::Encrypted {
+                suite: SuiteId::ChaCha20Poly1305,
+                data: 3,
+                parity: 2,
+            },
+        ]
+    }
+
+    /// A healthy read hashes no shard: with every recorded shard digest
+    /// zeroed, `retrieve` still returns the payload, because only the
+    /// decoded payload's digest decides a read, while `verify`, which
+    /// checks every shard, finds none clean.
+    #[test]
+    fn a_read_is_decided_by_the_payload_digest_alone() {
+        for policy in fallback_policies() {
+            let mut a = Archive::in_memory(ArchiveConfig::new(policy.clone())).unwrap();
+            let payload = b"only the payload digest decides a read".repeat(9);
+            let id = a.ingest(&payload, "zeroed").unwrap();
+            a.manifests
+                .update(&id, |m| m.shard_digests.fill([0; 32]))
+                .unwrap();
+            assert_eq!(a.retrieve(&id).unwrap(), payload, "{policy:?}");
+            let health = a.verify(&id, &SigBreakSchedule::new()).unwrap();
+            assert_eq!(health.shards_available, 0, "{policy:?}");
+            assert!(!health.intact, "{policy:?}");
+        }
+    }
+
+    /// A corrupt shard among the first `k` fails the unchecked decode —
+    /// by a wrong payload or at the tag — and the read falls back to
+    /// checking the slots it already fetched, discarding the corrupt one
+    /// and decoding from the spares: the payload comes back, and the
+    /// read touched each slot once.
+    #[test]
+    fn a_corrupt_shard_among_the_first_k_reads_back_through_the_spares() {
+        for policy in fallback_policies() {
+            let mut a = Archive::in_memory(ArchiveConfig::new(policy.clone())).unwrap();
+            let payload = b"decoded from the spares".repeat(11);
+            let id = a.ingest(&payload, "rot").unwrap();
+            let record = a.manifest(&id).unwrap();
+            damage(&a, &record, &[(1, 3)]);
+            let (read, report) = a.retrieve_with_report(&id).unwrap();
+            assert_eq!(read, payload, "{policy:?}");
+            assert_eq!(report.attempts.len(), record.placement.len(), "{policy:?}");
+            let health = a.verify(&id, &SigBreakSchedule::new()).unwrap();
+            assert_eq!(health.shards_available, record.placement.len() - 1);
+        }
+    }
+
+    /// In a `retrieve_many` batch, a unit that falls back, and one that
+    /// fails, change nothing for their neighbours: every answer is the
+    /// one `retrieve` gives alone, in call order.
+    #[test]
+    fn a_fallback_in_a_batch_leaves_its_neighbours_alone() {
+        let mut a = Archive::in_memory(ArchiveConfig::new(PolicyKind::ErasureCoded {
+            data: 3,
+            parity: 2,
+        }))
+        .unwrap();
+        let payloads: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; 300 + i as usize]).collect();
+        let ids: Vec<ObjectId> = payloads
+            .iter()
+            .map(|p| a.ingest(p, "batch").unwrap())
+            .collect();
+        // One rotted data shard (falls back), then three (fails).
+        damage(&a, &a.manifest(&ids[1]).unwrap(), &[(1, 8)]);
+        damage(
+            &a,
+            &a.manifest(&ids[3]).unwrap(),
+            &[(1, 8), (1, 9), (1, 10)],
+        );
+        let batch = a.retrieve_many(&ids);
+        for (i, (got, id)) in batch.iter().zip(&ids).enumerate() {
+            assert_eq!(
+                format!("{got:?}"),
+                format!("{:?}", a.retrieve(id)),
+                "object {i}"
+            );
+            if i != 3 {
+                assert_eq!(got.as_ref().unwrap(), &payloads[i], "object {i}");
+            }
+        }
+        assert!(matches!(batch[3], Err(ArchiveError::IntegrityViolation(_))));
+    }
+
+    /// The dedup walk reads through the same fallback: with the first
+    /// shard of every stored block rotted — tree nodes and data blocks —
+    /// the object still reads back.
+    #[test]
+    fn the_dedup_walk_reads_past_a_corrupt_shard_in_every_block() {
+        let config = ArchiveConfig::new(PolicyKind::ErasureCoded { data: 3, parity: 2 })
+            .with_dedup(small_dedup());
+        let mut a = Archive::in_memory(config).unwrap();
+        let mut payload = vec![0u8; 6000];
+        ChaChaDrbg::from_u64_seed(17).fill_bytes(&mut payload);
+        let id = a.ingest(&payload, "walked").unwrap();
+        let units = a.units_of(&a.manifest(&id).unwrap());
+        assert!(units.len() > 3, "several blocks and a tree");
+        for unit in &units {
+            damage(&a, &a.load(unit).unwrap(), &[(1, 5)]);
+        }
+        assert_eq!(a.retrieve(&id).unwrap(), payload);
+    }
+
+    /// Every shard on every node, keyed by node and shard.
+    fn stored_shards(a: &Archive) -> Vec<(NodeId, ShardKey, Vec<u8>)> {
+        let mut out = Vec::new();
+        for node in a.cluster().nodes() {
+            for key in node.keys() {
+                let bytes = node.get(&key).unwrap();
+                out.push((node.id(), key, bytes));
+            }
+        }
+        out
+    }
+
+    /// A dedup re-encode onto `Entropic` that a block's entropy gate
+    /// refuses moves nothing: every data block is gated before the first
+    /// old placement is deleted, so every block record and every stored
+    /// shard is as it was, and the object reads back under its old
+    /// policy.
+    #[test]
+    fn a_refused_dedup_reencode_moves_nothing() {
+        let config = ArchiveConfig::new(PolicyKind::ErasureCoded { data: 2, parity: 1 })
+            .with_dedup(small_dedup());
+        let mut a = Archive::in_memory(config).unwrap();
+        let mut payload = vec![b'a'; 8 << 10];
+        ChaChaDrbg::from_u64_seed(41).fill_bytes(&mut payload[..4 << 10]);
+        let id = a.ingest(&payload, "half random").unwrap();
+        let records = |a: &Archive| format!("{:?}", a.blocks().collect::<Vec<_>>());
+        let (blocks, shards) = (records(&a), stored_shards(&a));
+        let to = PolicyKind::Entropic { data: 2, parity: 1 };
+        assert!(matches!(
+            a.reencode_object(&id, to),
+            Err(ArchiveError::LowEntropy { .. })
+        ));
+        assert_eq!(records(&a), blocks, "every block record unchanged");
+        assert!(stored_shards(&a) == shards, "every stored shard unchanged");
+        assert!(matches!(
+            a.manifest(&id).unwrap().policy,
+            PolicyKind::ErasureCoded { .. }
+        ));
+        assert_eq!(a.retrieve(&id).unwrap(), payload);
     }
 
     proptest! {

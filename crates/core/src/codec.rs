@@ -546,18 +546,12 @@ impl Dispersal {
                 rs(data, parity)?.decode_slices(shards).map_err(code_err)
             }
             Dispersal::Shamir { threshold, .. } => {
-                // Every present share is copied and none is borrowed:
-                // borrowing them gained `bulk-sharing` retrieve 25 % but
-                // left glibc fewer heap pages mapped between benchmark
-                // rounds, and the next round's ingest paid 21 % (p50
-                // 26 %) in page faults. A retrieve verifies only the
-                // first `threshold` shares and drops the rest, so only
-                // those arrive here and are copied. With that change the
-                // first `bulk-sharing` ingest of each round went from 0 to
-                // 1 248 minor faults (the others stayed at 1 248–1 280),
-                // and a retrieve from 1 726 to 702 (`--seed 7`).
-                shamir::reconstruct(&collect_shamir(shards, shards.len()), threshold)
-                    .map_err(share_err(threshold))
+                // Borrowed, not copied. A retrieve holds every fetched
+                // share until its payload digest has decided, so copies
+                // of the `threshold` it decodes from would sit beside
+                // them and raise the read's peak.
+                let lent: Vec<(u8, &[u8])> = present().map(|(x, bytes)| (x as u8, bytes)).collect();
+                shamir::reconstruct_slices(&lent, threshold).map_err(share_err(threshold))
             }
             Dispersal::Packed { .. } => {
                 let Some((params, plain_len)) = meta.packed else {

@@ -27,18 +27,22 @@ use aeon_store::cluster::{ClusterError, ShardAttempt, TransferReport};
 use aeon_store::node::{NodeError, NodeId, ShardKey, StorageNode};
 use aeon_store::retry::{run_with_retry, RetryPolicy};
 use aeon_store::Cluster;
-use std::slice;
+use std::{mem, slice};
 
-/// Snapshot of an object's shards after a retrying, checked fetch —
-/// by digest, or by byte equality for a repair's re-read: the raw
-/// material for degraded reads, verification, and repair.
+/// Snapshot of an object's shards after a retrying fetch: the raw
+/// material for reads, verification, and repair. A verifying plan's
+/// slots are checked — by digest, or by byte equality for a repair's
+/// re-read; a decode plan's ([`ReadPlan::verify`] off) come back as
+/// fetched, unhashed.
 #[derive(Debug)]
 pub struct ShardsSnapshot {
     /// Shard slots in placement order. Slots that erred out past the
-    /// retry budget, whose bytes failed the per-shard check, or that
-    /// lie past the plan's `need`-th valid slot are `None`.
+    /// retry budget are `None`. After a check, so are slots whose bytes
+    /// failed it and slots past the plan's `need`-th valid one.
     pub shards: Vec<Option<Vec<u8>>>,
-    /// Shards present and clean (at most the plan's `need`).
+    /// The slots a decode consumes: the first `valid` present ones. After
+    /// a check, these are every present slot, each clean (at most the
+    /// plan's `need`); unchecked, the first `need` present slots.
     pub valid: usize,
     /// Shards discarded because their bytes failed the check,
     /// among those examined before `need` were valid.
@@ -272,12 +276,13 @@ impl<'a> PlanExecutor<'a> {
     /// media-priced clusters, however many objects the flush spans);
     /// keys that fail retryably then spend the remaining retry budget
     /// individually, drawing jitter from that object's own rng. Every
-    /// slot is fetched; each plan's slots are then verified in order
-    /// until its `need` are valid, shards failing the digest check are
-    /// discarded, and slots past the `need`-th valid one come back
-    /// `None` unhashed (see [`ReadPlan::need`]). The first `need`
-    /// present slots of every plan — all a plan hashes unless one of
-    /// them fails — are hashed in one [`Sha256::digest_many`] batch.
+    /// slot of every plan is fetched. A decode plan's slots come back
+    /// unhashed. A verifying plan's slots are checked in order until its
+    /// `need` are valid: shards failing the digest check are discarded,
+    /// and slots past the `need`-th valid one come back `None` unhashed
+    /// (see [`ReadPlan::need`]). The first `need` present slots of every
+    /// verifying plan — all a plan hashes unless one of them fails — are
+    /// hashed in one [`Sha256::digest_many`] batch.
     ///
     /// # Panics
     ///
@@ -287,18 +292,18 @@ impl<'a> PlanExecutor<'a> {
         plans: &[ReadPlan],
         rngs: &mut [R],
     ) -> Vec<ShardsSnapshot> {
-        let fetched = self.fetch(plans, rngs);
-        let firsts: Vec<&[u8]> = plans
+        let mut snaps: Vec<ShardsSnapshot> = plans
             .iter()
-            .zip(&fetched)
-            .flat_map(|(plan, (shards, _))| first_present(plan, shards))
+            .zip(self.fetch(plans, rngs))
+            .map(|(plan, (shards, report))| ShardsSnapshot {
+                valid: shards.iter().flatten().count().min(plan.need),
+                corrupt: 0,
+                shards,
+                report,
+            })
             .collect();
-        let mut digests = Sha256::digest_many(&firsts).into_iter();
-        plans
-            .iter()
-            .zip(fetched)
-            .map(|(plan, (shards, report))| digest_filter(plan, shards, report, &mut digests))
-            .collect()
+        verify_where(plans, &mut snaps, |i| plans[i].verify);
+        snaps
     }
 
     /// Re-reads a plan whose bytes the caller holds, `expected[s]` for
@@ -553,6 +558,28 @@ impl<'a> PlanExecutor<'a> {
     }
 }
 
+/// Checks by digest, in place, each unchecked snapshot `pick` selects
+/// (by index), as a verifying read of its plan would have from the same
+/// fetch: [`digest_filter`] over every plan's slots, the first `need`
+/// present slots of all picked plans hashed in one
+/// [`Sha256::digest_many`] batch. No node is touched.
+pub(crate) fn verify_where(
+    plans: &[ReadPlan],
+    snaps: &mut [ShardsSnapshot],
+    pick: impl Fn(usize) -> bool,
+) {
+    let picked = || (0..plans.len()).filter(|&i| pick(i));
+    let firsts: Vec<&[u8]> = picked()
+        .flat_map(|i| first_present(&plans[i], &snaps[i].shards))
+        .collect();
+    let mut digests = Sha256::digest_many(&firsts).into_iter();
+    for i in picked() {
+        let snap = &mut snaps[i];
+        let (shards, report) = (mem::take(&mut snap.shards), mem::take(&mut snap.report));
+        *snap = digest_filter(&plans[i], shards, report, &mut digests);
+    }
+}
+
 /// The first `plan.need` present slots of a fetch, in slot order: the
 /// slots [`digest_filter`] is sure to examine, whatever they hold.
 fn first_present<'s>(
@@ -658,6 +685,7 @@ mod tests {
             placement: placement.to_vec(),
             shard_digests: shards.iter().map(|s| Sha256::digest(s)).collect(),
             need: placement.len(),
+            verify: true,
         }
     }
 

@@ -11,9 +11,10 @@
 //! the units behind an object and hold the rules that exist only
 //! because blocks are shared (which blocks to skip).
 
-use crate::archive::{entropy_gate, Archive, ArchiveError, Manifest, ObjectId};
+use crate::archive::{entropy_gate, gates, Archive, ArchiveError, Manifest, ObjectId};
 use crate::campaign::{Campaign, CampaignOp, CampaignReport};
 use crate::dedup::BlockKind;
+use crate::executor::ShardsSnapshot;
 use crate::plan;
 use crate::policy::PolicyKind;
 use crate::unit::Unit;
@@ -36,6 +37,16 @@ pub struct ObjectReencode {
     pub read_time: SimDuration,
     /// Virtual time the write phase took (delete + write-back).
     pub write_time: SimDuration,
+}
+
+/// One unit's re-encode between its read and its write: the record as
+/// loaded, the fetch (its bytes are the campaign's bytes read), the
+/// verified payload, and how long the read took.
+struct Decoded {
+    record: Manifest,
+    snap: ShardsSnapshot,
+    payload: Vec<u8>,
+    read_time: SimDuration,
 }
 
 /// What a write-back reports: `Err` is the shortfall of a unit stored
@@ -128,7 +139,9 @@ impl Archive {
     /// Propagates retrieval and ingest errors; onto
     /// [`PolicyKind::Entropic`], a unit that fails ingest's entropy gate
     /// (a classic object's payload, a dedup data block) is
-    /// [`ArchiveError::LowEntropy`] and keeps its old shards.
+    /// [`ArchiveError::LowEntropy`]. Every unit is read and gated before
+    /// the first old placement is deleted, so a refused re-encode moves
+    /// nothing: every unit keeps its old record and shards.
     pub fn reencode_object(
         &mut self,
         id: &ObjectId,
@@ -136,25 +149,43 @@ impl Archive {
     ) -> Result<ObjectReencode, ArchiveError> {
         new_policy.validate()?;
         let units = self.units_of(self.row(id)?);
+        // A dedup block already on `new_policy` stays where it is.
+        let moves = |a: &Archive, unit: &Unit| {
+            let migrated = a
+                .manifests
+                .record(unit)
+                .is_some_and(|r| r.policy == new_policy);
+            !(matches!(unit, Unit::Block(_)) && migrated)
+        };
         let mut total = ObjectReencode {
             bytes_read: 0,
             bytes_written: 0,
             read_time: SimDuration::ZERO,
             write_time: SimDuration::ZERO,
         };
-        for unit in &units {
-            let migrated = self
-                .manifests
-                .record(unit)
-                .is_some_and(|r| r.policy == new_policy);
-            if matches!(unit, Unit::Block(_)) && migrated {
-                continue;
-            }
-            let o = self.reencode_unit(id, unit, &new_policy)?;
+        let mut add = |o: ObjectReencode| {
             total.bytes_read += o.bytes_read;
             total.bytes_written += o.bytes_written;
             total.read_time += o.read_time;
             total.write_time += o.write_time;
+        };
+        if gates(&new_policy) {
+            // Held decoded until every unit has passed the gate.
+            let read: Vec<(&Unit, Decoded)> = units
+                .iter()
+                .filter(|unit| moves(self, unit))
+                .map(|unit| Ok((unit, self.reencode_read(id, unit, &new_policy)?)))
+                .collect::<Result<_, ArchiveError>>()?;
+            for (unit, read) in read {
+                add(self.reencode_write(id, unit, read, &new_policy)?);
+            }
+        } else {
+            for unit in &units {
+                if moves(self, unit) {
+                    let read = self.reencode_read(id, unit, &new_policy)?;
+                    add(self.reencode_write(id, unit, read, &new_policy)?);
+                }
+            }
         }
         self.manifests.update(id, |m| m.policy = new_policy);
         Ok(total)
@@ -168,32 +199,69 @@ impl Archive {
         unit: &Unit,
         new_policy: &PolicyKind,
     ) -> Result<ObjectReencode, ArchiveError> {
-        let clock = self.cluster().clock().clone();
-        let read_start = clock.now();
-        let mut record = self.load(unit)?;
-        let [fetch, put] = unit.labels().reencode;
+        let read = self.reencode_read(owner, unit, new_policy)?;
+        self.reencode_write(owner, unit, read, new_policy)
+    }
+
+    /// The read half of a unit's re-encode: its record, its payload
+    /// decoded from one digest-filtered fetch, and ingest's admission
+    /// check of that payload under `new_policy`. Nothing is written.
+    fn reencode_read(
+        &self,
+        owner: &ObjectId,
+        unit: &Unit,
+        new_policy: &PolicyKind,
+    ) -> Result<Decoded, ArchiveError> {
+        let start = self.cluster().clock().now();
+        let record = self.load(unit)?;
+        let [fetch, _] = unit.labels().reencode;
         let snap = self.fetch_shards(&record, fetch);
         let payload = self.decode_verified(owner, &record, &snap)?;
-        // Ingest's admission check, before the old shards go; a tree
-        // block is a hash list, not payload, and is exempt.
+        // A tree block is a hash list, not payload, and is exempt.
         let tree = matches!(unit, Unit::Block(hash)
             if self.manifests.block(hash).is_some_and(|b| b.kind == BlockKind::Tree));
         if !tree {
             entropy_gate(new_policy, &payload)?;
         }
-        let bytes_read: u64 = snap.shards.iter().flatten().map(|s| s.len() as u64).sum();
+        Ok(Decoded {
+            record,
+            snap,
+            payload,
+            read_time: self.cluster().clock().now() - start,
+        })
+    }
+
+    /// The write half of a unit's re-encode: encodes the decoded payload
+    /// under `new_policy`, deletes the old placement and writes the new
+    /// shards back.
+    fn reencode_write(
+        &mut self,
+        owner: &ObjectId,
+        unit: &Unit,
+        read: Decoded,
+        new_policy: &PolicyKind,
+    ) -> Result<ObjectReencode, ArchiveError> {
+        let clock = self.cluster().clock().clone();
         let write_start = clock.now();
+        let Decoded {
+            mut record,
+            snap,
+            payload,
+            read_time,
+        } = read;
+        let bytes_read: u64 = snap.shards.iter().flatten().map(|s| s.len() as u64).sum();
         let write = self.plan_unit_write(unit, new_policy, &record.id, &payload)?;
         let bytes_written: u64 = write.shards.iter().map(|s| s.len() as u64).sum();
         let ctx = record.id.as_str();
         let placement = self.executor().place(ctx, write.shards.len())?;
         self.executor().delete(ctx, &record.placement);
         (record.policy, record.meta, record.placement) = (write.policy, write.meta, placement);
+        let [_, put] = unit.labels().reencode;
         self.write_back(owner, unit, record, &write.shards, put)?;
         Ok(ObjectReencode {
             bytes_read,
             bytes_written,
-            read_time: write_start - read_start,
+            read_time,
             write_time: clock.now() - write_start,
         })
     }

@@ -138,6 +138,8 @@ pub(crate) struct StoredChunks<'a> {
     object_id: &'a str,
     meta: &'a EncodingMeta,
     shards: &'a [Option<Vec<u8>>],
+    /// Present slots the view shows; later ones read as absent.
+    take: usize,
     framed: Option<Framing<'a>>,
 }
 
@@ -157,20 +159,45 @@ impl<'a> StoredChunks<'a> {
         meta: &'a EncodingMeta,
         shards: &'a [Option<Vec<u8>>],
     ) -> Result<Self, PolicyError> {
-        let framed = match &meta.chunked {
-            None => None,
-            Some(chunked) => {
-                let walk = |blob: &Vec<u8>| split_shard_ranges(blob, chunked.chunk_count());
-                let ranges = shards.iter().map(|s| s.as_ref().map(walk).transpose());
-                let ranges = ranges.collect::<Result<_, _>>()?;
-                Some(Framing { chunked, ranges })
-            }
-        };
-        Ok(StoredChunks {
+        Self::parse_first(object_id, meta, shards, usize::MAX)
+    }
+
+    /// [`StoredChunks::parse`] of the first `take` present slots only:
+    /// every later slot reads as absent and is not frame-walked.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PolicyError::Malformed`] for corrupt framing.
+    pub(crate) fn parse_first(
+        object_id: &'a str,
+        meta: &'a EncodingMeta,
+        shards: &'a [Option<Vec<u8>>],
+        take: usize,
+    ) -> Result<Self, PolicyError> {
+        let mut view = StoredChunks {
             object_id,
             meta,
             shards,
-            framed,
+            take,
+            framed: None,
+        };
+        if let Some(chunked) = &meta.chunked {
+            let walk = |blob: &[u8]| split_shard_ranges(blob, chunked.chunk_count());
+            let ranges = view.blobs().map(|s| s.map(walk).transpose());
+            let ranges = ranges.collect::<Result<_, _>>()?;
+            view.framed = Some(Framing { chunked, ranges });
+        }
+        Ok(view)
+    }
+
+    /// The slots this view shows, in slot order: the first `take`
+    /// present blobs, then absent.
+    fn blobs(&self) -> impl Iterator<Item = Option<&'a [u8]>> {
+        let mut left = self.take;
+        self.shards.iter().map(move |slot| {
+            let blob = slot.as_deref().filter(|_| left > 0)?;
+            left -= 1;
+            Some(blob)
         })
     }
 
@@ -198,7 +225,7 @@ impl<'a> StoredChunks<'a> {
     /// Chunk `j`'s shard set as ranges of the fetched blobs, absent slots
     /// staying absent.
     pub(crate) fn shards(&self, j: usize) -> Vec<Option<&'a [u8]>> {
-        let blobs = self.shards.iter().map(Option::as_deref);
+        let blobs = self.blobs();
         let Some(Framing { ranges, .. }) = &self.framed else {
             return blobs.collect();
         };
@@ -360,7 +387,22 @@ pub fn decode_object(
     meta: &EncodingMeta,
     workers: usize,
 ) -> Result<Vec<u8>, PolicyError> {
-    let chunks = StoredChunks::parse(object_id, meta, shards)?;
+    decode_first(policy, keys, object_id, shards, usize::MAX, meta, workers)
+}
+
+/// [`decode_object`] from the first `take` present slots of `shards`
+/// only; every later slot reads as absent. A read decodes its unchecked
+/// fetch this way, from exactly the slots its plan says it consumes.
+pub(crate) fn decode_first(
+    policy: &PolicyKind,
+    keys: &KeyStore,
+    object_id: &str,
+    shards: &[Option<Vec<u8>>],
+    take: usize,
+    meta: &EncodingMeta,
+    workers: usize,
+) -> Result<Vec<u8>, PolicyError> {
+    let chunks = StoredChunks::parse_first(object_id, meta, shards, take)?;
     let count = chunks.count();
     let decode =
         |j| policy.decode_slices(keys, &chunks.context(j), &chunks.shards(j), chunks.meta(j));

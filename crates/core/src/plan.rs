@@ -48,27 +48,35 @@ pub struct WritePlan {
 }
 
 /// A fully determined object read: where the shards live, what their
-/// bytes must hash to, and how many verified shards the caller will
-/// consume.
+/// bytes must hash to, how many shards the caller will consume, and
+/// whether the executor checks them.
 ///
-/// Every slot is fetched whatever `need` says; `need` only bounds the
-/// *hashing*. The executor verifies slots in slot order and, once
-/// `need` of them are valid, drops the rest unexamined — which is all a
-/// decoder loses, since every dispersal consumes its first
-/// `read_threshold` valid slots in slot order. A scrub (verify, repair,
-/// refresh, re-wrap, re-encode) asks for every slot.
+/// Every slot is fetched whatever the plan says. A *scrub* (verify,
+/// repair, refresh, re-wrap, re-encode, transfer) asks the executor to
+/// check every slot against its digest. A *decode read*
+/// ([`ReadPlan::for_decode`]) asks it to check none: the decoder
+/// consumes the first `need` present slots, and the decoded payload's
+/// digest alone decides whether the read returns bytes. Only when that
+/// decode fails does the reader check the slots it already holds by
+/// digest, to find and discard the corrupt ones.
 #[derive(Debug, Clone)]
 pub struct ReadPlan {
     /// The object being read.
     pub object: ObjectId,
     /// Node placement, one entry per shard.
     pub placement: Vec<NodeId>,
-    /// Expected SHA-256 of each stored blob; mismatching shards are
-    /// discarded as bit-rot rather than fed to the decoder.
+    /// Expected SHA-256 of each stored blob. A slot whose bytes do not
+    /// match is discarded as bit-rot rather than fed to the decoder.
     pub shard_digests: Vec<[u8; 32]>,
-    /// Valid shards the caller will consume: slots past the first
-    /// `need` valid ones come back `None`, unhashed and uncounted.
+    /// Shards the caller will consume: the first `need` valid slots in
+    /// slot order, which is what every dispersal decodes from. A
+    /// verifying read stops hashing once `need` slots are valid, and
+    /// slots past them come back `None`, unhashed and uncounted.
     pub need: usize,
+    /// Whether the executor checks slots against `shard_digests`. When
+    /// `false`, every fetched slot comes back unhashed and the caller
+    /// consumes the first `need` present ones.
+    pub verify: bool,
 }
 
 impl ReadPlan {
@@ -80,14 +88,17 @@ impl ReadPlan {
             placement: manifest.placement.clone(),
             shard_digests: manifest.shard_digests.clone(),
             need: manifest.placement.len(),
+            verify: true,
         }
     }
 
-    /// The decode-only read of a manifest: verification stops at the
-    /// policy's read threshold, the shards the decoder consumes.
+    /// The decode read of a manifest: nothing is verified per shard, and
+    /// the decoder consumes the first `need` = the policy's read
+    /// threshold present slots.
     pub fn for_decode(manifest: &Manifest) -> Self {
         ReadPlan {
             need: manifest.policy.read_threshold(),
+            verify: false,
             ..Self::for_manifest(manifest)
         }
     }

@@ -138,6 +138,30 @@ pub fn reconstruct_at(
     threshold: usize,
     x0: Gf256,
 ) -> Result<Vec<u8>, ShareError> {
+    combine(shares, threshold, x0, |s| (s.index, &s.data))
+}
+
+/// [`reconstruct`] from borrowed `(index, data)` shares: a reader that
+/// holds the share bytes copies none of them.
+///
+/// # Errors
+///
+/// Same conditions as [`reconstruct`].
+pub fn reconstruct_slices(shares: &[(u8, &[u8])], threshold: usize) -> Result<Vec<u8>, ShareError> {
+    combine(shares, threshold, Gf256::ZERO, |&(index, data)| {
+        (index, data)
+    })
+}
+
+/// The one body of [`reconstruct_at`] and [`reconstruct_slices`]: the
+/// hidden polynomial at `x0`, from the first `threshold` shares, each
+/// seen through `part` as `(index, data)`.
+fn combine<T>(
+    shares: &[T],
+    threshold: usize,
+    x0: Gf256,
+    part: impl Fn(&T) -> (u8, &[u8]),
+) -> Result<Vec<u8>, ShareError> {
     if shares.len() < threshold {
         return Err(ShareError::TooFewShares {
             provided: shares.len(),
@@ -145,28 +169,28 @@ pub fn reconstruct_at(
         });
     }
     let subset = &shares[..threshold];
-    let len = subset[0].data.len();
-    if subset.iter().any(|s| s.data.len() != len) {
+    let len = part(&subset[0]).1.len();
+    if subset.iter().any(|s| part(s).1.len() != len) {
         return Err(ShareError::InconsistentShares("ragged share lengths"));
     }
     let mut seen = [false; 256];
-    for s in subset {
-        if s.index == 0 {
+    for (index, _) in subset.iter().map(&part) {
+        if index == 0 {
             return Err(ShareError::InconsistentShares("share index 0 is reserved"));
         }
-        if seen[s.index as usize] {
+        if seen[index as usize] {
             return Err(ShareError::InconsistentShares("duplicate share index"));
         }
-        seen[s.index as usize] = true;
+        seen[index as usize] = true;
     }
-    let xs: Vec<Gf256> = subset.iter().map(|s| Gf256::new(s.index)).collect();
+    let xs: Vec<Gf256> = subset.iter().map(|s| Gf256::new(part(s).0)).collect();
     let lambda = lagrange_coefficients(&xs, x0)
         .map_err(|_| ShareError::InconsistentShares("duplicate share index"))?;
     // Fused Lagrange combination: out = Σ λ_i · share_i in one pass.
     let rows: Vec<(Gf256, &[u8])> = lambda
         .iter()
         .zip(subset)
-        .map(|(coeff, share)| (*coeff, share.data.as_slice()))
+        .map(|(coeff, share)| (*coeff, part(share).1))
         .collect();
     let mut out = vec![0u8; len];
     slice::mul_add_rows(&mut out, &rows);
@@ -210,6 +234,35 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Borrowed shares answer exactly as owned ones: the secret from
+    /// any subset, and the same typed error below the threshold or on a
+    /// duplicate index.
+    #[test]
+    fn borrowed_shares_reconstruct_like_owned_ones() {
+        let mut r = rng();
+        let shares = split(&mut r, b"borrowed, not copied", 3, 5).unwrap();
+        let borrowed: Vec<(u8, &[u8])> = shares.iter().map(|s| (s.index, &s.data[..])).collect();
+        for subset in [
+            &[0, 1, 2][..],
+            &[4, 2, 0],
+            &[1, 3, 4, 0],
+            &[2, 2, 3],
+            &[3, 1],
+        ] {
+            let owned: Vec<Share> = subset.iter().map(|&i| shares[i].clone()).collect();
+            let lent: Vec<(u8, &[u8])> = subset.iter().map(|&i| borrowed[i]).collect();
+            assert_eq!(
+                format!("{:?}", reconstruct_slices(&lent, 3)),
+                format!("{:?}", reconstruct(&owned, 3)),
+                "{subset:?}"
+            );
+        }
+        assert_eq!(
+            reconstruct_slices(&borrowed[1..4], 3).unwrap(),
+            b"borrowed, not copied"
+        );
     }
 
     #[test]
