@@ -16,11 +16,11 @@ use aeon_integrity::timestamp::{AnchorMode, DocumentChain, SigBreakSchedule, Tim
 use aeon_num::pedersen::Committer;
 use aeon_num::ModpGroup;
 use aeon_store::cluster::{ClusterError, TransferReport};
-use aeon_store::node::NodeId;
+use aeon_store::node::{Blob, NodeId};
 use aeon_store::retry::RetryPolicy;
 use aeon_store::{Cluster, DispatchPolicy};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
+use std::{fmt, mem};
 
 /// Identifies an archived object.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -651,9 +651,19 @@ impl Archive {
                 self.op_rng(labels.ingest, write.object.as_str())
             })
             .collect();
-        // Too few shards landing durably means a unit could never be read
-        // back: the executor has already rolled that unit back.
-        let results = self.executor().commit_many(&plans, &placements, &mut rngs);
+        // Each unit's shards are handed over by value: the buffers the
+        // encode built are the ones the nodes keep. Too few shards
+        // landing durably means a unit could never be read back: the
+        // executor has already rolled that unit back.
+        let sets = plans.iter_mut().zip(&placements).map(|(write, placement)| {
+            let shards = mem::take(&mut write.shards);
+            let blobs = shards.into_iter().map(Blob::from).collect();
+            (
+                (write.object.as_str(), placement.as_slice(), blobs),
+                write.required,
+            )
+        });
+        let results = self.executor().commit_blobs(sets.collect(), &mut rngs);
         let failed = results
             .iter()
             .enumerate()
@@ -1068,7 +1078,6 @@ impl Archive {
             .map(|c| c.verify(sig_schedule, self.year).is_ok());
         // The weakest stored unit speaks for the object: fewest valid
         // shards, against the largest read threshold among them.
-        let walked = manifest.blocks.is_some();
         let mut available = usize::MAX;
         let mut required = 0usize;
         let mut intact = true;
@@ -1080,11 +1089,12 @@ impl Archive {
             let snap = self.fetch_shards(&record, unit.labels().verify);
             available = available.min(snap.valid);
             required = required.max(record.policy.read_threshold());
-            intact &= walked || self.decode_verified(id, &record, &snap).is_ok();
+            intact &= self.decode_verified(id, &record, &snap).is_ok();
         }
-        // A dedup object's decode check is its tree walk, which also
-        // covers what no single block can: leaf order and the
-        // whole-payload digest.
+        // Every unit decodes from its scrub-clean shards, whatever kind
+        // of object it stores. A dedup object's tree walk then covers
+        // what no single block can: leaf order and the whole-payload
+        // digest.
         if let Some(d) = &manifest.blocks {
             intact &= self.walk(id, &d.root, Some(manifest)).is_ok();
         }
@@ -2197,6 +2207,32 @@ mod tests {
             let health = a.verify(&id, &SigBreakSchedule::new()).unwrap();
             assert_eq!(health.shards_available, 0, "{policy:?}");
             assert!(!health.intact, "{policy:?}");
+        }
+    }
+
+    /// `verify` gives `intact` one meaning for both kinds of object:
+    /// every stored unit decodes from its scrub-clean shards. With every
+    /// unit's shard digests zeroed (RS 3+2, 3000 B) no shard is clean, so
+    /// a classic object and a dedup object alike report `intact: false`
+    /// with no shard available, and both still `retrieve`, because a read
+    /// is decided by payload digests alone.
+    #[test]
+    fn verify_decodes_every_unit_from_its_clean_shards() {
+        let mut payload = vec![0u8; 3000];
+        ChaChaDrbg::from_u64_seed(43).fill_bytes(&mut payload);
+        for dedup in [false, true] {
+            let mut config = ArchiveConfig::new(PolicyKind::ErasureCoded { data: 3, parity: 2 });
+            config.dedup = dedup.then(small_dedup);
+            let mut a = Archive::in_memory(config).unwrap();
+            let id = a.ingest(&payload, "zeroed").unwrap();
+            for unit in a.units_of(a.row(&id).unwrap()) {
+                let record = a.manifests.record_mut(&unit).unwrap();
+                record.shard_digests.fill([0; 32]);
+            }
+            assert_eq!(a.retrieve(&id).unwrap(), payload, "dedup {dedup}");
+            let health = a.verify(&id, &SigBreakSchedule::new()).unwrap();
+            assert_eq!(health.shards_available, 0, "dedup {dedup}");
+            assert!(!health.intact, "dedup {dedup}");
         }
     }
 

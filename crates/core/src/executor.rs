@@ -11,20 +11,25 @@
 //! There is one I/O path. Every read and write — one object or many —
 //! is a list of *legs* run through the same fan-out: legs are grouped
 //! by node in first-occurrence order, each node serves **one** framed
-//! `get_batch`/`put_batch` for its group through
+//! `get_blobs`/`put_blobs` for its group through
 //! `Cluster::dispatch_lanes`, and each leg whose first attempt failed
-//! retryably then spends the rest of its retry budget individually,
-//! drawing jitter from its own object's rng. A single-object operation
-//! is a batch of one; how the per-node frames are *priced* (summed, or
-//! overlapped on lanes) is the cluster's `DispatchPolicy`, never the
-//! caller's choice of entry point.
+//! retryably then spends the rest of its retry budget individually
+//! through the borrowed `get`/`put`, drawing jitter from its own
+//! object's rng. A single-object operation is a batch of one; how the
+//! per-node frames are *priced* (summed, or overlapped on lanes) is the
+//! cluster's `DispatchPolicy`, never the caller's choice of entry point.
+//!
+//! Shard bytes cross the seam as [`Blob`]s: a write hands each shard
+//! over by value and a read gets back the node's shared buffer, so a
+//! node that keeps blobs (`MemoryNode`) stores and serves them without
+//! a copy.
 
 use crate::archive::ArchiveError;
 use crate::plan::{ReadPlan, WritePlan};
 use crate::policy::PolicyError;
 use aeon_crypto::{ChaChaDrbg, CryptoRng, Sha256};
 use aeon_store::cluster::{ClusterError, ShardAttempt, TransferReport};
-use aeon_store::node::{NodeError, NodeId, ShardKey, StorageNode};
+use aeon_store::node::{Blob, NodeError, NodeId, ShardKey, StorageNode};
 use aeon_store::retry::{run_with_retry, RetryPolicy};
 use aeon_store::Cluster;
 use std::{mem, slice};
@@ -39,7 +44,7 @@ pub struct ShardsSnapshot {
     /// Shard slots in placement order. Slots that erred out past the
     /// retry budget are `None`. After a check, so are slots whose bytes
     /// failed it and slots past the plan's `need`-th valid one.
-    pub shards: Vec<Option<Vec<u8>>>,
+    pub shards: Vec<Option<Blob>>,
     /// The slots a decode consumes: the first `valid` present ones. After
     /// a check, these are every present slot, each clean (at most the
     /// plan's `need`); unchecked, the first `need` present slots.
@@ -63,73 +68,89 @@ pub struct WriteOutcome {
 }
 
 /// One shard's leg of a fan-out: whose retry stream pays for it, the
-/// node it lives on, its key, and (for writes) its bytes.
-struct Leg<'a> {
+/// node it lives on, its key, and what it carries to the node (nothing
+/// for a read, its bytes for a write).
+struct Leg<'a, T> {
     /// Index of the leg's object in the operation (and of its rng).
     owner: usize,
     node: NodeId,
     object: &'a str,
     shard: u32,
-    data: &'a [u8],
+    data: T,
 }
 
-impl Leg<'_> {
+impl<T> Leg<'_, T> {
     fn key(&self) -> ShardKey {
         ShardKey::new(self.object, self.shard)
     }
 }
 
-/// A transfer direction: how a node serves one frame of legs, and how
-/// it serves one leg again on retry. The fan-out is written once over
-/// this; [`Get`] and [`Put`] are its two instantiations.
+/// A transfer direction: what a leg carries, how a node serves one
+/// frame of legs, and how it serves one leg again on retry. The fan-out
+/// is written once over this; [`Get`] and [`Put`] are its two
+/// instantiations.
 trait Direction {
+    type In;
     type Out;
     fn frame<'l, 'a: 'l>(
         node: &dyn StorageNode,
-        legs: impl Iterator<Item = &'l Leg<'a>>,
-    ) -> Vec<Result<Self::Out, NodeError>>;
-    fn one(node: &dyn StorageNode, leg: &Leg<'_>) -> Result<Self::Out, NodeError>;
+        legs: impl Iterator<Item = &'l Leg<'a, Self::In>>,
+    ) -> Vec<Result<Self::Out, NodeError>>
+    where
+        Self::In: 'l;
+    fn one(node: &dyn StorageNode, leg: &Leg<'_, Self::In>) -> Result<Self::Out, NodeError>;
 }
 
 struct Get;
 
 impl Direction for Get {
-    type Out = Vec<u8>;
+    type In = ();
+    type Out = Blob;
 
     fn frame<'l, 'a: 'l>(
         node: &dyn StorageNode,
-        legs: impl Iterator<Item = &'l Leg<'a>>,
-    ) -> Vec<Result<Vec<u8>, NodeError>> {
+        legs: impl Iterator<Item = &'l Leg<'a, ()>>,
+    ) -> Vec<Result<Blob, NodeError>> {
         let keys: Vec<ShardKey> = legs.map(Leg::key).collect();
-        node.get_batch(&keys)
+        node.get_blobs(&keys)
     }
 
-    fn one(node: &dyn StorageNode, leg: &Leg<'_>) -> Result<Vec<u8>, NodeError> {
-        node.get(&leg.key())
+    fn one(node: &dyn StorageNode, leg: &Leg<'_, ()>) -> Result<Blob, NodeError> {
+        node.get(&leg.key()).map(Blob::from)
     }
 }
 
 struct Put;
 
 impl Direction for Put {
+    type In = Blob;
     type Out = ();
 
+    /// Hands the node a share of each leg's blob: the leg keeps its own
+    /// for a retry, and once the fan-out ends the node's is the only one.
     fn frame<'l, 'a: 'l>(
         node: &dyn StorageNode,
-        legs: impl Iterator<Item = &'l Leg<'a>>,
+        legs: impl Iterator<Item = &'l Leg<'a, Blob>>,
     ) -> Vec<Result<(), NodeError>> {
-        let entries: Vec<(ShardKey, &[u8])> = legs.map(|leg| (leg.key(), leg.data)).collect();
-        node.put_batch(&entries)
+        let entries: Vec<(ShardKey, Blob)> =
+            legs.map(|leg| (leg.key(), leg.data.clone())).collect();
+        node.put_blobs(entries)
     }
 
-    fn one(node: &dyn StorageNode, leg: &Leg<'_>) -> Result<(), NodeError> {
-        node.put(&leg.key(), leg.data)
+    fn one(node: &dyn StorageNode, leg: &Leg<'_, Blob>) -> Result<(), NodeError> {
+        node.put(&leg.key(), &leg.data)
     }
 }
 
 /// One object's shard set to write: object id, placement, and one blob
-/// per placement slot.
-type ShardSet<'a> = (&'a str, &'a [NodeId], &'a [Vec<u8>]);
+/// per placement slot, handed over by value.
+type ShardSet<'a> = (&'a str, &'a [NodeId], Vec<Blob>);
+
+/// Copies borrowed shards into blobs: what the borrowed write entry
+/// points cost, once, before they join the one by-value path.
+fn copied(shards: &[Vec<u8>]) -> Vec<Blob> {
+    shards.iter().map(|s| Blob::from(s.as_slice())).collect()
+}
 
 /// A leg's state after its first attempt: attempts made so far (zero
 /// when its node is not in the cluster) and the latest result.
@@ -166,7 +187,7 @@ impl<'a> PlanExecutor<'a> {
     /// frames dispatched together never touch the same node) and ships
     /// one frame per node through the cluster's lanes. Returns each
     /// leg's first attempt, in leg order.
-    fn first_attempts<D: Direction>(&self, legs: &[Leg<'_>]) -> Vec<Attempted<D::Out>> {
+    fn first_attempts<D: Direction>(&self, legs: &[Leg<'_, D::In>]) -> Vec<Attempted<D::Out>> {
         let mut groups: Vec<(NodeId, Vec<usize>)> = Vec::new();
         for (i, leg) in legs.iter().enumerate() {
             match groups.iter_mut().find(|(id, _)| *id == leg.node) {
@@ -208,7 +229,7 @@ impl<'a> PlanExecutor<'a> {
     /// whatever it was framed with.
     fn settle<D: Direction, R: CryptoRng>(
         &self,
-        leg: &Leg<'_>,
+        leg: &Leg<'_, D::In>,
         (tries, outcome): Attempted<D::Out>,
         rng: &mut R,
     ) -> Attempted<D::Out> {
@@ -238,7 +259,7 @@ impl<'a> PlanExecutor<'a> {
     /// the per-shard attempt accounting.
     fn transfer<D: Direction, R: CryptoRng>(
         &self,
-        legs: &[Leg<'_>],
+        legs: &[Leg<'_, D::In>],
         rngs: &mut [R],
     ) -> Vec<(Vec<Option<D::Out>>, TransferReport)> {
         let mut out: Vec<(Vec<Option<D::Out>>, TransferReport)> = rngs
@@ -311,10 +332,14 @@ impl<'a> PlanExecutor<'a> {
     /// slot is checked by byte equality instead of by digest, and a slot
     /// past `expected` is corrupt. Holding the bytes the plan's digests
     /// record, it accepts what [`Self::read`] does and hashes nothing.
+    ///
+    /// A slot the node answers with the very blob held (a node that
+    /// keeps blobs serves the one the repair wrote or fetched) is equal
+    /// without comparing a byte.
     pub(crate) fn reread<R: CryptoRng>(
         &self,
         plan: &ReadPlan,
-        expected: &[&[u8]],
+        expected: &[Blob],
         rng: &mut R,
     ) -> ShardsSnapshot {
         let (shards, report) = self
@@ -322,7 +347,8 @@ impl<'a> PlanExecutor<'a> {
             .pop()
             .expect("one fetch per plan");
         check_slots(plan, shards, report, |s, bytes| {
-            expected.get(s).is_some_and(|held| *held == bytes)
+            let held = expected.get(s);
+            held.is_some_and(|held| Blob::ptr_eq(held, bytes) || held[..] == bytes[..])
         })
     }
 
@@ -333,9 +359,9 @@ impl<'a> PlanExecutor<'a> {
         &self,
         plans: &[ReadPlan],
         rngs: &mut [R],
-    ) -> Vec<(Vec<Option<Vec<u8>>>, TransferReport)> {
+    ) -> Vec<(Vec<Option<Blob>>, TransferReport)> {
         assert_eq!(plans.len(), rngs.len(), "plan/rng mismatch");
-        let legs: Vec<Leg<'_>> = plans
+        let legs: Vec<Leg<'_, ()>> = plans
             .iter()
             .enumerate()
             .flat_map(|(owner, plan)| {
@@ -344,16 +370,15 @@ impl<'a> PlanExecutor<'a> {
                     node: *node,
                     object: plan.object.as_str(),
                     shard: s as u32,
-                    data: &[],
+                    data: (),
                 })
             })
             .collect();
         self.transfer::<Get, R>(&legs, rngs)
     }
 
-    /// Writes a shard set in place (refresh, re-encode, re-wrap):
-    /// shards that miss the retry budget are left stale for the
-    /// caller's digests to filter on read. No rollback.
+    /// Writes a shard set in place from borrowed shards: copies them
+    /// once into blobs, then [`Self::write_blobs`].
     ///
     /// # Panics
     ///
@@ -365,16 +390,38 @@ impl<'a> PlanExecutor<'a> {
         shards: &[Vec<u8>],
         rng: &mut R,
     ) -> WriteOutcome {
-        self.write_many(&[(object, placement, shards)], slice::from_mut(rng))
+        self.write_blobs(object, placement, copied(shards), rng)
+    }
+
+    /// Writes a shard set in place (refresh, re-encode, re-wrap), the
+    /// shards handed over by value: shards that miss the retry budget
+    /// are left stale for the caller's digests to filter on read. No
+    /// rollback.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `placement` and `shards` disagree in length.
+    pub(crate) fn write_blobs<R: CryptoRng>(
+        &self,
+        object: &str,
+        placement: &[NodeId],
+        shards: Vec<Blob>,
+        rng: &mut R,
+    ) -> WriteOutcome {
+        self.write_many(vec![(object, placement, shards)], slice::from_mut(rng))
             .pop()
             .expect("one outcome per shard set")
     }
 
     /// Writes many objects' shard sets in one cross-object flush, one
     /// framed batch per target node. No rollback.
-    fn write_many<R: CryptoRng>(&self, sets: &[ShardSet<'_>], rngs: &mut [R]) -> Vec<WriteOutcome> {
-        let mut legs: Vec<Leg<'_>> = Vec::new();
-        for (owner, &(object, placement, shards)) in sets.iter().enumerate() {
+    fn write_many<R: CryptoRng>(
+        &self,
+        sets: Vec<ShardSet<'_>>,
+        rngs: &mut [R],
+    ) -> Vec<WriteOutcome> {
+        let mut legs: Vec<Leg<'_, Blob>> = Vec::new();
+        for (owner, (object, placement, shards)) in sets.into_iter().enumerate() {
             assert_eq!(placement.len(), shards.len(), "placement/shard mismatch");
             legs.extend(
                 placement
@@ -420,16 +467,8 @@ impl<'a> PlanExecutor<'a> {
         .expect("one outcome per plan")
     }
 
-    /// Commits write plans for fresh objects in one cross-object flush:
-    /// every shard's first attempt is grouped by target node and
-    /// shipped as one framed batch per node; entries that fail
-    /// retryably then spend the remaining retry budget individually,
-    /// drawing jitter from that object's own rng. Rollback is per
-    /// object: if fewer than a plan's required shards land durably the
-    /// object could never be read back, so every slot of it is deleted
-    /// with sticky retries, as `roll_back` does (a torn write leaves a
-    /// prefix even on a slot reported failed), and its outcome reported
-    /// as `Err`.
+    /// Commits borrowed write plans: copies each plan's shards once into
+    /// blobs, then [`Self::commit_blobs`].
     ///
     /// # Panics
     ///
@@ -442,25 +481,50 @@ impl<'a> PlanExecutor<'a> {
         rngs: &mut [R],
     ) -> Vec<Result<WriteOutcome, WriteOutcome>> {
         assert_eq!(plans.len(), placements.len(), "plan/placement mismatch");
-        assert_eq!(plans.len(), rngs.len(), "plan/rng mismatch");
-        let sets: Vec<ShardSet<'_>> = plans
+        let sets = plans.iter().zip(placements).map(|(plan, placement)| {
+            let set = (
+                plan.object.as_str(),
+                placement.as_slice(),
+                copied(&plan.shards),
+            );
+            (set, plan.required)
+        });
+        self.commit_blobs(sets.collect(), rngs)
+    }
+
+    /// Commits fresh objects' shard sets in one cross-object flush, each
+    /// set handed over by value with the number of its shards that must
+    /// land: every shard's first attempt is grouped by target node and
+    /// shipped as one framed batch per node; entries that fail
+    /// retryably then spend the remaining retry budget individually,
+    /// drawing jitter from that object's own rng. Rollback is per
+    /// object: if fewer than its required shards land durably the
+    /// object could never be read back, so every slot of it is deleted
+    /// with sticky retries, as `roll_back` does (a torn write leaves a
+    /// prefix even on a slot reported failed), and its outcome reported
+    /// as `Err`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sets` and `rngs` disagree in length or a placement
+    /// disagrees with its set's shard count.
+    pub(crate) fn commit_blobs<R: CryptoRng>(
+        &self,
+        sets: Vec<(ShardSet<'_>, usize)>,
+        rngs: &mut [R],
+    ) -> Vec<Result<WriteOutcome, WriteOutcome>> {
+        assert_eq!(sets.len(), rngs.len(), "plan/rng mismatch");
+        let targets: Vec<(&str, &[NodeId], usize)> = sets
             .iter()
-            .zip(placements)
-            .map(|(plan, placement)| {
-                (
-                    plan.object.as_str(),
-                    placement.as_slice(),
-                    plan.shards.as_slice(),
-                )
-            })
+            .map(|&((object, placement, _), required)| (object, placement, required))
             .collect();
-        let outcomes = self.write_many(&sets, rngs);
+        let outcomes = self.write_many(sets.into_iter().map(|(set, _)| set).collect(), rngs);
         outcomes
             .into_iter()
-            .zip(sets.iter().zip(plans))
+            .zip(targets)
             .zip(rngs)
-            .map(|((outcome, ((object, placement, _), plan)), rng)| {
-                if outcome.written < plan.required {
+            .map(|((outcome, (object, placement, required)), rng)| {
+                if outcome.written < required {
                     self.roll_back(object, placement, rng);
                     Err(outcome)
                 } else {
@@ -470,7 +534,26 @@ impl<'a> PlanExecutor<'a> {
             .collect()
     }
 
-    /// Executes a repair plan's writes: every rebuilt shard's first
+    /// Executes a borrowed repair plan's writes: copies each rebuilt
+    /// shard once into a blob, then [`Self::repair_blobs`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::repair_blobs`].
+    pub fn apply_repair<R: CryptoRng>(
+        &self,
+        object: &str,
+        placement: &[NodeId],
+        writes: &[(usize, Vec<u8>)],
+        rng: &mut R,
+    ) -> Result<Vec<(usize, [u8; 32])>, ArchiveError> {
+        let writes = writes
+            .iter()
+            .map(|(m, data)| (*m, Blob::from(data.as_slice())));
+        self.repair_blobs(object, placement, writes.collect(), rng)
+    }
+
+    /// Executes a repair plan's writes, handed over by value: every rebuilt shard's first
     /// attempt ships in one framed batch to its node, then entries are
     /// settled **in write order** — a first-attempt failure spends the
     /// remaining retry budget individually, and the first entry that
@@ -486,18 +569,18 @@ impl<'a> PlanExecutor<'a> {
     /// the cluster, and [`ArchiveError::Cluster`] when a put misses the
     /// retry budget: repair must not silently leave a hole it claimed
     /// to fill.
-    pub fn apply_repair<R: CryptoRng>(
+    pub(crate) fn repair_blobs<R: CryptoRng>(
         &self,
         object: &str,
         placement: &[NodeId],
-        writes: &[(usize, Vec<u8>)],
+        writes: Vec<(usize, Blob)>,
         rng: &mut R,
     ) -> Result<Vec<(usize, [u8; 32])>, ArchiveError> {
         let malformed = |why: &str| ArchiveError::Policy(PolicyError::Malformed(why.into()));
-        let mut legs: Vec<Leg<'_>> = Vec::with_capacity(writes.len());
+        let mut legs: Vec<Leg<'_, Blob>> = Vec::with_capacity(writes.len());
         for (m, data) in writes {
             let node = *placement
-                .get(*m)
+                .get(m)
                 .ok_or_else(|| malformed("repair write beyond placement"))?;
             if self.cluster.node(node).is_none() {
                 return Err(malformed("placement references unknown node"));
@@ -506,12 +589,12 @@ impl<'a> PlanExecutor<'a> {
                 owner: 0,
                 node,
                 object,
-                shard: *m as u32,
+                shard: m as u32,
                 data,
             });
         }
         let mut first = self.first_attempts::<Put>(&legs).into_iter();
-        let mut digests = Vec::with_capacity(writes.len());
+        let mut digests = Vec::with_capacity(legs.len());
         for (p, leg) in legs.iter().enumerate() {
             let attempted = first.next().expect("one first attempt per leg");
             if let (_, Err(e)) = self.settle::<Put, R>(leg, attempted, rng) {
@@ -522,7 +605,7 @@ impl<'a> PlanExecutor<'a> {
                 }
                 return Err(ArchiveError::Cluster(ClusterError::Node(e)));
             }
-            digests.push((leg.shard as usize, Sha256::digest(leg.data)));
+            digests.push((leg.shard as usize, Sha256::digest(&leg.data)));
         }
         Ok(digests)
     }
@@ -584,9 +667,13 @@ pub(crate) fn verify_where(
 /// slots [`digest_filter`] is sure to examine, whatever they hold.
 fn first_present<'s>(
     plan: &ReadPlan,
-    shards: &'s [Option<Vec<u8>>],
+    shards: &'s [Option<Blob>],
 ) -> impl Iterator<Item = &'s [u8]> {
-    shards.iter().flatten().take(plan.need).map(Vec::as_slice)
+    shards
+        .iter()
+        .flatten()
+        .take(plan.need)
+        .map(|blob| &blob[..])
 }
 
 /// Verifies fetched shards in slot order against the plan's digests:
@@ -599,7 +686,7 @@ fn first_present<'s>(
 /// them (one of them failed) is hashed here.
 fn digest_filter(
     plan: &ReadPlan,
-    shards: Vec<Option<Vec<u8>>>,
+    shards: Vec<Option<Blob>>,
     report: TransferReport,
     batched: &mut impl Iterator<Item = [u8; 32]>,
 ) -> ShardsSnapshot {
@@ -625,9 +712,9 @@ fn digest_filter(
 /// and `corrupt` are what a full scrub would report.
 fn check_slots(
     plan: &ReadPlan,
-    mut shards: Vec<Option<Vec<u8>>>,
+    mut shards: Vec<Option<Blob>>,
     report: TransferReport,
-    mut accept: impl FnMut(usize, &[u8]) -> bool,
+    mut accept: impl FnMut(usize, &Blob) -> bool,
 ) -> ShardsSnapshot {
     let (mut valid, mut corrupt) = (0usize, 0usize);
     for (s, slot) in shards.iter_mut().enumerate() {
@@ -748,7 +835,7 @@ mod tests {
         let outcome = executor.write_shards("obj", &placement, &shards, &mut rng);
         assert_eq!(outcome.written, 4);
         let snap = executor.read(&read_plan(&placement, &shards), &mut rng);
-        let expect: Vec<Option<Vec<u8>>> = shards.iter().cloned().map(Some).collect();
+        let expect: Vec<Option<Blob>> = copied(&shards).into_iter().map(Some).collect();
         assert_eq!(snap.shards, expect);
         for report in [&outcome.report, &snap.report] {
             assert!(report.failed_shards().is_empty());
@@ -788,7 +875,10 @@ mod tests {
         let mut rng = ChaChaDrbg::from_u64_seed(5);
         let snap = PlanExecutor::new(&cluster, &retry).read(&plan, &mut rng);
         assert_eq!((snap.valid, snap.corrupt), (2, 1));
-        assert_eq!(snap.shards[..2], [Some(vec![0; 8]), Some(vec![1; 8])]);
+        assert_eq!(
+            snap.shards[..2],
+            [Some(vec![0; 8].into()), Some(vec![1; 8].into())]
+        );
         assert!(snap.shards[2].is_none());
     }
 
@@ -802,6 +892,7 @@ mod tests {
         };
         let mut fetched: Vec<Option<Vec<u8>>> = blobs.into_iter().map(Some).collect();
         edit(&mut fetched);
+        let fetched: Vec<Option<Blob>> = fetched.into_iter().map(|s| s.map(Blob::from)).collect();
         let firsts: Vec<&[u8]> = first_present(&plan, &fetched).collect();
         let mut batched = Sha256::digest_many(&firsts).into_iter();
         digest_filter(&plan, fetched, TransferReport::default(), &mut batched)
@@ -818,7 +909,7 @@ mod tests {
         let snap = filtered(3, |_| {});
         assert_eq!((snap.valid, snap.corrupt), (3, 0));
         assert_eq!(present(&snap), vec![0, 1, 2], "the first need valid slots");
-        assert_eq!(snap.shards[2], Some(vec![2; 8]));
+        assert_eq!(snap.shards[2], Some(vec![2; 8].into()));
     }
 
     #[test]
@@ -947,7 +1038,7 @@ mod tests {
             let shards: Vec<Vec<u8>> = (0..6).map(|s| vec![s as u8; len + 61 * s]).collect();
             store_damaged(&cluster, "obj", &placement, &shards, &damage);
             let plan = ReadPlan { need, ..read_plan(&placement, &shards) };
-            let held: Vec<&[u8]> = shards.iter().map(Vec::as_slice).collect();
+            let held = copied(&shards);
             let retry = RetryPolicy::none();
             let executor = PlanExecutor::new(&cluster, &retry);
             let mut rng = ChaChaDrbg::from_u64_seed(7);
@@ -970,9 +1061,8 @@ mod tests {
         let placement = cluster.place("obj", 4).unwrap();
         let shards: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 8]).collect();
         cluster.put_shards("obj", &placement, &shards).unwrap();
-        let changed = [9u8; 8];
-        let mut held: Vec<&[u8]> = shards.iter().map(Vec::as_slice).collect();
-        held[1] = &changed;
+        let mut held = copied(&shards);
+        held[1] = Blob::from(vec![9u8; 8]);
         let retry = RetryPolicy::none();
         let executor = PlanExecutor::new(&cluster, &retry);
         let mut rng = ChaChaDrbg::from_u64_seed(6);

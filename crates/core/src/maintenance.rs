@@ -21,6 +21,7 @@ use crate::unit::Unit;
 use aeon_crypto::{Sha256, SuiteId};
 use aeon_secretshare::proactive::ProtocolCost;
 use aeon_store::clock::SimDuration;
+use aeon_store::node::Blob;
 
 /// Byte and virtual-time accounting from one object's re-encode, read
 /// off the cluster's [`SimClock`](aeon_store::clock::SimClock) at the
@@ -115,7 +116,7 @@ impl Archive {
         // Any share that fails to land is stale (previous epoch) and is
         // filtered on read — `threshold` fresh shares still reconstruct,
         // so the unit survives a degraded write.
-        let landed = self.write_back(owner, unit, record, &blobs, put);
+        let landed = self.write_back(owner, unit, record, blobs, put);
         Ok(Some((cost, landed)))
     }
 
@@ -257,7 +258,7 @@ impl Archive {
         self.executor().delete(ctx, &record.placement);
         (record.policy, record.meta, record.placement) = (write.policy, write.meta, placement);
         let [_, put] = unit.labels().reencode;
-        self.write_back(owner, unit, record, &write.shards, put)?;
+        self.write_back(owner, unit, record, write.shards, put)?;
         Ok(ObjectReencode {
             bytes_read,
             bytes_written,
@@ -326,13 +327,13 @@ impl Archive {
         // Shards that miss the rewrap hold the old layering; the new
         // digests make reads treat them as stale until repaired.
         record.policy = new_policy;
-        self.write_back(owner, unit, record, &new_shards, put)
+        self.write_back(owner, unit, record, new_shards, put)
     }
 
-    /// The one write-back of refresh, re-wrap and re-encode: writes
-    /// `shards` at `record`'s placement (retry jitter from the `put`
-    /// label's per-unit rng), records their digests — one
-    /// [`Sha256::digest_many`] — and stores `record` to `unit`'s home
+    /// The one write-back of refresh, re-wrap and re-encode: records the
+    /// digests of `shards` — one [`Sha256::digest_many`] — then hands
+    /// them over by value to `record`'s placement (retry jitter from the
+    /// `put` label's per-unit rng), and stores `record` to `unit`'s home
     /// whether or not every shard landed, since a shard that missed the
     /// retry budget holds stale bytes the new digests filter on read.
     /// Then fails, typed against `owner`, if fewer shards landed than
@@ -342,16 +343,17 @@ impl Archive {
         owner: &ObjectId,
         unit: &Unit,
         mut record: Manifest,
-        shards: &[Vec<u8>],
+        shards: Vec<Vec<u8>>,
         put: &str,
     ) -> Landed {
+        let borrowed: Vec<&[u8]> = shards.iter().map(Vec::as_slice).collect();
+        record.shard_digests = Sha256::digest_many(&borrowed);
+        let blobs = shards.into_iter().map(Blob::from).collect();
         let ctx = record.id.as_str();
         let mut rng = self.op_rng(put, ctx);
         let outcome = self
             .executor()
-            .write_shards(ctx, &record.placement, shards, &mut rng);
-        let blobs: Vec<&[u8]> = shards.iter().map(Vec::as_slice).collect();
-        record.shard_digests = Sha256::digest_many(&blobs);
+            .write_blobs(ctx, &record.placement, blobs, &mut rng);
         let required = record.policy.read_threshold();
         self.store(unit, record);
         if outcome.written < required {

@@ -132,12 +132,12 @@ impl ChunkedMeta {
 /// is its own single chunk under the object's own context and metadata;
 /// a framed set has each present blob frame-walked once, keeping only
 /// segment *offsets* into it. Either way [`StoredChunks::shards`] hands
-/// a chunk's segments out **borrowed** from the fetched blobs: no byte
-/// is copied before the codec reads it.
-pub(crate) struct StoredChunks<'a> {
+/// a chunk's segments out **borrowed** from the fetched blobs (a node's
+/// own buffers, on a read): no byte is copied before the codec reads it.
+pub(crate) struct StoredChunks<'a, S> {
     object_id: &'a str,
     meta: &'a EncodingMeta,
-    shards: &'a [Option<Vec<u8>>],
+    shards: &'a [Option<S>],
     /// Present slots the view shows; later ones read as absent.
     take: usize,
     framed: Option<Framing<'a>>,
@@ -150,14 +150,14 @@ struct Framing<'a> {
     ranges: Vec<Option<Vec<Range<usize>>>>,
 }
 
-impl<'a> StoredChunks<'a> {
+impl<'a, S: AsRef<[u8]>> StoredChunks<'a, S> {
     /// # Errors
     ///
     /// Returns [`PolicyError::Malformed`] for corrupt framing.
     pub(crate) fn parse(
         object_id: &'a str,
         meta: &'a EncodingMeta,
-        shards: &'a [Option<Vec<u8>>],
+        shards: &'a [Option<S>],
     ) -> Result<Self, PolicyError> {
         Self::parse_first(object_id, meta, shards, usize::MAX)
     }
@@ -171,7 +171,7 @@ impl<'a> StoredChunks<'a> {
     pub(crate) fn parse_first(
         object_id: &'a str,
         meta: &'a EncodingMeta,
-        shards: &'a [Option<Vec<u8>>],
+        shards: &'a [Option<S>],
         take: usize,
     ) -> Result<Self, PolicyError> {
         let mut view = StoredChunks {
@@ -195,7 +195,7 @@ impl<'a> StoredChunks<'a> {
     fn blobs(&self) -> impl Iterator<Item = Option<&'a [u8]>> {
         let mut left = self.take;
         self.shards.iter().map(move |slot| {
-            let blob = slot.as_deref().filter(|_| left > 0)?;
+            let blob = slot.as_ref().map(AsRef::as_ref).filter(|_| left > 0)?;
             left -= 1;
             Some(blob)
         })
@@ -383,7 +383,7 @@ pub fn decode_object(
     policy: &PolicyKind,
     keys: &KeyStore,
     object_id: &str,
-    shards: &[Option<Vec<u8>>],
+    shards: &[Option<impl AsRef<[u8]> + Sync>],
     meta: &EncodingMeta,
     workers: usize,
 ) -> Result<Vec<u8>, PolicyError> {
@@ -397,7 +397,7 @@ pub(crate) fn decode_first(
     policy: &PolicyKind,
     keys: &KeyStore,
     object_id: &str,
-    shards: &[Option<Vec<u8>>],
+    shards: &[Option<impl AsRef<[u8]> + Sync>],
     take: usize,
     meta: &EncodingMeta,
     workers: usize,

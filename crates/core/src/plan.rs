@@ -185,7 +185,7 @@ pub(crate) fn encode_write<R: CryptoRng + ?Sized>(
 /// [`PolicyError::Malformed`] for a slot outside the set.
 pub fn plan_repair(
     manifest: &Manifest,
-    shards: &[Option<Vec<u8>>],
+    shards: &[Option<impl AsRef<[u8]>>],
     missing: &[usize],
 ) -> Result<RepairOutcome, ArchiveError> {
     let (_, dispersal) = manifest.policy.scheme();
@@ -223,7 +223,7 @@ pub fn plan_refresh<R: CryptoRng + ?Sized>(
     manifest: &Manifest,
     threshold: usize,
     rng: &mut R,
-    shards: &[Option<Vec<u8>>],
+    shards: &[Option<impl AsRef<[u8]>>],
 ) -> Result<(Vec<Vec<u8>>, ProtocolCost), ArchiveError> {
     if shards.iter().any(Option::is_none) {
         return Err(ArchiveError::UnsupportedOperation(
@@ -288,7 +288,7 @@ pub(crate) fn rewrapped_policy(
 pub fn plan_rewrap(
     manifest: &Manifest,
     keys: &KeyStore,
-    shards: &[Option<Vec<u8>>],
+    shards: &[Option<impl AsRef<[u8]>>],
     new_suite: SuiteId,
 ) -> Result<(Vec<Vec<u8>>, PolicyKind), ArchiveError> {
     let layers = layered(&manifest.policy)?;

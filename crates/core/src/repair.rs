@@ -24,6 +24,7 @@ use crate::plan::{self, ReadPlan, RepairOutcome};
 use crate::policy::PolicyError;
 use crate::unit::Unit;
 use aeon_store::clock::SimDuration;
+use aeon_store::node::Blob;
 
 pub use crate::codec::RepairMethod;
 
@@ -54,7 +55,7 @@ impl RepairReport {
     }
 }
 
-fn snapshot_bytes(shards: &[Option<Vec<u8>>]) -> u64 {
+fn snapshot_bytes(shards: &[Option<Blob>]) -> u64 {
     shards.iter().flatten().map(|s| s.len() as u64).sum()
 }
 
@@ -150,24 +151,29 @@ impl Archive {
                 if (repair.writes.iter()).any(|(m, _)| *m >= record.shard_digests.len()) {
                     return Err(malformed("repair slot has no recorded digest"));
                 }
+                // The rebuilt shards move into their nodes; the repair
+                // keeps a share of each, and of each survivor, to check
+                // the re-read against.
+                let writes: Vec<(usize, Blob)> = (repair.writes.into_iter())
+                    .map(|(m, data)| (m, Blob::from(data)))
+                    .collect();
                 let rebuilt = |s: usize| {
-                    let write = repair.writes.iter().find(|(m, _)| *m == s);
-                    write.map(|(_, data)| data.as_slice())
+                    let write = writes.iter().find(|(m, _)| *m == s);
+                    write.map(|(_, data)| data.clone())
                 };
-                let held: Option<Vec<&[u8]>> = (shards.iter().enumerate())
-                    .map(|(s, survivor)| survivor.as_deref().or_else(|| rebuilt(s)))
+                let held: Option<Vec<Blob>> = (shards.iter().enumerate())
+                    .map(|(s, survivor)| survivor.clone().or_else(|| rebuilt(s)))
                     .collect();
                 let held = held.ok_or_else(|| malformed("repair leaves a slot unwritten"))?;
-                bytes_written += repair
-                    .writes
+                bytes_written += writes
                     .iter()
                     .map(|(_, data)| data.len() as u64)
                     .sum::<u64>();
                 let mut rng = self.op_rng(put, record.id.as_str());
-                let digests = self.executor().apply_repair(
+                let digests = self.executor().repair_blobs(
                     record.id.as_str(),
                     &record.placement,
-                    &repair.writes,
+                    writes,
                     &mut rng,
                 )?;
                 if (digests.iter()).any(|(m, digest)| record.shard_digests[*m] != *digest) {

@@ -23,6 +23,7 @@ use aeon_channel::qkd::{OtpChannel, QkdLink};
 use aeon_channel::transport::{End, Link, Tap};
 use aeon_crypto::ChaChaDrbg;
 use aeon_num::ModpGroup;
+use aeon_store::node::Blob;
 
 /// Statistics from a shard shipment.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,7 +43,7 @@ pub struct ShipmentReport {
 /// The shards to ship for `id`: the surviving shards of every stored
 /// unit behind it, in `units_of` order, through the retrying,
 /// digest-filtered fetch — never ship a bit-rotted shard.
-fn shipment(archive: &Archive, id: &ObjectId, label: &str) -> Result<Vec<Vec<u8>>, ArchiveError> {
+fn shipment(archive: &Archive, id: &ObjectId, label: &str) -> Result<Vec<Blob>, ArchiveError> {
     let units = archive.units_of(archive.row(id)?);
     let mut shards = Vec::new();
     for unit in &units {

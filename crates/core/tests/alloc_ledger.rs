@@ -37,37 +37,37 @@ use std::sync::Arc;
 /// ceiling each measured row must stay at or under, with the sixteen-lane
 /// SHA-256 slot on its `avx512` tier.
 const PINNED: &[Pin] = &[
-    ("bulk-aead", "ingest", 296, 207473, 107045),
-    ("bulk-aead", "ingest_many", 289, 199264, 103252),
-    ("bulk-aead", "retrieve", 234, 129556, 92992),
-    ("bulk-aead", "retrieve_many", 440, 258800, 176408),
-    ("bulk-aead", "degraded_retrieve", 233, 121308, 84744),
-    ("bulk-aead", "repair", 202, 128769, 109909),
-    ("bulk-aead", "reencode", 653, 368037, 155443),
+    ("bulk-aead", "ingest", 292, 156993, 72228),
+    ("bulk-aead", "ingest_many", 285, 149840, 72228),
+    ("bulk-aead", "retrieve", 228, 79684, 43376),
+    ("bulk-aead", "retrieve_many", 428, 158960, 77176),
+    ("bulk-aead", "degraded_retrieve", 228, 79684, 43376),
+    ("bulk-aead", "repair", 190, 28921, 18301),
+    ("bulk-aead", "reencode", 642, 268589, 105827),
     ("bulk-aead", "delete", 7, 224, 32),
-    ("bulk-sharing", "ingest", 118, 211007, 170653),
-    ("bulk-sharing", "ingest_many", 113, 204062, 168124),
-    ("bulk-sharing", "retrieve", 61, 102137, 100077),
-    ("bulk-sharing", "retrieve_many", 98, 203922, 199505),
-    ("bulk-sharing", "degraded_retrieve", 60, 85753, 83693),
-    ("bulk-sharing", "repair", 117, 236262, 182297),
-    ("bulk-sharing", "reencode", 220, 316218, 186281),
+    ("bulk-sharing", "ingest", 115, 128279, 115458),
+    ("bulk-sharing", "ingest_many", 110, 122038, 115458),
+    ("bulk-sharing", "retrieve", 56, 19865, 18029),
+    ("bulk-sharing", "retrieve_many", 88, 39298, 35409),
+    ("bulk-sharing", "degraded_retrieve", 56, 19865, 18029),
+    ("bulk-sharing", "repair", 107, 71614, 66402),
+    ("bulk-sharing", "reencode", 210, 184802, 104233),
     ("bulk-sharing", "delete", 7, 224, 32),
-    ("small-files", "ingest", 131, 22980, 16128),
-    ("small-files", "ingest_many", 608, 107495, 78479),
-    ("small-files", "retrieve", 72, 6924, 4476),
-    ("small-files", "retrieve_many", 343, 80036, 58084),
-    ("small-files", "degraded_retrieve", 71, 6666, 4218),
-    ("small-files", "repair", 135, 11691, 5655),
-    ("small-files", "reencode", 158, 15805, 7309),
+    ("small-files", "ingest", 127, 20440, 15312),
+    ("small-files", "ingest_many", 567, 80551, 51623),
+    ("small-files", "retrieve", 66, 4992, 2800),
+    ("small-files", "retrieve_many", 295, 47552, 28320),
+    ("small-files", "degraded_retrieve", 66, 4992, 2800),
+    ("small-files", "repair", 123, 7723, 2183),
+    ("small-files", "reencode", 147, 11817, 5261),
     ("small-files", "delete", 7, 224, 32),
-    ("dedup-versions", "ingest", 1025, 233307, 125209),
-    ("dedup-versions", "ingest_many", 569, 104409, 52100),
-    ("dedup-versions", "retrieve", 757, 167745, 76752),
-    ("dedup-versions", "retrieve_many", 2270, 514131, 139840),
-    ("dedup-versions", "degraded_retrieve", 800, 166627, 70736),
-    ("dedup-versions", "repair", 1724, 203365, 23197),
-    ("dedup-versions", "reencode", 2998, 385652, 27700),
+    ("dedup-versions", "ingest", 949, 190503, 90069),
+    ("dedup-versions", "ingest_many", 529, 85479, 35514),
+    ("dedup-versions", "retrieve", 679, 122637, 54696),
+    ("dedup-versions", "retrieve_many", 2036, 374199, 116760),
+    ("dedup-versions", "degraded_retrieve", 735, 127853, 54696),
+    ("dedup-versions", "repair", 1568, 115201, 11150),
+    ("dedup-versions", "reencode", 2855, 301324, 19958),
     ("dedup-versions", "delete", 29, 2783, 32),
 ];
 
@@ -76,12 +76,12 @@ const PINNED: &[Pin] = &[
 /// AVX-512): `Sha256::digest_many` then hashes one message at a time and
 /// allocates no lane schedule.
 const PINNED_SCALAR_X16: &[Pin] = &[
-    ("small-files", "ingest_many", 607, 107103, 78479),
-    ("dedup-versions", "ingest", 1023, 232595, 125209),
-    ("dedup-versions", "ingest_many", 566, 103945, 52100),
-    ("dedup-versions", "retrieve", 756, 167665, 76672),
-    ("dedup-versions", "retrieve_many", 2267, 513891, 139760),
-    ("dedup-versions", "degraded_retrieve", 799, 166547, 70736),
+    ("small-files", "ingest_many", 566, 80159, 51623),
+    ("dedup-versions", "ingest", 947, 189791, 90069),
+    ("dedup-versions", "ingest_many", 526, 85015, 35514),
+    ("dedup-versions", "retrieve", 678, 122557, 54696),
+    ("dedup-versions", "retrieve_many", 2033, 373959, 116760),
+    ("dedup-versions", "degraded_retrieve", 734, 127773, 54696),
 ];
 
 type Pin = (&'static str, &'static str, u64, u64, u64);

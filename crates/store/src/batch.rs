@@ -69,10 +69,15 @@ const ENTRY_OVERHEAD: usize = 4 + 4 + 4;
 /// assert_eq!(framed_len(&entries), encode_batch_frame(&entries).len());
 /// ```
 pub fn framed_len(entries: &[(ShardKey, &[u8])]) -> usize {
+    write_frame_len(entries.iter().map(|(key, data)| (key, data.len())))
+}
+
+/// [`framed_len`] of a frame given as `(key, data length)` pairs: the
+/// one size rule for every write frame, whoever holds its bytes.
+pub(crate) fn write_frame_len<'k>(entries: impl Iterator<Item = (&'k ShardKey, usize)>) -> usize {
     HEADER_LEN
         + entries
-            .iter()
-            .map(|(key, data)| ENTRY_OVERHEAD + key.object.len() + data.len())
+            .map(|(key, len)| ENTRY_OVERHEAD + key.object.len() + len)
             .sum::<usize>()
 }
 
@@ -153,12 +158,21 @@ const READ_ENTRY_OVERHEAD: usize = 4 + 4 + 1;
 /// assert_eq!(read_framed_len(&entries), encode_read_frame(&entries).len());
 /// ```
 pub fn read_framed_len(entries: &[(ShardKey, Option<&[u8]>)]) -> usize {
+    read_frame_len(
+        entries
+            .iter()
+            .map(|(key, data)| (key, data.map(<[u8]>::len))),
+    )
+}
+
+/// [`read_framed_len`] of a response given as `(key, data length)`
+/// pairs, `None` for a miss: the one size rule for every read frame.
+pub(crate) fn read_frame_len<'k>(
+    entries: impl Iterator<Item = (&'k ShardKey, Option<usize>)>,
+) -> usize {
     HEADER_LEN
         + entries
-            .iter()
-            .map(|(key, data)| {
-                READ_ENTRY_OVERHEAD + key.object.len() + data.map_or(0, |d| 4 + d.len())
-            })
+            .map(|(key, len)| READ_ENTRY_OVERHEAD + key.object.len() + len.map_or(0, |l| 4 + l))
             .sum::<usize>()
 }
 

@@ -3,6 +3,7 @@
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Deref;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -58,7 +59,76 @@ impl fmt::Display for NodeError {
 
 impl std::error::Error for NodeError {}
 
+/// Immutable shard bytes, shared rather than copied: the unit a node
+/// stores and hands back through [`StorageNode::put_blobs`] and
+/// [`StorageNode::get_blobs`].
+///
+/// `Blob::from(Vec<u8>)` moves the buffer in without copying it (an
+/// `Arc<[u8]>` built from a `Vec` would copy), and a clone shares the
+/// same allocation. The bytes never change after construction, so a
+/// blob fetched before an overwrite or a delete keeps the bytes it was
+/// fetched with.
+///
+/// # Examples
+///
+/// ```
+/// use aeon_store::node::Blob;
+///
+/// let shard = vec![1u8, 2, 3];
+/// let at = shard.as_ptr();
+/// let blob = Blob::from(shard);
+/// assert_eq!(blob.as_ptr(), at, "moved in, not copied");
+/// assert!(Blob::ptr_eq(&blob, &blob.clone()));
+/// assert_eq!(&blob[..], [1, 2, 3]);
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Blob(Arc<Vec<u8>>);
+
+impl Blob {
+    /// Whether `a` and `b` share one allocation, and so hold the same
+    /// bytes without comparing them.
+    #[must_use]
+    pub fn ptr_eq(a: &Blob, b: &Blob) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+}
+
+impl From<Vec<u8>> for Blob {
+    fn from(bytes: Vec<u8>) -> Self {
+        Blob(Arc::new(bytes))
+    }
+}
+
+impl From<&[u8]> for Blob {
+    /// Copies `bytes` into a new blob.
+    fn from(bytes: &[u8]) -> Self {
+        Blob::from(bytes.to_vec())
+    }
+}
+
+impl Deref for Blob {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl AsRef<[u8]> for Blob {
+    fn as_ref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
 /// A storage node holding shard blobs.
+///
+/// A backend implements the borrowed [`put`](StorageNode::put) and
+/// [`get`](StorageNode::get); every other transfer method is provided
+/// on top of them. It overrides the batch forms to price or ship a
+/// frame as one request, and the blob forms
+/// ([`put_blobs`](StorageNode::put_blobs),
+/// [`get_blobs`](StorageNode::get_blobs)) only to keep a handed-over
+/// [`Blob`] and hand it back without copying, as [`MemoryNode`] does.
 ///
 /// Implementations must be thread-safe; the cluster fans out to nodes
 /// concurrently during campaign simulations.
@@ -111,6 +181,31 @@ pub trait StorageNode: Send + Sync + fmt::Debug {
         keys.iter().map(|k| self.get(k)).collect()
     }
 
+    /// Stores a frame of shards handed over by value: the write the
+    /// archive's fan-out makes. One `Result` per entry, in order.
+    ///
+    /// The default lends the bytes to [`StorageNode::put_batch`], so a
+    /// node that does not override this keeps its batch form's exact
+    /// per-key semantics and pricing. A node that keeps bytes in memory
+    /// overrides it to keep each [`Blob`] itself.
+    fn put_blobs(&self, entries: Vec<(ShardKey, Blob)>) -> Vec<Result<(), NodeError>> {
+        let (keys, blobs): (Vec<ShardKey>, Vec<Blob>) = entries.into_iter().unzip();
+        let lent: Vec<(ShardKey, &[u8])> =
+            keys.into_iter().zip(blobs.iter().map(|b| &b[..])).collect();
+        self.put_batch(&lent)
+    }
+
+    /// Retrieves a frame of shards as shared [`Blob`]s: the read the
+    /// archive's fan-out makes. One `Result` per key, in order.
+    ///
+    /// The default wraps what [`StorageNode::get_batch`] returns, moving
+    /// each buffer into its blob without copying it. A node that keeps
+    /// blobs overrides it to hand back the stored [`Blob`] itself.
+    fn get_blobs(&self, keys: &[ShardKey]) -> Vec<Result<Blob, NodeError>> {
+        let results = self.get_batch(keys);
+        results.into_iter().map(|r| r.map(Blob::from)).collect()
+    }
+
     /// Deletes a shard (idempotent).
     ///
     /// # Errors
@@ -129,6 +224,11 @@ pub trait StorageNode: Send + Sync + fmt::Debug {
 /// An in-memory storage node: one blob map behind one lock. It stores
 /// bytes and nothing else; faults come from wrapping it in a
 /// [`FaultyNode`](crate::faults::FaultyNode).
+///
+/// It overrides the blob forms: [`put_blobs`](StorageNode::put_blobs)
+/// keeps each handed-over [`Blob`] and
+/// [`get_blobs`](StorageNode::get_blobs) hands the stored one back, so
+/// neither copies a byte. The borrowed `put` / `get` copy in and out.
 ///
 /// # Examples
 ///
@@ -154,7 +254,7 @@ struct MemoryNodeInner {
     /// in key order: a `HashMap`'s per-instance seed made the order —
     /// and with it the allocator's state after a node is dropped —
     /// differ from one run of the same program to the next.
-    blobs: RwLock<BTreeMap<ShardKey, Vec<u8>>>,
+    blobs: RwLock<BTreeMap<ShardKey, Blob>>,
 }
 
 impl MemoryNode {
@@ -175,7 +275,7 @@ impl MemoryNode {
             .blobs
             .read()
             .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
+            .map(|(k, v)| (k.clone(), v.to_vec()))
             .collect()
     }
 }
@@ -190,17 +290,34 @@ impl StorageNode for MemoryNode {
     }
 
     fn put(&self, key: &ShardKey, data: &[u8]) -> Result<(), NodeError> {
-        self.inner.blobs.write().insert(key.clone(), data.to_vec());
+        self.inner
+            .blobs
+            .write()
+            .insert(key.clone(), Blob::from(data));
         Ok(())
     }
 
     fn get(&self, key: &ShardKey) -> Result<Vec<u8>, NodeError> {
-        self.inner
-            .blobs
-            .read()
+        let blobs = self.inner.blobs.read();
+        blobs
             .get(key)
-            .cloned()
+            .map(|b| b.to_vec())
             .ok_or(NodeError::NotFound)
+    }
+
+    fn put_blobs(&self, entries: Vec<(ShardKey, Blob)>) -> Vec<Result<(), NodeError>> {
+        let mut blobs = self.inner.blobs.write();
+        let stored = entries.into_iter().map(|(key, blob)| {
+            blobs.insert(key, blob);
+            Ok(())
+        });
+        stored.collect()
+    }
+
+    fn get_blobs(&self, keys: &[ShardKey]) -> Vec<Result<Blob, NodeError>> {
+        let blobs = self.inner.blobs.read();
+        let found = keys.iter().map(|key| blobs.get(key).cloned());
+        found.map(|blob| blob.ok_or(NodeError::NotFound)).collect()
     }
 
     fn delete(&self, key: &ShardKey) -> Result<(), NodeError> {
@@ -379,6 +496,46 @@ mod tests {
         node.delete(&key).unwrap();
         assert_eq!(node.get(&key).unwrap_err(), NodeError::NotFound);
         assert_eq!(node.stored_bytes(), 0);
+    }
+
+    /// The blob forms move bytes without copying them: `get_blobs` hands
+    /// back the very allocation `put_blobs` stored, a miss is `NotFound`
+    /// in its own slot, and the borrowed forms read the same bytes.
+    #[test]
+    fn memory_node_serves_the_blob_it_stored() {
+        let node = MemoryNode::new(2, "eu-west");
+        let blobs: Vec<Blob> = [&b"first"[..], b"second"].map(Blob::from).into();
+        let keys = [ShardKey::new("obj", 0), ShardKey::new("obj", 1)];
+        let entries = keys.iter().cloned().zip(blobs.iter().cloned()).collect();
+        assert_eq!(node.put_blobs(entries), vec![Ok(()), Ok(())]);
+        let missing = ShardKey::new("obj", 2);
+        let got = node.get_blobs(&[keys[1].clone(), missing, keys[0].clone()]);
+        assert!(Blob::ptr_eq(got[0].as_ref().unwrap(), &blobs[1]));
+        assert_eq!(got[1], Err(NodeError::NotFound));
+        assert!(Blob::ptr_eq(got[2].as_ref().unwrap(), &blobs[0]));
+        assert_eq!(node.get(&keys[1]).unwrap(), b"second");
+    }
+
+    /// A blob is immutable: one fetched before an overwrite or a delete
+    /// keeps the bytes it was fetched with, while the node serves the new
+    /// state; `stored_bytes` counts the lengths the node holds now.
+    #[test]
+    fn a_fetched_blob_outlives_an_overwrite_and_a_delete() {
+        let node = MemoryNode::new(3, "eu-west");
+        let (a, b) = (ShardKey::new("a", 0), ShardKey::new("b", 0));
+        node.put_blobs(vec![
+            (a.clone(), Blob::from(vec![1; 10])),
+            (b.clone(), vec![2; 7].into()),
+        ]);
+        assert_eq!(node.stored_bytes(), 17);
+        let before = node.get_blobs(&[a.clone(), b.clone()]);
+        node.put(&a, &[3; 4]).unwrap();
+        node.delete(&b).unwrap();
+        assert_eq!(before[0].as_deref(), Ok(&[1u8; 10][..]));
+        assert_eq!(before[1].as_deref(), Ok(&[2u8; 7][..]));
+        assert_eq!(node.get(&a).unwrap(), [3; 4]);
+        assert_eq!(node.get_blobs(&[b]), vec![Err(NodeError::NotFound)]);
+        assert_eq!(node.stored_bytes(), 4);
     }
 
     #[test]

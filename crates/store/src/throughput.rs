@@ -10,10 +10,11 @@
 //! through the unchanged Codec→Plan→Executor path; the clock reading at
 //! the end *is* the measurement.
 
+use crate::batch::{read_frame_len, write_frame_len};
 use crate::clock::{SimClock, SimDuration};
 use crate::cluster::Cluster;
 use crate::media::{ArchiveSite, MediaProfile, MediaType};
-use crate::node::{MemoryNode, NodeError, NodeId, ShardKey, StorageNode};
+use crate::node::{Blob, MemoryNode, NodeError, NodeId, ShardKey, StorageNode};
 use std::sync::Arc;
 
 /// The virtual-time price list of one storage device (or one site's
@@ -188,6 +189,34 @@ impl ThroughputNode {
     }
 }
 
+/// The frame charges shared by the batch and blob forms, so the two
+/// price a frame of the same keys and bytes identically.
+impl ThroughputNode {
+    /// A coalesced write is one positioning operation plus one framed
+    /// transfer — the whole point of batching on seek-dominated media.
+    /// The frame is charged once, then handed to the inner node's frame
+    /// method (NOT to `self.put`, which would re-charge a seek per
+    /// entry), so per-key outcomes are exactly the inner node's.
+    fn charge_put_frame<D: AsRef<[u8]>>(&self, entries: &[(ShardKey, D)]) {
+        let frame = write_frame_len(entries.iter().map(|(k, d)| (k, d.as_ref().len())));
+        self.clock.charge(self.profile.write_charge(frame));
+    }
+
+    /// One positioning operation plus one framed response transfer,
+    /// priced from the response the inner node actually produced (hits
+    /// carry their payload, misses a status byte).
+    fn charge_get_frame<D: AsRef<[u8]>>(
+        &self,
+        keys: &[ShardKey],
+        results: &[Result<D, NodeError>],
+    ) {
+        let response = keys.iter().zip(results);
+        let frame =
+            read_frame_len(response.map(|(k, r)| (k, r.as_ref().ok().map(|d| d.as_ref().len()))));
+        self.clock.charge(self.profile.read_charge(frame));
+    }
+}
+
 impl StorageNode for ThroughputNode {
     fn id(&self) -> NodeId {
         self.inner.id()
@@ -220,33 +249,24 @@ impl StorageNode for ThroughputNode {
     }
 
     fn put_batch(&self, entries: &[(ShardKey, &[u8])]) -> Vec<Result<(), NodeError>> {
-        // A coalesced batch is one positioning operation plus one framed
-        // transfer — the whole point of batching on seek-dominated
-        // media. Charge the frame once, then delegate to the inner
-        // node's batch (NOT to `self.put`, which would re-charge a seek
-        // per entry), so per-key outcomes are exactly the inner node's.
-        self.clock
-            .charge(self.profile.write_charge(crate::batch::framed_len(entries)));
+        self.charge_put_frame(entries);
         self.inner.put_batch(entries)
     }
 
     fn get_batch(&self, keys: &[ShardKey]) -> Vec<Result<Vec<u8>, NodeError>> {
-        // One positioning operation plus one framed response transfer,
-        // priced from the response frame the inner node actually
-        // produced (hits carry their payload, misses a status byte).
-        // Delegate to the inner node's batch (NOT to `self.get`, which
-        // would re-charge a seek per key), so per-key outcomes are
-        // exactly the inner node's.
         let results = self.inner.get_batch(keys);
-        let response: Vec<(ShardKey, Option<&[u8]>)> = keys
-            .iter()
-            .zip(&results)
-            .map(|(k, r)| (k.clone(), r.as_ref().ok().map(|d| d.as_slice())))
-            .collect();
-        self.clock.charge(
-            self.profile
-                .read_charge(crate::batch::read_framed_len(&response)),
-        );
+        self.charge_get_frame(keys, &results);
+        results
+    }
+
+    fn put_blobs(&self, entries: Vec<(ShardKey, Blob)>) -> Vec<Result<(), NodeError>> {
+        self.charge_put_frame(&entries);
+        self.inner.put_blobs(entries)
+    }
+
+    fn get_blobs(&self, keys: &[ShardKey]) -> Vec<Result<Blob, NodeError>> {
+        let results = self.inner.get_blobs(keys);
+        self.charge_get_frame(keys, &results);
         results
     }
 
@@ -453,6 +473,50 @@ mod tests {
             expected_seq += flat_profile(1e6).read_charge(data.len());
         }
         assert_eq!(sequential, expected_seq);
+    }
+
+    /// For the same keys and bytes, hits and misses alike, the blob
+    /// forms charge exactly what the batch forms charge, so no virtual
+    /// time depends on which form a frame travelled in.
+    #[test]
+    fn blob_frames_are_charged_like_batch_frames() {
+        let node = |clock: &SimClock| {
+            ThroughputNode::new(
+                Arc::new(MemoryNode::new(0, "a")),
+                flat_profile(1e6),
+                clock.clone(),
+            )
+        };
+        let (by_batch, by_blobs) = (SimClock::new(), SimClock::new());
+        let (batch, blobs) = (node(&by_batch), node(&by_blobs));
+        let data: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; 100 + 37 * i as usize]).collect();
+        let keys: Vec<ShardKey> = (0..5u32)
+            .map(|i| ShardKey::new(format!("obj-{i}"), i))
+            .collect();
+        let lent: Vec<(ShardKey, &[u8])> = keys
+            .iter()
+            .cloned()
+            .zip(data.iter().map(Vec::as_slice))
+            .collect();
+        let given: Vec<(ShardKey, Blob)> = keys
+            .iter()
+            .cloned()
+            .zip(data.iter().cloned().map(Blob::from))
+            .collect();
+        assert_eq!(
+            batch.put_batch(&lent[..3]),
+            blobs.put_blobs(given[..3].to_vec())
+        );
+        assert_eq!(by_batch.now(), by_blobs.now());
+        // Two of the five keys were never written: misses in both frames.
+        let read_batch = batch.get_batch(&keys);
+        let read_blobs = blobs.get_blobs(&keys);
+        assert_eq!(by_batch.now(), by_blobs.now());
+        assert!(by_batch.now() > SimTime::ZERO);
+        for (a, b) in read_batch.iter().zip(&read_blobs) {
+            assert_eq!(a.as_deref(), b.as_deref());
+        }
+        assert_eq!(read_blobs[4], Err(NodeError::NotFound));
     }
 
     #[test]
