@@ -876,10 +876,10 @@ impl Archive {
     /// decode read of every unit. Per-object outcomes — payload bytes and
     /// typed failures — are exactly what [`Archive::retrieve`] would
     /// return for each id; one unreadable object does not fail its
-    /// neighbors. Dedup objects are walked one at a time, in call order,
-    /// each through the level-batched tree walk: batching them across the
-    /// call would reorder the node accesses — and so the injected faults —
-    /// of a block two objects share.
+    /// neighbors. Dedup objects are read one at a time, in call order,
+    /// each as one read of the distinct leaves its row lists: batching
+    /// them across the call would reorder the node accesses — and so the
+    /// injected faults — of a block two objects share.
     pub fn retrieve_many(&self, ids: &[ObjectId]) -> Vec<Result<Vec<u8>, ArchiveError>> {
         self.retrieve_each(ids)
             .into_iter()
@@ -902,7 +902,7 @@ impl Archive {
             .map(|id| {
                 let m = self.row(id)?;
                 match &m.blocks {
-                    Some(d) => self.walk(id, &d.root, Some(m)),
+                    Some(d) => self.read_leaves(id, &d.blocks, Some(&m.digest)),
                     None => read.next().expect("one read per classic id"),
                 }
             })
@@ -1080,23 +1080,30 @@ impl Archive {
         // shards, against the largest read threshold among them.
         let mut available = usize::MAX;
         let mut required = 0usize;
-        let mut intact = true;
-        for unit in self.units_of(manifest) {
-            let Ok(record) = self.load(&unit) else {
-                (available, intact) = (0, false);
+        let units = self.units_of(manifest);
+        let mut payloads = Vec::with_capacity(units.len());
+        for unit in &units {
+            let Ok(record) = self.load(unit) else {
+                available = 0;
                 continue;
             };
             let snap = self.fetch_shards(&record, unit.labels().verify);
             available = available.min(snap.valid);
             required = required.max(record.policy.read_threshold());
-            intact &= self.decode_verified(id, &record, &snap).is_ok();
+            payloads.extend(self.decode_verified(id, &record, &snap).ok());
         }
-        // Every unit decodes from its scrub-clean shards, whatever kind
-        // of object it stores. A dedup object's tree walk then covers
-        // what no single block can: leaf order and the whole-payload
-        // digest.
-        if let Some(d) = &manifest.blocks {
-            intact &= self.walk(id, &d.root, Some(manifest)).is_ok();
+        // Intact: every unit decodes from its scrub-clean shards, each
+        // block to its address. A dedup object's payloads then answer the
+        // rest: the tree its row's leaves rebuild ends at the row's root,
+        // and the leaves — the first distinct units — hash to its digest.
+        let mut intact = payloads.len() == units.len();
+        if let (Some(d), true) = (&manifest.blocks, intact) {
+            let mut spelled = Sha256::new();
+            for &at in &crate::dedup::first_occurrence_slots(&d.blocks).1 {
+                spelled.update(&payloads[at]);
+            }
+            intact =
+                units.last() == Some(&Unit::Block(d.root)) && spelled.finalize() == manifest.digest;
         }
         Ok(HealthReport {
             shards_available: available,
@@ -2293,9 +2300,9 @@ mod tests {
         assert!(matches!(batch[3], Err(ArchiveError::IntegrityViolation(_))));
     }
 
-    /// The dedup walk reads through the same fallback: with the first
-    /// shard of every stored block rotted — tree nodes and data blocks —
-    /// the object still reads back.
+    /// Dedup reads go through the same fallback: with the first shard of
+    /// every stored block rotted — tree nodes and data blocks — the object
+    /// still reads back, from its row's leaves and by walking its root.
     #[test]
     fn the_dedup_walk_reads_past_a_corrupt_shard_in_every_block() {
         let config = ArchiveConfig::new(PolicyKind::ErasureCoded { data: 3, parity: 2 })
@@ -2310,6 +2317,8 @@ mod tests {
             damage(&a, &a.load(unit).unwrap(), &[(1, 5)]);
         }
         assert_eq!(a.retrieve(&id).unwrap(), payload);
+        let root = a.manifest(&id).unwrap().blocks.unwrap().root;
+        assert_eq!(a.read_object_by_root(&root).unwrap(), payload);
     }
 
     /// Every shard on every node, keyed by node and shard.

@@ -18,11 +18,12 @@
 //!    [`Archive::commit_catalog`], the catalog) is readable from one root
 //!    hash — by this archive, whose unit table says where the blocks are.
 //!
-//! Every dedup read — retrieve, verify, a read by root — is one walk from
-//! the root, each level's distinct blocks checked against their hashes in
-//! one unit read, then the payload digest: corruption under a shared block
-//! fails *every* referencing object. Objects are walked one at a time, as
-//! batching them would reorder the node accesses of a shared block.
+//! A read with a row goes to its leaves ([`DedupManifest::blocks`]): one
+//! unit read of the distinct leaves, each checked against its address,
+//! then the payload digest — corruption under a shared block fails
+//! *every* referencing object. Only a bare root walks the tree. Objects
+//! are read one at a time, as batching them would reorder the node
+//! accesses of a shared block.
 //!
 //! # Convergent per-block encoding
 //!
@@ -59,7 +60,7 @@
 //! object (`unit.rs`), with its row in the same unit table: repair,
 //! re-encode, refresh, re-wrap, the health probe and the fleet scan run
 //! their one body per referenced block. This module owns what only dedup
-//! has — chunking, refcounts, the tree walk, the catalog.
+//! has — chunking, refcounts, the leaf read, the tree walk, the catalog.
 
 use crate::archive::{Archive, ArchiveError, Manifest, ObjectId, Retrieved};
 use crate::catalog::Row;
@@ -393,60 +394,62 @@ impl Archive {
         Ok((tree, fresh_blocks))
     }
 
-    /// The one dedup read: walks the Merkle tree from `root` level by
-    /// level and returns the payload its leaves spell, with the shard
-    /// accounting of every block read. Each level is one
-    /// [`Archive::read_units`] over its **distinct** blocks in
-    /// first-occurrence order — a block that repeats is read and accounted
-    /// once — so every interior node and data block is checked against
-    /// its address, and the first failing block in that order decides the
-    /// error. Every node must claim the level its parent implies; trees
-    /// are uniform (all leaves at level 0), so a level is all nodes or all
-    /// leaves and the breadth-first frontier keeps the leaves in payload
-    /// order. Given the object's `manifest`, the leaves
-    /// must equal its leaf list before any is read, and the payload must
-    /// hash to its digest. Failures are typed against `owner` — the object
-    /// whose read is in progress — so corruption of a shared block
-    /// surfaces in every referencing object.
-    pub(crate) fn walk(
+    /// The read of a leaf list, behind every dedup read: one
+    /// [`Archive::read_distinct`], the blocks concatenated in leaf order,
+    /// and the payload checked against `digest` when one is given.
+    /// Failures are typed against `owner`, the object whose read is in
+    /// progress, so corruption of a shared block fails every object that
+    /// references it.
+    pub(crate) fn read_leaves(
         &self,
         owner: &ObjectId,
-        root: &BlockHash,
-        manifest: Option<&Manifest>,
+        leaves: &[BlockHash],
+        digest: Option<&[u8; 32]>,
     ) -> Retrieved {
-        let violation = || ArchiveError::IntegrityViolation(owner.clone());
-        let leaf_list = manifest.and_then(|m| m.blocks.as_ref()).map(|d| &d.blocks);
+        let (distinct, slots) = first_occurrence_slots(leaves);
+        let (read, report) = self.read_distinct(owner, &distinct)?;
+        let payload = slots.iter().map(|&at| read[at].as_slice());
+        let payload = payload.collect::<Vec<_>>().concat();
+        if digest.is_some_and(|digest| Sha256::digest(&payload) != *digest) {
+            return Err(ArchiveError::IntegrityViolation(owner.clone()));
+        }
+        Ok((payload, report))
+    }
+
+    /// One [`Archive::read_units`] over `distinct` blocks (a repeat is
+    /// read and accounted once), the first failing block in their order
+    /// deciding the error: their bytes and the shard accounting.
+    fn read_distinct(
+        &self,
+        owner: &ObjectId,
+        distinct: &[BlockHash],
+    ) -> Result<(Vec<Vec<u8>>, TransferReport), ArchiveError> {
+        let units: Vec<_> = distinct.iter().map(|h| (owner, Unit::Block(*h))).collect();
         let mut report = TransferReport::default();
+        let mut read = Vec::with_capacity(units.len());
+        for unit in self.read_units(&units)? {
+            let (bytes, unit_report) = unit?;
+            report.attempts.extend(unit_report.attempts);
+            read.push(bytes);
+        }
+        Ok((read, report))
+    }
+
+    /// The leaves under a bare `root`, walked level by level: each level
+    /// one [`Archive::read_distinct`], every node claiming the level its
+    /// parent implies. Trees are uniform (all leaves at level 0), so the
+    /// breadth-first frontier keeps the leaves in payload order.
+    fn walk(&self, owner: &ObjectId, root: &BlockHash) -> Result<Vec<BlockHash>, ArchiveError> {
+        let violation = || ArchiveError::IntegrityViolation(owner.clone());
         let mut frontier = vec![*root];
         // The level the frontier's blocks sit at; `None` = the root's, any.
         let mut expect: Option<u8> = None;
-        loop {
-            let leaves = expect == Some(0);
-            if leaves && leaf_list.is_some_and(|list| *list != frontier) {
-                return Err(violation());
-            }
+        while expect != Some(0) {
             let (distinct, slots) = first_occurrence_slots(&frontier);
-            let units: Vec<(&ObjectId, Unit)> = distinct
-                .into_iter()
-                .map(|h| (owner, Unit::Block(h)))
-                .collect();
-            let mut read = Vec::with_capacity(units.len());
-            for unit in self.read_units(&units)? {
-                let (bytes, unit_report) = unit?;
-                report.attempts.extend(unit_report.attempts);
-                read.push(bytes);
-            }
-            let blocks = slots.iter().map(|&at| read[at].as_slice());
-            if leaves {
-                let payload = blocks.collect::<Vec<_>>().concat();
-                if manifest.is_some_and(|m| Sha256::digest(&payload) != m.digest) {
-                    return Err(violation());
-                }
-                return Ok((payload, report));
-            }
+            let (read, _) = self.read_distinct(owner, &distinct)?;
             let mut next = Vec::new();
-            for bytes in blocks {
-                let node = merkle::decode_node(bytes).map_err(|_| violation())?;
+            for &at in &slots {
+                let node = merkle::decode_node(&read[at]).map_err(|_| violation())?;
                 if *expect.get_or_insert(node.level) != node.level {
                     return Err(violation());
                 }
@@ -456,6 +459,7 @@ impl Archive {
             expect = expect.map(|level| level - 1);
             frontier = next;
         }
+        Ok(frontier)
     }
 
     /// Reassembles and verifies a payload from a Merkle root alone — no
@@ -468,7 +472,9 @@ impl Archive {
     /// Typed like a retrieval, against a synthetic `root-<hex>` id.
     pub fn read_object_by_root(&self, root: &BlockHash) -> Result<Vec<u8>, ArchiveError> {
         let owner = ObjectId::from_raw(format!("root-{root}"));
-        self.walk(&owner, root, None).map(|(payload, _)| payload)
+        let leaves = self.walk(&owner, root)?;
+        self.read_leaves(&owner, &leaves, None)
+            .map(|(payload, _)| payload)
     }
 
     /// Serializes the catalog (id, name, length, digest, root of every

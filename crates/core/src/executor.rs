@@ -127,7 +127,7 @@ impl Direction for Put {
     type Out = ();
 
     /// Hands the node a share of each leg's blob: the leg keeps its own
-    /// for a retry, and once the fan-out ends the node's is the only one.
+    /// for a retry, and once the fan-out ends it goes back to the caller.
     fn frame<'l, 'a: 'l>(
         node: &dyn StorageNode,
         legs: impl Iterator<Item = &'l Leg<'a, Blob>>,
@@ -378,7 +378,7 @@ impl<'a> PlanExecutor<'a> {
     }
 
     /// Writes a shard set in place from borrowed shards: copies them
-    /// once into blobs, then [`Self::write_blobs`].
+    /// once into blobs, then the crate's by-value `write_blobs`.
     ///
     /// # Panics
     ///
@@ -390,13 +390,13 @@ impl<'a> PlanExecutor<'a> {
         shards: &[Vec<u8>],
         rng: &mut R,
     ) -> WriteOutcome {
-        self.write_blobs(object, placement, copied(shards), rng)
+        self.write_blobs(object, placement, copied(shards), rng).0
     }
 
     /// Writes a shard set in place (refresh, re-encode, re-wrap), the
     /// shards handed over by value: shards that miss the retry budget
     /// are left stale for the caller's digests to filter on read. No
-    /// rollback.
+    /// rollback. Hands back a share of each blob, for a re-read.
     ///
     /// # Panics
     ///
@@ -407,19 +407,20 @@ impl<'a> PlanExecutor<'a> {
         placement: &[NodeId],
         shards: Vec<Blob>,
         rng: &mut R,
-    ) -> WriteOutcome {
-        self.write_many(vec![(object, placement, shards)], slice::from_mut(rng))
-            .pop()
-            .expect("one outcome per shard set")
+    ) -> (WriteOutcome, Vec<Blob>) {
+        let (mut outcomes, blobs) =
+            self.write_many(vec![(object, placement, shards)], slice::from_mut(rng));
+        (outcomes.pop().expect("one outcome per shard set"), blobs)
     }
 
     /// Writes many objects' shard sets in one cross-object flush, one
-    /// framed batch per target node. No rollback.
+    /// framed batch per target node. No rollback. Hands back the legs'
+    /// blobs, collected in place.
     fn write_many<R: CryptoRng>(
         &self,
         sets: Vec<ShardSet<'_>>,
         rngs: &mut [R],
-    ) -> Vec<WriteOutcome> {
+    ) -> (Vec<WriteOutcome>, Vec<Blob>) {
         let mut legs: Vec<Leg<'_, Blob>> = Vec::new();
         for (owner, (object, placement, shards)) in sets.into_iter().enumerate() {
             assert_eq!(placement.len(), shards.len(), "placement/shard mismatch");
@@ -437,13 +438,13 @@ impl<'a> PlanExecutor<'a> {
                     }),
             );
         }
-        self.transfer::<Put, R>(&legs, rngs)
-            .into_iter()
-            .map(|(slots, report)| WriteOutcome {
-                written: slots.iter().flatten().count(),
-                report,
-            })
-            .collect()
+        let outcomes = self.transfer::<Put, R>(&legs, rngs).into_iter();
+        let outcomes = outcomes.map(|(slots, report)| WriteOutcome {
+            written: slots.iter().flatten().count(),
+            report,
+        });
+        let outcomes = outcomes.collect();
+        (outcomes, legs.into_iter().map(|leg| leg.data).collect())
     }
 
     /// Executes a write plan for a fresh object (ingest): the one-plan
@@ -468,7 +469,7 @@ impl<'a> PlanExecutor<'a> {
     }
 
     /// Commits borrowed write plans: copies each plan's shards once into
-    /// blobs, then [`Self::commit_blobs`].
+    /// blobs, then the crate's by-value `commit_blobs`.
     ///
     /// # Panics
     ///
@@ -518,7 +519,7 @@ impl<'a> PlanExecutor<'a> {
             .iter()
             .map(|&((object, placement, _), required)| (object, placement, required))
             .collect();
-        let outcomes = self.write_many(sets.into_iter().map(|(set, _)| set).collect(), rngs);
+        let (outcomes, _) = self.write_many(sets.into_iter().map(|(set, _)| set).collect(), rngs);
         outcomes
             .into_iter()
             .zip(targets)
@@ -535,11 +536,11 @@ impl<'a> PlanExecutor<'a> {
     }
 
     /// Executes a borrowed repair plan's writes: copies each rebuilt
-    /// shard once into a blob, then [`Self::repair_blobs`].
+    /// shard once into a blob, then the crate's by-value `repair_blobs`.
     ///
     /// # Errors
     ///
-    /// As [`Self::repair_blobs`].
+    /// As `repair_blobs`: a typed malformed plan, or a put past the budget.
     pub fn apply_repair<R: CryptoRng>(
         &self,
         object: &str,

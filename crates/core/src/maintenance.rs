@@ -43,16 +43,17 @@ pub struct ObjectReencode {
 /// One unit's re-encode between its read and its write: the record as
 /// loaded, the fetch (its bytes are the campaign's bytes read), the
 /// verified payload, and how long the read took.
-struct Decoded {
-    record: Manifest,
-    snap: ShardsSnapshot,
-    payload: Vec<u8>,
-    read_time: SimDuration,
+pub(crate) struct Decoded {
+    pub(crate) record: Manifest,
+    pub(crate) snap: ShardsSnapshot,
+    pub(crate) payload: Vec<u8>,
+    pub(crate) read_time: SimDuration,
 }
 
-/// What a write-back reports: `Err` is the shortfall of a unit stored
-/// with fewer landed shards than its policy reads from.
-type Landed = Result<(), ArchiveError>;
+/// What a write-back reports: a share of each blob it wrote, or `Err`,
+/// the shortfall of a unit stored with fewer landed shards than its
+/// policy reads from.
+type Landed = Result<Vec<Blob>, ArchiveError>;
 
 impl Archive {
     /// Runs one proactive-refresh epoch on a Shamir-encoded object:
@@ -82,7 +83,7 @@ impl Archive {
             };
             replaced = true;
             total.add(cost);
-            landed
+            landed.map(drop)
         });
         // The epoch advances whenever digests were replaced, even when
         // the write-back then fell short: the old epoch's shares are
@@ -178,30 +179,18 @@ impl Archive {
                 .map(|unit| Ok((unit, self.reencode_read(id, unit, &new_policy)?)))
                 .collect::<Result<_, ArchiveError>>()?;
             for (unit, read) in read {
-                add(self.reencode_write(id, unit, read, &new_policy)?);
+                add(self.reencode_write(id, unit, read, &new_policy)?.0);
             }
         } else {
             for unit in &units {
                 if moves(self, unit) {
                     let read = self.reencode_read(id, unit, &new_policy)?;
-                    add(self.reencode_write(id, unit, read, &new_policy)?);
+                    add(self.reencode_write(id, unit, read, &new_policy)?.0);
                 }
             }
         }
         self.manifests.update(id, |m| m.policy = new_policy);
         Ok(total)
-    }
-
-    /// Decodes one unit and encodes it afresh under `new_policy`, on
-    /// behalf of `owner` (the object failures are typed against).
-    pub(crate) fn reencode_unit(
-        &mut self,
-        owner: &ObjectId,
-        unit: &Unit,
-        new_policy: &PolicyKind,
-    ) -> Result<ObjectReencode, ArchiveError> {
-        let read = self.reencode_read(owner, unit, new_policy)?;
-        self.reencode_write(owner, unit, read, new_policy)
     }
 
     /// The read half of a unit's re-encode: its record, its payload
@@ -232,16 +221,16 @@ impl Archive {
         })
     }
 
-    /// The write half of a unit's re-encode: encodes the decoded payload
-    /// under `new_policy`, deletes the old placement and writes the new
-    /// shards back.
-    fn reencode_write(
+    /// The write half of a unit's re-encode and of repair's fallback:
+    /// encodes the decoded payload under `new_policy`, deletes the old
+    /// placement and writes the new shards back, handing back a share.
+    pub(crate) fn reencode_write(
         &mut self,
         owner: &ObjectId,
         unit: &Unit,
         read: Decoded,
         new_policy: &PolicyKind,
-    ) -> Result<ObjectReencode, ArchiveError> {
+    ) -> Result<(ObjectReencode, Vec<Blob>), ArchiveError> {
         let clock = self.cluster().clock().clone();
         let write_start = clock.now();
         let Decoded {
@@ -258,13 +247,14 @@ impl Archive {
         self.executor().delete(ctx, &record.placement);
         (record.policy, record.meta, record.placement) = (write.policy, write.meta, placement);
         let [_, put] = unit.labels().reencode;
-        self.write_back(owner, unit, record, write.shards, put)?;
-        Ok(ObjectReencode {
+        let written = self.write_back(owner, unit, record, write.shards, put)?;
+        let reencoded = ObjectReencode {
             bytes_read,
             bytes_written,
             read_time,
             write_time: clock.now() - write_start,
-        })
+        };
+        Ok((reencoded, written))
     }
 
     /// Re-encodes every object under `new_policy` — the campaign the
@@ -328,6 +318,7 @@ impl Archive {
         // digests make reads treat them as stale until repaired.
         record.policy = new_policy;
         self.write_back(owner, unit, record, new_shards, put)
+            .map(drop)
     }
 
     /// The one write-back of refresh, re-wrap and re-encode: records the
@@ -337,7 +328,7 @@ impl Archive {
     /// whether or not every shard landed, since a shard that missed the
     /// retry budget holds stale bytes the new digests filter on read.
     /// Then fails, typed against `owner`, if fewer shards landed than
-    /// the record's policy reads from.
+    /// the record's policy reads from; or hands back the blobs' shares.
     fn write_back(
         &mut self,
         owner: &ObjectId,
@@ -351,9 +342,9 @@ impl Archive {
         let blobs = shards.into_iter().map(Blob::from).collect();
         let ctx = record.id.as_str();
         let mut rng = self.op_rng(put, ctx);
-        let outcome = self
-            .executor()
-            .write_blobs(ctx, &record.placement, blobs, &mut rng);
+        let (outcome, written) =
+            self.executor()
+                .write_blobs(ctx, &record.placement, blobs, &mut rng);
         let required = record.policy.read_threshold();
         self.store(unit, record);
         if outcome.written < required {
@@ -364,6 +355,6 @@ impl Archive {
                 corrupt: 0,
             });
         }
-        Ok(())
+        Ok(written)
     }
 }

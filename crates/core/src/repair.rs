@@ -20,10 +20,12 @@
 use crate::archive::{Archive, ArchiveError, ObjectId};
 use crate::campaign::{Campaign, CampaignOp};
 use crate::fleet::RepairQueueOrder;
+use crate::maintenance::Decoded;
 use crate::plan::{self, ReadPlan, RepairOutcome};
 use crate::policy::PolicyError;
 use crate::unit::Unit;
 use aeon_store::clock::SimDuration;
+use aeon_store::cluster::TransferReport;
 use aeon_store::node::Blob;
 
 pub use crate::codec::RepairMethod;
@@ -43,9 +45,6 @@ pub struct RepairReport {
     pub bytes_read: u64,
     /// Rebuilt bytes written back to nodes.
     pub bytes_written: u64,
-    /// Virtual-clock time the repair took (zero on clusters whose
-    /// nodes charge nothing).
-    pub elapsed: SimDuration,
 }
 
 impl RepairReport {
@@ -77,7 +76,6 @@ impl Archive {
             method: RepairMethod::NotNeeded,
             bytes_read: 0,
             bytes_written: 0,
-            elapsed: SimDuration::ZERO,
         };
         for unit in &units {
             let report = self.repair_unit(id, unit)?;
@@ -85,7 +83,6 @@ impl Archive {
             total.missing_after += report.missing_after;
             total.bytes_read += report.bytes_read;
             total.bytes_written += report.bytes_written;
-            total.elapsed += report.elapsed;
             if report.method != RepairMethod::NotNeeded {
                 total.method = report.method;
             }
@@ -96,32 +93,29 @@ impl Archive {
     /// Repairs one unit's missing or rotted shards from survivors, on
     /// behalf of `owner` (the object failures are typed against).
     ///
-    /// The unit is read twice. The first fetch checks every slot against
-    /// its recorded digest, and the survivors feed the rebuild. A partial
-    /// repair rebuilds exactly the bytes the record already hashes (an RS
-    /// row, the same Shamir share at its own `x`, a replica, a framed
-    /// join of such chunks), so the record is never rewritten: each
-    /// written slot's digest must equal the recorded one, or the repair
-    /// fails with [`ArchiveError::IntegrityViolation`] and the record
-    /// stays as it was (the slot's bytes then fail their digest check,
-    /// as before the repair). Then a re-read of every slot checks what
-    /// the nodes now hold by byte equality with what the repair holds
-    /// for each slot: the survivor, or the rebuilt bytes it wrote there.
-    /// That accepts exactly the slots a digest check would — both match
-    /// their recorded digests — without hashing them again or resting on
-    /// collision resistance. Each slot that fails counts toward
-    /// `missing_after`. The full re-encode fallback does not hold its new
-    /// shards, so its re-read checks them by digest.
+    /// The old shards are fetched once, every slot checked against its
+    /// recorded digest; the survivors feed the rebuild. A partial repair
+    /// rebuilds exactly the bytes the record already hashes (an RS row,
+    /// the same Shamir share at its own `x`, a replica, a framed join of
+    /// such chunks), so the record is never rewritten: each written
+    /// slot's digest must equal the recorded one, or the repair fails with
+    /// [`ArchiveError::IntegrityViolation`] and the record stays as it was.
+    /// The full re-encode fallback decodes the same survivors and writes
+    /// through the re-encode's write-back, which hands back its blobs.
+    /// Then a re-read checks every slot by byte equality with what the
+    /// repair holds for it — a survivor, a rebuilt or a re-encoded shard —
+    /// accepting exactly what a digest check would without hashing again.
+    /// Each slot that fails counts toward `missing_after`.
     fn repair_unit(&mut self, owner: &ObjectId, unit: &Unit) -> Result<RepairReport, ArchiveError> {
         let record = self.load(unit)?;
         let [fetch, put, after] = unit.labels().repair;
-        let clock = self.cluster().clock().clone();
-        let start = clock.now();
         // Digest-filtered fetch: a bit-rotted shard is as lost as a
         // deleted one, and must be rebuilt rather than trusted.
-        let shards = self.fetch_shards(&record, fetch).shards;
-        let mut bytes_read = snapshot_bytes(&shards);
-        let mut bytes_written = 0u64;
+        let mut snap = self.fetch_shards(&record, fetch);
+        // A repair reports no attempt accounting: free it now.
+        snap.report = TransferReport::default();
+        let shards = &snap.shards;
+        let mut bytes_read = snapshot_bytes(shards);
         let missing: Vec<usize> = (0..shards.len()).filter(|&i| shards[i].is_none()).collect();
         if missing.is_empty() {
             return Ok(RepairReport {
@@ -130,7 +124,6 @@ impl Archive {
                 method: RepairMethod::NotNeeded,
                 bytes_read,
                 bytes_written: 0,
-                elapsed: clock.now() - start,
             });
         }
 
@@ -139,9 +132,10 @@ impl Archive {
         // maintenance path that rewrites individual slots rather than
         // whole shard sets, so it carries the rebuilt bytes as an
         // explicit plan.
-        let outcome = plan::plan_repair(&record, &shards, &missing)?;
-        let (method, snap) = match outcome {
-            RepairOutcome::Apply(repair) => {
+        let outcome = plan::plan_repair(&record, shards, &missing)?;
+        // Each arm owns the fetch, so it is gone before the re-read.
+        let (method, record, held, bytes_written) = match (outcome, snap) {
+            (RepairOutcome::Apply(repair), snap) => {
                 // A slot the manifest records no digest for could never
                 // be read back, and a slot that is neither a survivor nor
                 // rebuilt leaves the re-read nothing to compare: either
@@ -161,14 +155,11 @@ impl Archive {
                     let write = writes.iter().find(|(m, _)| *m == s);
                     write.map(|(_, data)| data.clone())
                 };
-                let held: Option<Vec<Blob>> = (shards.iter().enumerate())
-                    .map(|(s, survivor)| survivor.clone().or_else(|| rebuilt(s)))
+                let held: Option<Vec<Blob>> = (snap.shards.into_iter().enumerate())
+                    .map(|(s, survivor)| survivor.or_else(|| rebuilt(s)))
                     .collect();
                 let held = held.ok_or_else(|| malformed("repair leaves a slot unwritten"))?;
-                bytes_written += writes
-                    .iter()
-                    .map(|(_, data)| data.len() as u64)
-                    .sum::<u64>();
+                let written = writes.iter().map(|(_, data)| data.len() as u64).sum();
                 let mut rng = self.op_rng(put, record.id.as_str());
                 let digests = self.executor().repair_blobs(
                     record.id.as_str(),
@@ -179,23 +170,26 @@ impl Archive {
                 if (digests.iter()).any(|(m, digest)| record.shard_digests[*m] != *digest) {
                     return Err(ArchiveError::IntegrityViolation(owner.clone()));
                 }
-                let plan = ReadPlan::for_manifest(&record);
-                let mut rng = self.op_rng(after, plan.object.as_str());
-                let snap = self.executor().reread(&plan, &held, &mut rng);
-                (repair.method, snap)
+                (repair.method, record, held, written)
             }
-            RepairOutcome::Reencode => {
+            (RepairOutcome::Reencode, snap) => {
                 // No per-shard repair structure: decode and re-encode.
-                // The re-encode reads its own copy of the survivors.
-                drop(shards);
-                let o = self.reencode_unit(owner, unit, &record.policy)?;
-                bytes_read += o.bytes_read;
-                bytes_written += o.bytes_written;
-                // The new shards are not in hand, so this re-read hashes.
-                let snap = self.fetch_shards(&self.load(unit)?, after);
-                (RepairMethod::FullReencode, snap)
+                let payload = self.decode_verified(owner, &record, &snap)?;
+                let policy = record.policy.clone();
+                let read = Decoded {
+                    record,
+                    snap,
+                    payload,
+                    read_time: SimDuration::ZERO,
+                };
+                let (reencoded, held) = self.reencode_write(owner, unit, read, &policy)?;
+                let written = reencoded.bytes_written;
+                (RepairMethod::FullReencode, self.load(unit)?, held, written)
             }
         };
+        let plan = ReadPlan::for_manifest(&record);
+        let mut rng = self.op_rng(after, plan.object.as_str());
+        let snap = self.executor().reread(&plan, &held, &mut rng);
         bytes_read += snapshot_bytes(&snap.shards);
         Ok(RepairReport {
             missing_before: missing.len(),
@@ -203,7 +197,6 @@ impl Archive {
             method,
             bytes_read,
             bytes_written,
-            elapsed: clock.now() - start,
         })
     }
 
@@ -333,6 +326,35 @@ mod tests {
         assert_eq!(report.method, RepairMethod::FullReencode);
         assert_eq!(report.missing_after, 0);
         assert_eq!(archive.retrieve(&id).unwrap(), b"rewrap me");
+    }
+
+    /// The full re-encode fallback decodes from the survivors its first
+    /// fetch checked, so it reads the old shards once: `bytes_read` is
+    /// those survivors plus the re-read of the new shards.
+    #[test]
+    fn a_reencode_fallback_reads_the_old_shards_once() {
+        let (mut archive, handles) = archive_with_handles(
+            PolicyKind::LeakageResilientShamir {
+                threshold: 2,
+                shares: 4,
+                source_len: 32,
+            },
+            4,
+        );
+        let id = archive.ingest(b"read the survivors once", "r").unwrap();
+        let stored = |handles: &[MemoryNode]| -> u64 {
+            let shards = handles.iter().flat_map(|h| {
+                let keys = h.keys().into_iter().filter(|k| k.object == id.as_str());
+                keys.map(|k| h.get(&k).unwrap().len() as u64)
+            });
+            shards.sum()
+        };
+        delete_shard(&handles, &archive, &id, 3);
+        let survivors = stored(&handles);
+        let report = archive.repair_object(&id).unwrap();
+        assert_eq!(report.method, RepairMethod::FullReencode);
+        assert_eq!(report.missing_after, 0);
+        assert_eq!(report.bytes_read, survivors + stored(&handles));
     }
 
     #[test]
@@ -589,8 +611,9 @@ mod tests {
         assert_eq!(health.shards_available, 4);
     }
 
-    /// The full re-encode fallback re-reads by digest: a node that lies
-    /// about storing its new shard still shows as one slot missing.
+    /// The full re-encode fallback re-reads by byte equality with the
+    /// shards its write-back handed back: a node that lies about storing
+    /// its new shard still shows as one slot missing.
     #[test]
     fn reread_after_an_lrss_reencode_reports_the_bad_slot() {
         let (mut archive, nodes) = misbehaving_archive(

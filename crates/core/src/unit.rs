@@ -33,7 +33,7 @@ pub(crate) enum Unit {
 
 /// Retry-jitter rng labels of each op's node-I/O steps, `[fetch, put]`
 /// (repair: `[fetch, put, verifying fetch]`; ingest: its one put; read:
-/// the decode read behind retrieval and the dedup walk). The
+/// the decode read behind retrieval and the dedup reads). The
 /// values are part of the replayable behaviour — fault schedules are
 /// keyed by them — so each kind keeps the labels it has always drawn
 /// under.

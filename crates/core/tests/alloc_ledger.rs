@@ -42,7 +42,7 @@ const PINNED: &[Pin] = &[
     ("bulk-aead", "retrieve", 228, 79684, 43376),
     ("bulk-aead", "retrieve_many", 428, 158960, 77176),
     ("bulk-aead", "degraded_retrieve", 228, 79684, 43376),
-    ("bulk-aead", "repair", 190, 28921, 18301),
+    ("bulk-aead", "repair", 188, 28825, 18301),
     ("bulk-aead", "reencode", 642, 268589, 105827),
     ("bulk-aead", "delete", 7, 224, 32),
     ("bulk-sharing", "ingest", 115, 128279, 115458),
@@ -50,7 +50,7 @@ const PINNED: &[Pin] = &[
     ("bulk-sharing", "retrieve", 56, 19865, 18029),
     ("bulk-sharing", "retrieve_many", 88, 39298, 35409),
     ("bulk-sharing", "degraded_retrieve", 56, 19865, 18029),
-    ("bulk-sharing", "repair", 107, 71614, 66402),
+    ("bulk-sharing", "repair", 105, 71518, 66402),
     ("bulk-sharing", "reencode", 210, 184802, 104233),
     ("bulk-sharing", "delete", 7, 224, 32),
     ("small-files", "ingest", 127, 20440, 15312),
@@ -58,15 +58,15 @@ const PINNED: &[Pin] = &[
     ("small-files", "retrieve", 66, 4992, 2800),
     ("small-files", "retrieve_many", 295, 47552, 28320),
     ("small-files", "degraded_retrieve", 66, 4992, 2800),
-    ("small-files", "repair", 123, 7723, 2183),
+    ("small-files", "repair", 121, 7627, 2047),
     ("small-files", "reencode", 147, 11817, 5261),
     ("small-files", "delete", 7, 224, 32),
     ("dedup-versions", "ingest", 949, 190503, 90069),
     ("dedup-versions", "ingest_many", 529, 85479, 35514),
-    ("dedup-versions", "retrieve", 679, 122637, 54696),
-    ("dedup-versions", "retrieve_many", 2036, 374199, 116760),
-    ("dedup-versions", "degraded_retrieve", 735, 127853, 54696),
-    ("dedup-versions", "repair", 1568, 115201, 11150),
+    ("dedup-versions", "retrieve", 470, 106318, 54216),
+    ("dedup-versions", "retrieve_many", 1409, 325242, 116280),
+    ("dedup-versions", "degraded_retrieve", 526, 111534, 54216),
+    ("dedup-versions", "repair", 1542, 113953, 10978),
     ("dedup-versions", "reencode", 2855, 301324, 19958),
     ("dedup-versions", "delete", 29, 2783, 32),
 ];
@@ -79,9 +79,9 @@ const PINNED_SCALAR_X16: &[Pin] = &[
     ("small-files", "ingest_many", 566, 80159, 51623),
     ("dedup-versions", "ingest", 947, 189791, 90069),
     ("dedup-versions", "ingest_many", 526, 85015, 35514),
-    ("dedup-versions", "retrieve", 678, 122557, 54696),
-    ("dedup-versions", "retrieve_many", 2033, 373959, 116760),
-    ("dedup-versions", "degraded_retrieve", 734, 127773, 54696),
+    ("dedup-versions", "retrieve", 469, 106238, 54216),
+    ("dedup-versions", "retrieve_many", 1406, 325002, 116280),
+    ("dedup-versions", "degraded_retrieve", 525, 111454, 54216),
 ];
 
 type Pin = (&'static str, &'static str, u64, u64, u64);

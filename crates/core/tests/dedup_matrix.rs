@@ -5,18 +5,22 @@
 //! referencing it, a within-budget repair of one object must heal the
 //! shared block for all of them, and the convergent encoding must make
 //! two objects sharing a block share its stored shards byte-for-byte.
+//! A read with a row goes to its leaves, so damage confined to the tree
+//! fails only the scrub and the read by root.
 
-use aeon_cas::ChunkerParams;
-use aeon_core::dedup::DedupConfig;
+use aeon_cas::{build_tree, BlockHash, ChunkerParams};
+use aeon_core::dedup::{BlockKind, DedupConfig};
 use aeon_core::{
     block_object_id, Archive, ArchiveConfig, ArchiveError, IntegrityMode, PipelineConfig,
     PolicyKind,
 };
 use aeon_crypto::{ChaChaDrbg, CryptoRng, SuiteId};
-use aeon_store::node::{MemoryNode, NodeId, ShardKey, StorageNode};
+use aeon_integrity::timestamp::SigBreakSchedule;
+use aeon_store::node::{MemoryNode, NodeError, NodeId, ShardKey, StorageNode};
 use aeon_store::Cluster;
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 /// One representative of each of the nine policy families.
 fn policies() -> Vec<PolicyKind> {
@@ -366,4 +370,138 @@ fn delete_releases_shared_blocks_exactly_once() {
             "policy {policy:?}: orphan blocks after deleting every object"
         );
     }
+}
+
+/// Damage to one tree block beyond its budget: every object still reads
+/// back, because a read with a row goes straight to the leaves the row
+/// lists; the scrub finds the block below its read threshold, and a
+/// read by root — which must walk the tree — fails typed.
+#[test]
+fn tree_damage_fails_the_scrub_and_the_root_walk_not_the_read() {
+    for policy in policies() {
+        let n = policy.shard_count();
+        let k = policy.read_threshold();
+        let (mut archive, handles) = dedup_archive(&policy, 1);
+        let (id1, id2, v1, v2) = ingest_versions(&mut archive, 11);
+        let root = archive.manifest(&id1).unwrap().blocks.unwrap().root;
+        assert_eq!(archive.block_record(&root).unwrap().kind, BlockKind::Tree);
+        for j in 0..(n - k + 1) {
+            lose_block_shard(&archive, &handles, &root, j);
+        }
+        assert_eq!(archive.retrieve(&id1).unwrap(), v1, "{policy:?}");
+        assert_eq!(archive.retrieve(&id2).unwrap(), v2, "{policy:?}");
+        let health = archive.verify(&id1, &SigBreakSchedule::new()).unwrap();
+        assert!(!health.intact, "{policy:?}");
+        assert!(health.shards_available < k, "{policy:?}: {health:?}");
+        match archive.read_object_by_root(&root) {
+            Err(ArchiveError::DegradedBeyondBudget { .. }) => {}
+            other => panic!("{policy:?}: expected a typed degradation, got {other:?}"),
+        }
+    }
+}
+
+/// A memory node that counts the reads of each key.
+#[derive(Debug)]
+struct CountingNode {
+    inner: MemoryNode,
+    gets: Mutex<BTreeMap<ShardKey, usize>>,
+}
+
+impl StorageNode for CountingNode {
+    fn id(&self) -> NodeId {
+        self.inner.id()
+    }
+    fn site(&self) -> &str {
+        self.inner.site()
+    }
+    fn put(&self, key: &ShardKey, data: &[u8]) -> Result<(), NodeError> {
+        self.inner.put(key, data)
+    }
+    fn get(&self, key: &ShardKey) -> Result<Vec<u8>, NodeError> {
+        *self.gets.lock().unwrap().entry(key.clone()).or_default() += 1;
+        self.inner.get(key)
+    }
+    fn delete(&self, key: &ShardKey) -> Result<(), NodeError> {
+        self.inner.delete(key)
+    }
+    fn keys(&self) -> Vec<ShardKey> {
+        self.inner.keys()
+    }
+    fn stored_bytes(&self) -> u64 {
+        self.inner.stored_bytes()
+    }
+}
+
+/// Each dedup read fetches a stored shard at most once: `verify` fetches
+/// every shard of every block the object references, tree nodes
+/// included, exactly once; `retrieve` fetches each shard of the distinct
+/// leaves once and no tree block's; `retrieve_many` fetches no tree
+/// block's either.
+#[test]
+fn dedup_reads_fetch_each_stored_shard_once() {
+    let policy = PolicyKind::ErasureCoded { data: 3, parity: 2 };
+    let nodes: Vec<Arc<CountingNode>> = (0..5)
+        .map(|i| {
+            Arc::new(CountingNode {
+                inner: MemoryNode::new(i, format!("site-{i}")),
+                gets: Mutex::default(),
+            })
+        })
+        .collect();
+    let cluster = Cluster::new(
+        (nodes.iter())
+            .map(|node| Arc::clone(node) as Arc<dyn StorageNode>)
+            .collect(),
+    );
+    let config = ArchiveConfig::new(policy)
+        .with_integrity(IntegrityMode::DigestOnly)
+        .with_dedup(small_dedup());
+    let mut archive = Archive::with_cluster(config, cluster).unwrap();
+    let (id1, id2, _, _) = ingest_versions(&mut archive, 5);
+    // Every node's per-key read counts since the last call, merged.
+    let take_gets = || {
+        let mut all = BTreeMap::new();
+        for node in &nodes {
+            all.append(&mut node.gets.lock().unwrap());
+        }
+        all
+    };
+    // Each shard of `hashes`' blocks, read once.
+    let once = |hashes: &[BlockHash]| {
+        let mut keys = BTreeMap::new();
+        for hash in hashes {
+            let slots = archive.block_record(hash).unwrap().record.placement.len();
+            for s in 0..slots as u32 {
+                keys.insert(ShardKey::new(block_object_id(hash), s), 1);
+            }
+        }
+        keys
+    };
+    let leaves = archive.manifest(&id1).unwrap().blocks.unwrap().blocks;
+    let tree = build_tree(&leaves, small_dedup().fanout).nodes;
+    assert!(tree.len() > 1, "a tree of more than its root");
+    take_gets();
+
+    archive.verify(&id1, &SigBreakSchedule::new()).unwrap();
+    let mut every_block = leaves.clone();
+    every_block.extend(tree.iter().map(|(hash, _)| *hash));
+    assert_eq!(take_gets(), once(&every_block), "verify");
+
+    archive.retrieve(&id1).unwrap();
+    assert_eq!(take_gets(), once(&leaves), "retrieve");
+
+    for read in archive.retrieve_many(&[id1, id2]) {
+        read.unwrap();
+    }
+    let tree_blocks: Vec<BlockHash> = (archive.blocks())
+        .filter(|(_, block)| block.kind == BlockKind::Tree)
+        .map(|(hash, _)| *hash)
+        .collect();
+    let tree_reads = once(&tree_blocks);
+    let read = take_gets();
+    assert!(!read.is_empty());
+    assert!(
+        read.keys().all(|key| !tree_reads.contains_key(key)),
+        "retrieve_many read a tree block"
+    );
 }

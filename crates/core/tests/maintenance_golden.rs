@@ -34,7 +34,7 @@ use std::fmt::Debug;
 use std::sync::Arc;
 
 /// SHA-256 of the transcript of all eight legs.
-const PINNED: &str = "a1af2f0f4b38fa3e2a85e9a6be78917fd0c2964589b1ec6cc0506ffd960abf03";
+const PINNED: &str = "f90eff1671231d2753c833fd4af8cecac1218fcbe3204c8da52b5ca29ce0cb0e";
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()

@@ -25,10 +25,10 @@
 //! ninth guards the unit table: dedup blocks have their rows in that
 //! same map, not in a block map of their own, and no index or block
 //! store beside it. A tenth guards reads and
-//! deletes: one decode read for every stored unit, one tree walk, and
-//! one delete. An eleventh guards repair's re-read: one fetch under the
-//! digest-checked read and the byte-checked re-read, and no hashing in
-//! repair.
+//! deletes: one decode read for every stored unit, one tree walk, from a
+//! bare root only, and one delete. An eleventh guards repair's reads:
+//! one fetch of the old shards, one fetch under the digest-checked read
+//! and the byte-checked re-read, and no hashing in repair.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -608,10 +608,11 @@ fn the_unit_table_is_one_map() {
 /// Re-accretion guard for the read and delete paths. Every decode read
 /// of a stored unit — a classic object's or a dedup block's — is
 /// `Archive::read_units`, so `aeon-core` has one `.read_many(` call site
-/// outside the executor; a dedup object's one read is its tree walk, with
-/// no per-level, per-tree or per-object twin beside it; and the one
-/// delete is the executor's sticky delete, with no best-effort delete
-/// left on the cluster.
+/// outside the executor; a dedup read with a row goes to its leaves, and
+/// only `read_object_by_root` walks the tree from a bare root, with no
+/// per-level, per-tree or per-object twin beside it; and the one delete
+/// is the executor's sticky delete, with no best-effort delete left on
+/// the cluster.
 #[test]
 fn one_read_path() {
     // Spelled in halves so a repo-wide grep for the deleted names finds
@@ -623,6 +624,7 @@ fn one_read_path() {
     ];
     let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
     let mut reads = Vec::new();
+    let mut walks = Vec::new();
     let mut violations = Vec::new();
     for path in sources(&crates.join("core").join("src")) {
         if path.ends_with("executor.rs") {
@@ -630,9 +632,18 @@ fn one_read_path() {
         }
         let file = path.file_name().unwrap().to_string_lossy().into_owned();
         let body = non_test_source(&fs::read_to_string(&path).unwrap());
+        if file == "dedup.rs" {
+            let by_root = method_body(&body, &file, "read_object_by_root");
+            if !by_root.contains(".walk(") {
+                violations.push("dedup.rs: read_object_by_root does not walk the tree".into());
+            }
+        }
         for (lineno, line) in body.lines().enumerate() {
             if line.contains(".read_many(") {
                 reads.push(format!("{file}:{}", lineno + 1));
+            }
+            if line.contains(".walk(") {
+                walks.push(format!("{file}:{}", lineno + 1));
             }
             if file == "dedup.rs" {
                 for name in GONE.iter().filter(|name| line.contains(*name)) {
@@ -648,6 +659,7 @@ fn one_read_path() {
         violations.push("store/cluster.rs: a best-effort delete".into());
     }
     assert_eq!(reads.len(), 1, "`.read_many(` call sites: {reads:?}");
+    assert_eq!(walks.len(), 1, "`.walk(` call sites: {walks:?}");
     assert!(
         violations.is_empty(),
         "a second read or delete path:\n{}",
@@ -657,15 +669,34 @@ fn one_read_path() {
 
 /// Re-accretion guard for repair's re-read. The executor's digest-checked
 /// read and its byte-checked re-read share one fetch, so `executor.rs`
-/// has one `transfer::<Get` call site; repair re-reads what it holds
-/// through that one `.reread(` call and names no `Sha256::`, because
-/// every byte it re-reads is one it already checked.
+/// has one `transfer::<Get` call site; repair reads a unit's old shards
+/// through one `.fetch_shards(` call — its full re-encode fallback
+/// decodes from that fetch, with no re-encode of its own that fetches
+/// again — re-reads what it holds through one `.reread(` call and names
+/// no `Sha256::`, because every byte it re-reads is one it already
+/// checked.
 #[test]
 fn repair_rereads_what_it_holds() {
+    // Spelled in halves so a repo-wide grep for the deleted name finds
+    // nothing, this guard included.
+    const GONE: &[&str] = &[concat!("fn reencode", "_unit")];
     let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
     let read = |file: &str| non_test_source(&fs::read_to_string(src.join(file)).unwrap());
     let executor = read("executor.rs");
     let repair = read("repair.rs");
+    for path in sources(&src) {
+        let body = non_test_source(&fs::read_to_string(&path).unwrap());
+        assert!(
+            GONE.iter().all(|name| !body.contains(name)),
+            "{}: a deleted re-encode twin is back",
+            path.display()
+        );
+    }
+    assert_eq!(
+        repair.matches(".fetch_shards(").count(),
+        1,
+        "repair.rs: one fetch of the old shards"
+    );
     assert_eq!(
         executor.matches("transfer::<Get").count(),
         1,
