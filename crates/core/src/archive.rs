@@ -19,8 +19,9 @@ use aeon_store::cluster::{ClusterError, TransferReport};
 use aeon_store::node::{Blob, NodeId};
 use aeon_store::retry::RetryPolicy;
 use aeon_store::{Cluster, DispatchPolicy};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
-use std::{fmt, mem};
+use std::{fmt, iter, mem};
 
 /// Identifies an archived object.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -341,6 +342,16 @@ pub struct ArchiveStats {
 
 /// One read's outcome: the payload and its per-shard accounting.
 pub(crate) type Retrieved = Result<(Vec<u8>, TransferReport), ArchiveError>;
+
+/// One unit's decode read ([`Archive::read_units`]): the verified
+/// payload, the per-shard accounting, and the stored bytes the fetch
+/// returned — every present slot, counted before a failed decode's
+/// fallback discards a corrupt one.
+pub(crate) struct UnitRead {
+    pub(crate) payload: Vec<u8>,
+    pub(crate) report: TransferReport,
+    pub(crate) fetched: u64,
+}
 
 /// One unit of a read, as [`Archive::decode_many`] takes it: the object
 /// its failures are typed against, its loaded record (a manifest, or a
@@ -903,13 +914,17 @@ impl Archive {
                 let m = self.row(id)?;
                 match &m.blocks {
                     Some(d) => self.read_leaves(id, &d.blocks, Some(&m.digest)),
-                    None => read.next().expect("one read per classic id"),
+                    None => {
+                        let read = read.next().expect("one read per classic id");
+                        read.map(|read| (read.payload, read.report))
+                    }
                 }
             })
             .collect()
     }
 
-    /// The one decode read, over any list of units: each unit's
+    /// The one decode read, over any list of units — behind `retrieve*`,
+    /// the dedup leaf read and walk, and a re-encode's read: each unit's
     /// [`ReadPlan::for_decode`], retry jitter drawn under its kind's read
     /// label, and every shard fetched in one [`PlanExecutor::read_many`]
     /// fan-in, unhashed. Each unit decodes from its first `k` present
@@ -920,9 +935,10 @@ impl Archive {
     /// I/O): [`verify_where`] checks every present slot by digest in slot
     /// order until `k` are valid, discarding the corrupt ones, and the
     /// unit decodes once more, failing as [`ArchiveError::IntegrityViolation`]
-    /// or [`ArchiveError::DegradedBeyondBudget`] when too few are left.
-    /// `out[i]` is unit `i`'s payload and shard accounting, or its
-    /// failure typed against its owner, independent of its neighbours.
+    /// or [`ArchiveError::DegradedBeyondBudget`] when too few are left —
+    /// the error and counts a full scrub's decode would give.
+    /// `out[i]` is unit `i`'s [`UnitRead`], or its failure typed against
+    /// its owner, independent of its neighbours.
     ///
     /// # Errors
     ///
@@ -931,9 +947,10 @@ impl Archive {
     /// [`PolicyError::Malformed`] for a block its owner references.
     pub(crate) fn read_units(
         &self,
-        units: &[(&ObjectId, Unit)],
-    ) -> Result<Vec<Retrieved>, ArchiveError> {
+        units: &[(&ObjectId, impl Borrow<Unit>)],
+    ) -> Result<Vec<Result<UnitRead, ArchiveError>>, ArchiveError> {
         let records = units.iter().map(|(owner, unit)| {
+            let unit = unit.borrow();
             self.manifests.record(unit).ok_or_else(|| match unit {
                 Unit::Object(id) => ArchiveError::UnknownObject(id.clone()),
                 Unit::Block(hash) => {
@@ -947,34 +964,47 @@ impl Archive {
         let mut rngs: Vec<ChaChaDrbg> = units
             .iter()
             .zip(&records)
-            .map(|((_, unit), r)| self.op_rng(unit.labels().read, r.id.as_str()))
+            .map(|((_, unit), r)| self.op_rng(unit.borrow().labels().read, r.id.as_str()))
             .collect();
         let mut snaps = self.executor().read_many(&plans, &mut rngs);
-        let decodes: Vec<Decode<'_>> = units
-            .iter()
-            .zip(&records)
-            .zip(&snaps)
-            .map(|(((owner, _), record), snap)| (*owner, *record, snap))
+        let all = 0..units.len();
+        let mut decoded =
+            self.decode_many(all.clone().map(|i| (units[i].0, records[i], &snaps[i])));
+        // Each failed unit, with the stored bytes its fetch returned
+        // before the fallback discards a slot.
+        let failed: Vec<(usize, u64)> = all
+            .filter(|&i| decoded[i].is_err())
+            .map(|i| (i, snaps[i].bytes()))
             .collect();
-        let mut decoded = self.decode_many(&decodes);
-        let failed: Vec<usize> = (0..units.len()).filter(|&i| decoded[i].is_err()).collect();
         verify_where(&plans, &mut snaps, |i| decoded[i].is_err());
-        let decodes: Vec<Decode<'_>> = failed
+        let again = failed
             .iter()
-            .map(|&i| (units[i].0, records[i], &snaps[i]))
-            .collect();
-        for (&i, again) in failed.iter().zip(self.decode_many(&decodes)) {
+            .map(|&(i, _)| (units[i].0, records[i], &snaps[i]));
+        for (&(i, _), again) in failed.iter().zip(self.decode_many(again)) {
             decoded[i] = again;
         }
-        Ok(decoded
+        let mut read: Vec<Result<UnitRead, ArchiveError>> = decoded
             .into_iter()
             .zip(snaps)
-            .map(|(payload, snap)| payload.map(|payload| (payload, snap.report)))
-            .collect())
+            .map(|(payload, snap)| {
+                let fetched = snap.bytes();
+                payload.map(|payload| UnitRead {
+                    payload,
+                    report: snap.report,
+                    fetched,
+                })
+            })
+            .collect();
+        for (i, fetched) in failed {
+            if let Ok(unit) = &mut read[i] {
+                unit.fetched = fetched;
+            }
+        }
+        Ok(read)
     }
 
-    /// The tail of a one-unit read ([`Archive::verify`], re-encode, a
-    /// repair's fallback): [`Archive::decode_many`] over a batch of one
+    /// The tail of a one-unit scrub read ([`Archive::verify`], a repair's
+    /// fallback): [`Archive::decode_many`] over a batch of one
     /// loaded record (a manifest, or a stored unit's), decoded under the
     /// record's context and verified against its payload digest, failures
     /// typed against `owner`.
@@ -984,7 +1014,7 @@ impl Archive {
         record: &Manifest,
         snap: &ShardsSnapshot,
     ) -> Result<Vec<u8>, ArchiveError> {
-        self.decode_many(&[(owner, record, snap)])
+        self.decode_many(iter::once((owner, record, snap)))
             .pop()
             .expect("one result per unit")
     }
@@ -999,9 +1029,12 @@ impl Archive {
     /// Failures are typed against the unit's `owner` — for a shared
     /// dedup block that is the object whose read is in progress, so
     /// corruption of the block surfaces in every referencing object.
-    pub(crate) fn decode_many(&self, units: &[Decode<'_>]) -> Vec<Result<Vec<u8>, ArchiveError>> {
+    pub(crate) fn decode_many<'a>(
+        &self,
+        units: impl Iterator<Item = Decode<'a>> + Clone,
+    ) -> Vec<Result<Vec<u8>, ArchiveError>> {
         let mut decoded: Vec<Result<Vec<u8>, ArchiveError>> =
-            units.iter().map(|unit| self.decode_unit(unit)).collect();
+            units.clone().map(|unit| self.decode_unit(&unit)).collect();
         let payloads: Vec<&[u8]> = decoded.iter().filter_map(|r| r.as_deref().ok()).collect();
         let mut digests = Sha256::digest_many(&payloads).into_iter();
         for (result, (owner, record, _)) in decoded.iter_mut().zip(units) {
@@ -2360,6 +2393,128 @@ mod tests {
             PolicyKind::ErasureCoded { .. }
         ));
         assert_eq!(a.retrieve(&id).unwrap(), payload);
+    }
+
+    /// Policies a re-encode reads in each decode shape — Shamir, Reed–
+    /// Solomon, ChaCha-sealed Reed–Solomon, LRSS, packed — each paired
+    /// with the next as the policy it moves to.
+    fn reencode_moves() -> Vec<(PolicyKind, PolicyKind)> {
+        let mut from = fallback_policies();
+        from.push(PolicyKind::LeakageResilientShamir {
+            threshold: 3,
+            shares: 5,
+            source_len: 32,
+        });
+        from.push(PolicyKind::PackedShamir {
+            privacy: 2,
+            pack: 2,
+            shares: 5,
+        });
+        let to = from.iter().cycle().skip(1).cloned();
+        from.clone().into_iter().zip(to).collect()
+    }
+
+    /// A re-encode reads like a retrieve: with every shard digest of
+    /// every stored unit zeroed — a classic object's record, and each
+    /// block record of a dedup object — no shard checks out, yet the
+    /// re-encode succeeds, because the decoded payload's digest alone
+    /// decides it. The object then reads back, and `verify` counts every
+    /// new shard clean: the write-back recorded fresh digests.
+    #[test]
+    fn a_reencode_is_decided_by_the_payload_digest_alone() {
+        let mut payload = vec![0u8; 3000];
+        ChaChaDrbg::from_u64_seed(45).fill_bytes(&mut payload);
+        for (from, to) in reencode_moves() {
+            for dedup in [false, true] {
+                let mut config = ArchiveConfig::new(from.clone());
+                config.dedup = dedup.then(small_dedup);
+                let mut a = Archive::in_memory(config).unwrap();
+                let id = a.ingest(&payload, "zeroed").unwrap();
+                for unit in a.units_of(a.row(&id).unwrap()) {
+                    let record = a.manifests.record_mut(&unit).unwrap();
+                    record.shard_digests.fill([0; 32]);
+                }
+                let case = format!("{from:?} -> {to:?}, dedup {dedup}");
+                a.reencode_object(&id, to.clone())
+                    .unwrap_or_else(|e| panic!("{case}: {e:?}"));
+                assert_eq!(a.retrieve(&id).unwrap(), payload, "{case}");
+                let health = a.verify(&id, &SigBreakSchedule::new()).unwrap();
+                assert_eq!(health.shards_available, to.shard_count(), "{case}");
+                assert!(health.intact, "{case}");
+            }
+        }
+    }
+
+    /// A corrupt shard among the first `k` fails a re-encode's unchecked
+    /// decode, and the read falls back to the spares it already fetched,
+    /// as a retrieve does: the object moves, reads back, and every new
+    /// shard is clean. The bytes read still count the corrupt shard,
+    /// which was fetched before it was discarded.
+    #[test]
+    fn a_corrupt_shard_among_the_first_k_reencodes_through_the_spares() {
+        for (from, to) in reencode_moves() {
+            let mut a = Archive::in_memory(ArchiveConfig::new(from.clone())).unwrap();
+            let payload = b"re-encoded from the spares".repeat(11);
+            let id = a.ingest(&payload, "rot").unwrap();
+            let stored: usize = stored_shards(&a).iter().map(|(.., b)| b.len()).sum();
+            damage(&a, &a.manifest(&id).unwrap(), &[(1, 3)]);
+            let moved = a.reencode_object(&id, to.clone()).unwrap();
+            assert_eq!(moved.bytes_read, stored as u64, "{from:?}");
+            assert_eq!(a.retrieve(&id).unwrap(), payload, "{from:?}");
+            let health = a.verify(&id, &SigBreakSchedule::new()).unwrap();
+            assert_eq!(health.shards_available, to.shard_count(), "{from:?}");
+        }
+    }
+
+    /// A re-encode that cannot read its object — more shards rotted, or
+    /// gone, than the policy can spare — fails as a scrub's decode would,
+    /// typed against the object, and moves nothing: the record, its
+    /// placement and every stored shard are as they were.
+    #[test]
+    fn a_reencode_past_the_budget_fails_typed_and_moves_nothing() {
+        for (from, to) in reencode_moves() {
+            for kind in [0u8, 1] {
+                let mut a = Archive::in_memory(ArchiveConfig::new(from.clone())).unwrap();
+                let id = a.ingest(&b"past the budget".repeat(20), "lost").unwrap();
+                let record = a.manifest(&id).unwrap();
+                let spare = record.placement.len() - from.read_threshold();
+                damage(&a, &record, &vec![(kind, 5); spare + 1]);
+                let shards = stored_shards(&a);
+                let failed = a.reencode_object(&id, to.clone());
+                let typed = match (kind, &failed) {
+                    (0, Err(ArchiveError::DegradedBeyondBudget { id: at, .. })) => *at == id,
+                    (1, Err(ArchiveError::IntegrityViolation(at))) => *at == id,
+                    _ => false,
+                };
+                assert!(typed, "{from:?}, damage {kind}: {failed:?}");
+                let after = a.manifest(&id).unwrap();
+                assert_eq!(format!("{after:?}"), format!("{record:?}"), "{from:?}");
+                assert!(
+                    stored_shards(&a) == shards,
+                    "{from:?}: a stored shard moved"
+                );
+            }
+        }
+    }
+
+    /// On a healthy unit a re-encode reads every stored byte once: its
+    /// bytes read are the stored bytes of the object's units, a classic
+    /// object's shards or a dedup object's blocks.
+    #[test]
+    fn a_healthy_reencode_reads_the_stored_bytes() {
+        let mut payload = vec![0u8; 3000];
+        ChaChaDrbg::from_u64_seed(46).fill_bytes(&mut payload);
+        for (from, to) in reencode_moves() {
+            for dedup in [false, true] {
+                let mut config = ArchiveConfig::new(from.clone());
+                config.dedup = dedup.then(small_dedup);
+                let mut a = Archive::in_memory(config).unwrap();
+                let id = a.ingest(&payload, "healthy").unwrap();
+                let stored: usize = stored_shards(&a).iter().map(|(.., b)| b.len()).sum();
+                let moved = a.reencode_object(&id, to.clone()).unwrap();
+                assert_eq!(moved.bytes_read, stored as u64, "{from:?}, dedup {dedup}");
+            }
+        }
     }
 
     proptest! {

@@ -428,9 +428,9 @@ impl Archive {
         let mut report = TransferReport::default();
         let mut read = Vec::with_capacity(units.len());
         for unit in self.read_units(&units)? {
-            let (bytes, unit_report) = unit?;
-            report.attempts.extend(unit_report.attempts);
-            read.push(bytes);
+            let unit = unit?;
+            report.attempts.extend(unit.report.attempts);
+            read.push(unit.payload);
         }
         Ok((read, report))
     }

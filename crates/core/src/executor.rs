@@ -56,6 +56,13 @@ pub struct ShardsSnapshot {
     pub report: TransferReport,
 }
 
+impl ShardsSnapshot {
+    /// The stored bytes the snapshot holds: every present slot's length.
+    pub(crate) fn bytes(&self) -> u64 {
+        self.shards.iter().flatten().map(|s| s.len() as u64).sum()
+    }
+}
+
 /// What a shard-set write achieved.
 #[derive(Debug)]
 pub struct WriteOutcome {

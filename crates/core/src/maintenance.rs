@@ -11,10 +11,9 @@
 //! the units behind an object and hold the rules that exist only
 //! because blocks are shared (which blocks to skip).
 
-use crate::archive::{entropy_gate, gates, Archive, ArchiveError, Manifest, ObjectId};
+use crate::archive::{entropy_gate, gates, Archive, ArchiveError, Manifest, ObjectId, UnitRead};
 use crate::campaign::{Campaign, CampaignOp, CampaignReport};
 use crate::dedup::BlockKind;
-use crate::executor::ShardsSnapshot;
 use crate::plan;
 use crate::policy::PolicyKind;
 use crate::unit::Unit;
@@ -29,7 +28,9 @@ use aeon_store::node::Blob;
 /// the only ledger).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObjectReencode {
-    /// Stored bytes fetched under the old encoding.
+    /// Stored bytes fetched under the old encoding: every shard the
+    /// fetch returned, a corrupt one included (the read discards it only
+    /// after fetching it).
     pub bytes_read: u64,
     /// Stored bytes written under the new encoding.
     pub bytes_written: u64,
@@ -41,11 +42,11 @@ pub struct ObjectReencode {
 }
 
 /// One unit's re-encode between its read and its write: the record as
-/// loaded, the fetch (its bytes are the campaign's bytes read), the
-/// verified payload, and how long the read took.
+/// loaded, the stored bytes its fetch returned (the campaign's bytes
+/// read), the verified payload, and how long the read took.
 pub(crate) struct Decoded {
     pub(crate) record: Manifest,
-    pub(crate) snap: ShardsSnapshot,
+    pub(crate) bytes_read: u64,
     pub(crate) payload: Vec<u8>,
     pub(crate) read_time: SimDuration,
 }
@@ -126,9 +127,15 @@ impl Archive {
     /// accounting: the cluster clock is snapshotted at the read/write
     /// phase boundary, so throughput-charged clusters measure exactly
     /// the §3.2 read and write-back costs. Each unit's shards are
-    /// fetched **once** — the same digest-filtered fetch is both the
-    /// decode's data source and the campaign's bytes-read figure, so
-    /// no accounting read double-charges the clock.
+    /// fetched **once**, through the one decode read (`read_units`, the
+    /// read behind [`Archive::retrieve`]): the unit
+    /// decodes from its first `k` present shards unhashed and its payload
+    /// digest decides, because the old shards are deleted once the new
+    /// ones are written. Only a failed decode digest-filters the shards
+    /// already fetched and decodes again, failing as a scrub would. The
+    /// same fetch is the campaign's bytes read: every stored byte it
+    /// returned, so on a unit with a corrupt shard the figure counts that
+    /// shard too. No accounting read double-charges the clock.
     ///
     /// A classic object always re-encodes, with fresh randomness (key
     /// rotation and repair's full-re-encode fallback depend on it). A
@@ -194,8 +201,9 @@ impl Archive {
     }
 
     /// The read half of a unit's re-encode: its record, its payload
-    /// decoded from one digest-filtered fetch, and ingest's admission
-    /// check of that payload under `new_policy`. Nothing is written.
+    /// through the one decode read [`Archive::read_units`], and ingest's
+    /// admission check of that payload under `new_policy`. Nothing is
+    /// written.
     fn reencode_read(
         &self,
         owner: &ObjectId,
@@ -204,9 +212,10 @@ impl Archive {
     ) -> Result<Decoded, ArchiveError> {
         let start = self.cluster().clock().now();
         let record = self.load(unit)?;
-        let [fetch, _] = unit.labels().reencode;
-        let snap = self.fetch_shards(&record, fetch);
-        let payload = self.decode_verified(owner, &record, &snap)?;
+        let mut read = self.read_units(&[(owner, unit)])?;
+        let UnitRead {
+            payload, fetched, ..
+        } = read.pop().expect("one read per unit")?;
         // A tree block is a hash list, not payload, and is exempt.
         let tree = matches!(unit, Unit::Block(hash)
             if self.manifests.block(hash).is_some_and(|b| b.kind == BlockKind::Tree));
@@ -215,7 +224,7 @@ impl Archive {
         }
         Ok(Decoded {
             record,
-            snap,
+            bytes_read: fetched,
             payload,
             read_time: self.cluster().clock().now() - start,
         })
@@ -235,18 +244,17 @@ impl Archive {
         let write_start = clock.now();
         let Decoded {
             mut record,
-            snap,
+            bytes_read,
             payload,
             read_time,
         } = read;
-        let bytes_read: u64 = snap.shards.iter().flatten().map(|s| s.len() as u64).sum();
         let write = self.plan_unit_write(unit, new_policy, &record.id, &payload)?;
         let bytes_written: u64 = write.shards.iter().map(|s| s.len() as u64).sum();
         let ctx = record.id.as_str();
         let placement = self.executor().place(ctx, write.shards.len())?;
         self.executor().delete(ctx, &record.placement);
         (record.policy, record.meta, record.placement) = (write.policy, write.meta, placement);
-        let [_, put] = unit.labels().reencode;
+        let put = unit.labels().reencode;
         let written = self.write_back(owner, unit, record, write.shards, put)?;
         let reencoded = ObjectReencode {
             bytes_read,

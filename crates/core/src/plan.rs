@@ -52,13 +52,13 @@ pub struct WritePlan {
 /// whether the executor checks them.
 ///
 /// Every slot is fetched whatever the plan says. A *scrub* (verify,
-/// repair, refresh, re-wrap, re-encode, transfer) asks the executor to
-/// check every slot against its digest. A *decode read*
-/// ([`ReadPlan::for_decode`]) asks it to check none: the decoder
-/// consumes the first `need` present slots, and the decoded payload's
-/// digest alone decides whether the read returns bytes. Only when that
-/// decode fails does the reader check the slots it already holds by
-/// digest, to find and discard the corrupt ones.
+/// repair, refresh, re-wrap, transfer) asks the executor to check every
+/// slot against its digest. A *decode read* ([`ReadPlan::for_decode`]:
+/// retrieval, the dedup reads, re-encode) asks it to check none: the
+/// decoder consumes the first `need` present slots, and the decoded
+/// payload's digest alone decides whether the read returns bytes. Only
+/// when that decode fails does the reader check the slots it already
+/// holds by digest, to find and discard the corrupt ones.
 #[derive(Debug, Clone)]
 pub struct ReadPlan {
     /// The object being read.

@@ -54,10 +54,6 @@ impl RepairReport {
     }
 }
 
-fn snapshot_bytes(shards: &[Option<Blob>]) -> u64 {
-    shards.iter().flatten().map(|s| s.len() as u64).sum()
-}
-
 impl Archive {
     /// Repairs an object's missing shards: every stored unit behind it,
     /// summed. Requires at least the policy's read threshold of shards
@@ -115,7 +111,7 @@ impl Archive {
         // A repair reports no attempt accounting: free it now.
         snap.report = TransferReport::default();
         let shards = &snap.shards;
-        let mut bytes_read = snapshot_bytes(shards);
+        let mut bytes_read = snap.bytes();
         let missing: Vec<usize> = (0..shards.len()).filter(|&i| shards[i].is_none()).collect();
         if missing.is_empty() {
             return Ok(RepairReport {
@@ -178,7 +174,7 @@ impl Archive {
                 let policy = record.policy.clone();
                 let read = Decoded {
                     record,
-                    snap,
+                    bytes_read,
                     payload,
                     read_time: SimDuration::ZERO,
                 };
@@ -190,7 +186,7 @@ impl Archive {
         let plan = ReadPlan::for_manifest(&record);
         let mut rng = self.op_rng(after, plan.object.as_str());
         let snap = self.executor().reread(&plan, &held, &mut rng);
-        bytes_read += snapshot_bytes(&snap.shards);
+        bytes_read += snap.bytes();
         Ok(RepairReport {
             missing_before: missing.len(),
             missing_after: snap.shards.len() - snap.valid,

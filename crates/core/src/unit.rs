@@ -33,7 +33,8 @@ pub(crate) enum Unit {
 
 /// Retry-jitter rng labels of each op's node-I/O steps, `[fetch, put]`
 /// (repair: `[fetch, put, verifying fetch]`; ingest: its one put; read:
-/// the decode read behind retrieval and the dedup reads). The
+/// the decode read behind retrieval, the dedup reads and a re-encode's
+/// read; re-encode: its put). The
 /// values are part of the replayable behaviour — fault schedules are
 /// keyed by them — so each kind keeps the labels it has always drawn
 /// under.
@@ -41,7 +42,7 @@ pub(crate) struct Labels {
     pub ingest: &'static str,
     pub read: &'static str,
     pub repair: [&'static str; 3],
-    pub reencode: [&'static str; 2],
+    pub reencode: &'static str,
     pub refresh: [&'static str; 2],
     pub rewrap: [&'static str; 2],
     pub verify: &'static str,
@@ -51,7 +52,7 @@ pub(crate) const OBJECT: Labels = Labels {
     ingest: "ingest",
     read: "retrieve",
     repair: ["repair", "repair-put", "repair-after"],
-    reencode: ["retrieve", "reencode"],
+    reencode: "reencode",
     refresh: ["refresh", "refresh"],
     rewrap: ["rewrap", "rewrap"],
     verify: "verify",
@@ -61,7 +62,7 @@ pub(crate) const BLOCK: Labels = Labels {
     ingest: "block-ingest",
     read: "block-read",
     repair: ["block-repair", "block-repair-put", "block-repair-after"],
-    reencode: ["block-read", "block-reencode-put"],
+    reencode: "block-reencode-put",
     refresh: ["block-refresh", "block-refresh-put"],
     rewrap: ["block-rewrap", "block-rewrap-put"],
     verify: "block-read",

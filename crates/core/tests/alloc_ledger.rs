@@ -26,6 +26,7 @@ use aeon_core::{
 };
 use aeon_crypto::kernel::{Kernel, Tier};
 use aeon_crypto::SuiteId;
+use aeon_integrity::timestamp::SigBreakSchedule;
 use aeon_store::node::{MemoryNode, StorageNode};
 use aeon_store::Cluster;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -39,35 +40,39 @@ use std::sync::Arc;
 const PINNED: &[Pin] = &[
     ("bulk-aead", "ingest", 292, 156993, 72228),
     ("bulk-aead", "ingest_many", 285, 149840, 72228),
-    ("bulk-aead", "retrieve", 228, 79684, 43376),
-    ("bulk-aead", "retrieve_many", 428, 158960, 77176),
-    ("bulk-aead", "degraded_retrieve", 228, 79684, 43376),
+    ("bulk-aead", "retrieve", 227, 79660, 43352),
+    ("bulk-aead", "retrieve_many", 427, 158912, 77128),
+    ("bulk-aead", "degraded_retrieve", 227, 79660, 43352),
     ("bulk-aead", "repair", 188, 28825, 18301),
-    ("bulk-aead", "reencode", 642, 268589, 105827),
+    ("bulk-aead", "verify", 236, 81041, 43413),
+    ("bulk-aead", "reencode", 637, 267629, 105443),
     ("bulk-aead", "delete", 7, 224, 32),
     ("bulk-sharing", "ingest", 115, 128279, 115458),
     ("bulk-sharing", "ingest_many", 110, 122038, 115458),
-    ("bulk-sharing", "retrieve", 56, 19865, 18029),
-    ("bulk-sharing", "retrieve_many", 88, 39298, 35409),
-    ("bulk-sharing", "degraded_retrieve", 56, 19865, 18029),
+    ("bulk-sharing", "retrieve", 55, 19841, 18005),
+    ("bulk-sharing", "retrieve_many", 87, 39250, 35361),
+    ("bulk-sharing", "degraded_retrieve", 55, 19841, 18005),
     ("bulk-sharing", "repair", 105, 71518, 66402),
-    ("bulk-sharing", "reencode", 210, 184802, 104233),
+    ("bulk-sharing", "verify", 58, 20066, 17650),
+    ("bulk-sharing", "reencode", 210, 184578, 103849),
     ("bulk-sharing", "delete", 7, 224, 32),
     ("small-files", "ingest", 127, 20440, 15312),
     ("small-files", "ingest_many", 567, 80551, 51623),
-    ("small-files", "retrieve", 66, 4992, 2800),
-    ("small-files", "retrieve_many", 295, 47552, 28320),
-    ("small-files", "degraded_retrieve", 66, 4992, 2800),
+    ("small-files", "retrieve", 65, 4968, 2776),
+    ("small-files", "retrieve_many", 294, 47360, 28128),
+    ("small-files", "degraded_retrieve", 65, 4968, 2776),
     ("small-files", "repair", 121, 7627, 2047),
-    ("small-files", "reencode", 147, 11817, 5261),
+    ("small-files", "verify", 68, 5261, 2325),
+    ("small-files", "reencode", 147, 11561, 4064),
     ("small-files", "delete", 7, 224, 32),
     ("dedup-versions", "ingest", 949, 190503, 90069),
     ("dedup-versions", "ingest_many", 529, 85479, 35514),
-    ("dedup-versions", "retrieve", 470, 106318, 54216),
-    ("dedup-versions", "retrieve_many", 1409, 325242, 116280),
-    ("dedup-versions", "degraded_retrieve", 526, 111534, 54216),
+    ("dedup-versions", "retrieve", 469, 106078, 54216),
+    ("dedup-versions", "retrieve_many", 1406, 324522, 116280),
+    ("dedup-versions", "degraded_retrieve", 525, 111294, 54216),
     ("dedup-versions", "repair", 1542, 113953, 10978),
-    ("dedup-versions", "reencode", 2855, 301324, 19958),
+    ("dedup-versions", "verify", 1002, 99292, 27584),
+    ("dedup-versions", "reencode", 2855, 297996, 19574),
     ("dedup-versions", "delete", 29, 2783, 32),
 ];
 
@@ -79,9 +84,9 @@ const PINNED_SCALAR_X16: &[Pin] = &[
     ("small-files", "ingest_many", 566, 80159, 51623),
     ("dedup-versions", "ingest", 947, 189791, 90069),
     ("dedup-versions", "ingest_many", 526, 85015, 35514),
-    ("dedup-versions", "retrieve", 469, 106238, 54216),
-    ("dedup-versions", "retrieve_many", 1406, 325002, 116280),
-    ("dedup-versions", "degraded_retrieve", 525, 111454, 54216),
+    ("dedup-versions", "retrieve", 468, 105998, 54216),
+    ("dedup-versions", "retrieve_many", 1403, 324282, 116280),
+    ("dedup-versions", "degraded_retrieve", 524, 111214, 54216),
 ];
 
 type Pin = (&'static str, &'static str, u64, u64, u64);
@@ -298,7 +303,7 @@ struct Row {
 /// Runs one shape's operations on a fresh six-node archive: ingest of
 /// the first object, `ingest_many` of the rest, retrieve, `retrieve_many`
 /// of all, then (with every shard on node 0 gone) a degraded retrieve,
-/// repair, re-encode and delete of the first.
+/// repair, verify, re-encode and delete of the first.
 fn run(shape: &Shape) -> Vec<Row> {
     let nodes: Vec<Arc<MemoryNode>> = (0..6u32)
         .map(|i| Arc::new(MemoryNode::new(i, format!("site-{i}"))))
@@ -363,6 +368,10 @@ fn run(shape: &Shape) -> Vec<Row> {
     let (repaired, cost) = measure(|| archive.repair_object(&id));
     repaired.expect("repair");
     row("repair", first.len(), cost);
+    let schedule = SigBreakSchedule::default();
+    let (health, cost) = measure(|| archive.verify(&id, &schedule));
+    assert!(health.expect("verify").intact, "{}: verify", shape.name);
+    row("verify", first.len(), cost);
     let (moved, cost) = measure(|| archive.reencode_object(&id, shape.reencode_to.clone()));
     moved.expect("re-encode");
     row("reencode", first.len(), cost);

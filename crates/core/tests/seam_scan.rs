@@ -28,7 +28,10 @@
 //! deletes: one decode read for every stored unit, one tree walk, from a
 //! bare root only, and one delete. An eleventh guards repair's reads:
 //! one fetch of the old shards, one fetch under the digest-checked read
-//! and the byte-checked re-read, and no hashing in repair.
+//! and the byte-checked re-read, and no hashing in repair. A twelfth
+//! guards the scrub read: only `verify`, repair, refresh, re-wrap and
+//! transfer check every shard, and a re-encode reads through the one
+//! decode read.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -391,11 +394,13 @@ fn the_encode_layer_says_it_once() {
     );
 }
 
-/// The body of the method `name` in `source`: from `fn name(` to the
-/// first line that closes a four-space-indented item.
+/// The body of the method `name` in `source`: from `fn name(` (or
+/// `fn name<`, generic) to the first line that closes a
+/// four-space-indented item.
 fn method_body<'a>(source: &'a str, file: &str, name: &str) -> &'a str {
-    let start = source
-        .find(&format!("fn {name}("))
+    let start = [format!("fn {name}("), format!("fn {name}<")]
+        .iter()
+        .find_map(|head| source.find(head.as_str()))
         .unwrap_or_else(|| panic!("{file} defines fn {name}"));
     let len = source[start..]
         .find("\n    }\n")
@@ -711,4 +716,77 @@ fn repair_rereads_what_it_holds() {
         !repair.contains("Sha256::"),
         "repair.rs hashes what it already holds"
     );
+}
+
+/// Every `(file, fn)` in `aeon-core`'s non-test sources with a line
+/// that contains `pat`, in file order; a call's enclosing function is
+/// the last `fn name(` above it.
+fn callers(pat: &str) -> Vec<(String, String)> {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let mut sites = Vec::new();
+    for path in sources(&src) {
+        let file = path.file_name().unwrap().to_string_lossy().into_owned();
+        let mut within = String::new();
+        for line in non_test_source(&fs::read_to_string(&path).unwrap()).lines() {
+            if let Some((_, rest)) = line.split_once("fn ") {
+                if let Some((name, _)) = rest.split_once('(') {
+                    within = name.split('<').next().unwrap_or(name).to_string();
+                }
+            }
+            if line.contains(pat) {
+                sites.push((file.clone(), within.clone()));
+            }
+        }
+    }
+    sites
+}
+
+/// Re-accretion guard for the scrub read. A full scrub — every shard
+/// fetched and checked against its digest (`fetch_shards`, built on
+/// `ReadPlan::for_manifest`) — is for the operations that judge or keep
+/// individual shards: `verify`, repair, refresh, re-wrap and transfer.
+/// A re-encode deletes every old shard once the new ones are written, so
+/// per-shard hashes decide nothing its payload digest does not: its
+/// read is the one decode read, `reencode_read` calling `read_units`.
+#[test]
+fn only_the_scrubs_check_every_shard() {
+    let owned = |sites: &[(&str, &str)]| -> Vec<(String, String)> {
+        sites
+            .iter()
+            .map(|&(file, name)| (file.to_string(), name.to_string()))
+            .collect()
+    };
+    assert_eq!(
+        callers(".fetch_shards("),
+        owned(&[
+            ("archive.rs", "verify"),
+            ("maintenance.rs", "refresh_unit"),
+            ("maintenance.rs", "rewrap_unit"),
+            ("repair.rs", "repair_unit"),
+            ("transfer.rs", "shipment"),
+        ]),
+        "callers of the scrub fetch"
+    );
+    assert_eq!(
+        callers("::for_manifest("),
+        owned(&[
+            ("archive.rs", "fetch_shards"),
+            ("plan.rs", "for_decode"),
+            ("repair.rs", "repair_unit"),
+        ]),
+        "callers of the full-scrub plan"
+    );
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let maintenance = non_test_source(&fs::read_to_string(src.join("maintenance.rs")).unwrap());
+    let read = method_body(&maintenance, "maintenance.rs", "reencode_read");
+    assert!(
+        read.contains(".read_units("),
+        "maintenance.rs: fn reencode_read does not read through read_units"
+    );
+    for banned in ["fetch_shards(", "for_manifest(", "decode_verified("] {
+        assert!(
+            !read.contains(banned),
+            "maintenance.rs: fn reencode_read calls `{banned}`"
+        );
+    }
 }
