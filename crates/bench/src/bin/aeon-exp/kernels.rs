@@ -15,7 +15,10 @@
 //! the shape of every Merkle node, HMAC finish and signature chain step —
 //! and the fifth slot, `sha256-x16`, as the aggregate GB/s of sixteen
 //! 1 MiB lanes per call beside the single-stream `sha256` row (their
-//! ratio sets `Sha256::digest_many`'s break-even), then `digest_many` per
+//! ratio sets `Sha256::digest_many`'s break-even), then `shard-digest`:
+//! five 1 MiB shards per call, SHA-256 of each whole shard (`flat`)
+//! against the segment-tree roots the archive records (`tree`), per
+//! kernel, and their ratio on the active one; then `digest_many` per
 //! kernel over three real message sets: one 2 MiB version's dedup blocks,
 //! one 32-object small-files flush (payloads and RS(4, 2) shards) and
 //! the same 32 payloads alone, as one small-files `retrieve_many`
@@ -38,6 +41,7 @@ use std::time::Instant;
 
 use aeon_bench::{f2, f3, lcg_payload, reference_payload, CliArgs, Json, Table};
 use aeon_cas::{Chunker, ChunkerParams};
+use aeon_core::plan::SEGMENT;
 use aeon_crypto::aead::ChaCha20Poly1305;
 use aeon_crypto::aes::Aes;
 use aeon_crypto::chacha::ChaCha20;
@@ -47,6 +51,7 @@ use aeon_crypto::{ChaChaDrbg, CryptoRng, Sha256};
 use aeon_erasure::{ErasureCode, ReedSolomon};
 use aeon_gf::slice::{gf16_mul_add_rows_on, mul_add_rows_on, Gf16MulTable, Gf256MulTable};
 use aeon_gf::{Gf16, Gf256, Kernel, KernelTier};
+use aeon_integrity::merkle::{fold_root, MerkleTree};
 use aeon_secretshare::packed::{self, PackedParams};
 
 /// Buffer sizes every GF cell is measured at.
@@ -221,6 +226,81 @@ fn crypto_cells(budget: usize, reps: usize, src: &[u8]) -> (Vec<Cell>, Vec<(&'st
     (cells, digest_ns)
 }
 
+/// A kernel's two SHA-256 slots, `<sha256 tier>+<sha256-x16 tier>`.
+fn sha256_label(kernel: &CryptoKernel) -> String {
+    format!(
+        "{}+{}",
+        kernel.sha256_tier().name(),
+        kernel.sha256_x16_tier().name()
+    )
+}
+
+/// The shard digest of every shard in `shards` as the archive records it
+/// (`aeon_core::plan::SEGMENT`-byte segments, their RFC 6962 leaves in one
+/// `digest_many_tagged` batch on `kernel`, each shard's tree folded).
+fn segment_roots(kernel: &CryptoKernel, shards: &[&[u8]]) -> Vec<[u8; 32]> {
+    let cut = |shard: &&[u8]| shard.len().div_ceil(SEGMENT).max(1);
+    let segments: Vec<&[u8]> = shards
+        .iter()
+        .flat_map(|shard| {
+            (0..cut(shard)).map(|i| &shard[i * SEGMENT..shard.len().min((i + 1) * SEGMENT)])
+        })
+        .collect();
+    let mut leaves = Sha256::digest_many_tagged_on(kernel, 0x00, &segments);
+    let mut at = 0;
+    shards
+        .iter()
+        .map(|shard| {
+            let level = &mut leaves[at..at + cut(shard)];
+            at += level.len();
+            fold_root(level).expect("a shard has a segment")
+        })
+        .collect()
+}
+
+/// The `shard-digest` rows: aggregate GB/s of the digests of one Shamir
+/// 3-of-5 unit's five 1 MiB shards on every kernel, `flat` (SHA-256 of
+/// each whole shard, one `digest_many` of five messages: one stream at a
+/// time, below the lanes' break-even) against `tree` (the segment-tree
+/// root the archive records, every segment of the five in one lane
+/// batch). Each tree root is checked against `MerkleTree` first.
+fn shard_digest_cells(budget: usize, reps: usize) -> Vec<Cell> {
+    const MIB: usize = 1 << 20;
+    let unit = reference_payload(5 * MIB, 0xAE5);
+    let shards: Vec<&[u8]> = unit.chunks(MIB).collect();
+    let mut cells: Vec<Cell> = Vec::new();
+    for kernel in CryptoKernel::supported() {
+        let label = sha256_label(kernel);
+        if cells.iter().any(|c| c.kernel == label) {
+            continue;
+        }
+        let roots = segment_roots(kernel, &shards);
+        for (shard, root) in shards.iter().zip(&roots) {
+            let tree = MerkleTree::build(shard.chunks(SEGMENT)).expect("segments");
+            assert_eq!(
+                *root,
+                tree.root(),
+                "{label}: the shard digest is the tree root"
+            );
+        }
+        let flat = best_gbs(5 * MIB, budget, reps, || {
+            black_box(Sha256::digest_many_on(kernel, black_box(&shards)));
+        });
+        let tree = best_gbs(5 * MIB, budget, reps, || {
+            black_box(segment_roots(kernel, black_box(&shards)));
+        });
+        for (op, gbs) in [("shard-digest flat", flat), ("shard-digest tree", tree)] {
+            cells.push(Cell {
+                kernel: label.clone(),
+                op,
+                size: MIB,
+                gbs,
+            });
+        }
+    }
+    cells
+}
+
 /// `Sha256::digest_many` over one message set on one kernel.
 struct SetRow {
     set: &'static str,
@@ -234,8 +314,10 @@ struct SetRow {
 /// every kernel (labelled `<sha256 tier>+<sha256-x16 tier>`; a `+scalar`
 /// kernel hashes one message at a time): the dedup blocks of one 2 MiB
 /// version (default chunker), which is also what a dedup read's leaf
-/// level verifies; one small-files flush — 32 payloads of 4–32 KiB plus
-/// six RS(4, 2)-sized shards each; and one small-files `retrieve_many`'s
+/// level verifies; the messages of one small-files flush — 32 payloads
+/// of 4–32 KiB plus six RS(4, 2)-sized shards each — as one batch (the
+/// flush itself hashes the payloads and the shards' one-segment leaves
+/// as two); and one small-files `retrieve_many`'s
 /// payload check — the same 32 payloads alone.
 fn digest_set_rows(reps: usize) -> Vec<SetRow> {
     let version = reference_payload(2 << 20, 0xAE2);
@@ -254,11 +336,7 @@ fn digest_set_rows(reps: usize) -> Vec<SetRow> {
     }
     let mut rows: Vec<SetRow> = Vec::new();
     for kernel in CryptoKernel::supported() {
-        let label = format!(
-            "{}+{}",
-            kernel.sha256_tier().name(),
-            kernel.sha256_x16_tier().name()
-        );
+        let label = sha256_label(kernel);
         for (set, msgs) in [
             ("dedup blocks", &blocks),
             ("small-files flush", &flush),
@@ -505,7 +583,8 @@ pub fn run(args: &CliArgs) {
         r
     });
 
-    let (crypto, digest_ns) = crypto_cells(budget, reps, &src);
+    let (mut crypto, digest_ns) = crypto_cells(budget, reps, &src);
+    crypto.extend(shard_digest_cells(budget, reps));
     let mut crypto_out = Table::new(
         "SHA-256 / AES-256-CTR / ChaCha20 / Poly1305 kernel throughput (GB/s, min-of-N)",
         &["tier", "op", "size", "GB/s"],
@@ -535,6 +614,21 @@ pub fn run(args: &CliArgs) {
         "sha256-x16 / sha256 @16x1MiB: {}x (break-even {} busy lanes)",
         f2(x16_ratio),
         f2(16.0 / x16_ratio)
+    );
+    // The shard digest as the archive computes it, against SHA-256 of
+    // each whole shard, on the active kernel's label.
+    let active_label = sha256_label(CryptoKernel::active());
+    let shard_gbs = |op: &str| {
+        crypto
+            .iter()
+            .find(|c| c.op == op && c.kernel == active_label)
+            .map(|c| c.gbs)
+            .expect("shard-digest rows on the active kernel")
+    };
+    let shard_ratio = shard_gbs("shard-digest tree") / shard_gbs("shard-digest flat");
+    println!(
+        "shard-digest tree / flat @5x1MiB, {active_label}: {}x ({SEGMENT} B segments)",
+        f2(shard_ratio)
     );
     let sets = digest_set_rows(reps);
     let mut sets_out = Table::new(
@@ -684,6 +778,10 @@ pub fn run(args: &CliArgs) {
         ),
         ("crypto_cells".into(), cells_json(&crypto)),
         ("sha256_x16_vs_single_1m".into(), Json::Num(x16_ratio)),
+        (
+            "shard_digest_tree_vs_flat_5x1m".into(),
+            Json::Num(shard_ratio),
+        ),
         (
             "digest_many_sets".into(),
             Json::Arr(

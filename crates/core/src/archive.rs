@@ -300,9 +300,12 @@ pub struct Manifest {
     pub logical_len: usize,
     /// SHA-256 of the payload.
     pub digest: [u8; 32],
-    /// SHA-256 of each stored shard blob, indexed like `placement`.
-    /// Degraded reads and repair use these to discard bit-rotted
-    /// shards instead of feeding them to the decoder.
+    /// The shard digest of each stored shard blob, indexed like
+    /// `placement`: the root of an RFC 6962 Merkle tree over the blob's
+    /// [`plan::SEGMENT`]-byte segments (`crate::plan::digest_shards`),
+    /// not SHA-256 of the whole blob. Scrubs, repair and a failed decode
+    /// read use these to discard bit-rotted shards instead of feeding
+    /// them to the decoder.
     pub shard_digests: Vec<[u8; 32]>,
     /// Year of ingest.
     pub created_year: u32,
@@ -643,14 +646,14 @@ impl Archive {
             .iter()
             .map(|w: &WritePlan| self.executor().place(w.object.as_str(), w.shards.len()))
             .collect::<Result<Vec<_>, _>>()?;
-        let shards = plans
-            .iter()
-            .flat_map(|w| w.shards.iter().map(Vec::as_slice));
-        let messages: Vec<&[u8]> = items.iter().map(|(p, _)| *p).chain(shards).collect();
-        let mut batch = Sha256::digest_many(&messages).into_iter();
-        for (manifest, digest) in manifests.iter_mut().zip(batch.by_ref().take(items.len())) {
+        let payloads: Vec<&[u8]> = items.iter().map(|(p, _)| *p).collect();
+        for (manifest, digest) in manifests.iter_mut().zip(Sha256::digest_many(&payloads)) {
             manifest.digest = digest;
         }
+        let shards: Vec<&[u8]> = (plans.iter())
+            .flat_map(|w| w.shards.iter().map(Vec::as_slice))
+            .collect();
+        let mut batch = plan::digest_shards(&shards).into_iter();
         for write in &mut plans {
             write.shard_digests = batch.by_ref().take(write.shards.len()).collect();
         }
@@ -1114,8 +1117,23 @@ impl Archive {
         let mut available = usize::MAX;
         let mut required = 0usize;
         let units = self.units_of(manifest);
-        let mut payloads = Vec::with_capacity(units.len());
-        for unit in &units {
+        // A dedup object's leaves spell its payload: `slots[p]` is the
+        // unit (a first distinct leaf) at leaf position `p`. Each leaf
+        // payload is fed to the running digest as soon as every earlier
+        // position was, and held only while a later position repeats it;
+        // a tree node's payload, or a classic object's, is never held.
+        let (distinct, slots) = manifest
+            .blocks
+            .as_ref()
+            .map(|d| crate::dedup::first_occurrence_slots(&d.blocks))
+            .unwrap_or_default();
+        let mut last = vec![0usize; distinct.len()];
+        for (p, &at) in slots.iter().enumerate() {
+            last[at] = p;
+        }
+        let mut held: Vec<Option<Vec<u8>>> = vec![None; distinct.len()];
+        let (mut spelled, mut fed, mut decoded) = (Sha256::new(), 0usize, 0usize);
+        for (i, unit) in units.iter().enumerate() {
             let Ok(record) = self.load(unit) else {
                 available = 0;
                 continue;
@@ -1123,18 +1141,28 @@ impl Archive {
             let snap = self.fetch_shards(&record, unit.labels().verify);
             available = available.min(snap.valid);
             required = required.max(record.policy.read_threshold());
-            payloads.extend(self.decode_verified(id, &record, &snap).ok());
+            let Ok(payload) = self.decode_verified(id, &record, &snap) else {
+                continue;
+            };
+            decoded += 1;
+            if decoded <= i || i >= held.len() {
+                continue;
+            }
+            held[i] = Some(payload);
+            while let Some(bytes) = slots.get(fed).and_then(|&at| held[at].as_ref()) {
+                spelled.update(bytes);
+                if last[slots[fed]] == fed {
+                    held[slots[fed]] = None;
+                }
+                fed += 1;
+            }
         }
         // Intact: every unit decodes from its scrub-clean shards, each
-        // block to its address. A dedup object's payloads then answer the
-        // rest: the tree its row's leaves rebuild ends at the row's root,
-        // and the leaves — the first distinct units — hash to its digest.
-        let mut intact = payloads.len() == units.len();
+        // block to its address (so every leaf was fed). A dedup object's
+        // then answer the rest: the tree its row's leaves rebuild ends at
+        // the row's root, and the leaves spelled its digest.
+        let mut intact = decoded == units.len();
         if let (Some(d), true) = (&manifest.blocks, intact) {
-            let mut spelled = Sha256::new();
-            for &at in &crate::dedup::first_occurrence_slots(&d.blocks).1 {
-                spelled.update(&payloads[at]);
-            }
             intact =
                 units.last() == Some(&Unit::Block(d.root)) && spelled.finalize() == manifest.digest;
         }
@@ -2276,6 +2304,29 @@ mod tests {
         }
     }
 
+    /// `verify` spells a dedup payload from its leaves as it decodes them,
+    /// holding a leaf only until its last repeat: a payload whose blocks
+    /// repeat (two 2 KiB parts, `A B A A B`) verifies intact, and the same
+    /// object with a different recorded payload digest does not.
+    #[test]
+    fn verify_spells_a_dedup_payload_whose_leaves_repeat() {
+        let mut parts = vec![0u8; 4096];
+        ChaChaDrbg::from_u64_seed(44).fill_bytes(&mut parts);
+        let (a, b) = parts.split_at(2048);
+        let payload = [a, b, a, a, b].concat();
+        let mut config = ArchiveConfig::new(PolicyKind::ErasureCoded { data: 3, parity: 2 });
+        config.dedup = Some(small_dedup());
+        let mut archive = Archive::in_memory(config).unwrap();
+        let id = archive.ingest(&payload, "repeats").unwrap();
+        let leaves = &archive.row(&id).unwrap().blocks.as_ref().unwrap().blocks;
+        let distinct = crate::dedup::first_occurrence_slots(leaves).0.len();
+        assert!(distinct < leaves.len(), "some leaf repeats");
+        let schedule = SigBreakSchedule::new();
+        assert!(archive.verify(&id, &schedule).unwrap().intact);
+        archive.manifests.update(&id, |m| m.digest[0] ^= 1);
+        assert!(!archive.verify(&id, &schedule).unwrap().intact);
+    }
+
     /// A corrupt shard among the first `k` fails the unchecked decode —
     /// by a wrong payload or at the tag — and the read falls back to
     /// checking the slots it already fetched, discarding the corrupt one
@@ -2653,7 +2704,7 @@ mod tests {
             .block_mut(hash)
             .unwrap()
             .record
-            .shard_digests[0] = Sha256::digest(&shard);
+            .shard_digests[0] = plan::digest_shards(&[&shard])[0];
     }
 
     /// A data block whose shards and recorded shard digests were rewritten

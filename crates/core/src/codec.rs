@@ -504,8 +504,13 @@ impl Dispersal {
                 let params = PackedParams::new(privacy, pack, shares).map_err(invalid)?;
                 let out = packed::split(rng, params, sealed).map_err(malformed)?;
                 meta.packed = Some((params, sealed.len()));
-                let be_bytes =
-                    |s: PackedShare| s.data.iter().flat_map(|v| v.to_be_bytes()).collect();
+                let be_bytes = |s: PackedShare| {
+                    let mut bytes = vec![0u8; 2 * s.data.len()];
+                    for (pair, v) in bytes.chunks_exact_mut(2).zip(&s.data) {
+                        pair.copy_from_slice(&v.to_be_bytes());
+                    }
+                    bytes
+                };
                 Ok(out.into_iter().map(be_bytes).collect())
             }
             Dispersal::Lrss {

@@ -25,7 +25,7 @@
 //! a copy.
 
 use crate::archive::ArchiveError;
-use crate::plan::{ReadPlan, WritePlan};
+use crate::plan::{digest_shards, ReadPlan, WritePlan};
 use crate::policy::PolicyError;
 use aeon_crypto::{ChaChaDrbg, CryptoRng, Sha256};
 use aeon_store::cluster::{ClusterError, ShardAttempt, TransferReport};
@@ -310,7 +310,7 @@ impl<'a> PlanExecutor<'a> {
     /// and slots past the `need`-th valid one come back `None` unhashed
     /// (see [`ReadPlan::need`]). The first `need` present slots of every
     /// verifying plan — all a plan hashes unless one of them fails — are
-    /// hashed in one [`Sha256::digest_many`] batch.
+    /// digested in one `digest_shards` batch.
     ///
     /// # Panics
     ///
@@ -602,7 +602,6 @@ impl<'a> PlanExecutor<'a> {
             });
         }
         let mut first = self.first_attempts::<Put>(&legs).into_iter();
-        let mut digests = Vec::with_capacity(legs.len());
         for (p, leg) in legs.iter().enumerate() {
             let attempted = first.next().expect("one first attempt per leg");
             if let (_, Err(e)) = self.settle::<Put, R>(leg, attempted, rng) {
@@ -613,9 +612,14 @@ impl<'a> PlanExecutor<'a> {
                 }
                 return Err(ArchiveError::Cluster(ClusterError::Node(e)));
             }
-            digests.push((leg.shard as usize, Sha256::digest(&leg.data)));
         }
-        Ok(digests)
+        let written: Vec<&[u8]> = legs.iter().map(|leg| &leg.data[..]).collect();
+        let digests = digest_shards(&written);
+        Ok(legs
+            .iter()
+            .map(|leg| leg.shard as usize)
+            .zip(digests)
+            .collect())
     }
 
     /// Deletes an object's shards (delete, a block's last release, the
@@ -649,11 +653,12 @@ impl<'a> PlanExecutor<'a> {
     }
 }
 
-/// Checks by digest, in place, each unchecked snapshot `pick` selects
-/// (by index), as a verifying read of its plan would have from the same
-/// fetch: [`digest_filter`] over every plan's slots, the first `need`
-/// present slots of all picked plans hashed in one
-/// [`Sha256::digest_many`] batch. No node is touched.
+/// Checks by shard digest, in place, each unchecked snapshot `pick`
+/// selects (by index), as a verifying read of its plan would have from
+/// the same fetch: [`digest_filter`] over every plan's slots, the first
+/// `need` present slots of all picked plans digested in one
+/// `digest_shards` batch (so every segment of every such slot
+/// shares the sixteen SHA-256 lanes). No node is touched.
 pub(crate) fn verify_where(
     plans: &[ReadPlan],
     snaps: &mut [ShardsSnapshot],
@@ -663,7 +668,7 @@ pub(crate) fn verify_where(
     let firsts: Vec<&[u8]> = picked()
         .flat_map(|i| first_present(&plans[i], &snaps[i].shards))
         .collect();
-    let mut digests = Sha256::digest_many(&firsts).into_iter();
+    let mut digests = digest_shards(&firsts).into_iter();
     for i in picked() {
         let snap = &mut snaps[i];
         let (shards, report) = (mem::take(&mut snap.shards), mem::take(&mut snap.report));
@@ -705,7 +710,7 @@ fn digest_filter(
         let digest = if examined < plan.need {
             batched.next().expect("one batched digest per first slot")
         } else {
-            Sha256::digest(bytes)
+            digest_shards(&[bytes])[0]
         };
         examined += 1;
         plan.shard_digests.get(s) == Some(&digest)
@@ -778,7 +783,7 @@ mod tests {
         ReadPlan {
             object: crate::archive::ObjectId::from_raw("obj".into()),
             placement: placement.to_vec(),
-            shard_digests: shards.iter().map(|s| Sha256::digest(s)).collect(),
+            shard_digests: digest_shards(shards),
             need: placement.len(),
             verify: true,
         }
@@ -902,7 +907,7 @@ mod tests {
         edit(&mut fetched);
         let fetched: Vec<Option<Blob>> = fetched.into_iter().map(|s| s.map(Blob::from)).collect();
         let firsts: Vec<&[u8]> = first_present(&plan, &fetched).collect();
-        let mut batched = Sha256::digest_many(&firsts).into_iter();
+        let mut batched = digest_shards(&firsts).into_iter();
         digest_filter(&plan, fetched, TransferReport::default(), &mut batched)
     }
 

@@ -17,7 +17,7 @@ use crate::dedup::BlockKind;
 use crate::plan;
 use crate::policy::PolicyKind;
 use crate::unit::Unit;
-use aeon_crypto::{Sha256, SuiteId};
+use aeon_crypto::SuiteId;
 use aeon_secretshare::proactive::ProtocolCost;
 use aeon_store::clock::SimDuration;
 use aeon_store::node::Blob;
@@ -330,7 +330,8 @@ impl Archive {
     }
 
     /// The one write-back of refresh, re-wrap and re-encode: records the
-    /// digests of `shards` — one [`Sha256::digest_many`] — then hands
+    /// shard digests of `shards` — one `plan::digest_shards` batch, the
+    /// roots of their segment trees — then hands
     /// them over by value to `record`'s placement (retry jitter from the
     /// `put` label's per-unit rng), and stores `record` to `unit`'s home
     /// whether or not every shard landed, since a shard that missed the
@@ -345,8 +346,7 @@ impl Archive {
         shards: Vec<Vec<u8>>,
         put: &str,
     ) -> Landed {
-        let borrowed: Vec<&[u8]> = shards.iter().map(Vec::as_slice).collect();
-        record.shard_digests = Sha256::digest_many(&borrowed);
+        record.shard_digests = plan::digest_shards(&shards);
         let blobs = shards.into_iter().map(Blob::from).collect();
         let ctx = record.id.as_str();
         let mut rng = self.op_rng(put, ctx);

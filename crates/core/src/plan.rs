@@ -24,9 +24,11 @@ use crate::keys::KeyStore;
 use crate::pipeline::{self, PipelineConfig, StoredChunks};
 use crate::policy::{EncodingMeta, PolicyError, PolicyKind};
 use aeon_crypto::{CryptoRng, Sha256, SuiteId};
+use aeon_integrity::merkle;
 use aeon_secretshare::proactive::{self, ProtocolCost};
 use aeon_secretshare::shamir::Share;
 use aeon_store::node::NodeId;
+use std::mem;
 
 /// A fully determined object write: every shard byte and its digest,
 /// computed before any node is touched.
@@ -38,7 +40,8 @@ pub struct WritePlan {
     pub policy: PolicyKind,
     /// One blob per placement slot.
     pub shards: Vec<Vec<u8>>,
-    /// SHA-256 of each blob, indexed like `shards`.
+    /// The shard digest (the root of the blob's [`SEGMENT`] tree) of each
+    /// blob, indexed like `shards`.
     pub shard_digests: Vec<[u8; 32]>,
     /// Encode-time metadata for the manifest.
     pub meta: EncodingMeta,
@@ -65,8 +68,9 @@ pub struct ReadPlan {
     pub object: ObjectId,
     /// Node placement, one entry per shard.
     pub placement: Vec<NodeId>,
-    /// Expected SHA-256 of each stored blob. A slot whose bytes do not
-    /// match is discarded as bit-rot rather than fed to the decoder.
+    /// Expected shard digest (the root of the blob's [`SEGMENT`] tree) of
+    /// each stored blob. A slot whose bytes do not match is discarded as
+    /// bit-rot rather than fed to the decoder.
     pub shard_digests: Vec<[u8; 32]>,
     /// Shards the caller will consume: the first `need` valid slots in
     /// slot order, which is what every dispersal decodes from. A
@@ -143,14 +147,58 @@ pub fn plan_write<R: CryptoRng + ?Sized>(
     cfg: &PipelineConfig,
 ) -> Result<WritePlan, PolicyError> {
     let mut write = encode_write(policy, keys, rng, id, payload, cfg)?;
-    let shards: Vec<&[u8]> = write.shards.iter().map(Vec::as_slice).collect();
-    write.shard_digests = Sha256::digest_many(&shards);
+    write.shard_digests = digest_shards(&write.shards);
     Ok(write)
+}
+
+/// The length of a shard segment: a shard digest is the root of a
+/// Merkle tree over the shard cut into `SEGMENT`-byte segments (the last
+/// one shorter). One segment is 256 SHA-256 blocks, so a lone 256 KiB
+/// shard fills the sixteen lanes of [`Sha256::digest_many_tagged`] and a
+/// 1 MiB one keeps them full four times over, while a 4–32 KiB shard of
+/// a small file stays one or two leaves. Not configurable: a different
+/// length is a different digest for every stored shard.
+pub const SEGMENT: usize = 16 << 10;
+
+/// The shard digest of each of `shards`, indexed like it: the root of
+/// the RFC 6962 tree `aeon_integrity::merkle::MerkleTree` builds over
+/// the shard's [`SEGMENT`]-byte segments — leaf = SHA-256(0x00 ‖
+/// segment), node = SHA-256(0x01 ‖ left ‖ right), an odd node promoted,
+/// a one-segment shard's root its leaf hash, and the empty shard's
+/// `leaf_hash(b"")`. Every segment of every shard in the call is one
+/// message of a single [`Sha256::digest_many_tagged`] batch, hashed where
+/// it lies; the interior nodes are folded per shard after it.
+///
+/// Every shard digest the archive records or checks is computed here,
+/// and nowhere else.
+pub(crate) fn digest_shards<S: AsRef<[u8]>>(shards: &[S]) -> Vec<[u8; 32]> {
+    let count = |shard: &[u8]| shard.len().div_ceil(SEGMENT).max(1);
+    let segments: Vec<&[u8]> = shards
+        .iter()
+        .flat_map(|shard| {
+            let shard = shard.as_ref();
+            (0..count(shard)).map(move |i| &shard[i * SEGMENT..shard.len().min((i + 1) * SEGMENT)])
+        })
+        .collect();
+    let mut leaves = Sha256::digest_many_tagged(0x00, &segments);
+    if leaves.len() == shards.len() {
+        // Every shard is one segment, whose leaf is its root.
+        return leaves;
+    }
+    let mut rest = leaves.as_mut_slice();
+    shards
+        .iter()
+        .map(|shard| {
+            let (level, later) = mem::take(&mut rest).split_at_mut(count(shard.as_ref()));
+            rest = later;
+            merkle::fold_root(level).expect("a shard has a segment")
+        })
+        .collect()
 }
 
 /// The encode half of [`plan_write`]: the plan with `shard_digests`
 /// still empty, for a caller that digests many plans' shards in one
-/// [`Sha256::digest_many`] (an ingest flush) and fills them in.
+/// [`digest_shards`] (an ingest flush) and fills them in.
 ///
 /// # Errors
 ///
@@ -308,4 +356,64 @@ pub fn plan_rewrap(
         .collect::<Result<_, _>>()?;
     let new_policy = rewrapped_policy(&manifest.policy, new_suite)?;
     Ok((chunks.join(rewrapped), new_policy))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use aeon_integrity::merkle::{leaf_hash, MerkleTree};
+    use proptest::prelude::*;
+
+    /// The reference definition: `MerkleTree` over the shard's segments,
+    /// the empty shard's root its one empty leaf.
+    fn reference(shard: &[u8]) -> [u8; 32] {
+        MerkleTree::build(shard.chunks(SEGMENT)).map_or(leaf_hash(b""), |tree| tree.root())
+    }
+
+    fn bytes(len: usize, salt: u32) -> Vec<u8> {
+        (0..len as u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) ^ salt) as u8)
+            .collect()
+    }
+
+    /// Every shard length at a segment or block edge, digested alone and
+    /// all in one batch, equals the reference tree's root (run under both
+    /// `AEON_FORCE_KERNEL` legs: lanes and one stream at a time).
+    #[test]
+    fn a_shard_digest_is_the_segment_tree_root() {
+        let lens = [
+            0,
+            1,
+            63,
+            64,
+            SEGMENT - 1,
+            SEGMENT,
+            SEGMENT + 1,
+            16 * SEGMENT + 5,
+        ];
+        let shards: Vec<Vec<u8>> = (0..).zip(lens).map(|(i, len)| bytes(len, i)).collect();
+        let borrowed: Vec<&[u8]> = shards.iter().map(Vec::as_slice).collect();
+        let expect: Vec<[u8; 32]> = borrowed.iter().map(|s| reference(s)).collect();
+        assert_eq!(digest_shards(&borrowed), expect);
+        for (shard, digest) in borrowed.iter().zip(&expect) {
+            assert_eq!(digest_shards(&[shard]), [*digest], "{} bytes", shard.len());
+        }
+        assert_eq!(digest_shards::<&[u8]>(&[]), Vec::<[u8; 32]>::new());
+        assert_eq!(digest_shards(&[b""]), [leaf_hash(b"")]);
+        // One segment: the root is the leaf, not SHA-256 of the bytes.
+        assert_ne!(digest_shards(&[b"abc"])[0], Sha256::digest(b"abc"));
+    }
+
+    proptest! {
+        #[test]
+        fn shard_digests_equal_the_reference_tree(
+            lens in prop::collection::vec(0..(3 * SEGMENT + 200), 0..7),
+            salt in any::<u32>(),
+        ) {
+            let shards: Vec<Vec<u8>> = lens.iter().map(|&len| bytes(len, salt)).collect();
+            let borrowed: Vec<&[u8]> = shards.iter().map(Vec::as_slice).collect();
+            let expect: Vec<[u8; 32]> = borrowed.iter().map(|s| reference(s)).collect();
+            prop_assert_eq!(digest_shards(&borrowed), expect);
+        }
+    }
 }

@@ -634,4 +634,55 @@ mod tests {
         assert_eq!(report.method, RepairMethod::FullReencode);
         assert_eq!((report.missing_before, report.missing_after), (1, 1));
     }
+
+    /// A shard digest is a segment-tree root with RFC 6962 domain tags,
+    /// so a stored blob built from the tree's own hashes is no preimage
+    /// of it: not the concatenated leaf digests (which a flat hash over
+    /// the leaves would accept), not `0x01 ‖ left ‖ right` (which a tree
+    /// with untagged leaves would accept). Either forgery on a
+    /// multi-segment shard is counted corrupt by `verify` and rewritten
+    /// by `repair_object`.
+    #[test]
+    fn a_preimage_built_from_the_tree_is_a_corrupt_shard() {
+        use crate::plan::{digest_shards, SEGMENT};
+        use aeon_integrity::merkle::{leaf_hash, node_hash};
+        let shamir = PolicyKind::Shamir {
+            threshold: 3,
+            shares: 5,
+        };
+        let payload: Vec<u8> = (0..3 * SEGMENT + 100).map(|i| (i * 7 + 3) as u8).collect();
+        let (mut archive, handles) = archive_with_handles(shamir, 5);
+        let id = archive.ingest(&payload, "forged").unwrap();
+        let manifest = archive.manifest(&id).unwrap();
+        let key = ShardKey::new(id.as_str(), 1);
+        let node = handles
+            .iter()
+            .find(|h| h.id() == manifest.placement[1])
+            .unwrap();
+        let shard = node.get(&key).unwrap();
+        let leaves: Vec<[u8; 32]> = shard.chunks(SEGMENT).map(leaf_hash).collect();
+        assert_eq!(leaves.len(), 4, "the shard spans four segments");
+        let (left, right) = (
+            node_hash(&leaves[0], &leaves[1]),
+            node_hash(&leaves[2], &leaves[3]),
+        );
+        assert_eq!(manifest.shard_digests[1], node_hash(&left, &right));
+        let concatenated: Vec<u8> = leaves.concat();
+        let untagged: Vec<u8> = [&[0x01][..], &left, &right].concat();
+        for forged in [concatenated, untagged] {
+            assert_ne!(digest_shards(&[&forged])[0], manifest.shard_digests[1]);
+            node.put(&key, &forged).unwrap();
+            let health = archive.verify(&id, &SigBreakSchedule::new()).unwrap();
+            assert_eq!((health.shards_available, health.intact), (4, true));
+            let report = archive.repair_object(&id).unwrap();
+            assert_eq!((report.missing_before, report.missing_after), (1, 0));
+            assert_eq!(
+                node.get(&key).unwrap(),
+                shard,
+                "the forged slot is rewritten"
+            );
+            let health = archive.verify(&id, &SigBreakSchedule::new()).unwrap();
+            assert_eq!(health.shards_available, 5);
+        }
+    }
 }

@@ -38,41 +38,41 @@ use std::sync::Arc;
 /// ceiling each measured row must stay at or under, with the sixteen-lane
 /// SHA-256 slot on its `avx512` tier.
 const PINNED: &[Pin] = &[
-    ("bulk-aead", "ingest", 292, 156993, 72228),
-    ("bulk-aead", "ingest_many", 285, 149840, 72228),
+    ("bulk-aead", "ingest", 295, 157105, 72228),
+    ("bulk-aead", "ingest_many", 288, 149952, 72228),
     ("bulk-aead", "retrieve", 227, 79660, 43352),
     ("bulk-aead", "retrieve_many", 427, 158912, 77128),
     ("bulk-aead", "degraded_retrieve", 227, 79660, 43352),
-    ("bulk-aead", "repair", 188, 28825, 18301),
-    ("bulk-aead", "verify", 236, 81041, 43413),
-    ("bulk-aead", "reencode", 637, 267629, 105443),
+    ("bulk-aead", "repair", 193, 29129, 18301),
+    ("bulk-aead", "verify", 237, 81209, 43389),
+    ("bulk-aead", "reencode", 638, 267725, 105443),
     ("bulk-aead", "delete", 7, 224, 32),
-    ("bulk-sharing", "ingest", 115, 128279, 115458),
-    ("bulk-sharing", "ingest_many", 110, 122038, 115458),
+    ("bulk-sharing", "ingest", 118, 128375, 115458),
+    ("bulk-sharing", "ingest_many", 113, 122134, 115458),
     ("bulk-sharing", "retrieve", 55, 19841, 18005),
     ("bulk-sharing", "retrieve_many", 87, 39250, 35361),
     ("bulk-sharing", "degraded_retrieve", 55, 19841, 18005),
-    ("bulk-sharing", "repair", 105, 71518, 66402),
-    ("bulk-sharing", "verify", 58, 20066, 17650),
-    ("bulk-sharing", "reencode", 210, 184578, 103849),
+    ("bulk-sharing", "repair", 109, 71694, 66402),
+    ("bulk-sharing", "verify", 59, 20234, 17626),
+    ("bulk-sharing", "reencode", 211, 184674, 103849),
     ("bulk-sharing", "delete", 7, 224, 32),
-    ("small-files", "ingest", 127, 20440, 15312),
-    ("small-files", "ingest_many", 567, 80551, 51623),
+    ("small-files", "ingest", 130, 20552, 15264),
+    ("small-files", "ingest_many", 574, 82351, 51383),
     ("small-files", "retrieve", 65, 4968, 2776),
     ("small-files", "retrieve_many", 294, 47360, 28128),
     ("small-files", "degraded_retrieve", 65, 4968, 2776),
-    ("small-files", "repair", 121, 7627, 2047),
-    ("small-files", "verify", 68, 5261, 2325),
-    ("small-files", "reencode", 147, 11561, 4064),
+    ("small-files", "repair", 126, 7931, 2047),
+    ("small-files", "verify", 69, 5429, 2301),
+    ("small-files", "reencode", 148, 11657, 4064),
     ("small-files", "delete", 7, 224, 32),
-    ("dedup-versions", "ingest", 949, 190503, 90069),
-    ("dedup-versions", "ingest_many", 529, 85479, 35514),
+    ("dedup-versions", "ingest", 956, 193487, 89541),
+    ("dedup-versions", "ingest_many", 535, 86935, 35226),
     ("dedup-versions", "retrieve", 469, 106078, 54216),
     ("dedup-versions", "retrieve_many", 1406, 324522, 116280),
     ("dedup-versions", "degraded_retrieve", 525, 111294, 54216),
-    ("dedup-versions", "repair", 1542, 113953, 10978),
-    ("dedup-versions", "verify", 1002, 99292, 27584),
-    ("dedup-versions", "reencode", 2855, 297996, 19574),
+    ("dedup-versions", "repair", 1607, 117905, 10978),
+    ("dedup-versions", "verify", 1029, 101796, 7736),
+    ("dedup-versions", "reencode", 2868, 299244, 19574),
     ("dedup-versions", "delete", 29, 2783, 32),
 ];
 
@@ -81,9 +81,9 @@ const PINNED: &[Pin] = &[
 /// AVX-512): `Sha256::digest_many` then hashes one message at a time and
 /// allocates no lane schedule.
 const PINNED_SCALAR_X16: &[Pin] = &[
-    ("small-files", "ingest_many", 566, 80159, 51623),
-    ("dedup-versions", "ingest", 947, 189791, 90069),
-    ("dedup-versions", "ingest_many", 526, 85015, 35514),
+    ("small-files", "ingest_many", 573, 82015, 51383),
+    ("dedup-versions", "ingest", 954, 192783, 89541),
+    ("dedup-versions", "ingest_many", 532, 86487, 35226),
     ("dedup-versions", "retrieve", 468, 105998, 54216),
     ("dedup-versions", "retrieve_many", 1403, 324282, 116280),
     ("dedup-versions", "degraded_retrieve", 524, 111214, 54216),

@@ -34,7 +34,7 @@ use std::fmt::Debug;
 use std::sync::Arc;
 
 /// SHA-256 of the transcript of all eight legs.
-const PINNED: &str = "f90eff1671231d2753c833fd4af8cecac1218fcbe3204c8da52b5ca29ce0cb0e";
+const PINNED: &str = "3db742d5d1884053677d6134fb405ba6555196316987a884410e38afcd5ce8c4";
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()

@@ -31,7 +31,9 @@
 //! and the byte-checked re-read, and no hashing in repair. A twelfth
 //! guards the scrub read: only `verify`, repair, refresh, re-wrap and
 //! transfer check every shard, and a re-encode reads through the one
-//! decode read.
+//! decode read. A thirteenth guards the shard digest: one batched
+//! function computes every segment-tree root, and no other code on the
+//! shard path runs SHA-256 over shard bytes.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -789,4 +791,82 @@ fn only_the_scrubs_check_every_shard() {
             "maintenance.rs: fn reencode_read calls `{banned}`"
         );
     }
+}
+
+/// Re-accretion guard for the shard digest. A shard digest is the root
+/// of a Merkle tree over the shard's fixed segments, computed in one
+/// batched function, `plan::digest_shards`, which every site that records
+/// or checks one calls: the ingest flush, `plan_write`, the write-back,
+/// repair's writes and the scrub's digest filter. In the five files on
+/// the shard path, SHA-256 runs directly only over what is not a shard:
+/// payloads (the flush's payload digests, the read tail's check) and an
+/// object name seeding a delete's jitter. A whole-shard `digest` or
+/// `digest_many` anywhere else would record a digest no scrub accepts.
+#[test]
+fn one_shard_digest() {
+    let owned = |sites: &[(&str, &str)]| -> Vec<(String, String)> {
+        sites
+            .iter()
+            .map(|&(file, name)| (file.to_string(), name.to_string()))
+            .collect()
+    };
+    const SHARD_PATH: [&str; 5] = [
+        "archive.rs",
+        "executor.rs",
+        "maintenance.rs",
+        "plan.rs",
+        "repair.rs",
+    ];
+    let on_path = |pat: &str| -> Vec<(String, String)> {
+        callers(pat)
+            .into_iter()
+            .filter(|(file, _)| SHARD_PATH.contains(&file.as_str()))
+            .collect()
+    };
+    assert_eq!(
+        callers("digest_shards("),
+        owned(&[
+            ("archive.rs", "write_flush"),
+            ("executor.rs", "repair_blobs"),
+            ("executor.rs", "verify_where"),
+            ("executor.rs", "digest_filter"),
+            ("maintenance.rs", "write_back"),
+            ("plan.rs", "plan_write"),
+        ]),
+        "the shard digest's callers"
+    );
+    assert_eq!(
+        on_path("digest_many"),
+        owned(&[
+            ("archive.rs", "write_flush"),
+            ("archive.rs", "decode_many"),
+            ("plan.rs", "digest_shards"),
+        ]),
+        "batched SHA-256 on the shard path"
+    );
+    assert_eq!(
+        on_path("Sha256::digest("),
+        owned(&[("executor.rs", "delete")]),
+        "one-shot SHA-256 on the shard path"
+    );
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let read = |file: &str| non_test_source(&fs::read_to_string(src.join(file)).unwrap());
+    let flush = method_body(&read("archive.rs"), "archive.rs", "write_flush").to_string();
+    let batched: Vec<&str> = flush
+        .lines()
+        .filter(|l| l.contains("digest_many"))
+        .collect();
+    assert!(
+        batched.len() == 1 && batched[0].contains("Sha256::digest_many(&payloads)"),
+        "archive.rs: fn write_flush batches SHA-256 over its payloads only: {batched:?}"
+    );
+    let plan = read("plan.rs");
+    let start = plan
+        .find("fn digest_shards<")
+        .expect("plan.rs defines fn digest_shards");
+    let one = &plan[start..start + plan[start..].find("\n}\n").expect("fn digest_shards ends")];
+    assert!(
+        one.contains("Sha256::digest_many_tagged(0x00,") && one.contains("merkle::fold_root("),
+        "plan.rs: fn digest_shards is not one tagged leaf batch folded into roots"
+    );
 }

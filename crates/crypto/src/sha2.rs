@@ -4,7 +4,9 @@
 //! the process-wide [`Kernel`]'s `sha256_blocks` slot, whose scalar tier
 //! is this module's round loop. [`Sha256::digest_many`] hashes a set of
 //! independent messages through the sixteen-lane `sha256_x16` slot where
-//! the host has a wide tier for it.
+//! the host has a wide tier for it, and [`Sha256::digest_many_tagged`]
+//! the same set behind a one-byte domain tag (Merkle leaves), still
+//! hashing each message where it lies.
 
 use crate::kernel::{Kernel, Sha256Lanes, Tier};
 use std::cmp::Reverse;
@@ -69,7 +71,7 @@ impl Sha256 {
 
     /// One-shot digest.
     pub fn digest(data: &[u8]) -> [u8; 32] {
-        Self::digest_on(Kernel::active(), data)
+        Self::digest_on(Kernel::active(), None, data)
     }
 
     /// One-shot digests of independent messages: `out[i]` is
@@ -97,25 +99,47 @@ impl Sha256 {
     /// output is the same on every kernel).
     #[doc(hidden)]
     pub fn digest_many_on(kernel: &Kernel, msgs: &[&[u8]]) -> Vec<[u8; 32]> {
-        let mut out = vec![[0u8; 32]; msgs.len()];
-        if msgs.len() >= BREAK_EVEN && kernel.sha256_x16_tier() != Tier::Scalar {
-            digest_lanes(kernel, msgs, &mut out);
-        } else {
-            for (digest, msg) in out.iter_mut().zip(msgs) {
-                *digest = Self::digest_on(kernel, msg);
-            }
-        }
-        out
+        digest_set(kernel, None, msgs)
     }
 
-    /// [`Sha256::digest`] on `kernel`'s `sha256_blocks` slot: the whole
+    /// One-shot digests of `tag ‖ msgs[i]`, each message hashed where it
+    /// lies: the tag and the message's first 63 bytes are assembled into
+    /// a head block as the padded tail is, so no message is copied whole.
+    /// Scheduled like [`Sha256::digest_many`]. With tag `0x00` these are
+    /// RFC 6962 Merkle leaf hashes.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use aeon_crypto::Sha256;
+    ///
+    /// let digests = Sha256::digest_many_tagged(0x00, &[b"abc"]);
+    /// assert_eq!(digests[0], Sha256::digest(b"\x00abc"));
+    /// ```
+    pub fn digest_many_tagged(tag: u8, msgs: &[&[u8]]) -> Vec<[u8; 32]> {
+        Self::digest_many_tagged_on(Kernel::active(), tag, msgs)
+    }
+
+    /// [`Sha256::digest_many_tagged`] on `kernel`'s slots (parity tests
+    /// and per-tier benchmarks).
+    #[doc(hidden)]
+    pub fn digest_many_tagged_on(kernel: &Kernel, tag: u8, msgs: &[&[u8]]) -> Vec<[u8; 32]> {
+        digest_set(kernel, Some(tag), msgs)
+    }
+
+    /// [`Sha256::digest`] of `tag ‖ data` (`data` alone without a tag)
+    /// on `kernel`'s `sha256_blocks` slot: the head block, the whole
     /// blocks compressed where they lie, then the padded tail.
-    fn digest_on(kernel: &Kernel, data: &[u8]) -> [u8; 32] {
-        let (blocks, tail) = data.split_at(data.len() / 64 * 64);
+    fn digest_on(kernel: &Kernel, tag: Option<u8>, data: &[u8]) -> [u8; 32] {
+        let mut buf = [0u8; STAGE];
+        let (head, body, pad) = stage(tag, data, &mut buf);
         let mut state = H256;
-        kernel.sha256_blocks(&mut state, blocks);
-        let (pad, end) = padding(tail, data.len() as u64);
-        kernel.sha256_blocks(&mut state, &pad[..end]);
+        for run in [&buf[head], body] {
+            if !run.is_empty() {
+                kernel.sha256_blocks(&mut state, run);
+            }
+        }
+        kernel.sha256_blocks(&mut state, &buf[pad]);
         state_bytes(&state)
     }
 
@@ -145,7 +169,9 @@ impl Sha256 {
 
     /// Finishes and returns the digest.
     pub fn finalize(mut self) -> [u8; 32] {
-        let (pad, end) = padding(&self.buf[..self.buf_len], self.total_len);
+        let mut pad = [0u8; 128];
+        pad[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
+        let end = padding(&mut pad, self.buf_len, self.total_len);
         Kernel::active().sha256_blocks(&mut self.state, &pad[..end]);
         state_bytes(&self.state)
     }
@@ -215,18 +241,58 @@ impl Sha256 {
     }
 }
 
-/// The final one or two blocks of a message whose unabsorbed tail
-/// (under 64 bytes) is `tail` and whose whole length is `len` bytes:
-/// tail ‖ 0x80 ‖ zeros ‖ big-endian bit length — one block when the tail
-/// leaves room for the nine bytes, else two. Returns the buffer and how
-/// much of it to compress.
-fn padding(tail: &[u8], len: u64) -> ([u8; 128], usize) {
-    let mut pad = [0u8; 128];
-    pad[..tail.len()].copy_from_slice(tail);
-    pad[tail.len()] = 0x80;
-    let end = if tail.len() < 56 { 64 } else { 128 };
+/// Completes in the zeroed `pad` the final one or two blocks of a
+/// message whose unabsorbed tail (under 64 bytes) is already in
+/// `pad[..tail]` and whose whole length is `len` bytes: tail ‖ 0x80 ‖
+/// zeros ‖ big-endian bit length — one block when the tail leaves room
+/// for the nine bytes, else two. Returns how much of `pad` to compress.
+fn padding(pad: &mut [u8], tail: usize, len: u64) -> usize {
+    pad[tail] = 0x80;
+    let end = if tail < 56 { 64 } else { 128 };
     pad[end - 8..end].copy_from_slice(&len.wrapping_mul(8).to_be_bytes());
-    (pad, end)
+    end
+}
+
+/// A message's fixed staging buffer: its head block, then room for its
+/// padded tail.
+const STAGE: usize = 64 + 128;
+
+/// Lays out the blocks of `tag ‖ msg` (`msg` alone without a tag) in
+/// the zeroed `buf` as three runs: the head block in `buf[..64]` (the
+/// tag and the first 63 message bytes; empty without a tag, or when the
+/// tagged message fills no block), the rest's whole blocks where they
+/// lie, and the padded tail in `buf[64..]`. Returns the head's range of
+/// `buf`, the body and the tail's range of `buf`.
+fn stage<'a>(
+    tag: Option<u8>,
+    msg: &'a [u8],
+    buf: &mut [u8; STAGE],
+) -> (Range<usize>, &'a [u8], Range<usize>) {
+    let len = msg.len() as u64 + u64::from(tag.is_some());
+    let (head, pad) = buf.split_at_mut(64);
+    let (head, body, tail) = match tag {
+        Some(tag) if msg.len() < 63 => {
+            // The whole tagged message is the tail.
+            pad[0] = tag;
+            pad[1..=msg.len()].copy_from_slice(msg);
+            (0, &[][..], msg.len() + 1)
+        }
+        _ => {
+            let (head, rest) = match tag {
+                Some(tag) => {
+                    head[0] = tag;
+                    head[1..].copy_from_slice(&msg[..63]);
+                    (64, &msg[63..])
+                }
+                None => (0, msg),
+            };
+            let (body, tail) = rest.split_at(rest.len() / 64 * 64);
+            pad[..tail.len()].copy_from_slice(tail);
+            (head, body, tail.len())
+        }
+    };
+    let end = padding(pad, tail, len);
+    (0..head, body, 64..64 + end)
 }
 
 fn state_bytes(state: &[u32; 8]) -> [u8; 32] {
@@ -256,53 +322,74 @@ fn lane_state(states: &Sha256Lanes, l: usize) -> [u32; 8] {
 /// configurable: re-measure with those rows on a new host.
 const BREAK_EVEN: usize = 9;
 
-/// One message in flight in a lane of [`digest_lanes`]: the whole blocks
-/// of it not yet compressed, then the unconsumed part of its padded tail
-/// (which lives in the lane's fixed buffer).
+/// `out[i]` = SHA-256 of `tag ‖ msgs[i]` (`msgs[i]` alone without a
+/// tag): through the lanes when the set keeps them busy, else one
+/// message at a time on the single-stream slot.
+fn digest_set(kernel: &Kernel, tag: Option<u8>, msgs: &[&[u8]]) -> Vec<[u8; 32]> {
+    let mut out = vec![[0u8; 32]; msgs.len()];
+    if msgs.len() >= BREAK_EVEN && kernel.sha256_x16_tier() != Tier::Scalar {
+        digest_lanes(kernel, tag, msgs, &mut out);
+    } else {
+        for (digest, msg) in out.iter_mut().zip(msgs) {
+            *digest = Sha256::digest_on(kernel, tag, msg);
+        }
+    }
+    out
+}
+
+/// One message in flight in a lane of [`digest_lanes`]: the part of its
+/// head block not yet compressed, then the whole blocks of its body,
+/// then the unconsumed part of its padded tail (head and tail live in
+/// the lane's fixed [`stage`] buffer).
 struct InFlight<'a> {
     job: usize,
+    head: Range<usize>,
     body: &'a [u8],
     pad: Range<usize>,
 }
 
 impl<'a> InFlight<'a> {
-    /// The run of blocks this message compresses next: its body until
-    /// that is used up, then its padding.
-    fn run<'p>(&self, pad: &'p [u8; 128]) -> &'p [u8]
+    /// The run of blocks this message compresses next: its head block,
+    /// then its body until that is used up, then its padding.
+    fn run<'p>(&self, buf: &'p [u8; STAGE]) -> &'p [u8]
     where
         'a: 'p,
     {
-        if self.body.is_empty() {
-            &pad[self.pad.clone()]
-        } else {
+        if !self.head.is_empty() {
+            &buf[self.head.clone()]
+        } else if !self.body.is_empty() {
             self.body
+        } else {
+            &buf[self.pad.clone()]
         }
     }
 
     /// Consumes `bytes` of [`Self::run`]; `true` once the message is done.
     fn advance(&mut self, bytes: usize) -> bool {
-        if self.body.is_empty() {
-            self.pad.start += bytes;
-        } else {
+        if !self.head.is_empty() {
+            self.head.start += bytes;
+        } else if !self.body.is_empty() {
             self.body = &self.body[bytes..];
+        } else {
+            self.pad.start += bytes;
         }
-        self.body.is_empty() && self.pad.is_empty()
+        self.head.is_empty() && self.body.is_empty() && self.pad.is_empty()
     }
 }
 
 /// The sixteen-lane scheduler behind [`Sha256::digest_many`]: messages go
 /// into lanes longest first; every pass runs as many blocks as the
-/// shortest run in flight (a body, or a padded tail), so no busy lane
-/// idles and an empty lane holds nobody back; a lane whose message is
-/// done takes the next one at once. When fewer than [`BREAK_EVEN`]
-/// messages remain, the lanes' states are taken out and finished on the
-/// single-stream slot.
-fn digest_lanes(kernel: &Kernel, msgs: &[&[u8]], out: &mut [[u8; 32]]) {
+/// shortest run in flight (a head block, a body, or a padded tail), so
+/// no busy lane idles and an empty lane holds nobody back; a lane whose
+/// message is done takes the next one at once. When fewer than
+/// [`BREAK_EVEN`] messages remain, the lanes' states are taken out and
+/// finished on the single-stream slot.
+fn digest_lanes(kernel: &Kernel, tag: Option<u8>, msgs: &[&[u8]], out: &mut [[u8; 32]]) {
     let mut order: Vec<usize> = (0..msgs.len()).collect();
     order.sort_by_key(|&i| Reverse(msgs[i].len()));
     let mut queue = order.into_iter();
     let mut states: Sha256Lanes = [[0; 16]; 8];
-    let mut pads = [[0u8; 128]; 16];
+    let mut bufs = [[0u8; STAGE]; 16];
     let mut lanes: [Option<InFlight<'_>>; 16] = Default::default();
     let mut left = msgs.len();
     loop {
@@ -311,24 +398,23 @@ fn digest_lanes(kernel: &Kernel, msgs: &[&[u8]], out: &mut [[u8; 32]]) {
                 continue;
             }
             let Some(job) = queue.next() else { break };
-            let msg = msgs[job];
-            let (body, tail) = msg.split_at(msg.len() / 64 * 64);
-            let end;
-            (pads[l], end) = padding(tail, msg.len() as u64);
+            bufs[l] = [0; STAGE];
+            let (head, body, pad) = stage(tag, msgs[job], &mut bufs[l]);
             for (row, word) in states.iter_mut().zip(H256) {
                 row[l] = word;
             }
             *lane = Some(InFlight {
                 job,
+                head,
                 body,
-                pad: 0..end,
+                pad,
             });
         }
         if left < BREAK_EVEN {
             break;
         }
         let runs: [&[u8]; 16] =
-            std::array::from_fn(|l| lanes[l].as_ref().map_or(&[][..], |lane| lane.run(&pads[l])));
+            std::array::from_fn(|l| lanes[l].as_ref().map_or(&[][..], |lane| lane.run(&bufs[l])));
         let step = runs
             .iter()
             .filter(|run| !run.is_empty())
@@ -349,8 +435,9 @@ fn digest_lanes(kernel: &Kernel, msgs: &[&[u8]], out: &mut [[u8; 32]]) {
     for (l, lane) in lanes.iter().enumerate() {
         if let Some(flight) = lane {
             let mut state = lane_state(&states, l);
+            kernel.sha256_blocks(&mut state, &bufs[l][flight.head.clone()]);
             kernel.sha256_blocks(&mut state, flight.body);
-            kernel.sha256_blocks(&mut state, &pads[l][flight.pad.clone()]);
+            kernel.sha256_blocks(&mut state, &bufs[l][flight.pad.clone()]);
             out[flight.job] = state_bytes(&state);
         }
     }

@@ -708,6 +708,46 @@ fn digest_many_equals_digest_on_every_kernel() {
     }
 }
 
+/// Message lengths at and just below the cut-offs of a tagged message
+/// (the head block at 63, the one-block padding at 55, two blocks at
+/// 119 and 127).
+const TAGGED_EDGES: [usize; 8] = [0, 53, 61, 62, 117, 118, 126, 127];
+
+/// SHA-256 of `tag ‖ msg` through the streaming hasher: the oracle of
+/// the head-block path.
+fn tagged_oracle(tag: u8, msg: &[u8]) -> [u8; 32] {
+    let mut h = Sha256::new();
+    h.update(&[tag]);
+    h.update(msg);
+    h.finalize()
+}
+
+#[test]
+fn digest_many_tagged_equals_streaming_on_every_kernel() {
+    // The same sets as `digest_many`: the head block cuts every message
+    // one byte earlier, so the padding edges fall one length earlier.
+    let data = pattern((300 << 10) + OFFSETS.end, 5);
+    for count in [0, 1, 8, 9, 10, 16, 17, 40, 224] {
+        let msgs = digest_many_set(&data, count);
+        for tag in [0x00, 0x01] {
+            let expect: Vec<[u8; 32]> = msgs.iter().map(|m| tagged_oracle(tag, m)).collect();
+            assert_eq!(
+                Sha256::digest_many_tagged(tag, &msgs),
+                expect,
+                "{count} messages"
+            );
+            for kernel in Kernel::supported() {
+                assert_eq!(
+                    Sha256::digest_many_tagged_on(kernel, tag, &msgs),
+                    expect,
+                    "{count} messages, tag {tag}, {}",
+                    kernel.sha256_x16_tier().name()
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn aes_ctr_tiers_agree_on_ragged_lengths_and_counter_wraps() {
     let data = pattern(LONG, 3);
@@ -1287,6 +1327,31 @@ proptest! {
         let expect: Vec<[u8; 32]> = msgs.iter().map(|m| Sha256::digest(m)).collect();
         for kernel in Kernel::supported() {
             prop_assert_eq!(Sha256::digest_many_on(kernel, &msgs), expect.clone());
+        }
+    }
+
+    #[test]
+    fn digest_many_tagged_agrees_with_streaming_on_mixed_lengths(
+        lens in prop::collection::vec(
+            (0..TAGGED_EDGES.len(), 0usize..3).prop_map(|(e, d)| TAGGED_EDGES[e] + d),
+            0..40,
+        ),
+        long in prop::collection::vec(0..20_000usize, 0..4),
+        tag in any::<u8>(),
+        salt in any::<u32>(),
+    ) {
+        // Lengths on and beside the one- and two-block cut-offs of the
+        // tagged message, with a few long ones to keep lanes turning over.
+        let data = pattern(20_000 + OFFSETS.end, salt);
+        let msgs: Vec<&[u8]> = lens
+            .iter()
+            .chain(&long)
+            .enumerate()
+            .map(|(i, &len)| &data[i % OFFSETS.end..i % OFFSETS.end + len])
+            .collect();
+        let expect: Vec<[u8; 32]> = msgs.iter().map(|m| tagged_oracle(tag, m)).collect();
+        for kernel in Kernel::supported() {
+            prop_assert_eq!(Sha256::digest_many_tagged_on(kernel, tag, &msgs), expect.clone());
         }
     }
 

@@ -2,21 +2,47 @@
 
 use aeon_crypto::Sha256;
 
-/// Domain-separated leaf hash (prevents leaf/node second-preimage
-/// confusion).
-fn leaf_hash(data: &[u8]) -> [u8; 32] {
+/// Domain-separated leaf hash, SHA-256(0x00 ‖ data) as in RFC 6962
+/// (prevents leaf/node second-preimage confusion).
+pub fn leaf_hash(data: &[u8]) -> [u8; 32] {
     let mut h = Sha256::new();
     h.update(&[0x00]);
     h.update(data);
     h.finalize()
 }
 
-fn node_hash(left: &[u8; 32], right: &[u8; 32]) -> [u8; 32] {
+/// Interior node hash, SHA-256(0x01 ‖ left ‖ right) as in RFC 6962.
+pub fn node_hash(left: &[u8; 32], right: &[u8; 32]) -> [u8; 32] {
     let mut h = Sha256::new();
     h.update(&[0x01]);
     h.update(left);
     h.update(right);
     h.finalize()
+}
+
+/// The root of the tree whose leaf hashes are `level`: [`MerkleTree`]'s
+/// root without its levels, folded in place (the slice is overwritten).
+/// `None` for no leaves.
+pub fn fold_root(level: &mut [[u8; 32]]) -> Option<[u8; 32]> {
+    let mut len = level.len();
+    while len > 1 {
+        // Parent `i` reads children `2i` and `2i + 1`, never a slot an
+        // earlier parent of this level wrote.
+        for i in 0..len.div_ceil(2) {
+            level[i] = parent(&level[..len], 2 * i);
+        }
+        len = len.div_ceil(2);
+    }
+    level.first().copied()
+}
+
+/// The parent of `level[i]` and its right sibling; a last node with no
+/// sibling is promoted unchanged.
+fn parent(level: &[[u8; 32]], i: usize) -> [u8; 32] {
+    match level.get(i + 1) {
+        Some(right) => node_hash(&level[i], right),
+        None => level[i],
+    }
 }
 
 /// A binary Merkle tree over byte leaves. Odd nodes at each level are
@@ -50,16 +76,10 @@ impl MerkleTree {
         let mut levels = vec![base];
         while levels.last().expect("non-empty").len() > 1 {
             let prev = levels.last().expect("non-empty");
-            let mut next = Vec::with_capacity(prev.len().div_ceil(2));
-            let mut i = 0;
-            while i < prev.len() {
-                if i + 1 < prev.len() {
-                    next.push(node_hash(&prev[i], &prev[i + 1]));
-                } else {
-                    next.push(prev[i]); // promote odd node
-                }
-                i += 2;
-            }
+            let next = (0..prev.len())
+                .step_by(2)
+                .map(|i| parent(prev, i))
+                .collect();
             levels.push(next);
         }
         Some(MerkleTree { levels })
@@ -146,6 +166,17 @@ mod tests {
                 // Wrong leaf data must fail.
                 assert!(!proof.verify(&tree.root(), b"forged"), "n={n} i={i}");
             }
+        }
+    }
+
+    #[test]
+    fn fold_root_equals_the_tree_root() {
+        assert_eq!(fold_root(&mut []), None);
+        for n in 1..=33 {
+            let ls = leaves(n);
+            let tree = MerkleTree::build(ls.iter().map(|l| l.as_slice())).unwrap();
+            let mut level: Vec<[u8; 32]> = ls.iter().map(|l| leaf_hash(l)).collect();
+            assert_eq!(fold_root(&mut level), Some(tree.root()), "n={n}");
         }
     }
 

@@ -149,23 +149,34 @@ const DRAW_STRIP: usize = 16 * 1024;
 /// defined by: row-major, one `next_u64() & 0xFFFF` per anchor.
 /// `next_u64` is eight `fill_bytes` bytes read little-endian, so the low
 /// 16 bits are bytes `[0..2]` of each 8-byte group of one bulk draw.
+/// Each draw fills whole rows (one row at least, however wide), then
+/// scatters each anchor column out of them; the generator emits one
+/// stream however its reads are cut, so the anchors do not depend on
+/// the strip.
 fn draw_anchors<R: CryptoRng + ?Sized>(rng: &mut R, anchors: &mut [Vec<u16>]) {
+    let row_bytes = 8 * anchors.len();
     let rows = anchors[0].len();
-    let mut strip = [0u8; DRAW_STRIP];
-    let mut left = rows * anchors.len();
-    let (mut row, mut col) = (0, 0);
-    while left > 0 {
-        let draws = left.min(DRAW_STRIP / 8);
-        let bytes = &mut strip[..8 * draws];
+    let mut fixed = [0u8; DRAW_STRIP];
+    let mut wide = Vec::new();
+    let strip: &mut [u8] = if row_bytes <= DRAW_STRIP {
+        &mut fixed
+    } else {
+        wide.resize(row_bytes, 0);
+        &mut wide
+    };
+    let per_strip = strip.len() / row_bytes;
+    let mut row = 0;
+    while row < rows {
+        let take = per_strip.min(rows - row);
+        let bytes = &mut strip[..take * row_bytes];
         rng.fill_bytes(bytes);
-        for draw in bytes.chunks_exact(8) {
-            anchors[col][row] = u16::from_le_bytes([draw[0], draw[1]]);
-            col += 1;
-            if col == anchors.len() {
-                (row, col) = (row + 1, 0);
+        for (c, column) in anchors.iter_mut().enumerate() {
+            let draws = bytes.chunks_exact(row_bytes).map(|r| &r[8 * c..8 * c + 2]);
+            for (anchor, draw) in column[row..row + take].iter_mut().zip(draws) {
+                *anchor = u16::from_le_bytes([draw[0], draw[1]]);
             }
         }
-        left -= draws;
+        row += take;
     }
 }
 
@@ -190,10 +201,16 @@ pub fn split<R: CryptoRng + ?Sized>(
     // (the payload de-interleaved, zero-padded tail), then the anchors.
     let mut columns = vec![vec![0u16; rows]; pack + params.privacy];
     let (secret_cols, anchor_cols) = columns.split_at_mut(pack);
-    for (row, symbols) in secrets.chunks(2 * pack).enumerate() {
-        for (col, pair) in secret_cols.iter_mut().zip(symbols.chunks(2)) {
-            col[row] = u16::from_be_bytes([pair[0], *pair.get(1).unwrap_or(&0)]);
+    let whole = secrets.chunks_exact(2 * pack);
+    let (full, tail) = (secrets.len() / (2 * pack), whole.remainder());
+    for (j, col) in secret_cols.iter_mut().enumerate() {
+        for (symbol, row) in col.iter_mut().zip(whole.clone()) {
+            *symbol = u16::from_be_bytes([row[2 * j], row[2 * j + 1]]);
         }
+    }
+    // The ragged last row, if any: its missing symbols and odd byte are 0.
+    for (col, pair) in secret_cols.iter_mut().zip(tail.chunks(2)) {
+        col[full] = u16::from_be_bytes([pair[0], *pair.get(1).unwrap_or(&0)]);
     }
     draw_anchors(rng, anchor_cols);
     // share_i = Σ_j L_j(i) · column_j: one generator-matrix row per share.
@@ -251,7 +268,8 @@ pub fn reconstruct(params: PackedParams, shares: &[PackedShare]) -> Result<Vec<u
         combine_at(&xs, params.secret_point(j), shares, &mut column)
             .ok_or(ShareError::InconsistentShares("duplicate share index"))?;
         for (row, symbol) in out.chunks_exact_mut(2 * pack).zip(&column) {
-            row[2 * j..2 * j + 2].copy_from_slice(&symbol.to_be_bytes());
+            let [hi, lo] = symbol.to_be_bytes();
+            (row[2 * j], row[2 * j + 1]) = (hi, lo);
         }
     }
     Ok(out)
