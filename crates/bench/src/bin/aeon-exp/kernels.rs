@@ -86,15 +86,42 @@ fn best_gbs(bytes_per_call: usize, budget: usize, reps: usize, mut work: impl Fn
     for _ in 0..iters.min(16) {
         work();
     }
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        for _ in 0..iters {
-            work();
-        }
-        best = best.min(start.elapsed().as_secs_f64());
-    }
+    let best = (0..reps)
+        .map(|_| sweep(iters, &mut work))
+        .fold(f64::INFINITY, f64::min);
     (iters * bytes_per_call) as f64 / best / 1e9
+}
+
+/// [`best_gbs`] of two calls timed interleaved — a sweep of `a`, then
+/// one of `b`, `reps` times each — so that both see the same host phase.
+fn best_gbs_pair(
+    bytes_per_call: usize,
+    budget: usize,
+    reps: usize,
+    a: &mut dyn FnMut(),
+    b: &mut dyn FnMut(),
+) -> (f64, f64) {
+    let iters = (budget / bytes_per_call).max(1);
+    for _ in 0..iters.min(16) {
+        a();
+        b();
+    }
+    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps {
+        best_a = best_a.min(sweep(iters, a));
+        best_b = best_b.min(sweep(iters, b));
+    }
+    let gbs = |best: f64| (iters * bytes_per_call) as f64 / best / 1e9;
+    (gbs(best_a), gbs(best_b))
+}
+
+/// Seconds one sweep of `iters` calls of `work` takes.
+fn sweep(iters: usize, work: &mut dyn FnMut()) -> f64 {
+    let start = Instant::now();
+    for _ in 0..iters {
+        work();
+    }
+    start.elapsed().as_secs_f64()
 }
 
 /// SHA-256 of a 32-byte message on `kernel`'s block function: the one
@@ -113,18 +140,107 @@ fn digest32_on(kernel: &CryptoKernel, msg: &[u8; 32]) -> [u8; 32] {
     out
 }
 
+/// The keys and input every crypto call runs on.
+struct CryptoInputs<'a> {
+    src: &'a [u8],
+    aes: Aes,
+    chacha: ChaCha20,
+    aead: ChaCha20Poly1305,
+}
+
+impl<'a> CryptoInputs<'a> {
+    fn new(src: &'a [u8]) -> Self {
+        CryptoInputs {
+            src,
+            aes: Aes::new_256(&[0x42; 32]),
+            chacha: ChaCha20::new(&[0x42; 32], &[0x24; 12]),
+            aead: ChaCha20Poly1305::new(&[0x42; 32]),
+        }
+    }
+}
+
+/// One crypto call on one kernel: the op, its tier label, the divisor of
+/// the byte budget it is timed over, and the call.
+type CryptoCall<'a> = (&'static str, String, usize, Box<dyn FnMut() + 'a>);
+
+/// The crypto calls measured on `kernel` at `size` bytes, in table order:
+/// `sha256`, `aes256-ctr`, `chacha20`, `poly1305` and the library's
+/// ChaCha20-Poly1305 `seal` / `open` on this kernel (allocation of the
+/// output included). The in-place ciphers each overwrite a copy of the
+/// input of their own.
+fn crypto_calls<'a>(
+    kernel: &'a CryptoKernel,
+    inputs: &'a CryptoInputs<'_>,
+    size: usize,
+) -> Vec<CryptoCall<'a>> {
+    let src = &inputs.src[..size];
+    let (iv, nonce, aad) = ([0x24u8; 16], [0x24u8; 12], b"aeon-object-context");
+    let aead_tier = format!(
+        "{}+{}",
+        kernel.chacha20_tier().name(),
+        kernel.poly1305_tier().name()
+    );
+    let (mut aes_buf, mut chacha_buf) = (src.to_vec(), src.to_vec());
+    let sealed = inputs.aead.seal_on(kernel, &nonce, aad, src);
+    vec![
+        (
+            "sha256",
+            kernel.sha256_tier().name().into(),
+            1,
+            Box::new(move || {
+                let mut state = SHA256_H0;
+                kernel.sha256_blocks(&mut state, black_box(src));
+                black_box(state);
+            }),
+        ),
+        (
+            "aes256-ctr",
+            kernel.aes_ctr_tier().name().into(),
+            4,
+            Box::new(move || kernel.aes_ctr(&inputs.aes, &iv, black_box(&mut aes_buf))),
+        ),
+        (
+            "chacha20",
+            kernel.chacha20_tier().name().into(),
+            1,
+            Box::new(move || kernel.chacha20_xor(&inputs.chacha, 1, black_box(&mut chacha_buf))),
+        ),
+        (
+            "poly1305",
+            kernel.poly1305_tier().name().into(),
+            1,
+            Box::new(move || {
+                let mut mac = Poly1305::new(&[0x42; 32]);
+                mac.update_on(kernel, black_box(src));
+                black_box(mac.finalize());
+            }),
+        ),
+        (
+            "chacha20-poly1305 seal",
+            aead_tier.clone(),
+            1,
+            Box::new(move || {
+                black_box(inputs.aead.seal_on(kernel, &nonce, aad, black_box(src)));
+            }),
+        ),
+        (
+            "chacha20-poly1305 open",
+            aead_tier,
+            1,
+            Box::new(move || {
+                let opened = inputs.aead.open_on(kernel, &nonce, aad, black_box(&sealed));
+                black_box(opened.expect("the tag verifies"));
+            }),
+        ),
+    ]
+}
+
 /// The crypto rows: every tier of every slot the supported kernels hold
-/// (a tier two kernels share is measured once) × `CRYPTO_SIZES` —
-/// `sha256`, `aes256-ctr`, `chacha20`, `poly1305` and the
-/// ChaCha20-Poly1305 `seal` / `open` built on the last two — and per
-/// SHA-256 tier the nanoseconds of one 32-byte digest.
+/// (a tier two kernels share is measured once) × `CRYPTO_SIZES` — the
+/// calls of [`crypto_calls`] — and per SHA-256 tier the nanoseconds of
+/// one 32-byte digest.
 fn crypto_cells(budget: usize, reps: usize, src: &[u8]) -> (Vec<Cell>, Vec<(&'static str, f64)>) {
-    let aes = Aes::new_256(&[0x42; 32]);
-    let iv = [0x24u8; 16];
-    let chacha = ChaCha20::new(&[0x42; 32], &[0x24; 12]);
-    let aead = ChaCha20Poly1305::new(&[0x42; 32]);
-    let (nonce, aad) = ([0x24u8; 12], b"aeon-object-context");
-    let mut buf = src.to_vec();
+    let inputs = CryptoInputs::new(src);
     let msg: [u8; 32] = src[..32].try_into().expect("32 bytes");
     assert_eq!(
         digest32_on(CryptoKernel::active(), &msg),
@@ -133,11 +249,6 @@ fn crypto_cells(budget: usize, reps: usize, src: &[u8]) -> (Vec<Cell>, Vec<(&'st
     let mut cells: Vec<Cell> = Vec::new();
     let mut digest_ns: Vec<(&'static str, f64)> = Vec::new();
     for kernel in CryptoKernel::supported() {
-        let aead_tier = format!(
-            "{}+{}",
-            kernel.chacha20_tier().name(),
-            kernel.poly1305_tier().name()
-        );
         for size in CRYPTO_SIZES {
             // Small buffers get a smaller byte budget: the scalar AES tier
             // runs at tens of MB/s.
@@ -145,54 +256,18 @@ fn crypto_cells(budget: usize, reps: usize, src: &[u8]) -> (Vec<Cell>, Vec<(&'st
             // A 64-byte sweep lasts microseconds: sixteen times the
             // sweeps, so the fastest is not one a neighbour interrupted.
             let reps = if size < 1024 { 16 * reps } else { reps };
-            let mut measure = |op: &'static str, tier: &str, budget, work: &mut dyn FnMut()| {
+            for (op, tier, share, work) in crypto_calls(kernel, &inputs, size) {
                 let measured = |c: &Cell| c.op == op && c.kernel == tier && c.size == size;
                 if !cells.iter().any(measured) {
+                    let gbs = best_gbs(size, budget / share, reps, work);
                     cells.push(Cell {
-                        kernel: tier.into(),
+                        kernel: tier,
                         op,
                         size,
-                        gbs: best_gbs(size, budget, reps, work),
+                        gbs,
                     });
                 }
-            };
-            measure("sha256", kernel.sha256_tier().name(), budget, &mut || {
-                let mut state = SHA256_H0;
-                kernel.sha256_blocks(&mut state, black_box(&src[..size]));
-                black_box(state);
-            });
-            let tier = kernel.aes_ctr_tier().name();
-            measure("aes256-ctr", tier, budget / 4, &mut || {
-                kernel.aes_ctr(&aes, &iv, black_box(&mut buf[..size]));
-            });
-            measure(
-                "chacha20",
-                kernel.chacha20_tier().name(),
-                budget,
-                &mut || {
-                    kernel.chacha20_xor(&chacha, 1, black_box(&mut buf[..size]));
-                },
-            );
-            measure(
-                "poly1305",
-                kernel.poly1305_tier().name(),
-                budget,
-                &mut || {
-                    let mut mac = Poly1305::new(&[0x42; 32]);
-                    mac.update_on(kernel, black_box(&src[..size]));
-                    black_box(mac.finalize());
-                },
-            );
-            // The library's `seal` / `open` on this kernel, allocation of
-            // the output included.
-            let sealed = aead.seal_on(kernel, &nonce, aad, &src[..size]);
-            measure("chacha20-poly1305 seal", &aead_tier, budget, &mut || {
-                black_box(aead.seal_on(kernel, &nonce, aad, black_box(&src[..size])));
-            });
-            measure("chacha20-poly1305 open", &aead_tier, budget, &mut || {
-                let opened = aead.open_on(kernel, &nonce, aad, black_box(&sealed));
-                black_box(opened.expect("the tag verifies"));
-            });
+            }
         }
         // Sixteen 1 MiB lanes per call (the same source in each), as the
         // aggregate over all of them.
@@ -704,13 +779,38 @@ pub fn run(args: &CliArgs) {
     // bytes. The floor is 0.8x: the same code measured twice on a shared
     // host differs by 10 %, a wide pass wrongly taken costs two scalar
     // blocks or more.
+    // Each wide call is timed interleaved with the scalar one (the same
+    // sweeps, the fastest of each kept), so a host phase that slows one
+    // slows both.
     let all_scalar = |label: &str| label.split('+').all(|tier| tier == Tier::Scalar.name());
-    for cell in crypto.iter().filter(|c| c.size == 64) {
-        let scalar = crypto
-            .iter()
-            .find(|c| c.op == cell.op && c.size == 64 && all_scalar(&c.kernel))
-            .expect("every op has a scalar tier");
-        if !all_scalar(&cell.kernel) {
+    let inputs = CryptoInputs::new(&src);
+    let mut checked: Vec<(&str, String)> = Vec::new();
+    for kernel in CryptoKernel::supported() {
+        let scalar_calls = crypto_calls(CryptoKernel::scalar(), &inputs, 64);
+        for ((op, tier, share, mut wide), (_, base, _, mut base_call)) in
+            crypto_calls(kernel, &inputs, 64)
+                .into_iter()
+                .zip(scalar_calls)
+        {
+            if all_scalar(&tier) || checked.iter().any(|(o, t)| *o == op && *t == tier) {
+                continue;
+            }
+            let budget = budget.min(64 << 8) / share;
+            let (wide_gbs, scalar_gbs) =
+                best_gbs_pair(64, budget, 16 * reps, &mut wide, &mut base_call);
+            checked.push((op, tier.clone()));
+            let cell = Cell {
+                kernel: tier,
+                op,
+                size: 64,
+                gbs: wide_gbs,
+            };
+            let scalar = Cell {
+                kernel: base,
+                op,
+                size: 64,
+                gbs: scalar_gbs,
+            };
             println!(
                 "{} @64B: {} {} GB/s, {} {} GB/s",
                 cell.op,

@@ -1,4 +1,4 @@
-//! The paper artifacts as goldens: these thirteen experiment runs are
+//! The paper artifacts as goldens: these sixteen experiment runs are
 //! deterministic, so their stdout is pinned byte for byte under
 //! `tests/paper/exp_<name>.txt` the way the shard vectors are in
 //! `aeon-core`'s `golden.rs`. A change that moves Figure 1, Table 1, the
@@ -86,7 +86,8 @@ macro_rules! pinned {
 }
 
 pinned! {
-    fig1, table1, reencrypt, hndl, mobile, refresh_cost, leakage, bsm, media, transit, plan, dedup
+    fig1, table1, reencrypt, hndl, mobile, refresh_cost, leakage, bsm, media, transit, plan, dedup,
+    fleet, retrieve, parallel
 }
 
 /// The live §3.2 campaigns on the virtual clock, four sites re-encoded.

@@ -4,7 +4,7 @@
 use crate::catalog::{FleetCatalog, Row, DEFAULT_CATALOG_SHARDS};
 use crate::codec::RepairError;
 use crate::dedup::{BlockKind, BlockRecord, DedupConfig, DedupManifest, IndexStats};
-use crate::executor::{verify_where, PlanExecutor, ShardsSnapshot};
+use crate::executor::{verify_where, PlanExecutor, ShardsSnapshot, UnitWrite, WriteMode};
 use crate::keys::KeyStore;
 use crate::pipeline::{self, PipelineConfig};
 use crate::plan::{self, ReadPlan, WritePlan};
@@ -255,6 +255,20 @@ impl fmt::Display for ArchiveError {
 }
 
 impl std::error::Error for ArchiveError {}
+
+impl ArchiveError {
+    /// [`ArchiveError::DegradedBeyondBudget`] with no corrupt shard: only
+    /// `available` of `id`'s `required` shards were read, or landed.
+    pub(crate) fn degraded(id: ObjectId, available: usize, required: usize) -> Self {
+        let corrupt = 0;
+        ArchiveError::DegradedBeyondBudget {
+            id,
+            available,
+            required,
+            corrupt,
+        }
+    }
+}
 
 impl From<PolicyError> for ArchiveError {
     fn from(e: PolicyError) -> Self {
@@ -586,9 +600,10 @@ impl Archive {
     /// Every item plans its stored units in submission order: a classic
     /// object is one shard set drawn from the archive's encode stream, a
     /// dedup object the blocks fresh to the archive and to the flush
-    /// ([`Archive::plan_blocks`]). Every payload and shard is then
-    /// digested in one batch, and every unit committed in one
-    /// cross-object pass under its kind's ingest label. Item *i* lands
+    /// ([`Archive::plan_blocks`]). Every payload is then digested in one
+    /// batch, and every unit written as a fresh unit in one cross-object
+    /// `write_units` under its kind's ingest label, which digests every
+    /// shard in one batch of its own. Item *i* lands
     /// iff every unit it owns landed; the first item that did not, and
     /// every item after it, are rolled back. Only after the landed prefix
     /// is anchored — once, and only when `anchored` — are block records,
@@ -650,13 +665,6 @@ impl Archive {
         for (manifest, digest) in manifests.iter_mut().zip(Sha256::digest_many(&payloads)) {
             manifest.digest = digest;
         }
-        let shards: Vec<&[u8]> = (plans.iter())
-            .flat_map(|w| w.shards.iter().map(Vec::as_slice))
-            .collect();
-        let mut batch = plan::digest_shards(&shards).into_iter();
-        for write in &mut plans {
-            write.shard_digests = batch.by_ref().take(write.shards.len()).collect();
-        }
         let mut rngs: Vec<ChaChaDrbg> = plans
             .iter()
             .zip(&blocks)
@@ -669,31 +677,28 @@ impl Archive {
         // encode built are the ones the nodes keep. Too few shards
         // landing durably means a unit could never be read back: the
         // executor has already rolled that unit back.
-        let sets = plans.iter_mut().zip(&placements).map(|(write, placement)| {
-            let shards = mem::take(&mut write.shards);
-            let blobs = shards.into_iter().map(Blob::from).collect();
-            (
-                (write.object.as_str(), placement.as_slice(), blobs),
-                write.required,
-            )
-        });
-        let results = self.executor().commit_blobs(sets.collect(), &mut rngs);
-        let failed = results
-            .iter()
-            .enumerate()
-            .find_map(|(k, result)| Some((k, result.as_ref().err()?.written)));
-        let landed = failed.map_or(items.len(), |(k, _)| owners[k]);
-        let failure = failed.map(|(k, written)| ArchiveError::DegradedBeyondBudget {
-            id: ids[owners[k]].clone(),
-            available: written,
-            required: plans[k].required,
-            corrupt: 0,
+        let units: Vec<UnitWrite<'_>> = (plans.iter_mut())
+            .zip(placements.iter().map(Vec::as_slice))
+            .map(|(write, placement)| {
+                let required = write.required;
+                let blobs = mem::take(&mut write.shards).into_iter().map(Blob::from);
+                let (mode, slots) = (WriteMode::Fresh { required }, blobs.enumerate());
+                (write.object.as_str(), placement, mode, slots.collect())
+            })
+            .collect();
+        let written = self.executor().write_units(&units, &mut rngs);
+        drop(units); // the nodes hold their own shares of the blobs
+        let failed = written.iter().position(|w| w.result.is_err());
+        let landed = failed.map_or(items.len(), |k| owners[k]);
+        let failure = failed.map(|k| {
+            let (available, required) = (written[k].outcome.written, plans[k].required);
+            ArchiveError::degraded(ids[owners[k]].clone(), available, required)
         });
         // Takes back the shards that landed of every unit that item
         // `from` or a later one owns.
         let mut roll_back = |archive: &mut Self, from: usize| {
             for k in owners.partition_point(|&item| item < from)..owners.len() {
-                if results[k].is_ok() {
+                if written[k].result.is_ok() {
                     let object = plans[k].object.as_str();
                     archive
                         .executor()
@@ -714,11 +719,10 @@ impl Archive {
         let filed = owners.partition_point(|&item| item < landed);
         let units = owners.into_iter().zip(blocks).zip(plans).zip(placements);
         let mut misses = 0;
-        for (((item, block), write), placement) in units.take(filed) {
+        for ((((item, block), write), placement), w) in units.zip(written).take(filed) {
             let Some((hash, kind, len)) = block else {
                 let m = &mut manifests[item];
-                (m.meta, m.placement, m.shard_digests) =
-                    (write.meta, placement, write.shard_digests);
+                (m.meta, m.placement, m.shard_digests) = (write.meta, placement, w.digests);
                 continue;
             };
             misses += u64::from(kind == BlockKind::Data);
@@ -733,7 +737,7 @@ impl Archive {
                     placement,
                     logical_len: len,
                     digest: *hash.as_bytes(),
-                    shard_digests: write.shard_digests,
+                    shard_digests: w.digests,
                     created_year: self.year,
                     refresh_epochs: 0,
                     blocks: None,
@@ -1057,12 +1061,7 @@ impl Archive {
             if snap.corrupt > 0 {
                 return Err(ArchiveError::IntegrityViolation(owner.clone()));
             }
-            return Err(ArchiveError::DegradedBeyondBudget {
-                id: owner.clone(),
-                available: snap.valid,
-                required,
-                corrupt: snap.corrupt,
-            });
+            return Err(ArchiveError::degraded(owner.clone(), snap.valid, required));
         }
         Ok(pipeline::decode_first(
             &record.policy,

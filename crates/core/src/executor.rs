@@ -19,12 +19,20 @@
 //! per-node frames are *priced* (summed, or overlapped on lanes) is the
 //! cluster's `DispatchPolicy`, never the caller's choice of entry point.
 //!
+//! Beside the one read, [`PlanExecutor::read_many`], sits one write,
+//! `write_units`: the ingest flush, repair and the write-back of
+//! refresh, re-wrap and re-encode each hand it units, and a unit's
+//! `WriteMode` says what a leg that stays failed does to it. A fresh
+//! unit short of its read threshold is rolled back; an in-place unit
+//! (repair) aborts at its first failed leg and takes back the later legs
+//! that landed; an overwrite keeps what landed.
+//!
 //! Shard bytes cross the seam as [`Blob`]s: a write hands each shard
 //! over by value and a read gets back the node's shared buffer, so a
 //! node that keeps blobs (`MemoryNode`) stores and serves them without
 //! a copy.
 
-use crate::archive::ArchiveError;
+use crate::archive::{ArchiveError, ObjectId};
 use crate::plan::{digest_shards, ReadPlan, WritePlan};
 use crate::policy::PolicyError;
 use aeon_crypto::{ChaChaDrbg, CryptoRng, Sha256};
@@ -64,7 +72,7 @@ impl ShardsSnapshot {
 }
 
 /// What a shard-set write achieved.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct WriteOutcome {
     /// Shards that landed durably within the retry budget.
     pub written: usize,
@@ -89,6 +97,13 @@ struct Leg<'a, T> {
 impl<T> Leg<'_, T> {
     fn key(&self) -> ShardKey {
         ShardKey::new(self.object, self.shard)
+    }
+}
+
+/// A write leg's bytes, so a fan-out's legs digest where they lie.
+impl AsRef<[u8]> for Leg<'_, Blob> {
+    fn as_ref(&self) -> &[u8] {
+        &self.data
     }
 }
 
@@ -149,9 +164,41 @@ impl Direction for Put {
     }
 }
 
-/// One object's shard set to write: object id, placement, and one blob
-/// per placement slot, handed over by value.
-type ShardSet<'a> = (&'a str, &'a [NodeId], Vec<Blob>);
+/// What a unit's write does about a leg that stays failed past the
+/// retry budget.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum WriteMode {
+    /// A fresh unit (ingest): with fewer than `required` shards landed it
+    /// could never be read back, so it is rolled back (`roll_back`) and
+    /// is `Err`.
+    Fresh { required: usize },
+    /// Rebuilt slots of a stored unit (repair). A slot beyond the
+    /// placement or on a node outside the cluster is
+    /// [`PolicyError::Malformed`] before any node is touched. The first
+    /// leg that stays failed, in write order, aborts the unit: later legs
+    /// are not settled, and those whose first attempt landed are deleted.
+    InPlace,
+    /// A whole shard set over a stored unit (refresh, re-wrap,
+    /// re-encode): what landed stays, and a shard that missed the budget
+    /// is left stale for the new digests to filter. Never `Err`.
+    Overwrite,
+}
+
+/// One unit to write: the object its shards are keyed by, its
+/// placement, its mode, and its slots as `(slot, blob)`. A fresh or
+/// overwritten unit carries one blob per placement slot, in slot order.
+/// The nodes get a share of each blob; the caller keeps its own.
+pub(crate) type UnitWrite<'a> = (&'a str, &'a [NodeId], WriteMode, Vec<(usize, Blob)>);
+
+/// What [`PlanExecutor::write_units`] did with one unit: whether its
+/// write stands, what landed, and the shard digest of each slot's blob
+/// in the unit's slot order (none for a malformed unit).
+#[derive(Debug)]
+pub(crate) struct Written {
+    pub(crate) result: Result<(), ArchiveError>,
+    pub(crate) outcome: WriteOutcome,
+    pub(crate) digests: Vec<[u8; 32]>,
+}
 
 /// Copies borrowed shards into blobs: what the borrowed write entry
 /// points cost, once, before they join the one by-value path.
@@ -193,9 +240,14 @@ impl<'a> PlanExecutor<'a> {
     /// first-occurrence order (each node is in exactly one group, so
     /// frames dispatched together never touch the same node) and ships
     /// one frame per node through the cluster's lanes. Returns each
-    /// leg's first attempt, in leg order.
-    fn first_attempts<D: Direction>(&self, legs: &[Leg<'_, D::In>]) -> Vec<Attempted<D::Out>> {
-        let mut groups: Vec<(NodeId, Vec<usize>)> = Vec::new();
+    /// leg's first attempt, in leg order, every one `Some` for the
+    /// settle loop to take.
+    fn first_attempts<D: Direction>(
+        &self,
+        legs: &[Leg<'_, D::In>],
+    ) -> Vec<Option<Attempted<D::Out>>> {
+        let nodes = legs.len().min(self.cluster.nodes().len());
+        let mut groups: Vec<(NodeId, Vec<usize>)> = Vec::with_capacity(nodes);
         for (i, leg) in legs.iter().enumerate() {
             match groups.iter_mut().find(|(id, _)| *id == leg.node) {
                 Some((_, idxs)) => idxs.push(i),
@@ -225,9 +277,6 @@ impl<'a> PlanExecutor<'a> {
             }
         }
         first
-            .into_iter()
-            .map(|f| f.expect("one result per framed leg"))
-            .collect()
     }
 
     /// Second half of the fan-out, for one leg: a first attempt that
@@ -273,7 +322,10 @@ impl<'a> PlanExecutor<'a> {
             .iter()
             .map(|_| (Vec::new(), TransferReport::default()))
             .collect();
-        for (leg, first) in legs.iter().zip(self.first_attempts::<D>(legs)) {
+        for (leg, first) in legs
+            .iter()
+            .zip(self.first_attempts::<D>(legs).into_iter().flatten())
+        {
             let (attempts, result) = self.settle::<D, R>(leg, first, &mut rngs[leg.owner]);
             let (slot, error) = match result {
                 Ok(v) => (Some(v), None),
@@ -384,8 +436,8 @@ impl<'a> PlanExecutor<'a> {
         self.transfer::<Get, R>(&legs, rngs)
     }
 
-    /// Writes a shard set in place from borrowed shards: copies them
-    /// once into blobs, then the crate's by-value `write_blobs`.
+    /// Writes a shard set from borrowed shards: copies them once into
+    /// blobs, then `write_units`'s overwrite of one unit.
     ///
     /// # Panics
     ///
@@ -397,61 +449,10 @@ impl<'a> PlanExecutor<'a> {
         shards: &[Vec<u8>],
         rng: &mut R,
     ) -> WriteOutcome {
-        self.write_blobs(object, placement, copied(shards), rng).0
-    }
-
-    /// Writes a shard set in place (refresh, re-encode, re-wrap), the
-    /// shards handed over by value: shards that miss the retry budget
-    /// are left stale for the caller's digests to filter on read. No
-    /// rollback. Hands back a share of each blob, for a re-read.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `placement` and `shards` disagree in length.
-    pub(crate) fn write_blobs<R: CryptoRng>(
-        &self,
-        object: &str,
-        placement: &[NodeId],
-        shards: Vec<Blob>,
-        rng: &mut R,
-    ) -> (WriteOutcome, Vec<Blob>) {
-        let (mut outcomes, blobs) =
-            self.write_many(vec![(object, placement, shards)], slice::from_mut(rng));
-        (outcomes.pop().expect("one outcome per shard set"), blobs)
-    }
-
-    /// Writes many objects' shard sets in one cross-object flush, one
-    /// framed batch per target node. No rollback. Hands back the legs'
-    /// blobs, collected in place.
-    fn write_many<R: CryptoRng>(
-        &self,
-        sets: Vec<ShardSet<'_>>,
-        rngs: &mut [R],
-    ) -> (Vec<WriteOutcome>, Vec<Blob>) {
-        let mut legs: Vec<Leg<'_, Blob>> = Vec::new();
-        for (owner, (object, placement, shards)) in sets.into_iter().enumerate() {
-            assert_eq!(placement.len(), shards.len(), "placement/shard mismatch");
-            legs.extend(
-                placement
-                    .iter()
-                    .zip(shards)
-                    .enumerate()
-                    .map(|(s, (node, data))| Leg {
-                        owner,
-                        node: *node,
-                        object,
-                        shard: s as u32,
-                        data,
-                    }),
-            );
-        }
-        let outcomes = self.transfer::<Put, R>(&legs, rngs).into_iter();
-        let outcomes = outcomes.map(|(slots, report)| WriteOutcome {
-            written: slots.iter().flatten().count(),
-            report,
-        });
-        let outcomes = outcomes.collect();
-        (outcomes, legs.into_iter().map(|leg| leg.data).collect())
+        let slots = copied(shards).into_iter().enumerate().collect();
+        let unit = (object, placement, WriteMode::Overwrite, slots);
+        let mut written = self.write_units(slice::from_ref(&unit), slice::from_mut(rng));
+        written.pop().expect("one result per unit").outcome
     }
 
     /// Executes a write plan for a fresh object (ingest): the one-plan
@@ -466,17 +467,15 @@ impl<'a> PlanExecutor<'a> {
         placement: &[NodeId],
         rng: &mut R,
     ) -> Result<WriteOutcome, WriteOutcome> {
-        self.commit_many(
-            slice::from_ref(plan),
-            &[placement.to_vec()],
-            slice::from_mut(rng),
-        )
-        .pop()
-        .expect("one outcome per plan")
+        let placements = [placement.to_vec()];
+        let mut outcomes =
+            self.commit_many(slice::from_ref(plan), &placements, slice::from_mut(rng));
+        outcomes.pop().expect("one outcome per plan")
     }
 
     /// Commits borrowed write plans: copies each plan's shards once into
-    /// blobs, then the crate's by-value `commit_blobs`.
+    /// blobs, then `write_units` with each plan a fresh unit. A
+    /// unit that was rolled back comes back as `Err`.
     ///
     /// # Panics
     ///
@@ -489,65 +488,31 @@ impl<'a> PlanExecutor<'a> {
         rngs: &mut [R],
     ) -> Vec<Result<WriteOutcome, WriteOutcome>> {
         assert_eq!(plans.len(), placements.len(), "plan/placement mismatch");
-        let sets = plans.iter().zip(placements).map(|(plan, placement)| {
-            let set = (
-                plan.object.as_str(),
-                placement.as_slice(),
-                copied(&plan.shards),
-            );
-            (set, plan.required)
-        });
-        self.commit_blobs(sets.collect(), rngs)
-    }
-
-    /// Commits fresh objects' shard sets in one cross-object flush, each
-    /// set handed over by value with the number of its shards that must
-    /// land: every shard's first attempt is grouped by target node and
-    /// shipped as one framed batch per node; entries that fail
-    /// retryably then spend the remaining retry budget individually,
-    /// drawing jitter from that object's own rng. Rollback is per
-    /// object: if fewer than its required shards land durably the
-    /// object could never be read back, so every slot of it is deleted
-    /// with sticky retries, as `roll_back` does (a torn write leaves a
-    /// prefix even on a slot reported failed), and its outcome reported
-    /// as `Err`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sets` and `rngs` disagree in length or a placement
-    /// disagrees with its set's shard count.
-    pub(crate) fn commit_blobs<R: CryptoRng>(
-        &self,
-        sets: Vec<(ShardSet<'_>, usize)>,
-        rngs: &mut [R],
-    ) -> Vec<Result<WriteOutcome, WriteOutcome>> {
-        assert_eq!(sets.len(), rngs.len(), "plan/rng mismatch");
-        let targets: Vec<(&str, &[NodeId], usize)> = sets
-            .iter()
-            .map(|&((object, placement, _), required)| (object, placement, required))
+        let units: Vec<UnitWrite<'_>> = (plans.iter().zip(placements))
+            .map(|(plan, placement)| {
+                let (required, shards) = (plan.required, copied(&plan.shards));
+                let slots = shards.into_iter().enumerate().collect();
+                let mode = WriteMode::Fresh { required };
+                (plan.object.as_str(), placement.as_slice(), mode, slots)
+            })
             .collect();
-        let (outcomes, _) = self.write_many(sets.into_iter().map(|(set, _)| set).collect(), rngs);
-        outcomes
-            .into_iter()
-            .zip(targets)
-            .zip(rngs)
-            .map(|((outcome, (object, placement, required)), rng)| {
-                if outcome.written < required {
-                    self.roll_back(object, placement, rng);
-                    Err(outcome)
-                } else {
-                    Ok(outcome)
-                }
+        let written = self.write_units(&units, rngs).into_iter();
+        written
+            .map(|w| match w.result {
+                Ok(()) => Ok(w.outcome),
+                Err(_) => Err(w.outcome),
             })
             .collect()
     }
 
     /// Executes a borrowed repair plan's writes: copies each rebuilt
-    /// shard once into a blob, then the crate's by-value `repair_blobs`.
+    /// shard once into a blob, then `write_units`'s in-place
+    /// write of one unit. Returns each rewritten slot with its digest.
     ///
     /// # Errors
     ///
-    /// As `repair_blobs`: a typed malformed plan, or a put past the budget.
+    /// As an in-place write of `write_units`: a typed malformed
+    /// plan, or a put past the budget.
     pub fn apply_repair<R: CryptoRng>(
         &self,
         object: &str,
@@ -555,71 +520,104 @@ impl<'a> PlanExecutor<'a> {
         writes: &[(usize, Vec<u8>)],
         rng: &mut R,
     ) -> Result<Vec<(usize, [u8; 32])>, ArchiveError> {
-        let writes = writes
-            .iter()
-            .map(|(m, data)| (*m, Blob::from(data.as_slice())));
-        self.repair_blobs(object, placement, writes.collect(), rng)
+        let slots = writes.iter().map(|(m, data)| (*m, Blob::from(&data[..])));
+        let unit = (object, placement, WriteMode::InPlace, slots.collect());
+        let mut written = self.write_units(slice::from_ref(&unit), slice::from_mut(rng));
+        let written = written.pop().expect("one result per unit");
+        written.result?;
+        Ok(writes.iter().map(|w| w.0).zip(written.digests).collect())
     }
 
-    /// Executes a repair plan's writes, handed over by value: every rebuilt shard's first
-    /// attempt ships in one framed batch to its node, then entries are
-    /// settled **in write order** — a first-attempt failure spends the
-    /// remaining retry budget individually, and the first entry that
-    /// stays failed aborts the repair. Writes the frames landed *beyond*
-    /// the aborting entry are rolled back (deleted). Returns the digest
-    /// of each rewritten shard, for the caller to check against its
-    /// record.
+    /// The one write: every slot of every unit is a leg of one fan-out —
+    /// first attempts framed per node across all units, then one settle
+    /// loop in submission order, each leg drawing from its unit's rng —
+    /// and every blob of the call is digested in one `digest_shards`
+    /// batch. Each unit's [`WriteMode`] decides what a leg that stays
+    /// failed does to it.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns [`PolicyError::Malformed`] — before any node is touched —
-    /// when a write names a slot beyond the placement or a node outside
-    /// the cluster, and [`ArchiveError::Cluster`] when a put misses the
-    /// retry budget: repair must not silently leave a hole it claimed
-    /// to fill.
-    pub(crate) fn repair_blobs<R: CryptoRng>(
+    /// If `units` and `rngs` disagree in length, or a fresh or overwrite
+    /// unit does not carry one blob per placement slot.
+    pub(crate) fn write_units<R: CryptoRng>(
         &self,
-        object: &str,
-        placement: &[NodeId],
-        writes: Vec<(usize, Blob)>,
-        rng: &mut R,
-    ) -> Result<Vec<(usize, [u8; 32])>, ArchiveError> {
-        let malformed = |why: &str| ArchiveError::Policy(PolicyError::Malformed(why.into()));
-        let mut legs: Vec<Leg<'_, Blob>> = Vec::with_capacity(writes.len());
-        for (m, data) in writes {
-            let node = *placement
-                .get(m)
-                .ok_or_else(|| malformed("repair write beyond placement"))?;
-            if self.cluster.node(node).is_none() {
-                return Err(malformed("placement references unknown node"));
-            }
-            legs.push(Leg {
-                owner: 0,
-                node,
+        units: &[UnitWrite<'_>],
+        rngs: &mut [R],
+    ) -> Vec<Written> {
+        assert_eq!(units.len(), rngs.len(), "unit/rng mismatch");
+        let malformed = |why: &str| Err(ArchiveError::Policy(PolicyError::Malformed(why.into())));
+        let mut written = Vec::with_capacity(units.len());
+        let mut legs = Vec::with_capacity(units.iter().map(|u| u.3.len()).sum());
+        for (owner, &(object, placement, mode, ref slots)) in units.iter().enumerate() {
+            let result = match mode {
+                WriteMode::InPlace => slots.iter().try_for_each(|&(m, _)| match placement.get(m) {
+                    None => malformed("repair write beyond placement"),
+                    Some(&id) if self.cluster.node(id).is_none() => {
+                        malformed("placement references unknown node")
+                    }
+                    Some(_) => Ok(()),
+                }),
+                _ => {
+                    assert_eq!(slots.len(), placement.len(), "placement/shard mismatch");
+                    Ok(())
+                }
+            };
+            let slots = if result.is_ok() { &slots[..] } else { &[] };
+            legs.extend(slots.iter().map(|(m, data)| Leg {
+                owner,
+                node: placement[*m],
                 object,
-                shard: m as u32,
-                data,
+                shard: *m as u32,
+                data: data.clone(),
+            }));
+            written.push(Written {
+                result,
+                outcome: WriteOutcome::default(),
+                digests: Vec::new(),
             });
         }
-        let mut first = self.first_attempts::<Put>(&legs).into_iter();
+        let mut digests = digest_shards(&legs).into_iter();
+        let mut first = self.first_attempts::<Put>(&legs);
         for (p, leg) in legs.iter().enumerate() {
-            let attempted = first.next().expect("one first attempt per leg");
-            if let (_, Err(e)) = self.settle::<Put, R>(leg, attempted, rng) {
-                for (later, (_, landed)) in legs[p + 1..].iter().zip(first) {
-                    if landed.is_ok() {
+            let Some(attempted) = first[p].take() else {
+                continue; // its in-place unit aborted
+            };
+            let (owner, rng) = (leg.owner, &mut rngs[leg.owner]);
+            let (attempts, result) = self.settle::<Put, R>(leg, attempted, rng);
+            let unit = &mut written[owner];
+            unit.outcome.written += usize::from(result.is_ok());
+            let (shard, node, error) = (leg.shard, leg.node, result.err());
+            let attempt = ShardAttempt {
+                shard,
+                node,
+                attempts,
+                error: error.clone(),
+            };
+            unit.outcome.report.attempts.push(attempt);
+            if let (Some(e), WriteMode::InPlace) = (error, units[owner].2) {
+                for (later, landed) in legs[p + 1..].iter().zip(&mut first[p + 1..]) {
+                    if later.owner == owner && matches!(landed.take(), Some((_, Ok(())))) {
                         self.delete_surely(later.node, &later.key(), rng);
                     }
                 }
-                return Err(ArchiveError::Cluster(ClusterError::Node(e)));
+                unit.result = Err(ArchiveError::Cluster(ClusterError::Node(e)));
             }
         }
-        let written: Vec<&[u8]> = legs.iter().map(|leg| &leg.data[..]).collect();
-        let digests = digest_shards(&written);
-        Ok(legs
-            .iter()
-            .map(|leg| leg.shard as usize)
-            .zip(digests)
-            .collect())
+        drop(first); // before the digest lists: it would raise a flush's peak
+        for ((&(object, placement, mode, _), w), rng) in units.iter().zip(&mut written).zip(rngs) {
+            let available = w.outcome.written;
+            if let WriteMode::Fresh { required } = mode {
+                if available < required {
+                    self.roll_back(object, placement, rng);
+                    let id = ObjectId::from_raw(object.into());
+                    w.result = Err(ArchiveError::degraded(id, available, required));
+                }
+            }
+        }
+        for unit in legs.chunk_by(|a, b| a.owner == b.owner) {
+            written[unit[0].owner].digests = digests.by_ref().take(unit.len()).collect();
+        }
+        written
     }
 
     /// Deletes an object's shards (delete, a block's last release, the
@@ -1110,5 +1108,75 @@ mod tests {
             handles.iter().all(|h| h.keys().is_empty()),
             "no node touched"
         );
+    }
+
+    /// An in-place write settles its legs in write order and stops at the
+    /// first that stays failed: the leg before it keeps its shard, the
+    /// failed one spent its whole budget, and a later leg whose first
+    /// attempt landed is taken back.
+    #[test]
+    fn an_in_place_write_aborts_at_its_first_failed_leg() {
+        use aeon_store::faults::OpKind;
+        let (cluster, handles) = cluster_with_handles();
+        let placement = cluster.place("obj", 5).unwrap();
+        assert!(placement[1] != placement[3] && placement[3] != placement[4]);
+        handle(&handles, placement[3]).set_epoch(1);
+        let retry = RetryPolicy::default().with_attempts(3);
+        let writes: Vec<(usize, Vec<u8>)> = [1, 3, 4].map(|s| (s, vec![s as u8; 8])).into();
+        let mut rng = ChaChaDrbg::from_u64_seed(8);
+        let result =
+            PlanExecutor::new(&cluster, &retry).apply_repair("obj", &placement, &writes, &mut rng);
+        assert!(
+            matches!(result, Err(ArchiveError::Cluster(_))),
+            "{result:?}"
+        );
+        let stored = |s: u32| handle(&handles, placement[s as usize]).keys();
+        assert_eq!(
+            stored(1),
+            [ShardKey::new("obj", 1)],
+            "the leg before it stays"
+        );
+        assert!(stored(4).is_empty(), "the landed leg after it is deleted");
+        let puts = |s: usize| {
+            let events = handle(&handles, placement[s]).events();
+            events.iter().filter(|e| e.op == OpKind::Put).count()
+        };
+        assert_eq!(puts(3), 3, "the failed leg spent its whole budget");
+    }
+
+    /// A fresh write rolls back exactly the units that landed short: a
+    /// unit beside it in the same call keeps every shard.
+    #[test]
+    fn a_fresh_write_rolls_back_only_the_short_unit() {
+        let (cluster, handles) = cluster_with_handles();
+        let ids: Vec<NodeId> = handles.iter().map(|h| h.id()).collect();
+        handles[0].set_epoch(1);
+        let plan = |object: &str| WritePlan {
+            object: crate::archive::ObjectId::from_raw(object.into()),
+            policy: crate::PolicyKind::Replication { copies: 3 },
+            shards: vec![vec![7u8; 8]; 3],
+            shard_digests: Vec::new(),
+            meta: crate::policy::EncodingMeta::plain(0),
+            required: 3,
+        };
+        let placements = [ids[..3].to_vec(), ids[3..].to_vec()];
+        let retry = RetryPolicy::default().with_attempts(2);
+        let mut rngs = [1, 2].map(ChaChaDrbg::from_u64_seed);
+        let results = PlanExecutor::new(&cluster, &retry).commit_many(
+            &[plan("short"), plan("whole")],
+            &placements,
+            &mut rngs,
+        );
+        assert!(matches!(&results[0], Err(o) if o.written == 2));
+        assert!(matches!(&results[1], Ok(o) if o.written == 3));
+        for (s, h) in handles.iter().enumerate() {
+            let keys = h.keys();
+            let expect = if s < 3 {
+                vec![]
+            } else {
+                vec![ShardKey::new("whole", s as u32 - 3)]
+            };
+            assert_eq!(keys, expect, "node {s}");
+        }
     }
 }

@@ -14,6 +14,7 @@
 use crate::archive::{entropy_gate, gates, Archive, ArchiveError, Manifest, ObjectId, UnitRead};
 use crate::campaign::{Campaign, CampaignOp, CampaignReport};
 use crate::dedup::BlockKind;
+use crate::executor::WriteMode;
 use crate::plan;
 use crate::policy::PolicyKind;
 use crate::unit::Unit;
@@ -329,11 +330,10 @@ impl Archive {
             .map(drop)
     }
 
-    /// The one write-back of refresh, re-wrap and re-encode: records the
-    /// shard digests of `shards` — one `plan::digest_shards` batch, the
-    /// roots of their segment trees — then hands
-    /// them over by value to `record`'s placement (retry jitter from the
-    /// `put` label's per-unit rng), and stores `record` to `unit`'s home
+    /// The one write-back of refresh, re-wrap and re-encode: overwrites
+    /// `record`'s placement with `shards`, handed over by value (retry
+    /// jitter from the `put` label's per-unit rng), records the shard
+    /// digests the write took, and stores `record` to `unit`'s home
     /// whether or not every shard landed, since a shard that missed the
     /// retry budget holds stale bytes the new digests filter on read.
     /// Then fails, typed against `owner`, if fewer shards landed than
@@ -346,23 +346,21 @@ impl Archive {
         shards: Vec<Vec<u8>>,
         put: &str,
     ) -> Landed {
-        record.shard_digests = plan::digest_shards(&shards);
-        let blobs = shards.into_iter().map(Blob::from).collect();
         let ctx = record.id.as_str();
-        let mut rng = self.op_rng(put, ctx);
-        let (outcome, written) =
-            self.executor()
-                .write_blobs(ctx, &record.placement, blobs, &mut rng);
+        let slots = shards.into_iter().map(Blob::from).enumerate().collect();
+        let units = [(ctx, &record.placement[..], WriteMode::Overwrite, slots)];
+        let rngs = &mut [self.op_rng(put, ctx)];
+        let written = self.executor().write_units(&units, rngs).pop();
+        let written = written.expect("one result per unit");
+        let [(.., slots)] = units;
+        let blobs = slots.into_iter().map(|(_, blob)| blob).collect();
+        record.shard_digests = written.digests;
         let required = record.policy.read_threshold();
         self.store(unit, record);
-        if outcome.written < required {
-            return Err(ArchiveError::DegradedBeyondBudget {
-                id: owner.clone(),
-                available: outcome.written,
-                required,
-                corrupt: 0,
-            });
+        if written.outcome.written < required {
+            let available = written.outcome.written;
+            return Err(ArchiveError::degraded(owner.clone(), available, required));
         }
-        Ok(written)
+        Ok(blobs)
     }
 }

@@ -197,8 +197,8 @@ pub(crate) fn digest_shards<S: AsRef<[u8]>>(shards: &[S]) -> Vec<[u8; 32]> {
 }
 
 /// The encode half of [`plan_write`]: the plan with `shard_digests`
-/// still empty, for a caller that digests many plans' shards in one
-/// [`digest_shards`] (an ingest flush) and fills them in.
+/// still empty, for the ingest flush, whose one write digests every
+/// plan's shards in one [`digest_shards`] batch.
 ///
 /// # Errors
 ///

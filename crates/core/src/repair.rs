@@ -19,6 +19,7 @@
 
 use crate::archive::{Archive, ArchiveError, ObjectId};
 use crate::campaign::{Campaign, CampaignOp};
+use crate::executor::WriteMode;
 use crate::fleet::RepairQueueOrder;
 use crate::maintenance::Decoded;
 use crate::plan::{self, ReadPlan, RepairOutcome};
@@ -156,14 +157,14 @@ impl Archive {
                     .collect();
                 let held = held.ok_or_else(|| malformed("repair leaves a slot unwritten"))?;
                 let written = writes.iter().map(|(_, data)| data.len() as u64).sum();
-                let mut rng = self.op_rng(put, record.id.as_str());
-                let digests = self.executor().repair_blobs(
-                    record.id.as_str(),
-                    &record.placement,
-                    writes,
-                    &mut rng,
-                )?;
-                if (digests.iter()).any(|(m, digest)| record.shard_digests[*m] != *digest) {
+                let ctx = record.id.as_str();
+                let units = [(ctx, &record.placement[..], WriteMode::InPlace, writes)];
+                let rngs = &mut [self.op_rng(put, ctx)];
+                let rewritten = self.executor().write_units(&units, rngs).pop();
+                let rewritten = rewritten.expect("one result per unit");
+                rewritten.result?;
+                let mut slots = units[0].3.iter().map(|(m, _)| *m).zip(rewritten.digests);
+                if slots.any(|(m, d)| record.shard_digests[m] != d) {
                     return Err(ArchiveError::IntegrityViolation(owner.clone()));
                 }
                 (repair.method, record, held, written)

@@ -38,41 +38,41 @@ use std::sync::Arc;
 /// ceiling each measured row must stay at or under, with the sixteen-lane
 /// SHA-256 slot on its `avx512` tier.
 const PINNED: &[Pin] = &[
-    ("bulk-aead", "ingest", 295, 157105, 72228),
-    ("bulk-aead", "ingest_many", 288, 149952, 72228),
-    ("bulk-aead", "retrieve", 227, 79660, 43352),
-    ("bulk-aead", "retrieve_many", 427, 158912, 77128),
-    ("bulk-aead", "degraded_retrieve", 227, 79660, 43352),
-    ("bulk-aead", "repair", 193, 29129, 18301),
-    ("bulk-aead", "verify", 237, 81209, 43389),
-    ("bulk-aead", "reencode", 638, 267725, 105443),
+    ("bulk-aead", "ingest", 288, 156705, 72228),
+    ("bulk-aead", "ingest_many", 281, 149552, 72228),
+    ("bulk-aead", "retrieve", 226, 79468, 43352),
+    ("bulk-aead", "retrieve_many", 426, 158720, 77128),
+    ("bulk-aead", "degraded_retrieve", 226, 79468, 43352),
+    ("bulk-aead", "repair", 192, 28889, 18301),
+    ("bulk-aead", "verify", 236, 81017, 43389),
+    ("bulk-aead", "reencode", 634, 267493, 105443),
     ("bulk-aead", "delete", 7, 224, 32),
-    ("bulk-sharing", "ingest", 118, 128375, 115458),
-    ("bulk-sharing", "ingest_many", 113, 122134, 115458),
-    ("bulk-sharing", "retrieve", 55, 19841, 18005),
-    ("bulk-sharing", "retrieve_many", 87, 39250, 35361),
-    ("bulk-sharing", "degraded_retrieve", 55, 19841, 18005),
-    ("bulk-sharing", "repair", 109, 71694, 66402),
-    ("bulk-sharing", "verify", 59, 20234, 17626),
-    ("bulk-sharing", "reencode", 211, 184674, 103849),
+    ("bulk-sharing", "ingest", 111, 127959, 115458),
+    ("bulk-sharing", "ingest_many", 106, 121718, 115458),
+    ("bulk-sharing", "retrieve", 54, 19617, 18005),
+    ("bulk-sharing", "retrieve_many", 86, 39058, 35361),
+    ("bulk-sharing", "degraded_retrieve", 54, 19617, 18005),
+    ("bulk-sharing", "repair", 108, 71390, 66402),
+    ("bulk-sharing", "verify", 58, 20010, 17626),
+    ("bulk-sharing", "reencode", 207, 184410, 103849),
     ("bulk-sharing", "delete", 7, 224, 32),
-    ("small-files", "ingest", 130, 20552, 15264),
-    ("small-files", "ingest_many", 574, 82351, 51383),
-    ("small-files", "retrieve", 65, 4968, 2776),
-    ("small-files", "retrieve_many", 294, 47360, 28128),
-    ("small-files", "degraded_retrieve", 65, 4968, 2776),
-    ("small-files", "repair", 126, 7931, 2047),
-    ("small-files", "verify", 69, 5429, 2301),
-    ("small-files", "reencode", 148, 11657, 4064),
+    ("small-files", "ingest", 123, 20152, 14616),
+    ("small-files", "ingest_many", 556, 78311, 49719),
+    ("small-files", "retrieve", 64, 4776, 2776),
+    ("small-files", "retrieve_many", 293, 47168, 28128),
+    ("small-files", "degraded_retrieve", 64, 4776, 2776),
+    ("small-files", "repair", 125, 7691, 1983),
+    ("small-files", "verify", 68, 5237, 2301),
+    ("small-files", "reencode", 144, 11425, 4064),
     ("small-files", "delete", 7, 224, 32),
-    ("dedup-versions", "ingest", 956, 193487, 89541),
-    ("dedup-versions", "ingest_many", 535, 86935, 35226),
-    ("dedup-versions", "retrieve", 469, 106078, 54216),
-    ("dedup-versions", "retrieve_many", 1406, 324522, 116280),
-    ("dedup-versions", "degraded_retrieve", 525, 111294, 54216),
-    ("dedup-versions", "repair", 1607, 117905, 10978),
-    ("dedup-versions", "verify", 1029, 101796, 7736),
-    ("dedup-versions", "reencode", 2868, 299244, 19574),
+    ("dedup-versions", "ingest", 929, 184295, 82821),
+    ("dedup-versions", "ingest_many", 518, 82663, 34442),
+    ("dedup-versions", "retrieve", 468, 105886, 54216),
+    ("dedup-versions", "retrieve_many", 1403, 323946, 116280),
+    ("dedup-versions", "degraded_retrieve", 524, 111102, 54216),
+    ("dedup-versions", "repair", 1594, 114785, 10914),
+    ("dedup-versions", "verify", 1016, 99300, 7736),
+    ("dedup-versions", "reencode", 2816, 296228, 19574),
     ("dedup-versions", "delete", 29, 2783, 32),
 ];
 
@@ -81,12 +81,12 @@ const PINNED: &[Pin] = &[
 /// AVX-512): `Sha256::digest_many` then hashes one message at a time and
 /// allocates no lane schedule.
 const PINNED_SCALAR_X16: &[Pin] = &[
-    ("small-files", "ingest_many", 573, 82015, 51383),
-    ("dedup-versions", "ingest", 954, 192783, 89541),
-    ("dedup-versions", "ingest_many", 532, 86487, 35226),
-    ("dedup-versions", "retrieve", 468, 105998, 54216),
-    ("dedup-versions", "retrieve_many", 1403, 324282, 116280),
-    ("dedup-versions", "degraded_retrieve", 524, 111214, 54216),
+    ("small-files", "ingest_many", 555, 77975, 49719),
+    ("dedup-versions", "ingest", 927, 183591, 82821),
+    ("dedup-versions", "ingest_many", 515, 82215, 34442),
+    ("dedup-versions", "retrieve", 467, 105806, 54216),
+    ("dedup-versions", "retrieve_many", 1400, 323706, 116280),
+    ("dedup-versions", "degraded_retrieve", 523, 111022, 54216),
 ];
 
 type Pin = (&'static str, &'static str, u64, u64, u64);

@@ -33,7 +33,8 @@
 //! transfer check every shard, and a re-encode reads through the one
 //! decode read. A thirteenth guards the shard digest: one batched
 //! function computes every segment-tree root, and no other code on the
-//! shard path runs SHA-256 over shard bytes.
+//! shard path runs SHA-256 over shard bytes. A fourteenth guards the
+//! write: every put goes through `PlanExecutor::write_units`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -180,21 +181,22 @@ fn the_io_path_has_no_twins() {
 /// Re-accretion guard for maintenance. Repair, refresh and re-wrap are
 /// each written once against a stored unit (a classic object or a dedup
 /// block, loaded as a manifest); a second call site outside the executor
-/// of an op's planner or of the repair write, or a `_block` / `_dedup`
-/// function, is the per-kind twin coming back.
-/// Ingest is one flush for both kinds of unit: one caller of the
-/// executor's by-value `commit_blobs` outside the executor, and no
-/// per-block commit path. The archive hands its shards over by value, so
-/// the executor's borrowed entry points (`commit_many`, its one-plan
-/// `commit_write`, `write_shards`, `apply_repair`) have no caller in the
-/// crate: each copies once into blobs for callers that keep their plans.
+/// of an op's planner, or a `_block` / `_dedup` function, is the per-kind
+/// twin coming back.
+/// Ingest is one flush for both kinds of unit, and every write is the
+/// executor's one `write_units`: outside the executor it is called from
+/// the ingest flush, the write-back and repair only, and the per-mode
+/// write bodies it replaced stay deleted. The archive hands its shards
+/// over by value, so the executor's borrowed entry points (`commit_many`,
+/// its one-plan `commit_write`, `write_shards`, `apply_repair`) have no
+/// caller in the crate: each copies once into blobs for callers that
+/// keep their plans.
 #[test]
 fn each_maintenance_op_has_one_body() {
     const ONE_CALL_SITE: &[&str] = &[
         "plan::plan_repair(",
         "plan::plan_refresh(",
         "plan::plan_rewrap(",
-        ".repair_blobs(",
     ];
     const BORROWED: &[&str] = &[
         ".commit_many(",
@@ -213,9 +215,12 @@ fn each_maintenance_op_has_one_body() {
         "fn ingest_dedup",
         "fn commit_block",
         "fn dedup_rollback",
+        "fn commit_blobs",
+        "fn write_blobs",
+        "fn repair_blobs",
+        "fn write_many",
     ];
     let mut sites: Vec<Vec<String>> = vec![Vec::new(); ONE_CALL_SITE.len()];
-    let mut commits = Vec::new();
     let mut borrowed = Vec::new();
     let mut twins = Vec::new();
     for path in sources(&Path::new(env!("CARGO_MANIFEST_DIR")).join("src")) {
@@ -231,9 +236,6 @@ fn each_maintenance_op_has_one_body() {
                     if line.contains(pat) {
                         found.push(at.clone());
                     }
-                }
-                if line.contains(".commit_blobs(") {
-                    commits.push(at.clone());
                 }
                 borrowed.extend(
                     BORROWED
@@ -253,7 +255,20 @@ fn each_maintenance_op_has_one_body() {
     for (pat, found) in ONE_CALL_SITE.iter().zip(&sites) {
         assert_eq!(found.len(), 1, "`{pat}` call sites: {found:?}");
     }
-    assert_eq!(commits.len(), 1, "`.commit_blobs(` call sites: {commits:?}");
+    let writes: Vec<(String, String)> = callers(".write_units(")
+        .into_iter()
+        .filter(|(file, _)| file != "executor.rs")
+        .collect();
+    let expected = [
+        ("archive.rs", "write_flush"),
+        ("maintenance.rs", "write_back"),
+        ("repair.rs", "repair_unit"),
+    ]
+    .map(|(file, name)| (file.to_string(), name.to_string()));
+    assert_eq!(
+        writes, expected,
+        "`.write_units(` callers outside the executor"
+    );
     assert!(
         borrowed.is_empty(),
         "borrowed writes in the crate:\n{}",
@@ -457,7 +472,7 @@ fn payload_verification_has_one_body() {
 /// manifest (loading a block clones its record), and the one decode
 /// read `read_units` plans with `ReadPlan::for_decode`, not a hand-built
 /// plan. Refresh, re-wrap and re-encode end in one write-back: one
-/// `.write_blobs(` call site outside the executor, and no
+/// `.write_units(` call site in maintenance, in `write_back`, and no
 /// one-shard-at-a-time `Sha256::digest(` in maintenance.
 #[test]
 fn each_unit_has_one_record() {
@@ -483,21 +498,14 @@ fn each_unit_has_one_record() {
     if method_body(&read("archive.rs"), "archive.rs", "read_units").contains("ReadPlan {") {
         violations.push("archive.rs: fn read_units builds a `ReadPlan {` literal".into());
     }
-    let mut writes = Vec::new();
-    for path in sources(&src) {
-        if path.ends_with("executor.rs") {
-            continue;
-        }
-        let file = path.file_name().unwrap().to_string_lossy().into_owned();
-        let body = non_test_source(&fs::read_to_string(&path).unwrap());
-        for (lineno, line) in body.lines().enumerate() {
-            if line.contains(".write_blobs(") {
-                writes.push(format!("{file}:{}", lineno + 1));
-            }
-        }
-    }
-    if writes.len() != 1 {
-        violations.push(format!("`.write_blobs(` call sites: {writes:?}"));
+    let writes: Vec<(String, String)> = callers(".write_units(")
+        .into_iter()
+        .filter(|(file, _)| file == "maintenance.rs")
+        .collect();
+    if writes != [("maintenance.rs".to_string(), "write_back".to_string())] {
+        violations.push(format!(
+            "`.write_units(` call sites in maintenance: {writes:?}"
+        ));
     }
     if read("maintenance.rs").contains("Sha256::digest(") {
         violations.push("maintenance.rs: hashes shards one at a time".into());
@@ -796,8 +804,8 @@ fn only_the_scrubs_check_every_shard() {
 /// Re-accretion guard for the shard digest. A shard digest is the root
 /// of a Merkle tree over the shard's fixed segments, computed in one
 /// batched function, `plan::digest_shards`, which every site that records
-/// or checks one calls: the ingest flush, `plan_write`, the write-back,
-/// repair's writes and the scrub's digest filter. In the five files on
+/// or checks one calls: the one write (for the ingest flush, the
+/// write-back and repair), `plan_write` and the scrub's digest filter. In the five files on
 /// the shard path, SHA-256 runs directly only over what is not a shard:
 /// payloads (the flush's payload digests, the read tail's check) and an
 /// object name seeding a delete's jitter. A whole-shard `digest` or
@@ -826,11 +834,9 @@ fn one_shard_digest() {
     assert_eq!(
         callers("digest_shards("),
         owned(&[
-            ("archive.rs", "write_flush"),
-            ("executor.rs", "repair_blobs"),
+            ("executor.rs", "write_units"),
             ("executor.rs", "verify_where"),
             ("executor.rs", "digest_filter"),
-            ("maintenance.rs", "write_back"),
             ("plan.rs", "plan_write"),
         ]),
         "the shard digest's callers"
@@ -869,4 +875,20 @@ fn one_shard_digest() {
         one.contains("Sha256::digest_many_tagged(0x00,") && one.contains("merkle::fold_root("),
         "plan.rs: fn digest_shards is not one tagged leaf batch folded into roots"
     );
+}
+
+/// Re-accretion guard for the write path. Every shard put on a node is
+/// put by `PlanExecutor::write_units`: the put direction of the fan-out
+/// (`transfer::<Put`, `first_attempts::<Put`, `settle::<Put`) is
+/// instantiated in that one function, whatever a unit's write mode.
+#[test]
+fn one_write_path() {
+    let puts = callers("::<Put");
+    let in_write = |(file, name): &(String, String)| file == "executor.rs" && name == "write_units";
+    assert!(
+        !puts.is_empty() && puts.iter().all(in_write),
+        "the put fan-out outside `write_units`: {puts:?}"
+    );
+    let first = callers("first_attempts::<Put");
+    assert_eq!(first.len(), 1, "`first_attempts::<Put` sites: {first:?}");
 }
