@@ -18,7 +18,9 @@
 //! ratio sets `Sha256::digest_many`'s break-even), then `shard-digest`:
 //! five 1 MiB shards per call, SHA-256 of each whole shard (`flat`)
 //! against the segment-tree roots the archive records (`tree`), per
-//! kernel, and their ratio on the active one; then `digest_many` per
+//! kernel, and their ratio on the active one; `payload-digest`, the same
+//! two digests of one 1 MiB and one 4 MiB payload, as every read checks
+//! one; then `digest_many` per
 //! kernel over three real message sets: one 2 MiB version's dedup blocks,
 //! one 32-object small-files flush (payloads and RS(4, 2) shards) and
 //! the same 32 payloads alone, as one small-files `retrieve_many`
@@ -310,9 +312,10 @@ fn sha256_label(kernel: &CryptoKernel) -> String {
     )
 }
 
-/// The shard digest of every shard in `shards` as the archive records it
-/// (`aeon_core::plan::SEGMENT`-byte segments, their RFC 6962 leaves in one
-/// `digest_many_tagged` batch on `kernel`, each shard's tree folded).
+/// The segment-tree digest of every blob in `shards` as the archive
+/// records it for a shard or a payload (`aeon_core::plan::SEGMENT`-byte
+/// segments, their RFC 6962 leaves in one `digest_many_tagged` batch on
+/// `kernel`, each blob's tree folded).
 fn segment_roots(kernel: &CryptoKernel, shards: &[&[u8]]) -> Vec<[u8; 32]> {
     let cut = |shard: &&[u8]| shard.len().div_ceil(SEGMENT).max(1);
     let segments: Vec<&[u8]> = shards
@@ -371,6 +374,47 @@ fn shard_digest_cells(budget: usize, reps: usize) -> Vec<Cell> {
                 size: MIB,
                 gbs,
             });
+        }
+    }
+    cells
+}
+
+/// The `payload-digest` rows: GB/s of one payload's digest on every
+/// kernel, at 1 MiB and at 4 MiB, `flat` (SHA-256 of the whole payload,
+/// one stream) against `tree` (the segment-tree root the archive records
+/// and every read checks: 64 or 256 lane messages). Each tree root is
+/// checked against `MerkleTree` first.
+fn payload_digest_cells(budget: usize, reps: usize) -> Vec<Cell> {
+    const MIB: usize = 1 << 20;
+    let mut cells: Vec<Cell> = Vec::new();
+    for size in [MIB, 4 * MIB] {
+        let payload = reference_payload(size, 0xAE6);
+        let one = [payload.as_slice()];
+        let tree = MerkleTree::build(payload.chunks(SEGMENT)).expect("segments");
+        for kernel in CryptoKernel::supported() {
+            let label = sha256_label(kernel);
+            if cells.iter().any(|c| c.kernel == label && c.size == size) {
+                continue;
+            }
+            assert_eq!(
+                segment_roots(kernel, &one),
+                [tree.root()],
+                "{label}: the payload digest is the tree root"
+            );
+            let flat = best_gbs(size, budget, reps, || {
+                black_box(Sha256::digest_many_on(kernel, black_box(&one)));
+            });
+            let tree = best_gbs(size, budget, reps, || {
+                black_box(segment_roots(kernel, black_box(&one)));
+            });
+            for (op, gbs) in [("payload-digest flat", flat), ("payload-digest tree", tree)] {
+                cells.push(Cell {
+                    kernel: label.clone(),
+                    op,
+                    size,
+                    gbs,
+                });
+            }
         }
     }
     cells
@@ -483,13 +527,13 @@ fn erasure_rows(reps: usize, src: &[u8]) -> [(&'static str, f64); 3] {
     let healthy: Vec<Option<&[u8]>> = shards.iter().map(|s| Some(s.as_slice())).collect();
     let mut degraded = healthy.clone();
     degraded[0] = None;
+    // Timed interleaved: the floor `run` asserts is their ratio.
     let decode = |set: &[Option<&[u8]>]| {
-        best_gbs(MIB, budget, reps, || {
-            let payload = rs.decode_slices(black_box(set)).expect("decode");
-            assert_eq!(payload.len(), MIB);
-        })
+        let payload = rs.decode_slices(black_box(set)).expect("decode");
+        assert_eq!(payload.len(), MIB);
     };
-    let (whole, lost_one) = (decode(&healthy), decode(&degraded));
+    let (mut whole, mut lost_one) = (|| decode(&healthy), || decode(&degraded));
+    let (whole, lost_one) = best_gbs_pair(MIB, budget, reps, &mut whole, &mut lost_one);
     let repair = best_gbs(MIB, budget, reps, || {
         let rows = rs
             .reconstruct_rows(black_box(&degraded), &[0])
@@ -642,11 +686,26 @@ pub fn run(args: &CliArgs) {
     );
     // GF(2^16) rows: the shuffle tier must beat the byte-table loop by
     // 2.5x at 1 MiB (measured ~3.8x), so the floor only trips on a
-    // broken dispatch.
-    let gf16_avx2 = Kernel::for_tier(KernelTier::Avx2).map(|_| {
+    // broken dispatch. The two calls are timed interleaved, so a host
+    // phase that slows one slows both, and over 16x the cells' sweeps:
+    // one call of eight 1 MiB rows is the whole quick budget.
+    let gf16_avx2 = Kernel::for_tier(KernelTier::Avx2).map(|avx2| {
         let bulk = 1024 * 1024;
-        let r =
-            lookup("avx2", "gf16_mul_add_rows", bulk) / lookup("scalar", "gf16_mul_add_rows", bulk);
+        let trows16: Vec<(&Gf16MulTable, &[u16])> = row_tables16
+            .iter()
+            .zip(&rows_data16)
+            .map(|(t, d)| (t, &d[..bulk / 2]))
+            .collect();
+        let scalar = Kernel::for_tier(KernelTier::Scalar).expect("scalar tier");
+        let mut dst_scalar = vec![0u16; bulk / 2];
+        let (wide, narrow) = best_gbs_pair(
+            bulk * row_count,
+            budget,
+            16 * reps,
+            &mut || gf16_mul_add_rows_on(avx2, black_box(&mut dst16), black_box(&trows16)),
+            &mut || gf16_mul_add_rows_on(scalar, black_box(&mut dst_scalar), black_box(&trows16)),
+        );
+        let r = wide / narrow;
         println!(
             "avx2/scalar gf16_mul_add_rows @1MiB: {}x (floor 2.5x)",
             f2(r)
@@ -660,6 +719,7 @@ pub fn run(args: &CliArgs) {
 
     let (mut crypto, digest_ns) = crypto_cells(budget, reps, &src);
     crypto.extend(shard_digest_cells(budget, reps));
+    crypto.extend(payload_digest_cells(budget, reps));
     let mut crypto_out = Table::new(
         "SHA-256 / AES-256-CTR / ChaCha20 / Poly1305 kernel throughput (GB/s, min-of-N)",
         &["tier", "op", "size", "GB/s"],
@@ -693,18 +753,29 @@ pub fn run(args: &CliArgs) {
     // The shard digest as the archive computes it, against SHA-256 of
     // each whole shard, on the active kernel's label.
     let active_label = sha256_label(CryptoKernel::active());
-    let shard_gbs = |op: &str| {
+    let active_gbs = |op: &str, size: usize| {
         crypto
             .iter()
-            .find(|c| c.op == op && c.kernel == active_label)
+            .find(|c| c.op == op && c.size == size && c.kernel == active_label)
             .map(|c| c.gbs)
-            .expect("shard-digest rows on the active kernel")
+            .expect("digest rows on the active kernel")
     };
-    let shard_ratio = shard_gbs("shard-digest tree") / shard_gbs("shard-digest flat");
+    let shard_ratio =
+        active_gbs("shard-digest tree", 1 << 20) / active_gbs("shard-digest flat", 1 << 20);
     println!(
         "shard-digest tree / flat @5x1MiB, {active_label}: {}x ({SEGMENT} B segments)",
         f2(shard_ratio)
     );
+    // The payload digest every read checks, tree against flat.
+    let payload_ratios = [(1, "1m"), (4, "4m")].map(|(mib, key)| {
+        let size = mib << 20;
+        let r = active_gbs("payload-digest tree", size) / active_gbs("payload-digest flat", size);
+        println!(
+            "payload-digest tree / flat @{mib}MiB, {active_label}: {}x",
+            f2(r)
+        );
+        (key, r)
+    });
     let sets = digest_set_rows(reps);
     let mut sets_out = Table::new(
         "Sha256::digest_many per message set (ms, min-of-N)",
@@ -881,6 +952,15 @@ pub fn run(args: &CliArgs) {
         (
             "shard_digest_tree_vs_flat_5x1m".into(),
             Json::Num(shard_ratio),
+        ),
+        (
+            "payload_digest_tree_vs_flat".into(),
+            Json::Obj(
+                payload_ratios
+                    .iter()
+                    .map(|(key, r)| ((*key).into(), Json::Num(*r)))
+                    .collect(),
+            ),
         ),
         (
             "digest_many_sets".into(),

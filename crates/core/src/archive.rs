@@ -7,9 +7,10 @@ use crate::dedup::{BlockKind, BlockRecord, DedupConfig, DedupManifest, IndexStat
 use crate::executor::{verify_where, PlanExecutor, ShardsSnapshot, UnitWrite, WriteMode};
 use crate::keys::KeyStore;
 use crate::pipeline::{self, PipelineConfig};
-use crate::plan::{self, ReadPlan, WritePlan};
+use crate::plan::{self, ReadPlan, SegmentHasher, WritePlan};
 use crate::policy::{EncodingMeta, PolicyError, PolicyKind};
 use crate::unit::{Unit, BLOCK, OBJECT};
+use aeon_cas::BlockHash;
 use aeon_crypto::{ChaChaDrbg, Sha256};
 use aeon_integrity::ledger::Ledger;
 use aeon_integrity::timestamp::{AnchorMode, DocumentChain, SigBreakSchedule, TimestampAuthority};
@@ -312,11 +313,18 @@ pub struct Manifest {
     pub placement: Vec<NodeId>,
     /// Payload length in bytes.
     pub logical_len: usize,
-    /// SHA-256 of the payload.
+    /// The payload digest: the root of an RFC 6962 Merkle tree over the
+    /// payload's [`plan::SEGMENT`]-byte segments, computed like a shard
+    /// digest (`crate::plan::tree_digests`), not SHA-256 of the whole
+    /// payload. The ingest flush records it, the timestamp chain anchors
+    /// it, every read checks the decoded payload against it, and
+    /// [`Archive::verify`] recomputes it. A dedup block's record holds its
+    /// content address here instead: the block's plain SHA-256
+    /// ([`aeon_cas::BlockHash::of`]).
     pub digest: [u8; 32],
     /// The shard digest of each stored shard blob, indexed like
     /// `placement`: the root of an RFC 6962 Merkle tree over the blob's
-    /// [`plan::SEGMENT`]-byte segments (`crate::plan::digest_shards`),
+    /// [`plan::SEGMENT`]-byte segments (`crate::plan::tree_digests`),
     /// not SHA-256 of the whole blob. Scrubs, repair and a failed decode
     /// read use these to discard bit-rotted shards instead of feeding
     /// them to the decoder.
@@ -371,9 +379,10 @@ pub(crate) struct UnitRead {
 }
 
 /// One unit of a read, as [`Archive::decode_many`] takes it: the object
-/// its failures are typed against, its loaded record (a manifest, or a
-/// stored unit's) and its fetched shards.
-pub(crate) type Decode<'a> = (&'a ObjectId, &'a Manifest, &'a ShardsSnapshot);
+/// its failures are typed against, the unit (whose kind says how its
+/// digest is computed), its loaded record (a manifest, or a stored
+/// unit's) and its fetched shards.
+pub(crate) type Decode<'a> = (&'a ObjectId, &'a Unit, &'a Manifest, &'a ShardsSnapshot);
 
 /// A secure long-term archive over a simulated geo-dispersed cluster.
 ///
@@ -588,8 +597,12 @@ impl Archive {
         policy: &PolicyKind,
     ) -> Result<Vec<ObjectId>, ArchiveError> {
         policy.validate()?;
-        for (payload, _) in items {
-            entropy_gate(policy, payload)?;
+        if gates(policy) {
+            for (payload, _) in items {
+                let mut counts = [0; 256];
+                count_bytes(&mut counts, payload, 1);
+                entropy_gate(policy, &counts)?;
+            }
         }
         let ids: Vec<ObjectId> = items.iter().map(|(_, name)| self.next_id(name)).collect();
         self.write_flush(&ids, items, policy, true)?;
@@ -662,7 +675,7 @@ impl Archive {
             .map(|w: &WritePlan| self.executor().place(w.object.as_str(), w.shards.len()))
             .collect::<Result<Vec<_>, _>>()?;
         let payloads: Vec<&[u8]> = items.iter().map(|(p, _)| *p).collect();
-        for (manifest, digest) in manifests.iter_mut().zip(Sha256::digest_many(&payloads)) {
+        for (manifest, digest) in manifests.iter_mut().zip(plan::tree_digests(&payloads)) {
             manifest.digest = digest;
         }
         let mut rngs: Vec<ChaChaDrbg> = plans
@@ -890,7 +903,7 @@ impl Archive {
     /// serves **one** framed batch request for the whole call (then
     /// per-key retries with the remaining budget, drawing jitter from
     /// each object's own rng), and every decoded payload is checked
-    /// against its digest in **one** [`Sha256::digest_many`] batch: one
+    /// against its digest in **one** `plan::tree_digests` batch: one
     /// decode read of every unit. Per-object outcomes — payload bytes and
     /// typed failures — are exactly what [`Archive::retrieve`] would
     /// return for each id; one unreadable object does not fail its
@@ -975,8 +988,11 @@ impl Archive {
             .collect();
         let mut snaps = self.executor().read_many(&plans, &mut rngs);
         let all = 0..units.len();
-        let mut decoded =
-            self.decode_many(all.clone().map(|i| (units[i].0, records[i], &snaps[i])));
+        let head = |i: usize| (units[i].0, units[i].1.borrow(), records[i]);
+        let mut decoded = self.decode_many(all.clone().map(|i| {
+            let (owner, unit, record) = head(i);
+            (owner, unit, record, &snaps[i])
+        }));
         // Each failed unit, with the stored bytes its fetch returned
         // before the fallback discards a slot.
         let failed: Vec<(usize, u64)> = all
@@ -984,9 +1000,10 @@ impl Archive {
             .map(|i| (i, snaps[i].bytes()))
             .collect();
         verify_where(&plans, &mut snaps, |i| decoded[i].is_err());
-        let again = failed
-            .iter()
-            .map(|&(i, _)| (units[i].0, records[i], &snaps[i]));
+        let again = failed.iter().map(|&(i, _)| {
+            let (owner, unit, record) = head(i);
+            (owner, unit, record, &snaps[i])
+        });
         for (&(i, _), again) in failed.iter().zip(self.decode_many(again)) {
             decoded[i] = again;
         }
@@ -1012,23 +1029,27 @@ impl Archive {
 
     /// The tail of a one-unit scrub read ([`Archive::verify`], a repair's
     /// fallback): [`Archive::decode_many`] over a batch of one
-    /// loaded record (a manifest, or a stored unit's), decoded under the
-    /// record's context and verified against its payload digest, failures
-    /// typed against `owner`.
+    /// loaded record of `unit` (a manifest, or a stored unit's), decoded
+    /// under the record's context and verified against its digest,
+    /// failures typed against `owner`.
     pub(crate) fn decode_verified(
         &self,
         owner: &ObjectId,
+        unit: &Unit,
         record: &Manifest,
         snap: &ShardsSnapshot,
     ) -> Result<Vec<u8>, ArchiveError> {
-        self.decode_many(iter::once((owner, record, snap)))
+        self.decode_many(iter::once((owner, unit, record, snap)))
             .pop()
             .expect("one result per unit")
     }
 
     /// The shared tail of every read: each unit's threshold check and
-    /// policy decode, then every decoded payload's digest check in
-    /// **one** [`Sha256::digest_many`] batch. `out[i]` is unit `i`'s
+    /// policy decode, then every decoded payload's digest check, each
+    /// kind in **one** batch: an object's payload against its
+    /// segment-tree root ([`plan::tree_digests`], every segment of every
+    /// object one lane message), a dedup block's against its content
+    /// address ([`BlockHash::of_many`]). `out[i]` is unit `i`'s
     /// payload or its typed failure, independent of its neighbours, so
     /// a caller that stops at the first failure sees what a
     /// unit-at-a-time read would: a decode failure on unit `i` and a
@@ -1042,10 +1063,25 @@ impl Archive {
     ) -> Vec<Result<Vec<u8>, ArchiveError>> {
         let mut decoded: Vec<Result<Vec<u8>, ArchiveError>> =
             units.clone().map(|unit| self.decode_unit(&unit)).collect();
-        let payloads: Vec<&[u8]> = decoded.iter().filter_map(|r| r.as_deref().ok()).collect();
-        let mut digests = Sha256::digest_many(&payloads).into_iter();
-        for (result, (owner, record, _)) in decoded.iter_mut().zip(units) {
-            if result.is_ok() && digests.next() != Some(record.digest) {
+        let (mut blocks, mut objects) = (Vec::new(), Vec::new());
+        for (result, (_, unit, ..)) in decoded.iter().zip(units.clone()) {
+            match (result, unit) {
+                (Ok(payload), Unit::Block(_)) => blocks.push(payload.as_slice()),
+                (Ok(payload), Unit::Object(_)) => objects.push(payload.as_slice()),
+                (Err(_), _) => {}
+            }
+        }
+        let blocks = BlockHash::of_many(&blocks);
+        let (mut blocks, mut objects) = (blocks.iter(), plan::tree_digests(&objects).into_iter());
+        for (result, (owner, unit, record, _)) in decoded.iter_mut().zip(units) {
+            if result.is_err() {
+                continue;
+            }
+            let digest = match unit {
+                Unit::Block(_) => blocks.next().map(|hash| *hash.as_bytes()),
+                Unit::Object(_) => objects.next(),
+            };
+            if digest != Some(record.digest) {
                 *result = Err(ArchiveError::IntegrityViolation((*owner).clone()));
             }
         }
@@ -1055,7 +1091,7 @@ impl Archive {
     /// The first step of [`Archive::decode_many`] for one unit: the
     /// threshold check, then the policy decode of the snapshot's first
     /// `valid` present slots under the unit's context.
-    fn decode_unit(&self, &(owner, record, snap): &Decode<'_>) -> Result<Vec<u8>, ArchiveError> {
+    fn decode_unit(&self, &(owner, _, record, snap): &Decode<'_>) -> Result<Vec<u8>, ArchiveError> {
         let required = record.policy.read_threshold();
         if snap.valid < required {
             if snap.corrupt > 0 {
@@ -1131,7 +1167,7 @@ impl Archive {
             last[at] = p;
         }
         let mut held: Vec<Option<Vec<u8>>> = vec![None; distinct.len()];
-        let (mut spelled, mut fed, mut decoded) = (Sha256::new(), 0usize, 0usize);
+        let (mut spelled, mut fed, mut decoded) = (SegmentHasher::new(), 0usize, 0usize);
         for (i, unit) in units.iter().enumerate() {
             let Ok(record) = self.load(unit) else {
                 available = 0;
@@ -1140,7 +1176,7 @@ impl Archive {
             let snap = self.fetch_shards(&record, unit.labels().verify);
             available = available.min(snap.valid);
             required = required.max(record.policy.read_threshold());
-            let Ok(payload) = self.decode_verified(id, &record, &snap) else {
+            let Ok(payload) = self.decode_verified(id, unit, &record, &snap) else {
                 continue;
             };
             decoded += 1;
@@ -1281,10 +1317,13 @@ pub(crate) fn gates(policy: &PolicyKind) -> bool {
 }
 
 /// The Entropic policy's admission check, at ingest and re-encode: its
-/// secrecy argument needs payloads that already look random.
-pub(crate) fn entropy_gate(policy: &PolicyKind, payload: &[u8]) -> Result<(), ArchiveError> {
-    if gates(policy) && payload.len() >= 64 {
-        let bits_per_byte = estimate_entropy_bits_per_byte(payload);
+/// secrecy argument needs payloads that already look random. `counts` is
+/// the payload's byte histogram ([`count_bytes`]), so a payload held in
+/// pieces — a dedup object's leaf blocks — is gated whole without being
+/// joined.
+pub(crate) fn entropy_gate(policy: &PolicyKind, counts: &[u64; 256]) -> Result<(), ArchiveError> {
+    if gates(policy) && counts.iter().sum::<u64>() >= 64 {
+        let bits_per_byte = entropy_of(counts);
         if bits_per_byte < 6.0 {
             return Err(ArchiveError::LowEntropy { bits_per_byte });
         }
@@ -1292,16 +1331,24 @@ pub(crate) fn entropy_gate(policy: &PolicyKind, payload: &[u8]) -> Result<(), Ar
     Ok(())
 }
 
+/// Adds each byte of `data`, `times` over, to the histogram `counts`.
+pub(crate) fn count_bytes(counts: &mut [u64; 256], data: &[u8], times: u64) {
+    for &b in data {
+        counts[b as usize] += times;
+    }
+}
+
 /// Crude Shannon-entropy estimate over byte frequencies.
 pub fn estimate_entropy_bits_per_byte(data: &[u8]) -> f64 {
-    if data.is_empty() {
-        return 0.0;
-    }
-    let mut counts = [0u64; 256];
-    for &b in data {
-        counts[b as usize] += 1;
-    }
-    let n = data.len() as f64;
+    let mut counts = [0; 256];
+    count_bytes(&mut counts, data, 1);
+    entropy_of(&counts)
+}
+
+/// The Shannon entropy, in bits per byte, of a byte histogram; 0 when
+/// empty.
+fn entropy_of(counts: &[u64; 256]) -> f64 {
+    let n = counts.iter().sum::<u64>() as f64;
     // Folded from +0.0, so one repeated byte reads 0.00, not -0.00.
     counts.iter().filter(|&&c| c > 0).fold(0.0, |bits, &c| {
         let p = c as f64 / n;
@@ -1312,7 +1359,6 @@ pub fn estimate_entropy_bits_per_byte(data: &[u8]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aeon_cas::BlockHash;
     use aeon_crypto::{CryptoRng, SuiteId};
     use aeon_store::node::{MemoryNode, NodeError, ShardKey, StorageNode};
     use proptest::prelude::*;
@@ -1423,7 +1469,7 @@ mod tests {
 
     /// Re-encoding onto Entropic meets the gate ingest applies, before
     /// the old shards are deleted: a classic object on its payload, a
-    /// dedup object on each data block.
+    /// dedup object on the payload its leaves spell.
     #[test]
     fn reencode_onto_entropic_meets_the_entropy_gate() {
         let rs = PolicyKind::ErasureCoded { data: 2, parity: 1 };
@@ -1445,6 +1491,114 @@ mod tests {
             assert_eq!(a.manifest(&id).unwrap().policy, rs, "dedup {dedup}");
             assert!(a.blocks().all(|(_, b)| b.record.policy == rs));
             assert_eq!(a.retrieve(&id).unwrap(), low, "dedup {dedup}");
+        }
+    }
+
+    /// The gate judges a dedup object's payload, not each block: random
+    /// data cut into blocks of 64–1024 B (a 64-byte block can show at
+    /// most 6 bits/byte) moves Entropic → RS → Entropic and reads back.
+    #[test]
+    fn random_dedup_data_in_short_blocks_moves_back_onto_entropic() {
+        let rs = PolicyKind::ErasureCoded { data: 2, parity: 1 };
+        let entropic = PolicyKind::Entropic { data: 2, parity: 1 };
+        let mut payload = vec![0u8; 8 << 10];
+        ChaChaDrbg::from_u64_seed(40).fill_bytes(&mut payload);
+        let config = ArchiveConfig::new(entropic.clone()).with_dedup(small_dedup());
+        let mut a = Archive::in_memory(config).unwrap();
+        let id = a.ingest(&payload, "random").unwrap();
+        let short = a.blocks().filter(|(_, b)| b.kind == BlockKind::Data);
+        let short = short.filter(|(_, b)| b.record.logical_len < 128).count();
+        assert!(short > 0, "some data block is under 128 B");
+        a.reencode_object(&id, rs.clone()).unwrap();
+        assert!(a.blocks().all(|(_, b)| b.record.policy == rs));
+        a.reencode_object(&id, entropic.clone()).unwrap();
+        assert!(a.blocks().all(|(_, b)| b.record.policy == entropic));
+        assert_eq!(a.manifest(&id).unwrap().policy, entropic);
+        assert_eq!(a.retrieve(&id).unwrap(), payload);
+    }
+
+    /// The reference payload digest: `MerkleTree` over the payload's
+    /// segments, the empty payload's root its one empty leaf.
+    fn tree_root(payload: &[u8]) -> [u8; 32] {
+        use aeon_integrity::merkle::{leaf_hash, MerkleTree};
+        MerkleTree::build(payload.chunks(plan::SEGMENT)).map_or(leaf_hash(b""), |t| t.root())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// Every recorded payload digest is the root of the payload's
+        /// segment tree, at each segment edge and dedup on and off; one
+        /// batched digest call equals one call per payload, and a flush
+        /// of all six records what six one-object flushes record.
+        #[test]
+        fn a_payload_digest_is_the_segment_tree_root(seed in any::<u64>(), dedup in any::<bool>()) {
+            use plan::SEGMENT;
+            let lens = [0, 1, SEGMENT - 1, SEGMENT, SEGMENT + 1, 64 * SEGMENT + 5];
+            let mut rng = ChaChaDrbg::from_u64_seed(seed);
+            let payloads: Vec<Vec<u8>> = lens
+                .iter()
+                .map(|&len| {
+                    let mut payload = vec![0u8; len];
+                    rng.fill_bytes(&mut payload);
+                    payload
+                })
+                .collect();
+            let borrowed: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+            let expect: Vec<[u8; 32]> = borrowed.iter().map(|p| tree_root(p)).collect();
+            prop_assert_eq!(plan::tree_digests(&borrowed), expect.clone());
+            for (payload, digest) in borrowed.iter().zip(&expect) {
+                prop_assert_eq!(plan::tree_digests(&[payload]), vec![*digest]);
+            }
+            let archive = || {
+                let mut config = ArchiveConfig::new(PolicyKind::Replication { copies: 2 });
+                if dedup {
+                    config = config.with_dedup(DedupConfig {
+                        chunker: aeon_cas::ChunkerParams::default(),
+                        fanout: 4,
+                    });
+                }
+                Archive::in_memory(config).unwrap()
+            };
+            let (mut batched, mut single) = (archive(), archive());
+            let items: Vec<(&[u8], &str)> = borrowed.iter().map(|p| (*p, "p")).collect();
+            let ids = batched.ingest_many(&items).unwrap();
+            for ((payload, id), digest) in borrowed.iter().zip(&ids).zip(&expect) {
+                prop_assert_eq!(batched.manifest(id).unwrap().digest, *digest);
+                let one = single.ingest(payload, "p").unwrap();
+                prop_assert_eq!(single.manifest(&one).unwrap().digest, *digest);
+                prop_assert_eq!(&batched.retrieve(id).unwrap(), payload);
+            }
+        }
+    }
+
+    /// The reads check the tree root, not SHA-256 of the payload: a
+    /// record holding the flat digest of a two-segment payload fails
+    /// every read as an integrity violation, and `verify` finds it not
+    /// intact, dedup on and off.
+    #[test]
+    fn a_flat_payload_digest_is_an_integrity_violation() {
+        let mut payload = vec![0u8; 2 * plan::SEGMENT];
+        ChaChaDrbg::from_u64_seed(48).fill_bytes(&mut payload);
+        for dedup in [false, true] {
+            let mut config = ArchiveConfig::new(PolicyKind::ErasureCoded { data: 3, parity: 2 });
+            if dedup {
+                config = config.with_dedup(small_dedup());
+            }
+            let mut a = Archive::in_memory(config).unwrap();
+            let id = a.ingest(&payload, "two segments").unwrap();
+            let schedule = SigBreakSchedule::new();
+            assert!(a.verify(&id, &schedule).unwrap().intact, "dedup {dedup}");
+            a.manifests
+                .update(&id, |m| m.digest = Sha256::digest(&payload));
+            let violation = |r: Result<Vec<u8>, ArchiveError>| match r {
+                Err(ArchiveError::IntegrityViolation(v)) => v == id,
+                _ => false,
+            };
+            assert!(violation(a.retrieve(&id)), "dedup {dedup}");
+            let mut many = a.retrieve_many(std::slice::from_ref(&id));
+            assert!(violation(many.pop().unwrap()), "dedup {dedup}");
+            assert!(!a.verify(&id, &schedule).unwrap().intact, "dedup {dedup}");
         }
     }
 
@@ -2166,8 +2320,8 @@ mod tests {
             ChaChaDrbg::from_u64_seed(seed).fill_bytes(&mut payload);
             let id = archive.ingest(&payload, "equivalence").unwrap();
             let manifest = archive.manifest(&id).unwrap();
-            let records: Vec<Manifest> = archive
-                .units_of(&manifest)
+            let units = archive.units_of(&manifest);
+            let records: Vec<Manifest> = units
                 .iter()
                 .map(|unit| archive.load(unit).unwrap())
                 .collect();
@@ -2180,12 +2334,13 @@ mod tests {
                 }
                 damage(&archive, record, &edits);
             }
-            let scrubs: Vec<String> = records
+            let scrubs: Vec<String> = units
                 .iter()
-                .map(|record| {
+                .zip(&records)
+                .map(|(unit, record)| {
                     let mut rng = archive.op_rng("retrieve", record.id.as_str());
                     let snap = archive.executor().read(&ReadPlan::for_manifest(record), &mut rng);
-                    format!("{:?}", archive.decode_verified(&id, record, &snap))
+                    format!("{:?}", archive.decode_verified(&id, unit, record, &snap))
                 })
                 .collect();
             let rot = |scrub: &String| scrub.starts_with("Err(IntegrityViolation");
@@ -2304,25 +2459,44 @@ mod tests {
     }
 
     /// `verify` spells a dedup payload from its leaves as it decodes them,
-    /// holding a leaf only until its last repeat: a payload whose blocks
-    /// repeat (two 2 KiB parts, `A B A A B`) verifies intact, and the same
-    /// object with a different recorded payload digest does not.
+    /// holding a leaf only until its last repeat, into the streaming
+    /// segment-tree root: a 5 KiB and a 7 KiB part repeated to 60 KiB
+    /// (`A B A A B B A B A`, four segments), so leaves repeat and a
+    /// repeated leaf lies across a segment edge, fed to the running
+    /// segment in two pieces. The object verifies intact, and with a
+    /// wrong recorded payload digest does not.
     #[test]
     fn verify_spells_a_dedup_payload_whose_leaves_repeat() {
-        let mut parts = vec![0u8; 4096];
-        ChaChaDrbg::from_u64_seed(44).fill_bytes(&mut parts);
-        let (a, b) = parts.split_at(2048);
-        let payload = [a, b, a, a, b].concat();
+        let mut parts = vec![0u8; 12 << 10];
+        ChaChaDrbg::from_u64_seed(45).fill_bytes(&mut parts);
+        let (a, b) = parts.split_at(5 << 10);
+        let payload = [a, b, a, a, b, b, a, b, a].concat();
         let mut config = ArchiveConfig::new(PolicyKind::ErasureCoded { data: 3, parity: 2 });
         config.dedup = Some(small_dedup());
         let mut archive = Archive::in_memory(config).unwrap();
         let id = archive.ingest(&payload, "repeats").unwrap();
-        let leaves = &archive.row(&id).unwrap().blocks.as_ref().unwrap().blocks;
-        let distinct = crate::dedup::first_occurrence_slots(leaves).0.len();
-        assert!(distinct < leaves.len(), "some leaf repeats");
+        let leaves = archive.row(&id).unwrap().blocks.clone().unwrap().blocks;
+        let (distinct, slots) = crate::dedup::first_occurrence_slots(&leaves);
+        let mut seen = vec![0usize; distinct.len()];
+        let (mut start, mut straddling_repeats) = (0, 0);
+        for &at in &slots {
+            let block = archive.block_record(&distinct[at]).unwrap();
+            let end = start + block.record.logical_len;
+            seen[at] += 1;
+            if seen[at] > 1 && start / plan::SEGMENT != (end - 1) / plan::SEGMENT {
+                straddling_repeats += 1;
+            }
+            start = end;
+        }
+        assert_eq!(start, payload.len());
+        assert!(
+            straddling_repeats > 0,
+            "a repeated leaf straddles a segment edge"
+        );
         let schedule = SigBreakSchedule::new();
         assert!(archive.verify(&id, &schedule).unwrap().intact);
-        archive.manifests.update(&id, |m| m.digest[0] ^= 1);
+        assert_eq!(archive.row(&id).unwrap().digest, tree_root(&payload));
+        archive.manifests.update(&id, |m| m.digest[31] ^= 0x80);
         assert!(!archive.verify(&id, &schedule).unwrap().intact);
     }
 
@@ -2703,7 +2877,7 @@ mod tests {
             .block_mut(hash)
             .unwrap()
             .record
-            .shard_digests[0] = plan::digest_shards(&[&shard])[0];
+            .shard_digests[0] = plan::tree_digests(&[&shard])[0];
     }
 
     /// A data block whose shards and recorded shard digests were rewritten
@@ -2857,7 +3031,7 @@ mod rewrap_tests {
         assert_eq!(anchor.len(), 256);
         assert_ne!(
             &anchor[..32],
-            aeon_crypto::Sha256::digest(b"hidden anchored doc").as_ref()
+            plan::tree_digests(&[b"hidden anchored doc"])[0].as_ref()
         );
     }
 }

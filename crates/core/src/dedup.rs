@@ -69,7 +69,6 @@ use crate::plan::{self, WritePlan};
 use crate::policy::{PolicyError, PolicyKind};
 use crate::unit::Unit;
 use aeon_cas::{build_tree, merkle, BlockHash, Chunker, ChunkerParams};
-use aeon_crypto::Sha256;
 use aeon_store::cluster::TransferReport;
 use std::collections::{BTreeSet, HashMap};
 
@@ -214,7 +213,8 @@ pub struct CatalogEntry {
     pub name: String,
     /// Payload length in bytes.
     pub logical_len: u64,
-    /// SHA-256 of the payload.
+    /// The payload digest ([`crate::Manifest::digest`]: the root of the
+    /// payload's segment tree).
     pub digest: [u8; 32],
     /// Root of the object's Merkle block tree.
     pub root: BlockHash,
@@ -396,7 +396,8 @@ impl Archive {
 
     /// The read of a leaf list, behind every dedup read: one
     /// [`Archive::read_distinct`], the blocks concatenated in leaf order,
-    /// and the payload checked against `digest` when one is given.
+    /// and the payload's segment-tree root checked against `digest` when
+    /// one is given.
     /// Failures are typed against `owner`, the object whose read is in
     /// progress, so corruption of a shared block fails every object that
     /// references it.
@@ -410,7 +411,7 @@ impl Archive {
         let (read, report) = self.read_distinct(owner, &distinct)?;
         let payload = slots.iter().map(|&at| read[at].as_slice());
         let payload = payload.collect::<Vec<_>>().concat();
-        if digest.is_some_and(|digest| Sha256::digest(&payload) != *digest) {
+        if digest.is_some_and(|digest| plan::tree_digests(&[&payload])[0] != *digest) {
             return Err(ArchiveError::IntegrityViolation(owner.clone()));
         }
         Ok((payload, report))

@@ -33,7 +33,7 @@
 //! a copy.
 
 use crate::archive::{ArchiveError, ObjectId};
-use crate::plan::{digest_shards, ReadPlan, WritePlan};
+use crate::plan::{tree_digests, ReadPlan, WritePlan};
 use crate::policy::PolicyError;
 use aeon_crypto::{ChaChaDrbg, CryptoRng, Sha256};
 use aeon_store::cluster::{ClusterError, ShardAttempt, TransferReport};
@@ -362,7 +362,7 @@ impl<'a> PlanExecutor<'a> {
     /// and slots past the `need`-th valid one come back `None` unhashed
     /// (see [`ReadPlan::need`]). The first `need` present slots of every
     /// verifying plan — all a plan hashes unless one of them fails — are
-    /// digested in one `digest_shards` batch.
+    /// digested in one `tree_digests` batch.
     ///
     /// # Panics
     ///
@@ -531,7 +531,7 @@ impl<'a> PlanExecutor<'a> {
     /// The one write: every slot of every unit is a leg of one fan-out —
     /// first attempts framed per node across all units, then one settle
     /// loop in submission order, each leg drawing from its unit's rng —
-    /// and every blob of the call is digested in one `digest_shards`
+    /// and every blob of the call is digested in one `tree_digests`
     /// batch. Each unit's [`WriteMode`] decides what a leg that stays
     /// failed does to it.
     ///
@@ -576,7 +576,7 @@ impl<'a> PlanExecutor<'a> {
                 digests: Vec::new(),
             });
         }
-        let mut digests = digest_shards(&legs).into_iter();
+        let mut digests = tree_digests(&legs).into_iter();
         let mut first = self.first_attempts::<Put>(&legs);
         for (p, leg) in legs.iter().enumerate() {
             let Some(attempted) = first[p].take() else {
@@ -655,7 +655,7 @@ impl<'a> PlanExecutor<'a> {
 /// selects (by index), as a verifying read of its plan would have from
 /// the same fetch: [`digest_filter`] over every plan's slots, the first
 /// `need` present slots of all picked plans digested in one
-/// `digest_shards` batch (so every segment of every such slot
+/// `tree_digests` batch (so every segment of every such slot
 /// shares the sixteen SHA-256 lanes). No node is touched.
 pub(crate) fn verify_where(
     plans: &[ReadPlan],
@@ -666,7 +666,7 @@ pub(crate) fn verify_where(
     let firsts: Vec<&[u8]> = picked()
         .flat_map(|i| first_present(&plans[i], &snaps[i].shards))
         .collect();
-    let mut digests = digest_shards(&firsts).into_iter();
+    let mut digests = tree_digests(&firsts).into_iter();
     for i in picked() {
         let snap = &mut snaps[i];
         let (shards, report) = (mem::take(&mut snap.shards), mem::take(&mut snap.report));
@@ -708,7 +708,7 @@ fn digest_filter(
         let digest = if examined < plan.need {
             batched.next().expect("one batched digest per first slot")
         } else {
-            digest_shards(&[bytes])[0]
+            tree_digests(&[bytes])[0]
         };
         examined += 1;
         plan.shard_digests.get(s) == Some(&digest)
@@ -781,7 +781,7 @@ mod tests {
         ReadPlan {
             object: crate::archive::ObjectId::from_raw("obj".into()),
             placement: placement.to_vec(),
-            shard_digests: digest_shards(shards),
+            shard_digests: tree_digests(shards),
             need: placement.len(),
             verify: true,
         }
@@ -905,7 +905,7 @@ mod tests {
         edit(&mut fetched);
         let fetched: Vec<Option<Blob>> = fetched.into_iter().map(|s| s.map(Blob::from)).collect();
         let firsts: Vec<&[u8]> = first_present(&plan, &fetched).collect();
-        let mut batched = digest_shards(&firsts).into_iter();
+        let mut batched = tree_digests(&firsts).into_iter();
         digest_filter(&plan, fetched, TransferReport::default(), &mut batched)
     }
 

@@ -11,17 +11,20 @@
 //! the units behind an object and hold the rules that exist only
 //! because blocks are shared (which blocks to skip).
 
-use crate::archive::{entropy_gate, gates, Archive, ArchiveError, Manifest, ObjectId, UnitRead};
+use crate::archive::{
+    count_bytes, entropy_gate, gates, Archive, ArchiveError, Manifest, ObjectId, UnitRead,
+};
 use crate::campaign::{Campaign, CampaignOp, CampaignReport};
-use crate::dedup::BlockKind;
 use crate::executor::WriteMode;
 use crate::plan;
 use crate::policy::PolicyKind;
 use crate::unit::Unit;
+use aeon_cas::BlockHash;
 use aeon_crypto::SuiteId;
 use aeon_secretshare::proactive::ProtocolCost;
 use aeon_store::clock::SimDuration;
 use aeon_store::node::Blob;
+use std::collections::HashMap;
 
 /// Byte and virtual-time accounting from one object's re-encode, read
 /// off the cluster's [`SimClock`](aeon_store::clock::SimClock) at the
@@ -147,10 +150,13 @@ impl Archive {
     /// # Errors
     ///
     /// Propagates retrieval and ingest errors; onto
-    /// [`PolicyKind::Entropic`], a unit that fails ingest's entropy gate
-    /// (a classic object's payload, a dedup data block) is
-    /// [`ArchiveError::LowEntropy`]. Every unit is read and gated before
-    /// the first old placement is deleted, so a refused re-encode moves
+    /// [`PolicyKind::Entropic`], an object whose payload fails ingest's
+    /// entropy gate is [`ArchiveError::LowEntropy`]. A dedup object's
+    /// payload is gated as its leaf occurrences spell it, one byte
+    /// histogram summed over them (tree blocks are hash lists, not
+    /// payload); a leaf already on `new_policy` is not read again and
+    /// not counted. Every unit is read and the payload gated before the
+    /// first old placement is deleted, so a refused re-encode moves
     /// nothing: every unit keeps its old record and shards.
     pub fn reencode_object(
         &mut self,
@@ -184,15 +190,16 @@ impl Archive {
             let read: Vec<(&Unit, Decoded)> = units
                 .iter()
                 .filter(|unit| moves(self, unit))
-                .map(|unit| Ok((unit, self.reencode_read(id, unit, &new_policy)?)))
+                .map(|unit| Ok((unit, self.reencode_read(id, unit)?)))
                 .collect::<Result<_, ArchiveError>>()?;
+            entropy_gate(&new_policy, &self.payload_counts(id, &read)?)?;
             for (unit, read) in read {
                 add(self.reencode_write(id, unit, read, &new_policy)?.0);
             }
         } else {
             for unit in &units {
                 if moves(self, unit) {
-                    let read = self.reencode_read(id, unit, &new_policy)?;
+                    let read = self.reencode_read(id, unit)?;
                     add(self.reencode_write(id, unit, read, &new_policy)?.0);
                 }
             }
@@ -201,34 +208,46 @@ impl Archive {
         Ok(total)
     }
 
-    /// The read half of a unit's re-encode: its record, its payload
-    /// through the one decode read [`Archive::read_units`], and ingest's
-    /// admission check of that payload under `new_policy`. Nothing is
+    /// The read half of a unit's re-encode: its record and its payload
+    /// through the one decode read [`Archive::read_units`]. Nothing is
     /// written.
-    fn reencode_read(
-        &self,
-        owner: &ObjectId,
-        unit: &Unit,
-        new_policy: &PolicyKind,
-    ) -> Result<Decoded, ArchiveError> {
+    fn reencode_read(&self, owner: &ObjectId, unit: &Unit) -> Result<Decoded, ArchiveError> {
         let start = self.cluster().clock().now();
         let record = self.load(unit)?;
         let mut read = self.read_units(&[(owner, unit)])?;
         let UnitRead {
             payload, fetched, ..
         } = read.pop().expect("one read per unit")?;
-        // A tree block is a hash list, not payload, and is exempt.
-        let tree = matches!(unit, Unit::Block(hash)
-            if self.manifests.block(hash).is_some_and(|b| b.kind == BlockKind::Tree));
-        if !tree {
-            entropy_gate(new_policy, &payload)?;
-        }
         Ok(Decoded {
             record,
             bytes_read: fetched,
             payload,
             read_time: self.cluster().clock().now() - start,
         })
+    }
+
+    /// The byte histogram of the payload `read` spells for object `id`:
+    /// a classic object's one unit counted once, a dedup block once per
+    /// occurrence among the row's leaves — a tree block is no leaf and
+    /// counts nothing — so no payload is joined to be gated.
+    fn payload_counts(
+        &self,
+        id: &ObjectId,
+        read: &[(&Unit, Decoded)],
+    ) -> Result<[u64; 256], ArchiveError> {
+        let mut occurrences: HashMap<&BlockHash, u64> = HashMap::new();
+        for leaf in self.row(id)?.blocks.iter().flat_map(|d| &d.blocks) {
+            *occurrences.entry(leaf).or_default() += 1;
+        }
+        let mut counts = [0; 256];
+        for (unit, decoded) in read {
+            let times = match unit {
+                Unit::Object(_) => 1,
+                Unit::Block(hash) => occurrences.get(hash).copied().unwrap_or(0),
+            };
+            count_bytes(&mut counts, &decoded.payload, times);
+        }
+        Ok(counts)
     }
 
     /// The write half of a unit's re-encode and of repair's fallback:

@@ -147,58 +147,135 @@ pub fn plan_write<R: CryptoRng + ?Sized>(
     cfg: &PipelineConfig,
 ) -> Result<WritePlan, PolicyError> {
     let mut write = encode_write(policy, keys, rng, id, payload, cfg)?;
-    write.shard_digests = digest_shards(&write.shards);
+    write.shard_digests = tree_digests(&write.shards);
     Ok(write)
 }
 
-/// The length of a shard segment: a shard digest is the root of a
-/// Merkle tree over the shard cut into `SEGMENT`-byte segments (the last
-/// one shorter). One segment is 256 SHA-256 blocks, so a lone 256 KiB
-/// shard fills the sixteen lanes of [`Sha256::digest_many_tagged`] and a
-/// 1 MiB one keeps them full four times over, while a 4–32 KiB shard of
-/// a small file stays one or two leaves. Not configurable: a different
-/// length is a different digest for every stored shard.
+/// The length of a segment: a shard digest and an object's payload
+/// digest are each the root of a Merkle tree over the bytes cut into
+/// `SEGMENT`-byte segments (the last one shorter). One segment is 256
+/// SHA-256 blocks, so a lone 256 KiB shard fills the sixteen lanes of
+/// [`Sha256::digest_many_tagged`] and a 1 MiB payload keeps them full
+/// four times over, while a 4–32 KiB small file stays one or two leaves.
+/// Not configurable: a different length is a different digest for every
+/// stored shard and every recorded object.
 pub const SEGMENT: usize = 16 << 10;
 
-/// The shard digest of each of `shards`, indexed like it: the root of
-/// the RFC 6962 tree `aeon_integrity::merkle::MerkleTree` builds over
-/// the shard's [`SEGMENT`]-byte segments — leaf = SHA-256(0x00 ‖
+/// The segment-tree digest of each of `blobs`, indexed like it: the root
+/// of the RFC 6962 tree `aeon_integrity::merkle::MerkleTree` builds over
+/// the blob's [`SEGMENT`]-byte segments — leaf = SHA-256(0x00 ‖
 /// segment), node = SHA-256(0x01 ‖ left ‖ right), an odd node promoted,
-/// a one-segment shard's root its leaf hash, and the empty shard's
-/// `leaf_hash(b"")`. Every segment of every shard in the call is one
+/// a one-segment blob's root its leaf hash, and the empty blob's
+/// `leaf_hash(b"")`. Every segment of every blob in the call is one
 /// message of a single [`Sha256::digest_many_tagged`] batch, hashed where
-/// it lies; the interior nodes are folded per shard after it.
+/// it lies; the interior nodes are folded per blob after it.
 ///
-/// Every shard digest the archive records or checks is computed here,
-/// and nowhere else.
-pub(crate) fn digest_shards<S: AsRef<[u8]>>(shards: &[S]) -> Vec<[u8; 32]> {
-    let count = |shard: &[u8]| shard.len().div_ceil(SEGMENT).max(1);
-    let segments: Vec<&[u8]> = shards
+/// Every shard digest and every object's payload digest the archive
+/// records or checks is computed here (or, for a payload that is never
+/// held whole, by [`SegmentHasher`]), and nowhere else.
+pub(crate) fn tree_digests<S: AsRef<[u8]>>(blobs: &[S]) -> Vec<[u8; 32]> {
+    let count = |blob: &[u8]| blob.len().div_ceil(SEGMENT).max(1);
+    let segments: Vec<&[u8]> = blobs
         .iter()
-        .flat_map(|shard| {
-            let shard = shard.as_ref();
-            (0..count(shard)).map(move |i| &shard[i * SEGMENT..shard.len().min((i + 1) * SEGMENT)])
+        .flat_map(|blob| {
+            let blob = blob.as_ref();
+            (0..count(blob)).map(move |i| &blob[i * SEGMENT..blob.len().min((i + 1) * SEGMENT)])
         })
         .collect();
     let mut leaves = Sha256::digest_many_tagged(0x00, &segments);
-    if leaves.len() == shards.len() {
-        // Every shard is one segment, whose leaf is its root.
+    if leaves.len() == blobs.len() {
+        // Every blob is one segment, whose leaf is its root.
         return leaves;
     }
     let mut rest = leaves.as_mut_slice();
-    shards
+    blobs
         .iter()
-        .map(|shard| {
-            let (level, later) = mem::take(&mut rest).split_at_mut(count(shard.as_ref()));
+        .map(|blob| {
+            let (level, later) = mem::take(&mut rest).split_at_mut(count(blob.as_ref()));
             rest = later;
-            merkle::fold_root(level).expect("a shard has a segment")
+            merkle::fold_root(level).expect("a blob has a segment")
         })
         .collect()
 }
 
+/// [`tree_digests`] of one byte string fed in pieces, for a payload that
+/// is never held whole (a dedup object's verify spells it from its leaf
+/// blocks). It holds one running leaf hash and, per level, at most one
+/// finished subtree root: a leaf count below 2^64 needs at most 64, and
+/// the occupied levels are the set bits of the count. A new leaf carries
+/// up through the occupied levels like a binary counter; the finish folds
+/// the occupied levels from the lowest up, each the left child of what is
+/// folded above it — the tree `MerkleTree::build`'s odd-node promotion
+/// gives.
+pub(crate) struct SegmentHasher {
+    leaf: Sha256,
+    /// Bytes of the current segment fed to `leaf`.
+    filled: usize,
+    /// Finished segments.
+    leaves: u64,
+    /// `roots[l]`, when bit `l` of `leaves` is set: the root of the
+    /// latest finished subtree of 2^l leaves.
+    roots: [[u8; 32]; 64],
+}
+
+impl SegmentHasher {
+    pub(crate) fn new() -> Self {
+        SegmentHasher {
+            leaf: Self::leaf(),
+            filled: 0,
+            leaves: 0,
+            roots: [[0; 32]; 64],
+        }
+    }
+
+    fn leaf() -> Sha256 {
+        let mut leaf = Sha256::new();
+        leaf.update(&[0x00]);
+        leaf
+    }
+
+    /// Feeds the next `bytes` of the payload.
+    pub(crate) fn update(&mut self, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let (now, later) = bytes.split_at(bytes.len().min(SEGMENT - self.filled));
+            self.leaf.update(now);
+            self.filled += now.len();
+            bytes = later;
+            if self.filled == SEGMENT {
+                self.finish_leaf();
+            }
+        }
+    }
+
+    /// Closes the current segment and carries its leaf up the levels.
+    fn finish_leaf(&mut self) {
+        let mut carry = mem::replace(&mut self.leaf, Self::leaf()).finalize();
+        self.filled = 0;
+        let mut level = 0;
+        while self.leaves >> level & 1 == 1 {
+            carry = merkle::node_hash(&self.roots[level], &carry);
+            level += 1;
+        }
+        self.roots[level] = carry;
+        self.leaves += 1;
+    }
+
+    /// The root over every byte fed: equal to `tree_digests(&[all])[0]`.
+    pub(crate) fn finalize(mut self) -> [u8; 32] {
+        if self.filled > 0 || self.leaves == 0 {
+            self.finish_leaf();
+        }
+        let mut occupied = (0..64).filter(|&l| self.leaves >> l & 1 == 1);
+        let lowest = occupied.next().expect("at least one leaf");
+        occupied.fold(self.roots[lowest], |right, l| {
+            merkle::node_hash(&self.roots[l], &right)
+        })
+    }
+}
+
 /// The encode half of [`plan_write`]: the plan with `shard_digests`
 /// still empty, for the ingest flush, whose one write digests every
-/// plan's shards in one [`digest_shards`] batch.
+/// plan's shards in one [`tree_digests`] batch.
 ///
 /// # Errors
 ///
@@ -394,14 +471,14 @@ mod tests {
         let shards: Vec<Vec<u8>> = (0..).zip(lens).map(|(i, len)| bytes(len, i)).collect();
         let borrowed: Vec<&[u8]> = shards.iter().map(Vec::as_slice).collect();
         let expect: Vec<[u8; 32]> = borrowed.iter().map(|s| reference(s)).collect();
-        assert_eq!(digest_shards(&borrowed), expect);
+        assert_eq!(tree_digests(&borrowed), expect);
         for (shard, digest) in borrowed.iter().zip(&expect) {
-            assert_eq!(digest_shards(&[shard]), [*digest], "{} bytes", shard.len());
+            assert_eq!(tree_digests(&[shard]), [*digest], "{} bytes", shard.len());
         }
-        assert_eq!(digest_shards::<&[u8]>(&[]), Vec::<[u8; 32]>::new());
-        assert_eq!(digest_shards(&[b""]), [leaf_hash(b"")]);
+        assert_eq!(tree_digests::<&[u8]>(&[]), Vec::<[u8; 32]>::new());
+        assert_eq!(tree_digests(&[b""]), [leaf_hash(b"")]);
         // One segment: the root is the leaf, not SHA-256 of the bytes.
-        assert_ne!(digest_shards(&[b"abc"])[0], Sha256::digest(b"abc"));
+        assert_ne!(tree_digests(&[b"abc"])[0], Sha256::digest(b"abc"));
     }
 
     proptest! {
@@ -413,7 +490,42 @@ mod tests {
             let shards: Vec<Vec<u8>> = lens.iter().map(|&len| bytes(len, salt)).collect();
             let borrowed: Vec<&[u8]> = shards.iter().map(Vec::as_slice).collect();
             let expect: Vec<[u8; 32]> = borrowed.iter().map(|s| reference(s)).collect();
-            prop_assert_eq!(digest_shards(&borrowed), expect);
+            prop_assert_eq!(tree_digests(&borrowed), expect);
+        }
+
+        /// A payload fed to the streaming hasher in pieces cut anywhere
+        /// has the batch function's root.
+        #[test]
+        fn the_streaming_hasher_equals_the_batch_digest(
+            len in 0..(9 * SEGMENT + 300),
+            cuts in prop::collection::vec(any::<usize>(), 0..12),
+            salt in any::<u32>(),
+        ) {
+            let payload = bytes(len, salt);
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (len + 1)).collect();
+            cuts.sort_unstable();
+            let mut hasher = SegmentHasher::new();
+            let mut at = 0;
+            for cut in cuts.into_iter().chain([len]) {
+                hasher.update(&payload[at..cut]);
+                at = cut;
+            }
+            prop_assert_eq!(hasher.finalize(), tree_digests(&[&payload])[0]);
+        }
+    }
+
+    /// Every leaf count up to 33 (each carry pattern of the fold), at
+    /// and beside each segment edge, equals the reference tree.
+    #[test]
+    fn the_streaming_hasher_folds_like_the_tree() {
+        for leaves in 0..=33 {
+            let edge = leaves * SEGMENT;
+            for len in [edge.saturating_sub(1), edge, edge + 1] {
+                let payload = bytes(len, leaves as u32);
+                let mut whole = SegmentHasher::new();
+                whole.update(&payload);
+                assert_eq!(whole.finalize(), reference(&payload), "{len} bytes");
+            }
         }
     }
 }

@@ -171,7 +171,7 @@ impl Archive {
             }
             (RepairOutcome::Reencode, snap) => {
                 // No per-shard repair structure: decode and re-encode.
-                let payload = self.decode_verified(owner, &record, &snap)?;
+                let payload = self.decode_verified(owner, unit, &record, &snap)?;
                 let policy = record.policy.clone();
                 let read = Decoded {
                     record,
@@ -645,7 +645,7 @@ mod tests {
     /// by `repair_object`.
     #[test]
     fn a_preimage_built_from_the_tree_is_a_corrupt_shard() {
-        use crate::plan::{digest_shards, SEGMENT};
+        use crate::plan::{tree_digests, SEGMENT};
         use aeon_integrity::merkle::{leaf_hash, node_hash};
         let shamir = PolicyKind::Shamir {
             threshold: 3,
@@ -671,7 +671,7 @@ mod tests {
         let concatenated: Vec<u8> = leaves.concat();
         let untagged: Vec<u8> = [&[0x01][..], &left, &right].concat();
         for forged in [concatenated, untagged] {
-            assert_ne!(digest_shards(&[&forged])[0], manifest.shard_digests[1]);
+            assert_ne!(tree_digests(&[&forged])[0], manifest.shard_digests[1]);
             node.put(&key, &forged).unwrap();
             let health = archive.verify(&id, &SigBreakSchedule::new()).unwrap();
             assert_eq!((health.shards_available, health.intact), (4, true));

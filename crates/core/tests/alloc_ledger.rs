@@ -38,38 +38,38 @@ use std::sync::Arc;
 /// ceiling each measured row must stay at or under, with the sixteen-lane
 /// SHA-256 slot on its `avx512` tier.
 const PINNED: &[Pin] = &[
-    ("bulk-aead", "ingest", 288, 156705, 72228),
-    ("bulk-aead", "ingest_many", 281, 149552, 72228),
-    ("bulk-aead", "retrieve", 226, 79468, 43352),
-    ("bulk-aead", "retrieve_many", 426, 158720, 77128),
-    ("bulk-aead", "degraded_retrieve", 226, 79468, 43352),
+    ("bulk-aead", "ingest", 290, 156833, 72228),
+    ("bulk-aead", "ingest_many", 283, 149680, 72228),
+    ("bulk-aead", "retrieve", 228, 79596, 43352),
+    ("bulk-aead", "retrieve_many", 428, 158912, 77128),
+    ("bulk-aead", "degraded_retrieve", 228, 79596, 43352),
     ("bulk-aead", "repair", 192, 28889, 18301),
-    ("bulk-aead", "verify", 236, 81017, 43389),
-    ("bulk-aead", "reencode", 634, 267493, 105443),
+    ("bulk-aead", "verify", 238, 81145, 43389),
+    ("bulk-aead", "reencode", 636, 267621, 105443),
     ("bulk-aead", "delete", 7, 224, 32),
-    ("bulk-sharing", "ingest", 111, 127959, 115458),
-    ("bulk-sharing", "ingest_many", 106, 121718, 115458),
-    ("bulk-sharing", "retrieve", 54, 19617, 18005),
-    ("bulk-sharing", "retrieve_many", 86, 39058, 35361),
-    ("bulk-sharing", "degraded_retrieve", 54, 19617, 18005),
+    ("bulk-sharing", "ingest", 112, 128023, 115458),
+    ("bulk-sharing", "ingest_many", 107, 121782, 115458),
+    ("bulk-sharing", "retrieve", 55, 19681, 18005),
+    ("bulk-sharing", "retrieve_many", 87, 39122, 35361),
+    ("bulk-sharing", "degraded_retrieve", 55, 19681, 18005),
     ("bulk-sharing", "repair", 108, 71390, 66402),
-    ("bulk-sharing", "verify", 58, 20010, 17626),
-    ("bulk-sharing", "reencode", 207, 184410, 103849),
+    ("bulk-sharing", "verify", 59, 20074, 17626),
+    ("bulk-sharing", "reencode", 208, 184474, 103849),
     ("bulk-sharing", "delete", 7, 224, 32),
-    ("small-files", "ingest", 123, 20152, 14616),
-    ("small-files", "ingest_many", 556, 78311, 49719),
-    ("small-files", "retrieve", 64, 4776, 2776),
-    ("small-files", "retrieve_many", 293, 47168, 28128),
-    ("small-files", "degraded_retrieve", 64, 4776, 2776),
+    ("small-files", "ingest", 124, 20216, 14616),
+    ("small-files", "ingest_many", 558, 78503, 49719),
+    ("small-files", "retrieve", 65, 4840, 2776),
+    ("small-files", "retrieve_many", 295, 47360, 28128),
+    ("small-files", "degraded_retrieve", 65, 4840, 2776),
     ("small-files", "repair", 125, 7691, 1983),
-    ("small-files", "verify", 68, 5237, 2301),
-    ("small-files", "reencode", 144, 11425, 4064),
+    ("small-files", "verify", 69, 5301, 2301),
+    ("small-files", "reencode", 145, 11489, 4064),
     ("small-files", "delete", 7, 224, 32),
-    ("dedup-versions", "ingest", 929, 184295, 82821),
-    ("dedup-versions", "ingest_many", 518, 82663, 34442),
-    ("dedup-versions", "retrieve", 468, 105886, 54216),
-    ("dedup-versions", "retrieve_many", 1403, 323946, 116280),
-    ("dedup-versions", "degraded_retrieve", 524, 111102, 54216),
+    ("dedup-versions", "ingest", 931, 184423, 82821),
+    ("dedup-versions", "ingest_many", 520, 82855, 34442),
+    ("dedup-versions", "retrieve", 471, 106046, 54216),
+    ("dedup-versions", "retrieve_many", 1412, 324426, 116280),
+    ("dedup-versions", "degraded_retrieve", 527, 111262, 54216),
     ("dedup-versions", "repair", 1594, 114785, 10914),
     ("dedup-versions", "verify", 1016, 99300, 7736),
     ("dedup-versions", "reencode", 2816, 296228, 19574),
@@ -81,12 +81,12 @@ const PINNED: &[Pin] = &[
 /// AVX-512): `Sha256::digest_many` then hashes one message at a time and
 /// allocates no lane schedule.
 const PINNED_SCALAR_X16: &[Pin] = &[
-    ("small-files", "ingest_many", 555, 77975, 49719),
-    ("dedup-versions", "ingest", 927, 183591, 82821),
-    ("dedup-versions", "ingest_many", 515, 82215, 34442),
-    ("dedup-versions", "retrieve", 467, 105806, 54216),
-    ("dedup-versions", "retrieve_many", 1400, 323706, 116280),
-    ("dedup-versions", "degraded_retrieve", 523, 111022, 54216),
+    ("small-files", "ingest_many", 557, 78167, 49719),
+    ("dedup-versions", "ingest", 929, 183719, 82821),
+    ("dedup-versions", "ingest_many", 517, 82407, 34442),
+    ("dedup-versions", "retrieve", 470, 105966, 54216),
+    ("dedup-versions", "retrieve_many", 1409, 324186, 116280),
+    ("dedup-versions", "degraded_retrieve", 526, 111182, 54216),
 ];
 
 type Pin = (&'static str, &'static str, u64, u64, u64);

@@ -115,8 +115,8 @@ fn chunked_encode_digest(policy: &PolicyKind) -> String {
     shard_set_digest(&enc.shards)
 }
 
-/// Digest over everything an ingest persists: object id, payload digest,
-/// shard digests (segment-tree roots), and placement.
+/// Digest over everything an ingest persists: object id, payload digest
+/// and shard digests (segment-tree roots both), and placement.
 fn archive_ingest_digest(policy: &PolicyKind) -> String {
     let config = ArchiveConfig::new(policy.clone())
         .with_integrity(IntegrityMode::DigestOnly)
@@ -141,62 +141,63 @@ fn archive_ingest_digest(policy: &PolicyKind) -> String {
 /// archive ingest). Generated against commit 3b865ea (the last
 /// pre-refactor tree) via `golden_generate`; the archive-ingest column
 /// regenerated once when a shard digest became the root of a Merkle
-/// tree over fixed segments (stored bytes unchanged: the other two
-/// columns did not move).
+/// tree over fixed segments, and once when the payload digest did
+/// (stored bytes unchanged both times: the other two columns did not
+/// move).
 const GOLDEN: &[(&str, &str, &str, &str)] = &[
     (
         "replication",
         "bc64f054d56ce0aa6b0db03961c6a8c9643677b2a55093562b114d68f3e6d7a4",
         "054e9c5daaf14962e60720289feabce38d28b452269bce297ee2bea88241a889",
-        "eb3b0af8f243f3a9cfd0039c772773b92245364322ab59bfa7a5e263c89653bb",
+        "23f06ec65c1205be0c06a565485b38d8fa96d198ab0859d1e4514c78f421536c",
     ),
     (
         "erasure",
         "bcdf8c4e65dd46e6f076b35e5e541998069a09171856606e0718bbdb2cfecb82",
         "f35a9f8e06ad24dbfa2c0ed486a5816eb4bb618c2050ff804188d255da6f7559",
-        "5b02b391f69035b76c032a2d7d10c917c246d51c21647ccdee2615f64c8bc19f",
+        "31cb9030f055c03aa8b383ccee672763e192e73a97bebd7595848ba8353f1c65",
     ),
     (
         "encrypted",
         "3668368da69536a58ebc3fb47140d1b4e2633d4d9c3a2800ba325e8d352a06d4",
         "4bd9562c1b4e3f3ac0b771e244837eae45753e586f17fcfd677704dde9617898",
-        "28b55cb03ca9633d6d6dcf851afe2d16b6eb8502ac2fa9f30c848a19bfac64f5",
+        "a819a3bcc9ae5a344490f5dca4958a25c0f5027f41e689e07d3435b249d89d45",
     ),
     (
         "cascade",
         "c95c48f86d2b26b090c0771ce4ddf038ef7f9557972b713f751010213b557046",
         "9369ff5ddbf094240301542f5b62fd79a3e92133740010bfd418155978f2185e",
-        "c440169647f41f1eee133df71500fc949ff9bdc17e5077ad9bc1aff8e13c0340",
+        "c8e763a57a1bc107658cf2cacdd66ba0daad1d03f48017e40fd0157e9209af3f",
     ),
     (
         "aont-rs",
         "73c0b8b990c925162f97199230d358b33785f789a7575dddac42ad922d7ca8ab",
         "57e30a42224d1f8616916ede91084d3460e884590e4bb9242404c90177a8c8a7",
-        "57ebf8defde6360c78e8eabd884c3756000e6c5ed11956af1dab6655238c074f",
+        "d2a27cd9cc29664fd1f99fd857e7bac5e423403ab81158a9860b07708aaacd60",
     ),
     (
         "shamir",
         "378e4824fc5405c98697f3c66cd75c2938e3bc3fb736574fff430cf2e7bda1c9",
         "98f2d81a6c2590f1fd1fff7e69a88cc6b8e2090732d609b7168f7fefc3c7a3f2",
-        "0aad94765276038afd37e2542451a126e6c877bb3fabe0d3d8b03501d02902c2",
+        "e3e69439c9d94668a674d9ef8e7ee73d3574c889ce172d8affb11d734eb676fd",
     ),
     (
         "packed",
         "b48f588d03ecbaa50ef7c6318d1983e635c815172707dcf3feba633b31efa5b6",
         "9ef2643b31143b10cf95ed54b0a23473809f544df6965e725bd9223073281104",
-        "a053d1be0b15f8523420d454483f43ba7193ed228df8c1109e19c8aac3d59a50",
+        "5f4f3e82cad8cdb1b1ced2bf0a2960755837a6cea81b9444a0d01e56744ff687",
     ),
     (
         "lrss",
         "128c3766bbbc0df0406d948b193ab63eb66475da8c8b84adb250ad27fab5c004",
         "4b1c94030ecf65d9cb04e4bdb5bc9145bdd7f7fa3958f937f0142b85271d601a",
-        "addae7dc1a5cbb00f44ac558680b6b760a64d6716859ca04de90d6b3478e640d",
+        "e6a84d2488b944c4707f1648925da3eb6f47c2f337059bcd279ba7ac73bbefee",
     ),
     (
         "entropic",
         "a8f04617a7199efdc4fb8ba5fe645c11edf6998a2487875267c0859dc157f3d0",
         "43d5e90a24e6504b2ef053a4133e5bae3e6ef171f8ab220e177716c33635417f",
-        "f3a22179686480e4c48cfe608867a087cab5d5eebe00dc60da9bb5d3b35e2ba2",
+        "1992f1c7859326e716ecfb043de6412357a470bbbe181b35d7d6a38a6f9c6c63",
     ),
 ];
 

@@ -34,7 +34,7 @@ use std::fmt::Debug;
 use std::sync::Arc;
 
 /// SHA-256 of the transcript of all eight legs.
-const PINNED: &str = "3db742d5d1884053677d6134fb405ba6555196316987a884410e38afcd5ce8c4";
+const PINNED: &str = "eba101b903e771d486310c0c4e1fd79a3bb1ae38345000f4a2e52a1d05da5a36";
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()

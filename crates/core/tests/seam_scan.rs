@@ -427,7 +427,8 @@ fn method_body<'a>(source: &'a str, file: &str, name: &str) -> &'a str {
 
 /// Re-accretion guard for read-side payload verification. Every read
 /// decodes through one tail, `Archive::decode_many`, which checks all of
-/// its units' payload digests in one `Sha256::digest_many`: the
+/// its units' digests in one batch per kind (objects' tree roots through
+/// `plan::tree_digests`, blocks' addresses through `BlockHash::of_many`): the
 /// multi-unit read `read_units` hands it every unit at once instead of
 /// hashing or decoding one unit at a time, `retrieve_each` reads every
 /// classic object of a call through one `read_units`, and the one-unit
@@ -456,8 +457,11 @@ fn payload_verification_has_one_body() {
         violations.push("archive.rs: fn decode_verified does not delegate to decode_many".into());
     }
     let tail = method_body(&archive, "archive.rs", "decode_many");
-    if !tail.contains("Sha256::digest_many(") || tail.contains("Sha256::digest(") {
-        violations.push("archive.rs: fn decode_many does not hash in one batch".into());
+    if !tail.contains("plan::tree_digests(&objects)")
+        || !tail.contains("BlockHash::of_many(&blocks)")
+        || tail.contains("Sha256::digest")
+    {
+        violations.push("archive.rs: fn decode_many does not hash each kind in one batch".into());
     }
     assert!(
         violations.is_empty(),
@@ -801,25 +805,32 @@ fn only_the_scrubs_check_every_shard() {
     }
 }
 
-/// Re-accretion guard for the shard digest. A shard digest is the root
-/// of a Merkle tree over the shard's fixed segments, computed in one
-/// batched function, `plan::digest_shards`, which every site that records
-/// or checks one calls: the one write (for the ingest flush, the
-/// write-back and repair), `plan_write` and the scrub's digest filter. In the five files on
-/// the shard path, SHA-256 runs directly only over what is not a shard:
-/// payloads (the flush's payload digests, the read tail's check) and an
-/// object name seeding a delete's jitter. A whole-shard `digest` or
-/// `digest_many` anywhere else would record a digest no scrub accepts.
+/// Re-accretion guard for every digest the archive records or checks.
+/// A shard digest and an object's payload digest are both the root of a
+/// Merkle tree over fixed segments, computed in one batched function,
+/// `plan::tree_digests`, which every site that records or checks one
+/// calls: the one write (for the ingest flush, the write-back and
+/// repair), `plan_write` and the scrub's digest filter for shards; the
+/// ingest flush, the read tail `decode_many` and the dedup leaf read for
+/// payloads. Only `verify`, which spells a dedup payload from its leaves
+/// without holding it, folds the same root through `SegmentHasher`. In
+/// the six files on the digest path, SHA-256 runs directly only over
+/// what is neither: a dedup block's content address (batched, through
+/// `BlockHash::of_many`, when a block is planned or read) and an object
+/// name seeding a delete's jitter. A flat `digest` or `digest_many` of a
+/// payload or a shard anywhere else would record or accept a digest no
+/// other site agrees with.
 #[test]
-fn one_shard_digest() {
+fn one_tree_digest() {
     let owned = |sites: &[(&str, &str)]| -> Vec<(String, String)> {
         sites
             .iter()
             .map(|&(file, name)| (file.to_string(), name.to_string()))
             .collect()
     };
-    const SHARD_PATH: [&str; 5] = [
+    const DIGEST_PATH: [&str; 6] = [
         "archive.rs",
+        "dedup.rs",
         "executor.rs",
         "maintenance.rs",
         "plan.rs",
@@ -828,52 +839,57 @@ fn one_shard_digest() {
     let on_path = |pat: &str| -> Vec<(String, String)> {
         callers(pat)
             .into_iter()
-            .filter(|(file, _)| SHARD_PATH.contains(&file.as_str()))
+            .filter(|(file, _)| DIGEST_PATH.contains(&file.as_str()))
             .collect()
     };
     assert_eq!(
-        callers("digest_shards("),
+        callers("tree_digests("),
         owned(&[
+            ("archive.rs", "write_flush"),
+            ("archive.rs", "decode_many"),
+            ("dedup.rs", "read_leaves"),
             ("executor.rs", "write_units"),
             ("executor.rs", "verify_where"),
             ("executor.rs", "digest_filter"),
             ("plan.rs", "plan_write"),
         ]),
-        "the shard digest's callers"
+        "the tree digest's callers"
+    );
+    assert_eq!(
+        callers("SegmentHasher::new("),
+        owned(&[("archive.rs", "verify")]),
+        "the streaming tree digest's callers"
     );
     assert_eq!(
         on_path("digest_many"),
-        owned(&[
-            ("archive.rs", "write_flush"),
-            ("archive.rs", "decode_many"),
-            ("plan.rs", "digest_shards"),
-        ]),
-        "batched SHA-256 on the shard path"
+        owned(&[("plan.rs", "tree_digests")]),
+        "batched SHA-256 on the digest path"
+    );
+    assert_eq!(
+        on_path("of_many("),
+        owned(&[("archive.rs", "decode_many"), ("dedup.rs", "plan_blocks")]),
+        "batched block addresses on the digest path"
     );
     assert_eq!(
         on_path("Sha256::digest("),
         owned(&[("executor.rs", "delete")]),
-        "one-shot SHA-256 on the shard path"
+        "one-shot SHA-256 on the digest path"
     );
     let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
     let read = |file: &str| non_test_source(&fs::read_to_string(src.join(file)).unwrap());
     let flush = method_body(&read("archive.rs"), "archive.rs", "write_flush").to_string();
-    let batched: Vec<&str> = flush
-        .lines()
-        .filter(|l| l.contains("digest_many"))
-        .collect();
     assert!(
-        batched.len() == 1 && batched[0].contains("Sha256::digest_many(&payloads)"),
-        "archive.rs: fn write_flush batches SHA-256 over its payloads only: {batched:?}"
+        flush.contains("plan::tree_digests(&payloads)"),
+        "archive.rs: fn write_flush does not record its payloads' tree roots"
     );
     let plan = read("plan.rs");
     let start = plan
-        .find("fn digest_shards<")
-        .expect("plan.rs defines fn digest_shards");
-    let one = &plan[start..start + plan[start..].find("\n}\n").expect("fn digest_shards ends")];
+        .find("fn tree_digests<")
+        .expect("plan.rs defines fn tree_digests");
+    let one = &plan[start..start + plan[start..].find("\n}\n").expect("fn tree_digests ends")];
     assert!(
         one.contains("Sha256::digest_many_tagged(0x00,") && one.contains("merkle::fold_root("),
-        "plan.rs: fn digest_shards is not one tagged leaf batch folded into roots"
+        "plan.rs: fn tree_digests is not one tagged leaf batch folded into roots"
     );
 }
 
