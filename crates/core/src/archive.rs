@@ -384,6 +384,44 @@ pub(crate) struct UnitRead {
 /// unit's) and its fetched shards.
 pub(crate) type Decode<'a> = (&'a ObjectId, &'a Unit, &'a Manifest, &'a ShardsSnapshot);
 
+/// A decode read's fetch, nothing decoded or checked yet
+/// ([`Archive::fetch_units`]; [`Archive::check_units`] finishes it):
+/// each unit with its owner, its loaded record, its read plan and the
+/// shards the plan fetched.
+pub(crate) struct Fetched<'a, U> {
+    units: &'a [(&'a ObjectId, U)],
+    records: Vec<&'a Manifest>,
+    plans: Vec<ReadPlan>,
+    snaps: Vec<ShardsSnapshot>,
+}
+
+impl<'a, U: Borrow<Unit>> Fetched<'a, U> {
+    /// How many units were fetched.
+    pub(crate) fn len(&self) -> usize {
+        self.units.len()
+    }
+
+    /// Unit `i`'s loaded record.
+    pub(crate) fn record(&self, i: usize) -> &'a Manifest {
+        self.records[i]
+    }
+
+    /// Unit `i` as a decode takes it.
+    pub(crate) fn unit(&self, i: usize) -> Decode<'_> {
+        let (owner, unit) = &self.units[i];
+        (owner, unit.borrow(), self.records[i], &self.snaps[i])
+    }
+
+    /// The fetch's per-shard accounting, unit after unit.
+    pub(crate) fn into_report(self) -> TransferReport {
+        let mut report = TransferReport::default();
+        for snap in self.snaps {
+            report.attempts.extend(snap.report.attempts);
+        }
+        report
+    }
+}
+
 /// A secure long-term archive over a simulated geo-dispersed cluster.
 ///
 /// # Examples
@@ -886,6 +924,14 @@ impl Archive {
     /// evidence that is an [`ArchiveError::IntegrityViolation`], otherwise
     /// an [`ArchiveError::DegradedBeyondBudget`].
     ///
+    /// A dedup object reads the same way one level up: its distinct leaf
+    /// blocks are decoded unhashed and joined, and the payload's digest
+    /// decides. Only when it misses, or a block fails to decode, is each
+    /// block checked against its content address, a block that misses
+    /// decoded again from its digest-checked shards, and the payload
+    /// joined and checked once more — from the shards already fetched,
+    /// so the fallback costs no node I/O.
+    ///
     /// # Errors
     ///
     /// See [`Archive::retrieve`].
@@ -944,21 +990,15 @@ impl Archive {
     }
 
     /// The one decode read, over any list of units — behind `retrieve*`,
-    /// the dedup leaf read and walk, and a re-encode's read: each unit's
-    /// [`ReadPlan::for_decode`], retry jitter drawn under its kind's read
-    /// label, and every shard fetched in one [`PlanExecutor::read_many`]
-    /// fan-in, unhashed. Each unit decodes from its first `k` present
-    /// slots, and every payload is checked against its record's digest in
-    /// one [`Archive::decode_many`]: that digest alone decides whether a
-    /// read returns bytes. Only a unit whose decode fails is read again
-    /// the way a scrub reads it, from the slots already fetched (no new
-    /// I/O): [`verify_where`] checks every present slot by digest in slot
-    /// order until `k` are valid, discarding the corrupt ones, and the
-    /// unit decodes once more, failing as [`ArchiveError::IntegrityViolation`]
-    /// or [`ArchiveError::DegradedBeyondBudget`] when too few are left —
-    /// the error and counts a full scrub's decode would give.
-    /// `out[i]` is unit `i`'s [`UnitRead`], or its failure typed against
-    /// its owner, independent of its neighbours.
+    /// the dedup walk and a re-encode's read: [`Archive::fetch_units`],
+    /// each unit decoded from its first `k` present slots, unhashed
+    /// ([`Archive::decode_fetched`]), then [`Archive::check_units`]:
+    /// every payload checked against its record's digest in one batch,
+    /// that digest alone deciding whether a read returns bytes, and only
+    /// a unit whose decode or check failed read again the way a scrub
+    /// reads it, from the slots already fetched (no new I/O). `out[i]` is
+    /// unit `i`'s [`UnitRead`], or its failure typed against its owner,
+    /// independent of its neighbours.
     ///
     /// # Errors
     ///
@@ -969,6 +1009,26 @@ impl Archive {
         &self,
         units: &[(&ObjectId, impl Borrow<Unit>)],
     ) -> Result<Vec<Result<UnitRead, ArchiveError>>, ArchiveError> {
+        let fetched = self.fetch_units(units)?;
+        let decoded = self.decode_fetched(&fetched);
+        Ok(self.check_units(fetched, decoded))
+    }
+
+    /// The fetch of a decode read, with nothing decoded or checked: each
+    /// unit's [`ReadPlan::for_decode`], retry jitter drawn under its
+    /// kind's read label, and every shard fetched in one
+    /// [`PlanExecutor::read_many`] fan-in, unhashed. A caller that holds
+    /// a digest over all the units' bytes (a dedup object's payload root)
+    /// decodes and checks that first, and hands the fetch to
+    /// [`Archive::check_units`] only when it misses.
+    ///
+    /// # Errors
+    ///
+    /// As [`Archive::read_units`].
+    pub(crate) fn fetch_units<'a, U: Borrow<Unit>>(
+        &'a self,
+        units: &'a [(&'a ObjectId, U)],
+    ) -> Result<Fetched<'a, U>, ArchiveError> {
         let records = units.iter().map(|(owner, unit)| {
             let unit = unit.borrow();
             self.manifests.record(unit).ok_or_else(|| match unit {
@@ -986,30 +1046,57 @@ impl Archive {
             .zip(&records)
             .map(|((_, unit), r)| self.op_rng(unit.borrow().labels().read, r.id.as_str()))
             .collect();
-        let mut snaps = self.executor().read_many(&plans, &mut rngs);
-        let all = 0..units.len();
-        let head = |i: usize| (units[i].0, units[i].1.borrow(), records[i]);
-        let mut decoded = self.decode_many(all.clone().map(|i| {
-            let (owner, unit, record) = head(i);
-            (owner, unit, record, &snaps[i])
-        }));
+        let snaps = self.executor().read_many(&plans, &mut rngs);
+        Ok(Fetched {
+            units,
+            records,
+            plans,
+            snaps,
+        })
+    }
+
+    /// Every fetched unit decoded from its first `k` present slots,
+    /// unhashed.
+    pub(crate) fn decode_fetched<U: Borrow<Unit>>(
+        &self,
+        fetched: &Fetched<'_, U>,
+    ) -> Vec<Result<Vec<u8>, ArchiveError>> {
+        (0..fetched.len())
+            .map(|i| self.decode_unit(&fetched.unit(i)))
+            .collect()
+    }
+
+    /// The end of a decode read: every unit's unhashed `decoded` payload
+    /// checked against its record's digest in one
+    /// [`Archive::check_digests`]. Only a unit whose decode or check
+    /// failed falls back, from the slots already fetched:
+    /// [`verify_where`] checks every present slot by digest in slot order
+    /// until `k` are valid, discarding the corrupt ones, and the unit
+    /// decodes once more through [`Archive::decode_many`], failing as
+    /// [`ArchiveError::IntegrityViolation`] or
+    /// [`ArchiveError::DegradedBeyondBudget`] when too few are left — the
+    /// error and counts a full scrub's decode would give.
+    pub(crate) fn check_units<U: Borrow<Unit>>(
+        &self,
+        mut fetched: Fetched<'_, U>,
+        mut decoded: Vec<Result<Vec<u8>, ArchiveError>>,
+    ) -> Vec<Result<UnitRead, ArchiveError>> {
+        let all = 0..fetched.len();
+        Self::check_digests(&mut decoded, all.clone().map(|i| fetched.unit(i)));
         // Each failed unit, with the stored bytes its fetch returned
         // before the fallback discards a slot.
         let failed: Vec<(usize, u64)> = all
             .filter(|&i| decoded[i].is_err())
-            .map(|i| (i, snaps[i].bytes()))
+            .map(|i| (i, fetched.snaps[i].bytes()))
             .collect();
-        verify_where(&plans, &mut snaps, |i| decoded[i].is_err());
-        let again = failed.iter().map(|&(i, _)| {
-            let (owner, unit, record) = head(i);
-            (owner, unit, record, &snaps[i])
-        });
+        verify_where(&fetched.plans, &mut fetched.snaps, |i| decoded[i].is_err());
+        let again = failed.iter().map(|&(i, _)| fetched.unit(i));
         for (&(i, _), again) in failed.iter().zip(self.decode_many(again)) {
             decoded[i] = again;
         }
         let mut read: Vec<Result<UnitRead, ArchiveError>> = decoded
             .into_iter()
-            .zip(snaps)
+            .zip(fetched.snaps)
             .map(|(payload, snap)| {
                 let fetched = snap.bytes();
                 payload.map(|payload| UnitRead {
@@ -1024,7 +1111,7 @@ impl Archive {
                 unit.fetched = fetched;
             }
         }
-        Ok(read)
+        read
     }
 
     /// The tail of a one-unit scrub read ([`Archive::verify`], a repair's
@@ -1044,25 +1131,37 @@ impl Archive {
             .expect("one result per unit")
     }
 
-    /// The shared tail of every read: each unit's threshold check and
-    /// policy decode, then every decoded payload's digest check, each
-    /// kind in **one** batch: an object's payload against its
-    /// segment-tree root ([`plan::tree_digests`], every segment of every
-    /// object one lane message), a dedup block's against its content
-    /// address ([`BlockHash::of_many`]). `out[i]` is unit `i`'s
-    /// payload or its typed failure, independent of its neighbours, so
-    /// a caller that stops at the first failure sees what a
-    /// unit-at-a-time read would: a decode failure on unit `i` and a
-    /// digest mismatch on unit `j` both stand at their own index.
-    /// Failures are typed against the unit's `owner` — for a shared
-    /// dedup block that is the object whose read is in progress, so
-    /// corruption of the block surfaces in every referencing object.
+    /// Each unit's threshold check and policy decode, then every decoded
+    /// payload checked against its record's digest in one
+    /// [`Archive::check_digests`]: the tail of a scrub read and of a
+    /// decode read's fallback. `out[i]` is unit `i`'s payload or its
+    /// typed failure.
     pub(crate) fn decode_many<'a>(
         &self,
         units: impl Iterator<Item = Decode<'a>> + Clone,
     ) -> Vec<Result<Vec<u8>, ArchiveError>> {
         let mut decoded: Vec<Result<Vec<u8>, ArchiveError>> =
             units.clone().map(|unit| self.decode_unit(&unit)).collect();
+        Self::check_digests(&mut decoded, units);
+        decoded
+    }
+
+    /// The one read-side digest check: every payload `decoded` holds,
+    /// against its unit's recorded digest, each kind in **one** batch —
+    /// an object's payload against its segment-tree root
+    /// ([`plan::tree_digests`], every segment of every object one lane
+    /// message), a dedup block's against its content address
+    /// ([`BlockHash::of_many`]). A payload that misses becomes an
+    /// [`ArchiveError::IntegrityViolation`] typed against the unit's
+    /// owner — for a shared dedup block, the object whose read is in
+    /// progress, so corruption of the block surfaces in every
+    /// referencing object. Each result stands at its own index, so a
+    /// caller that stops at the first failure sees what a
+    /// unit-at-a-time read would.
+    fn check_digests<'a>(
+        decoded: &mut [Result<Vec<u8>, ArchiveError>],
+        units: impl Iterator<Item = Decode<'a>> + Clone,
+    ) {
         let (mut blocks, mut objects) = (Vec::new(), Vec::new());
         for (result, (_, unit, ..)) in decoded.iter().zip(units.clone()) {
             match (result, unit) {
@@ -1082,16 +1181,18 @@ impl Archive {
                 Unit::Object(_) => objects.next(),
             };
             if digest != Some(record.digest) {
-                *result = Err(ArchiveError::IntegrityViolation((*owner).clone()));
+                *result = Err(ArchiveError::IntegrityViolation(owner.clone()));
             }
         }
-        decoded
     }
 
-    /// The first step of [`Archive::decode_many`] for one unit: the
-    /// threshold check, then the policy decode of the snapshot's first
-    /// `valid` present slots under the unit's context.
-    fn decode_unit(&self, &(owner, _, record, snap): &Decode<'_>) -> Result<Vec<u8>, ArchiveError> {
+    /// One unit's threshold check, then the policy decode of the
+    /// snapshot's first `valid` present slots under the unit's context:
+    /// the first step of every decode, unhashed.
+    pub(crate) fn decode_unit(
+        &self,
+        &(owner, _, record, snap): &Decode<'_>,
+    ) -> Result<Vec<u8>, ArchiveError> {
         let required = record.policy.read_threshold();
         if snap.valid < required {
             if snap.corrupt > 0 {
@@ -1599,6 +1700,66 @@ mod tests {
             let mut many = a.retrieve_many(std::slice::from_ref(&id));
             assert!(violation(many.pop().unwrap()), "dedup {dedup}");
             assert!(!a.verify(&id, &schedule).unwrap().intact, "dedup {dedup}");
+        }
+    }
+
+    /// A dedup object whose recorded digest is wrong, with every block
+    /// and shard intact: its root misses, every block then passes its
+    /// address check, and the joined payload misses once more — the read
+    /// fails `IntegrityViolation` typed against the object, alone and in
+    /// a batch, while an object sharing its blocks still reads.
+    #[test]
+    fn a_dedup_object_with_a_wrong_digest_fails_with_every_block_intact() {
+        let mut a = sealed_dedup_archive();
+        let items = versions();
+        let ids = a.ingest_many(&borrowed(&items)).unwrap();
+        a.manifests.update(&ids[0], |m| m.digest[0] ^= 1);
+        let violation = |r: &Result<Vec<u8>, ArchiveError>| match r {
+            Err(ArchiveError::IntegrityViolation(v)) => *v == ids[0],
+            _ => false,
+        };
+        assert!(violation(&a.retrieve(&ids[0])));
+        let many = a.retrieve_many(&ids);
+        assert!(violation(&many[0]));
+        for (i, read) in many.iter().enumerate().skip(1) {
+            assert_eq!(read.as_ref().unwrap(), &items[i].0, "object {i}");
+        }
+        let leaves = a.manifest(&ids[0]).unwrap().blocks.unwrap().blocks;
+        for hash in &leaves {
+            let rec = &a.block_record(hash).unwrap().record;
+            let snap = a.fetch_shards(rec, "probe");
+            assert_eq!(snap.valid, rec.placement.len(), "block {hash} is intact");
+        }
+    }
+
+    /// The chain an ingest stores anchors the recorded payload digest —
+    /// the segment-tree root, not SHA-256 of the payload — so
+    /// `prove_digest` of the manifest's digest opens it, under both
+    /// anchored modes, dedup on and off, alone and in a batch.
+    #[test]
+    fn an_object_chain_opens_with_its_recorded_digest() {
+        let mut payload = vec![0u8; 2 * plan::SEGMENT + 5];
+        ChaChaDrbg::from_u64_seed(49).fill_bytes(&mut payload);
+        for integrity in [IntegrityMode::HashChain, IntegrityMode::PedersenChain] {
+            for dedup in [false, true] {
+                let mut a = Archive::in_memory(rs_config(integrity, dedup)).unwrap();
+                let mut ids = vec![a.ingest(&payload, "alone").unwrap()];
+                ids.extend(a.ingest_many(&[(&payload[1..], "a"), (b"b", "b")]).unwrap());
+                for id in &ids {
+                    let digest = a.manifest(id).unwrap().digest;
+                    let chain = &a.chains[id];
+                    let at = format!("{integrity:?}, dedup {dedup}, {id}");
+                    assert!(chain.prove_digest(&a.committer, &digest), "{at}");
+                    let mut wrong = digest;
+                    wrong[31] ^= 1;
+                    assert!(!chain.prove_digest(&a.committer, &wrong), "{at}");
+                }
+                let chain = &a.chains[&ids[0]];
+                assert!(
+                    !chain.prove_content(&a.committer, &payload),
+                    "a flat digest"
+                );
+            }
         }
     }
 

@@ -19,11 +19,15 @@
 //!    hash — by this archive, whose unit table says where the blocks are.
 //!
 //! A read with a row goes to its leaves ([`DedupManifest::blocks`]): one
-//! unit read of the distinct leaves, each checked against its address,
-//! then the payload digest — corruption under a shared block fails
-//! *every* referencing object. Only a bare root walks the tree. Objects
-//! are read one at a time, as batching them would reorder the node
-//! accesses of a shared block.
+//! fetch of the distinct leaves, decoded unhashed and joined, and the
+//! payload digest first — a healthy read hashes its payload once and no
+//! block. Only when that root misses, or a block fails to decode, is
+//! each block checked against its address, to find the bad one and read
+//! it from its other shards — corruption under a shared block fails
+//! *every* referencing object. Only a bare root walks the tree, every
+//! block checked against its address on the way. Objects are read one
+//! at a time, as batching them would reorder the node accesses of a
+//! shared block.
 //!
 //! # Convergent per-block encoding
 //!
@@ -62,7 +66,7 @@
 //! their one body per referenced block. This module owns what only dedup
 //! has — chunking, refcounts, the leaf read, the tree walk, the catalog.
 
-use crate::archive::{Archive, ArchiveError, Manifest, ObjectId, Retrieved};
+use crate::archive::{Archive, ArchiveError, Fetched, Manifest, ObjectId, Retrieved, UnitRead};
 use crate::catalog::Row;
 use crate::pipeline::{self, PipelineConfig};
 use crate::plan::{self, WritePlan};
@@ -71,6 +75,7 @@ use crate::unit::Unit;
 use aeon_cas::{build_tree, merkle, BlockHash, Chunker, ChunkerParams};
 use aeon_store::cluster::TransferReport;
 use std::collections::{BTreeSet, HashMap};
+use std::ops::Range;
 
 /// Groups `hashes` by value, keeping first-occurrence order: the distinct
 /// hashes in the order each first appears, and for every entry of
@@ -90,6 +95,26 @@ pub(crate) fn first_occurrence_slots(hashes: &[BlockHash]) -> (Vec<BlockHash>, V
         })
         .collect();
     (distinct, slots)
+}
+
+/// One unit per block of `distinct`, each read on behalf of `owner`.
+fn block_units<'o>(owner: &'o ObjectId, distinct: &[BlockHash]) -> Vec<(&'o ObjectId, Unit)> {
+    distinct.iter().map(|h| (owner, Unit::Block(*h))).collect()
+}
+
+/// The checked reads of distinct blocks, the first failing block in
+/// their order deciding the error: their bytes and the shard accounting.
+fn first_failure(
+    reads: Vec<Result<UnitRead, ArchiveError>>,
+) -> Result<(Vec<Vec<u8>>, TransferReport), ArchiveError> {
+    let mut report = TransferReport::default();
+    let mut read = Vec::with_capacity(reads.len());
+    for unit in reads {
+        let unit = unit?;
+        report.attempts.extend(unit.report.attempts);
+        read.push(unit.payload);
+    }
+    Ok((read, report))
 }
 
 /// Configuration of the archive's content-addressed dedup mode.
@@ -395,9 +420,17 @@ impl Archive {
     }
 
     /// The read of a leaf list, behind every dedup read: one
-    /// [`Archive::read_distinct`], the blocks concatenated in leaf order,
-    /// and the payload's segment-tree root checked against `digest` when
-    /// one is given.
+    /// [`Archive::fetch_units`] of the distinct leaves (a repeat is read
+    /// and accounted once). With the object's `digest`, the payload's
+    /// segment-tree root decides: the blocks are decoded unhashed into
+    /// the payload ([`Archive::decode_leaves`]), and when every block
+    /// decodes and the payload hashes to the digest the read is done,
+    /// with no block hashed. Only when that root misses, a block fails to
+    /// decode, or no digest is given (a bare root's leaves, the committed
+    /// catalog) are the blocks checked against their addresses by
+    /// [`Archive::check_units`] — a block that misses read again from the
+    /// slots already fetched, the first failing block in distinct order
+    /// deciding the error — and the payload joined and checked once more.
     /// Failures are typed against `owner`, the object whose read is in
     /// progress, so corruption of a shared block fails every object that
     /// references it.
@@ -408,38 +441,64 @@ impl Archive {
         digest: Option<&[u8; 32]>,
     ) -> Retrieved {
         let (distinct, slots) = first_occurrence_slots(leaves);
-        let (read, report) = self.read_distinct(owner, &distinct)?;
+        let units = block_units(owner, &distinct);
+        let fetched = self.fetch_units(&units)?;
+        let root_holds = |payload: &[u8]| {
+            digest.is_none_or(|digest| plan::tree_digests(&[payload])[0] == *digest)
+        };
+        let decoded = if digest.is_some() {
+            let (payload, blocks) = self.decode_leaves(&fetched, &slots);
+            if blocks.iter().all(Result::is_ok) && root_holds(&payload) {
+                return Ok((payload, fetched.into_report()));
+            }
+            let block = |range: Range<usize>| payload[range].to_vec();
+            blocks.into_iter().map(|b| b.map(block)).collect()
+        } else {
+            self.decode_fetched(&fetched)
+        };
+        let (read, report) = first_failure(self.check_units(fetched, decoded))?;
         let payload = slots.iter().map(|&at| read[at].as_slice());
         let payload = payload.collect::<Vec<_>>().concat();
-        if digest.is_some_and(|digest| plan::tree_digests(&[&payload])[0] != *digest) {
+        if !root_holds(&payload) {
             return Err(ArchiveError::IntegrityViolation(owner.clone()));
         }
         Ok((payload, report))
     }
 
-    /// One [`Archive::read_units`] over `distinct` blocks (a repeat is
-    /// read and accounted once), the first failing block in their order
-    /// deciding the error: their bytes and the shard accounting.
-    fn read_distinct(
+    /// Decodes the fetched distinct blocks, unhashed, straight into the
+    /// payload the leaves' `slots` spell: each block appended where it
+    /// first occurs and dropped, a repeat copied from there, so at most
+    /// one decoded block is held beside the payload and the fetched
+    /// shards the fallback may need. Returns the payload
+    /// and, per distinct block, its range in the payload or its decode
+    /// failure; a failed block's occurrences are left out.
+    fn decode_leaves(
         &self,
-        owner: &ObjectId,
-        distinct: &[BlockHash],
-    ) -> Result<(Vec<Vec<u8>>, TransferReport), ArchiveError> {
-        let units: Vec<_> = distinct.iter().map(|h| (owner, Unit::Block(*h))).collect();
-        let mut report = TransferReport::default();
-        let mut read = Vec::with_capacity(units.len());
-        for unit in self.read_units(&units)? {
-            let unit = unit?;
-            report.attempts.extend(unit.report.attempts);
-            read.push(unit.payload);
+        fetched: &Fetched<'_, Unit>,
+        slots: &[usize],
+    ) -> (Vec<u8>, Vec<Result<Range<usize>, ArchiveError>>) {
+        let len = slots.iter().map(|&at| fetched.record(at).logical_len).sum();
+        let mut payload = Vec::with_capacity(len);
+        let mut blocks: Vec<Result<Range<usize>, ArchiveError>> = Vec::with_capacity(fetched.len());
+        for &at in slots {
+            if at == blocks.len() {
+                let block = self.decode_unit(&fetched.unit(at)).map(|block| {
+                    payload.extend_from_slice(&block);
+                    payload.len() - block.len()..payload.len()
+                });
+                blocks.push(block);
+            } else if let Ok(range) = &blocks[at] {
+                payload.extend_from_within(range.clone());
+            }
         }
-        Ok((read, report))
+        (payload, blocks)
     }
 
     /// The leaves under a bare `root`, walked level by level: each level
-    /// one [`Archive::read_distinct`], every node claiming the level its
-    /// parent implies. Trees are uniform (all leaves at level 0), so the
-    /// breadth-first frontier keeps the leaves in payload order.
+    /// one [`Archive::read_units`] of its distinct blocks, every node
+    /// claiming the level its parent implies. Trees are uniform (all
+    /// leaves at level 0), so the breadth-first frontier keeps the leaves
+    /// in payload order.
     fn walk(&self, owner: &ObjectId, root: &BlockHash) -> Result<Vec<BlockHash>, ArchiveError> {
         let violation = || ArchiveError::IntegrityViolation(owner.clone());
         let mut frontier = vec![*root];
@@ -447,7 +506,7 @@ impl Archive {
         let mut expect: Option<u8> = None;
         while expect != Some(0) {
             let (distinct, slots) = first_occurrence_slots(&frontier);
-            let (read, _) = self.read_distinct(owner, &distinct)?;
+            let (read, _) = first_failure(self.read_units(&block_units(owner, &distinct))?)?;
             let mut next = Vec::new();
             for &at in &slots {
                 let node = merkle::decode_node(&read[at]).map_err(|_| violation())?;

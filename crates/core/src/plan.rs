@@ -175,13 +175,14 @@ pub const SEGMENT: usize = 16 << 10;
 /// held whole, by [`SegmentHasher`]), and nowhere else.
 pub(crate) fn tree_digests<S: AsRef<[u8]>>(blobs: &[S]) -> Vec<[u8; 32]> {
     let count = |blob: &[u8]| blob.len().div_ceil(SEGMENT).max(1);
-    let segments: Vec<&[u8]> = blobs
-        .iter()
-        .flat_map(|blob| {
-            let blob = blob.as_ref();
-            (0..count(blob)).map(move |i| &blob[i * SEGMENT..blob.len().min((i + 1) * SEGMENT)])
-        })
-        .collect();
+    // Counted first: a `flat_map` collect has no size hint to go by.
+    let mut segments: Vec<&[u8]> =
+        Vec::with_capacity(blobs.iter().map(|blob| count(blob.as_ref())).sum());
+    for blob in blobs {
+        let blob = blob.as_ref();
+        let cuts = (0..count(blob)).map(|i| &blob[i * SEGMENT..blob.len().min((i + 1) * SEGMENT)]);
+        segments.extend(cuts);
+    }
     let mut leaves = Sha256::digest_many_tagged(0x00, &segments);
     if leaves.len() == blobs.len() {
         // Every blob is one segment, whose leaf is its root.

@@ -38,41 +38,41 @@ use std::sync::Arc;
 /// ceiling each measured row must stay at or under, with the sixteen-lane
 /// SHA-256 slot on its `avx512` tier.
 const PINNED: &[Pin] = &[
-    ("bulk-aead", "ingest", 290, 156833, 72228),
-    ("bulk-aead", "ingest_many", 283, 149680, 72228),
-    ("bulk-aead", "retrieve", 228, 79596, 43352),
-    ("bulk-aead", "retrieve_many", 428, 158912, 77128),
-    ("bulk-aead", "degraded_retrieve", 228, 79596, 43352),
-    ("bulk-aead", "repair", 192, 28889, 18301),
-    ("bulk-aead", "verify", 238, 81145, 43389),
-    ("bulk-aead", "reencode", 636, 267621, 105443),
+    ("bulk-aead", "ingest", 289, 156705, 72228),
+    ("bulk-aead", "ingest_many", 282, 149552, 72228),
+    ("bulk-aead", "retrieve", 228, 79564, 43208),
+    ("bulk-aead", "retrieve_many", 428, 158912, 76840),
+    ("bulk-aead", "degraded_retrieve", 228, 79564, 43208),
+    ("bulk-aead", "repair", 191, 28729, 18301),
+    ("bulk-aead", "verify", 237, 81017, 43389),
+    ("bulk-aead", "reencode", 635, 267493, 105443),
     ("bulk-aead", "delete", 7, 224, 32),
-    ("bulk-sharing", "ingest", 112, 128023, 115458),
-    ("bulk-sharing", "ingest_many", 107, 121782, 115458),
-    ("bulk-sharing", "retrieve", 55, 19681, 18005),
-    ("bulk-sharing", "retrieve_many", 87, 39122, 35361),
-    ("bulk-sharing", "degraded_retrieve", 55, 19681, 18005),
-    ("bulk-sharing", "repair", 108, 71390, 66402),
-    ("bulk-sharing", "verify", 59, 20074, 17626),
-    ("bulk-sharing", "reencode", 208, 184474, 103849),
+    ("bulk-sharing", "ingest", 111, 127863, 115458),
+    ("bulk-sharing", "ingest_many", 106, 121622, 115458),
+    ("bulk-sharing", "retrieve", 55, 19633, 17861),
+    ("bulk-sharing", "retrieve_many", 87, 39090, 35073),
+    ("bulk-sharing", "degraded_retrieve", 55, 19633, 17861),
+    ("bulk-sharing", "repair", 108, 71342, 66402),
+    ("bulk-sharing", "verify", 58, 19914, 17626),
+    ("bulk-sharing", "reencode", 207, 184330, 103849),
     ("bulk-sharing", "delete", 7, 224, 32),
-    ("small-files", "ingest", 124, 20216, 14616),
-    ("small-files", "ingest_many", 558, 78503, 49719),
-    ("small-files", "retrieve", 65, 4840, 2776),
-    ("small-files", "retrieve_many", 295, 47360, 28128),
-    ("small-files", "degraded_retrieve", 65, 4840, 2776),
-    ("small-files", "repair", 125, 7691, 1983),
-    ("small-files", "verify", 69, 5301, 2301),
-    ("small-files", "reencode", 145, 11489, 4064),
+    ("small-files", "ingest", 123, 20072, 14616),
+    ("small-files", "ingest_many", 553, 77111, 49719),
+    ("small-files", "retrieve", 65, 4792, 2632),
+    ("small-files", "retrieve_many", 294, 47296, 26976),
+    ("small-files", "degraded_retrieve", 65, 4792, 2632),
+    ("small-files", "repair", 124, 7531, 1983),
+    ("small-files", "verify", 68, 5157, 2301),
+    ("small-files", "reencode", 144, 11345, 4064),
     ("small-files", "delete", 7, 224, 32),
-    ("dedup-versions", "ingest", 931, 184423, 82821),
-    ("dedup-versions", "ingest_many", 520, 82855, 34442),
-    ("dedup-versions", "retrieve", 471, 106046, 54216),
-    ("dedup-versions", "retrieve_many", 1412, 324426, 116280),
-    ("dedup-versions", "degraded_retrieve", 527, 111262, 54216),
-    ("dedup-versions", "repair", 1594, 114785, 10914),
-    ("dedup-versions", "verify", 1016, 99300, 7736),
-    ("dedup-versions", "reencode", 2816, 296228, 19574),
+    ("dedup-versions", "ingest", 926, 181607, 82821),
+    ("dedup-versions", "ingest_many", 516, 81447, 34442),
+    ("dedup-versions", "retrieve", 463, 104206, 40100),
+    ("dedup-versions", "retrieve_many", 1388, 318906, 101140),
+    ("dedup-versions", "degraded_retrieve", 519, 109422, 40428),
+    ("dedup-versions", "repair", 1581, 112705, 10914),
+    ("dedup-versions", "verify", 1003, 98052, 7736),
+    ("dedup-versions", "reencode", 2803, 294980, 19574),
     ("dedup-versions", "delete", 29, 2783, 32),
 ];
 
@@ -81,12 +81,9 @@ const PINNED: &[Pin] = &[
 /// AVX-512): `Sha256::digest_many` then hashes one message at a time and
 /// allocates no lane schedule.
 const PINNED_SCALAR_X16: &[Pin] = &[
-    ("small-files", "ingest_many", 557, 78167, 49719),
-    ("dedup-versions", "ingest", 929, 183719, 82821),
-    ("dedup-versions", "ingest_many", 517, 82407, 34442),
-    ("dedup-versions", "retrieve", 470, 105966, 54216),
-    ("dedup-versions", "retrieve_many", 1409, 324186, 116280),
-    ("dedup-versions", "degraded_retrieve", 526, 111182, 54216),
+    ("small-files", "ingest_many", 552, 76775, 49719),
+    ("dedup-versions", "ingest", 924, 180903, 82821),
+    ("dedup-versions", "ingest_many", 513, 80999, 34442),
 ];
 
 type Pin = (&'static str, &'static str, u64, u64, u64);

@@ -10,6 +10,7 @@
 
 use aeon_cas::{build_tree, BlockHash, ChunkerParams};
 use aeon_core::dedup::{BlockKind, DedupConfig};
+use aeon_core::pipeline::decode_object;
 use aeon_core::{
     block_object_id, Archive, ArchiveConfig, ArchiveError, IntegrityMode, PipelineConfig,
     PolicyKind,
@@ -17,7 +18,7 @@ use aeon_core::{
 use aeon_crypto::{ChaChaDrbg, CryptoRng, SuiteId};
 use aeon_integrity::timestamp::SigBreakSchedule;
 use aeon_store::node::{MemoryNode, NodeError, NodeId, ShardKey, StorageNode};
-use aeon_store::Cluster;
+use aeon_store::{Cluster, SimClock, SimDuration, ThroughputNode, ThroughputProfile};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -80,11 +81,32 @@ fn dedup_archive(policy: &PolicyKind, workers: usize) -> (Archive, Vec<MemoryNod
             .map(|h| Arc::new(h.clone()) as Arc<dyn StorageNode>)
             .collect(),
     );
+    (dedup_archive_over(policy, workers, cluster), handles)
+}
+
+/// [`dedup_archive`] whose nodes charge a seek and a transfer time to the
+/// cluster's virtual clock.
+fn timed_dedup_archive(policy: &PolicyKind) -> (Archive, Vec<MemoryNode>) {
+    let n = policy.shard_count().max(1);
+    let handles: Vec<MemoryNode> = (0..n as u32)
+        .map(|i| MemoryNode::new(i, format!("site-{i}")))
+        .collect();
+    let clock = SimClock::new();
+    let profile = ThroughputProfile::new(SimDuration::from_millis(4), 50e6, 20e6);
+    let nodes = handles.iter().map(|h| {
+        let inner = Arc::new(h.clone()) as Arc<dyn StorageNode>;
+        Arc::new(ThroughputNode::new(inner, profile, clock.clone())) as Arc<dyn StorageNode>
+    });
+    let cluster = Cluster::new(nodes.collect()).with_clock(clock);
+    (dedup_archive_over(policy, 1, cluster), handles)
+}
+
+fn dedup_archive_over(policy: &PolicyKind, workers: usize, cluster: Cluster) -> Archive {
     let config = ArchiveConfig::new(policy.clone())
         .with_integrity(IntegrityMode::DigestOnly)
         .with_pipeline(PipelineConfig::serial().with_workers(workers))
         .with_dedup(small_dedup());
-    (Archive::with_cluster(config, cluster).unwrap(), handles)
+    Archive::with_cluster(config, cluster).unwrap()
 }
 
 fn node_of(handles: &[MemoryNode], id: NodeId) -> &MemoryNode {
@@ -396,6 +418,124 @@ fn tree_damage_fails_the_scrub_and_the_root_walk_not_the_read() {
         match archive.read_object_by_root(&root) {
             Err(ArchiveError::DegradedBeyondBudget { .. }) => {}
             other => panic!("{policy:?}: expected a typed degradation, got {other:?}"),
+        }
+    }
+}
+
+/// The families whose decode authenticates nothing: a flipped byte in
+/// one of the first `k` shards decodes, to other bytes.
+fn unsealed_policies() -> Vec<PolicyKind> {
+    vec![
+        PolicyKind::Replication { copies: 4 },
+        PolicyKind::ErasureCoded { data: 3, parity: 2 },
+        PolicyKind::Shamir {
+            threshold: 3,
+            shares: 5,
+        },
+    ]
+}
+
+/// One `retrieve_with_report`: the payload, the shard accounting and
+/// the virtual time the read took.
+fn timed_read(
+    archive: &Archive,
+    id: &aeon_core::ObjectId,
+) -> (Vec<u8>, aeon_store::cluster::TransferReport, u64) {
+    let start = archive.cluster().clock().now();
+    let (payload, report) = archive.retrieve_with_report(id).unwrap();
+    let took = archive.cluster().clock().now() - start;
+    (payload, report, took.as_nanos())
+}
+
+/// A shared block whose first shard holds a flipped byte decodes
+/// without error, to bytes that are not the block. Each referencing
+/// object's read misses its payload root, finds the block by its
+/// address, drops the rotten shard and decodes from the spares it has
+/// already fetched: the payload comes back with the shard accounting
+/// and the virtual time of a healthy read — no node is asked again —
+/// and the shard stays rotten for a scrub to find.
+#[test]
+fn a_shared_block_that_decodes_to_other_bytes_reads_back_through_the_spares() {
+    for policy in unsealed_policies() {
+        let (mut archive, handles) = timed_dedup_archive(&policy);
+        let (id1, id2, v1, v2) = ingest_versions(&mut archive, 21);
+        let shared = shared_data_block(&archive, &id1, &id2);
+        let healthy = [timed_read(&archive, &id1), timed_read(&archive, &id2)];
+        let len = archive.block_record(&shared).unwrap().record.logical_len;
+        flip_block_shard(&archive, &handles, &shared, 0, len as u64 * 4);
+        // The first `k` shards, as a decode read takes them, decode to
+        // bytes that are not the block.
+        let rec = &archive.block_record(&shared).unwrap().record;
+        let first_k: Vec<Option<Vec<u8>>> = (rec.placement.iter().enumerate())
+            .map(|(s, node)| {
+                let key = ShardKey::new(rec.id.as_str(), s as u32);
+                (s < policy.read_threshold()).then(|| node_of(&handles, *node).get(&key).unwrap())
+            })
+            .collect();
+        // The unsealed families derive no key from the store.
+        let keys = aeon_core::keys::KeyStore::new([0; 32]);
+        let ctx = rec.id.as_str();
+        let decoded = decode_object(&rec.policy, &keys, ctx, &first_k, &rec.meta, 1).unwrap();
+        assert_ne!(BlockHash::of(&decoded), shared, "{policy:?}");
+        for ((id, want), healthy) in [(&id1, &v1), (&id2, &v2)].into_iter().zip(&healthy) {
+            let read = timed_read(&archive, id);
+            assert_eq!(&read.0, want, "{policy:?}");
+            assert_eq!(read.1, healthy.1, "{policy:?}: the shard accounting");
+            assert!(read.2 > 0, "{policy:?}: a read takes virtual time");
+            assert_eq!(read.2, healthy.2, "{policy:?}: the virtual time");
+            assert_eq!(
+                archive
+                    .retrieve_many(std::slice::from_ref(id))
+                    .pop()
+                    .unwrap()
+                    .unwrap(),
+                *want
+            );
+        }
+        let health = archive.verify(&id1, &SigBreakSchedule::new()).unwrap();
+        assert!(health.intact, "{policy:?}: {health:?}");
+        assert_eq!(
+            health.shards_available,
+            policy.shard_count() - 1,
+            "{policy:?}: the rotten shard stays for the scrub"
+        );
+    }
+}
+
+/// Damage beyond the budget of a shared block, in the three unsealed
+/// families and a sealed one: every read of every referencing object —
+/// alone, with its report, and in one `retrieve_many` — fails
+/// `IntegrityViolation` naming that object.
+#[test]
+fn a_shared_block_past_its_budget_fails_every_owner_typed() {
+    let mut families = unsealed_policies();
+    families.push(PolicyKind::Encrypted {
+        suite: SuiteId::ChaCha20Poly1305,
+        data: 3,
+        parity: 2,
+    });
+    for policy in families {
+        let (n, k) = (policy.shard_count(), policy.read_threshold());
+        let (mut archive, handles) = dedup_archive(&policy, 1);
+        let (id1, id2, _, _) = ingest_versions(&mut archive, 22);
+        let shared = shared_data_block(&archive, &id1, &id2);
+        let len = archive.block_record(&shared).unwrap().record.logical_len as u64;
+        for j in 0..(n - k + 1) {
+            flip_block_shard(&archive, &handles, &shared, j, len * 4 + j as u64);
+        }
+        let ids = [id1, id2];
+        let many = archive.retrieve_many(&ids);
+        for (id, many) in ids.iter().zip(many) {
+            let typed = |r: Result<Vec<u8>, ArchiveError>| match r {
+                Err(ArchiveError::IntegrityViolation(bad)) => bad == *id,
+                _ => false,
+            };
+            assert!(typed(archive.retrieve(id)), "{policy:?}");
+            assert!(
+                typed(archive.retrieve_with_report(id).map(|(p, _)| p)),
+                "{policy:?}"
+            );
+            assert!(typed(many), "{policy:?}");
         }
     }
 }

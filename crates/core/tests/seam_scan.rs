@@ -17,7 +17,8 @@
 //! fifth guards the encode layer: one `match` from policy to its seal
 //! and dispersal, no codec object behind it, one Reed–Solomon code, one
 //! reader of the stored chunk layout. A sixth guards read-side payload
-//! verification: one batched body that every read's decode goes through.
+//! verification: one batched check body behind every read, which a
+//! dedup object's read reaches only once its payload root has missed.
 //! A seventh guards the unit record: a dedup block's is a `Manifest`,
 //! read with the one read plan and rewritten through the one write-back.
 //! An eighth guards the catalog: one ordered map, written only through
@@ -425,43 +426,71 @@ fn method_body<'a>(source: &'a str, file: &str, name: &str) -> &'a str {
     &source[start..start + len]
 }
 
-/// Re-accretion guard for read-side payload verification. Every read
-/// decodes through one tail, `Archive::decode_many`, which checks all of
-/// its units' digests in one batch per kind (objects' tree roots through
-/// `plan::tree_digests`, blocks' addresses through `BlockHash::of_many`): the
-/// multi-unit read `read_units` hands it every unit at once instead of
-/// hashing or decoding one unit at a time, `retrieve_each` reads every
-/// classic object of a call through one `read_units`, and the one-unit
-/// tail `decode_verified` is its batch of one.
+/// Re-accretion guard for read-side payload verification. Every read's
+/// digests are checked in one body, `Archive::check_digests`, one batch
+/// per kind (objects' tree roots through `plan::tree_digests`, blocks'
+/// addresses through `BlockHash::of_many`), and nowhere else on the read
+/// side: the decode read `read_units` is its fetch `fetch_units`, which
+/// decodes and checks nothing, then `check_units`, which hands the body
+/// every unit at once and decodes a failed one again through
+/// `decode_many`; `decode_many` is each unit's decode, then the body;
+/// `retrieve_each` reads every classic object of a call through one
+/// `read_units`, and the one-unit tail `decode_verified` is a
+/// `decode_many` of one that no multi-unit read calls unit by unit.
 #[test]
 fn payload_verification_has_one_body() {
     let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
     let archive = non_test_source(&fs::read_to_string(src.join("archive.rs")).unwrap());
     let mut violations = Vec::new();
-    for (name, via) in [
-        ("retrieve_each", ".read_units("),
-        ("read_units", ".decode_many("),
+    for (name, vias) in [
+        ("retrieve_each", &[".read_units("][..]),
+        ("read_units", &[".fetch_units(", ".check_units("]),
+        ("check_units", &["Self::check_digests(", ".decode_many("]),
+        ("decode_many", &["Self::check_digests("]),
+        ("decode_verified", &[".decode_many("]),
     ] {
         let body = method_body(&archive, "archive.rs", name);
-        for banned in ["Sha256::digest(", "decode_verified(", "decode_object("] {
-            if body.contains(banned) {
+        for banned in [
+            "Sha256::digest",
+            "decode_verified(",
+            "decode_object(",
+            "of_many(",
+            "tree_digests(",
+        ] {
+            // `decode_verified`'s own body opens with its name.
+            let own = name == "decode_verified" && banned == "decode_verified(";
+            if !own && body.contains(banned) {
                 violations.push(format!("archive.rs: fn {name} calls `{banned}`"));
             }
         }
-        if !body.contains(via) {
-            violations.push(format!("archive.rs: fn {name} does not call `{via}`"));
+        for via in vias {
+            if !body.contains(via) {
+                violations.push(format!("archive.rs: fn {name} does not call `{via}`"));
+            }
         }
     }
-    let one = method_body(&archive, "archive.rs", "decode_verified");
-    if !one.contains(".decode_many(") || one.contains("decode_object(") {
-        violations.push("archive.rs: fn decode_verified does not delegate to decode_many".into());
+    let fetch = method_body(&archive, "archive.rs", "fetch_units");
+    for banned in [
+        "check_digests(",
+        ".decode_many(",
+        ".check_units(",
+        "verify_where(",
+    ] {
+        if fetch.contains(banned) {
+            violations.push(format!("archive.rs: fn fetch_units calls `{banned}`"));
+        }
     }
-    let tail = method_body(&archive, "archive.rs", "decode_many");
-    if !tail.contains("plan::tree_digests(&objects)")
-        || !tail.contains("BlockHash::of_many(&blocks)")
-        || tail.contains("Sha256::digest")
+    let body = method_body(&archive, "archive.rs", "check_digests");
+    if !body.contains("plan::tree_digests(&objects)")
+        || !body.contains("BlockHash::of_many(&blocks)")
+        || body.contains("Sha256::digest")
     {
-        violations.push("archive.rs: fn decode_many does not hash each kind in one batch".into());
+        violations.push("archive.rs: fn check_digests does not hash each kind in one batch".into());
+    }
+    let checks = callers("check_digests(");
+    let expect = ["check_units", "decode_many"].map(|f| ("archive.rs".to_string(), f.to_string()));
+    if checks != expect {
+        violations.push(format!("`check_digests(` call sites: {checks:?}"));
     }
     assert!(
         violations.is_empty(),
@@ -470,14 +499,80 @@ fn payload_verification_has_one_body() {
     );
 }
 
+/// Re-accretion guard for the dedup object read. With the object's
+/// digest, `read_leaves` fetches the distinct blocks (`fetch_units`),
+/// decodes them unhashed into the payload (`decode_leaves`, which
+/// hashes and checks nothing) and lets the payload's segment-tree root
+/// decide; only when that root misses does the fetch reach the check
+/// body, through `check_units`, and the payload is joined and checked
+/// once more. So `read_leaves` hashes the joined payload at one call
+/// site (`root_holds`, called before and after the check), computes no
+/// block address itself, never reads through the always-checking
+/// `read_units`, and calls `check_units` only on the path past the
+/// healthy `return`.
+#[test]
+fn a_dedup_read_checks_its_blocks_only_after_its_root_misses() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let dedup = non_test_source(&fs::read_to_string(src.join("dedup.rs")).unwrap());
+    let body = method_body(&dedup, "dedup.rs", "read_leaves");
+    let decode = method_body(&dedup, "dedup.rs", "decode_leaves");
+    let mut violations = Vec::new();
+    let hashing = ["of_many(", "Sha256::", "BlockHash::of(", "check_digests("];
+    for banned in hashing.iter().chain(&[".read_units(", ".decode_many("]) {
+        if body.contains(banned) {
+            violations.push(format!("dedup.rs: fn read_leaves calls `{banned}`"));
+        }
+    }
+    let checks = [
+        "tree_digests(",
+        ".check_units(",
+        "verify_where(",
+        ".fetch_units(",
+    ];
+    for banned in hashing.iter().chain(&checks) {
+        if decode.contains(banned) {
+            violations.push(format!("dedup.rs: fn decode_leaves calls `{banned}`"));
+        }
+    }
+    if body.matches("tree_digests(").count() != 1 {
+        violations.push("dedup.rs: fn read_leaves hashes the payload at more than one site".into());
+    }
+    let order = [
+        ".fetch_units(",
+        ".decode_leaves(",
+        "root_holds(&payload)",
+        "return Ok(",
+        ".check_units(",
+    ];
+    let at: Vec<Option<usize>> = order.iter().map(|pat| body.find(pat)).collect();
+    if at.iter().any(Option::is_none) || !at.windows(2).all(|w| w[0] < w[1]) {
+        violations.push(format!(
+            "dedup.rs: fn read_leaves does not fetch, decode, try the root, return, then \
+             check: {order:?} at {at:?}"
+        ));
+    }
+    if body.matches(".check_units(").count() != 1
+        || body.matches("root_holds(&payload)").count() != 2
+    {
+        violations
+            .push("dedup.rs: fn read_leaves checks its blocks or its root more than once".into());
+    }
+    assert!(
+        violations.is_empty(),
+        "the dedup read hashes twice:\n{}",
+        violations.join("\n")
+    );
+}
+
 /// Re-accretion guard for the unit record. A dedup block's record is a
 /// `Manifest`, like a classic object's catalog row, so `BlockRecord`
 /// declares none of the manifest's encoding fields, `unit.rs` builds no
 /// manifest (loading a block clones its record), and the one decode
-/// read `read_units` plans with `ReadPlan::for_decode`, not a hand-built
-/// plan. Refresh, re-wrap and re-encode end in one write-back: one
-/// `.write_units(` call site in maintenance, in `write_back`, and no
-/// one-shard-at-a-time `Sha256::digest(` in maintenance.
+/// read `read_units` plans in its fetch `fetch_units` with
+/// `ReadPlan::for_decode`, not a hand-built plan. Refresh, re-wrap and
+/// re-encode end in one write-back: one `.write_units(` call site in
+/// maintenance, in `write_back`, and no one-shard-at-a-time
+/// `Sha256::digest(` in maintenance.
 #[test]
 fn each_unit_has_one_record() {
     let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
@@ -499,8 +594,17 @@ fn each_unit_has_one_record() {
             }
         }
     }
-    if method_body(&read("archive.rs"), "archive.rs", "read_units").contains("ReadPlan {") {
-        violations.push("archive.rs: fn read_units builds a `ReadPlan {` literal".into());
+    let archive = read("archive.rs");
+    for name in ["read_units", "fetch_units"] {
+        if method_body(&archive, "archive.rs", name).contains("ReadPlan {") {
+            violations.push(format!(
+                "archive.rs: fn {name} builds a `ReadPlan {{` literal"
+            ));
+        }
+    }
+    if !method_body(&archive, "archive.rs", "fetch_units").contains("ReadPlan::for_decode(") {
+        violations
+            .push("archive.rs: fn fetch_units does not plan with `ReadPlan::for_decode(`".into());
     }
     let writes: Vec<(String, String)> = callers(".write_units(")
         .into_iter()
@@ -811,13 +915,14 @@ fn only_the_scrubs_check_every_shard() {
 /// `plan::tree_digests`, which every site that records or checks one
 /// calls: the one write (for the ingest flush, the write-back and
 /// repair), `plan_write` and the scrub's digest filter for shards; the
-/// ingest flush, the read tail `decode_many` and the dedup leaf read for
-/// payloads. Only `verify`, which spells a dedup payload from its leaves
-/// without holding it, folds the same root through `SegmentHasher`. In
-/// the six files on the digest path, SHA-256 runs directly only over
-/// what is neither: a dedup block's content address (batched, through
-/// `BlockHash::of_many`, when a block is planned or read) and an object
-/// name seeding a delete's jitter. A flat `digest` or `digest_many` of a
+/// ingest flush, the read-side check body `check_digests` and the dedup
+/// leaf read for payloads. Only `verify`, which spells a dedup payload
+/// from its leaves without holding it, folds the same root through
+/// `SegmentHasher`. In the six files on the digest path, SHA-256 runs
+/// directly only over what is neither: a dedup block's content address
+/// (batched, through `BlockHash::of_many`, when a block is planned, and
+/// in `check_digests` when a block is read on its own or its object's
+/// root missed) and an object name seeding a delete's jitter. A flat `digest` or `digest_many` of a
 /// payload or a shard anywhere else would record or accept a digest no
 /// other site agrees with.
 #[test]
@@ -846,7 +951,7 @@ fn one_tree_digest() {
         callers("tree_digests("),
         owned(&[
             ("archive.rs", "write_flush"),
-            ("archive.rs", "decode_many"),
+            ("archive.rs", "check_digests"),
             ("dedup.rs", "read_leaves"),
             ("executor.rs", "write_units"),
             ("executor.rs", "verify_where"),
@@ -867,7 +972,7 @@ fn one_tree_digest() {
     );
     assert_eq!(
         on_path("of_many("),
-        owned(&[("archive.rs", "decode_many"), ("dedup.rs", "plan_blocks")]),
+        owned(&[("archive.rs", "check_digests"), ("dedup.rs", "plan_blocks")]),
         "batched block addresses on the digest path"
     );
     assert_eq!(

@@ -483,18 +483,26 @@ impl DocumentChain {
     }
 
     /// Proves the document content against the anchor (opening the
-    /// Pedersen commitment in hiding mode).
+    /// Pedersen commitment in hiding mode): [`Self::prove_digest`] of
+    /// `SHA-256(document)`, the digest [`Self::create`] anchors.
     pub fn prove_content(&self, committer: &Committer, document: &[u8]) -> bool {
+        self.prove_digest(committer, &Sha256::digest(document))
+    }
+
+    /// Proves that the anchor binds `digest`, whatever function of the
+    /// document the chain's creator anchored (an archive anchors its
+    /// payload's segment-tree root): the anchor itself in hash mode, the
+    /// opening of the Pedersen commitment in hiding mode.
+    pub fn prove_digest(&self, committer: &Committer, digest: &[u8; 32]) -> bool {
         match self.anchor_mode {
-            AnchorMode::HashDigest => Sha256::digest(document).to_vec() == self.anchor,
+            AnchorMode::HashDigest => self.anchor == digest,
             AnchorMode::PedersenHiding => {
                 let Some(opening) = &self.opening else {
                     return false;
                 };
-                let digest = Sha256::digest(document);
                 // Reconstruct the commitment from the stored bytes.
                 let commitment = Commitment(aeon_num::GroupElement::from_be_bytes(&self.anchor));
-                committer.verify(&commitment, &digest, opening)
+                committer.verify(&commitment, digest, opening)
             }
         }
     }
@@ -600,6 +608,36 @@ mod tests {
             chain.verify(&schedule, 2050).unwrap_err(),
             ChainInvalid::HeadBroken
         );
+    }
+
+    /// `prove_content` is `prove_digest` of the document's SHA-256, in
+    /// both modes, and a chain opens with the digest it was created over
+    /// and with no other.
+    #[test]
+    fn prove_digest_agrees_with_prove_content() {
+        let (mut rng, committer) = setup();
+        let mut tsa = TimestampAuthority::new(&mut rng, "wots-v1", 2026, 3);
+        let root = Sha256::digest(b"a segment-tree root stands in here");
+        for mode in [AnchorMode::HashDigest, AnchorMode::PedersenHiding] {
+            let doc: &[u8] = b"the document";
+            let chain = DocumentChain::create(&mut rng, &mut tsa, &committer, mode, doc).unwrap();
+            assert!(
+                chain.prove_digest(&committer, &Sha256::digest(doc)),
+                "{mode:?}"
+            );
+            assert!(chain.prove_content(&committer, doc), "{mode:?}");
+            let mut wrong = Sha256::digest(doc);
+            wrong[0] ^= 1;
+            assert!(!chain.prove_digest(&committer, &wrong), "{mode:?}");
+            assert!(!chain.prove_digest(&committer, &root), "{mode:?}");
+
+            let mut chains =
+                DocumentChain::create_many(&mut rng, &mut tsa, &committer, mode, &[root]).unwrap();
+            let chain = chains.pop().unwrap();
+            assert!(chain.prove_digest(&committer, &root), "{mode:?}");
+            assert!(!chain.prove_digest(&committer, &wrong), "{mode:?}");
+            assert!(!chain.prove_content(&committer, &root), "{mode:?}");
+        }
     }
 
     #[test]
