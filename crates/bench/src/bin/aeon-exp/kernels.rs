@@ -26,8 +26,8 @@
 //! the same 32 payloads alone, as one small-files `retrieve_many`
 //! verifies them;
 //! and, on the active kernels, what sits on the two dispatched layers:
-//! a 1 MiB `ChaChaDrbg` fill, packed sharing (t=2, k=2, n=6) of 1 MiB,
-//! split and reconstruct, and a 1 MiB RS(4, 2) chunk decoded whole,
+//! a 1 MiB `ChaChaDrbg` fill, Shamir 3-of-5 split of 1 MiB, packed
+//! sharing (t=2, k=2, n=6) of 1 MiB, split and reconstruct, and a 1 MiB RS(4, 2) chunk decoded whole,
 //! decoded with a data shard lost, and repaired one row. Emits
 //! `BENCH_kernels.json` so future PRs diff kernel throughput against a
 //! pinned baseline instead of a feeling.
@@ -55,6 +55,7 @@ use aeon_gf::slice::{gf16_mul_add_rows_on, mul_add_rows_on, Gf16MulTable, Gf256M
 use aeon_gf::{Gf16, Gf256, Kernel, KernelTier};
 use aeon_integrity::merkle::{fold_root, MerkleTree};
 use aeon_secretshare::packed::{self, PackedParams};
+use aeon_secretshare::shamir;
 
 /// Buffer sizes every GF cell is measured at.
 const SIZES: [usize; 3] = [4 * 1024, 64 * 1024, 1024 * 1024];
@@ -484,10 +485,12 @@ fn digest_set_rows(reps: usize) -> Vec<SetRow> {
 
 /// What the two dispatched layers add up to for secret sharing, on the
 /// active kernels: GB/s of a 1 MiB `ChaChaDrbg` fill, and MiB/s of user
-/// data through packed sharing (t=2, k=2, n=6) of 1 MiB — `split`, which
-/// draws 4 MiB of anchors and runs 24 fused GF(2^16) column passes, and
+/// data through Shamir 3-of-5 `split` of 1 MiB (2 MiB of coefficients
+/// drawn through two sub-streams, five GF(2^8) share passes), and
+/// through packed sharing (t=2, k=2, n=6) of 1 MiB — `split`, which
+/// draws 4 MiB of anchors and runs 24 GF(2^16) column passes, and
 /// `reconstruct` from the last four shares.
-fn sharing_rows(reps: usize, src: &[u8]) -> [(&'static str, f64); 3] {
+fn sharing_rows(reps: usize, src: &[u8]) -> [(&'static str, f64); 4] {
     const MIB: usize = 1 << 20;
     // `best_gbs` is bytes per nanosecond; a MiB/s figure rescales it.
     let mibs = |gbs: f64| gbs * 1e9 / MIB as f64;
@@ -495,8 +498,11 @@ fn sharing_rows(reps: usize, src: &[u8]) -> [(&'static str, f64); 3] {
     let mut rng = ChaChaDrbg::from_u64_seed(0xAE0);
     let mut buf = vec![0u8; MIB];
     let drbg = best_gbs(MIB, budget, reps, || rng.fill_bytes(black_box(&mut buf)));
-    let params = PackedParams::new(2, 2, 6).expect("valid parameters");
     let secret = &src[..MIB];
+    let shamir = best_gbs(MIB, budget, reps, || {
+        black_box(shamir::split(&mut rng, black_box(secret), 3, 5)).expect("split");
+    });
+    let params = PackedParams::new(2, 2, 6).expect("valid parameters");
     let split = best_gbs(MIB, budget, reps, || {
         black_box(packed::split(&mut rng, params, black_box(secret))).expect("split");
     });
@@ -507,6 +513,7 @@ fn sharing_rows(reps: usize, src: &[u8]) -> [(&'static str, f64); 3] {
     });
     [
         ("drbg_fill_1m_gbs", drbg),
+        ("shamir_split_1m_mibs", mibs(shamir)),
         ("packed_split_1m_mibs", mibs(split)),
         ("packed_reconstruct_1m_mibs", mibs(reconstruct)),
     ]

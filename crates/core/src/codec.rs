@@ -34,7 +34,7 @@ use aeon_crypto::{aead, CryptoRng, SecurityLevel, SuiteId, SuiteRegistry};
 use aeon_erasure::{CodeError, ErasureCode, ReedSolomon, Replicator};
 use aeon_gf::Gf256;
 use aeon_secretshare::lrss::{self, LrssParams, LrssShare};
-use aeon_secretshare::packed::{self, PackedParams, PackedShare};
+use aeon_secretshare::packed::{self, PackedParams};
 use aeon_secretshare::shamir::{self, Share};
 use aeon_secretshare::ShareError;
 use std::borrow::Cow;
@@ -504,14 +504,7 @@ impl Dispersal {
                 let params = PackedParams::new(privacy, pack, shares).map_err(invalid)?;
                 let out = packed::split(rng, params, sealed).map_err(malformed)?;
                 meta.packed = Some((params, sealed.len()));
-                let be_bytes = |s: PackedShare| {
-                    let mut bytes = vec![0u8; 2 * s.data.len()];
-                    for (pair, v) in bytes.chunks_exact_mut(2).zip(&s.data) {
-                        pair.copy_from_slice(&v.to_be_bytes());
-                    }
-                    bytes
-                };
-                Ok(out.into_iter().map(be_bytes).collect())
+                Ok(out.into_iter().map(|s| s.data).collect())
             }
             Dispersal::Lrss {
                 threshold,
@@ -562,19 +555,10 @@ impl Dispersal {
                 let Some((params, plain_len)) = meta.packed else {
                     return Err(malformed("missing packed metadata"));
                 };
-                let collected = present()
-                    .map(|(index, bytes)| {
-                        let symbols = bytes.chunks_exact(2);
-                        if !symbols.remainder().is_empty() {
-                            return Err(malformed("packed share of an odd byte length"));
-                        }
-                        Ok(PackedShare {
-                            index: index as u16,
-                            data: symbols.map(|c| u16::from_be_bytes([c[0], c[1]])).collect(),
-                        })
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                let mut out = packed::reconstruct(params, &collected)
+                // Borrowed, as Shamir's are.
+                let lent: Vec<(u16, &[u8])> =
+                    present().map(|(x, bytes)| (x as u16, bytes)).collect();
+                let mut out = packed::reconstruct_slices(params, &lent)
                     .map_err(share_err(params.reconstruct_threshold()))?;
                 out.truncate(plain_len);
                 Ok(out)

@@ -47,14 +47,14 @@ const PINNED: &[Pin] = &[
     ("bulk-aead", "verify", 237, 81017, 43389),
     ("bulk-aead", "reencode", 635, 267493, 105443),
     ("bulk-aead", "delete", 7, 224, 32),
-    ("bulk-sharing", "ingest", 111, 127863, 115458),
-    ("bulk-sharing", "ingest_many", 106, 121622, 115458),
+    ("bulk-sharing", "ingest", 95, 110941, 99184),
+    ("bulk-sharing", "ingest_many", 90, 104700, 99184),
     ("bulk-sharing", "retrieve", 55, 19633, 17861),
     ("bulk-sharing", "retrieve_many", 87, 39090, 35073),
     ("bulk-sharing", "degraded_retrieve", 55, 19633, 17861),
     ("bulk-sharing", "repair", 108, 71342, 66402),
     ("bulk-sharing", "verify", 58, 19914, 17626),
-    ("bulk-sharing", "reencode", 207, 184330, 103849),
+    ("bulk-sharing", "reencode", 183, 105970, 99425),
     ("bulk-sharing", "delete", 7, 224, 32),
     ("small-files", "ingest", 123, 20072, 14616),
     ("small-files", "ingest_many", 553, 77111, 49719),

@@ -28,6 +28,25 @@ pub trait CryptoRng {
         random_array(self)
     }
 
+    /// Splits off the next `len` bytes of the stream as a generator of
+    /// their own, and moves this one past them: drawing the sub-stream
+    /// (in any cuts) and then this generator yields the bytes one
+    /// sequential draw would have. A caller that needs several long
+    /// draws side by side — one per polynomial coefficient, say — takes
+    /// a sub-stream for each and reads them strip by strip, holding no
+    /// buffer as long as a draw.
+    ///
+    /// This default draws the `len` bytes at once and replays them;
+    /// [`ChaChaDrbg`] jumps its block counter instead and holds nothing.
+    fn substream(&mut self, len: usize) -> SubStream {
+        let mut bytes = vec![0u8; len];
+        self.fill_bytes(&mut bytes);
+        SubStream {
+            left: len,
+            source: Source::Replay(bytes),
+        }
+    }
+
     /// Returns a uniform `u64`.
     fn next_u64(&mut self) -> u64 {
         let mut b = [0u8; 8];
@@ -163,6 +182,65 @@ impl CryptoRng for ChaChaDrbg {
     fn fill_bytes(&mut self, dest: &mut [u8]) {
         self.fill_on(Kernel::active(), dest);
     }
+
+    /// O(1): the sub-stream is this generator as it stands, and this one
+    /// skips `len` bytes by counter arithmetic, generating at most the
+    /// one block its next draw starts inside.
+    fn substream(&mut self, len: usize) -> SubStream {
+        let sub = self.clone();
+        let buffered = (64 - self.buf_pos).min(len);
+        self.buf_pos += buffered;
+        let (blocks, tail) = ((len - buffered) / 64, (len - buffered) % 64);
+        self.reserve(blocks);
+        if tail > 0 {
+            let counter = self.reserve(1);
+            self.buf = self.cipher.block(counter);
+            self.buf_pos = tail;
+        }
+        SubStream {
+            left: len,
+            source: Source::ChaCha(sub),
+        }
+    }
+}
+
+/// The next `len` bytes of a [`CryptoRng`]'s stream, split off by
+/// [`CryptoRng::substream`]. It serves exactly those bytes, however its
+/// reads are cut, and panics on a draw past them.
+pub struct SubStream {
+    left: usize,
+    source: Source,
+}
+
+// A generator's state, or bytes it drew.
+redacted_debug!(SubStream);
+
+enum Source {
+    /// A [`ChaChaDrbg`] positioned at the sub-stream's first byte.
+    ChaCha(ChaChaDrbg),
+    /// The whole sub-stream, drawn up front; the next byte served is
+    /// at `len - left`.
+    Replay(Vec<u8>),
+}
+
+impl SubStream {
+    /// [`CryptoRng::fill_bytes`] on a given kernel.
+    fn fill_on(&mut self, kernel: &Kernel, dest: &mut [u8]) {
+        self.left = (self.left.checked_sub(dest.len())).expect("draw past the end of a sub-stream");
+        match &mut self.source {
+            Source::ChaCha(rng) => rng.fill_on(kernel, dest),
+            Source::Replay(bytes) => {
+                let at = bytes.len() - self.left - dest.len();
+                dest.copy_from_slice(&bytes[at..at + dest.len()]);
+            }
+        }
+    }
+}
+
+impl CryptoRng for SubStream {
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        self.fill_on(Kernel::active(), dest);
+    }
 }
 
 #[cfg(test)]
@@ -220,6 +298,75 @@ mod tests {
                                              cuts in prop::collection::vec(0usize..=4096, 0..12)) {
             assert_cut_reads_match(total, &cuts);
         }
+    }
+
+    /// One draw of `prefix + len + tail` bytes on the scalar kernel
+    /// against `prefix` bytes, then a sub-stream of `len` drawn cut at
+    /// `cuts`, then `tail` bytes of the parent, on every kernel; and the
+    /// same through the default (replaying) sub-stream.
+    fn assert_substream_matches_one_read(prefix: usize, len: usize, cuts: &[usize], tail: usize) {
+        let mut even = vec![0u8; prefix + len + tail];
+        ChaChaDrbg::from_u64_seed(98).fill_on(Kernel::scalar(), &mut even);
+        let mut cuts: Vec<usize> = cuts.iter().map(|&c| c.min(len)).collect();
+        cuts.extend([0, len]);
+        cuts.sort_unstable();
+        for kernel in Kernel::supported() {
+            let mut rng = ChaChaDrbg::from_u64_seed(98);
+            let mut got = vec![0u8; even.len()];
+            let (head, rest) = got.split_at_mut(prefix);
+            let (middle, end) = rest.split_at_mut(len);
+            rng.fill_on(kernel, head);
+            let mut sub = rng.substream(len);
+            for piece in cuts.windows(2) {
+                sub.fill_on(kernel, &mut middle[piece[0]..piece[1]]);
+            }
+            rng.fill_on(kernel, end);
+            let tier = kernel.chacha20_tier().name();
+            assert_eq!(got, even, "{tier}: {prefix} + {len} {cuts:?} + {tail}");
+        }
+        /// Draws through `fill_bytes` alone, so it takes the default
+        /// sub-stream.
+        struct Plain(ChaChaDrbg);
+        impl CryptoRng for Plain {
+            fn fill_bytes(&mut self, dest: &mut [u8]) {
+                self.0.fill_bytes(dest);
+            }
+        }
+        let mut rng = Plain(ChaChaDrbg::from_u64_seed(98));
+        let mut got = vec![0u8; even.len()];
+        rng.fill_bytes(&mut got[..prefix]);
+        let mut sub = rng.substream(len);
+        for piece in cuts.windows(2) {
+            sub.fill_bytes(&mut got[prefix + piece[0]..prefix + piece[1]]);
+        }
+        rng.fill_bytes(&mut got[prefix + len..]);
+        assert_eq!(got, even, "replayed: {prefix} + {len} {cuts:?} + {tail}");
+    }
+
+    #[test]
+    fn substreams_on_and_beside_block_edges_match_one_read() {
+        for prefix in [0, 1, 63, 64, 65] {
+            for len in [0, 1, 63, 64, 65, 1000, 4096 + 7] {
+                assert_substream_matches_one_read(prefix, len, &[len / 3, len / 2], 70);
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn a_substream_then_the_parent_match_one_read(prefix in 0usize..=300, len in 0usize..=4096,
+                                                      cuts in prop::collection::vec(0usize..=4096, 0..8),
+                                                      tail in 0usize..=300) {
+            assert_substream_matches_one_read(prefix, len, &cuts, tail);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "draw past the end of a sub-stream")]
+    fn a_draw_past_a_substream_panics() {
+        let mut sub = ChaChaDrbg::from_u64_seed(1).substream(10);
+        sub.fill_bytes(&mut [0u8; 6]);
+        sub.fill_bytes(&mut [0u8; 5]);
     }
 
     /// A generator whose next block is `counter`, as if everything before

@@ -93,6 +93,6 @@ pub mod sig;
 pub mod suite;
 
 pub use aead::Aead;
-pub use drbg::{random_array, ChaChaDrbg, CryptoRng};
+pub use drbg::{random_array, ChaChaDrbg, CryptoRng, SubStream};
 pub use sha2::{Sha256, Sha512};
 pub use suite::{BreakSchedule, SecurityLevel, StackFall, SuiteId, SuiteRegistry};

@@ -57,6 +57,9 @@ fn no_debug_output_spells_a_key() {
     poly.update(&[0; 1024]);
     let mut drbg = ChaChaDrbg::from_seed(KEY);
     drbg.next_u64();
+    // Both kinds of sub-stream: a generator's state, and bytes it drew
+    // (`KeyBytes` draws the key byte).
+    let substreams = [drbg.substream(100), KeyBytes.substream(100)];
     let suites = [SuiteId::Aes256CtrHmac, SuiteId::ChaCha20Poly1305];
     let values: Vec<Box<dyn Debug>> = vec![
         Box::new(ChaCha20Poly1305::new(&KEY)),
@@ -68,6 +71,7 @@ fn no_debug_output_spells_a_key() {
         Box::new(Cascade::new(&suites, &KEY).expect("two AEAD suites")),
         Box::new(SuiteRegistry::new().instantiate(SuiteId::ChaCha20Poly1305, &KEY)),
         Box::new(drbg),
+        Box::new(substreams),
         Box::new(EntropicCipher::new([0xA5; 16])),
         Box::new(WotsSigner::generate(&mut KeyBytes).0),
     ];

@@ -229,17 +229,22 @@ impl ReedSolomon {
         if data_shards.iter().any(|s| s.len() != len) {
             return Err(CodeError::ShardLengthMismatch);
         }
-        let mut parity = vec![vec![0u8; len]; self.parity];
-        for (tables, out) in self.parity_tables.iter().zip(parity.iter_mut()) {
-            // One fused pass per parity row: all data shards accumulate
-            // into each cache-sized strip of `out` while it is hot.
-            let rows: Vec<(&Gf256MulTable, &[u8])> = tables
-                .iter()
-                .zip(data_shards)
-                .map(|(table, shard)| (table, *shard))
-                .collect();
-            slice::mul_add_rows_tables(out, &rows);
-        }
+        let parity = (self.parity_tables.iter())
+            .map(|tables| {
+                // One fused pass per parity row: all data shards combine
+                // into each cache-sized strip of `out` while it is hot,
+                // the first one stored, so the fresh buffer is written
+                // once and never read.
+                let rows: Vec<(&Gf256MulTable, &[u8])> = tables
+                    .iter()
+                    .zip(data_shards)
+                    .map(|(table, shard)| (table, *shard))
+                    .collect();
+                let mut out = vec![0u8; len];
+                slice::mul_rows_tables(&mut out, &rows);
+                out
+            })
+            .collect();
         Ok(parity)
     }
 
@@ -407,7 +412,7 @@ impl Survivors<'_> {
             _ => {
                 let start = out.len();
                 out.resize(start + range.len(), 0);
-                slice::mul_add_rows(&mut out[start..], &terms);
+                slice::mul_rows(&mut out[start..], &terms);
             }
         }
     }
@@ -765,13 +770,16 @@ mod tests {
             .select_rows(rows)
             .inverse()
             .map_err(|_| too_few)?;
-        let mut all: Vec<Vec<u8>> = vec![vec![0u8; len]; rs.data];
-        for (c, out) in all.iter_mut().enumerate() {
-            let terms: Vec<(Gf256, &[u8])> = (rows.iter().enumerate())
-                .map(|(j, &slot)| (inv[(c, j)], present(slot)))
-                .collect();
-            slice::mul_add_rows(out, &terms);
-        }
+        let mut all: Vec<Vec<u8>> = (0..rs.data)
+            .map(|c| {
+                let terms: Vec<(Gf256, &[u8])> = (rows.iter().enumerate())
+                    .map(|(j, &slot)| (inv[(c, j)], present(slot)))
+                    .collect();
+                let mut out = vec![0u8; len];
+                slice::mul_rows(&mut out, &terms);
+                out
+            })
+            .collect();
         let data: Vec<&[u8]> = all.iter().map(Vec::as_slice).collect();
         let parity = rs.encode_shards(&data)?;
         all.extend(parity);

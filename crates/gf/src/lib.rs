@@ -19,7 +19,8 @@
 //!   Reed–Solomon encoding and decoding.
 //! * [`slice`](mod@slice) — bulk scalar × vector kernels (`mul_slice`,
 //!   `mul_add_slice`) and the fused matrix-row kernels (`mul_add_rows`,
-//!   `gf16_mul_add_rows`) with per-scalar product tables, the
+//!   its write-first twin `mul_rows`, `gf16_mul_add_rows`) with
+//!   per-scalar product tables, the
 //!   branch-free inner loops of erasure encoding and share evaluation.
 //! * [`kernel`] — runtime dispatch for the GF(2^8) slice kernels and the
 //!   GF(2^16) multiply-accumulate: portable scalar/SWAR tiers plus

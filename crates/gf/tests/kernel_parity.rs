@@ -6,8 +6,8 @@
 //! against the field on every symbol.
 
 use aeon_gf::slice::{
-    gf16_mul_add_rows, gf16_mul_add_rows_on, mul_add_rows, mul_add_rows_on, Gf16MulTable,
-    Gf256MulTable,
+    gf16_mul_add_rows, gf16_mul_add_rows_on, mul_add_rows, mul_add_rows_on, mul_rows, mul_rows_on,
+    Gf16MulTable, Gf256MulTable, ROW_STRIP,
 };
 use aeon_gf::{Gf16, Gf256, Kernel, KernelTier};
 use proptest::prelude::*;
@@ -96,6 +96,67 @@ fn fused_rows_match_serial_reference_on_every_tier() {
             }
         }
     }
+}
+
+/// The write-first kernel against its definition: zero-fill, then
+/// accumulate. Every tier, lengths at and beside the strip edge,
+/// coefficients 0 and 1 in the first slot and later, and a destination
+/// holding garbage that must never show through.
+#[test]
+fn mul_rows_equal_zero_fill_then_mul_add_rows_on_every_tier() {
+    let firsts = [0u8, 1, 0xB7];
+    for kernel in Kernel::supported() {
+        for row_count in [0usize, 1, 2, 3, 5] {
+            for len in [
+                0,
+                1,
+                65,
+                ROW_STRIP - 1,
+                ROW_STRIP,
+                ROW_STRIP + 1,
+                2 * ROW_STRIP + 33,
+            ] {
+                for first in firsts {
+                    let coeffs: Vec<Gf256> = (0..row_count)
+                        .map(|r| {
+                            Gf256::new(if r == 0 {
+                                first
+                            } else {
+                                [1, 0, 0x53, 0x8E][r % 4]
+                            })
+                        })
+                        .collect();
+                    let tables: Vec<Gf256MulTable> =
+                        coeffs.iter().map(|&c| Gf256MulTable::new(c)).collect();
+                    let sources: Vec<Vec<u8>> =
+                        (0..row_count).map(|r| pattern(len, r + 5)).collect();
+                    let trows: Vec<(&Gf256MulTable, &[u8])> = tables
+                        .iter()
+                        .zip(&sources)
+                        .map(|(t, s)| (t, s.as_slice()))
+                        .collect();
+                    let mut expect = vec![0u8; len];
+                    mul_add_rows_on(kernel, &mut expect, &trows);
+                    let mut got = pattern(len, 77);
+                    mul_rows_on(kernel, &mut got, &trows);
+                    assert_eq!(
+                        got,
+                        expect,
+                        "tier={} rows={row_count} len={len} first={first}",
+                        kernel.tier().name()
+                    );
+                }
+            }
+        }
+    }
+    // The table-building entry point on the active tier.
+    let (a, b) = (pattern(ROW_STRIP + 1, 1), pattern(ROW_STRIP + 1, 2));
+    let rows = [(Gf256::new(0x03), &a[..]), (Gf256::new(0xC6), &b[..])];
+    let mut expect = vec![0u8; a.len()];
+    mul_add_rows(&mut expect, &rows);
+    let mut got = pattern(a.len(), 3);
+    mul_rows(&mut got, &rows);
+    assert_eq!(got, expect);
 }
 
 #[test]

@@ -20,11 +20,19 @@
 //! is evaluated at the same share points `1..=n`, so
 //! `share_i = Σ_j L_j(i) · y_j` with one `n × (k + t)` generator matrix
 //! `G[i][j] = L_j(i)` (Lagrange basis) that depends on [`PackedParams`]
-//! alone. [`split`] de-interleaves the payload into `k` symbol columns,
-//! draws `t` anchor columns, and produces each share as one fused
-//! matrix-row × columns pass; [`reconstruct`] is the same with the
-//! basis taken over the share points and evaluated at each secret point.
-//! No polynomial is ever materialized.
+//! alone. [`split`] walks the rows in strips: it de-interleaves a strip
+//! of the payload into `k` symbol columns, draws its `t` anchor columns,
+//! and writes each share's strip as one matrix row × columns pass;
+//! [`reconstruct`] is the same with the basis taken over the share
+//! points and evaluated at each secret point. No polynomial is ever
+//! materialized, and no buffer but the shares and the output is as long
+//! as the payload.
+//!
+//! # Bytes
+//!
+//! Shares are bytes: each row's symbol big-endian, two bytes per row, as
+//! they are stored. The payload is read as big-endian symbols too, an
+//! odd last byte zero-padded.
 //!
 //! The anchors are drawn row by row, `t` per row, each the low 16 bits of
 //! one [`CryptoRng::next_u64`] — eight generator bytes per anchor, of
@@ -36,17 +44,16 @@
 use crate::ShareError;
 use aeon_crypto::CryptoRng;
 use aeon_gf::poly::lagrange_coefficients;
-use aeon_gf::slice::gf16_mul_add_rows;
+use aeon_gf::slice::{Gf16MulTable, GF16_TABLE_MIN};
 use aeon_gf::Gf16;
 
-/// A packed share: one evaluation of the packed polynomial per symbol
-/// column.
+/// A packed share: one evaluation of the packed polynomial per row.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PackedShare {
     /// 1-based share index; the evaluation point is `x = index`.
     pub index: u16,
-    /// Evaluations, one GF(2^16) symbol per column.
-    pub data: Vec<u16>,
+    /// Evaluations, one big-endian GF(2^16) symbol (two bytes) per row.
+    pub data: Vec<u8>,
 }
 
 /// Parameters of a packed sharing.
@@ -125,52 +132,88 @@ impl PackedParams {
     }
 }
 
-/// `dst = Σ_j L_j(x0) · columns_j`, the Lagrange basis `L` taken over the
-/// points `xs`: one matrix row applied to all columns in one fused pass.
-/// `None` if two of `xs` coincide.
-fn combine_at<'a>(
-    xs: &[Gf16],
-    x0: Gf16,
-    columns: impl Iterator<Item = &'a [u16]>,
-    dst: &mut [u16],
-) -> Option<()> {
-    let basis = lagrange_coefficients(xs, x0).ok()?;
-    let sources: Vec<(Gf16, &[u16])> = basis.into_iter().zip(columns).collect();
-    dst.fill(0);
-    gf16_mul_add_rows(dst, &sources);
-    Some(())
+/// Rows of a Lagrange basis — `basis[r][j] = L_j(x0_r)` over the points
+/// `xs`, one row per `x0s` — applied to strips of symbol columns: through
+/// product tables built once when the columns are long enough to pay for
+/// them, else symbol by symbol.
+struct Basis {
+    width: usize,
+    coefficients: Vec<Gf16>,
+    tables: Vec<Gf16MulTable>,
 }
+
+impl Basis {
+    /// `None` if two of `xs` coincide.
+    fn new(xs: &[Gf16], x0s: impl Iterator<Item = Gf16>, rows: usize) -> Option<Basis> {
+        let mut coefficients = Vec::new();
+        for x0 in x0s {
+            coefficients.extend(lagrange_coefficients(xs, x0).ok()?);
+        }
+        let tables = if rows >= GF16_TABLE_MIN {
+            coefficients.iter().map(|&c| Gf16MulTable::new(c)).collect()
+        } else {
+            Vec::new()
+        };
+        Some(Basis {
+            width: xs.len(),
+            coefficients,
+            tables,
+        })
+    }
+
+    /// `dst = Σ_j basis[r][j] · column_j`, column `j` being the first
+    /// `dst.len()` symbols of `columns[j·stride..]`.
+    fn apply(&self, r: usize, columns: &[u16], stride: usize, dst: &mut [u16]) {
+        let n = dst.len();
+        let columns = columns.chunks_exact(stride).map(|c| &c[..n]);
+        let row = r * self.width..(r + 1) * self.width;
+        dst.fill(0);
+        if self.tables.is_empty() {
+            for (&c, column) in self.coefficients[row].iter().zip(columns) {
+                for (d, &s) in dst.iter_mut().zip(column) {
+                    *d ^= (c * Gf16::new(s)).value();
+                }
+            }
+        } else {
+            for (table, column) in self.tables[row].iter().zip(columns) {
+                table.mul_add_slice(column, dst);
+            }
+        }
+    }
+}
+
+/// Rows per strip: 1 KiB per symbol column, so a strip's columns stay in
+/// L1 beside the strip they combine into, and the product tables, built
+/// once, are the largest scratch an encoder holds.
+const STRIP_ROWS: usize = 512;
 
 /// Generator bytes fetched per pass of the anchor draw: a fixed strip, so
 /// the bulk draw holds no buffer proportional to the payload.
 const DRAW_STRIP: usize = 16 * 1024;
 
-/// Fills the anchor columns from `rng` in the order the sharing is
-/// defined by: row-major, one `next_u64() & 0xFFFF` per anchor.
-/// `next_u64` is eight `fill_bytes` bytes read little-endian, so the low
-/// 16 bits are bytes `[0..2]` of each 8-byte group of one bulk draw.
-/// Each draw fills whole rows (one row at least, however wide), then
-/// scatters each anchor column out of them; the generator emits one
-/// stream however its reads are cut, so the anchors do not depend on
-/// the strip.
-fn draw_anchors<R: CryptoRng + ?Sized>(rng: &mut R, anchors: &mut [Vec<u16>]) {
-    let row_bytes = 8 * anchors.len();
-    let rows = anchors[0].len();
-    let mut fixed = [0u8; DRAW_STRIP];
-    let mut wide = Vec::new();
-    let strip: &mut [u8] = if row_bytes <= DRAW_STRIP {
-        &mut fixed
-    } else {
-        wide.resize(row_bytes, 0);
-        &mut wide
-    };
-    let per_strip = strip.len() / row_bytes;
+/// Fills the first `rows` symbols of each `stride`-long anchor column in
+/// `anchors` from `rng`, in the order the sharing is defined by:
+/// row-major, one `next_u64() & 0xFFFF` per anchor. `next_u64` is eight
+/// `fill_bytes` bytes read little-endian, so the low 16 bits are bytes
+/// `[0..2]` of each 8-byte group of one bulk draw. Each draw fills whole
+/// rows of `buf` (one row at least), then scatters each anchor column out
+/// of them; the generator emits one stream however its reads are cut, so
+/// the anchors depend on neither `buf`'s length nor the caller's strip.
+fn draw_anchors<R: CryptoRng + ?Sized>(
+    rng: &mut R,
+    buf: &mut [u8],
+    anchors: &mut [u16],
+    stride: usize,
+    rows: usize,
+) {
+    let row_bytes = 8 * (anchors.len() / stride);
+    let per_draw = buf.len() / row_bytes;
     let mut row = 0;
     while row < rows {
-        let take = per_strip.min(rows - row);
-        let bytes = &mut strip[..take * row_bytes];
+        let take = per_draw.min(rows - row);
+        let bytes = &mut buf[..take * row_bytes];
         rng.fill_bytes(bytes);
-        for (c, column) in anchors.iter_mut().enumerate() {
+        for (c, column) in anchors.chunks_exact_mut(stride).enumerate() {
             let draws = bytes.chunks_exact(row_bytes).map(|r| &r[8 * c..8 * c + 2]);
             for (anchor, draw) in column[row..row + take].iter_mut().zip(draws) {
                 *anchor = u16::from_le_bytes([draw[0], draw[1]]);
@@ -197,33 +240,59 @@ pub fn split<R: CryptoRng + ?Sized>(
     params.check()?;
     let pack = params.pack;
     let rows = secrets.len().div_ceil(2).div_ceil(pack).max(1);
-    // Input column `j` holds `y_j` of every row: `pack` secret columns
-    // (the payload de-interleaved, zero-padded tail), then the anchors.
-    let mut columns = vec![vec![0u16; rows]; pack + params.privacy];
-    let (secret_cols, anchor_cols) = columns.split_at_mut(pack);
-    let whole = secrets.chunks_exact(2 * pack);
-    let (full, tail) = (secrets.len() / (2 * pack), whole.remainder());
-    for (j, col) in secret_cols.iter_mut().enumerate() {
-        for (symbol, row) in col.iter_mut().zip(whole.clone()) {
-            *symbol = u16::from_be_bytes([row[2 * j], row[2 * j + 1]]);
+    // share_i = Σ_j L_j(i) · column_j: one generator-matrix row per share.
+    let share_points = (1..=params.shares as u16).map(Gf16::new);
+    let matrix = Basis::new(&params.input_points(), share_points, rows)
+        .ok_or(ShareError::ProtocolViolation("interpolation failed"))?;
+    let stride = STRIP_ROWS.min(rows);
+    // Input column `j` of a strip, at `columns[j·stride..]`, holds `y_j`
+    // of each of its rows: `pack` secret columns (the payload
+    // de-interleaved, zero-padded tail), then the anchors.
+    let mut columns = vec![0u16; stride * matrix.width];
+    let mut symbols = vec![0u16; stride];
+    // The anchor draw's bytes: a fixed strip, or one row if a row is wider.
+    let mut fixed = [0u8; DRAW_STRIP];
+    let mut wide = Vec::new();
+    let draws: &mut [u8] = if 8 * params.privacy <= DRAW_STRIP {
+        &mut fixed
+    } else {
+        wide.resize(8 * params.privacy, 0);
+        &mut wide
+    };
+    let mut out: Vec<PackedShare> = (1..=params.shares as u16)
+        .map(|index| PackedShare {
+            index,
+            data: vec![0u8; 2 * rows],
+        })
+        .collect();
+    for first in (0..rows).step_by(stride) {
+        let n = stride.min(rows - first);
+        let at = |row: usize| (2 * pack * row).min(secrets.len());
+        let whole = secrets[at(first)..at(first + n)].chunks_exact(2 * pack);
+        let (full, tail) = (whole.len(), whole.remainder());
+        let (secret_cols, anchor_cols) = columns.split_at_mut(pack * stride);
+        for (j, column) in secret_cols.chunks_exact_mut(stride).enumerate() {
+            for (symbol, row) in column.iter_mut().zip(whole.clone()) {
+                *symbol = u16::from_be_bytes([row[2 * j], row[2 * j + 1]]);
+            }
+            // The ragged last row, if any: its missing symbols and odd
+            // byte are 0.
+            if full < n {
+                let pair = tail.get(2 * j..).unwrap_or_default();
+                let byte = |k: usize| pair.get(k).copied().unwrap_or(0);
+                column[full] = u16::from_be_bytes([byte(0), byte(1)]);
+            }
+        }
+        draw_anchors(rng, draws, anchor_cols, stride, n);
+        for (i, share) in out.iter_mut().enumerate() {
+            matrix.apply(i, &columns, stride, &mut symbols[..n]);
+            let bytes = share.data[2 * first..2 * (first + n)].chunks_exact_mut(2);
+            for (pair, symbol) in bytes.zip(&symbols) {
+                pair.copy_from_slice(&symbol.to_be_bytes());
+            }
         }
     }
-    // The ragged last row, if any: its missing symbols and odd byte are 0.
-    for (col, pair) in secret_cols.iter_mut().zip(tail.chunks(2)) {
-        col[full] = u16::from_be_bytes([pair[0], *pair.get(1).unwrap_or(&0)]);
-    }
-    draw_anchors(rng, anchor_cols);
-    // share_i = Σ_j L_j(i) · column_j: one generator-matrix row per share.
-    let xs = params.input_points();
-    (1..=params.shares as u16)
-        .map(|index| {
-            let mut data = vec![0u16; rows];
-            let columns = columns.iter().map(Vec::as_slice);
-            combine_at(&xs, Gf16::new(index), columns, &mut data)
-                .ok_or(ShareError::ProtocolViolation("interpolation failed"))?;
-            Ok(PackedShare { index, data })
-        })
-        .collect()
+    Ok(out)
 }
 
 /// Reconstructs the packed secrets from at least `privacy + pack` shares.
@@ -234,8 +303,37 @@ pub fn split<R: CryptoRng + ?Sized>(
 ///
 /// Returns [`ShareError::InvalidParameters`] for parameters
 /// [`PackedParams::new`] would reject, [`ShareError::TooFewShares`], or
-/// [`ShareError::InconsistentShares`].
+/// [`ShareError::InconsistentShares`] (a share of an odd byte length
+/// among them).
 pub fn reconstruct(params: PackedParams, shares: &[PackedShare]) -> Result<Vec<u8>, ShareError> {
+    combine(params, shares, |s| (s.index, &s.data))
+}
+
+/// [`reconstruct`] from borrowed `(index, data)` shares: a reader that
+/// holds the share bytes copies none of them.
+///
+/// # Errors
+///
+/// Same conditions as [`reconstruct`].
+pub fn reconstruct_slices(
+    params: PackedParams,
+    shares: &[(u16, &[u8])],
+) -> Result<Vec<u8>, ShareError> {
+    combine(params, shares, |&(index, data)| (index, data))
+}
+
+/// The one body of [`reconstruct`] and [`reconstruct_slices`], each
+/// share seen through `part` as `(index, data)`.
+fn combine<T>(
+    params: PackedParams,
+    shares: &[T],
+    part: impl Fn(&T) -> (u16, &[u8]),
+) -> Result<Vec<u8>, ShareError> {
+    if shares.iter().any(|s| !part(s).1.len().is_multiple_of(2)) {
+        return Err(ShareError::InconsistentShares(
+            "packed share of an odd byte length",
+        ));
+    }
     params.check()?;
     let need = params.reconstruct_threshold();
     if shares.len() < need {
@@ -245,31 +343,44 @@ pub fn reconstruct(params: PackedParams, shares: &[PackedShare]) -> Result<Vec<u
         });
     }
     let subset = &shares[..need];
-    let rows = subset[0].data.len();
-    if subset.iter().any(|s| s.data.len() != rows) {
+    let rows = part(&subset[0]).1.len() / 2;
+    if subset.iter().any(|s| part(s).1.len() != 2 * rows) {
         return Err(ShareError::InconsistentShares("ragged share lengths"));
     }
     let mut seen = std::collections::HashSet::new();
-    for s in subset {
-        if s.index == 0 || !seen.insert(s.index) {
+    for (index, _) in subset.iter().map(&part) {
+        if index == 0 || !seen.insert(index) {
             return Err(ShareError::InconsistentShares(
                 "duplicate or reserved share index",
             ));
         }
     }
     // secret_j = Σ_i L_i(secret point j) · share_i, basis over the share
-    // points: one fused pass per secret slot, interleaved back into rows.
-    let xs: Vec<Gf16> = subset.iter().map(|s| Gf16::new(s.index)).collect();
+    // points: one pass per secret slot and strip, interleaved back into
+    // rows.
+    let xs: Vec<Gf16> = subset.iter().map(|s| Gf16::new(part(s).0)).collect();
     let pack = params.pack;
+    let slots = (0..pack).map(|j| params.secret_point(j));
+    let basis = Basis::new(&xs, slots, rows)
+        .ok_or(ShareError::InconsistentShares("duplicate share index"))?;
+    let stride = STRIP_ROWS.min(rows).max(1);
+    let mut columns = vec![0u16; stride * need];
+    let mut symbols = vec![0u16; stride];
     let mut out = vec![0u8; rows * pack * 2];
-    let mut column = vec![0u16; rows];
-    for j in 0..pack {
-        let shares = subset.iter().map(|s| s.data.as_slice());
-        combine_at(&xs, params.secret_point(j), shares, &mut column)
-            .ok_or(ShareError::InconsistentShares("duplicate share index"))?;
-        for (row, symbol) in out.chunks_exact_mut(2 * pack).zip(&column) {
-            let [hi, lo] = symbol.to_be_bytes();
-            (row[2 * j], row[2 * j + 1]) = (hi, lo);
+    for first in (0..rows).step_by(stride) {
+        let n = stride.min(rows - first);
+        for (column, share) in columns.chunks_exact_mut(stride).zip(subset) {
+            let bytes = part(share).1[2 * first..2 * (first + n)].chunks_exact(2);
+            for (symbol, pair) in column.iter_mut().zip(bytes) {
+                *symbol = u16::from_be_bytes([pair[0], pair[1]]);
+            }
+        }
+        let strip = &mut out[2 * pack * first..2 * pack * (first + n)];
+        for j in 0..pack {
+            basis.apply(j, &columns, stride, &mut symbols[..n]);
+            for (row, symbol) in strip.chunks_exact_mut(2 * pack).zip(&symbols) {
+                row[2 * j..2 * j + 2].copy_from_slice(&symbol.to_be_bytes());
+            }
         }
     }
     Ok(out)
@@ -303,7 +414,7 @@ mod tests {
         let mut shares: Vec<PackedShare> = (1..=params.shares as u16)
             .map(|index| PackedShare {
                 index,
-                data: Vec::with_capacity(rows),
+                data: Vec::with_capacity(2 * rows),
             })
             .collect();
         for row in 0..rows {
@@ -319,7 +430,8 @@ mod tests {
             }
             let poly = interpolate(&points).expect("distinct points");
             for share in &mut shares {
-                share.data.push(poly.eval(Gf16::new(share.index)).value());
+                let y = poly.eval(Gf16::new(share.index)).value();
+                share.data.extend_from_slice(&y.to_be_bytes());
             }
         }
         shares
@@ -331,10 +443,10 @@ mod tests {
     fn reconstruct_by_lagrange_eval(params: PackedParams, shares: &[PackedShare]) -> Vec<u8> {
         let subset = &shares[..params.reconstruct_threshold()];
         let mut out = Vec::new();
-        for row in 0..subset[0].data.len() {
+        for row in 0..subset[0].data.len() / 2 {
             let pts: Vec<(Gf16, Gf16)> = subset
                 .iter()
-                .map(|s| (Gf16::new(s.index), Gf16::new(s.data[row])))
+                .map(|s| (Gf16::new(s.index), Gf16::new(symbol(s, row))))
                 .collect();
             for j in 0..params.pack {
                 let v = lagrange_eval(&pts, params.secret_point(j)).expect("distinct indices");
@@ -342,6 +454,11 @@ mod tests {
             }
         }
         out
+    }
+
+    /// Symbol `row` of a share.
+    fn symbol(share: &PackedShare, row: usize) -> u16 {
+        u16::from_be_bytes([share.data[2 * row], share.data[2 * row + 1]])
     }
 
     /// `split` against the oracle from the same seed: equal share for
@@ -390,11 +507,23 @@ mod tests {
     }
 
     #[test]
-    fn oracle_agrees_with_split_across_draw_strips() {
-        // 64 KiB + 3: many anchor strips, an odd byte and a ragged last row.
+    fn oracle_agrees_with_split_and_reconstruct_across_strips() {
+        // 64 KiB + 3: many row and anchor strips, an odd byte and a
+        // ragged last row; a pack width that does not divide the strip.
         let secret = payload(65_539, 3);
-        assert_split_matches_oracle(PackedParams::new(2, 2, 6).unwrap(), 7, &secret);
-        assert_split_matches_oracle(PackedParams::new(3, 5, 9).unwrap(), 8, &secret[..9_001]);
+        for (params, secret) in [
+            (PackedParams::new(2, 2, 6).unwrap(), &secret[..]),
+            (PackedParams::new(3, 5, 9).unwrap(), &secret[..40_001]),
+        ] {
+            assert_split_matches_oracle(params, 7, secret);
+            let shares = split(&mut rng(), params, secret).unwrap();
+            let subset = &shares[params.shares - params.reconstruct_threshold()..];
+            let rec = reconstruct(params, subset).unwrap();
+            assert_eq!(rec, reconstruct_by_lagrange_eval(params, subset));
+            assert_eq!(&rec[..secret.len()], secret);
+            let lent: Vec<(u16, &[u8])> = subset.iter().map(|s| (s.index, &s.data[..])).collect();
+            assert_eq!(reconstruct_slices(params, &lent).unwrap(), rec);
+        }
     }
 
     #[test]
@@ -424,7 +553,10 @@ mod tests {
         let params = PackedParams::new(2, 2, 6).unwrap();
         let shares = split(&mut rng(), params, b"malformed sets").unwrap();
         let mut ragged = shares.clone();
-        ragged[2].data.pop();
+        let short = ragged[2].data.len() - 2;
+        ragged[2].data.truncate(short);
+        let mut odd = shares.clone();
+        odd[5].data.pop();
         let mut duplicate = shares.clone();
         duplicate[3] = duplicate[0].clone();
         let mut reserved = shares.clone();
@@ -444,9 +576,16 @@ mod tests {
             ),
             (&duplicate[..], bad_index.clone()),
             (&reserved[..], bad_index),
+            // Any share given, read or not, must be whole symbols.
+            (
+                &odd[..],
+                ShareError::InconsistentShares("packed share of an odd byte length"),
+            ),
         ];
         for (set, error) in cases {
-            assert_eq!(reconstruct(params, set), Err(error));
+            assert_eq!(reconstruct(params, set), Err(error.clone()));
+            let lent: Vec<(u16, &[u8])> = set.iter().map(|s| (s.index, &s.data[..])).collect();
+            assert_eq!(reconstruct_slices(params, &lent), Err(error));
         }
     }
 
@@ -525,7 +664,7 @@ mod tests {
         for seed in 0..64u64 {
             let mut r = ChaChaDrbg::from_u64_seed(seed);
             let shares = split(&mut r, params, b"same secret data").unwrap();
-            values.insert(shares[0].data[0]);
+            values.insert(symbol(&shares[0], 0));
         }
         assert!(values.len() > 48, "share values too deterministic");
     }
@@ -586,7 +725,7 @@ mod tests {
         let mut r = rng();
         let secret: Vec<u8> = (0..64u8).collect();
         let shares = split(&mut r, params, &secret).unwrap();
-        let stored: usize = shares.iter().map(|s| s.data.len() * 2).sum();
+        let stored: usize = shares.iter().map(|s| s.data.len()).sum();
         let rows = (64usize / 2).div_ceil(8); // 32 symbols in rows of 8
         assert_eq!(stored, 16 * rows * 2);
         // Amortized expansion: 128 stored bytes / 64 secret bytes = 2x.

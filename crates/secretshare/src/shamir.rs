@@ -8,10 +8,10 @@
 //! shares are statistically independent of the secret.
 
 use crate::ShareError;
-use aeon_crypto::CryptoRng;
+use aeon_crypto::{CryptoRng, SubStream};
 use aeon_gf::poly::lagrange_coefficients;
 use aeon_gf::slice;
-use aeon_gf::Gf256;
+use aeon_gf::{Field, Gf256};
 
 /// One Shamir share: an evaluation point and the per-byte evaluations.
 ///
@@ -88,29 +88,44 @@ pub fn split<R: CryptoRng + ?Sized>(
     shares: usize,
 ) -> Result<Vec<Share>, ShareError> {
     validate(threshold, shares)?;
-    // coefficients[j] is the byte vector of coefficient j+1 (degree-wise)
-    // for all byte positions at once.
-    let mut coefficients: Vec<Vec<u8>> = Vec::with_capacity(threshold - 1);
-    for _ in 0..threshold - 1 {
-        let mut c = vec![0u8; secret.len()];
-        rng.fill_bytes(&mut c);
-        coefficients.push(c);
-    }
-    let mut out = Vec::with_capacity(shares);
-    for i in 1..=shares as u8 {
-        let x = Gf256::new(i);
-        // share = secret + c_1 x + c_2 x^2 + ... — one fused row pass:
-        // every coefficient vector accumulates into each cache-sized
-        // strip of the share while the strip is hot.
-        let mut data = secret.to_vec();
-        let mut rows: Vec<(Gf256, &[u8])> = Vec::with_capacity(coefficients.len());
-        let mut x_pow = x;
-        for c in &coefficients {
-            rows.push((x_pow, c.as_slice()));
-            x_pow *= x;
+    // Coefficient k (degree-wise) of every byte position is the
+    // generator's (k-1)-th run of `secret.len()` bytes: one sub-stream
+    // each, read a strip at a time, so no coefficient vector is ever
+    // whole.
+    let mut coefficients: Vec<SubStream> = (1..threshold)
+        .map(|_| rng.substream(secret.len()))
+        .collect();
+    let mut out: Vec<Share> = (1..=shares as u8)
+        .map(|index| Share {
+            index,
+            data: vec![0u8; secret.len()],
+        })
+        .collect();
+    let strip = slice::ROW_STRIP;
+    let mut drawn = vec![
+        0u8;
+        if threshold > 1 {
+            strip.min(secret.len())
+        } else {
+            0
         }
-        slice::mul_add_rows(&mut data, &rows);
-        out.push(Share { index: i, data });
+    ];
+    for start in (0..secret.len()).step_by(strip) {
+        let end = (start + strip).min(secret.len());
+        // share_i = secret + c_1·x_i + c_2·x_i^2 + …, a strip at a time:
+        // each share strip stored from the secret, then each coefficient
+        // strip drawn once and accumulated into every share strip.
+        for share in &mut out {
+            share.data[start..end].copy_from_slice(&secret[start..end]);
+        }
+        for (k, stream) in (1..).zip(&mut coefficients) {
+            let drawn = &mut drawn[..end - start];
+            stream.fill_bytes(drawn);
+            for share in &mut out {
+                let x_k = Gf256::new(share.index).pow(k);
+                slice::mul_add_slice(x_k, drawn, &mut share.data[start..end]);
+            }
+        }
     }
     Ok(out)
 }
@@ -186,14 +201,15 @@ fn combine<T>(
     let xs: Vec<Gf256> = subset.iter().map(|s| Gf256::new(part(s).0)).collect();
     let lambda = lagrange_coefficients(&xs, x0)
         .map_err(|_| ShareError::InconsistentShares("duplicate share index"))?;
-    // Fused Lagrange combination: out = Σ λ_i · share_i in one pass.
+    // Fused Lagrange combination: out = Σ λ_i · share_i in one pass,
+    // the first term stored, so the fresh buffer is only written.
     let rows: Vec<(Gf256, &[u8])> = lambda
         .iter()
         .zip(subset)
         .map(|(coeff, share)| (*coeff, part(share).1))
         .collect();
     let mut out = vec![0u8; len];
-    slice::mul_add_rows(&mut out, &rows);
+    slice::mul_rows(&mut out, &rows);
     Ok(out)
 }
 
